@@ -23,9 +23,10 @@ wasteful, so instead the reader aliases the wire, remapping later uses.
 from __future__ import annotations
 
 import io
-from typing import Dict, List, Sequence, TextIO, Tuple
+from array import array
+from typing import Dict, List, TextIO, Tuple
 
-from .netlist import Circuit, CircuitError, Gate, GateOp
+from .netlist import GATE_OPS, OP_AND, OP_INV, OP_XOR, Circuit, CircuitError
 
 __all__ = ["write_bristol", "read_bristol", "dumps_bristol", "loads_bristol"]
 
@@ -57,25 +58,25 @@ def write_bristol(circuit: Circuit, stream: TextIO) -> None:
     next_id = circuit.n_inputs
     for wire in range(circuit.n_inputs):
         remap[wire] = wire
-    for gate in circuit.gates:
-        if gate.out not in output_rank:
-            remap[gate.out] = next_id
+    for out in circuit.out:
+        if out not in output_rank:
+            remap[out] = next_id
             next_id += 1
     for wire, rank in output_rank.items():
         remap[wire] = circuit.n_wires - n_outputs + rank
 
-    stream.write(f"{len(circuit.gates)} {circuit.n_wires}\n")
+    stream.write(f"{len(circuit.op)} {circuit.n_wires}\n")
     parts = [str(n) for n in (circuit.n_garbler_inputs, circuit.n_evaluator_inputs) if n]
     stream.write(f"{len(parts)} {' '.join(parts)}\n")
     stream.write(f"1 {n_outputs}\n")
     stream.write("\n")
-    for gate in circuit.gates:
-        if gate.op is GateOp.INV:
-            stream.write(f"1 1 {remap[gate.a]} {remap[gate.out]} INV\n")
+    for code, a, b, out in zip(circuit.op, circuit.a, circuit.b, circuit.out):
+        if code == OP_INV:
+            stream.write(f"1 1 {remap[a]} {remap[out]} INV\n")
         else:
             stream.write(
-                f"2 1 {remap[gate.a]} {remap[gate.b]} {remap[gate.out]} "
-                f"{gate.op.value}\n"
+                f"2 1 {remap[a]} {remap[b]} {remap[out]} "
+                f"{GATE_OPS[code].value}\n"
             )
 
 
@@ -132,7 +133,9 @@ def read_bristol(
             wire = alias[wire]
         return wire
 
-    gates: List[Gate] = []
+    op_col = bytearray()
+    a_col = array("q")
+    b_col = array("q")
     # Bristol wire ids may interleave; our IR requires SSA ids where gate
     # outputs are allocated in order.  Build a remap as we go.
     remap: Dict[int, int] = {w: w for w in range(n_inputs)}
@@ -144,6 +147,16 @@ def read_bristol(
             raise CircuitError(f"wire {wire} used before definition")
         return remap[wire]
 
+    def emit(code: int, a: int, b: int, out: int) -> None:
+        nonlocal next_id
+        if out < 0:
+            raise CircuitError(f"negative wire id {out}")
+        op_col.append(code)
+        a_col.append(mapped(a))
+        b_col.append(b if code == OP_INV else mapped(b))
+        remap[out] = next_id
+        next_id += 1
+
     for line_index in range(cursor, cursor + n_gates):
         if line_index >= len(lines):
             raise CircuitError("fewer gate lines than declared")
@@ -153,35 +166,27 @@ def read_bristol(
         if op_name in ("INV", "NOT"):
             if n_in != 1:
                 raise CircuitError(f"INV with {n_in} inputs")
-            a, out = int(tokens[2]), int(tokens[3])
-            remap[out] = next_id
-            gates.append(Gate(GateOp.INV, mapped(a), -1, next_id))
-            next_id += 1
+            emit(OP_INV, int(tokens[2]), -1, int(tokens[3]))
         elif op_name == "EQW":
             a, out = int(tokens[2]), int(tokens[3])
             alias[out] = a
         elif op_name in ("AND", "XOR"):
             if n_in != 2:
                 raise CircuitError(f"{op_name} with {n_in} inputs")
-            a, b, out = int(tokens[2]), int(tokens[3]), int(tokens[4])
-            remap[out] = next_id
-            gates.append(
-                Gate(GateOp[op_name], mapped(a), mapped(b), next_id)
+            emit(
+                OP_AND if op_name == "AND" else OP_XOR,
+                int(tokens[2]), int(tokens[3]), int(tokens[4]),
             )
-            next_id += 1
         else:
             raise CircuitError(f"unsupported Bristol gate: {op_name}")
 
     total_outputs = sum(output_widths)
     # Bristol convention: outputs are the last `total_outputs` wire ids of
     # the *original* numbering.
-    outputs = [remap[resolve(w)] for w in range(n_wires - total_outputs, n_wires)]
-    circuit = Circuit(
-        n_garbler_inputs=n_garbler,
-        n_evaluator_inputs=n_evaluator,
-        outputs=outputs,
-        gates=gates,
-        name=name,
+    outputs = [mapped(w) for w in range(n_wires - total_outputs, n_wires)]
+    circuit = Circuit.from_columns(
+        n_garbler, n_evaluator, outputs, op_col, a_col, b_col,
+        array("q", range(n_inputs, next_id)), name,
     )
     circuit.validate()
     return circuit

@@ -12,9 +12,10 @@ so the IR stays three-op; repeated requests reuse the same wires.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Sequence
 
-from .netlist import Circuit, CircuitError, Gate, GateOp
+from .netlist import OP_AND, OP_INV, OP_XOR, Circuit, CircuitError
 
 __all__ = ["CircuitBuilder"]
 
@@ -35,7 +36,10 @@ class CircuitBuilder:
     def __init__(self) -> None:
         self._n_garbler_inputs = 0
         self._n_evaluator_inputs = 0
-        self._gates: List[Gate] = []
+        # Gate columns; outputs are sequential, so `out` is implicit.
+        self._op = bytearray()
+        self._a = array("q")
+        self._b = array("q")
         self._outputs: List[int] = []
         self._next_wire = 0
         self._inputs_frozen = False
@@ -73,11 +77,13 @@ class CircuitBuilder:
     # Gates
     # ------------------------------------------------------------------
 
-    def _emit(self, op: GateOp, a: int, b: int) -> int:
+    def _emit(self, op: int, a: int, b: int) -> int:
         self._freeze_inputs()
         out = self._next_wire
         self._next_wire += 1
-        self._gates.append(Gate(op, a, b, out))
+        self._op.append(op)
+        self._a.append(a)
+        self._b.append(b)
         return out
 
     def _freeze_inputs(self) -> None:
@@ -90,18 +96,18 @@ class CircuitBuilder:
         """Emit an AND gate (one garbled table, four hashes to garble)."""
         self._check_wire(a)
         self._check_wire(b)
-        return self._emit(GateOp.AND, a, b)
+        return self._emit(OP_AND, a, b)
 
     def XOR(self, a: int, b: int) -> int:
         """Emit a FreeXOR gate (no table, no hashing)."""
         self._check_wire(a)
         self._check_wire(b)
-        return self._emit(GateOp.XOR, a, b)
+        return self._emit(OP_XOR, a, b)
 
     def NOT(self, a: int) -> int:
         """Emit a free INV gate."""
         self._check_wire(a)
-        return self._emit(GateOp.INV, a, -1)
+        return self._emit(OP_INV, a, -1)
 
     def OR(self, a: int, b: int) -> int:
         """OR as (a xor b) xor (a and b): one table, two free XORs."""
@@ -125,13 +131,13 @@ class CircuitBuilder:
         """A wire carrying constant 0 (built once: w xor w)."""
         if self._const_zero is None:
             self._freeze_inputs()
-            self._const_zero = self._emit(GateOp.XOR, 0, 0)
+            self._const_zero = self._emit(OP_XOR, 0, 0)
         return self._const_zero
 
     def const_one(self) -> int:
         """A wire carrying constant 1 (NOT of the zero wire)."""
         if self._const_one is None:
-            self._const_one = self._emit(GateOp.INV, self.const_zero(), -1)
+            self._const_one = self._emit(OP_INV, self.const_zero(), -1)
         return self._const_one
 
     def const_bit(self, bit: int) -> int:
@@ -157,12 +163,16 @@ class CircuitBuilder:
         """Validate and return the finished netlist."""
         if not self._outputs:
             raise CircuitError("circuit has no outputs")
-        circuit = Circuit(
-            n_garbler_inputs=self._n_garbler_inputs,
-            n_evaluator_inputs=self._n_evaluator_inputs,
-            outputs=list(self._outputs),
-            gates=list(self._gates),
-            name=name,
+        n_inputs = self._n_garbler_inputs + self._n_evaluator_inputs
+        circuit = Circuit.from_columns(
+            self._n_garbler_inputs,
+            self._n_evaluator_inputs,
+            list(self._outputs),
+            self._op[:],
+            self._a[:],
+            self._b[:],
+            array("q", range(n_inputs, self._next_wire)),
+            name,
         )
         circuit.validate()
         return circuit
@@ -173,7 +183,7 @@ class CircuitBuilder:
 
     @property
     def n_gates(self) -> int:
-        return len(self._gates)
+        return len(self._op)
 
     @property
     def n_wires(self) -> int:

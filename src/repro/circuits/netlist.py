@@ -6,7 +6,15 @@ time -- there is no control flow (paper sections 1-2).  This IR is shared
 by the garbling substrate, the workload generators, the Bristol reader/
 writer, and the HAAC assembler.
 
-Invariants enforced by :meth:`Circuit.validate`:
+A netlist *is* four parallel columns (DESIGN.md section 14): ``op`` (a
+``bytearray`` of :data:`OP_AND` / :data:`OP_XOR` / :data:`OP_INV`) and
+``a`` / ``b`` / ``out`` (``array('q')`` wire ids; ``b`` is -1 for INV).
+:class:`Gate` stays the public value type, but ``circuit.gates`` is a
+read-only :class:`ColumnView` that builds ``Gate`` objects only when
+somebody indexes or iterates it; every pass and engine reads columns.
+
+Invariants enforced by :meth:`Circuit.validate` (the one validator;
+dependence-graph construction calls it too):
 
 * wires are dense integer ids ``[0, n_wires)``;
 * wires ``[0, n_inputs)`` are primary inputs (Garbler's inputs first,
@@ -19,10 +27,24 @@ Invariants enforced by :meth:`Circuit.validate`:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from array import array
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-__all__ = ["GateOp", "Gate", "Circuit", "CircuitStats", "CircuitError"]
+__all__ = [
+    "GateOp",
+    "Gate",
+    "Circuit",
+    "CircuitStats",
+    "CircuitError",
+    "ColumnView",
+    "OP_AND",
+    "OP_XOR",
+    "OP_INV",
+    "GATE_OPS",
+]
 
 
 class CircuitError(ValueError):
@@ -44,6 +66,14 @@ class GateOp(enum.Enum):
     @property
     def arity(self) -> int:
         return 1 if self is GateOp.INV else 2
+
+
+#: ``op`` column codes -- also the canonical codes ``circuit_digest``
+#: hashes, so they can never be renumbered.
+OP_AND, OP_XOR, OP_INV = 0, 1, 2
+#: Code -> operator (``GATE_OPS[code]``).
+GATE_OPS = (GateOp.AND, GateOp.XOR, GateOp.INV)
+_OP_CODE = {op: code for code, op in enumerate(GATE_OPS)}
 
 
 @dataclass(frozen=True)
@@ -74,6 +104,49 @@ class Gate:
         if self.op is GateOp.XOR:
             return a ^ b
         return a ^ 1
+
+
+class ColumnView(SequenceABC):
+    """Read-only sequence over columns that materialises on demand.
+
+    ``len`` is O(1) (the length of ``column``).  The first index or
+    iteration calls ``build`` once and keeps the list, so repeated
+    walks construct nothing; there is no ``__setitem__`` -- the columns
+    are the truth, and assigning into a view raises ``TypeError``.
+    ``build`` should close over columns, not over the view's owner, so
+    owner and view never form a reference cycle.
+    """
+
+    __slots__ = ("_column", "_build", "_items")
+
+    def __init__(self, column, build: Callable[[], list]) -> None:
+        self._column = column
+        self._build = build
+        self._items = None
+
+    def _all(self) -> list:
+        if self._items is None:
+            self._items = self._build()
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._column)
+
+    def __getitem__(self, index):
+        return self._all()[index]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return self._all() == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ColumnView({self._all()!r})"
 
 
 @dataclass
@@ -107,15 +180,64 @@ class CircuitStats:
         }
 
 
-@dataclass
 class Circuit:
-    """A Boolean netlist in SSA, topologically ordered form."""
+    """A Boolean netlist in SSA, topologically ordered form.
 
-    n_garbler_inputs: int
-    n_evaluator_inputs: int
-    outputs: List[int]
-    gates: List[Gate] = field(default_factory=list)
-    name: str = "circuit"
+    Owns the ``op`` / ``a`` / ``b`` / ``out`` columns.  Constructing
+    from ``gates`` copies their fields into columns; passes that already
+    hold columns use :meth:`from_columns`, which adopts them as is.
+    Columns are immutable by convention: every pass returns a new
+    ``Circuit`` (possibly sharing columns it did not change).
+    """
+
+    def __init__(
+        self,
+        n_garbler_inputs: int,
+        n_evaluator_inputs: int,
+        outputs: List[int],
+        gates: Iterable[Gate] = (),
+        name: str = "circuit",
+    ) -> None:
+        gates = list(gates)
+        self.n_garbler_inputs = n_garbler_inputs
+        self.n_evaluator_inputs = n_evaluator_inputs
+        self.outputs = outputs
+        self.name = name
+        self.op = bytearray(_OP_CODE[gate.op] for gate in gates)
+        self.a = array("q", [gate.a for gate in gates])
+        self.b = array("q", [gate.b for gate in gates])
+        self.out = array("q", [gate.out for gate in gates])
+
+    @classmethod
+    def from_columns(
+        cls,
+        n_garbler_inputs: int,
+        n_evaluator_inputs: int,
+        outputs: List[int],
+        op: bytearray,
+        a: array,
+        b: array,
+        out: array,
+        name: str = "circuit",
+    ) -> "Circuit":
+        """Adopt ready-made columns (not validated; see :meth:`validate`)."""
+        circuit = cls(n_garbler_inputs, n_evaluator_inputs, outputs, name=name)
+        circuit.op, circuit.a, circuit.b, circuit.out = op, a, b, out
+        return circuit
+
+    @cached_property
+    def gates(self) -> ColumnView:
+        """The gates as :class:`Gate` values (read-only, built lazily)."""
+        # The closure holds the columns, not the circuit: no reference
+        # cycle, so a dropped circuit is freed without the cyclic GC.
+        columns = (self.op, self.a, self.b, self.out)
+        return ColumnView(
+            self.op,
+            lambda: [
+                Gate(GATE_OPS[code], a, b, out)
+                for code, a, b, out in zip(*columns)
+            ],
+        )
 
     @property
     def n_inputs(self) -> int:
@@ -123,7 +245,7 @@ class Circuit:
 
     @property
     def n_wires(self) -> int:
-        return self.n_inputs + len(self.gates)
+        return self.n_inputs + len(self.op)
 
     @property
     def garbler_input_wires(self) -> range:
@@ -133,37 +255,54 @@ class Circuit:
     def evaluator_input_wires(self) -> range:
         return range(self.n_garbler_inputs, self.n_inputs)
 
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
+    def validate(self) -> bool:
+        """Check every IR invariant on the columns; raises CircuitError.
 
-    def validate(self) -> None:
-        """Check all IR invariants; raises :class:`CircuitError`."""
-        defined = [False] * self.n_wires
-        for wire in range(self.n_inputs):
-            defined[wire] = True
-        for position, gate in enumerate(self.gates):
-            for wire in gate.inputs():
-                if wire >= self.n_wires:
-                    raise CircuitError(
-                        f"gate {position} reads wire {wire} >= n_wires {self.n_wires}"
-                    )
-                if not defined[wire]:
-                    raise CircuitError(
-                        f"gate {position} reads wire {wire} before it is defined"
-                    )
-            if gate.out >= self.n_wires:
+        The one validator (dependence-graph construction calls it too).
+        Returns whether the netlist is in renamed form (gate ``p``
+        writes wire ``n_inputs + p``), which the window analyses need.
+        """
+        op, a, b, out = self.op, self.a, self.b, self.out
+        n_inputs = self.n_inputs
+        n_gates = len(op)
+        if not len(a) == len(b) == len(out) == n_gates:
+            raise CircuitError("gate columns have different lengths")
+        n_wires = n_inputs + n_gates
+        defined = bytearray(n_wires)
+        defined[:n_inputs] = b"\x01" * n_inputs
+        renamed = True
+        for position, (code, x, y, w) in enumerate(zip(op, a, b, out)):
+            if code == OP_INV and y == -1:
+                y = x
+            elif code == OP_INV:
                 raise CircuitError(
-                    f"gate {position} writes wire {gate.out} >= n_wires {self.n_wires}"
+                    f"gate {position}: INV must have b == -1, got {y}"
                 )
-            if gate.out < self.n_inputs:
-                raise CircuitError(f"gate {position} overwrites input wire {gate.out}")
-            if defined[gate.out]:
-                raise CircuitError(f"wire {gate.out} defined twice (SSA violation)")
-            defined[gate.out] = True
+            elif code > OP_INV:
+                raise CircuitError(f"gate {position}: unknown op code {code}")
+            if not (0 <= x < n_wires and 0 <= y < n_wires and 0 <= w < n_wires):
+                if x < 0 or y < 0 or w < 0:
+                    raise CircuitError(
+                        f"gate {position}: wire ids must be non-negative"
+                    )
+                raise CircuitError(
+                    f"gate {position} touches a wire >= n_wires {n_wires}"
+                )
+            if not (defined[x] and defined[y]):
+                raise CircuitError(
+                    f"gate {position} reads a wire before it is defined"
+                )
+            if w < n_inputs:
+                raise CircuitError(f"gate {position} overwrites input wire {w}")
+            if defined[w]:
+                raise CircuitError(f"wire {w} defined twice (SSA violation)")
+            defined[w] = 1
+            if w != n_inputs + position:
+                renamed = False
         for wire in self.outputs:
-            if wire >= self.n_wires or not defined[wire]:
+            if not 0 <= wire < n_wires or not defined[wire]:
                 raise CircuitError(f"output wire {wire} is undefined")
+        return renamed
 
     # ------------------------------------------------------------------
     # Analysis
@@ -172,20 +311,18 @@ class Circuit:
     def wire_levels(self) -> List[int]:
         """ASAP dependence level of every wire (inputs are level 0)."""
         level = [0] * self.n_wires
-        for gate in self.gates:
-            level[gate.out] = 1 + max(level[wire] for wire in gate.inputs())
+        for a, b, out in zip(self.a, self.b, self.out):
+            level[out] = 1 + max(level[a], level[b] if b >= 0 else 0)
         return level
 
     def gate_levels(self) -> List[int]:
         """ASAP dependence level of every gate, 1-based like the paper."""
         level = self.wire_levels()
-        return [level[gate.out] for gate in self.gates]
+        return [level[out] for out in self.out]
 
     def depth(self) -> int:
         """Circuit depth in gate levels (Table 2 '# Levels')."""
-        if not self.gates:
-            return 0
-        return max(self.gate_levels())
+        return max(self.gate_levels(), default=0)
 
     def topological_levels(self) -> List[List[int]]:
         """Gate positions grouped by ASAP dependence level.
@@ -199,9 +336,7 @@ class Circuit:
         are in netlist order.
         """
         levels = self.gate_levels()
-        if not levels:
-            return []
-        buckets: List[List[int]] = [[] for _ in range(max(levels))]
+        buckets: List[List[int]] = [[] for _ in range(max(levels, default=0))]
         for position, level in enumerate(levels):
             buckets[level - 1].append(position)
         return buckets
@@ -233,52 +368,50 @@ class Circuit:
         depth = [0] * self.n_wires
         free_level = [0] * self.n_wires
         phases: List[Tuple[List[int], List[List[int]]]] = [([], [])]
-        for position, gate in enumerate(self.gates):
-            d = 0
-            for wire in gate.inputs():
-                if depth[wire] > d:
-                    d = depth[wire]
-            if gate.op is GateOp.AND:
+        for position, (code, a, b, out) in enumerate(
+            zip(self.op, self.a, self.b, self.out)
+        ):
+            if code == OP_INV:
+                b = a
+            d = max(depth[a], depth[b])
+            if code == OP_AND:
                 d += 1
                 while len(phases) <= d:
                     phases.append(([], []))
                 phases[d][0].append(position)
-                free_level[gate.out] = 0
+                free_level[out] = 0
             else:
                 f = 1
-                for wire in gate.inputs():
-                    if depth[wire] == d and free_level[wire] >= f:
-                        f = free_level[wire] + 1
-                while len(phases) <= d:
-                    phases.append(([], []))
+                if depth[a] == d and free_level[a] >= f:
+                    f = free_level[a] + 1
+                if depth[b] == d and free_level[b] >= f:
+                    f = free_level[b] + 1
                 groups = phases[d][1]
                 while len(groups) < f:
                     groups.append([])
                 groups[f - 1].append(position)
-                free_level[gate.out] = f
-            depth[gate.out] = d
+                free_level[out] = f
+            depth[out] = d
         self._and_schedule_cache = phases
         return phases
 
     def stats(self) -> CircuitStats:
-        and_gates = sum(1 for g in self.gates if g.op is GateOp.AND)
-        xor_gates = sum(1 for g in self.gates if g.op is GateOp.XOR)
-        inv_gates = sum(1 for g in self.gates if g.op is GateOp.INV)
         return CircuitStats(
             levels=self.depth(),
             wires=self.n_wires,
-            gates=len(self.gates),
-            and_gates=and_gates,
-            xor_gates=xor_gates,
-            inv_gates=inv_gates,
+            gates=len(self.op),
+            and_gates=self.op.count(OP_AND),
+            xor_gates=self.op.count(OP_XOR),
+            inv_gates=self.op.count(OP_INV),
         )
 
     def fanout(self) -> List[int]:
         """Number of consumers of each wire (outputs not counted)."""
         counts = [0] * self.n_wires
-        for gate in self.gates:
-            for wire in gate.inputs():
-                counts[wire] += 1
+        for a, b in zip(self.a, self.b):
+            counts[a] += 1
+            if b >= 0:
+                counts[b] += 1
         return counts
 
     # ------------------------------------------------------------------
@@ -297,52 +430,44 @@ class Circuit:
             raise CircuitError(
                 f"expected {self.n_evaluator_inputs} evaluator bits, got {len(evaluator_bits)}"
             )
-        values = [0] * self.n_wires
-        for wire, bit in enumerate(garbler_bits):
-            values[wire] = bit & 1
-        for offset, bit in enumerate(evaluator_bits):
-            values[self.n_garbler_inputs + offset] = bit & 1
-        for gate in self.gates:
-            if gate.op is GateOp.AND:
-                values[gate.out] = values[gate.a] & values[gate.b]
-            elif gate.op is GateOp.XOR:
-                values[gate.out] = values[gate.a] ^ values[gate.b]
+        values = [bit & 1 for bit in garbler_bits]
+        values += [bit & 1 for bit in evaluator_bits]
+        values += [0] * len(self.op)
+        for code, a, b, out in zip(self.op, self.a, self.b, self.out):
+            if code == OP_AND:
+                values[out] = values[a] & values[b]
+            elif code == OP_XOR:
+                values[out] = values[a] ^ values[b]
             else:
-                values[gate.out] = values[gate.a] ^ 1
+                values[out] = values[a] ^ 1
         return [values[wire] for wire in self.outputs]
 
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
 
-    #: Per-instance memo attributes (and_level_schedule, progcache
-    #: digest, multicore partition, dependence graph).  Derivable from
-    #: the netlist, so they are dropped on pickle: cache entries stay
-    #: lean and a stale memo can never be revived from disk.  (The
-    #: renamed program's dependence graph *is* persisted, but on the
-    #: StreamSet -- see repro.core.depgraph.)
-    _MEMO_ATTRS = (
-        "_and_schedule_cache",
-        "_digest_cache",
-        "_components_cache",
-        "_depgraph_cache",
+    _FIELDS = (
+        "n_garbler_inputs", "n_evaluator_inputs", "outputs", "name",
+        "op", "a", "b", "out",
     )
 
     def __getstate__(self):
-        state = dict(self.__dict__)
-        for attr in self._MEMO_ATTRS:
-            state.pop(attr, None)
-        return state
+        # Pickles and copies carry the netlist and nothing derived from
+        # it: the gates view and every memo other modules hang on the
+        # instance (and_level_schedule, digest, dependence graph, vector
+        # plan) are dropped, so cache entries stay lean, a stale memo can
+        # never be revived from disk, and ``copy.copy`` is memo-free.
+        return {name: getattr(self, name) for name in self._FIELDS}
 
     def producer_map(self) -> Dict[int, int]:
         """Map from output wire id to producing gate position."""
-        return {gate.out: position for position, gate in enumerate(self.gates)}
+        return {out: position for position, out in enumerate(self.out)}
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.op)
 
     @staticmethod
     def from_gates(
@@ -353,11 +478,7 @@ class Circuit:
         name: str = "circuit",
     ) -> "Circuit":
         circuit = Circuit(
-            n_garbler_inputs=n_garbler_inputs,
-            n_evaluator_inputs=n_evaluator_inputs,
-            outputs=list(outputs),
-            gates=list(gates),
-            name=name,
+            n_garbler_inputs, n_evaluator_inputs, list(outputs), gates, name
         )
         circuit.validate()
         return circuit

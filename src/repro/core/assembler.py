@@ -19,9 +19,10 @@ EMP gate order, no reordering/renaming/ESW.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Sequence, Tuple
 
-from ..circuits.netlist import Circuit, Gate, GateOp
+from ..circuits.netlist import OP_INV, OP_XOR, Circuit
 from .depgraph import DepGraph, dep_graph, seed_graph
 from .program import HaacProgram
 
@@ -62,30 +63,25 @@ def lower_inv(circuit: Circuit) -> LoweredCircuit:
     # unchanged -- it doubles as the memoized graph the rest of the
     # pipeline and the multicore partitioner share.
     dep_graph(circuit)
-    if not any(gate.op is GateOp.INV for gate in circuit.gates):
+    if OP_INV not in circuit.op:
         return LoweredCircuit(circuit, has_one_wire=False)
 
-    one_wire = circuit.n_inputs  # new input id; internals shift by +1
+    n_inputs = circuit.n_inputs
+    one_wire = n_inputs  # new input id; internals shift by +1
 
     def remap(wire: int) -> int:
-        return wire if wire < circuit.n_inputs else wire + 1
+        return wire if wire < n_inputs else wire + 1
 
-    gates: List[Gate] = []
-    for gate in circuit.gates:
-        if gate.op is GateOp.INV:
-            gates.append(
-                Gate(GateOp.XOR, remap(gate.a), one_wire, remap(gate.out))
-            )
-        else:
-            gates.append(
-                Gate(gate.op, remap(gate.a), remap(gate.b), remap(gate.out))
-            )
-    lowered = Circuit(
-        n_garbler_inputs=circuit.n_garbler_inputs,
-        n_evaluator_inputs=circuit.n_evaluator_inputs + 1,
-        outputs=[remap(w) for w in circuit.outputs],
-        gates=gates,
-        name=circuit.name + "+lowered",
+    lowered = Circuit.from_columns(
+        circuit.n_garbler_inputs,
+        circuit.n_evaluator_inputs + 1,
+        [remap(w) for w in circuit.outputs],
+        circuit.op.replace(bytes([OP_INV]), bytes([OP_XOR])),
+        array("q", map(remap, circuit.a)),
+        # INV's missing operand (-1) becomes the constant-one wire.
+        array("q", [one_wire if w < 0 else remap(w) for w in circuit.b]),
+        array("q", map(remap, circuit.out)),
+        circuit.name + "+lowered",
     )
     # Validates and seeds the lowered circuit's graph for the pipeline.
     seed_graph(lowered, DepGraph(lowered))

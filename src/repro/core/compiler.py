@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..circuits.netlist import Circuit
-from .assembler import LoweredCircuit, assemble
+from .assembler import LoweredCircuit, lower_inv
 from .depgraph import dep_graph
 from .passes.esw import EswReport, eliminate_spent_wires
 from .passes.rename import rename
@@ -119,8 +119,8 @@ def compile_circuit(
                 verify_streams(cached.streams)
             return cached
 
-    program, lowered = assemble(circuit)
-    passes = list(program.applied_passes)
+    lowered = lower_inv(circuit)
+    passes = ["assemble"]
 
     # Canonical EMP program order: depth-first producer-consumer chains
     # (paper section 4.2.1).  This *is* the baseline; the reordering

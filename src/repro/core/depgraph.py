@@ -7,8 +7,9 @@ operands, the greedy GE mapping iterated gate dataclasses, and the
 multicore partitioner ran its own union-find.  :class:`DepGraph` is the
 single flat-array home for all of it (DESIGN.md section 14):
 
-* **operand arrays** ``a_of`` / ``b_of`` / ``out_of`` / ``is_and`` --
-  one attribute walk over the gate dataclasses, ever;
+* **operand arrays** ``a_of`` / ``b_of`` / ``out_of`` -- the circuit's
+  own columns, adopted by reference -- and ``is_and``, one byte per
+  gate translated from the ``op`` column;
 * **reader adjacency** -- CSR (``reader_off`` / ``reader_pos``) built by
   counting sort, so per-wire reader lists are ascending program
   positions and ``last_reader`` is one gather;
@@ -25,10 +26,10 @@ single flat-array home for all of it (DESIGN.md section 14):
   the greedy scheduler's ``last_read_issue`` bookkeeping -- one
   definition, asserted bit-identical by the equivalence suite.
 
-Graph construction *is* validation: the eager pass checks the same IR
-invariants as :meth:`Circuit.validate` (dense ids, SSA, topological
-order) on flat integers, so a pass that builds or receives a graph can
-skip a redundant ``validate()`` of the same netlist.
+Graph construction *is* validation: it runs :meth:`Circuit.validate`
+(which also reports whether the netlist is in renamed form), so a pass
+that builds or receives a graph can skip a redundant ``validate()`` of
+the same netlist.
 
 Memoization is two-level: on the circuit instance (attribute
 ``_depgraph_cache``, dropped on pickle like every other netlist memo)
@@ -37,16 +38,18 @@ a multicore sweep re-calling :func:`partition_components`, or two opt
 levels sharing one lowered circuit -- reuse the graph and everything
 lazily derived on it.  The renamed program's graph additionally rides
 along on the :class:`StreamSet` into the persistent program cache
-(CACHE_SCHEMA v4), sharing its operand lists with the engine's
-``CompiledArrays`` so warm entries store one copy.
+(CACHE_SCHEMA v5), sharing its operand columns with the netlist, the
+program and the engine's ``CompiledArrays`` so warm entries store one
+copy.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from ..circuits.netlist import Circuit, CircuitError, GateOp
+from ..circuits.netlist import OP_AND, Circuit, CircuitError
 
 __all__ = [
     "DepGraph",
@@ -71,6 +74,9 @@ _registry_lock = threading.Lock()
 #: and the bench's cold-compile honesty both read these.
 _counts = {"graphs": 0, "levels": 0, "readers": 0, "components": 0}
 
+#: ``op`` column -> one byte per gate, 1 where the gate is an AND.
+_IS_AND = bytes(code == OP_AND for code in range(256))
+
 
 def build_counts() -> Dict[str, int]:
     """Snapshot of how many times each derivation actually ran."""
@@ -86,97 +92,30 @@ def clear_registry() -> None:
 class DepGraph:
     """Immutable flat-array dependence graph of one :class:`Circuit`.
 
-    Eager fields are one pass over the gate list; everything else is
-    derived lazily, once, and memoized on the graph.  All fields are
-    plain Python lists (the same NumPy-less-pickle portability contract
-    as ``CompiledArrays``; the NumPy engine wraps them on demand).
+    Eager fields are the circuit's columns plus one validation pass;
+    everything else is a ``cached_property``: derived lazily, once, and
+    memoized on the graph.
+    All fields are stdlib arrays, bytearrays and lists (the same
+    NumPy-less-pickle portability contract as ``CompiledArrays``; the
+    NumPy engine wraps them on demand).
     """
 
-    __slots__ = (
-        "n_inputs",
-        "n_gates",
-        "n_wires",
-        "a_of",
-        "b_of",
-        "out_of",
-        "is_and",
-        "renamed",
-        "_wire_level",
-        "_gate_level",
-        "_reader_off",
-        "_reader_pos",
-        "_last_reader",
-        "_component_of",
-        "_components",
-        "_oor_flags",
-    )
-
     def __init__(self, circuit: Circuit):
-        gates = circuit.gates
-        n_inputs = circuit.n_inputs
-        n_gates = len(gates)
-        n_wires = n_inputs + n_gates
-        a_of = [gate.a for gate in gates]
-        b_of = [gate.b for gate in gates]
-        out_of = [gate.out for gate in gates]
-        is_and = [gate.op is GateOp.AND for gate in gates]
-
-        # Validation witness: the same invariants as Circuit.validate(),
-        # checked on flat integers (no per-gate generators).
-        defined = bytearray(n_wires)
-        for wire in range(min(n_inputs, n_wires)):
-            defined[wire] = 1
-        renamed = True
-        for position in range(n_gates):
-            a = a_of[position]
-            b = b_of[position]
-            out = out_of[position]
-            if a >= n_wires or (b >= 0 and b >= n_wires) or out >= n_wires:
-                raise CircuitError(
-                    f"gate {position} touches a wire >= n_wires {n_wires}"
-                )
-            if not defined[a] or (b >= 0 and not defined[b]):
-                raise CircuitError(
-                    f"gate {position} reads a wire before it is defined"
-                )
-            if out < n_inputs:
-                raise CircuitError(
-                    f"gate {position} overwrites input wire {out}"
-                )
-            if defined[out]:
-                raise CircuitError(
-                    f"wire {out} defined twice (SSA violation)"
-                )
-            defined[out] = 1
-            if out != n_inputs + position:
-                renamed = False
-        for wire in circuit.outputs:
-            if wire >= n_wires or not defined[wire]:
-                raise CircuitError(f"output wire {wire} is undefined")
-
-        self.n_inputs = n_inputs
-        self.n_gates = n_gates
-        self.n_wires = n_wires
-        self.a_of = a_of
-        self.b_of = b_of
-        self.out_of = out_of
-        self.is_and = is_and
-        self.renamed = renamed
-        self._wire_level: Optional[List[int]] = None
-        self._gate_level: Optional[List[int]] = None
-        self._reader_off: Optional[List[int]] = None
-        self._reader_pos: Optional[List[int]] = None
-        self._last_reader: Optional[List[int]] = None
-        self._component_of: Optional[List[int]] = None
-        self._components: Optional[List[List[int]]] = None
-        self._oor_flags: Dict[int, Tuple[List[bool], List[bool]]] = {}
+        self.n_inputs = circuit.n_inputs
+        self.n_gates = len(circuit.op)
+        self.n_wires = circuit.n_wires
+        self.a_of = circuit.a
+        self.b_of = circuit.b
+        self.out_of = circuit.out
+        self.is_and = circuit.op.translate(_IS_AND)
+        self.renamed = circuit.validate()
         _counts["graphs"] += 1
 
     # ------------------------------------------------------------------
     # Topological (ASAP) levels
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def wire_level(self) -> List[int]:
         """ASAP level per wire id (inputs 0) -- Circuit.wire_levels.
 
@@ -184,35 +123,33 @@ class DepGraph:
         identical array; the reorder passes exploit that by seeding the
         permuted circuit's graph with the source's levels.
         """
-        if self._wire_level is None:
-            level = [0] * self.n_wires
-            a_of, b_of, out_of = self.a_of, self.b_of, self.out_of
-            for position in range(self.n_gates):
-                la = level[a_of[position]]
-                b = b_of[position]
-                if b >= 0:
-                    lb = level[b]
-                    if lb > la:
-                        la = lb
-                level[out_of[position]] = la + 1
-            self._wire_level = level
-            _counts["levels"] += 1
-        return self._wire_level
+        level = [0] * self.n_wires
+        a_of, b_of, out_of = self.a_of, self.b_of, self.out_of
+        for position in range(self.n_gates):
+            la = level[a_of[position]]
+            b = b_of[position]
+            if b >= 0:
+                lb = level[b]
+                if lb > la:
+                    la = lb
+            level[out_of[position]] = la + 1
+        _counts["levels"] += 1
+        return level
 
-    @property
+    @cached_property
     def gate_level(self) -> List[int]:
         """ASAP level per gate position, 1-based -- Circuit.gate_levels."""
-        if self._gate_level is None:
-            level = self.wire_level
-            self._gate_level = [level[out] for out in self.out_of]
-        return self._gate_level
+        level = self.wire_level
+        return [level[out] for out in self.out_of]
 
     # ------------------------------------------------------------------
     # Reader adjacency (CSR) and producers
     # ------------------------------------------------------------------
 
-    def _build_readers(self) -> None:
-        """Counting-sort CSR: per-wire reader positions, ascending."""
+    @cached_property
+    def _readers(self) -> Tuple[List[int], List[int]]:
+        """Counting-sort CSR (offsets, positions): per-wire reader
+        positions, ascending."""
         n_wires = self.n_wires
         counts = [0] * (n_wires + 1)
         a_of, b_of = self.a_of, self.b_of
@@ -234,30 +171,25 @@ class DepGraph:
             if b >= 0:
                 reader_pos[cursor[b]] = position
                 cursor[b] += 1
-        self._reader_off = offsets
-        self._reader_pos = reader_pos
         _counts["readers"] += 1
+        return offsets, reader_pos
 
     @property
     def reader_off(self) -> List[int]:
         """CSR offsets: wire ``w``'s readers are
         ``reader_pos[reader_off[w]:reader_off[w + 1]]`` (ascending)."""
-        if self._reader_off is None:
-            self._build_readers()
-        return self._reader_off
+        return self._readers[0]
 
     @property
     def reader_pos(self) -> List[int]:
-        if self._reader_pos is None:
-            self._build_readers()
-        return self._reader_pos
+        return self._readers[1]
 
     def readers(self, wire: int) -> List[int]:
         """Gate positions reading ``wire``, in program order."""
         off = self.reader_off
         return self.reader_pos[off[wire]:off[wire + 1]]
 
-    @property
+    @cached_property
     def last_reader(self) -> List[int]:
         """Last gate position reading each wire (-1: never read).
 
@@ -265,32 +197,14 @@ class DepGraph:
         frontiers ``n_inputs + q`` ascend with ``q``, so a wire is read
         past its eviction frontier iff its last reader is.
         """
-        if self._last_reader is None:
-            last = [-1] * self.n_wires
-            a_of, b_of = self.a_of, self.b_of
-            for position in range(self.n_gates):
-                last[a_of[position]] = position
-                b = b_of[position]
-                if b >= 0:
-                    last[b] = position
-            self._last_reader = last
-        return self._last_reader
-
-    def producer_pos(self, wire: int) -> int:
-        """Producing gate position of ``wire`` (-1 for primary inputs).
-
-        Renamed circuits answer by arithmetic; general circuits scan the
-        ``out_of`` array lazily via a one-shot inverse is unnecessary --
-        the only non-renamed consumer (DFS ordering) builds its own
-        traversal order, so this stays a simple helper.
-        """
-        if wire < self.n_inputs:
-            return -1
-        if self.renamed:
-            return wire - self.n_inputs
-        # Rare path: invert on demand without memo (callers that need
-        # the full inverse use producer_index()).
-        return self.producer_index()[wire]
+        last = [-1] * self.n_wires
+        a_of, b_of = self.a_of, self.b_of
+        for position in range(self.n_gates):
+            last[a_of[position]] = position
+            b = b_of[position]
+            if b >= 0:
+                last[b] = position
+        return last
 
     def producer_index(self) -> List[int]:
         """Full wire -> producing-position inverse (-1 for inputs)."""
@@ -304,8 +218,10 @@ class DepGraph:
     # Union-find components
     # ------------------------------------------------------------------
 
-    def _build_components(self) -> None:
-        """Connected components over shared wires, first-seen order.
+    @cached_property
+    def _partition(self) -> Tuple[List[List[int]], List[int]]:
+        """Connected components over shared wires, first-seen order
+        (component position lists, component index per gate).
 
         Identical contract to the legacy multicore partitioner: a
         path-halving union-find over dense wire ids, then one bucketing
@@ -345,111 +261,67 @@ class DepGraph:
                 components.append([])
             components[index].append(position)
             component_of[position] = index
-        self._component_of = component_of
-        self._components = components
         _counts["components"] += 1
+        return components, component_of
 
     @property
     def components(self) -> List[List[int]]:
         """Gate-position lists per connected component (do not mutate)."""
-        if self._components is None:
-            self._build_components()
-        return self._components
+        return self._partition[0]
 
     @property
     def component_of(self) -> List[int]:
         """Component index of each gate position."""
-        if self._component_of is None:
-            self._build_components()
-        return self._component_of
+        return self._partition[1]
 
     # ------------------------------------------------------------------
     # Window-sync derived data (renamed form only)
     # ------------------------------------------------------------------
 
-    def _require_renamed(self, what: str) -> None:
-        if not self.renamed:
-            raise CircuitError(
-                f"{what} requires the renamed (sequential-output) form"
-            )
-
-    def oor_flags(self, capacity: int) -> Tuple[List[bool], List[bool]]:
+    def oor_flags(self, capacity: int) -> Tuple[bytearray, bytearray]:
         """Per-gate (a, b) out-of-range flags for an SWW of ``capacity``.
 
         Inlines :meth:`SlidingWindow.is_oor` over the flat arrays:
         operand ``w`` of gate ``p`` is OoR iff
         ``w < max(0, ((n_inputs + p) // half - 1)) * half``.
         """
-        self._require_renamed("OoR analysis")
-        cached = self._oor_flags.get(capacity)
-        if cached is not None:
-            return cached
+        if not self.renamed:
+            raise CircuitError(
+                "OoR analysis requires the renamed (sequential-output) form"
+            )
+        memo = self.__dict__.setdefault("_oor_flags", {})
+        if capacity in memo:
+            return memo[capacity]
         half = capacity // 2
         n_inputs = self.n_inputs
         a_of, b_of = self.a_of, self.b_of
-        oor_a = [False] * self.n_gates
-        oor_b = [False] * self.n_gates
-        for position in range(self.n_gates):
+        oor_a = bytearray(self.n_gates)
+        oor_b = bytearray(self.n_gates)
+        # No window has slid before output address 2 * half.
+        for position in range(max(0, 2 * half - n_inputs), self.n_gates):
             start = ((n_inputs + position) // half - 1) * half
-            if start > 0:
-                if a_of[position] < start:
-                    oor_a[position] = True
-                if b_of[position] < start:
-                    oor_b[position] = True
-        flags = (oor_a, oor_b)
-        self._oor_flags[capacity] = flags
-        return flags
-
-    def engine_levels(
-        self, ge_of: List[int], n_ges: int, capacity: int
-    ) -> Tuple[List[int], int]:
-        """Schedule-aware dependence-level partition (see module doc)."""
-        self._require_renamed("the engine level partition")
-        return engine_levels(
-            self.n_inputs, capacity, self.a_of, self.b_of, ge_of, n_ges
-        )
+            if a_of[position] < start:
+                oor_a[position] = 1
+            if b_of[position] < start:
+                oor_b[position] = 1
+        memo[capacity] = (oor_a, oor_b)
+        return memo[capacity]
 
     # ------------------------------------------------------------------
     # Pickle support (persisted on StreamSet through the program cache)
     # ------------------------------------------------------------------
 
-    def __getstate__(self):
-        # Keep cache entries lean: persist only the eager arrays (they
-        # are shared by reference with CompiledArrays in the same
-        # pickle, so the marginal size is near zero) and rebuild the
-        # derived memos on demand.  ``out_of`` is implicit in renamed
-        # form, which is the only form the program cache ever stores.
-        return {
-            "n_inputs": self.n_inputs,
-            "n_gates": self.n_gates,
-            "a_of": self.a_of,
-            "b_of": self.b_of,
-            "is_and": self.is_and,
-            "renamed": self.renamed,
-            "out_of": None if self.renamed else self.out_of,
-        }
+    #: Eager fields: all that is pickled (the netlist, the program and
+    #: CompiledArrays in the same pickle hold the very same column
+    #: objects, so the marginal entry size is near zero); the derived
+    #: memos rebuild on demand.
+    _EAGER = (
+        "n_inputs", "n_gates", "n_wires",
+        "a_of", "b_of", "out_of", "is_and", "renamed",
+    )
 
-    def __setstate__(self, state):
-        self.n_inputs = state["n_inputs"]
-        self.n_gates = state["n_gates"]
-        self.n_wires = self.n_inputs + self.n_gates
-        self.a_of = state["a_of"]
-        self.b_of = state["b_of"]
-        self.is_and = state["is_and"]
-        self.renamed = state["renamed"]
-        out_of = state["out_of"]
-        if out_of is None:
-            n_inputs = self.n_inputs
-            out_of = [n_inputs + p for p in range(self.n_gates)]
-        self.out_of = out_of
-        self._wire_level = None
-        self._gate_level = None
-        self._reader_off = None
-        self._reader_pos = None
-        self._last_reader = None
-        self._component_of = None
-        self._components = None
-        self._oor_flags = {}
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self._EAGER}
 
 
 def engine_levels(
@@ -542,8 +414,8 @@ def seed_graph(
     ASAP levels from a source graph over the same wire ids -- the
     reorder passes use it so the whole pipeline levels once.
     """
-    if wire_level_from is not None and wire_level_from._wire_level is not None:
-        graph._wire_level = wire_level_from._wire_level
+    if wire_level_from is not None and "wire_level" in wire_level_from.__dict__:
+        graph.__dict__["wire_level"] = wire_level_from.wire_level
     setattr(circuit, GRAPH_ATTR, graph)
     return graph
 

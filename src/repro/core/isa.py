@@ -21,15 +21,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import Iterable, List
 
 __all__ = [
     "HaacOp",
     "Instruction",
     "OOR_SENTINEL",
     "InstructionEncoding",
+    "encode_fields",
     "encode_instruction",
     "decode_instruction",
+    "pack_words",
     "encode_program_bytes",
     "decode_program_bytes",
 ]
@@ -106,21 +108,24 @@ class InstructionEncoding:
         return InstructionEncoding(addr_bits=max(1, (capacity_wires - 1).bit_length()))
 
 
-def encode_instruction(instr: Instruction, encoding: InstructionEncoding) -> int:
-    """Pack one instruction into an integer of ``encoding.bits`` bits.
+def encode_fields(
+    op: int, wa: int, wb: int, live: int, encoding: InstructionEncoding
+) -> int:
+    """Pack one instruction's fields into ``encoding.bits`` bits.
 
     Layout (msb to lsb): op (2) | wa | wb | live (1).
     """
-    limit = 1 << encoding.addr_bits
-    if instr.wa >= limit or instr.wb >= limit:
-        raise ValueError(
-            f"wire address exceeds {encoding.addr_bits}-bit field"
-        )
-    word = int(instr.op)
-    word = (word << encoding.addr_bits) | instr.wa
-    word = (word << encoding.addr_bits) | instr.wb
-    word = (word << 1) | int(instr.live)
-    return word
+    addr_bits = encoding.addr_bits
+    if wa >> addr_bits or wb >> addr_bits:
+        raise ValueError(f"wire address exceeds {addr_bits}-bit field")
+    return (((op << addr_bits | wa) << addr_bits | wb) << 1) | live
+
+
+def encode_instruction(instr: Instruction, encoding: InstructionEncoding) -> int:
+    """:func:`encode_fields` of one :class:`Instruction`."""
+    return encode_fields(
+        int(instr.op), instr.wa, instr.wb, int(instr.live), encoding
+    )
 
 
 def decode_instruction(word: int, encoding: InstructionEncoding) -> Instruction:
@@ -136,19 +141,28 @@ def decode_instruction(word: int, encoding: InstructionEncoding) -> Instruction:
     return Instruction(op=op, wa=wa, wb=wb, live=live)
 
 
-def encode_program_bytes(
-    instructions: List[Instruction], encoding: InstructionEncoding
-) -> bytes:
-    """Densely bit-pack a program, padding the tail to a byte boundary."""
+def pack_words(words: Iterable[int], word_bits: int) -> bytes:
+    """Densely bit-pack ``word_bits``-wide words, padding the tail to a
+    byte boundary."""
     bits = 0
     acc = 0
-    for instr in instructions:
-        acc = (acc << encoding.bits) | encode_instruction(instr, encoding)
-        bits += encoding.bits
+    for word in words:
+        acc = (acc << word_bits) | word
+        bits += word_bits
     pad = (-bits) % 8
     acc <<= pad
     bits += pad
     return acc.to_bytes(bits // 8, "big") if bits else b""
+
+
+def encode_program_bytes(
+    instructions: List[Instruction], encoding: InstructionEncoding
+) -> bytes:
+    """Densely bit-pack a program (see :func:`pack_words`)."""
+    return pack_words(
+        (encode_instruction(instr, encoding) for instr in instructions),
+        encoding.bits,
+    )
 
 
 def decode_program_bytes(

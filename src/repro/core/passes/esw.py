@@ -14,7 +14,7 @@ window arithmetic to apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Optional
 
 from ..depgraph import DepGraph
 from ..program import HaacProgram
@@ -69,35 +69,24 @@ def eliminate_spent_wires(
 
         graph = dep_graph(program.netlist)
     n_inputs = program.n_inputs
-    n = len(program.instructions)
-    live = [False] * n
+    live = bytearray(len(program.op))
 
     for wire in program.outputs:
         if wire >= n_inputs:
-            live[wire - n_inputs] = True
+            live[wire - n_inputs] = 1
 
     # live[p] iff wire n_inputs + p is read at or past its eviction
     # frontier (wire // half + 2) * half -- by its last reader, whose
-    # frontier is the largest of all readers'.
+    # frontier is the largest of all readers' (-1, never read, is below
+    # every frontier).
     half = window.half
     last_reader = graph.last_reader
-    for position in range(n):
-        wire = n_inputs + position
-        reader = last_reader[wire]
-        if reader >= 0 and n_inputs + reader >= (wire // half + 2) * half:
-            live[position] = True
+    for wire in range(n_inputs, program.n_wires):
+        if n_inputs + last_reader[wire] >= (wire // half + 2) * half:
+            live[wire - n_inputs] = 1
 
-    instructions = [
-        replace(instr, live=flag)
-        for instr, flag in zip(program.instructions, live)
-    ]
-    optimized = HaacProgram(
-        instructions=instructions,
-        n_inputs=program.n_inputs,
-        outputs=list(program.outputs),
-        netlist=program.netlist,
-        name=program.name,
-        applied_passes=program.applied_passes + ["esw"],
+    optimized = replace(
+        program, live=live, applied_passes=program.applied_passes + ["esw"]
     )
-    report = EswReport(total_outputs=len(instructions), live=sum(live))
+    report = EswReport(total_outputs=len(live), live=live.count(1))
     return optimized, report

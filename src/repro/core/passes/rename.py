@@ -13,33 +13,34 @@ sliding range, and output addresses vanish from the instruction encoding
 
 from __future__ import annotations
 
-from ...circuits.netlist import Circuit, Gate
-from ..depgraph import DepGraph, seed_graph
+from array import array
+
+from ...circuits.netlist import Circuit
+from ..depgraph import DepGraph, dep_graph, seed_graph
 
 __all__ = ["rename"]
 
 
 def rename(circuit: Circuit) -> Circuit:
     """Renumber output wires to program order; inputs keep ids [0, n)."""
-    mapping = list(range(circuit.n_wires))  # old wire id -> new wire id
-    for position, gate in enumerate(circuit.gates):
-        mapping[gate.out] = circuit.n_inputs + position
+    dep_graph(circuit)  # validates: the mapping below indexes by wire id
+    n_inputs = circuit.n_inputs
+    # old wire id -> new wire id; the trailing -1 keeps INV's missing
+    # operand (b == -1, i.e. index -1) at -1.
+    mapping = array("q", range(circuit.n_wires))
+    mapping.append(-1)
+    for position, out in enumerate(circuit.out):
+        mapping[out] = n_inputs + position
 
-    gates = [
-        Gate(
-            gate.op,
-            mapping[gate.a],
-            mapping[gate.b] if gate.b >= 0 else -1,
-            mapping[gate.out],
-        )
-        for gate in circuit.gates
-    ]
-    renamed = Circuit(
-        n_garbler_inputs=circuit.n_garbler_inputs,
-        n_evaluator_inputs=circuit.n_evaluator_inputs,
-        outputs=[mapping[w] for w in circuit.outputs],
-        gates=gates,
-        name=circuit.name + "+rn",
+    renamed = Circuit.from_columns(
+        circuit.n_garbler_inputs,
+        circuit.n_evaluator_inputs,
+        [mapping[w] for w in circuit.outputs],
+        circuit.op,
+        array("q", map(mapping.__getitem__, circuit.a)),
+        array("q", map(mapping.__getitem__, circuit.b)),
+        array("q", range(n_inputs, circuit.n_wires)),
+        circuit.name + "+rn",
     )
     # Graph construction checks the same invariants as validate() and
     # leaves the renamed program's dependence graph memoized for the

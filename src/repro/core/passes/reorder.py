@@ -18,8 +18,8 @@ renaming afterwards to restore the ISA's sequential-output form).
 
 All ordering data comes from the shared dependence graph
 (:mod:`repro.core.depgraph`): levels are read off ``graph.gate_level``
-instead of re-walking gate dataclasses, the DFS traversal uses the flat
-operand arrays instead of a producer dict, and every permuted circuit
+instead of re-walking the netlist, the DFS traversal uses the flat
+operand columns instead of a producer dict, and every permuted circuit
 is validated *by graph construction* -- the new graph is seeded on the
 result (with the permutation-invariant wire levels transferred), so the
 next pipeline stage derives nothing twice.
@@ -27,6 +27,7 @@ next pipeline stage derives nothing twice.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional
 
 from ...circuits.netlist import Circuit
@@ -54,13 +55,16 @@ def _permute(
     suffix: str,
     source_graph: Optional[DepGraph] = None,
 ) -> Circuit:
-    gates = circuit.gates
-    reordered = Circuit(
-        n_garbler_inputs=circuit.n_garbler_inputs,
-        n_evaluator_inputs=circuit.n_evaluator_inputs,
-        outputs=list(circuit.outputs),
-        gates=[gates[position] for position in order],
-        name=circuit.name + suffix,
+    # One gather per column.
+    reordered = Circuit.from_columns(
+        circuit.n_garbler_inputs,
+        circuit.n_evaluator_inputs,
+        list(circuit.outputs),
+        bytearray(map(circuit.op.__getitem__, order)),
+        array("q", map(circuit.a.__getitem__, order)),
+        array("q", map(circuit.b.__getitem__, order)),
+        array("q", map(circuit.out.__getitem__, order)),
+        circuit.name + suffix,
     )
     # Building the graph validates the permuted netlist (same invariants
     # as Circuit.validate) and leaves it memoized for the next pass;

@@ -22,18 +22,21 @@ sentinel, so a logical wire ``w`` is encoded as ``(w % capacity) + 1``
 (paper section 3.3) and is not modelled in the capacity.
 
 Both the greedy mapping and the OoR analysis run on the shared
-dependence graph's flat arrays (:mod:`repro.core.depgraph`) instead of
-re-walking gate dataclasses; the graph rides along on the returned
-:class:`StreamSet` so the sim engines and the program cache reuse it.
+dependence graph's flat arrays (:mod:`repro.core.depgraph`); the graph
+rides along on the returned :class:`StreamSet` so the sim engines and
+the program cache reuse it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import List, Optional, Tuple
 
+from ...circuits.netlist import ColumnView
 from ..depgraph import DepGraph, dep_graph
-from ..isa import HaacOp, Instruction, InstructionEncoding, encode_instruction
+from ..isa import HaacOp, InstructionEncoding, encode_fields
 from ..program import HaacProgram
 from ..sww import SlidingWindow
 
@@ -86,51 +89,74 @@ class ScheduleParams:
 class GeStreams:
     """The three streams of one gate engine.
 
-    ``instructions`` keep *logical* wire addresses; ``oor_a``/``oor_b``
-    flag operands served by the OoRW queue.  ``positions`` are the
-    original program positions (needed to compute implicit output
-    addresses and to pop the right garbled table).
+    Owns ``positions`` (the program positions this GE executes, in
+    order -- they give the implicit output addresses and the garbled
+    table to pop) and ``oor_addresses`` (its OoRW queue in pop order).
+    Everything else is read through ``positions`` from columns shared
+    with the whole stream set: ``program`` and the program-order OoR
+    flags ``oor_a_of`` / ``oor_b_of``.  ``instructions`` (logical wire
+    addresses), ``oor_a`` and ``oor_b`` are read-only views of those.
     """
 
-    instructions: List[Instruction] = field(default_factory=list)
-    positions: List[int] = field(default_factory=list)
-    oor_a: List[bool] = field(default_factory=list)
-    oor_b: List[bool] = field(default_factory=list)
-    oor_addresses: List[int] = field(default_factory=list)
+    program: HaacProgram
+    oor_a_of: bytearray
+    oor_b_of: bytearray
+    positions: array = field(default_factory=lambda: array("q"))
+    oor_addresses: array = field(default_factory=lambda: array("q"))
+
+    def _view(self, column) -> ColumnView:
+        positions = self.positions
+        return ColumnView(positions, lambda: [column[p] for p in positions])
+
+    @cached_property
+    def instructions(self) -> ColumnView:
+        return self._view(self.program.instructions)
+
+    @cached_property
+    def oor_a(self) -> ColumnView:
+        return self._view(self.oor_a_of)
+
+    @cached_property
+    def oor_b(self) -> ColumnView:
+        return self._view(self.oor_b_of)
+
+    def __getstate__(self):
+        # Columns only: a materialised view is never pickled.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def n_tables(self) -> int:
-        return sum(1 for instr in self.instructions if instr.op is HaacOp.AND)
+        op = self.program.op
+        return sum(1 for p in self.positions if op[p] == HaacOp.AND)
 
     def encode_machine_words(
         self, window: SlidingWindow, encoding: InstructionEncoding | None = None
     ) -> List[int]:
         """Binary instruction words with physical (sentinel-safe) addressing."""
         enc = encoding or InstructionEncoding.for_sww_wires(window.capacity + 1)
-
-        def physical(addr: int, is_oor: bool) -> int:
-            return 0 if is_oor else (addr % window.capacity) + 1
-
-        words = []
-        for instr, a_oor, b_oor in zip(self.instructions, self.oor_a, self.oor_b):
-            machine = Instruction(
-                op=instr.op,
-                wa=physical(instr.wa, a_oor),
-                wb=physical(instr.wb, b_oor),
-                live=instr.live,
+        capacity = window.capacity
+        program = self.program
+        oor_a, oor_b = self.oor_a_of, self.oor_b_of
+        return [
+            encode_fields(
+                program.op[p],
+                0 if oor_a[p] else program.wa[p] % capacity + 1,
+                0 if oor_b[p] else program.wb[p] % capacity + 1,
+                program.live[p],
+                enc,
             )
-            words.append(encode_instruction(machine, enc))
-        return words
+            for p in self.positions
+        ]
 
 
 @dataclass
 class StreamSet:
     """All compiler-generated streams for one program/config pair.
 
-    ``depgraph`` is the shared dependence graph of ``program.netlist``
-    (None only for hand-built stream sets); it is persisted with the
-    stream set through the program cache, sharing its operand arrays
-    with the engine's ``CompiledArrays`` in the same pickle.
+    ``depgraph`` is the shared dependence graph of ``program.netlist``;
+    it is persisted with the stream set through the program cache,
+    sharing its columns with the netlist, the program and the engine's
+    ``CompiledArrays`` in the same pickle.
     """
 
     program: HaacProgram
@@ -141,18 +167,12 @@ class StreamSet:
     issue_cycle: List[int]
     ges: List[GeStreams]
     makespan: int
-    depgraph: Optional[DepGraph] = None
+    depgraph: DepGraph
 
     @property
     def oor_reads(self) -> int:
-        """Total wires streamed in through OoRW queues (memoized --
-        batched scenario sweeps read this once per grid point)."""
-        cached = self.__dict__.get("_oor_reads_cache")
-        if cached is not None:
-            return cached
-        total = sum(len(ge.oor_addresses) for ge in self.ges)
-        self.__dict__["_oor_reads_cache"] = total
-        return total
+        """Total wires streamed in through OoRW queues."""
+        return sum(len(ge.oor_addresses) for ge in self.ges)
 
     @property
     def live_writes(self) -> int:
@@ -169,7 +189,7 @@ def _greedy_schedule(
     n_ges: int,
     params: ScheduleParams,
     capacity: int,
-    graph: Optional[DepGraph] = None,
+    graph: DepGraph,
 ) -> Tuple[List[int], List[int], int]:
     """Assign each instruction to the next *non-stalled* GE, as the paper
     does ("mapping instructions from the program to non-stalled GEs each
@@ -205,8 +225,6 @@ def _greedy_schedule(
     """
     import heapq
 
-    if graph is None:
-        graph = dep_graph(program.netlist)
     n_inputs = program.n_inputs
     n = graph.n_gates
     a_of = graph.a_of
@@ -281,13 +299,8 @@ def _greedy_schedule(
             if issue + 1 > last_read_issue[wire]:
                 last_read_issue[wire] = issue + 1
 
-    makespan = 0
-    for position, issue in enumerate(issue_cycle):
-        latency = and_latency if is_and[position] else xor_latency
-        finish = issue + latency
-        if finish > makespan:
-            makespan = finish
-    return ge_of, issue_cycle, makespan
+    # Inputs are done at 0, every gate at its finish cycle.
+    return ge_of, issue_cycle, max(done, default=0)
 
 
 def generate_streams(
@@ -318,23 +331,18 @@ def generate_streams(
         program, n_ges, params, window.capacity, graph
     )
 
-    oor_a_flags, oor_b_flags = graph.oor_flags(window.capacity)
+    oor_a, oor_b = graph.oor_flags(window.capacity)
     a_of = graph.a_of
     b_of = graph.b_of
-    instructions = program.instructions
-    ges = [GeStreams() for _ in range(n_ges)]
+    ges = [GeStreams(program, oor_a, oor_b) for _ in range(n_ges)]
+    for position, ge_id in enumerate(ge_of):
+        ges[ge_id].positions.append(position)
+    # OoRW queues in pop order: program order, first operand first.
     for position in range(graph.n_gates):
-        ge = ges[ge_of[position]]
-        a_oor = oor_a_flags[position]
-        b_oor = oor_b_flags[position]
-        ge.instructions.append(instructions[position])
-        ge.positions.append(position)
-        ge.oor_a.append(a_oor)
-        ge.oor_b.append(b_oor)
-        if a_oor:
-            ge.oor_addresses.append(a_of[position])
-        if b_oor:
-            ge.oor_addresses.append(b_of[position])
+        if oor_a[position]:
+            ges[ge_of[position]].oor_addresses.append(a_of[position])
+        if oor_b[position]:
+            ges[ge_of[position]].oor_addresses.append(b_of[position])
 
     return StreamSet(
         program=program,

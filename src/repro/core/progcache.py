@@ -52,7 +52,6 @@ deletes them (``repro cache info`` / ``repro cache prune``).
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import os
 import pickle
@@ -65,7 +64,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from .. import faults as faults_mod
-from ..circuits.netlist import Circuit, GateOp
+from ..circuits.netlist import Circuit
 from ..faults import CacheEntryTorn
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (compiler imports us)
@@ -96,12 +95,13 @@ CACHE_ENV_VAR = "REPRO_PROG_CACHE"
 #: v4: entries carry the shared dependence graph (repro.core.depgraph)
 #: on the stream set, and the compile key covers the new greedy
 #: tie-break axis (ScheduleParams.tie_break, schedule search).
-CACHE_SCHEMA = 4
+#: v5: entries pickle columns (arrays / bytearrays shared between the
+#: netlist, the program, the dependence graph and the engine arrays)
+#: instead of per-gate Gate / Instruction object graphs.
+CACHE_SCHEMA = 5
 
 _OFF_VALUES = ("0", "off", "none", "disabled", "false", "no")
 _ON_VALUES = ("1", "on", "default", "true", "yes", "auto")
-
-_GATE_OP_CODE = {GateOp.AND: 0, GateOp.XOR: 1, GateOp.INV: 2}
 
 
 class _StaleSchemaError(Exception):
@@ -126,33 +126,34 @@ def circuit_digest(circuit: Circuit) -> str:
     after construction: every compiler pass returns a new ``Circuit``),
     keyed by the gate/output counts as a cheap tamper tripwire.
     """
+    n_gates = len(circuit.op)
+    n_outputs = len(circuit.outputs)
     cached = getattr(circuit, "_digest_cache", None)
-    if cached is not None:
-        n_gates, n_outputs, digest = cached
-        if n_gates == len(circuit.gates) and n_outputs == len(circuit.outputs):
-            return digest
+    if cached is not None and cached[:2] == (n_gates, n_outputs):
+        return cached[2]
     h = hashlib.sha256()
     h.update(b"repro.circuit/v1\0")
     h.update(circuit.name.encode("utf-8"))
     h.update(b"\0")
-    flat = [
-        circuit.n_garbler_inputs,
-        circuit.n_evaluator_inputs,
-        len(circuit.outputs),
-        len(circuit.gates),
-    ]
-    flat.extend(circuit.outputs)
-    for gate in circuit.gates:
-        flat.append(_GATE_OP_CODE[gate.op])
-        flat.append(gate.a)
-        flat.append(gate.b)
-        flat.append(gate.out)
-    packed = array("q", flat)
+    # Canonical form: int64 header, outputs, then one (op, a, b, out)
+    # quadruple per gate -- the columns interleaved by slice assignment.
+    head = array(
+        "q",
+        [circuit.n_garbler_inputs, circuit.n_evaluator_inputs, n_outputs, n_gates],
+    )
+    head.extend(circuit.outputs)
+    body = array("q", bytes(32 * n_gates))
+    body[0::4] = array("q", list(circuit.op))
+    body[1::4] = circuit.a
+    body[2::4] = circuit.b
+    body[3::4] = circuit.out
     if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
-        packed.byteswap()
-    h.update(packed.tobytes())
+        head.byteswap()
+        body.byteswap()
+    h.update(head)
+    h.update(body)
     digest = h.hexdigest()
-    circuit._digest_cache = (len(circuit.gates), len(circuit.outputs), digest)
+    circuit._digest_cache = (n_gates, n_outputs, digest)
     return digest
 
 
@@ -333,16 +334,7 @@ class ProgramCache:
         with open(path, "rb") as handle:
             data = handle.read()
         try:
-            # Compiled programs unpickle to tens of thousands of small
-            # objects; keeping the cyclic collector out of the loop is
-            # a large constant-factor win on warm loads.
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                payload = pickle.loads(data)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
+            payload = pickle.loads(data)
             schema = payload["schema"]
             stored_key = payload["key"]
             result = payload["result"]

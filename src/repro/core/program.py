@@ -1,9 +1,15 @@
 """HAAC program container.
 
-A :class:`HaacProgram` is the compiler's output for one circuit: a list
-of :class:`~repro.core.isa.Instruction` in execution order, plus the
-metadata the hardware controllers and the simulator need (input count,
-output addresses, the netlist the program was derived from).
+A :class:`HaacProgram` is the compiler's output for one circuit: four
+parallel columns in execution order -- ``op`` (a ``bytearray`` of
+:class:`~repro.core.isa.HaacOp` codes), ``wa`` / ``wb`` (``array('q')``
+operand addresses, shared by reference with the netlist's ``a`` / ``b``)
+and ``live`` (a ``bytearray`` of write-back bits) -- plus the metadata
+the hardware controllers and the simulator need (input count, output
+addresses, the netlist the program was derived from).
+``program.instructions`` is a read-only view that builds
+:class:`~repro.core.isa.Instruction` values only when somebody indexes
+or iterates it (DESIGN.md section 14).
 
 Programs obey the ISA contract: instruction ``p`` writes physical wire
 address ``n_inputs + p`` (sequential outputs), so no output address is
@@ -15,15 +21,20 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Dict, List, Optional
 
-from ..circuits.netlist import Circuit, GateOp
+from ..circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit, ColumnView
 from .isa import HaacOp, Instruction
 
 __all__ = ["HaacProgram", "ProgramError"]
 
-_OP_MAP = {GateOp.AND: HaacOp.AND, GateOp.XOR: HaacOp.XOR}
+#: Netlist ``op`` column -> program ``op`` column (INV has no HAAC op).
+_TO_HAAC = bytearray(256)
+_TO_HAAC[OP_AND] = HaacOp.AND
+_TO_HAAC[OP_XOR] = HaacOp.XOR
 
 
 class ProgramError(ValueError):
@@ -36,8 +47,8 @@ class HaacProgram:
 
     Attributes
     ----------
-    instructions:
-        Execution-ordered instruction list; instruction ``p`` writes
+    op / wa / wb / live:
+        Execution-ordered instruction columns; instruction ``p`` writes
         address ``n_inputs + p``.
     n_inputs:
         Number of preloaded input wire addresses ``[0, n_inputs)``.
@@ -50,63 +61,57 @@ class HaacProgram:
         Provenance for reports.
     """
 
-    instructions: List[Instruction]
+    op: bytearray
+    wa: array
+    wb: array
+    live: bytearray
     n_inputs: int
     outputs: List[int]
     netlist: Circuit
     name: str = "haac"
     applied_passes: List[str] = field(default_factory=list)
 
+    @cached_property
+    def instructions(self) -> ColumnView:
+        """The program as :class:`Instruction` values (read-only, lazy)."""
+        columns = (self.op, self.wa, self.wb, self.live)
+        return ColumnView(
+            self.op,
+            lambda: [
+                Instruction(HaacOp(op), wa, wb, bool(live), position)
+                for position, (op, wa, wb, live) in enumerate(zip(*columns))
+            ],
+        )
+
+    def __getstate__(self):
+        # Columns and metadata only: a materialised view is never pickled.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def n_wires(self) -> int:
-        return self.n_inputs + len(self.instructions)
+        return self.n_inputs + len(self.op)
 
     def out_addr(self, position: int) -> int:
         """Physical output address of instruction ``position``."""
         return self.n_inputs + position
 
-    def _counts(self) -> "tuple[int, int, int]":
-        """(AND, XOR, live) instruction counts, memoized.
-
-        Every ``simulate`` call charges traffic by these counts; at
-        AES scale the naive generator sums cost more than the replay
-        itself.  Instructions are immutable after construction (every
-        pass builds a new program), so the counts are cached keyed by
-        the instruction-list length as a cheap tamper tripwire --
-        mirroring ``circuit_digest``'s memo.
-        """
-        cached = self.__dict__.get("_counts_cache")
-        if cached is not None and cached[0] == len(self.instructions):
-            return cached[1]
-        n_and = n_xor = n_live = 0
-        for instr in self.instructions:
-            if instr.op is HaacOp.AND:
-                n_and += 1
-            elif instr.op is HaacOp.XOR:
-                n_xor += 1
-            if instr.live:
-                n_live += 1
-        counts = (n_and, n_xor, n_live)
-        self._counts_cache = (len(self.instructions), counts)
-        return counts
-
     @property
     def n_and(self) -> int:
-        return self._counts()[0]
+        return self.op.count(HaacOp.AND)
 
     @property
     def n_xor(self) -> int:
-        return self._counts()[1]
+        return self.op.count(HaacOp.XOR)
 
     @property
     def n_live(self) -> int:
-        return self._counts()[2]
+        return self.live.count(1)
 
     def live_fraction(self) -> float:
         """Fraction of outputs written back to DRAM (Table 2 spent = 1-live)."""
-        if not self.instructions:
+        if not self.op:
             return 0.0
-        return self.n_live / len(self.instructions)
+        return self.n_live / len(self.op)
 
     # ------------------------------------------------------------------
     # Validation
@@ -121,36 +126,28 @@ class HaacProgram:
           are the OoR sentinel (``oor_allowed``);
         * ops correspond (netlist has no INV at this stage).
         """
-        if len(self.instructions) != len(self.netlist.gates):
+        netlist = self.netlist
+        n = len(self.op)
+        if not n == len(self.wa) == len(self.wb) == len(self.live):
+            raise ProgramError("instruction columns have different lengths")
+        if n != len(netlist.op):
             raise ProgramError(
-                f"{len(self.instructions)} instructions vs "
-                f"{len(self.netlist.gates)} netlist gates"
+                f"{n} instructions vs {len(netlist.op)} netlist gates"
             )
-        if self.n_inputs != self.netlist.n_inputs:
+        if self.n_inputs != netlist.n_inputs:
             raise ProgramError("input count mismatch with netlist")
-        for position, (instr, gate) in enumerate(
-            zip(self.instructions, self.netlist.gates)
-        ):
-            if gate.op is GateOp.INV:
-                raise ProgramError(
-                    f"netlist gate {position} is INV; lower before emitting"
-                )
-            if gate.out != self.out_addr(position):
-                raise ProgramError(
-                    f"gate {position} writes {gate.out}, ISA requires "
-                    f"{self.out_addr(position)} (run renaming)"
-                )
-            if _OP_MAP[gate.op] is not instr.op:
-                raise ProgramError(f"op mismatch at instruction {position}")
-            for operand, wire in ((instr.wa, gate.a), (instr.wb, gate.b)):
-                if operand == wire:
-                    continue
-                if oor_allowed and operand == 0:
-                    continue
-                raise ProgramError(
-                    f"instruction {position} operand {operand} does not "
-                    f"match netlist wire {wire}"
-                )
+        _check_emittable(netlist)
+        if self.op != netlist.op.translate(_TO_HAAC):
+            raise ProgramError("op mismatch between instructions and netlist")
+        for operands, wires in ((self.wa, netlist.a), (self.wb, netlist.b)):
+            if operands is wires or operands == wires:
+                continue
+            for position, (operand, wire) in enumerate(zip(operands, wires)):
+                if operand != wire and not (oor_allowed and operand == 0):
+                    raise ProgramError(
+                        f"instruction {position} operand {operand} does not "
+                        f"match netlist wire {wire}"
+                    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -165,28 +162,16 @@ class HaacProgram:
         """Emit instructions 1:1 from a lowered, renamed netlist.
 
         All live bits default to True (everything written back); the ESW
-        pass clears them.  Operand addresses are the netlist wire ids;
-        stream generation later replaces OoR operands with the sentinel.
+        pass clears them.  Operand addresses are the netlist wire ids
+        (the very same columns); stream generation flags OoR operands
+        and encodes them as the sentinel.
         """
-        instructions: List[Instruction] = []
-        for position, gate in enumerate(netlist.gates):
-            if gate.op is GateOp.INV:
-                raise ProgramError("lower INV gates before emitting a program")
-            if gate.out != netlist.n_inputs + position:
-                raise ProgramError(
-                    "netlist is not in renamed form; run renaming first"
-                )
-            instructions.append(
-                Instruction(
-                    op=_OP_MAP[gate.op],
-                    wa=gate.a,
-                    wb=gate.b,
-                    live=True,
-                    source_gate=position,
-                )
-            )
+        _check_emittable(netlist)
         return HaacProgram(
-            instructions=instructions,
+            op=netlist.op.translate(_TO_HAAC),
+            wa=netlist.a,
+            wb=netlist.b,
+            live=bytearray(b"\x01") * len(netlist.op),
             n_inputs=netlist.n_inputs,
             outputs=list(netlist.outputs),
             netlist=netlist,
@@ -196,9 +181,25 @@ class HaacProgram:
 
     def stats(self) -> Dict[str, float]:
         return {
-            "instructions": len(self.instructions),
+            "instructions": len(self.op),
             "and": self.n_and,
             "xor": self.n_xor,
             "live": self.n_live,
             "live_pct": 100.0 * self.live_fraction(),
         }
+
+
+def _check_emittable(netlist: Circuit) -> None:
+    """The two netlist-side ISA preconditions: no INV, renamed form."""
+    if OP_INV in netlist.op:
+        raise ProgramError(
+            f"netlist gate {netlist.op.index(OP_INV)} is INV; lower INV "
+            "gates before emitting a program"
+        )
+    n_inputs = netlist.n_inputs
+    for position, out in enumerate(netlist.out):
+        if out != n_inputs + position:
+            raise ProgramError(
+                f"gate {position} writes {out}, ISA requires "
+                f"{n_inputs + position} (run renaming first)"
+            )

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..circuits.netlist import GateOp
 from .isa import HaacOp
 from .passes.streams import ScheduleParams, StreamSet
 
@@ -58,17 +57,14 @@ def verify_streams(
     netlist = program.netlist
     window = streams.window
     params = params or streams.params
-    n = len(program.instructions)
+    n = len(program.op)
+    op, live = program.op, program.live
+    a_of, b_of = netlist.a, netlist.b
 
     # -- 1. partition ---------------------------------------------------
     seen = [False] * n
     for ge_id, ge in enumerate(streams.ges):
-        if not (
-            len(ge.instructions)
-            == len(ge.positions)
-            == len(ge.oor_a)
-            == len(ge.oor_b)
-        ):
+        if not (ge.program is program and len(ge.oor_a_of) == len(ge.oor_b_of) == n):
             raise StreamVerificationError(f"GE {ge_id}: ragged stream arrays")
         previous = -1
         for position in ge.positions:
@@ -86,7 +82,6 @@ def verify_streams(
                     f"GE {ge_id}: stream not in program order at {position}"
                 )
             previous = position
-        for local, position in enumerate(ge.positions):
             if streams.ge_of[position] != ge_id:
                 raise StreamVerificationError(
                     f"ge_of[{position}] disagrees with GE {ge_id}'s stream"
@@ -104,19 +99,16 @@ def verify_streams(
     for ge_id, ge in enumerate(streams.ges):
         queue = list(ge.oor_addresses)
         queue_cursor = 0
-        table_positions = [
-            position
-            for instr, position in zip(ge.instructions, ge.positions)
-            if instr.op is HaacOp.AND
-        ]
+        table_positions = [p for p in ge.positions if op[p] == HaacOp.AND]
         table_cursor = 0
-        for local, position in enumerate(ge.positions):
-            gate = netlist.gates[position]
-            instr = ge.instructions[local]
+        for position in ge.positions:
             out = program.out_addr(position)
-            for wire, flagged in ((gate.a, ge.oor_a[local]), (gate.b, ge.oor_b[local])):
+            for wire, flagged in (
+                (a_of[position], ge.oor_a_of[position]),
+                (b_of[position], ge.oor_b_of[position]),
+            ):
                 expected = window.is_oor(wire, out)
-                if flagged != expected:
+                if bool(flagged) != expected:
                     raise StreamVerificationError(
                         f"GE {ge_id} instr {position}: OoR flag for wire "
                         f"{wire} is {flagged}, window says {expected}"
@@ -130,7 +122,7 @@ def verify_streams(
                     queue_cursor += 1
                     if wire >= program.n_inputs:
                         live_needed[wire - program.n_inputs] = True
-            if instr.op is HaacOp.AND:
+            if op[position] == HaacOp.AND:
                 if (
                     table_cursor >= len(table_positions)
                     or table_positions[table_cursor] != position
@@ -146,7 +138,7 @@ def verify_streams(
 
     for position in range(n):
         needs_live = live_needed[position] or program.out_addr(position) in output_set
-        if needs_live and not program.instructions[position].live:
+        if needs_live and not live[position]:
             raise StreamVerificationError(
                 f"instruction {position}: output read after eviction (or is "
                 "a circuit output) but live bit is clear"
@@ -161,7 +153,7 @@ def verify_streams(
     ge_last = [-1] * streams.n_ges
     capacity = window.capacity
     last_read = [0] * program.n_wires
-    for position, gate in enumerate(netlist.gates):
+    for position, operands in enumerate(zip(a_of, b_of)):
         issue = streams.issue_cycle[position]
         ge_id = streams.ge_of[position]
         if issue <= ge_last[ge_id]:
@@ -170,13 +162,11 @@ def verify_streams(
                 f"previous issue {ge_last[ge_id]}"
             )
         ge_last[ge_id] = issue
-        for wire in gate.inputs():
+        for wire in operands:
             if wire < program.n_inputs:
                 continue
             producer = wire - program.n_inputs
-            ready = streams.issue_cycle[producer] + latency[
-                program.instructions[producer].op
-            ]
+            ready = streams.issue_cycle[producer] + latency[op[producer]]
             if issue < ready:
                 raise StreamVerificationError(
                     f"instr {position} issues at {issue} before operand "
@@ -189,7 +179,7 @@ def verify_streams(
                 f"{evicted} overwritten at {issue} before last read "
                 f"{last_read[evicted]}"
             )
-        for wire in gate.inputs():
+        for wire in operands:
             if issue + 1 > last_read[wire]:
                 last_read[wire] = issue + 1
 

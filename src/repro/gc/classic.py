@@ -31,7 +31,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from ..circuits.netlist import Circuit, GateOp
+from ..circuits.netlist import GATE_OPS, OP_INV, Circuit, GateOp
 from .hashing import rekeyed_hash
 from .labels import lsb
 from .rng import MASK_128, LabelPrg
@@ -122,8 +122,12 @@ def garble_classic(
         zero_labels[wire], one_labels[wire] = fresh_pair()
 
     tables: List[List[int]] = []
-    for gate_index, gate in enumerate(circuit.gates):
-        a, b = gate.a, (gate.b if gate.op.arity == 2 else gate.a)
+    for gate_index, (code, a, b, out) in enumerate(
+        zip(circuit.op, circuit.a, circuit.b, circuit.out)
+    ):
+        op = GATE_OPS[code]
+        if code == OP_INV:
+            b = a
         in_a = (zero_labels[a], one_labels[a])
         in_b = (zero_labels[b], one_labels[b])
 
@@ -135,7 +139,7 @@ def garble_classic(
             va0 = 0 if lsb(in_a[0]) == 0 else 1
             vb0 = 0 if lsb(in_b[0]) == 0 else 1
             pad00 = _row_key(in_a[va0], in_b[vb0], gate_index)
-            out_value = _gate_truth(gate.op, va0, vb0)
+            out_value = _gate_truth(op, va0, vb0)
             derived = pad00
             other = prg.next_block()
             if out_value == 0:
@@ -144,18 +148,18 @@ def garble_classic(
             else:
                 w1 = derived
                 w0 = (other & ~1 & MASK_128) | (1 ^ (w1 & 1))
-            zero_labels[gate.out], one_labels[gate.out] = w0, w1
+            zero_labels[out], one_labels[out] = w0, w1
         else:
-            zero_labels[gate.out], one_labels[gate.out] = fresh_pair()
+            zero_labels[out], one_labels[out] = fresh_pair()
 
-        out_pair = (zero_labels[gate.out], one_labels[gate.out])
+        out_pair = (zero_labels[out], one_labels[out])
         if scheme is ClassicScheme.YAO4:
             # Four rows in random order; each row is pad ^ (label || tag).
             rows = []
             for va in (0, 1):
                 for vb in (0, 1):
                     pad = _row_key(in_a[va], in_b[vb], gate_index)
-                    payload = (out_pair[_gate_truth(gate.op, va, vb)] << _TAG_BITS)
+                    payload = (out_pair[_gate_truth(op, va, vb)] << _TAG_BITS)
                     rows.append(
                         (pad << _TAG_BITS | _spread_tag(pad)) ^ payload
                     )
@@ -170,7 +174,7 @@ def garble_classic(
                 for vb in (0, 1):
                     pad = _row_key(in_a[va], in_b[vb], gate_index)
                     slot = (lsb(in_a[va]) << 1) | lsb(in_b[vb])
-                    rows[slot] = pad ^ out_pair[_gate_truth(gate.op, va, vb)]
+                    rows[slot] = pad ^ out_pair[_gate_truth(op, va, vb)]
             if scheme is ClassicScheme.GRR3:
                 assert rows[0] == 0, "GRR3 row (0,0) must be zero"
                 rows = rows[1:]
@@ -218,9 +222,11 @@ def evaluate_classic(
     for wire, label in enumerate(input_labels):
         labels[wire] = label
 
-    for gate_index, gate in enumerate(circuit.gates):
-        a = labels[gate.a]
-        b = labels[gate.b if gate.op.arity == 2 else gate.a]
+    for gate_index, (code, wire_a, wire_b, out) in enumerate(
+        zip(circuit.op, circuit.a, circuit.b, circuit.out)
+    ):
+        a = labels[wire_a]
+        b = labels[wire_a if code == OP_INV else wire_b]
         pad = _row_key(a, b, gate_index)
         table = garbling.tables[gate_index]
         if scheme is ClassicScheme.YAO4:
@@ -235,14 +241,14 @@ def evaluate_classic(
                 raise ValueError(
                     f"gate {gate_index}: no row decrypted (bad labels?)"
                 )
-            labels[gate.out] = found
+            labels[out] = found
         else:
             slot = (lsb(a) << 1) | lsb(b)
             if scheme is ClassicScheme.GRR3:
                 row = 0 if slot == 0 else table[slot - 1]
             else:
                 row = table[slot]
-            labels[gate.out] = row ^ pad
+            labels[out] = row ^ pad
 
     outputs = []
     for position, wire in enumerate(circuit.outputs):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..circuits.netlist import Circuit, GateOp
+from ..circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit
 from .garble import GarbledCircuit
 from .halfgate import eval_and, eval_not, eval_xor
 from .hashing import GateHasher
@@ -57,17 +57,17 @@ def evaluate_circuit(
         labels[wire] = label
 
     next_table = 0
-    for gate_index, gate in enumerate(circuit.gates):
-        if gate.op is GateOp.AND:
+    for gate_index, (op, a, b, out) in enumerate(
+        zip(circuit.op, circuit.a, circuit.b, circuit.out)
+    ):
+        if op == OP_AND:
             table = garbled.tables[next_table]
             next_table += 1
-            labels[gate.out] = eval_and(
-                labels[gate.a], labels[gate.b], table, gate_index, hasher
-            )
-        elif gate.op is GateOp.XOR:
-            labels[gate.out] = eval_xor(labels[gate.a], labels[gate.b])
+            labels[out] = eval_and(labels[a], labels[b], table, gate_index, hasher)
+        elif op == OP_XOR:
+            labels[out] = eval_xor(labels[a], labels[b])
         else:  # INV
-            labels[gate.out] = eval_not(labels[gate.a])
+            labels[out] = eval_not(labels[a])
     if next_table != len(garbled.tables):
         raise ValueError("table stream not fully consumed")
 
@@ -114,7 +114,7 @@ def evaluate_circuit_batched(
         )
     if len(garbled.tables) != garbled.n_and_gates:
         raise ValueError("garbled table stream is inconsistent")
-    n_and = sum(1 for gate in circuit.gates if gate.op is GateOp.AND)
+    n_and = circuit.op.count(OP_AND)
     if len(garbled.tables) != n_and:
         raise ValueError(
             f"table stream does not match circuit AND count "
@@ -147,13 +147,8 @@ def evaluate_circuit_batched(
 
 def _and_table_indices(circuit: Circuit) -> Dict[int, int]:
     """Netlist position of an AND gate -> its index in the table stream."""
-    indices: Dict[int, int] = {}
-    count = 0
-    for position, gate in enumerate(circuit.gates):
-        if gate.op is GateOp.AND:
-            indices[position] = count
-            count += 1
-    return indices
+    and_positions = (p for p, op in enumerate(circuit.op) if op == OP_AND)
+    return {position: index for index, position in enumerate(and_positions)}
 
 
 def _evaluate_levels_generic(
@@ -167,16 +162,18 @@ def _evaluate_levels_generic(
     hasher: GateHasher,
 ) -> List[int]:
     """Level-batched evaluation over Python-int labels (any backend)."""
-    gates = circuit.gates
-    labels = input_labels + [0] * len(gates)
+    op_of, a_of, b_of, out_of = circuit.op, circuit.a, circuit.b, circuit.out
+    labels = input_labels + [0] * len(op_of)
     for level in levels:
         and_positions: List[int] = []
         for position in level:
-            gate = gates[position]
-            if gate.op is GateOp.XOR:
-                labels[gate.out] = labels[gate.a] ^ labels[gate.b]
-            elif gate.op is GateOp.INV:
-                labels[gate.out] = labels[gate.a]
+            op = op_of[position]
+            if op == OP_XOR:
+                labels[out_of[position]] = (
+                    labels[a_of[position]] ^ labels[b_of[position]]
+                )
+            elif op == OP_INV:
+                labels[out_of[position]] = labels[a_of[position]]
             else:
                 and_positions.append(position)
         if not and_positions:
@@ -184,20 +181,18 @@ def _evaluate_levels_generic(
         batch: List[int] = []
         tweaks: List[int] = []
         for position in and_positions:
-            gate = gates[position]
-            batch.extend((labels[gate.a], labels[gate.b]))
+            batch.extend((labels[a_of[position]], labels[b_of[position]]))
             tweaks.extend((2 * position, 2 * position + 1))
         hashes = backend.hash_labels(batch, tweaks, rekeyed)
         hasher.record_batch(len(batch))
         for index, position in enumerate(and_positions):
             h_a, h_b = hashes[2 * index], hashes[2 * index + 1]
-            gate = gates[position]
-            wa = labels[gate.a]
-            wb = labels[gate.b]
+            wa = labels[a_of[position]]
+            wb = labels[b_of[position]]
             table = garbled.tables[table_index[position]]
             w_g = h_a ^ (table.generator_row if wa & 1 else 0)
             w_e = h_b ^ ((table.evaluator_row ^ wa) if wb & 1 else 0)
-            labels[gate.out] = w_g ^ w_e
+            labels[out_of[position]] = w_g ^ w_e
     return [labels[w] for w in circuit.outputs]
 
 

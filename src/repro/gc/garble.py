@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..circuits.netlist import Circuit, GateOp
+from ..circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit
 from .halfgate import GarbledTable, garble_and, garble_not, garble_xor
 from .hashing import GateHasher
 from .labels import lsb
@@ -111,17 +111,19 @@ def garble_circuit(
         zero_labels[wire] = prg.next_block()
 
     tables: List[GarbledTable] = []
-    for gate_index, gate in enumerate(circuit.gates):
-        if gate.op is GateOp.AND:
+    for gate_index, (op, a, b, out) in enumerate(
+        zip(circuit.op, circuit.a, circuit.b, circuit.out)
+    ):
+        if op == OP_AND:
             out_zero, table = garble_and(
-                zero_labels[gate.a], zero_labels[gate.b], r, gate_index, hasher
+                zero_labels[a], zero_labels[b], r, gate_index, hasher
             )
-            zero_labels[gate.out] = out_zero
+            zero_labels[out] = out_zero
             tables.append(table)
-        elif gate.op is GateOp.XOR:
-            zero_labels[gate.out] = garble_xor(zero_labels[gate.a], zero_labels[gate.b])
+        elif op == OP_XOR:
+            zero_labels[out] = garble_xor(zero_labels[a], zero_labels[b])
         else:  # INV
-            zero_labels[gate.out] = garble_not(zero_labels[gate.a], r)
+            zero_labels[out] = garble_not(zero_labels[a], r)
 
     decode_bits = [lsb(zero_labels[w]) for w in circuit.outputs]
     garbler = Garbler(circuit=circuit, r=r, zero_labels=zero_labels, hasher=hasher)
@@ -196,17 +198,17 @@ def _garble_levels_generic(
     hasher: GateHasher,
 ) -> tuple:
     """Level-batched garbling over Python-int labels (any backend)."""
-    gates = circuit.gates
-    zero = input_labels + [0] * len(gates)
+    op_of, a_of, b_of, out_of = circuit.op, circuit.a, circuit.b, circuit.out
+    zero = input_labels + [0] * len(op_of)
     table_by_pos: Dict[int, GarbledTable] = {}
     for level in levels:
         and_positions: List[int] = []
         for position in level:
-            gate = gates[position]
-            if gate.op is GateOp.XOR:
-                zero[gate.out] = zero[gate.a] ^ zero[gate.b]
-            elif gate.op is GateOp.INV:
-                zero[gate.out] = zero[gate.a] ^ r
+            op = op_of[position]
+            if op == OP_XOR:
+                zero[out_of[position]] = zero[a_of[position]] ^ zero[b_of[position]]
+            elif op == OP_INV:
+                zero[out_of[position]] = zero[a_of[position]] ^ r
             else:
                 and_positions.append(position)
         if not and_positions:
@@ -214,9 +216,8 @@ def _garble_levels_generic(
         labels: List[int] = []
         tweaks: List[int] = []
         for position in and_positions:
-            gate = gates[position]
-            wa0 = zero[gate.a]
-            wb0 = zero[gate.b]
+            wa0 = zero[a_of[position]]
+            wb0 = zero[b_of[position]]
             j_g = 2 * position
             j_e = j_g + 1
             labels.extend((wa0, wa0 ^ r, wb0, wb0 ^ r))
@@ -225,16 +226,15 @@ def _garble_levels_generic(
         hasher.record_batch(len(labels))
         for index, position in enumerate(and_positions):
             h_a0, h_a1, h_b0, h_b1 = hashes[4 * index : 4 * index + 4]
-            gate = gates[position]
-            wa0 = zero[gate.a]
-            wb0 = zero[gate.b]
+            wa0 = zero[a_of[position]]
+            wb0 = zero[b_of[position]]
             p_a = wa0 & 1
             p_b = wb0 & 1
             t_g = h_a0 ^ h_a1 ^ (r if p_b else 0)
             w_g0 = h_a0 ^ (t_g if p_a else 0)
             t_e = h_b0 ^ h_b1 ^ wa0
             w_e0 = h_b0 ^ ((t_e ^ wa0) if p_b else 0)
-            zero[gate.out] = w_g0 ^ w_e0
+            zero[out_of[position]] = w_g0 ^ w_e0
             table_by_pos[position] = GarbledTable(t_g, t_e)
     tables = [table_by_pos[position] for position in sorted(table_by_pos)]
     return zero, tables
@@ -257,41 +257,37 @@ def _vector_plan(circuit: Circuit):
     plan = getattr(circuit, "_vector_plan_cache", None)
     if plan is not None:
         return plan
-    gates = circuit.gates
+    # Zero-copy int64 / uint8 views of the netlist columns; every plan
+    # member is one fancy-index gather from them.
+    is_xor = np.frombuffer(circuit.op, dtype=np.uint8) == OP_XOR
+    a_of = np.frombuffer(circuit.a, dtype=np.int64)
+    b_of = np.frombuffer(circuit.b, dtype=np.int64)
+    out_of = np.frombuffer(circuit.out, dtype=np.int64)
+
+    def gather(column, positions):
+        return column[positions] if len(positions) else None
+
     plan = []
     for and_batch, free_groups in circuit.and_level_schedule():
         if and_batch:
+            positions = np.asarray(and_batch, dtype=np.int64)
             and_arrays = (
-                np.asarray(and_batch, dtype=np.int64),
-                np.asarray([gates[p].a for p in and_batch], dtype=np.int64),
-                np.asarray([gates[p].b for p in and_batch], dtype=np.int64),
-                np.asarray([gates[p].out for p in and_batch], dtype=np.int64),
+                positions, a_of[positions], b_of[positions], out_of[positions]
             )
         else:
             and_arrays = (None, None, None, None)
         compiled_groups = []
         for group in free_groups:
-            xor_a: List[int] = []
-            xor_b: List[int] = []
-            xor_out: List[int] = []
-            inv_a: List[int] = []
-            inv_out: List[int] = []
-            for position in group:
-                gate = gates[position]
-                if gate.op is GateOp.XOR:
-                    xor_a.append(gate.a)
-                    xor_b.append(gate.b)
-                    xor_out.append(gate.out)
-                else:
-                    inv_a.append(gate.a)
-                    inv_out.append(gate.out)
+            positions = np.asarray(group, dtype=np.int64)
+            xor = positions[is_xor[positions]]
+            inv = positions[~is_xor[positions]]
             compiled_groups.append(
                 (
-                    np.asarray(xor_a, dtype=np.int64) if xor_a else None,
-                    np.asarray(xor_b, dtype=np.int64) if xor_b else None,
-                    np.asarray(xor_out, dtype=np.int64) if xor_out else None,
-                    np.asarray(inv_a, dtype=np.int64) if inv_a else None,
-                    np.asarray(inv_out, dtype=np.int64) if inv_out else None,
+                    gather(a_of, xor),
+                    gather(b_of, xor),
+                    gather(out_of, xor),
+                    gather(a_of, inv),
+                    gather(out_of, inv),
                 )
             )
         plan.append(and_arrays + (compiled_groups,))

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from .. import faults as faults_mod
-from ..circuits.netlist import Circuit, GateOp
+from ..circuits.netlist import OP_AND, OP_XOR, Circuit
 from ..faults import (
     FaultEvent,
     FaultPlan,
@@ -171,10 +171,8 @@ class _StreamingGarbler:
         self.hasher = GateHasher(rekeyed=rekeyed)
         self.zero: List[int] = [
             prg.next_block() for _ in range(circuit.n_inputs)
-        ] + [0] * len(circuit.gates)
-        self.n_and_gates = sum(
-            1 for gate in circuit.gates if gate.op is GateOp.AND
-        )
+        ] + [0] * len(circuit.op)
+        self.n_and_gates = circuit.op.count(OP_AND)
 
     def input_label(self, wire: int, bit: int) -> int:
         if wire >= self.circuit.n_inputs:
@@ -185,25 +183,25 @@ class _StreamingGarbler:
         self, and_positions: List[int], free_groups: List[List[int]]
     ) -> bytes:
         """Garble one AND level; returns its serialized table block."""
-        gates = self.circuit.gates
+        circuit = self.circuit
+        op_of, a_of, b_of, out_of = circuit.op, circuit.a, circuit.b, circuit.out
         zero = self.zero
         r = self.r
         parts: List[bytes] = []
         if and_positions and self.backend is None:
             for position in and_positions:
-                gate = gates[position]
                 out_zero, table = garble_and(
-                    zero[gate.a], zero[gate.b], r, position, self.hasher
+                    zero[a_of[position]], zero[b_of[position]], r, position,
+                    self.hasher,
                 )
-                zero[gate.out] = out_zero
+                zero[out_of[position]] = out_zero
                 parts.append(table.to_bytes())
         elif and_positions:
             labels: List[int] = []
             tweaks: List[int] = []
             for position in and_positions:
-                gate = gates[position]
-                wa0 = zero[gate.a]
-                wb0 = zero[gate.b]
+                wa0 = zero[a_of[position]]
+                wb0 = zero[b_of[position]]
                 j_g = 2 * position
                 labels.extend((wa0, wa0 ^ r, wb0, wb0 ^ r))
                 tweaks.extend((j_g, j_g, j_g + 1, j_g + 1))
@@ -211,22 +209,22 @@ class _StreamingGarbler:
             self.hasher.record_batch(len(labels))
             for index, position in enumerate(and_positions):
                 h_a0, h_a1, h_b0, h_b1 = hashes[4 * index : 4 * index + 4]
-                gate = gates[position]
-                wa0 = zero[gate.a]
-                wb0 = zero[gate.b]
+                wa0 = zero[a_of[position]]
+                wb0 = zero[b_of[position]]
                 t_g = h_a0 ^ h_a1 ^ (r if wb0 & 1 else 0)
                 w_g0 = h_a0 ^ (t_g if wa0 & 1 else 0)
                 t_e = h_b0 ^ h_b1 ^ wa0
                 w_e0 = h_b0 ^ ((t_e ^ wa0) if wb0 & 1 else 0)
-                zero[gate.out] = w_g0 ^ w_e0
+                zero[out_of[position]] = w_g0 ^ w_e0
                 parts.append(GarbledTable(t_g, t_e).to_bytes())
         for group in free_groups:
             for position in group:
-                gate = gates[position]
-                if gate.op is GateOp.XOR:
-                    zero[gate.out] = zero[gate.a] ^ zero[gate.b]
+                if op_of[position] == OP_XOR:
+                    zero[out_of[position]] = (
+                        zero[a_of[position]] ^ zero[b_of[position]]
+                    )
                 else:  # INV
-                    zero[gate.out] = zero[gate.a] ^ r
+                    zero[out_of[position]] = zero[a_of[position]] ^ r
         return b"".join(parts)
 
     def decode_bits(self) -> List[int]:
@@ -247,7 +245,7 @@ class _StreamingEvaluator:
         self.rekeyed = rekeyed
         self.backend = backend
         self.hasher = GateHasher(rekeyed=rekeyed)
-        self.labels: List[int] = list(input_labels) + [0] * len(circuit.gates)
+        self.labels: List[int] = list(input_labels) + [0] * len(circuit.op)
 
     def eval_phase(
         self,
@@ -255,7 +253,8 @@ class _StreamingEvaluator:
         free_groups: List[List[int]],
         block: bytes,
     ) -> None:
-        gates = self.circuit.gates
+        circuit = self.circuit
+        op_of, a_of, b_of, out_of = circuit.op, circuit.a, circuit.b, circuit.out
         labels = self.labels
         if len(block) != _TABLE_BYTES * len(and_positions):
             raise SessionAborted(
@@ -271,35 +270,34 @@ class _StreamingEvaluator:
             ]
             if self.backend is None:
                 for table, position in zip(tables, and_positions):
-                    gate = gates[position]
-                    labels[gate.out] = eval_and(
-                        labels[gate.a], labels[gate.b], table, position, self.hasher
+                    labels[out_of[position]] = eval_and(
+                        labels[a_of[position]], labels[b_of[position]], table,
+                        position, self.hasher,
                     )
             else:
                 batch: List[int] = []
                 tweaks: List[int] = []
                 for position in and_positions:
-                    gate = gates[position]
-                    batch.extend((labels[gate.a], labels[gate.b]))
+                    batch.extend((labels[a_of[position]], labels[b_of[position]]))
                     tweaks.extend((2 * position, 2 * position + 1))
                 hashes = self.backend.hash_labels(batch, tweaks, self.rekeyed)
                 self.hasher.record_batch(len(batch))
                 for index, position in enumerate(and_positions):
                     h_a, h_b = hashes[2 * index], hashes[2 * index + 1]
-                    gate = gates[position]
-                    wa = labels[gate.a]
-                    wb = labels[gate.b]
+                    wa = labels[a_of[position]]
+                    wb = labels[b_of[position]]
                     table = tables[index]
                     w_g = h_a ^ (table.generator_row if wa & 1 else 0)
                     w_e = h_b ^ ((table.evaluator_row ^ wa) if wb & 1 else 0)
-                    labels[gate.out] = w_g ^ w_e
+                    labels[out_of[position]] = w_g ^ w_e
         for group in free_groups:
             for position in group:
-                gate = gates[position]
-                if gate.op is GateOp.XOR:
-                    labels[gate.out] = labels[gate.a] ^ labels[gate.b]
+                if op_of[position] == OP_XOR:
+                    labels[out_of[position]] = (
+                        labels[a_of[position]] ^ labels[b_of[position]]
+                    )
                 else:  # INV forwards the label unchanged
-                    labels[gate.out] = labels[gate.a]
+                    labels[out_of[position]] = labels[a_of[position]]
 
     def decode(self, decode_bits: Sequence[int]) -> List[int]:
         output_labels = [self.labels[w] for w in self.circuit.outputs]
@@ -811,9 +809,7 @@ class StreamedDriver:
             output_bits=output_bits,
             traffic=self.pair.traffic_report(),
             total_bytes=self.pair.total_bytes,
-            and_gates=sum(
-                1 for gate in circuit.gates if gate.op is GateOp.AND
-            ),
+            and_gates=circuit.op.count(OP_AND),
             hash_calls_evaluator=self._bob.hasher.calls,
             recovery_events=list(self.log.events),
             fault_events=(

@@ -25,7 +25,8 @@ from ..core.isa import (
     Instruction,
     InstructionEncoding,
     decode_program_bytes,
-    encode_program_bytes,
+    encode_fields,
+    pack_words,
 )
 from ..core.program import HaacProgram
 from .garble import GarbledCircuit
@@ -99,14 +100,22 @@ def program_to_bytes(
     header.append(
         struct.pack(
             "<IIHI",
-            len(program.instructions),
+            len(program.op),
             program.n_inputs,
             encoding.addr_bits,
             len(program.outputs),
         )
     )
     header.append(struct.pack(f"<{len(program.outputs)}I", *program.outputs))
-    body = encode_program_bytes(program.instructions, encoding)
+    body = pack_words(
+        (
+            encode_fields(op, wa, wb, live, encoding)
+            for op, wa, wb, live in zip(
+                program.op, program.wa, program.wb, program.live
+            )
+        ),
+        encoding.bits,
+    )
     name_bytes = program.name.encode("utf-8")[:255]
     return (
         b"".join(header)

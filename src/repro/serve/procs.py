@@ -456,7 +456,7 @@ def run_evaluator_party(
         )
     up.send_message(DIGEST_KIND, up.send_digest())
 
-    from ..circuits.netlist import GateOp
+    from ..circuits.netlist import OP_AND
 
     return {
         "role": EVALUATOR,
@@ -466,9 +466,7 @@ def run_evaluator_party(
         "streamed_levels": streamed_levels,
         "first_level_s": first_level_s,
         "levels": len(levels),
-        "and_gates": sum(
-            1 for gate in circuit.gates if gate.op is GateOp.AND
-        ),
+        "and_gates": circuit.op.count(OP_AND),
         "hash_calls": bob.hasher.calls,
         "recovered": log.signature(),
     }

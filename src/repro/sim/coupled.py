@@ -77,27 +77,24 @@ class CoupledResult:
 def _per_instruction_bytes(streams: StreamSet, config: HaacConfig) -> list[float]:
     """Prefetch bytes each instruction consumes, in program order.
 
-    Reference formulation: walks the per-GE stream dataclasses through a
-    position index.  The vectorized path computes the same values from
-    :class:`CompiledArrays`; both must stay cost-identical.
+    Reference formulation: walks the program columns and each
+    instruction's owning GE stream.  The vectorized path computes the
+    same values from :class:`CompiledArrays`; both must stay
+    cost-identical.
     """
     program = streams.program
     costs = []
     oor_cost = WIRE_BYTES + OOR_ADDR_BYTES
-    ge_local_index = {}
-    for ge in streams.ges:
-        for local, position in enumerate(ge.positions):
-            ge_local_index[position] = (ge, local)
-    for position, instr in enumerate(program.instructions):
-        ge, local = ge_local_index[position]
+    for position, (op, live) in enumerate(zip(program.op, program.live)):
+        ge = streams.ges[streams.ge_of[position]]
         cost = float(config.instr_bytes)
-        if instr.op is HaacOp.AND:
+        if op == HaacOp.AND:
             cost += TABLE_BYTES
-        if ge.oor_a[local]:
+        if ge.oor_a_of[position]:
             cost += oor_cost
-        if ge.oor_b[local]:
+        if ge.oor_b_of[position]:
             cost += oor_cost
-        if instr.live:
+        if live:
             cost += WIRE_BYTES
         costs.append(cost)
     return costs
@@ -168,9 +165,10 @@ def coupled_runtime(
             fill_time = (input_bytes + prefix - queue_bytes) / bandwidth
             issue = max(base_issue, fill_time)
             stall += issue - base_issue
-            instr = program.instructions[position]
             latency = (
-                config.and_latency if instr.op is HaacOp.AND else config.xor_latency
+                config.and_latency
+                if program.op[position] == HaacOp.AND
+                else config.xor_latency
             )
             finish = max(finish, issue + latency + config.writeback_stages)
     else:

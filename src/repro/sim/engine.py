@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # NumPy is optional: the flat/reference loops cover its absence.
     import numpy as _np
@@ -126,21 +126,23 @@ class CompiledArrays:
     at most once and -- because these arrays ride along when a
     :class:`~repro.core.compiler.CompileResult` is pickled into the
     persistent program cache -- warm runs load it instead of rebuilding.
-    Fields stay plain Python lists: the retained scalar loops iterate
-    them directly, and list pickles load on interpreters without NumPy.
+    Fields stay stdlib sequences (``array('q')`` operand columns,
+    ``bytearray`` flag columns, plain lists): the retained scalar loops
+    iterate them directly, and their pickles load on interpreters
+    without NumPy.
     """
 
     n_inputs: int
     n_wires: int
     n_ges: int
     capacity: int
-    a_of: List[int]
-    b_of: List[int]
+    a_of: Sequence[int]
+    b_of: Sequence[int]
     ge_of: List[int]
-    is_and: List[bool]
-    live: List[bool]
-    oor_a: List[bool]
-    oor_b: List[bool]
+    is_and: bytearray
+    live: bytearray
+    oor_a: bytearray
+    oor_b: bytearray
     issue_cycle: List[int]
     oor_per_ge: List[int]
     level_of: Optional[List[int]] = None
@@ -200,44 +202,25 @@ def compiled_arrays(streams: StreamSet) -> CompiledArrays:
     if cached is not None:
         return cached
     program = streams.program
-    and_op = HaacOp.AND
-    n = len(program.instructions)
-    graph = getattr(streams, "depgraph", None)
-    if graph is not None:
-        # Compiler-built stream sets carry the shared dependence graph:
-        # reuse its operand/op arrays (the lists are shared objects, so
-        # a pickled cache entry stores one copy) and its memoized OoR
-        # flags -- the exact flags stream generation scattered per GE.
-        a_of = graph.a_of
-        b_of = graph.b_of
-        is_and = graph.is_and
-        oor_a, oor_b = graph.oor_flags(streams.window.capacity)
-    else:
-        gates = program.netlist.gates
-        a_of = [gate.a for gate in gates]
-        b_of = [gate.b for gate in gates]
-        is_and = [instr.op is and_op for instr in program.instructions]
-        oor_a = [False] * n
-        oor_b = [False] * n
-        for ge in streams.ges:
-            for local, position in enumerate(ge.positions):
-                if ge.oor_a[local]:
-                    oor_a[position] = True
-                if ge.oor_b[local]:
-                    oor_b[position] = True
+    # The shared dependence graph's operand / op columns and its
+    # memoized OoR flags (the exact flags stream generation used), the
+    # program's live column and the schedule lists are all adopted by
+    # reference, so a pickled cache entry stores one copy of each.
+    graph = streams.depgraph
+    oor_a, oor_b = graph.oor_flags(streams.window.capacity)
     arrays = CompiledArrays(
         n_inputs=program.n_inputs,
         n_wires=program.n_wires,
         n_ges=streams.n_ges,
         capacity=streams.window.capacity,
-        a_of=a_of,
-        b_of=b_of,
-        ge_of=list(streams.ge_of),
-        is_and=is_and,
-        live=[bool(instr.live) for instr in program.instructions],
+        a_of=graph.a_of,
+        b_of=graph.b_of,
+        ge_of=streams.ge_of,
+        is_and=graph.is_and,
+        live=program.live,
         oor_a=oor_a,
         oor_b=oor_b,
-        issue_cycle=list(streams.issue_cycle),
+        issue_cycle=streams.issue_cycle,
         oor_per_ge=[len(ge.oor_addresses) for ge in streams.ges],
     )
     setattr(streams, _ARRAYS_ATTR, arrays)
@@ -855,9 +838,9 @@ def compute_cycles_reference(
 ) -> Tuple[int, Dict[int, int]]:
     """Straightforward per-gate replay (the retained reference path).
 
-    Walks the program dataclasses directly -- one attribute lookup per
-    operand, dict-based scoreboard -- exactly the shape the vectorized
-    loop replaced.  The equivalence suite asserts both return identical
+    Walks the program and netlist columns gate by gate with a
+    dict-based scoreboard -- exactly the shape the vectorized loop
+    replaced.  The equivalence suite asserts both return identical
     (cycles, stalls, issued-per-GE) on every stdlib circuit family.
     """
     program = streams.program
@@ -873,15 +856,13 @@ def compute_cycles_reference(
     bank_load: Dict[int, List[int]] = {}
 
     max_finish = 0
-    for position, instr in enumerate(program.instructions):
-        gate = program.netlist.gates[position]
+    netlist = program.netlist
+    for position, (op, a, b) in enumerate(zip(program.op, netlist.a, netlist.b)):
         ge = streams.ge_of[position]
-        latency = (
-            config.and_latency if instr.op is HaacOp.AND else config.xor_latency
-        )
+        latency = config.and_latency if op == HaacOp.AND else config.xor_latency
         earliest_inorder = ge_last_issue.get(ge, -1) + 1
         ready = earliest_inorder
-        for wire in (gate.a, gate.b):
+        for wire in (a, b):
             available = value_ready.get(wire, 0)
             source = producer_ge.get(wire, -1)
             if wire >= n_inputs and source >= 0 and source != ge:
@@ -900,8 +881,8 @@ def compute_cycles_reference(
         issue = ready
 
         if config.model_bank_conflicts:
-            bank_a = gate.a % config.n_banks
-            bank_b = gate.b % config.n_banks
+            bank_a = a % config.n_banks
+            bank_b = b % config.n_banks
             while True:
                 cycle_loads = bank_load.setdefault(
                     issue + 1, [0] * config.n_banks
@@ -925,14 +906,14 @@ def compute_cycles_reference(
         value_ready[out] = issue + latency
         producer_ge[out] = ge
         last_read_issue[out] = issue + 1
-        for wire in (gate.a, gate.b):
+        for wire in (a, b):
             if issue + 1 > last_read_issue.get(wire, 0):
                 last_read_issue[wire] = issue + 1
         finish = issue + latency + config.writeback_stages
         if finish > max_finish:
             max_finish = finish
 
-    if program.instructions:
+    if ge_last_issue:
         last_issue = max(ge_last_issue.values())
         stalls.drain += max(0, max_finish - (last_issue + 1))
     return max_finish, dict(sorted(issued_per_ge.items()))

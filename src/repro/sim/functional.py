@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..circuits.netlist import GateOp
+from ..circuits.netlist import OP_AND
 from ..core.isa import HaacOp
 from ..core.passes.streams import StreamSet
 from ..gc.evaluate import EvaluationResult
@@ -130,11 +130,7 @@ def run_functional(
     # Table queues: ANDs of each GE's stream, popped in stream order.
     table_queues: List[List[int]] = []
     for ge in streams.ges:
-        queue = [
-            position
-            for instr, position in zip(ge.instructions, ge.positions)
-            if instr.op is HaacOp.AND
-        ]
+        queue = [p for p in ge.positions if program.op[p] == HaacOp.AND]
         table_queues.append(queue[::-1])  # pop from the end
 
     oor_queues: List[List[int]] = [list(ge.oor_addresses)[::-1] for ge in streams.ges]
@@ -143,7 +139,7 @@ def run_functional(
     # Global replay order: the compiler's issue schedule (stable by
     # position for ties), which respects all dependences.
     order = sorted(
-        range(len(program.instructions)),
+        range(len(program.op)),
         key=lambda position: (streams.issue_cycle[position], position),
     )
 
@@ -167,11 +163,13 @@ def run_functional(
                 f"GE {ge_id} executed out of stream order at position {position}"
             )
         ge_cursor[ge_id] += 1
-        instr = ge.instructions[local]
-        gate = netlist.gates[position]
+        op = program.op[position]
 
         operand_labels: List[int] = []
-        for wire, is_oor in ((gate.a, ge.oor_a[local]), (gate.b, ge.oor_b[local])):
+        for wire, is_oor in (
+            (netlist.a[position], ge.oor_a_of[position]),
+            (netlist.b[position], ge.oor_b_of[position]),
+        ):
             if is_oor:
                 if not oor_queues[ge_id]:
                     raise HaacMachineError(f"GE {ge_id}: OoRW queue underflow")
@@ -190,7 +188,7 @@ def run_functional(
                 operand_labels.append(sww.read(wire))
                 sww_reads += 1
 
-        if instr.op is HaacOp.AND:
+        if op == HaacOp.AND:
             if not table_queues[ge_id]:
                 raise HaacMachineError(f"GE {ge_id}: table queue underflow")
             table_position = table_queues[ge_id].pop()
@@ -207,14 +205,14 @@ def run_functional(
                 hasher,
             )
             table_pops += 1
-        elif instr.op is HaacOp.XOR:
+        elif op == HaacOp.XOR:
             out_label = eval_xor(operand_labels[0], operand_labels[1])
         else:
             continue  # NOP
 
         out = program.out_addr(position)
         sww.write(out, out_label)
-        if instr.live:
+        if program.live[position]:
             dram[out] = out_label
             dram_wire_writes += 1
 
@@ -256,9 +254,9 @@ def _table_index(netlist, position: int) -> int:
     if cache is None:
         cache = []
         count = 0
-        for gate in netlist.gates:
+        for code in netlist.op:
             cache.append(count)
-            if gate.op is GateOp.AND:
+            if code == OP_AND:
                 count += 1
         netlist._and_prefix_cache = cache
     return cache[position]

@@ -29,10 +29,11 @@ sweep recompiles nothing on warm runs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..circuits.netlist import Circuit, Gate
+from ..circuits.netlist import Circuit
 from ..core.compiler import CacheSpec, OptLevel, compile_circuit
 from ..core.depgraph import dep_graph
 from ..core.progcache import circuit_digest, resolve_cache, shard_key
@@ -98,28 +99,26 @@ def _shard_circuit(circuit: Circuit, positions: List[int]) -> Circuit:
     construction, so the shard skips ``validate()`` here; the compiler
     re-checks the program form during stream generation anyway.
     """
-    mapping = [-1] * circuit.n_wires
-    for wire in range(circuit.n_inputs):
-        mapping[wire] = wire
-    gates: List[Gate] = []
-    next_id = circuit.n_inputs
-    source_gates = circuit.gates
-    for position in sorted(positions):
-        gate = source_gates[position]
-        a = mapping[gate.a]
-        b = mapping[gate.b] if gate.b >= 0 else -1
-        mapping[gate.out] = next_id
-        gates.append(Gate(gate.op, a, b, next_id))
-        next_id += 1
+    n_inputs = circuit.n_inputs
+    # The trailing -1 keeps INV's missing operand (index -1) at -1.
+    mapping = [-1] * (circuit.n_wires + 1)
+    mapping[:n_inputs] = range(n_inputs)
+    positions = sorted(positions)
+    for next_id, position in enumerate(positions, n_inputs):
+        mapping[circuit.out[position]] = next_id
+    n_wires = n_inputs + len(positions)
     outputs = [mapping[w] for w in circuit.outputs if mapping[w] >= 0]
     if not outputs:
-        outputs = [gates[-1].out] if gates else [0]
-    shard = Circuit(
-        n_garbler_inputs=circuit.n_garbler_inputs,
-        n_evaluator_inputs=circuit.n_evaluator_inputs,
-        outputs=outputs,
-        gates=gates,
-        name=circuit.name + "+shard",
+        outputs = [n_wires - 1] if positions else [0]
+    shard = Circuit.from_columns(
+        circuit.n_garbler_inputs,
+        circuit.n_evaluator_inputs,
+        outputs,
+        bytearray(map(circuit.op.__getitem__, positions)),
+        array("q", [mapping[circuit.a[p]] for p in positions]),
+        array("q", [mapping[circuit.b[p]] for p in positions]),
+        array("q", range(n_inputs, n_wires)),
+        circuit.name + "+shard",
     )
     return shard
 

@@ -57,7 +57,7 @@ def compute_traffic_batch(
     """
     program = streams.program
     input_rd = program.n_inputs * WIRE_BYTES
-    n_instructions = len(program.instructions)
+    n_instructions = len(program.op)
     table_rd = program.n_and * TABLE_BYTES
     oorw_rd = streams.oor_reads * (WIRE_BYTES + OOR_ADDR_BYTES)
     live_wr = program.n_live * WIRE_BYTES
@@ -131,7 +131,7 @@ def _pack_result(
         traffic_cycles=traffic_cycles,
         ledger=ledger,
         stalls=stalls,
-        n_instructions=len(program.instructions),
+        n_instructions=len(program.op),
         n_and=program.n_and,
         ge_clock_hz=config.ge_clock_hz,
         issued_per_ge=issued_per_ge,

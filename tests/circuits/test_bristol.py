@@ -83,6 +83,17 @@ class TestReader:
         with pytest.raises(CircuitError):
             loads_bristol(text)
 
+    def test_negative_output_id_rejected(self):
+        text = "1 3\n1 2\n1 1\n\n2 1 0 1 -1 XOR\n"
+        with pytest.raises(CircuitError, match="negative wire id"):
+            loads_bristol(text)
+
+    def test_undeclared_output_wire_rejected(self):
+        # The header claims 9 wires, so the output (wire 8) never exists.
+        text = "1 9\n1 2\n1 1\n\n2 1 0 1 2 XOR\n"
+        with pytest.raises(CircuitError):
+            loads_bristol(text)
+
     def test_use_before_definition(self):
         text = "1 3\n1 2\n1 1\n\n2 1 0 5 2 XOR\n"
         with pytest.raises(CircuitError):

@@ -1,11 +1,47 @@
 """Circuit IR invariants, validation and analysis."""
 
 import random
+from array import array
 
 import pytest
 
-from repro.circuits.netlist import Circuit, CircuitError, Gate, GateOp
+from repro.circuits.netlist import (
+    OP_AND,
+    OP_INV,
+    OP_XOR,
+    Circuit,
+    CircuitError,
+    Gate,
+    GateOp,
+)
 from tests.conftest import random_circuit
+
+#: One malformed two-input netlist per message of the column checker:
+#: (id, outputs, op, a, b, out, message).  Columns can be supplied
+#: without passing through ``Gate.__post_init__``, so every invariant
+#: the value type used to guard is checked here too.
+MALFORMED = [
+    ("ragged", [2], [OP_AND], [0], [1], [], "different lengths"),
+    ("inv_with_b", [2], [OP_INV], [0], [1], [2], "INV must have b == -1"),
+    ("unknown_op", [2], [7], [0], [1], [2], "unknown op code"),
+    ("negative_a", [2], [OP_XOR], [-1], [1], [2], "non-negative"),
+    ("and_without_b", [2], [OP_AND], [0], [-1], [2], "non-negative"),
+    ("negative_out", [0], [OP_XOR], [0], [1], [-1], "non-negative"),
+    ("beyond_n_wires", [2], [OP_XOR], [0], [9], [2], "n_wires"),
+    ("read_before_defined", [3], [OP_XOR, OP_AND], [0, 0], [3, 1], [2, 3],
+     "before it is defined"),
+    ("overwrites_input", [1], [OP_XOR], [0], [1], [1], "overwrites input"),
+    ("ssa", [2], [OP_XOR, OP_AND], [0, 0], [1, 1], [2, 2], "defined twice"),
+    ("negative_output", [-1], [OP_AND], [0], [1], [2], "output wire -1"),
+    ("undefined_output", [9], [OP_AND], [0], [1], [2], "output wire 9"),
+]
+
+
+def malformed_circuit(outputs, op, a, b, out) -> Circuit:
+    return Circuit.from_columns(
+        2, 0, list(outputs), bytearray(op),
+        array("q", a), array("q", b), array("q", out), "bad",
+    )
 
 
 class TestGate:
@@ -60,6 +96,27 @@ class TestValidation:
         gates = [Gate(GateOp.XOR, 0, 99, 2)]
         with pytest.raises(CircuitError):
             Circuit(1, 1, [2], gates).validate()
+
+    def test_negative_output_wire_is_not_the_last_wire(self):
+        # defined[-1] / values[-1] used to alias the last wire.
+        circuit = Circuit(1, 1, [-1], [Gate(GateOp.AND, 0, 1, 2)])
+        with pytest.raises(CircuitError, match="output wire -1"):
+            circuit.validate()
+
+    @pytest.mark.parametrize(
+        "outputs,op,a,b,out,message",
+        [case[1:] for case in MALFORMED],
+        ids=[case[0] for case in MALFORMED],
+    )
+    def test_column_checker_messages(self, outputs, op, a, b, out, message):
+        with pytest.raises(CircuitError, match=message):
+            malformed_circuit(outputs, op, a, b, out).validate()
+
+    def test_gates_view_is_read_only(self, tiny_circuit):
+        with pytest.raises(TypeError):
+            tiny_circuit.gates[0] = Gate(GateOp.XOR, 0, 1, 2)
+        assert len(tiny_circuit.gates) == 3
+        assert tiny_circuit.gates == list(tiny_circuit.gates)
 
 
 class TestAnalysis:

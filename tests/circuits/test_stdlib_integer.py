@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.builder import CircuitBuilder
-from repro.circuits.netlist import GateOp
+from repro.circuits.netlist import OP_AND
 from repro.circuits.stdlib.integer import (
     abs_value,
     add,
@@ -53,8 +53,7 @@ class TestFullAdder:
         builder = CircuitBuilder()
         a, x, c = builder.add_garbler_inputs(3)
         full_adder(builder, a, x, c)
-        circuit_gates = builder._gates
-        assert sum(1 for g in circuit_gates if g.op is GateOp.AND) == 1
+        assert builder._op.count(OP_AND) == 1
 
     def test_truth_table(self):
         builder = CircuitBuilder()

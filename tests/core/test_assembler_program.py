@@ -86,8 +86,8 @@ class TestProgramValidation:
         circuit = Circuit(1, 1, [3], [Gate(GateOp.XOR, 0, 1, 2), Gate(GateOp.XOR, 2, 0, 3)])
         circuit.validate()
         program = HaacProgram.from_netlist(circuit)
-        # Corrupt: swap netlist gates so outputs are out of order.
-        program.netlist.gates.reverse()
+        # Corrupt: swap netlist outputs so they are out of order.
+        program.netlist.out.reverse()
         with pytest.raises(ProgramError):
             program.validate()
 

@@ -37,6 +37,7 @@ from repro.core.depgraph import (
 from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig
 from repro.sim.engine import compiled_arrays
+from tests.circuits.test_netlist import MALFORMED, malformed_circuit
 
 
 def _logic8():
@@ -236,9 +237,7 @@ class TestGraphMatchesLegacy:
         index = graph.producer_index()
         for position, gate in enumerate(circuit.gates):
             assert index[gate.out] == position
-            assert graph.producer_pos(gate.out) == position
-        for wire in range(circuit.n_inputs):
-            assert graph.producer_pos(wire) == -1
+        assert index[: circuit.n_inputs] == [-1] * circuit.n_inputs
 
     def test_operand_arrays_mirror_gates(self, family):
         circuit = _circuit(family)
@@ -265,9 +264,13 @@ class TestCompiledGraphs:
         assert graph.renamed
         netlist = result.program.netlist
         assert graph is dep_graph(netlist)
-        assert graph.a_of == [gate.a for gate in netlist.gates]
-        assert graph.b_of == [gate.b for gate in netlist.gates]
-        assert graph.is_and == [
+        # The graph adopts the netlist's columns by reference ...
+        assert graph.a_of is netlist.a and graph.b_of is netlist.b
+        assert graph.out_of is netlist.out
+        # ... and they read the same through the public Gate view.
+        assert list(graph.a_of) == [gate.a for gate in netlist.gates]
+        assert list(graph.b_of) == [gate.b for gate in netlist.gates]
+        assert list(graph.is_and) == [
             gate.op is GateOp.AND for gate in netlist.gates
         ]
 
@@ -353,8 +356,6 @@ class TestMemoization:
     def test_pickle_round_trip_renamed(self):
         result, _ = _compiled("adder8", OptLevel.RO_RN_ESW)
         graph = result.streams.depgraph
-        state = graph.__getstate__()
-        assert state["out_of"] is None  # implicit in renamed form
         clone = pickle.loads(pickle.dumps(graph))
         assert clone.out_of == graph.out_of
         assert clone.a_of == graph.a_of and clone.b_of == graph.b_of
@@ -414,6 +415,17 @@ class TestValidationWitness:
         with pytest.raises(CircuitError, match="output wire"):
             DepGraph(circuit)
 
+    @pytest.mark.parametrize(
+        "outputs,op,a,b,out,message",
+        [case[1:] for case in MALFORMED],
+        ids=[case[0] for case in MALFORMED],
+    )
+    def test_same_checker_as_circuit_validate(
+        self, outputs, op, a, b, out, message
+    ):
+        with pytest.raises(CircuitError, match=message):
+            DepGraph(malformed_circuit(outputs, op, a, b, out))
+
     def test_unused_wires_tracked(self):
         # A never-read gate output still appears with an empty reader
         # list and last_reader -1 (the ESW spent-wire case).
@@ -440,20 +452,24 @@ class TestValidationWitness:
 
 # ----------------------------------------------------------------------
 # Cache-schema consequence: v3 entries (no graph, no tie-break axis)
+# and v4 entries (object graphs instead of columns)
 # ----------------------------------------------------------------------
 
 
-class TestSchemaV4Staleness:
-    """CACHE_SCHEMA v4 entries carry the dependence graph and key the
-    greedy tie-break; anything written under v3 is unreachable and must
-    census as stale and be deleted by ``repro cache prune``."""
+def test_schema_is_v5():
+    from repro.core.progcache import CACHE_SCHEMA
 
-    def test_schema_is_v4(self):
-        from repro.core.progcache import CACHE_SCHEMA
+    assert CACHE_SCHEMA == 5
 
-        assert CACHE_SCHEMA == 4
 
-    def _store_with_v3_entry(self, tmp_path):
+@pytest.mark.parametrize("old_schema", [3, 4])
+class TestOldSchemaStaleness:
+    """CACHE_SCHEMA v5 entries pickle columns; anything written under
+    v3 (no graph, no tie-break axis) or v4 (per-gate object graphs) is
+    unreachable and must census as stale and be deleted by
+    ``repro cache prune``."""
+
+    def _store_with_old_entry(self, tmp_path, old_schema):
         from repro.core.progcache import ProgramCache
 
         config = HaacConfig(n_ges=4, sww_bytes=SWW_BYTES)
@@ -463,23 +479,23 @@ class TestSchemaV4Staleness:
             opt=OptLevel.RO_RN_ESW, params=config.schedule_params(),
             cache=store,
         )
-        v3_key = "ab" * 32
-        (tmp_path / f"{v3_key}.pkl").write_bytes(pickle.dumps({
-            "schema": 3, "key": v3_key, "result": result,
+        old_key = "ab" * 32
+        (tmp_path / f"{old_key}.pkl").write_bytes(pickle.dumps({
+            "schema": old_schema, "key": old_key, "result": result,
         }))
         return store
 
-    def test_v3_entry_classified_stale(self, tmp_path):
-        store = self._store_with_v3_entry(tmp_path)
+    def test_old_entry_classified_stale(self, tmp_path, old_schema):
+        store = self._store_with_old_entry(tmp_path, old_schema)
         census = store.scan()
         assert census.live == 1
         assert census.stale == 1
         assert census.corrupt == 0
 
-    def test_cli_prune_removes_v3_entry(self, tmp_path, capsys):
+    def test_cli_prune_removes_old_entry(self, tmp_path, capsys, old_schema):
         from repro.cli import main
 
-        store = self._store_with_v3_entry(tmp_path)
+        store = self._store_with_old_entry(tmp_path, old_schema)
         assert main(["cache", "prune", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "pruned 1 stale-schema and 0 corrupt entries" in out

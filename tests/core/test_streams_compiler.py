@@ -36,7 +36,7 @@ class TestStreamPartitioning:
 
     def test_ge_streams_in_program_order(self, compiled):
         for ge in compiled.streams.ges:
-            assert ge.positions == sorted(ge.positions)
+            assert list(ge.positions) == sorted(ge.positions)
 
     def test_table_counts_sum_to_ands(self, compiled):
         streams = compiled.streams
@@ -93,7 +93,7 @@ class TestOorAnalysis:
                     expected.append(gate.a)
                 if ge.oor_b[local]:
                     expected.append(gate.b)
-            assert ge.oor_addresses == expected
+            assert list(ge.oor_addresses) == expected
 
     def test_large_window_no_oor(self, mixed_circuit):
         config = HaacConfig(n_ges=4, sww_bytes=1 << 22)
