@@ -324,29 +324,12 @@ class Circuit:
         """Circuit depth in gate levels (Table 2 '# Levels')."""
         return max(self.gate_levels(), default=0)
 
-    def topological_levels(self) -> List[List[int]]:
-        """Gate positions grouped by ASAP dependence level.
-
-        ``result[k]`` lists the netlist positions of all gates at level
-        ``k + 1``; gates within one level are mutually independent (every
-        input of a level-``L`` gate is produced strictly below ``L``), so
-        each group is one schedulable batch for the batched garbler/
-        evaluator -- the software analogue of issuing a whole level
-        across HAAC's parallel gate engines.  Positions within a group
-        are in netlist order.
-        """
-        levels = self.gate_levels()
-        buckets: List[List[int]] = [[] for _ in range(max(levels, default=0))]
-        for position, level in enumerate(levels):
-            buckets[level - 1].append(position)
-        return buckets
-
     def and_level_schedule(self) -> List[Tuple[List[int], List[List[int]]]]:
         """Batched execution schedule keyed by *multiplicative* depth.
 
         FreeXOR garbling only pays for AND gates, so the natural batch
         is all AND gates at the same AND-only (multiplicative) depth --
-        a far coarser grouping than :meth:`topological_levels` (e.g. the
+        a far coarser grouping than ASAP dependence levels (e.g. the
         AES-128 circuit has 1182 ASAP levels but only 40 AND levels of
         1280 gates each).  Returns one phase per depth ``d``:
 

@@ -15,7 +15,6 @@ from .backends import (
 )
 from .evaluate import (
     EvaluationResult,
-    evaluate_batched,
     evaluate_circuit,
     evaluate_circuit_batched,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "EvaluationResult",
     "evaluate_circuit",
     "evaluate_circuit_batched",
-    "evaluate_batched",
     "BackendUnavailable",
     "LabelHashBackend",
     "available_backends",

@@ -13,13 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit
+from ..circuits.netlist import OP_AND, OP_XOR, Circuit
 from .garble import GarbledCircuit
 from .halfgate import eval_and, eval_not, eval_xor
 from .hashing import GateHasher
 from .labels import lsb
 
-__all__ = ["EvaluationResult", "evaluate_circuit", "evaluate_circuit_batched", "evaluate_batched"]
+__all__ = [
+    "EvaluationResult",
+    "evaluate_circuit",
+    "evaluate_circuit_batched",
+    "evaluate_level",
+]
 
 
 @dataclass
@@ -129,10 +134,18 @@ def evaluate_circuit_batched(
             rekeyed, resolved, hasher,
         )
     else:
-        output_labels = _evaluate_levels_generic(
-            circuit, circuit.topological_levels(), garbled, list(input_labels),
-            table_index, rekeyed, resolved, hasher,
-        )
+        labels = list(input_labels) + [0] * len(circuit.op)
+        tables = garbled.tables
+        for and_positions, free_groups in circuit.and_level_schedule():
+            rows: List[int] = []
+            for position in and_positions:
+                table = tables[table_index[position]]
+                rows.extend((table.generator_row, table.evaluator_row))
+            evaluate_level(
+                circuit, labels, and_positions, free_groups, rows,
+                rekeyed, resolved, hasher,
+            )
+        output_labels = [labels[w] for w in circuit.outputs]
     output_bits = [
         lsb(label) ^ decode
         for label, decode in zip(output_labels, garbled.decode_bits)
@@ -151,33 +164,26 @@ def _and_table_indices(circuit: Circuit) -> Dict[int, int]:
     return {position: index for index, position in enumerate(and_positions)}
 
 
-def _evaluate_levels_generic(
+def evaluate_level(
     circuit: Circuit,
-    levels: List[List[int]],
-    garbled: GarbledCircuit,
-    input_labels: List[int],
-    table_index: Dict[int, int],
+    labels: List[int],
+    and_positions: List[int],
+    free_groups: List[List[int]],
+    rows: Sequence[int],
     rekeyed: bool,
     backend,
     hasher: GateHasher,
-) -> List[int]:
-    """Level-batched evaluation over Python-int labels (any backend)."""
+) -> None:
+    """Evaluate one phase of :meth:`Circuit.and_level_schedule` over
+    Python-int labels: the twin of :func:`repro.gc.garble.garble_level`.
+
+    ``labels`` (the held label of every wire) is updated in place;
+    ``rows`` are the AND batch's table rows flat, ``[generator_row,
+    evaluator_row]`` per gate in ``and_positions`` order.  All AND gates
+    of the batch hash in one backend call (2 hashes per gate).
+    """
     op_of, a_of, b_of, out_of = circuit.op, circuit.a, circuit.b, circuit.out
-    labels = input_labels + [0] * len(op_of)
-    for level in levels:
-        and_positions: List[int] = []
-        for position in level:
-            op = op_of[position]
-            if op == OP_XOR:
-                labels[out_of[position]] = (
-                    labels[a_of[position]] ^ labels[b_of[position]]
-                )
-            elif op == OP_INV:
-                labels[out_of[position]] = labels[a_of[position]]
-            else:
-                and_positions.append(position)
-        if not and_positions:
-            continue
+    if and_positions:
         batch: List[int] = []
         tweaks: List[int] = []
         for position in and_positions:
@@ -189,11 +195,18 @@ def _evaluate_levels_generic(
             h_a, h_b = hashes[2 * index], hashes[2 * index + 1]
             wa = labels[a_of[position]]
             wb = labels[b_of[position]]
-            table = garbled.tables[table_index[position]]
-            w_g = h_a ^ (table.generator_row if wa & 1 else 0)
-            w_e = h_b ^ ((table.evaluator_row ^ wa) if wb & 1 else 0)
+            t_g, t_e = rows[2 * index], rows[2 * index + 1]
+            w_g = h_a ^ (t_g if wa & 1 else 0)
+            w_e = h_b ^ ((t_e ^ wa) if wb & 1 else 0)
             labels[out_of[position]] = w_g ^ w_e
-    return [labels[w] for w in circuit.outputs]
+    for group in free_groups:
+        for position in group:
+            if op_of[position] == OP_XOR:
+                labels[out_of[position]] = (
+                    labels[a_of[position]] ^ labels[b_of[position]]
+                )
+            else:  # INV forwards the label unchanged
+                labels[out_of[position]] = labels[a_of[position]]
 
 
 def _evaluate_levels_vectorized(
@@ -267,7 +280,3 @@ def _evaluate_levels_vectorized(
         _run_free_groups(state, free_groups, None)
 
     return backend.blocks_to_ints(state[circuit.outputs])
-
-
-#: Short alias mirroring the ``garble_circuit_batched`` naming scheme.
-evaluate_batched = evaluate_circuit_batched

@@ -21,13 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit
+from ..circuits.netlist import OP_AND, OP_XOR, Circuit
 from .halfgate import GarbledTable, garble_and, garble_not, garble_xor
 from .hashing import GateHasher
 from .labels import lsb
 from .rng import LabelPrg
 
-__all__ = ["GarbledCircuit", "Garbler", "garble_circuit", "garble_circuit_batched"]
+__all__ = [
+    "GarbledCircuit",
+    "Garbler",
+    "garble_circuit",
+    "garble_circuit_batched",
+    "garble_level",
+]
 
 
 @dataclass
@@ -152,9 +158,10 @@ def garble_circuit_batched(
     the PRG draws (R, then one label per input wire) happen in the same
     order, gate tweaks are still netlist positions, and every backend
     reproduces the scalar hash exactly.  Only the *schedule* changes:
-    gates are processed per ASAP dependence level, FreeXOR/INV levels
-    collapse into bulk XORs and all AND gates of a level go through one
-    backend hash call (4 hashes per gate).
+    gates are processed per multiplicative depth
+    (:meth:`Circuit.and_level_schedule`), all AND gates of a depth go
+    through one backend hash call (4 hashes per gate) and, on vectorized
+    backends, the free XOR/INV groups collapse into bulk array XORs.
 
     ``backend`` is a backend name, instance, or ``None`` (environment /
     auto selection; falls back to the scalar reference without NumPy).
@@ -173,10 +180,16 @@ def garble_circuit_batched(
             circuit, input_labels, r, rekeyed, resolved, hasher
         )
     else:
-        zero_labels, tables = _garble_levels_generic(
-            circuit, circuit.topological_levels(), input_labels, r, rekeyed,
-            resolved, hasher,
-        )
+        zero_labels = input_labels + [0] * len(circuit.op)
+        table_by_pos: Dict[int, GarbledTable] = {}
+        for and_positions, free_groups in circuit.and_level_schedule():
+            rows = garble_level(
+                circuit, zero_labels, r, and_positions, free_groups,
+                rekeyed, resolved, hasher,
+            )
+            for position, t_g, t_e in zip(and_positions, rows[0::2], rows[1::2]):
+                table_by_pos[position] = GarbledTable(t_g, t_e)
+        tables = [table_by_pos[position] for position in sorted(table_by_pos)]
 
     decode_bits = [lsb(zero_labels[w]) for w in circuit.outputs]
     garbler = Garbler(circuit=circuit, r=r, zero_labels=zero_labels, hasher=hasher)
@@ -188,56 +201,59 @@ def garble_circuit_batched(
     return garbler
 
 
-def _garble_levels_generic(
+def garble_level(
     circuit: Circuit,
-    levels: List[List[int]],
-    input_labels: List[int],
+    zero: List[int],
     r: int,
+    and_positions: List[int],
+    free_groups: List[List[int]],
     rekeyed: bool,
     backend,
     hasher: GateHasher,
-) -> tuple:
-    """Level-batched garbling over Python-int labels (any backend)."""
+) -> List[int]:
+    """Garble one phase of :meth:`Circuit.and_level_schedule` over
+    Python-int labels: the AND batch in one ``backend.hash_labels`` call,
+    then the phase's free XOR/INV groups.
+
+    ``zero`` (the zero-label of every wire) is updated in place.  Returns
+    the batch's table rows flat, ``[generator_row, evaluator_row]`` per
+    gate in ``and_positions`` order.  This is the one int-label garbling
+    kernel: the streamed :class:`~repro.gc.roles.GarblerRole` ships each
+    call's rows as a ``tables`` message, :func:`garble_circuit_batched`
+    loops it over the whole schedule.
+    """
     op_of, a_of, b_of, out_of = circuit.op, circuit.a, circuit.b, circuit.out
-    zero = input_labels + [0] * len(op_of)
-    table_by_pos: Dict[int, GarbledTable] = {}
-    for level in levels:
-        and_positions: List[int] = []
-        for position in level:
-            op = op_of[position]
-            if op == OP_XOR:
-                zero[out_of[position]] = zero[a_of[position]] ^ zero[b_of[position]]
-            elif op == OP_INV:
-                zero[out_of[position]] = zero[a_of[position]] ^ r
-            else:
-                and_positions.append(position)
-        if not and_positions:
-            continue
+    rows: List[int] = []
+    if and_positions:
         labels: List[int] = []
         tweaks: List[int] = []
         for position in and_positions:
             wa0 = zero[a_of[position]]
             wb0 = zero[b_of[position]]
             j_g = 2 * position
-            j_e = j_g + 1
             labels.extend((wa0, wa0 ^ r, wb0, wb0 ^ r))
-            tweaks.extend((j_g, j_g, j_e, j_e))
+            tweaks.extend((j_g, j_g, j_g + 1, j_g + 1))
         hashes = backend.hash_labels(labels, tweaks, rekeyed)
         hasher.record_batch(len(labels))
         for index, position in enumerate(and_positions):
             h_a0, h_a1, h_b0, h_b1 = hashes[4 * index : 4 * index + 4]
             wa0 = zero[a_of[position]]
             wb0 = zero[b_of[position]]
-            p_a = wa0 & 1
-            p_b = wb0 & 1
-            t_g = h_a0 ^ h_a1 ^ (r if p_b else 0)
-            w_g0 = h_a0 ^ (t_g if p_a else 0)
+            t_g = h_a0 ^ h_a1 ^ (r if wb0 & 1 else 0)
+            w_g0 = h_a0 ^ (t_g if wa0 & 1 else 0)
             t_e = h_b0 ^ h_b1 ^ wa0
-            w_e0 = h_b0 ^ ((t_e ^ wa0) if p_b else 0)
+            w_e0 = h_b0 ^ ((t_e ^ wa0) if wb0 & 1 else 0)
             zero[out_of[position]] = w_g0 ^ w_e0
-            table_by_pos[position] = GarbledTable(t_g, t_e)
-    tables = [table_by_pos[position] for position in sorted(table_by_pos)]
-    return zero, tables
+            rows.extend((t_g, t_e))
+    for group in free_groups:
+        for position in group:
+            if op_of[position] == OP_XOR:
+                zero[out_of[position]] = (
+                    zero[a_of[position]] ^ zero[b_of[position]]
+                )
+            else:  # INV
+                zero[out_of[position]] = zero[a_of[position]] ^ r
+    return rows
 
 
 def _vector_plan(circuit: Circuit):

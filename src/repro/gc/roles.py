@@ -1,0 +1,335 @@
+"""The streamed two-party protocol, written once: one script per role.
+
+A GC program is completely known before it runs, so the message order
+of a session is data-independent and each party is a straight-line
+script over :meth:`Circuit.and_level_schedule`.  :class:`GarblerRole`
+and :class:`EvaluatorRole` are those two scripts -- the only place the
+nine wire messages (``ot_public``, ``ot_points``, ``ot_ciphers``,
+``garbler_labels``, ``tables``, ``decode``, ``outputs`` and one
+``digest`` per direction) are sent and received.  DESIGN.md section 11
+has the normative table: kind, direction, turns and payload layout.
+
+A role owns its party's secrets and talks only through its ``(down,
+up)`` pair of :class:`~repro.gc.channel.FramedChannel` objects (``down``
+carries garbler->evaluator traffic).  Its script is cut into *turns*: a
+turn ends where the next ``recv_message`` needs something the peer has
+not yet been asked to send, and one AND level garbled or evaluated is
+one turn.  ``next_turn`` names the pending turn's phase
+(:data:`HANDSHAKE`, :data:`LEVEL`, :data:`FINISH`, then ``None``) and
+:meth:`take_turn` runs it, so a scheduler needs no knowledge of the
+messages: :class:`~repro.gc.protocol.StreamedDriver` alternates both
+roles on one in-process pair (the *fused* drive),
+:func:`repro.serve.procs.party_process_main` runs one role straight
+through on its end of a socket (the *split* drive).  Per-direction
+message order is the same however the turns are interleaved, which is
+why every drive produces the same transcript digest.
+
+The framed transport carries raw bytes, so every payload is serialized
+explicitly here; damaged payload structure surfaces as the typed
+:class:`~repro.faults.SessionAborted`, not a random exception.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Dict, Iterator, List, Optional, Sequence
+
+from ..circuits.netlist import OP_AND, Circuit
+from ..faults import SessionAborted, TranscriptMismatch
+from .backends import resolve_backend
+from .channel import DIGEST_KIND, FramedChannel
+from .evaluate import evaluate_level
+from .garble import garble_level
+from .hashing import GateHasher
+from .labels import lsb
+from .ot import GROUP_P, OtReceiver, OtSender
+from .rng import LabelPrg
+
+__all__ = ["HANDSHAKE", "LEVEL", "FINISH", "GarblerRole", "EvaluatorRole"]
+
+HANDSHAKE = "handshake"
+LEVEL = "level"
+FINISH = "finish"
+
+_LABEL_BYTES = 16
+_TABLE_BYTES = 2 * _LABEL_BYTES
+# Wire width of a serialized OT group element.
+_POINT_BYTES = (GROUP_P.bit_length() + 7) // 8
+
+
+def _ints_to_bytes(values: Sequence[int], width: int) -> bytes:
+    return b"".join(value.to_bytes(width, "big") for value in values)
+
+
+def _bytes_to_ints(data: bytes, width: int, what: str) -> List[int]:
+    if len(data) % width:
+        raise SessionAborted(
+            f"{what}: payload length {len(data)} is not a multiple of {width}"
+        )
+    return [
+        int.from_bytes(data[i : i + width], "big")
+        for i in range(0, len(data), width)
+    ]
+
+
+def _pack_bits(bits: Sequence[int]) -> bytes:
+    out = bytearray((len(bits) + 7) // 8)
+    for index, bit in enumerate(bits):
+        if bit:
+            out[index // 8] |= 1 << (index % 8)
+    return bytes(out)
+
+
+def _unpack_bits(data: bytes, n_bits: int, what: str) -> List[int]:
+    if len(data) != (n_bits + 7) // 8:
+        raise SessionAborted(
+            f"{what}: expected {(n_bits + 7) // 8} packed bytes for "
+            f"{n_bits} bits, got {len(data)}"
+        )
+    return [(data[index // 8] >> (index % 8)) & 1 for index in range(n_bits)]
+
+
+def _verify_transcript(channel: FramedChannel) -> bytes:
+    """Receive the sender's claimed digest of ``channel`` and check it
+    against what this side was actually delivered -- the check that
+    catches what slipped past the per-frame CRC (tampered frames)."""
+    claimed = channel.recv_message(DIGEST_KIND)
+    delivered = channel.recv_digest()
+    if claimed != delivered:
+        raise TranscriptMismatch(
+            f"{channel.name} transcript diverged: sender "
+            f"{claimed.hex()[:16]}..., receiver {delivered.hex()[:16]}..."
+        )
+    return delivered
+
+
+class _Role:
+    """Turn-taking shared by both parties; subclasses write ``_turns``."""
+
+    #: "garbler" or "evaluator": whose input bits this role holds.
+    party = ""
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        bits: Sequence[int],
+        *,
+        seed: int,
+        rekeyed: bool,
+        backend,
+        down: FramedChannel,
+        up: FramedChannel,
+    ) -> None:
+        """``backend`` is a hash backend name or instance; ``None`` is
+        the audited ``scalar`` backend, whatever the environment says."""
+        expected = {
+            "garbler": circuit.n_garbler_inputs,
+            "evaluator": circuit.n_evaluator_inputs,
+        }[self.party]
+        if len(bits) != expected:
+            raise ValueError(f"wrong number of {self.party} input bits")
+        self.circuit = circuit
+        self.bits = list(bits)
+        self.seed = seed
+        self.rekeyed = rekeyed
+        self.backend = resolve_backend("scalar" if backend is None else backend)
+        self.down = down
+        self.up = up
+        self.hasher = GateHasher(rekeyed=rekeyed)
+        #: The AND-level schedule, known once the handshake turns ran.
+        self.levels: Optional[list] = None
+        self.levels_done = 0
+        self.output_bits: Optional[List[int]] = None
+        self.next_turn: Optional[str] = HANDSHAKE
+        self._script = self._turns()
+
+    def take_turn(self) -> None:
+        """Run the pending turn; ``next_turn`` then names the one after."""
+        self.next_turn = next(self._script, None)
+
+    def _turns(self) -> Iterator[str]:
+        """The party's script; yields the phase of the turn that follows
+        each turn boundary."""
+        raise NotImplementedError
+
+    def _after_level(self) -> str:
+        self.levels_done += 1
+        return LEVEL if self.levels_done < len(self.levels) else FINISH
+
+
+class GarblerRole(_Role):
+    """Alice: draws the labels, garbles level by level, learns the output.
+
+    Labels are drawn exactly as in :func:`repro.gc.garble.garble_circuit`
+    (same PRG order: R, then one label per input wire), so input labels,
+    tables and decode bits are bit-identical to the monolithic path --
+    only the table *stream order* follows the AND-level schedule instead
+    of netlist order.
+    """
+
+    party = "garbler"
+
+    def _turns(self) -> Iterator[str]:
+        circuit, down, up = self.circuit, self.down, self.up
+        prg = LabelPrg(self.seed)
+        r = prg.next_odd_block()
+        zero = [prg.next_block() for _ in range(circuit.n_inputs)]
+        zero += [0] * len(circuit.op)
+        sender = OtSender(LabelPrg(self.seed + 0x0F))
+        down.send_message(
+            "ot_public", sender.public.to_bytes(_POINT_BYTES, "big")
+        )
+        yield HANDSHAKE
+
+        points = _bytes_to_ints(
+            up.recv_message("ot_points"), _POINT_BYTES, "ot_points"
+        )
+        cipher_pairs = sender.encrypt_batch(
+            points,
+            [(zero[w], zero[w] ^ r) for w in circuit.evaluator_input_wires],
+        )
+        down.send_message(
+            "ot_ciphers",
+            _ints_to_bytes(
+                [c for pair in cipher_pairs for c in pair], _LABEL_BYTES
+            ),
+        )
+        own_labels = [
+            zero[w] ^ (r if bit else 0)
+            for w, bit in zip(circuit.garbler_input_wires, self.bits)
+        ]
+        down.send_message(
+            "garbler_labels", _ints_to_bytes(own_labels, _LABEL_BYTES)
+        )
+        self.levels = circuit.and_level_schedule()
+        yield LEVEL  # the schedule always has its depth-0 phase
+
+        for and_positions, free_groups in self.levels:
+            rows = garble_level(
+                circuit, zero, r, and_positions, free_groups,
+                self.rekeyed, self.backend, self.hasher,
+            )
+            if and_positions:
+                down.send_message("tables", _ints_to_bytes(rows, _LABEL_BYTES))
+            yield self._after_level()
+
+        down.send_message(
+            "decode", _pack_bits([lsb(zero[w]) for w in circuit.outputs])
+        )
+        yield FINISH
+
+        self.output_bits = _unpack_bits(
+            up.recv_message("outputs"), len(circuit.outputs), "outputs"
+        )
+        # Transcript digest exchange, before any result is built: claim
+        # the down digest, then verify the evaluator's claim for up.
+        down.send_message(DIGEST_KIND, down.send_digest())
+        yield FINISH
+
+        _verify_transcript(up)
+
+    def report(self) -> Dict[str, object]:
+        """What the finished garbler contributes to the session result."""
+        return {
+            "output_bits": self.output_bits,
+            "sent_bytes": dict(self.down.bytes_by_class),
+        }
+
+
+class EvaluatorRole(_Role):
+    """Bob: obtains his labels by OT, evaluates one table block per AND
+    level as it arrives, decodes and shares the output."""
+
+    party = "evaluator"
+    #: AND levels whose tables were delivered over the wire so far.
+    streamed_levels = 0
+    #: Origin of the ``first_level_s`` clock.  The first turn stamps it
+    #: unless the scheduler already has (the fused drive starts the
+    #: clock before the garbler's opening turn).
+    started_at: Optional[float] = None
+    #: ``started_at`` to the first AND level evaluated, once reached.
+    first_level_s: Optional[float] = None
+    #: Hex digest of the delivered garbler->evaluator transcript, once
+    #: verified against the garbler's claim.
+    transcript_digest: Optional[str] = None
+
+    def _turns(self) -> Iterator[str]:
+        circuit, down, up = self.circuit, self.down, self.up
+        if self.started_at is None:
+            self.started_at = time.perf_counter()
+        receiver = OtReceiver(
+            LabelPrg(self.seed + 0xB0B),
+            int.from_bytes(down.recv_message("ot_public"), "big"),
+        )
+        points_and_secrets = receiver.choose_batch(self.bits)
+        up.send_message(
+            "ot_points",
+            _ints_to_bytes([p for p, _ in points_and_secrets], _POINT_BYTES),
+        )
+        yield HANDSHAKE
+
+        ciphers = _bytes_to_ints(
+            down.recv_message("ot_ciphers"), _LABEL_BYTES, "ot_ciphers"
+        )
+        labels = _bytes_to_ints(
+            down.recv_message("garbler_labels"), _LABEL_BYTES, "garbler_labels"
+        )
+        if len(labels) != circuit.n_garbler_inputs:
+            raise SessionAborted(
+                f"garbler_labels: expected {circuit.n_garbler_inputs} labels, "
+                f"got {len(labels)}"
+            )
+        labels += receiver.decrypt_batch(
+            self.bits,
+            [secret for _, secret in points_and_secrets],
+            list(zip(ciphers[0::2], ciphers[1::2])),
+        )
+        labels += [0] * len(circuit.op)
+        self.levels = circuit.and_level_schedule()
+        yield LEVEL  # the schedule always has its depth-0 phase
+
+        for and_positions, free_groups in self.levels:
+            rows: List[int] = []
+            if and_positions:
+                block = down.recv_message("tables")
+                self.streamed_levels += 1
+                if len(block) != _TABLE_BYTES * len(and_positions):
+                    raise SessionAborted(
+                        f"table block mismatch: {len(and_positions)} AND "
+                        f"gates need {_TABLE_BYTES * len(and_positions)} "
+                        f"bytes, got {len(block)}"
+                    )
+                rows = _bytes_to_ints(block, _LABEL_BYTES, "tables")
+            evaluate_level(
+                circuit, labels, and_positions, free_groups, rows,
+                self.rekeyed, self.backend, self.hasher,
+            )
+            if and_positions and self.first_level_s is None:
+                self.first_level_s = time.perf_counter() - self.started_at
+            yield self._after_level()
+
+        decode_bits = _unpack_bits(
+            down.recv_message("decode"), len(circuit.outputs), "decode"
+        )
+        self.output_bits = [
+            lsb(labels[w]) ^ decode
+            for w, decode in zip(circuit.outputs, decode_bits)
+        ]
+        up.send_message("outputs", _pack_bits(self.output_bits))
+        yield FINISH
+
+        self.transcript_digest = _verify_transcript(down).hex()
+        up.send_message(DIGEST_KIND, up.send_digest())
+
+    def report(self) -> Dict[str, object]:
+        """What the finished evaluator contributes to the session result."""
+        return {
+            "output_bits": self.output_bits,
+            "transcript_digest": self.transcript_digest,
+            "sent_bytes": dict(self.up.bytes_by_class),
+            "streamed_levels": self.streamed_levels,
+            "first_level_s": self.first_level_s,
+            "levels": self.levels_done,
+            "and_gates": self.circuit.op.count(OP_AND),
+            "hash_calls": self.hasher.calls,
+        }

@@ -35,6 +35,7 @@ from typing import Deque, Dict, List, Optional, Sequence
 from ..faults import ProtocolFault, ServiceSaturated
 from ..gc.channel import FramedPair
 from ..gc.protocol import SessionResult, StreamedDriver, TwoPartySession
+from .sockets import close_framed_pair
 
 __all__ = [
     "SessionHandle",
@@ -325,11 +326,7 @@ class SessionMultiplexer:
         )
         if stats.run_s > 0 and stats.streamed_levels:
             stats.levels_per_s = stats.streamed_levels / stats.run_s
-        # Release any OS resources (socket wires); no-op for LossyWire.
-        for channel in (driver.pair.to_evaluator, driver.pair.to_garbler):
-            close = getattr(channel.wire, "close", None)
-            if close is not None:
-                close()
+        close_framed_pair(driver.pair)
         self._finished.append(handle)
 
     def service_stats(self, wall_s: float = 0.0) -> ServiceStats:

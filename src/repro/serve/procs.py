@@ -18,16 +18,19 @@ The pieces here are the *worker side* of the supervision tree
   :class:`~repro.faults.FrameTimeout` -- it never returns ``None``, so
   the :class:`~repro.gc.channel.FramedChannel` retransmit path (which
   only works when sender and receiver share one object) is never taken.
-* :func:`run_garbler_party` / :func:`run_evaluator_party` -- the two
-  halves of :class:`~repro.gc.protocol.StreamedDriver`'s fused drive,
-  split along the wire.  Per-direction message order is identical to
-  the in-process streamed drive, so outputs *and* transcript digests
-  are bit-identical to a solo ``run_streamed``.
-* :func:`party_process_main` -- the ``multiprocessing`` entry point:
-  closes inherited peer descriptors, starts the heartbeat thread, runs
-  the party, and reports ``("result" | "error", ...)`` on the control
-  pipe.  A worker that dies without reporting is the supervisor's
-  problem (process sentinel -> :class:`~repro.faults.WorkerCrashed`).
+* :func:`party_process_main` -- the ``multiprocessing`` entry point
+  and the *split* scheduler of the streamed protocol: closes inherited
+  peer descriptors, starts the heartbeat thread, builds this party's
+  role (:class:`~repro.gc.roles.GarblerRole` or
+  :class:`~repro.gc.roles.EvaluatorRole` -- the same two scripts the
+  fused :class:`~repro.gc.protocol.StreamedDriver` alternates in one
+  process) on its end of the socket, runs its turns straight through,
+  and reports ``("result" | "error", ...)`` on the control pipe.  The
+  protocol itself is not spelled out here; since both drives run the
+  same scripts, outputs *and* transcript digests are bit-identical to a
+  solo ``run_streamed``.  A worker that dies without reporting is the
+  supervisor's problem (process sentinel ->
+  :class:`~repro.faults.WorkerCrashed`).
 * :class:`ChaosDirective` -- the mechanical execution of a
   supervisor-drawn process fault (``kill_party`` / ``sever`` /
   ``stall``) at a deterministic AND-level trigger.
@@ -42,7 +45,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..faults import (
     FrameTimeout,
@@ -50,20 +53,8 @@ from ..faults import (
     ProtocolFault,
     RecoveryLog,
 )
-from ..gc.channel import DIGEST_KIND, FramedChannel
-from ..gc.ot import OtReceiver, OtSender
-from ..gc.protocol import (
-    _LABEL_BYTES,
-    _POINT_BYTES,
-    _StreamingEvaluator,
-    _StreamingGarbler,
-    _bytes_to_ints,
-    _ints_to_bytes,
-    _pack_bits,
-    _unpack_bits,
-)
-from ..gc.rng import LabelPrg
-from .sockets import _PEER_GONE_ERRNOS
+from ..gc.channel import FramedChannel
+from ..gc.roles import LEVEL, EvaluatorRole, GarblerRole
 
 __all__ = [
     "GARBLER",
@@ -72,13 +63,11 @@ __all__ = [
     "PeerSocketWire",
     "ChaosDirective",
     "make_party_channels",
-    "run_garbler_party",
-    "run_evaluator_party",
     "party_process_main",
 ]
 
-GARBLER = "garbler"
-EVALUATOR = "evaluator"
+GARBLER = GarblerRole.party
+EVALUATOR = EvaluatorRole.party
 ROLES = (GARBLER, EVALUATOR)
 
 _LEN_PREFIX = 4
@@ -111,9 +100,6 @@ class PeerSocketWire:
         sock.setblocking(False)
         self._inbox = bytearray()
         self._closed = False
-        # Stats parity with the in-process wires.
-        self.pushed = 0
-        self.dropped = 0
 
     # -- FramedChannel wire interface ---------------------------------
 
@@ -122,7 +108,6 @@ class PeerSocketWire:
             raise PeerDisconnected(
                 f"PeerSocketWire {self.direction!r} is closed"
             )
-        self.pushed += 1
         view = memoryview(
             len(data).to_bytes(_LEN_PREFIX, "little") + data
         )
@@ -166,9 +151,6 @@ class PeerSocketWire:
                 )
             self._inbox += chunk
 
-    def pending(self) -> int:
-        return 0  # frames are consumed as they complete
-
     def close(self) -> None:
         if self._closed:
             return
@@ -204,12 +186,9 @@ class PeerSocketWire:
             raise self._peer_gone(exc, "select") from exc
         return bool(ready)
 
-    def _peer_gone(self, exc: OSError, during: str) -> ProtocolFault:
-        if exc.errno in _PEER_GONE_ERRNOS:
-            return PeerDisconnected(
-                f"PeerSocketWire {self.direction!r}: peer endpoint gone "
-                f"during {during}: {exc}"
-            )
+    def _peer_gone(self, exc: OSError, during: str) -> PeerDisconnected:
+        # This party's only transport is the peer socket, so any OSError
+        # on it means the peer is unreachable, whatever the errno.
         return PeerDisconnected(
             f"PeerSocketWire {self.direction!r}: transport failed during "
             f"{during}: {exc}"
@@ -276,18 +255,6 @@ class ChaosDirective:
         elif self.kind == "stall":
             time.sleep(self.stall_s)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "level": self.level,
-            "stall_s": self.stall_s,
-        }
-
-
-class _NoChaos:
-    def maybe_fire(self, level_index: int, sock: socket.socket) -> None:
-        return None
-
 
 class _Progress:
     """Levels-completed counter shared with the heartbeat thread."""
@@ -297,179 +264,6 @@ class _Progress:
 
     def bump(self) -> None:
         self.value += 1
-
-
-# --------------------------------------------------------------------------
-# Party drive loops
-# --------------------------------------------------------------------------
-
-
-def run_garbler_party(
-    circuit,
-    seed: int,
-    rekeyed: bool,
-    backend,
-    garbler_bits: List[int],
-    down: FramedChannel,
-    up: FramedChannel,
-    sock: socket.socket,
-    progress: _Progress,
-    chaos,
-    log: RecoveryLog,
-) -> Dict[str, object]:
-    """Alice's half of the streamed session (send tables, verify up)."""
-    from ..faults import TranscriptMismatch
-
-    alice = _StreamingGarbler(circuit, seed, rekeyed, backend)
-    sender = OtSender(LabelPrg(seed + 0x0F))
-    down.send_message("ot_public", sender.public.to_bytes(_POINT_BYTES, "big"))
-    points = _bytes_to_ints(
-        up.recv_message("ot_points"), _POINT_BYTES, "ot_points"
-    )
-    label_pairs = [
-        (alice.input_label(wire, 0), alice.input_label(wire, 1))
-        for wire in circuit.evaluator_input_wires
-    ]
-    cipher_pairs = sender.encrypt_batch(points, label_pairs)
-    down.send_message(
-        "ot_ciphers",
-        _ints_to_bytes(
-            [c for pair in cipher_pairs for c in pair], _LABEL_BYTES
-        ),
-    )
-    alice_labels = [
-        alice.input_label(wire, bit)
-        for wire, bit in zip(circuit.garbler_input_wires, garbler_bits)
-    ]
-    down.send_message(
-        "garbler_labels", _ints_to_bytes(alice_labels, _LABEL_BYTES)
-    )
-
-    levels = list(circuit.and_level_schedule())
-    for index, (and_positions, free_groups) in enumerate(levels):
-        block = alice.garble_phase(and_positions, free_groups)
-        if and_positions:
-            down.send_message("tables", block)
-        progress.bump()
-        chaos.maybe_fire(index, sock)
-
-    down.send_message("decode", _pack_bits(alice.decode_bits()))
-    output_bits = _unpack_bits(
-        up.recv_message("outputs"), len(circuit.outputs), "outputs"
-    )
-
-    # Transcript digest exchange: claim the down digest, verify the up
-    # one against what this side actually delivered.
-    down.send_message(DIGEST_KIND, down.send_digest())
-    claimed_up = up.recv_message(DIGEST_KIND)
-    if claimed_up != up.recv_digest():
-        raise TranscriptMismatch(
-            "evaluator->garbler transcript diverged: sender "
-            f"{claimed_up.hex()[:16]}..., receiver "
-            f"{up.recv_digest().hex()[:16]}..."
-        )
-
-    return {
-        "role": GARBLER,
-        "output_bits": output_bits,
-        "send_digest": down.send_digest().hex(),
-        "sent_bytes": dict(down.bytes_by_class),
-        "levels": len(levels),
-        "recovered": log.signature(),
-    }
-
-
-def run_evaluator_party(
-    circuit,
-    seed: int,
-    rekeyed: bool,
-    backend,
-    evaluator_bits: List[int],
-    down: FramedChannel,
-    up: FramedChannel,
-    sock: socket.socket,
-    progress: _Progress,
-    chaos,
-    log: RecoveryLog,
-) -> Dict[str, object]:
-    """Bob's half of the streamed session (evaluate level by level)."""
-    from ..faults import SessionAborted, TranscriptMismatch
-
-    t_start = time.perf_counter()
-    receiver = OtReceiver(
-        LabelPrg(seed + 0xB0B),
-        int.from_bytes(down.recv_message("ot_public"), "big"),
-    )
-    points_and_secrets = receiver.choose_batch(evaluator_bits)
-    up.send_message(
-        "ot_points",
-        _ints_to_bytes([p for p, _ in points_and_secrets], _POINT_BYTES),
-    )
-    flat_ciphers = _bytes_to_ints(
-        down.recv_message("ot_ciphers"), _LABEL_BYTES, "ot_ciphers"
-    )
-    cipher_pairs = list(zip(flat_ciphers[0::2], flat_ciphers[1::2]))
-    alice_labels = _bytes_to_ints(
-        down.recv_message("garbler_labels"), _LABEL_BYTES, "garbler_labels"
-    )
-    if len(alice_labels) != circuit.n_garbler_inputs:
-        raise SessionAborted(
-            f"garbler_labels: expected {circuit.n_garbler_inputs} labels, "
-            f"got {len(alice_labels)}"
-        )
-    bob_labels = receiver.decrypt_batch(
-        evaluator_bits,
-        [secret for _, secret in points_and_secrets],
-        cipher_pairs,
-    )
-    bob = _StreamingEvaluator(
-        circuit, alice_labels + bob_labels, rekeyed, backend
-    )
-
-    levels = list(circuit.and_level_schedule())
-    streamed_levels = 0
-    first_level_s: Optional[float] = None
-    for index, (and_positions, free_groups) in enumerate(levels):
-        if and_positions:
-            block = down.recv_message("tables")
-            streamed_levels += 1
-        else:
-            block = b""
-        bob.eval_phase(and_positions, free_groups, block)
-        if and_positions and first_level_s is None:
-            first_level_s = time.perf_counter() - t_start
-        progress.bump()
-        chaos.maybe_fire(index, sock)
-
-    decode_bits = _unpack_bits(
-        down.recv_message("decode"), len(circuit.outputs), "decode"
-    )
-    output_bits = bob.decode(decode_bits)
-    up.send_message("outputs", _pack_bits(output_bits))
-
-    claimed = down.recv_message(DIGEST_KIND)
-    delivered = down.recv_digest()
-    if claimed != delivered:
-        raise TranscriptMismatch(
-            "garbler->evaluator transcript diverged: sender "
-            f"{claimed.hex()[:16]}..., receiver {delivered.hex()[:16]}..."
-        )
-    up.send_message(DIGEST_KIND, up.send_digest())
-
-    from ..circuits.netlist import OP_AND
-
-    return {
-        "role": EVALUATOR,
-        "output_bits": output_bits,
-        "transcript_digest": delivered.hex(),
-        "sent_bytes": dict(up.bytes_by_class),
-        "streamed_levels": streamed_levels,
-        "first_level_s": first_level_s,
-        "levels": len(levels),
-        "and_gates": circuit.op.count(OP_AND),
-        "hash_calls": bob.hasher.calls,
-        "recovered": log.signature(),
-    }
 
 
 # --------------------------------------------------------------------------
@@ -519,32 +313,28 @@ def party_process_main(role, payload, sock, conn, close_first) -> None:
     )
     heartbeat.start()
 
-    chaos_dict = payload.get("chaos")
-    chaos = (
-        ChaosDirective(**chaos_dict) if chaos_dict is not None else _NoChaos()
-    )
+    chaos = ChaosDirective(**payload["chaos"]) if payload["chaos"] else None
 
-    backend = None
-    if payload.get("backend") is not None:
-        from ..gc.backends import resolve_backend
-
-        backend = resolve_backend(payload["backend"])
-
-    run_party = run_garbler_party if role == GARBLER else run_evaluator_party
+    role_cls = GarblerRole if role == GARBLER else EvaluatorRole
     try:
-        report = run_party(
+        party = role_cls(
             payload["circuit"],
-            payload["seed"],
-            payload["rekeyed"],
-            backend,
             payload["bits"],
-            down,
-            up,
-            sock,
-            progress,
-            chaos,
-            log,
+            seed=payload["seed"],
+            rekeyed=payload["rekeyed"],
+            backend=payload["backend"],
+            down=down,
+            up=up,
         )
+        while party.next_turn is not None:
+            was_level = party.next_turn == LEVEL
+            party.take_turn()
+            if was_level:
+                progress.bump()
+                if chaos is not None:
+                    chaos.maybe_fire(party.levels_done - 1, sock)
+        report = party.report()
+        report["recovered"] = log.signature()
         with lock:
             conn.send(("result", role, report))
     except ProtocolFault as exc:

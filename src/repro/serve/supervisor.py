@@ -50,6 +50,7 @@ from ..faults import (
     FaultPlan,
     PROCESS_CHAOS,
     ProtocolFault,
+    RecoveryEvent,
     ServiceSaturated,
     SessionAborted,
     SessionDeadlineExceeded,
@@ -85,8 +86,8 @@ class SessionSpec:
     evaluator_bits: Sequence[int]
     seed: int = 0
     rekeyed: bool = True
-    #: Backend spec string (resolved inside each worker); ``None`` uses
-    #: the pure-python substrate.  Note workers are daemonic, so the
+    #: Backend spec string (resolved inside each worker); ``None`` is
+    #: the ``scalar`` backend.  Note workers are daemonic, so the
     #: ``parallel`` backend degrades to its in-process fallback there.
     backend: Optional[str] = None
     #: Fault spec / plan; frame faults do not apply on this transport
@@ -285,7 +286,9 @@ class Supervisor:
         Saturation carries the same ``retry_after_hint_s`` contract as
         the in-process multiplexer: p50 completed-session time scaled
         by queue depth, ``None`` without history.  A draining
-        supervisor rejects everything.
+        supervisor rejects everything.  An invalid circuit or a wrong
+        number of input bits raises ``ValueError`` without admitting
+        the session, as ``SessionMultiplexer.submit`` does.
         """
         if self._draining:
             self._rejected += 1
@@ -303,6 +306,14 @@ class Supervisor:
                 f"{self.max_concurrent} slots + {self.max_pending} queue",
                 retry_after_hint_s=self.saturation_hint_s(),
             )
+        # Malformed sessions are refused here, before any process is
+        # spawned (the roles re-check their own arity inside the worker).
+        circuit = spec.circuit
+        circuit.validate()
+        if len(spec.garbler_bits) != circuit.n_garbler_inputs:
+            raise ValueError("wrong number of garbler input bits")
+        if len(spec.evaluator_bits) != circuit.n_evaluator_inputs:
+            raise ValueError("wrong number of evaluator input bits")
         self._admitted += 1
         sess = SupervisedSession(spec, spec.session_id or f"p{self._admitted}")
         self._pending.append(sess)
@@ -702,35 +713,19 @@ class Supervisor:
             self._fail_attempt(sess, fail, now)
             return
 
-        traffic: Dict[str, int] = {}
-        for direction, report in (
-            ("garbler->evaluator", g),
-            ("evaluator->garbler", e),
-        ):
-            for kind, size in report["sent_bytes"].items():
-                traffic[f"{direction}:{kind}"] = size
-        from ..faults import RecoveryEvent
-
         recovery = [
             RecoveryEvent(seq=seq, layer=layer, kind=kind, detail=detail)
             for seq, (layer, kind, detail) in enumerate(
-                tuple(item) for item in (g["recovered"] + e["recovered"])
+                g["recovered"] + e["recovered"]
             )
         ]
-        sess.result = SessionResult(
-            output_bits=list(e["output_bits"]),
-            traffic=traffic,
-            total_bytes=sum(traffic.values()),
-            and_gates=e["and_gates"],
-            hash_calls_evaluator=e["hash_calls"],
+        sess.result = SessionResult.from_reports(
+            g,
+            e,
             recovery_events=recovery,
             fault_events=(
                 list(sess.plan.injected) if sess.plan is not None else []
             ),
-            transcript_digest=digest,
-            streamed=True,
-            streamed_levels=e["streamed_levels"],
-            first_level_s=e["first_level_s"],
         )
         stats = sess.stats
         stats.run_s = now - sess._first_started

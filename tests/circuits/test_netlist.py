@@ -189,31 +189,11 @@ class TestRandomCircuits:
                 assert levels[gate.out] > levels[wire]
 
 
-class TestTopologicalLevels:
-    def test_partitions_all_gates(self):
-        circuit = random_circuit(random.Random(2), n_gates=150)
-        buckets = circuit.topological_levels()
-        flat = sorted(position for bucket in buckets for position in bucket)
-        assert flat == list(range(150))
-        assert len(buckets) == circuit.depth()
-
-    def test_gates_within_a_level_are_independent(self):
-        circuit = random_circuit(random.Random(5), n_gates=150)
-        levels = circuit.gate_levels()
-        for bucket in circuit.topological_levels():
-            outs = {circuit.gates[p].out for p in bucket}
-            for position in bucket:
-                for wire in circuit.gates[position].inputs():
-                    assert wire not in outs
-                assert levels[position] == levels[bucket[0]]
-
+class TestAndLevelSchedule:
     def test_empty_circuit(self):
         circuit = Circuit(1, 0, [0], [])
-        assert circuit.topological_levels() == []
         assert circuit.and_level_schedule() == [([], [])]
 
-
-class TestAndLevelSchedule:
     """The multiplicative-depth batches behind the vectorized garbler."""
 
     def _replay(self, circuit, garbler_bits, evaluator_bits):

@@ -50,26 +50,9 @@ def _assert_reaped():
 
 
 class TestProcessSession:
-    def test_bit_identical_to_solo(self, adder_circuit):
-        solo = _solo(adder_circuit)
-        g, e = _bits(adder_circuit)
-        supervisor = Supervisor(deadline_s=60.0, retries=0)
-        handle = supervisor.submit(SessionSpec(
-            adder_circuit, g, e, seed=7,
-            reference_digest=solo.transcript_digest,
-        ))
-        supervisor.run_until_complete()
-        assert handle.error is None
-        result = handle.result
-        assert result.output_bits == solo.output_bits
-        assert result.transcript_digest == solo.transcript_digest
-        # The split-process transcript is the same bytes: per-message
-        # traffic accounting agrees exactly with the fused solo drive.
-        assert result.total_bytes == solo.total_bytes
-        assert result.traffic == solo.traffic
-        assert result.streamed_levels == solo.streamed_levels
-        assert handle.stats.attempts == 1
-        _assert_reaped()
+    # Bit-identity of one supervised session against the fused solo drive
+    # (outputs, digest, traffic, levels) is an input of the one-protocol
+    # equivalence test in test_protocol_drives.py.
 
     def test_concurrent_process_sessions(self, adder_circuit):
         solo = _solo(adder_circuit)
@@ -121,6 +104,47 @@ class TestProcessSession:
         assert excinfo.value.retry_after_hint_s > 0
         supervisor2.run_until_complete()
         _assert_reaped()
+
+    @pytest.mark.parametrize(
+        "n_garbler_bits, n_evaluator_bits, what",
+        [
+            # The adder takes 8 + 8 bits.  Before admission validated
+            # arity, the long-garbler session *completed* with the extra
+            # bits silently dropped; the other three burned the whole
+            # retry budget before sealing SessionAborted.
+            (10, 8, "garbler"),
+            (7, 8, "garbler"),
+            (8, 7, "evaluator"),
+            (8, 9, "evaluator"),
+        ],
+    )
+    def test_malformed_inputs_rejected_at_admission(
+        self, adder_circuit, n_garbler_bits, n_evaluator_bits, what
+    ):
+        supervisor = Supervisor(deadline_s=60.0, retries=2)
+        with pytest.raises(ValueError, match=f"wrong number of {what} input bits"):
+            supervisor.submit(SessionSpec(
+                adder_circuit, [1] * n_garbler_bits, [0] * n_evaluator_bits,
+                seed=7,
+            ))
+        stats = supervisor.run_until_complete()
+        # Not admitted: nothing was queued, so no process was ever spawned.
+        assert "launched" not in [ev["event"] for ev in supervisor.log.events]
+        assert stats.sessions == [] and supervisor.sessions == []
+        assert stats.retries == 0 and stats.worker_restarts == 0
+        # The next well-formed session takes the first admission id.
+        assert supervisor._admitted == 0
+
+    def test_invalid_circuit_rejected_at_admission(self, adder_circuit):
+        import copy
+
+        broken = copy.deepcopy(adder_circuit)
+        broken.a[len(broken.a) - 1] = broken.n_wires + 5  # dangling input wire
+        g, e = _bits(adder_circuit)
+        supervisor = Supervisor(deadline_s=60.0)
+        with pytest.raises(ValueError):
+            supervisor.submit(SessionSpec(broken, g, e, seed=7))
+        assert supervisor.log.events == []
 
     def test_deadline_kills_and_seals_typed(self, adder_circuit):
         g, e = _bits(adder_circuit)

@@ -1,0 +1,218 @@
+"""One protocol, three drives: the same two role scripts, however scheduled.
+
+``GarblerRole`` / ``EvaluatorRole`` (:mod:`repro.gc.roles`) are the only
+implementation of the streamed protocol.  This suite drives them
+
+* **fused** -- ``StreamedDriver`` alternating both roles on one in-memory
+  framed pair, at in-flight windows 1, 4 and 100;
+* **split over threads** -- one role per thread, each on its own end of a
+  kernel ``socketpair`` through ``PeerSocketWire`` (the split scheduler's
+  transport without the process machinery);
+* **supervised** -- one role per OS process under ``Supervisor``;
+
+and requires every drive to agree on output bits, transcript digest,
+per-kind traffic, streamed levels and evaluator hash calls, and to agree
+with the monolithic ``TwoPartySession.run`` oracle (which shares no
+message code with the roles) on outputs and hash calls.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import socket
+import threading
+
+import pytest
+
+from repro.circuits.netlist import Circuit, Gate, GateOp
+from repro.gc.channel import make_framed_pair
+from repro.gc.protocol import SessionResult, StreamedDriver, TwoPartySession
+from repro.gc.roles import EvaluatorRole, GarblerRole
+from repro.serve import PeerSocketWire, SessionSpec, Supervisor
+from repro.serve.procs import make_party_channels
+
+pytestmark = pytest.mark.timeout(120)
+
+SEED = 7
+
+
+def _xor_only() -> Circuit:
+    gates = [Gate(GateOp.XOR, 0, 1, 2), Gate(GateOp.INV, 2, -1, 3)]
+    return Circuit.from_gates(1, 1, gates, [3], "xor-only")
+
+
+def _single_level() -> Circuit:
+    return Circuit.from_gates(1, 1, [Gate(GateOp.AND, 0, 1, 2)], [2], "one-and")
+
+
+@pytest.fixture(params=["adder_circuit", "mixed_circuit", "xor_only", "single_level"])
+def circuit(request) -> Circuit:
+    if request.param == "xor_only":
+        return _xor_only()
+    if request.param == "single_level":
+        return _single_level()
+    return request.getfixturevalue(request.param)
+
+
+def _bits(circuit):
+    garbler = [(i ^ 1) & 1 for i in range(circuit.n_garbler_inputs)]
+    evaluator = [i & 1 for i in range(circuit.n_evaluator_inputs)]
+    return garbler, evaluator
+
+
+def _fused(circuit, backend, window):
+    """Step a ``StreamedDriver`` to completion, counting the steps."""
+    g, e = _bits(circuit)
+    session = TwoPartySession(circuit, seed=SEED, backend=backend)
+    driver = StreamedDriver(session, g, e, max_inflight_levels=window)
+    assert driver.levels_total is None
+    steps = 0
+    while not driver.done:
+        driver.step()
+        steps += 1
+    assert steps == 2 * driver.levels_total + 2
+    assert driver.levels_evaluated == driver.levels_total
+    for channel in (driver.pair.to_evaluator, driver.pair.to_garbler):
+        assert channel.retransmits == 0
+    assert driver.result.recovery_events == []
+    return driver.result
+
+
+def _split_over_threads(circuit, backend):
+    """Each role runs its turns straight through on its own socket end."""
+    bits = dict(zip(("garbler", "evaluator"), _bits(circuit)))
+    socks = dict(zip(("garbler", "evaluator"), socket.socketpair()))
+    reports, errors = {}, {}
+
+    def party(role_cls):
+        name = role_cls.party
+        wire = PeerSocketWire(socks[name], f"{name} endpoint", io_timeout_s=30.0)
+        down, up = make_party_channels(wire)
+        try:
+            role = role_cls(
+                circuit, bits[name], seed=SEED, rekeyed=True, backend=backend,
+                down=down, up=up,
+            )
+            while role.next_turn is not None:
+                role.take_turn()
+            reports[name] = role.report()
+        except BaseException as exc:  # surfaced by the assert below
+            errors[name] = exc
+        finally:
+            wire.close()
+
+    threads = [
+        threading.Thread(target=party, args=(role_cls,), daemon=True)
+        for role_cls in (GarblerRole, EvaluatorRole)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+    assert not errors, errors
+    assert reports["garbler"]["output_bits"] == reports["evaluator"]["output_bits"]
+    return SessionResult.from_reports(
+        reports["garbler"], reports["evaluator"], recovery_events=[], fault_events=[]
+    )
+
+
+def _supervised(circuit, backend, reference_digest):
+    g, e = _bits(circuit)
+    supervisor = Supervisor(deadline_s=60.0, retries=0)
+    handle = supervisor.submit(SessionSpec(
+        circuit, g, e, seed=SEED, backend=backend,
+        reference_digest=reference_digest,
+    ))
+    stats = supervisor.run_until_complete()
+    assert handle.error is None, handle.error
+    assert handle.stats.attempts == 1
+    assert stats.retries == 0 and stats.worker_restarts == 0
+    # Zero zombies: the supervisor's reap contract.
+    assert not [p for p in multiprocessing.active_children() if p.is_alive()]
+    return handle.result
+
+
+def _protocol_view(result):
+    """Everything about a result that only the protocol determines."""
+    return (
+        result.output_bits,
+        result.transcript_digest,
+        result.traffic,
+        result.total_bytes,
+        result.streamed_levels,
+        result.hash_calls_evaluator,
+        result.and_gates,
+        result.streamed,
+    )
+
+
+@pytest.mark.parametrize("backend", [None, "scalar", "auto"])
+def test_every_drive_agrees(circuit, backend):
+    g, e = _bits(circuit)
+    oracle = TwoPartySession(circuit, seed=SEED, backend=backend).run(g, e)
+    assert oracle.output_bits == circuit.eval_plain(g, e)
+
+    reference = _fused(circuit, backend, window=1)
+    assert reference.output_bits == oracle.output_bits
+    assert reference.hash_calls_evaluator == oracle.hash_calls_evaluator
+    assert reference.and_gates == oracle.and_gates
+    assert reference.streamed_levels == sum(
+        1 for and_positions, _ in circuit.and_level_schedule() if and_positions
+    )
+
+    drives = {
+        "fused window 4": _fused(circuit, backend, window=4),
+        "fused window 100": _fused(circuit, backend, window=100),
+        "split over threads": _split_over_threads(circuit, backend),
+        "supervised": _supervised(circuit, backend, reference.transcript_digest),
+    }
+    for name, result in drives.items():
+        assert _protocol_view(result) == _protocol_view(reference), name
+
+
+class TestRoleContract:
+    def _pair(self):
+        pair = make_framed_pair()
+        return {"down": pair.to_evaluator, "up": pair.to_garbler}
+
+    @pytest.mark.parametrize(
+        "role_cls, bits, what",
+        [
+            (GarblerRole, [0] * 9, "garbler"),
+            (GarblerRole, [0] * 7, "garbler"),
+            (EvaluatorRole, [0] * 9, "evaluator"),
+            (EvaluatorRole, [], "evaluator"),
+        ],
+    )
+    def test_roles_validate_their_own_arity(
+        self, adder_circuit, role_cls, bits, what
+    ):
+        with pytest.raises(ValueError, match=f"wrong number of {what} input bits"):
+            role_cls(
+                adder_circuit, bits, seed=SEED, rekeyed=True, backend=None,
+                **self._pair(),
+            )
+
+    def test_turn_phases_in_order(self, adder_circuit):
+        g, e = _bits(adder_circuit)
+        common = dict(seed=SEED, rekeyed=True, backend=None, **self._pair())
+        garbler = GarblerRole(adder_circuit, g, **common)
+        evaluator = EvaluatorRole(adder_circuit, e, **common)
+        seen = {garbler: [], evaluator: []}
+        # Strict alternation, garbler first, is a legal schedule of the
+        # whole protocol: no turn ever waits on a message not yet sent.
+        while garbler.next_turn or evaluator.next_turn:
+            for role in (garbler, evaluator):
+                if role.next_turn is not None:
+                    seen[role].append(role.next_turn)
+                    role.take_turn()
+        levels = len(adder_circuit.and_level_schedule())
+        assert seen[garbler] == (
+            ["handshake"] * 2 + ["level"] * levels + ["finish"] * 3
+        )
+        assert seen[evaluator] == (
+            ["handshake"] * 2 + ["level"] * levels + ["finish"] * 2
+        )
+        assert garbler.output_bits == evaluator.output_bits
+        assert evaluator.output_bits == adder_circuit.eval_plain(g, e)
