@@ -29,6 +29,7 @@ except ImportError:  # pragma: no cover
 
 from ..aes import _RCON, _TE0, _TE1, _TE2, _TE3, S_BOX, expand_key
 from ..hashing import FIXED_KEY
+from ..labels import blocks_to_bytes, bytes_to_blocks, bytes_to_ints, ints_to_bytes
 from ..rng import MASK_128
 from .base import BackendUnavailable, LabelHashBackend
 
@@ -79,20 +80,25 @@ class NumpyLabelHashBackend(LabelHashBackend):
     @staticmethod
     def ints_to_blocks(values: Sequence[int]) -> "_np.ndarray":
         """Pack 128-bit ints into an ``(n, 4) uint32`` column array."""
-        buf = b"".join(value.to_bytes(16, "big") for value in values)
-        return _np.frombuffer(buf, dtype=">u4").reshape(-1, 4).astype(_np.uint32)
+        return bytes_to_blocks(ints_to_bytes(values))
 
     @staticmethod
     def blocks_to_ints(blocks: "_np.ndarray") -> List[int]:
         """Unpack an ``(n, 4) uint32`` column array back to Python ints."""
-        data = _np.ascontiguousarray(blocks).astype(">u4").tobytes()
-        return [
-            int.from_bytes(data[offset : offset + 16], "big")
-            for offset in range(0, len(data), 16)
-        ]
+        return bytes_to_ints(blocks_to_bytes(blocks))
 
-    def tweaks_to_keys(self, tweaks: Sequence[int]) -> "_np.ndarray":
-        """Per-gate hash tweaks as AES key blocks (``index & MASK_128``)."""
+    def tweaks_to_keys(self, tweaks) -> "_np.ndarray":
+        """Per-gate hash tweaks as AES key blocks (``index & MASK_128``).
+
+        A non-negative ``int64`` array (the level engines' ``2p`` /
+        ``2p + 1`` tweaks) becomes the low two column words
+        arithmetically; any other sequence goes through Python ints.
+        """
+        if isinstance(tweaks, _np.ndarray):
+            keys = _np.zeros((len(tweaks), 4), dtype=_np.uint32)
+            keys[:, 2] = tweaks >> 32
+            keys[:, 3] = tweaks & 0xFFFFFFFF
+            return keys
         return self.ints_to_blocks([tweak & MASK_128 for tweak in tweaks])
 
     # ------------------------------------------------------------------

@@ -13,17 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
+try:
+    import numpy as np
+except ImportError:  # the per-gate walk and the int store need no NumPy
+    np = None
+
 from ..circuits.netlist import OP_AND, OP_XOR, Circuit
-from .garble import GarbledCircuit
-from .halfgate import eval_and, eval_not, eval_xor
+from .garble import GarbledCircuit, _BlockStore, _run_free_groups
+from .halfgate import eval_and, eval_not, eval_xor, tables_to_bytes
 from .hashing import GateHasher
-from .labels import lsb
+from .labels import bytes_to_blocks, bytes_to_ints, ints_to_bytes, lsb
 
 __all__ = [
     "EvaluationResult",
     "evaluate_circuit",
     "evaluate_circuit_batched",
-    "evaluate_level",
+    "evaluator_store",
 ]
 
 
@@ -128,24 +133,15 @@ def evaluate_circuit_batched(
 
     hasher = GateHasher(rekeyed=rekeyed)
     table_index = _and_table_indices(circuit)
-    if getattr(resolved, "vectorized", False):
-        output_labels = _evaluate_levels_vectorized(
-            circuit, garbled, list(input_labels), table_index,
-            rekeyed, resolved, hasher,
-        )
-    else:
-        labels = list(input_labels) + [0] * len(circuit.op)
-        tables = garbled.tables
-        for and_positions, free_groups in circuit.and_level_schedule():
-            rows: List[int] = []
-            for position in and_positions:
-                table = tables[table_index[position]]
-                rows.extend((table.generator_row, table.evaluator_row))
-            evaluate_level(
-                circuit, labels, and_positions, free_groups, rows,
-                rekeyed, resolved, hasher,
-            )
-        output_labels = [labels[w] for w in circuit.outputs]
+    store = evaluator_store(
+        circuit, ints_to_bytes(input_labels), rekeyed, resolved, hasher,
+        whole_program=True,
+    )
+    tables = garbled.tables
+    for index, (and_positions, _) in enumerate(circuit.and_level_schedule()):
+        batch = [tables[table_index[p]] for p in and_positions]
+        store.evaluate_level(index, tables_to_bytes(batch))
+    output_labels = store.labels(circuit.outputs)
     output_bits = [
         lsb(label) ^ decode
         for label, decode in zip(output_labels, garbled.decode_bits)
@@ -164,119 +160,86 @@ def _and_table_indices(circuit: Circuit) -> Dict[int, int]:
     return {position: index for index, position in enumerate(and_positions)}
 
 
-def evaluate_level(
-    circuit: Circuit,
-    labels: List[int],
-    and_positions: List[int],
-    free_groups: List[List[int]],
-    rows: Sequence[int],
-    rekeyed: bool,
-    backend,
-    hasher: GateHasher,
-) -> None:
-    """Evaluate one phase of :meth:`Circuit.and_level_schedule` over
-    Python-int labels: the twin of :func:`repro.gc.garble.garble_level`.
+class BlockEvaluatorStore(_BlockStore):
+    """The Evaluator's held labels as blocks: the array twin of
+    :class:`IntEvaluatorStore`, chosen when the backend is ``vectorized``."""
 
-    ``labels`` (the held label of every wire) is updated in place;
-    ``rows`` are the AND batch's table rows flat, ``[generator_row,
-    evaluator_row]`` per gate in ``and_positions`` order.  All AND gates
-    of the batch hash in one backend call (2 hashes per gate).
-    """
-    op_of, a_of, b_of, out_of = circuit.op, circuit.a, circuit.b, circuit.out
-    if and_positions:
-        batch: List[int] = []
-        tweaks: List[int] = []
-        for position in and_positions:
-            batch.extend((labels[a_of[position]], labels[b_of[position]]))
-            tweaks.extend((2 * position, 2 * position + 1))
-        hashes = backend.hash_labels(batch, tweaks, rekeyed)
-        hasher.record_batch(len(batch))
-        for index, position in enumerate(and_positions):
-            h_a, h_b = hashes[2 * index], hashes[2 * index + 1]
-            wa = labels[a_of[position]]
-            wb = labels[b_of[position]]
-            t_g, t_e = rows[2 * index], rows[2 * index + 1]
-            w_g = h_a ^ (t_g if wa & 1 else 0)
-            w_e = h_b ^ ((t_e ^ wa) if wb & 1 else 0)
-            labels[out_of[position]] = w_g ^ w_e
-    for group in free_groups:
-        for position in group:
-            if op_of[position] == OP_XOR:
-                labels[out_of[position]] = (
-                    labels[a_of[position]] ^ labels[b_of[position]]
-                )
-            else:  # INV forwards the label unchanged
-                labels[out_of[position]] = labels[a_of[position]]
-
-
-def _evaluate_levels_vectorized(
-    circuit: Circuit,
-    garbled: GarbledCircuit,
-    input_labels: List[int],
-    table_index: Dict[int, int],
-    rekeyed: bool,
-    backend,
-    hasher: GateHasher,
-) -> List[int]:
-    """Fully vectorized evaluation mirroring ``_garble_levels_vectorized``.
-
-    Same multiplicative-depth schedule and pre-expanded key schedules as
-    the batched garbler; each AND batch hashes both held labels of every
-    gate in one backend call (2 hashes per gate, half the Garbler's).
-    """
-    import numpy as np
-
-    from .garble import _prepare_and_schedules, _run_free_groups, _vector_plan
-
-    state = np.zeros((circuit.n_wires, 4), dtype=np.uint32)
-    if input_labels:
-        state[: len(input_labels)] = backend.ints_to_blocks(input_labels)
-    if garbled.tables:
-        generator_rows = backend.ints_to_blocks(
-            [table.generator_row for table in garbled.tables]
-        )
-        evaluator_rows = backend.ints_to_blocks(
-            [table.evaluator_row for table in garbled.tables]
-        )
-    else:
-        generator_rows = evaluator_rows = np.zeros((0, 4), dtype=np.uint32)
-    plan = _vector_plan(circuit)
-    sched = _prepare_and_schedules(circuit, backend, rekeyed)
-
-    offset = 0
-    for positions, a_idx, b_idx, out_idx, free_groups in plan:
+    def evaluate_level(self, index: int, block: bytes) -> None:
+        """Evaluate phase ``index`` against its AND batch's tables in
+        wire format (``T_G || T_E`` per gate in batch order; the caller
+        has checked the length).  2 hashes per gate, half the Garbler's."""
+        state = self.state
+        positions, a_idx, b_idx, out_idx, free_groups = self.plan[index]
         if positions is not None:
             m = len(positions)
-            wa = state[a_idx]
-            wb = state[b_idx]
-            labels = np.concatenate([wa, wb])
-            if rekeyed:
-                # Row indices into the whole-program expansion (possibly
-                # worker-resident): generator rows 2i, evaluator 2i + 1.
-                rows_g = 2 * np.arange(offset, offset + m, dtype=np.int64)
-                sched_idx = np.concatenate([rows_g, rows_g + 1])
-                hashes = backend.hash_schedule_rows(labels, sched, sched_idx)
-            else:
-                sched_g = sched[2 * offset : 2 * (offset + m) : 2]
-                sched_e = sched[2 * offset + 1 : 2 * (offset + m) : 2]
-                sched_rows = np.concatenate([sched_g, sched_e])
-                hashes = backend.hash_fixed_key_blocks(labels, sched_rows)
-            offset += m
-            hasher.record_batch(2 * m)
-            h_a = hashes[:m]
-            h_b = hashes[m:]
-
-            rows = [table_index[p] for p in positions]
-            t_g = generator_rows[rows]
-            t_e = evaluator_rows[rows]
-            s_a = (wa[:, 3] & 1).astype(bool)
-            s_b = (wb[:, 3] & 1).astype(bool)
-            w_g = h_a.copy()
-            w_g[s_a] ^= t_g[s_a]
-            w_e = h_b.copy()
-            masked = t_e ^ wa
-            w_e[s_b] ^= masked[s_b]
-            state[out_idx] = w_g ^ w_e
+            tables = bytes_to_blocks(block).reshape(m, 8)
+            wa, wb = state[a_idx], state[b_idx]
+            hashes = self._hash(positions, np.concatenate([wa, wb]), 1)
+            s_a = -(wa[:, 3:] & 1)
+            s_b = -(wb[:, 3:] & 1)
+            state[out_idx] = (
+                hashes[:m] ^ (tables[:, :4] & s_a)
+                ^ hashes[m:] ^ ((tables[:, 4:] ^ wa) & s_b)
+            )
         _run_free_groups(state, free_groups, None)
 
-    return backend.blocks_to_ints(state[circuit.outputs])
+
+class IntEvaluatorStore:
+    """The Evaluator's held labels as Python ints, one
+    ``backend.hash_labels`` call per AND batch: the oracle store, for
+    non-vectorized backends and without NumPy.  Same interface as
+    :class:`BlockEvaluatorStore`."""
+
+    def __init__(self, circuit, input_labels: bytes, rekeyed, backend, hasher):
+        self.circuit = circuit
+        self.held = bytes_to_ints(input_labels) + [0] * len(circuit.op)
+        self.levels = circuit.and_level_schedule()
+        self.rekeyed, self.backend, self.hasher = rekeyed, backend, hasher
+
+    def evaluate_level(self, index: int, block: bytes) -> None:
+        circuit, labels = self.circuit, self.held
+        op_of, a_of, b_of, out_of = circuit.op, circuit.a, circuit.b, circuit.out
+        and_positions, free_groups = self.levels[index]
+        if and_positions:
+            rows = bytes_to_ints(block)  # generator_row, evaluator_row per gate
+            batch: List[int] = []
+            tweaks: List[int] = []
+            for position in and_positions:
+                batch.extend((labels[a_of[position]], labels[b_of[position]]))
+                tweaks.extend((2 * position, 2 * position + 1))
+            hashes = self.backend.hash_labels(batch, tweaks, self.rekeyed)
+            self.hasher.record_batch(len(batch))
+            for i, position in enumerate(and_positions):
+                h_a, h_b = hashes[2 * i], hashes[2 * i + 1]
+                wa = labels[a_of[position]]
+                wb = labels[b_of[position]]
+                t_g, t_e = rows[2 * i], rows[2 * i + 1]
+                w_g = h_a ^ (t_g if wa & 1 else 0)
+                w_e = h_b ^ ((t_e ^ wa) if wb & 1 else 0)
+                labels[out_of[position]] = w_g ^ w_e
+        for group in free_groups:
+            for position in group:
+                if op_of[position] == OP_XOR:
+                    labels[out_of[position]] = (
+                        labels[a_of[position]] ^ labels[b_of[position]]
+                    )
+                else:  # INV forwards the label unchanged
+                    labels[out_of[position]] = labels[a_of[position]]
+
+    def permute_bits(self, wires: Sequence[int]) -> List[int]:
+        return [lsb(self.held[w]) for w in wires]
+
+    def labels(self, wires: Sequence[int]) -> List[int]:
+        return [self.held[w] for w in wires]
+
+
+def evaluator_store(
+    circuit, input_labels: bytes, rekeyed, backend, hasher, whole_program=False
+):
+    """The Evaluator's label store for ``backend``: blocks when it is
+    ``vectorized``, ints otherwise."""
+    if backend.vectorized:
+        return BlockEvaluatorStore(
+            circuit, input_labels, rekeyed, backend, hasher, whole_program
+        )
+    return IntEvaluatorStore(circuit, input_labels, rekeyed, backend, hasher)

@@ -14,17 +14,29 @@ Two execution strategies produce bitwise-identical results:
   a whole dependence level at once and hashes every AND gate of a level
   in one :mod:`repro.gc.backends` call (vectorized when NumPy is
   present).
+
+The level-scheduled walk runs on a *label store* (:func:`garbler_store`),
+the same one the streamed :class:`~repro.gc.roles.GarblerRole` holds: an
+``(n_wires, 4) uint32`` block array with array kernels on vectorized
+backends, a Python-int list otherwise (DESIGN.md section 11).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
+
+try:
+    import numpy as np
+except ImportError:  # the per-gate walk and the int store need no NumPy
+    np = None
 
 from ..circuits.netlist import OP_AND, OP_XOR, Circuit
-from .halfgate import GarbledTable, garble_and, garble_not, garble_xor
+from .halfgate import (
+    GarbledTable, garble_and, garble_not, garble_xor, tables_from_bytes,
+)
 from .hashing import GateHasher
-from .labels import lsb
+from .labels import blocks_to_bytes, bytes_to_blocks, ints_to_bytes, lsb
 from .rng import LabelPrg
 
 __all__ = [
@@ -32,7 +44,7 @@ __all__ = [
     "Garbler",
     "garble_circuit",
     "garble_circuit_batched",
-    "garble_level",
+    "garbler_store",
 ]
 
 
@@ -175,21 +187,17 @@ def garble_circuit_batched(
     hasher = GateHasher(rekeyed=rekeyed)
     input_labels = [prg.next_block() for _ in range(circuit.n_inputs)]
 
-    if getattr(resolved, "vectorized", False):
-        zero_labels, tables = _garble_levels_vectorized(
-            circuit, input_labels, r, rekeyed, resolved, hasher
-        )
-    else:
-        zero_labels = input_labels + [0] * len(circuit.op)
-        table_by_pos: Dict[int, GarbledTable] = {}
-        for and_positions, free_groups in circuit.and_level_schedule():
-            rows = garble_level(
-                circuit, zero_labels, r, and_positions, free_groups,
-                rekeyed, resolved, hasher,
-            )
-            for position, t_g, t_e in zip(and_positions, rows[0::2], rows[1::2]):
-                table_by_pos[position] = GarbledTable(t_g, t_e)
-        tables = [table_by_pos[position] for position in sorted(table_by_pos)]
+    store = garbler_store(
+        circuit, input_labels, r, rekeyed, resolved, hasher, whole_program=True
+    )
+    levels = circuit.and_level_schedule()
+    # Tables leave the store in schedule order, 32 bytes each; the
+    # Evaluator's stream wants netlist order.
+    payload = b"".join(store.garble_level(i) for i in range(len(levels)))
+    positions = [p for and_positions, _ in levels for p in and_positions]
+    table_at = dict(zip(positions, tables_from_bytes(payload)))
+    tables = [table_at[p] for p in sorted(table_at)]
+    zero_labels = store.labels()
 
     decode_bits = [lsb(zero_labels[w]) for w in circuit.outputs]
     garbler = Garbler(circuit=circuit, r=r, zero_labels=zero_labels, hasher=hasher)
@@ -199,61 +207,6 @@ def garble_circuit_batched(
         n_and_gates=len(tables),
     )
     return garbler
-
-
-def garble_level(
-    circuit: Circuit,
-    zero: List[int],
-    r: int,
-    and_positions: List[int],
-    free_groups: List[List[int]],
-    rekeyed: bool,
-    backend,
-    hasher: GateHasher,
-) -> List[int]:
-    """Garble one phase of :meth:`Circuit.and_level_schedule` over
-    Python-int labels: the AND batch in one ``backend.hash_labels`` call,
-    then the phase's free XOR/INV groups.
-
-    ``zero`` (the zero-label of every wire) is updated in place.  Returns
-    the batch's table rows flat, ``[generator_row, evaluator_row]`` per
-    gate in ``and_positions`` order.  This is the one int-label garbling
-    kernel: the streamed :class:`~repro.gc.roles.GarblerRole` ships each
-    call's rows as a ``tables`` message, :func:`garble_circuit_batched`
-    loops it over the whole schedule.
-    """
-    op_of, a_of, b_of, out_of = circuit.op, circuit.a, circuit.b, circuit.out
-    rows: List[int] = []
-    if and_positions:
-        labels: List[int] = []
-        tweaks: List[int] = []
-        for position in and_positions:
-            wa0 = zero[a_of[position]]
-            wb0 = zero[b_of[position]]
-            j_g = 2 * position
-            labels.extend((wa0, wa0 ^ r, wb0, wb0 ^ r))
-            tweaks.extend((j_g, j_g, j_g + 1, j_g + 1))
-        hashes = backend.hash_labels(labels, tweaks, rekeyed)
-        hasher.record_batch(len(labels))
-        for index, position in enumerate(and_positions):
-            h_a0, h_a1, h_b0, h_b1 = hashes[4 * index : 4 * index + 4]
-            wa0 = zero[a_of[position]]
-            wb0 = zero[b_of[position]]
-            t_g = h_a0 ^ h_a1 ^ (r if wb0 & 1 else 0)
-            w_g0 = h_a0 ^ (t_g if wa0 & 1 else 0)
-            t_e = h_b0 ^ h_b1 ^ wa0
-            w_e0 = h_b0 ^ ((t_e ^ wa0) if wb0 & 1 else 0)
-            zero[out_of[position]] = w_g0 ^ w_e0
-            rows.extend((t_g, t_e))
-    for group in free_groups:
-        for position in group:
-            if op_of[position] == OP_XOR:
-                zero[out_of[position]] = (
-                    zero[a_of[position]] ^ zero[b_of[position]]
-                )
-            else:  # INV
-                zero[out_of[position]] = zero[a_of[position]] ^ r
-    return rows
 
 
 def _vector_plan(circuit: Circuit):
@@ -268,8 +221,6 @@ def _vector_plan(circuit: Circuit):
     is a pure function of the netlist, so garbler, evaluator and every
     repeat of a benchmark share one build.
     """
-    import numpy as np
-
     plan = getattr(circuit, "_vector_plan_cache", None)
     if plan is not None:
         return plan
@@ -311,28 +262,6 @@ def _vector_plan(circuit: Circuit):
     return plan
 
 
-def _prepare_and_schedules(circuit: Circuit, backend, rekeyed: bool):
-    """Pre-expand every AND gate's pair of hash keys in one backend call.
-
-    Tweaks are static (``2p`` / ``2p + 1`` for netlist position ``p``),
-    so the whole program's key schedules can be computed before any
-    label exists -- the software analogue of HAAC streaming round keys
-    ahead of the Half-Gate pipeline.  Returns a schedule handle (see
-    :meth:`LabelHashBackend.expand_keys_program`; a plain array for
-    in-process backends, a worker-resident handle for the parallel one)
-    with the generator/evaluator rows of the ``i``-th AND gate *in plan
-    order* at ``2i`` / ``2i + 1``; in fixed-key mode, the raw tweak
-    block array.
-    """
-    tweaks: List[int] = []
-    for and_batch, _ in circuit.and_level_schedule():
-        for position in and_batch:
-            tweaks.append(2 * position)
-            tweaks.append(2 * position + 1)
-    keys = backend.tweaks_to_keys(tweaks)
-    return backend.expand_keys_program(keys) if rekeyed else keys
-
-
 def _run_free_groups(state, free_groups, r_vec) -> None:
     """Apply every XOR/INV group of one phase as bulk array XORs.
 
@@ -349,84 +278,183 @@ def _run_free_groups(state, free_groups, r_vec) -> None:
                 state[inv_out] = state[inv_a] ^ r_vec
 
 
-def _garble_levels_vectorized(
-    circuit: Circuit,
-    input_labels: List[int],
-    r: int,
-    rekeyed: bool,
-    backend,
-    hasher: GateHasher,
-) -> tuple:
-    """Fully vectorized garbling: wire state lives in a uint32 array.
+class _BlockStore:
+    """One party's label store as an ``(n_wires, 4) uint32`` block array.
 
-    The whole label store is an ``(n_wires, 4) uint32`` array.  Work is
-    scheduled by multiplicative depth (:meth:`Circuit.and_level_schedule`),
-    so each phase FreeXORs its independent gate groups with bulk XORs
-    and hashes *all four labels of every AND gate in the batch* with a
-    single backend call against pre-expanded key schedules.
+    The store owns ``state`` (row ``w`` = the label of wire ``w`` as four
+    big-endian column words) and the hashing of each AND batch of
+    :func:`_vector_plan` under its gates' ``2p`` / ``2p + 1`` tweak keys,
+    derived arithmetically from the position array: ``m`` generator keys
+    then ``m`` evaluator keys per batch.  The streamed roles expand each
+    batch's keys as its level runs; with ``whole_program`` every batch
+    is expanded up front in one ``expand_keys_program`` call -- the
+    software analogue of HAAC streaming round keys ahead of the
+    Half-Gate pipeline, and what keeps the ``parallel`` backend's
+    schedules worker-resident (see
+    :meth:`LabelHashBackend.expand_keys_program`).
     """
-    import numpy as np
 
-    state = np.zeros((circuit.n_wires, 4), dtype=np.uint32)
-    if input_labels:
-        state[: len(input_labels)] = backend.ints_to_blocks(input_labels)
-    r_vec = backend.ints_to_blocks([r])[0]
-    plan = _vector_plan(circuit)
-    sched = _prepare_and_schedules(circuit, backend, rekeyed)
+    def __init__(
+        self, circuit: Circuit, input_labels: bytes, rekeyed: bool,
+        backend, hasher: GateHasher, whole_program: bool = False,
+    ) -> None:
+        self.state = np.zeros((circuit.n_wires, 4), dtype=np.uint32)
+        self.state[: circuit.n_inputs] = bytes_to_blocks(input_labels)
+        self.plan = _vector_plan(circuit)
+        self.rekeyed, self.backend, self.hasher = rekeyed, backend, hasher
+        batches = [phase[0] for phase in self.plan if phase[0] is not None]
+        self._program = (
+            self._schedules(batches, backend.expand_keys_program)
+            if whole_program and batches
+            else None
+        )
+        self._row = 0  # next unread row of the whole-program expansion
 
-    table_positions: List[np.ndarray] = []
-    generator_rows: List[np.ndarray] = []
-    evaluator_rows: List[np.ndarray] = []
+    def _schedules(self, batches, expand):
+        tweaks = [t for p in batches for t in (2 * p, 2 * p + 1)]
+        keys = self.backend.tweaks_to_keys(np.concatenate(tweaks))
+        return expand(keys) if self.rekeyed else keys
 
-    offset = 0
-    for positions, a_idx, b_idx, out_idx, free_groups in plan:
+    def _hash(self, positions, labels, copies: int):
+        """Hash ``labels`` = ``copies * m`` blocks under the batch's
+        generator keys, then ``copies * m`` under its evaluator keys."""
+        m = len(positions)
+        if self._program is None:
+            sched, base = self._schedules([positions], self.backend.expand_keys), 0
+        else:
+            sched, base = self._program, self._row
+            self._row += 2 * m
+        g_rows = np.arange(base, base + m, dtype=np.int64)
+        rows = np.concatenate([g_rows] * copies + [g_rows + m] * copies)
+        self.hasher.record_batch(len(labels))
+        if self.rekeyed:
+            return self.backend.hash_schedule_rows(labels, sched, rows)
+        return self.backend.hash_fixed_key_blocks(labels, sched[rows])
+
+    def permute_bits(self, wires: Sequence[int]) -> List[int]:
+        """Point-and-permute bit of each wire's stored label."""
+        return (self.state[wires, 3] & 1).tolist()
+
+    def labels(self, wires=slice(None)) -> List[int]:
+        """Stored labels as Python ints (whole-circuit results, tests)."""
+        return self.backend.blocks_to_ints(self.state[wires])
+
+
+class BlockGarblerStore(_BlockStore):
+    """The Garbler's zero-labels as blocks: the array twin of
+    :class:`IntGarblerStore`, chosen when the backend is ``vectorized``."""
+
+    def __init__(
+        self, circuit, input_labels: Sequence[int], r: int, rekeyed,
+        backend, hasher, whole_program: bool = False,
+    ) -> None:
+        super().__init__(
+            circuit, ints_to_bytes(input_labels), rekeyed, backend, hasher,
+            whole_program,
+        )
+        self.r_vec = backend.ints_to_blocks([r])[0]
+
+    def select(self, wires: Sequence[int], bits: Sequence[int]) -> bytes:
+        """Wire format of the label encoding ``bits[i]`` on ``wires[i]``."""
+        chosen = np.asarray(bits, dtype=bool)[:, None]
+        return blocks_to_bytes(self.state[wires] ^ (self.r_vec * chosen))
+
+    def garble_level(self, index: int) -> bytes:
+        """Garble phase ``index``; returns its AND batch's tables in wire
+        format (``T_G || T_E`` per gate in batch order, ``b""`` for a
+        batch-less phase).  Half-gate algebra as in
+        :mod:`repro.gc.halfgate`, the ``p ? x : 0`` selections as
+        all-ones / all-zeros word masks."""
+        state, r_vec = self.state, self.r_vec
+        positions, a_idx, b_idx, out_idx, free_groups = self.plan[index]
+        payload = b""
         if positions is not None:
             m = len(positions)
-            wa0 = state[a_idx]
-            wb0 = state[b_idx]
-            labels = np.concatenate([wa0, wa0 ^ r_vec, wb0, wb0 ^ r_vec])
-            if rekeyed:
-                # Generator rows at 2i, evaluator rows at 2i + 1; the
-                # backend gathers them from the (possibly worker-
-                # resident) whole-program expansion by index.
-                rows_g = 2 * np.arange(offset, offset + m, dtype=np.int64)
-                rows = np.concatenate([rows_g, rows_g, rows_g + 1, rows_g + 1])
-                hashes = backend.hash_schedule_rows(labels, sched, rows)
-            else:
-                sched_g = sched[2 * offset : 2 * (offset + m) : 2]
-                sched_e = sched[2 * offset + 1 : 2 * (offset + m) : 2]
-                key_rows = np.concatenate([sched_g, sched_g, sched_e, sched_e])
-                hashes = backend.hash_fixed_key_blocks(labels, key_rows)
-            offset += m
-            hasher.record_batch(4 * m)
-            h_a0 = hashes[:m]
-            h_a1 = hashes[m : 2 * m]
-            h_b0 = hashes[2 * m : 3 * m]
-            h_b1 = hashes[3 * m :]
-
-            p_a = (wa0[:, 3] & 1).astype(bool)
-            p_b = (wb0[:, 3] & 1).astype(bool)
-            t_g = h_a0 ^ h_a1
-            t_g[p_b] ^= r_vec
-            w_g0 = h_a0.copy()
-            w_g0[p_a] ^= t_g[p_a]
-            t_e = h_b0 ^ h_b1 ^ wa0
-            w_e0 = h_b0.copy()
-            masked = t_e ^ wa0
-            w_e0[p_b] ^= masked[p_b]
-            state[out_idx] = w_g0 ^ w_e0
-
-            table_positions.append(positions)
-            generator_rows.append(t_g)
-            evaluator_rows.append(t_e)
+            wa0, wb0 = state[a_idx], state[b_idx]
+            hashes = self._hash(
+                positions, np.concatenate([wa0, wa0 ^ r_vec, wb0, wb0 ^ r_vec]), 2
+            )
+            h_a0, h_a1, h_b0, h_b1 = (hashes[i * m : (i + 1) * m] for i in range(4))
+            p_a = -(wa0[:, 3:] & 1)
+            p_b = -(wb0[:, 3:] & 1)
+            tables = np.empty((m, 8), dtype=np.uint32)
+            t_g, t_e = tables[:, :4], tables[:, 4:]
+            t_g[:] = h_a0 ^ h_a1 ^ (r_vec & p_b)
+            t_e[:] = h_b0 ^ h_b1 ^ wa0
+            state[out_idx] = (
+                h_a0 ^ (t_g & p_a) ^ h_b0 ^ ((t_e ^ wa0) & p_b)
+            )
+            payload = blocks_to_bytes(tables)
         _run_free_groups(state, free_groups, r_vec)
+        return payload
 
-    zero_labels = backend.blocks_to_ints(state)
-    tables: List[GarbledTable] = []
-    if table_positions:
-        positions = np.concatenate(table_positions)
-        order = np.argsort(positions, kind="stable")
-        g_ints = backend.blocks_to_ints(np.concatenate(generator_rows)[order])
-        e_ints = backend.blocks_to_ints(np.concatenate(evaluator_rows)[order])
-        tables = [GarbledTable(g, e) for g, e in zip(g_ints, e_ints)]
-    return zero_labels, tables
+
+class IntGarblerStore:
+    """The Garbler's zero-labels as Python ints, one ``backend.hash_labels``
+    call per AND batch: the oracle store, for non-vectorized backends and
+    without NumPy.  Same interface as :class:`BlockGarblerStore`."""
+
+    def __init__(self, circuit, input_labels, r, rekeyed, backend, hasher):
+        self.circuit, self.r = circuit, r
+        self.zero = list(input_labels) + [0] * len(circuit.op)
+        self.levels = circuit.and_level_schedule()
+        self.rekeyed, self.backend, self.hasher = rekeyed, backend, hasher
+
+    def select(self, wires: Sequence[int], bits: Sequence[int]) -> bytes:
+        return ints_to_bytes(
+            [self.zero[w] ^ (self.r if bit else 0) for w, bit in zip(wires, bits)]
+        )
+
+    def garble_level(self, index: int) -> bytes:
+        circuit, zero, r = self.circuit, self.zero, self.r
+        op_of, a_of, b_of, out_of = circuit.op, circuit.a, circuit.b, circuit.out
+        and_positions, free_groups = self.levels[index]
+        rows: List[int] = []
+        if and_positions:
+            labels: List[int] = []
+            tweaks: List[int] = []
+            for position in and_positions:
+                wa0 = zero[a_of[position]]
+                wb0 = zero[b_of[position]]
+                j_g = 2 * position
+                labels.extend((wa0, wa0 ^ r, wb0, wb0 ^ r))
+                tweaks.extend((j_g, j_g, j_g + 1, j_g + 1))
+            hashes = self.backend.hash_labels(labels, tweaks, self.rekeyed)
+            self.hasher.record_batch(len(labels))
+            for i, position in enumerate(and_positions):
+                h_a0, h_a1, h_b0, h_b1 = hashes[4 * i : 4 * i + 4]
+                wa0 = zero[a_of[position]]
+                wb0 = zero[b_of[position]]
+                t_g = h_a0 ^ h_a1 ^ (r if wb0 & 1 else 0)
+                w_g0 = h_a0 ^ (t_g if wa0 & 1 else 0)
+                t_e = h_b0 ^ h_b1 ^ wa0
+                w_e0 = h_b0 ^ ((t_e ^ wa0) if wb0 & 1 else 0)
+                zero[out_of[position]] = w_g0 ^ w_e0
+                rows.extend((t_g, t_e))
+        for group in free_groups:
+            for position in group:
+                if op_of[position] == OP_XOR:
+                    zero[out_of[position]] = (
+                        zero[a_of[position]] ^ zero[b_of[position]]
+                    )
+                else:  # INV
+                    zero[out_of[position]] = zero[a_of[position]] ^ r
+        return ints_to_bytes(rows)
+
+    def permute_bits(self, wires: Sequence[int]) -> List[int]:
+        return [lsb(self.zero[w]) for w in wires]
+
+    def labels(self) -> List[int]:
+        return self.zero
+
+
+def garbler_store(
+    circuit, input_labels, r, rekeyed, backend, hasher, whole_program=False
+):
+    """The Garbler's label store for ``backend``: blocks when it is
+    ``vectorized``, ints otherwise."""
+    if backend.vectorized:
+        return BlockGarblerStore(
+            circuit, input_labels, r, rekeyed, backend, hasher, whole_program
+        )
+    return IntGarblerStore(circuit, input_labels, r, rekeyed, backend, hasher)

@@ -33,12 +33,15 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, List, Sequence
 
-from .labels import lsb
+from .labels import bytes_to_ints, ints_to_bytes, lsb
+from .rng import MASK_128
 
 __all__ = [
     "GarbledTable",
+    "tables_to_bytes",
+    "tables_from_bytes",
     "garble_and",
     "eval_and",
     "garble_xor",
@@ -79,6 +82,20 @@ class GarbledTable:
         return GarbledTable(
             int.from_bytes(data[:16], "big"), int.from_bytes(data[16:], "big")
         )
+
+
+def tables_to_bytes(tables: Sequence[GarbledTable]) -> bytes:
+    """A table stream in wire format: ``T_G || T_E``, 32 bytes per table."""
+    return ints_to_bytes(
+        [t.generator_row << 128 | t.evaluator_row for t in tables], 32
+    )
+
+
+def tables_from_bytes(data: bytes) -> List[GarbledTable]:
+    """Inverse of :func:`tables_to_bytes`."""
+    return [
+        GarbledTable(row >> 128, row & MASK_128) for row in bytes_to_ints(data, 32)
+    ]
 
 
 def garble_and(

@@ -15,11 +15,12 @@ Construction (Chou-Orlandi 2015) over a Diffie-Hellman group::
             sends  c0 = m0 xor k0,  c1 = m1 xor k1
     Bob:    k_choice = KDF(A^b),  m_choice = c_choice xor k_choice
 
-SUBSTITUTION NOTE (DESIGN.md section 2): the group is a fixed 512-bit
-safe-prime group.  That is large enough to exercise the real modular
-arithmetic but far below deployment parameter sizes; this reproduction
-targets functional completeness, not cryptographic strength.  The KDF is
-a Davies-Meyer construction over the from-scratch AES.
+SUBSTITUTION NOTE (DESIGN.md section 2): the group is a fixed 768-bit
+safe-prime group (RFC 2409 Oakley Group 1).  That is large enough to
+exercise the real modular arithmetic but far below deployment parameter
+sizes; this reproduction targets functional completeness, not
+cryptographic strength.  The KDF is a Davies-Meyer construction over the
+from-scratch AES.
 
 BATCHING: the evaluator (receiver) runs one OT per input bit, and both
 of Bob's group operations are fixed-base exponentiations -- ``g^b`` for
@@ -53,7 +54,7 @@ __all__ = ["OtSender", "OtReceiver", "run_ot", "run_ot_batch", "GROUP_P", "GROUP
 
 _EXPONENT_BITS = 256  # receiver secrets are drawn as next_bits(256)
 
-# 512-bit safe prime p = 2q + 1 (RFC 2409 Oakley Group 1) and generator.
+# 768-bit safe prime p = 2q + 1 (RFC 2409 Oakley Group 1) and generator.
 GROUP_P = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
     "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"

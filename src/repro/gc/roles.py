@@ -24,9 +24,17 @@ through on its end of a socket (the *split* drive).  Per-direction
 message order is the same however the turns are interleaved, which is
 why every drive produces the same transcript digest.
 
-The framed transport carries raw bytes, so every payload is serialized
-explicitly here; damaged payload structure surfaces as the typed
-:class:`~repro.faults.SessionAborted`, not a random exception.
+A role's wire labels live in an opaque *label store*
+(:func:`~repro.gc.garble.garbler_store` /
+:func:`~repro.gc.evaluate.evaluator_store`): an ``(n_wires, 4) uint32``
+block array when the backend is vectorized, a Python-int list otherwise.
+The store speaks wire format -- a level's tables leave and enter it as
+one ``bytes`` block -- so the scripts never see which one they hold.
+
+The framed transport carries raw bytes; every payload's length is
+checked here before a store sees it, so damaged payload structure
+surfaces as the typed :class:`~repro.faults.SessionAborted`, not a
+random exception.
 """
 
 from __future__ import annotations
@@ -38,10 +46,10 @@ from ..circuits.netlist import OP_AND, Circuit
 from ..faults import SessionAborted, TranscriptMismatch
 from .backends import resolve_backend
 from .channel import DIGEST_KIND, FramedChannel
-from .evaluate import evaluate_level
-from .garble import garble_level
+from .evaluate import evaluator_store
+from .garble import garbler_store
 from .hashing import GateHasher
-from .labels import lsb
+from .labels import bytes_to_ints, ints_to_bytes, pack_bits, unpack_bits
 from .ot import GROUP_P, OtReceiver, OtSender
 from .rng import LabelPrg
 
@@ -57,27 +65,12 @@ _TABLE_BYTES = 2 * _LABEL_BYTES
 _POINT_BYTES = (GROUP_P.bit_length() + 7) // 8
 
 
-def _ints_to_bytes(values: Sequence[int], width: int) -> bytes:
-    return b"".join(value.to_bytes(width, "big") for value in values)
-
-
 def _bytes_to_ints(data: bytes, width: int, what: str) -> List[int]:
     if len(data) % width:
         raise SessionAborted(
             f"{what}: payload length {len(data)} is not a multiple of {width}"
         )
-    return [
-        int.from_bytes(data[i : i + width], "big")
-        for i in range(0, len(data), width)
-    ]
-
-
-def _pack_bits(bits: Sequence[int]) -> bytes:
-    out = bytearray((len(bits) + 7) // 8)
-    for index, bit in enumerate(bits):
-        if bit:
-            out[index // 8] |= 1 << (index % 8)
-    return bytes(out)
+    return bytes_to_ints(data, width)
 
 
 def _unpack_bits(data: bytes, n_bits: int, what: str) -> List[int]:
@@ -86,7 +79,7 @@ def _unpack_bits(data: bytes, n_bits: int, what: str) -> List[int]:
             f"{what}: expected {(n_bits + 7) // 8} packed bytes for "
             f"{n_bits} bits, got {len(data)}"
         )
-    return [(data[index // 8] >> (index % 8)) & 1 for index in range(n_bits)]
+    return unpack_bits(data, n_bits)
 
 
 def _verify_transcript(channel: FramedChannel) -> bytes:
@@ -173,8 +166,7 @@ class GarblerRole(_Role):
         circuit, down, up = self.circuit, self.down, self.up
         prg = LabelPrg(self.seed)
         r = prg.next_odd_block()
-        zero = [prg.next_block() for _ in range(circuit.n_inputs)]
-        zero += [0] * len(circuit.op)
+        inputs = [prg.next_block() for _ in range(circuit.n_inputs)]
         sender = OtSender(LabelPrg(self.seed + 0x0F))
         down.send_message(
             "ot_public", sender.public.to_bytes(_POINT_BYTES, "big")
@@ -186,35 +178,29 @@ class GarblerRole(_Role):
         )
         cipher_pairs = sender.encrypt_batch(
             points,
-            [(zero[w], zero[w] ^ r) for w in circuit.evaluator_input_wires],
+            [(inputs[w], inputs[w] ^ r) for w in circuit.evaluator_input_wires],
         )
         down.send_message(
-            "ot_ciphers",
-            _ints_to_bytes(
-                [c for pair in cipher_pairs for c in pair], _LABEL_BYTES
-            ),
+            "ot_ciphers", ints_to_bytes([c for pair in cipher_pairs for c in pair])
         )
-        own_labels = [
-            zero[w] ^ (r if bit else 0)
-            for w, bit in zip(circuit.garbler_input_wires, self.bits)
-        ]
+        store = garbler_store(
+            circuit, inputs, r, self.rekeyed, self.backend, self.hasher
+        )
         down.send_message(
-            "garbler_labels", _ints_to_bytes(own_labels, _LABEL_BYTES)
+            "garbler_labels",
+            store.select(circuit.garbler_input_wires, self.bits),
         )
         self.levels = circuit.and_level_schedule()
         yield LEVEL  # the schedule always has its depth-0 phase
 
-        for and_positions, free_groups in self.levels:
-            rows = garble_level(
-                circuit, zero, r, and_positions, free_groups,
-                self.rekeyed, self.backend, self.hasher,
-            )
-            if and_positions:
-                down.send_message("tables", _ints_to_bytes(rows, _LABEL_BYTES))
+        for index in range(len(self.levels)):
+            tables = store.garble_level(index)
+            if tables:
+                down.send_message("tables", tables)
             yield self._after_level()
 
         down.send_message(
-            "decode", _pack_bits([lsb(zero[w]) for w in circuit.outputs])
+            "decode", pack_bits(store.permute_bits(circuit.outputs))
         )
         yield FINISH
 
@@ -264,32 +250,34 @@ class EvaluatorRole(_Role):
         points_and_secrets = receiver.choose_batch(self.bits)
         up.send_message(
             "ot_points",
-            _ints_to_bytes([p for p, _ in points_and_secrets], _POINT_BYTES),
+            ints_to_bytes([p for p, _ in points_and_secrets], _POINT_BYTES),
         )
         yield HANDSHAKE
 
         ciphers = _bytes_to_ints(
             down.recv_message("ot_ciphers"), _LABEL_BYTES, "ot_ciphers"
         )
-        labels = _bytes_to_ints(
-            down.recv_message("garbler_labels"), _LABEL_BYTES, "garbler_labels"
-        )
-        if len(labels) != circuit.n_garbler_inputs:
+        labels = down.recv_message("garbler_labels")
+        if len(labels) != _LABEL_BYTES * circuit.n_garbler_inputs:
             raise SessionAborted(
                 f"garbler_labels: expected {circuit.n_garbler_inputs} labels, "
-                f"got {len(labels)}"
+                f"got {len(labels)} bytes"
             )
-        labels += receiver.decrypt_batch(
-            self.bits,
-            [secret for _, secret in points_and_secrets],
-            list(zip(ciphers[0::2], ciphers[1::2])),
+        labels += ints_to_bytes(
+            receiver.decrypt_batch(
+                self.bits,
+                [secret for _, secret in points_and_secrets],
+                list(zip(ciphers[0::2], ciphers[1::2])),
+            )
         )
-        labels += [0] * len(circuit.op)
+        store = evaluator_store(
+            circuit, labels, self.rekeyed, self.backend, self.hasher
+        )
         self.levels = circuit.and_level_schedule()
         yield LEVEL  # the schedule always has its depth-0 phase
 
-        for and_positions, free_groups in self.levels:
-            rows: List[int] = []
+        for index, (and_positions, _) in enumerate(self.levels):
+            block = b""
             if and_positions:
                 block = down.recv_message("tables")
                 self.streamed_levels += 1
@@ -299,11 +287,7 @@ class EvaluatorRole(_Role):
                         f"gates need {_TABLE_BYTES * len(and_positions)} "
                         f"bytes, got {len(block)}"
                     )
-                rows = _bytes_to_ints(block, _LABEL_BYTES, "tables")
-            evaluate_level(
-                circuit, labels, and_positions, free_groups, rows,
-                self.rekeyed, self.backend, self.hasher,
-            )
+            store.evaluate_level(index, block)
             if and_positions and self.first_level_s is None:
                 self.first_level_s = time.perf_counter() - self.started_at
             yield self._after_level()
@@ -312,10 +296,12 @@ class EvaluatorRole(_Role):
             down.recv_message("decode"), len(circuit.outputs), "decode"
         )
         self.output_bits = [
-            lsb(labels[w]) ^ decode
-            for w, decode in zip(circuit.outputs, decode_bits)
+            bit ^ decode
+            for bit, decode in zip(
+                store.permute_bits(circuit.outputs), decode_bits
+            )
         ]
-        up.send_message("outputs", _pack_bits(self.output_bits))
+        up.send_message("outputs", pack_bits(self.output_bits))
         yield FINISH
 
         self.transcript_digest = _verify_transcript(down).hex()

@@ -13,7 +13,8 @@ both artifacts stable byte formats so they can be stored or shipped:
   hardware controllers need (input count, output addresses).
 
 Formats are versioned little-endian with explicit lengths; round trips
-are exact (tested) and reject corrupted magic/version bytes.
+are exact (tested); corrupted magic, a short header or body and trailing
+bytes all raise :class:`SerializationError`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from ..core.isa import (
 )
 from ..core.program import HaacProgram
 from .garble import GarbledCircuit
-from .halfgate import GarbledTable
+from .halfgate import tables_from_bytes, tables_to_bytes
+from .labels import pack_bits, unpack_bits
 
 __all__ = [
     "garbled_to_bytes",
@@ -42,24 +44,30 @@ __all__ = [
 
 _GARBLED_MAGIC = b"HAACGC01"
 _PROGRAM_MAGIC = b"HAACPR01"
+_TABLE_BYTES = 32
 
 
 class SerializationError(ValueError):
     """Corrupt or incompatible serialized artifact."""
 
 
+def _unpack_from(fmt: str, data: bytes, offset: int, what: str) -> tuple:
+    try:
+        return struct.unpack_from(fmt, data, offset)
+    except struct.error as error:
+        raise SerializationError(f"truncated {what}: {error}") from error
+
+
 def garbled_to_bytes(garbled: GarbledCircuit) -> bytes:
     """Serialize the Evaluator's bundle (tables + decode bits)."""
-    parts = [_GARBLED_MAGIC]
-    parts.append(struct.pack("<II", len(garbled.tables), len(garbled.decode_bits)))
-    for table in garbled.tables:
-        parts.append(table.to_bytes())
-    packed_bits = bytearray((len(garbled.decode_bits) + 7) // 8)
-    for index, bit in enumerate(garbled.decode_bits):
-        if bit:
-            packed_bits[index // 8] |= 1 << (index % 8)
-    parts.append(bytes(packed_bits))
-    return b"".join(parts)
+    return b"".join(
+        (
+            _GARBLED_MAGIC,
+            struct.pack("<II", len(garbled.tables), len(garbled.decode_bits)),
+            tables_to_bytes(garbled.tables),
+            pack_bits(garbled.decode_bits),
+        )
+    )
 
 
 def garbled_from_bytes(data: bytes) -> GarbledCircuit:
@@ -67,22 +75,19 @@ def garbled_from_bytes(data: bytes) -> GarbledCircuit:
     if data[: len(_GARBLED_MAGIC)] != _GARBLED_MAGIC:
         raise SerializationError("bad magic for garbled-circuit bundle")
     offset = len(_GARBLED_MAGIC)
-    n_tables, n_decode = struct.unpack_from("<II", data, offset)
+    n_tables, n_decode = _unpack_from("<II", data, offset, "bundle header")
     offset += 8
-    tables: List[GarbledTable] = []
-    for _ in range(n_tables):
-        if offset + 32 > len(data):
-            raise SerializationError("truncated table stream")
-        tables.append(GarbledTable.from_bytes(data[offset : offset + 32]))
-        offset += 32
-    n_bytes = (n_decode + 7) // 8
-    if offset + n_bytes > len(data):
-        raise SerializationError("truncated decode bits")
-    decode_bits = [
-        (data[offset + index // 8] >> (index % 8)) & 1 for index in range(n_decode)
-    ]
+    decode_at = offset + _TABLE_BYTES * n_tables
+    if len(data) != decode_at + (n_decode + 7) // 8:
+        raise SerializationError(
+            f"garbled-circuit bundle of {n_tables} tables and {n_decode} "
+            f"decode bits must be {decode_at + (n_decode + 7) // 8} bytes, "
+            f"got {len(data)}"
+        )
     return GarbledCircuit(
-        tables=tables, decode_bits=decode_bits, n_and_gates=n_tables
+        tables=tables_from_bytes(data[offset:decode_at]),
+        decode_bits=unpack_bits(data[decode_at:], n_decode),
+        n_and_gates=n_tables,
     )
 
 
@@ -135,17 +140,25 @@ def program_from_bytes(data: bytes) -> Tuple[List[Instruction], int, List[int], 
     if data[: len(_PROGRAM_MAGIC)] != _PROGRAM_MAGIC:
         raise SerializationError("bad magic for HAAC program")
     offset = len(_PROGRAM_MAGIC)
-    n_instr, n_inputs, addr_bits, n_outputs = struct.unpack_from("<IIHI", data, offset)
+    n_instr, n_inputs, addr_bits, n_outputs = _unpack_from(
+        "<IIHI", data, offset, "program header"
+    )
     offset += struct.calcsize("<IIHI")
-    outputs = list(struct.unpack_from(f"<{n_outputs}I", data, offset))
+    outputs = list(_unpack_from(f"<{n_outputs}I", data, offset, "output list"))
     offset += 4 * n_outputs
-    (name_length,) = struct.unpack_from("<B", data, offset)
+    (name_length,) = _unpack_from("<B", data, offset, "program name")
     offset += 1
-    name = data[offset : offset + name_length].decode("utf-8")
-    offset += name_length
     encoding = InstructionEncoding(addr_bits=addr_bits)
+    body_at = offset + name_length
+    expected = body_at + (n_instr * encoding.bits + 7) // 8
+    if len(data) != expected:
+        raise SerializationError(
+            f"program of {n_instr} instructions and a {name_length}-byte "
+            f"name must be {expected} bytes, got {len(data)}"
+        )
     try:
-        instructions = decode_program_bytes(data[offset:], n_instr, encoding)
+        name = data[offset:body_at].decode("utf-8")
+        instructions = decode_program_bytes(data[body_at:], n_instr, encoding)
     except ValueError as error:
         raise SerializationError(str(error)) from error
     return instructions, n_inputs, outputs, name

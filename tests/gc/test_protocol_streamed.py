@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import socket
+import threading
+
 import pytest
 
 from repro.circuits.netlist import Circuit, Gate, GateOp
+from repro.faults import ProtocolFault, SessionAborted
 from repro.gc.backends import get_backend
-from repro.gc.protocol import TwoPartySession, run_two_party
+from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
+from repro.gc.roles import EvaluatorRole, GarblerRole
+from repro.serve import PeerSocketWire
+from repro.serve.procs import make_party_channels
 from repro.sim.config import HaacConfig
 
 
@@ -185,3 +192,79 @@ class TestDegradationSurfacing:
         base.reset_warn_once()
         with pytest.warns(RuntimeWarning, match="degraded to 'scalar'"):
             base._note_auto_fallback(backend, "rearmed")
+
+
+def _damage_first_tables(channel, delta):
+    """Make ``channel`` a stub peer for one message: its first ``tables``
+    payload leaves ``delta`` bytes longer (or shorter), framed by the real
+    ``send_message`` -- CRC, sequence numbers and the transcript digest
+    all hold, so only the receiving role's own length check can object."""
+    real_send, done = channel.send_message, []
+
+    def send(kind, payload):
+        if kind == "tables" and not done:
+            done.append(True)
+            payload = payload + bytes(delta) if delta > 0 else payload[:delta]
+        return real_send(kind, payload)
+
+    channel.send_message = send
+
+
+@pytest.mark.parametrize("backend", ["auto", "scalar"])
+@pytest.mark.parametrize("delta", [-1, -32, 32])
+class TestDamagedTableBlock:
+    """A table block of the wrong length seals as the role's typed
+    ``SessionAborted`` before any array is built from it."""
+
+    def test_fused_drive(self, adder_circuit, backend, delta):
+        g, e = _bits(adder_circuit)
+        driver = StreamedDriver(
+            TwoPartySession(adder_circuit, seed=3, backend=backend), g, e
+        )
+        _damage_first_tables(driver.pair.to_evaluator, delta)
+        with pytest.raises(SessionAborted, match="table block mismatch") as caught:
+            while not driver.step():
+                pass
+        # Raised typed by the role, not normalised from a stray error.
+        assert caught.value.__cause__ is None
+        assert driver.done and driver.result is None
+        assert driver.evaluator.first_level_s is None  # no AND level ran
+
+    def test_split_drive(self, adder_circuit, backend, delta):
+        """No driver around the evaluator: ``take_turn`` itself must
+        raise the typed fault."""
+        bits = dict(zip(("garbler", "evaluator"), _bits(adder_circuit)))
+        socks = dict(zip(("garbler", "evaluator"), socket.socketpair()))
+        errors = {}
+
+        def party(role_cls):
+            name = role_cls.party
+            wire = PeerSocketWire(socks[name], f"{name} endpoint", io_timeout_s=30.0)
+            down, up = make_party_channels(wire)
+            if name == "garbler":
+                _damage_first_tables(down, delta)
+            try:
+                role = role_cls(
+                    adder_circuit, bits[name], seed=3, rekeyed=True,
+                    backend=backend, down=down, up=up,
+                )
+                while role.next_turn is not None:
+                    role.take_turn()
+            except BaseException as exc:
+                errors[name] = exc
+            finally:
+                wire.close()
+
+        threads = [
+            threading.Thread(target=party, args=(role_cls,), daemon=True)
+            for role_cls in (GarblerRole, EvaluatorRole)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        assert isinstance(errors["evaluator"], SessionAborted), errors
+        assert "table block mismatch" in str(errors["evaluator"])
+        # The garbler only ever sees its peer go away.
+        assert isinstance(errors["garbler"], ProtocolFault), errors

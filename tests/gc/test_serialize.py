@@ -84,3 +84,37 @@ class TestProgramRoundTrip:
         data = program_to_bytes(program, encoding)
         with pytest.raises(SerializationError):
             program_from_bytes(data[: len(data) - 40])
+
+
+class TestTrustBoundary:
+    """Every short header, short body and trailing byte is a
+    ``SerializationError`` -- never a bare ``struct.error``, never a
+    silent parse."""
+
+    def test_garbled_header_cut(self):
+        for blob in (b"HAACGC01", b"HAACGC01\x01\x00"):
+            with pytest.raises(SerializationError):
+                garbled_from_bytes(blob)
+
+    def test_garbled_trailing_bytes(self, mixed_circuit):
+        blob = garbled_to_bytes(garble_circuit(mixed_circuit, seed=5).garbled)
+        with pytest.raises(SerializationError):
+            garbled_from_bytes(blob + b"junk")
+
+    def test_program_header_cut(self):
+        with pytest.raises(SerializationError):
+            program_from_bytes(b"HAACPR01")
+
+    def test_program_cut_inside_name_length(self, mixed_circuit):
+        program, _ = assemble(mixed_circuit)
+        blob = program_to_bytes(program, InstructionEncoding(addr_bits=20))
+        name_length_at = 8 + 14 + 4 * len(program.outputs)
+        with pytest.raises(SerializationError):
+            program_from_bytes(blob[:name_length_at])
+
+    def test_program_body_cut_or_extended(self, mixed_circuit):
+        program, _ = assemble(mixed_circuit)
+        blob = program_to_bytes(program, InstructionEncoding(addr_bits=20))
+        for bad in (blob[:-1], blob + b"\x00", blob[: len(blob) // 2]):
+            with pytest.raises(SerializationError):
+                program_from_bytes(bad)
