@@ -25,29 +25,38 @@ from-scratch AES.
 BATCHING: the evaluator (receiver) runs one OT per input bit, and both
 of Bob's group operations are fixed-base exponentiations -- ``g^b`` for
 the point, ``A^b`` for the pad.  ``choose_batch``/``decrypt_batch``
-therefore precompute the ``base^(2^i)`` square chain once per batch and
-reduce every per-bit exponentiation to bare multiplications: one
-squaring pass over all choice bits instead of one full square-and-
-multiply per bit.
+build one windowed table per base (:class:`_FixedBaseTable`) and reduce
+every exponentiation to one multiplication per window; the window width
+is the argmin of the table's cost model for the batch at hand (512
+choices: ``w = 7``, about 37 multiplications each; 8 choices: ``w = 3``;
+``w = 1`` is the plain square chain).
 
-The sender side is batched too: ``OtSender.encrypt`` pays *two*
-variable-base exponentiations per bit (``B^a`` and ``(B/A)^a``), but
-``(B/A)^a = B^a * (A^{-1})^a`` and the second factor depends only on
-the batch's ephemeral key -- ``encrypt_batch`` computes it once and
-reduces every bit to one variable-base exponentiation plus one
-multiplication.
+The sender's ``encrypt`` pays *two* variable-base exponentiations per
+bit (``B^a`` and ``(B/A)^a``), but ``(B/A)^a = B^a * (A^{-1})^a`` and the
+second factor depends only on the batch's ephemeral key --
+``encrypt_batch`` computes it once and reduces every bit to one builtin
+``pow`` plus one multiplication.  That ``pow`` is the floor: its cost is
+bignum multiply/reduce, not interpreter overhead (DESIGN.md section 4).
+
+The pad KDF is sequential along a point's 128-bit limbs but independent
+across the batch, so the batched paths run it one limb at a time through
+the backend's block AES kernel (:func:`_kdf_batch`) when the backend is
+``vectorized`` and the batch has at least :data:`_KDF_BATCH_MIN` chains;
+otherwise the scalar :func:`_kdf` runs.
 
 All batched paths draw the same PRG stream and compute the same group
-elements, so transcripts are bit-identical to the per-bit paths
+elements and pads, so transcripts are bit-identical to the per-bit paths
 (asserted by the test suite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .aes import encrypt_block
+from .backends import resolve_backend
+from .labels import blocks_to_bytes, bytes_to_blocks, bytes_to_ints, ints_to_bytes
 from .rng import MASK_128, LabelPrg
 
 __all__ = ["OtSender", "OtReceiver", "run_ot", "run_ot_batch", "GROUP_P", "GROUP_G"]
@@ -66,38 +75,57 @@ _GROUP_Q = (GROUP_P - 1) // 2
 
 
 class _FixedBaseTable:
-    """Precomputed ``base^(2^i) mod p`` chain for batch exponentiation.
+    """Windowed fixed-base table: ``rows[j][d] = base^(d * 2^(j*w)) mod p``.
 
-    Building the table costs the same ~``bits`` squarings one ordinary
-    exponentiation spends; afterwards each ``pow(exponent)`` is only the
-    multiplications for the exponent's set bits.  Amortized over a batch
-    of choice bits this is the "one exponentiation pass" the evaluator
-    side uses.
+    ``pow(exponent)`` is then one multiplication per non-zero ``w``-bit
+    digit of the exponent.  ``w`` minimises the table's cost model,
+    ``windows * (2^w - 1)`` multiplications to build plus ``windows`` per
+    exponentiation, over the ``batch`` exponentiations it will serve;
+    ``w = 1`` is the plain ``base^(2^i)`` square chain.
     """
 
-    def __init__(self, base: int, modulus: int, bits: int = _EXPONENT_BITS) -> None:
+    # 2^8 digits x 32 windows x 96 B bounds the table near 0.8 MB; the
+    # model only prefers wider windows beyond ~2,200 exponentiations.
+    _WIDTHS = range(1, 9)
+
+    def __init__(
+        self, base: int, modulus: int, batch: int = 1, bits: int = _EXPONENT_BITS
+    ) -> None:
         self.modulus = modulus
-        powers = []
-        value = base % modulus
-        for _ in range(bits):
-            powers.append(value)
-            value = value * value % modulus
-        self.powers = powers
+        self.width = self.width_for(batch, bits)
+        self.rows: List[List[int]] = []
+        self._next = base % modulus  # base^(2^(w * len(rows)))
+        for _ in range(-(-bits // self.width)):
+            self._add_row()
+
+    @classmethod
+    def width_for(cls, batch: int, bits: int = _EXPONENT_BITS) -> int:
+        """Cheapest window width for ``batch`` exponentiations."""
+        return min(cls._WIDTHS, key=lambda w: -(-bits // w) * ((1 << w) - 1 + batch))
+
+    def _add_row(self) -> None:
+        value, modulus = self._next, self.modulus
+        row = [1, value]
+        for _ in range((1 << self.width) - 2):
+            row.append(row[-1] * value % modulus)
+        self.rows.append(row)
+        self._next = row[-1] * value % modulus
 
     def pow(self, exponent: int) -> int:
         """``base ** exponent mod p`` using only multiplications."""
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
         result = 1
-        modulus = self.modulus
-        powers = self.powers
+        modulus, rows, width = self.modulus, self.rows, self.width
+        mask = (1 << width) - 1
         index = 0
         while exponent:
-            if index >= len(powers):  # extend the chain for wide exponents
-                powers.append(powers[-1] * powers[-1] % modulus)
-            if exponent & 1:
-                result = result * powers[index] % modulus
-            exponent >>= 1
+            if index >= len(rows):  # extend the table for wide exponents
+                self._add_row()
+            digit = exponent & mask
+            if digit:
+                result = result * rows[index][digit] % modulus
+            exponent >>= width
             index += 1
         return result
 
@@ -116,18 +144,53 @@ def _kdf(point: int, tweak: int) -> int:
     return digest
 
 
+# Chains at which six NumPy limb steps (4-7 ms, nearly flat in n) clearly
+# undercut the scalar chains (0.09-0.15 ms each); measured crossover 45-50
+# chains on the recorded host, DESIGN.md section 4.
+_KDF_BATCH_MIN = 64
+
+
+def _kdf_batch(points: Sequence[int], tweaks: Sequence[int], backend) -> List[int]:
+    """``[_kdf(point, tweak) ...]``, one limb of every chain per AES call.
+
+    Rows carry their own limb count, so a point whose top limbs are zero
+    stops exactly where the scalar ``while value:`` loop stops.
+    """
+    if len(points) < _KDF_BATCH_MIN or not getattr(backend, "vectorized", False):
+        return [_kdf(point, tweak) for point, tweak in zip(points, tweaks)]
+    import numpy as np
+
+    limbs = np.array([(point.bit_length() + 127) >> 7 for point in points])
+    depth = int(limbs.max())
+    blocks = bytes_to_blocks(ints_to_bytes(points, 16 * depth))
+    blocks = blocks.reshape(len(points), depth, 4)
+    digest = bytes_to_blocks(ints_to_bytes([tweak & MASK_128 for tweak in tweaks]))
+    for limb in range(depth):
+        block = blocks[:, depth - 1 - limb]  # least-significant limb first
+        key = digest.copy()
+        key[:, 3] |= 1
+        stepped = backend.encrypt_blocks(block ^ digest, backend.expand_keys(key))
+        digest = np.where((limbs > limb)[:, None], stepped ^ block, digest)
+    return bytes_to_ints(blocks_to_bytes(digest))
+
+
 @dataclass
 class OtSender:
-    """Alice's side of one batch of OTs (one ephemeral key per batch)."""
+    """Alice's side of one batch of OTs (one ephemeral key per batch).
+
+    ``backend`` is the resolved hash backend whose block AES kernel the
+    batched pad KDF may use (:func:`_kdf_batch`); ``None`` is scalar.
+    """
 
     prg: LabelPrg
+    backend: Optional[object] = None
 
     def __post_init__(self) -> None:
         self._a = (self.prg.next_bits(256) % (_GROUP_Q - 1)) + 1
         self.public = pow(GROUP_G, self._a, GROUP_P)
-        # B / A = B * A^{-1}; Fermat inversion since p is prime.  One
-        # inversion per batch (it only depends on the ephemeral key).
-        self._a_inv = pow(self.public, GROUP_P - 2, GROUP_P)
+        # B / A = B * A^{-1}.  One inversion per batch (it only depends
+        # on the ephemeral key).
+        self._a_inv = pow(self.public, -1, GROUP_P)
 
     def encrypt(
         self, index: int, b_point: int, message0: int, message1: int
@@ -143,9 +206,9 @@ class OtSender:
 
     def _a_inv_pow_a(self) -> int:
         """The batch-constant pad factor ``(A^{-1})^a``, computed once
-        per sender (a single builtin ``pow`` -- a square chain only
-        pays off when shared across many exponentiations, and this
-        value *is* the shared part)."""
+        per sender (a single builtin ``pow`` -- a table only pays off
+        when shared across many exponentiations, and this value *is*
+        the shared part)."""
         cached = getattr(self, "_a_inv_pow_a_cache", None)
         if cached is None:
             cached = pow(self._a_inv, self._a, GROUP_P)
@@ -163,9 +226,11 @@ class OtSender:
         One variable-base exponentiation per bit instead of two: the
         second pad base is ``(B/A)^a = B^a * (A^{-1})^a``, and the
         ``(A^{-1})^a`` factor is computed once and shared by every OT
-        of the batch (and every batch of this sender).  The shared
-        values -- hence the ciphertexts -- are bit-identical to per-bit
-        :meth:`encrypt` calls with the same indices.
+        of the batch (and every batch of this sender).  All ``2n``
+        shared values are gathered first and padded by one
+        :func:`_kdf_batch` call.  The shared values -- hence the
+        ciphertexts -- are bit-identical to per-bit :meth:`encrypt`
+        calls with the same indices.
         """
         if len(points) != len(message_pairs):
             raise ValueError("points and message pairs must align")
@@ -173,20 +238,20 @@ class OtSender:
             if not 0 < point < GROUP_P:
                 raise ValueError("invalid receiver point")
         factor = self._a_inv_pow_a()
-        ciphers: List[Tuple[int, int]] = []
-        for offset, (point, (message0, message1)) in enumerate(
-            zip(points, message_pairs)
-        ):
+        shareds: List[int] = []
+        for point in points:
             shared0 = pow(point, self._a, GROUP_P)
-            shared1 = shared0 * factor % GROUP_P
-            index = start_index + offset
-            ciphers.append(
-                (
-                    message0 ^ _kdf(shared0, 2 * index),
-                    message1 ^ _kdf(shared1, 2 * index + 1),
-                )
+            shareds += (shared0, shared0 * factor % GROUP_P)
+        first = 2 * start_index
+        pads = _kdf_batch(
+            shareds, range(first, first + len(shareds)), self.backend
+        )
+        return [
+            (message0 ^ pad0, message1 ^ pad1)
+            for (message0, message1), pad0, pad1 in zip(
+                message_pairs, pads[0::2], pads[1::2]
             )
-        return ciphers
+        ]
 
 
 @dataclass
@@ -194,14 +259,16 @@ class OtReceiver:
     """Bob's side: one point per choice bit.
 
     ``choose``/``decrypt`` are the per-bit reference path (one builtin
-    ``pow`` per group op); ``choose_batch``/``decrypt_batch`` share the
-    fixed-base square chains of ``g`` and ``A`` across the whole batch.
-    Both paths draw the same PRG stream and compute the same group
-    elements, so their transcripts are interchangeable.
+    ``pow`` per group op, scalar KDF); ``choose_batch``/``decrypt_batch``
+    share the fixed-base tables of ``g`` and ``A`` across the whole
+    batch and pad through :func:`_kdf_batch` on ``backend``.  Both paths
+    draw the same PRG stream and compute the same group elements, so
+    their transcripts are interchangeable.
     """
 
     prg: LabelPrg
     sender_public: int
+    backend: Optional[object] = None
 
     def choose(self, choice: int) -> Tuple[int, int]:
         """Return (point to send, secret exponent) for ``choice``."""
@@ -214,7 +281,7 @@ class OtReceiver:
         return point, b
 
     def choose_batch(self, choices: Sequence[int]) -> List[Tuple[int, int]]:
-        """Batched ``choose``: one squaring pass for all choice bits."""
+        """Batched ``choose``: one table of ``g`` for all choice bits."""
         for choice in choices:
             if choice not in (0, 1):
                 raise ValueError("choice must be a bit")
@@ -222,7 +289,8 @@ class OtReceiver:
         secrets = [
             (self.prg.next_bits(256) % (_GROUP_Q - 1)) + 1 for _ in choices
         ]
-        points = self._g_table().pow_batch(secrets)
+        table = _FixedBaseTable(GROUP_G, GROUP_P, len(secrets))
+        points = table.pow_batch(secrets)
         for index, choice in enumerate(choices):
             if choice:
                 points[index] = points[index] * self.sender_public % GROUP_P
@@ -245,28 +313,17 @@ class OtReceiver:
         """Batched ``decrypt`` for OTs ``start_index ..`` onwards."""
         if not (len(choices) == len(secrets) == len(cipher_pairs)):
             raise ValueError("choices, secrets and ciphertexts must align")
-        shareds = self._a_table().pow_batch(secrets)
-        messages = []
-        for offset, (choice, shared, (cipher0, cipher1)) in enumerate(
-            zip(choices, shareds, cipher_pairs)
-        ):
-            pad = _kdf(shared, 2 * (start_index + offset) + choice)
-            messages.append((cipher1 if choice else cipher0) ^ pad)
-        return messages
-
-    def _g_table(self) -> _FixedBaseTable:
-        table = getattr(self, "_g_table_cache", None)
-        if table is None:
-            table = _FixedBaseTable(GROUP_G, GROUP_P)
-            object.__setattr__(self, "_g_table_cache", table)
-        return table
-
-    def _a_table(self) -> _FixedBaseTable:
-        table = getattr(self, "_a_table_cache", None)
-        if table is None:
-            table = _FixedBaseTable(self.sender_public, GROUP_P)
-            object.__setattr__(self, "_a_table_cache", table)
-        return table
+        table = _FixedBaseTable(self.sender_public, GROUP_P, len(secrets))
+        shareds = table.pow_batch(secrets)
+        tweaks = [
+            2 * (start_index + offset) + choice
+            for offset, choice in enumerate(choices)
+        ]
+        pads = _kdf_batch(shareds, tweaks, self.backend)
+        return [
+            (cipher1 if choice else cipher0) ^ pad
+            for choice, (cipher0, cipher1), pad in zip(choices, cipher_pairs, pads)
+        ]
 
 
 def run_ot(
@@ -281,13 +338,15 @@ def run_ot_batch(
 ) -> List[int]:
     """Run a batch of OTs, one per (message pair, choice bit).
 
-    Uses the batched fixed-base paths on both sides; transcripts match
-    the per-bit ``choose``/``encrypt``/``decrypt`` sequence exactly.
+    Uses the batched paths on both sides with the ``auto`` backend;
+    transcripts match the per-bit ``choose``/``encrypt``/``decrypt``
+    sequence exactly.
     """
     if len(pairs) != len(choices):
         raise ValueError("pairs and choices must align")
-    sender = OtSender(LabelPrg(seed))
-    receiver = OtReceiver(LabelPrg(seed + 1), sender.public)
+    backend = resolve_backend("auto")
+    sender = OtSender(LabelPrg(seed), backend)
+    receiver = OtReceiver(LabelPrg(seed + 1), sender.public, backend)
     points_and_secrets = receiver.choose_batch(choices)
     cipher_pairs = sender.encrypt_batch(
         [point for point, _ in points_and_secrets], list(pairs)

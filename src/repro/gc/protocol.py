@@ -247,14 +247,15 @@ class TwoPartySession:
 
             # -- OT round trip for Bob's labels (Bob consumes channel
             #    messages in FIFO order, so the OT handshake goes first)
-            sender = OtSender(LabelPrg(self.seed + 0x0F))
+            sender = OtSender(LabelPrg(self.seed + 0x0F), resolved)
             down.send("ot_public", sender.public, _GROUP_BYTES)
             receiver = OtReceiver(
-                LabelPrg(self.seed + 0xB0B), down.recv("ot_public")
+                LabelPrg(self.seed + 0xB0B), down.recv("ot_public"), resolved
             )
 
-            # Batched fixed-base OT: one squaring pass for all of Bob's
-            # choice bits (transcript-identical to per-bit choose calls).
+            # Batched fixed-base OT: one windowed table of g serves all
+            # of Bob's choice bits, its width chosen from their count
+            # (transcript-identical to per-bit choose calls).
             points_and_secrets = receiver.choose_batch(evaluator_bits)
             up.send(
                 "ot_points",
@@ -263,9 +264,10 @@ class TwoPartySession:
             )
             points = up.recv("ot_points")
 
-            # Batched fixed-base sender encryption: one variable-base
-            # exponentiation per bit, the (A^{-1})^a pad factor shared
-            # across the batch (transcript-identical to per-bit encrypt).
+            # Batched sender encryption: one variable-base builtin pow
+            # per bit, the (A^{-1})^a pad factor shared across the batch,
+            # all 2n pads from one KDF call (transcript-identical to
+            # per-bit encrypt).
             label_pairs = [
                 (garbler.input_label(wire, 0), garbler.input_label(wire, 1))
                 for wire in circuit.evaluator_input_wires

@@ -32,9 +32,11 @@ The store speaks wire format -- a level's tables leave and enter it as
 one ``bytes`` block -- so the scripts never see which one they hold.
 
 The framed transport carries raw bytes; every payload's length is
-checked here before a store sees it, so damaged payload structure
-surfaces as the typed :class:`~repro.faults.SessionAborted`, not a
-random exception.
+checked here before a store sees it, and every OT group element's range
+before any OT arithmetic runs on it or anything is sent in reply, so a
+damaged payload surfaces as the typed
+:class:`~repro.faults.SessionAborted`, not a random exception or a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -65,10 +67,12 @@ _TABLE_BYTES = 2 * _LABEL_BYTES
 _POINT_BYTES = (GROUP_P.bit_length() + 7) // 8
 
 
-def _bytes_to_ints(data: bytes, width: int, what: str) -> List[int]:
-    if len(data) % width:
+def _exact_ints(data: bytes, width: int, count: int, what: str) -> List[int]:
+    """Exactly ``count`` big-endian ``width``-byte fields, or abort."""
+    if len(data) != width * count:
         raise SessionAborted(
-            f"{what}: payload length {len(data)} is not a multiple of {width}"
+            f"{what}: expected {count} fields of {width} bytes, "
+            f"got {len(data)} bytes"
         )
     return bytes_to_ints(data, width)
 
@@ -167,15 +171,20 @@ class GarblerRole(_Role):
         prg = LabelPrg(self.seed)
         r = prg.next_odd_block()
         inputs = [prg.next_block() for _ in range(circuit.n_inputs)]
-        sender = OtSender(LabelPrg(self.seed + 0x0F))
+        sender = OtSender(LabelPrg(self.seed + 0x0F), self.backend)
         down.send_message(
             "ot_public", sender.public.to_bytes(_POINT_BYTES, "big")
         )
         yield HANDSHAKE
 
-        points = _bytes_to_ints(
-            up.recv_message("ot_points"), _POINT_BYTES, "ot_points"
+        points = _exact_ints(
+            up.recv_message("ot_points"),
+            _POINT_BYTES,
+            circuit.n_evaluator_inputs,
+            "ot_points",
         )
+        if not all(0 < point < GROUP_P for point in points):
+            raise SessionAborted("ot_points: point outside (0, p)")
         cipher_pairs = sender.encrypt_batch(
             points,
             [(inputs[w], inputs[w] ^ r) for w in circuit.evaluator_input_wires],
@@ -243,10 +252,14 @@ class EvaluatorRole(_Role):
         circuit, down, up = self.circuit, self.down, self.up
         if self.started_at is None:
             self.started_at = time.perf_counter()
-        receiver = OtReceiver(
-            LabelPrg(self.seed + 0xB0B),
-            int.from_bytes(down.recv_message("ot_public"), "big"),
+        (public,) = _exact_ints(
+            down.recv_message("ot_public"), _POINT_BYTES, 1, "ot_public"
         )
+        # 0 would put every choice-1 bit on the wire as point 0; 1 and
+        # p - 1 have order <= 2, so the pad A^b would not depend on b.
+        if not 1 < public < GROUP_P - 1:
+            raise SessionAborted("ot_public: sender key outside (1, p - 1)")
+        receiver = OtReceiver(LabelPrg(self.seed + 0xB0B), public, self.backend)
         points_and_secrets = receiver.choose_batch(self.bits)
         up.send_message(
             "ot_points",
@@ -254,8 +267,11 @@ class EvaluatorRole(_Role):
         )
         yield HANDSHAKE
 
-        ciphers = _bytes_to_ints(
-            down.recv_message("ot_ciphers"), _LABEL_BYTES, "ot_ciphers"
+        ciphers = _exact_ints(
+            down.recv_message("ot_ciphers"),
+            _LABEL_BYTES,
+            2 * circuit.n_evaluator_inputs,
+            "ot_ciphers",
         )
         labels = down.recv_message("garbler_labels")
         if len(labels) != _LABEL_BYTES * circuit.n_garbler_inputs:

@@ -3,11 +3,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.stdlib.integer import less_than
+from repro.gc.backends import resolve_backend
 from repro.gc.channel import Channel, make_channel_pair
-from repro.gc.ot import OtReceiver, OtSender, run_ot, run_ot_batch
+from repro.gc.ot import (
+    _KDF_BATCH_MIN,
+    GROUP_P,
+    OtReceiver,
+    OtSender,
+    _FixedBaseTable,
+    _kdf,
+    _kdf_batch,
+    run_ot,
+    run_ot_batch,
+)
 from repro.gc.protocol import run_two_party
 from repro.gc.rng import LabelPrg
 
@@ -157,6 +170,110 @@ class TestBatchedReceiver:
         assert batched.output_bits == mixed_circuit.eval_plain(
             garbler_bits, evaluator_bits
         )
+
+
+# Points the limb-count logic must tell apart: zero (no limb at all),
+# one limb, a zero top limb, a zero middle limb, full width.
+_kdf_points = st.one_of(
+    st.just(0),
+    st.integers(0, (1 << 128) - 1),
+    st.integers(0, (1 << 640) - 1),
+    st.integers(0, (1 << 128) - 1).map(lambda low: (1 << 767) | low),
+    st.integers(1, GROUP_P - 1),
+)
+
+
+class TestKdfKernel:
+    """``_kdf_batch`` on the block AES kernel against the scalar chain."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_kdf_points, st.integers(0, (1 << 140) - 1)),
+            min_size=_KDF_BATCH_MIN,
+            max_size=_KDF_BATCH_MIN + 8,
+        )
+    )
+    def test_kernel_matches_scalar_chain(self, rows):
+        points = [point for point, _ in rows]
+        tweaks = [tweak for _, tweak in rows]
+        expected = [_kdf(point, tweak) for point, tweak in rows]
+        assert _kdf_batch(points, tweaks, resolve_backend("numpy")) == expected
+        assert _kdf_batch(points, tweaks, resolve_backend("scalar")) == expected
+        assert _kdf_batch(points, tweaks, None) == expected
+
+    def test_all_zero_points_keep_their_tweaks(self):
+        tweaks = list(range(_KDF_BATCH_MIN))
+        zeros = [0] * _KDF_BATCH_MIN
+        assert _kdf_batch(zeros, tweaks, resolve_backend("numpy")) == tweaks
+
+
+# One batch size per window width the selector can return, narrowest first.
+_BATCH_PER_WIDTH = [1, 2, 8, 20, 60, 128, 512, 2000]
+
+
+class TestFixedBaseTable:
+    """One table class, every width the selector can return."""
+
+    def test_widths_follow_the_cost_model(self):
+        widths = [_FixedBaseTable.width_for(n) for n in _BATCH_PER_WIDTH]
+        assert widths == list(_FixedBaseTable._WIDTHS)
+        assert _FixedBaseTable.width_for(0) == 1
+        assert _FixedBaseTable.width_for(10**9) == _FixedBaseTable._WIDTHS[-1]
+
+    @pytest.mark.parametrize("batch", _BATCH_PER_WIDTH)
+    @settings(max_examples=10, deadline=None)
+    @given(
+        base=st.integers(2, GROUP_P - 1),
+        exponent=st.one_of(
+            st.sampled_from([0, 1, (1 << 256) - 1, 1 << 256, (1 << 300) + 5]),
+            st.integers(0, (1 << 256) - 1),
+            st.integers(1 << 256, (1 << 400) - 1),
+        ),
+    )
+    def test_pow_matches_builtin(self, batch, base, exponent):
+        table = _FixedBaseTable(base, GROUP_P, batch)
+        assert table.pow(exponent) == pow(base, exponent, GROUP_P)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            _FixedBaseTable(3, GROUP_P, 512).pow(-1)
+
+
+@pytest.mark.parametrize("backend", ["scalar", "auto"])
+@pytest.mark.parametrize("n", [0, 1, _KDF_BATCH_MIN - 1, _KDF_BATCH_MIN, 513])
+def test_batched_paths_match_per_bit(n, backend):
+    """``choose_batch`` / ``encrypt_batch`` / ``decrypt_batch`` are
+    element for element the per-bit sequence, on either side of the KDF
+    selection and at a non-zero ``start_index``."""
+    rng = random.Random(n)
+    start = 5
+    choices = [rng.randint(0, 1) for _ in range(n)]
+    pairs = [(rng.getrandbits(128), rng.getrandbits(128)) for _ in range(n)]
+    resolved = resolve_backend(backend)
+    sender = OtSender(LabelPrg(21), resolved)
+    per_bit = OtReceiver(LabelPrg(22), sender.public)
+    batched = OtReceiver(LabelPrg(22), sender.public, resolved)
+
+    chosen = [per_bit.choose(choice) for choice in choices]
+    assert batched.choose_batch(choices) == chosen
+    points = [point for point, _ in chosen]
+    secrets = [secret for _, secret in chosen]
+
+    ciphers = [
+        sender.encrypt(start + i, point, m0, m1)
+        for i, (point, (m0, m1)) in enumerate(zip(points, pairs))
+    ]
+    assert sender.encrypt_batch(points, pairs, start_index=start) == ciphers
+
+    messages = [
+        per_bit.decrypt(start + i, choice, secret, c0, c1)
+        for i, (choice, secret, (c0, c1)) in enumerate(
+            zip(choices, secrets, ciphers)
+        )
+    ]
+    assert batched.decrypt_batch(choices, secrets, ciphers, start) == messages
+    assert messages == [pair[choice] for pair, choice in zip(pairs, choices)]
 
 
 class TestChannel:

@@ -10,8 +10,9 @@ import pytest
 from repro.circuits.netlist import Circuit, Gate, GateOp
 from repro.faults import ProtocolFault, SessionAborted
 from repro.gc.backends import get_backend
+from repro.gc.ot import GROUP_P
 from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
-from repro.gc.roles import EvaluatorRole, GarblerRole
+from repro.gc.roles import _POINT_BYTES, EvaluatorRole, GarblerRole
 from repro.serve import PeerSocketWire
 from repro.serve.procs import make_party_channels
 from repro.sim.config import HaacConfig
@@ -194,20 +195,63 @@ class TestDegradationSurfacing:
             base._note_auto_fallback(backend, "rearmed")
 
 
-def _damage_first_tables(channel, delta):
-    """Make ``channel`` a stub peer for one message: its first ``tables``
-    payload leaves ``delta`` bytes longer (or shorter), framed by the real
+def _damage_first(channel, kind, damage):
+    """Make ``channel`` a stub peer for one message: its first ``kind``
+    payload leaves as ``damage(payload)``, framed by the real
     ``send_message`` -- CRC, sequence numbers and the transcript digest
-    all hold, so only the receiving role's own length check can object."""
+    all hold, so only the receiving role's own checks can object."""
     real_send, done = channel.send_message, []
 
-    def send(kind, payload):
-        if kind == "tables" and not done:
+    def send(sent_kind, payload):
+        if sent_kind == kind and not done:
             done.append(True)
-            payload = payload + bytes(delta) if delta > 0 else payload[:delta]
-        return real_send(kind, payload)
+            payload = damage(payload)
+        return real_send(sent_kind, payload)
 
     channel.send_message = send
+
+
+def _resize(delta):
+    """Payload damage: ``delta`` zero bytes longer, or shorter."""
+    return lambda payload: payload + bytes(delta) if delta > 0 else payload[:delta]
+
+
+def _split_drive(circuit, backend, kind, damage):
+    """Both roles straight through ``take_turn`` on a ``socketpair``, no
+    driver around either, with the first ``kind`` payload damaged where
+    its sender hands it to the transport.  Returns what each party
+    raised and each party's ``(down, up)`` channels."""
+    bits = dict(zip(("garbler", "evaluator"), _bits(circuit)))
+    socks = dict(zip(("garbler", "evaluator"), socket.socketpair()))
+    errors, channels = {}, {}
+
+    def party(role_cls):
+        name = role_cls.party
+        wire = PeerSocketWire(socks[name], f"{name} endpoint", io_timeout_s=30.0)
+        down, up = channels[name] = make_party_channels(wire)
+        _damage_first(down if name == "garbler" else up, kind, damage)
+        try:
+            role = role_cls(
+                circuit, bits[name], seed=3, rekeyed=True,
+                backend=backend, down=down, up=up,
+            )
+            while role.next_turn is not None:
+                role.take_turn()
+        except BaseException as exc:
+            errors[name] = exc
+        finally:
+            wire.close()
+
+    threads = [
+        threading.Thread(target=party, args=(role_cls,), daemon=True)
+        for role_cls in (GarblerRole, EvaluatorRole)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+    return errors, channels
 
 
 @pytest.mark.parametrize("backend", ["auto", "scalar"])
@@ -221,7 +265,7 @@ class TestDamagedTableBlock:
         driver = StreamedDriver(
             TwoPartySession(adder_circuit, seed=3, backend=backend), g, e
         )
-        _damage_first_tables(driver.pair.to_evaluator, delta)
+        _damage_first(driver.pair.to_evaluator, "tables", _resize(delta))
         with pytest.raises(SessionAborted, match="table block mismatch") as caught:
             while not driver.step():
                 pass
@@ -233,38 +277,85 @@ class TestDamagedTableBlock:
     def test_split_drive(self, adder_circuit, backend, delta):
         """No driver around the evaluator: ``take_turn`` itself must
         raise the typed fault."""
-        bits = dict(zip(("garbler", "evaluator"), _bits(adder_circuit)))
-        socks = dict(zip(("garbler", "evaluator"), socket.socketpair()))
-        errors = {}
-
-        def party(role_cls):
-            name = role_cls.party
-            wire = PeerSocketWire(socks[name], f"{name} endpoint", io_timeout_s=30.0)
-            down, up = make_party_channels(wire)
-            if name == "garbler":
-                _damage_first_tables(down, delta)
-            try:
-                role = role_cls(
-                    adder_circuit, bits[name], seed=3, rekeyed=True,
-                    backend=backend, down=down, up=up,
-                )
-                while role.next_turn is not None:
-                    role.take_turn()
-            except BaseException as exc:
-                errors[name] = exc
-            finally:
-                wire.close()
-
-        threads = [
-            threading.Thread(target=party, args=(role_cls,), daemon=True)
-            for role_cls in (GarblerRole, EvaluatorRole)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-            assert not thread.is_alive()
+        errors, _ = _split_drive(adder_circuit, backend, "tables", _resize(delta))
         assert isinstance(errors["evaluator"], SessionAborted), errors
         assert "table block mismatch" in str(errors["evaluator"])
         # The garbler only ever sees its peer go away.
         assert isinstance(errors["garbler"], ProtocolFault), errors
+
+
+def _first_point(value):
+    """Payload damage: the leading group element becomes ``value``."""
+    return lambda payload: value.to_bytes(_POINT_BYTES, "big") + payload[_POINT_BYTES:]
+
+
+# kind -> {witness: damage}.  ``ot_public`` and ``ot_ciphers`` are the
+# evaluator's to refuse, ``ot_points`` the garbler's.
+_OT_WITNESSES = {
+    "ot_public": {
+        "zero": _first_point(0),
+        "one": _first_point(1),
+        "p_minus_1": _first_point(GROUP_P - 1),
+        "all_ones": _first_point((1 << (8 * _POINT_BYTES)) - 1),
+        "10_bytes": _resize(10 - _POINT_BYTES),
+        "192_bytes": _resize(_POINT_BYTES),
+    },
+    "ot_points": {
+        "one_short": _resize(-_POINT_BYTES),
+        "one_extra": _resize(_POINT_BYTES),
+        "zero_point": _first_point(0),
+        "point_ge_p": _first_point(GROUP_P),
+    },
+    "ot_ciphers": {
+        "16_short": _resize(-16),
+        "32_short": _resize(-32),
+        "32_long": _resize(32),
+    },
+}
+
+
+@pytest.mark.parametrize("backend", ["auto", "scalar"])
+@pytest.mark.parametrize(
+    "kind,damage",
+    [
+        pytest.param(kind, damage, id=f"{kind}-{witness}")
+        for kind, witnesses in _OT_WITNESSES.items()
+        for witness, damage in witnesses.items()
+    ],
+)
+class TestDamagedOtPayload:
+    """An OT payload of the wrong length, or a group element out of
+    range, seals as the receiving role's typed ``SessionAborted`` before
+    any OT arithmetic and before anything is sent in reply -- never as a
+    completed session with wrong output bits."""
+
+    def test_fused_drive(self, adder_circuit, backend, kind, damage):
+        g, e = _bits(adder_circuit)
+        driver = StreamedDriver(
+            TwoPartySession(adder_circuit, seed=3, backend=backend), g, e
+        )
+        pair = driver.pair
+        sender = pair.to_garbler if kind == "ot_points" else pair.to_evaluator
+        _damage_first(sender, kind, damage)
+        with pytest.raises(SessionAborted, match=f"^{kind}: ") as caught:
+            while not driver.step():
+                pass
+        assert caught.value.__cause__ is None
+        assert driver.done and driver.result is None
+        if kind == "ot_public":  # no choice-dependent point left Bob
+            assert "ot_points" not in pair.to_garbler.bytes_by_class
+
+    def test_split_drive(self, adder_circuit, backend, kind, damage):
+        errors, channels = _split_drive(adder_circuit, backend, kind, damage)
+        refuser, peer = (
+            ("garbler", "evaluator") if kind == "ot_points"
+            else ("evaluator", "garbler")
+        )
+        assert isinstance(errors[refuser], SessionAborted), errors
+        assert str(errors[refuser]).startswith(f"{kind}: ")
+        assert errors[refuser].__cause__ is None
+        # The peer only ever sees the refusing party go away.
+        assert isinstance(errors[peer], ProtocolFault), errors
+        if kind == "ot_public":
+            _, up = channels["evaluator"]
+            assert "ot_points" not in up.bytes_by_class
