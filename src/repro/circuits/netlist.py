@@ -13,8 +13,9 @@ A netlist *is* four parallel columns (DESIGN.md section 14): ``op`` (a
 read-only :class:`ColumnView` that builds ``Gate`` objects only when
 somebody indexes or iterates it; every pass and engine reads columns.
 
-Invariants enforced by :meth:`Circuit.validate` (the one validator;
-dependence-graph construction calls it too):
+Invariants enforced by :meth:`Circuit.validate` (the one validator, an
+array kernel over the columns; dependence-graph construction calls it
+too):
 
 * wires are dense integer ids ``[0, n_wires)``;
 * wires ``[0, n_inputs)`` are primary inputs (Garbler's inputs first,
@@ -31,7 +32,11 @@ from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
+
+import numpy as np
 
 __all__ = [
     "GateOp",
@@ -40,6 +45,8 @@ __all__ = [
     "CircuitStats",
     "CircuitError",
     "ColumnView",
+    "column_view",
+    "int_column",
     "OP_AND",
     "OP_XOR",
     "OP_INV",
@@ -74,6 +81,20 @@ OP_AND, OP_XOR, OP_INV = 0, 1, 2
 #: Code -> operator (``GATE_OPS[code]``).
 GATE_OPS = (GateOp.AND, GateOp.XOR, GateOp.INV)
 _OP_CODE = {op: code for code, op in enumerate(GATE_OPS)}
+
+
+def column_view(column) -> np.ndarray:
+    """Zero-copy NumPy view of a column (``bytearray`` -> ``uint8``,
+    ``array('q')`` -> ``int64``).  A live view blocks resizing its
+    column: kernels keep views in short-lived frames, never store one."""
+    return np.frombuffer(
+        column, dtype=np.int64 if isinstance(column, array) else np.uint8
+    )
+
+
+def int_column(values: np.ndarray) -> array:
+    """A kernel's integer result as an ``array('q')`` column."""
+    return array("q", values.astype(np.int64, copy=False).tobytes())
 
 
 @dataclass(frozen=True)
@@ -262,47 +283,75 @@ class Circuit:
         Returns whether the netlist is in renamed form (gate ``p``
         writes wire ``n_inputs + p``), which the window analyses need.
         """
-        op, a, b, out = self.op, self.a, self.b, self.out
-        n_inputs = self.n_inputs
-        n_gates = len(op)
-        if not len(a) == len(b) == len(out) == n_gates:
+        n_gates = len(self.op)
+        if not len(self.a) == len(self.b) == len(self.out) == n_gates:
             raise CircuitError("gate columns have different lengths")
-        n_wires = n_inputs + n_gates
-        defined = bytearray(n_wires)
-        defined[:n_inputs] = b"\x01" * n_inputs
-        renamed = True
-        for position, (code, x, y, w) in enumerate(zip(op, a, b, out)):
-            if code == OP_INV and y == -1:
-                y = x
-            elif code == OP_INV:
-                raise CircuitError(
-                    f"gate {position}: INV must have b == -1, got {y}"
-                )
-            elif code > OP_INV:
-                raise CircuitError(f"gate {position}: unknown op code {code}")
-            if not (0 <= x < n_wires and 0 <= y < n_wires and 0 <= w < n_wires):
-                if x < 0 or y < 0 or w < 0:
-                    raise CircuitError(
-                        f"gate {position}: wire ids must be non-negative"
-                    )
-                raise CircuitError(
-                    f"gate {position} touches a wire >= n_wires {n_wires}"
-                )
-            if not (defined[x] and defined[y]):
-                raise CircuitError(
-                    f"gate {position} reads a wire before it is defined"
-                )
-            if w < n_inputs:
-                raise CircuitError(f"gate {position} overwrites input wire {w}")
-            if defined[w]:
-                raise CircuitError(f"wire {w} defined twice (SSA violation)")
-            defined[w] = 1
-            if w != n_inputs + position:
-                renamed = False
+        renamed, message = self._check_gates()
+        if message is not None:
+            raise CircuitError(message)
+        # Every gate is sound, so every wire in [0, n_wires) is defined.
         for wire in self.outputs:
-            if not 0 <= wire < n_wires or not defined[wire]:
+            if not 0 <= wire < self.n_wires:
                 raise CircuitError(f"output wire {wire} is undefined")
         return renamed
+
+    def _check_gates(self) -> Tuple[bool, Optional[str]]:
+        """(renamed, message for the first offending gate or None).
+
+        The views die with this frame, so a caller holding the raised
+        error can still resize the columns.
+        """
+        n_inputs, n_wires, n_gates = self.n_inputs, self.n_wires, len(self.op)
+        code, a, b, out = map(column_view, (self.op, self.a, self.b, self.out))
+        # A well-formed INV reads only ``a``: its ``b`` is exempt below.
+        unary = (code == OP_INV) & (b == -1)
+        # As unsigned a negative id is a huge one: one compare, both bounds.
+        limit = np.uint64(n_wires)
+        bad = (
+            ((code > OP_XOR) & ~unary)
+            | (a.view(np.uint64) >= limit)
+            | ((b.view(np.uint64) >= limit) & ~unary)
+            | (out.view(np.uint64) >= limit)
+        )
+        # Gates before the first malformed one index ``first_def`` safely.
+        clean = int(bad.argmax()) if bad.any() else n_gates
+        a, b, out, unary = a[:clean], b[:clean], out[:clean], unary[:clean]
+        # first_def[wire]: the first gate writing it (-1 for inputs,
+        # n_gates if none).  A gate is sound iff it is the first writer
+        # of its output (SSA, no input overwritten) and its operands were
+        # first written earlier (topological).  int32 halves the gathers.
+        position = np.arange(clean, dtype=np.int32)
+        first_def = np.full(n_wires, n_gates, dtype=np.int32)
+        first_def[:n_inputs] = -1
+        np.minimum.at(first_def, out, position)
+        bad = (
+            (first_def[a] >= position)
+            | ((first_def[b] >= position) & ~unary)
+            | (first_def[out] != position)
+        )
+        if bad.any():
+            clean = int(bad.argmax())
+        if clean == n_gates:
+            return bool(np.array_equal(first_def[n_inputs:], position)), None
+
+        # The scalar rules, in precedence order, on the one bad gate.
+        p = clean
+        op, x, y, w = self.op[p], self.a[p], self.b[p], self.out[p]
+        if op == OP_INV and y != -1:
+            return False, f"gate {p}: INV must have b == -1, got {y}"
+        if op > OP_INV:
+            return False, f"gate {p}: unknown op code {op}"
+        if op == OP_INV:
+            y = x
+        if x < 0 or y < 0 or w < 0:
+            return False, f"gate {p}: wire ids must be non-negative"
+        if not (x < n_wires and y < n_wires and w < n_wires):
+            return False, f"gate {p} touches a wire >= n_wires {n_wires}"
+        if first_def[x] >= p or first_def[y] >= p:
+            return False, f"gate {p} reads a wire before it is defined"
+        if w < n_inputs:
+            return False, f"gate {p} overwrites input wire {w}"
+        return False, f"wire {w} defined twice (SSA violation)"
 
     # ------------------------------------------------------------------
     # Analysis
@@ -390,12 +439,9 @@ class Circuit:
 
     def fanout(self) -> List[int]:
         """Number of consumers of each wire (outputs not counted)."""
-        counts = [0] * self.n_wires
-        for a, b in zip(self.a, self.b):
-            counts[a] += 1
-            if b >= 0:
-                counts[b] += 1
-        return counts
+        b = column_view(self.b)
+        reads = np.concatenate([column_view(self.a), b[b >= 0]])
+        return np.bincount(reads, minlength=self.n_wires).tolist()
 
     # ------------------------------------------------------------------
     # Plaintext execution (ground truth for all GC/HAAC paths)

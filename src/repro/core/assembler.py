@@ -19,10 +19,13 @@ EMP gate order, no reordering/renaming/ESW.
 
 from __future__ import annotations
 
-from array import array
 from typing import List, Sequence, Tuple
 
-from ..circuits.netlist import OP_INV, OP_XOR, Circuit
+import numpy as np
+
+from ..circuits.netlist import (
+    OP_INV, OP_XOR, Circuit, column_view, int_column,
+)
 from .depgraph import DepGraph, dep_graph, seed_graph
 from .program import HaacProgram
 
@@ -69,18 +72,20 @@ def lower_inv(circuit: Circuit) -> LoweredCircuit:
     n_inputs = circuit.n_inputs
     one_wire = n_inputs  # new input id; internals shift by +1
 
-    def remap(wire: int) -> int:
-        return wire if wire < n_inputs else wire + 1
+    def remap(column) -> np.ndarray:
+        wires = np.asarray(column, dtype=np.int64)
+        return wires + (wires >= n_inputs)
 
+    b = column_view(circuit.b)
     lowered = Circuit.from_columns(
         circuit.n_garbler_inputs,
         circuit.n_evaluator_inputs + 1,
-        [remap(w) for w in circuit.outputs],
+        remap(circuit.outputs).tolist(),
         circuit.op.replace(bytes([OP_INV]), bytes([OP_XOR])),
-        array("q", map(remap, circuit.a)),
+        int_column(remap(column_view(circuit.a))),
         # INV's missing operand (-1) becomes the constant-one wire.
-        array("q", [one_wire if w < 0 else remap(w) for w in circuit.b]),
-        array("q", map(remap, circuit.out)),
+        int_column(np.where(b < 0, one_wire, remap(b))),
+        int_column(remap(column_view(circuit.out))),
         circuit.name + "+lowered",
     )
     # Validates and seeds the lowered circuit's graph for the pipeline.

@@ -96,7 +96,8 @@ def compile_circuit(
     """Compile ``circuit`` for a HAAC with ``n_ges`` GEs and ``window``.
 
     ``segment_size`` defaults to half the SWW capacity, the paper's
-    choice; it is only used by the segmented configurations.  With
+    choice; it is only used by the segmented configurations, but a
+    value below 1 is a ``ValueError`` at every opt level.  With
     ``verify=True`` the static stream verifier
     (:func:`repro.core.verify.verify_streams`) re-checks every co-design
     invariant before returning.
@@ -107,6 +108,8 @@ def compile_circuit(
     the ``REPRO_PROG_CACHE`` environment variable, so sweeps opt in
     without threading a parameter through every call site.
     """
+    if segment_size is not None and segment_size < 1:
+        raise ValueError("segment size must be positive")
     store = resolve_cache(cache)
     key = None
     if store is not None:
@@ -129,7 +132,7 @@ def compile_circuit(
     passes.append("depth_first(baseline)")
     if opt.reorders:
         if opt.segmented:
-            size = segment_size or window.half
+            size = window.half if segment_size is None else segment_size
             netlist = segment_reorder(netlist, size)
             passes.append(f"segment_reorder({size})")
         else:

@@ -10,9 +10,9 @@ single flat-array home for all of it (DESIGN.md section 14):
 * **operand arrays** ``a_of`` / ``b_of`` / ``out_of`` -- the circuit's
   own columns, adopted by reference -- and ``is_and``, one byte per
   gate translated from the ``op`` column;
-* **reader adjacency** -- CSR (``reader_off`` / ``reader_pos``) built by
-  counting sort, so per-wire reader lists are ascending program
-  positions and ``last_reader`` is one gather;
+* **reader adjacency** -- CSR (``reader_off`` / ``reader_pos``) from one
+  stable sort by wire, so per-wire reader lists are ascending program
+  positions; ``last_reader`` is one ``maximum.at`` per operand column;
 * **topological levels** -- the netlist's ASAP wire/gate levels (these
   are per-*wire-id* and therefore permutation-invariant: the reorder
   passes share one computation across the pipeline);
@@ -49,7 +49,9 @@ import threading
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from ..circuits.netlist import OP_AND, Circuit, CircuitError
+import numpy as np
+
+from ..circuits.netlist import OP_AND, Circuit, CircuitError, column_view
 
 __all__ = [
     "DepGraph",
@@ -97,7 +99,9 @@ class DepGraph:
     memoized on the graph.
     All fields are stdlib arrays, bytearrays and lists (the same
     NumPy-less-pickle portability contract as ``CompiledArrays``; the
-    NumPy engine wraps them on demand).
+    NumPy engine wraps them on demand).  The derivations that are not
+    sequential by nature run as array kernels over views of the
+    columns and hand back lists of Python ints (DESIGN.md 14.5).
     """
 
     def __init__(self, circuit: Circuit):
@@ -124,23 +128,22 @@ class DepGraph:
         permuted circuit's graph with the source's levels.
         """
         level = [0] * self.n_wires
-        a_of, b_of, out_of = self.a_of, self.b_of, self.out_of
-        for position in range(self.n_gates):
-            la = level[a_of[position]]
-            b = b_of[position]
+        # Sequential by nature: a gate's level needs its operands' first.
+        for a, b, out in zip(self.a_of, self.b_of, self.out_of):
+            la = level[a]
             if b >= 0:
                 lb = level[b]
                 if lb > la:
                     la = lb
-            level[out_of[position]] = la + 1
+            level[out] = la + 1
         _counts["levels"] += 1
         return level
 
     @cached_property
     def gate_level(self) -> List[int]:
         """ASAP level per gate position, 1-based -- Circuit.gate_levels."""
-        level = self.wire_level
-        return [level[out] for out in self.out_of]
+        level = np.asarray(self.wire_level, dtype=np.int64)
+        return level[column_view(self.out_of)].tolist()
 
     # ------------------------------------------------------------------
     # Reader adjacency (CSR) and producers
@@ -148,31 +151,19 @@ class DepGraph:
 
     @cached_property
     def _readers(self) -> Tuple[List[int], List[int]]:
-        """Counting-sort CSR (offsets, positions): per-wire reader
-        positions, ascending."""
-        n_wires = self.n_wires
-        counts = [0] * (n_wires + 1)
-        a_of, b_of = self.a_of, self.b_of
-        for position in range(self.n_gates):
-            counts[a_of[position] + 1] += 1
-            b = b_of[position]
-            if b >= 0:
-                counts[b + 1] += 1
-        for wire in range(n_wires):
-            counts[wire + 1] += counts[wire]
-        offsets = list(counts)
-        reader_pos = [0] * counts[n_wires]
-        cursor = list(counts[:-1])
-        for position in range(self.n_gates):
-            a = a_of[position]
-            reader_pos[cursor[a]] = position
-            cursor[a] += 1
-            b = b_of[position]
-            if b >= 0:
-                reader_pos[cursor[b]] = position
-                cursor[b] += 1
+        """CSR (offsets, positions): per-wire reader positions,
+        ascending -- a stable sort of the (a, b) operand pairs by wire."""
+        position = np.repeat(np.arange(self.n_gates), 2)
+        wire = np.stack(
+            [column_view(self.a_of), column_view(self.b_of)], axis=1
+        ).ravel()
+        read = wire >= 0  # INV has no second operand
+        position, wire = position[read], wire[read]
+        offsets = np.zeros(self.n_wires + 1, dtype=np.int64)
+        np.cumsum(np.bincount(wire, minlength=self.n_wires), out=offsets[1:])
         _counts["readers"] += 1
-        return offsets, reader_pos
+        order = np.argsort(wire, kind="stable")
+        return offsets.tolist(), position[order].tolist()
 
     @property
     def reader_off(self) -> List[int]:
@@ -197,22 +188,19 @@ class DepGraph:
         frontiers ``n_inputs + q`` ascend with ``q``, so a wire is read
         past its eviction frontier iff its last reader is.
         """
-        last = [-1] * self.n_wires
-        a_of, b_of = self.a_of, self.b_of
-        for position in range(self.n_gates):
-            last[a_of[position]] = position
-            b = b_of[position]
-            if b >= 0:
-                last[b] = position
-        return last
+        last = np.full(self.n_wires, -1)
+        position = np.arange(self.n_gates)
+        a, b = column_view(self.a_of), column_view(self.b_of)
+        binary = b >= 0  # INV has no second operand
+        np.maximum.at(last, a, position)
+        np.maximum.at(last, b[binary], position[binary])
+        return last.tolist()
 
     def producer_index(self) -> List[int]:
         """Full wire -> producing-position inverse (-1 for inputs)."""
-        index = [-1] * self.n_wires
-        out_of = self.out_of
-        for position in range(self.n_gates):
-            index[out_of[position]] = position
-        return index
+        index = np.full(self.n_wires, -1)
+        index[column_view(self.out_of)] = np.arange(self.n_gates)
+        return index.tolist()
 
     # ------------------------------------------------------------------
     # Union-find components
@@ -293,18 +281,13 @@ class DepGraph:
         if capacity in memo:
             return memo[capacity]
         half = capacity // 2
-        n_inputs = self.n_inputs
-        a_of, b_of = self.a_of, self.b_of
-        oor_a = bytearray(self.n_gates)
-        oor_b = bytearray(self.n_gates)
+        start = ((self.n_inputs + np.arange(self.n_gates)) // half - 1) * half
         # No window has slid before output address 2 * half.
-        for position in range(max(0, 2 * half - n_inputs), self.n_gates):
-            start = ((n_inputs + position) // half - 1) * half
-            if a_of[position] < start:
-                oor_a[position] = 1
-            if b_of[position] < start:
-                oor_b[position] = 1
-        memo[capacity] = (oor_a, oor_b)
+        slid = start > 0
+        memo[capacity] = tuple(
+            bytearray(((column_view(column) < start) & slid).tobytes())
+            for column in (self.a_of, self.b_of)
+        )
         return memo[capacity]
 
     # ------------------------------------------------------------------

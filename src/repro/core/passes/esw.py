@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from ..depgraph import DepGraph
 from ..program import HaacProgram
 from ..sww import SlidingWindow
@@ -69,21 +71,18 @@ def eliminate_spent_wires(
 
         graph = dep_graph(program.netlist)
     n_inputs = program.n_inputs
-    live = bytearray(len(program.op))
-
-    for wire in program.outputs:
-        if wire >= n_inputs:
-            live[wire - n_inputs] = 1
-
+    wire = np.arange(n_inputs, program.n_wires)
     # live[p] iff wire n_inputs + p is read at or past its eviction
     # frontier (wire // half + 2) * half -- by its last reader, whose
     # frontier is the largest of all readers' (-1, never read, is below
     # every frontier).
     half = window.half
-    last_reader = graph.last_reader
-    for wire in range(n_inputs, program.n_wires):
-        if n_inputs + last_reader[wire] >= (wire // half + 2) * half:
-            live[wire - n_inputs] = 1
+    last_reader = np.asarray(graph.last_reader, dtype=np.int64)
+    late = n_inputs + last_reader[n_inputs:] >= (wire // half + 2) * half
+    live = bytearray(late.tobytes())
+    for output in program.outputs:
+        if output >= n_inputs:
+            live[output - n_inputs] = 1
 
     optimized = replace(
         program, live=live, applied_passes=program.applied_passes + ["esw"]

@@ -13,9 +13,9 @@ sliding range, and output addresses vanish from the instruction encoding
 
 from __future__ import annotations
 
-from array import array
+import numpy as np
 
-from ...circuits.netlist import Circuit
+from ...circuits.netlist import Circuit, column_view, int_column
 from ..depgraph import DepGraph, dep_graph, seed_graph
 
 __all__ = ["rename"]
@@ -24,22 +24,22 @@ __all__ = ["rename"]
 def rename(circuit: Circuit) -> Circuit:
     """Renumber output wires to program order; inputs keep ids [0, n)."""
     dep_graph(circuit)  # validates: the mapping below indexes by wire id
-    n_inputs = circuit.n_inputs
+    n_inputs, n_wires = circuit.n_inputs, circuit.n_wires
     # old wire id -> new wire id; the trailing -1 keeps INV's missing
     # operand (b == -1, i.e. index -1) at -1.
-    mapping = array("q", range(circuit.n_wires))
-    mapping.append(-1)
-    for position, out in enumerate(circuit.out):
-        mapping[out] = n_inputs + position
+    mapping = np.arange(n_wires + 1)
+    mapping[-1] = -1
+    new_out = np.arange(n_inputs, n_wires)
+    mapping[column_view(circuit.out)] = new_out
 
     renamed = Circuit.from_columns(
         circuit.n_garbler_inputs,
         circuit.n_evaluator_inputs,
-        [mapping[w] for w in circuit.outputs],
+        mapping[np.asarray(circuit.outputs, dtype=np.int64)].tolist(),
         circuit.op,
-        array("q", map(mapping.__getitem__, circuit.a)),
-        array("q", map(mapping.__getitem__, circuit.b)),
-        array("q", range(n_inputs, circuit.n_wires)),
+        int_column(mapping[column_view(circuit.a)]),
+        int_column(mapping[column_view(circuit.b)]),
+        int_column(new_out),
         circuit.name + "+rn",
     )
     # Graph construction checks the same invariants as validate() and

@@ -27,31 +27,31 @@ next pipeline stage derives nothing twice.
 
 from __future__ import annotations
 
-from array import array
-from typing import List, Optional
+from typing import Optional
 
-from ...circuits.netlist import Circuit
+import numpy as np
+
+from ...circuits.netlist import Circuit, column_view, int_column
 from ..depgraph import DepGraph, dep_graph, seed_graph
 
 __all__ = ["full_reorder", "segment_reorder", "depth_first_order"]
 
 
-def _stable_level_sort(
-    graph: DepGraph, start: int, stop: int
-) -> List[int]:
-    """Positions [start, stop) sorted by gate level, stable.
+def _stable_level_sort(graph: DepGraph, segment_size: int) -> np.ndarray:
+    """Positions sorted by gate level within each contiguous window of
+    ``segment_size`` gates, stable.
 
     Levels are the global ASAP levels, so a dependent gate always has a
     strictly larger level than its producer and the sorted order remains
     topological within the window.
     """
-    levels = graph.gate_level
-    return sorted(range(start, stop), key=levels.__getitem__)
+    levels = np.asarray(graph.gate_level, dtype=np.int64)
+    return np.lexsort((levels, np.arange(graph.n_gates) // segment_size))
 
 
 def _permute(
     circuit: Circuit,
-    order: List[int],
+    order: np.ndarray,
     suffix: str,
     source_graph: Optional[DepGraph] = None,
 ) -> Circuit:
@@ -60,10 +60,10 @@ def _permute(
         circuit.n_garbler_inputs,
         circuit.n_evaluator_inputs,
         list(circuit.outputs),
-        bytearray(map(circuit.op.__getitem__, order)),
-        array("q", map(circuit.a.__getitem__, order)),
-        array("q", map(circuit.b.__getitem__, order)),
-        array("q", map(circuit.out.__getitem__, order)),
+        bytearray(column_view(circuit.op)[order].tobytes()),
+        int_column(column_view(circuit.a)[order]),
+        int_column(column_view(circuit.b)[order]),
+        int_column(column_view(circuit.out)[order]),
         circuit.name + suffix,
     )
     # Building the graph validates the permuted netlist (same invariants
@@ -80,7 +80,8 @@ def full_reorder(circuit: Circuit) -> Circuit:
     keeps some residual locality and makes the pass deterministic.
     """
     graph = dep_graph(circuit)
-    order = _stable_level_sort(graph, 0, graph.n_gates)
+    # The whole program is one segment (of at least one gate).
+    order = _stable_level_sort(graph, max(graph.n_gates, 1))
     return _permute(circuit, order, "+ro", graph)
 
 
@@ -92,40 +93,48 @@ def depth_first_order(circuit: Circuit) -> Circuit:
     circuit traversal, i.e., in tight producer-consumer relationships
     minimizing the distance between dependent gates", which keeps wire
     reuse local but starves in-order GEs of parallelism.  We reproduce it
-    with an iterative post-order DFS from the circuit outputs, walking
-    the graph's flat operand/producer arrays.
+    with an iterative post-order DFS from the circuit outputs -- a
+    sequential walk (what is emitted next depends on everything emitted
+    so far), so it stays a loop: over one int stack, where ``~position``
+    marks a gate whose operands have been pushed.
     """
     graph = dep_graph(circuit)
-    producer = graph.producer_index()
-    a_of, b_of = graph.a_of, graph.b_of
-    emitted = [False] * graph.n_gates
-    order: List[int] = []
-    for root in circuit.outputs:
-        root_position = producer[root]
-        if root_position < 0:
+    # Producing gate of each operand; -1 for inputs and for INV's
+    # missing operand (index -1 lands on the appended sentinel).
+    producer = np.asarray(graph.producer_index() + [-1], dtype=np.int64)
+    source_a = producer[column_view(graph.a_of)].tolist()
+    source_b = producer[column_view(graph.b_of)].tolist()
+    emitted = bytearray(graph.n_gates)
+    order = []
+    emit = order.append
+    for root in producer[np.asarray(circuit.outputs, dtype=np.int64)].tolist():
+        if root < 0:
             continue
-        stack: List[tuple[int, bool]] = [(root_position, False)]
+        stack = [root]
+        push = stack.append
         while stack:
-            position, expanded = stack.pop()
+            position = stack.pop()
+            if position < 0:
+                position = ~position
+                if not emitted[position]:
+                    emitted[position] = 1
+                    emit(position)
+                continue
             if emitted[position]:
                 continue
-            if expanded:
-                emitted[position] = True
-                order.append(position)
-                continue
-            stack.append((position, True))
+            push(~position)
             # Push b then a so a's subtree is emitted first.
-            for wire in (b_of[position], a_of[position]):
-                if wire >= 0:
-                    source = producer[wire]
-                    if source >= 0 and not emitted[source]:
-                        stack.append((source, False))
+            source = source_b[position]
+            if source >= 0 and not emitted[source]:
+                push(source)
+            source = source_a[position]
+            if source >= 0 and not emitted[source]:
+                push(source)
     # Dead gates (no path to an output) keep their original order at the
     # end; they still execute on the hardware.
-    for position in range(graph.n_gates):
-        if not emitted[position]:
-            order.append(position)
-    return _permute(circuit, order, "+dfs", graph)
+    order = np.asarray(order, dtype=np.int64)
+    dead = np.flatnonzero(column_view(emitted) == 0)
+    return _permute(circuit, np.concatenate([order, dead]), "+dfs", graph)
 
 
 def segment_reorder(circuit: Circuit, segment_size: int) -> Circuit:
@@ -138,8 +147,5 @@ def segment_reorder(circuit: Circuit, segment_size: int) -> Circuit:
     if segment_size < 1:
         raise ValueError("segment size must be positive")
     graph = dep_graph(circuit)
-    order: List[int] = []
-    for start in range(0, graph.n_gates, segment_size):
-        stop = min(start + segment_size, graph.n_gates)
-        order.extend(_stable_level_sort(graph, start, stop))
+    order = _stable_level_sort(graph, segment_size)
     return _permute(circuit, order, "+seg", graph)

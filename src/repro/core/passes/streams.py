@@ -30,11 +30,13 @@ the program cache reuse it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import List, Optional, Tuple
 
-from ...circuits.netlist import ColumnView
+import numpy as np
+
+from ...circuits.netlist import ColumnView, column_view, int_column
 from ..depgraph import DepGraph, dep_graph
 from ..isa import HaacOp, InstructionEncoding, encode_fields
 from ..program import HaacProgram
@@ -101,8 +103,8 @@ class GeStreams:
     program: HaacProgram
     oor_a_of: bytearray
     oor_b_of: bytearray
-    positions: array = field(default_factory=lambda: array("q"))
-    oor_addresses: array = field(default_factory=lambda: array("q"))
+    positions: array
+    oor_addresses: array
 
     def _view(self, column) -> ColumnView:
         positions = self.positions
@@ -126,8 +128,8 @@ class GeStreams:
 
     @property
     def n_tables(self) -> int:
-        op = self.program.op
-        return sum(1 for p in self.positions if op[p] == HaacOp.AND)
+        op = column_view(self.program.op)[column_view(self.positions)]
+        return int(np.count_nonzero(op == HaacOp.AND))
 
     def encode_machine_words(
         self, window: SlidingWindow, encoding: InstructionEncoding | None = None
@@ -223,84 +225,82 @@ def _greedy_schedule(
     directions appear in :func:`repro.core.depgraph.engine_levels`,
     which partitions this schedule for the level-parallel replay.
     """
-    import heapq
-
     n_inputs = program.n_inputs
-    n = graph.n_gates
-    a_of = graph.a_of
-    b_of = graph.b_of
-    is_and = graph.is_and
     and_latency = params.and_latency
     xor_latency = params.xor_latency
     penalty = params.cross_ge_forward
-    tie_break = params.tie_break
-    prefer_producer = tie_break == "producer"
-    prefer_highest = tie_break == "highest"
+    prefer_producer = params.tie_break == "producer"
+    prefer_highest = params.tie_break == "highest"
 
-    done = [0] * (n_inputs + n)
-    producer_ge = [-1] * (n_inputs + n)
+    n_wires = n_inputs + graph.n_gates
+    done = [0] * n_wires
+    producer_ge = [-1] * n_wires  # -1: a primary input, no GE forwards it
     ge_free = [0] * n_ges
-    # Lazy min-heap over (free_cycle, ge) to find the next-free GE.
-    free_heap = [(0, ge) for ge in range(n_ges)]
-    heapq.heapify(free_heap)
     ge_of: List[int] = []
     issue_cycle: List[int] = []
-    last_read_issue = [0] * (n_inputs + n)
+    last_read_issue = [0] * n_wires
 
-    for position in range(n):
-        a = a_of[position]
-        b = b_of[position]
-        # Next-free GE (paper's non-stalled-GE policy), then tie-break
-        # among GEs freeing at the same cycle.
-        while free_heap and free_heap[0][0] != ge_free[free_heap[0][1]]:
-            heapq.heappop(free_heap)
-        accept_cycle, chosen = free_heap[0]
+    out = n_inputs
+    for a, b, is_and in zip(graph.a_of, graph.b_of, graph.is_and):
+        # Next-free GE (paper's non-stalled-GE policy; the lowest index
+        # among GEs freeing at that cycle), then the tie-break.
+        accept_cycle = min(ge_free)
+        source_a = producer_ge[a]
+        source_b = producer_ge[b]
+        chosen = -1
         if prefer_producer:
-            for wire in (a, b):
-                source = producer_ge[wire] if wire >= n_inputs else -1
-                if source >= 0 and ge_free[source] == accept_cycle:
-                    chosen = source
-                    break
+            if source_a >= 0 and ge_free[source_a] == accept_cycle:
+                chosen = source_a
+            elif source_b >= 0 and ge_free[source_b] == accept_cycle:
+                chosen = source_b
         elif prefer_highest:
-            for ge in range(n_ges - 1, chosen, -1):
-                if ge_free[ge] == accept_cycle:
-                    chosen = ge
-                    break
-        # "lowest": the heap's answer already is the lowest free index.
+            chosen = n_ges - 1
+            while ge_free[chosen] != accept_cycle:
+                chosen -= 1
+        if chosen < 0:
+            chosen = ge_free.index(accept_cycle)
 
-        out = n_inputs + position
-        evicted = out - capacity
-        window_sync = last_read_issue[evicted] if evicted >= 0 else 0
+        issue = accept_cycle
+        if out >= capacity and last_read_issue[out - capacity] > issue:
+            # Window sync: the evicted slot's accesses have all issued.
+            issue = last_read_issue[out - capacity]
+        available = done[a]
+        if source_a >= 0 and source_a != chosen:
+            available += penalty
+        if available > issue:
+            issue = available
+        available = done[b]
+        if source_b >= 0 and source_b != chosen:
+            available += penalty
+        if available > issue:
+            issue = available
 
-        ready = max(accept_cycle, window_sync)
-        for wire in (a, b):
-            available = done[wire]
-            if (
-                wire >= n_inputs
-                and producer_ge[wire] >= 0
-                and producer_ge[wire] != chosen
-            ):
-                available += penalty
-            if available > ready:
-                ready = available
-        issue = ready
         ge_of.append(chosen)
         issue_cycle.append(issue)
-        ge_free[chosen] = issue + 1
-        heapq.heappush(free_heap, (issue + 1, chosen))
-        latency = and_latency if is_and[position] else xor_latency
-        finish = issue + latency
-        done[out] = finish
+        issued = issue + 1
+        ge_free[chosen] = issued
+        done[out] = issue + (and_latency if is_and else xor_latency)
         producer_ge[out] = chosen
         # The write is the slot's first access: the instruction evicting
         # `out` must issue strictly after it, readers or not.
-        last_read_issue[out] = issue + 1
-        for wire in (a, b):
-            if issue + 1 > last_read_issue[wire]:
-                last_read_issue[wire] = issue + 1
+        last_read_issue[out] = issued
+        if issued > last_read_issue[a]:
+            last_read_issue[a] = issued
+        if issued > last_read_issue[b]:
+            last_read_issue[b] = issued
+        out += 1
 
     # Inputs are done at 0, every gate at its finish cycle.
     return ge_of, issue_cycle, max(done, default=0)
+
+
+def _buckets(
+    values: np.ndarray, owner: np.ndarray, n_ges: int
+) -> List[array]:
+    """``values`` split by owning GE, each bucket in the given order."""
+    values = values[np.argsort(owner, kind="stable")]
+    bounds = np.cumsum(np.bincount(owner, minlength=n_ges))[:-1]
+    return [int_column(bucket) for bucket in np.split(values, bounds)]
 
 
 def generate_streams(
@@ -332,17 +332,21 @@ def generate_streams(
     )
 
     oor_a, oor_b = graph.oor_flags(window.capacity)
-    a_of = graph.a_of
-    b_of = graph.b_of
-    ges = [GeStreams(program, oor_a, oor_b) for _ in range(n_ges)]
-    for position, ge_id in enumerate(ge_of):
-        ges[ge_id].positions.append(position)
-    # OoRW queues in pop order: program order, first operand first.
-    for position in range(graph.n_gates):
-        if oor_a[position]:
-            ges[ge_of[position]].oor_addresses.append(a_of[position])
-        if oor_b[position]:
-            ges[ge_of[position]].oor_addresses.append(b_of[position])
+    owner = np.asarray(ge_of, dtype=np.int64)
+    # OoRW queues in pop order: program order, first operand first --
+    # the row-major order of the (a, b) operand pairs.
+    flagged = np.stack([column_view(oor_a), column_view(oor_b)], axis=1) != 0
+    operands = np.stack(
+        [column_view(graph.a_of), column_view(graph.b_of)], axis=1
+    )
+    positions = _buckets(np.arange(graph.n_gates), owner, n_ges)
+    oor_addresses = _buckets(
+        operands[flagged], owner[np.nonzero(flagged)[0]], n_ges
+    )
+    ges = [
+        GeStreams(program, oor_a, oor_b, *streams)
+        for streams in zip(positions, oor_addresses)
+    ]
 
     return StreamSet(
         program=program,

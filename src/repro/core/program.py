@@ -26,7 +26,11 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Dict, List, Optional
 
-from ..circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit, ColumnView
+import numpy as np
+
+from ..circuits.netlist import (
+    OP_AND, OP_INV, OP_XOR, Circuit, ColumnView, column_view,
+)
 from .isa import HaacOp, Instruction
 
 __all__ = ["HaacProgram", "ProgramError"]
@@ -197,9 +201,11 @@ def _check_emittable(netlist: Circuit) -> None:
             "gates before emitting a program"
         )
     n_inputs = netlist.n_inputs
-    for position, out in enumerate(netlist.out):
-        if out != n_inputs + position:
-            raise ProgramError(
-                f"gate {position} writes {out}, ISA requires "
-                f"{n_inputs + position} (run renaming first)"
-            )
+    sequential = np.arange(n_inputs, n_inputs + len(netlist.out))
+    misplaced = np.flatnonzero(column_view(netlist.out) != sequential)
+    if misplaced.size:
+        position = int(misplaced[0])
+        raise ProgramError(
+            f"gate {position} writes {netlist.out[position]}, ISA requires "
+            f"{n_inputs + position} (run renaming first)"
+        )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.stdlib.integer import add, mul
+from repro.core import depgraph
 from repro.core.compiler import OptLevel, compile_best, compile_circuit
 from repro.core.passes.streams import ScheduleParams
 from repro.core.progcache import (
@@ -279,6 +281,59 @@ class TestProgramCache:
         assert store.entry_count() == 1
         assert store.clear() == 1
         assert store.entry_count() == 0
+
+
+class TestNoArrayTypeLeaks:
+    """The passes compute on NumPy views (DESIGN.md section 14); what a
+    compile returns and what the cache pickles is stdlib columns and
+    Python ints, so entries stay loadable without NumPy and JSON rows
+    never meet an ``np.int64``."""
+
+    @staticmethod
+    def _cold(config, opt=OptLevel.SEG_RN_ESW):
+        depgraph.clear_registry()
+        return compile_circuit(
+            _multiplier(), config.window, config.n_ges, opt,
+            params=config.schedule_params(), segment_size=50, cache=False,
+        )
+
+    def test_pickle_names_no_numpy_and_is_deterministic(self, config):
+        first = pickle.dumps(self._cold(config))
+        assert b"numpy" not in first
+        assert first == pickle.dumps(self._cold(config))
+
+    @pytest.mark.parametrize("opt", list(OptLevel), ids=lambda opt: opt.value)
+    def test_every_indexable_element_is_a_python_int(self, config, opt):
+        result = self._cold(config, opt)
+        streams, program = result.streams, result.program
+        graph = streams.depgraph
+        sequences = {
+            "ge_of": streams.ge_of,
+            "issue_cycle": streams.issue_cycle,
+            "gate_level": graph.gate_level,
+            "wire_level": graph.wire_level,
+            "last_reader": graph.last_reader,
+            "producer_index": graph.producer_index(),
+            "outputs": program.outputs,
+            "netlist.outputs": program.netlist.outputs,
+            "lowered.outputs": result.lowered.circuit.outputs,
+            "netlist.a": program.netlist.a,
+            "netlist.b": program.netlist.b,
+            "netlist.out": program.netlist.out,
+            "live": program.live,
+            **{f"oor[{i}]": flags for i, flags in
+               enumerate(graph.oor_flags(config.window.capacity))},
+        }
+        assert sum(map(len, sequences.values())) > 0
+        for ge_id, ge in enumerate(streams.ges):
+            sequences[f"positions[{ge_id}]"] = ge.positions
+            sequences[f"oor_addresses[{ge_id}]"] = ge.oor_addresses
+            assert type(ge.n_tables) is int
+        assert sum(ge.n_tables for ge in streams.ges) == program.n_and
+        assert type(streams.makespan) is int
+        for name, values in sequences.items():
+            leaked = {type(v).__name__ for v in values} - {"int"}
+            assert not leaked, f"{name} holds {leaked}"
 
 
 class TestConcurrency:

@@ -44,6 +44,36 @@ class TestDocumentation:
             assert required in benches, f"missing {required}"
 
 
+class TestPyproject:
+    """``pyproject.toml`` is the declared dependency set CI installs."""
+
+    @pytest.fixture(scope="class")
+    def pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # stdlib from 3.11
+        return tomllib.loads((ROOT / "pyproject.toml").read_text())
+
+    def test_version_is_the_package_version(self, pyproject):
+        # Not a second copy of the number: read from the package.
+        assert "version" in pyproject["project"]["dynamic"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+        assert pyproject["tool"]["setuptools"]["package-dir"] == {"": "src"}
+
+    def test_declares_numpy_python_floor_and_src_layout(self, pyproject):
+        project = pyproject["project"]
+        assert project["name"] == "repro"
+        assert project["requires-python"] == ">=3.10"
+        assert any(dep.startswith("numpy") for dep in project["dependencies"])
+        assert pyproject["tool"]["setuptools"]["packages"]["find"]["where"] == ["src"]
+        assert (ROOT / "src" / "repro" / "__init__.py").is_file()
+
+    def test_readme_and_ci_use_the_declared_set(self):
+        assert "NumPy is required" in (ROOT / "README.md").read_text()
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        assert "pip install -e ." in ci
+
+
 class TestPublicApi:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
