@@ -97,8 +97,12 @@ class LabelHashBackend(abc.ABC):
 
     def hash_schedule_rows(self, blocks, schedules, rows):
         """Hash ``blocks[i]`` under schedule row ``rows[i]`` of the
-        handle returned by :meth:`expand_keys_program`."""
-        return self.hash_with_schedules(blocks, schedules[rows])
+        handle returned by :meth:`expand_keys_program`.
+
+        The handle is the ``(n, 44)`` transposed view of ``(44, n)``
+        round-key planes, so the gather runs along its contiguous rows
+        and hands the kernel planes again."""
+        return self.hash_with_schedules(blocks, schedules.T.take(rows, axis=1).T)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -285,13 +285,17 @@ class _BlockStore:
     big-endian column words) and the hashing of each AND batch of
     :func:`_vector_plan` under its gates' ``2p`` / ``2p + 1`` tweak keys,
     derived arithmetically from the position array: ``m`` generator keys
-    then ``m`` evaluator keys per batch.  The streamed roles expand each
-    batch's keys as its level runs; with ``whole_program`` every batch
-    is expanded up front in one ``expand_keys_program`` call -- the
-    software analogue of HAAC streaming round keys ahead of the
-    Half-Gate pipeline, and what keeps the ``parallel`` backend's
-    schedules worker-resident (see
-    :meth:`LabelHashBackend.expand_keys_program`).
+    then ``m`` evaluator keys per batch, expanded into one schedule
+    handle (on the array backends the ``(n, 44)`` view of ``(44, n)``
+    round-key planes).  ``_hash`` names a handle row per label --
+    generator rows for every copy of the ``a`` labels, then evaluator
+    rows for the ``b`` labels -- and ``hash_schedule_rows`` gathers those
+    key *columns* of the planes.  The streamed roles expand each batch's
+    keys as its level runs; with ``whole_program`` every batch is
+    expanded up front in one ``expand_keys_program`` call -- the software
+    analogue of HAAC streaming round keys ahead of the Half-Gate
+    pipeline, and what keeps the ``parallel`` backend's schedules
+    worker-resident (see :meth:`LabelHashBackend.expand_keys_program`).
     """
 
     def __init__(

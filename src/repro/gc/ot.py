@@ -144,10 +144,11 @@ def _kdf(point: int, tweak: int) -> int:
     return digest
 
 
-# Chains at which six NumPy limb steps (4-7 ms, nearly flat in n) clearly
-# undercut the scalar chains (0.09-0.15 ms each); measured crossover 45-50
-# chains on the recorded host, DESIGN.md section 4.
-_KDF_BATCH_MIN = 64
+# Chains at which six NumPy limb steps (1.2-1.4 ms, nearly flat in n)
+# clearly undercut the scalar chains (0.09 ms each): measured crossover
+# 13-14 chains on the recorded host, >= 2.2x ahead at 32 (DESIGN.md
+# section 4).
+_KDF_BATCH_MIN = 32
 
 
 def _kdf_batch(points: Sequence[int], tweaks: Sequence[int], backend) -> List[int]:

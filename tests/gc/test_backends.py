@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.stdlib import fixed, integer, logic
 from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.circuits.stdlib.float import FloatFormat, fp_add
+from repro.gc import aes
 from repro.gc.backends import (
     BACKEND_ENV_VAR,
     BackendUnavailable,
@@ -29,6 +33,7 @@ from repro.gc.backends import numpy_backend as numpy_backend_module
 from repro.gc.evaluate import evaluate_circuit, evaluate_circuit_batched
 from repro.gc.garble import garble_circuit, garble_circuit_batched
 from repro.gc.hashing import fixed_key_hash, rekeyed_hash
+from repro.gc.protocol import StreamedDriver, TwoPartySession
 
 
 def _logic8():
@@ -184,6 +189,155 @@ class TestHashParity:
         for name in available_backends():
             with pytest.raises(ValueError):
                 get_backend(name).hash_labels([1, 2], [0], True)
+
+
+# FIPS-197: Appendix A.1 (key expansion), B (cipher example), C.1.
+_FIPS_KEY = 0x2B7E151628AED2A6ABF7158809CF4F3C
+_FIPS_A1_WORDS = {
+    4: 0xA0FAFE17, 5: 0x88542CB1, 8: 0xF2C295F2, 20: 0xD4D1C6F8,
+    36: 0xAC7766F3, 40: 0xD014F9A8, 41: 0xC9EE2589, 43: 0xB6630CA6,
+}
+_FIPS_VECTORS = [
+    (_FIPS_KEY, 0x3243F6A8885A308D313198A2E0370734,
+     0x3925841D02DC09FBDC118597196A0B32),
+    (0x000102030405060708090A0B0C0D0E0F, 0x00112233445566778899AABBCCDDEEFF,
+     0x69C4E0D86A7B0430D8CDB78070B4C55A),
+]
+
+
+def _random_blocks(backend, rng, n):
+    values = [rng.getrandbits(128) for _ in range(n)]
+    return values, backend.ints_to_blocks(values)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestArrayKernel:
+    """The word-plane AES kernel itself, against scalar :mod:`repro.gc.aes`.
+
+    Names the ``numpy`` backend outright, so the class also runs in the
+    ``REPRO_GC_BACKEND=scalar`` lane; any RuntimeWarning (a rotate or an
+    rcon shift overflowing silently) is a failure.
+    """
+
+    @pytest.fixture(scope="class")
+    def backend(self):
+        return get_backend("numpy")
+
+    def test_fips197_key_expansion(self, backend):
+        schedules = backend.expand_keys(backend.ints_to_blocks([_FIPS_KEY]))
+        assert tuple(schedules[0].tolist()) == aes.expand_key(_FIPS_KEY)
+        for index, word in _FIPS_A1_WORDS.items():
+            assert int(schedules[0, index]) == word
+
+    def test_fips197_known_answers(self, backend):
+        keys = backend.ints_to_blocks([key for key, _, _ in _FIPS_VECTORS])
+        blocks = backend.ints_to_blocks([block for _, block, _ in _FIPS_VECTORS])
+        out = backend.encrypt_blocks(blocks, backend.expand_keys(keys))
+        assert backend.blocks_to_ints(out) == [c for _, _, c in _FIPS_VECTORS]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 4097])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_matches_scalar_aes(self, backend, n, seed):
+        rng = random.Random(seed)
+        keys, key_blocks = _random_blocks(backend, rng, n)
+        values, blocks = _random_blocks(backend, rng, n)
+        schedules = backend.expand_keys(key_blocks)
+        assert (schedules.shape, schedules.dtype) == ((n, 44), np.uint32)
+        assert [tuple(row) for row in schedules.tolist()] == [
+            aes.expand_key(key) for key in keys
+        ]
+        encrypted = backend.encrypt_blocks(blocks, schedules)
+        for out in (
+            encrypted,
+            backend.hash_with_schedules(blocks, schedules),
+            backend.hash_schedule_rows(blocks, schedules, np.arange(n)),
+            backend.hash_fixed_key_blocks(blocks, key_blocks),
+        ):
+            assert (out.shape, out.dtype) == ((n, 4), np.uint32)
+        assert backend.blocks_to_ints(encrypted) == [
+            aes.encrypt_block(value, key) for value, key in zip(values, keys)
+        ]
+
+    def test_any_input_layout(self, backend, rng):
+        """C- or F-ordered, sliced, byte-swapped and broadcast inputs all
+        mean what their values say."""
+        keys, key_blocks = _random_blocks(backend, rng, 64)
+        values, blocks = _random_blocks(backend, rng, 64)
+        schedules = np.ascontiguousarray(backend.expand_keys(key_blocks))
+        want = backend.encrypt_blocks(blocks, schedules).tolist()
+        want_hash = backend.hash_with_schedules(blocks, schedules).tolist()
+        variants = [
+            (np.asfortranarray(blocks), np.asfortranarray(schedules)),
+            (blocks.astype(">u4"), schedules.astype(">u4")),
+            (np.repeat(blocks, 2, axis=0)[::2], np.repeat(schedules, 2, axis=0)[::2]),
+        ]
+        for block_variant, schedule_variant in variants:
+            got = backend.encrypt_blocks(block_variant, schedule_variant)
+            assert got.tolist() == want
+            got = backend.hash_with_schedules(block_variant, schedule_variant)
+            assert got.tolist() == want_hash
+            assert backend.expand_keys(
+                block_variant
+            ).tolist() == backend.expand_keys(blocks).tolist()
+        assert backend.encrypt_blocks(blocks[::2], schedules[::2]).tolist() == want[::2]
+        # One (44,) schedule broadcasts over the batch (fixed-key mode).
+        single = backend.encrypt_blocks(blocks, schedules[5])
+        assert backend.blocks_to_ints(single) == [
+            aes.encrypt_block(value, keys[5]) for value in values
+        ]
+        rows = np.arange(64)[::-1]
+        assert backend.hash_schedule_rows(
+            blocks, schedules, rows
+        ).tolist() == backend.hash_with_schedules(blocks, schedules[rows]).tolist()
+
+    def test_inputs_untouched_and_results_independent(self, backend, rng):
+        """No kernel writes through an input -- not even one that is a
+        transposed view of an earlier result -- and no result is a buffer
+        a later call reuses."""
+        _, key_blocks = _random_blocks(backend, rng, 300)
+        _, blocks = _random_blocks(backend, rng, 300)
+        schedules = backend.expand_keys(key_blocks)
+        first = backend.hash_with_schedules(blocks, schedules)
+        inputs = [key_blocks, blocks, schedules, first]
+        before = [array.copy() for array in inputs]
+        # `first` (a view of plane storage) goes back in as blocks.
+        results = [
+            backend.expand_keys(first),
+            backend.encrypt_blocks(first, schedules),
+            backend.hash_with_schedules(first, schedules),
+            backend.hash_schedule_rows(first, schedules, np.arange(300)[::-1]),
+            backend.hash_fixed_key_blocks(first, key_blocks),
+            backend.sigma_blocks(first),
+        ]
+        for array, snapshot in zip(inputs, before):
+            assert np.array_equal(array, snapshot)
+        snapshots = [array.copy() for array in results]
+        backend.hash_with_schedules(blocks[::-1], backend.expand_keys(blocks))
+        backend.encrypt_blocks(key_blocks, schedules[7])
+        for array, snapshot in zip(results, snapshots):
+            assert np.array_equal(array, snapshot)
+            assert not any(np.shares_memory(array, other) for other in inputs)
+
+    def test_interleaved_sessions_share_one_backend(self, backend):
+        """Two streamed sessions stepped alternately on one backend
+        instance keep the digests they have when run alone."""
+        def driver(circuit, seed):
+            garbler_bits = [i & 1 for i in range(circuit.n_garbler_inputs)]
+            evaluator_bits = [(i >> 1) & 1 for i in range(circuit.n_evaluator_inputs)]
+            session = TwoPartySession(circuit, seed=seed, backend=backend)
+            return StreamedDriver(session, garbler_bits, evaluator_bits)
+
+        def run(*drivers):
+            while not all(d.done for d in drivers):
+                for d in drivers:
+                    if not d.done:
+                        d.step()
+            return [(d.result.transcript_digest, d.result.output_bits) for d in drivers]
+
+        jobs = [(_integer8(), 3), (_logic8(), 4)]
+        alone = [run(driver(circuit, seed))[0] for circuit, seed in jobs]
+        assert run(*(driver(circuit, seed) for circuit, seed in jobs)) == alone
 
 
 class TestBatchedGarbling:
