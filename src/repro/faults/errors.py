@@ -13,7 +13,7 @@ Two kinds of observability live here:
   keep working);
 * the :class:`RecoveryLog` degradation ledger: every fault that was
   *survived* (a retransmitted frame, a re-dispatched pool shard, a
-  recovered cache entry, a silent backend fallback) is recorded as a
+  recovered cache entry, a disabled worker pool) is recorded as a
   :class:`RecoveryEvent` and surfaced on ``SessionResult.recovery_events``
   -- a session that degraded is distinguishable from one that did not.
 """

@@ -6,8 +6,8 @@ levels of a circuit can be hashed in one call.  Two implementations
 ship:
 
 * ``scalar`` -- the audited per-label reference (pure Python T-tables);
-* ``numpy`` -- the same AES vectorized over arrays of labels, selected
-  automatically when NumPy is importable;
+* ``numpy`` -- the same AES vectorized over arrays of labels, what
+  ``auto`` resolves to;
 * ``parallel`` -- AND-level batches sharded across a persistent process
   pool (``parallel:N`` pins the worker count), each worker running the
   fastest single-process backend.
@@ -30,7 +30,7 @@ from .base import (
     resolve_backend,
     split_spec,
 )
-from .numpy_backend import NumpyLabelHashBackend, numpy_available
+from .numpy_backend import NumpyLabelHashBackend
 from .parallel import (
     WORKERS_ENV_VAR,
     ParallelLabelHashBackend,
@@ -50,7 +50,6 @@ __all__ = [
     "ScalarLabelHashBackend",
     "NumpyLabelHashBackend",
     "ParallelLabelHashBackend",
-    "numpy_available",
     "available_backends",
     "get_backend",
     "register_backend",

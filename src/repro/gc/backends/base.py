@@ -14,8 +14,8 @@ via :func:`resolve_backend`:
 * an explicit name (``"scalar"``, ``"numpy"``, ``"parallel"``) or
   backend instance wins;
 * else the ``REPRO_GC_BACKEND`` environment variable;
-* else ``"auto"``: the fastest available backend (NumPy when importable,
-  the scalar reference otherwise).
+* else ``"auto"``: the ``numpy`` backend (``scalar`` stays selectable
+  by name as the audited reference).
 
 A name may carry a backend-specific option after a colon -- the
 ``parallel`` backend reads its worker count from the spec, e.g.
@@ -51,7 +51,7 @@ AUTO = "auto"
 
 
 class BackendUnavailable(RuntimeError):
-    """Requested backend cannot run in this environment (e.g. no NumPy)."""
+    """Requested backend is unknown or cannot be built from its spec."""
 
 
 class LabelHashBackend(abc.ABC):
@@ -133,8 +133,8 @@ def get_backend(name: str) -> LabelHashBackend:
 
     ``name`` may be a bare registry name or a ``name:options`` spec
     (e.g. ``"parallel:4"``).  Raises :class:`BackendUnavailable` if the
-    name is unknown, the backend cannot run here (missing optional
-    dependency), or it does not accept the given options.
+    name is unknown, the backend cannot run here, or it does not accept
+    the given options.
     """
     base, arg = split_spec(name)
     try:
@@ -168,39 +168,19 @@ def available_backends() -> List[str]:
 def resolve_backend(
     choice: Optional[Union[str, LabelHashBackend]] = None,
 ) -> LabelHashBackend:
-    """Resolve ``choice`` / environment / auto-detection to a backend.
+    """Resolve ``choice`` / environment / ``auto`` to a backend.
 
-    ``"auto"`` (and an unset choice with no environment override) picks
-    the vectorized backend when its dependencies are present and falls
-    back to the scalar reference otherwise.  Machines without NumPy
-    still run every code path, but the degradation is observable: the
-    fallback warns once per process, stamps the returned instance with
-    ``auto_fallback_reason``, and records the reason in the active
-    :class:`repro.faults.RecoveryLog` (surfacing it on
-    ``SessionResult.recovery_events``).
+    ``"auto"`` (and an unset choice with no environment override) is the
+    ``numpy`` backend.
     """
     if isinstance(choice, LabelHashBackend):
         return choice
-    name = choice or os.environ.get(BACKEND_ENV_VAR) or AUTO
+    name = choice or AUTO
     if name == AUTO:
         # The environment override also applies to an *explicit* "auto"
         # so operators can pin a backend without touching call sites.
-        env = os.environ.get(BACKEND_ENV_VAR)
-        if env and env != AUTO:
-            return get_backend(env)
-        fallback_reason = None
-        for candidate in ("numpy", "scalar"):
-            try:
-                backend = get_backend(candidate)
-            except BackendUnavailable as exc:
-                if fallback_reason is None:
-                    fallback_reason = f"{candidate} backend unavailable: {exc}"
-                continue
-            if fallback_reason is not None:
-                _note_auto_fallback(backend, fallback_reason)
-            return backend
-        raise BackendUnavailable("no gc backend available (registry empty?)")
-    return get_backend(name)
+        name = os.environ.get(BACKEND_ENV_VAR) or AUTO
+    return get_backend("numpy" if name == AUTO else name)
 
 
 class _WarnOnceRegistry:
@@ -237,23 +217,10 @@ _WARN_ONCE = _WarnOnceRegistry()
 
 
 def reset_warn_once() -> None:
-    """Forget every warn-once key (auto-fallback, pool-disable, ...).
+    """Forget every warn-once key (pool-disable, ...).
 
     Test fixtures call this between tests; a long-lived service may call
     it when starting a fresh batch of sessions so each batch surfaces
     its own degradations.
     """
     _WARN_ONCE.reset()
-
-
-def _note_auto_fallback(backend: LabelHashBackend, reason: str) -> None:
-    """Make the auto-resolution fallback to a slower tier observable."""
-    backend.auto_fallback_reason = reason
-    _WARN_ONCE.warn(
-        ("auto_fallback", backend.name),
-        f"gc backend auto-selection degraded to {backend.name!r}: {reason}",
-        stacklevel=4,
-    )
-    from ...faults import record_recovery
-
-    record_recovery("backend", "scalar_fallback", reason)

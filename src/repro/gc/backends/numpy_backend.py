@@ -22,37 +22,24 @@ seven XORs that fold in the round key and apply ShiftRows as row rolls
 of the gathered planes; the final round is the same code over the S-box
 shifted into each lane.  Results are transposed views of fresh planes:
 no input is written through, no buffer outlives a call on the backend.
-
-The module imports cleanly without NumPy; constructing the backend then
-raises :class:`~repro.gc.backends.base.BackendUnavailable`, which the
-``auto`` resolution in :func:`~repro.gc.backends.base.resolve_backend`
-turns into a silent fallback to the scalar reference.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-try:  # pragma: no cover - exercised via the availability flag
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from ..aes import _RCON, _TE0, _TE1, _TE2, _TE3, S_BOX, expand_key
 from ..hashing import FIXED_KEY
 from ..labels import blocks_to_bytes, bytes_to_blocks, bytes_to_ints, ints_to_bytes
 from ..rng import MASK_128
-from .base import BackendUnavailable, LabelHashBackend
+from .base import LabelHashBackend
 
-__all__ = ["NumpyLabelHashBackend", "numpy_available"]
+__all__ = ["NumpyLabelHashBackend"]
 
 _U4 = "<u4"  # plane dtype: byte lane j of a word is bits 8j..8j+7 on any host
 _TABLES = None  # lazily-built numpy copies of the scalar AES tables
-
-
-def numpy_available() -> bool:
-    """Whether the vectorized backend can run in this environment."""
-    return _np is not None
 
 
 def _tables():
@@ -92,11 +79,6 @@ class NumpyLabelHashBackend(LabelHashBackend):
     vectorized = True
 
     def __init__(self) -> None:
-        if not numpy_available():
-            raise BackendUnavailable(
-                "numpy gc backend requires NumPy; install it or use the "
-                "'scalar' backend"
-            )
         self._te, self._sb, self._sbox, self._rcon = _tables()
         self._fixed_schedule = _np.array(expand_key(FIXED_KEY), dtype=_np.uint32)
 

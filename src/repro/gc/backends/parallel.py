@@ -5,8 +5,8 @@ gate engines working independent AND gates within a level.  This backend
 is the software analogue: every batch call (one multiplicative-depth
 level of AND gates, see :func:`repro.gc.garble.garble_circuit_batched`)
 is split into contiguous shards and dispatched to a **persistent pool of
-worker processes**, each running the fastest single-process backend
-available to it (NumPy when importable, the scalar reference otherwise).
+worker processes**, each running the ``numpy`` backend (or the ``inner``
+one named).
 
 Design invariants (see DESIGN.md section 7):
 
@@ -451,11 +451,10 @@ class ParallelLabelHashBackend(LabelHashBackend):
     """Shard batch hash calls across a persistent process pool.
 
     ``workers`` defaults to ``REPRO_GC_WORKERS`` / ``os.cpu_count()``;
-    ``inner`` is the per-worker compute backend (auto: NumPy when
-    available, scalar otherwise).  ``min_batch`` is the smallest batch
-    (in labels) worth dispatching.  ``start_method`` picks the
-    :mod:`multiprocessing` start method (default ``fork`` where
-    available).
+    ``inner`` is the per-worker compute backend (default ``numpy``).
+    ``min_batch`` is the smallest batch (in labels) worth dispatching.
+    ``start_method`` picks the :mod:`multiprocessing` start method
+    (default ``fork`` where available).
     """
 
     name = "parallel"
@@ -471,17 +470,10 @@ class ParallelLabelHashBackend(LabelHashBackend):
         self.workers = workers if workers is not None else default_workers()
         if self.workers < 1:
             raise BackendUnavailable("parallel backend needs at least 1 worker")
-        if inner is None:
-            try:
-                self._inner = get_backend("numpy")
-            except BackendUnavailable:
-                self._inner = get_backend("scalar")
-        else:
-            if inner.split(":", 1)[0] == "parallel":
-                raise BackendUnavailable(
-                    "parallel backend cannot nest itself as inner"
-                )
-            self._inner = get_backend(inner)
+        inner = inner or "numpy"
+        if inner.split(":", 1)[0] == "parallel":
+            raise BackendUnavailable("parallel backend cannot nest itself as inner")
+        self._inner = get_backend(inner)
         self.inner_name = self._inner.name
         self.vectorized = self._inner.vectorized
         self.min_batch = DEFAULT_MIN_BATCH if min_batch is None else min_batch

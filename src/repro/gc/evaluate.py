@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-try:
-    import numpy as np
-except ImportError:  # the per-gate walk and the int store need no NumPy
-    np = None
+import numpy as np
 
 from ..circuits.netlist import OP_AND, OP_XOR, Circuit
 from .garble import GarbledCircuit, _BlockStore, _run_free_groups
@@ -187,7 +184,7 @@ class BlockEvaluatorStore(_BlockStore):
 class IntEvaluatorStore:
     """The Evaluator's held labels as Python ints, one
     ``backend.hash_labels`` call per AND batch: the oracle store, for
-    non-vectorized backends and without NumPy.  Same interface as
+    non-vectorized backends.  Same interface as
     :class:`BlockEvaluatorStore`."""
 
     def __init__(self, circuit, input_labels: bytes, rekeyed, backend, hasher):

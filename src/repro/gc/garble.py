@@ -12,8 +12,7 @@ Two execution strategies produce bitwise-identical results:
 * :func:`garble_circuit` -- the per-gate reference walk;
 * :func:`garble_circuit_batched` -- a level-scheduled walk that FreeXORs
   a whole dependence level at once and hashes every AND gate of a level
-  in one :mod:`repro.gc.backends` call (vectorized when NumPy is
-  present).
+  in one :mod:`repro.gc.backends` call.
 
 The level-scheduled walk runs on a *label store* (:func:`garbler_store`),
 the same one the streamed :class:`~repro.gc.roles.GarblerRole` holds: an
@@ -26,10 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
-try:
-    import numpy as np
-except ImportError:  # the per-gate walk and the int store need no NumPy
-    np = None
+import numpy as np
 
 from ..circuits.netlist import OP_AND, OP_XOR, Circuit
 from .halfgate import (
@@ -176,7 +172,7 @@ def garble_circuit_batched(
     backends, the free XOR/INV groups collapse into bulk array XORs.
 
     ``backend`` is a backend name, instance, or ``None`` (environment /
-    auto selection; falls back to the scalar reference without NumPy).
+    auto selection).
     """
     from .backends import resolve_backend
 
@@ -395,8 +391,8 @@ class BlockGarblerStore(_BlockStore):
 
 class IntGarblerStore:
     """The Garbler's zero-labels as Python ints, one ``backend.hash_labels``
-    call per AND batch: the oracle store, for non-vectorized backends and
-    without NumPy.  Same interface as :class:`BlockGarblerStore`."""
+    call per AND batch: the oracle store, for non-vectorized backends.
+    Same interface as :class:`BlockGarblerStore`."""
 
     def __init__(self, circuit, input_labels, r, rekeyed, backend, hasher):
         self.circuit, self.r = circuit, r

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+import numpy as np
+
 from .rng import MASK_128, LabelPrg
 
 __all__ = [

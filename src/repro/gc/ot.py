@@ -1,4 +1,5 @@
-"""1-out-of-2 oblivious transfer (Chou-Orlandi "simplest OT").
+"""1-out-of-2 oblivious transfer: Chou-Orlandi "simplest OT", and IKNP
+extension on top of it.
 
 GCs need OT once per Evaluator input bit: Bob must obtain the label for
 his bit without Alice learning the bit and without Bob learning the other
@@ -47,6 +48,17 @@ otherwise the scalar :func:`_kdf` runs.
 All batched paths draw the same PRG stream and compute the same group
 elements and pads, so transcripts are bit-identical to the per-bit paths
 (asserted by the test suite).
+
+EXTENSION: every choice above costs a 768-bit ``pow`` per side.
+:class:`OtExtReceiver` / :class:`OtExtSender` run only ``OT_KAPPA`` =
+128 of those OTs, with the roles reversed and PRG seeds as messages,
+and pay one PRG expansion and one hash per choice after that (IKNP in
+the ``u``-matrix form of Asharov et al.; semi-honest; DESIGN.md section
+4 has the algebra, the sizing and why the base OTs keep their
+ciphertexts).  ``G`` and ``H`` go through ``backend.hash_labels``, so
+every backend produces the same transcript.  Which handshake a session
+runs is :mod:`repro.gc.roles`' decision; :func:`run_ot_batch` is both
+the base layer and the oracle the extension is tested against.
 """
 
 from __future__ import annotations
@@ -54,12 +66,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .aes import encrypt_block
 from .backends import resolve_backend
 from .labels import blocks_to_bytes, bytes_to_blocks, bytes_to_ints, ints_to_bytes
 from .rng import MASK_128, LabelPrg
 
-__all__ = ["OtSender", "OtReceiver", "run_ot", "run_ot_batch", "GROUP_P", "GROUP_G"]
+__all__ = [
+    "OtSender", "OtReceiver", "OtExtSender", "OtExtReceiver", "OT_KAPPA",
+    "run_ot", "run_ot_batch", "GROUP_P", "GROUP_G",
+]
 
 _EXPONENT_BITS = 256  # receiver secrets are drawn as next_bits(256)
 
@@ -159,8 +176,6 @@ def _kdf_batch(points: Sequence[int], tweaks: Sequence[int], backend) -> List[in
     """
     if len(points) < _KDF_BATCH_MIN or not getattr(backend, "vectorized", False):
         return [_kdf(point, tweak) for point, tweak in zip(points, tweaks)]
-    import numpy as np
-
     limbs = np.array([(point.bit_length() + 127) >> 7 for point in points])
     depth = int(limbs.max())
     blocks = bytes_to_blocks(ints_to_bytes(points, 16 * depth))
@@ -325,6 +340,108 @@ class OtReceiver:
             (cipher1 if choice else cipher0) ^ pad
             for choice, (cipher0, cipher1), pad in zip(choices, cipher_pairs, pads)
         ]
+
+
+OT_KAPPA = 128  # base OTs per extension = width of a label = bits of s
+# G's blocks hash under tweaks no H(j, .) or gate hash ever uses.
+_PRG_DOMAIN = 1 << 127
+
+
+def _prg_rows(seeds: Sequence[int], n_bits: int, backend) -> "np.ndarray":
+    """``G``: row ``i`` holds the first ``n_bits`` bits of ``seed_i``
+    hashed under tweaks ``_PRG_DOMAIN | 0, 1, ...``, as a 0/1 ``uint8`` array."""
+    depth = -(-n_bits // 128)
+    blocks = backend.hash_labels(
+        [seed for seed in seeds for _ in range(depth)],
+        [_PRG_DOMAIN | block for block in range(depth)] * len(seeds),
+        True,
+    )
+    raw = np.frombuffer(ints_to_bytes(blocks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(seeds), -1), axis=1)[:, :n_bits]
+
+
+def _columns(rows: "np.ndarray") -> List[int]:
+    """The columns of an ``(OT_KAPPA, m)`` bit matrix as ``m`` 128-bit
+    ints, row 0 the most significant bit: the bit-matrix transpose."""
+    return bytes_to_ints(np.packbits(rows.T, axis=1).tobytes())
+
+
+class OtExtReceiver:
+    """The choosing party of an extended batch (the evaluator): *sender*
+    of the ``OT_KAPPA`` base OTs, whose messages are PRG seed pairs.
+
+    ``public`` opens the handshake; :meth:`respond` answers the peer's
+    base points with the seed ciphertexts and the matrix ``u``, row
+    ``u_i = G(k_i^0) ^ G(k_i^1) ^ choices``; :meth:`decrypt` strips
+    ``H(j, t_j)`` off the chosen ciphertext, ``t_j`` being column ``j``
+    of the ``G(k_i^0)`` rows.
+    """
+
+    def __init__(self, prg: LabelPrg, choices: Sequence[int], backend) -> None:
+        if any(choice not in (0, 1) for choice in choices):
+            raise ValueError("choice must be a bit")
+        self.choices = list(choices)
+        self.backend = backend
+        self._base = OtSender(prg, backend)
+        self.public = self._base.public
+        self._seeds = [(prg.next_block(), prg.next_block()) for _ in range(OT_KAPPA)]
+
+    def respond(self, points: Sequence[int]) -> Tuple[List[int], bytes]:
+        """``(2 * OT_KAPPA seed ciphertexts, u as OT_KAPPA * m packed bits)``."""
+        cipher_pairs = self._base.encrypt_batch(points, self._seeds)
+        seeds = [seed for pair in self._seeds for seed in pair]
+        rows = _prg_rows(seeds, len(self.choices), self.backend)
+        self._t = _columns(rows[0::2])
+        u = rows[0::2] ^ rows[1::2] ^ np.array(self.choices, dtype=np.uint8)
+        return [c for pair in cipher_pairs for c in pair], np.packbits(u).tobytes()
+
+    def decrypt(self, ciphers: Sequence[int]) -> List[int]:
+        """The chosen messages from ``(y_j^0, y_j^1)`` laid end to end."""
+        if len(ciphers) != 2 * len(self.choices):
+            raise ValueError("two ciphertexts per choice")
+        pads = self.backend.hash_labels(self._t, range(len(self._t)), True)
+        return [
+            ciphers[2 * j + choice] ^ pad
+            for j, (choice, pad) in enumerate(zip(self.choices, pads))
+        ]
+
+
+class OtExtSender:
+    """The party holding the message pairs (the garbler): *receiver* of
+    the base OTs under its secret bits ``s``, so it learns ``k_i^{s_i}``
+    and, from ``u``, the rows ``q_i = G(k_i^{s_i}) ^ s_i * u_i`` whose
+    columns are ``q_j = t_j ^ choice_j * s``.
+    """
+
+    def __init__(self, prg: LabelPrg, base_public: int, backend) -> None:
+        self.backend = backend
+        self._s = prg.next_block()
+        self._s_bits = [(self._s >> (OT_KAPPA - 1 - i)) & 1 for i in range(OT_KAPPA)]
+        self._base = OtReceiver(prg, base_public, backend)
+        chosen = self._base.choose_batch(self._s_bits)
+        self.points = [point for point, _ in chosen]
+        self._secrets = [secret for _, secret in chosen]
+
+    def encrypt(
+        self,
+        seed_ciphers: Sequence[int],
+        matrix: bytes,
+        message_pairs: Sequence[Tuple[int, int]],
+    ) -> List[int]:
+        """``y_j^b = x_j^b ^ H(j, q_j ^ b * s)``, laid end to end."""
+        m = len(message_pairs)
+        cipher_pairs = list(zip(seed_ciphers[0::2], seed_ciphers[1::2]))
+        seeds = self._base.decrypt_batch(self._s_bits, self._secrets, cipher_pairs)
+        u = np.unpackbits(np.frombuffer(matrix, dtype=np.uint8)).reshape(OT_KAPPA, m)
+        s_column = np.array(self._s_bits, dtype=np.uint8)[:, None]
+        q = _columns(_prg_rows(seeds, m, self.backend) ^ (u & s_column))
+        pads = self.backend.hash_labels(
+            [q_j ^ mask for q_j in q for mask in (0, self._s)],
+            [j for j in range(m) for _ in range(2)],
+            True,
+        )
+        messages = [x for pair in message_pairs for x in pair]
+        return [message ^ pad for message, pad in zip(messages, pads)]
 
 
 def run_ot(

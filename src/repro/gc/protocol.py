@@ -90,8 +90,8 @@ class SessionResult:
 
     The trailing fields are the reliability ledger added with the
     streamed path: ``recovery_events`` lists every survived degradation
-    (transport retransmits, pool shard retries, cache recoveries,
-    backend fallbacks), ``fault_events`` what the active
+    (transport retransmits, pool shard retries and disables, cache
+    recoveries), ``fault_events`` what the active
     :class:`~repro.faults.FaultPlan` injected, ``transcript_digest`` the
     hex SHA-256 of the garbler->evaluator message transcript as verified
     by both sides, and ``first_level_s`` the latency until the first AND
@@ -207,9 +207,6 @@ class TwoPartySession:
         """Fold silent backend degradations into the recovery ledger."""
         if resolved is None:
             return
-        reason = getattr(resolved, "auto_fallback_reason", None)
-        if reason and not log.count("backend", "scalar_fallback"):
-            log.record("backend", "scalar_fallback", reason)
         pool_reason = getattr(resolved, "pool_disabled_reason", None)
         if pool_reason and not log.count("pool"):
             log.record("pool", "pool_disabled", pool_reason)

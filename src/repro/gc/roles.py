@@ -4,10 +4,18 @@ A GC program is completely known before it runs, so the message order
 of a session is data-independent and each party is a straight-line
 script over :meth:`Circuit.and_level_schedule`.  :class:`GarblerRole`
 and :class:`EvaluatorRole` are those two scripts -- the only place the
-nine wire messages (``ot_public``, ``ot_points``, ``ot_ciphers``,
-``garbler_labels``, ``tables``, ``decode``, ``outputs`` and one
-``digest`` per direction) are sent and received.  DESIGN.md section 11
-has the normative table: kind, direction, turns and payload layout.
+wire messages (the OT handshake, ``garbler_labels``, ``tables``,
+``decode``, ``outputs`` and one ``digest`` per direction) are sent and
+received.  DESIGN.md section 11 has the normative table: kind,
+direction, turns and payload layout.
+
+The OT handshake is one of two, picked by a rule both parties compute
+from the circuit alone (:func:`ot_handshake_bytes`): Chou-Orlandi per
+choice (``ot_public``, ``ot_points``, ``ot_ciphers``) below 205
+evaluator inputs, OT extension (``otx_public``, ``otx_points``,
+``otx_seeds``, ``otx_matrix``, ``otx_ciphers``) from there up, where it
+is fewer bytes and less time.  The kinds are the version marker: a peer
+on the other handshake fails ``recv_message``'s kind check.
 
 A role owns its party's secrets and talks only through its ``(down,
 up)`` pair of :class:`~repro.gc.channel.FramedChannel` objects (``down``
@@ -52,10 +60,13 @@ from .evaluate import evaluator_store
 from .garble import garbler_store
 from .hashing import GateHasher
 from .labels import bytes_to_ints, ints_to_bytes, pack_bits, unpack_bits
-from .ot import GROUP_P, OtReceiver, OtSender
+from .ot import GROUP_P, OT_KAPPA, OtExtReceiver, OtExtSender, OtReceiver, OtSender
 from .rng import LabelPrg
 
-__all__ = ["HANDSHAKE", "LEVEL", "FINISH", "GarblerRole", "EvaluatorRole"]
+__all__ = [
+    "HANDSHAKE", "LEVEL", "FINISH", "GarblerRole", "EvaluatorRole",
+    "ot_handshake_bytes",
+]
 
 HANDSHAKE = "handshake"
 LEVEL = "level"
@@ -67,6 +78,19 @@ _TABLE_BYTES = 2 * _LABEL_BYTES
 _POINT_BYTES = (GROUP_P.bit_length() + 7) // 8
 
 
+def ot_handshake_bytes(n_choices: int, extended: bool) -> int:
+    """Payload bytes of the OT messages for ``n_choices`` evaluator
+    inputs: one key, one point per OT and two label-wide ciphertexts per
+    OT -- per choice when direct; per base OT, plus ``OT_KAPPA`` matrix
+    bits and two ciphertexts per choice, when extended.  Both parties
+    extend exactly when that is strictly fewer bytes (205 choices up)."""
+    ots = OT_KAPPA if extended else n_choices
+    payload = (1 + ots) * _POINT_BYTES + 2 * _LABEL_BYTES * ots
+    if extended:
+        payload += (OT_KAPPA // 8 + 2 * _LABEL_BYTES) * n_choices
+    return payload
+
+
 def _exact_ints(data: bytes, width: int, count: int, what: str) -> List[int]:
     """Exactly ``count`` big-endian ``width``-byte fields, or abort."""
     if len(data) != width * count:
@@ -75,6 +99,24 @@ def _exact_ints(data: bytes, width: int, count: int, what: str) -> List[int]:
             f"got {len(data)} bytes"
         )
     return bytes_to_ints(data, width)
+
+
+def _exact_ot_key(data: bytes, what: str) -> int:
+    """One OT sender key, in ``(1, p - 1)``, or abort."""
+    (public,) = _exact_ints(data, _POINT_BYTES, 1, what)
+    # 0 would put every choice-1 bit on the wire as point 0; 1 and
+    # p - 1 have order <= 2, so the pad A^b would not depend on b.
+    if not 1 < public < GROUP_P - 1:
+        raise SessionAborted(f"{what}: sender key outside (1, p - 1)")
+    return public
+
+
+def _exact_ot_points(data: bytes, count: int, what: str) -> List[int]:
+    """Exactly ``count`` OT receiver points, each in ``(0, p)``, or abort."""
+    points = _exact_ints(data, _POINT_BYTES, count, what)
+    if not all(0 < point < GROUP_P for point in points):
+        raise SessionAborted(f"{what}: point outside (0, p)")
+    return points
 
 
 def _unpack_bits(data: bytes, n_bits: int, what: str) -> List[int]:
@@ -153,6 +195,14 @@ class _Role:
         self.levels_done += 1
         return LEVEL if self.levels_done < len(self.levels) else FINISH
 
+    def _ot_turns(self, *args) -> Iterator[str]:
+        """The OT handshake both parties derive from the circuit: the
+        extension when it puts fewer payload bytes on the wire."""
+        n = self.circuit.n_evaluator_inputs
+        if ot_handshake_bytes(n, True) < ot_handshake_bytes(n, False):
+            return self._ot_extended(*args)
+        return self._ot_direct(*args)
+
 
 class GarblerRole(_Role):
     """Alice: draws the labels, garbles level by level, learns the output.
@@ -167,30 +217,12 @@ class GarblerRole(_Role):
     party = "garbler"
 
     def _turns(self) -> Iterator[str]:
-        circuit, down, up = self.circuit, self.down, self.up
+        circuit, down = self.circuit, self.down
         prg = LabelPrg(self.seed)
         r = prg.next_odd_block()
         inputs = [prg.next_block() for _ in range(circuit.n_inputs)]
-        sender = OtSender(LabelPrg(self.seed + 0x0F), self.backend)
-        down.send_message(
-            "ot_public", sender.public.to_bytes(_POINT_BYTES, "big")
-        )
-        yield HANDSHAKE
-
-        points = _exact_ints(
-            up.recv_message("ot_points"),
-            _POINT_BYTES,
-            circuit.n_evaluator_inputs,
-            "ot_points",
-        )
-        if not all(0 < point < GROUP_P for point in points):
-            raise SessionAborted("ot_points: point outside (0, p)")
-        cipher_pairs = sender.encrypt_batch(
-            points,
-            [(inputs[w], inputs[w] ^ r) for w in circuit.evaluator_input_wires],
-        )
-        down.send_message(
-            "ot_ciphers", ints_to_bytes([c for pair in cipher_pairs for c in pair])
+        yield from self._ot_turns(
+            [(inputs[w], inputs[w] ^ r) for w in circuit.evaluator_input_wires]
         )
         store = garbler_store(
             circuit, inputs, r, self.rekeyed, self.backend, self.hasher
@@ -214,14 +246,56 @@ class GarblerRole(_Role):
         yield FINISH
 
         self.output_bits = _unpack_bits(
-            up.recv_message("outputs"), len(circuit.outputs), "outputs"
+            self.up.recv_message("outputs"), len(circuit.outputs), "outputs"
         )
         # Transcript digest exchange, before any result is built: claim
         # the down digest, then verify the evaluator's claim for up.
         down.send_message(DIGEST_KIND, down.send_digest())
         yield FINISH
 
-        _verify_transcript(up)
+        _verify_transcript(self.up)
+
+    def _ot_direct(self, pairs) -> Iterator[str]:
+        """Chou-Orlandi per choice: key out, points in, ciphertexts out."""
+        down, up = self.down, self.up
+        sender = OtSender(LabelPrg(self.seed + 0x0F), self.backend)
+        down.send_message(
+            "ot_public", sender.public.to_bytes(_POINT_BYTES, "big")
+        )
+        yield HANDSHAKE
+
+        points = _exact_ot_points(
+            up.recv_message("ot_points"), len(pairs), "ot_points"
+        )
+        cipher_pairs = sender.encrypt_batch(points, pairs)
+        down.send_message(
+            "ot_ciphers", ints_to_bytes([c for pair in cipher_pairs for c in pair])
+        )
+
+    def _ot_extended(self, pairs) -> Iterator[str]:
+        """OT extension: the evaluator opens, so the first turn only
+        draws labels; then base points out, seeds and matrix in,
+        ciphertexts out."""
+        down, up = self.down, self.up
+        yield HANDSHAKE
+
+        public = _exact_ot_key(up.recv_message("otx_public"), "otx_public")
+        sender = OtExtSender(LabelPrg(self.seed + 0x0F), public, self.backend)
+        down.send_message("otx_points", ints_to_bytes(sender.points, _POINT_BYTES))
+        yield HANDSHAKE
+
+        seed_ciphers = _exact_ints(
+            up.recv_message("otx_seeds"), _LABEL_BYTES, 2 * OT_KAPPA, "otx_seeds"
+        )
+        matrix = up.recv_message("otx_matrix")
+        if len(matrix) != OT_KAPPA // 8 * len(pairs):
+            raise SessionAborted(
+                f"otx_matrix: expected {OT_KAPPA} x {len(pairs)} packed bits, "
+                f"got {len(matrix)} bytes"
+            )
+        down.send_message(
+            "otx_ciphers", ints_to_bytes(sender.encrypt(seed_ciphers, matrix, pairs))
+        )
 
     def report(self) -> Dict[str, object]:
         """What the finished garbler contributes to the session result."""
@@ -252,40 +326,14 @@ class EvaluatorRole(_Role):
         circuit, down, up = self.circuit, self.down, self.up
         if self.started_at is None:
             self.started_at = time.perf_counter()
-        (public,) = _exact_ints(
-            down.recv_message("ot_public"), _POINT_BYTES, 1, "ot_public"
-        )
-        # 0 would put every choice-1 bit on the wire as point 0; 1 and
-        # p - 1 have order <= 2, so the pad A^b would not depend on b.
-        if not 1 < public < GROUP_P - 1:
-            raise SessionAborted("ot_public: sender key outside (1, p - 1)")
-        receiver = OtReceiver(LabelPrg(self.seed + 0xB0B), public, self.backend)
-        points_and_secrets = receiver.choose_batch(self.bits)
-        up.send_message(
-            "ot_points",
-            ints_to_bytes([p for p, _ in points_and_secrets], _POINT_BYTES),
-        )
-        yield HANDSHAKE
-
-        ciphers = _exact_ints(
-            down.recv_message("ot_ciphers"),
-            _LABEL_BYTES,
-            2 * circuit.n_evaluator_inputs,
-            "ot_ciphers",
-        )
+        ot_labels = yield from self._ot_turns()
         labels = down.recv_message("garbler_labels")
         if len(labels) != _LABEL_BYTES * circuit.n_garbler_inputs:
             raise SessionAborted(
                 f"garbler_labels: expected {circuit.n_garbler_inputs} labels, "
                 f"got {len(labels)} bytes"
             )
-        labels += ints_to_bytes(
-            receiver.decrypt_batch(
-                self.bits,
-                [secret for _, secret in points_and_secrets],
-                list(zip(ciphers[0::2], ciphers[1::2])),
-            )
-        )
+        labels += ints_to_bytes(ot_labels)
         store = evaluator_store(
             circuit, labels, self.rekeyed, self.backend, self.hasher
         )
@@ -322,6 +370,55 @@ class EvaluatorRole(_Role):
 
         self.transcript_digest = _verify_transcript(down).hex()
         up.send_message(DIGEST_KIND, up.send_digest())
+
+    def _ot_direct(self) -> Iterator[str]:
+        """Chou-Orlandi per choice; returns the chosen labels."""
+        down, up = self.down, self.up
+        public = _exact_ot_key(down.recv_message("ot_public"), "ot_public")
+        receiver = OtReceiver(LabelPrg(self.seed + 0xB0B), public, self.backend)
+        points_and_secrets = receiver.choose_batch(self.bits)
+        up.send_message(
+            "ot_points",
+            ints_to_bytes([p for p, _ in points_and_secrets], _POINT_BYTES),
+        )
+        yield HANDSHAKE
+
+        ciphers = _exact_ints(
+            down.recv_message("ot_ciphers"),
+            _LABEL_BYTES,
+            2 * len(self.bits),
+            "ot_ciphers",
+        )
+        return receiver.decrypt_batch(
+            self.bits,
+            [secret for _, secret in points_and_secrets],
+            list(zip(ciphers[0::2], ciphers[1::2])),
+        )
+
+    def _ot_extended(self) -> Iterator[str]:
+        """OT extension: base key out, base points in, seed ciphertexts
+        and matrix out, ciphertexts in; returns the chosen labels."""
+        down, up = self.down, self.up
+        receiver = OtExtReceiver(LabelPrg(self.seed + 0xB0B), self.bits, self.backend)
+        up.send_message("otx_public", receiver.public.to_bytes(_POINT_BYTES, "big"))
+        yield HANDSHAKE
+
+        points = _exact_ot_points(
+            down.recv_message("otx_points"), OT_KAPPA, "otx_points"
+        )
+        seed_ciphers, matrix = receiver.respond(points)
+        up.send_message("otx_seeds", ints_to_bytes(seed_ciphers))
+        up.send_message("otx_matrix", matrix)
+        yield HANDSHAKE
+
+        return receiver.decrypt(
+            _exact_ints(
+                down.recv_message("otx_ciphers"),
+                _LABEL_BYTES,
+                2 * len(self.bits),
+                "otx_ciphers",
+            )
+        )
 
     def report(self) -> Dict[str, object]:
         """What the finished evaluator contributes to the session result."""

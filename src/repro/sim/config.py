@@ -57,8 +57,8 @@ class HaacConfig:
     # (pass this config to sim.functional.run_functional): None keeps
     # the audited per-gate scalar path, "auto"/"numpy"/"scalar"/
     # "parallel" (or "parallel:N") selects a batched repro.gc.backends
-    # engine ("auto" falls back to scalar when NumPy is absent).  The
-    # REPRO_GC_BACKEND environment variable overrides "auto" resolution.
+    # engine ("auto" is "numpy").  The REPRO_GC_BACKEND environment
+    # variable overrides "auto" resolution.
     gc_backend: "str | None" = None
     # Worker-process count for the "parallel" backend.  Setting this
     # implies the parallel backend when gc_backend is None/"auto"/

@@ -62,6 +62,18 @@ def mixed_circuit() -> Circuit:
     return builder.build("mixed8")
 
 
+@pytest.fixture
+def wide_circuit() -> Circuit:
+    """211 evaluator inputs -- past the OT-extension threshold and not a
+    multiple of 8 -- each ANDed with a garbler bit, so every OT label
+    decides an output bit."""
+    builder = CircuitBuilder()
+    xs = builder.add_garbler_inputs(211)
+    ys = builder.add_evaluator_inputs(211)
+    builder.mark_outputs([builder.AND(x, y) for x, y in zip(xs, ys)])
+    return builder.build("wide211")
+
+
 def random_circuit(
     rng: random.Random,
     n_inputs: int = 8,

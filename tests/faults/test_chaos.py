@@ -46,7 +46,8 @@ _MATRIX_RATES = {
     "reorder": 0.3,
 }
 
-_CIRCUITS = ["tiny_circuit", "adder_circuit", "mixed_circuit"]
+# ``wide_circuit`` runs the OT-extension handshake (211 evaluator inputs).
+_CIRCUITS = ["tiny_circuit", "adder_circuit", "mixed_circuit", "wide_circuit"]
 
 
 def _bits(circuit):

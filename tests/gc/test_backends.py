@@ -28,8 +28,6 @@ from repro.gc.backends import (
     registered_backends,
     resolve_backend,
 )
-from repro.gc.backends import base as base_module
-from repro.gc.backends import numpy_backend as numpy_backend_module
 from repro.gc.evaluate import evaluate_circuit, evaluate_circuit_batched
 from repro.gc.garble import garble_circuit, garble_circuit_batched
 from repro.gc.hashing import fixed_key_hash, rekeyed_hash
@@ -410,26 +408,3 @@ class TestIntegration:
             config=config.with_gc_backend("auto"),
         )
         assert via_config.output_labels == want.output_labels
-
-
-class TestNumpyFallback:
-    def test_numpy_unavailable_raises_and_auto_falls_back(self, monkeypatch):
-        monkeypatch.setattr(numpy_backend_module, "_np", None)
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        base_module.reset_warn_once()
-        with pytest.raises(BackendUnavailable, match="NumPy"):
-            get_backend("numpy")
-        assert "numpy" not in available_backends()
-        with pytest.warns(RuntimeWarning, match="degraded to 'scalar'"):
-            assert resolve_backend(None).name == "scalar"
-        assert resolve_backend("auto").name == "scalar"
-        # The batched entry points still work (and still match the
-        # reference) with auto resolution.
-        circuit = _adder8()
-        _assert_batched_matches_reference(circuit, None)
-
-    def test_explicit_numpy_request_fails_loudly(self, monkeypatch):
-        monkeypatch.setattr(numpy_backend_module, "_np", None)
-        circuit = _adder8()
-        with pytest.raises(BackendUnavailable):
-            garble_circuit_batched(circuit, backend="numpy")

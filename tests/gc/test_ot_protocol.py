@@ -10,9 +10,13 @@ from repro.circuits.builder import CircuitBuilder
 from repro.circuits.stdlib.integer import less_than
 from repro.gc.backends import resolve_backend
 from repro.gc.channel import Channel, make_channel_pair
+from repro.gc.labels import bytes_to_ints, ints_to_bytes
 from repro.gc.ot import (
     _KDF_BATCH_MIN,
     GROUP_P,
+    OT_KAPPA,
+    OtExtReceiver,
+    OtExtSender,
     OtReceiver,
     OtSender,
     _FixedBaseTable,
@@ -23,6 +27,7 @@ from repro.gc.ot import (
 )
 from repro.gc.protocol import run_two_party
 from repro.gc.rng import LabelPrg
+from repro.gc.roles import _LABEL_BYTES, _POINT_BYTES, ot_handshake_bytes
 
 
 class TestOt:
@@ -274,6 +279,116 @@ def test_batched_paths_match_per_bit(n, backend):
     ]
     assert batched.decrypt_batch(choices, secrets, ciphers, start) == messages
     assert messages == [pair[choice] for pair, choice in zip(pairs, choices)]
+
+
+def _ot_inputs(m, seed):
+    rng = random.Random(seed)
+    pairs = [(rng.getrandbits(128), rng.getrandbits(128)) for _ in range(m)]
+    return pairs, [rng.randint(0, 1) for _ in range(m)]
+
+
+def _run_extension(pairs, choices, seed, backend):
+    """Both extension parties in one process, seeded like ``run_ot_batch``;
+    returns ``(chosen messages, every payload in wire order, receiver)``."""
+    backend = resolve_backend(backend)
+    receiver = OtExtReceiver(LabelPrg(seed + 1), choices, backend)
+    sender = OtExtSender(LabelPrg(seed), receiver.public, backend)
+    seed_ciphers, matrix = receiver.respond(sender.points)
+    ciphers = sender.encrypt(seed_ciphers, matrix, pairs)
+    transcript = (
+        receiver.public.to_bytes(_POINT_BYTES, "big"),
+        ints_to_bytes(sender.points, _POINT_BYTES),
+        ints_to_bytes(seed_ciphers),
+        matrix,
+        ints_to_bytes(ciphers),
+    )
+    return receiver.decrypt(ciphers), transcript, receiver
+
+
+class TestOtExtension:
+    """The extension against its oracle: direct OT on the same inputs."""
+
+    @pytest.mark.parametrize("m", [205, 206, 211, 256, 512, 1000])
+    def test_equals_direct_ot_with_one_transcript(self, m):
+        pairs, choices = _ot_inputs(m, seed=m)
+        expected = [pair[choice] for pair, choice in zip(pairs, choices)]
+        assert run_ot_batch(pairs, choices, seed=m) == expected
+        numpy_out, numpy_wire, _ = _run_extension(pairs, choices, m, "numpy")
+        scalar_out, scalar_wire, _ = _run_extension(pairs, choices, m, "scalar")
+        assert numpy_out == scalar_out == expected
+        assert numpy_wire == scalar_wire
+        # The rule's byte count is the payload the parties really produce.
+        assert sum(map(len, numpy_wire)) == ot_handshake_bytes(m, True)
+
+    def test_receiver_cannot_get_other_message(self):
+        """The pad that opens the chosen ciphertext yields garbage, not
+        the other message, on the unchosen one."""
+        pairs, choices = _ot_inputs(205, seed=3)
+        chosen, wire, receiver = _run_extension(pairs, choices, 3, "numpy")
+        assert chosen == [pair[choice] for pair, choice in zip(pairs, choices)]
+        receiver.choices = [1 - choice for choice in choices]
+        others = receiver.decrypt(bytes_to_ints(wire[-1]))
+        for other, pair in zip(others, pairs):
+            assert other not in pair
+
+    def test_selection_rule_from_its_constants(self):
+        for m in (0, 1, 204, 205, 512, 4096):
+            assert ot_handshake_bytes(m, False) == (
+                (1 + m) * _POINT_BYTES + 2 * _LABEL_BYTES * m
+            )
+            assert ot_handshake_bytes(m, True) == (
+                (1 + OT_KAPPA) * _POINT_BYTES
+                + 2 * _LABEL_BYTES * OT_KAPPA
+                + OT_KAPPA * m // 8
+                + 2 * _LABEL_BYTES * m
+            )
+        extends = [
+            ot_handshake_bytes(m, True) < ot_handshake_bytes(m, False)
+            for m in range(2048)
+        ]
+        assert extends == [m >= 205 for m in range(2048)]
+
+    def test_roles_switch_at_the_threshold(self):
+        from repro.workloads import get_workload
+
+        direct = {"ot_public", "ot_points", "ot_ciphers"}
+        extended = {
+            "otx_public", "otx_points", "otx_seeds", "otx_matrix", "otx_ciphers",
+        }
+        for n_bits, expected in ((204, direct), (205, extended)):
+            circuit = get_workload("Hamm").build(n_bits=n_bits).circuit
+            assert circuit.n_evaluator_inputs == n_bits
+            bits = [index & 1 for index in range(n_bits)]
+            result = run_two_party(
+                circuit, bits, bits[::-1], streamed=True, backend="auto"
+            )
+            assert result.output_bits == circuit.eval_plain(bits, bits[::-1])
+            kinds = {key.split(":")[1] for key in result.traffic}
+            assert kinds & (direct | extended) == expected
+
+    def test_sizes_are_checked(self):
+        pairs, choices = _ot_inputs(8, seed=1)
+        backend = resolve_backend("scalar")
+        receiver = OtExtReceiver(LabelPrg(2), choices, backend)
+        sender = OtExtSender(LabelPrg(1), receiver.public, backend)
+        seed_ciphers, matrix = receiver.respond(sender.points)
+        with pytest.raises(ValueError):
+            sender.encrypt(seed_ciphers[:-1], matrix, pairs)
+        with pytest.raises(ValueError):
+            sender.encrypt(seed_ciphers, matrix + b"\0", pairs)
+        with pytest.raises(ValueError):
+            receiver.decrypt([0] * 15)
+        with pytest.raises(ValueError):
+            OtExtReceiver(LabelPrg(2), [0, 2], backend)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.data())
+    def test_random_batches(self, data):
+        m = data.draw(st.integers(205, 600))
+        choices = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+        pairs, _ = _ot_inputs(m, seed=m)
+        chosen, _, _ = _run_extension(pairs, choices, m, "numpy")
+        assert chosen == [pair[choice] for pair, choice in zip(pairs, choices)]
 
 
 class TestChannel:

@@ -8,7 +8,8 @@ import threading
 import pytest
 
 from repro.circuits.netlist import Circuit, Gate, GateOp
-from repro.faults import ProtocolFault, SessionAborted
+from repro.faults import FrameTimeout, ProtocolFault, SessionAborted
+from repro.gc import protocol as protocol_mod
 from repro.gc.backends import get_backend
 from repro.gc.ot import GROUP_P
 from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
@@ -159,15 +160,6 @@ class TestConfigWiring:
 
 
 class TestDegradationSurfacing:
-    def test_backend_fallback_reason_lands_in_recovery_events(self, tiny_circuit):
-        backend = get_backend("scalar")
-        backend.auto_fallback_reason = "numpy backend unavailable: (test)"
-        result = run_two_party(tiny_circuit, [1], [1], backend=backend)
-        assert [
-            (event.layer, event.kind)
-            for event in result.recovery_events
-        ] == [("backend", "scalar_fallback")]
-
     def test_pool_disabled_reason_lands_in_recovery_events(self, tiny_circuit):
         backend = get_backend("scalar")
         backend.pool_disabled_reason = "BrokenProcessPool: (test)"
@@ -176,23 +168,19 @@ class TestDegradationSurfacing:
             (event.layer, event.kind) for event in result.recovery_events
         ]
 
-    def test_auto_fallback_note_warns_once(self):
+    def test_warn_once_rearms_on_reset(self):
         from repro.gc.backends import base
 
         base.reset_warn_once()
-        backend = get_backend("scalar")
-        with pytest.warns(RuntimeWarning, match="degraded to 'scalar'"):
-            base._note_auto_fallback(backend, "numpy backend unavailable: x")
-        assert backend.auto_fallback_reason == "numpy backend unavailable: x"
-        # Second note: reason still stamped, but no second warning.
-        other = get_backend("scalar")
-        base._note_auto_fallback(other, "again")
-        assert other.auto_fallback_reason == "again"
+        with pytest.warns(RuntimeWarning, match="degraded"):
+            assert base._WARN_ONCE.warn("key", "degraded")
+        # Same key again: no second warning.
+        assert not base._WARN_ONCE.warn("key", "degraded")
         # reset_warn_once re-arms the warning (the conftest autouse
         # fixture relies on this for test isolation).
         base.reset_warn_once()
-        with pytest.warns(RuntimeWarning, match="degraded to 'scalar'"):
-            base._note_auto_fallback(backend, "rearmed")
+        with pytest.warns(RuntimeWarning, match="degraded"):
+            assert base._WARN_ONCE.warn("key", "degraded")
 
 
 def _damage_first(channel, kind, damage):
@@ -216,7 +204,10 @@ def _resize(delta):
     return lambda payload: payload + bytes(delta) if delta > 0 else payload[:delta]
 
 
-def _split_drive(circuit, backend, kind, damage):
+def _split_drive(
+    circuit, backend, kind=None, damage=None, *,
+    roles=(GarblerRole, EvaluatorRole), io_timeout_s=30.0,
+):
     """Both roles straight through ``take_turn`` on a ``socketpair``, no
     driver around either, with the first ``kind`` payload damaged where
     its sender hands it to the transport.  Returns what each party
@@ -227,7 +218,9 @@ def _split_drive(circuit, backend, kind, damage):
 
     def party(role_cls):
         name = role_cls.party
-        wire = PeerSocketWire(socks[name], f"{name} endpoint", io_timeout_s=30.0)
+        wire = PeerSocketWire(
+            socks[name], f"{name} endpoint", io_timeout_s=io_timeout_s
+        )
         down, up = channels[name] = make_party_channels(wire)
         _damage_first(down if name == "garbler" else up, kind, damage)
         try:
@@ -244,7 +237,7 @@ def _split_drive(circuit, backend, kind, damage):
 
     threads = [
         threading.Thread(target=party, args=(role_cls,), daemon=True)
-        for role_cls in (GarblerRole, EvaluatorRole)
+        for role_cls in roles
     ]
     for thread in threads:
         thread.start()
@@ -289,29 +282,63 @@ def _first_point(value):
     return lambda payload: value.to_bytes(_POINT_BYTES, "big") + payload[_POINT_BYTES:]
 
 
-# kind -> {witness: damage}.  ``ot_public`` and ``ot_ciphers`` are the
-# evaluator's to refuse, ``ot_points`` the garbler's.
-_OT_WITNESSES = {
-    "ot_public": {
-        "zero": _first_point(0),
-        "one": _first_point(1),
-        "p_minus_1": _first_point(GROUP_P - 1),
-        "all_ones": _first_point((1 << (8 * _POINT_BYTES)) - 1),
-        "10_bytes": _resize(10 - _POINT_BYTES),
-        "192_bytes": _resize(_POINT_BYTES),
-    },
-    "ot_points": {
-        "one_short": _resize(-_POINT_BYTES),
-        "one_extra": _resize(_POINT_BYTES),
-        "zero_point": _first_point(0),
-        "point_ge_p": _first_point(GROUP_P),
-    },
-    "ot_ciphers": {
-        "16_short": _resize(-16),
-        "32_short": _resize(-32),
-        "32_long": _resize(32),
-    },
+_KEY_WITNESSES = {
+    "zero": _first_point(0),
+    "one": _first_point(1),
+    "p_minus_1": _first_point(GROUP_P - 1),
+    "all_ones": _first_point((1 << (8 * _POINT_BYTES)) - 1),
+    "10_bytes": _resize(10 - _POINT_BYTES),
+    "192_bytes": _resize(_POINT_BYTES),
 }
+_POINT_WITNESSES = {
+    "one_short": _resize(-_POINT_BYTES),
+    "one_extra": _resize(_POINT_BYTES),
+    "zero_point": _first_point(0),
+    "point_ge_p": _first_point(GROUP_P),
+}
+_CIPHER_WITNESSES = {
+    "16_short": _resize(-16),
+    "32_short": _resize(-32),
+    "32_long": _resize(32),
+}
+# kind -> {witness: damage}.  The direct handshake's kinds run on the
+# 8-input adder, the extension's on the 211-input ``wide_circuit``.
+_OT_WITNESSES = {
+    "ot_public": _KEY_WITNESSES,
+    "ot_points": _POINT_WITNESSES,
+    "ot_ciphers": _CIPHER_WITNESSES,
+    "otx_public": _KEY_WITNESSES,
+    "otx_points": _POINT_WITNESSES,
+    "otx_seeds": {"16_short": _resize(-16), "16_long": _resize(16)},
+    "otx_matrix": {
+        "1_short": _resize(-1),
+        "1_long": _resize(1),
+        # 128 rows of ceil(211 / 8) bytes: rows are packed end to end,
+        # not padded to a byte each.
+        "rows_padded": _resize(128 * 27 - 16 * 211),
+    },
+    "otx_ciphers": _CIPHER_WITNESSES,
+}
+# Sent by the evaluator, so the garbler's to refuse; the rest go down.
+_UP_KINDS = {"ot_points", "otx_public", "otx_seeds", "otx_matrix"}
+# The first message the refusing party would have sent had it accepted.
+_REPLY = {
+    "ot_public": "ot_points",
+    "ot_points": "ot_ciphers",
+    "ot_ciphers": "outputs",
+    "otx_public": "otx_points",
+    "otx_points": "otx_seeds",
+    "otx_seeds": "otx_ciphers",
+    "otx_matrix": "otx_ciphers",
+    "otx_ciphers": "outputs",
+}
+
+
+@pytest.fixture
+def ot_circuit(request, kind):
+    return request.getfixturevalue(
+        "wide_circuit" if kind.startswith("otx_") else "adder_circuit"
+    )
 
 
 @pytest.mark.parametrize("backend", ["auto", "scalar"])
@@ -329,26 +356,29 @@ class TestDamagedOtPayload:
     any OT arithmetic and before anything is sent in reply -- never as a
     completed session with wrong output bits."""
 
-    def test_fused_drive(self, adder_circuit, backend, kind, damage):
-        g, e = _bits(adder_circuit)
+    def test_fused_drive(self, ot_circuit, backend, kind, damage):
+        g, e = _bits(ot_circuit)
         driver = StreamedDriver(
-            TwoPartySession(adder_circuit, seed=3, backend=backend), g, e
+            TwoPartySession(ot_circuit, seed=3, backend=backend), g, e
         )
         pair = driver.pair
-        sender = pair.to_garbler if kind == "ot_points" else pair.to_evaluator
-        _damage_first(sender, kind, damage)
+        sent, replies = (
+            (pair.to_garbler, pair.to_evaluator) if kind in _UP_KINDS
+            else (pair.to_evaluator, pair.to_garbler)
+        )
+        _damage_first(sent, kind, damage)
         with pytest.raises(SessionAborted, match=f"^{kind}: ") as caught:
             while not driver.step():
                 pass
         assert caught.value.__cause__ is None
         assert driver.done and driver.result is None
-        if kind == "ot_public":  # no choice-dependent point left Bob
-            assert "ot_points" not in pair.to_garbler.bytes_by_class
+        # Nothing that depends on the refuser's secrets left it.
+        assert _REPLY[kind] not in replies.bytes_by_class
 
-    def test_split_drive(self, adder_circuit, backend, kind, damage):
-        errors, channels = _split_drive(adder_circuit, backend, kind, damage)
+    def test_split_drive(self, ot_circuit, backend, kind, damage):
+        errors, channels = _split_drive(ot_circuit, backend, kind, damage)
         refuser, peer = (
-            ("garbler", "evaluator") if kind == "ot_points"
+            ("garbler", "evaluator") if kind in _UP_KINDS
             else ("evaluator", "garbler")
         )
         assert isinstance(errors[refuser], SessionAborted), errors
@@ -356,6 +386,45 @@ class TestDamagedOtPayload:
         assert errors[refuser].__cause__ is None
         # The peer only ever sees the refusing party go away.
         assert isinstance(errors[peer], ProtocolFault), errors
-        if kind == "ot_public":
-            _, up = channels["evaluator"]
-            assert "ot_points" not in up.bytes_by_class
+        down, up = channels[refuser]
+        replies = down if refuser == "garbler" else up
+        assert _REPLY[kind] not in replies.bytes_by_class
+
+
+class _DirectGarbler(GarblerRole):
+    _ot_turns = GarblerRole._ot_direct
+
+
+class _DirectEvaluator(EvaluatorRole):
+    _ot_turns = EvaluatorRole._ot_direct
+
+
+@pytest.mark.parametrize("stubborn", [_DirectGarbler, _DirectEvaluator])
+class TestHandshakeModeMismatch:
+    """One party on the direct handshake where the circuit calls for the
+    extension: the message kinds are the version marker, so the session
+    ends in a typed fault within the transport's bound."""
+
+    def test_fused_drive(self, wide_circuit, stubborn, monkeypatch):
+        monkeypatch.setattr(protocol_mod, stubborn.__base__.__name__, stubborn)
+        g, e = _bits(wide_circuit)
+        with pytest.raises(SessionAborted):
+            run_two_party(wide_circuit, g, e, backend="auto", streamed=True)
+
+    def test_split_drive(self, wide_circuit, stubborn):
+        roles = (
+            (stubborn, EvaluatorRole) if stubborn is _DirectGarbler
+            else (GarblerRole, stubborn)
+        )
+        errors, channels = _split_drive(
+            wide_circuit, "auto", roles=roles, io_timeout_s=1.0
+        )
+        assert set(errors) == {"garbler", "evaluator"}, errors
+        # A kind mismatch or a bounded wait; the slower party may only
+        # see its peer go away.
+        assert all(isinstance(e, ProtocolFault) for e in errors.values()), errors
+        assert any(
+            isinstance(e, (SessionAborted, FrameTimeout)) for e in errors.values()
+        ), errors
+        for down, up in channels.values():
+            assert "tables" not in down.bytes_by_class

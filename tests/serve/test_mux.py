@@ -53,6 +53,30 @@ class TestBitIdentity:
             assert handle.result.output_bits == solo.output_bits
             assert handle.result.transcript_digest == solo.transcript_digest
 
+    def test_extended_handshake_sessions_match_solo(self, wide_circuit, adder_circuit):
+        """Sessions above the OT-extension threshold interleaved with one
+        below it: the handshake is one step whatever its turn count."""
+        g, e = _bits(wide_circuit)
+        solo = _solo(wide_circuit)
+        assert "evaluator->garbler:otx_matrix" in solo.traffic
+        mux = SessionMultiplexer(max_concurrent=3)
+        handles = [
+            mux.submit(TwoPartySession(wide_circuit, seed=7), g, e)
+            for _ in range(2)
+        ]
+        small = mux.submit(
+            TwoPartySession(adder_circuit, seed=7), *_bits(adder_circuit)
+        )
+        stats = mux.run_until_complete()
+        assert stats.completed == 3 and stats.faulted == 0
+        for handle in handles:
+            assert handle.result.output_bits == solo.output_bits
+            assert handle.result.transcript_digest == solo.transcript_digest
+        assert (
+            small.result.transcript_digest
+            == _solo(adder_circuit).transcript_digest
+        )
+
     def test_mixed_seeds_stay_isolated(self, adder_circuit):
         g, e = _bits(adder_circuit)
         solos = {seed: _solo(adder_circuit, seed) for seed in (1, 2, 3)}

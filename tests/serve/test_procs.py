@@ -78,6 +78,26 @@ class TestProcessSession:
         assert summary["drain"] is None
         _assert_reaped()
 
+    def test_session_above_the_ot_extension_threshold(self):
+        """256 evaluator inputs: each party process derives the extended
+        handshake on its own and the digest is the fused drive's."""
+        from repro.workloads import get_workload
+
+        circuit = get_workload("Hamm").build(n_bits=256).circuit
+        solo = _solo(circuit)
+        assert "evaluator->garbler:otx_matrix" in solo.traffic
+        g, e = _bits(circuit)
+        supervisor = Supervisor(deadline_s=60.0, retries=0)
+        handle = supervisor.submit(SessionSpec(
+            circuit, g, e, seed=7, reference_digest=solo.transcript_digest,
+        ))
+        supervisor.run_until_complete()
+        assert handle.error is None, handle.error
+        assert handle.result.output_bits == solo.output_bits
+        assert handle.result.transcript_digest == solo.transcript_digest
+        assert handle.result.traffic == solo.traffic
+        _assert_reaped()
+
     def test_admission_control_and_retry_hint(self, tiny_circuit):
         g, e = _bits(tiny_circuit)
         supervisor = Supervisor(

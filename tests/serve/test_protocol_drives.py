@@ -45,7 +45,13 @@ def _single_level() -> Circuit:
     return Circuit.from_gates(1, 1, [Gate(GateOp.AND, 0, 1, 2)], [2], "one-and")
 
 
-@pytest.fixture(params=["adder_circuit", "mixed_circuit", "xor_only", "single_level"])
+# ``wide_circuit`` is the one above the OT-extension threshold: there the
+# monolithic oracle (direct OT) shares no handshake code with the roles.
+@pytest.fixture(
+    params=[
+        "adder_circuit", "mixed_circuit", "xor_only", "single_level", "wide_circuit",
+    ]
+)
 def circuit(request) -> Circuit:
     if request.param == "xor_only":
         return _xor_only()
@@ -194,11 +200,15 @@ class TestRoleContract:
                 **self._pair(),
             )
 
-    def test_turn_phases_in_order(self, adder_circuit):
-        g, e = _bits(adder_circuit)
+    @pytest.mark.parametrize(
+        "fixture, handshake_turns", [("adder_circuit", 2), ("wide_circuit", 3)]
+    )
+    def test_turn_phases_in_order(self, request, fixture, handshake_turns):
+        circuit = request.getfixturevalue(fixture)
+        g, e = _bits(circuit)
         common = dict(seed=SEED, rekeyed=True, backend=None, **self._pair())
-        garbler = GarblerRole(adder_circuit, g, **common)
-        evaluator = EvaluatorRole(adder_circuit, e, **common)
+        garbler = GarblerRole(circuit, g, **common)
+        evaluator = EvaluatorRole(circuit, e, **common)
         seen = {garbler: [], evaluator: []}
         # Strict alternation, garbler first, is a legal schedule of the
         # whole protocol: no turn ever waits on a message not yet sent.
@@ -207,12 +217,12 @@ class TestRoleContract:
                 if role.next_turn is not None:
                     seen[role].append(role.next_turn)
                     role.take_turn()
-        levels = len(adder_circuit.and_level_schedule())
+        levels = len(circuit.and_level_schedule())
         assert seen[garbler] == (
-            ["handshake"] * 2 + ["level"] * levels + ["finish"] * 3
+            ["handshake"] * handshake_turns + ["level"] * levels + ["finish"] * 3
         )
         assert seen[evaluator] == (
-            ["handshake"] * 2 + ["level"] * levels + ["finish"] * 2
+            ["handshake"] * handshake_turns + ["level"] * levels + ["finish"] * 2
         )
         assert garbler.output_bits == evaluator.output_bits
-        assert evaluator.output_bits == adder_circuit.eval_plain(g, e)
+        assert evaluator.output_bits == circuit.eval_plain(g, e)
