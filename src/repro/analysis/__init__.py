@@ -14,17 +14,10 @@ from .experiments import (
     table4_area_power,
     table5_prior_work,
 )
-from .charts import bar_chart, grouped_bar_chart, log_bar_chart, stacked_shares
+from .charts import grouped_bar_chart, stacked_shares
 from .report import fmt, geomean, render_table
-from .scenarios import (
-    load_report as load_scenarios_report,
-    render_report as render_scenarios_report,
-    summarize_sweeps,
-)
 
 __all__ = [
-    "bar_chart",
-    "log_bar_chart",
     "grouped_bar_chart",
     "stacked_shares",
     "ExperimentResult",
@@ -42,7 +35,4 @@ __all__ = [
     "render_table",
     "fmt",
     "geomean",
-    "load_scenarios_report",
-    "render_scenarios_report",
-    "summarize_sweeps",
 ]

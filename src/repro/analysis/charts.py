@@ -9,74 +9,34 @@ each figure without a plotting stack.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-__all__ = ["bar_chart", "grouped_bar_chart", "log_bar_chart", "stacked_shares"]
+__all__ = ["grouped_bar_chart", "stacked_shares"]
 
 _FULL = "#"
 _WIDTH = 48
-
-
-def _scale(value: float, maximum: float, width: int) -> int:
-    if maximum <= 0 or value <= 0:
-        return 0
-    return max(1, round(width * value / maximum))
-
-
-def bar_chart(
-    items: Sequence[Tuple[str, float]],
-    title: str = "",
-    width: int = _WIDTH,
-    unit: str = "",
-) -> str:
-    """One horizontal bar per (label, value), linear scale."""
-    if not items:
-        return title
-    maximum = max(value for _, value in items)
-    label_width = max(len(label) for label, _ in items)
-    lines = [title] if title else []
-    for label, value in items:
-        bar = _FULL * _scale(value, maximum, width)
-        lines.append(f"{label.ljust(label_width)} |{bar} {value:.3g}{unit}")
-    return "\n".join(lines)
-
-
-def log_bar_chart(
-    items: Sequence[Tuple[str, float]],
-    title: str = "",
-    width: int = _WIDTH,
-    unit: str = "",
-) -> str:
-    """Horizontal bars on a log10 scale (the paper's speedup axes)."""
-    positive = [(label, value) for label, value in items if value > 0]
-    if not positive:
-        return title
-    logs = [math.log10(value) for _, value in positive]
-    low = min(min(logs), 0.0)
-    high = max(logs)
-    span = max(high - low, 1e-9)
-    label_width = max(len(label) for label, _ in positive)
-    lines = [title] if title else []
-    for (label, value), lv in zip(positive, logs):
-        bar = _FULL * max(1, round(width * (lv - low) / span))
-        lines.append(f"{label.ljust(label_width)} |{bar} {value:.3g}{unit}")
-    return "\n".join(lines)
 
 
 def grouped_bar_chart(
     groups: Sequence[Tuple[str, Sequence[Tuple[str, float]]]],
     title: str = "",
     width: int = _WIDTH,
-    log: bool = True,
 ) -> str:
-    """Clustered bars: one cluster per group, one bar per series entry."""
+    """Clustered bars on a log10 scale (the paper's speedup axes): one
+    cluster per group, one bar per positive series entry."""
     lines = [title] if title else []
     for group_label, series in groups:
         lines.append(f"{group_label}:")
-        chart = (log_bar_chart if log else bar_chart)(
-            [(f"  {name}", value) for name, value in series], width=width
-        )
-        lines.append(chart)
+        positive = [(f"  {name}", value) for name, value in series if value > 0]
+        if not positive:
+            continue
+        logs = [math.log10(value) for _, value in positive]
+        low = min(min(logs), 0.0)
+        span = max(max(logs) - low, 1e-9)
+        label_width = max(len(label) for label, _ in positive)
+        for (label, value), lv in zip(positive, logs):
+            bar = _FULL * max(1, round(width * (lv - low) / span))
+            lines.append(f"{label.ljust(label_width)} |{bar} {value:.3g}")
     return "\n".join(lines)
 
 

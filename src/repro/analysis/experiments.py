@@ -1,9 +1,9 @@
 """One driver per paper table/figure (the per-experiment index of DESIGN.md).
 
 Every function returns structured data plus a rendered text block, so
-the pytest-benchmark harnesses in ``benchmarks/``, the figure pipeline
-in :mod:`repro.analysis.figures` and EXPERIMENTS.md all regenerate the
-same rows.
+``repro experiments``, the figure pipeline in
+:mod:`repro.analysis.figures` and the paper-claim assertions in
+``tests/analysis/test_paper_claims.py`` all read the same rows.
 
 Every number flows through a :class:`~repro.analysis.dataprovider.DataProvider`
 -- drivers never call :func:`compile_circuit`/:func:`simulate` directly

@@ -11,12 +11,14 @@ Subcommands:
 * ``serve``       -- multiplex N concurrent streamed sessions on one
   scheduler and report per-session service metrics;
 * ``cache``       -- inspect, prune or clear the persistent compile cache;
-* ``scenarios``   -- render the scenario-grid artifact (queue-SRAM knee /
-  memory-bound flip table + ASCII sweep charts);
-* ``bench``       -- run one of the benchmark suites (throughput / sim /
-  protocol / service / scenarios) through the shared BenchRunner;
+* ``figures``     -- ASCII renderings of the evaluation figures, or the
+  committed CSV + Vega-Lite artifacts with ``--emit DIR``;
 * ``store``       -- inspect, prune, merge or bundle the content-addressed
   experiment result store.
+
+Performance is measured by ``python3 perf/run.py`` (see
+``perf/README.md``), not by a subcommand here; the paper's claims are
+asserted over the experiment rows in ``tests/analysis/test_paper_claims.py``.
 
 ``compile`` and ``simulate`` accept ``--cache [DIR]`` to reuse compiled
 programs across invocations (warm sweeps skip the compiler); the
@@ -122,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["numpy", "vectorized", "reference"],
         default=None,
         help="timing-replay engine (default: $REPRO_SIM_ENGINE, else "
-        "the level-parallel numpy engine when NumPy is importable)",
+        "the level-parallel numpy engine)",
     )
     add_cache_flag(p_s)
 
@@ -296,25 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument("--seed", type=int, default=2023)
 
-    p_sc = sub.add_parser(
-        "scenarios",
-        help="render the scenario grid (BENCH_scenarios.json): "
-        "queue-SRAM knee / memory-bound flip table + sweep charts",
-    )
-    p_sc.add_argument(
-        "path",
-        nargs="?",
-        default=None,
-        help="artifact from scripts/bench_scenarios.py (default: "
-        "./BENCH_scenarios.json, else the committed benchmarks/ copy)",
-    )
-    p_sc.add_argument(
-        "--workloads",
-        default=None,
-        metavar="A,B",
-        help="comma-separated subset of the artifact's workloads",
-    )
-
     p_f = sub.add_parser(
         "figures",
         help="ASCII renderings of the evaluation figures, or --emit DIR "
@@ -348,15 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed result store backing the DataProvider "
         "(default: $REPRO_RESULT_STORE)",
     )
-
-    p_b = sub.add_parser(
-        "bench",
-        help="run one benchmark suite (throughput / sim / protocol / "
-        "service / scenarios) through the shared BenchRunner",
-    )
-    from .bench import add_bench_subparsers
-
-    add_bench_subparsers(p_b)
 
     p_st = sub.add_parser(
         "store",
@@ -832,33 +806,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenarios(args: argparse.Namespace) -> int:
-    from .analysis import scenarios as sc
-
-    path = args.path if args.path is not None else sc.default_artifact_path()
-    if path is None:
-        print(
-            "no BENCH_scenarios.json found; run "
-            "`python scripts/bench_scenarios.py` first (or pass a path)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        report = sc.load_report(path)
-    except (OSError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    names = None
-    if args.workloads:
-        names = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    try:
-        print(sc.render_report(report, workloads=names, source=str(path)))
-    except KeyError as error:
-        print(str(error).strip("'\""), file=sys.stderr)
-        return 2
-    return 0
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
     from .analysis import charts
     from .analysis.dataprovider import DataProvider
@@ -950,12 +897,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import run_suite
-
-    return run_suite(args)
-
-
 def _cmd_store(args: argparse.Namespace) -> int:
     from .store import (
         STORE_SCHEMA,
@@ -1031,9 +972,7 @@ _COMMANDS = {
     "protocol": _cmd_protocol,
     "serve": _cmd_serve,
     "cache": _cmd_cache,
-    "scenarios": _cmd_scenarios,
     "figures": _cmd_figures,
-    "bench": _cmd_bench,
     "store": _cmd_store,
 }
 

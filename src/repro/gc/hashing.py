@@ -5,8 +5,7 @@ Wang-Weng-Yu (GKWY20): each hash call keys AES with the gate index and
 performs a **full key expansion**, rather than the cheaper but less
 secure fixed-key construction of Bellare et al.  The paper measures
 re-keying as costing 27.5 % extra per Half-Gate; we expose both modes so
-that cost delta is reproducible (see ``benchmarks/bench_fig6``'s
-companion microbenchmark and ``tests/gc/test_hashing.py``).
+that cost delta is reproducible (see ``tests/gc/test_hashing.py``).
 
 The hash is a Davies-Meyer / TCCR-style construction::
 

@@ -26,8 +26,8 @@ substitutes a kernel-``socketpair``-backed wire for OS-level realism;
 the supervisor's process transport adds whole-process chaos
 (``kill_party`` / ``sever`` / ``stall``).
 
-Entry points: the ``repro serve`` CLI subcommand and
-``repro bench service``.
+Entry point: the ``repro serve`` CLI subcommand.  The ``service_small``
+workload of ``perf/run.py`` measures the supervised path.
 """
 
 from .mux import ServiceStats, SessionHandle, SessionMultiplexer, SessionStats

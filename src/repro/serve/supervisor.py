@@ -587,14 +587,15 @@ class Supervisor:
 
     def _check_attempts(self, now: float) -> None:
         for sess in list(self._running):
-            if len(sess.reports) == len(ROLES):
-                self._running.remove(sess)
-                self._finish_attempt_success(sess, now)
-                continue
+            # Diagnose first: a report set read after the deadline has
+            # passed is an overrun, not a success.
             fail = self._diagnose(sess, now)
             if fail is not None:
                 self._running.remove(sess)
                 self._fail_attempt(sess, fail, now)
+            elif len(sess.reports) == len(ROLES):
+                self._running.remove(sess)
+                self._finish_attempt_success(sess, now)
 
     def _diagnose(
         self, sess: SupervisedSession, now: float

@@ -79,8 +79,8 @@ class HaacConfig:
     fault_spec: "str | None" = None
     # Timing-replay engine for every model that consumes this config:
     # None defers to the REPRO_SIM_ENGINE environment variable;
-    # "numpy" (level-parallel array replay, the default when NumPy is
-    # importable), "vectorized" (flat-array Python loop) and
+    # "numpy" (level-parallel array replay, the default), "vectorized"
+    # (flat-array Python loop) and
     # "reference" (retained per-gate ground truth) pin one engine
     # (see repro.sim.engine.engine_mode).
     sim_engine: "str | None" = None

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.isa import HaacOp
 from ..core.passes.streams import StreamSet
 from ..core.sww import WIRE_BYTES
@@ -129,8 +131,6 @@ def coupled_runtime(
         # strictly left-to-right -- the one float accumulation whose
         # order matters (the stall sum) is therefore term-for-term the
         # serial loop, keeping all three engines bit-identical.
-        import numpy as np
-
         plan = numpy_plan(compiled_arrays(streams))
         oor_cost = WIRE_BYTES + OOR_ADDR_BYTES
         costs = (
@@ -235,8 +235,8 @@ def coupled_runtime_batch(
     row is bit-identical to ``coupled_runtime(streams, config, q)`` --
     the recurrence is elementwise on the shared exact-integer prefix
     sums, and ``np.cumsum`` accumulates each row strictly left-to-right
-    like the serial stall sum.  Other engines (and NumPy-less hosts)
-    fall back to per-point :func:`coupled_runtime` calls.
+    like the serial stall sum.  Other engines fall back to per-point
+    :func:`coupled_runtime` calls.
 
     ``decoupled`` accepts the caller's already-simulated baseline
     ``SimResult`` for ``(streams, config)`` (sweeps usually have one in
@@ -254,8 +254,6 @@ def coupled_runtime_batch(
             coupled_runtime(streams, config, queue_bytes)
             for queue_bytes in queue_list
         ]
-    import numpy as np
-
     if decoupled is None:
         decoupled = simulate(streams, config)
     bandwidth = config.dram_bytes_per_ge_cycle

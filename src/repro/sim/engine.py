@@ -13,7 +13,7 @@ wavefront have no ordering constraints.
 Three engines, selected by ``REPRO_SIM_ENGINE`` (or
 ``HaacConfig.sim_engine``, which wins when set):
 
-* ``numpy`` -- the default whenever NumPy is importable.  Instructions
+* ``numpy`` -- the default.  Instructions
   are partitioned once per :class:`StreamSet` into dependence levels
   (:meth:`CompiledArrays.ensure_levels`, a config-independent pure
   function persisted through :mod:`repro.core.progcache`); the replay
@@ -21,8 +21,7 @@ Three engines, selected by ``REPRO_SIM_ENGINE`` (or
   ``np.maximum`` gathers, in-order issue with a segmented prefix-max
   per GE, and window-sync eviction checks as one vectorized gather.
   ``model_bank_conflicts`` falls back to the flat loop below (its
-  while-loop port arbitration is inherently sequential), as does a
-  NumPy-less interpreter.
+  while-loop port arbitration is inherently sequential).
 * ``vectorized`` -- the PR 2 flat-array loop: one Python iteration per
   instruction over preallocated lists.
 * ``reference`` -- the straightforward per-gate replay (dataclass
@@ -47,10 +46,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # NumPy is optional: the flat/reference loops cover its absence.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _np = None
+import numpy as np
 
 from ..core.isa import HaacOp
 from ..core.passes.streams import StreamSet
@@ -93,14 +89,13 @@ def engine_mode(override: Optional[str] = None) -> str:
     (default, also accepts ``auto``/``level``) is the level-parallel
     array replay; ``vectorized`` (``flat``/``fast``) the preallocated
     flat-array loop; ``reference`` the retained per-gate path the
-    equivalence suite diffs the fast engines against.  Requesting
-    ``numpy`` on an interpreter without NumPy silently resolves to
-    ``vectorized`` -- same results, no hard dependency.
+    equivalence suite diffs the fast engines against.  An unknown name
+    raises :class:`ValueError`.
     """
     raw = override if override is not None else os.environ.get(ENGINE_ENV_VAR, "")
     raw = raw.strip().lower()
     if raw in ("", "auto", "default", ENGINE_NUMPY, "np", "level"):
-        return ENGINE_NUMPY if _np is not None else ENGINE_VECTORIZED
+        return ENGINE_NUMPY
     if raw in (ENGINE_VECTORIZED, "flat", "fast"):
         return ENGINE_VECTORIZED
     if raw in (ENGINE_REFERENCE, "ref", "slow"):
@@ -128,8 +123,7 @@ class CompiledArrays:
     persistent program cache -- warm runs load it instead of rebuilding.
     Fields stay stdlib sequences (``array('q')`` operand columns,
     ``bytearray`` flag columns, plain lists): the retained scalar loops
-    iterate them directly, and their pickles load on interpreters
-    without NumPy.
+    iterate them directly.
     """
 
     n_inputs: int
@@ -183,9 +177,9 @@ class CompiledArrays:
         return self
 
     def __getstate__(self):
-        # The derived NumPy plan holds ndarray views; keep pickles (the
-        # persistent program cache) portable to NumPy-less interpreters
-        # by dropping it -- it rebuilds from level_of in O(n) array ops.
+        # The derived NumPy plan holds ndarray views; keep it out of
+        # pickles (the persistent program cache) -- it rebuilds from
+        # level_of in O(n) array ops.
         state = dict(self.__dict__)
         state.pop(_PLAN_ATTR, None)
         return state
@@ -289,7 +283,6 @@ class _NumpyPlan:
     )
 
     def __init__(self, arrays: "CompiledArrays") -> None:
-        np = _np
         arrays.ensure_levels()
         n = arrays.n_instructions
         n_inputs = arrays.n_inputs
@@ -404,7 +397,6 @@ def compute_cycles_numpy(
       both recovered from the shifted issue vector; the per-instruction
       terms land in two scratch vectors summed once at the end.
     """
-    np = _np
     n = arrays.n_instructions
     if n == 0:
         return 0, {}
@@ -513,8 +505,8 @@ def compute_cycles_batch(
     Configs that resolve to the numpy engine without bank-conflict
     modelling retire together through
     :func:`compute_cycles_numpy_batched` (a leading config axis on the
-    level replay); every other config -- a NumPy-less interpreter, a
-    pinned ``vectorized``/``reference`` engine, or
+    level replay); every other config -- a pinned
+    ``vectorized``/``reference`` engine, or
     ``model_bank_conflicts`` (whose port arbitration is inherently
     sequential) -- falls back to its own :func:`compute_cycles` call.
     Mixed batches therefore always work; per-config results are
@@ -533,8 +525,7 @@ def compute_cycles_batch(
     batched: List[int] = []
     for index, config in enumerate(configs):
         if (
-            _np is not None
-            and engine_mode(config.sim_engine) == ENGINE_NUMPY
+            engine_mode(config.sim_engine) == ENGINE_NUMPY
             and not config.model_bank_conflicts
         ):
             batched.append(index)
@@ -577,13 +568,9 @@ def compute_cycles_numpy_batched(
     one replay row and share its results -- the common scenario-grid
     case pays for one replay regardless of grid size.
 
-    Callers must guarantee NumPy is importable and no config sets
-    ``model_bank_conflicts`` (use :func:`compute_cycles_batch` for the
-    general dispatch).
+    Callers must guarantee no config sets ``model_bank_conflicts`` (use
+    :func:`compute_cycles_batch` for the general dispatch).
     """
-    np = _np
-    if np is None:  # pragma: no cover - dispatcher guards this
-        raise RuntimeError("compute_cycles_numpy_batched requires NumPy")
     configs = list(configs)
     if stalls_list is None:
         stalls_list = [StallBreakdown() for _ in configs]

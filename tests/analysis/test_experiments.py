@@ -1,4 +1,7 @@
-"""Experiment drivers: every table/figure regenerates with sane shapes."""
+"""Experiment drivers: every table/figure regenerates with sane shapes.
+
+The paper's claims over the same rows are ``test_paper_claims.py``.
+"""
 
 import pytest
 

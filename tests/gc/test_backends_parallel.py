@@ -486,18 +486,3 @@ class TestConfigAndProtocolWiring:
                      "--backend", "parallel:4", "--workers", "2"]) == 0
         assert "richer: Alice" in capsys.readouterr().out
 
-
-class TestScalingReport:
-    def test_speedup_only_reported_against_real_1_worker_base(self):
-        from repro.gc.backends.throughput import measure_parallel_scaling
-
-        circuit = _mixed16()
-        with_base = measure_parallel_scaling(
-            circuit, worker_counts=(1, 2), repeats=1
-        )
-        assert "2" in with_base["speedup_vs_1"]
-        assert with_base["cpu_count"] >= 1
-        without_base = measure_parallel_scaling(
-            circuit, worker_counts=(2,), repeats=1
-        )
-        assert without_base["speedup_vs_1"] == {}

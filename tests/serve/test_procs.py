@@ -181,6 +181,30 @@ class TestProcessSession:
         assert elapsed < 30.0  # killed promptly, not hung
         _assert_reaped()
 
+    def test_reports_read_after_the_deadline_are_an_overrun(
+        self, adder_circuit, monkeypatch
+    ):
+        """A loaded host can deschedule the supervisor until both workers
+        have finished; reports it reads past the deadline must not seal
+        a success."""
+        g, e = _bits(adder_circuit)
+        supervisor = Supervisor(
+            deadline_s=0.001, retries=0, heartbeat_timeout_s=60.0
+        )
+        poll = supervisor._poll_messages
+
+        def late_poll():
+            for sess in supervisor._running:
+                for proc in sess.procs.values():
+                    proc.join(30.0)
+            poll()
+
+        monkeypatch.setattr(supervisor, "_poll_messages", late_poll)
+        handle = supervisor.submit(SessionSpec(adder_circuit, g, e, seed=7))
+        supervisor.run_until_complete()
+        assert isinstance(handle.error, SessionDeadlineExceeded)
+        _assert_reaped()
+
     def test_retry_recovers_and_reverifies(self, adder_circuit):
         solo = _solo(adder_circuit)
         g, e = _bits(adder_circuit)

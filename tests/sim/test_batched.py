@@ -5,7 +5,7 @@ The contract under test: ``simulate_batch`` / ``coupled_runtime_batch``
 every config / queue size in the batch, exactly what the serial
 ``simulate`` / ``coupled_runtime`` calls return -- under every engine,
 including the bank-conflict fallback (inherently sequential port
-arbitration) and the NumPy-absent fallback.  Covered across three
+arbitration).  Covered across three
 workload families so the batched axis sees real OoR / window-sync
 structure, not just one circuit shape.
 """
@@ -121,28 +121,23 @@ class TestBatchedVsSerial:
         assert batched == serial
 
 
-class TestNumpyAbsentFallback:
-    @pytest.mark.parametrize("family", sorted(WORKLOADS))
-    def test_simulate_batch_without_numpy(self, monkeypatch, family):
-        streams, config = _compiled(family)
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        expected = [_snap(simulate(streams, c)) for c in _grid(config)]
-        monkeypatch.setattr(engine_module, "_np", None)
-        batched = [_snap(s) for s in simulate_batch(streams, _grid(config))]
-        assert batched == expected
+class TestScenarioPhysics:
+    """Scenario-grid physics.  The other two grid claims live where
+    their model is tested: coupled >= decoupled in
+    ``tests/sim/test_coupled.py`` and "generous queues converge" in
+    ``test_engine_equivalence.py::test_generous_queues_converge_to_decoupled``."""
 
-    def test_coupled_batch_without_numpy(self, monkeypatch):
-        streams, config = _compiled("ReLU")
+    @pytest.mark.parametrize("family", sorted(WORKLOADS))
+    def test_more_bandwidth_never_increases_runtime(self, monkeypatch, family):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        expected = [
-            _coupled_snap(coupled_runtime(streams, config, q)) for q in QUEUES
-        ]
-        monkeypatch.setattr(engine_module, "_np", None)
-        batched = [
-            _coupled_snap(p)
-            for p in coupled_runtime_batch(streams, config, QUEUES)
-        ]
-        assert batched == expected
+        streams, config = _compiled(family)
+        sweep = config.variants(
+            dram=[DramSpec(name=f"{g}GB/s", bandwidth_gb_s=g)
+                  for g in (1.0, 4.4, 8.8, 35.2, 128.0, 512.0)]
+        )
+        runtimes = [sim.runtime_cycles for sim in simulate_batch(streams, sweep)]
+        assert runtimes == sorted(runtimes, reverse=True)
+        assert runtimes[0] > runtimes[-1]  # the sweep crosses memory-bound
 
 
 class TestComputeCyclesBatch:

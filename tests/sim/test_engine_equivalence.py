@@ -154,16 +154,6 @@ class TestEngineMode:
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
         assert engine_mode() == ENGINE_NUMPY
 
-    def test_default_without_numpy_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        monkeypatch.setattr(engine_module, "_np", None)
-        assert engine_mode() == ENGINE_VECTORIZED
-
-    def test_explicit_numpy_without_numpy_falls_back(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_np", None)
-        monkeypatch.setenv(ENGINE_ENV_VAR, "numpy")
-        assert engine_mode() == ENGINE_VECTORIZED
-
     def test_config_override_beats_environment(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, ENGINE_NUMPY)
         assert engine_mode(ENGINE_REFERENCE) == ENGINE_REFERENCE
@@ -290,16 +280,6 @@ class TestNumpyEngineDetails:
             for engine in ALL_ENGINES
         ]
         _assert_identical(snapshots)
-
-    def test_numpy_absent_fallback_still_simulates(self, monkeypatch):
-        """With NumPy unimportable the default engine must degrade to
-        the flat loop and produce the same numbers."""
-        result, config = _compiled("logic8", OptLevel.RO_RN_ESW)
-        monkeypatch.setenv(ENGINE_ENV_VAR, "numpy")
-        with_numpy = _sim_snapshot(result.streams, config)
-        monkeypatch.setattr(engine_module, "_np", None)
-        without_numpy = _sim_snapshot(result.streams, config)
-        assert with_numpy == without_numpy
 
     def test_levels_respect_dependences(self):
         """Every ordering constraint of the replay crosses (or, for

@@ -1,6 +1,7 @@
 """Packaging and documentation sanity: the repo ships what it claims."""
 
 import pathlib
+import re
 
 import pytest
 
@@ -27,21 +28,28 @@ class TestDocumentation:
         assert "quickstart.py" in examples
         assert len(examples) >= 3
 
-    def test_benchmarks_cover_every_table_and_figure(self):
-        benches = {p.name for p in (ROOT / "benchmarks").glob("bench_*.py")}
-        for required in (
-            "bench_table1_ppc.py",
-            "bench_table2_characteristics.py",
-            "bench_table3_wire_traffic.py",
-            "bench_table4_area_power.py",
-            "bench_table5_prior_work.py",
-            "bench_fig6_compiler_opts.py",
-            "bench_fig7_ordering_sww.py",
-            "bench_fig8_ge_scaling.py",
-            "bench_fig9_energy.py",
-            "bench_fig10_plaintext.py",
-        ):
-            assert required in benches, f"missing {required}"
+    def test_paper_claims_cover_every_table_and_figure(self):
+        from repro.analysis.figures import EXPERIMENT_DRIVERS
+
+        claims = (ROOT / "tests" / "analysis" / "test_paper_claims.py").read_text()
+        tests = re.findall(r"^def (test_\w+)\(", claims, flags=re.MULTILINE)
+        for key in EXPERIMENT_DRIVERS:
+            assert any(t.startswith(f"test_{key}_") for t in tests), (
+                f"no paper-claim test for {key}"
+            )
+
+    def test_one_benchmark_entry_point(self, capsys):
+        """``perf/run.py`` is the benchmark; no second one comes back."""
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for retired in ("bench", "scenarios"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([retired])
+            assert "invalid choice" in capsys.readouterr().err
+        assert not (ROOT / "benchmarks").exists()
+        assert not list((ROOT / "scripts").glob("bench_*.py"))
+        assert (ROOT / "perf" / "run.py").is_file()
 
 
 class TestPyproject:
