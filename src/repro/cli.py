@@ -184,17 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_p.add_argument(
         "--backend",
         default=None,
-        help="gc label-hash backend (scalar, numpy, parallel[:N], auto); "
+        help="gc label-hash backend (scalar, numpy, auto); "
         "default: per-gate reference path",
-    )
-    p_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard garbling across N worker processes (selects the "
-        "'parallel' backend; default worker count: $REPRO_GC_WORKERS "
-        "or all cores)",
     )
     p_p.add_argument(
         "--stream",
@@ -208,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="deterministic chaos run, e.g. 'drop:0.05,seed=7' "
         "(kinds: drop corrupt truncate tamper duplicate delay reorder "
-        "kill_worker tear_cache; implies --stream; default: "
-        "$REPRO_FAULTS)",
+        "tear_cache; implies --stream; default: $REPRO_FAULTS)",
     )
 
     p_srv = sub.add_parser(
@@ -279,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         "in-flight sessions finish before killing them",
     )
     p_srv.add_argument("--backend", default=None, help="gc label-hash backend")
-    p_srv.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="shard garbling across N worker processes",
-    )
     p_srv.add_argument(
         "--faults",
         default=None,
@@ -544,18 +530,6 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     bob = builder.add_evaluator_inputs(args.width)
     builder.mark_outputs([less_than(builder, bob, alice)])
     circuit = builder.build("millionaires")
-    backend = getattr(args, "backend", None)
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        base = backend.split(":", 1)[0] if backend else None
-        if base not in (None, "auto", "parallel"):
-            print(
-                f"--workers applies to the parallel backend, not {backend!r}",
-                file=sys.stderr,
-            )
-            return 2
-        # The explicit flag wins over a count pinned in the spec.
-        backend = f"parallel:{workers}"
     faults_spec = getattr(args, "faults", None)
     streamed = bool(getattr(args, "stream", False) or faults_spec)
     try:
@@ -564,7 +538,7 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
             encode_int(args.alice, args.width),
             encode_int(args.bob, args.width),
             seed=2023,
-            backend=backend,
+            backend=args.backend,
             faults=faults_spec,
             streamed=streamed,
         )
@@ -594,20 +568,6 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_backend_flag(args: argparse.Namespace) -> Optional[str]:
-    """Combine --backend / --workers the way the protocol demo does."""
-    backend = getattr(args, "backend", None)
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        base = backend.split(":", 1)[0] if backend else None
-        if base not in (None, "auto", "parallel"):
-            raise SystemExit(
-                f"--workers applies to the parallel backend, not {backend!r}"
-            )
-        backend = f"parallel:{workers}"
-    return backend
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .circuits.builder import CircuitBuilder
     from .circuits.stdlib.integer import encode_int, less_than
@@ -625,7 +585,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     bob = builder.add_evaluator_inputs(args.width)
     builder.mark_outputs([less_than(builder, bob, alice)])
     circuit = builder.build("millionaires")
-    backend = _resolve_backend_flag(args)
+    backend = args.backend
 
     top = (1 << args.width) - 1
     handles = []

@@ -1,6 +1,6 @@
 """Reliability subsystem: typed failures, fault injection, recovery ledger.
 
-Three pieces, shared by the transport, pool and cache layers:
+Three pieces, shared by the transport and cache layers:
 
 * :mod:`repro.faults.errors` -- the :class:`ProtocolFault` hierarchy and
   the :class:`RecoveryLog` degradation ledger;
@@ -8,7 +8,7 @@ Three pieces, shared by the transport, pool and cache layers:
   resolution (explicit arg > ``HaacConfig.fault_spec`` > ``REPRO_FAULTS``);
 * this module's *installation stack*: :func:`install` scopes a
   ``(plan, log)`` pair so layers that cannot be handed one explicitly
-  (the process pool, the program cache) consult :func:`active_plan` for
+  (the program cache, the result store) consult :func:`active_plan` for
   injection decisions and :func:`record_recovery` to report survived
   degradations into the session's ledger.
 
@@ -84,7 +84,7 @@ def install(plan: Optional[FaultPlan], log: Optional[RecoveryLog]):
     """Scope a fault plan and recovery ledger for nested layers.
 
     Either element may be ``None``: sessions always install their log
-    (so pool/cache recoveries are surfaced even without injection), and
+    (so cache recoveries are surfaced even without injection), and
     tests may install a plan with no ledger.
     """
     _STACK.append((plan, log))

@@ -2,9 +2,9 @@
 
 Every degradation path that used to raise (or swallow) a bare
 ``RuntimeError`` -- framed-transport corruption, retransmit exhaustion,
-pool death, torn cache entries, transcript divergence -- now raises or
-records one of these types, so callers can tell *what* failed and tests
-can assert the exact failure class (DESIGN.md section 10).
+torn cache entries, transcript divergence -- now raises or records one
+of these types, so callers can tell *what* failed and tests can assert
+the exact failure class (DESIGN.md section 10).
 
 Two kinds of observability live here:
 
@@ -12,10 +12,10 @@ Two kinds of observability live here:
   ``RuntimeError`` subclass, so legacy ``except RuntimeError`` callers
   keep working);
 * the :class:`RecoveryLog` degradation ledger: every fault that was
-  *survived* (a retransmitted frame, a re-dispatched pool shard, a
-  recovered cache entry, a disabled worker pool) is recorded as a
-  :class:`RecoveryEvent` and surfaced on ``SessionResult.recovery_events``
-  -- a session that degraded is distinguishable from one that did not.
+  *survived* (a retransmitted frame, a recovered cache entry) is
+  recorded as a :class:`RecoveryEvent` and surfaced on
+  ``SessionResult.recovery_events`` -- a session that degraded is
+  distinguishable from one that did not.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class RecoveryEvent:
     ``seq`` is the event's position in its ledger (a stable, monotone
     index so identical fault seeds can be asserted to produce identical
     event sequences); ``layer`` names the subsystem (``transport`` /
-    ``pool`` / ``cache`` / ``backend``); ``kind`` is the machine-readable
+    ``cache`` / ``store``); ``kind`` is the machine-readable
     event class and ``detail`` the human-readable specifics.
     """
 

@@ -4,7 +4,7 @@ A :class:`FaultPlan` is parsed from a compact spec string::
 
     drop:0.05,corrupt:0.01,seed=7
     tamper:0.1,delay:0.2,seed=3
-    kill_worker,tear_cache:0.5
+    kill_party,tear_cache:0.5
 
 Each ``name:probability`` entry arms one fault class; a bare ``name``
 arms it at probability 1.0.  ``seed=N`` seeds the plan's private
@@ -27,9 +27,8 @@ Frame faults (applied by the lossy wire as frames are pushed):
 ``delay``      hold the frame back a few delivery slots
 ``reorder``    swap the frame with the previously queued one
 
-Process/storage faults (consulted via :func:`repro.faults.active_plan`):
+Storage faults (consulted via :func:`repro.faults.active_plan`):
 
-``kill_worker``  SIGKILL one parallel-pool worker before a dispatch
 ``tear_cache``   corrupt a progcache entry file just before it is read
 
 Process-scope chaos (consulted by :class:`repro.serve.Supervisor` for
@@ -69,7 +68,7 @@ FRAME_FAULTS = (
     "delay",
     "reorder",
 )
-PROCESS_FAULTS = ("kill_worker", "tear_cache")
+PROCESS_FAULTS = ("tear_cache",)
 #: Whole-process chaos kinds, applied per session *attempt* by the
 #: out-of-process supervisor (priority order: a kill beats a sever
 #: beats a stall when several arm on the same attempt).
@@ -84,7 +83,7 @@ class FaultEvent:
     """One injected fault (what the plan *did*, not what survived)."""
 
     seq: int
-    site: str  # e.g. "garbler->evaluator#12", "pool", "cache:<digest>"
+    site: str  # e.g. "garbler->evaluator#12", "cache:<digest>"
     kind: str
 
     def as_dict(self) -> Dict[str, object]:
@@ -140,9 +139,6 @@ class FaultPlan:
         if span <= 0:
             return 0
         return self._rng.randrange(span)
-
-    def kill_worker(self, site: str = "pool") -> bool:
-        return self._arm(site, "kill_worker")
 
     def tear_cache(self, site: str = "cache") -> bool:
         return self._arm(site, "tear_cache")

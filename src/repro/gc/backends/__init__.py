@@ -7,15 +7,11 @@ ship:
 
 * ``scalar`` -- the audited per-label reference (pure Python T-tables);
 * ``numpy`` -- the same AES vectorized over arrays of labels, what
-  ``auto`` resolves to;
-* ``parallel`` -- AND-level batches sharded across a persistent process
-  pool (``parallel:N`` pins the worker count), each worker running the
-  fastest single-process backend.
+  ``auto`` resolves to.
 
 Select with the ``REPRO_GC_BACKEND`` environment variable, an explicit
 ``backend=`` argument to the batched garble/evaluate entry points, or
-``HaacConfig.gc_backend`` (worker counts also via ``REPRO_GC_WORKERS``
-/ ``HaacConfig.gc_workers`` / the CLI ``--workers`` flag).
+``HaacConfig.gc_backend``.
 """
 
 from .base import (
@@ -26,36 +22,23 @@ from .base import (
     get_backend,
     register_backend,
     registered_backends,
-    reset_warn_once,
     resolve_backend,
-    split_spec,
 )
 from .numpy_backend import NumpyLabelHashBackend
-from .parallel import (
-    WORKERS_ENV_VAR,
-    ParallelLabelHashBackend,
-    shutdown_pools,
-)
 from .scalar import ScalarLabelHashBackend
 
 register_backend("scalar", ScalarLabelHashBackend)
 register_backend("numpy", NumpyLabelHashBackend)
-register_backend("parallel", ParallelLabelHashBackend.from_spec)
 
 __all__ = [
     "BACKEND_ENV_VAR",
-    "WORKERS_ENV_VAR",
     "BackendUnavailable",
     "LabelHashBackend",
     "ScalarLabelHashBackend",
     "NumpyLabelHashBackend",
-    "ParallelLabelHashBackend",
     "available_backends",
     "get_backend",
     "register_backend",
     "registered_backends",
-    "reset_warn_once",
     "resolve_backend",
-    "split_spec",
-    "shutdown_pools",
 ]

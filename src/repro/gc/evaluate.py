@@ -131,8 +131,7 @@ def evaluate_circuit_batched(
     hasher = GateHasher(rekeyed=rekeyed)
     table_index = _and_table_indices(circuit)
     store = evaluator_store(
-        circuit, ints_to_bytes(input_labels), rekeyed, resolved, hasher,
-        whole_program=True,
+        circuit, ints_to_bytes(input_labels), rekeyed, resolved, hasher
     )
     tables = garbled.tables
     for index, (and_positions, _) in enumerate(circuit.and_level_schedule()):
@@ -230,13 +229,9 @@ class IntEvaluatorStore:
         return [self.held[w] for w in wires]
 
 
-def evaluator_store(
-    circuit, input_labels: bytes, rekeyed, backend, hasher, whole_program=False
-):
+def evaluator_store(circuit, input_labels: bytes, rekeyed, backend, hasher):
     """The Evaluator's label store for ``backend``: blocks when it is
     ``vectorized``, ints otherwise."""
     if backend.vectorized:
-        return BlockEvaluatorStore(
-            circuit, input_labels, rekeyed, backend, hasher, whole_program
-        )
+        return BlockEvaluatorStore(circuit, input_labels, rekeyed, backend, hasher)
     return IntEvaluatorStore(circuit, input_labels, rekeyed, backend, hasher)

@@ -183,9 +183,7 @@ def garble_circuit_batched(
     hasher = GateHasher(rekeyed=rekeyed)
     input_labels = [prg.next_block() for _ in range(circuit.n_inputs)]
 
-    store = garbler_store(
-        circuit, input_labels, r, rekeyed, resolved, hasher, whole_program=True
-    )
+    store = garbler_store(circuit, input_labels, r, rekeyed, resolved, hasher)
     levels = circuit.and_level_schedule()
     # Tables leave the store in schedule order, 32 bytes each; the
     # Evaluator's stream wants netlist order.
@@ -281,55 +279,37 @@ class _BlockStore:
     big-endian column words) and the hashing of each AND batch of
     :func:`_vector_plan` under its gates' ``2p`` / ``2p + 1`` tweak keys,
     derived arithmetically from the position array: ``m`` generator keys
-    then ``m`` evaluator keys per batch, expanded into one schedule
-    handle (on the array backends the ``(n, 44)`` view of ``(44, n)``
-    round-key planes).  ``_hash`` names a handle row per label --
-    generator rows for every copy of the ``a`` labels, then evaluator
-    rows for the ``b`` labels -- and ``hash_schedule_rows`` gathers those
-    key *columns* of the planes.  The streamed roles expand each batch's
-    keys as its level runs; with ``whole_program`` every batch is
-    expanded up front in one ``expand_keys_program`` call -- the software
-    analogue of HAAC streaming round keys ahead of the Half-Gate
-    pipeline, and what keeps the ``parallel`` backend's schedules
-    worker-resident (see :meth:`LabelHashBackend.expand_keys_program`).
+    then ``m`` evaluator keys per batch, expanded as the level runs into
+    one ``(2m, 44)`` schedule (on the array backends the view of
+    ``(44, 2m)`` round-key planes).  ``_hash`` takes labels in runs of
+    ``2m`` -- the ``a`` labels, then the ``b`` labels -- so every run
+    hashes against that schedule as is; the Garbler's second run (the
+    ``^ R`` copies) repeats it along the planes.
     """
 
     def __init__(
         self, circuit: Circuit, input_labels: bytes, rekeyed: bool,
-        backend, hasher: GateHasher, whole_program: bool = False,
+        backend, hasher: GateHasher,
     ) -> None:
         self.state = np.zeros((circuit.n_wires, 4), dtype=np.uint32)
         self.state[: circuit.n_inputs] = bytes_to_blocks(input_labels)
         self.plan = _vector_plan(circuit)
         self.rekeyed, self.backend, self.hasher = rekeyed, backend, hasher
-        batches = [phase[0] for phase in self.plan if phase[0] is not None]
-        self._program = (
-            self._schedules(batches, backend.expand_keys_program)
-            if whole_program and batches
-            else None
-        )
-        self._row = 0  # next unread row of the whole-program expansion
 
-    def _schedules(self, batches, expand):
-        tweaks = [t for p in batches for t in (2 * p, 2 * p + 1)]
-        keys = self.backend.tweaks_to_keys(np.concatenate(tweaks))
-        return expand(keys) if self.rekeyed else keys
-
-    def _hash(self, positions, labels, copies: int):
-        """Hash ``labels`` = ``copies * m`` blocks under the batch's
-        generator keys, then ``copies * m`` under its evaluator keys."""
-        m = len(positions)
-        if self._program is None:
-            sched, base = self._schedules([positions], self.backend.expand_keys), 0
-        else:
-            sched, base = self._program, self._row
-            self._row += 2 * m
-        g_rows = np.arange(base, base + m, dtype=np.int64)
-        rows = np.concatenate([g_rows] * copies + [g_rows + m] * copies)
+    def _hash(self, positions, labels, runs: int):
+        """Hash ``labels`` = ``runs`` runs of ``2m`` blocks, each the
+        ``m`` ``a`` labels under the batch's generator keys then the
+        ``m`` ``b`` labels under its evaluator keys."""
+        backend = self.backend
+        tweaks = np.concatenate([2 * positions, 2 * positions + 1])
+        keys = backend.tweaks_to_keys(tweaks)
+        sched = backend.expand_keys(keys) if self.rekeyed else keys
+        if runs > 1:
+            sched = np.concatenate([sched.T] * runs, axis=1).T
         self.hasher.record_batch(len(labels))
         if self.rekeyed:
-            return self.backend.hash_schedule_rows(labels, sched, rows)
-        return self.backend.hash_fixed_key_blocks(labels, sched[rows])
+            return backend.hash_with_schedules(labels, sched)
+        return backend.hash_fixed_key_blocks(labels, sched)
 
     def permute_bits(self, wires: Sequence[int]) -> List[int]:
         """Point-and-permute bit of each wire's stored label."""
@@ -346,11 +326,10 @@ class BlockGarblerStore(_BlockStore):
 
     def __init__(
         self, circuit, input_labels: Sequence[int], r: int, rekeyed,
-        backend, hasher, whole_program: bool = False,
+        backend, hasher,
     ) -> None:
         super().__init__(
-            circuit, ints_to_bytes(input_labels), rekeyed, backend, hasher,
-            whole_program,
+            circuit, ints_to_bytes(input_labels), rekeyed, backend, hasher
         )
         self.r_vec = backend.ints_to_blocks([r])[0]
 
@@ -372,9 +351,9 @@ class BlockGarblerStore(_BlockStore):
             m = len(positions)
             wa0, wb0 = state[a_idx], state[b_idx]
             hashes = self._hash(
-                positions, np.concatenate([wa0, wa0 ^ r_vec, wb0, wb0 ^ r_vec]), 2
+                positions, np.concatenate([wa0, wb0, wa0 ^ r_vec, wb0 ^ r_vec]), 2
             )
-            h_a0, h_a1, h_b0, h_b1 = (hashes[i * m : (i + 1) * m] for i in range(4))
+            h_a0, h_b0, h_a1, h_b1 = (hashes[i * m : (i + 1) * m] for i in range(4))
             p_a = -(wa0[:, 3:] & 1)
             p_b = -(wb0[:, 3:] & 1)
             tables = np.empty((m, 8), dtype=np.uint32)
@@ -448,13 +427,9 @@ class IntGarblerStore:
         return self.zero
 
 
-def garbler_store(
-    circuit, input_labels, r, rekeyed, backend, hasher, whole_program=False
-):
+def garbler_store(circuit, input_labels, r, rekeyed, backend, hasher):
     """The Garbler's label store for ``backend``: blocks when it is
     ``vectorized``, ints otherwise."""
     if backend.vectorized:
-        return BlockGarblerStore(
-            circuit, input_labels, r, rekeyed, backend, hasher, whole_program
-        )
+        return BlockGarblerStore(circuit, input_labels, r, rekeyed, backend, hasher)
     return IntGarblerStore(circuit, input_labels, r, rekeyed, backend, hasher)

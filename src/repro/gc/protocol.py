@@ -90,10 +90,9 @@ class SessionResult:
 
     The trailing fields are the reliability ledger added with the
     streamed path: ``recovery_events`` lists every survived degradation
-    (transport retransmits, pool shard retries and disables, cache
-    recoveries), ``fault_events`` what the active
-    :class:`~repro.faults.FaultPlan` injected, ``transcript_digest`` the
-    hex SHA-256 of the garbler->evaluator message transcript as verified
+    (transport retransmits, cache recoveries), ``fault_events`` what the
+    active :class:`~repro.faults.FaultPlan` injected, ``transcript_digest``
+    the hex SHA-256 of the garbler->evaluator message transcript as verified
     by both sides, and ``first_level_s`` the latency until the first AND
     level's tables were delivered *and evaluated* (streamed runs only).
     """
@@ -176,9 +175,9 @@ class TwoPartySession:
         :class:`~repro.faults.FaultPlan`, or ``None`` to defer to
         ``config.fault_spec`` and then the ``REPRO_FAULTS`` environment
         variable.  ``config`` (a :class:`~repro.sim.config.HaacConfig`)
-        also supplies the backend spec when ``backend`` is ``None``.
-        Frame faults only bite on :meth:`run_streamed`; process faults
-        (``kill_worker`` / ``tear_cache``) apply to both drive modes.
+        also supplies the backend name when ``backend`` is ``None``.
+        Frame faults only bite on :meth:`run_streamed`; the process
+        fault ``tear_cache`` applies to both drive modes.
         """
         circuit.validate()
         self.circuit = circuit
@@ -186,7 +185,7 @@ class TwoPartySession:
         self.rekeyed = rekeyed
         if config is not None:
             if backend is None:
-                backend = config.gc_backend_spec()
+                backend = config.gc_backend
             if faults is None:
                 faults = getattr(config, "fault_spec", None)
         self.backend = backend
@@ -201,15 +200,6 @@ class TwoPartySession:
         from .backends import resolve_backend
 
         return resolve_backend(self.backend)
-
-    @staticmethod
-    def _surface_backend_events(resolved, log: RecoveryLog) -> None:
-        """Fold silent backend degradations into the recovery ledger."""
-        if resolved is None:
-            return
-        pool_reason = getattr(resolved, "pool_disabled_reason", None)
-        if pool_reason and not log.count("pool"):
-            log.record("pool", "pool_disabled", pool_reason)
 
     def run(
         self, garbler_bits: Sequence[int], evaluator_bits: Sequence[int]
@@ -327,7 +317,6 @@ class TwoPartySession:
                 // _DECODE_BITS_PER_BYTE,
             )
 
-        self._surface_backend_events(resolved, log)
         return SessionResult(
             output_bits=result.output_bits,
             traffic=self.channels.traffic_report(),
@@ -509,9 +498,6 @@ class StreamedDriver:
             evaluator.take_turn()
         else:
             self._alternate(FINISH)
-            TwoPartySession._surface_backend_events(
-                garbler.backend, self.log
-            )
             self.result = SessionResult.from_reports(
                 garbler.report(),
                 evaluator.report(),

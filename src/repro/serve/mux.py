@@ -3,10 +3,7 @@
 One process, one scheduler, N sessions: each admitted session is a
 :class:`~repro.gc.protocol.StreamedDriver` state machine, and the
 multiplexer round-robins one :meth:`~repro.gc.protocol.StreamedDriver.step`
-quantum per scheduler pass across every running session.  All sessions
-share whatever hashing substrate they resolved -- in particular the one
-persistent ``parallel`` process pool, whose multi-generation resident
-schedule blocks keep interleaved programs from evicting each other.
+quantum per scheduler pass across every running session.
 
 The scheduler is deliberately cooperative and single-threaded:
 

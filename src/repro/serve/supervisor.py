@@ -86,9 +86,8 @@ class SessionSpec:
     evaluator_bits: Sequence[int]
     seed: int = 0
     rekeyed: bool = True
-    #: Backend spec string (resolved inside each worker); ``None`` is
-    #: the ``scalar`` backend.  Note workers are daemonic, so the
-    #: ``parallel`` backend degrades to its in-process fallback there.
+    #: Backend name (resolved inside each worker); ``None`` is the
+    #: ``scalar`` backend.
     backend: Optional[str] = None
     #: Fault spec / plan; frame faults do not apply on this transport
     #: (the kernel socket is loss-free), only the process-chaos kinds.

@@ -55,16 +55,10 @@ class HaacConfig:
     model_bank_conflicts: bool = False
     # Label-hash substrate for the functional machine's garbling step
     # (pass this config to sim.functional.run_functional): None keeps
-    # the audited per-gate scalar path, "auto"/"numpy"/"scalar"/
-    # "parallel" (or "parallel:N") selects a batched repro.gc.backends
-    # engine ("auto" is "numpy").  The REPRO_GC_BACKEND environment
-    # variable overrides "auto" resolution.
+    # the audited per-gate scalar path, "auto"/"numpy"/"scalar" selects
+    # a batched repro.gc.backends engine ("auto" is "numpy").  The
+    # REPRO_GC_BACKEND environment variable overrides "auto" resolution.
     gc_backend: "str | None" = None
-    # Worker-process count for the "parallel" backend.  Setting this
-    # implies the parallel backend when gc_backend is None/"auto"/
-    # "parallel"; see gc_backend_spec().  None defers to
-    # REPRO_GC_WORKERS / os.cpu_count() at backend construction.
-    gc_workers: "int | None" = None
     # Persistent compiled-program cache for sim-layer helpers that
     # compile internally (simulate_multicore, run_haac sweeps): None
     # defers to the REPRO_PROG_CACHE environment variable, True uses
@@ -90,8 +84,6 @@ class HaacConfig:
             raise ValueError("need at least one GE")
         if self.sww_bytes < 4 * WIRE_BYTES:
             raise ValueError("SWW too small")
-        if self.gc_workers is not None and self.gc_workers < 1:
-            raise ValueError("gc_workers must be >= 1")
 
     @property
     def and_latency(self) -> int:
@@ -135,24 +127,6 @@ class HaacConfig:
 
     def with_gc_backend(self, gc_backend: "str | None") -> "HaacConfig":
         return self._replace(gc_backend=gc_backend)
-
-    def with_gc_workers(self, gc_workers: "int | None") -> "HaacConfig":
-        return self._replace(gc_workers=gc_workers)
-
-    def gc_backend_spec(self) -> "str | None":
-        """The backend spec string consumers should resolve.
-
-        Combines ``gc_backend`` and ``gc_workers``: a pinned worker
-        count turns None/"auto"/"parallel" into ``"parallel:N"``; an
-        explicit non-parallel backend (or a spec that already carries
-        options) wins over ``gc_workers``.
-        """
-        backend = self.gc_backend
-        if self.gc_workers is None:
-            return backend
-        if backend in (None, "auto", "parallel"):
-            return f"parallel:{self.gc_workers}"
-        return backend
 
     def with_prog_cache(self, prog_cache: "str | bool | None") -> "HaacConfig":
         return self._replace(prog_cache=prog_cache)

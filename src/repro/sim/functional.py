@@ -96,14 +96,12 @@ def run_functional(
     level-batched backend engine -- the stream replay below is
     unaffected either way because both substrates emit bitwise-identical
     labels and tables.  Passing a :class:`~repro.sim.config.HaacConfig`
-    as ``config`` defaults ``gc_backend`` from
-    ``config.gc_backend_spec()``, which folds ``config.gc_workers``
-    into a ``parallel:N`` spec for the process-sharded backend.
+    as ``config`` defaults ``gc_backend`` from ``config.gc_backend``.
     """
     program = streams.program
     netlist = program.netlist
     if gc_backend is None and config is not None:
-        gc_backend = config.gc_backend_spec()
+        gc_backend = config.gc_backend
     if garbler is None:
         if gc_backend is None:
             garbler = garble_circuit(netlist, seed=seed)

@@ -17,7 +17,7 @@ by::
 * **config signature** -- :func:`config_signature`, a stable hash of
   the *hardware* fields of :class:`repro.sim.config.HaacConfig`.
   Software-substrate fields (``gc_backend``, ``sim_engine``,
-  ``prog_cache``, ``fault_spec``, ``gc_workers``) are deliberately
+  ``prog_cache``, ``fault_spec``) are deliberately
   excluded: the engine-equivalence suite guarantees every engine
   produces bit-identical results, so results are shared across them.
 * **bench schema** -- a versioned row-shape identifier such as

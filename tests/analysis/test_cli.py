@@ -36,6 +36,13 @@ class TestParser:
         assert args.ges == 4
         assert args.dram == "hbm2"
 
+    @pytest.mark.parametrize("command", ["protocol", "serve"])
+    def test_workers_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, "--workers", "2"])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_workloads_list(self, capsys):
@@ -76,6 +83,20 @@ class TestCommands:
         assert main(["protocol", "--alice", "10", "--bob", "5", "--width", "8"]) == 0
         out = capsys.readouterr().out
         assert "richer: Alice" in out
+
+    def test_protocol_command_with_backend(self, capsys):
+        assert main(["protocol", "--alice", "10", "--bob", "5", "--width", "8",
+                     "--backend", "numpy", "--stream"]) == 0
+        out = capsys.readouterr().out
+        assert "richer: Alice" in out
+        assert "transcript sha256" in out
+
+    def test_protocol_rejects_unregistered_backend(self, monkeypatch):
+        from repro.gc.backends import BACKEND_ENV_VAR, BackendUnavailable
+
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        with pytest.raises(BackendUnavailable, match="registered"):
+            main(["protocol", "--width", "8", "--backend", "parallel"])
 
     def test_protocol_tie_goes_to_bob_side(self, capsys):
         assert main(["protocol", "--alice", "5", "--bob", "5", "--width", "8"]) == 0

@@ -10,16 +10,7 @@ from repro.circuits.builder import CircuitBuilder
 from repro.circuits.netlist import Circuit, Gate, GateOp
 from repro.circuits.stdlib.integer import add, less_than, mul
 from repro.core.compiler import OptLevel, compile_circuit
-from repro.gc.backends import reset_warn_once
 from repro.sim.config import HaacConfig
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warn_once():
-    """Warn-once dedup state must never leak between tests."""
-    reset_warn_once()
-    yield
-    reset_warn_once()
 
 
 @pytest.fixture

@@ -14,8 +14,6 @@ because "terminates" is part of the contract being verified.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.faults import (
@@ -158,34 +156,6 @@ class TestChaosMatrix:
 
 
 class TestProcessChaos:
-    @pytest.mark.timeout(300)
-    def test_worker_kill_recovers_bitwise(self, adder_circuit):
-        """SIGKILL a pool worker mid-dispatch: the pool-rebuild retry
-        (or, second time around, the serial fallback) must still produce
-        the exact fault-free transcript."""
-        parallel = pytest.importorskip("repro.gc.backends.parallel")
-        backend = parallel.ParallelLabelHashBackend(workers=2, min_batch=1)
-        g, e = _bits(adder_circuit)
-        clean = run_two_party(adder_circuit, g, e, streamed=True)
-        with warnings.catch_warnings():
-            # Whether the kill ends in pool rebuilds or a permanent
-            # serial fallback (with its RuntimeWarning) depends on when
-            # the executor notices the dead worker; both are valid
-            # recoveries, and both must yield the clean transcript.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = run_two_party(
-                adder_circuit,
-                g,
-                e,
-                backend=backend,
-                faults="kill_worker:1.0,seed=5",
-                streamed=True,
-            )
-        assert result.output_bits == clean.output_bits
-        assert result.transcript_digest == clean.transcript_digest
-        assert any(event.site == "pool" for event in result.fault_events)
-        assert any(event.layer == "pool" for event in result.recovery_events)
-
     def test_cache_tear_recovers_by_recompile(self, tmp_path):
         from repro.core.progcache import ProgramCache
 

@@ -23,8 +23,8 @@ class TestParseFaultSpec:
         assert plan.seed == 7
 
     def test_bare_name_means_rate_one(self):
-        plan = parse_fault_spec("kill_worker,tear_cache:0.5")
-        assert plan.rates == {"kill_worker": 1.0, "tear_cache": 0.5}
+        plan = parse_fault_spec("kill_party,tear_cache:0.5")
+        assert plan.rates == {"kill_party": 1.0, "tear_cache": 0.5}
 
     def test_seed_accepts_hex(self):
         assert parse_fault_spec("drop:1,seed=0x10").seed == 16
@@ -34,9 +34,10 @@ class TestParseFaultSpec:
         assert plan.rates == {"drop": 0.5}
         assert plan.seed == 3
 
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["explode", "kill_worker"])
+    def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            parse_fault_spec("explode:0.5")
+            parse_fault_spec(f"{kind}:0.5")
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError, match="bad fault rate"):
@@ -102,12 +103,11 @@ class TestFaultPlanDeterminism:
         for seq in range(40):
             trace.append(tuple(plan.frame_faults(f"wire#{seq}")))
             trace.append(plan.choose_offset(17))
-            trace.append(plan.kill_worker())
             trace.append(plan.tear_cache())
         return trace, plan.signature()
 
     def test_same_seed_same_schedule(self):
-        spec = "drop:0.3,corrupt:0.2,tamper:0.1,duplicate:0.2,kill_worker:0.1"
+        spec = "drop:0.3,corrupt:0.2,tamper:0.1,duplicate:0.2,kill_party:0.1"
         a = parse_fault_spec(spec + ",seed=42")
         b = parse_fault_spec(spec + ",seed=42")
         assert self._drive(a) == self._drive(b)

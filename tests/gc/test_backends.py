@@ -28,10 +28,21 @@ from repro.gc.backends import (
     registered_backends,
     resolve_backend,
 )
-from repro.gc.evaluate import evaluate_circuit, evaluate_circuit_batched
-from repro.gc.garble import garble_circuit, garble_circuit_batched
-from repro.gc.hashing import fixed_key_hash, rekeyed_hash
-from repro.gc.protocol import StreamedDriver, TwoPartySession
+from repro.gc.evaluate import (
+    BlockEvaluatorStore,
+    evaluate_circuit,
+    evaluate_circuit_batched,
+)
+from repro.gc.garble import (
+    BlockGarblerStore,
+    IntGarblerStore,
+    garble_circuit,
+    garble_circuit_batched,
+)
+from repro.gc.hashing import GateHasher, fixed_key_hash, rekeyed_hash
+from repro.gc.labels import ints_to_bytes
+from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
+from repro.sim.config import HaacConfig
 
 
 def _logic8():
@@ -110,6 +121,21 @@ def _random_circuit(rng, n_inputs=10, n_gates=120):
     return Circuit.from_gates(half, n_inputs - half, gates, outputs, "random")
 
 
+def _ragged_circuit(widths):
+    """One AND level per entry of ``widths``, that many gates wide, each
+    level's outputs folded into the garbler inputs by free XORs."""
+    b = CircuitBuilder()
+    xs = b.add_garbler_inputs(max(widths))
+    ys = b.add_evaluator_inputs(max(widths))
+    carry = xs
+    for width in widths:
+        ands = [b.AND(carry[i % len(carry)], ys[i]) for i in range(width)]
+        b.mark_outputs(ands)
+        carry = [b.XOR(wire, x) for wire, x in zip(ands, xs)]
+    b.mark_outputs(carry)
+    return b.build("ragged")
+
+
 def _assert_batched_matches_reference(circuit, backend, rekeyed=True, seed=11):
     reference = garble_circuit(circuit, seed=seed, rekeyed=rekeyed)
     batched = garble_circuit_batched(
@@ -150,6 +176,26 @@ class TestRegistry:
         with pytest.raises(BackendUnavailable, match="unknown"):
             get_backend("cuda")
 
+    @pytest.mark.parametrize(
+        "choice, env",
+        [("parallel", None), ("parallel:4", None), ("numpy:2", None),
+         (None, "parallel:4")],
+    )
+    def test_removed_names_rejected(self, monkeypatch, choice, env):
+        if env is None:
+            monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(BACKEND_ENV_VAR, env)
+        with pytest.raises(BackendUnavailable) as info:
+            resolve_backend(choice)
+        assert "registered: ['numpy', 'scalar']" in str(info.value)
+
+    @pytest.mark.parametrize("spec", ["scalar:4", "auto:2"])
+    def test_names_take_no_options(self, monkeypatch, spec):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        with pytest.raises(BackendUnavailable, match="unknown gc backend"):
+            resolve_backend(spec)
+
     def test_resolve_accepts_instances(self):
         backend = get_backend("scalar")
         assert resolve_backend(backend) is backend
@@ -161,6 +207,15 @@ class TestRegistry:
     def test_env_var_overrides_explicit_auto(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "scalar")
         assert resolve_backend("auto").name == "scalar"
+
+    @pytest.mark.parametrize("name", registered_backends())
+    def test_env_var_selects_each_registered_backend(self, monkeypatch, name):
+        monkeypatch.setenv(BACKEND_ENV_VAR, name)
+        assert resolve_backend(None).name == name
+        assert resolve_backend("auto").name == name
+        # An explicit name still wins over the environment.
+        other = next(n for n in registered_backends() if n != name)
+        assert resolve_backend(other).name == other
 
     def test_auto_resolution_returns_something(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
@@ -249,7 +304,6 @@ class TestArrayKernel:
         for out in (
             encrypted,
             backend.hash_with_schedules(blocks, schedules),
-            backend.hash_schedule_rows(blocks, schedules, np.arange(n)),
             backend.hash_fixed_key_blocks(blocks, key_blocks),
         ):
             assert (out.shape, out.dtype) == ((n, 4), np.uint32)
@@ -284,10 +338,6 @@ class TestArrayKernel:
         assert backend.blocks_to_ints(single) == [
             aes.encrypt_block(value, keys[5]) for value in values
         ]
-        rows = np.arange(64)[::-1]
-        assert backend.hash_schedule_rows(
-            blocks, schedules, rows
-        ).tolist() == backend.hash_with_schedules(blocks, schedules[rows]).tolist()
 
     def test_inputs_untouched_and_results_independent(self, backend, rng):
         """No kernel writes through an input -- not even one that is a
@@ -304,7 +354,6 @@ class TestArrayKernel:
             backend.expand_keys(first),
             backend.encrypt_blocks(first, schedules),
             backend.hash_with_schedules(first, schedules),
-            backend.hash_schedule_rows(first, schedules, np.arange(300)[::-1]),
             backend.hash_fixed_key_blocks(first, key_blocks),
             backend.sigma_blocks(first),
         ]
@@ -338,6 +387,53 @@ class TestArrayKernel:
         assert run(*(driver(circuit, seed) for circuit, seed in jobs)) == alone
 
 
+class TestBlockStoreHash:
+    """The block stores' per-batch hash layout, against the scalar hash:
+    ``runs`` runs of ``2m`` labels, each the ``m`` ``a`` labels under
+    tweak ``2p`` then the ``m`` ``b`` labels under ``2p + 1``."""
+
+    @pytest.mark.parametrize("m", [1, 37])
+    @pytest.mark.parametrize("runs", [1, 2])
+    @pytest.mark.parametrize("rekeyed", [True, False])
+    def test_runs_hash_under_batch_keys(self, adder_circuit, rng, m, runs, rekeyed):
+        backend = get_backend("numpy")
+        hasher = GateHasher(rekeyed=rekeyed)
+        store = BlockEvaluatorStore(
+            adder_circuit,
+            ints_to_bytes([0] * adder_circuit.n_inputs),
+            rekeyed, backend, hasher,
+        )
+        positions = np.asarray(rng.sample(range(10_000), m), dtype=np.int64)
+        values, blocks = _random_blocks(backend, rng, 2 * m * runs)
+        got = backend.blocks_to_ints(store._hash(positions, blocks, runs))
+        tweaks = [2 * int(p) for p in positions] + [2 * int(p) + 1 for p in positions]
+        scalar_fn = rekeyed_hash if rekeyed else fixed_key_hash
+        assert got == [
+            scalar_fn(value, tweak)
+            for value, tweak in zip(values, tweaks * runs)
+        ]
+        assert hasher.calls == 2 * m * runs
+
+    @pytest.mark.parametrize("rekeyed", [True, False])
+    def test_garbler_levels_match_int_store(self, rng, rekeyed):
+        """Level by level, the block Garbler emits the oracle store's
+        tables and leaves its labels."""
+        circuit = _ragged_circuit([5, 1, 40, 2])
+        labels = [rng.getrandbits(128) for _ in range(circuit.n_inputs)]
+        r = rng.getrandbits(128) | 1
+        stores = [
+            make(circuit, labels, r, rekeyed, get_backend(name),
+                 GateHasher(rekeyed=rekeyed))
+            for make, name in ((IntGarblerStore, "scalar"),
+                               (BlockGarblerStore, "numpy"))
+        ]
+        for index in range(len(circuit.and_level_schedule())):
+            want, got = (store.garble_level(index) for store in stores)
+            assert got == want, f"level {index} diverges"
+        assert stores[1].labels() == stores[0].labels()
+        assert stores[1].hasher.calls == stores[0].hasher.calls == 4 * 48
+
+
 class TestBatchedGarbling:
     @pytest.mark.parametrize("circuit_name", sorted(STDLIB_CIRCUITS))
     def test_batched_matches_reference_on_stdlib(self, circuit_name):
@@ -356,6 +452,29 @@ class TestBatchedGarbling:
             for backend in available_backends():
                 _assert_batched_matches_reference(circuit, backend, seed=trial)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 17, 64, 129])
+    @pytest.mark.parametrize("rekeyed", [True, False])
+    def test_one_level_of_any_width(self, width, rekeyed):
+        """A single AND batch of ``width`` gates: the Garbler's four
+        hash quarters and the Evaluator's two halves split at ``m``."""
+        circuit = _ragged_circuit([width])
+        for backend in available_backends():
+            _assert_batched_matches_reference(circuit, backend, rekeyed=rekeyed)
+            batched = garble_circuit_batched(circuit, seed=4, rekeyed=rekeyed,
+                                             backend=backend)
+            assert batched.hasher.calls == 4 * width
+
+    @pytest.mark.parametrize(
+        "widths", [[5, 1, 40, 2], [1, 1, 1, 1, 1], [33, 32, 31]]
+    )
+    def test_ragged_level_widths(self, widths):
+        """Per-level schedules carry nothing from one batch to the next."""
+        circuit = _ragged_circuit(widths)
+        assert [len(batch) for batch, _ in circuit.and_level_schedule()
+                if batch] == widths
+        for backend in available_backends():
+            _assert_batched_matches_reference(circuit, backend)
+
     @pytest.mark.slow
     def test_batched_matches_reference_on_aes128(self):
         circuit = build_aes128_circuit()
@@ -368,8 +487,6 @@ class TestBatchedGarbling:
 
 class TestIntegration:
     def test_two_party_session_matches_reference_path(self):
-        from repro.gc.protocol import run_two_party
-
         circuit = _integer8()
         garbler_bits = [1, 0, 1, 1, 0, 0, 1, 0]
         evaluator_bits = [0, 1, 1, 0, 1, 0, 0, 1]
@@ -383,28 +500,62 @@ class TestIntegration:
             assert got.total_bytes == want.total_bytes
             assert got.hash_calls_evaluator == want.hash_calls_evaluator
 
-    def test_functional_machine_accepts_gc_backend(self):
-        from repro.core.compiler import OptLevel, compile_circuit
-        from repro.sim.config import HaacConfig
-        from repro.sim.functional import run_functional
+    @pytest.mark.parametrize("name", ["scalar", "numpy", "auto"])
+    def test_streamed_session_reads_config_backend(self, mixed_circuit, name):
+        """``HaacConfig.gc_backend`` reaches the streamed session, and
+        every backend yields the reference transcript byte for byte."""
+        garbler_bits = [1, 0, 1, 1, 0, 0, 1, 0]
+        evaluator_bits = [0, 1, 1, 0, 1, 0, 0, 1]
+        want = run_two_party(
+            mixed_circuit, garbler_bits, evaluator_bits, seed=13, streamed=True
+        )
+        session = TwoPartySession(
+            mixed_circuit, seed=13, config=HaacConfig().with_gc_backend(name)
+        )
+        assert session.backend == name
+        got = session.run_streamed(garbler_bits, evaluator_bits)
+        assert got.output_bits == want.output_bits
+        assert got.transcript_digest == want.transcript_digest
+        assert got.hash_calls_evaluator == want.hash_calls_evaluator
 
-        circuit = _adder8()
+    @staticmethod
+    def _adder_streams():
+        from repro.core.compiler import OptLevel, compile_circuit
+
         config = HaacConfig(n_ges=4, sww_bytes=64 * 16)
         result = compile_circuit(
-            circuit, config.window, config.n_ges,
+            _adder8(), config.window, config.n_ges,
             opt=OptLevel.RO_RN_ESW, params=config.schedule_params(),
         )
         bits_g = [1, 1, 0, 0, 1, 0, 1, 0]
         bits_e = [0, 1, 0, 1, 1, 1, 0, 0]
         g2, e2 = result.lowered.adapt_inputs(bits_g, bits_e)
-        want = run_functional(result.streams, g2, e2, seed=3)
+        return config, result.streams, g2, e2
+
+    @pytest.mark.parametrize("name", ["scalar", "numpy", "auto"])
+    def test_functional_machine_reads_config_backend(self, name):
+        from repro.sim.functional import run_functional
+
+        config, streams, g2, e2 = self._adder_streams()
+        want = run_functional(streams, g2, e2, seed=6)
+        got = run_functional(
+            streams, g2, e2, seed=6, config=config.with_gc_backend(name)
+        )
+        assert got.output_bits == want.output_bits
+        assert got.output_labels == want.output_labels
+
+    def test_functional_machine_accepts_gc_backend(self):
+        from repro.sim.functional import run_functional
+
+        config, streams, g2, e2 = self._adder_streams()
+        want = run_functional(streams, g2, e2, seed=3)
         for backend in available_backends() + ["auto"]:
-            got = run_functional(result.streams, g2, e2, seed=3, gc_backend=backend)
+            got = run_functional(streams, g2, e2, seed=3, gc_backend=backend)
             assert got.output_bits == want.output_bits
             assert got.output_labels == want.output_labels
         # HaacConfig.gc_backend is honoured when the config is passed.
         via_config = run_functional(
-            result.streams, g2, e2, seed=3,
+            streams, g2, e2, seed=3,
             config=config.with_gc_backend("auto"),
         )
         assert via_config.output_labels == want.output_labels

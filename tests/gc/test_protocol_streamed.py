@@ -10,7 +10,6 @@ import pytest
 from repro.circuits.netlist import Circuit, Gate, GateOp
 from repro.faults import FrameTimeout, ProtocolFault, SessionAborted
 from repro.gc import protocol as protocol_mod
-from repro.gc.backends import get_backend
 from repro.gc.ot import GROUP_P
 from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
 from repro.gc.roles import _POINT_BYTES, EvaluatorRole, GarblerRole
@@ -157,30 +156,6 @@ class TestConfigWiring:
         monkeypatch.setenv("REPRO_FAULTS", "duplicate:1.0,seed=2")
         result = run_two_party(tiny_circuit, [0], [1], streamed=True)
         assert any(event.kind == "duplicate" for event in result.fault_events)
-
-
-class TestDegradationSurfacing:
-    def test_pool_disabled_reason_lands_in_recovery_events(self, tiny_circuit):
-        backend = get_backend("scalar")
-        backend.pool_disabled_reason = "BrokenProcessPool: (test)"
-        result = run_two_party(tiny_circuit, [1], [1], backend=backend, streamed=True)
-        assert ("pool", "pool_disabled") in [
-            (event.layer, event.kind) for event in result.recovery_events
-        ]
-
-    def test_warn_once_rearms_on_reset(self):
-        from repro.gc.backends import base
-
-        base.reset_warn_once()
-        with pytest.warns(RuntimeWarning, match="degraded"):
-            assert base._WARN_ONCE.warn("key", "degraded")
-        # Same key again: no second warning.
-        assert not base._WARN_ONCE.warn("key", "degraded")
-        # reset_warn_once re-arms the warning (the conftest autouse
-        # fixture relies on this for test isolation).
-        base.reset_warn_once()
-        with pytest.warns(RuntimeWarning, match="degraded"):
-            assert base._WARN_ONCE.warn("key", "degraded")
 
 
 def _damage_first(channel, kind, damage):
