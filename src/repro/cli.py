@@ -60,6 +60,14 @@ _EXPERIMENTS: Dict[str, Callable[..., exp.ExperimentResult]] = {
 _QUICK_CAPABLE = {"table2", "table3", "table5", "fig6", "fig8", "fig9", "fig10"}
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for ``--ges`` / ``--sww-kb``: a bad size is a usage
+    error naming the flag (exit 2), not a ``HaacConfig`` traceback."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -104,14 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_c = sub.add_parser("compile", help="compile a workload at every opt level")
     p_c.add_argument("name", choices=PAPER_ORDER)
-    p_c.add_argument("--ges", type=int, default=16)
-    p_c.add_argument("--sww-kb", type=int, default=64)
+    p_c.add_argument("--ges", type=_positive_int, default=16)
+    p_c.add_argument("--sww-kb", type=_positive_int, default=64)
     add_cache_flag(p_c)
 
     p_s = sub.add_parser("simulate", help="timing-simulate one design point")
     p_s.add_argument("name", choices=PAPER_ORDER)
-    p_s.add_argument("--ges", type=int, default=16)
-    p_s.add_argument("--sww-kb", type=int, default=64)
+    p_s.add_argument("--ges", type=_positive_int, default=16)
+    p_s.add_argument("--sww-kb", type=_positive_int, default=64)
     p_s.add_argument("--dram", choices=["ddr4", "hbm2"], default="ddr4")
     p_s.add_argument("--role", choices=["evaluator", "garbler"], default="evaluator")
     p_s.add_argument(
@@ -121,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_s.add_argument(
         "--engine",
-        choices=["numpy", "vectorized", "reference"],
+        choices=["numpy", "reference"],
         default=None,
         help="timing-replay engine (default: $REPRO_SIM_ENGINE, else "
         "the level-parallel numpy engine)",
@@ -139,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="search target (currently: schedule)",
     )
     p_se.add_argument("--workload", required=True, choices=PAPER_ORDER)
-    p_se.add_argument("--ges", type=int, default=4)
-    p_se.add_argument("--sww-kb", type=int, default=16)
+    p_se.add_argument("--ges", type=_positive_int, default=4)
+    p_se.add_argument("--sww-kb", type=_positive_int, default=16)
     p_se.add_argument("--dram", choices=["ddr4", "hbm2"], default="hbm2")
     p_se.add_argument(
         "--role", choices=["evaluator", "garbler"], default="evaluator"

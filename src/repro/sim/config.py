@@ -73,10 +73,10 @@ class HaacConfig:
     fault_spec: "str | None" = None
     # Timing-replay engine for every model that consumes this config:
     # None defers to the REPRO_SIM_ENGINE environment variable;
-    # "numpy" (level-parallel array replay, the default), "vectorized"
-    # (flat-array Python loop) and
-    # "reference" (retained per-gate ground truth) pin one engine
-    # (see repro.sim.engine.engine_mode).
+    # "numpy" (level-parallel array replay, the default) or "reference"
+    # (per-gate oracle, and the one bank-conflict replay) pins one
+    # engine; any other name raises ValueError when a model runs (see
+    # repro.sim.engine.engine_mode).
     sim_engine: "str | None" = None
 
     def __post_init__(self) -> None:

@@ -17,10 +17,10 @@ by simulating the counterfactuals:
 
 Both reuse the exact same streams and byte accounting as
 :mod:`repro.sim.timing`, so the three models are directly comparable.
-Like the decoupled model, the replay runs on the shared flat-array
-engine (:mod:`repro.sim.engine`); ``REPRO_SIM_ENGINE=reference``
-selects the retained per-gate loops, which the equivalence suite diffs
-against the vectorized path.
+Like the decoupled model, the replay runs on the shared compiled arrays
+of :mod:`repro.sim.engine`: ``numpy`` (the default) is one array pass
+over a leading queue axis, ``REPRO_SIM_ENGINE=reference`` the per-gate
+loop the equivalence suite diffs it against.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ from ..core.sww import WIRE_BYTES
 from .config import OOR_ADDR_BYTES, TABLE_BYTES, HaacConfig
 from .engine import (
     ENGINE_NUMPY,
-    ENGINE_REFERENCE,
     compiled_arrays,
     engine_mode,
     numpy_plan,
 )
-from .timing import compute_traffic, simulate
+from .timing import simulate
 
 __all__ = [
     "CoupledResult",
@@ -60,10 +59,26 @@ class CoupledResult:
     """Runtime under a finite-buffering or pull-based memory model."""
 
     name: str
+    """Model and its parameter: ``coupled(<bytes>B/GE)`` or
+    ``pull-based(<cycles>cyc)``."""
+
     cycles: float
+    """Runtime in GE cycles: the model's compute finish, floored by the
+    decoupled traffic cycles (aggregate DRAM bandwidth)."""
+
     decoupled_cycles: float
+    """Runtime in GE cycles of the decoupled model on the same streams
+    and config (``SimResult.runtime_cycles``)."""
+
     stall_cycles: float
+    """Memory stall in GE cycles; the definition differs per model.
+    Coupled: the per-instruction issue lag behind the compiler's
+    schedule, summed over all instructions -- GEs stall in parallel, so
+    it can exceed ``cycles``.  Pull-based: the worst GE's serialised
+    demand-miss cycles, the amount added to the decoupled compute."""
+
     ge_clock_hz: float
+    """GE clock in Hz, converting cycles to seconds."""
 
     @property
     def runtime_s(self) -> float:
@@ -80,8 +95,8 @@ def _per_instruction_bytes(streams: StreamSet, config: HaacConfig) -> list[float
     """Prefetch bytes each instruction consumes, in program order.
 
     Reference formulation: walks the program columns and each
-    instruction's owning GE stream.  The vectorized path computes the
-    same values from :class:`CompiledArrays`; both must stay
+    instruction's owning GE stream.  The numpy path computes the same
+    values from the level plan's program-order arrays; both must stay
     cost-identical.
     """
     program = streams.program
@@ -112,6 +127,9 @@ def coupled_runtime(
     stream data ahead of the fill frontier.  Instruction ``p`` therefore
     cannot issue before ``(prefix_bytes(p) - credit) / bandwidth``.
     The decoupled compute schedule supplies the other lower bound.
+
+    On ``numpy`` this is a one-row :func:`coupled_runtime_batch`; the
+    loop below is the ``reference`` replay.
     """
     queue_bytes = (
         queue_bytes_per_ge
@@ -119,95 +137,29 @@ def coupled_runtime(
         else config.queue_sram_bytes // max(1, config.n_ges)
     )
     decoupled = simulate(streams, config)
+    if engine_mode(config.sim_engine) == ENGINE_NUMPY:
+        return coupled_runtime_batch(streams, config, [queue_bytes], decoupled)[0]
     bandwidth = config.dram_bytes_per_ge_cycle
     program = streams.program
     input_bytes = program.n_inputs * WIRE_BYTES
-
-    mode = engine_mode(config.sim_engine)
-    if mode == ENGINE_NUMPY:
-        # Array replay of the same recurrence.  Every byte count is an
-        # exact float64 integer, so the prefix sum is associativity-
-        # independent, and np.cumsum/np.maximum.accumulate evaluate
-        # strictly left-to-right -- the one float accumulation whose
-        # order matters (the stall sum) is therefore term-for-term the
-        # serial loop, keeping all three engines bit-identical.
-        plan = numpy_plan(compiled_arrays(streams))
-        oor_cost = WIRE_BYTES + OOR_ADDR_BYTES
-        costs = (
-            float(config.instr_bytes)
-            + TABLE_BYTES * plan.is_and_p
-            + oor_cost * plan.oor_a_p
-            + oor_cost * plan.oor_b_p
-            + WIRE_BYTES * plan.live_p
+    costs = _per_instruction_bytes(streams, config)
+    # Issue replay with the extra prefetch constraint.
+    prefix = 0.0
+    stall = 0.0
+    finish = 0.0
+    for position, base_issue in enumerate(streams.issue_cycle):
+        prefix += costs[position]
+        # The bytes for this instruction (minus the credit window)
+        # must have streamed in before it can issue.
+        fill_time = (input_bytes + prefix - queue_bytes) / bandwidth
+        issue = max(base_issue, fill_time)
+        stall += issue - base_issue
+        latency = (
+            config.and_latency
+            if program.op[position] == HaacOp.AND
+            else config.xor_latency
         )
-        fill_time = (input_bytes + np.cumsum(costs) - queue_bytes) / bandwidth
-        issue = np.maximum(plan.issue_cycle_p, fill_time)
-        lag = issue - plan.issue_cycle_p
-        stall = float(np.cumsum(lag)[-1]) if len(lag) else 0.0
-        latency = np.where(
-            plan.is_and_p, config.and_latency, config.xor_latency
-        )
-        finish = (
-            float(np.max(issue + latency + config.writeback_stages))
-            if len(issue)
-            else 0.0
-        )
-    elif mode == ENGINE_REFERENCE:
-        costs = _per_instruction_bytes(streams, config)
-        # Issue replay with the extra prefetch constraint.
-        prefix = 0.0
-        stall = 0.0
-        finish = 0.0
-        for position, base_issue in enumerate(streams.issue_cycle):
-            prefix += costs[position]
-            # The bytes for this instruction (minus the credit window)
-            # must have streamed in before it can issue.
-            fill_time = (input_bytes + prefix - queue_bytes) / bandwidth
-            issue = max(base_issue, fill_time)
-            stall += issue - base_issue
-            latency = (
-                config.and_latency
-                if program.op[position] == HaacOp.AND
-                else config.xor_latency
-            )
-            finish = max(finish, issue + latency + config.writeback_stages)
-    else:
-        arrays = compiled_arrays(streams)
-        oor_cost = WIRE_BYTES + OOR_ADDR_BYTES
-        instr_bytes = float(config.instr_bytes)
-        and_latency = config.and_latency
-        xor_latency = config.xor_latency
-        writeback = config.writeback_stages
-        issue_cycle = arrays.issue_cycle
-        is_and = arrays.is_and
-        live = arrays.live
-        oor_a = arrays.oor_a
-        oor_b = arrays.oor_b
-        prefix = 0.0
-        stall = 0.0
-        finish = 0.0
-        for position in range(arrays.n_instructions):
-            cost = instr_bytes
-            and_flag = is_and[position]
-            if and_flag:
-                cost += TABLE_BYTES
-            if oor_a[position]:
-                cost += oor_cost
-            if oor_b[position]:
-                cost += oor_cost
-            if live[position]:
-                cost += WIRE_BYTES
-            prefix += cost
-            # Same float-op order as the reference path so the two
-            # engines stay bit-identical.
-            fill_time = (input_bytes + prefix - queue_bytes) / bandwidth
-            base_issue = issue_cycle[position]
-            issue = base_issue if base_issue > fill_time else fill_time
-            stall += issue - base_issue
-            latency = and_latency if and_flag else xor_latency
-            done = issue + latency + writeback
-            if done > finish:
-                finish = done
+        finish = max(finish, issue + latency + config.writeback_stages)
 
     # Aggregate bandwidth still bounds the whole execution.
     cycles = max(finish, decoupled.traffic_cycles)
@@ -235,8 +187,8 @@ def coupled_runtime_batch(
     row is bit-identical to ``coupled_runtime(streams, config, q)`` --
     the recurrence is elementwise on the shared exact-integer prefix
     sums, and ``np.cumsum`` accumulates each row strictly left-to-right
-    like the serial stall sum.  Other engines fall back to per-point
-    :func:`coupled_runtime` calls.
+    like the serial stall sum.  The ``reference`` engine falls back to
+    per-point :func:`coupled_runtime` calls.
 
     ``decoupled`` accepts the caller's already-simulated baseline
     ``SimResult`` for ``(streams, config)`` (sweeps usually have one in
@@ -310,15 +262,9 @@ def pull_based_runtime(
     Serialisation is per GE: misses on different GEs overlap.
     """
     decoupled = simulate(streams, config)
-    if engine_mode(config.sim_engine) == ENGINE_REFERENCE:
-        per_ge_miss_cycles = [
-            miss_latency * len(ge.oor_addresses) for ge in streams.ges
-        ]
-    else:
-        per_ge_miss_cycles = [
-            miss_latency * count for count in compiled_arrays(streams).oor_per_ge
-        ]
-    extra = max(per_ge_miss_cycles) if per_ge_miss_cycles else 0
+    extra = max(
+        (miss_latency * len(ge.oor_addresses) for ge in streams.ges), default=0
+    )
     cycles = max(decoupled.compute_cycles + extra, decoupled.traffic_cycles)
     return CoupledResult(
         name=f"pull-based({miss_latency}cyc)",

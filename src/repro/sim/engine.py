@@ -1,16 +1,14 @@
-"""Shared flat-array execution engine for all timing models.
+"""Shared compiled-array replay engine for all timing models.
 
-PR 1 rewrote the decoupled timing model's hot loop
-(:func:`repro.sim.timing.simulate`) on preallocated parallel arrays and
-measured 1.5-2.3x; this module hoists that machinery out of
-``timing.py`` so the coupled, pull-based and multicore models consume
-the *same* compiled representation instead of re-walking dataclasses
-per gate.  PR 4 adds a third, NumPy *level-parallel* engine that retires
-whole dependence wavefronts as array operations -- the software mirror
-of the paper's level-scheduling insight that instructions in one
-wavefront have no ordering constraints.
+The decoupled, coupled, pull-based and multicore models all consume one
+config-independent flattening of a compiled :class:`StreamSet`
+(:class:`CompiledArrays`) instead of re-walking dataclasses per gate.
+The default engine is NumPy *level-parallel*: it retires whole
+dependence wavefronts as array operations -- the software mirror of the
+paper's level-scheduling insight that instructions in one wavefront have
+no ordering constraints.
 
-Three engines, selected by ``REPRO_SIM_ENGINE`` (or
+Two engines, selected by ``REPRO_SIM_ENGINE`` (or
 ``HaacConfig.sim_engine``, which wins when set):
 
 * ``numpy`` -- the default.  Instructions
@@ -19,25 +17,26 @@ Three engines, selected by ``REPRO_SIM_ENGINE`` (or
   function persisted through :mod:`repro.core.progcache`); the replay
   then walks level by level, computing operand readiness with bulk
   ``np.maximum`` gathers, in-order issue with a segmented prefix-max
-  per GE, and window-sync eviction checks as one vectorized gather.
-  ``model_bank_conflicts`` falls back to the flat loop below (its
+  per GE, and window-sync eviction checks as one array gather.
+  ``model_bank_conflicts`` runs on the reference replay below (its
   while-loop port arbitration is inherently sequential).
-* ``vectorized`` -- the PR 2 flat-array loop: one Python iteration per
-  instruction over preallocated lists.
 * ``reference`` -- the straightforward per-gate replay (dataclass
-  attribute walks, dicts) retained verbatim as the ground truth the
-  equivalence suite diffs both fast engines against.
+  attribute walks, dicts), the oracle the equivalence suite diffs the
+  numpy engine against and the one implementation of bank conflicts.
 
-All three produce bit-identical cycle counts, stall breakdowns and
-per-GE issue counts (asserted by ``tests/sim/test_engine_equivalence``
-for every stdlib family at every opt level).
+Both produce bit-identical cycle counts, stall breakdowns and per-GE
+issue counts (asserted by ``tests/sim/test_engine_equivalence`` for
+every stdlib family at every opt level; bank-conflict replays are
+pinned by ``tests/sim/test_bank_conflict_golden``).
 
 The numpy engine additionally offers a *batched config axis*
 (:func:`compute_cycles_numpy_batched`, dispatched through
 :func:`compute_cycles_batch`): every config-dependent scalar of the
 replay gains a leading ``C`` axis so one pass over the dependence
 levels retires all C configs of a scenario sweep simultaneously --
-each row bit-identical to its serial replay.
+each row bit-identical to its serial replay.  The single-config replay
+stays beside it on purpose: one config run as a C = 1 batched row is
+about 2x slower (DESIGN.md section 8).
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "ENGINE_ENV_VAR",
     "ENGINE_NUMPY",
     "ENGINE_REFERENCE",
-    "ENGINE_VECTORIZED",
     "CompiledArrays",
     "engine_mode",
     "compiled_arrays",
@@ -65,13 +63,11 @@ __all__ = [
     "compute_cycles_batch",
     "compute_cycles_numpy",
     "compute_cycles_numpy_batched",
-    "compute_cycles_vectorized",
     "compute_cycles_reference",
 ]
 
 ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
 ENGINE_NUMPY = "numpy"
-ENGINE_VECTORIZED = "vectorized"
 ENGINE_REFERENCE = "reference"
 _ARRAYS_ATTR = "_engine_arrays"
 _PLAN_ATTR = "_numpy_plan"
@@ -85,24 +81,20 @@ def engine_mode(override: Optional[str] = None) -> str:
     """Active engine, resolved at call time.
 
     ``override`` (``HaacConfig.sim_engine``) wins over the
-    ``REPRO_SIM_ENGINE`` environment variable when set.  ``numpy``
-    (default, also accepts ``auto``/``level``) is the level-parallel
-    array replay; ``vectorized`` (``flat``/``fast``) the preallocated
-    flat-array loop; ``reference`` the retained per-gate path the
-    equivalence suite diffs the fast engines against.  An unknown name
-    raises :class:`ValueError`.
+    ``REPRO_SIM_ENGINE`` environment variable when set.  ``numpy`` (the
+    default when unset or empty) is the level-parallel array replay;
+    ``reference`` the per-gate oracle the equivalence suite diffs it
+    against.  Any other name raises :class:`ValueError`.
     """
     raw = override if override is not None else os.environ.get(ENGINE_ENV_VAR, "")
     raw = raw.strip().lower()
-    if raw in ("", "auto", "default", ENGINE_NUMPY, "np", "level"):
+    if raw in ("", ENGINE_NUMPY):
         return ENGINE_NUMPY
-    if raw in (ENGINE_VECTORIZED, "flat", "fast"):
-        return ENGINE_VECTORIZED
-    if raw in (ENGINE_REFERENCE, "ref", "slow"):
+    if raw == ENGINE_REFERENCE:
         return ENGINE_REFERENCE
     raise ValueError(
         f"unknown {ENGINE_ENV_VAR}={raw!r}; expected "
-        f"'{ENGINE_NUMPY}', '{ENGINE_VECTORIZED}' or '{ENGINE_REFERENCE}'"
+        f"'{ENGINE_NUMPY}' or '{ENGINE_REFERENCE}'"
     )
 
 
@@ -122,8 +114,8 @@ class CompiledArrays:
     :class:`~repro.core.compiler.CompileResult` is pickled into the
     persistent program cache -- warm runs load it instead of rebuilding.
     Fields stay stdlib sequences (``array('q')`` operand columns,
-    ``bytearray`` flag columns, plain lists): the retained scalar loops
-    iterate them directly.
+    ``bytearray`` flag columns, plain lists), the layout the pickled
+    cache entry stores.
     """
 
     n_inputs: int
@@ -145,12 +137,6 @@ class CompiledArrays:
     @property
     def n_instructions(self) -> int:
         return len(self.a_of)
-
-    def latencies(self, config: HaacConfig) -> List[int]:
-        """Per-instruction execution latency under ``config``'s role."""
-        and_latency = config.and_latency
-        xor_latency = config.xor_latency
-        return [and_latency if flag else xor_latency for flag in self.is_and]
 
     def ensure_levels(self) -> "CompiledArrays":
         """Compute (once) the dependence-level partition.
@@ -227,19 +213,21 @@ def compute_cycles(
     """Replay the per-GE streams; returns (cycles, issued per GE).
 
     Dispatches on :func:`engine_mode` (``config.sim_engine`` overriding
-    the environment); every engine implements the exact same model (see
-    the module docstring of :mod:`repro.sim.timing`) and returns
+    the environment); both engines implement the exact same model (see
+    the module docstring of :mod:`repro.sim.timing`) and return
     identical results.
     """
-    mode = engine_mode(config.sim_engine)
-    if mode == ENGINE_REFERENCE:
-        return compute_cycles_reference(streams, config, stalls)
-    if mode == ENGINE_NUMPY and not config.model_bank_conflicts:
+    if _on_level_replay(config):
         return compute_cycles_numpy(compiled_arrays(streams), config, stalls)
+    return compute_cycles_reference(streams, config, stalls)
+
+
+def _on_level_replay(config: HaacConfig) -> bool:
     # Bank-conflict arbitration is a per-cycle while loop over shared
-    # port budgets -- inherently sequential, so the numpy engine defers
-    # to the flat loop for it (identical results either way).
-    return compute_cycles_vectorized(compiled_arrays(streams), config, stalls)
+    # port budgets -- inherently sequential, so it runs on the reference
+    # replay whichever engine is selected.
+    return (engine_mode(config.sim_engine) == ENGINE_NUMPY
+            and not config.model_bank_conflicts)
 
 
 class _NumpyPlan:
@@ -377,7 +365,8 @@ def compute_cycles_numpy(
 ) -> Tuple[int, Dict[int, int]]:
     """Level-parallel replay: one batch of array ops per dependence level.
 
-    Semantics are identical to the flat loop; the sequencing argument:
+    Semantics are identical to the reference replay; the sequencing
+    argument:
 
     * Operand readiness and the window-sync gather only read per-wire
       state written by *strictly earlier* levels (guaranteed by
@@ -469,7 +458,7 @@ def compute_cycles_numpy(
         read = issue + 1
         # The write is its out wire's first slot access (virgin entry:
         # data levels put every reader strictly later), so plain
-        # assignment matches the scalar engines' WAW ordering.
+        # assignment matches the reference replay's WAW ordering.
         last_read[plan.out_s[s:e]] = read
         pair = read2[: 2 * (e - s)]
         pair[0::2] = read
@@ -505,9 +494,8 @@ def compute_cycles_batch(
     Configs that resolve to the numpy engine without bank-conflict
     modelling retire together through
     :func:`compute_cycles_numpy_batched` (a leading config axis on the
-    level replay); every other config -- a pinned
-    ``vectorized``/``reference`` engine, or
-    ``model_bank_conflicts`` (whose port arbitration is inherently
+    level replay); every other config -- a pinned ``reference`` engine,
+    or ``model_bank_conflicts`` (whose port arbitration is inherently
     sequential) -- falls back to its own :func:`compute_cycles` call.
     Mixed batches therefore always work; per-config results are
     bit-identical to serial ``compute_cycles`` calls either way.
@@ -524,10 +512,7 @@ def compute_cycles_batch(
     results: List[Optional[Tuple[int, Dict[int, int]]]] = [None] * len(configs)
     batched: List[int] = []
     for index, config in enumerate(configs):
-        if (
-            engine_mode(config.sim_engine) == ENGINE_NUMPY
-            and not config.model_bank_conflicts
-        ):
+        if _on_level_replay(config):
             batched.append(index)
         else:
             results[index] = compute_cycles(streams, config, stalls_list[index])
@@ -697,138 +682,16 @@ def compute_cycles_numpy_batched(
     return results
 
 
-def compute_cycles_vectorized(
-    arrays: CompiledArrays, config: HaacConfig, stalls: StallBreakdown
-) -> Tuple[int, Dict[int, int]]:
-    """Flat-array replay (moved verbatim from ``timing._compute_cycles``).
-
-    One iteration per instruction, millions for the large stdlib
-    circuits, so the loop body touches only local list indexing -- no
-    dataclass attribute walks, no defaultdicts, no per-iteration method
-    calls.  Cycle counts are identical to the reference replay.
-    """
-    n_inputs = arrays.n_inputs
-
-    and_latency = config.and_latency
-    xor_latency = config.xor_latency
-    forward = config.cross_ge_forward
-    writeback = config.writeback_stages
-
-    # Preallocated per-wire / per-GE state arrays.
-    n_wires = arrays.n_wires
-    value_ready = [0] * n_wires
-    producer_ge = [-1] * n_wires
-    ge_last_issue = [-1] * arrays.n_ges
-    issued_per_ge = [0] * arrays.n_ges
-    # Window-sync hazard of the tagless SWW: a write to wire o lands in
-    # the slot of wire o - capacity and must wait for that wire's last
-    # in-window access -- readers and the producing write itself (see
-    # core.passes.streams._greedy_schedule).
-    capacity = arrays.capacity
-    last_read_issue = [0] * n_wires
-
-    # out_addr(p) is n_inputs + p by the ISA contract, tracked
-    # incrementally as `out`.
-    latency_of = [and_latency if flag else xor_latency for flag in arrays.is_and]
-    a_of = arrays.a_of
-    b_of = arrays.b_of
-    ge_of = arrays.ge_of
-
-    conflicts = config.model_bank_conflicts
-    n_banks = config.n_banks
-    # Each single-ported bank runs at sww_clock; accesses per GE cycle:
-    ports_per_cycle = max(1, int(config.sww_clock_hz / config.ge_clock_hz))
-    bank_load: Dict[int, List[int]] = {}
-
-    dependence_stall = 0
-    window_sync_stall = 0
-    bank_conflict_stall = 0
-
-    max_finish = 0
-    out = n_inputs
-    for a, b, ge, latency in zip(a_of, b_of, ge_of, latency_of):
-        earliest_inorder = ge_last_issue[ge] + 1
-        ready = earliest_inorder
-        available = value_ready[a]
-        if a >= n_inputs and producer_ge[a] >= 0 and producer_ge[a] != ge:
-            available += forward
-        if available > ready:
-            ready = available
-        available = value_ready[b]
-        if b >= n_inputs and producer_ge[b] >= 0 and producer_ge[b] != ge:
-            available += forward
-        if available > ready:
-            ready = available
-        if ready > earliest_inorder:
-            dependence_stall += ready - earliest_inorder
-        evicted = out - capacity
-        if evicted >= 0:
-            reader = last_read_issue[evicted]
-            if reader > ready:
-                window_sync_stall += reader - ready
-                ready = reader
-        issue = ready
-
-        if conflicts:
-            # Reads hit banks at issue + 1 (address-to-bank stage).
-            bank_a = a % n_banks
-            bank_b = b % n_banks
-            while True:
-                cycle_loads = bank_load.get(issue + 1)
-                if cycle_loads is None:
-                    cycle_loads = [0] * n_banks
-                    bank_load[issue + 1] = cycle_loads
-                if bank_a == bank_b:
-                    fits = cycle_loads[bank_a] + 2 <= ports_per_cycle
-                else:
-                    fits = (
-                        cycle_loads[bank_a] + 1 <= ports_per_cycle
-                        and cycle_loads[bank_b] + 1 <= ports_per_cycle
-                    )
-                if fits:
-                    cycle_loads[bank_a] += 1
-                    cycle_loads[bank_b] += 1
-                    break
-                bank_conflict_stall += 1
-                issue += 1
-
-        ge_last_issue[ge] = issue
-        issued_per_ge[ge] += 1
-        value_ready[out] = issue + latency
-        producer_ge[out] = ge
-        read_issue = issue + 1
-        # The write is the slot's first access (WAW ordering for the
-        # future evictor of `out`, readers or not).
-        last_read_issue[out] = read_issue
-        if read_issue > last_read_issue[a]:
-            last_read_issue[a] = read_issue
-        if read_issue > last_read_issue[b]:
-            last_read_issue[b] = read_issue
-        finish = issue + latency + writeback
-        if finish > max_finish:
-            max_finish = finish
-        out += 1
-
-    stalls.dependence += dependence_stall
-    stalls.window_sync += window_sync_stall
-    stalls.bank_conflict += bank_conflict_stall
-    if a_of:
-        last_issue = max(ge_last_issue)
-        stalls.drain += max(0, max_finish - (last_issue + 1))
-    return max_finish, {
-        ge: count for ge, count in enumerate(issued_per_ge) if count
-    }
-
-
 def compute_cycles_reference(
     streams: StreamSet, config: HaacConfig, stalls: StallBreakdown
 ) -> Tuple[int, Dict[int, int]]:
-    """Straightforward per-gate replay (the retained reference path).
+    """Straightforward per-gate replay: the oracle, and bank conflicts.
 
     Walks the program and netlist columns gate by gate with a
-    dict-based scoreboard -- exactly the shape the vectorized loop
-    replaced.  The equivalence suite asserts both return identical
-    (cycles, stalls, issued-per-GE) on every stdlib circuit family.
+    dict-based scoreboard.  The equivalence suite asserts it and the
+    numpy engine return identical (cycles, stalls, issued-per-GE) on
+    every stdlib circuit family; with ``model_bank_conflicts`` it is the
+    only implementation, pinned by a golden table.
     """
     program = streams.program
     n_inputs = program.n_inputs

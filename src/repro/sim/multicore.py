@@ -19,12 +19,12 @@ interface serialises aggregate traffic, so::
 
     runtime = max(max_core_compute, total_traffic / bandwidth)
 
-The per-shard replays run on the shared flat-array engine
-(:mod:`repro.sim.engine`, ``REPRO_SIM_ENGINE`` selects the retained
-reference loops), and every per-shard compile goes through the
-persistent program cache when one is configured (``cache`` argument,
-``HaacConfig.prog_cache`` or ``REPRO_PROG_CACHE``) -- a core-count
-sweep recompiles nothing on warm runs.
+The per-shard replays run on the shared replay engine
+(:mod:`repro.sim.engine`: ``numpy`` by default, ``REPRO_SIM_ENGINE``
+selects the ``reference`` oracle), and every per-shard compile goes
+through the persistent program cache when one is configured (``cache``
+argument, ``HaacConfig.prog_cache`` or ``REPRO_PROG_CACHE``) -- a
+core-count sweep recompiles nothing on warm runs.
 """
 
 from __future__ import annotations

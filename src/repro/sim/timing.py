@@ -79,8 +79,8 @@ def simulate(streams: StreamSet, config: HaacConfig) -> SimResult:
     The compute replay lives in :mod:`repro.sim.engine` (shared with the
     coupled and multicore models); ``REPRO_SIM_ENGINE`` (or
     ``config.sim_engine``) selects between the level-parallel ``numpy``
-    engine (default), the flat-array ``vectorized`` loop and the
-    retained per-gate ``reference`` path -- all bit-identical.
+    engine (default) and the per-gate ``reference`` oracle --
+    bit-identical.  Bank conflicts always run on ``reference``.
     """
     stalls = StallBreakdown()
     compute_cycles_total, issued_per_ge = compute_cycles(streams, config, stalls)

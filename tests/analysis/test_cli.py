@@ -36,6 +36,23 @@ class TestParser:
         assert args.ges == 4
         assert args.dram == "hbm2"
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["simulate", "ReLU", "--ges", "0"], "--ges"),
+        (["simulate", "ReLU", "--sww-kb", "-1"], "--sww-kb"),
+        (["compile", "ReLU", "--sww-kb", "0"], "--sww-kb"),
+        (["compile", "ReLU", "--ges", "two"], "--ges"),
+        (["search", "schedule", "--workload", "ReLU", "--ges", "0"], "--ges"),
+        (["search", "schedule", "--workload", "ReLU", "--sww-kb", "0"],
+         "--sww-kb"),
+    ])
+    def test_nonpositive_hardware_size_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a positive integer" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["protocol", "serve"])
     def test_workers_flag_is_gone(self, command, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,13 +1,14 @@
-"""Cross-model engine equivalence: numpy vs vectorized vs reference.
+"""Cross-model engine equivalence: numpy vs reference.
 
 The contract under test: every timing model (decoupled simulate,
 coupled, pull-based, multicore) produces *bit-identical* cycle counts,
 stall breakdowns and per-GE issue counts whether it runs on the NumPy
-level-parallel engine (the default), the flat-array vectorized loop
-(``REPRO_SIM_ENGINE=vectorized``) or the retained per-gate reference
-loops (``REPRO_SIM_ENGINE=reference``), across every stdlib circuit
-family and every compiler optimization level.  This pins the models
-down so future engine refactors cannot silently drift cycle counts.
+level-parallel engine (the default) or the per-gate reference oracle
+(``REPRO_SIM_ENGINE=reference``), across every stdlib circuit family
+and every compiler optimization level.  This pins the models down so
+future engine refactors cannot silently drift cycle counts.  Bank
+conflicts have one implementation (the reference replay); their oracle
+is the golden table in ``test_bank_conflict_golden.py``.
 
 The fast lane covers all five small stdlib families at every OptLevel;
 the exhaustive sweep adds AES-128 (200k gates) and is marked ``slow``.
@@ -24,6 +25,7 @@ from repro.circuits.builder import CircuitBuilder
 from repro.circuits.stdlib import fixed, integer, logic
 from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.circuits.stdlib.float import FloatFormat, fp_add
+from repro.cli import main
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.sim.config import HaacConfig
 from repro.sim.coupled import coupled_runtime, pull_based_runtime
@@ -31,14 +33,19 @@ from repro.sim.engine import (
     ENGINE_ENV_VAR,
     ENGINE_NUMPY,
     ENGINE_REFERENCE,
-    ENGINE_VECTORIZED,
     engine_mode,
 )
 from repro.sim.multicore import simulate_multicore
 from repro.sim.timing import simulate
 from repro.workloads import get_workload
 
-ALL_ENGINES = (ENGINE_NUMPY, ENGINE_VECTORIZED, ENGINE_REFERENCE)
+ALL_ENGINES = (ENGINE_NUMPY, ENGINE_REFERENCE)
+
+#: Engine names and aliases that were once accepted and now fail.
+REMOVED_ENGINE_NAMES = (
+    "vectorized", "flat", "fast", "auto", "default", "np", "level", "ref",
+    "slow",
+)
 
 
 def _logic8():
@@ -159,22 +166,33 @@ class TestEngineMode:
         assert engine_mode(ENGINE_REFERENCE) == ENGINE_REFERENCE
 
     @pytest.mark.parametrize("raw,expected", [
+        ("", ENGINE_NUMPY),
         ("numpy", ENGINE_NUMPY),
-        ("auto", ENGINE_NUMPY),
-        ("level", ENGINE_NUMPY),
-        ("vectorized", ENGINE_VECTORIZED),
-        ("flat", ENGINE_VECTORIZED),
+        (" NumPy ", ENGINE_NUMPY),
         ("reference", ENGINE_REFERENCE),
-        ("REF", ENGINE_REFERENCE),
+        ("REFERENCE", ENGINE_REFERENCE),
     ])
-    def test_aliases(self, monkeypatch, raw, expected):
+    def test_accepted_names(self, monkeypatch, raw, expected):
         monkeypatch.setenv(ENGINE_ENV_VAR, raw)
         assert engine_mode() == expected
 
-    def test_unknown_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "turbo")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("raw", REMOVED_ENGINE_NAMES + ("turbo",))
+    def test_removed_or_unknown_name_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv(ENGINE_ENV_VAR, raw)
+        with pytest.raises(ValueError, match="'numpy' or 'reference'"):
             engine_mode()
+
+    def test_removed_name_on_config_fails_in_simulate(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        result, config = _compiled("adder8", OptLevel.RO_RN_ESW)
+        with pytest.raises(ValueError, match="'numpy' or 'reference'"):
+            simulate(result.streams, config.with_sim_engine("vectorized"))
+
+    def test_removed_name_is_a_cli_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "ReLU", "--engine", "vectorized"])
+        assert info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family", sorted(STDLIB_FAMILIES))
@@ -184,16 +202,6 @@ class TestDecoupledEquivalence:
         result, config = _compiled(family, opt)
         _assert_identical(_all_engines(
             monkeypatch, lambda: _sim_snapshot(result.streams, config)
-        ))
-
-    def test_bank_conflicts_identical(self, monkeypatch, family, opt):
-        """The numpy engine's bank-conflict fallback (port arbitration
-        is sequential, so it defers to the flat loop) must stay
-        indistinguishable from the other engines."""
-        result, config = _compiled(family, opt)
-        conflict_config = config._replace(model_bank_conflicts=True)
-        _assert_identical(_all_engines(
-            monkeypatch, lambda: _sim_snapshot(result.streams, conflict_config)
         ))
 
 
