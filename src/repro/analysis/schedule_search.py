@@ -23,13 +23,11 @@ time** (first-improvement hill climbing over a bounded neighborhood);
 the search stops when a generation yields no improvement, the
 neighborhood is exhausted, or ``generations`` is reached.
 
-**Scoring.**  Every candidate's replay retires through the batched
-NumPy path (``simulate_batch`` -> ``compute_cycles_numpy_batched``):
-one batched replay per candidate, at the target config.  Candidates
-are *not* batched with each other in a single array call -- different
-programs have different level partitions (ragged arrays), so the
-config axis is the batchable one; the compile, not the replay, is the
-dominant cost per generation anyway.  Compiles route through the
+**Scoring.**  Every candidate is compiled at the target config's own
+latencies (only its tie-break differs), so ``simulate`` reads its
+cycles off the compile's schedule: a closed form over
+``streams.issue_cycle``, no replay.  The compile is the whole cost of
+a candidate.  Compiles route through the
 persistent program cache when one is configured, and the tie-break is
 part of the cache key (CACHE_SCHEMA v4), so re-running a search is
 warm end to end.
@@ -44,7 +42,7 @@ from ..circuits.netlist import Circuit
 from ..core.compiler import CacheSpec, OptLevel, compile_circuit
 from ..core.passes.streams import TIE_BREAKS, ScheduleParams
 from ..sim.config import HaacConfig
-from ..sim.timing import simulate_batch
+from ..sim.timing import simulate
 
 __all__ = [
     "ScheduleCandidate",
@@ -177,9 +175,7 @@ def _score(
         segment_size=candidate.effective_segment(config.window.capacity),
         cache=cache,
     )
-    # One batched replay per candidate: the single-config batch routes
-    # through compute_cycles_numpy_batched on the numpy engine.
-    sim = simulate_batch(result.streams, [config])[0]
+    sim = simulate(result.streams, config)
     return ScoredSchedule(
         candidate=candidate,
         compute_cycles=sim.compute_cycles,

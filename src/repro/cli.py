@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["numpy", "reference"],
         default=None,
         help="timing-replay engine (default: $REPRO_SIM_ENGINE, else "
-        "the level-parallel numpy engine)",
+        "the numpy engine)",
     )
     add_cache_flag(p_s)
 

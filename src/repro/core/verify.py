@@ -17,8 +17,11 @@ analogue of an assembler's ``--verify``):
    circuit output) has its producer's live bit set.
 5. **Table discipline** -- per-GE table pops are exactly that GE's AND
    instructions in stream order.
-6. **Schedule feasibility** -- issue cycles respect in-order issue,
-   dependences with pipeline latencies, and the window-sync hazard.
+6. **Schedule tightness** -- issue cycles respect in-order issue,
+   dependences with pipeline latencies and forwarding, and the
+   window-sync hazard, and each is the *earliest* cycle those allow
+   under ``streams.params`` -- the greedy mapping's, which the timing
+   model reads as the replay's answer.
 
 Raises :class:`StreamVerificationError` with a precise message on the
 first violation; returns a :class:`VerificationReport` when clean.
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .isa import HaacOp
-from .passes.streams import ScheduleParams, StreamSet
+from .passes.streams import StreamSet
 
 __all__ = ["StreamVerificationError", "VerificationReport", "verify_streams"]
 
@@ -49,14 +52,11 @@ class VerificationReport:
     checked_invariants: int = 6
 
 
-def verify_streams(
-    streams: StreamSet, params: ScheduleParams | None = None
-) -> VerificationReport:
+def verify_streams(streams: StreamSet) -> VerificationReport:
     """Check every invariant; raise on the first violation."""
     program = streams.program
     netlist = program.netlist
     window = streams.window
-    params = params or streams.params
     n = len(program.op)
     op, live = program.op, program.live
     a_of, b_of = netlist.a, netlist.b
@@ -144,44 +144,50 @@ def verify_streams(
                 "a circuit output) but live bit is clear"
             )
 
-    # -- 6. schedule feasibility -----------------------------------------
-    latency = {
-        HaacOp.AND: params.and_latency,
-        HaacOp.XOR: params.xor_latency,
-        HaacOp.NOP: 1,
-    }
+    # -- 6. schedule tightness -------------------------------------------
+    # Each issue must be the greedy mapping's under the compile's own
+    # params: the max of the GE's previous issue + 1, operand readiness
+    # (plus the forwarding penalty across GEs) and the evicted slot's
+    # last access, its write included.  The timing model reads
+    # issue_cycle as the replay's answer, so late is as wrong as early.
+    params = streams.params
+    and_latency, xor_latency = params.and_latency, params.xor_latency
+    penalty, and_op = params.cross_ge_forward, HaacOp.AND
+    ge_of, issue_cycle = streams.ge_of, streams.issue_cycle
+    n_inputs, capacity = program.n_inputs, window.capacity
     ge_last = [-1] * streams.n_ges
-    capacity = window.capacity
-    last_read = [0] * program.n_wires
+    last_access = [0] * program.n_wires
+    done = []  # each instruction's issue + latency
     for position, operands in enumerate(zip(a_of, b_of)):
-        issue = streams.issue_cycle[position]
-        ge_id = streams.ge_of[position]
-        if issue <= ge_last[ge_id]:
+        issue, ge_id = issue_cycle[position], ge_of[position]
+        data = 0
+        for wire in operands:
+            if wire >= n_inputs:
+                producer = wire - n_inputs
+                ready = done[producer]
+                if ge_of[producer] != ge_id:
+                    ready += penalty
+                if ready > data:
+                    data = ready
+        out = n_inputs + position
+        slot_free = last_access[out - capacity] if out >= capacity else 0
+        greedy = max(ge_last[ge_id] + 1, data, slot_free)
+        if issue != greedy:
             raise StreamVerificationError(
-                f"GE {ge_id}: issue {issue} at instr {position} not after "
-                f"previous issue {ge_last[ge_id]}"
+                f"instr {position} on GE {ge_id} issues at {issue}, the "
+                f"greedy schedule at {greedy} (previous issue "
+                f"{ge_last[ge_id]}, operands ready {data}, evicted slot "
+                f"last accessed {slot_free}): "
+                + ("too early" if issue < greedy else "feasible but not tight")
             )
         ge_last[ge_id] = issue
+        done.append(
+            issue + (and_latency if op[position] == and_op else xor_latency)
+        )
+        read = last_access[out] = issue + 1
         for wire in operands:
-            if wire < program.n_inputs:
-                continue
-            producer = wire - program.n_inputs
-            ready = streams.issue_cycle[producer] + latency[op[producer]]
-            if issue < ready:
-                raise StreamVerificationError(
-                    f"instr {position} issues at {issue} before operand "
-                    f"{wire} is ready at {ready}"
-                )
-        evicted = program.out_addr(position) - capacity
-        if evicted >= 0 and issue < last_read[evicted]:
-            raise StreamVerificationError(
-                f"instr {position}: window-sync violation -- slot of wire "
-                f"{evicted} overwritten at {issue} before last read "
-                f"{last_read[evicted]}"
-            )
-        for wire in operands:
-            if issue + 1 > last_read[wire]:
-                last_read[wire] = issue + 1
+            if read > last_access[wire]:
+                last_access[wire] = read
 
     return VerificationReport(
         n_instructions=n,

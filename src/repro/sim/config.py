@@ -73,7 +73,7 @@ class HaacConfig:
     fault_spec: "str | None" = None
     # Timing-replay engine for every model that consumes this config:
     # None defers to the REPRO_SIM_ENGINE environment variable;
-    # "numpy" (level-parallel array replay, the default) or "reference"
+    # "numpy" (array closed form / level replay, the default) or "reference"
     # (per-gate oracle, and the one bank-conflict replay) pins one
     # engine; any other name raises ValueError when a model runs (see
     # repro.sim.engine.engine_mode).

@@ -35,9 +35,10 @@ from ..core.sww import WIRE_BYTES
 from .config import OOR_ADDR_BYTES, TABLE_BYTES, HaacConfig
 from .engine import (
     ENGINE_NUMPY,
+    check_compiled_for,
     compiled_arrays,
     engine_mode,
-    numpy_plan,
+    schedule_plan,
 )
 from .timing import simulate
 
@@ -96,7 +97,7 @@ def _per_instruction_bytes(streams: StreamSet, config: HaacConfig) -> list[float
 
     Reference formulation: walks the program columns and each
     instruction's owning GE stream.  The numpy path computes the same
-    values from the level plan's program-order arrays; both must stay
+    values from the schedule plan's program-order arrays; both must stay
     cost-identical.
     """
     program = streams.program
@@ -126,7 +127,10 @@ def coupled_runtime(
     DRAM bandwidth; a GE may run at most ``queue_bytes_per_ge`` worth of
     stream data ahead of the fill frontier.  Instruction ``p`` therefore
     cannot issue before ``(prefix_bytes(p) - credit) / bandwidth``.
-    The decoupled compute schedule supplies the other lower bound.
+    The other lower bound, the base issue, is the compile's schedule
+    ``streams.issue_cycle``: exactly the decoupled replay's issue cycles
+    when ``config`` is on the compile's schedule (its latencies are
+    ``streams.params``), the compiler's own when it is not.
 
     On ``numpy`` this is a one-row :func:`coupled_runtime_batch`; the
     loop below is the ``reference`` replay.
@@ -201,6 +205,7 @@ def coupled_runtime_batch(
         else config.queue_sram_bytes // max(1, config.n_ges)
         for queue_bytes in queue_bytes_list
     ]
+    check_compiled_for(streams, config)
     if engine_mode(config.sim_engine) != ENGINE_NUMPY or not queue_list:
         return [
             coupled_runtime(streams, config, queue_bytes)
@@ -210,24 +215,24 @@ def coupled_runtime_batch(
         decoupled = simulate(streams, config)
     bandwidth = config.dram_bytes_per_ge_cycle
     input_bytes = streams.program.n_inputs * WIRE_BYTES
-    plan = numpy_plan(compiled_arrays(streams))
+    plan = schedule_plan(compiled_arrays(streams))
     oor_cost = WIRE_BYTES + OOR_ADDR_BYTES
     costs = (
         float(config.instr_bytes)
-        + TABLE_BYTES * plan.is_and_p
-        + oor_cost * plan.oor_a_p
-        + oor_cost * plan.oor_b_p
-        + WIRE_BYTES * plan.live_p
+        + TABLE_BYTES * plan.is_and
+        + oor_cost * plan.oor_a
+        + oor_cost * plan.oor_b
+        + WIRE_BYTES * plan.live
     )
     prefix = np.cumsum(costs)
     if len(prefix):
         queues = np.asarray(queue_list, dtype=np.float64)[:, None]
         fill_time = (input_bytes + prefix[None, :] - queues) / bandwidth
-        issue = np.maximum(plan.issue_cycle_p[None, :], fill_time)
-        lag = issue - plan.issue_cycle_p[None, :]
+        issue = np.maximum(plan.issue[None, :], fill_time)
+        lag = issue - plan.issue[None, :]
         stall_rows = np.cumsum(lag, axis=1)[:, -1]
         latency = np.where(
-            plan.is_and_p, config.and_latency, config.xor_latency
+            plan.is_and, config.and_latency, config.xor_latency
         )
         finish_rows = (issue + latency[None, :] + config.writeback_stages).max(
             axis=1

@@ -1,44 +1,40 @@
-"""Shared compiled-array replay engine for all timing models.
+"""Shared compiled-array timing engine for all timing models.
 
 The decoupled, coupled, pull-based and multicore models all consume one
 config-independent flattening of a compiled :class:`StreamSet`
 (:class:`CompiledArrays`) instead of re-walking dataclasses per gate.
-The default engine is NumPy *level-parallel*: it retires whole
-dependence wavefronts as array operations -- the software mirror of the
-paper's level-scheduling insight that instructions in one wavefront have
-no ordering constraints.
-
 Two engines, selected by ``REPRO_SIM_ENGINE`` (or
 ``HaacConfig.sim_engine``, which wins when set):
 
-* ``numpy`` -- the default.  Instructions
-  are partitioned once per :class:`StreamSet` into dependence levels
-  (:meth:`CompiledArrays.ensure_levels`, a config-independent pure
-  function persisted through :mod:`repro.core.progcache`); the replay
-  then walks level by level, computing operand readiness with bulk
-  ``np.maximum`` gathers, in-order issue with a segmented prefix-max
-  per GE, and window-sync eviction checks as one array gather.
-  ``model_bank_conflicts`` runs on the reference replay below (its
-  while-loop port arbitration is inherently sequential).
-* ``reference`` -- the straightforward per-gate replay (dataclass
-  attribute walks, dicts), the oracle the equivalence suite diffs the
-  numpy engine against and the one implementation of bank conflicts.
+* ``numpy`` -- the default.  It picks its path from the input:
 
-Both produce bit-identical cycle counts, stall breakdowns and per-GE
-issue counts (asserted by ``tests/sim/test_engine_equivalence`` for
-every stdlib family at every opt level; bank-conflict replays are
-pinned by ``tests/sim/test_bank_conflict_golden``).
+  - A config *on the compile's schedule* -- ``(and_latency,
+    xor_latency, cross_ge_forward)`` equal to the ``streams.params``
+    the program was compiled under, as for every config ``src/``
+    simulates -- is not replayed.  The compiler's greedy GE mapping
+    applies the replay's issue rule to the same ``ge_of``, so
+    ``streams.issue_cycle`` *is* the replay's answer, and cycles and
+    stalls are a closed form over it (:func:`_scheduled_row`).
+  - Any other config takes the level-parallel replay
+    (:func:`compute_cycles_numpy_batched`): instructions are
+    partitioned once into dependence levels
+    (:meth:`CompiledArrays.ensure_levels`, persisted through
+    :mod:`repro.core.progcache`), and each level retires for every
+    config of the call at once as array ops.
 
-The numpy engine additionally offers a *batched config axis*
-(:func:`compute_cycles_numpy_batched`, dispatched through
-:func:`compute_cycles_batch`): every config-dependent scalar of the
-replay gains a leading ``C`` axis so one pass over the dependence
-levels retires all C configs of a scenario sweep simultaneously --
-each row bit-identical to its serial replay.  The single-config replay
-stays beside it on purpose: one config run as a C = 1 batched row is
-about 2x slower (DESIGN.md section 8).
+  ``model_bank_conflicts`` runs on the reference replay (its port
+  arbitration is inherently sequential).
+* ``reference`` -- the per-gate replay, the oracle the equivalence
+  suite diffs the numpy engine against and the one implementation of
+  bank conflicts.  It never reads the compile's schedule.
+
+All paths produce bit-identical cycle counts, stall breakdowns and
+per-GE issue counts (``tests/sim/test_engine_equivalence``: every
+stdlib family at every opt level, on and off the schedule; bank
+conflicts are pinned by ``tests/sim/test_bank_conflict_golden``).  A
+config whose GE count or SWW capacity is not the compile's raises
+:class:`ValueError`.
 """
-
 from __future__ import annotations
 
 import os
@@ -58,10 +54,9 @@ __all__ = [
     "ENGINE_REFERENCE",
     "CompiledArrays",
     "engine_mode",
+    "check_compiled_for",
     "compiled_arrays",
-    "compute_cycles",
     "compute_cycles_batch",
-    "compute_cycles_numpy",
     "compute_cycles_numpy_batched",
     "compute_cycles_reference",
 ]
@@ -71,8 +66,9 @@ ENGINE_NUMPY = "numpy"
 ENGINE_REFERENCE = "reference"
 _ARRAYS_ATTR = "_engine_arrays"
 _PLAN_ATTR = "_numpy_plan"
+_SCHEDULE_ATTR = "_schedule_plan"
 #: Per-segment bias decoupling the level-wide prefix max (see
-#: compute_cycles_numpy).  Any replay reaching 2**45 cycles would need
+#: _level_replay).  Any replay reaching 2**45 cycles would need
 #: trillions of instructions; the engine asserts the bound post-replay.
 _SEG_BIAS = 1 << 45
 
@@ -82,9 +78,9 @@ def engine_mode(override: Optional[str] = None) -> str:
 
     ``override`` (``HaacConfig.sim_engine``) wins over the
     ``REPRO_SIM_ENGINE`` environment variable when set.  ``numpy`` (the
-    default when unset or empty) is the level-parallel array replay;
-    ``reference`` the per-gate oracle the equivalence suite diffs it
-    against.  Any other name raises :class:`ValueError`.
+    default when unset or empty) is the closed form / level-parallel
+    array path; ``reference`` the per-gate oracle the equivalence suite
+    diffs it against.  Any other name raises :class:`ValueError`.
     """
     raw = override if override is not None else os.environ.get(ENGINE_ENV_VAR, "")
     raw = raw.strip().lower()
@@ -98,6 +94,29 @@ def engine_mode(override: Optional[str] = None) -> str:
     )
 
 
+def check_compiled_for(streams: StreamSet, config: HaacConfig) -> None:
+    """Raise :class:`ValueError` unless ``config`` is the machine
+    ``streams`` was compiled for.
+
+    Every timing model reads the GE mapping, the OoR flags and the
+    window-sync slots off the compile, so a config with another GE count
+    or SWW capacity would be timed on the compiled shape, not its own.
+    """
+    capacity = config.window.capacity
+    if config.n_ges != streams.n_ges or capacity != streams.window.capacity:
+        raise ValueError(
+            f"config ({config.n_ges} GEs, {capacity}-wire SWW) does not "
+            f"match the compiled streams ({streams.n_ges} GEs, "
+            f"{streams.window.capacity}-wire SWW); compile for this config"
+        )
+
+
+def _replay_key(config) -> Tuple[int, int, int]:
+    """What a replay reads of a config, and what a compile fixes in its
+    ``ScheduleParams``: ``(and_latency, xor_latency, cross_ge_forward)``."""
+    return (config.and_latency, config.xor_latency, config.cross_ge_forward)
+
+
 @dataclass
 class CompiledArrays:
     """Config-independent flat arrays for one compiled :class:`StreamSet`.
@@ -107,8 +126,8 @@ class CompiledArrays:
     ``oor_b`` are the stream generator's per-GE OoR flags scattered back
     to program order; ``oor_per_ge`` counts each GE's OoRW queue length.
 
-    ``level_of`` is the dependence-level partition consumed by the NumPy
-    engine (None until :meth:`ensure_levels` runs).  Like everything
+    ``level_of`` is the dependence-level partition consumed by the level
+    replay (None until :meth:`ensure_levels` runs).  Like everything
     else here it is a pure function of the stream set, so it is computed
     at most once and -- because these arrays ride along when a
     :class:`~repro.core.compiler.CompileResult` is pickled into the
@@ -163,11 +182,12 @@ class CompiledArrays:
         return self
 
     def __getstate__(self):
-        # The derived NumPy plan holds ndarray views; keep it out of
-        # pickles (the persistent program cache) -- it rebuilds from
-        # level_of in O(n) array ops.
+        # The derived NumPy plans hold ndarrays; keep them out of
+        # pickles (the persistent program cache) -- they rebuild from
+        # the columns and level_of in O(n) array ops.
         state = dict(self.__dict__)
         state.pop(_PLAN_ATTR, None)
+        state.pop(_SCHEDULE_ATTR, None)
         return state
 
 
@@ -207,27 +227,191 @@ def compiled_arrays(streams: StreamSet) -> CompiledArrays:
     return arrays
 
 
-def compute_cycles(
-    streams: StreamSet, config: HaacConfig, stalls: StallBreakdown
-) -> Tuple[int, Dict[int, int]]:
-    """Replay the per-GE streams; returns (cycles, issued per GE).
+def compute_cycles_batch(
+    streams: StreamSet,
+    configs,
+    stalls_list: Optional[List[StallBreakdown]] = None,
+) -> List[Tuple[int, Dict[int, int]]]:
+    """Time one compiled program under many configs, batching the work.
 
-    Dispatches on :func:`engine_mode` (``config.sim_engine`` overriding
-    the environment); both engines implement the exact same model (see
-    the module docstring of :mod:`repro.sim.timing`) and return
-    identical results.
+    Each config takes one of three paths, chosen from the input:
+
+    * a pinned ``reference`` engine or ``model_bank_conflicts`` (whose
+      port arbitration is inherently sequential) runs its own
+      :func:`compute_cycles_reference` call;
+    * on ``numpy``, a config whose ``(and_latency, xor_latency,
+      cross_ge_forward)`` equal the compile's ``streams.params`` reads
+      the closed form over ``streams.issue_cycle`` (once per call);
+    * every other config joins one :func:`compute_cycles_numpy_batched`
+      level replay.
+
+    Mixed batches therefore always work, and every result is
+    bit-identical to a serial :func:`compute_cycles_reference` call.
+    ``stalls_list`` (one :class:`StallBreakdown` per config, fresh ones
+    when omitted) is mutated exactly like the serial path mutates its
+    single breakdown.  A config that is not the compile's machine
+    raises (:func:`check_compiled_for`).
     """
-    if _on_level_replay(config):
-        return compute_cycles_numpy(compiled_arrays(streams), config, stalls)
-    return compute_cycles_reference(streams, config, stalls)
+    configs = list(configs)
+    stalls_list = _stalls_for(configs, stalls_list)
+    for config in configs:
+        check_compiled_for(streams, config)
+    arrays = compiled_arrays(streams)
+    if not arrays.n_instructions:  # nothing issues, nothing drains
+        return [(0, {}) for _ in configs]
+    scheduled = _replay_key(streams.params)
+    results: List[Optional[Tuple[int, Dict[int, int]]]] = [None] * len(configs)
+    replayed: List[int] = []
+    row = None
+    for index, (config, stalls) in enumerate(zip(configs, stalls_list)):
+        if (engine_mode(config.sim_engine) != ENGINE_NUMPY
+                or config.model_bank_conflicts):
+            results[index] = compute_cycles_reference(streams, config, stalls)
+        elif _replay_key(config) == scheduled:
+            row = row or _scheduled_row(arrays, scheduled)
+            results[index] = _charge(arrays, row, config, stalls)
+        else:
+            replayed.append(index)
+    sub = compute_cycles_numpy_batched(
+        arrays,
+        [configs[index] for index in replayed],
+        [stalls_list[index] for index in replayed],
+    )
+    for index, value in zip(replayed, sub):
+        results[index] = value
+    return results  # type: ignore[return-value]
 
 
-def _on_level_replay(config: HaacConfig) -> bool:
-    # Bank-conflict arbitration is a per-cycle while loop over shared
-    # port budgets -- inherently sequential, so it runs on the reference
-    # replay whichever engine is selected.
-    return (engine_mode(config.sim_engine) == ENGINE_NUMPY
-            and not config.model_bank_conflicts)
+def compute_cycles_numpy_batched(
+    arrays: CompiledArrays,
+    configs,
+    stalls_list: Optional[List[StallBreakdown]] = None,
+) -> List[Tuple[int, Dict[int, int]]]:
+    """Level-parallel replay of **all configs at once** (leading C axis).
+
+    Replays every config, on the compile's schedule or not.  Configs
+    sharing ``(and_latency, xor_latency, cross_ge_forward)`` -- a
+    DRAM-bandwidth, queue or writeback sweep varies none of them --
+    share one :func:`_level_replay` row; ``writeback_stages`` is added
+    per config afterwards.  Callers must guarantee no config sets
+    ``model_bank_conflicts`` (use :func:`compute_cycles_batch` for the
+    general dispatch).
+    """
+    configs = list(configs)
+    stalls_list = _stalls_for(configs, stalls_list)
+    if not configs or not arrays.n_instructions:
+        return [(0, {}) for _ in configs]
+    keys = [_replay_key(config) for config in configs]
+    unique = list(dict.fromkeys(keys))
+    rows = dict(zip(unique, _level_replay(arrays, unique)))
+    return [
+        _charge(arrays, rows[key], config, stalls)
+        for key, config, stalls in zip(keys, configs, stalls_list)
+    ]
+
+
+def _stalls_for(configs, stalls_list) -> List[StallBreakdown]:
+    if stalls_list is None:
+        return [StallBreakdown() for _ in configs]
+    if len(stalls_list) != len(configs):
+        raise ValueError("need one StallBreakdown per config")
+    return stalls_list
+
+
+def _charge(arrays, row, config, stalls) -> Tuple[int, Dict[int, int]]:
+    """One config's (cycles, issued per GE) from its key's row
+    ``(finish before writeback, dependence, window_sync, last issue)``:
+    its writeback and drain go on top."""
+    finish, dependence, window_sync, last_issue = row
+    finish += config.writeback_stages
+    stalls.dependence += dependence
+    stalls.window_sync += window_sync
+    stalls.drain += max(0, finish - (last_issue + 1))
+    return finish, dict(schedule_plan(arrays).issued)
+
+
+class _SchedulePlan:
+    """Program-order NumPy view of the compile's schedule.
+
+    Config-independent and cached unpickled like the level plan.  The
+    closed form reads ``issue``, ``earliest`` (the GE's previous issue
+    + 1, 0 for its first instruction), the operand producer indices
+    ``src_a`` / ``src_b`` (``n`` for a primary input: a slot that is
+    always 0) and the cross-GE forwarding flags; the coupled model reads
+    the byte-charge flags.
+    """
+
+    __slots__ = ("issue", "earliest", "src_a", "src_b", "fwd_a", "fwd_b",
+                 "is_and", "live", "oor_a", "oor_b", "issued")
+
+    def __init__(self, arrays: CompiledArrays) -> None:
+        n = arrays.n_instructions
+        issue = np.fromiter(arrays.issue_cycle, dtype=np.int64, count=n)
+        ge = np.fromiter(arrays.ge_of, dtype=np.int64, count=n)
+        self.issue = issue
+        # Each GE's stream in program order (a stable sort by GE, a radix
+        # sort on the narrowest dtype); the in-order floor is the
+        # previous entry's issue + 1 within a GE.
+        narrow = ge.astype(np.min_scalar_type(arrays.n_ges))
+        order = np.argsort(narrow, kind="stable")
+        earliest = np.zeros(n, dtype=np.int64)
+        earliest[1:] = issue[order[:-1]] + 1
+        earliest[np.flatnonzero(np.diff(ge[order]) != 0) + 1] = 0
+        self.earliest = np.empty(n, dtype=np.int64)
+        self.earliest[order] = earliest
+        producer_ge = np.append(ge, -1)
+        for name, column in (("a", arrays.a_of), ("b", arrays.b_of)):
+            wire = np.asarray(column, dtype=np.int64)
+            src = np.where(wire >= arrays.n_inputs, wire - arrays.n_inputs, n)
+            setattr(self, "src_" + name, src)
+            setattr(self, "fwd_" + name,
+                    (producer_ge[src] >= 0) & (producer_ge[src] != ge))
+        for name in ("is_and", "live", "oor_a", "oor_b"):
+            setattr(self, name, np.asarray(getattr(arrays, name), dtype=bool))
+        counts = np.bincount(ge, minlength=arrays.n_ges)
+        self.issued = {g: int(count) for g, count in enumerate(counts) if count}
+
+
+def schedule_plan(arrays: CompiledArrays) -> _SchedulePlan:
+    """Build (or fetch the memoized) program-order schedule plan."""
+    plan = getattr(arrays, _SCHEDULE_ATTR, None)
+    if plan is None:
+        plan = _SchedulePlan(arrays)
+        setattr(arrays, _SCHEDULE_ATTR, plan)
+    return plan
+
+
+def _scheduled_row(arrays: CompiledArrays, key) -> Tuple[int, int, int, int]:
+    """The level replay's row, read off the compile's schedule.
+
+    Valid only when ``key`` is the compile's own latencies: the greedy
+    mapping then issued each instruction at exactly ``max(earliest,
+    data, slot_free)`` on its ``ge_of`` GE -- the replay's rule -- so
+    its ``issue_cycle`` is the replay's, and ``verify_streams`` holds a
+    compile to that.  With ``data`` the operand readiness (producer
+    issue + latency, + the forwarding penalty across GEs; 0 for primary
+    inputs):
+
+    * ``dependence = sum(max(0, data - earliest))``;
+    * ``window_sync = sum(max(0, issue - max(earliest, data)))`` -- the
+      part of each issue only the evicted slot explains;
+    * the finish before writeback is ``max(issue + latency)``, and the
+      last issue ``max(issue)``.
+    """
+    and_latency, xor_latency, forward = key
+    plan = schedule_plan(arrays)
+    issue = plan.issue
+    n = len(issue)
+    done = np.zeros(n + 1, dtype=np.int64)
+    np.add(issue, np.where(plan.is_and, and_latency, xor_latency), out=done[:n])
+    data = np.maximum(
+        done[plan.src_a] + forward * plan.fwd_a,
+        done[plan.src_b] + forward * plan.fwd_b,
+    )
+    earliest = plan.earliest
+    dependence = np.maximum(data - earliest, 0).sum()
+    window_sync = np.maximum(issue - np.maximum(earliest, data), 0).sum()
+    return int(done.max()), int(dependence), int(window_sync), int(issue.max())
 
 
 class _NumpyPlan:
@@ -259,15 +443,6 @@ class _NumpyPlan:
         "seg_ge",
         "level_has_evict",
         "level_multi_seg",
-        "max_width",
-        "issued_per_ge",
-        "_latency_cache",
-        # program-order arrays for the coupled model's prefetch replay
-        "is_and_p",
-        "live_p",
-        "oor_a_p",
-        "oor_b_p",
-        "issue_cycle_p",
     )
 
     def __init__(self, arrays: "CompiledArrays") -> None:
@@ -300,19 +475,16 @@ class _NumpyPlan:
         # (index n_wires) that no instruction ever reads/writes, so the
         # replay needs no per-level mask.
         self.evict_idx_s = np.where(evicted >= 0, evicted, arrays.n_wires)
-        # Cross-GE forwarding applies when the operand has a producer
-        # (wire >= n_inputs) on a different GE -- both facts are
-        # config-independent; the penalty is scaled in at replay time.
-        producer_a = ge[np.maximum(a_s - n_inputs, 0)]
-        producer_b = ge[np.maximum(b_s - n_inputs, 0)]
-        self.fwd_a_cost = ((a_s >= n_inputs) & (producer_a != ge_s)).astype(np.int64)
-        self.fwd_b_cost = ((b_s >= n_inputs) & (producer_b != ge_s)).astype(np.int64)
-        self.is_and_s = np.asarray(arrays.is_and, dtype=bool)[order]
+        # The program-order cross-GE forwarding flags, in level order;
+        # the penalty is scaled in at replay time.
+        schedule = schedule_plan(arrays)
+        self.fwd_a_cost = schedule.fwd_a[order]
+        self.fwd_b_cost = schedule.fwd_b[order]
+        self.is_and_s = schedule.is_and[order]
 
         counts = np.bincount(level, minlength=max(arrays.n_levels, 1))
         level_bounds = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         self.level_bounds = level_bounds
-        self.max_width = int(counts.max()) if n else 0
         # Segments: runs of equal (level, ge) in sorted order.
         new_seg = np.ones(n, dtype=bool)
         new_seg[1:] = (ge_s[1:] != ge_s[:-1]) | (level_s[1:] != level_s[:-1])
@@ -331,7 +503,7 @@ class _NumpyPlan:
         self.seg_rel_first = seg_first - level_bounds[seg_level]
         self.seg_rel_last = seg_last - level_bounds[seg_level]
         self.seg_ge = ge_s[seg_first]
-        # Prefix-max segment decoupling bias (see compute_cycles_numpy):
+        # Prefix-max segment decoupling bias (see _level_replay):
         # segment ordinal within its level, scaled by a constant far
         # above any reachable cycle count (validated after each replay).
         seg_in_level = seg_id - self.seg_bounds[level_s]
@@ -341,14 +513,6 @@ class _NumpyPlan:
         )
         self.level_has_evict = has_evict_counts > 0
         self.level_multi_seg = (self.seg_bounds[1:] - self.seg_bounds[:-1]) > 1
-        self.issued_per_ge = np.bincount(ge, minlength=arrays.n_ges)
-        self._latency_cache = {}
-
-        self.is_and_p = np.asarray(arrays.is_and, dtype=bool)
-        self.live_p = np.asarray(arrays.live, dtype=bool)
-        self.oor_a_p = np.asarray(arrays.oor_a, dtype=bool)
-        self.oor_b_p = np.asarray(arrays.oor_b, dtype=bool)
-        self.issue_cycle_p = np.asarray(arrays.issue_cycle, dtype=np.int64)
 
 
 def numpy_plan(arrays: CompiledArrays) -> _NumpyPlan:
@@ -360,10 +524,9 @@ def numpy_plan(arrays: CompiledArrays) -> _NumpyPlan:
     return plan
 
 
-def compute_cycles_numpy(
-    arrays: CompiledArrays, config: HaacConfig, stalls: StallBreakdown
-) -> Tuple[int, Dict[int, int]]:
-    """Level-parallel replay: one batch of array ops per dependence level.
+def _level_replay(arrays: CompiledArrays, keys) -> List[Tuple[int, int, int, int]]:
+    """Level-parallel replay of one row per :func:`_replay_key`: one
+    batch of array ops per dependence level, for every row at once.
 
     Semantics are identical to the reference replay; the sequencing
     argument:
@@ -371,227 +534,31 @@ def compute_cycles_numpy(
     * Operand readiness and the window-sync gather only read per-wire
       state written by *strictly earlier* levels (guaranteed by
       :meth:`CompiledArrays.ensure_levels`), so ``value_ready`` /
-      ``last_read_issue`` are gathered for a whole level at once.
+      ``last_read`` are gathered for a whole level at once.
     * In-order issue within a level is a per-GE recurrence
       ``issue_k = max(issue_{k-1} + 1, ready_k)`` over each GE's
       program-ordered run.  Substituting ``s_k = ready_k - k`` turns it
       into a running max (``issue_k = k + max(s_0..s_k, base)``), i.e. a
-      *segmented* ``np.maximum.accumulate`` -- segments are decoupled by
-      biasing each GE's run with ``segment_ordinal * 2**45``, a constant
-      far above any reachable cycle count (asserted after the replay),
-      so one accumulate serves the whole level.
+      *segmented* ``np.maximum.accumulate`` along ``axis=1`` -- segments
+      are decoupled by biasing each GE's run with ``segment_ordinal *
+      2**45``, a constant far above any reachable cycle count (asserted
+      after the replay), so one accumulate serves the whole level.
     * Stall attribution replays the scalar rules exactly:
       ``dependence`` counts ``ready - earliest_inorder`` and
       ``window_sync`` the further bump past ``max(earliest, ready)``,
       both recovered from the shifted issue vector; the per-instruction
-      terms land in two scratch vectors summed once at the end.
+      terms land in two scratch arrays summed once at the end.
+
+    Every key becomes a ``(R, 1)`` column broadcast against the
+    per-level slices, and every piece of replay state gains a leading
+    row axis, so each row is the replay of its key alone.
     """
     n = arrays.n_instructions
-    if n == 0:
-        return 0, {}
     plan = numpy_plan(arrays)
-
-    and_latency = config.and_latency
-    xor_latency = config.xor_latency
-    forward = config.cross_ge_forward
-    writeback = config.writeback_stages
-
-    latency_s = plan._latency_cache.get((and_latency, xor_latency))
-    if latency_s is None:
-        latency_s = np.where(plan.is_and_s, and_latency, xor_latency)
-        plan._latency_cache[(and_latency, xor_latency)] = latency_s
-    fwd_a = plan.fwd_a_cost * forward if forward != 1 else plan.fwd_a_cost
-    fwd_b = plan.fwd_b_cost * forward if forward != 1 else plan.fwd_b_cost
-
-    value_ready = np.zeros(arrays.n_wires + 1, dtype=np.int64)
-    last_read = np.zeros(arrays.n_wires + 1, dtype=np.int64)
-    ge_last_issue = np.full(arrays.n_ges, -1, dtype=np.int64)
-    dep_terms = np.zeros(n, dtype=np.int64)
-    ws_terms = np.zeros(n, dtype=np.int64)
-    read2 = np.empty(2 * plan.max_width, dtype=np.int64)
-
-    level_bounds = plan.level_bounds
-    seg_bounds = plan.seg_bounds
-    seg_rel_first = plan.seg_rel_first
-    seg_rel_last = plan.seg_rel_last
-    seg_ge = plan.seg_ge
-    for li in range(arrays.n_levels):
-        s = level_bounds[li]
-        e = level_bounds[li + 1]
-        a = plan.a_s[s:e]
-        b = plan.b_s[s:e]
-        k = plan.k_seg[s:e]
-
-        ready = np.maximum(value_ready[a] + fwd_a[s:e],
-                           value_ready[b] + fwd_b[s:e])
-        data_avail = ready
-        if plan.level_has_evict[li]:
-            ws = last_read[plan.evict_idx_s[s:e]]
-            ready = np.maximum(data_avail, ws)
-        else:
-            ws = None
-
-        # Segmented prefix max for the in-order recurrence.
-        sp = ready - k
-        seg_lo = seg_bounds[li]
-        seg_hi = seg_bounds[li + 1]
-        starts = seg_rel_first[seg_lo:seg_hi]
-        base = ge_last_issue[seg_ge[seg_lo:seg_hi]] + 1
-        sp[starts] = np.maximum(sp[starts], base)
-        if plan.level_multi_seg[li]:
-            bias = plan.bias_s[s:e]
-            issue = np.maximum.accumulate(sp + bias) - bias
-        else:
-            issue = np.maximum.accumulate(sp)
-        issue += k
-
-        # earliest_inorder: previous issue + 1 inside a segment, the
-        # GE's cross-level last issue + 1 at segment starts.
-        earliest = np.empty_like(issue)
-        earliest[1:] = issue[:-1] + 1
-        earliest[starts] = base
-        np.subtract(data_avail, earliest, out=dep_terms[s:e])
-        if ws is not None:
-            np.subtract(ws, np.maximum(earliest, data_avail), out=ws_terms[s:e])
-
-        value_ready[plan.out_s[s:e]] = issue + latency_s[s:e]
-        read = issue + 1
-        # The write is its out wire's first slot access (virgin entry:
-        # data levels put every reader strictly later), so plain
-        # assignment matches the reference replay's WAW ordering.
-        last_read[plan.out_s[s:e]] = read
-        pair = read2[: 2 * (e - s)]
-        pair[0::2] = read
-        pair[1::2] = read
-        np.maximum.at(last_read, plan.ab_s[2 * s:2 * e], pair)
-        ends = seg_rel_last[seg_lo:seg_hi]
-        ge_last_issue[seg_ge[seg_lo:seg_hi]] = issue[ends]
-
-    # finish(p) = issue + latency + writeback; issue + latency is what
-    # the scatter above stored per out wire.
-    max_finish = int(value_ready[arrays.n_inputs:arrays.n_inputs + n].max())
-    max_finish += writeback
-    assert max_finish + n < _SEG_BIAS, "cycle count overflows segment bias"
-    stalls.dependence += int(dep_terms[dep_terms > 0].sum())
-    stalls.window_sync += int(ws_terms[ws_terms > 0].sum())
-    last_issue = int(ge_last_issue.max())
-    stalls.drain += max(0, max_finish - (last_issue + 1))
-    issued = {
-        index: int(count)
-        for index, count in enumerate(plan.issued_per_ge)
-        if count
-    }
-    return max_finish, issued
-
-
-def compute_cycles_batch(
-    streams: StreamSet,
-    configs,
-    stalls_list: Optional[List[StallBreakdown]] = None,
-) -> List[Tuple[int, Dict[int, int]]]:
-    """Replay one compiled program under many configs, batching the work.
-
-    Configs that resolve to the numpy engine without bank-conflict
-    modelling retire together through
-    :func:`compute_cycles_numpy_batched` (a leading config axis on the
-    level replay); every other config -- a pinned ``reference`` engine,
-    or ``model_bank_conflicts`` (whose port arbitration is inherently
-    sequential) -- falls back to its own :func:`compute_cycles` call.
-    Mixed batches therefore always work; per-config results are
-    bit-identical to serial ``compute_cycles`` calls either way.
-
-    ``stalls_list`` (one :class:`StallBreakdown` per config, fresh ones
-    when omitted) is mutated exactly like the serial path mutates its
-    single breakdown.
-    """
-    configs = list(configs)
-    if stalls_list is None:
-        stalls_list = [StallBreakdown() for _ in configs]
-    if len(stalls_list) != len(configs):
-        raise ValueError("need one StallBreakdown per config")
-    results: List[Optional[Tuple[int, Dict[int, int]]]] = [None] * len(configs)
-    batched: List[int] = []
-    for index, config in enumerate(configs):
-        if _on_level_replay(config):
-            batched.append(index)
-        else:
-            results[index] = compute_cycles(streams, config, stalls_list[index])
-    if batched:
-        sub = compute_cycles_numpy_batched(
-            compiled_arrays(streams),
-            [configs[index] for index in batched],
-            [stalls_list[index] for index in batched],
-        )
-        for index, value in zip(batched, sub):
-            results[index] = value
-    return results  # type: ignore[return-value]
-
-
-def compute_cycles_numpy_batched(
-    arrays: CompiledArrays,
-    configs,
-    stalls_list: Optional[List[StallBreakdown]] = None,
-) -> List[Tuple[int, Dict[int, int]]]:
-    """Level-parallel replay of **all configs at once** (leading C axis).
-
-    The batched sibling of :func:`compute_cycles_numpy`: every
-    config-dependent scalar of the replay -- AND/XOR latency (the
-    role's Half-Gate depth), the cross-GE forwarding penalty and the
-    writeback depth -- becomes a ``(C, 1)`` column broadcast against
-    the per-level slices, and every piece of replay state
-    (``value_ready``, ``last_read``, ``ge_last_issue``, the stall
-    scratch vectors) gains a leading config axis.  Each dependence
-    level then retires once for all C configs: the gathers, the
-    segmented prefix-max issue rule (``np.maximum.accumulate`` along
-    ``axis=1``; the segment bias broadcasts unchanged) and the stall
-    recovery are the exact same integer array ops row-for-row, so each
-    row is bit-identical to a serial :func:`compute_cycles_numpy` call
-    with that config.
-
-    Configs whose four compute scalars coincide (a DRAM-bandwidth or
-    queue sweep varies nothing the compute replay reads) are deduped to
-    one replay row and share its results -- the common scenario-grid
-    case pays for one replay regardless of grid size.
-
-    Callers must guarantee no config sets ``model_bank_conflicts`` (use
-    :func:`compute_cycles_batch` for the general dispatch).
-    """
-    configs = list(configs)
-    if stalls_list is None:
-        stalls_list = [StallBreakdown() for _ in configs]
-    if len(stalls_list) != len(configs):
-        raise ValueError("need one StallBreakdown per config")
-    if not configs:
-        return []
-    n = arrays.n_instructions
-    if n == 0:
-        return [(0, {}) for _ in configs]
-    plan = numpy_plan(arrays)
-
-    signatures = [
-        (
-            config.and_latency,
-            config.xor_latency,
-            config.cross_ge_forward,
-            config.writeback_stages,
-        )
-        for config in configs
-    ]
-    unique: Dict[Tuple[int, int, int, int], int] = {}
-    row_of = []
-    for signature in signatures:
-        row = unique.get(signature)
-        if row is None:
-            row = len(unique)
-            unique[signature] = row
-        row_of.append(row)
-    rows = list(unique)
-    and_lat = np.array([sig[0] for sig in rows], dtype=np.int64)[:, None]
-    xor_lat = np.array([sig[1] for sig in rows], dtype=np.int64)[:, None]
-    forward = np.array([sig[2] for sig in rows], dtype=np.int64)[:, None]
-    writeback = np.array([sig[3] for sig in rows], dtype=np.int64)
-    n_rows = len(rows)
-
+    n_rows = len(keys)
+    and_lat, xor_lat, forward = (
+        np.array(column, dtype=np.int64)[:, None] for column in zip(*keys)
+    )
     latency_s = np.where(plan.is_and_s[None, :], and_lat, xor_lat)
     fwd_a = plan.fwd_a_cost[None, :] * forward
     fwd_b = plan.fwd_b_cost[None, :] * forward
@@ -641,6 +608,8 @@ def compute_cycles_numpy_batched(
             issue = np.maximum.accumulate(sp, axis=1)
         issue += k
 
+        # earliest_inorder: previous issue + 1 inside a segment, the
+        # GE's cross-level last issue + 1 at segment starts.
         earliest = np.empty_like(issue)
         earliest[:, 1:] = issue[:, :-1] + 1
         earliest[:, starts] = base
@@ -652,6 +621,9 @@ def compute_cycles_numpy_batched(
 
         value_ready[:, plan.out_s[s:e]] = issue + latency_s[:, s:e]
         read = issue + 1
+        # The write is its out wire's first slot access (virgin entry:
+        # data levels put every reader strictly later), so plain
+        # assignment matches the reference replay's WAW ordering.
         last_read[:, plan.out_s[s:e]] = read
         width = e - s
         pair = np.empty((n_rows, 2 * width), dtype=np.int64)
@@ -662,24 +634,14 @@ def compute_cycles_numpy_batched(
         ends = seg_rel_last[seg_lo:seg_hi]
         ge_last_issue[:, seg_ge[seg_lo:seg_hi]] = issue[:, ends]
 
+    # issue + latency is what the scatter above stored per out wire.
     finish = value_ready[:, arrays.n_inputs:arrays.n_inputs + n].max(axis=1)
-    finish += writeback
     assert int(finish.max()) + n < _SEG_BIAS, "cycle count overflows segment bias"
     dep_sum = np.where(dep_terms > 0, dep_terms, 0).sum(axis=1)
     ws_sum = np.where(ws_terms > 0, ws_terms, 0).sum(axis=1)
-    drain = np.maximum(finish - (ge_last_issue.max(axis=1) + 1), 0)
-    issued = {
-        index: int(count)
-        for index, count in enumerate(plan.issued_per_ge)
-        if count
-    }
-    results = []
-    for stalls, row in zip(stalls_list, row_of):
-        stalls.dependence += int(dep_sum[row])
-        stalls.window_sync += int(ws_sum[row])
-        stalls.drain += int(drain[row])
-        results.append((int(finish[row]), dict(issued)))
-    return results
+    return list(zip(*(column.tolist() for column in (
+        finish, dep_sum, ws_sum, ge_last_issue.max(axis=1)
+    ))))
 
 
 def compute_cycles_reference(

@@ -12,19 +12,30 @@ __all__ = ["StallBreakdown", "SimResult"]
 
 @dataclass
 class StallBreakdown:
-    """Issue-stall cycles by cause, summed over GEs.
-
-    ``dependence`` -- waiting on an operand still in a GE pipeline;
-    ``window_sync`` -- write held for a straggling in-window reader of
-    the physical slot being overwritten (tagless SWW hazard);
-    ``bank_conflict`` -- SWW bank contention (only when modelled);
-    ``drain`` -- pipeline drain after the last issue.
-    """
+    """Issue-stall cycles by cause, in GE cycles summed over all
+    instructions.  GEs stall in parallel, so a sum can exceed the run's
+    ``compute_cycles``.  With ``earliest`` an instruction's in-order
+    slot (its GE's previous issue + 1) and ``data`` its operand
+    readiness (producer issue + latency, + the forwarding penalty across
+    GEs), each term is what the closed form over the compile's
+    ``issue_cycle`` computes."""
 
     dependence: int = 0
+    """``sum(max(0, data - earliest))``: cycles waiting on an operand
+    still in a GE pipeline."""
+
     window_sync: int = 0
+    """``sum(max(0, issue - max(earliest, data)))``: cycles a write is
+    held for the last access of the SWW slot it overwrites (the tagless
+    window's hazard)."""
+
     bank_conflict: int = 0
+    """Cycles an issue slipped for SWW bank ports; non-zero only with
+    ``model_bank_conflicts``."""
+
     drain: int = 0
+    """``max(0, compute_cycles - (last issue + 1))``: pipeline drain and
+    writeback after the last issue.  Counted once, not per instruction."""
 
     @property
     def total(self) -> int:
@@ -49,17 +60,42 @@ class SimResult:
     """
 
     name: str
+    """Name of the simulated program."""
+
     compute_cycles: int
+    """GE cycles until the last result is written back:
+    ``max(issue + latency) + writeback_stages`` over all instructions."""
+
     traffic_cycles: float
+    """GE cycles to stream ``ledger.total_bytes`` at the DRAM bandwidth:
+    bytes / ``dram_bytes_per_ge_cycle``, not rounded.  That bandwidth is
+    not a whole number of bytes per cycle (DDR4 is 35.2 B at 1 GHz), so
+    this is fractional, and so is ``runtime_cycles`` whenever a program
+    is traffic-bound -- e.g. MatMult at the paper design point, 82,651.278
+    cycles (``perf/run.py``'s ``compile_cold`` ``sim_cycles``)."""
+
     ledger: BandwidthLedger
+    """Off-chip bytes by stream (input, instruction, table, OoRW,
+    live write-back)."""
+
     stalls: StallBreakdown
+    """Issue-stall GE cycles by cause."""
+
     n_instructions: int
+    """Instructions executed (gates after INV lowering)."""
+
     n_and: int
+    """AND instructions, one garbled table each."""
+
     ge_clock_hz: float
+    """GE clock in Hz, converting cycles to seconds."""
+
     issued_per_ge: Dict[int, int] = field(default_factory=dict)
+    """Instructions issued per GE index; GEs that issue none are absent."""
 
     @property
     def runtime_cycles(self) -> float:
+        """GE cycles: ``max(compute_cycles, traffic_cycles)``."""
         return max(float(self.compute_cycles), self.traffic_cycles)
 
     @property

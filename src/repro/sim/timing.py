@@ -9,11 +9,14 @@ bars of the paper's Figure 7.
 streams in order.  Instruction ``p`` on GE ``g`` issues at::
 
     issue(p) = max(last_issue(g) + 1,                  # 1 instr/cycle, in-order
-                   max over operands of value_ready)   # forwarding network
+                   max over operands of value_ready,   # forwarding network
+                   last access of the evicted slot)    # window sync
 
 where ``value_ready = issue(producer) + exec_latency`` (+1 cycle when the
 producer ran on a different GE), ``exec_latency`` is 1 for FreeXOR and
-the Half-Gate pipeline depth for AND (18 Evaluator / 21 Garbler).  An
+the Half-Gate pipeline depth for AND (18 Evaluator / 21 Garbler).  The
+compiler's greedy GE mapping applies the same rule, so at the compile's
+own latencies the replay is read off ``streams.issue_cycle``.  An
 optional mode models SWW bank conflicts (each single-ported bank at the
 2 GHz SWW clock serves two accesses per 1 GHz GE cycle).
 
@@ -31,7 +34,7 @@ from ..core.passes.streams import StreamSet
 from ..core.sww import WIRE_BYTES
 from .config import OOR_ADDR_BYTES, TABLE_BYTES, HaacConfig
 from .dram import BandwidthLedger
-from .engine import compute_cycles, compute_cycles_batch
+from .engine import compute_cycles_batch
 from .stats import SimResult, StallBreakdown
 
 __all__ = ["simulate", "simulate_batch", "compute_traffic", "compute_traffic_batch"]
@@ -76,15 +79,15 @@ def compute_traffic_batch(
 def simulate(streams: StreamSet, config: HaacConfig) -> SimResult:
     """Run the decoupled timing model for one compiled program.
 
-    The compute replay lives in :mod:`repro.sim.engine` (shared with the
-    coupled and multicore models); ``REPRO_SIM_ENGINE`` (or
-    ``config.sim_engine``) selects between the level-parallel ``numpy``
-    engine (default) and the per-gate ``reference`` oracle --
-    bit-identical.  Bank conflicts always run on ``reference``.
+    A one-config :func:`simulate_batch`.  On the ``numpy`` engine (the
+    default) a config at the latencies the program was compiled under
+    -- every ``src/`` path compiles with ``config.schedule_params()`` --
+    is read off ``streams.issue_cycle`` with no replay, any other is a
+    one-row level replay; ``REPRO_SIM_ENGINE=reference`` (or
+    ``config.sim_engine``) selects the per-gate oracle, bit-identical,
+    and bank conflicts always run on it.
     """
-    stalls = StallBreakdown()
-    compute_cycles_total, issued_per_ge = compute_cycles(streams, config, stalls)
-    return _pack_result(streams, config, compute_cycles_total, issued_per_ge, stalls)
+    return simulate_batch(streams, [config])[0]
 
 
 def simulate_batch(
@@ -92,47 +95,35 @@ def simulate_batch(
 ) -> List[SimResult]:
     """Decoupled timing model for one program under many configs at once.
 
-    The compute replay runs batched
-    (:func:`repro.sim.engine.compute_cycles_batch`): configs on the
-    numpy engine without bank-conflict modelling share one level pass
-    with a leading config axis (and configs whose compute scalars
-    coincide -- a DRAM-bandwidth sweep -- share one replay row);
-    everything else falls back to a per-config replay.  Each returned
-    :class:`SimResult` is bit-identical to ``simulate(streams, config)``
-    for its config; only the wall time differs.
+    The compute component runs batched
+    (:func:`repro.sim.engine.compute_cycles_batch`): configs at the
+    compile's latencies share one closed form over
+    ``streams.issue_cycle``, the other numpy configs one level replay
+    with a row per distinct ``(and_latency, xor_latency,
+    cross_ge_forward)`` (a bandwidth or writeback sweep adds no row),
+    and ``reference`` or bank-conflict configs replay per config.  Each
+    :class:`SimResult` is bit-identical to ``simulate(streams, config)``.
+    A config whose GE count or SWW capacity is not the compile's raises
+    :class:`ValueError`.
     """
     configs = list(configs)
     stalls_list = [StallBreakdown() for _ in configs]
     compute = compute_cycles_batch(streams, configs, stalls_list)
     ledgers = compute_traffic_batch(streams, configs)
+    program = streams.program
     return [
-        _pack_result(streams, config, cycles, issued, stalls, ledger)
+        SimResult(
+            name=program.name,
+            compute_cycles=cycles,
+            traffic_cycles=ledger.total_bytes / config.dram_bytes_per_ge_cycle,
+            ledger=ledger,
+            stalls=stalls,
+            n_instructions=len(program.op),
+            n_and=program.n_and,
+            ge_clock_hz=config.ge_clock_hz,
+            issued_per_ge=issued,
+        )
         for config, (cycles, issued), stalls, ledger in zip(
             configs, compute, stalls_list, ledgers
         )
     ]
-
-
-def _pack_result(
-    streams: StreamSet,
-    config: HaacConfig,
-    compute_cycles_total: int,
-    issued_per_ge,
-    stalls: StallBreakdown,
-    ledger: "BandwidthLedger | None" = None,
-) -> SimResult:
-    if ledger is None:
-        ledger = compute_traffic(streams, config)
-    traffic_cycles = ledger.total_bytes / config.dram_bytes_per_ge_cycle
-    program = streams.program
-    return SimResult(
-        name=program.name,
-        compute_cycles=compute_cycles_total,
-        traffic_cycles=traffic_cycles,
-        ledger=ledger,
-        stalls=stalls,
-        n_instructions=len(program.op),
-        n_and=program.n_and,
-        ge_clock_hz=config.ge_clock_hz,
-        issued_per_ge=issued_per_ge,
-    )

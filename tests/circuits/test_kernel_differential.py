@@ -9,9 +9,10 @@ the gate columns (DESIGN.md section 14).  Two things hold them:
   reports ``renamed`` and words its message exactly as the oracle does;
 * the compiler's own contract (ROADMAP item 5's compile fuzz) -- every
   random netlist compiles at every ``OptLevel`` and ``tie_break`` to
-  streams ``verify_streams`` accepts and a netlist that computes what
-  the source computes, and the two column kernels equal their one-line
-  stdlib spellings.
+  streams ``verify_streams`` accepts, timed identically by the numpy
+  and reference sim engines on and off the compile's schedule, and a
+  netlist that computes what the source computes; and the two column
+  kernels equal their one-line stdlib spellings.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from repro.core.compiler import OptLevel, compile_circuit
 from repro.core.passes.rename import rename
 from repro.core.passes.reorder import _permute
 from repro.core.passes.streams import TIE_BREAKS, ScheduleParams
-from repro.core.sww import SlidingWindow
+from repro.core.sww import WIRE_BYTES, SlidingWindow
 from repro.core.verify import verify_streams
+from repro.sim.config import HaacConfig, Role
+from repro.sim.timing import simulate
 from tests.circuits.scalar_oracle import scalar_validate
 from tests.circuits.test_netlist import MALFORMED, malformed_circuit
 
@@ -150,6 +153,10 @@ def _input_bits(seed: int, circuit: Circuit):
     )
 
 
+def _timing(sim) -> tuple:
+    return sim.compute_cycles, sim.stalls.as_dict(), sim.issued_per_ge
+
+
 class TestCompileFuzz:
     """Random netlists x five OptLevels x three tie-breaks."""
 
@@ -166,6 +173,10 @@ class TestCompileFuzz:
     ):
         garbler_bits, evaluator_bits = _input_bits(seed, circuit)
         expected = circuit.eval_plain(garbler_bits, evaluator_bits)
+        # The compile's own latencies (numpy reads the schedule) and the
+        # garbler's (numpy replays the levels); both equal the reference.
+        evaluator = HaacConfig(n_ges=n_ges, sww_bytes=capacity * WIRE_BYTES)
+        configs = (evaluator, evaluator.with_role(Role.GARBLER))
         for opt in OptLevel:
             for tie_break in TIE_BREAKS:
                 result = compile_circuit(
@@ -174,6 +185,12 @@ class TestCompileFuzz:
                     segment_size=segment_size, cache=False,
                 )
                 verify_streams(result.streams)
+                for config in configs:
+                    numpy_run, reference_run = (
+                        _timing(simulate(result.streams, config.with_sim_engine(engine)))
+                        for engine in ("numpy", "reference")
+                    )
+                    assert numpy_run == reference_run
                 netlist = result.program.netlist
                 assert netlist.validate() is True
                 assert netlist.eval_plain(

@@ -92,6 +92,23 @@ def random_circuit(
 
 
 @pytest.fixture
+def level_replays(monkeypatch):
+    """Row counts of every level replay the numpy sim engine runs (a
+    config at its compile's latencies runs none)."""
+    import repro.sim.engine as engine
+
+    rows = []
+    replay = engine._level_replay
+
+    def spy(arrays, keys):
+        rows.append(len(keys))
+        return replay(arrays, keys)
+
+    monkeypatch.setattr(engine, "_level_replay", spy)
+    return rows
+
+
+@pytest.fixture
 def small_config() -> HaacConfig:
     """4 GEs with a deliberately tiny SWW so windows slide in tests."""
     return HaacConfig(n_ges=4, sww_bytes=64 * 16)

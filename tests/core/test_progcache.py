@@ -195,9 +195,9 @@ class TestProgramCache:
     def test_level_partition_round_trips(self, tmp_path, config):
         """Cached entries carry the engine arrays *and* their
         dependence-level partition, so warm loads skip the partition
-        pass; the derived NumPy plan (runtime views) must not ride
+        pass; the derived NumPy plans (runtime views) must not ride
         along in the pickle."""
-        from repro.sim.engine import _PLAN_ATTR, compiled_arrays
+        from repro.sim.engine import _PLAN_ATTR, _SCHEDULE_ATTR, compiled_arrays
 
         circuit = _multiplier()
         writer = ProgramCache(tmp_path, memory=False)
@@ -207,9 +207,13 @@ class TestProgramCache:
         )
         cold_arrays = compiled_arrays(cold.streams)
         assert cold_arrays.level_of is not None  # persisted eagerly
-        simulate(cold.streams, config)  # materialises the numpy plan
-        # Re-persist now that the plan exists so the round trip below
-        # proves __getstate__ keeps it out of the pickle.
+        # On the compile's schedule (the schedule plan) and off it (the
+        # level plan); re-persist now that both plans exist so the round
+        # trip below proves __getstate__ keeps them out of the pickle.
+        simulate(cold.streams, config)
+        simulate(cold.streams, config._replace(cross_ge_forward=2))
+        assert getattr(cold_arrays, _PLAN_ATTR, None) is not None
+        assert getattr(cold_arrays, _SCHEDULE_ATTR, None) is not None
         key = compile_key(
             circuit, config.window.capacity, config.n_ges,
             OptLevel.RO_RN_ESW, config.schedule_params(),
@@ -226,9 +230,11 @@ class TestProgramCache:
         assert warm_arrays.level_of == cold_arrays.level_of
         assert warm_arrays.n_levels == cold_arrays.n_levels
         assert getattr(warm_arrays, _PLAN_ATTR, None) is None
+        assert getattr(warm_arrays, _SCHEDULE_ATTR, None) is None
         # The loaded partition drives the same replay.
-        assert simulate(warm.streams, config).compute_cycles == \
-            simulate(cold.streams, config).compute_cycles
+        for point in (config, config._replace(cross_ge_forward=2)):
+            assert simulate(warm.streams, point).compute_cycles == \
+                simulate(cold.streams, point).compute_cycles
 
     def test_corrupted_entry_recovers_by_recompiling(self, tmp_path, config):
         circuit = _adder()

@@ -125,3 +125,12 @@ class TestCorruptionDetection:
                 break
         with pytest.raises(StreamVerificationError):
             verify_streams(streams)
+
+    def test_late_issue(self, compiled):
+        """Feasible but late: the last instruction delayed one cycle
+        breaks no ordering constraint, yet it is not the greedy's issue,
+        which is what the timing model reads off the compile."""
+        streams = compiled.streams
+        streams.issue_cycle[-1] += 1
+        with pytest.raises(StreamVerificationError, match="not tight"):
+            verify_streams(streams)

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import pytest
 
-import repro.sim.engine as engine_module
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.sim.config import HaacConfig, Role
 from repro.sim.coupled import coupled_runtime, coupled_runtime_batch
@@ -159,11 +158,7 @@ class TestComputeCyclesBatch:
         monkeypatch.setenv(ENGINE_ENV_VAR, ENGINE_NUMPY)
         streams, config = _compiled("Hamm")
         configs = [config, config.with_role(Role.GARBLER)]
-        serial_stalls = []
-        for c in configs:
-            stalls = StallBreakdown()
-            engine_module.compute_cycles(streams, c, stalls)
-            serial_stalls.append(stalls.as_dict())
+        serial_stalls = [simulate(streams, c).stalls.as_dict() for c in configs]
         batch_stalls = [StallBreakdown() for _ in configs]
         compute_cycles_batch(streams, configs, batch_stalls)
         assert [s.as_dict() for s in batch_stalls] == serial_stalls
@@ -183,6 +178,21 @@ class TestComputeCyclesBatch:
         )
         assert len(results) == 3
         assert results[0] == results[1] == results[2]
+
+    def test_writeback_adds_no_replay_row(self, monkeypatch, level_replays):
+        """Rows are deduped on (and_latency, xor_latency,
+        cross_ge_forward) and writeback_stages is added after the
+        replay: a forward x writeback grid costs one closed form (the
+        compile's forward) plus one replay row per other forward."""
+        monkeypatch.setenv(ENGINE_ENV_VAR, ENGINE_NUMPY)
+        streams, config = _compiled("Hamm")
+        sweep = config.variants(
+            cross_ge_forward=[1, 2, 4], writeback_stages=[0, 1, 3]
+        )
+        batched = [_snap(s) for s in simulate_batch(streams, sweep)]
+        assert level_replays == [2]
+        monkeypatch.setenv(ENGINE_ENV_VAR, ENGINE_REFERENCE)
+        assert batched == [_snap(simulate(streams, c)) for c in sweep]
 
     def test_sim_engine_pin_respected_per_config(self, monkeypatch):
         """A config pinning sim_engine=reference inside a batch takes

@@ -5,8 +5,12 @@ coupled, pull-based, multicore) produces *bit-identical* cycle counts,
 stall breakdowns and per-GE issue counts whether it runs on the NumPy
 level-parallel engine (the default) or the per-gate reference oracle
 (``REPRO_SIM_ENGINE=reference``), across every stdlib circuit family
-and every compiler optimization level.  This pins the models down so
-future engine refactors cannot silently drift cycle counts.  Bank
+and every compiler optimization level.  The numpy engine has two paths
+chosen from the input -- the closed form over the compile's
+``issue_cycle`` for a config at the compile's latencies, the level
+replay for any other -- and both sides are held to the oracle here,
+including degenerate shapes on the closed form.  This pins the models
+down so future engine refactors cannot silently drift cycle counts.  Bank
 conflicts have one implementation (the reference replay); their oracle
 is the golden table in ``test_bank_conflict_golden.py``.
 
@@ -16,6 +20,7 @@ the exhaustive sweep adds AES-128 (200k gates) and is marked ``slow``.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -27,7 +32,8 @@ from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.circuits.stdlib.float import FloatFormat, fp_add
 from repro.cli import main
 from repro.core.compiler import OptLevel, compile_circuit
-from repro.sim.config import HaacConfig
+from repro.core.passes.streams import TIE_BREAKS
+from repro.sim.config import HaacConfig, Role
 from repro.sim.coupled import coupled_runtime, pull_based_runtime
 from repro.sim.engine import (
     ENGINE_ENV_VAR,
@@ -122,6 +128,12 @@ def _compiled(family: str, opt: OptLevel, sww_bytes: int = 64 * 16):
     return result, config
 
 
+def _off_schedule(config):
+    """Garbler latencies and a 2-cycle forward on an evaluator compile:
+    no latency the replay reads matches the compile's params."""
+    return config.with_role(Role.GARBLER)._replace(cross_ge_forward=2)
+
+
 def _sim_snapshot(streams, config):
     sim = simulate(streams, config)
     return (
@@ -198,11 +210,80 @@ class TestEngineMode:
 @pytest.mark.parametrize("family", sorted(STDLIB_FAMILIES))
 @pytest.mark.parametrize("opt", ALL_OPTS, ids=lambda o: o.value)
 class TestDecoupledEquivalence:
-    def test_simulate_identical(self, monkeypatch, family, opt):
+    def test_simulate_identical(self, monkeypatch, level_replays, family, opt):
+        """On the compile's schedule: the closed form, no replay."""
         result, config = _compiled(family, opt)
         _assert_identical(_all_engines(
             monkeypatch, lambda: _sim_snapshot(result.streams, config)
         ))
+        assert level_replays == []
+
+    def test_off_schedule_identical(self, monkeypatch, level_replays, family, opt):
+        """Off the compile's schedule: a one-row level replay."""
+        result, config = _compiled(family, opt)
+        off = _off_schedule(config)
+        _assert_identical(_all_engines(
+            monkeypatch, lambda: _sim_snapshot(result.streams, off)
+        ))
+        assert level_replays == [1]
+
+
+def _degenerate_zero_gates():
+    b = CircuitBuilder()
+    xs = b.add_garbler_inputs(2)
+    b.add_evaluator_inputs(2)
+    b.mark_outputs(xs)
+    return b.build("zero_gates")
+
+
+def _degenerate_xor_only():
+    b = CircuitBuilder()
+    xs = b.add_garbler_inputs(8)
+    ys = b.add_evaluator_inputs(8)
+    b.mark_outputs([b.XOR(x, y) for x, y in zip(xs, ys)])
+    b.mark_outputs([logic.parity(b, xs + ys)])
+    return b.build("xor_only")
+
+
+#: (circuit, config) at the edges of the closed form; every config is
+#: the one its program is compiled for.
+DEGENERATE = {
+    "zero_gates": (_degenerate_zero_gates, HaacConfig(n_ges=2, sww_bytes=64 * 16)),
+    "xor_only": (_degenerate_xor_only, HaacConfig(n_ges=4, sww_bytes=64 * 16)),
+    "one_ge": (_integer8, HaacConfig(n_ges=1, sww_bytes=64 * 16)),
+    # 4 wires: narrower than the circuit's widest level.
+    "sww_below_a_level": (_integer8, HaacConfig(n_ges=4, sww_bytes=4 * 16)),
+    "no_writeback": (
+        _integer8, HaacConfig(n_ges=4, sww_bytes=64 * 16, writeback_stages=0)
+    ),
+}
+
+
+class TestClosedFormDegenerate:
+    """The closed form equals the reference replay at the edges."""
+
+    @staticmethod
+    def _check(circuit, config, level_replays, tie_break="producer"):
+        params = replace(config.schedule_params(), tie_break=tie_break)
+        result = compile_circuit(
+            circuit, config.window, config.n_ges, params=params, cache=False
+        )
+        _assert_identical([
+            _sim_snapshot(result.streams, config.with_sim_engine(engine))
+            for engine in ALL_ENGINES
+        ])
+        assert level_replays == []
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_shape(self, level_replays, case):
+        build, config = DEGENERATE[case]
+        self._check(build(), config, level_replays)
+
+    @pytest.mark.parametrize("family", ["integer8", "float8"])
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_tie_break(self, level_replays, family, tie_break):
+        config = HaacConfig(n_ges=4, sww_bytes=64 * 16)
+        self._check(_circuit(family), config, level_replays, tie_break)
 
 
 @pytest.mark.parametrize("family", sorted(STDLIB_FAMILIES))

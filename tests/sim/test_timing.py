@@ -4,8 +4,15 @@ import pytest
 
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.sim.config import HaacConfig, Role
+from repro.sim.coupled import (
+    coupled_runtime,
+    coupled_runtime_batch,
+    pull_based_runtime,
+)
 from repro.sim.dram import DDR4, HBM2
-from repro.sim.timing import compute_traffic, simulate
+from repro.sim.engine import ENGINE_NUMPY, ENGINE_REFERENCE
+from repro.sim.timing import compute_traffic, simulate, simulate_batch
+from repro.workloads import get_workload
 
 
 def _run(circuit, config, opt=OptLevel.RO_RN_ESW):
@@ -187,3 +194,52 @@ class TestTrafficBatch:
         first, second = compute_traffic_batch(result.streams, [config, config])
         first.charge("input_rd", 1)
         assert second.as_dict() != first.as_dict()
+
+
+#: Every timing model that takes a config, called on (streams, config).
+MODELS = {
+    "simulate": simulate,
+    "simulate_batch": lambda streams, config: simulate_batch(streams, [config]),
+    "coupled": coupled_runtime,
+    "coupled_batch": lambda streams, config: coupled_runtime_batch(
+        streams, config, [64, 4096]
+    ),
+    "pull_based": pull_based_runtime,
+}
+
+
+class TestCompiledShape:
+    """A config is timed only on the machine it was compiled for: the
+    streams fix the GE count and the SWW capacity, so another value of
+    either raises instead of silently replaying the compiled shape."""
+
+    @pytest.fixture(scope="class")
+    def relu16(self):
+        config = HaacConfig.paper_default()
+        built = get_workload("ReLU").build(k=16, width=8)
+        result = compile_circuit(
+            built.circuit, config.window, config.n_ges,
+            params=config.schedule_params(), cache=False,
+        )
+        return result.streams, config
+
+    @pytest.mark.parametrize("engine", [ENGINE_NUMPY, ENGINE_REFERENCE])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_ge_count_mismatch(self, relu16, model, engine):
+        streams, config = relu16
+        with pytest.raises(ValueError, match="4 GEs, 131072-wire SWW"):
+            MODELS[model](streams, config.with_ges(4).with_sim_engine(engine))
+
+    @pytest.mark.parametrize("engine", [ENGINE_NUMPY, ENGINE_REFERENCE])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_sww_capacity_mismatch(self, relu16, model, engine):
+        streams, config = relu16
+        mismatched = config.with_sww_bytes(1024).with_sim_engine(engine)
+        with pytest.raises(ValueError, match="16 GEs, 64-wire SWW"):
+            MODELS[model](streams, mismatched)
+
+    def test_supplied_baseline_does_not_skip_the_check(self, relu16):
+        streams, config = relu16
+        baseline = simulate(streams, config)
+        with pytest.raises(ValueError, match="does not match"):
+            coupled_runtime_batch(streams, config.with_ges(4), [64], baseline)
