@@ -36,9 +36,10 @@ other source of numbers.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
+from .. import faults as faults_mod
 from ..baselines.cpu_model import DEFAULT_CPU, CpuCostModel
 from ..baselines.plaintext import DEFAULT_PLAINTEXT, PlaintextModel
 from ..baselines.prior_work import build_micro
@@ -46,7 +47,7 @@ from ..core.compiler import CompileResult, OptLevel, compile_circuit
 from ..core.progcache import compile_key
 from ..sim.config import HaacConfig
 from ..sim.timing import simulate
-from ..store import ResultStore, config_signature, resolve_result_store
+from ..store import ResultStore, config_signature
 from ..workloads.registry import WORKLOADS
 
 __all__ = [
@@ -126,7 +127,7 @@ class SimPoint:
 class DataProvider:
     """Store-backed access to every number the figure pipeline needs.
 
-    ``store`` accepts anything :func:`repro.store.resolve_result_store`
+    ``store`` accepts anything :meth:`ResultStore.resolve`
     does (``None`` defers to ``REPRO_RESULT_STORE``); ``prog_cache``
     likewise threads through to :func:`compile_circuit`.  One provider
     instance memoizes workload builds and compile results in process,
@@ -141,7 +142,7 @@ class DataProvider:
         plaintext: PlaintextModel = DEFAULT_PLAINTEXT,
         prog_cache=None,
     ) -> None:
-        self.store = resolve_result_store(store)
+        self.store = ResultStore.resolve(store)
         self.cpu = cpu
         self.plaintext = plaintext
         self.prog_cache = prog_cache
@@ -223,15 +224,37 @@ class DataProvider:
             self._compiled[digest] = compiled
         return compiled
 
+    def _stored(self, digest: str, sig: str, schema: str, row: type):
+        """The stored ``row``, or None on a miss.
+
+        A well-keyed entry whose payload is not exactly ``row``'s fields
+        is torn: it is recorded like any other torn entry, and the
+        caller recomputes the point and puts it back.
+        """
+        if self.store is None:
+            return None
+        payload = self.store.get(digest, sig, schema)
+        if payload is None:
+            return None
+        if isinstance(payload, dict) and payload.keys() == {
+            field.name for field in fields(row)
+        }:
+            return row(**payload)
+        faults_mod.record_recovery(
+            self.store.namespace,
+            "entry_recovered",
+            f"{schema} payload is not a {row.__name__}; recomputing",
+        )
+        return None
+
     def compile_point_for(
         self, circuit, config: HaacConfig, opt: OptLevel
     ) -> CompilePoint:
         digest = self._program_digest(circuit, config, opt)
         sig = config_signature(config)
-        if self.store is not None:
-            payload = self.store.get(digest, sig, COMPILE_POINT_SCHEMA)
-            if payload is not None:
-                return CompilePoint(**payload)
+        stored = self._stored(digest, sig, COMPILE_POINT_SCHEMA, CompilePoint)
+        if stored is not None:
+            return stored
         compiled = self._compile(circuit, config, opt, digest)
         live, oor, total = compiled.streams.wire_traffic_wires()
         point = CompilePoint(
@@ -250,10 +273,9 @@ class DataProvider:
     ) -> SimPoint:
         digest = self._program_digest(circuit, config, opt)
         sig = config_signature(config)
-        if self.store is not None:
-            payload = self.store.get(digest, sig, SIM_POINT_SCHEMA)
-            if payload is not None:
-                return SimPoint(**payload)
+        stored = self._stored(digest, sig, SIM_POINT_SCHEMA, SimPoint)
+        if stored is not None:
+            return stored
         compiled = self._compile(circuit, config, opt, digest)
         sim = simulate(compiled.streams, config)
         self.replays += 1

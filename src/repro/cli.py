@@ -10,11 +10,10 @@ Subcommands:
 * ``protocol``    -- run the real two-party millionaires' demo;
 * ``serve``       -- multiplex N concurrent streamed sessions on one
   scheduler and report per-session service metrics;
-* ``cache``       -- inspect, prune or clear the persistent compile cache;
 * ``figures``     -- ASCII renderings of the evaluation figures, or the
   committed CSV + Vega-Lite artifacts with ``--emit DIR``;
-* ``store``       -- inspect, prune, merge or bundle the content-addressed
-  experiment result store.
+* ``store``       -- inspect, prune or clear the content-addressed stores
+  (compiled programs and experiment results); merge or bundle results.
 
 Performance is measured by ``python3 perf/run.py`` (see
 ``perf/README.md``), not by a subcommand here; the paper's claims are
@@ -167,24 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_cache_flag(p_se)
 
-    p_cache = sub.add_parser(
-        "cache", help="inspect, prune or clear the persistent compile cache"
-    )
-    p_cache.add_argument(
-        "action",
-        choices=["info", "clear", "prune"],
-        nargs="?",
-        default="info",
-        help="info: census incl. stale-schema entries; prune: delete "
-        "stale-schema/corrupt entries only; clear: delete everything",
-    )
-    p_cache.add_argument(
-        "--dir",
-        default=None,
-        help="cache directory (default: $REPRO_PROG_CACHE or "
-        "~/.cache/repro/progcache)",
-    )
-
     p_p = sub.add_parser("protocol", help="run the two-party millionaires demo")
     p_p.add_argument("--alice", type=int, default=4_200_000)
     p_p.add_argument("--bob", type=int, default=3_700_000)
@@ -328,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_st = sub.add_parser(
         "store",
-        help="inspect, prune, merge or bundle the content-addressed "
-        "experiment result store",
+        help="inspect, prune or clear the content-addressed stores "
+        "(compiled programs and experiment results); merge or bundle "
+        "results",
     )
     p_st.add_argument(
         "action",
@@ -338,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="info",
         help="info: census incl. stale-schema entries; prune: delete "
         "stale-schema/corrupt entries only; clear: delete everything; "
-        "merge: fold another store dir or bundle file in; bundle: "
-        "export live entries as one JSON file",
+        "merge: fold another result store dir or bundle file in; "
+        "bundle: export live results as one JSON file",
     )
     p_st.add_argument(
         "path",
@@ -351,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.add_argument(
         "--dir",
         default=None,
-        help="store directory (default: $REPRO_RESULT_STORE or "
-        "~/.cache/repro/resultstore)",
+        help="one directory for both stores, each reading only its own "
+        "entries (default: $REPRO_PROG_CACHE / $REPRO_RESULT_STORE, else "
+        "~/.cache/repro/progcache and ~/.cache/repro/resultstore)",
     )
     p_st.add_argument(
         "--policy",
@@ -734,46 +717,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from .core.progcache import (
-        CACHE_SCHEMA,
-        ProgramCache,
-        default_cache_dir,
-        resolve_cache,
-    )
-
-    if args.dir is not None:
-        store = ProgramCache(args.dir)
-    else:
-        store = resolve_cache(None) or ProgramCache(default_cache_dir())
-    if args.action == "clear":
-        removed = store.clear()
-        print(f"removed {removed} cached programs from {store.root}")
-        return 0
-    if args.action == "prune":
-        removed = store.prune()
-        freed_kb = (removed.stale_bytes + removed.corrupt_bytes) / 1024
-        print(
-            f"pruned {removed.stale} stale-schema and {removed.corrupt} "
-            f"corrupt entries from {store.root} ({freed_kb:.1f} KB freed)"
-        )
-        return 0
-    census = store.scan()
-    rows = [
-        ["directory", str(store.root)],
-        ["schema", f"v{CACHE_SCHEMA}"],
-        ["live entries", census.live],
-        ["live size (KB)", f"{census.live_bytes / 1024:.1f}"],
-        ["stale-schema entries", census.stale],
-        ["stale size (KB)", f"{census.stale_bytes / 1024:.1f}"],
-        ["corrupt entries", census.corrupt],
-    ]
-    print(render_table(["Property", "Value"], rows, title="compile cache"))
-    if census.stale or census.corrupt:
-        print("run `repro cache prune` to delete stale/corrupt entries")
-    return 0
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
     from .analysis import charts
     from .analysis.dataprovider import DataProvider
@@ -866,29 +809,15 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from .store import (
-        STORE_SCHEMA,
-        ResultStore,
-        default_store_dir,
-        resolve_result_store,
-    )
+    from .core.progcache import ProgramCache
+    from .store import ResultStore
 
-    if args.dir is not None:
-        store = ResultStore(args.dir)
-    else:
-        store = resolve_result_store(None) or ResultStore(default_store_dir())
-    if args.action == "clear":
-        removed = store.clear()
-        print(f"removed {removed} stored results from {store.root}")
-        return 0
-    if args.action == "prune":
-        removed = store.prune()
-        freed_kb = (removed.stale_bytes + removed.corrupt_bytes) / 1024
-        print(
-            f"pruned {removed.stale} stale-schema and {removed.corrupt} "
-            f"corrupt entries from {store.root} ({freed_kb:.1f} KB freed)"
-        )
-        return 0
+    def open_store(cls):
+        if args.dir is not None:
+            return cls(args.dir)
+        return cls.resolve(None) or cls(cls.default_dir())
+
+    results = open_store(ResultStore)
     if args.action == "merge":
         if args.path is None:
             print(
@@ -897,12 +826,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
             )
             return 2
         try:
-            report = store.merge(args.path, policy=args.policy)
+            report = results.merge(args.path, policy=args.policy)
         except (OSError, ValueError) as error:
             print(str(error), file=sys.stderr)
             return 2
         print(
-            f"merged {args.path} into {store.root}: "
+            f"merged {args.path} into {results.root}: "
             f"{report.added} added, {report.identical} identical, "
             f"{report.conflicts} conflicts ({report.replaced} replaced), "
             f"{report.corrupt} corrupt skipped"
@@ -912,21 +841,39 @@ def _cmd_store(args: argparse.Namespace) -> int:
         if args.path is None:
             print("bundle needs an output file path", file=sys.stderr)
             return 2
-        count = store.save_bundle(args.path)
-        print(f"bundled {count} entries from {store.root} into {args.path}")
+        count = results.save_bundle(args.path)
+        print(f"bundled {count} entries from {results.root} into {args.path}")
         return 0
-    census = store.scan()
+    stores = (open_store(ProgramCache), results)
+    if args.action == "clear":
+        for store in stores:
+            print(f"removed {store.clear()} stored {store.kind} from {store.root}")
+        return 0
+    if args.action == "prune":
+        for store in stores:
+            removed = store.prune()
+            freed_kb = (removed.stale_bytes + removed.corrupt_bytes) / 1024
+            print(
+                f"{store.kind}: pruned {removed.stale} stale-schema and "
+                f"{removed.corrupt} corrupt entries from {store.root} "
+                f"({freed_kb:.1f} KB freed)"
+            )
+        return 0
+    censuses = [store.scan() for store in stores]
     rows = [
-        ["directory", str(store.root)],
-        ["schema", f"v{STORE_SCHEMA}"],
-        ["live entries", census.live],
-        ["live size (KB)", f"{census.live_bytes / 1024:.1f}"],
-        ["stale-schema entries", census.stale],
-        ["stale size (KB)", f"{census.stale_bytes / 1024:.1f}"],
-        ["corrupt entries", census.corrupt],
+        ["directory", *(str(store.root) for store in stores)],
+        ["schema", *(f"v{store.schema}" for store in stores)],
+        ["live entries", *(census.live for census in censuses)],
+        ["live size (KB)", *(f"{c.live_bytes / 1024:.1f}" for c in censuses)],
+        ["stale-schema entries", *(census.stale for census in censuses)],
+        ["stale size (KB)", *(f"{c.stale_bytes / 1024:.1f}" for c in censuses)],
+        ["corrupt entries", *(census.corrupt for census in censuses)],
     ]
-    print(render_table(["Property", "Value"], rows, title="result store"))
-    if census.stale or census.corrupt:
+    print(render_table(
+        ["Property", *(store.kind for store in stores)], rows,
+        title="content-addressed stores",
+    ))
+    if any(census.stale or census.corrupt for census in censuses):
         print("run `repro store prune` to delete stale/corrupt entries")
     return 0
 
@@ -939,7 +886,6 @@ _COMMANDS = {
     "search": _cmd_search,
     "protocol": _cmd_protocol,
     "serve": _cmd_serve,
-    "cache": _cmd_cache,
     "figures": _cmd_figures,
     "store": _cmd_store,
 }

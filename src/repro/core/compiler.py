@@ -34,7 +34,7 @@ from .passes.rename import rename
 from .passes.reorder import depth_first_order, full_reorder, segment_reorder
 from .passes.streams import ScheduleParams, StreamSet, generate_streams
 from .program import HaacProgram
-from .progcache import ProgramCache, compile_key, resolve_cache
+from .progcache import ProgramCache, compile_key
 from .sww import SlidingWindow
 
 __all__ = ["OptLevel", "CompileResult", "compile_circuit", "compile_best"]
@@ -110,7 +110,7 @@ def compile_circuit(
     """
     if segment_size is not None and segment_size < 1:
         raise ValueError("segment size must be positive")
-    store = resolve_cache(cache)
+    store = ProgramCache.resolve(cache)
     key = None
     if store is not None:
         key = compile_key(circuit, window.capacity, n_ges, opt, params, segment_size)

@@ -30,42 +30,27 @@ Store location, in priority order:
    :func:`repro.core.compiler.compile_circuit` (or
    ``HaacConfig.prog_cache`` for the sim-layer helpers);
 2. the ``REPRO_PROG_CACHE`` environment variable -- a directory path,
-   ``1``/``on`` for the default location, ``0``/``off`` to disable;
+   ``1``/``on`` for the default location ``~/.cache/repro/progcache``,
+   ``0``/``off`` to disable;
 3. disabled (the default: library code never writes to the user's
    home directory unless asked).
 
-The default location is ``~/.cache/repro/progcache``.  Corrupted or
-truncated entries are never fatal: the loader raises the typed
-:class:`repro.faults.CacheEntryTorn` internally, :meth:`get` drops the
-file, counts a ``corrupt``, records the recovery in the active
-:class:`repro.faults.RecoveryLog` and falls back to recompilation.  The
-:mod:`repro.faults` injection hooks can tear an entry on demand
-(``tear_cache``) to exercise exactly this path.  Per-store hit/miss/put
-counters (:class:`CacheStats`) let tests assert warm-run behaviour.
-
-Because the schema lives in the *key*, entries written under an older
-``CACHE_SCHEMA`` are never looked up again -- unreachable dead bytes
-with ordinary-looking filenames.  :meth:`ProgramCache.scan` reports
-them separately from live entries and :meth:`ProgramCache.prune`
-deletes them (``repro cache info`` / ``repro cache prune``).
+Atomic puts, the memory layer, torn-entry recovery (a damaged entry is
+dropped and recompiled, never fatal), the stale-schema census and
+resolution are the keyed-entry layer's (:mod:`repro.store.entries`);
+this module is the pickle codec over it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import sys
-import tempfile
-import threading
 from array import array
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
-from .. import faults as faults_mod
 from ..circuits.netlist import Circuit
-from ..faults import CacheEntryTorn
+from ..store.entries import EntryStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (compiler imports us)
     from .compiler import CompileResult, OptLevel
@@ -74,14 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (compiler imports us)
 __all__ = [
     "CACHE_ENV_VAR",
     "CACHE_SCHEMA",
-    "CacheStats",
-    "EntryScan",
     "ProgramCache",
     "circuit_digest",
     "compile_key",
     "shard_key",
-    "default_cache_dir",
-    "resolve_cache",
 ]
 
 CACHE_ENV_VAR = "REPRO_PROG_CACHE"
@@ -99,20 +80,6 @@ CACHE_ENV_VAR = "REPRO_PROG_CACHE"
 #: netlist, the program, the dependence graph and the engine arrays)
 #: instead of per-gate Gate / Instruction object graphs.
 CACHE_SCHEMA = 5
-
-_OFF_VALUES = ("0", "off", "none", "disabled", "false", "no")
-_ON_VALUES = ("1", "on", "default", "true", "yes", "auto")
-
-
-class _StaleSchemaError(Exception):
-    """A well-formed entry written under a different ``CACHE_SCHEMA``."""
-
-
-def default_cache_dir() -> Path:
-    """``$XDG_CACHE_HOME``-respecting default store location."""
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro" / "progcache"
 
 
 def circuit_digest(circuit: Circuit) -> str:
@@ -239,353 +206,39 @@ def shard_key(
     return h.hexdigest()
 
 
-@dataclass
-class EntryScan:
-    """On-disk entry census, by reachability under the current schema.
-
-    ``live`` entries were written by the current ``CACHE_SCHEMA`` (their
-    payload schema matches and the stored key matches the filename);
-    ``stale`` entries carry an older (or newer) schema -- because the
-    schema is baked into every *key*, the current code can never look
-    them up, so they are unreachable dead bytes until pruned; ``corrupt``
-    covers everything else (truncated pickles, foreign files, key/name
-    mismatches).
-    """
-
-    live: int = 0
-    live_bytes: int = 0
-    stale: int = 0
-    stale_bytes: int = 0
-    corrupt: int = 0
-    corrupt_bytes: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "live": self.live,
-            "live_bytes": self.live_bytes,
-            "stale": self.stale,
-            "stale_bytes": self.stale_bytes,
-            "corrupt": self.corrupt,
-            "corrupt_bytes": self.corrupt_bytes,
-        }
-
-
-@dataclass
-class CacheStats:
-    """Counters for one store; ``corrupt`` entries also count as misses."""
-
-    hits: int = 0
-    misses: int = 0
-    corrupt: int = 0
-    puts: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "puts": self.puts,
-        }
-
-
-class ProgramCache:
+class ProgramCache(EntryStore):
     """Directory-backed pickle store of :class:`CompileResult` objects.
 
-    A process-local memory layer fronts the disk store (``memory=True``,
-    the default): repeated gets of one key -- a sweep re-simulating the
-    same compile at many design points -- skip unpickling and *share
-    one result object*.  Compile results are treated as immutable
-    everywhere (the per-instance schedule/array memos only ever add
-    derived data), so sharing is safe; pass ``memory=False`` for
-    fully independent copies per get.
+    Each entry is ``{"schema": CACHE_SCHEMA, "key": key, "result":
+    result}`` pickled at ``HIGHEST_PROTOCOL``.  The memory layer
+    (``memory=True``, the default) makes repeated gets of one key -- a
+    sweep re-simulating the same compile at many design points -- skip
+    unpickling and *share one result object*.  Compile results are
+    treated as immutable everywhere (the per-instance schedule/array
+    memos only ever add derived data), so sharing is safe; pass
+    ``memory=False`` for fully independent copies per get.
     """
 
-    def __init__(self, root: Union[str, Path], memory: bool = True) -> None:
-        self.root = Path(root).expanduser()
-        self.stats = CacheStats()
-        self._memory: Optional[Dict[str, "CompileResult"]] = (
-            {} if memory else None
-        )
-        # Guards the memory layer and the stat counters: concurrent
-        # sessions share one store instance per directory (_store_for),
-        # and unguarded `stats.hits += 1` read-modify-writes lose
-        # updates under threads.  Disk-level races (a prune unlinking an
-        # entry mid-get, two cold compiles putting the same digest) are
-        # instead resolved by construction: put is atomic via
-        # tempfile + os.replace (last writer wins with identical
-        # content), and a get that loses its file degrades to
-        # recompilation with a recovery event.
-        self._lock = threading.Lock()
+    suffix = ".pkl"
+    namespace = "cache"
+    kind = "programs"
+    env_var = CACHE_ENV_VAR
+    dirname = "progcache"
+    schema = CACHE_SCHEMA
+    schema_field = "schema"
+    value_field = "result"
 
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
+    @staticmethod
+    def _dump(envelope, handle) -> None:
+        pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def _load_payload(self, path: Path) -> "CompileResult":
-        """Read, unpickle and validate one entry file.
-
-        Raises :class:`_StaleSchemaError` for a well-formed entry
-        written under another ``CACHE_SCHEMA``, ``FileNotFoundError``
-        for a plain miss, and the typed
-        :class:`repro.faults.CacheEntryTorn` for everything else
-        (truncated pickle, damaged content, key/filename mismatch) --
-        the single definition of "valid entry" shared by :meth:`get`
-        and the :meth:`scan`/:meth:`prune` census.
-        """
-        with open(path, "rb") as handle:
-            data = handle.read()
-        try:
-            payload = pickle.loads(data)
-            schema = payload["schema"]
-            stored_key = payload["key"]
-            result = payload["result"]
-            if schema != CACHE_SCHEMA:
-                raise _StaleSchemaError(path.name)
-            if stored_key != path.stem:
-                raise ValueError("key mismatch")
-        except _StaleSchemaError:
-            raise
-        except Exception as exc:
-            raise CacheEntryTorn(
-                f"cache entry {path.name}: {type(exc).__name__}: {exc}"
-            ) from exc
-        return result
+    _loads = staticmethod(pickle.loads)
 
     def get(self, key: str) -> Optional["CompileResult"]:
-        """Load a cached result, or None on miss or corruption.
-
-        A corrupted/truncated/stale entry is removed and reported as a
-        miss (plus a ``corrupt`` count) -- the caller simply recompiles;
-        the cache never raises on bad content.  An entry that *existed*
-        but vanished before it could be read (a concurrent prune or
-        clear unlinked it mid-get) also degrades to a miss, with a
-        ``("cache", "entry_recovered")`` event so the race is
-        observable.
-        """
-        if self._memory is not None:
-            with self._lock:
-                resident = self._memory.get(key)
-                if resident is not None:
-                    self.stats.hits += 1
-                    return resident
-        path = self.path_for(key)
-        self._maybe_tear(path, key)
-        existed = path.exists()
-        try:
-            result = self._load_payload(path)
-        except FileNotFoundError:
-            with self._lock:
-                self.stats.misses += 1
-            if existed:
-                faults_mod.record_recovery(
-                    "cache",
-                    "entry_recovered",
-                    f"{path.name} unlinked mid-get (concurrent prune?); "
-                    "recompiling",
-                )
-            return None
-        except Exception as exc:
-            # _StaleSchemaError lands here too: a current-schema *key*
-            # whose payload claims another schema is tampered content.
-            with self._lock:
-                self.stats.misses += 1
-                self.stats.corrupt += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            faults_mod.record_recovery(
-                "cache",
-                "entry_recovered",
-                f"{type(exc).__name__}: dropped {path.name}; recompiling",
-            )
-            return None
-        with self._lock:
-            self.stats.hits += 1
-            if self._memory is not None:
-                self._memory[key] = result
-        return result
-
-    @staticmethod
-    def _maybe_tear(path: Path, key: str) -> None:
-        """Chaos hook: truncate the entry file when the active fault
-        plan draws ``tear_cache``, exercising the corrupt-entry recovery
-        path (the torn entry then loads as :class:`CacheEntryTorn`,
-        gets dropped, and the caller recompiles)."""
-        plan = faults_mod.active_plan()
-        if plan is None or not plan.tear_cache(f"cache:{key[:12]}"):
-            return
-        try:
-            data = path.read_bytes()
-            if data:
-                path.write_bytes(data[: max(1, len(data) // 2)])
-        except OSError:
-            pass
+        """The cached result, or None on miss or corruption (recompile)."""
+        envelope = self._get(key)
+        return None if envelope is None else envelope["result"]
 
     def put(self, key: str, result: "CompileResult") -> None:
-        """Atomically persist ``result`` (best-effort: IO errors are
-        swallowed -- a failed put only costs a future recompile).
-
-        Concurrent puts of one key (two sessions cold-compiling the
-        same digest) are safe: each writes its own temp file and the
-        ``os.replace`` rename is atomic, so readers always see one
-        complete entry -- whichever writer landed last.
-        """
-        if self._memory is not None:
-            with self._lock:
-                self._memory[key] = result
-        payload = {"schema": CACHE_SCHEMA, "key": key, "result": result}
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=f".{key[:16]}-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp_name, self.path_for(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return
-        with self._lock:
-            self.stats.puts += 1
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        if self._memory is not None:
-            with self._lock:
-                self._memory.clear()
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def _classify(self, path: Path) -> str:
-        """``'live'`` / ``'stale'`` / ``'corrupt'`` for one entry file.
-
-        Schema staleness is only visible in the payload (the schema is
-        baked into the *key*, so a pre-current-schema file has an
-        ordinary-looking name the current code simply never derives);
-        classification therefore has to unpickle the entry.
-        """
-        try:
-            self._load_payload(path)
-        except _StaleSchemaError:
-            return "stale"
-        except Exception:
-            return "corrupt"
-        return "live"
-
-    def _classified_entries(self):
-        """Yield ``(path, size, kind)`` for every on-disk entry."""
-        if not self.root.is_dir():
-            return
-        for path in sorted(self.root.glob("*.pkl")):
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            yield path, size, self._classify(path)
-
-    @staticmethod
-    def _count(census: EntryScan, kind: str, size: int) -> None:
-        setattr(census, kind, getattr(census, kind) + 1)
-        bytes_field = f"{kind}_bytes"
-        setattr(census, bytes_field, getattr(census, bytes_field) + size)
-
-    def scan(self) -> EntryScan:
-        """Census of on-disk entries: live vs stale-schema vs corrupt.
-
-        ``get`` never opens stale-schema files (their keys are
-        unreachable under the current schema), so without this census
-        they masquerade as live entries in any count of ``*.pkl``
-        files.  Reads every entry -- meant for the ``repro cache``
-        inspection commands, not hot paths.
-        """
-        census = EntryScan()
-        for _, size, kind in self._classified_entries():
-            self._count(census, kind, size)
-        return census
-
-    def prune(self) -> EntryScan:
-        """Delete stale-schema and corrupt entries; keep live ones.
-
-        Returns a census of what was removed (``live`` fields stay 0).
-        The memory layer is untouched: it only ever holds entries
-        loaded or put under the current schema.
-        """
-        removed = EntryScan()
-        for path, size, kind in self._classified_entries():
-            if kind == "live":
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            self._count(removed, kind, size)
-        return removed
-
-    def entry_count(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.pkl"))
-
-    def size_bytes(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(path.stat().st_size for path in self.root.glob("*.pkl"))
-
-
-#: One store instance per resolved directory, so hit/miss counters
-#: accumulate process-wide no matter which layer resolved the cache.
-_INSTANCES: Dict[str, ProgramCache] = {}
-_INSTANCES_LOCK = threading.Lock()
-
-
-def _store_for(path: Union[str, Path]) -> ProgramCache:
-    resolved = str(Path(path).expanduser().resolve())
-    with _INSTANCES_LOCK:
-        store = _INSTANCES.get(resolved)
-        if store is None:
-            store = ProgramCache(resolved)
-            _INSTANCES[resolved] = store
-    return store
-
-
-def resolve_cache(
-    spec: Union["ProgramCache", str, bool, Path, None] = None,
-) -> Optional[ProgramCache]:
-    """Resolve a cache spec (see the module docstring) to a store.
-
-    ``None`` defers to ``REPRO_PROG_CACHE``; booleans and the on/off
-    keyword strings force-enable (default directory) or disable; any
-    other string is a directory path.
-    """
-    if isinstance(spec, ProgramCache):
-        return spec
-    if spec is None:
-        env = os.environ.get(CACHE_ENV_VAR, "").strip()
-        if not env or env.lower() in _OFF_VALUES:
-            return None
-        if env.lower() in _ON_VALUES:
-            return _store_for(default_cache_dir())
-        return _store_for(env)
-    if spec is False:
-        return None
-    if spec is True:
-        return _store_for(default_cache_dir())
-    text = str(spec).strip()
-    if not text or text.lower() in _OFF_VALUES:
-        return None
-    if text.lower() in _ON_VALUES:
-        return _store_for(default_cache_dir())
-    return _store_for(text)
+        """Atomically persist ``result`` (best-effort)."""
+        self._put(key, {"schema": CACHE_SCHEMA, "key": key, "result": result})

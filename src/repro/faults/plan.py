@@ -29,7 +29,7 @@ Frame faults (applied by the lossy wire as frames are pushed):
 
 Storage faults (consulted via :func:`repro.faults.active_plan`):
 
-``tear_cache``   corrupt a progcache entry file just before it is read
+``tear_cache``   corrupt a store entry file just before it is read
 
 Process-scope chaos (consulted by :class:`repro.serve.Supervisor` for
 sessions on the ``process`` transport; one mutating kind per attempt,

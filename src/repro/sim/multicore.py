@@ -36,7 +36,7 @@ from typing import List, Optional
 from ..circuits.netlist import Circuit
 from ..core.compiler import CacheSpec, OptLevel, compile_circuit
 from ..core.depgraph import dep_graph
-from ..core.progcache import circuit_digest, resolve_cache, shard_key
+from ..core.progcache import ProgramCache, circuit_digest, shard_key
 from .config import HaacConfig
 from .engine import compiled_arrays
 from .timing import simulate
@@ -144,7 +144,9 @@ def simulate_multicore(
     """
     if n_cores < 1:
         raise ValueError("need at least one core")
-    store = resolve_cache(cache if cache is not None else config.prog_cache)
+    store = ProgramCache.resolve(
+        cache if cache is not None else config.prog_cache
+    )
     params = config.schedule_params()
     components = partition_components(circuit)
     components.sort(key=len, reverse=True)

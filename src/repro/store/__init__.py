@@ -1,20 +1,19 @@
-"""Content-addressed experiment result store.
+"""Content-addressed stores: compiled programs and experiment results.
 
-See :mod:`repro.store.resultstore` for the full contract.  The public
-surface is re-exported here so callers write ``from repro.store import
-ResultStore``.
+:mod:`repro.store.entries` is the keyed-entry layer both stores share;
+:mod:`repro.store.resultstore` is the result store's JSON codec (the
+program cache's pickle codec is :mod:`repro.core.progcache`).  The
+public surface is re-exported here so callers write ``from repro.store
+import ResultStore``.
 """
 
+from .entries import StoreScan, StoreStats
 from .resultstore import (
     STORE_ENV_VAR,
     STORE_SCHEMA,
     MergeReport,
     ResultStore,
-    StoreScan,
-    StoreStats,
     config_signature,
-    default_store_dir,
-    resolve_result_store,
     result_key,
 )
 
@@ -26,7 +25,5 @@ __all__ = [
     "StoreScan",
     "StoreStats",
     "config_signature",
-    "default_store_dir",
-    "resolve_result_store",
     "result_key",
 ]

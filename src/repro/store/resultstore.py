@@ -27,12 +27,12 @@ by::
   and delete them.
 
 Entries are one JSON file per key -- human-diffable, mergeable, and
-small (a payload is a dict of numbers, not a compiled program).  Writes
-are atomic (tempfile + ``os.replace``); a torn or tampered entry is
-surfaced internally as the typed
-:class:`repro.faults.CacheEntryTorn`, dropped, counted, and recorded in
-the active :class:`repro.faults.RecoveryLog` -- the caller just
-recomputes, mirroring the ``ProgramCache`` recovery contract.
+small (a payload is a dict of numbers, not a compiled program).
+:class:`ResultStore` is the JSON codec over the keyed-entry layer
+(:mod:`repro.store.entries`), which owns the atomic writes, the memory
+layer, torn-entry recovery (the caller just recomputes), the census and
+resolution (``REPRO_RESULT_STORE``) for this store and the program
+cache alike.  An entry is valid only if its fields re-derive its key.
 
 Stores merge across hosts: :meth:`ResultStore.merge` folds another
 store directory (or a single-file *bundle* exported by
@@ -42,26 +42,17 @@ preserves local entries; ``policy="theirs"`` adopts the source's).
 Because keys are content-addressed, disjoint sweeps shard trivially:
 run the grid on N hosts, merge N stores, and every point lands exactly
 once.
-
-Resolution order for an optional store spec mirrors the program cache:
-an explicit :class:`ResultStore`/path wins, then the
-``REPRO_RESULT_STORE`` environment variable (a directory, ``1``/``on``
-for the default location, ``0``/``off`` to disable), else disabled.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
-import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Union
 
-from .. import faults as faults_mod
-from ..faults import CacheEntryTorn
+from .entries import EntryStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.config import HaacConfig
@@ -71,11 +62,7 @@ __all__ = [
     "STORE_SCHEMA",
     "MergeReport",
     "ResultStore",
-    "StoreScan",
-    "StoreStats",
     "config_signature",
-    "default_store_dir",
-    "resolve_result_store",
     "result_key",
 ]
 
@@ -84,9 +71,7 @@ STORE_ENV_VAR = "REPRO_RESULT_STORE"
 #: incompatibly.  The value is baked into every key, so old entries
 #: become unreachable rather than misread.
 STORE_SCHEMA = 1
-
-_OFF_VALUES = ("0", "off", "none", "disabled", "false", "no")
-_ON_VALUES = ("1", "on", "default", "true", "yes", "auto")
+BUNDLE_SCHEMA = "repro.resultstore.bundle/v1"
 
 #: HaacConfig fields that change simulated numbers.  Software-substrate
 #: selection fields are excluded on purpose (see module docstring).
@@ -106,17 +91,6 @@ _SIGNATURE_FIELDS = (
     "instr_bytes",
     "model_bank_conflicts",
 )
-
-
-class _StaleStoreSchema(Exception):
-    """A well-formed entry written under a different ``STORE_SCHEMA``."""
-
-
-def default_store_dir() -> Path:
-    """``$XDG_CACHE_HOME``-respecting default store location."""
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro" / "resultstore"
 
 
 def config_signature(config: "HaacConfig") -> str:
@@ -149,46 +123,6 @@ def result_key(program_digest: str, config_sig: str, bench_schema: str) -> str:
 
 
 @dataclass
-class StoreStats:
-    """Counters for one store; ``corrupt`` entries also count as misses."""
-
-    hits: int = 0
-    misses: int = 0
-    corrupt: int = 0
-    puts: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "puts": self.puts,
-        }
-
-
-@dataclass
-class StoreScan:
-    """On-disk entry census, by reachability under ``STORE_SCHEMA``."""
-
-    live: int = 0
-    live_bytes: int = 0
-    stale: int = 0
-    stale_bytes: int = 0
-    corrupt: int = 0
-    corrupt_bytes: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "live": self.live,
-            "live_bytes": self.live_bytes,
-            "stale": self.stale,
-            "stale_bytes": self.stale_bytes,
-            "corrupt": self.corrupt,
-            "corrupt_bytes": self.corrupt_bytes,
-        }
-
-
-@dataclass
 class MergeReport:
     """Outcome of folding one store (or bundle) into another.
 
@@ -206,16 +140,14 @@ class MergeReport:
     corrupt: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "added": self.added,
-            "identical": self.identical,
-            "conflicts": self.conflicts,
-            "replaced": self.replaced,
-            "corrupt": self.corrupt,
-        }
+        return asdict(self)
 
 
-class ResultStore:
+def _json_bytes(document: dict) -> bytes:
+    return (json.dumps(document, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+class ResultStore(EntryStore):
     """Directory of content-addressed JSON result entries.
 
     A process-local memory layer fronts the disk store (``memory=True``,
@@ -225,100 +157,34 @@ class ResultStore:
     immediately); the memory layer therefore shares one dict per key.
     """
 
-    def __init__(self, root: Union[str, Path], memory: bool = True) -> None:
-        self.root = Path(root).expanduser()
-        self.stats = StoreStats()
-        self._memory: Optional[Dict[str, dict]] = {} if memory else None
-        self._lock = threading.Lock()
+    suffix = ".json"
+    namespace = "store"
+    kind = "results"
+    env_var = STORE_ENV_VAR
+    dirname = "resultstore"
+    schema = STORE_SCHEMA
+    schema_field = "store_schema"
+    value_field = "payload"
 
-    # -- keys and paths --------------------------------------------------
+    @staticmethod
+    def _dump(envelope, handle) -> None:
+        handle.write(_json_bytes(envelope))
 
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    _loads = staticmethod(json.loads)
 
-    # -- load/validate ---------------------------------------------------
-
-    def _load_entry(self, path: Path) -> dict:
-        """Read and validate one entry file.
-
-        Raises :class:`_StaleStoreSchema` for a well-formed entry from
-        another ``STORE_SCHEMA``, ``FileNotFoundError`` for a plain
-        miss, and :class:`repro.faults.CacheEntryTorn` for everything
-        else (truncated JSON, tampered fields, key/filename mismatch) --
-        the single definition of "valid entry" shared by :meth:`get`,
-        the :meth:`scan`/:meth:`prune` census and :meth:`merge`.
-        """
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        try:
-            entry = json.loads(text)
-            schema = entry["store_schema"]
-            key = entry["key"]
-            derived = result_key(
-                entry["program_digest"],
-                entry["config_signature"],
-                entry["bench_schema"],
-            )
-            if schema != STORE_SCHEMA:
-                raise _StaleStoreSchema(path.name)
-            if key != path.stem or derived != key:
-                raise ValueError("key mismatch")
-            entry["payload"]
-        except _StaleStoreSchema:
-            raise
-        except Exception as exc:
-            raise CacheEntryTorn(
-                f"result entry {path.name}: {type(exc).__name__}: {exc}"
-            ) from exc
-        return entry
-
-    # -- get/put ---------------------------------------------------------
+    def _derived_key(self, envelope: dict) -> str:
+        return result_key(
+            envelope["program_digest"],
+            envelope["config_signature"],
+            envelope["bench_schema"],
+        )
 
     def get(
         self, program_digest: str, config_sig: str, bench_schema: str
     ) -> Optional[dict]:
-        """Load one payload, or ``None`` on miss or corruption.
-
-        Corrupt/stale-keyed/tampered entries are unlinked, counted and
-        reported to the active recovery log; the caller recomputes.
-        The store never raises on bad content.
-        """
-        key = result_key(program_digest, config_sig, bench_schema)
-        if self._memory is not None:
-            with self._lock:
-                resident = self._memory.get(key)
-                if resident is not None:
-                    self.stats.hits += 1
-                    return resident
-        path = self.path_for(key)
-        try:
-            entry = self._load_entry(path)
-        except FileNotFoundError:
-            with self._lock:
-                self.stats.misses += 1
-            return None
-        except Exception as exc:
-            # _StaleStoreSchema lands here too: a current-schema *key*
-            # whose envelope claims another schema is tampered content.
-            with self._lock:
-                self.stats.misses += 1
-                self.stats.corrupt += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            faults_mod.record_recovery(
-                "store",
-                "entry_recovered",
-                f"{type(exc).__name__}: dropped {path.name}; recomputing",
-            )
-            return None
-        payload = entry["payload"]
-        with self._lock:
-            self.stats.hits += 1
-            if self._memory is not None:
-                self._memory[key] = payload
-        return payload
+        """Load one payload, or ``None`` on miss or corruption."""
+        envelope = self._get(result_key(program_digest, config_sig, bench_schema))
+        return None if envelope is None else envelope["payload"]
 
     def put(
         self,
@@ -327,162 +193,64 @@ class ResultStore:
         bench_schema: str,
         payload: dict,
     ) -> str:
-        """Atomically persist one payload; returns its key.
-
-        Best-effort like the program cache: an IO error costs a future
-        recompute, never an exception.  Concurrent puts of one key are
-        safe -- each writer lands a complete file via ``os.replace``.
-        """
+        """Atomically persist one payload (best-effort); returns its key."""
         key = result_key(program_digest, config_sig, bench_schema)
-        if self._memory is not None:
-            with self._lock:
-                self._memory[key] = payload
-        entry = {
-            "store_schema": STORE_SCHEMA,
-            "key": key,
-            "program_digest": program_digest,
-            "config_signature": config_sig,
-            "bench_schema": bench_schema,
-            "payload": payload,
-        }
-        text = json.dumps(entry, sort_keys=True, indent=1) + "\n"
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=f".{key[:16]}-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                os.replace(tmp_name, self.path_for(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return key
-        with self._lock:
-            self.stats.puts += 1
+        self._put(
+            key,
+            {
+                "store_schema": STORE_SCHEMA,
+                "key": key,
+                "program_digest": program_digest,
+                "config_signature": config_sig,
+                "bench_schema": bench_schema,
+                "payload": payload,
+            },
+        )
         return key
-
-    # -- census ----------------------------------------------------------
-
-    def _classify(self, path: Path) -> str:
-        try:
-            self._load_entry(path)
-        except _StaleStoreSchema:
-            return "stale"
-        except Exception:
-            return "corrupt"
-        return "live"
-
-    def _classified_entries(self) -> Iterator[Tuple[Path, int, str]]:
-        if not self.root.is_dir():
-            return
-        for path in sorted(self.root.glob("*.json")):
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            yield path, size, self._classify(path)
-
-    @staticmethod
-    def _count(census: StoreScan, kind: str, size: int) -> None:
-        setattr(census, kind, getattr(census, kind) + 1)
-        setattr(census, f"{kind}_bytes", getattr(census, f"{kind}_bytes") + size)
-
-    def scan(self) -> StoreScan:
-        """Census of on-disk entries: live vs stale-schema vs corrupt."""
-        census = StoreScan()
-        for _, size, kind in self._classified_entries():
-            self._count(census, kind, size)
-        return census
-
-    def prune(self) -> StoreScan:
-        """Delete stale-schema and corrupt entries; keep live ones."""
-        removed = StoreScan()
-        for path, size, kind in self._classified_entries():
-            if kind == "live":
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            self._count(removed, kind, size)
-        return removed
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        if self._memory is not None:
-            with self._lock:
-                self._memory.clear()
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def entry_count(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.json"))
 
     # -- cross-host merge ------------------------------------------------
 
-    def _iter_source_entries(
+    def _source_entries(
         self, source: Union["ResultStore", str, Path]
     ) -> Iterator[Union[dict, Exception]]:
         """Yield validated entries (or the error that invalidated one)
         from a store instance, a store directory, or a bundle file."""
-        if isinstance(source, ResultStore):
-            paths = sorted(source.root.glob("*.json"))
-            loader = source._load_entry
-        else:
-            src_path = Path(source).expanduser()
-            if src_path.is_file():
-                yield from self._iter_bundle_entries(src_path)
+        if not isinstance(source, ResultStore):
+            path = Path(source).expanduser()
+            if path.is_file():
+                yield from self._bundle_entries(path)
                 return
-            other = ResultStore(src_path, memory=False)
-            paths = sorted(other.root.glob("*.json"))
-            loader = other._load_entry
-        for path in paths:
+            if not path.exists():
+                raise FileNotFoundError(
+                    f"{path}: no such store directory or bundle file"
+                )
+            source = ResultStore(path, memory=False)
+        for entry_path in source._entry_paths():
             try:
-                yield loader(path)
+                yield source._load_entry(entry_path)
             except FileNotFoundError:
                 continue
             except Exception as exc:
                 yield exc
 
-    def _iter_bundle_entries(
-        self, path: Path
-    ) -> Iterator[Union[dict, Exception]]:
+    def _bundle_entries(self, path: Path) -> Iterator[Union[dict, Exception]]:
         data = json.loads(path.read_text(encoding="utf-8"))
-        if data.get("bundle_schema") != BUNDLE_SCHEMA:
+        schema = data.get("bundle_schema") if isinstance(data, dict) else None
+        if schema != BUNDLE_SCHEMA:
             raise ValueError(
-                f"{path}: not a result-store bundle "
-                f"(bundle_schema={data.get('bundle_schema')!r})"
+                f"{path}: not a result-store bundle (bundle_schema={schema!r})"
             )
-        for entry in data.get("entries", []):
+        entries = data.get("entries", [])
+        if not isinstance(entries, list):
+            raise ValueError(
+                f"{path}: bundle entries must be a list, "
+                f"not {type(entries).__name__}"
+            )
+        for entry in entries:
             try:
-                derived = result_key(
-                    entry["program_digest"],
-                    entry["config_signature"],
-                    entry["bench_schema"],
-                )
-                if entry["store_schema"] != STORE_SCHEMA:
-                    raise _StaleStoreSchema(derived)
-                if entry["key"] != derived:
-                    raise ValueError("key mismatch")
-                entry["payload"]
+                entry = self._validated(entry, entry["key"])
             except Exception as exc:
-                yield exc
-                continue
+                entry = exc
             yield entry
 
     def merge(
@@ -496,46 +264,38 @@ class ResultStore:
         payload conflict; ``policy="theirs"`` adopts the source's.
         Either way the conflict is counted, so a caller can demand
         conflict-free merges by asserting ``report.conflicts == 0``.
+        A path that is neither raises ``FileNotFoundError``; a file
+        that is not a bundle raises ``ValueError``.
         """
         if policy not in ("keep", "theirs"):
             raise ValueError(f"unknown merge policy {policy!r}")
         report = MergeReport()
-        for item in self._iter_source_entries(source):
+        for item in self._source_entries(source):
             if isinstance(item, Exception):
                 report.corrupt += 1
                 continue
-            key = item["key"]
-            path = self.path_for(key)
-            existing = None
             try:
-                existing = self._load_entry(path)
-            except FileNotFoundError:
-                pass
+                existing = self._load_entry(self.path_for(item["key"]))
             except Exception:
-                # A locally-torn entry is strictly worse than the
-                # source's valid one: treat as absent and adopt.
+                # Absent, or locally torn -- strictly worse than the
+                # source's valid entry: adopt it.
                 existing = None
             if existing is None:
-                self.put(
-                    item["program_digest"],
-                    item["config_signature"],
-                    item["bench_schema"],
-                    item["payload"],
-                )
                 report.added += 1
-                continue
-            if existing["payload"] == item["payload"]:
+            elif existing["payload"] == item["payload"]:
                 report.identical += 1
                 continue
-            report.conflicts += 1
-            if policy == "theirs":
-                self.put(
-                    item["program_digest"],
-                    item["config_signature"],
-                    item["bench_schema"],
-                    item["payload"],
-                )
+            else:
+                report.conflicts += 1
+                if policy != "theirs":
+                    continue
                 report.replaced += 1
+            self.put(
+                item["program_digest"],
+                item["config_signature"],
+                item["bench_schema"],
+                item["payload"],
+            )
         return report
 
     # -- bundles ---------------------------------------------------------
@@ -549,10 +309,11 @@ class ResultStore:
         number of entries exported.
         """
         entries = []
-        for entry_path, _, kind in self._classified_entries():
-            if kind != "live":
-                continue
-            entries.append(self._load_entry(entry_path))
+        for entry_path in self._entry_paths():
+            try:
+                entries.append(self._load_entry(entry_path))
+            except Exception:
+                continue  # stale, torn or vanished: not live
         entries.sort(key=lambda entry: entry["key"])
         bundle = {
             "bundle_schema": BUNDLE_SCHEMA,
@@ -561,41 +322,5 @@ class ResultStore:
         }
         out = Path(path).expanduser()
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json.dumps(bundle, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
+        out.write_bytes(_json_bytes(bundle))
         return len(entries)
-
-
-BUNDLE_SCHEMA = "repro.resultstore.bundle/v1"
-
-
-def resolve_result_store(
-    spec: Union[ResultStore, str, bool, Path, None] = None,
-) -> Optional[ResultStore]:
-    """Resolve a store spec (see the module docstring) to a store.
-
-    ``None`` defers to ``REPRO_RESULT_STORE``; booleans and the on/off
-    keyword strings force-enable (default directory) or disable; any
-    other string is a directory path.
-    """
-    if isinstance(spec, ResultStore):
-        return spec
-    if spec is None:
-        env = os.environ.get(STORE_ENV_VAR, "").strip()
-        if not env or env.lower() in _OFF_VALUES:
-            return None
-        if env.lower() in _ON_VALUES:
-            return ResultStore(default_store_dir())
-        return ResultStore(env)
-    if spec is False:
-        return None
-    if spec is True:
-        return ResultStore(default_store_dir())
-    text = str(spec).strip()
-    if not text or text.lower() in _OFF_VALUES:
-        return None
-    if text.lower() in _ON_VALUES:
-        return ResultStore(default_store_dir())
-    return ResultStore(text)

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
+import pytest
+
+from repro import faults as faults_mod
 from repro.analysis import experiments as exp
 from repro.analysis.dataprovider import (
     COMPILE_POINT_SCHEMA,
@@ -13,6 +17,7 @@ from repro.analysis.dataprovider import (
     SimPoint,
 )
 from repro.core.compiler import OptLevel
+from repro.faults import RecoveryLog
 from repro.hwmodel.energy import energy_model
 from repro.sim.config import HaacConfig
 from repro.store import ResultStore
@@ -111,3 +116,46 @@ class TestDriverIntegration:
         warm_result = exp.table3_wire_traffic(quick=True, provider=warm)
         assert warm.compiles == 0 and warm.replays == 0
         assert warm_result.rows == cold_result.rows
+
+
+class TestForeignPayload:
+    """A well-keyed entry whose payload is not exactly the row's fields
+    is torn: recorded, recomputed and put back, never a crash."""
+
+    @staticmethod
+    def _point(provider, schema):
+        if schema == SIM_POINT_SCHEMA:
+            return provider.micro_sim_point("Add-6", CONFIG, OPT)
+        return provider.compile_point_for(
+            provider.micro_circuit("Add-6"), CONFIG, OPT
+        )
+
+    @pytest.mark.parametrize(
+        "schema, foreign",
+        [
+            (SIM_POINT_SCHEMA, {"runtime_cycles": 1.0}),
+            (COMPILE_POINT_SCHEMA, {"makespan": 1, "spent_pct": 0.0, "extra": 2}),
+        ],
+        ids=["SimPoint", "CompilePoint"],
+    )
+    def test_foreign_payload_is_recomputed(self, tmp_path, schema, foreign):
+        root = tmp_path / "store"
+        expected = self._point(DataProvider(store=ResultStore(root)), schema)
+        (path,) = [
+            path for path in root.glob("*.json")
+            if json.loads(path.read_text())["bench_schema"] == schema
+        ]
+        entry = json.loads(path.read_text())
+        entry["payload"] = foreign  # key fields untouched: still well-keyed
+        path.write_text(json.dumps(entry))
+
+        provider = DataProvider(store=ResultStore(root))
+        log = RecoveryLog()
+        with faults_mod.install(None, log):
+            assert self._point(provider, schema) == expected
+        assert log.count("store", "entry_recovered") == 1
+        assert provider.compiles == 1
+
+        rewarm = DataProvider(store=ResultStore(root))
+        assert self._point(rewarm, schema) == expected
+        assert rewarm.compiles == 0 and rewarm.replays == 0

@@ -11,7 +11,7 @@ single-IR refactor cannot silently drift any consumer.
 
 The schema tests at the bottom pin the cache-format consequence: a
 graph-less CACHE_SCHEMA-3 entry is stale, counted by ``scan()`` and
-deleted by ``repro cache prune``.
+deleted by ``repro store prune``.
 """
 
 from __future__ import annotations
@@ -467,7 +467,7 @@ class TestOldSchemaStaleness:
     """CACHE_SCHEMA v5 entries pickle columns; anything written under
     v3 (no graph, no tie-break axis) or v4 (per-gate object graphs) is
     unreachable and must census as stale and be deleted by
-    ``repro cache prune``."""
+    ``repro store prune``."""
 
     def _store_with_old_entry(self, tmp_path, old_schema):
         from repro.core.progcache import ProgramCache
@@ -496,7 +496,7 @@ class TestOldSchemaStaleness:
         from repro.cli import main
 
         store = self._store_with_old_entry(tmp_path, old_schema)
-        assert main(["cache", "prune", "--dir", str(tmp_path)]) == 0
+        assert main(["store", "prune", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "pruned 1 stale-schema and 0 corrupt entries" in out
         after = store.scan()

@@ -1,4 +1,9 @@
-"""Persistent compiled-program cache: digests, store, wiring."""
+"""Persistent compiled-program cache: digests, store, wiring.
+
+The keyed-entry contract both content-addressed stores share -- torn
+recovery, concurrency, census/prune and resolution -- runs here once
+per codec (``ProgramCache`` and ``ResultStore``).
+"""
 
 from __future__ import annotations
 
@@ -18,12 +23,12 @@ from repro.core.progcache import (
     ProgramCache,
     circuit_digest,
     compile_key,
-    resolve_cache,
     shard_key,
 )
 from repro.sim.config import HaacConfig
 from repro.sim.multicore import simulate_multicore
 from repro.sim.timing import simulate
+from repro.store import ResultStore
 from repro.workloads import get_workload
 
 
@@ -46,6 +51,43 @@ def _multiplier(width=8):
 @pytest.fixture
 def config():
     return HaacConfig(n_ges=4, sww_bytes=64 * 16)
+
+
+class _Codec:
+    """Drives one store class through the shared tests: entry ``n`` is
+    addressed by the codec's own key derivation."""
+
+    SIG = "b" * 64
+    SCHEMA = "repro.test_point/v1"
+
+    def __init__(self, cls):
+        self.cls = cls
+
+    def put(self, store, n, value):
+        digest = f"{n:064x}"
+        if self.cls is ProgramCache:
+            store.put(digest, value)
+            return digest
+        return store.put(digest, self.SIG, self.SCHEMA, value)
+
+    def get(self, store, n):
+        digest = f"{n:064x}"
+        if self.cls is ProgramCache:
+            return store.get(digest)
+        return store.get(digest, self.SIG, self.SCHEMA)
+
+    def write_stale(self, store, n):
+        """Rewrite entry ``n`` under another schema of its store."""
+        path = store.path_for(self.put(store, n, {"v": "stale"}))
+        envelope = store._loads(path.read_bytes())
+        envelope[self.cls.schema_field] = self.cls.schema + 1
+        with open(path, "wb") as handle:
+            store._dump(envelope, handle)
+
+
+@pytest.fixture(params=[ProgramCache, ResultStore], ids=lambda cls: cls.__name__)
+def codec(request):
+    return _Codec(request.param)
 
 
 def _result_fingerprint(result):
@@ -288,6 +330,27 @@ class TestProgramCache:
         assert store.clear() == 1
         assert store.entry_count() == 0
 
+    def test_entry_envelope_is_unchanged(self, tmp_path):
+        """An entry in the pickle envelope every earlier release wrote
+        is a hit, and a put writes exactly that envelope."""
+        result = {"compiled": list(range(8))}
+        old = "ab" * 32
+        (tmp_path / f"{old}.pkl").write_bytes(pickle.dumps(
+            {"schema": 5, "key": old, "result": result},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        ))
+        store = ProgramCache(tmp_path, memory=False)
+        assert store.get(old) == result
+        assert store.stats.hits == 1
+        new = "cd" * 32
+        store.put(new, result)
+        data = store.path_for(new).read_bytes()
+        assert pickle.loads(data) == {"schema": 5, "key": new, "result": result}
+        assert data == pickle.dumps(
+            {"schema": 5, "key": new, "result": result},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+
 
 class TestNoArrayTypeLeaks:
     """The passes compute on NumPy views (DESIGN.md section 14); what a
@@ -342,73 +405,77 @@ class TestNoArrayTypeLeaks:
             assert not leaked, f"{name} holds {leaked}"
 
 
+class TestTornRecovery:
+    def test_truncated_entry_dropped_and_recorded(self, tmp_path, codec):
+        from repro import faults as faults_mod
+        from repro.faults import RecoveryLog
+
+        store = codec.cls(tmp_path, memory=False)
+        path = store.path_for(codec.put(store, 1, {"v": 1}))
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        log = RecoveryLog()
+        with faults_mod.install(None, log):
+            assert codec.get(store, 1) is None
+        assert not path.exists()  # unlinked: next run recomputes cleanly
+        assert store.stats.corrupt == 1
+        assert log.count(codec.cls.namespace, "entry_recovered") == 1
+
+
 class TestConcurrency:
     """Races the multiplexer exposed: prune/clear unlinking entries a
-    concurrent session is mid-get on, and concurrent cold compiles
+    concurrent session is mid-get on, and concurrent cold computes
     putting the same digest."""
 
     def test_entry_unlinked_mid_get_degrades_to_recompile(
-        self, tmp_path, config, monkeypatch
+        self, tmp_path, codec, monkeypatch
     ):
         from repro import faults as faults_mod
-        from repro.core import progcache as progcache_module
         from repro.faults import RecoveryLog
 
-        circuit = _adder()
-        store = ProgramCache(tmp_path, memory=False)
-        compile_circuit(circuit, config.window, config.n_ges,
-                        params=config.schedule_params(), cache=store)
-        key = compile_key(
-            circuit, config.window.capacity, config.n_ges,
-            OptLevel.RO_RN_ESW, config.schedule_params(),
-        )
+        store = codec.cls(tmp_path, memory=False)
+        key = codec.put(store, 1, {"v": 1})
         assert store.path_for(key).exists()
 
         # Deterministically lose the race: the entry exists when get()
         # checks, then a "concurrent prune" unlinks it before the read.
-        original = progcache_module.ProgramCache._load_payload
+        original = codec.cls._load_entry
 
         def vanish(self, path):
             path.unlink()
             return original(self, path)
 
-        monkeypatch.setattr(
-            progcache_module.ProgramCache, "_load_payload", vanish
-        )
+        monkeypatch.setattr(codec.cls, "_load_entry", vanish)
         log = RecoveryLog()
         with faults_mod.install(None, log):
-            assert store.get(key) is None
-        assert store.stats.misses == 2  # cold + vanished
+            assert codec.get(store, 1) is None
+        assert store.stats.misses == 1
         assert store.stats.corrupt == 0  # a vanished file is not damage
-        assert log.count("cache", "entry_recovered") == 1
+        assert log.count(codec.cls.namespace, "entry_recovered") == 1
 
-        # The caller's recompile path is intact.
-        monkeypatch.setattr(
-            progcache_module.ProgramCache, "_load_payload", original
-        )
-        result = compile_circuit(circuit, config.window, config.n_ges,
-                                 params=config.schedule_params(), cache=store)
-        assert result.streams.makespan > 0
+        # The caller's recompute-and-put path is intact.
+        monkeypatch.setattr(codec.cls, "_load_entry", original)
+        codec.put(store, 1, {"v": 1})
+        assert codec.get(store, 1) == {"v": 1}
         assert store.stats.puts == 2
 
-    def test_plain_miss_records_no_recovery_event(self, tmp_path):
+    def test_plain_miss_records_no_recovery_event(self, tmp_path, codec):
         from repro import faults as faults_mod
         from repro.faults import RecoveryLog
 
-        store = ProgramCache(tmp_path, memory=False)
+        store = codec.cls(tmp_path, memory=False)
         log = RecoveryLog()
         with faults_mod.install(None, log):
-            assert store.get("0" * 64) is None
-        assert log.count("cache", "entry_recovered") == 0
+            assert codec.get(store, 0) is None
+        assert log.count(codec.cls.namespace, "entry_recovered") == 0
 
-    def test_concurrent_put_get_prune_stress(self, tmp_path):
+    def test_concurrent_put_get_prune_stress(self, tmp_path, codec):
         import random
         import threading
 
-        store = ProgramCache(tmp_path, memory=False)
-        keys = [f"{i:064x}" for i in range(4)]
-        for key in keys:
-            store.put(key, {"key": key, "rev": -1})
+        store = codec.cls(tmp_path, memory=False)
+        keys = range(4)
+        paths = {n: store.path_for(codec.put(store, n, {"n": n, "rev": -1}))
+                 for n in keys}
 
         n_threads = 4
         iterations = 150
@@ -421,19 +488,19 @@ class TestConcurrency:
             barrier.wait()
             try:
                 for step in range(iterations):
-                    key = rng.choice(keys)
+                    n = rng.choice(keys)
                     roll = rng.random()
                     if roll < 0.45:
-                        got = store.get(key)
+                        got = codec.get(store, n)
                         gets[worker_id] += 1
-                        assert got is None or got["key"] == key
+                        assert got is None or got["n"] == n
                     elif roll < 0.75:
-                        store.put(key, {"key": key, "rev": step})
+                        codec.put(store, n, {"n": n, "rev": step})
                     elif roll < 0.9:
                         # Vandal: damage the entry on disk so get and
                         # prune race to unlink the same file.
                         try:
-                            store.path_for(key).write_bytes(b"garbage")
+                            paths[n].write_bytes(b"garbage")
                         except OSError:
                             pass
                     else:
@@ -452,39 +519,50 @@ class TestConcurrency:
         # Locked counters: every get landed as exactly one hit or miss.
         assert store.stats.hits + store.stats.misses == sum(gets)
         # The store is healthy afterwards.
-        store.put(keys[0], {"key": keys[0], "rev": 999})
-        assert store.get(keys[0])["rev"] == 999
+        codec.put(store, 0, {"n": 0, "rev": 999})
+        assert codec.get(store, 0)["rev"] == 999
 
 
 class TestResolution:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        assert resolve_cache(None) is None
-        assert resolve_cache(False) is None
-        assert resolve_cache("off") is None
+    def test_disabled_by_default(self, monkeypatch, codec):
+        monkeypatch.delenv(codec.cls.env_var, raising=False)
+        assert codec.cls.resolve(None) is None
+        assert codec.cls.resolve(False) is None
+        assert codec.cls.resolve("off") is None
 
-    def test_env_path_enables(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        store = resolve_cache(None)
+    def test_explicit_instance_and_path(self, tmp_path, codec):
+        store = codec.cls(tmp_path)
+        assert codec.cls.resolve(store) is store
+        assert codec.cls.resolve(str(tmp_path)).root == tmp_path
+        for spec in (True, "on", "1"):
+            assert codec.cls.resolve(spec).root == codec.cls.default_dir()
+
+    def test_env_path_enables(self, monkeypatch, tmp_path, codec):
+        monkeypatch.setenv(codec.cls.env_var, str(tmp_path))
+        store = codec.cls.resolve(None)
         assert store is not None
         assert store.root == tmp_path
 
-    def test_env_off_values(self, monkeypatch):
+    def test_env_off_values(self, monkeypatch, codec):
         for value in ("0", "off", "none"):
-            monkeypatch.setenv(CACHE_ENV_VAR, value)
-            assert resolve_cache(None) is None
+            monkeypatch.setenv(codec.cls.env_var, value)
+            assert codec.cls.resolve(None) is None
 
-    def test_instances_memoized_per_directory(self, tmp_path):
-        first = resolve_cache(str(tmp_path))
-        second = resolve_cache(str(tmp_path))
+    def test_instances_memoized_per_directory(self, tmp_path, codec):
+        first = codec.cls.resolve(str(tmp_path))
+        second = codec.cls.resolve(tmp_path)
         assert first is second  # shared counters across call sites
+        # One instance per codec: the other store in the same directory
+        # is a different object.
+        other = ResultStore if codec.cls is ProgramCache else ProgramCache
+        assert other.resolve(str(tmp_path)) is not first
 
     def test_compile_circuit_picks_up_env(self, monkeypatch, tmp_path, config):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
         circuit = _adder()
         compile_circuit(circuit, config.window, config.n_ges,
                         params=config.schedule_params())
-        store = resolve_cache(None)
+        store = ProgramCache.resolve(None)
         compile_circuit(circuit, config.window, config.n_ges,
                         params=config.schedule_params())
         assert store.stats.hits >= 1
@@ -543,40 +621,28 @@ class TestWiring:
             n_ges=4, sww_bytes=16 * 1024, prog_cache=str(tmp_path)
         )
         simulate_multicore(built.circuit, config, 2)
-        store = resolve_cache(str(tmp_path))
+        store = ProgramCache.resolve(str(tmp_path))
         assert store.entry_count() > 0
 
 
 class TestScanPrune:
-    """Stale-schema census and pruning: pre-current-schema entries are
+    """Stale-schema census and pruning: entries under another schema are
     unreachable (the schema is baked into the key), so info must not
     count them as live and prune must delete exactly them."""
 
-    def _seed(self, tmp_path, config):
+    def _seed(self, tmp_path, codec):
         """One live entry plus one stale-schema and two corrupt files."""
-        import pickle
-
-        from repro.core.progcache import CACHE_SCHEMA
-
-        store = ProgramCache(tmp_path)
-        result = compile_circuit(
-            _adder(), config.window, config.n_ges,
-            opt=OptLevel.RO_RN_ESW, params=config.schedule_params(),
-            cache=store,
-        )
-        stale_key = "ab" * 32
-        (tmp_path / f"{stale_key}.pkl").write_bytes(pickle.dumps({
-            "schema": CACHE_SCHEMA - 1, "key": stale_key, "result": result,
-        }))
-        (tmp_path / ("cd" * 32 + ".pkl")).write_bytes(b"not a pickle")
-        mismatch_key = "ef" * 32
-        (tmp_path / f"{mismatch_key}.pkl").write_bytes(pickle.dumps({
-            "schema": CACHE_SCHEMA, "key": "something else", "result": result,
-        }))
+        store = codec.cls(tmp_path)
+        live = store.path_for(codec.put(store, 1, {"v": 1}))
+        codec.write_stale(store, 2)
+        suffix = codec.cls.suffix
+        (tmp_path / ("cd" * 32 + suffix)).write_bytes(b"not an entry")
+        # A valid envelope under another entry's name: key mismatch.
+        (tmp_path / ("ef" * 32 + suffix)).write_bytes(live.read_bytes())
         return store
 
-    def test_scan_classifies_entries(self, tmp_path, config):
-        store = self._seed(tmp_path, config)
+    def test_scan_classifies_entries(self, tmp_path, codec):
+        store = self._seed(tmp_path, codec)
         census = store.scan()
         assert census.live == 1
         assert census.stale == 1
@@ -585,44 +651,41 @@ class TestScanPrune:
         # The naive file count would report all four as live entries.
         assert store.entry_count() == 4
 
-    def test_scan_empty_store(self, tmp_path):
-        assert ProgramCache(tmp_path / "nowhere").scan().as_dict() == {
+    def test_scan_empty_store(self, tmp_path, codec):
+        assert codec.cls(tmp_path / "nowhere").scan().as_dict() == {
             "live": 0, "live_bytes": 0, "stale": 0, "stale_bytes": 0,
             "corrupt": 0, "corrupt_bytes": 0,
         }
 
-    def test_prune_keeps_live_entries_loadable(self, tmp_path, config):
-        store = self._seed(tmp_path, config)
+    def test_prune_keeps_live_entries_loadable(self, tmp_path, codec):
+        store = self._seed(tmp_path, codec)
         removed = store.prune()
         assert removed.stale == 1 and removed.corrupt == 2
         assert removed.live == 0
         after = store.scan()
         assert (after.live, after.stale, after.corrupt) == (1, 0, 0)
         # The surviving entry is the reachable one: a fresh store warms
-        # from it without recompiling.
-        fresh = ProgramCache(tmp_path)
-        key = compile_key(
-            _adder(), config.window.capacity, config.n_ges,
-            OptLevel.RO_RN_ESW, config.schedule_params(),
-        )
-        assert fresh.get(key) is not None
+        # from it without recomputing.
+        fresh = codec.cls(tmp_path)
+        assert codec.get(fresh, 1) == {"v": 1}
         assert fresh.stats.hits == 1
 
-    def test_clear_also_removes_stale(self, tmp_path, config):
-        store = self._seed(tmp_path, config)
+    def test_clear_also_removes_stale(self, tmp_path, codec):
+        store = self._seed(tmp_path, codec)
         assert store.clear() == 4
         assert store.scan().as_dict()["live"] == 0
+        assert codec.get(store, 1) is None
 
-    def test_cache_cli_info_and_prune(self, tmp_path, config, capsys):
+    def test_store_cli_info_and_prune(self, tmp_path, codec, capsys):
         from repro.cli import main
 
-        self._seed(tmp_path, config)
-        assert main(["cache", "info", "--dir", str(tmp_path)]) == 0
+        self._seed(tmp_path, codec)
+        assert main(["store", "info", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "live entries" in out and "stale-schema entries" in out
-        assert "repro cache prune" in out
-        assert main(["cache", "prune", "--dir", str(tmp_path)]) == 0
+        assert "repro store prune" in out
+        assert main(["store", "prune", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "pruned 1 stale-schema and 2 corrupt entries" in out
-        assert main(["cache", "info", "--dir", str(tmp_path)]) == 0
-        assert "repro cache prune" not in capsys.readouterr().out
+        assert f"{codec.cls.kind}: pruned 1 stale-schema and 2 corrupt entries" in out
+        assert main(["store", "info", "--dir", str(tmp_path)]) == 0
+        assert "repro store prune" not in capsys.readouterr().out

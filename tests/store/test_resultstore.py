@@ -1,4 +1,10 @@
-"""Contract tests for the content-addressed experiment result store."""
+"""Contract tests for the content-addressed experiment result store.
+
+Torn recovery, concurrency, census/prune and resolution are the
+keyed-entry layer's, tested once per codec in
+``tests/core/test_progcache.py``; this module covers what only the
+result store has: derived keys, config signatures, merge and bundles.
+"""
 
 from __future__ import annotations
 
@@ -6,18 +12,9 @@ import json
 
 import pytest
 
-from repro import faults as faults_mod
-from repro.faults import RecoveryLog
 from repro.sim.config import HaacConfig
 from repro.sim.dram import HBM2
-from repro.store import (
-    STORE_ENV_VAR,
-    STORE_SCHEMA,
-    ResultStore,
-    config_signature,
-    resolve_result_store,
-    result_key,
-)
+from repro.store import ResultStore, config_signature, result_key
 
 DIGEST = "a" * 64
 SIG = "b" * 64
@@ -56,6 +53,22 @@ class TestRoundTrip:
         assert store.get(DIGEST, SIG, "repro.b/v1") == {"v": 2}
         assert store.entry_count() == 2
 
+    def test_entry_envelope_is_unchanged(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = _put(store)
+        assert store.path_for(key).read_text() == json.dumps(
+            {
+                "store_schema": 1,
+                "key": key,
+                "program_digest": DIGEST,
+                "config_signature": SIG,
+                "bench_schema": SCHEMA,
+                "payload": PAYLOAD,
+            },
+            sort_keys=True,
+            indent=1,
+        ) + "\n"
+
     def test_key_is_stable_and_hex(self):
         key = result_key(DIGEST, SIG, SCHEMA)
         assert key == result_key(DIGEST, SIG, SCHEMA)
@@ -82,18 +95,6 @@ class TestConfigSignature:
 
 
 class TestTornEntryRecovery:
-    def test_truncated_entry_dropped_and_recorded(self, tmp_path):
-        store = ResultStore(tmp_path, memory=False)
-        key = _put(store)
-        path = store.path_for(key)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        log = RecoveryLog()
-        with faults_mod.install(None, log):
-            assert store.get(DIGEST, SIG, SCHEMA) is None
-        assert not path.exists()  # unlinked: next run recomputes cleanly
-        assert store.stats.corrupt == 1
-        assert log.count("store", "entry_recovered") == 1
-
     def test_tampered_payload_key_mismatch_dropped(self, tmp_path):
         store = ResultStore(tmp_path, memory=False)
         key = _put(store)
@@ -103,50 +104,6 @@ class TestTornEntryRecovery:
         path.write_text(json.dumps(entry))
         assert store.get(DIGEST, SIG, SCHEMA) is None
         assert store.stats.corrupt == 1
-
-    def test_plain_miss_records_no_recovery(self, tmp_path):
-        store = ResultStore(tmp_path)
-        log = RecoveryLog()
-        with faults_mod.install(None, log):
-            assert store.get(DIGEST, SIG, SCHEMA) is None
-        assert log.count("store", "entry_recovered") == 0
-
-
-class TestScanPrune:
-    def _stale_entry(self, store):
-        key = _put(store, payload={"v": "stale"}, digest="c" * 64)
-        path = store.path_for(key)
-        entry = json.loads(path.read_text())
-        entry["store_schema"] = STORE_SCHEMA + 1
-        path.write_text(json.dumps(entry))
-        return path
-
-    def test_census_classifies_live_stale_corrupt(self, tmp_path):
-        store = ResultStore(tmp_path, memory=False)
-        _put(store)
-        self._stale_entry(store)
-        (tmp_path / f"{'d' * 64}.json").write_text("{not json")
-        census = store.scan()
-        assert (census.live, census.stale, census.corrupt) == (1, 1, 1)
-        assert census.live_bytes > 0
-
-    def test_prune_removes_only_stale_and_corrupt(self, tmp_path):
-        store = ResultStore(tmp_path, memory=False)
-        _put(store)
-        self._stale_entry(store)
-        (tmp_path / f"{'d' * 64}.json").write_text("{not json")
-        removed = store.prune()
-        assert (removed.stale, removed.corrupt) == (1, 1)
-        assert store.scan().live == 1
-        assert store.get(DIGEST, SIG, SCHEMA) == PAYLOAD
-
-    def test_clear_removes_everything(self, tmp_path):
-        store = ResultStore(tmp_path)
-        _put(store)
-        _put(store, digest="c" * 64)
-        assert store.clear() == 2
-        assert store.entry_count() == 0
-        assert store.get(DIGEST, SIG, SCHEMA) is None
 
 
 class TestMerge:
@@ -226,25 +183,3 @@ class TestBundle:
         bogus.write_text(json.dumps({"entries": []}))
         with pytest.raises(ValueError):
             ResultStore(tmp_path / "dst").merge(bogus)
-
-
-class TestResolve:
-    def test_explicit_instance_and_path(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert resolve_result_store(store) is store
-        assert resolve_result_store(str(tmp_path)).root == tmp_path
-
-    def test_booleans_and_off_words(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(STORE_ENV_VAR, raising=False)
-        assert resolve_result_store(False) is None
-        assert resolve_result_store("off") is None
-        assert resolve_result_store(True) is not None
-
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path))
-        resolved = resolve_result_store(None)
-        assert resolved is not None and resolved.root == tmp_path
-        monkeypatch.setenv(STORE_ENV_VAR, "off")
-        assert resolve_result_store(None) is None
-        monkeypatch.delenv(STORE_ENV_VAR)
-        assert resolve_result_store(None) is None

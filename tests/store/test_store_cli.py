@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import pathlib
 
+import pytest
+
 from repro.cli import main as cli_main
 from repro.store import STORE_ENV_VAR, STORE_SCHEMA, ResultStore
 
@@ -71,11 +73,59 @@ def test_store_bundle_without_path_errors(tmp_path, capsys):
     assert "output file" in capsys.readouterr().err
 
 
-def test_store_merge_rejects_a_non_bundle_file(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"entries": []},
+        [],
+        {"bundle_schema": "repro.resultstore.bundle/v1", "entries": 5},
+    ],
+    ids=["no_schema", "top_level_list", "entries_not_a_list"],
+)
+def test_store_merge_rejects_a_non_bundle_file(tmp_path, capsys, document):
     bogus = tmp_path / "not_a_bundle.json"
-    bogus.write_text(json.dumps({"entries": []}))
+    bogus.write_text(json.dumps(document))
     assert cli_main(["store", "merge", str(bogus), "--dir", str(tmp_path / "d")]) == 2
     assert capsys.readouterr().err.strip()
+
+
+def test_store_merge_of_a_missing_path_errors(tmp_path, capsys):
+    missing = tmp_path / "no_such_store"
+    assert cli_main(["store", "merge", str(missing), "--dir", str(tmp_path / "d")]) == 2
+    assert str(missing) in capsys.readouterr().err
+    with pytest.raises(FileNotFoundError):
+        ResultStore(tmp_path / "d").merge(missing)
+
+
+def test_cache_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["cache", "info"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cache'" in capsys.readouterr().err
+
+
+def test_store_covers_both_namespaces_in_one_directory(tmp_path, capsys):
+    """``--dir`` opens both codecs on one directory; each sees only its
+    own entries, ``info`` reports one column per store and ``clear``
+    empties both."""
+    from repro.core.progcache import ProgramCache
+
+    root = _seeded(tmp_path)
+    ProgramCache(root).put("ab" * 32, {"compiled": True})
+    capsys.readouterr()
+    assert cli_main(["store", "info", "--dir", str(root)]) == 0
+    info = capsys.readouterr().out.splitlines()
+    header = next(line for line in info if line.startswith("Property"))
+    assert header.split() == ["Property", "programs", "results"]
+    schema = next(line for line in info if line.startswith("schema"))
+    assert schema.split() == ["schema", "v5", f"v{STORE_SCHEMA}"]
+    live = next(line for line in info if line.startswith("live entries"))
+    assert live.split()[-2:] == ["1", str(N_BUNDLED)]
+    assert cli_main(["store", "clear", "--dir", str(root)]) == 0
+    out = capsys.readouterr().out
+    assert "removed 1 stored programs" in out
+    assert f"removed {N_BUNDLED} stored results" in out
+    assert not list(root.iterdir())
 
 
 def test_store_merge_policy_theirs_replaces_conflicts(tmp_path, capsys):
