@@ -341,6 +341,13 @@ def engine_levels(
       order (*equal* allowed -- within a level each GE's instructions
       keep program order and chain through a segmented prefix-max).
 
+    The OoR floor is now conservative: the level replay gathers the
+    evicted slot's last access through a table of the wire's producer
+    and its readers *earlier* than the evictor, so a later reader can no
+    longer leak into that gather whatever its level.  It stays because
+    ``level_of`` is persisted in the program cache: dropping it changes
+    the stored partition (and level counts), a change of its own.
+
     One O(instructions) pass; constraints on the (unique) future
     evicting instruction are pushed forward as operands are scanned, so
     no reader lists are materialised.  Returns ``(level_of, n_levels)``.

@@ -46,9 +46,14 @@ HBM2 = DramSpec(name="HBM2", bandwidth_gb_s=512.0)
 
 @dataclass
 class BandwidthLedger:
-    """Byte accounting by stream class (instr / table / oorw / live / input)."""
+    """Off-chip byte accounting by stream class for one execution."""
 
     bytes_by_stream: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
+    """Bytes per stream.  ``sim/timing.py`` charges five keys:
+    ``input_rd`` (16 B per primary input), ``instr_rd``
+    (``instr_bytes`` per instruction), ``table_rd`` (32 B per AND),
+    ``oorw_rd`` (16 B label + 4 B address per OoR operand) and
+    ``live_wr`` (16 B per live wire, the only write stream)."""
 
     def charge(self, stream: str, n_bytes: int) -> None:
         if n_bytes < 0:

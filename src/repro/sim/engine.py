@@ -13,14 +13,17 @@ Two engines, selected by ``REPRO_SIM_ENGINE`` (or
     the program was compiled under, as for every config ``src/``
     simulates -- is not replayed.  The compiler's greedy GE mapping
     applies the replay's issue rule to the same ``ge_of``, so
-    ``streams.issue_cycle`` *is* the replay's answer, and cycles and
-    stalls are a closed form over it (:func:`_scheduled_row`).
+    ``streams.issue_cycle`` *is* the replay's answer.
   - Any other config takes the level-parallel replay
     (:func:`compute_cycles_numpy_batched`): instructions are
     partitioned once into dependence levels
     (:meth:`CompiledArrays.ensure_levels`, persisted through
-    :mod:`repro.core.progcache`), and each level retires for every
-    config of the call at once as array ops.
+    :mod:`repro.core.progcache`), and each level's issue cycles are
+    computed for every config of the call at once: one gather of
+    ``issue + 1`` through a config-independent predecessor table.
+
+  Either way, cycles and stalls are one closed form over the issue
+  vector, the compile's or the replay's (:func:`_scheduled_rows`).
 
   ``model_bank_conflicts`` runs on the reference replay (its port
   arbitration is inherently sequential).
@@ -69,7 +72,7 @@ _PLAN_ATTR = "_numpy_plan"
 _SCHEDULE_ATTR = "_schedule_plan"
 #: Per-segment bias decoupling the level-wide prefix max (see
 #: _level_replay).  Any replay reaching 2**45 cycles would need
-#: trillions of instructions; the engine asserts the bound post-replay.
+#: trillions of instructions; the replay raises OverflowError past it.
 _SEG_BIAS = 1 << 45
 
 
@@ -268,7 +271,9 @@ def compute_cycles_batch(
                 or config.model_bank_conflicts):
             results[index] = compute_cycles_reference(streams, config, stalls)
         elif _replay_key(config) == scheduled:
-            row = row or _scheduled_row(arrays, scheduled)
+            row = row or _scheduled_rows(
+                arrays, [scheduled], schedule_plan(arrays).issue[None, :]
+            )[0]
             results[index] = _charge(arrays, row, config, stalls)
         else:
             replayed.append(index)
@@ -334,31 +339,29 @@ class _SchedulePlan:
     """Program-order NumPy view of the compile's schedule.
 
     Config-independent and cached unpickled like the level plan.  The
-    closed form reads ``issue``, ``earliest`` (the GE's previous issue
-    + 1, 0 for its first instruction), the operand producer indices
-    ``src_a`` / ``src_b`` (``n`` for a primary input: a slot that is
-    always 0) and the cross-GE forwarding flags; the coupled model reads
-    the byte-charge flags.
+    closed form reads ``issue``, ``prev`` (the GE's previous
+    instruction, ``n`` for its first), the operand producer indices
+    ``src_a`` / ``src_b`` (``n`` for a primary input) and the cross-GE
+    forwarding flags -- index ``n`` is a slot that is always 0; the
+    coupled model reads the byte-charge flags.
     """
 
-    __slots__ = ("issue", "earliest", "src_a", "src_b", "fwd_a", "fwd_b",
+    __slots__ = ("issue", "prev", "src_a", "src_b", "fwd_a", "fwd_b",
                  "is_and", "live", "oor_a", "oor_b", "issued")
 
     def __init__(self, arrays: CompiledArrays) -> None:
         n = arrays.n_instructions
-        issue = np.fromiter(arrays.issue_cycle, dtype=np.int64, count=n)
+        self.issue = np.fromiter(arrays.issue_cycle, dtype=np.int64, count=n)
         ge = np.fromiter(arrays.ge_of, dtype=np.int64, count=n)
-        self.issue = issue
         # Each GE's stream in program order (a stable sort by GE, a radix
-        # sort on the narrowest dtype); the in-order floor is the
-        # previous entry's issue + 1 within a GE.
+        # sort on the narrowest dtype); the previous entry within a GE.
         narrow = ge.astype(np.min_scalar_type(arrays.n_ges))
         order = np.argsort(narrow, kind="stable")
-        earliest = np.zeros(n, dtype=np.int64)
-        earliest[1:] = issue[order[:-1]] + 1
-        earliest[np.flatnonzero(np.diff(ge[order]) != 0) + 1] = 0
-        self.earliest = np.empty(n, dtype=np.int64)
-        self.earliest[order] = earliest
+        prev = np.full(n, n, dtype=np.int64)
+        prev[1:] = order[:-1]
+        prev[np.flatnonzero(np.diff(ge[order]) != 0) + 1] = n
+        self.prev = np.empty(n, dtype=np.int64)
+        self.prev[order] = prev
         producer_ge = np.append(ge, -1)
         for name, column in (("a", arrays.a_of), ("b", arrays.b_of)):
             wire = np.asarray(column, dtype=np.int64)
@@ -381,14 +384,26 @@ def schedule_plan(arrays: CompiledArrays) -> _SchedulePlan:
     return plan
 
 
-def _scheduled_row(arrays: CompiledArrays, key) -> Tuple[int, int, int, int]:
-    """The level replay's row, read off the compile's schedule.
+def _key_columns(keys):
+    """``(R, 1)`` AND-latency, XOR-latency and forward columns of
+    :func:`_replay_key` tuples, broadcast against per-instruction rows."""
+    return (np.array(column, dtype=np.int64)[:, None] for column in zip(*keys))
 
-    Valid only when ``key`` is the compile's own latencies: the greedy
-    mapping then issued each instruction at exactly ``max(earliest,
-    data, slot_free)`` on its ``ge_of`` GE -- the replay's rule -- so
-    its ``issue_cycle`` is the replay's, and ``verify_streams`` holds a
-    compile to that.  With ``data`` the operand readiness (producer
+
+def _scheduled_rows(
+    arrays: CompiledArrays, keys, issue: np.ndarray
+) -> List[Tuple[int, int, int, int]]:
+    """One row ``(finish before writeback, dependence, window_sync, last
+    issue)`` per key, read off a program-order ``(R, n)`` issue array.
+
+    The one definition of cycles and stalls, for the compile's
+    ``issue_cycle`` (``R = 1``, the compile's own key) and for the level
+    replay's issue vectors alike.  Exact for any issue vector that obeys
+    the replay's rule -- each instruction issues at exactly
+    ``max(earliest, data, slot_free)`` on its ``ge_of`` GE -- and the
+    greedy mapping applies that rule, which ``verify_streams`` holds a
+    compile to.  With ``earliest`` the GE's previous issue + 1 (0 for
+    its first instruction) and ``data`` the operand readiness (producer
     issue + latency, + the forwarding penalty across GEs; 0 for primary
     inputs):
 
@@ -398,121 +413,129 @@ def _scheduled_row(arrays: CompiledArrays, key) -> Tuple[int, int, int, int]:
     * the finish before writeback is ``max(issue + latency)``, and the
       last issue ``max(issue)``.
     """
-    and_latency, xor_latency, forward = key
+    and_lat, xor_lat, forward = _key_columns(keys)
     plan = schedule_plan(arrays)
-    issue = plan.issue
-    n = len(issue)
-    done = np.zeros(n + 1, dtype=np.int64)
-    np.add(issue, np.where(plan.is_and, and_latency, xor_latency), out=done[:n])
-    data = np.maximum(
-        done[plan.src_a] + forward * plan.fwd_a,
-        done[plan.src_b] + forward * plan.fwd_b,
-    )
-    earliest = plan.earliest
-    dependence = np.maximum(data - earliest, 0).sum()
-    window_sync = np.maximum(issue - np.maximum(earliest, data), 0).sum()
-    return int(done.max()), int(dependence), int(window_sync), int(issue.max())
+    rows, n = issue.shape
+    # Column n stays 0: the primary-input / first-on-GE slot.  It holds
+    # issue + 1 for the earliest gather, then issue + latency.
+    padded = np.zeros((rows, n + 1), dtype=np.int64)
+    np.add(issue, 1, out=padded[:, :n])
+    earliest = np.take(padded, plan.prev, axis=1)
+    np.add(issue, np.where(plan.is_and, and_lat, xor_lat), out=padded[:, :n])
+    data = np.take(padded, plan.src_a, axis=1)
+    data += forward * plan.fwd_a
+    scratch = np.take(padded, plan.src_b, axis=1)
+    scratch += forward * plan.fwd_b
+    np.maximum(data, scratch, out=data)
+    np.subtract(data, earliest, out=scratch)
+    dependence = np.maximum(scratch, 0, out=scratch).sum(axis=1)
+    np.maximum(earliest, data, out=earliest)
+    np.subtract(issue, earliest, out=scratch)
+    window_sync = np.maximum(scratch, 0, out=scratch).sum(axis=1)
+    return list(zip(*(column.tolist() for column in (
+        padded.max(axis=1), dependence, window_sync, issue.max(axis=1)
+    ))))
 
 
 class _NumpyPlan:
-    """Derived, config-independent NumPy view of one ``CompiledArrays``.
+    """The level replay's config-independent predecessor tables.
 
-    Everything the level replay gathers per level, precomputed once in
-    dependence-level order (stable sort by ``(level, ge, position)``) so
-    the per-level work is pure array slicing.  Cached unpickled (see
+    Instructions are indexed in dependence-level order (stable sort by
+    ``(level, ge, position)``), so level ``l`` is the contiguous slice
+    ``level_bounds[l]:level_bounds[l + 1]`` and each GE's run within it
+    a contiguous, program-ordered *segment*.  Index ``n`` is a sentinel
+    the replay keeps at 0.  Cached unpickled (see
     ``CompiledArrays.__getstate__``) because it rebuilds in O(n) array
     ops from the persisted ``level_of``.
+
+    * ``pred`` -- ``(3, n)``, so level ``[s, e)`` gathers three blocks
+      ``pred[:, s:e]``: the producer of operand ``a``, the producer of
+      operand ``b`` (the sentinel for a primary input) and the GE's
+      previous instruction at segment starts (the sentinel elsewhere);
+    * ``kind`` -- which column of the replay's per-call weight table
+      each ``pred`` entry adds: 0 nothing, else ``1 + producer is AND
+      + 2 * cross-GE``;
+    * ``ws_idx`` -- the window-sync CSR, on levels that evict only: per
+      instruction the evicted wire's producer, its readers earlier in
+      program order and one sentinel (so no run is empty).  Level ``l``
+      owns ``ws_idx[ws_bounds[l]:ws_bounds[l + 1]]`` (empty when it
+      evicts nothing) and ``ws_rel`` is each run's offset in it;
+    * ``shift`` -- ``segment ordinal * _SEG_BIAS - k`` for the ``k``-th
+      instruction of its segment, ``unshift`` is ``1 - shift``;
+    * ``pos`` -- program position -> level-order index.
     """
 
-    __slots__ = (
-        "order",
-        "a_s",
-        "b_s",
-        "ab_s",
-        "out_s",
-        "evict_idx_s",
-        "fwd_a_cost",
-        "fwd_b_cost",
-        "is_and_s",
-        "k_seg",
-        "bias_s",
-        "level_bounds",
-        "seg_bounds",
-        "seg_rel_first",
-        "seg_rel_last",
-        "seg_ge",
-        "level_has_evict",
-        "level_multi_seg",
-    )
+    __slots__ = ("level_bounds", "pred", "kind", "ws_idx", "ws_bounds",
+                 "ws_rel", "shift", "unshift", "pos")
 
-    def __init__(self, arrays: "CompiledArrays") -> None:
+    def __init__(self, arrays: CompiledArrays) -> None:
         arrays.ensure_levels()
         n = arrays.n_instructions
-        n_inputs = arrays.n_inputs
+        n_levels = max(arrays.n_levels, 1)
         level = np.asarray(arrays.level_of, dtype=np.int64)
         ge = np.asarray(arrays.ge_of, dtype=np.int64)
-        a = np.asarray(arrays.a_of, dtype=np.int64)
-        b = np.asarray(arrays.b_of, dtype=np.int64)
-        # Stable (level, ge, position) order: contiguous levels, and
-        # within a level one contiguous program-ordered run per GE.
         order = np.lexsort((ge, level))
-        self.order = order
-        a_s = a[order]
-        b_s = b[order]
-        ge_s = ge[order]
+        index = np.arange(n, dtype=np.int64)
+        # int32 index tables halve the resident plan; the gathers widen
+        # each level's slice.  pos[n] is the sentinel.
+        pos = np.full(n + 1, n, dtype=np.int32)
+        pos[order] = index
+        self.pos = pos[:n]
         level_s = level[order]
-        self.a_s = a_s
-        self.b_s = b_s
-        # Interleaved (a, b) wire ids: one scatter-max updates both
-        # operands' last-read cycles per level.
-        ab_s = np.empty(2 * n, dtype=np.int64)
-        ab_s[0::2] = a_s
-        ab_s[1::2] = b_s
-        self.ab_s = ab_s
-        self.out_s = order + n_inputs
-        evicted = self.out_s - arrays.capacity
-        # Wires whose slot is never overwritten gather a sentinel slot
-        # (index n_wires) that no instruction ever reads/writes, so the
-        # replay needs no per-level mask.
-        self.evict_idx_s = np.where(evicted >= 0, evicted, arrays.n_wires)
-        # The program-order cross-GE forwarding flags, in level order;
-        # the penalty is scaled in at replay time.
-        schedule = schedule_plan(arrays)
-        self.fwd_a_cost = schedule.fwd_a[order]
-        self.fwd_b_cost = schedule.fwd_b[order]
-        self.is_and_s = schedule.is_and[order]
+        ge_s = ge[order]
+        counts = np.bincount(level, minlength=n_levels)
+        level_bounds = np.concatenate(([0], np.cumsum(counts)))
+        self.level_bounds = level_bounds.tolist()
 
-        counts = np.bincount(level, minlength=max(arrays.n_levels, 1))
-        level_bounds = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        self.level_bounds = level_bounds
-        # Segments: runs of equal (level, ge) in sorted order.
+        # Segments: runs of equal (level, ge) in level order.
         new_seg = np.ones(n, dtype=bool)
         new_seg[1:] = (ge_s[1:] != ge_s[:-1]) | (level_s[1:] != level_s[:-1])
         seg_first = np.flatnonzero(new_seg)
         seg_id = np.cumsum(new_seg) - 1
-        seg_last = np.concatenate((seg_first[1:], [n])) - 1 if n else seg_first
-        self.k_seg = np.arange(n, dtype=np.int64) - seg_first[seg_id]
-        # Per-level segment table: seg_bounds[l]:seg_bounds[l+1] indexes
-        # the per-segment arrays below; seg_rel_* are segment start/end
-        # positions relative to their level slice, seg_ge the owning GE.
-        seg_level = level_s[seg_first]
-        seg_counts = np.bincount(seg_level, minlength=max(arrays.n_levels, 1))
-        self.seg_bounds = np.concatenate(
-            ([0], np.cumsum(seg_counts))
-        ).astype(np.int64)
-        self.seg_rel_first = seg_first - level_bounds[seg_level]
-        self.seg_rel_last = seg_last - level_bounds[seg_level]
-        self.seg_ge = ge_s[seg_first]
-        # Prefix-max segment decoupling bias (see _level_replay):
-        # segment ordinal within its level, scaled by a constant far
-        # above any reachable cycle count (validated after each replay).
-        seg_in_level = seg_id - self.seg_bounds[level_s]
-        self.bias_s = seg_in_level * _SEG_BIAS
-        has_evict_counts = np.bincount(
-            level_s, weights=(evicted >= 0), minlength=max(arrays.n_levels, 1)
+        level_first_seg = np.concatenate(([0], np.cumsum(
+            np.bincount(level_s[seg_first], minlength=n_levels)
+        )))
+        ordinal = seg_id - level_first_seg[level_s]
+        self.shift = ordinal * _SEG_BIAS - (index - seg_first[seg_id])
+        self.unshift = 1 - self.shift
+
+        schedule = schedule_plan(arrays)
+        producer_and = np.append(schedule.is_and, False)
+        self.pred = np.empty((3, n), dtype=np.int32)
+        self.kind = np.zeros((3, n), dtype=np.uint8)
+        for block, (src, fwd) in enumerate((
+            (schedule.src_a, schedule.fwd_a), (schedule.src_b, schedule.fwd_b)
+        )):
+            src = src[order]
+            self.pred[block] = pos[src]
+            self.kind[block] = (src < n) * (1 + producer_and[src] + 2 * fwd[order])
+        self.pred[2] = np.where(new_seg, pos[schedule.prev[order]], n)
+
+        # Window-sync CSR: owner t (program order) overwrites the slot of
+        # wire w = n_inputs + t - capacity; members are w's producer
+        # t - capacity, its readers q < t and the sentinel n.
+        capacity = arrays.capacity
+        evicting = np.zeros(n_levels, dtype=bool)
+        evicting[level[max(capacity - arrays.n_inputs, 0):]] = True
+        sentinel_owners = np.flatnonzero(evicting[level])
+        # The instruction that evicts each operand's wire.
+        evictor_a, evictor_b = (
+            np.asarray(column, dtype=np.int64) + capacity - arrays.n_inputs
+            for column in (arrays.a_of, arrays.b_of)
         )
-        self.level_has_evict = has_evict_counts > 0
-        self.level_multi_seg = (self.seg_bounds[1:] - self.seg_bounds[:-1]) > 1
+        read_a = (evictor_a > index) & (evictor_a < n)
+        read_b = (evictor_b > index) & (evictor_b < n) & (evictor_b != evictor_a)
+        owner_s = pos[np.concatenate((
+            sentinel_owners, index[capacity:], evictor_a[read_a], evictor_b[read_b]
+        ))]
+        members = np.concatenate((
+            np.full(len(sentinel_owners), n), index[:max(n - capacity, 0)],
+            index[read_a], index[read_b],
+        ))
+        self.ws_idx = pos[members[np.argsort(owner_s)]]
+        run_start = np.concatenate(([0], np.cumsum(np.bincount(owner_s, minlength=n))))
+        self.ws_bounds = run_start[level_bounds].tolist()
+        self.ws_rel = (run_start[:n] - run_start[level_bounds[level_s]]).astype(np.int32)
 
 
 def numpy_plan(arrays: CompiledArrays) -> _NumpyPlan:
@@ -525,123 +548,68 @@ def numpy_plan(arrays: CompiledArrays) -> _NumpyPlan:
 
 
 def _level_replay(arrays: CompiledArrays, keys) -> List[Tuple[int, int, int, int]]:
-    """Level-parallel replay of one row per :func:`_replay_key`: one
-    batch of array ops per dependence level, for every row at once.
+    """Level-parallel replay of one row per :func:`_replay_key`: it
+    computes only issue cycles, one level at a time for every row at
+    once, and reads the row off :func:`_scheduled_rows`.
 
-    Semantics are identical to the reference replay; the sequencing
-    argument:
+    The state is one ``(R, n + 1)`` array ``nxt`` of ``issue + 1`` per
+    instruction in level order (column ``n`` the 0 sentinel).  Every
+    predecessor an instruction's issue depends on sits in a strictly
+    earlier level (:meth:`CompiledArrays.ensure_levels`), so per level:
 
-    * Operand readiness and the window-sync gather only read per-wire
-      state written by *strictly earlier* levels (guaranteed by
-      :meth:`CompiledArrays.ensure_levels`), so ``value_ready`` /
-      ``last_read`` are gathered for a whole level at once.
-    * In-order issue within a level is a per-GE recurrence
-      ``issue_k = max(issue_{k-1} + 1, ready_k)`` over each GE's
-      program-ordered run.  Substituting ``s_k = ready_k - k`` turns it
-      into a running max (``issue_k = k + max(s_0..s_k, base)``), i.e. a
-      *segmented* ``np.maximum.accumulate`` along ``axis=1`` -- segments
-      are decoupled by biasing each GE's run with ``segment_ordinal *
-      2**45``, a constant far above any reachable cycle count (asserted
-      after the replay), so one accumulate serves the whole level.
-    * Stall attribution replays the scalar rules exactly:
-      ``dependence`` counts ``ready - earliest_inorder`` and
-      ``window_sync`` the further bump past ``max(earliest, ready)``,
-      both recovered from the shifted issue vector; the per-instruction
-      terms land in two scratch arrays summed once at the end.
+    * one gather of ``nxt`` through the plan's three ``pred`` blocks
+      plus a per-call weight (producer latency - 1, + ``forward`` across
+      GEs) and a max over the blocks give ``max(data, earliest)`` -- the
+      GE's previous issue + 1 enters at segment starts only;
+    * on levels that evict, one ``np.maximum.reduceat`` over the
+      window-sync CSR raises that to the evicted slot's last access
+      (its producer's and earlier readers' ``issue + 1``);
+    * in-order issue within a segment is ``issue_k = max(issue_{k-1} +
+      1, ready_k)``; substituting ``ready_k - k`` turns it into a running
+      max, and biasing each GE's segment by ``ordinal * _SEG_BIAS`` (far
+      above any reachable cycle count; checked after the replay) lets one
+      ``np.maximum.accumulate`` serve the whole level.
 
-    Every key becomes a ``(R, 1)`` column broadcast against the
-    per-level slices, and every piece of replay state gains a leading
-    row axis, so each row is the replay of its key alone.
+    Stalls need no replay state: ``dependence``, ``window_sync`` and the
+    finish are the closed form over the issue vector.
     """
+    rows = _scheduled_rows(arrays, keys, _replay_issue(arrays, keys))
+    if max(row[0] for row in rows) + arrays.n_instructions >= _SEG_BIAS:
+        raise OverflowError("cycle count overflows the segment bias")
+    return rows
+
+
+def _replay_issue(arrays: CompiledArrays, keys) -> np.ndarray:
+    """The ``(R, n)`` program-order issue cycles of :func:`_level_replay`."""
     n = arrays.n_instructions
     plan = numpy_plan(arrays)
     n_rows = len(keys)
-    and_lat, xor_lat, forward = (
-        np.array(column, dtype=np.int64)[:, None] for column in zip(*keys)
-    )
-    latency_s = np.where(plan.is_and_s[None, :], and_lat, xor_lat)
-    fwd_a = plan.fwd_a_cost[None, :] * forward
-    fwd_b = plan.fwd_b_cost[None, :] * forward
+    and_lat, xor_lat, forward = _key_columns(keys)
+    # Per-row weight of each pred kind (see _NumpyPlan.kind).
+    table = np.hstack([
+        np.zeros_like(and_lat), xor_lat - 1, and_lat - 1,
+        xor_lat - 1 + forward, and_lat - 1 + forward,
+    ])
+    weight = np.take(table, plan.kind, axis=1)
+    nxt = np.zeros((n_rows, n + 1), dtype=np.int64)
 
-    n_slots = arrays.n_wires + 1
-    value_ready = np.zeros((n_rows, n_slots), dtype=np.int64)
-    last_read = np.zeros((n_rows, n_slots), dtype=np.int64)
-    # Scatter-max target as a flat view: per-level indices become
-    # row_offset + wire id, one np.maximum.at for the whole batch.
-    last_read_flat = last_read.reshape(-1)
-    row_offset = (np.arange(n_rows, dtype=np.int64) * n_slots)[:, None]
-    ge_last_issue = np.full((n_rows, arrays.n_ges), -1, dtype=np.int64)
-    dep_terms = np.zeros((n_rows, n), dtype=np.int64)
-    ws_terms = np.zeros((n_rows, n), dtype=np.int64)
-
-    level_bounds = plan.level_bounds
-    seg_bounds = plan.seg_bounds
-    seg_rel_first = plan.seg_rel_first
-    seg_rel_last = plan.seg_rel_last
-    seg_ge = plan.seg_ge
-    for li in range(arrays.n_levels):
-        s = level_bounds[li]
-        e = level_bounds[li + 1]
-        a = plan.a_s[s:e]
-        b = plan.b_s[s:e]
-        k = plan.k_seg[s:e]
-
-        ready = np.maximum(value_ready[:, a] + fwd_a[:, s:e],
-                           value_ready[:, b] + fwd_b[:, s:e])
-        data_avail = ready
-        if plan.level_has_evict[li]:
-            ws = last_read[:, plan.evict_idx_s[s:e]]
-            ready = np.maximum(data_avail, ws)
-        else:
-            ws = None
-
-        sp = ready - k
-        seg_lo = seg_bounds[li]
-        seg_hi = seg_bounds[li + 1]
-        starts = seg_rel_first[seg_lo:seg_hi]
-        base = ge_last_issue[:, seg_ge[seg_lo:seg_hi]] + 1
-        sp[:, starts] = np.maximum(sp[:, starts], base)
-        if plan.level_multi_seg[li]:
-            bias = plan.bias_s[s:e]
-            issue = np.maximum.accumulate(sp + bias, axis=1) - bias
-        else:
-            issue = np.maximum.accumulate(sp, axis=1)
-        issue += k
-
-        # earliest_inorder: previous issue + 1 inside a segment, the
-        # GE's cross-level last issue + 1 at segment starts.
-        earliest = np.empty_like(issue)
-        earliest[:, 1:] = issue[:, :-1] + 1
-        earliest[:, starts] = base
-        np.subtract(data_avail, earliest, out=dep_terms[:, s:e])
-        if ws is not None:
-            np.subtract(
-                ws, np.maximum(earliest, data_avail), out=ws_terms[:, s:e]
+    pred, ws_idx, ws_rel = plan.pred, plan.ws_idx, plan.ws_rel
+    shift, unshift = plan.shift, plan.unshift
+    bounds, ws_bounds = plan.level_bounds, plan.ws_bounds
+    for s, e, cs, ce in zip(bounds, bounds[1:], ws_bounds, ws_bounds[1:]):
+        ready = np.take(nxt, pred[:, s:e], axis=1)
+        ready += weight[:, :, s:e]
+        ready = ready.max(axis=1)
+        if cs != ce:
+            slot_free = np.maximum.reduceat(
+                np.take(nxt, ws_idx[cs:ce], axis=1), ws_rel[s:e], axis=1
             )
-
-        value_ready[:, plan.out_s[s:e]] = issue + latency_s[:, s:e]
-        read = issue + 1
-        # The write is its out wire's first slot access (virgin entry:
-        # data levels put every reader strictly later), so plain
-        # assignment matches the reference replay's WAW ordering.
-        last_read[:, plan.out_s[s:e]] = read
-        width = e - s
-        pair = np.empty((n_rows, 2 * width), dtype=np.int64)
-        pair[:, 0::2] = read
-        pair[:, 1::2] = read
-        flat_idx = row_offset + plan.ab_s[2 * s:2 * e][None, :]
-        np.maximum.at(last_read_flat, flat_idx.reshape(-1), pair.reshape(-1))
-        ends = seg_rel_last[seg_lo:seg_hi]
-        ge_last_issue[:, seg_ge[seg_lo:seg_hi]] = issue[:, ends]
-
-    # issue + latency is what the scatter above stored per out wire.
-    finish = value_ready[:, arrays.n_inputs:arrays.n_inputs + n].max(axis=1)
-    assert int(finish.max()) + n < _SEG_BIAS, "cycle count overflows segment bias"
-    dep_sum = np.where(dep_terms > 0, dep_terms, 0).sum(axis=1)
-    ws_sum = np.where(ws_terms > 0, ws_terms, 0).sum(axis=1)
-    return list(zip(*(column.tolist() for column in (
-        finish, dep_sum, ws_sum, ge_last_issue.max(axis=1)
-    ))))
+            np.maximum(ready, slot_free, out=ready)
+        ready += shift[s:e]
+        level = nxt[:, s:e]
+        np.maximum.accumulate(ready, axis=1, out=level)
+        level += unshift[s:e]
+    return nxt[:, plan.pos] - 1
 
 
 def compute_cycles_reference(

@@ -42,15 +42,22 @@ class HaacMachineError(AssertionError):
 
 @dataclass
 class FunctionalRun:
-    """Result of one functional execution."""
+    """Result of one functional execution; counts cover all GEs."""
 
     output_bits: List[int]
+    """Decoded output bits (0/1), in ``program.outputs`` order."""
     output_labels: List[int]
+    """Output labels (128-bit ints) read back from DRAM, same order."""
     sww_reads: int
+    """Operands read from the SWW: 2 per instruction minus ``oor_pops``."""
     oor_pops: int
+    """Operands popped from the OoRW queues (16 B label + 4 B address)."""
     table_pops: int
+    """Garbled tables popped: one 32 B table per AND."""
     dram_wire_writes: int
+    """Labels written back to DRAM: one 16 B label per live instruction."""
     hash_calls: int
+    """Evaluator hash invocations: 2 per AND (one per operand label)."""
 
 
 @dataclass

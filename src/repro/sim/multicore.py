@@ -49,11 +49,18 @@ class MulticoreResult:
     """Outcome of a sharded multi-core simulation."""
 
     n_cores: int
+    """HAAC cores requested; may exceed ``shards``."""
     shards: int
+    """Cores given work: ``min(n_cores, connected components)``."""
     core_compute_cycles: List[int]
+    """GE cycles of each busy core's shard (``compute_cycles``)."""
     total_traffic_cycles: float
+    """GE cycles of all shards' bytes through the one shared DRAM
+    interface: the sum of their ``traffic_cycles``, not rounded."""
     ge_clock_hz: float
+    """GE clock in Hz, converting cycles to seconds."""
     single_core_runtime_s: float
+    """Seconds for the unsharded circuit on one core: the baseline."""
 
     @property
     def runtime_cycles(self) -> float:

@@ -17,8 +17,10 @@ class StallBreakdown:
     ``compute_cycles``.  With ``earliest`` an instruction's in-order
     slot (its GE's previous issue + 1) and ``data`` its operand
     readiness (producer issue + latency, + the forwarding penalty across
-    GEs), each term is what the closed form over the compile's
-    ``issue_cycle`` computes."""
+    GEs), each term is what the closed form over the issue vector, the
+    compile's or the replay's, computes (``sim/engine.py::
+    _scheduled_rows``); the reference replay attributes the same
+    cycles gate by gate."""
 
     dependence: int = 0
     """``sum(max(0, data - earliest))``: cycles waiting on an operand

@@ -33,7 +33,7 @@ from repro.core.passes.streams import TIE_BREAKS, ScheduleParams
 from repro.core.sww import WIRE_BYTES, SlidingWindow
 from repro.core.verify import verify_streams
 from repro.sim.config import HaacConfig, Role
-from repro.sim.timing import simulate
+from repro.sim.timing import simulate, simulate_batch
 from tests.circuits.scalar_oracle import scalar_validate
 from tests.circuits.test_netlist import MALFORMED, malformed_circuit
 
@@ -173,10 +173,20 @@ class TestCompileFuzz:
     ):
         garbler_bits, evaluator_bits = _input_bits(seed, circuit)
         expected = circuit.eval_plain(garbler_bits, evaluator_bits)
-        # The compile's own latencies (numpy reads the schedule) and the
-        # garbler's (numpy replays the levels); both equal the reference.
-        evaluator = HaacConfig(n_ges=n_ges, sww_bytes=capacity * WIRE_BYTES)
-        configs = (evaluator, evaluator.with_role(Role.GARBLER))
+        # The compile's own latencies (numpy reads the schedule) plus
+        # three replay keys timed as one batch (garbler latencies, no
+        # forward, a 4-cycle forward): a row-mixing bug cannot hide
+        # behind a one-row replay.  Every row equals its serial
+        # reference call.
+        evaluator = HaacConfig(
+            n_ges=n_ges, sww_bytes=capacity * WIRE_BYTES, sim_engine="numpy"
+        )
+        configs = [
+            evaluator,
+            evaluator.with_role(Role.GARBLER),
+            evaluator._replace(cross_ge_forward=0),
+            evaluator._replace(cross_ge_forward=4),
+        ]
         for opt in OptLevel:
             for tie_break in TIE_BREAKS:
                 result = compile_circuit(
@@ -185,12 +195,12 @@ class TestCompileFuzz:
                     segment_size=segment_size, cache=False,
                 )
                 verify_streams(result.streams)
-                for config in configs:
-                    numpy_run, reference_run = (
-                        _timing(simulate(result.streams, config.with_sim_engine(engine)))
-                        for engine in ("numpy", "reference")
-                    )
-                    assert numpy_run == reference_run
+                assert [
+                    _timing(sim) for sim in simulate_batch(result.streams, configs)
+                ] == [
+                    _timing(simulate(result.streams, config.with_sim_engine("reference")))
+                    for config in configs
+                ]
                 netlist = result.program.netlist
                 assert netlist.validate() is True
                 assert netlist.eval_plain(

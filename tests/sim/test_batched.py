@@ -207,6 +207,32 @@ class TestComputeCyclesBatch:
         assert snaps[0] == snaps[1]
 
 
+class TestReplayRowsAtFullScale:
+    def test_evicting_rows_equal_serial_reference(self, monkeypatch, level_replays):
+        """Full-scale Hamm at a 512 B SWW: every level evicts.  Three
+        replay keys share one level replay, and each row equals its
+        serial reference call."""
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        config = HaacConfig.paper_default().with_sww_bytes(512)
+        built = get_workload("Hamm").build_scaled()
+        streams = compile_circuit(
+            built.circuit, config.window, config.n_ges,
+            opt=OptLevel.RO_RN_ESW, params=config.schedule_params(), cache=False,
+        ).streams
+        configs = [
+            config.with_role(Role.GARBLER),
+            config._replace(cross_ge_forward=0),
+            config._replace(cross_ge_forward=4),
+        ]
+        batched = [_snap(s) for s in simulate_batch(streams, configs)]
+        assert level_replays == [3]
+        assert batched == [
+            _snap(simulate(streams, c.with_sim_engine(ENGINE_REFERENCE)))
+            for c in configs
+        ]
+        assert any(s[2]["window_sync"] for s in batched)
+
+
 class TestVariants:
     def test_cartesian_product_last_axis_fastest(self):
         config = HaacConfig()

@@ -286,6 +286,26 @@ class TestClosedFormDegenerate:
         self._check(_circuit(family), config, level_replays, tie_break)
 
 
+class TestReplayDegenerate(TestClosedFormDegenerate):
+    """The same edges and tie-breaks off the compile's schedule: a
+    one-row level replay, equal to the reference replay.  The 4-wire SWW
+    evicts on every level."""
+
+    @staticmethod
+    def _check(circuit, config, level_replays, tie_break="producer"):
+        params = replace(config.schedule_params(), tie_break=tie_break)
+        result = compile_circuit(
+            circuit, config.window, config.n_ges, params=params, cache=False
+        )
+        off = _off_schedule(config)
+        _assert_identical([
+            _sim_snapshot(result.streams, off.with_sim_engine(engine))
+            for engine in ALL_ENGINES
+        ])
+        # A program with no instructions is timed before either path.
+        assert level_replays == ([1] if len(result.program.op) else [])
+
+
 @pytest.mark.parametrize("family", sorted(STDLIB_FAMILIES))
 @pytest.mark.parametrize("opt", ALL_OPTS, ids=lambda o: o.value)
 class TestCoupledEquivalence:
@@ -369,6 +389,21 @@ class TestNumpyEngineDetails:
             for engine in ALL_ENGINES
         ]
         _assert_identical(snapshots)
+
+    def test_segment_bias_overflow_raises(self, monkeypatch):
+        """The replay's bias bound is a typed error, not an ``assert``
+        that ``python -O`` strips: a bias the cycles reach would make
+        the segmented prefix max mix GEs and return wrong cycles."""
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        monkeypatch.setattr(engine_module, "_SEG_BIAS", 8)
+        config = HaacConfig(n_ges=4, sww_bytes=64 * 16)
+        # A fresh compile, so the level plan is built with the small bias.
+        result = compile_circuit(
+            _circuit("integer8"), config.window, config.n_ges,
+            params=config.schedule_params(), cache=False,
+        )
+        with pytest.raises(OverflowError, match="segment bias"):
+            simulate(result.streams, _off_schedule(config))
 
     def test_levels_respect_dependences(self):
         """Every ordering constraint of the replay crosses (or, for
