@@ -42,7 +42,6 @@ class CircuitBuilder:
         self._b = array("q")
         self._outputs: List[int] = []
         self._next_wire = 0
-        self._inputs_frozen = False
         self._const_zero: int | None = None
         self._const_one: int | None = None
 
@@ -59,7 +58,7 @@ class CircuitBuilder:
         return self._add_inputs(count, garbler=False)
 
     def _add_inputs(self, count: int, garbler: bool) -> List[int]:
-        if self._inputs_frozen:
+        if self._op:
             raise CircuitError("cannot add inputs after the first gate")
         if count < 0:
             raise CircuitError("input count must be non-negative")
@@ -78,35 +77,28 @@ class CircuitBuilder:
     # ------------------------------------------------------------------
 
     def _emit(self, op: int, a: int, b: int) -> int:
-        self._freeze_inputs()
+        # The one gate path: operands must exist (INV's b is -1), and the
+        # first gate freezes the inputs (`_add_inputs` tests `_op`).
         out = self._next_wire
-        self._next_wire += 1
+        if not (0 <= a < out and (0 <= b < out or op == OP_INV)):
+            self._check_wire(a)
+            self._check_wire(b)
+        self._next_wire = out + 1
         self._op.append(op)
         self._a.append(a)
         self._b.append(b)
         return out
 
-    def _freeze_inputs(self) -> None:
-        if not self._inputs_frozen:
-            if self._next_wire == 0:
-                raise CircuitError("circuit must have at least one input wire")
-            self._inputs_frozen = True
-
     def AND(self, a: int, b: int) -> int:
         """Emit an AND gate (one garbled table, four hashes to garble)."""
-        self._check_wire(a)
-        self._check_wire(b)
         return self._emit(OP_AND, a, b)
 
     def XOR(self, a: int, b: int) -> int:
         """Emit a FreeXOR gate (no table, no hashing)."""
-        self._check_wire(a)
-        self._check_wire(b)
         return self._emit(OP_XOR, a, b)
 
     def NOT(self, a: int) -> int:
         """Emit a free INV gate."""
-        self._check_wire(a)
         return self._emit(OP_INV, a, -1)
 
     def OR(self, a: int, b: int) -> int:
@@ -130,7 +122,8 @@ class CircuitBuilder:
     def const_zero(self) -> int:
         """A wire carrying constant 0 (built once: w xor w)."""
         if self._const_zero is None:
-            self._freeze_inputs()
+            if not self._next_wire:
+                raise CircuitError("circuit must have at least one input wire")
             self._const_zero = self._emit(OP_XOR, 0, 0)
         return self._const_zero
 

@@ -10,9 +10,8 @@ single flat-array home for all of it (DESIGN.md section 14):
 * **operand arrays** ``a_of`` / ``b_of`` / ``out_of`` -- the circuit's
   own columns, adopted by reference -- and ``is_and``, one byte per
   gate translated from the ``op`` column;
-* **reader adjacency** -- CSR (``reader_off`` / ``reader_pos``) from one
-  stable sort by wire, so per-wire reader lists are ascending program
-  positions; ``last_reader`` is one ``maximum.at`` per operand column;
+* **last readers** -- ``last_reader``, one ``maximum.at`` per operand
+  column (all ESW needs);
 * **topological levels** -- the netlist's ASAP wire/gate levels (these
   are per-*wire-id* and therefore permutation-invariant: the reorder
   passes share one computation across the pipeline);
@@ -74,7 +73,7 @@ _registry_lock = threading.Lock()
 
 #: Work-actually-done counters (not cache hits) -- the warm-path tests
 #: and the bench's cold-compile honesty both read these.
-_counts = {"graphs": 0, "levels": 0, "readers": 0, "components": 0}
+_counts = {"graphs": 0, "levels": 0, "components": 0}
 
 #: ``op`` column -> one byte per gate, 1 where the gate is an AND.
 _IS_AND = bytes(code == OP_AND for code in range(256))
@@ -146,39 +145,8 @@ class DepGraph:
         return level[column_view(self.out_of)].tolist()
 
     # ------------------------------------------------------------------
-    # Reader adjacency (CSR) and producers
+    # Last readers
     # ------------------------------------------------------------------
-
-    @cached_property
-    def _readers(self) -> Tuple[List[int], List[int]]:
-        """CSR (offsets, positions): per-wire reader positions,
-        ascending -- a stable sort of the (a, b) operand pairs by wire."""
-        position = np.repeat(np.arange(self.n_gates), 2)
-        wire = np.stack(
-            [column_view(self.a_of), column_view(self.b_of)], axis=1
-        ).ravel()
-        read = wire >= 0  # INV has no second operand
-        position, wire = position[read], wire[read]
-        offsets = np.zeros(self.n_wires + 1, dtype=np.int64)
-        np.cumsum(np.bincount(wire, minlength=self.n_wires), out=offsets[1:])
-        _counts["readers"] += 1
-        order = np.argsort(wire, kind="stable")
-        return offsets.tolist(), position[order].tolist()
-
-    @property
-    def reader_off(self) -> List[int]:
-        """CSR offsets: wire ``w``'s readers are
-        ``reader_pos[reader_off[w]:reader_off[w + 1]]`` (ascending)."""
-        return self._readers[0]
-
-    @property
-    def reader_pos(self) -> List[int]:
-        return self._readers[1]
-
-    def readers(self, wire: int) -> List[int]:
-        """Gate positions reading ``wire``, in program order."""
-        off = self.reader_off
-        return self.reader_pos[off[wire]:off[wire + 1]]
 
     @cached_property
     def last_reader(self) -> List[int]:
@@ -195,12 +163,6 @@ class DepGraph:
         np.maximum.at(last, a, position)
         np.maximum.at(last, b[binary], position[binary])
         return last.tolist()
-
-    def producer_index(self) -> List[int]:
-        """Full wire -> producing-position inverse (-1 for inputs)."""
-        index = np.full(self.n_wires, -1)
-        index[column_view(self.out_of)] = np.arange(self.n_gates)
-        return index.tolist()
 
     # ------------------------------------------------------------------
     # Union-find components

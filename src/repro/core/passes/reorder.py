@@ -85,6 +85,14 @@ def full_reorder(circuit: Circuit) -> Circuit:
     return _permute(circuit, order, "+ro", graph)
 
 
+def _producer_column(graph: DepGraph) -> np.ndarray:
+    """Producing gate of every wire, -1 for inputs, plus a trailing -1
+    slot that INV's missing operand (index -1) reads: one scatter."""
+    producer = np.full(graph.n_wires + 1, -1, dtype=np.int64)
+    producer[column_view(graph.out_of)] = np.arange(graph.n_gates)
+    return producer
+
+
 def depth_first_order(circuit: Circuit) -> Circuit:
     """EMP-style depth-first (producer-consumer) schedule -- the paper's
     *baseline* program order.
@@ -99,9 +107,7 @@ def depth_first_order(circuit: Circuit) -> Circuit:
     marks a gate whose operands have been pushed.
     """
     graph = dep_graph(circuit)
-    # Producing gate of each operand; -1 for inputs and for INV's
-    # missing operand (index -1 lands on the appended sentinel).
-    producer = np.asarray(graph.producer_index() + [-1], dtype=np.int64)
+    producer = _producer_column(graph)
     source_a = producer[column_view(graph.a_of)].tolist()
     source_b = producer[column_view(graph.b_of)].tolist()
     emitted = bytearray(graph.n_gates)

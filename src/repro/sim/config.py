@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..core.passes.streams import ScheduleParams
+from ..core.passes.streams import ScheduleParams, check_at_least
 from ..core.sww import WIRE_BYTES, SlidingWindow
 from .dram import DDR4, HBM2, DramSpec
 
@@ -80,8 +80,8 @@ class HaacConfig:
     sim_engine: "str | None" = None
 
     def __post_init__(self) -> None:
-        if self.n_ges < 1:
-            raise ValueError("need at least one GE")
+        check_at_least(self, n_ges=1, evaluator_and_stages=1, garbler_and_stages=1,
+                       xor_latency=1, cross_ge_forward=0)
         if self.sww_bytes < 4 * WIRE_BYTES:
             raise ValueError("SWW too small")
 

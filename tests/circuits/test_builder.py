@@ -62,6 +62,52 @@ class TestGates:
         assert builder.n_wires == 4
 
 
+def _message(call) -> str:
+    with pytest.raises(CircuitError) as caught:
+        call()
+    return str(caught.value)
+
+
+class TestErrorContract:
+    """Exact messages and their precedence, as recorded when each gate
+    checked its operands one call at a time: the first bad operand is
+    named, and a rejected gate emits nothing."""
+
+    @pytest.mark.parametrize("gate", ["AND", "XOR", "OR"])
+    @pytest.mark.parametrize(
+        "a,b,bad", [(7, 0, 7), (0, 7, 7), (7, 9, 7), (2, 0, 2), (-1, 0, -1), (0, -1, -1)]
+    )
+    def test_binary_gate(self, gate, a, b, bad):
+        builder = CircuitBuilder()
+        builder.add_garbler_inputs(2)
+        call = getattr(builder, gate)
+        assert _message(lambda: call(a, b)) == f"wire {bad} does not exist yet"
+        assert builder.n_gates == 0 and builder.n_wires == 2
+
+    @pytest.mark.parametrize("a", [7, 2, -1])
+    def test_not(self, a):
+        builder = CircuitBuilder()
+        builder.add_garbler_inputs(2)
+        assert _message(lambda: builder.NOT(a)) == f"wire {a} does not exist yet"
+        assert builder.n_gates == 0
+
+    @pytest.mark.parametrize("gate", ["AND", "XOR", "OR"])
+    def test_binary_gate_before_any_input(self, gate):
+        call = getattr(CircuitBuilder(), gate)
+        assert _message(lambda: call(0, 0)) == "wire 0 does not exist yet"
+
+    def test_not_before_any_input(self):
+        assert _message(lambda: CircuitBuilder().NOT(0)) == "wire 0 does not exist yet"
+
+    @pytest.mark.parametrize("const", ["const_zero", "const_one"])
+    def test_constant_before_any_input(self, const):
+        builder = CircuitBuilder()
+        message = _message(getattr(builder, const))
+        assert message == "circuit must have at least one input wire"
+        # Nothing was emitted, so inputs may still be added.
+        assert builder.add_garbler_inputs(1) == [0]
+
+
 class TestConstants:
     def test_const_values(self):
         builder = CircuitBuilder()

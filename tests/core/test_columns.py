@@ -17,6 +17,7 @@ from repro.core.isa import Instruction
 from repro.core.passes.esw import eliminate_spent_wires
 from repro.core.passes.rename import rename
 from repro.core.passes.reorder import (
+    _producer_column,
     depth_first_order,
     full_reorder,
     segment_reorder,
@@ -173,7 +174,7 @@ def test_zero_gate_circuit_through_each_kernel():
     assert circuit.validate() is True
     graph = DepGraph(circuit)
     assert graph.gate_level == [] and graph.wire_level == [0, 0]
-    assert graph.last_reader == [-1, -1] == graph.producer_index()
+    assert graph.last_reader == [-1, -1] == _producer_column(graph)[:-1].tolist()
     assert graph.oor_flags(4) == (bytearray(), bytearray())
     for reorder in (depth_first_order, full_reorder, rename):
         assert len(reorder(circuit).op) == 0

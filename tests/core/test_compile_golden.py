@@ -23,6 +23,7 @@ from repro.core.passes.streams import ScheduleParams
 from repro.core.progcache import circuit_digest, compile_key
 from repro.gc.protocol import run_two_party
 from repro.sim.config import HaacConfig
+from repro.workloads import get_workload
 from tests.sim.test_engine_equivalence import STDLIB_FAMILIES
 
 CONFIG = HaacConfig(n_ges=4, sww_bytes=64 * 16)
@@ -208,6 +209,36 @@ def test_streamed_transcript_digest():
     assert _transcript() == GOLDEN_TRANSCRIPT
 
 
+#: Full-scale RO_RN_ESW compiles on 16 GEs, recorded on the commit before
+#: the bucket-queue GE mapper: MatMult at the paper's design point (156
+#: stalled issues, a live window sync) and Hamm at a 512-byte SWW (every
+#: level evicts).
+SCALED_CASES = {
+    "MatMult/paper_default": ("MatMult", HaacConfig.paper_default()),
+    "Hamm/sww512": ("Hamm", HaacConfig.paper_default().with_sww_bytes(512)),
+}
+
+GOLDEN_SCALED = {
+    "MatMult/paper_default":
+        "acfee21e355d4d1b9576bb83fa51b257f7e3e961606b16b6cd3f5710a87bbec1",
+    "Hamm/sww512":
+        "9b572660723bbb415e624f10a5f3bd8895d3de0f5e9bacb34c391d0b8d6de2d4",
+}
+
+
+def _compile_scaled(case: str):
+    name, config = SCALED_CASES[case]
+    return compile_circuit(
+        get_workload(name).build_scaled().circuit, config.window, config.n_ges,
+        OptLevel.RO_RN_ESW, params=config.schedule_params(), cache=False,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(SCALED_CASES))
+def test_full_scale_fingerprint(case):
+    assert fingerprint(_compile_scaled(case)) == GOLDEN_SCALED[case]
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
     import pprint
 
@@ -221,4 +252,7 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
         },
         "GOLDEN_KEYS": {n: _key(c) for n, c in _digest_circuits().items()},
         "GOLDEN_TRANSCRIPT": _transcript(),
+        "GOLDEN_SCALED": {
+            case: fingerprint(_compile_scaled(case)) for case in SCALED_CASES
+        },
     }, width=100)

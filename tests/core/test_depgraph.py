@@ -34,6 +34,7 @@ from repro.core.depgraph import (
     dep_graph,
     seed_graph,
 )
+from repro.core.passes.reorder import _producer_column
 from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig
 from repro.sim.engine import compiled_arrays
@@ -215,8 +216,6 @@ class TestGraphMatchesLegacy:
         circuit = _circuit(family)
         graph = dep_graph(circuit)
         legacy = _legacy_readers(circuit)
-        for wire in range(circuit.n_wires):
-            assert graph.readers(wire) == legacy.get(wire, [])
         expected_last = [
             legacy[wire][-1] if wire in legacy else -1
             for wire in range(circuit.n_wires)
@@ -232,12 +231,13 @@ class TestGraphMatchesLegacy:
                 assert graph.component_of[position] == index
 
     def test_producer_index(self, family):
+        # The depth-first pass's producer column, with its INV sentinel.
         circuit = _circuit(family)
-        graph = dep_graph(circuit)
-        index = graph.producer_index()
+        index = _producer_column(dep_graph(circuit)).tolist()
         for position, gate in enumerate(circuit.gates):
             assert index[gate.out] == position
         assert index[: circuit.n_inputs] == [-1] * circuit.n_inputs
+        assert len(index) == circuit.n_wires + 1 and index[-1] == -1
 
     def test_operand_arrays_mirror_gates(self, family):
         circuit = _circuit(family)
@@ -326,11 +326,9 @@ class TestMemoization:
         before = build_counts()
         for _ in range(3):
             graph.wire_level, graph.gate_level
-            graph.readers(0), graph.last_reader
             graph.components, graph.component_of
         after = build_counts()
         assert after["levels"] - before["levels"] == 1
-        assert after["readers"] - before["readers"] == 1
         assert after["components"] - before["components"] == 1
 
     def test_seed_graph_transfers_wire_levels(self):
@@ -427,14 +425,13 @@ class TestValidationWitness:
             DepGraph(malformed_circuit(outputs, op, a, b, out))
 
     def test_unused_wires_tracked(self):
-        # A never-read gate output still appears with an empty reader
-        # list and last_reader -1 (the ESW spent-wire case).
+        # A never-read gate output still appears, with last_reader -1
+        # (the ESW spent-wire case).
         circuit = self._invalid(
             [Gate(GateOp.XOR, 0, 1, 2), Gate(GateOp.AND, 0, 1, 3)],
             outputs=(3,),
         )
         graph = DepGraph(circuit)
-        assert graph.readers(2) == []
         assert graph.last_reader[2] == -1
 
     def test_window_analyses_require_renamed_form(self):

@@ -382,7 +382,6 @@ class TestNoArrayTypeLeaks:
             "gate_level": graph.gate_level,
             "wire_level": graph.wire_level,
             "last_reader": graph.last_reader,
-            "producer_index": graph.producer_index(),
             "outputs": program.outputs,
             "netlist.outputs": program.netlist.outputs,
             "lowered.outputs": result.lowered.circuit.outputs,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.passes.streams import ScheduleParams
 from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig, Role
 from repro.sim.dram import DDR4, HBM2, BandwidthLedger, DramSpec
@@ -63,6 +64,27 @@ class TestHaacConfig:
             HaacConfig(n_ges=0)
         with pytest.raises(ValueError):
             HaacConfig(sww_bytes=16)
+
+    @pytest.mark.parametrize("field", [
+        "evaluator_and_stages", "garbler_and_stages", "xor_latency",
+    ])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_non_physical_latency_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+            HaacConfig(n_ges=4, sww_bytes=1024, **{field: value})
+
+    def test_negative_forward_rejected(self):
+        with pytest.raises(ValueError, match="cross_ge_forward must be >= 0"):
+            HaacConfig(cross_ge_forward=-1)
+        # A free forward is physical.
+        assert HaacConfig(cross_ge_forward=0).schedule_params().cross_ge_forward == 0
+
+    @pytest.mark.parametrize("field,value", [
+        ("and_latency", 0), ("xor_latency", -2), ("cross_ge_forward", -1),
+    ])
+    def test_schedule_params_reject_non_physical(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            ScheduleParams(**{field: value})
 
     def test_schedule_params_follow_role(self):
         ev = HaacConfig(role=Role.EVALUATOR).schedule_params()
