@@ -303,12 +303,11 @@ def engine_levels(
       order (*equal* allowed -- within a level each GE's instructions
       keep program order and chain through a segmented prefix-max).
 
-    The OoR floor is now conservative: the level replay gathers the
-    evicted slot's last access through a table of the wire's producer
-    and its readers *earlier* than the evictor, so a later reader can no
-    longer leak into that gather whatever its level.  It stays because
-    ``level_of`` is persisted in the program cache: dropping it changes
-    the stored partition (and level counts), a change of its own.
+    The OoR floor is now conservative (the replay gathers only readers
+    *earlier* than the evictor), but it stays: it costs no level on
+    sweep_warm's three programs and 1 to 47 where every level evicts
+    (Hamm at a 512 B SWW 858 vs 857, GradDesc at 2 KB 4,503 vs 4,483,
+    at 512 B 6,978 vs 6,931), and ``level_of`` is persisted.
 
     One O(instructions) pass; constraints on the (unique) future
     evicting instruction are pushed forward as operands are scanned, so

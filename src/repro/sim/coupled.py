@@ -225,21 +225,20 @@ def coupled_runtime_batch(
         + WIRE_BYTES * plan.live
     )
     prefix = np.cumsum(costs)
-    if len(prefix):
-        queues = np.asarray(queue_list, dtype=np.float64)[:, None]
-        fill_time = (input_bytes + prefix[None, :] - queues) / bandwidth
-        issue = np.maximum(plan.issue[None, :], fill_time)
-        lag = issue - plan.issue[None, :]
-        stall_rows = np.cumsum(lag, axis=1)[:, -1]
-        latency = np.where(
-            plan.is_and, config.and_latency, config.xor_latency
-        )
-        finish_rows = (issue + latency[None, :] + config.writeback_stages).max(
-            axis=1
-        )
-    else:
-        stall_rows = np.zeros(len(queue_list))
-        finish_rows = np.zeros(len(queue_list))
+    # One (Q, n) buffer updated in place in the serial loop's order: fill
+    # time, issue, then issue + latency + writeback_stages.  The lags sum
+    # strictly left to right after a 0 column, like the serial stall.
+    queues = np.asarray(queue_list, dtype=np.float64)[:, None]
+    issue = np.subtract(input_bytes + prefix, queues)
+    issue /= bandwidth
+    base = plan.issue.astype(np.float64)
+    np.maximum(base, issue, out=issue)
+    lag = np.zeros((len(queue_list), len(prefix) + 1))
+    np.subtract(issue, base, out=lag[:, 1:])
+    stall_rows = np.cumsum(lag, axis=1, out=lag)[:, -1]
+    issue += np.where(plan.is_and, config.and_latency, config.xor_latency)
+    issue += config.writeback_stages
+    finish_rows = issue.max(axis=1, initial=0.0)
     return [
         CoupledResult(
             name=f"coupled({queue_bytes}B/GE)",

@@ -15,12 +15,9 @@ Two engines, selected by ``REPRO_SIM_ENGINE`` (or
     applies the replay's issue rule to the same ``ge_of``, so
     ``streams.issue_cycle`` *is* the replay's answer.
   - Any other config takes the level-parallel replay
-    (:func:`compute_cycles_numpy_batched`): instructions are
-    partitioned once into dependence levels
-    (:meth:`CompiledArrays.ensure_levels`, persisted through
-    :mod:`repro.core.progcache`), and each level's issue cycles are
-    computed for every config of the call at once: one gather of
-    ``issue + 1`` through a config-independent predecessor table.
+    (:func:`compute_cycles_numpy_batched`) over the dependence levels
+    persisted through :mod:`repro.core.progcache`: each level's issue
+    cycles for every config of the call at once, in five array calls.
 
   Either way, cycles and stalls are one closed form over the issue
   vector, the compile's or the replay's (:func:`_scheduled_rows`).
@@ -265,16 +262,15 @@ def compute_cycles_batch(
     scheduled = _replay_key(streams.params)
     results: List[Optional[Tuple[int, Dict[int, int]]]] = [None] * len(configs)
     replayed: List[int] = []
-    row = None
     for index, (config, stalls) in enumerate(zip(configs, stalls_list)):
         if (engine_mode(config.sim_engine) != ENGINE_NUMPY
                 or config.model_bank_conflicts):
             results[index] = compute_cycles_reference(streams, config, stalls)
         elif _replay_key(config) == scheduled:
-            row = row or _scheduled_rows(
-                arrays, [scheduled], schedule_plan(arrays).issue[None, :]
-            )[0]
-            results[index] = _charge(arrays, row, config, stalls)
+            plan = schedule_plan(arrays)
+            if plan.own_row is None:  # config-independent: once per plan
+                plan.own_row = _scheduled_rows(arrays, [scheduled], plan.issue[None])[0]
+            results[index] = _charge(arrays, plan.own_row, config, stalls)
         else:
             replayed.append(index)
     sub = compute_cycles_numpy_batched(
@@ -338,34 +334,37 @@ def _charge(arrays, row, config, stalls) -> Tuple[int, Dict[int, int]]:
 class _SchedulePlan:
     """Program-order NumPy view of the compile's schedule.
 
-    Config-independent and cached unpickled like the level plan.  The
-    closed form reads ``issue``, ``prev`` (the GE's previous
-    instruction, ``n`` for its first), the operand producer indices
-    ``src_a`` / ``src_b`` (``n`` for a primary input) and the cross-GE
-    forwarding flags -- index ``n`` is a slot that is always 0; the
+    Config-independent and cached unpickled like the level plan, which
+    shares its ``ge``.  The closed form reads ``issue``, ``prev`` (the
+    GE's previous instruction, ``n`` for its first), the operand
+    producer indices ``src_a`` / ``src_b`` (``n`` for a primary input)
+    and the cross-GE flags -- index ``n`` is a slot that is always 0 --
+    and keeps its row for the compile's own key in ``own_row``; the
     coupled model reads the byte-charge flags.
     """
 
-    __slots__ = ("issue", "prev", "src_a", "src_b", "fwd_a", "fwd_b",
-                 "is_and", "live", "oor_a", "oor_b", "issued")
+    __slots__ = ("issue", "ge", "prev", "src_a", "src_b", "fwd_a", "fwd_b",
+                 "is_and", "live", "oor_a", "oor_b", "issued", "own_row")
 
     def __init__(self, arrays: CompiledArrays) -> None:
         n = arrays.n_instructions
         self.issue = np.fromiter(arrays.issue_cycle, dtype=np.int64, count=n)
         ge = np.fromiter(arrays.ge_of, dtype=np.int64, count=n)
+        self.own_row = None
         # Each GE's stream in program order (a stable sort by GE, a radix
         # sort on the narrowest dtype); the previous entry within a GE.
-        narrow = ge.astype(np.min_scalar_type(arrays.n_ges))
-        order = np.argsort(narrow, kind="stable")
+        self.ge = ge.astype(np.min_scalar_type(arrays.n_ges))
+        order = np.argsort(self.ge, kind="stable")
         prev = np.full(n, n, dtype=np.int64)
         prev[1:] = order[:-1]
         prev[np.flatnonzero(np.diff(ge[order]) != 0) + 1] = n
-        self.prev = np.empty(n, dtype=np.int64)
+        self.prev = np.empty(n, dtype=np.int32)
         self.prev[order] = prev
         producer_ge = np.append(ge, -1)
         for name, column in (("a", arrays.a_of), ("b", arrays.b_of)):
             wire = np.asarray(column, dtype=np.int64)
             src = np.where(wire >= arrays.n_inputs, wire - arrays.n_inputs, n)
+            src = src.astype(np.int32)  # an index table, like the level plan's
             setattr(self, "src_" + name, src)
             setattr(self, "fwd_" + name,
                     (producer_ge[src] >= 0) & (producer_ge[src] != ge))
@@ -440,84 +439,69 @@ def _scheduled_rows(
 class _NumpyPlan:
     """The level replay's config-independent predecessor tables.
 
-    Instructions are indexed in dependence-level order (stable sort by
-    ``(level, ge, position)``), so level ``l`` is the contiguous slice
-    ``level_bounds[l]:level_bounds[l + 1]`` and each GE's run within it
-    a contiguous, program-ordered *segment*.  Index ``n`` is a sentinel
-    the replay keeps at 0.  Cached unpickled (see
-    ``CompiledArrays.__getstate__``) because it rebuilds in O(n) array
-    ops from the persisted ``level_of``.
+    Instructions are indexed in stable ``(level, ge, position)`` order,
+    so level ``l`` is the slice ``level_bounds[l]:level_bounds[l + 1]``
+    of ``m`` instructions and each GE's run in it a program-ordered
+    *segment*; index ``n`` is a sentinel kept at 0.  Cached unpickled
+    (``CompiledArrays.__getstate__``): it rebuilds in O(n) array ops.
 
-    * ``pred`` -- ``(3, n)``, so level ``[s, e)`` gathers three blocks
-      ``pred[:, s:e]``: the producer of operand ``a``, the producer of
-      operand ``b`` (the sentinel for a primary input) and the GE's
-      previous instruction at segment starts (the sentinel elsewhere);
-    * ``kind`` -- which column of the replay's per-call weight table
-      each ``pred`` entry adds: 0 nothing, else ``1 + producer is AND
-      + 2 * cross-GE``;
-    * ``ws_idx`` -- the window-sync CSR, on levels that evict only: per
-      instruction the evicted wire's producer, its readers earlier in
-      program order and one sentinel (so no run is empty).  Level ``l``
-      owns ``ws_idx[ws_bounds[l]:ws_bounds[l + 1]]`` (empty when it
-      evicts nothing) and ``ws_rel`` is each run's offset in it;
+    * ``gather[gather_bounds[l]:gather_bounds[l + 1]]`` -- two blocks
+      of ``m``, the producers of operands ``a`` and ``b`` (the sentinel
+      for an input), then one run per instruction: the GE's previous
+      instruction at segment starts (the sentinel elsewhere) and, if it
+      overwrites a slot, the evicted wire's producer and earlier
+      readers; ``run_rel`` is each run's offset after the blocks;
+    * ``kind`` -- each entry's column of the per-call weight table: 0
+      nothing, else ``1 + producer is AND + 2 * cross-GE``;
     * ``shift`` -- ``segment ordinal * _SEG_BIAS - k`` for the ``k``-th
-      instruction of its segment, ``unshift`` is ``1 - shift``;
+      instruction of its segment; ``unshift = 1 - shift`` (0 at the
+      sentinel), and ``bias`` is each entry's ``unshift`` plus its
+      owner's ``shift``;
     * ``pos`` -- program position -> level-order index.
     """
 
-    __slots__ = ("level_bounds", "pred", "kind", "ws_idx", "ws_bounds",
-                 "ws_rel", "shift", "unshift", "pos")
+    __slots__ = ("level_bounds", "gather_bounds", "gather", "kind", "bias",
+                 "run_rel", "shift", "pos")
 
     def __init__(self, arrays: CompiledArrays) -> None:
         arrays.ensure_levels()
         n = arrays.n_instructions
         n_levels = max(arrays.n_levels, 1)
-        level = np.asarray(arrays.level_of, dtype=np.int64)
-        ge = np.asarray(arrays.ge_of, dtype=np.int64)
-        order = np.lexsort((ge, level))
+        schedule = schedule_plan(arrays)
+        level = np.fromiter(arrays.level_of, dtype=np.int64, count=n)
+        # One stable sort (a radix sort on the narrowest dtype).
+        key = level * arrays.n_ges + schedule.ge
+        order = np.argsort(
+            key.astype(np.min_scalar_type(n_levels * arrays.n_ges)), kind="stable"
+        )
         index = np.arange(n, dtype=np.int64)
         # int32 index tables halve the resident plan; the gathers widen
         # each level's slice.  pos[n] is the sentinel.
         pos = np.full(n + 1, n, dtype=np.int32)
         pos[order] = index
         self.pos = pos[:n]
-        level_s = level[order]
-        ge_s = ge[order]
+        level, key = level[order], key[order]  # level order from here on
         counts = np.bincount(level, minlength=n_levels)
         level_bounds = np.concatenate(([0], np.cumsum(counts)))
         self.level_bounds = level_bounds.tolist()
 
-        # Segments: runs of equal (level, ge) in level order.
+        # Segments: runs of equal (level, ge), i.e. of equal key.
         new_seg = np.ones(n, dtype=bool)
-        new_seg[1:] = (ge_s[1:] != ge_s[:-1]) | (level_s[1:] != level_s[:-1])
+        new_seg[1:] = key[1:] != key[:-1]
         seg_first = np.flatnonzero(new_seg)
         seg_id = np.cumsum(new_seg) - 1
         level_first_seg = np.concatenate(([0], np.cumsum(
-            np.bincount(level_s[seg_first], minlength=n_levels)
+            np.bincount(level[seg_first], minlength=n_levels)
         )))
-        ordinal = seg_id - level_first_seg[level_s]
-        self.shift = ordinal * _SEG_BIAS - (index - seg_first[seg_id])
-        self.unshift = 1 - self.shift
+        self.shift = shift = (
+            (seg_id - level_first_seg[level]) * _SEG_BIAS - (index - seg_first[seg_id])
+        )
+        unshift = np.append(1 - shift, 0)
 
-        schedule = schedule_plan(arrays)
-        producer_and = np.append(schedule.is_and, False)
-        self.pred = np.empty((3, n), dtype=np.int32)
-        self.kind = np.zeros((3, n), dtype=np.uint8)
-        for block, (src, fwd) in enumerate((
-            (schedule.src_a, schedule.fwd_a), (schedule.src_b, schedule.fwd_b)
-        )):
-            src = src[order]
-            self.pred[block] = pos[src]
-            self.kind[block] = (src < n) * (1 + producer_and[src] + 2 * fwd[order])
-        self.pred[2] = np.where(new_seg, pos[schedule.prev[order]], n)
-
-        # Window-sync CSR: owner t (program order) overwrites the slot of
-        # wire w = n_inputs + t - capacity; members are w's producer
-        # t - capacity, its readers q < t and the sentinel n.
+        # One run per instruction t: its GE predecessor at a segment start
+        # (else the sentinel) and, when t overwrites the slot of wire w =
+        # n_inputs + t - capacity, w's producer t - capacity and readers q < t.
         capacity = arrays.capacity
-        evicting = np.zeros(n_levels, dtype=bool)
-        evicting[level[max(capacity - arrays.n_inputs, 0):]] = True
-        sentinel_owners = np.flatnonzero(evicting[level])
         # The instruction that evicts each operand's wire.
         evictor_a, evictor_b = (
             np.asarray(column, dtype=np.int64) + capacity - arrays.n_inputs
@@ -525,17 +509,37 @@ class _NumpyPlan:
         )
         read_a = (evictor_a > index) & (evictor_a < n)
         read_b = (evictor_b > index) & (evictor_b < n) & (evictor_b != evictor_a)
-        owner_s = pos[np.concatenate((
-            sentinel_owners, index[capacity:], evictor_a[read_a], evictor_b[read_b]
-        ))]
-        members = np.concatenate((
-            np.full(len(sentinel_owners), n), index[:max(n - capacity, 0)],
-            index[read_a], index[read_b],
-        ))
-        self.ws_idx = pos[members[np.argsort(owner_s)]]
-        run_start = np.concatenate(([0], np.cumsum(np.bincount(owner_s, minlength=n))))
-        self.ws_bounds = run_start[level_bounds].tolist()
-        self.ws_rel = (run_start[:n] - run_start[level_bounds[level_s]]).astype(np.int32)
+        owner = np.concatenate((index, pos[np.concatenate((
+            index[capacity:], evictor_a[read_a], evictor_b[read_b]
+        ))]))
+        by_owner = np.argsort(owner, kind="stable")
+        runs = np.concatenate((np.where(new_seg, pos[schedule.prev[order]], n), pos[
+            np.concatenate((index[:max(n - capacity, 0)], index[read_a], index[read_b]))
+        ]))[by_owner]
+        run_start = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
+        run_bounds = run_start[level_bounds]
+        self.run_rel = (run_start[:n] - run_bounds[level]).astype(np.int32)
+
+        # Scatter the blocks and the runs into level-major order.
+        gather_bounds = 2 * level_bounds + run_bounds
+        self.gather_bounds = gather_bounds.tolist()
+        first = index + (gather_bounds - level_bounds)[level]
+        self.gather = np.empty(2 * n + len(runs), dtype=np.int32)
+        self.bias = np.empty(len(self.gather), dtype=np.int64)
+        self.kind = np.zeros(len(self.gather), dtype=np.uint8)
+        producer_and = np.append(schedule.is_and, False)
+        for dest, src, fwd in (
+            (first, schedule.src_a, schedule.fwd_a),
+            (first + counts[level], schedule.src_b, schedule.fwd_b),
+        ):
+            src = src[order]
+            self.gather[dest] = entry = pos[src]
+            self.bias[dest] = unshift[entry] + shift
+            self.kind[dest] = (src < n) * (1 + producer_and[src] + 2 * fwd[order])
+        dest = np.arange(len(runs)) + np.repeat(
+            2 * level_bounds[1:], np.diff(run_bounds))
+        self.gather[dest] = runs
+        self.bias[dest] = unshift[runs] + shift[owner[by_owner]]
 
 
 def numpy_plan(arrays: CompiledArrays) -> _NumpyPlan:
@@ -552,26 +556,20 @@ def _level_replay(arrays: CompiledArrays, keys) -> List[Tuple[int, int, int, int
     computes only issue cycles, one level at a time for every row at
     once, and reads the row off :func:`_scheduled_rows`.
 
-    The state is one ``(R, n + 1)`` array ``nxt`` of ``issue + 1`` per
-    instruction in level order (column ``n`` the 0 sentinel).  Every
-    predecessor an instruction's issue depends on sits in a strictly
-    earlier level (:meth:`CompiledArrays.ensure_levels`), so per level:
-
-    * one gather of ``nxt`` through the plan's three ``pred`` blocks
-      plus a per-call weight (producer latency - 1, + ``forward`` across
-      GEs) and a max over the blocks give ``max(data, earliest)`` -- the
-      GE's previous issue + 1 enters at segment starts only;
-    * on levels that evict, one ``np.maximum.reduceat`` over the
-      window-sync CSR raises that to the evicted slot's last access
-      (its producer's and earlier readers' ``issue + 1``);
-    * in-order issue within a segment is ``issue_k = max(issue_{k-1} +
-      1, ready_k)``; substituting ``ready_k - k`` turns it into a running
-      max, and biasing each GE's segment by ``ordinal * _SEG_BIAS`` (far
-      above any reachable cycle count; checked after the replay) lets one
-      ``np.maximum.accumulate`` serve the whole level.
-
-    Stalls need no replay state: ``dependence``, ``window_sync`` and the
-    finish are the closed form over the issue vector.
+    The state is one ``(n + 1, R)`` array ``acc`` of each instruction's
+    *biased* issue, ``issue + shift`` (:class:`_NumpyPlan`), in level
+    order.  Every predecessor of an issue sits in an earlier level, so
+    per level (DESIGN.md section 8) one ``take`` through the level's
+    ``gather`` slice plus the per-call weight (producer latency - 1, +
+    ``forward`` across GEs, + ``bias``) gives each candidate's ``issue +
+    1`` biased by the reader's shift; two ``np.maximum`` over the blocks
+    and the runs (one entry each unless the level evicts, then one
+    ``np.maximum.reduceat`` first) give ``max(data, earliest,
+    slot_free)``.  In-order issue, ``issue_k = max(issue_{k-1} + 1,
+    ready_k)``, is a running max of ``ready_k - k``, so with each segment
+    biased by ``ordinal * _SEG_BIAS`` (checked after the replay) one
+    ``np.maximum.accumulate`` into ``acc[s:e]`` serves the level.  Stalls
+    and the finish are the closed form over the issue vector.
     """
     rows = _scheduled_rows(arrays, keys, _replay_issue(arrays, keys))
     if max(row[0] for row in rows) + arrays.n_instructions >= _SEG_BIAS:
@@ -581,35 +579,32 @@ def _level_replay(arrays: CompiledArrays, keys) -> List[Tuple[int, int, int, int
 
 def _replay_issue(arrays: CompiledArrays, keys) -> np.ndarray:
     """The ``(R, n)`` program-order issue cycles of :func:`_level_replay`."""
-    n = arrays.n_instructions
     plan = numpy_plan(arrays)
-    n_rows = len(keys)
     and_lat, xor_lat, forward = _key_columns(keys)
-    # Per-row weight of each pred kind (see _NumpyPlan.kind).
+    # Per-row weight of each entry kind (see _NumpyPlan.kind), (5, R).
     table = np.hstack([
         np.zeros_like(and_lat), xor_lat - 1, and_lat - 1,
         xor_lat - 1 + forward, and_lat - 1 + forward,
-    ])
-    weight = np.take(table, plan.kind, axis=1)
-    nxt = np.zeros((n_rows, n + 1), dtype=np.int64)
+    ]).T
+    weight = np.take(table, plan.kind, axis=0)
+    weight += plan.bias[:, None]
+    acc = np.zeros((arrays.n_instructions + 1, len(keys)), dtype=np.int64)
 
-    pred, ws_idx, ws_rel = plan.pred, plan.ws_idx, plan.ws_rel
-    shift, unshift = plan.shift, plan.unshift
-    bounds, ws_bounds = plan.level_bounds, plan.ws_bounds
-    for s, e, cs, ce in zip(bounds, bounds[1:], ws_bounds, ws_bounds[1:]):
-        ready = np.take(nxt, pred[:, s:e], axis=1)
-        ready += weight[:, :, s:e]
-        ready = ready.max(axis=1)
-        if cs != ce:
-            slot_free = np.maximum.reduceat(
-                np.take(nxt, ws_idx[cs:ce], axis=1), ws_rel[s:e], axis=1
-            )
-            np.maximum(ready, slot_free, out=ready)
-        ready += shift[s:e]
-        level = nxt[:, s:e]
-        np.maximum.accumulate(ready, axis=1, out=level)
-        level += unshift[s:e]
-    return nxt[:, plan.pos] - 1
+    gather, run_rel = plan.gather, plan.run_rel
+    bounds, g_bounds = plan.level_bounds, plan.gather_bounds
+    for s, e, gs, ge in zip(bounds, bounds[1:], g_bounds, g_bounds[1:]):
+        ready = acc.take(gather[gs:ge], axis=0)
+        ready += weight[gs:ge]
+        m = e - s
+        head, runs = ready[:m], ready[2 * m:]
+        np.maximum(head, ready[m:2 * m], out=head)
+        if len(runs) > m:  # the level evicts: one max per run
+            runs = np.maximum.reduceat(runs, run_rel[s:e])
+        np.maximum(head, runs, out=head)
+        np.maximum.accumulate(head, out=acc[s:e])
+    issue = acc[plan.pos]
+    issue -= plan.shift[plan.pos, None]
+    return issue.T
 
 
 def compute_cycles_reference(

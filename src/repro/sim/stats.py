@@ -95,6 +95,17 @@ class SimResult:
     issued_per_ge: Dict[int, int] = field(default_factory=dict)
     """Instructions issued per GE index; GEs that issue none are absent."""
 
+    def __post_init__(self) -> None:
+        issued = self.issued_per_ge.values()
+        if sum(issued) != self.n_instructions:
+            raise ValueError("issued_per_ge does not sum to n_instructions")
+        if self.compute_cycles < max(issued, default=0):
+            raise ValueError("a GE issues at most one instruction per cycle")
+        if not 0 <= self.n_and <= self.n_instructions:
+            raise ValueError("n_and is not within [0, n_instructions]")
+        if min(self.stalls.as_dict().values()) < 0:
+            raise ValueError("a stall term is negative")
+
     @property
     def runtime_cycles(self) -> float:
         """GE cycles: ``max(compute_cycles, traffic_cycles)``."""

@@ -58,10 +58,14 @@ def compute_traffic_batch(
     ``compute_traffic`` walk for its config (asserted by the batched
     test suite) -- same charge names, same order, same totals.
     """
+    return _traffic_ledgers(streams, configs, streams.program.n_and)
+
+
+def _traffic_ledgers(streams, configs, n_and: int) -> List[BandwidthLedger]:
     program = streams.program
     input_rd = program.n_inputs * WIRE_BYTES
     n_instructions = len(program.op)
-    table_rd = program.n_and * TABLE_BYTES
+    table_rd = n_and * TABLE_BYTES
     oorw_rd = streams.oor_reads * (WIRE_BYTES + OOR_ADDR_BYTES)
     live_wr = program.n_live * WIRE_BYTES
     ledgers: List[BandwidthLedger] = []
@@ -109,8 +113,9 @@ def simulate_batch(
     configs = list(configs)
     stalls_list = [StallBreakdown() for _ in configs]
     compute = compute_cycles_batch(streams, configs, stalls_list)
-    ledgers = compute_traffic_batch(streams, configs)
     program = streams.program
+    n_and = program.n_and  # a count over the op column: once per call
+    ledgers = _traffic_ledgers(streams, configs, n_and)
     return [
         SimResult(
             name=program.name,
@@ -119,7 +124,7 @@ def simulate_batch(
             ledger=ledger,
             stalls=stalls,
             n_instructions=len(program.op),
-            n_and=program.n_and,
+            n_and=n_and,
             ge_clock_hz=config.ge_clock_hz,
             issued_per_ge=issued,
         )

@@ -16,14 +16,22 @@ from functools import lru_cache
 
 import pytest
 
+import repro.sim.engine as engine
 from repro.core.compiler import OptLevel, compile_circuit
+from repro.core.progcache import ProgramCache
+from repro.core.program import HaacProgram
 from repro.sim.config import HaacConfig, Role
-from repro.sim.coupled import coupled_runtime, coupled_runtime_batch
+from repro.sim.coupled import (
+    coupled_runtime,
+    coupled_runtime_batch,
+    pull_based_runtime,
+)
 from repro.sim.dram import DDR4, HBM2, DramSpec
 from repro.sim.engine import (
     ENGINE_ENV_VAR,
     ENGINE_NUMPY,
     ENGINE_REFERENCE,
+    _replay_key,
     compute_cycles_batch,
     compute_cycles_numpy_batched,
     compiled_arrays,
@@ -208,13 +216,17 @@ class TestComputeCyclesBatch:
 
 
 class TestReplayRowsAtFullScale:
-    def test_evicting_rows_equal_serial_reference(self, monkeypatch, level_replays):
-        """Full-scale Hamm at a 512 B SWW: every level evicts.  Three
-        replay keys share one level replay, and each row equals its
-        serial reference call."""
+    @pytest.mark.parametrize("name, sww_bytes", [("Hamm", 512), ("GradDesc", 2048)])
+    def test_evicting_rows_equal_serial_reference(
+        self, monkeypatch, level_replays, name, sww_bytes
+    ):
+        """Full-scale Hamm at a 512 B SWW (858 levels) and GradDesc at a
+        2 KB SWW (4,503 levels; at the paper's 128 KB none of sweep_warm's
+        programs evicts): every level evicts.  Three replay keys share
+        one level replay, and each row equals its serial reference call."""
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        config = HaacConfig.paper_default().with_sww_bytes(512)
-        built = get_workload("Hamm").build_scaled()
+        config = HaacConfig.paper_default().with_sww_bytes(sww_bytes)
+        built = get_workload(name).build_scaled()
         streams = compile_circuit(
             built.circuit, config.window, config.n_ges,
             opt=OptLevel.RO_RN_ESW, params=config.schedule_params(), cache=False,
@@ -231,6 +243,57 @@ class TestReplayRowsAtFullScale:
             for c in configs
         ]
         assert any(s[2]["window_sync"] for s in batched)
+
+
+class TestWorkOncePerProgram:
+    """One sweep over a program loaded from the cache derives each piece
+    of program-derived timing work once."""
+
+    def test_closed_form_and_n_and_computed_once(
+        self, monkeypatch, tmp_path, level_replays
+    ):
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        config = HaacConfig(n_ges=4, sww_bytes=64 * 16)
+        circuit = get_workload("Hamm").build(**WORKLOADS["Hamm"]).circuit
+
+        def load():
+            return compile_circuit(
+                circuit, config.window, config.n_ges, opt=OptLevel.RO_RN_ESW,
+                params=config.schedule_params(), cache=ProgramCache(tmp_path),
+            ).streams
+
+        load()  # the cold compile and put
+        streams = load()
+        own_key = [_replay_key(config)]
+        rows_keys = []
+        scheduled_rows = engine._scheduled_rows
+
+        def rows_spy(arrays, keys, issue):
+            rows_keys.append(list(keys))
+            return scheduled_rows(arrays, keys, issue)
+
+        monkeypatch.setattr(engine, "_scheduled_rows", rows_spy)
+        n_and_reads = []
+        n_and = HaacProgram.n_and
+
+        def n_and_spy(program):
+            n_and_reads.append(1)
+            return n_and.fget(program)
+
+        monkeypatch.setattr(HaacProgram, "n_and", property(n_and_spy))
+
+        decoupled = simulate(streams, config)
+        n_and_reads.clear()
+        grid = config.variants(
+            dram=[DDR4, HBM2], cross_ge_forward=[1, 2, 4], writeback_stages=[1, 3]
+        )
+        simulate_batch(streams, grid)
+        assert len(n_and_reads) == 1
+        coupled_runtime_batch(streams, config, QUEUES[:-1])
+        pull_based_runtime(streams, config)
+        assert rows_keys.count(own_key) == 1
+        assert level_replays == [2]
+        assert decoupled.n_and == n_and.fget(streams.program)
 
 
 class TestVariants:

@@ -9,8 +9,9 @@ from repro.sim.coupled import (
     coupled_runtime_batch,
     pull_based_runtime,
 )
-from repro.sim.dram import DDR4, HBM2
+from repro.sim.dram import DDR4, HBM2, BandwidthLedger
 from repro.sim.engine import ENGINE_NUMPY, ENGINE_REFERENCE
+from repro.sim.stats import SimResult, StallBreakdown
 from repro.sim.timing import compute_traffic, simulate, simulate_batch
 from repro.workloads import get_workload
 
@@ -243,3 +244,42 @@ class TestCompiledShape:
         baseline = simulate(streams, config)
         with pytest.raises(ValueError, match="does not match"):
             coupled_runtime_batch(streams, config.with_ges(4), [64], baseline)
+
+
+class TestSimResultInvariants:
+    """A result that breaks a cheap invariant raises at construction."""
+
+    @staticmethod
+    def _result(**overrides):
+        fields = dict(
+            name="bad", compute_cycles=10, traffic_cycles=0.0,
+            ledger=BandwidthLedger(), stalls=StallBreakdown(),
+            n_instructions=6, n_and=2, ge_clock_hz=1e9,
+            issued_per_ge={0: 4, 1: 2},
+        )
+        fields.update(overrides)
+        return SimResult(**fields)
+
+    def test_consistent_result_constructs(self):
+        assert self._result().n_instructions == 6
+        assert self._result(
+            compute_cycles=0, n_instructions=0, n_and=0, issued_per_ge={}
+        ).runtime_cycles == 0
+
+    def test_issued_must_sum_to_instructions(self):
+        with pytest.raises(ValueError, match="sum"):
+            self._result(issued_per_ge={0: 4, 1: 1})
+
+    def test_a_ge_issues_at_most_once_per_cycle(self):
+        with pytest.raises(ValueError, match="one instruction per cycle"):
+            self._result(compute_cycles=3)
+
+    def test_n_and_within_instructions(self):
+        for n_and in (-1, 7):
+            with pytest.raises(ValueError, match="n_and"):
+                self._result(n_and=n_and)
+
+    def test_stall_terms_non_negative(self):
+        for term in ("dependence", "window_sync", "bank_conflict", "drain"):
+            with pytest.raises(ValueError, match="negative"):
+                self._result(stalls=StallBreakdown(**{term: -1}))
