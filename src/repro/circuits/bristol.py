@@ -26,6 +26,8 @@ import io
 from array import array
 from typing import Dict, List, TextIO, Tuple
 
+import numpy as np
+
 from .netlist import GATE_OPS, OP_AND, OP_INV, OP_XOR, Circuit, CircuitError
 
 __all__ = ["write_bristol", "read_bristol", "dumps_bristol", "loads_bristol"]
@@ -86,35 +88,47 @@ def dumps_bristol(circuit: Circuit) -> str:
     return buffer.getvalue()
 
 
-def _parse_header(lines: List[str]) -> Tuple[int, int, List[int], List[int], int]:
+#: Inputs per gate; every gate has one output.
+_ARITY = {"AND": 2, "XOR": 2, "INV": 1, "NOT": 1, "EQW": 1}
+
+
+def _ints(tokens: List[str], what: str) -> List[int]:
+    try:
+        return [int(token) for token in tokens]
+    except ValueError:
+        raise CircuitError(f"malformed {what}: {' '.join(tokens)!r}") from None
+
+
+def _parse_header(lines: List[str]) -> Tuple[int, int, List[int], List[int]]:
+    # Declared counts are checked against the file before sizing anything.
     if len(lines) < 3:
         raise CircuitError("Bristol file too short")
-    n_gates, n_wires = (int(x) for x in lines[0].split())
-    input_fields = [int(x) for x in lines[1].split()]
-    output_fields = [int(x) for x in lines[2].split()]
-    n_inputs_vals = input_fields[0]
-    input_widths = input_fields[1 : 1 + n_inputs_vals]
-    if len(input_widths) != n_inputs_vals:
-        raise CircuitError("malformed input declaration")
-    n_output_vals = output_fields[0]
-    output_widths = output_fields[1 : 1 + n_output_vals]
-    if len(output_widths) != n_output_vals:
-        raise CircuitError("malformed output declaration")
-    return n_gates, n_wires, input_widths, output_widths, 3
+    counts, inputs, outputs = (_ints(line.split(), "header") for line in lines[:3])
+    if len(counts) != 2 or min(counts + inputs + outputs) < 0:
+        raise CircuitError("Bristol header counts must be non-negative")
+    if inputs[0] != len(inputs) - 1 or outputs[0] != len(outputs) - 1:
+        raise CircuitError("malformed input or output declaration")
+    n_gates, n_wires = counts
+    if sum(inputs[1:]) > n_wires:
+        raise CircuitError(f"declared inputs exceed the {n_wires} wires")
+    if n_gates > len(lines) - 3:
+        raise CircuitError("fewer gate lines than declared")
+    if sum(outputs[1:]) > n_gates:  # outputs are gate outputs (see writer)
+        raise CircuitError("more output bits than gates")
+    return n_gates, n_wires, inputs[1:], outputs[1:]
 
 
-def read_bristol(
-    stream: TextIO, name: str = "bristol", evaluator_inputs_last: bool = True
-) -> Circuit:
+def read_bristol(stream: TextIO, name: str = "bristol") -> Circuit:
     """Parse a Bristol Fashion netlist into a validated :class:`Circuit`.
 
     With two declared input values the first is taken as the Garbler's
     and the second as the Evaluator's (EMP convention).  With one, all
     input bits belong to the Garbler.  ``EQW`` gates are aliased away.
+    Malformed text raises :class:`CircuitError`.
     """
     lines = [line.strip() for line in stream.readlines()]
     lines = [line for line in lines if line]
-    n_gates, n_wires, input_widths, output_widths, cursor = _parse_header(lines)
+    n_gates, n_wires, input_widths, output_widths = _parse_header(lines)
 
     if len(input_widths) == 1:
         n_garbler, n_evaluator = input_widths[0], 0
@@ -126,59 +140,40 @@ def read_bristol(
         )
     n_inputs = n_garbler + n_evaluator
 
-    alias: Dict[int, int] = {}
-
-    def resolve(wire: int) -> int:
-        while wire in alias:
-            wire = alias[wire]
-        return wire
-
     op_col = bytearray()
     a_col = array("q")
     b_col = array("q")
-    # Bristol wire ids may interleave; our IR requires SSA ids where gate
-    # outputs are allocated in order.  Build a remap as we go.
-    remap: Dict[int, int] = {w: w for w in range(n_inputs)}
+    # Bristol wire ids may interleave; our IR allocates gate outputs in
+    # order.  `remap` maps a gate's output (a redefined input included)
+    # to its new id and an EQW output to its source's; inputs are fixed.
+    remap: Dict[int, int] = {}
     next_id = n_inputs
 
     def mapped(wire: int) -> int:
-        wire = resolve(wire)
-        if wire not in remap:
+        if wire not in remap and not 0 <= wire < n_inputs:
             raise CircuitError(f"wire {wire} used before definition")
-        return remap[wire]
+        return remap.get(wire, wire)
 
-    def emit(code: int, a: int, b: int, out: int) -> None:
-        nonlocal next_id
+    for line in lines[3 : 3 + n_gates]:
+        *fields, op_name = line.split()
+        op_name = op_name.upper()
+        arity = _ARITY.get(op_name)
+        if arity is None:
+            raise CircuitError(f"unsupported Bristol gate: {op_name}")
+        fields = _ints(fields, "gate line")
+        if fields[:2] != [arity, 1] or len(fields) != arity + 3:
+            raise CircuitError(f"malformed {op_name} gate line: {line!r}")
+        *wires, out = fields[2:]
         if out < 0:
             raise CircuitError(f"negative wire id {out}")
-        op_col.append(code)
-        a_col.append(mapped(a))
-        b_col.append(b if code == OP_INV else mapped(b))
+        if op_name == "EQW":
+            remap[out] = mapped(wires[0])
+            continue
+        op_col.append(OP_AND if op_name == "AND" else OP_XOR if arity == 2 else OP_INV)
+        a_col.append(mapped(wires[0]))
+        b_col.append(mapped(wires[1]) if arity == 2 else -1)
         remap[out] = next_id
         next_id += 1
-
-    for line_index in range(cursor, cursor + n_gates):
-        if line_index >= len(lines):
-            raise CircuitError("fewer gate lines than declared")
-        tokens = lines[line_index].split()
-        op_name = tokens[-1].upper()
-        n_in = int(tokens[0])
-        if op_name in ("INV", "NOT"):
-            if n_in != 1:
-                raise CircuitError(f"INV with {n_in} inputs")
-            emit(OP_INV, int(tokens[2]), -1, int(tokens[3]))
-        elif op_name == "EQW":
-            a, out = int(tokens[2]), int(tokens[3])
-            alias[out] = a
-        elif op_name in ("AND", "XOR"):
-            if n_in != 2:
-                raise CircuitError(f"{op_name} with {n_in} inputs")
-            emit(
-                OP_AND if op_name == "AND" else OP_XOR,
-                int(tokens[2]), int(tokens[3]), int(tokens[4]),
-            )
-        else:
-            raise CircuitError(f"unsupported Bristol gate: {op_name}")
 
     total_outputs = sum(output_widths)
     # Bristol convention: outputs are the last `total_outputs` wire ids of
@@ -186,7 +181,7 @@ def read_bristol(
     outputs = [mapped(w) for w in range(n_wires - total_outputs, n_wires)]
     circuit = Circuit.from_columns(
         n_garbler, n_evaluator, outputs, op_col, a_col, b_col,
-        array("q", range(n_inputs, next_id)), name,
+        array("q", np.arange(n_inputs, next_id, dtype=np.int64).tobytes()), name,
     )
     circuit.validate()
     return circuit

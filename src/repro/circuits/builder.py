@@ -12,12 +12,28 @@ so the IR stays three-op; repeated requests reuse the same wires.
 
 from __future__ import annotations
 
+import functools
 from array import array
-from typing import List, Sequence
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from .netlist import OP_AND, OP_INV, OP_XOR, Circuit, CircuitError
 
-__all__ = ["CircuitBuilder"]
+__all__ = ["CircuitBuilder", "stamped"]
+
+
+def stamped(fn):
+    """Run ``fn(builder, *args)`` once per call signature and append its
+    recorded gates, relocated, on later calls.  ``fn`` must be pure: its
+    gates and returned wires depend on the signature only (DESIGN.md 14.6).
+    """
+
+    @functools.wraps(fn)
+    def wrapper(builder: "CircuitBuilder", *args) -> List[int]:
+        return builder._stamp(fn, args)
+
+    return wrapper
 
 
 class CircuitBuilder:
@@ -44,6 +60,9 @@ class CircuitBuilder:
         self._next_wire = 0
         self._const_zero: int | None = None
         self._const_one: int | None = None
+        # `stamped` signature -> (op bytes, a + b + returned-wire indices
+        # into the call's base vector), or None: run the body every time.
+        self._stamps: Dict[tuple, tuple | None] = {}
 
     # ------------------------------------------------------------------
     # Inputs
@@ -115,6 +134,48 @@ class CircuitBuilder:
         if not 0 <= wire < self._next_wire:
             raise CircuitError(f"wire {wire} does not exist yet")
 
+    def _stamp(self, fn, args) -> List[int]:
+        # A template indexes the call's base vector: `slots` (INV's -1, the
+        # constants, the distinct argument wires), then the wires it creates.
+        zero, one, n = self._const_zero, self._const_one, self._next_wire
+        slots = {-1: 0, zero or -2: 1, one or -3: 2}
+        key: list = [fn, zero, one]
+        for arg in args:
+            if not isinstance(arg, (list, tuple)):
+                key.append(arg)
+                continue
+            key.append(len(arg))
+            for wire in arg:
+                if not 0 <= wire < n:  # the body raises the plain path's error
+                    return fn(self, *args)
+                key.append(slots.setdefault(wire, len(slots)))
+        key = tuple(key)
+        template = self._stamps.get(key, ())
+        if template is None:
+            return fn(self, *args)
+        start = len(self._op)
+        if template:
+            ops, index = template
+            self._op += ops
+        else:
+            out = fn(self, *args)
+            if (self._const_zero, self._const_one) != (zero, one):
+                return out  # its constant gates would repeat: never recorded
+        count = len(self._op) - start
+        base = np.arange(n - len(slots), n + count, dtype=np.int64)
+        base[: len(slots)] = list(slots)
+        if template:  # one gather: the a, b and returned-wire columns
+            wires = base[index]
+            self._a.frombytes(wires[:count].tobytes())
+            self._b.frombytes(wires[count : 2 * count].tobytes())
+            self._next_wire = n + count
+            return wires[2 * count :].tolist()
+        where = {wire: i for i, wire in enumerate(base.tolist())}
+        index = [where.get(w, -1) for w in (*self._a[start:], *self._b[start:], *out)]
+        # -1: it read a wire outside its arguments, so it is never stamped.
+        self._stamps[key] = None if -1 in index else (bytes(self._op[start:]), np.array(index))
+        return out
+
     # ------------------------------------------------------------------
     # Constants
     # ------------------------------------------------------------------
@@ -164,7 +225,7 @@ class CircuitBuilder:
             self._op[:],
             self._a[:],
             self._b[:],
-            array("q", range(n_inputs, self._next_wire)),
+            array("q", np.arange(n_inputs, self._next_wire, dtype=np.int64).tobytes()),
             name,
         )
         circuit.validate()

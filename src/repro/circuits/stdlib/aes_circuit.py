@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ...gc.aes import _gf_mul  # field arithmetic is shared with software AES
-from ..builder import CircuitBuilder
+from ..builder import CircuitBuilder, stamped
 from .logic import bitwise_xor
 
 __all__ = ["build_aes128_circuit", "gf_mul_circuit", "gf_square_free", "sbox_circuit"]
@@ -109,6 +109,7 @@ def _gf_inverse_circuit(b: CircuitBuilder, xs: Sequence[int]) -> List[int]:
     return gf_square_free(b, x127)  # x^254 = inverse
 
 
+@stamped
 def sbox_circuit(b: CircuitBuilder, xs: Sequence[int]) -> List[int]:
     """The AES S-box: GF(2^8) inversion + free affine transform."""
     inv = _gf_inverse_circuit(b, xs)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ..builder import CircuitBuilder
+from ..builder import CircuitBuilder, stamped
 from .integer import add, add_with_carry, decode_int, less_than, sub
 from .logic import is_zero, mux, mux_bit
 
@@ -327,6 +327,7 @@ def leading_zero_count(b: CircuitBuilder, xs: Sequence[int]) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
+@stamped
 def fp_add(
     b: CircuitBuilder, fmt: FloatFormat, a_bits: Sequence[int], b_bits: Sequence[int]
 ) -> List[int]:
@@ -428,6 +429,7 @@ def fp_sub(
 # ---------------------------------------------------------------------------
 
 
+@stamped
 def fp_mul(
     b: CircuitBuilder, fmt: FloatFormat, a_bits: Sequence[int], b_bits: Sequence[int]
 ) -> List[int]:

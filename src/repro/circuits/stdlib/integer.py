@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..builder import CircuitBuilder
+from ..builder import CircuitBuilder, stamped
 from .logic import mux, shift_left_const
 
 __all__ = [
@@ -234,6 +234,7 @@ def mul_full(b: CircuitBuilder, xs: Sequence[int], ys: Sequence[int]) -> List[in
     return acc
 
 
+@stamped
 def mul(b: CircuitBuilder, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
     """Width-preserving (modular) multiply: low n bits of the product.
 

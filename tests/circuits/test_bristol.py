@@ -1,6 +1,7 @@
 """Bristol Fashion reader/writer round trips."""
 
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.circuits.bristol import (
 )
 from repro.circuits.netlist import CircuitError, GateOp
 from tests.conftest import random_circuit
+from tests.core.test_compile_golden import BRISTOL_TEXT
 
 
 class TestWriter:
@@ -96,5 +98,67 @@ class TestReader:
 
     def test_use_before_definition(self):
         text = "1 3\n1 2\n1 1\n\n2 1 0 5 2 XOR\n"
+        with pytest.raises(CircuitError):
+            loads_bristol(text)
+
+
+class TestMalformedText:
+    """Every Bristol text parses to a valid circuit or raises CircuitError."""
+
+    #: Replacement tokens: junk, signs, small ids, a huge count, gate names.
+    TOKENS = [
+        "x", "-1", "0", "1", "2", "3", "7", "8", "9", "99999999999",
+        "AND", "XOR", "INV", "EQW", "NOT", "1.5", "\n",
+    ]
+
+    def _mutate(self, rng: random.Random) -> str:
+        tokens = BRISTOL_TEXT.replace("\n", " \n ").split(" ")
+        for _ in range(rng.randint(1, 3)):
+            index = rng.randrange(len(tokens))
+            kind = rng.randrange(3)
+            if kind == 0:
+                tokens[index] = rng.choice(self.TOKENS)
+            elif kind == 1:
+                del tokens[index]
+            else:
+                tokens.insert(index, rng.choice(self.TOKENS))
+        return " ".join(tokens)
+
+    def test_token_mutations(self):
+        rng = random.Random(2024)
+        outcomes = {"parsed": 0, "rejected": 0}
+        for _ in range(3000):
+            text = self._mutate(rng)
+            try:
+                circuit = loads_bristol(text)
+            except CircuitError:
+                outcomes["rejected"] += 1
+                continue
+            circuit.validate()
+            outcomes["parsed"] += 1
+        assert outcomes["parsed"] and outcomes["rejected"]
+
+    @pytest.mark.parametrize("header", [
+        "4 8\n2 2 99999999999\n1 2\n",   # inputs exceed the declared wires
+        "99999999999 8\n2 2 2\n1 2\n",   # more gates than lines
+        "4 8\n2 2 2\n1 99999999999\n",   # more outputs than gates
+    ])
+    def test_huge_declared_counts_raise_promptly(self, header):
+        text = header + BRISTOL_TEXT.split("\n", 3)[3]
+        start = time.perf_counter()
+        with pytest.raises(CircuitError):
+            loads_bristol(text)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("line", [
+        "1 1 6 6 EQW",       # a self-copy: rejected, not an endless alias
+        "2 1 0 2",           # no gate name
+        "AND",               # no fields
+        "2 1 0 2 4 5 AND",   # too many wires
+        "2 2 0 2 4 AND",     # two outputs
+        "2 1 0 x 4 AND",     # a non-integer id
+    ])
+    def test_malformed_gate_line(self, line):
+        text = BRISTOL_TEXT.replace("1 1 4 6 INV", line)
         with pytest.raises(CircuitError):
             loads_bristol(text)

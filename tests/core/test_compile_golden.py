@@ -18,12 +18,14 @@ from array import array
 import pytest
 
 from repro.circuits.bristol import loads_bristol
+from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.core.passes.streams import ScheduleParams
 from repro.core.progcache import circuit_digest, compile_key
 from repro.gc.protocol import run_two_party
 from repro.sim.config import HaacConfig
 from repro.workloads import get_workload
+from repro.workloads import iter_workloads
 from tests.sim.test_engine_equivalence import STDLIB_FAMILIES
 
 CONFIG = HaacConfig(n_ges=4, sww_bytes=64 * 16)
@@ -239,6 +241,43 @@ def test_full_scale_fingerprint(case):
     assert fingerprint(_compile_scaled(case)) == GOLDEN_SCALED[case]
 
 
+#: ``circuit_digest`` of every registered workload's ``build_scaled()``
+#: netlist and of AES-128, recorded on the commit before the builder
+#: stamped repeated combinators: they pin the benchmark's netlists, and
+#: so its compile and store keys.
+GOLDEN_SCALED_DIGESTS = {
+    "AES-128":
+        "153af78e3dcc62b96513dff5a5a8657ec130f1b8fcbb6fd5ced6a14f1d482ed5",
+    "BubbSt":
+        "44c32f37bd7268157301ed3aa9eb70958422d6fcf0fb83517caf2fa2abfacdc9",
+    "DotProd":
+        "bba1927adc6a5bb582bb19bb476cac31deb351b9df015a1cb4e5f216cb80772a",
+    "GradDesc":
+        "20531157d719107a14d7b1dde7dfce9e847bf7bb69c4a1af86b39f7448194229",
+    "Hamm":
+        "04cc67a7d373b3eb10c2a1495b722e9bdfce4e6120a20a5cbbe4a4cfdb73800e",
+    "MatMult":
+        "56604596268c295ad2c8dfee2f5954760fd8e7e43b63fea1336d383b8eeba9ba",
+    "Merse":
+        "dee7d7d132bd3033126528406381483e562afdff98305e974ee1fdd4d055b9c4",
+    "ReLU":
+        "dc79bc885b6c0e85755555f35834f11e666ff39fe14c89028ab46fa5638b9df7",
+    "Triangle":
+        "18aa70c1d6b74bd659881ceede9a1c2f9c315ace7d846256b08b94513bc06dd9",
+}
+
+
+def _scaled_circuit(name: str):
+    if name == "AES-128":
+        return build_aes128_circuit()
+    return get_workload(name).build_scaled().circuit
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCALED_DIGESTS))
+def test_full_scale_circuit_digest(name):
+    assert circuit_digest(_scaled_circuit(name)) == GOLDEN_SCALED_DIGESTS[name]
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
     import pprint
 
@@ -254,5 +293,9 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
         "GOLDEN_TRANSCRIPT": _transcript(),
         "GOLDEN_SCALED": {
             case: fingerprint(_compile_scaled(case)) for case in SCALED_CASES
+        },
+        "GOLDEN_SCALED_DIGESTS": {
+            name: circuit_digest(_scaled_circuit(name))
+            for name in ["AES-128", *(w.name for w in iter_workloads())]
         },
     }, width=100)
