@@ -23,6 +23,7 @@ wasteful, so instead the reader aliases the wire, remapping later uses.
 from __future__ import annotations
 
 import io
+import re
 from array import array
 from typing import Dict, List, TextIO, Tuple
 
@@ -90,13 +91,13 @@ def dumps_bristol(circuit: Circuit) -> str:
 
 #: Inputs per gate; every gate has one output.
 _ARITY = {"AND": 2, "XOR": 2, "INV": 1, "NOT": 1, "EQW": 1}
+_DECIMAL = re.compile(r"-?[0-9]+")  # int() also takes +1, 0_1 and non-ASCII digits
 
 
 def _ints(tokens: List[str], what: str) -> List[int]:
-    try:
-        return [int(token) for token in tokens]
-    except ValueError:
-        raise CircuitError(f"malformed {what}: {' '.join(tokens)!r}") from None
+    if not all(map(_DECIMAL.fullmatch, tokens)):
+        raise CircuitError(f"malformed {what}: {' '.join(tokens)!r}")
+    return [int(token) for token in tokens]
 
 
 def _parse_header(lines: List[str]) -> Tuple[int, int, List[int], List[int]]:

@@ -45,12 +45,13 @@ copy.
 from __future__ import annotations
 
 import threading
+from array import array
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..circuits.netlist import OP_AND, Circuit, CircuitError, column_view
+from ..circuits.netlist import OP_AND, Circuit, CircuitError, column_view, int_column
 
 __all__ = [
     "DepGraph",
@@ -141,8 +142,22 @@ class DepGraph:
     @cached_property
     def gate_level(self) -> List[int]:
         """ASAP level per gate position, 1-based -- Circuit.gate_levels."""
+        return column_view(self.gate_level_column).tolist()
+
+    @cached_property
+    def gate_level_column(self) -> array:
+        """``gate_level`` as a column; a seeded graph reads its source's."""
+        source = self.__dict__.pop("_gate_level_from", None)
+        if source is not None:
+            return source.gate_level_column
         level = np.asarray(self.wire_level, dtype=np.int64)
-        return level[column_view(self.out_of)].tolist()
+        return int_column(level[column_view(self.out_of)])
+
+    @property
+    def has_levels(self) -> bool:
+        """Whether the gate levels are at hand without a walk."""
+        levels = ("wire_level", "gate_level_column", "_gate_level_from")
+        return not self.__dict__.keys().isdisjoint(levels)
 
     # ------------------------------------------------------------------
     # Last readers
@@ -357,16 +372,23 @@ def engine_levels(
 
 
 def seed_graph(
-    circuit: Circuit, graph: DepGraph, wire_level_from: Optional[DepGraph] = None
+    circuit: Circuit,
+    graph: DepGraph,
+    wire_level_from: Optional[DepGraph] = None,
+    gate_level_from: Optional[DepGraph] = None,
 ) -> DepGraph:
     """Attach a freshly built graph to its circuit's instance memo.
 
     ``wire_level_from`` transfers the (permutation-invariant) per-wire
     ASAP levels from a source graph over the same wire ids -- the
     reorder passes use it so the whole pipeline levels once.
+    ``gate_level_from`` hands over, on first use, the gate levels of a
+    source graph with the same gate order (renaming moves no gate).
     """
     if wire_level_from is not None and "wire_level" in wire_level_from.__dict__:
         graph.__dict__["wire_level"] = wire_level_from.wire_level
+    if gate_level_from is not None and gate_level_from.has_levels:
+        graph.__dict__["_gate_level_from"] = gate_level_from
     setattr(circuit, GRAPH_ATTR, graph)
     return graph
 

@@ -23,7 +23,7 @@ __all__ = ["rename"]
 
 def rename(circuit: Circuit) -> Circuit:
     """Renumber output wires to program order; inputs keep ids [0, n)."""
-    dep_graph(circuit)  # validates: the mapping below indexes by wire id
+    source = dep_graph(circuit)  # validates: the mapping below indexes by wire id
     n_inputs, n_wires = circuit.n_inputs, circuit.n_wires
     # old wire id -> new wire id; the trailing -1 keeps INV's missing
     # operand (b == -1, i.e. index -1) at -1.
@@ -43,7 +43,7 @@ def rename(circuit: Circuit) -> Circuit:
         circuit.name + "+rn",
     )
     # Graph construction checks the same invariants as validate() and
-    # leaves the renamed program's dependence graph memoized for the
-    # ESW / stream-generation / engine consumers downstream.
-    seed_graph(renamed, DepGraph(renamed))
+    # leaves the renamed program's graph memoized for the consumers
+    # downstream; every gate keeps its position, so it keeps its level.
+    seed_graph(renamed, DepGraph(renamed), gate_level_from=source)
     return renamed

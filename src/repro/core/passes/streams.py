@@ -194,6 +194,26 @@ class StreamSet:
         return (self.live_writes, self.oor_reads, self.live_writes + self.oor_reads)
 
 
+#: Array-path run width and program share (measured crossovers, DESIGN.md 14.5).
+_RUN_MIN = 256
+_WIDE_SHARE = 0.5
+
+
+def _wide_runs(graph: DepGraph, n_ges: int) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of the equal-level runs of ``_RUN_MIN`` or more
+    positions; none if they hold under ``_WIDE_SHARE`` of the program, the
+    order was never levelled or a free mask outgrows int64."""
+    level = column_view(graph.gate_level_column) if graph.has_levels else []
+    if n_ges > 62 or not len(level):
+        return []
+    bounds = np.flatnonzero(np.diff(level, prepend=0, append=0))  # levels >= 1
+    width = np.diff(bounds)
+    wide = width >= _RUN_MIN
+    if width[wide].sum() < _WIDE_SHARE * len(level):
+        return []
+    return list(zip(bounds[:-1][wide].tolist(), bounds[1:][wide].tolist()))
+
+
 def _greedy_schedule(
     program: HaacProgram,
     n_ges: int,
@@ -214,10 +234,11 @@ def _greedy_schedule(
     prefers an operand's producer (it dodges the forwarding penalty),
     then the lowest index.  The GEs sit in a bucket queue of int bitmasks
     (any ``n_ges``): ``free`` at the accept ``cycle``, ``nxt`` freeing at
-    ``cycle + 1``, ``later`` keyed by the cycle a stalled issue frees
-    them; a pick is a bit test, not a scan -- on full-scale MatMult
-    (178,701 instructions, 16 GEs) the cycle advances 11,197 times and
-    156 instructions stall.
+    ``cycle + 1``, ``later`` keyed by the cycle a stalled issue frees them.
+
+    Wide equal-level runs (:func:`_wide_runs`) go to :func:`_speculate`,
+    which commits the exact prefix before the first stall; the step below
+    finishes the run.  The state is ``array('q')`` if they exist, else lists.
 
     Returns (ge_of, issue_cycle, makespan).  ``done[w]`` is the cycle a
     wire's value exists (forwardable); primary inputs come from the
@@ -248,71 +269,157 @@ def _greedy_schedule(
     prefer_highest = params.tie_break == "highest"
 
     n_wires = n_inputs + graph.n_gates
-    done = [-penalty] * n_inputs + [0] * graph.n_gates
-    producer_ge = [n_ges] * n_wires
+    runs = _wide_runs(graph, n_ges)
+    column = (lambda value: array("q", [value])) if runs else (lambda value: [value])
+    done = column(-penalty) * n_inputs + column(0) * graph.n_gates
+    producer_ge = column(n_ges) * n_wires
+    last_read_issue = column(0) * n_wires
     ge_of: List[int] = []
     issue_cycle: List[int] = []
-    last_read_issue = [0] * n_wires
     cycle, free, nxt, later = 0, (1 << n_ges) - 1, 0, {}
 
-    out = n_inputs
-    for a, b, is_and in zip(graph.a_of, graph.b_of, graph.is_and):
-        # Next-free GE (paper's non-stalled-GE policy), then the tie-break.
-        if not free:
-            cycle += 1
-            free = nxt | later.pop(cycle, 0)
-            nxt = 0
-            if not free:  # nothing frees at cycle + 1: skip to the stalls
-                cycle = min(later)
-                free = later.pop(cycle)
-        source_a = producer_ge[a]
-        source_b = producer_ge[b]
-        if prefer_producer and free >> source_a & 1:
-            chosen = source_a
-        elif prefer_producer and free >> source_b & 1:
-            chosen = source_b
-        elif prefer_highest:
-            chosen = free.bit_length() - 1
-        else:
-            chosen = (free & -free).bit_length() - 1
-        bit = 1 << chosen
-        free ^= bit
+    state = (done, producer_ge, last_read_issue, ge_of, issue_cycle)
+    begin = 0
+    for start, stop in runs + [(graph.n_gates, graph.n_gates)]:
+        for out, a, b, is_and in zip(
+            range(n_inputs + begin, n_inputs + start), graph.a_of[begin:start],
+            graph.b_of[begin:start], graph.is_and[begin:start],
+        ):
+            # Next-free GE (paper's non-stalled-GE policy), then the tie-break.
+            if not free:
+                cycle += 1
+                free = nxt | later.pop(cycle, 0)
+                nxt = 0
+                if not free:  # nothing frees at cycle + 1: skip to the stalls
+                    cycle = min(later)
+                    free = later.pop(cycle)
+            source_a = producer_ge[a]
+            source_b = producer_ge[b]
+            if prefer_producer and free >> source_a & 1:
+                chosen = source_a
+            elif prefer_producer and free >> source_b & 1:
+                chosen = source_b
+            elif prefer_highest:
+                chosen = free.bit_length() - 1
+            else:
+                chosen = (free & -free).bit_length() - 1
+            bit = 1 << chosen
+            free ^= bit
 
-        issue = cycle
-        if out >= capacity and last_read_issue[out - capacity] > issue:
-            # Window sync: the evicted slot's accesses have all issued.
-            issue = last_read_issue[out - capacity]
-        available = done[a]
-        if source_a != chosen:
-            available += penalty
-        if available > issue:
-            issue = available
-        available = done[b]
-        if source_b != chosen:
-            available += penalty
-        if available > issue:
-            issue = available
+            issue = cycle
+            if out >= capacity and last_read_issue[out - capacity] > issue:
+                # Window sync: the evicted slot's accesses have all issued.
+                issue = last_read_issue[out - capacity]
+            available = done[a]
+            if source_a != chosen:
+                available += penalty
+            if available > issue:
+                issue = available
+            available = done[b]
+            if source_b != chosen:
+                available += penalty
+            if available > issue:
+                issue = available
 
-        ge_of.append(chosen)
-        issue_cycle.append(issue)
-        issued = issue + 1
-        if issue == cycle:
-            nxt |= bit
-        else:
-            later[issued] = later.get(issued, 0) | bit
-        done[out] = issue + (and_latency if is_and else xor_latency)
-        producer_ge[out] = chosen
-        # The write is the slot's first access: the instruction evicting
-        # `out` must issue strictly after it, readers or not.
-        last_read_issue[out] = issued
-        if issued > last_read_issue[a]:
-            last_read_issue[a] = issued
-        if issued > last_read_issue[b]:
-            last_read_issue[b] = issued
-        out += 1
+            ge_of.append(chosen)
+            issue_cycle.append(issue)
+            issued = issue + 1
+            if issue == cycle:
+                nxt |= bit
+            else:
+                later[issued] = later.get(issued, 0) | bit
+            done[out] = issue + (and_latency if is_and else xor_latency)
+            producer_ge[out] = chosen
+            # The write is the slot's first access: the instruction evicting
+            # `out` must issue strictly after it, readers or not.
+            last_read_issue[out] = issued
+            if issued > last_read_issue[a]:
+                last_read_issue[a] = issued
+            if issued > last_read_issue[b]:
+                last_read_issue[b] = issued
+        if start < stop:
+            begin, cycle, free, nxt, later = _speculate(
+                graph, n_ges, params, capacity, start, stop, state,
+                (cycle, free, nxt, later),
+            )
 
     # Every gate finishes at cycle >= 1, after every input.
-    return ge_of, issue_cycle, max(done[n_inputs:], default=0)
+    finish = column_view(done).max(initial=0) if runs else max(done, default=0)
+    return ge_of, issue_cycle, max(int(finish), 0)
+
+
+def _speculate(graph, n_ges, params, capacity, start, stop, state, queue):
+    """Schedule ``start:stop`` (no dependence inside) as if none stalls and
+    commit the exact prefix before the first that would to ``state`` (three
+    columns, ``ge_of``, ``issue_cycle``); return its end and the ``queue``."""
+    cycle, free, nxt, later = queue
+    done, producer_ge, last_read_issue = map(column_view, state[:3])
+    n_inputs, n = graph.n_inputs, stop - start
+    # Without a stall a GE picked at cycle c frees at c + 1, so the free
+    # mask only grows -- free[c + 1] = free[c] | later[c + 1] -- and
+    # cycle c takes popcount(free[c]) instructions.
+    masks, grown, accept, left = [], free | nxt, cycle, n
+    while left > 0:
+        masks.append(free)
+        left -= free.bit_count()
+        accept += 1
+        free = grown = grown | later.get(accept, 0)
+    counts = np.bitwise_count(np.array(masks)).astype(np.int64)
+    counts[-1] += left  # the run ends inside its last cycle
+    first, row = np.cumsum(counts) - counts, np.repeat(np.arange(len(counts)), counts)
+
+    a, b = (column_view(column)[start:stop] for column in (graph.a_of, graph.b_of))
+    source_a, source_b = producer_ge[a], producer_ge[b]
+    if params.tie_break == "producer":
+        # One step per slot of a cycle, over all cycles; a slot past its
+        # cycle's end reads the trailing 0, the sentinel GE's bit never frees.
+        slot = np.arange(counts.max())
+        index = np.where(slot < counts[:, None], first[:, None] + slot, n).T
+        want_a, want_b = (np.append(1 << s, 0)[index] for s in (source_a, source_b))
+        free_left, taken = np.array(masks), np.empty_like(want_a)
+        for slot in range(len(index)):
+            pick = free_left & -free_left
+            pick = np.where(free_left & want_b[slot], want_b[slot], pick)
+            pick = np.where(free_left & want_a[slot], want_a[slot], pick)
+            free_left ^= pick
+            taken[slot] = pick
+        chosen = np.bitwise_count(taken.T[index.T < n] - 1).astype(np.int64)
+    else:
+        # No pick reads another: a cycle's picks are its mask's bits in order.
+        ge = np.arange(n_ges)[:: -1 if params.tie_break == "highest" else 1]
+        chosen = ge[np.nonzero(np.array(masks)[:, None] >> ge & 1)[1][:n]]
+
+    # One pass checks readiness and window sync for the whole run.
+    issue, penalty = cycle + row, params.cross_ge_forward
+    ready = done[a] + penalty * (source_a != chosen) <= issue
+    ready &= done[b] + penalty * (source_b != chosen) <= issue
+    if n_inputs + stop > capacity:  # some write of the run evicts a slot
+        out = np.arange(n_inputs + start, n_inputs + stop)
+        evicted = last_read_issue[np.maximum(out - capacity, 0)]
+        ready &= (out < capacity) | (evicted <= issue)
+        # An earlier access in the evictor's accept cycle issues with it.
+        offset, cycle_end = np.arange(n), (first + counts)[row]
+        for wire in (a, b, out):
+            evictor = wire + (capacity - n_inputs - start)
+            ready[evictor[(evictor > offset) & (evictor < cycle_end)]] = False
+    m = n if ready.all() else int(np.argmin(ready))
+
+    outs = slice(n_inputs + start, n_inputs + start + m)
+    is_and = column_view(graph.is_and)[start:start + m]
+    done[outs] = issue[:m] + np.where(is_and, params.and_latency, params.xor_latency)
+    producer_ge[outs] = chosen[:m]
+    last_read_issue[outs] = issued = issue[:m] + 1
+    for operand in (a, b):
+        np.maximum.at(last_read_issue, operand[:m], issued)
+    state[3].extend(chosen[:m].tolist())
+    cycles = list(range(cycle, cycle + len(counts)))  # one int a cycle, as in the walk
+    state[4].extend(map(cycles.__getitem__, row[:m].tolist()))
+    # The queue at the commit point: cycle `k`, part of its mask taken.
+    k = int(row[min(m, n - 1)])
+    taken = sum(1 << pick for pick in chosen[first[k]:m].tolist())
+    cycle += k
+    later = {c: mask for c, mask in later.items() if c > cycle}
+    return start + m, cycle, masks[k] & ~taken, (nxt if k == 0 else 0) | taken, later
 
 
 def _buckets(

@@ -105,10 +105,13 @@ class TestReader:
 class TestMalformedText:
     """Every Bristol text parses to a valid circuit or raises CircuitError."""
 
-    #: Replacement tokens: junk, signs, small ids, a huge count, gate names.
+    #: Replacement tokens: junk, signs, small ids, a huge count, gate names,
+    #: and what ``int()`` takes but a decimal number is not: a plus sign,
+    #: an underscore, an Arabic-Indic and a fullwidth digit one.
     TOKENS = [
         "x", "-1", "0", "1", "2", "3", "7", "8", "9", "99999999999",
         "AND", "XOR", "INV", "EQW", "NOT", "1.5", "\n",
+        "+1", "0_1", "\u0661", "\uff11",
     ]
 
     def _mutate(self, rng: random.Random) -> str:
@@ -123,6 +126,40 @@ class TestMalformedText:
             else:
                 tokens.insert(index, rng.choice(self.TOKENS))
         return " ".join(tokens)
+
+    @pytest.mark.parametrize("token", ["+1", "0_1", "\u0661", "\uff11"])
+    def test_non_decimal_ids_raise(self, token):
+        for text in (
+            BRISTOL_TEXT.replace("1 1 4 6 INV", f"1 1 {token} 6 INV"),
+            BRISTOL_TEXT.replace("1 2\n", f"1 {token}\n", 1),
+        ):
+            with pytest.raises(CircuitError, match="malformed"):
+                loads_bristol(text)
+
+    def test_byte_mutations(self):
+        """Mutated UTF-8 bytes, decoded with replacement characters."""
+        rng = random.Random(2026)
+        source = BRISTOL_TEXT.encode("utf-8")
+        outcomes = {"parsed": 0, "rejected": 0}
+        for _ in range(3000):
+            data = bytearray(source)
+            for _ in range(rng.randint(1, 4)):
+                index = rng.randrange(len(data) + 1)
+                kind = rng.randrange(3)
+                if kind == 0 and index < len(data):
+                    data[index] = rng.randrange(256)
+                elif kind == 1 and index < len(data):
+                    del data[index]
+                else:
+                    data.insert(index, rng.randrange(256))
+            try:
+                circuit = loads_bristol(data.decode("utf-8", errors="replace"))
+            except CircuitError:
+                outcomes["rejected"] += 1
+                continue
+            circuit.validate()
+            outcomes["parsed"] += 1
+        assert outcomes["parsed"] and outcomes["rejected"]
 
     def test_token_mutations(self):
         rng = random.Random(2024)

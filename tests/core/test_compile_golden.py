@@ -218,6 +218,12 @@ def test_streamed_transcript_digest():
 SCALED_CASES = {
     "MatMult/paper_default": ("MatMult", HaacConfig.paper_default()),
     "Hamm/sww512": ("Hamm", HaacConfig.paper_default().with_sww_bytes(512)),
+    # Narrow levels: the greedy mapper's scalar step, 43,145 stalls.
+    "GradDesc/paper_default": ("GradDesc", HaacConfig.paper_default()),
+    # Levels sorted within each segment.
+    "MatMult/seg_rn_esw": (
+        "MatMult", HaacConfig.paper_default(), OptLevel.SEG_RN_ESW,
+    ),
 }
 
 GOLDEN_SCALED = {
@@ -225,14 +231,19 @@ GOLDEN_SCALED = {
         "acfee21e355d4d1b9576bb83fa51b257f7e3e961606b16b6cd3f5710a87bbec1",
     "Hamm/sww512":
         "9b572660723bbb415e624f10a5f3bd8895d3de0f5e9bacb34c391d0b8d6de2d4",
+    "GradDesc/paper_default":
+        "dfba2e4ad10024016b2fed0da35952005ddd6bbdf6b152533709f19584c1eb5f",
+    "MatMult/seg_rn_esw":
+        "b0d0c1e9a61ae07d8890310a453b46914123f68ba4e89962a52d1fdd3f23fd02",
 }
 
 
 def _compile_scaled(case: str):
-    name, config = SCALED_CASES[case]
+    name, config, *rest = SCALED_CASES[case]
+    opt = rest[0] if rest else OptLevel.RO_RN_ESW
     return compile_circuit(
         get_workload(name).build_scaled().circuit, config.window, config.n_ges,
-        OptLevel.RO_RN_ESW, params=config.schedule_params(), cache=False,
+        opt, params=config.schedule_params(), cache=False,
     )
 
 

@@ -34,7 +34,8 @@ from repro.core.depgraph import (
     dep_graph,
     seed_graph,
 )
-from repro.core.passes.reorder import _producer_column
+from repro.core.passes.rename import rename
+from repro.core.passes.reorder import _producer_column, depth_first_order, full_reorder
 from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig
 from repro.sim.engine import compiled_arrays
@@ -339,6 +340,24 @@ class TestMemoization:
         before = build_counts()["levels"]
         assert seeded.wire_level is source.wire_level
         assert build_counts()["levels"] == before  # no recomputation
+
+    def test_rename_hands_over_gate_levels(self):
+        """Renaming keeps positions: the renamed graph reads its source's
+        gate levels (on first use) instead of levelling again."""
+        clear_registry()
+        reordered = full_reorder(_adder8())
+        source = dep_graph(reordered)
+        renamed = dep_graph(rename(reordered))
+        before = build_counts()["levels"]
+        assert renamed.has_levels
+        assert renamed.gate_level == source.gate_level
+        assert renamed.gate_level_column is source.gate_level_column
+        assert build_counts()["levels"] == before
+
+    def test_unlevelled_order_hands_over_nothing(self):
+        clear_registry()
+        renamed = dep_graph(rename(depth_first_order(_adder8())))
+        assert not renamed.has_levels
 
     def test_one_level_pass_per_cold_compile(self):
         """The reorder pipeline levels once; permutations reuse it."""
