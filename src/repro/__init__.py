@@ -18,12 +18,17 @@ Full Python reproduction of Mo, Gopinath & Reagen (ISCA 2023):
 
 Quickstart::
 
+    from repro.core import compile_circuit
+    from repro.sim import HaacConfig, simulate
     from repro.workloads import get_workload
-    from repro.sim import HaacConfig, run_haac
 
-    built = get_workload("ReLU").build_scaled()
-    run = run_haac(built.circuit, HaacConfig.paper_hbm())
-    print(run.sim.summary())
+    config = HaacConfig.paper_hbm()
+    circuit = get_workload("ReLU").build_scaled().circuit
+    result = compile_circuit(
+        circuit, config.window, config.n_ges,
+        params=config.schedule_params(),
+    )
+    print(simulate(result.streams, config).summary())
 """
 
 __version__ = "1.0.0"

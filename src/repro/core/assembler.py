@@ -64,7 +64,7 @@ def lower_inv(circuit: Circuit) -> LoweredCircuit:
     # Building (or recalling) the dependence graph checks the same IR
     # invariants as validate(); for INV-free circuits -- returned
     # unchanged -- it doubles as the memoized graph the rest of the
-    # pipeline and the multicore partitioner share.
+    # pipeline shares.
     dep_graph(circuit)
     if OP_INV not in circuit.op:
         return LoweredCircuit(circuit, has_one_wire=False)

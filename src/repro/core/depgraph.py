@@ -1,11 +1,11 @@
 """One shared dependence-graph IR for the compiler and the sim engines.
 
-Before this module, four consumers re-derived overlapping dependence
+Before this module, three consumers re-derived overlapping dependence
 structure from the same netlist on every cold compile: the reorder
 passes re-ran :meth:`Circuit.gate_levels`, ESW re-walked every gate's
-operands, the greedy GE mapping iterated gate dataclasses, and the
-multicore partitioner ran its own union-find.  :class:`DepGraph` is the
-single flat-array home for all of it (DESIGN.md section 14):
+operands, and the greedy GE mapping iterated gate dataclasses.
+:class:`DepGraph` is the single flat-array home for all of it
+(DESIGN.md section 14):
 
 * **operand arrays** ``a_of`` / ``b_of`` / ``out_of`` -- the circuit's
   own columns, adopted by reference -- and ``is_and``, one byte per
@@ -15,8 +15,6 @@ single flat-array home for all of it (DESIGN.md section 14):
 * **topological levels** -- the netlist's ASAP wire/gate levels (these
   are per-*wire-id* and therefore permutation-invariant: the reorder
   passes share one computation across the pipeline);
-* **union-find components** -- connected components in first-seen
-  (topological) order, exactly the multicore partitioner's contract;
 * **window-sync edges** -- both directions of the tagless-SWW hazards:
   the PR-5 WAW rule (an evicting write orders after the evicted slot's
   *producer*, readers or not) and the OoR reader-after-evictor floor.
@@ -33,13 +31,12 @@ the same netlist.
 Memoization is two-level: on the circuit instance (attribute
 ``_depgraph_cache``, dropped on pickle like every other netlist memo)
 and in a small digest-keyed registry so rebuilt-but-equal circuits --
-a multicore sweep re-calling :func:`partition_components`, or two opt
-levels sharing one lowered circuit -- reuse the graph and everything
-lazily derived on it.  The renamed program's graph additionally rides
-along on the :class:`StreamSet` into the persistent program cache
-(CACHE_SCHEMA v5), sharing its operand columns with the netlist, the
-program and the engine's ``CompiledArrays`` so warm entries store one
-copy.
+a sweep rebuilding a workload, or two opt levels sharing one lowered
+circuit -- reuse the graph and everything lazily derived on it.  The
+renamed program's graph additionally rides along on the
+:class:`StreamSet` into the persistent program cache (CACHE_SCHEMA v5),
+sharing its operand columns with the netlist, the program and the
+engine's ``CompiledArrays`` so warm entries store one copy.
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ _registry_lock = threading.Lock()
 
 #: Work-actually-done counters (not cache hits) -- the warm-path tests
 #: and the bench's cold-compile honesty both read these.
-_counts = {"graphs": 0, "levels": 0, "components": 0}
+_counts = {"graphs": 0, "levels": 0}
 
 #: ``op`` column -> one byte per gate, 1 where the gate is an AND.
 _IS_AND = bytes(code == OP_AND for code in range(256))
@@ -178,66 +175,6 @@ class DepGraph:
         np.maximum.at(last, a, position)
         np.maximum.at(last, b[binary], position[binary])
         return last.tolist()
-
-    # ------------------------------------------------------------------
-    # Union-find components
-    # ------------------------------------------------------------------
-
-    @cached_property
-    def _partition(self) -> Tuple[List[List[int]], List[int]]:
-        """Connected components over shared wires, first-seen order
-        (component position lists, component index per gate).
-
-        Identical contract to the legacy multicore partitioner: a
-        path-halving union-find over dense wire ids, then one bucketing
-        pass in gate order so component indices follow first appearance
-        (topological order).
-        """
-        parent = list(range(self.n_wires))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        a_of, b_of, out_of = self.a_of, self.b_of, self.out_of
-        for position in range(self.n_gates):
-            out_root = find(out_of[position])
-            a_root = find(a_of[position])
-            if a_root != out_root:
-                parent[a_root] = out_root
-            b = b_of[position]
-            if b >= 0:
-                b_root = find(b)
-                out_root = find(out_of[position])
-                if b_root != out_root:
-                    parent[b_root] = out_root
-
-        component_of_root = [-1] * self.n_wires
-        component_of = [0] * self.n_gates
-        components: List[List[int]] = []
-        for position in range(self.n_gates):
-            root = find(out_of[position])
-            index = component_of_root[root]
-            if index < 0:
-                index = len(components)
-                component_of_root[root] = index
-                components.append([])
-            components[index].append(position)
-            component_of[position] = index
-        _counts["components"] += 1
-        return components, component_of
-
-    @property
-    def components(self) -> List[List[int]]:
-        """Gate-position lists per connected component (do not mutate)."""
-        return self._partition[0]
-
-    @property
-    def component_of(self) -> List[int]:
-        """Component index of each gate position."""
-        return self._partition[1]
 
     # ------------------------------------------------------------------
     # Window-sync derived data (renamed form only)

@@ -56,9 +56,10 @@ TIE_BREAKS = ("producer", "lowest", "highest")
 
 
 def check_at_least(owner, **bounds: int) -> None:
-    """Raise ``ValueError`` if a named field of ``owner`` is below its bound."""
+    """Raise ``ValueError`` unless each named field of ``owner`` is at
+    least its bound (a NaN is not)."""
     for name, bound in bounds.items():
-        if getattr(owner, name) < bound:
+        if not getattr(owner, name) >= bound:
             raise ValueError(f"{name} must be >= {bound}, got {getattr(owner, name)}")
 
 

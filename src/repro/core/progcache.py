@@ -27,8 +27,7 @@ stored downstream *result* too.
 Store location, in priority order:
 
 1. an explicit :class:`ProgramCache` / path handed to
-   :func:`repro.core.compiler.compile_circuit` (or
-   ``HaacConfig.prog_cache`` for the sim-layer helpers);
+   :func:`repro.core.compiler.compile_circuit`;
 2. the ``REPRO_PROG_CACHE`` environment variable -- a directory path,
    ``1``/``on`` for the default location ``~/.cache/repro/progcache``,
    ``0``/``off`` to disable;
@@ -62,7 +61,6 @@ __all__ = [
     "ProgramCache",
     "circuit_digest",
     "compile_key",
-    "shard_key",
 ]
 
 CACHE_ENV_VAR = "REPRO_PROG_CACHE"
@@ -159,50 +157,6 @@ def compile_key(
             )
         ).encode("ascii")
     )
-    return h.hexdigest()
-
-
-def shard_key(
-    parent_digest: str,
-    positions,
-    window_capacity: int,
-    n_ges: int,
-    opt: "OptLevel",
-    params: Optional["ScheduleParams"] = None,
-) -> str:
-    """Cache key for one multicore shard compile.
-
-    Keyed by the *parent* circuit digest plus the shard's gate
-    positions instead of the shard netlist itself, so a warm sweep can
-    look up the compiled shard without even rebuilding the shard
-    circuit.  Valid because shard extraction
-    (:func:`repro.sim.multicore._shard_circuit`) is a deterministic
-    function of (parent, positions); a change to that algorithm must
-    bump ``CACHE_SCHEMA`` like any other compiler-behaviour change.
-    """
-    from .passes.streams import ScheduleParams
-
-    effective = params or ScheduleParams.evaluator()
-    h = hashlib.sha256()
-    h.update(
-        "|".join(
-            (
-                f"repro.progcache.shard/v{CACHE_SCHEMA}",
-                parent_digest,
-                str(window_capacity),
-                str(n_ges),
-                opt.value,
-                str(effective.and_latency),
-                str(effective.xor_latency),
-                str(effective.cross_ge_forward),
-                effective.tie_break,
-            )
-        ).encode("ascii")
-    )
-    packed = array("q", sorted(positions))
-    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
-        packed.byteswap()
-    h.update(packed.tobytes())
     return h.hexdigest()
 
 

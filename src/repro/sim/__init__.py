@@ -15,9 +15,6 @@ from .engine import (
     engine_mode,
 )
 from .functional import FunctionalRun, HaacMachineError, run_functional
-from .ge import GePipelineModel
-from .multicore import MulticoreResult, partition_components, simulate_multicore
-from .pipeline import HaacRun, run_best_reorder, run_haac
 from .stats import SimResult, StallBreakdown
 from .timing import compute_traffic, simulate, simulate_batch
 
@@ -30,10 +27,6 @@ __all__ = [
     "coupled_runtime_batch",
     "pull_based_runtime",
     "CoupledResult",
-    "GePipelineModel",
-    "simulate_multicore",
-    "partition_components",
-    "MulticoreResult",
     "HaacConfig",
     "Role",
     "TABLE_BYTES",
@@ -51,7 +44,4 @@ __all__ = [
     "run_functional",
     "FunctionalRun",
     "HaacMachineError",
-    "run_haac",
-    "run_best_reorder",
-    "HaacRun",
 ]

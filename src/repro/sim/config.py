@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..core.passes.streams import ScheduleParams, check_at_least
 from ..core.sww import WIRE_BYTES, SlidingWindow
-from .dram import DDR4, HBM2, DramSpec
+from .dram import DDR4, HBM2, DramSpec, check_finite_positive
 
 __all__ = ["Role", "HaacConfig", "TABLE_BYTES", "INSTR_BYTES", "OOR_ADDR_BYTES"]
 
@@ -59,12 +59,6 @@ class HaacConfig:
     # a batched repro.gc.backends engine ("auto" is "numpy").  The
     # REPRO_GC_BACKEND environment variable overrides "auto" resolution.
     gc_backend: "str | None" = None
-    # Persistent compiled-program cache for sim-layer helpers that
-    # compile internally (simulate_multicore, run_haac sweeps): None
-    # defers to the REPRO_PROG_CACHE environment variable, True uses
-    # the default ~/.cache/repro/progcache store, False disables, a
-    # string is a directory path (see repro.core.progcache).
-    prog_cache: "str | bool | None" = None
     # Deterministic fault-injection spec for chaos runs (see
     # repro.faults.parse_fault_spec), e.g. "drop:0.05,seed=7": consumed
     # by TwoPartySession (pass the config, or let resolve_fault_plan
@@ -80,8 +74,11 @@ class HaacConfig:
     sim_engine: "str | None" = None
 
     def __post_init__(self) -> None:
-        check_at_least(self, n_ges=1, evaluator_and_stages=1, garbler_and_stages=1,
-                       xor_latency=1, cross_ge_forward=0)
+        check_at_least(self, n_ges=1, banks_per_ge=1, evaluator_and_stages=1,
+                       garbler_and_stages=1, xor_latency=1, sww_read_stages=0,
+                       writeback_stages=0, cross_ge_forward=0,
+                       queue_sram_bytes=0, instr_bytes=1)
+        check_finite_positive(self, "ge_clock_hz", "sww_clock_hz")
         if self.sww_bytes < 4 * WIRE_BYTES:
             raise ValueError("SWW too small")
 
@@ -127,9 +124,6 @@ class HaacConfig:
 
     def with_gc_backend(self, gc_backend: "str | None") -> "HaacConfig":
         return self._replace(gc_backend=gc_backend)
-
-    def with_prog_cache(self, prog_cache: "str | bool | None") -> "HaacConfig":
-        return self._replace(prog_cache=prog_cache)
 
     def with_fault_spec(self, fault_spec: "str | None") -> "HaacConfig":
         return self._replace(fault_spec=fault_spec)

@@ -13,6 +13,7 @@ breakdown of Table 3 / Figure 7 can be reported exactly.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict
@@ -22,12 +23,24 @@ __all__ = ["DramSpec", "DDR4", "HBM2", "BandwidthLedger"]
 _GB = 1e9
 
 
+def check_finite_positive(owner, *names: str) -> None:
+    """Raise ``ValueError`` unless each named field of ``owner`` is a
+    finite number above zero (NaN and infinity are rejected)."""
+    for name in names:
+        value = getattr(owner, name)
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class DramSpec:
     """A streaming memory technology."""
 
     name: str
     bandwidth_gb_s: float
+
+    def __post_init__(self) -> None:
+        check_finite_positive(self, "bandwidth_gb_s")
 
     @property
     def bandwidth_bytes_per_s(self) -> float:

@@ -1,6 +1,6 @@
 """Shared compiled-array timing engine for all timing models.
 
-The decoupled, coupled, pull-based and multicore models all consume one
+The decoupled, coupled and pull-based models all consume one
 config-independent flattening of a compiled :class:`StreamSet`
 (:class:`CompiledArrays`) instead of re-walking dataclasses per gate.
 Two engines, selected by ``REPRO_SIM_ENGINE`` (or

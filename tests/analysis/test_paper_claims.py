@@ -12,9 +12,7 @@ Claims that hold on the quick three-workload subset (the scale of the
 committed ``figures/``) run in the fast lane, parametrised ``quick``;
 the same claims at full scale (all eight workloads) and the claims that
 name a workload outside the quick subset are marked ``slow``.  The
-ablation claims at the bottom build their own circuits; the multi-core
-extension's claims (batch workloads shard, GradDesc cannot) are
-``tests/sim/test_multicore.py::TestMulticore``.
+ablation claims at the bottom build their own circuits.
 """
 
 from __future__ import annotations

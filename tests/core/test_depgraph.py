@@ -1,9 +1,8 @@
 """Property tests for the shared dependence-graph IR (DESIGN.md 14).
 
-:mod:`repro.core.depgraph` replaced four independent derivations of the
-same dependence structure -- the netlist's ASAP levels, the per-wire
-reader walks, the multicore union-find and the engine's level
-partition.  Each test here pins one graph field against the legacy
+:mod:`repro.core.depgraph` replaced three independent derivations of
+the same dependence structure -- the netlist's ASAP levels, the
+per-wire reader walks and the engine's level partition.  Each test here pins one graph field against the legacy
 derivation it replaced (re-implemented locally where the production
 code no longer has it), across every small stdlib family and -- where
 the compiled schedule matters -- every optimization level, so the
@@ -132,33 +131,6 @@ def _legacy_readers(circuit: Circuit):
     return readers
 
 
-def _legacy_components(circuit: Circuit):
-    """The multicore partitioner's original standalone union-find."""
-    parent = list(range(circuit.n_wires))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for gate in circuit.gates:
-        for wire in gate.inputs():
-            root_a, root_b = find(wire), find(gate.out)
-            if root_a != root_b:
-                parent[root_a] = root_b
-
-    by_root = {}
-    components = []
-    for position, gate in enumerate(circuit.gates):
-        root = find(gate.out)
-        if root not in by_root:
-            by_root[root] = len(components)
-            components.append([])
-        components[by_root[root]].append(position)
-    return components
-
-
 def _reference_engine_levels(n_inputs, capacity, a_of, b_of, ge_of, n_ges):
     """Materialised-reader-list leveler: same edges, different algorithm.
 
@@ -222,14 +194,6 @@ class TestGraphMatchesLegacy:
             for wire in range(circuit.n_wires)
         ]
         assert graph.last_reader == expected_last
-
-    def test_components(self, family):
-        circuit = _circuit(family)
-        graph = dep_graph(circuit)
-        assert graph.components == _legacy_components(circuit)
-        for index, members in enumerate(graph.components):
-            for position in members:
-                assert graph.component_of[position] == index
 
     def test_producer_index(self, family):
         # The depth-first pass's producer column, with its INV sentinel.
@@ -327,10 +291,8 @@ class TestMemoization:
         before = build_counts()
         for _ in range(3):
             graph.wire_level, graph.gate_level
-            graph.components, graph.component_of
         after = build_counts()
         assert after["levels"] - before["levels"] == 1
-        assert after["components"] - before["components"] == 1
 
     def test_seed_graph_transfers_wire_levels(self):
         circuit = _adder8()
@@ -378,7 +340,6 @@ class TestMemoization:
         assert clone.a_of == graph.a_of and clone.b_of == graph.b_of
         assert clone.renamed and clone.n_wires == graph.n_wires
         assert clone.wire_level == graph.wire_level
-        assert clone.components == graph.components
 
     def test_memo_attr_dropped_on_circuit_pickle(self):
         circuit = _adder8()

@@ -1,12 +1,14 @@
 """Hardware configuration and DRAM models."""
 
+import math
+import re
+
 import pytest
 
 from repro.core.passes.streams import ScheduleParams
 from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig, Role
 from repro.sim.dram import DDR4, HBM2, BandwidthLedger, DramSpec
-from repro.sim.pipeline import run_best_reorder, run_haac
 
 
 class TestDramSpec:
@@ -21,6 +23,12 @@ class TestDramSpec:
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
             DDR4.seconds_for(-1)
+
+    @pytest.mark.parametrize("value", [-1, 0, math.nan, math.inf])
+    def test_non_physical_bandwidth_rejected(self, value):
+        message = f"bandwidth_gb_s must be finite and > 0, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DramSpec(name="bad", bandwidth_gb_s=value)
 
 
 class TestLedger:
@@ -73,6 +81,29 @@ class TestHaacConfig:
         with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
             HaacConfig(n_ges=4, sww_bytes=1024, **{field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("banks_per_ge", 0, "banks_per_ge must be >= 1, got 0"),
+        ("instr_bytes", 0, "instr_bytes must be >= 1, got 0"),
+        ("sww_read_stages", -1, "sww_read_stages must be >= 0, got -1"),
+        ("writeback_stages", -1, "writeback_stages must be >= 0, got -1"),
+        ("queue_sram_bytes", -1, "queue_sram_bytes must be >= 0, got -1"),
+        ("ge_clock_hz", -1e9, "ge_clock_hz must be finite and > 0, got -1000000000.0"),
+        ("ge_clock_hz", 0, "ge_clock_hz must be finite and > 0, got 0"),
+        ("ge_clock_hz", math.nan, "ge_clock_hz must be finite and > 0, got nan"),
+        ("ge_clock_hz", math.inf, "ge_clock_hz must be finite and > 0, got inf"),
+        ("sww_clock_hz", 0, "sww_clock_hz must be finite and > 0, got 0"),
+        ("sww_clock_hz", math.nan, "sww_clock_hz must be finite and > 0, got nan"),
+    ])
+    def test_non_physical_hardware_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HaacConfig(n_ges=4, sww_bytes=1024, **{field: value})
+
+    def test_zero_stage_and_queue_counts_are_physical(self):
+        config = HaacConfig(
+            writeback_stages=0, sww_read_stages=0, queue_sram_bytes=0
+        )
+        assert config.writeback_stages == config.sww_read_stages == 0
+
     def test_negative_forward_rejected(self):
         with pytest.raises(ValueError, match="cross_ge_forward must be >= 0"):
             HaacConfig(cross_ge_forward=-1)
@@ -95,15 +126,3 @@ class TestHaacConfig:
     def test_dram_bytes_per_cycle(self):
         config = HaacConfig.paper_default()
         assert config.dram_bytes_per_ge_cycle == pytest.approx(35.2)
-
-
-class TestPipeline:
-    def test_run_haac(self, mixed_circuit):
-        run = run_haac(mixed_circuit, HaacConfig(n_ges=2, sww_bytes=64 * 16))
-        assert run.runtime_s > 0
-        assert run.sim.n_instructions == len(run.compile_result.program.instructions)
-
-    def test_run_best_reorder_picks_min(self, mixed_circuit):
-        config = HaacConfig(n_ges=2, sww_bytes=64 * 16)
-        best, times = run_best_reorder(mixed_circuit, config)
-        assert best.runtime_s == min(times.values())

@@ -1,7 +1,7 @@
 """Cross-model engine equivalence: numpy vs reference.
 
 The contract under test: every timing model (decoupled simulate,
-coupled, pull-based, multicore) produces *bit-identical* cycle counts,
+coupled, pull-based) produces *bit-identical* cycle counts,
 stall breakdowns and per-GE issue counts whether it runs on the NumPy
 level-parallel engine (the default) or the per-gate reference oracle
 (``REPRO_SIM_ENGINE=reference``), across every stdlib circuit family
@@ -41,7 +41,6 @@ from repro.sim.engine import (
     ENGINE_REFERENCE,
     engine_mode,
 )
-from repro.sim.multicore import simulate_multicore
 from repro.sim.timing import simulate
 from repro.workloads import get_workload
 
@@ -325,39 +324,6 @@ class TestCoupledEquivalence:
         decoupled = simulate(result.streams, config)
         assert coupled.cycles == pytest.approx(decoupled.runtime_cycles)
         assert coupled.slowdown_vs_decoupled == pytest.approx(1.0)
-
-
-class TestMulticoreEquivalence:
-    @pytest.mark.parametrize("opt", ALL_OPTS, ids=lambda o: o.value)
-    def test_relu_multicore_identical(self, monkeypatch, opt):
-        built = get_workload("ReLU").build(k=16, width=8)
-        config = HaacConfig(n_ges=4, sww_bytes=16 * 1024)
-
-        def run():
-            result = simulate_multicore(built.circuit, config, 4, opt=opt)
-            return (
-                result.core_compute_cycles,
-                result.total_traffic_cycles,
-                result.single_core_runtime_s,
-                result.shards,
-            )
-
-        _assert_identical(_all_engines(monkeypatch, run))
-
-    @pytest.mark.parametrize("family", sorted(STDLIB_FAMILIES))
-    def test_families_multicore_identical(self, monkeypatch, family):
-        config = HaacConfig(n_ges=4, sww_bytes=16 * 1024)
-        circuit = _circuit(family)
-
-        def run():
-            result = simulate_multicore(circuit, config, 2)
-            return (
-                result.core_compute_cycles,
-                result.total_traffic_cycles,
-                result.single_core_runtime_s,
-            )
-
-        _assert_identical(_all_engines(monkeypatch, run))
 
 
 @pytest.mark.slow

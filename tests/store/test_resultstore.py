@@ -8,6 +8,7 @@ result store has: derived keys, config signatures, merge and bundles.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.sim.config import HaacConfig
 from repro.sim.dram import HBM2
 from repro.store import ResultStore, config_signature, result_key
+from repro.store.resultstore import _SIGNATURE_FIELDS
 
 DIGEST = "a" * 64
 SIG = "b" * 64
@@ -92,6 +94,17 @@ class TestConfigSignature:
         base = HaacConfig()
         variant = HaacConfig(sim_engine="reference", gc_backend="scalar")
         assert config_signature(base) == config_signature(variant)
+
+    def test_every_field_is_signed_or_named_software(self):
+        """A new hardware field must join the signature (or be named a
+        software selector here), or store keys silently ignore it."""
+        signed = list(_SIGNATURE_FIELDS)
+        signed_apart = ["dram", "role"]  # signed by name/value, not repr
+        software = ["gc_backend", "fault_spec", "sim_engine"]
+        groups = signed + signed_apart + software
+        assert len(set(groups)) == len(groups)  # disjoint, no repeats
+        fields = [f.name for f in dataclasses.fields(HaacConfig)]
+        assert sorted(fields) == sorted(groups)
 
 
 class TestTornEntryRecovery:

@@ -1,13 +1,22 @@
 """Packaging and documentation sanity: the repo ships what it claims."""
 
+import dataclasses
+import importlib
 import pathlib
+import pkgutil
 import re
+import textwrap
 
 import pytest
 
 import repro
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Every module of the package, by dotted name.
+MODULES = sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+)
 
 
 class TestDocumentation:
@@ -51,6 +60,49 @@ class TestDocumentation:
         assert not list((ROOT / "scripts").glob("bench_*.py"))
         assert (ROOT / "perf" / "run.py").is_file()
 
+    def test_documented_snippets_run(self, tmp_path, monkeypatch):
+        """README's ``python`` blocks, in order and in one namespace (a
+        later block reads an earlier one's names), then the package
+        docstring's ``Quickstart::``."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # cache=True
+        readme = (ROOT / "README.md").read_text()
+        blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+        assert blocks
+        quickstart = repro.__doc__.split("Quickstart::\n", 1)[1]
+        namespace = {}
+        for source in [*blocks, textwrap.dedent(quickstart)]:
+            exec(compile(source, "<snippet>", "exec"), namespace)
+
+
+class TestRetiredApi:
+    """What was deleted stays deleted."""
+
+    @pytest.mark.parametrize("module", [
+        "repro.sim.multicore", "repro.sim.pipeline", "repro.sim.ge",
+    ])
+    def test_module_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_config_has_no_prog_cache(self):
+        from repro.sim.config import HaacConfig
+
+        names = {f.name for f in dataclasses.fields(HaacConfig)}
+        assert "prog_cache" not in names
+        assert not hasattr(HaacConfig, "with_prog_cache")
+
+    def test_progcache_has_no_shard_key(self):
+        from repro.core import progcache
+
+        assert not hasattr(progcache, "shard_key")
+        assert "shard_key" not in progcache.__all__
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_all_names_resolve(self, name):
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
 
 class TestPyproject:
     """``pyproject.toml`` is the declared dependency set CI installs."""
@@ -93,20 +145,14 @@ class TestPublicApi:
             assert getattr(repro, name) is not None
 
     def test_headline_api_reachable(self):
-        from repro.sim import HaacConfig, run_haac  # noqa: F401
+        from repro.sim import HaacConfig, simulate  # noqa: F401
         from repro.workloads import get_workload  # noqa: F401
         from repro.gc import run_two_party  # noqa: F401
         from repro.core import compile_circuit  # noqa: F401
 
     def test_public_modules_have_docstrings(self):
-        import importlib
-        import pkgutil
-
-        missing = []
-        for module_info in pkgutil.walk_packages(
-            repro.__path__, prefix="repro."
-        ):
-            module = importlib.import_module(module_info.name)
-            if not (module.__doc__ or "").strip():
-                missing.append(module_info.name)
+        missing = [
+            name for name in MODULES
+            if not (importlib.import_module(name).__doc__ or "").strip()
+        ]
         assert not missing, f"modules without docstrings: {missing}"
