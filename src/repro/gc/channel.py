@@ -234,7 +234,12 @@ def decode_frame(data: bytes) -> Frame:
             f"frame length mismatch: header says {kind_len + payload_len}, "
             f"got {len(rest)}"
         )
-    kind = rest[:kind_len].decode("ascii")
+    if chunk >= n_chunks:
+        raise FrameCorrupt(f"bad chunk index {chunk} of {n_chunks}")
+    try:
+        kind = rest[:kind_len].decode("ascii")
+    except UnicodeDecodeError:
+        raise FrameCorrupt(f"non-ASCII frame kind {rest[:kind_len]!r}") from None
     return Frame(seq, msg_id, chunk, n_chunks, kind, rest[kind_len:])
 
 

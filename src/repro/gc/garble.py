@@ -178,10 +178,10 @@ def garble_circuit_batched(
 
     resolved = resolve_backend(backend)
     circuit.validate()
-    prg = LabelPrg(seed)
-    r = prg.next_odd_block()
+    # R, then one label per input wire, in one draw.
+    r, *input_labels = LabelPrg(seed).next_blocks(1 + circuit.n_inputs, resolved)
+    r |= 1
     hasher = GateHasher(rekeyed=rekeyed)
-    input_labels = [prg.next_block() for _ in range(circuit.n_inputs)]
 
     store = garbler_store(circuit, input_labels, r, rekeyed, resolved, hasher)
     levels = circuit.and_level_schedule()

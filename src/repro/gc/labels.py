@@ -17,17 +17,20 @@ of a wire always expose opposite permute bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
-from .rng import MASK_128, LabelPrg
+if TYPE_CHECKING:
+    from .rng import LabelPrg
 
 __all__ = [
     "LabelPair", "lsb", "xor_labels", "GlobalOffset", "label_to_bytes",
     "bytes_to_label", "ints_to_bytes", "bytes_to_ints", "bytes_to_blocks",
-    "blocks_to_bytes", "pack_bits", "unpack_bits",
+    "blocks_to_bytes", "pack_bits", "unpack_bits", "MASK_128",
 ]
+
+MASK_128 = (1 << 128) - 1
 
 
 def lsb(label: int) -> int:

@@ -26,11 +26,13 @@ from-scratch AES.
 BATCHING: the evaluator (receiver) runs one OT per input bit, and both
 of Bob's group operations are fixed-base exponentiations -- ``g^b`` for
 the point, ``A^b`` for the pad.  ``choose_batch``/``decrypt_batch``
-build one windowed table per base (:class:`_FixedBaseTable`) and reduce
+use one windowed table per base (:class:`_FixedBaseTable`) and reduce
 every exponentiation to one multiplication per window; the window width
 is the argmin of the table's cost model for the batch at hand (512
 choices: ``w = 7``, about 37 multiplications each; 8 choices: ``w = 3``;
-``w = 1`` is the plain square chain).
+``w = 1`` is the plain square chain).  ``g``'s table is built once per
+process per width (:func:`_generator_table`); ``A``'s is per batch.
+The receiver's secrets are drawn in one ``LabelPrg.next_blocks`` call.
 
 The sender's ``encrypt`` pays *two* variable-base exponentiations per
 bit (``B^a`` and ``(B/A)^a``), but ``(B/A)^a = B^a * (A^{-1})^a`` and the
@@ -64,7 +66,7 @@ the base layer and the oracle the extension is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +101,13 @@ class _FixedBaseTable:
     ``windows * (2^w - 1)`` multiplications to build plus ``windows`` per
     exponentiation, over the ``batch`` exponentiations it will serve;
     ``w = 1`` is the plain ``base^(2^i)`` square chain.
+
+    A table may be shared across threads (:func:`_generator_table`).
+    Growth never writes into a published list: a caller extends its own
+    snapshot of ``rows`` into a fresh list and publishes that if it is
+    longer.  Row ``j + 1`` is a function of row ``j`` alone, so every
+    list any reader holds is complete and exact; two racing publishers
+    can at worst leave the shorter list, which costs a recomputation.
     """
 
     # 2^8 digits x 32 windows x 96 B bounds the table near 0.8 MB; the
@@ -110,23 +119,31 @@ class _FixedBaseTable:
     ) -> None:
         self.modulus = modulus
         self.width = self.width_for(batch, bits)
-        self.rows: List[List[int]] = []
-        self._next = base % modulus  # base^(2^(w * len(rows)))
-        for _ in range(-(-bits // self.width)):
-            self._add_row()
+        self.rows: List[List[int]] = [self._row(base % modulus)]
+        for _ in range(-(-bits // self.width) - 1):
+            self._grow(self.rows)
 
     @classmethod
     def width_for(cls, batch: int, bits: int = _EXPONENT_BITS) -> int:
         """Cheapest window width for ``batch`` exponentiations."""
         return min(cls._WIDTHS, key=lambda w: -(-bits // w) * ((1 << w) - 1 + batch))
 
-    def _add_row(self) -> None:
-        value, modulus = self._next, self.modulus
+    def _row(self, value: int) -> List[int]:
+        """``[value^d for d < 2^w]`` mod p."""
+        modulus = self.modulus
         row = [1, value]
         for _ in range((1 << self.width) - 2):
             row.append(row[-1] * value % modulus)
-        self.rows.append(row)
-        self._next = row[-1] * value % modulus
+        return row
+
+    def _grow(self, rows: List[List[int]]) -> List[List[int]]:
+        """``rows`` and one more row, as a fresh list, published when it
+        is longer than the table's."""
+        last = rows[-1]
+        rows = rows + [self._row(last[-1] * last[1] % self.modulus)]
+        if len(rows) > len(self.rows):
+            self.rows = rows
+        return rows
 
     def pow(self, exponent: int) -> int:
         """``base ** exponent mod p`` using only multiplications."""
@@ -138,7 +155,7 @@ class _FixedBaseTable:
         index = 0
         while exponent:
             if index >= len(rows):  # extend the table for wide exponents
-                self._add_row()
+                rows = self._grow(rows)
             digit = exponent & mask
             if digit:
                 result = result * rows[index][digit] % modulus
@@ -148,6 +165,24 @@ class _FixedBaseTable:
 
     def pow_batch(self, exponents: Sequence[int]) -> List[int]:
         return [self.pow(exponent) for exponent in exponents]
+
+
+_GENERATOR_TABLES: Dict[int, _FixedBaseTable] = {}
+
+
+def _generator_table(batch: int) -> _FixedBaseTable:
+    """The table of ``GROUP_G`` for ``batch`` exponentiations, built once
+    per process per window width and shared by every later receiver:
+    ``g`` and ``p`` are module constants, readers never write into a
+    published row list, and a party process forked after a session in
+    its parent inherits the tables already built."""
+    width = _FixedBaseTable.width_for(batch)
+    table = _GENERATOR_TABLES.get(width)
+    if table is None:
+        table = _GENERATOR_TABLES.setdefault(
+            width, _FixedBaseTable(GROUP_G, GROUP_P, batch)
+        )
+    return table
 
 
 def _kdf(point: int, tweak: int) -> int:
@@ -301,12 +336,14 @@ class OtReceiver:
         for choice in choices:
             if choice not in (0, 1):
                 raise ValueError("choice must be a bit")
-        # Same PRG draw order as repeated choose() calls.
+        # Same PRG draws as repeated choose() calls: next_bits(256) is
+        # two blocks, the first one high.
+        blocks = self.prg.next_blocks(2 * len(choices), self.backend)
         secrets = [
-            (self.prg.next_bits(256) % (_GROUP_Q - 1)) + 1 for _ in choices
+            (((high << 128) | low) % (_GROUP_Q - 1)) + 1
+            for high, low in zip(blocks[0::2], blocks[1::2])
         ]
-        table = _FixedBaseTable(GROUP_G, GROUP_P, len(secrets))
-        points = table.pow_batch(secrets)
+        points = _generator_table(len(secrets)).pow_batch(secrets)
         for index, choice in enumerate(choices):
             if choice:
                 points[index] = points[index] * self.sender_public % GROUP_P
@@ -384,7 +421,8 @@ class OtExtReceiver:
         self.backend = backend
         self._base = OtSender(prg, backend)
         self.public = self._base.public
-        self._seeds = [(prg.next_block(), prg.next_block()) for _ in range(OT_KAPPA)]
+        blocks = prg.next_blocks(2 * OT_KAPPA, backend)
+        self._seeds = list(zip(blocks[0::2], blocks[1::2]))
 
     def respond(self, points: Sequence[int]) -> Tuple[List[int], bytes]:
         """``(2 * OT_KAPPA seed ciphertexts, u as OT_KAPPA * m packed bits)``."""

@@ -7,15 +7,31 @@ AES-CTR pseudo-random generator built on the from-scratch AES of
 * experiments are reproducible bit-for-bit (DESIGN.md section 5), and
 * the Garbler's label generation in real GC deployments is itself a
   seeded PRG expansion, so this mirrors the actual protocol structure.
+
+A session's draws are known before its first message (labels, base-OT
+seeds, receiver secrets), so bulk draws go through
+:meth:`LabelPrg.next_blocks`: one array AES-CTR call on a vectorized
+backend, the scalar :meth:`LabelPrg.next_block` loop otherwise.
 """
 
 from __future__ import annotations
 
-from .aes import encrypt_block
+from typing import List
+
+import numpy as np
+
+from .aes import encrypt_block, expand_key
+from .labels import (
+    MASK_128, blocks_to_bytes, bytes_to_blocks, bytes_to_ints, ints_to_bytes,
+)
 
 __all__ = ["LabelPrg", "MASK_128"]
 
-MASK_128 = (1 << 128) - 1
+# Blocks at which one array AES call (0.17-0.32 ms, nearly flat up to
+# 64 blocks) clearly undercuts the scalar loop (17-22 us a block):
+# measured crossover 11-13 blocks on the recorded host, 1.26-1.5x ahead
+# at 16 (DESIGN.md section 4).
+_CTR_BATCH_MIN = 16
 
 
 class LabelPrg:
@@ -46,6 +62,23 @@ class LabelPrg:
         value = encrypt_block(self._counter, self._key)
         self._counter += 1
         return value
+
+    def next_blocks(self, count: int, backend=None) -> List[int]:
+        """``[self.next_block() for _ in range(count)]``.
+
+        On a ``vectorized`` backend and from :data:`_CTR_BATCH_MIN`
+        blocks up, the counter blocks are encrypted by one
+        ``backend.encrypt_blocks`` call under the broadcast key
+        schedule; otherwise the scalar loop runs.
+        """
+        if count < _CTR_BATCH_MIN or not getattr(backend, "vectorized", False):
+            return [self.next_block() for _ in range(count)]
+        start = self._counter
+        self._counter += count
+        schedule = np.array(expand_key(self._key), dtype=np.uint32)
+        counters = bytes_to_blocks(ints_to_bytes(range(start, start + count)))
+        blocks = backend.encrypt_blocks(counters, schedule)
+        return bytes_to_ints(blocks_to_bytes(blocks))
 
     def next_bits(self, bits: int) -> int:
         """Return ``bits`` pseudo-random bits as an integer."""

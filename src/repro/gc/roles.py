@@ -218,9 +218,10 @@ class GarblerRole(_Role):
 
     def _turns(self) -> Iterator[str]:
         circuit, down = self.circuit, self.down
-        prg = LabelPrg(self.seed)
-        r = prg.next_odd_block()
-        inputs = [prg.next_block() for _ in range(circuit.n_inputs)]
+        # R, then one label per input wire: the same draws as
+        # next_odd_block() followed by next_block() per input.
+        r, *inputs = LabelPrg(self.seed).next_blocks(1 + circuit.n_inputs, self.backend)
+        r |= 1
         yield from self._ot_turns(
             [(inputs[w], inputs[w] ^ r) for w in circuit.evaluator_input_wires]
         )

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 import struct
 import zlib
 
 import pytest
 
+from repro.circuits.builder import CircuitBuilder
 from repro.faults import (
     ChannelProtocolError,
     FaultPlan,
@@ -29,6 +31,13 @@ from repro.gc.channel import (
     make_framed_pair,
     seq_delta,
 )
+from repro.gc import channel as channel_mod
+from repro.gc.protocol import run_two_party
+
+
+def _sealed(body: bytes) -> bytes:
+    """``body`` with its CRC32 trailer: a frame that passes the checksum."""
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def _channel(plan=None, log=None, **kw):
@@ -58,18 +67,21 @@ class TestFrameCodec:
             decode_frame(bytes(data))
 
     @staticmethod
-    def _crafted(magic=b"GF", version=1, kind=b"k", payload=b"p", payload_len=None):
+    def _crafted(
+        magic=b"GF", version=1, kind=b"k", payload=b"p", payload_len=None,
+        chunk=0, n_chunks=1,
+    ):
         body = FRAME_HEADER.pack(
             magic,
             version,
             0,
             0,
-            0,
-            1,
+            chunk,
+            n_chunks,
             len(kind),
             len(payload) if payload_len is None else payload_len,
         ) + kind + payload
-        return body + struct.pack("<I", zlib.crc32(body))
+        return _sealed(body)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(FrameCorrupt, match="magic"):
@@ -82,6 +94,27 @@ class TestFrameCodec:
     def test_length_mismatch_rejected(self):
         with pytest.raises(FrameCorrupt, match="length mismatch"):
             decode_frame(self._crafted(payload_len=99))
+
+    # Regression: these three passed the CRC and escaped as a
+    # UnicodeDecodeError or a frame no reassembly could complete.
+    def test_non_ascii_kind_rejected(self):
+        with pytest.raises(FrameCorrupt, match="non-ASCII"):
+            decode_frame(self._crafted(kind=b"\xff"))
+
+    def test_zero_chunk_count_rejected(self):
+        with pytest.raises(FrameCorrupt, match="chunk index"):
+            decode_frame(self._crafted(n_chunks=0))
+
+    def test_chunk_past_count_rejected(self):
+        with pytest.raises(FrameCorrupt, match="chunk index"):
+            decode_frame(self._crafted(chunk=2, n_chunks=2))
+
+    def test_sealed_bad_kind_takes_the_retransmit_path(self):
+        ch = _channel()
+        ch.wire.push(self._crafted(kind=b"\xff"), 0)
+        ch.send_message("tables", b"ok")
+        assert ch.recv_message("tables") == b"ok"
+        assert ch.corrupt_frames == 1
 
     def test_kind_too_long_rejected(self):
         with pytest.raises(ValueError, match="kind too long"):
@@ -100,6 +133,87 @@ class TestFrameCodec:
             encode_frame(Frame(SEQ_MOD, 0, 0, 1, "k", b""))
         with pytest.raises(ChannelProtocolError, match="u32"):
             encode_frame(Frame(0, SEQ_MOD, 0, 1, "k", b""))
+
+
+def _and_circuit(width):
+    """``width`` garbler bits ANDed with ``width`` evaluator bits."""
+    builder = CircuitBuilder()
+    xs = builder.add_garbler_inputs(width)
+    ys = builder.add_evaluator_inputs(width)
+    builder.mark_outputs([builder.AND(x, y) for x, y in zip(xs, ys)])
+    return builder.build(f"and{width}")
+
+
+@pytest.fixture(scope="module")
+def session_frames():
+    """One encoded frame of every message kind a streamed session sends:
+    8 choices run the direct handshake, 211 the OT extension."""
+    frames = {}
+
+    def recording(frame):
+        data = encode_frame(frame)
+        frames.setdefault(frame.kind, data)
+        return data
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channel_mod, "encode_frame", recording)
+        for width in (8, 211):
+            bits = [i & 1 for i in range(width)]
+            run_two_party(
+                _and_circuit(width), bits, bits, streamed=True, backend="numpy"
+            )
+    return [frames[kind] for kind in sorted(frames)]
+
+
+class TestFrameMutations:
+    """Every mutated frame decodes or raises FrameCorrupt, nothing else.
+
+    Raw mutations must fail the CRC (or leave the frame intact);
+    re-sealed ones (CRC recomputed over the mutated body) reach the
+    header, kind and length checks, and a frame that parses must
+    re-encode to exactly the bytes it was parsed from.
+    """
+
+    @staticmethod
+    def _mutate(rng, data: bytes) -> bytes:
+        data = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(3)
+            if kind == 0 and data:
+                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            elif kind == 1 and data:
+                del data[rng.randrange(len(data)) :]
+            else:
+                data += bytes(rng.randrange(256) for _ in range(rng.randint(1, 8)))
+        return bytes(data)
+
+    def test_every_message_kind_is_covered(self, session_frames):
+        kinds = {decode_frame(data).kind for data in session_frames}
+        assert {"ot_points", "otx_matrix", "tables", DIGEST_KIND} <= kinds
+        assert len(kinds) == 13
+
+    @pytest.mark.parametrize(
+        "rounds", [300, pytest.param(6000, marks=pytest.mark.slow)]
+    )
+    def test_seeded_mutations(self, session_frames, rounds):
+        rng = random.Random(36)
+        outcomes = {"raw": 0, "parsed": 0, "rejected": 0}
+        for _ in range(rounds):
+            original = rng.choice(session_frames)
+            mutated = self._mutate(rng, original)
+            try:
+                assert decode_frame(mutated) == decode_frame(original)
+            except FrameCorrupt:
+                outcomes["raw"] += 1
+            resealed = _sealed(self._mutate(rng, original[:-4]))
+            try:
+                frame = decode_frame(resealed)
+            except FrameCorrupt:
+                outcomes["rejected"] += 1
+                continue
+            assert encode_frame(frame) == resealed
+            outcomes["parsed"] += 1
+        assert outcomes["raw"] and outcomes["parsed"] and outcomes["rejected"]
 
 
 class TestChunkOverflow:

@@ -1,6 +1,8 @@
 """Oblivious transfer and the end-to-end two-party protocol."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.stdlib.integer import less_than
 from repro.gc.backends import resolve_backend
+from repro.gc import ot
 from repro.gc.channel import Channel, make_channel_pair
 from repro.gc.labels import bytes_to_ints, ints_to_bytes
 from repro.gc.ot import (
     _KDF_BATCH_MIN,
+    GROUP_G,
     GROUP_P,
     OT_KAPPA,
     OtExtReceiver,
@@ -243,6 +247,80 @@ class TestFixedBaseTable:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             _FixedBaseTable(3, GROUP_P, 512).pow(-1)
+
+    def test_generator_table_is_built_once_per_width(self, monkeypatch):
+        built = []
+
+        class Counting(_FixedBaseTable):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ot, "_FixedBaseTable", Counting)
+        monkeypatch.setattr(ot, "_GENERATOR_TABLES", {})
+        sender = OtSender(LabelPrg(1))
+        shared = None
+        for seed in (2, 3, 4):
+            batched = OtReceiver(LabelPrg(seed), sender.public)
+            per_bit = OtReceiver(LabelPrg(seed), sender.public)
+            assert batched.choose_batch([0, 1] * 4) == [
+                per_bit.choose(choice) for choice in [0, 1] * 4
+            ]
+            shared = shared or ot._generator_table(8)
+            assert ot._generator_table(8) is shared
+        assert len(built) == 1
+        OtReceiver(LabelPrg(5), sender.public).choose_batch([1] * 128)
+        assert len(built) == 2
+        assert sorted(ot._GENERATOR_TABLES) == sorted(
+            {_FixedBaseTable.width_for(8), _FixedBaseTable.width_for(128)}
+        )
+
+    @pytest.mark.parametrize("batch", _BATCH_PER_WIDTH)
+    def test_generator_table_pow(self, batch, monkeypatch):
+        monkeypatch.setattr(ot, "_GENERATOR_TABLES", {})  # 300 bits extend it
+        table = ot._generator_table(batch)
+        for exponent in (0, 1, (1 << 256) - 1, 1 << 256, (1 << 300) + 5, 12345):
+            assert table.pow(exponent) == pow(GROUP_G, exponent, GROUP_P)
+
+    @staticmethod
+    def _assert_rows_consistent(table):
+        """Every row complete, and each one the successor of the last."""
+        base = GROUP_G
+        for row in table.rows:
+            assert len(row) == 1 << table.width
+            assert row[:2] == [1, base]
+            for d in range(2, len(row)):
+                assert row[d] == row[d - 1] * base % GROUP_P
+            base = row[-1] * base % GROUP_P
+
+    def test_shared_table_is_never_seen_half_extended(self):
+        table = _FixedBaseTable(GROUP_G, GROUP_P, 60)
+        rng = random.Random(36)
+        exponents = [rng.getrandbits(256 + 24 * i) for i in range(1, 25)]
+        results = {}
+        barrier = threading.Barrier(4)
+
+        def worker(k):
+            barrier.wait()
+            results[k] = [table.pow(exponent) for exponent in exponents[k::4]]
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-growth
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == [0, 1, 2, 3], "a worker raised"
+        for k in range(4):
+            assert results[k] == [
+                pow(GROUP_G, exponent, GROUP_P) for exponent in exponents[k::4]
+            ]
+        self._assert_rows_consistent(table)
 
 
 @pytest.mark.parametrize("backend", ["scalar", "auto"])
