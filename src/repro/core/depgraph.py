@@ -137,13 +137,9 @@ class DepGraph:
         return level
 
     @cached_property
-    def gate_level(self) -> List[int]:
-        """ASAP level per gate position, 1-based -- Circuit.gate_levels."""
-        return column_view(self.gate_level_column).tolist()
-
-    @cached_property
     def gate_level_column(self) -> array:
-        """``gate_level`` as a column; a seeded graph reads its source's."""
+        """ASAP level per gate position, 1-based (Circuit.gate_levels) as
+        a column; a seeded graph reads its source's."""
         source = self.__dict__.pop("_gate_level_from", None)
         if source is not None:
             return source.gate_level_column

@@ -17,8 +17,9 @@ valid :class:`Circuit` with gates permuted (wire ids unchanged; run
 renaming afterwards to restore the ISA's sequential-output form).
 
 All ordering data comes from the shared dependence graph
-(:mod:`repro.core.depgraph`): levels are read off ``graph.gate_level``
-instead of re-walking the netlist, the DFS traversal uses the flat
+(:mod:`repro.core.depgraph`): levels are sorted straight off
+``graph.gate_level_column`` instead of re-walking the netlist, the DFS
+traversal gathers each operand's producing gate once from the flat
 operand columns instead of a producer dict, and every permuted circuit
 is validated *by graph construction* -- the new graph is seeded on the
 result (with the permutation-invariant wire levels transferred), so the
@@ -35,18 +36,6 @@ from ...circuits.netlist import Circuit, column_view, int_column
 from ..depgraph import DepGraph, dep_graph, seed_graph
 
 __all__ = ["full_reorder", "segment_reorder", "depth_first_order"]
-
-
-def _stable_level_sort(graph: DepGraph, segment_size: int) -> np.ndarray:
-    """Positions sorted by gate level within each contiguous window of
-    ``segment_size`` gates, stable.
-
-    Levels are the global ASAP levels, so a dependent gate always has a
-    strictly larger level than its producer and the sorted order remains
-    topological within the window.
-    """
-    levels = np.asarray(graph.gate_level, dtype=np.int64)
-    return np.lexsort((levels, np.arange(graph.n_gates) // segment_size))
 
 
 def _permute(
@@ -80,8 +69,9 @@ def full_reorder(circuit: Circuit) -> Circuit:
     keeps some residual locality and makes the pass deterministic.
     """
     graph = dep_graph(circuit)
-    # The whole program is one segment (of at least one gate).
-    order = _stable_level_sort(graph, max(graph.n_gates, 1))
+    # Levels are the global ASAP levels: a dependent gate's is strictly
+    # larger than its producer's, so the sorted order stays topological.
+    order = np.argsort(column_view(graph.gate_level_column), kind="stable")
     return _permute(circuit, order, "+ro", graph)
 
 
@@ -101,46 +91,68 @@ def depth_first_order(circuit: Circuit) -> Circuit:
     circuit traversal, i.e., in tight producer-consumer relationships
     minimizing the distance between dependent gates", which keeps wire
     reuse local but starves in-order GEs of parallelism.  We reproduce it
-    with an iterative post-order DFS from the circuit outputs -- a
-    sequential walk (what is emitted next depends on everything emitted
-    so far), so it stays a loop: over one int stack, where ``~position``
-    marks a gate whose operands have been pushed.
+    as a post-order DFS from the circuit outputs, ``a``'s subtree before
+    ``b``'s -- a sequential walk (what is emitted next depends on
+    everything emitted so far), so it stays a loop.  It descends through
+    the first operand whose producer is not yet emitted and pushes each
+    gate once: as itself while ``a`` is pending, as ``~gate`` once only
+    ``b`` is; a gate is emitted on the way up.  ``emitted`` is a list
+    with a trailing slot set to 1, which the producer column's ``-1``
+    entries (primary inputs, INV's missing operand) index, so an input
+    operand or root reads as already emitted.  Lists and method-form
+    ``append`` / ``pop`` calls, because CPython specializes those and
+    not ``bytearray`` subscripts or bound-method aliases.
     """
     graph = dep_graph(circuit)
     producer = _producer_column(graph)
     source_a = producer[column_view(graph.a_of)].tolist()
     source_b = producer[column_view(graph.b_of)].tolist()
-    emitted = bytearray(graph.n_gates)
+    emitted = [0] * (graph.n_gates + 1)
+    emitted[-1] = 1
     order = []
-    emit = order.append
+    stack = []
     for root in producer[np.asarray(circuit.outputs, dtype=np.int64)].tolist():
-        if root < 0:
+        if emitted[root]:
             continue
-        stack = [root]
-        push = stack.append
-        while stack:
-            position = stack.pop()
-            if position < 0:
-                position = ~position
-                if not emitted[position]:
-                    emitted[position] = 1
-                    emit(position)
+        gate = root
+        while True:
+            # Descend through the first pending operand.
+            source = source_a[gate]
+            if not emitted[source]:
+                stack.append(gate)
+                gate = source
                 continue
-            if emitted[position]:
+            source = source_b[gate]
+            if not emitted[source]:
+                stack.append(~gate)
+                gate = source
                 continue
-            push(~position)
-            # Push b then a so a's subtree is emitted first.
-            source = source_b[position]
-            if source >= 0 and not emitted[source]:
-                push(source)
-            source = source_a[position]
-            if source >= 0 and not emitted[source]:
-                push(source)
+            emitted[gate] = 1
+            order.append(gate)
+            # Climb: a parent that waited on ``a`` may still have ``b``
+            # to descend into; one that waited on ``b`` is ready.
+            while stack:
+                gate = stack.pop()
+                if gate < 0:
+                    gate = ~gate
+                else:
+                    source = source_b[gate]
+                    if not emitted[source]:
+                        stack.append(~gate)
+                        gate = source
+                        break
+                emitted[gate] = 1
+                order.append(gate)
+            else:
+                break
     # Dead gates (no path to an output) keep their original order at the
     # end; they still execute on the hardware.
     order = np.asarray(order, dtype=np.int64)
-    dead = np.flatnonzero(column_view(emitted) == 0)
-    return _permute(circuit, np.concatenate([order, dead]), "+dfs", graph)
+    dead = np.ones(graph.n_gates, dtype=bool)
+    dead[order] = False
+    return _permute(
+        circuit, np.concatenate([order, np.flatnonzero(dead)]), "+dfs", graph
+    )
 
 
 def segment_reorder(circuit: Circuit, segment_size: int) -> Circuit:
@@ -153,5 +165,10 @@ def segment_reorder(circuit: Circuit, segment_size: int) -> Circuit:
     if segment_size < 1:
         raise ValueError("segment size must be positive")
     graph = dep_graph(circuit)
-    order = _stable_level_sort(graph, segment_size)
+    # Stable by (segment, level): topological within each window, as in
+    # full_reorder, and the segments keep the baseline's order.
+    order = np.lexsort((
+        column_view(graph.gate_level_column),
+        np.arange(graph.n_gates) // segment_size,
+    ))
     return _permute(circuit, order, "+seg", graph)

@@ -44,11 +44,11 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import sys
-from array import array
 from typing import TYPE_CHECKING, Optional
 
-from ..circuits.netlist import Circuit
+import numpy as np
+
+from ..circuits.netlist import Circuit, column_view
 from ..store.entries import EntryStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (compiler imports us)
@@ -101,20 +101,15 @@ def circuit_digest(circuit: Circuit) -> str:
     h.update(circuit.name.encode("utf-8"))
     h.update(b"\0")
     # Canonical form: int64 header, outputs, then one (op, a, b, out)
-    # quadruple per gate -- the columns interleaved by slice assignment.
-    head = array(
-        "q",
-        [circuit.n_garbler_inputs, circuit.n_evaluator_inputs, n_outputs, n_gates],
+    # quadruple per gate -- one little-endian block filled column-wise.
+    head = np.array(
+        [circuit.n_garbler_inputs, circuit.n_evaluator_inputs, n_outputs, n_gates,
+         *circuit.outputs],
+        dtype="<i8",
     )
-    head.extend(circuit.outputs)
-    body = array("q", bytes(32 * n_gates))
-    body[0::4] = array("q", list(circuit.op))
-    body[1::4] = circuit.a
-    body[2::4] = circuit.b
-    body[3::4] = circuit.out
-    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
-        head.byteswap()
-        body.byteswap()
+    body = np.empty((n_gates, 4), dtype="<i8")
+    for field, column in enumerate((circuit.op, circuit.a, circuit.b, circuit.out)):
+        body[:, field] = column_view(column)
     h.update(head)
     h.update(body)
     digest = h.hexdigest()

@@ -183,7 +183,7 @@ class TestGraphMatchesLegacy:
         circuit = _circuit(family)
         graph = dep_graph(circuit)
         assert graph.wire_level == circuit.wire_levels()
-        assert graph.gate_level == circuit.gate_levels()
+        assert list(graph.gate_level_column) == circuit.gate_levels()
 
     def test_reader_adjacency(self, family):
         circuit = _circuit(family)
@@ -290,7 +290,7 @@ class TestMemoization:
         graph = DepGraph(_adder8())
         before = build_counts()
         for _ in range(3):
-            graph.wire_level, graph.gate_level
+            graph.wire_level, graph.gate_level_column
         after = build_counts()
         assert after["levels"] - before["levels"] == 1
 
@@ -312,7 +312,7 @@ class TestMemoization:
         renamed = dep_graph(rename(reordered))
         before = build_counts()["levels"]
         assert renamed.has_levels
-        assert renamed.gate_level == source.gate_level
+        assert list(renamed.gate_level_column) == list(source.gate_level_column)
         assert renamed.gate_level_column is source.gate_level_column
         assert build_counts()["levels"] == before
 

@@ -7,13 +7,18 @@ per codec (``ProgramCache`` and ``ResultStore``).
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import subprocess
 import sys
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.builder import CircuitBuilder
+from repro.circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit
 from repro.circuits.stdlib.integer import add, mul
 from repro.core import depgraph
 from repro.core.compiler import OptLevel, compile_best, compile_circuit
@@ -149,6 +154,68 @@ class TestDigest:
         first = circuit_digest(circuit)
         assert circuit_digest(circuit) == first  # memo path
         assert circuit_digest(_adder()) == first  # fresh instance
+
+
+def _interleaved_digest(circuit):
+    """``circuit_digest`` as it stood before the digest was built in one
+    block -- the columns interleaved by slice assignment into one
+    ``array('q')`` -- kept verbatim (less the memo) as the oracle."""
+    n_gates = len(circuit.op)
+    n_outputs = len(circuit.outputs)
+    h = hashlib.sha256()
+    h.update(b"repro.circuit/v1\0")
+    h.update(circuit.name.encode("utf-8"))
+    h.update(b"\0")
+    # Canonical form: int64 header, outputs, then one (op, a, b, out)
+    # quadruple per gate -- the columns interleaved by slice assignment.
+    head = array(
+        "q",
+        [circuit.n_garbler_inputs, circuit.n_evaluator_inputs, n_outputs, n_gates],
+    )
+    head.extend(circuit.outputs)
+    body = array("q", bytes(32 * n_gates))
+    body[0::4] = array("q", list(circuit.op))
+    body[1::4] = circuit.a
+    body[2::4] = circuit.b
+    body[3::4] = circuit.out
+    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
+        head.byteswap()
+        body.byteswap()
+    h.update(head)
+    h.update(body)
+    return h.hexdigest()
+
+
+_wires = st.one_of(st.integers(-1, 64), st.integers(-(2**63), 2**63 - 1))
+
+
+@st.composite
+def _digest_netlists(draw):
+    """Columns as the digest reads them, well-formed or not: every op
+    code, INV's ``-1``, wire ids up to the int64 range, no gates, no
+    outputs, and names outside ASCII."""
+    gates = draw(st.lists(
+        st.tuples(st.sampled_from([OP_AND, OP_XOR, OP_INV]), _wires, _wires, _wires),
+        max_size=40,
+    ))
+    op, a, b, out = bytearray(), array("q"), array("q"), array("q")
+    for code, first, second, wire in gates:
+        op.append(code)
+        a.append(first)
+        b.append(-1 if code == OP_INV else second)
+        out.append(wire)
+    return Circuit.from_columns(
+        draw(st.integers(0, 2**40)), draw(st.integers(0, 2**40)),
+        draw(st.lists(_wires, max_size=8)), op, a, b, out,
+        draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)),
+    )
+
+
+class TestDigestOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(circuit=_digest_netlists())
+    def test_block_digest_equals_interleaved(self, circuit):
+        assert circuit_digest(circuit) == _interleaved_digest(circuit)
 
 
 class TestCompileKey:
@@ -369,7 +436,7 @@ class TestNoArrayTypeLeaks:
         sequences = {
             "ge_of": streams.ge_of,
             "issue_cycle": streams.issue_cycle,
-            "gate_level": graph.gate_level,
+            "gate_level_column": graph.gate_level_column,
             "wire_level": graph.wire_level,
             "last_reader": graph.last_reader,
             "outputs": program.outputs,
