@@ -57,7 +57,6 @@ __all__ = [
     "CompilePoint",
     "SimPoint",
     "DataProvider",
-    "default_provider",
 ]
 
 #: Bench schemas for the stored row shapes.  Bump on field changes:
@@ -315,14 +314,3 @@ class DataProvider:
         if self.store is not None:
             counters.update(self.store.stats.as_dict())
         return counters
-
-
-def default_provider(
-    store: Union[ResultStore, str, bool, None] = None,
-) -> DataProvider:
-    """The provider drivers use when none is passed explicitly.
-
-    Live compute through the result store resolved from ``store`` (or
-    the ``REPRO_RESULT_STORE`` environment variable when ``None``).
-    """
-    return DataProvider(store=store)

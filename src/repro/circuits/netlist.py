@@ -47,6 +47,7 @@ __all__ = [
     "ColumnView",
     "column_view",
     "int_column",
+    "narrow_column",
     "OP_AND",
     "OP_XOR",
     "OP_INV",
@@ -83,18 +84,38 @@ GATE_OPS = (GateOp.AND, GateOp.XOR, GateOp.INV)
 _OP_CODE = {op: code for code, op in enumerate(GATE_OPS)}
 
 
+#: ``array`` typecode -> the canonical NumPy integer of its sign and
+#: width (``'q'`` -> ``int64``, not ``longlong``: ufuncs such as
+#: ``maximum.at`` take their fast loop only on the canonical type).
+_VIEW_DTYPE = {
+    code: np.dtype(f"{'u' if code.isupper() else 'i'}{array(code).itemsize}")
+    for code in "bBhHiIlLqQ"
+}
+
+
 def column_view(column) -> np.ndarray:
-    """Zero-copy NumPy view of a column (``bytearray`` -> ``uint8``,
-    ``array('q')`` -> ``int64``).  A live view blocks resizing its
-    column: kernels keep views in short-lived frames, never store one."""
-    return np.frombuffer(
-        column, dtype=np.int64 if isinstance(column, array) else np.uint8
-    )
+    """Zero-copy NumPy view of a column (``bytearray`` -> ``uint8``, an
+    ``array`` -> its own typecode's sign and width, ``'q'`` -> ``int64``,
+    ``'H'`` -> ``uint16``).  A live view blocks resizing its column:
+    kernels keep views in short-lived frames, never store one."""
+    if isinstance(column, array):
+        return np.frombuffer(column, dtype=_VIEW_DTYPE[column.typecode])
+    return np.frombuffer(column, dtype=np.uint8)
 
 
 def int_column(values: np.ndarray) -> array:
     """A kernel's integer result as an ``array('q')`` column."""
     return array("q", values.astype(np.int64, copy=False).tobytes())
+
+
+def narrow_column(values) -> array:
+    """Non-negative integers (a list or an integer array) as the
+    narrowest unsigned ``array`` column that holds their max: the
+    typecode is the ``np.min_scalar_type``'s own ``char`` (``'B'`` up to
+    255, ``'H'`` up to 65,535, ...)."""
+    values = np.asarray(values, dtype=np.int64)
+    dtype = np.min_scalar_type(int(values.max(initial=0)))
+    return array(dtype.char, values.astype(dtype, copy=False).tobytes())
 
 
 @dataclass(frozen=True)

@@ -168,15 +168,8 @@ def compile_circuit(
         esw_report=esw_report,
     )
     if store is not None and key is not None:
-        # Bake the flat engine arrays and their dependence-level
-        # partition (both pure functions of the stream set) into the
-        # persisted entry so warm runs replay level-parallel without
-        # repeating the partition pass.  Imported lazily: the sim
-        # package depends on core, not vice versa, except for this one
-        # derived-data hook.
-        from ..sim.engine import compiled_arrays
-
-        compiled_arrays(streams).ensure_levels()
+        # The entry carries the level partition (StreamSet.__getstate__),
+        # so warm runs replay level-parallel without the partition pass.
         store.put(key, result)
     return result
 

@@ -19,9 +19,9 @@ operands, and the greedy GE mapping iterated gate dataclasses.
   the PR-5 WAW rule (an evicting write orders after the evicted slot's
   *producer*, readers or not) and the OoR reader-after-evictor floor.
   They live in :func:`engine_levels`, the schedule-aware level
-  partition that ``CompiledArrays.ensure_levels`` now projects, and in
-  the greedy scheduler's ``last_read_issue`` bookkeeping -- one
-  definition, asserted bit-identical by the equivalence suite.
+  partition behind ``StreamSet.level_of``, and in the greedy
+  scheduler's ``last_read_issue`` bookkeeping -- one definition,
+  asserted bit-identical by the equivalence suite.
 
 Graph construction *is* validation: it runs :meth:`Circuit.validate`
 (which also reports whether the netlist is in renamed form), so a pass
@@ -34,9 +34,9 @@ and in a small digest-keyed registry so rebuilt-but-equal circuits --
 a sweep rebuilding a workload, or two opt levels sharing one lowered
 circuit -- reuse the graph and everything lazily derived on it.  The
 renamed program's graph additionally rides along on the
-:class:`StreamSet` into the persistent program cache (CACHE_SCHEMA v5),
-sharing its operand columns with the netlist, the program and the
-engine's ``CompiledArrays`` so warm entries store one copy.
+:class:`StreamSet` into the persistent program cache, sharing its
+operand columns with the netlist and the program so warm entries store
+one copy.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class DepGraph:
     everything else is a ``cached_property``: derived lazily, once, and
     memoized on the graph.
     All fields are stdlib arrays, bytearrays and lists (the same
-    NumPy-less-pickle portability contract as ``CompiledArrays``; the
+    NumPy-less-pickle portability contract as the stream set; the
     NumPy engine wraps them on demand).  The derivations that are not
     sequential by nature run as array kernels over views of the
     columns and hand back lists of Python ints (DESIGN.md 14.5).
@@ -204,10 +204,10 @@ class DepGraph:
     # Pickle support (persisted on StreamSet through the program cache)
     # ------------------------------------------------------------------
 
-    #: Eager fields: all that is pickled (the netlist, the program and
-    #: CompiledArrays in the same pickle hold the very same column
-    #: objects, so the marginal entry size is near zero); the derived
-    #: memos rebuild on demand.
+    #: Eager fields: all that is pickled (the netlist and the program
+    #: in the same pickle hold the very same column objects, so the
+    #: marginal entry size is near zero); the derived memos rebuild on
+    #: demand.
     _EAGER = (
         "n_inputs", "n_gates", "n_wires",
         "a_of", "b_of", "out_of", "is_and", "renamed",
@@ -224,12 +224,11 @@ def engine_levels(
     b_of: List[int],
     ge_of: List[int],
     n_ges: int,
-) -> Tuple[List[int], int]:
+) -> List[int]:
     """Dependence-level partition consumed by the NumPy level replay.
 
     The one definition of every ordering constraint the level-parallel
-    engine must respect (``CompiledArrays.ensure_levels`` projects this
-    function):
+    engine must respect (``StreamSet.level_of`` narrows its result):
 
     * **data**: instruction ``p`` reading wire ``w >= n_inputs`` runs
       strictly after producer ``w - n_inputs``;
@@ -259,7 +258,7 @@ def engine_levels(
 
     One O(instructions) pass; constraints on the (unique) future
     evicting instruction are pushed forward as operands are scanned, so
-    no reader lists are materialised.  Returns ``(level_of, n_levels)``.
+    no reader lists are materialised.  Returns ``level_of``.
     """
     n = len(a_of)
     shift = capacity - n_inputs
@@ -300,8 +299,7 @@ def engine_levels(
             ws_min[ta] = lvl + 1
         if p < tb < n and lvl >= ws_min[tb]:
             ws_min[tb] = lvl + 1
-    n_levels = (max(level_of) + 1) if n else 0
-    return level_of, n_levels
+    return level_of
 
 
 def seed_graph(

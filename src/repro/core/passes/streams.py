@@ -23,8 +23,8 @@ sentinel, so a logical wire ``w`` is encoded as ``(w % capacity) + 1``
 
 Both the greedy mapping and the OoR analysis run on the shared
 dependence graph's flat arrays (:mod:`repro.core.depgraph`); the graph
-rides along on the returned :class:`StreamSet` so the sim engines and
-the program cache reuse it.
+rides along on the returned :class:`StreamSet`, the one input the sim
+engines read and the program cache persists.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ...circuits.netlist import ColumnView, column_view, int_column
-from ..depgraph import DepGraph, dep_graph
+from ...circuits.netlist import ColumnView, column_view, int_column, narrow_column
+from ..depgraph import DepGraph, dep_graph, engine_levels
 from ..isa import HaacOp, InstructionEncoding, encode_fields
 from ..program import HaacProgram
 from ..sww import SlidingWindow
@@ -162,23 +162,56 @@ class GeStreams:
 
 @dataclass
 class StreamSet:
-    """All compiler-generated streams for one program/config pair.
+    """All compiler-generated streams for one program/config pair: the
+    whole input of the timing engines (:mod:`repro.sim.engine`).
 
+    ``ge_of`` and ``issue_cycle`` (the greedy mapping, in program order)
+    and ``level_of`` are narrow unsigned columns (:func:`narrow_column`).
     ``depgraph`` is the shared dependence graph of ``program.netlist``;
     it is persisted with the stream set through the program cache,
-    sharing its columns with the netlist, the program and the engine's
-    ``CompiledArrays`` in the same pickle.
+    sharing its columns with the netlist and the program in the same
+    pickle.
     """
 
     program: HaacProgram
     window: SlidingWindow
     n_ges: int
     params: ScheduleParams
-    ge_of: List[int]
-    issue_cycle: List[int]
+    ge_of: array
+    issue_cycle: array
     ges: List[GeStreams]
     makespan: int
     depgraph: DepGraph
+
+    @cached_property
+    def level_of(self) -> array:
+        """Each instruction's level in the schedule-aware dependence
+        partition the level replay runs (:func:`engine_levels`).
+
+        Computed on first read -- a cache-off compile never pays for it
+        -- and persisted with the stream set, so a warm entry carries it.
+        """
+        graph = self.depgraph
+        return narrow_column(engine_levels(
+            self.program.n_inputs, self.window.capacity,
+            graph.a_of, graph.b_of, self.ge_of, self.n_ges,
+        ))
+
+    @property
+    def n_instructions(self) -> int:
+        return len(self.ge_of)
+
+    @property
+    def n_levels(self) -> int:
+        level = column_view(self.level_of)
+        return int(level.max()) + 1 if len(level) else 0
+
+    def __getstate__(self):
+        # The columns and the level partition: the engine's NumPy plans,
+        # memoized on the instance, rebuild from them in O(n) array ops.
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        state["level_of"] = self.level_of
+        return state
 
     @property
     def oor_reads(self) -> int:
@@ -482,8 +515,8 @@ def generate_streams(
         window=window,
         n_ges=n_ges,
         params=params,
-        ge_of=ge_of,
-        issue_cycle=issue_cycle,
+        ge_of=narrow_column(owner),
+        issue_cycle=narrow_column(issue_cycle),
         ges=ges,
         makespan=makespan,
         depgraph=graph,

@@ -66,7 +66,7 @@ __all__ = [
 CACHE_ENV_VAR = "REPRO_PROG_CACHE"
 #: Bump whenever compiler output for an unchanged key could change.
 #: v2: entries carry the engine's flat arrays + dependence-level
-#: partition (repro.sim.engine.CompiledArrays) on the stream set.
+#: partition on the stream set.
 #: v3: window-sync WAW fix -- the greedy schedule (and the level
 #: partition) orders an evicting write after the evicted wire's
 #: *producer*, not just its readers, changing issue_cycle / level_of
@@ -77,7 +77,10 @@ CACHE_ENV_VAR = "REPRO_PROG_CACHE"
 #: v5: entries pickle columns (arrays / bytearrays shared between the
 #: netlist, the program, the dependence graph and the engine arrays)
 #: instead of per-gate Gate / Instruction object graphs.
-CACHE_SCHEMA = 5
+#: v6: the stream set is the engine's whole input: it pickles its own
+#: level_of (no separate engine-array object), and ge_of, issue_cycle
+#: and level_of are narrow unsigned array columns instead of lists.
+CACHE_SCHEMA = 6
 
 
 def circuit_digest(circuit: Circuit) -> str:
@@ -163,8 +166,9 @@ class ProgramCache(EntryStore):
     (``memory=True``, the default) makes repeated gets of one key -- a
     sweep re-simulating the same compile at many design points -- skip
     unpickling and *share one result object*.  Compile results are
-    treated as immutable everywhere (the per-instance schedule/array
-    memos only ever add derived data), so sharing is safe; pass
+    treated as immutable everywhere (the memos on a stream set -- its
+    level partition and the engine's NumPy plans -- only ever add
+    derived data), so sharing is safe; pass
     ``memory=False`` for fully independent copies per get.
     """
 

@@ -17,10 +17,10 @@ by simulating the counterfactuals:
 
 Both reuse the exact same streams and byte accounting as
 :mod:`repro.sim.timing`, so the three models are directly comparable.
-Like the decoupled model, the replay runs on the shared compiled arrays
-of :mod:`repro.sim.engine`: ``numpy`` (the default) is one array pass
-over a leading queue axis, ``REPRO_SIM_ENGINE=reference`` the per-gate
-loop the equivalence suite diffs it against.
+Like the decoupled model, the replay reads the stream set through the
+schedule plan of :mod:`repro.sim.engine`: ``numpy`` (the default) is
+one array pass over a leading queue axis, ``REPRO_SIM_ENGINE=reference``
+the per-gate loop the equivalence suite diffs it against.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .config import OOR_ADDR_BYTES, TABLE_BYTES, HaacConfig
 from .engine import (
     ENGINE_NUMPY,
     check_compiled_for,
-    compiled_arrays,
     engine_mode,
     schedule_plan,
 )
@@ -215,7 +214,7 @@ def coupled_runtime_batch(
         decoupled = simulate(streams, config)
     bandwidth = config.dram_bytes_per_ge_cycle
     input_bytes = streams.program.n_inputs * WIRE_BYTES
-    plan = schedule_plan(compiled_arrays(streams))
+    plan = schedule_plan(streams)
     oor_cost = WIRE_BYTES + OOR_ADDR_BYTES
     costs = (
         float(config.instr_bytes)

@@ -1,9 +1,10 @@
-"""Shared compiled-array timing engine for all timing models.
+"""Shared timing engine for all timing models.
 
-The decoupled, coupled and pull-based models all consume one
-config-independent flattening of a compiled :class:`StreamSet`
-(:class:`CompiledArrays`) instead of re-walking dataclasses per gate.
-Two engines, selected by ``REPRO_SIM_ENGINE`` (or
+The decoupled, coupled and pull-based models all read one compiled
+:class:`StreamSet` -- the program, its dependence graph's columns and
+the compile's ``ge_of`` / ``issue_cycle`` / ``level_of`` -- through two
+config-independent NumPy plans memoized on it, instead of re-walking
+dataclasses per gate.  Two engines, selected by ``REPRO_SIM_ENGINE`` (or
 ``HaacConfig.sim_engine``, which wins when set):
 
 * ``numpy`` -- the default.  It picks its path from the input:
@@ -15,7 +16,7 @@ Two engines, selected by ``REPRO_SIM_ENGINE`` (or
     applies the replay's issue rule to the same ``ge_of``, so
     ``streams.issue_cycle`` *is* the replay's answer.
   - Any other config takes the level-parallel replay
-    (:func:`compute_cycles_numpy_batched`) over the dependence levels
+    (:func:`compute_cycles_numpy_batched`) over ``streams.level_of``,
     persisted through :mod:`repro.core.progcache`: each level's issue
     cycles for every config of the call at once, in five array calls.
 
@@ -38,11 +39,11 @@ config whose GE count or SWW capacity is not the compile's raises
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..circuits.netlist import column_view
 from ..core.isa import HaacOp
 from ..core.passes.streams import StreamSet
 from .config import HaacConfig
@@ -52,10 +53,8 @@ __all__ = [
     "ENGINE_ENV_VAR",
     "ENGINE_NUMPY",
     "ENGINE_REFERENCE",
-    "CompiledArrays",
     "engine_mode",
     "check_compiled_for",
-    "compiled_arrays",
     "compute_cycles_batch",
     "compute_cycles_numpy_batched",
     "compute_cycles_reference",
@@ -64,7 +63,7 @@ __all__ = [
 ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
 ENGINE_NUMPY = "numpy"
 ENGINE_REFERENCE = "reference"
-_ARRAYS_ATTR = "_engine_arrays"
+#: The plans memoized on a StreamSet (never pickled: StreamSet.__getstate__).
 _PLAN_ATTR = "_numpy_plan"
 _SCHEDULE_ATTR = "_schedule_plan"
 #: Per-segment bias decoupling the level-wide prefix max (see
@@ -117,116 +116,6 @@ def _replay_key(config) -> Tuple[int, int, int]:
     return (config.and_latency, config.xor_latency, config.cross_ge_forward)
 
 
-@dataclass
-class CompiledArrays:
-    """Config-independent flat arrays for one compiled :class:`StreamSet`.
-
-    Index ``p`` of every list corresponds to instruction ``p`` in
-    program order (the ISA writes wire ``n_inputs + p``).  ``oor_a`` /
-    ``oor_b`` are the stream generator's per-GE OoR flags scattered back
-    to program order; ``oor_per_ge`` counts each GE's OoRW queue length.
-
-    ``level_of`` is the dependence-level partition consumed by the level
-    replay (None until :meth:`ensure_levels` runs).  Like everything
-    else here it is a pure function of the stream set, so it is computed
-    at most once and -- because these arrays ride along when a
-    :class:`~repro.core.compiler.CompileResult` is pickled into the
-    persistent program cache -- warm runs load it instead of rebuilding.
-    Fields stay stdlib sequences (``array('q')`` operand columns,
-    ``bytearray`` flag columns, plain lists), the layout the pickled
-    cache entry stores.
-    """
-
-    n_inputs: int
-    n_wires: int
-    n_ges: int
-    capacity: int
-    a_of: Sequence[int]
-    b_of: Sequence[int]
-    ge_of: List[int]
-    is_and: bytearray
-    live: bytearray
-    oor_a: bytearray
-    oor_b: bytearray
-    issue_cycle: List[int]
-    oor_per_ge: List[int]
-    level_of: Optional[List[int]] = None
-    n_levels: int = 0
-
-    @property
-    def n_instructions(self) -> int:
-        return len(self.a_of)
-
-    def ensure_levels(self) -> "CompiledArrays":
-        """Compute (once) the dependence-level partition.
-
-        A projection of the shared dependence graph's schedule-aware
-        level partition (:func:`repro.core.depgraph.engine_levels` --
-        the single definition of the data, window-sync WAW, OoR
-        reader-after-evictor and in-order-issue edges the level replay
-        must respect).  Persisted with the arrays through the program
-        cache, so warm runs never recompute it.
-        """
-        if self.level_of is not None:
-            return self
-        from ..core.depgraph import engine_levels
-
-        self.level_of, self.n_levels = engine_levels(
-            self.n_inputs,
-            self.capacity,
-            self.a_of,
-            self.b_of,
-            self.ge_of,
-            self.n_ges,
-        )
-        return self
-
-    def __getstate__(self):
-        # The derived NumPy plans hold ndarrays; keep them out of
-        # pickles (the persistent program cache) -- they rebuild from
-        # the columns and level_of in O(n) array ops.
-        state = dict(self.__dict__)
-        state.pop(_PLAN_ATTR, None)
-        state.pop(_SCHEDULE_ATTR, None)
-        return state
-
-
-def compiled_arrays(streams: StreamSet) -> CompiledArrays:
-    """Build (or fetch the memoized) flat arrays for ``streams``.
-
-    The arrays are a pure function of the stream set, so they are
-    cached on the instance -- every timing model run against the same
-    compile result shares one flattening pass.
-    """
-    cached = getattr(streams, _ARRAYS_ATTR, None)
-    if cached is not None:
-        return cached
-    program = streams.program
-    # The shared dependence graph's operand / op columns and its
-    # memoized OoR flags (the exact flags stream generation used), the
-    # program's live column and the schedule lists are all adopted by
-    # reference, so a pickled cache entry stores one copy of each.
-    graph = streams.depgraph
-    oor_a, oor_b = graph.oor_flags(streams.window.capacity)
-    arrays = CompiledArrays(
-        n_inputs=program.n_inputs,
-        n_wires=program.n_wires,
-        n_ges=streams.n_ges,
-        capacity=streams.window.capacity,
-        a_of=graph.a_of,
-        b_of=graph.b_of,
-        ge_of=streams.ge_of,
-        is_and=graph.is_and,
-        live=program.live,
-        oor_a=oor_a,
-        oor_b=oor_b,
-        issue_cycle=streams.issue_cycle,
-        oor_per_ge=[len(ge.oor_addresses) for ge in streams.ges],
-    )
-    setattr(streams, _ARRAYS_ATTR, arrays)
-    return arrays
-
-
 def compute_cycles_batch(
     streams: StreamSet,
     configs,
@@ -256,8 +145,7 @@ def compute_cycles_batch(
     stalls_list = _stalls_for(configs, stalls_list)
     for config in configs:
         check_compiled_for(streams, config)
-    arrays = compiled_arrays(streams)
-    if not arrays.n_instructions:  # nothing issues, nothing drains
+    if not streams.n_instructions:  # nothing issues, nothing drains
         return [(0, {}) for _ in configs]
     scheduled = _replay_key(streams.params)
     results: List[Optional[Tuple[int, Dict[int, int]]]] = [None] * len(configs)
@@ -267,14 +155,14 @@ def compute_cycles_batch(
                 or config.model_bank_conflicts):
             results[index] = compute_cycles_reference(streams, config, stalls)
         elif _replay_key(config) == scheduled:
-            plan = schedule_plan(arrays)
+            plan = schedule_plan(streams)
             if plan.own_row is None:  # config-independent: once per plan
-                plan.own_row = _scheduled_rows(arrays, [scheduled], plan.issue[None])[0]
-            results[index] = _charge(arrays, plan.own_row, config, stalls)
+                plan.own_row = _scheduled_rows(streams, [scheduled], plan.issue[None])[0]
+            results[index] = _charge(streams, plan.own_row, config, stalls)
         else:
             replayed.append(index)
     sub = compute_cycles_numpy_batched(
-        arrays,
+        streams,
         [configs[index] for index in replayed],
         [stalls_list[index] for index in replayed],
     )
@@ -284,7 +172,7 @@ def compute_cycles_batch(
 
 
 def compute_cycles_numpy_batched(
-    arrays: CompiledArrays,
+    streams: StreamSet,
     configs,
     stalls_list: Optional[List[StallBreakdown]] = None,
 ) -> List[Tuple[int, Dict[int, int]]]:
@@ -300,13 +188,13 @@ def compute_cycles_numpy_batched(
     """
     configs = list(configs)
     stalls_list = _stalls_for(configs, stalls_list)
-    if not configs or not arrays.n_instructions:
+    if not configs or not streams.n_instructions:
         return [(0, {}) for _ in configs]
     keys = [_replay_key(config) for config in configs]
     unique = list(dict.fromkeys(keys))
-    rows = dict(zip(unique, _level_replay(arrays, unique)))
+    rows = dict(zip(unique, _level_replay(streams, unique)))
     return [
-        _charge(arrays, rows[key], config, stalls)
+        _charge(streams, rows[key], config, stalls)
         for key, config, stalls in zip(keys, configs, stalls_list)
     ]
 
@@ -319,7 +207,7 @@ def _stalls_for(configs, stalls_list) -> List[StallBreakdown]:
     return stalls_list
 
 
-def _charge(arrays, row, config, stalls) -> Tuple[int, Dict[int, int]]:
+def _charge(streams, row, config, stalls) -> Tuple[int, Dict[int, int]]:
     """One config's (cycles, issued per GE) from its key's row
     ``(finish before writeback, dependence, window_sync, last issue)``:
     its writeback and drain go on top."""
@@ -328,14 +216,14 @@ def _charge(arrays, row, config, stalls) -> Tuple[int, Dict[int, int]]:
     stalls.dependence += dependence
     stalls.window_sync += window_sync
     stalls.drain += max(0, finish - (last_issue + 1))
-    return finish, dict(schedule_plan(arrays).issued)
+    return finish, dict(schedule_plan(streams).issued)
 
 
 class _SchedulePlan:
     """Program-order NumPy view of the compile's schedule.
 
-    Config-independent and cached unpickled like the level plan, which
-    shares its ``ge``.  The closed form reads ``issue``, ``prev`` (the
+    Config-independent and kept out of pickles like the level plan,
+    which shares its ``ge``.  The closed form reads ``issue``, ``prev`` (the
     GE's previous instruction, ``n`` for its first), the operand
     producer indices ``src_a`` / ``src_b`` (``n`` for a primary input)
     and the cross-GE flags -- index ``n`` is a slot that is always 0 --
@@ -346,14 +234,16 @@ class _SchedulePlan:
     __slots__ = ("issue", "ge", "prev", "src_a", "src_b", "fwd_a", "fwd_b",
                  "is_and", "live", "oor_a", "oor_b", "issued", "own_row")
 
-    def __init__(self, arrays: CompiledArrays) -> None:
-        n = arrays.n_instructions
-        self.issue = np.fromiter(arrays.issue_cycle, dtype=np.int64, count=n)
-        ge = np.fromiter(arrays.ge_of, dtype=np.int64, count=n)
+    def __init__(self, streams: StreamSet) -> None:
+        graph = streams.depgraph
+        n, n_inputs = streams.n_instructions, graph.n_inputs
+        # Copies of the narrow columns: a plan never keeps a view.
+        self.issue = column_view(streams.issue_cycle).astype(np.int64)
+        self.ge = np.array(column_view(streams.ge_of))
+        ge = self.ge.astype(np.int64)
         self.own_row = None
         # Each GE's stream in program order (a stable sort by GE, a radix
-        # sort on the narrowest dtype); the previous entry within a GE.
-        self.ge = ge.astype(np.min_scalar_type(arrays.n_ges))
+        # sort on the narrow dtype); the previous entry within a GE.
         order = np.argsort(self.ge, kind="stable")
         prev = np.full(n, n, dtype=np.int64)
         prev[1:] = order[:-1]
@@ -361,25 +251,27 @@ class _SchedulePlan:
         self.prev = np.empty(n, dtype=np.int32)
         self.prev[order] = prev
         producer_ge = np.append(ge, -1)
-        for name, column in (("a", arrays.a_of), ("b", arrays.b_of)):
-            wire = np.asarray(column, dtype=np.int64)
-            src = np.where(wire >= arrays.n_inputs, wire - arrays.n_inputs, n)
+        for name, column in (("a", graph.a_of), ("b", graph.b_of)):
+            wire = column_view(column)
+            src = np.where(wire >= n_inputs, wire - n_inputs, n)
             src = src.astype(np.int32)  # an index table, like the level plan's
             setattr(self, "src_" + name, src)
             setattr(self, "fwd_" + name,
                     (producer_ge[src] >= 0) & (producer_ge[src] != ge))
-        for name in ("is_and", "live", "oor_a", "oor_b"):
-            setattr(self, name, np.asarray(getattr(arrays, name), dtype=bool))
-        counts = np.bincount(ge, minlength=arrays.n_ges)
+        oor_a, oor_b = graph.oor_flags(streams.window.capacity)
+        for name, column in (("is_and", graph.is_and), ("live", streams.program.live),
+                             ("oor_a", oor_a), ("oor_b", oor_b)):
+            setattr(self, name, column_view(column).astype(bool))
+        counts = np.bincount(ge, minlength=streams.n_ges)
         self.issued = {g: int(count) for g, count in enumerate(counts) if count}
 
 
-def schedule_plan(arrays: CompiledArrays) -> _SchedulePlan:
+def schedule_plan(streams: StreamSet) -> _SchedulePlan:
     """Build (or fetch the memoized) program-order schedule plan."""
-    plan = getattr(arrays, _SCHEDULE_ATTR, None)
+    plan = getattr(streams, _SCHEDULE_ATTR, None)
     if plan is None:
-        plan = _SchedulePlan(arrays)
-        setattr(arrays, _SCHEDULE_ATTR, plan)
+        plan = _SchedulePlan(streams)
+        setattr(streams, _SCHEDULE_ATTR, plan)
     return plan
 
 
@@ -390,7 +282,7 @@ def _key_columns(keys):
 
 
 def _scheduled_rows(
-    arrays: CompiledArrays, keys, issue: np.ndarray
+    streams: StreamSet, keys, issue: np.ndarray
 ) -> List[Tuple[int, int, int, int]]:
     """One row ``(finish before writeback, dependence, window_sync, last
     issue)`` per key, read off a program-order ``(R, n)`` issue array.
@@ -413,7 +305,7 @@ def _scheduled_rows(
       last issue ``max(issue)``.
     """
     and_lat, xor_lat, forward = _key_columns(keys)
-    plan = schedule_plan(arrays)
+    plan = schedule_plan(streams)
     rows, n = issue.shape
     # Column n stays 0: the primary-input / first-on-GE slot.  It holds
     # issue + 1 for the earliest gather, then issue + latency.
@@ -442,8 +334,9 @@ class _NumpyPlan:
     Instructions are indexed in stable ``(level, ge, position)`` order,
     so level ``l`` is the slice ``level_bounds[l]:level_bounds[l + 1]``
     of ``m`` instructions and each GE's run in it a program-ordered
-    *segment*; index ``n`` is a sentinel kept at 0.  Cached unpickled
-    (``CompiledArrays.__getstate__``): it rebuilds in O(n) array ops.
+    *segment*; index ``n`` is a sentinel kept at 0.  Kept out of pickles
+    (``StreamSet.__getstate__``): it rebuilds in O(n) array ops from
+    ``streams.level_of``.
 
     * ``gather[gather_bounds[l]:gather_bounds[l + 1]]`` -- two blocks
       of ``m``, the producers of operands ``a`` and ``b`` (the sentinel
@@ -463,16 +356,16 @@ class _NumpyPlan:
     __slots__ = ("level_bounds", "gather_bounds", "gather", "kind", "bias",
                  "run_rel", "shift", "pos")
 
-    def __init__(self, arrays: CompiledArrays) -> None:
-        arrays.ensure_levels()
-        n = arrays.n_instructions
-        n_levels = max(arrays.n_levels, 1)
-        schedule = schedule_plan(arrays)
-        level = np.fromiter(arrays.level_of, dtype=np.int64, count=n)
+    def __init__(self, streams: StreamSet) -> None:
+        graph = streams.depgraph
+        n, n_ges = streams.n_instructions, streams.n_ges
+        n_levels = max(streams.n_levels, 1)
+        schedule = schedule_plan(streams)
+        level = column_view(streams.level_of).astype(np.int64)
         # One stable sort (a radix sort on the narrowest dtype).
-        key = level * arrays.n_ges + schedule.ge
+        key = level * n_ges + schedule.ge
         order = np.argsort(
-            key.astype(np.min_scalar_type(n_levels * arrays.n_ges)), kind="stable"
+            key.astype(np.min_scalar_type(n_levels * n_ges)), kind="stable"
         )
         index = np.arange(n, dtype=np.int64)
         # int32 index tables halve the resident plan; the gathers widen
@@ -501,11 +394,11 @@ class _NumpyPlan:
         # One run per instruction t: its GE predecessor at a segment start
         # (else the sentinel) and, when t overwrites the slot of wire w =
         # n_inputs + t - capacity, w's producer t - capacity and readers q < t.
-        capacity = arrays.capacity
+        capacity = streams.window.capacity
         # The instruction that evicts each operand's wire.
         evictor_a, evictor_b = (
-            np.asarray(column, dtype=np.int64) + capacity - arrays.n_inputs
-            for column in (arrays.a_of, arrays.b_of)
+            column_view(column) + (capacity - graph.n_inputs)
+            for column in (graph.a_of, graph.b_of)
         )
         read_a = (evictor_a > index) & (evictor_a < n)
         read_b = (evictor_b > index) & (evictor_b < n) & (evictor_b != evictor_a)
@@ -542,16 +435,16 @@ class _NumpyPlan:
         self.bias[dest] = unshift[runs] + shift[owner[by_owner]]
 
 
-def numpy_plan(arrays: CompiledArrays) -> _NumpyPlan:
+def numpy_plan(streams: StreamSet) -> _NumpyPlan:
     """Build (or fetch the memoized) level-order NumPy plan."""
-    plan = getattr(arrays, _PLAN_ATTR, None)
+    plan = getattr(streams, _PLAN_ATTR, None)
     if plan is None:
-        plan = _NumpyPlan(arrays)
-        setattr(arrays, _PLAN_ATTR, plan)
+        plan = _NumpyPlan(streams)
+        setattr(streams, _PLAN_ATTR, plan)
     return plan
 
 
-def _level_replay(arrays: CompiledArrays, keys) -> List[Tuple[int, int, int, int]]:
+def _level_replay(streams: StreamSet, keys) -> List[Tuple[int, int, int, int]]:
     """Level-parallel replay of one row per :func:`_replay_key`: it
     computes only issue cycles, one level at a time for every row at
     once, and reads the row off :func:`_scheduled_rows`.
@@ -571,15 +464,15 @@ def _level_replay(arrays: CompiledArrays, keys) -> List[Tuple[int, int, int, int
     ``np.maximum.accumulate`` into ``acc[s:e]`` serves the level.  Stalls
     and the finish are the closed form over the issue vector.
     """
-    rows = _scheduled_rows(arrays, keys, _replay_issue(arrays, keys))
-    if max(row[0] for row in rows) + arrays.n_instructions >= _SEG_BIAS:
+    rows = _scheduled_rows(streams, keys, _replay_issue(streams, keys))
+    if max(row[0] for row in rows) + streams.n_instructions >= _SEG_BIAS:
         raise OverflowError("cycle count overflows the segment bias")
     return rows
 
 
-def _replay_issue(arrays: CompiledArrays, keys) -> np.ndarray:
+def _replay_issue(streams: StreamSet, keys) -> np.ndarray:
     """The ``(R, n)`` program-order issue cycles of :func:`_level_replay`."""
-    plan = numpy_plan(arrays)
+    plan = numpy_plan(streams)
     and_lat, xor_lat, forward = _key_columns(keys)
     # Per-row weight of each entry kind (see _NumpyPlan.kind), (5, R).
     table = np.hstack([
@@ -588,7 +481,7 @@ def _replay_issue(arrays: CompiledArrays, keys) -> np.ndarray:
     ]).T
     weight = np.take(table, plan.kind, axis=0)
     weight += plan.bias[:, None]
-    acc = np.zeros((arrays.n_instructions + 1, len(keys)), dtype=np.int64)
+    acc = np.zeros((streams.n_instructions + 1, len(keys)), dtype=np.int64)
 
     gather, run_rel = plan.gather, plan.run_rel
     bounds, g_bounds = plan.level_bounds, plan.gather_bounds

@@ -1,13 +1,7 @@
 """VIP-Bench workload circuits (paper section 5, Table 2)."""
 
 from .base import BuiltWorkload, PaperTable2Row, Workload
-from .registry import (
-    PAPER_ORDER,
-    WORKLOADS,
-    build_all_scaled,
-    get_workload,
-    iter_workloads,
-)
+from .registry import PAPER_ORDER, WORKLOADS, get_workload, iter_workloads
 
 __all__ = [
     "Workload",
@@ -17,5 +11,4 @@ __all__ = [
     "PAPER_ORDER",
     "get_workload",
     "iter_workloads",
-    "build_all_scaled",
 ]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List
 
-from .base import BuiltWorkload, Workload
+from .base import Workload
 from .bubble_sort import WORKLOAD as BUBBLE_SORT
 from .dot_product import WORKLOAD as DOT_PRODUCT
 from .grad_desc import WORKLOAD as GRAD_DESC
@@ -23,7 +23,6 @@ __all__ = [
     "PAPER_ORDER",
     "get_workload",
     "iter_workloads",
-    "build_all_scaled",
 ]
 
 # Paper Table 2 / figure x-axis order.
@@ -64,8 +63,3 @@ def iter_workloads() -> Iterator[Workload]:
     """Workloads in the paper's presentation order."""
     for name in PAPER_ORDER:
         yield WORKLOADS[name]
-
-
-def build_all_scaled() -> Dict[str, BuiltWorkload]:
-    """Build every workload at its scaled default parameters."""
-    return {name: WORKLOADS[name].build_scaled() for name in PAPER_ORDER}

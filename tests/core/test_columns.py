@@ -7,9 +7,19 @@ views construct them once, on first use; a cache entry holds columns.
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
 import pytest
 
-from repro.circuits.netlist import Circuit, CircuitError, Gate, GateOp
+from repro.circuits.netlist import (
+    Circuit,
+    CircuitError,
+    Gate,
+    GateOp,
+    column_view,
+    narrow_column,
+)
 from repro.core.assembler import assemble
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.core.depgraph import DepGraph
@@ -114,6 +124,27 @@ def test_cache_entry_pickles_columns_not_objects(tmp_path):
     assert len(data) < V4_RELU_K8_ENTRY_BYTES
 
 
+@pytest.mark.parametrize("top, itemsize", [
+    (0, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4), (2**32, 8),
+])
+def test_narrow_column_is_the_narrowest_that_holds_its_max(top, itemsize):
+    values = [top, 0, top // 2]
+    column = narrow_column(values)
+    assert column.itemsize == itemsize
+    assert column.tolist() == values
+    view = column_view(column)
+    assert view.ctypes.data == column.buffer_info()[0]  # no copy
+    assert view.dtype.itemsize == itemsize and view.dtype.kind == "u"
+    assert view.tolist() == values
+
+
+def test_wire_columns_view_as_canonical_int64():
+    """Not ``longlong``: ``np.maximum.at`` (the greedy mapper's array
+    passes) takes its fast loop only on the canonical type."""
+    view = column_view(array("q", [1, 2]))
+    assert view.dtype.char == np.dtype(np.int64).char
+
+
 # ----------------------------------------------------------------------
 # Degenerate shapes through the array kernels
 # ----------------------------------------------------------------------
@@ -183,7 +214,7 @@ def test_zero_gate_circuit_through_each_kernel():
     program, report = eliminate_spent_wires(program, SlidingWindow(4))
     assert (report.total_outputs, report.live, report.spent_pct) == (0, 0, 0.0)
     streams = generate_streams(program, SlidingWindow(4), 3)
-    assert streams.makespan == 0 and streams.ge_of == []
+    assert streams.makespan == 0 and list(streams.ge_of) == []
     assert [(list(ge.positions), ge.n_tables) for ge in streams.ges] == [([], 0)] * 3
 
 

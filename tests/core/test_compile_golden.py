@@ -176,15 +176,15 @@ GOLDEN_DIGESTS = {
         "b24c12187153e3e35955a343df7e58aa55c907aa119465b9f574965e683e860e",
 }
 
-#: ``compile_key`` embeds CACHE_SCHEMA: these are the v5 keys (the v4
-#: ones recorded on the parent are in CHANGES.md, PR 13).
+#: ``compile_key`` embeds CACHE_SCHEMA: these are the v6 keys (earlier
+#: schemas' keys are recorded in CHANGES.md).
 GOLDEN_KEYS = {
     "adder8":
-        "c122cf1121b3c3194823da27fb2593b2ac30a8eef1852bfa99e52138ce4eff9a",
+        "592b1f4777d8ce3878177a7673270ff9c5501a8ef71a65cc6579ad31b2940d3a",
     "bristol4":
-        "a8822ab5916701b2f5ba24c049e27aec94ce1a04de1c7fdd5fa89df0f90b66a1",
+        "3a99b8ce8eca6b33b353910b7646ad3ba374df8e2e736a2249156476bea78fa1",
     "float8":
-        "7caa4321ee8ff8c5eabd61a3f0d3aa9135c68a31032cc969e96dcbd14e5bad9f",
+        "ad5e3d200999ec0d46adcd4ceb5e18876f8f2a8ec05c916b6b08f5e9c517305b",
 }
 
 GOLDEN_TRANSCRIPT = (

@@ -37,7 +37,6 @@ from repro.core.passes.rename import rename
 from repro.core.passes.reorder import _producer_column, depth_first_order, full_reorder
 from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig
-from repro.sim.engine import compiled_arrays
 from tests.circuits.test_netlist import MALFORMED, malformed_circuit
 
 
@@ -241,12 +240,12 @@ class TestCompiledGraphs:
 
     def test_engine_levels_match_reference(self, family, opt):
         result, _ = _compiled(family, opt)
-        arrays = compiled_arrays(result.streams).ensure_levels()
+        streams, graph = result.streams, result.streams.depgraph
         expected = _reference_engine_levels(
-            arrays.n_inputs, arrays.capacity, arrays.a_of, arrays.b_of,
-            arrays.ge_of, arrays.n_ges,
+            graph.n_inputs, streams.window.capacity, graph.a_of, graph.b_of,
+            streams.ge_of, streams.n_ges,
         )
-        assert (arrays.level_of, arrays.n_levels) == expected
+        assert (list(streams.level_of), streams.n_levels) == expected
 
     def test_oor_flags_match_window_arithmetic(self, family, opt):
         result, config = _compiled(family, opt)
@@ -428,23 +427,25 @@ class TestValidationWitness:
 
 
 # ----------------------------------------------------------------------
-# Cache-schema consequence: v3 entries (no graph, no tie-break axis)
-# and v4 entries (object graphs instead of columns)
+# Cache-schema consequence: v3 entries (no graph, no tie-break axis),
+# v4 entries (object graphs instead of columns) and v5 entries (a
+# separate engine-array object, list schedule columns)
 # ----------------------------------------------------------------------
 
 
-def test_schema_is_v5():
+def test_schema_is_v6():
     from repro.core.progcache import CACHE_SCHEMA
 
-    assert CACHE_SCHEMA == 5
+    assert CACHE_SCHEMA == 6
 
 
-@pytest.mark.parametrize("old_schema", [3, 4])
+@pytest.mark.parametrize("old_schema", [3, 4, 5])
 class TestOldSchemaStaleness:
-    """CACHE_SCHEMA v5 entries pickle columns; anything written under
-    v3 (no graph, no tie-break axis) or v4 (per-gate object graphs) is
-    unreachable and must census as stale and be deleted by
-    ``repro store prune``."""
+    """CACHE_SCHEMA v6 entries pickle the stream set's narrow columns
+    and its level partition; anything written under v3 (no graph, no
+    tie-break axis), v4 (per-gate object graphs) or v5 (a separate
+    engine-array object) is unreachable and must census as stale and be
+    deleted by ``repro store prune``."""
 
     def _store_with_old_entry(self, tmp_path, old_schema):
         from repro.core.progcache import ProgramCache

@@ -215,4 +215,5 @@ def test_full_scale_workloads(name, sww_bytes):
         result.program, config.n_ges, config.schedule_params(),
         config.window.capacity, schedule.depgraph,
     )
-    assert (schedule.ge_of, schedule.issue_cycle, schedule.makespan) == oracle
+    columns = (list(schedule.ge_of), list(schedule.issue_cycle))
+    assert (*columns, schedule.makespan) == oracle

@@ -25,6 +25,7 @@ from repro.core.compiler import OptLevel, compile_best, compile_circuit
 from repro.core.passes.streams import ScheduleParams
 from repro.core.progcache import (
     CACHE_ENV_VAR,
+    CACHE_SCHEMA,
     ProgramCache,
     circuit_digest,
     compile_key,
@@ -32,7 +33,7 @@ from repro.core.progcache import (
 from repro.sim.config import HaacConfig
 from repro.sim.timing import simulate
 from repro.store import ResultStore
-from repro.workloads import get_workload
+from repro.workloads import get_workload, iter_workloads
 
 
 def _adder(width=8, name="adder"):
@@ -292,11 +293,10 @@ class TestProgramCache:
         assert _result_fingerprint(cold) == _result_fingerprint(warm)
 
     def test_level_partition_round_trips(self, tmp_path, config):
-        """Cached entries carry the engine arrays *and* their
-        dependence-level partition, so warm loads skip the partition
-        pass; the derived NumPy plans (runtime views) must not ride
-        along in the pickle."""
-        from repro.sim.engine import _PLAN_ATTR, _SCHEDULE_ATTR, compiled_arrays
+        """Cached entries carry the stream set's dependence-level
+        partition, so warm loads skip the partition pass; the engine's
+        NumPy plans (runtime views) must not ride along in the pickle."""
+        from repro.sim.engine import _PLAN_ATTR, _SCHEDULE_ATTR
 
         circuit = _multiplier()
         writer = ProgramCache(tmp_path, memory=False)
@@ -304,15 +304,14 @@ class TestProgramCache:
             circuit, config.window, config.n_ges,
             params=config.schedule_params(), cache=writer,
         )
-        cold_arrays = compiled_arrays(cold.streams)
-        assert cold_arrays.level_of is not None  # persisted eagerly
+        assert "level_of" in cold.streams.__dict__  # computed by the put
         # On the compile's schedule (the schedule plan) and off it (the
         # level plan); re-persist now that both plans exist so the round
         # trip below proves __getstate__ keeps them out of the pickle.
         simulate(cold.streams, config)
         simulate(cold.streams, config._replace(cross_ge_forward=2))
-        assert getattr(cold_arrays, _PLAN_ATTR, None) is not None
-        assert getattr(cold_arrays, _SCHEDULE_ATTR, None) is not None
+        assert getattr(cold.streams, _PLAN_ATTR, None) is not None
+        assert getattr(cold.streams, _SCHEDULE_ATTR, None) is not None
         key = compile_key(
             circuit, config.window.capacity, config.n_ges,
             OptLevel.RO_RN_ESW, config.schedule_params(),
@@ -324,16 +323,31 @@ class TestProgramCache:
             circuit, config.window, config.n_ges,
             params=config.schedule_params(), cache=reader,
         )
-        warm_arrays = getattr(warm.streams, "_engine_arrays", None)
-        assert warm_arrays is not None, "arrays must be persisted"
-        assert warm_arrays.level_of == cold_arrays.level_of
-        assert warm_arrays.n_levels == cold_arrays.n_levels
-        assert getattr(warm_arrays, _PLAN_ATTR, None) is None
-        assert getattr(warm_arrays, _SCHEDULE_ATTR, None) is None
+        assert warm is not cold
+        assert "level_of" in warm.streams.__dict__, "level_of must be persisted"
+        assert warm.streams.level_of == cold.streams.level_of
+        assert warm.streams.n_levels == cold.streams.n_levels
+        graph = warm.streams.depgraph
+        assert list(warm.streams.level_of) == depgraph.engine_levels(
+            graph.n_inputs, config.window.capacity, graph.a_of, graph.b_of,
+            warm.streams.ge_of, warm.streams.n_ges,
+        )
+        assert getattr(warm.streams, _PLAN_ATTR, None) is None
+        assert getattr(warm.streams, _SCHEDULE_ATTR, None) is None
         # The loaded partition drives the same replay.
         for point in (config, config._replace(cross_ge_forward=2)):
             assert simulate(warm.streams, point).compute_cycles == \
                 simulate(cold.streams, point).compute_cycles
+
+    def test_cache_off_compile_computes_no_partition(self, config):
+        """Only a put (or the level replay) pays for ``level_of``."""
+        result = compile_circuit(
+            _multiplier(), config.window, config.n_ges,
+            params=config.schedule_params(), cache=False,
+        )
+        assert "level_of" not in result.streams.__dict__
+        simulate(result.streams, config)  # on the schedule: no replay
+        assert "level_of" not in result.streams.__dict__
 
     def test_corrupted_entry_recovers_by_recompiling(self, tmp_path, config):
         circuit = _adder()
@@ -393,7 +407,7 @@ class TestProgramCache:
         result = {"compiled": list(range(8))}
         old = "ab" * 32
         (tmp_path / f"{old}.pkl").write_bytes(pickle.dumps(
-            {"schema": 5, "key": old, "result": result},
+            {"schema": CACHE_SCHEMA, "key": old, "result": result},
             protocol=pickle.HIGHEST_PROTOCOL,
         ))
         store = ProgramCache(tmp_path, memory=False)
@@ -402,11 +416,45 @@ class TestProgramCache:
         new = "cd" * 32
         store.put(new, result)
         data = store.path_for(new).read_bytes()
-        assert pickle.loads(data) == {"schema": 5, "key": new, "result": result}
+        assert pickle.loads(data) == {"schema": CACHE_SCHEMA, "key": new, "result": result}
         assert data == pickle.dumps(
-            {"schema": 5, "key": new, "result": result},
+            {"schema": CACHE_SCHEMA, "key": new, "result": result},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", [w.name for w in iter_workloads()])
+def test_full_scale_warm_entries_equal_cold(tmp_path, name):
+    """Every workload's full-scale compile at the paper default survives
+    a disk round trip column for column, and its persisted partition is
+    the one ``engine_levels`` computes."""
+    config = HaacConfig.paper_default()
+    circuit = get_workload(name).build_scaled().circuit
+
+    def compile_with(cache):
+        return compile_circuit(
+            circuit, config.window, config.n_ges,
+            params=config.schedule_params(), cache=cache,
+        ).streams
+
+    cold = compile_with(ProgramCache(tmp_path, memory=False))
+    reader = ProgramCache(tmp_path, memory=False)
+    warm = compile_with(reader)
+    assert reader.stats.hits == 1 and warm is not cold
+    for column in ("ge_of", "issue_cycle", "level_of"):
+        assert getattr(warm, column) == getattr(cold, column), column
+    graph = warm.depgraph
+    assert list(warm.level_of) == depgraph.engine_levels(
+        graph.n_inputs, config.window.capacity, graph.a_of, graph.b_of,
+        warm.ge_of, warm.n_ges,
+    )
+    for point in (config, config._replace(cross_ge_forward=2)):
+        on_warm, on_cold = (
+            (sim.compute_cycles, sim.stalls.as_dict(), sim.issued_per_ge)
+            for sim in (simulate(warm, point), simulate(cold, point))
+        )
+        assert on_warm == on_cold
 
 
 class TestNoArrayTypeLeaks:

@@ -13,12 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.engine import (
-    _SEG_BIAS,
-    CompiledArrays,
-    _key_columns,
-    schedule_plan,
-)
+from repro.core.passes.streams import StreamSet
+from repro.sim.engine import _SEG_BIAS, _key_columns, schedule_plan
 
 
 class _NumpyPlan:
@@ -28,9 +24,8 @@ class _NumpyPlan:
     ``(level, ge, position)``), so level ``l`` is the contiguous slice
     ``level_bounds[l]:level_bounds[l + 1]`` and each GE's run within it
     a contiguous, program-ordered *segment*.  Index ``n`` is a sentinel
-    the replay keeps at 0.  Cached unpickled (see
-    ``CompiledArrays.__getstate__``) because it rebuilds in O(n) array
-    ops from the persisted ``level_of``.
+    the replay keeps at 0.  It rebuilds in O(n) array ops from the
+    stream set's ``level_of``.
 
     * ``pred`` -- ``(3, n)``, so level ``[s, e)`` gathers three blocks
       ``pred[:, s:e]``: the producer of operand ``a``, the producer of
@@ -52,12 +47,12 @@ class _NumpyPlan:
     __slots__ = ("level_bounds", "pred", "kind", "ws_idx", "ws_bounds",
                  "ws_rel", "shift", "unshift", "pos")
 
-    def __init__(self, arrays: CompiledArrays) -> None:
-        arrays.ensure_levels()
-        n = arrays.n_instructions
-        n_levels = max(arrays.n_levels, 1)
-        level = np.asarray(arrays.level_of, dtype=np.int64)
-        ge = np.asarray(arrays.ge_of, dtype=np.int64)
+    def __init__(self, streams: StreamSet) -> None:
+        graph = streams.depgraph
+        n = streams.n_instructions
+        n_levels = max(streams.n_levels, 1)
+        level = np.asarray(streams.level_of, dtype=np.int64)
+        ge = np.asarray(streams.ge_of, dtype=np.int64)
         order = np.lexsort((ge, level))
         index = np.arange(n, dtype=np.int64)
         # int32 index tables halve the resident plan; the gathers widen
@@ -83,7 +78,7 @@ class _NumpyPlan:
         self.shift = ordinal * _SEG_BIAS - (index - seg_first[seg_id])
         self.unshift = 1 - self.shift
 
-        schedule = schedule_plan(arrays)
+        schedule = schedule_plan(streams)
         producer_and = np.append(schedule.is_and, False)
         self.pred = np.empty((3, n), dtype=np.int32)
         self.kind = np.zeros((3, n), dtype=np.uint8)
@@ -98,14 +93,14 @@ class _NumpyPlan:
         # Window-sync CSR: owner t (program order) overwrites the slot of
         # wire w = n_inputs + t - capacity; members are w's producer
         # t - capacity, its readers q < t and the sentinel n.
-        capacity = arrays.capacity
+        capacity = streams.window.capacity
         evicting = np.zeros(n_levels, dtype=bool)
-        evicting[level[max(capacity - arrays.n_inputs, 0):]] = True
+        evicting[level[max(capacity - graph.n_inputs, 0):]] = True
         sentinel_owners = np.flatnonzero(evicting[level])
         # The instruction that evicts each operand's wire.
         evictor_a, evictor_b = (
-            np.asarray(column, dtype=np.int64) + capacity - arrays.n_inputs
-            for column in (arrays.a_of, arrays.b_of)
+            np.asarray(column, dtype=np.int64) + capacity - graph.n_inputs
+            for column in (graph.a_of, graph.b_of)
         )
         read_a = (evictor_a > index) & (evictor_a < n)
         read_b = (evictor_b > index) & (evictor_b < n) & (evictor_b != evictor_a)
@@ -122,10 +117,10 @@ class _NumpyPlan:
         self.ws_rel = (run_start[:n] - run_start[level_bounds[level_s]]).astype(np.int32)
 
 
-def scalar_replay_issue(arrays: CompiledArrays, keys) -> np.ndarray:
+def scalar_replay_issue(streams: StreamSet, keys) -> np.ndarray:
     """The ``(R, n)`` program-order issue cycles of :func:`_level_replay`."""
-    n = arrays.n_instructions
-    plan = _NumpyPlan(arrays)
+    n = streams.n_instructions
+    plan = _NumpyPlan(streams)
     n_rows = len(keys)
     and_lat, xor_lat, forward = _key_columns(keys)
     # Per-row weight of each pred kind (see _NumpyPlan.kind).

@@ -34,7 +34,6 @@ from repro.sim.engine import (
     _replay_key,
     compute_cycles_batch,
     compute_cycles_numpy_batched,
-    compiled_arrays,
 )
 from repro.sim.stats import StallBreakdown
 from repro.sim.timing import simulate, simulate_batch
@@ -159,7 +158,7 @@ class TestComputeCyclesBatch:
             compute_cycles_batch(streams, [config], [])
         with pytest.raises(ValueError):
             compute_cycles_numpy_batched(
-                compiled_arrays(streams), [config], [StallBreakdown()] * 2
+                streams, [config], [StallBreakdown()] * 2
             )
 
     def test_stall_breakdowns_accumulate_like_serial(self, monkeypatch):
@@ -182,7 +181,7 @@ class TestComputeCyclesBatch:
                   for g in (8.8, 35.2, 512.0)]
         )
         results = compute_cycles_numpy_batched(
-            compiled_arrays(streams), sweep
+            streams, sweep
         )
         assert len(results) == 3
         assert results[0] == results[1] == results[2]

@@ -375,21 +375,21 @@ class TestNumpyEngineDetails:
         """Every ordering constraint of the replay crosses (or, for
         in-order issue, never descends) a level boundary."""
         result, _ = _compiled("integer8", OptLevel.RO_RN_ESW)
-        arrays = engine_module.compiled_arrays(result.streams).ensure_levels()
-        level_of = arrays.level_of
-        n_inputs = arrays.n_inputs
-        shift = arrays.capacity - n_inputs
+        streams, graph = result.streams, result.streams.depgraph
+        level_of = streams.level_of
+        n_inputs = graph.n_inputs
+        shift = streams.window.capacity - n_inputs
         ge_seen = {}
-        for p in range(arrays.n_instructions):
-            for wire in (arrays.a_of[p], arrays.b_of[p]):
+        for p in range(graph.n_gates):
+            for wire in (graph.a_of[p], graph.b_of[p]):
                 if wire >= n_inputs:
                     assert level_of[wire - n_inputs] < level_of[p]
                 evictor = wire + shift
-                if p < evictor < arrays.n_instructions:
+                if p < evictor < graph.n_gates:
                     assert level_of[p] < level_of[evictor]
                 if 0 <= evictor < p:
                     assert level_of[p] >= level_of[evictor]
-            ge = arrays.ge_of[p]
+            ge = streams.ge_of[p]
             if ge in ge_seen:
                 assert level_of[p] >= ge_seen[ge]
             ge_seen[ge] = level_of[p]

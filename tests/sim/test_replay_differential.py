@@ -24,7 +24,7 @@ from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig
 from repro.sim.coupled import _per_instruction_bytes, coupled_runtime_batch
 from repro.sim.dram import DDR4
-from repro.sim.engine import ENGINE_REFERENCE, _replay_issue, compiled_arrays
+from repro.sim.engine import ENGINE_REFERENCE, _replay_issue
 from repro.workloads import get_workload
 from tests.core.test_greedy_differential import renamed_program
 from tests.sim.scalar_level_replay import scalar_replay_issue
@@ -62,7 +62,7 @@ def _streams(seed, n_inputs, n_gates, n_ges, capacity):
     keys=replay_keys,
 )
 def test_issue_arrays_match_oracle(seed, n_inputs, n_gates, n_ges, capacity, keys):
-    arrays = compiled_arrays(_streams(seed, n_inputs, n_gates, n_ges, capacity))
+    arrays = _streams(seed, n_inputs, n_gates, n_ges, capacity)
     issue = _replay_issue(arrays, keys)
     assert issue.shape == (len(keys), arrays.n_instructions)
     np.testing.assert_array_equal(issue, scalar_replay_issue(arrays, keys))
@@ -72,7 +72,7 @@ def test_every_grid_point():
     keys = [(18, 1, 1), (21, 1, 0), (1, 2, 4), (18, 2, 0), (21, 1, 4)]
     for n_ges in GE_COUNTS:
         for capacity in CAPACITIES:
-            arrays = compiled_arrays(_streams(n_ges, 6, 400, n_ges, capacity))
+            arrays = _streams(n_ges, 6, 400, n_ges, capacity)
             for count in range(1, len(keys) + 1):
                 np.testing.assert_array_equal(
                     _replay_issue(arrays, keys[:count]),

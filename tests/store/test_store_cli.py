@@ -13,6 +13,7 @@ import pathlib
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.progcache import CACHE_SCHEMA
 from repro.store import STORE_ENV_VAR, STORE_SCHEMA, ResultStore
 
 BUNDLE = (
@@ -118,7 +119,7 @@ def test_store_covers_both_namespaces_in_one_directory(tmp_path, capsys):
     header = next(line for line in info if line.startswith("Property"))
     assert header.split() == ["Property", "programs", "results"]
     schema = next(line for line in info if line.startswith("schema"))
-    assert schema.split() == ["schema", "v5", f"v{STORE_SCHEMA}"]
+    assert schema.split() == ["schema", f"v{CACHE_SCHEMA}", f"v{STORE_SCHEMA}"]
     live = next(line for line in info if line.startswith("live entries"))
     assert live.split()[-2:] == ["1", str(N_BUNDLED)]
     assert cli_main(["store", "clear", "--dir", str(root)]) == 0

@@ -97,6 +97,20 @@ class TestRetiredApi:
         assert not hasattr(progcache, "shard_key")
         assert "shard_key" not in progcache.__all__
 
+    @pytest.mark.parametrize("module, name", [
+        ("repro.sim", "CompiledArrays"),
+        ("repro.sim", "compiled_arrays"),
+        ("repro.sim.engine", "CompiledArrays"),
+        ("repro.sim.engine", "compiled_arrays"),
+        ("repro.analysis.dataprovider", "default_provider"),
+        ("repro.workloads", "build_all_scaled"),
+        ("repro.workloads.registry", "build_all_scaled"),
+    ])
+    def test_name_gone(self, module, name):
+        module = importlib.import_module(module)
+        assert not hasattr(module, name)
+        assert name not in module.__all__
+
     @pytest.mark.parametrize("name", MODULES)
     def test_all_names_resolve(self, name):
         module = importlib.import_module(name)
