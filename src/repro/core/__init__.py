@@ -1,14 +1,12 @@
 """HAAC's contribution: the ISA, compiler passes, and program model."""
 
 from .assembler import LoweredCircuit, assemble, lower_inv
-from .compiler import CompileResult, OptLevel, compile_best, compile_circuit
+from .compiler import CompileResult, OptLevel, compile_circuit
 from .isa import (
     OOR_SENTINEL,
     HaacOp,
     Instruction,
     InstructionEncoding,
-    decode_instruction,
-    encode_instruction,
 )
 from .program import HaacProgram, ProgramError
 from .sww import WIRE_BYTES, SlidingWindow
@@ -22,8 +20,6 @@ __all__ = [
     "Instruction",
     "InstructionEncoding",
     "OOR_SENTINEL",
-    "encode_instruction",
-    "decode_instruction",
     "HaacProgram",
     "ProgramError",
     "SlidingWindow",
@@ -34,5 +30,4 @@ __all__ = [
     "OptLevel",
     "CompileResult",
     "compile_circuit",
-    "compile_best",
 ]

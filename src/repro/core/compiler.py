@@ -10,8 +10,9 @@ Pipelines the passes into the configurations the evaluation uses:
 
 The paper always pairs renaming with reordering ("without renaming the
 SWW is ineffectual") and notes segment vs full can be chosen per
-workload since performance is deterministic -- ``compile_best`` does
-exactly that given a figure of merit.
+workload since performance is deterministic; the experiments take that
+minimum over ``RO_RN_ESW`` / ``SEG_RN_ESW`` through their
+``DataProvider`` (:mod:`repro.analysis.experiments`).
 
 ESW is run for every configuration's *report* (Table 2 needs spent-wire
 percentages), but live bits are only applied when the configuration
@@ -24,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Optional, Union
 
 from ..circuits.netlist import Circuit
 from .assembler import LoweredCircuit, lower_inv
@@ -37,7 +38,7 @@ from .program import HaacProgram
 from .progcache import ProgramCache, compile_key
 from .sww import SlidingWindow
 
-__all__ = ["OptLevel", "CompileResult", "compile_circuit", "compile_best"]
+__all__ = ["OptLevel", "CompileResult", "compile_circuit"]
 
 #: Anything accepted as the ``cache`` argument of :func:`compile_circuit`:
 #: an explicit store, a directory path, True/False (default dir / off),
@@ -172,29 +173,3 @@ def compile_circuit(
         # so warm runs replay level-parallel without the partition pass.
         store.put(key, result)
     return result
-
-
-def compile_best(
-    circuit: Circuit,
-    window: SlidingWindow,
-    n_ges: int,
-    score: Callable[[CompileResult], float],
-    params: Optional[ScheduleParams] = None,
-    cache: CacheSpec = None,
-) -> Tuple[CompileResult, Dict[OptLevel, float]]:
-    """Compile with both reorderings (ESW on) and keep the better one.
-
-    The paper: "In practice, we can run both and deploy the best
-    performing optimization, as performance is deterministic."  ``score``
-    maps a result to a cost (lower is better), typically simulated
-    runtime.  ``cache`` is forwarded to :func:`compile_circuit`.
-    """
-    scores: Dict[OptLevel, float] = {}
-    best: Optional[CompileResult] = None
-    for opt in (OptLevel.RO_RN_ESW, OptLevel.SEG_RN_ESW):
-        result = compile_circuit(circuit, window, n_ges, opt, params, cache=cache)
-        scores[opt] = score(result)
-        if best is None or scores[opt] < scores[best.opt]:
-            best = result
-    assert best is not None
-    return best, scores

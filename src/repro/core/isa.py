@@ -10,18 +10,20 @@ Wire address 0 is reserved: it tells the GE to pop the head of its
 out-of-range-wire (OoRW) queue instead of reading the SWW.  If both
 operands are out of range, the first operand is popped first.
 
-The paper's packing for a 2 MB SWW is 2 (op) + 17 + 17 (addresses) + 1
-(live) = 37 bits; :func:`encode_instruction` implements that exact
-packing for any SWW capacity, and :class:`InstructionEncoding` reports
-densities for both the paper's packing and the byte-aligned 8 B form the
-simulator's default traffic model charges.
+:func:`encode_fields` packs one instruction as 2 (op) + two address
+fields + 1 (live) bits; its one caller is
+:meth:`~repro.core.passes.streams.GeStreams.encode_machine_words`.  The
+paper's packing for a 2 MB SWW (131072 wires) is 2 + 17 + 17 + 1 = 37
+bits.  The stream words address the SWW sentinel-safely (``slot + 1``,
+0 = OoR), which needs ``capacity + 1`` codes and so 18-bit addresses:
+39 bits.  Both round to the 5 B per instruction that the simulator's
+traffic model charges (``repro.sim.config.INSTR_BYTES``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List
 
 __all__ = [
     "HaacOp",
@@ -29,11 +31,6 @@ __all__ = [
     "OOR_SENTINEL",
     "InstructionEncoding",
     "encode_fields",
-    "encode_instruction",
-    "decode_instruction",
-    "pack_words",
-    "encode_program_bytes",
-    "decode_program_bytes",
 ]
 
 # Wire address 0 means "read the OoRW queue" (paper section 3.1.4).
@@ -99,8 +96,6 @@ class InstructionEncoding:
         """Byte cost at the paper's dense packing (rounded up per instr)."""
         return (self.bits + 7) // 8
 
-    bytes_aligned: int = 8  # the simulator's default conservative charge
-
     @staticmethod
     def for_sww_wires(capacity_wires: int) -> "InstructionEncoding":
         if capacity_wires < 2:
@@ -119,64 +114,3 @@ def encode_fields(
     if wa >> addr_bits or wb >> addr_bits:
         raise ValueError(f"wire address exceeds {addr_bits}-bit field")
     return (((op << addr_bits | wa) << addr_bits | wb) << 1) | live
-
-
-def encode_instruction(instr: Instruction, encoding: InstructionEncoding) -> int:
-    """:func:`encode_fields` of one :class:`Instruction`."""
-    return encode_fields(
-        int(instr.op), instr.wa, instr.wb, int(instr.live), encoding
-    )
-
-
-def decode_instruction(word: int, encoding: InstructionEncoding) -> Instruction:
-    """Inverse of :func:`encode_instruction` (``source_gate`` is lost)."""
-    live = bool(word & 1)
-    word >>= 1
-    mask = (1 << encoding.addr_bits) - 1
-    wb = word & mask
-    word >>= encoding.addr_bits
-    wa = word & mask
-    word >>= encoding.addr_bits
-    op = HaacOp(word & 0b11)
-    return Instruction(op=op, wa=wa, wb=wb, live=live)
-
-
-def pack_words(words: Iterable[int], word_bits: int) -> bytes:
-    """Densely bit-pack ``word_bits``-wide words, padding the tail to a
-    byte boundary."""
-    bits = 0
-    acc = 0
-    for word in words:
-        acc = (acc << word_bits) | word
-        bits += word_bits
-    pad = (-bits) % 8
-    acc <<= pad
-    bits += pad
-    return acc.to_bytes(bits // 8, "big") if bits else b""
-
-
-def encode_program_bytes(
-    instructions: List[Instruction], encoding: InstructionEncoding
-) -> bytes:
-    """Densely bit-pack a program (see :func:`pack_words`)."""
-    return pack_words(
-        (encode_instruction(instr, encoding) for instr in instructions),
-        encoding.bits,
-    )
-
-
-def decode_program_bytes(
-    data: bytes, count: int, encoding: InstructionEncoding
-) -> List[Instruction]:
-    """Unpack ``count`` instructions from a dense byte string."""
-    total_bits = len(data) * 8
-    need = count * encoding.bits
-    if need > total_bits:
-        raise ValueError("byte string too short for requested instruction count")
-    acc = int.from_bytes(data, "big") >> (total_bits - need)
-    out: List[Instruction] = []
-    mask = (1 << encoding.bits) - 1
-    for position in range(count):
-        shift = (count - 1 - position) * encoding.bits
-        out.append(decode_instruction((acc >> shift) & mask, encoding))
-    return out

@@ -25,17 +25,11 @@ from .labels import LabelPair, lsb
 from .ot import run_ot, run_ot_batch
 from .protocol import SessionResult, TwoPartySession, run_two_party
 from .rng import LabelPrg
-from .serialize import garbled_from_bytes, garbled_to_bytes, program_from_bytes, program_to_bytes
-from .classic import ClassicScheme, evaluate_classic, garble_classic
+from .serialize import garbled_from_bytes, garbled_to_bytes
 
 __all__ = [
     "garbled_to_bytes",
     "garbled_from_bytes",
-    "program_to_bytes",
-    "program_from_bytes",
-    "ClassicScheme",
-    "garble_classic",
-    "evaluate_classic",
     "encrypt_block",
     "decrypt_block",
     "expand_key",

@@ -20,7 +20,8 @@ __all__ = ["Role", "HaacConfig", "TABLE_BYTES", "INSTR_BYTES", "OOR_ADDR_BYTES"]
 
 TABLE_BYTES = 32  # one garbled Half-Gate table
 INSTR_BYTES = 5  # dense 37-bit packing (2b op + 2x17b addr + live) rounded
-#                  to bytes -- the paper's encoding for a 2 MB SWW.  A
+#                  to bytes -- the paper's encoding for a 2 MB SWW; the
+#                  stream words' 39 bits (18b addr) round to the same.  A
 #                  byte-aligned 8 B charge is selectable via
 #                  HaacConfig.instr_bytes for sensitivity studies.
 OOR_ADDR_BYTES = 4  # 32-bit OoR wire addresses (paper section 3.1.4)

@@ -3,6 +3,8 @@
 The paper's claims over the same rows are ``test_paper_claims.py``.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -18,6 +20,8 @@ from repro.analysis.experiments import (
     table5_prior_work,
 )
 from repro.analysis.report import fmt, geomean, render_table
+from repro.core.compiler import OptLevel
+from repro.sim.dram import DDR4, HBM2
 
 
 class TestReport:
@@ -138,3 +142,47 @@ class TestFigures:
         ):
             text = result.render()
             assert result.name.split(":")[0] in text
+
+
+class _ReorderStubProvider:
+    """Runtime 1 s under ``winner``, 3 s under the other reorder and 9 s
+    under any other level, whatever the workload and config."""
+
+    def __init__(self, winner):
+        self.winner = winner
+
+    def cpu_time(self, name):
+        return 100.0
+
+    def plaintext_time(self, name):
+        return 0.5
+
+    def sim_point(self, name, config, opt):
+        if opt is self.winner:
+            runtime = 1.0
+        elif opt in (OptLevel.RO_RN_ESW, OptLevel.SEG_RN_ESW):
+            runtime = 3.0
+        else:
+            runtime = 9.0
+        return SimpleNamespace(runtime_s=runtime)
+
+
+class TestBetterReorderDeployed:
+    """The paper runs both reorders and deploys the better one on DDR4
+    (section 6); HBM2 always uses full reordering."""
+
+    @pytest.mark.parametrize("winner", [OptLevel.RO_RN_ESW, OptLevel.SEG_RN_ESW])
+    def test_fig8_ddr4_takes_the_faster_reorder(self, winner):
+        result = fig8_ge_scaling(
+            quick=True, ge_counts=(1, 4), provider=_ReorderStubProvider(winner)
+        )
+        hbm2 = 100.0 if winner is OptLevel.RO_RN_ESW else 100.0 / 3.0
+        for by_dram in result.extras["scaling"].values():
+            assert by_dram[DDR4.name] == [100.0, 100.0]
+            assert by_dram[HBM2.name] == pytest.approx([hbm2, hbm2])
+
+    @pytest.mark.parametrize("winner", [OptLevel.RO_RN_ESW, OptLevel.SEG_RN_ESW])
+    def test_fig10_takes_the_faster_reorder(self, winner):
+        result = fig10_plaintext(quick=True, provider=_ReorderStubProvider(winner))
+        for row in result.rows:
+            assert row[1:] == [200.0, 2.0, 2.0]

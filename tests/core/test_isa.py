@@ -9,11 +9,10 @@ from repro.core.isa import (
     HaacOp,
     Instruction,
     InstructionEncoding,
-    decode_instruction,
-    decode_program_bytes,
-    encode_instruction,
-    encode_program_bytes,
+    encode_fields,
 )
+from repro.sim.config import INSTR_BYTES, HaacConfig
+from tests.core.scalar_isa import split_word
 
 
 class TestInstruction:
@@ -48,60 +47,65 @@ class TestEncoding:
         with pytest.raises(ValueError):
             InstructionEncoding.for_sww_wires(1)
 
+    @pytest.mark.parametrize("capacity, addr_bits", [
+        (2, 1), (3, 2), (4, 2), (5, 3), (65, 7), (131073, 18),
+    ])
+    def test_width_covers_every_address(self, capacity, addr_bits):
+        """``addr_bits`` is the least width holding addresses ``0 ..
+        capacity - 1``."""
+        encoding = InstructionEncoding.for_sww_wires(capacity)
+        assert encoding.addr_bits == addr_bits
+        assert (capacity - 1) >> addr_bits == 0
+        assert capacity - 1 >= 1 << (addr_bits - 1)
+
+    def test_layout_msb_to_lsb(self):
+        """op (2) | wa | wb | live (1), most significant field first."""
+        encoding = InstructionEncoding(addr_bits=4)
+        word = encode_fields(HaacOp.AND, 0b0011, 0b0101, 1, encoding)
+        assert word == 0b10_0011_0101_1
+
+    @pytest.mark.parametrize("addr_bits", [1, 6, 17, 18])
+    def test_field_extremes(self, addr_bits):
+        encoding = InstructionEncoding(addr_bits=addr_bits)
+        top = (1 << addr_bits) - 1
+        for op in HaacOp:
+            for wa, wb, live in ((top, top, 1), (0, top, 0), (top, 0, 1), (0, 0, 0)):
+                word = encode_fields(op, wa, wb, live, encoding)
+                assert 0 <= word < (1 << encoding.bits)
+                assert split_word(word, addr_bits) == (op, wa, wb, live)
+
+    def test_negative_field_address_rejected(self):
+        encoding = InstructionEncoding(addr_bits=4)
+        with pytest.raises(ValueError):
+            encode_fields(HaacOp.XOR, -1, 0, 0, encoding)
+        with pytest.raises(ValueError):
+            encode_fields(HaacOp.XOR, 0, -1, 0, encoding)
+
     def test_address_overflow_rejected(self):
         encoding = InstructionEncoding(addr_bits=4)
         with pytest.raises(ValueError):
-            encode_instruction(Instruction(HaacOp.AND, 16, 0), encoding)
+            encode_fields(HaacOp.AND, 16, 0, 1, encoding)
+        with pytest.raises(ValueError):
+            encode_fields(HaacOp.AND, 0, 16, 1, encoding)
+
+    def test_default_sww_words_cost_instr_bytes(self):
+        """The stream words' sentinel-safe addressing needs ``capacity +
+        1`` codes: 18-bit addresses (39 bits) at the 2 MB default, which
+        rounds to the same 5 B as the paper's 37 bits."""
+        capacity = HaacConfig.paper_default().window.capacity
+        encoding = InstructionEncoding.for_sww_wires(capacity + 1)
+        assert encoding.addr_bits == 18
+        assert encoding.bytes_packed == INSTR_BYTES
 
     @settings(max_examples=50, deadline=None)
     @given(
         op=st.sampled_from([HaacOp.NOP, HaacOp.XOR, HaacOp.AND]),
         wa=st.integers(0, 2**17 - 1),
         wb=st.integers(0, 2**17 - 1),
-        live=st.booleans(),
+        live=st.integers(0, 1),
     )
-    def test_roundtrip(self, op, wa, wb, live):
+    def test_fields_roundtrip(self, op, wa, wb, live):
         encoding = InstructionEncoding(addr_bits=17)
-        instr = Instruction(op, wa, wb, live)
-        word = encode_instruction(instr, encoding)
+        word = encode_fields(op, wa, wb, live, encoding)
         assert 0 <= word < (1 << encoding.bits)
-        decoded = decode_instruction(word, encoding)
-        assert decoded.op is op
-        assert decoded.wa == wa
-        assert decoded.wb == wb
-        assert decoded.live == live
-
-
-class TestProgramBytes:
-    def test_roundtrip(self):
-        encoding = InstructionEncoding(addr_bits=10)
-        program = [
-            Instruction(HaacOp.AND, 1, 2, True),
-            Instruction(HaacOp.XOR, 3, 4, False),
-            Instruction(HaacOp.AND, 0, 7, True),
-            Instruction(HaacOp.NOP, 0, 0, False),
-        ]
-        data = encode_program_bytes(program, encoding)
-        decoded = decode_program_bytes(data, len(program), encoding)
-        for original, restored in zip(program, decoded):
-            assert restored.op is original.op
-            assert restored.wa == original.wa
-            assert restored.wb == original.wb
-            assert restored.live == original.live
-
-    def test_density(self):
-        """Dense packing must beat byte alignment."""
-        encoding = InstructionEncoding(addr_bits=17)  # 37 bits
-        program = [Instruction(HaacOp.XOR, 1, 2)] * 64
-        data = encode_program_bytes(program, encoding)
-        assert len(data) == (64 * 37 + 7) // 8  # 296 bytes < 64*8
-
-    def test_empty_program(self):
-        encoding = InstructionEncoding(addr_bits=8)
-        assert encode_program_bytes([], encoding) == b""
-        assert decode_program_bytes(b"", 0, encoding) == []
-
-    def test_short_data_rejected(self):
-        encoding = InstructionEncoding(addr_bits=8)
-        with pytest.raises(ValueError):
-            decode_program_bytes(b"\x00", 5, encoding)
+        assert split_word(word, encoding.addr_bits) == (op, wa, wb, live)

@@ -21,7 +21,7 @@ from repro.circuits.builder import CircuitBuilder
 from repro.circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit
 from repro.circuits.stdlib.integer import add, mul
 from repro.core import depgraph
-from repro.core.compiler import OptLevel, compile_best, compile_circuit
+from repro.core.compiler import OptLevel, compile_circuit
 from repro.core.passes.streams import ScheduleParams
 from repro.core.progcache import (
     CACHE_ENV_VAR,
@@ -671,28 +671,6 @@ class TestResolution:
                         params=config.schedule_params())
         assert store.stats.hits >= 1
         assert store.entry_count() == 1
-
-
-class TestWiring:
-    def test_compile_best_uses_cache(self, tmp_path, config):
-        store = ProgramCache(tmp_path)
-        circuit = _adder()
-
-        def score(result):
-            return float(result.streams.makespan)
-
-        best_cold, scores_cold = compile_best(
-            circuit, config.window, config.n_ges, score,
-            params=config.schedule_params(), cache=store,
-        )
-        assert store.stats.puts == 2  # both reorderings stored
-        best_warm, scores_warm = compile_best(
-            circuit, config.window, config.n_ges, score,
-            params=config.schedule_params(), cache=store,
-        )
-        assert store.stats.hits == 2
-        assert scores_cold == scores_warm
-        assert best_warm.opt == best_cold.opt
 
 
 class TestScanPrune:

@@ -1,17 +1,17 @@
-"""Garbled-circuit and program serialization round trips."""
+"""Garbled-circuit serialization round trips."""
+
+import random
+import struct
 
 import pytest
 
-from repro.core.assembler import assemble
-from repro.core.isa import InstructionEncoding
 from repro.gc.evaluate import evaluate_circuit
-from repro.gc.garble import garble_circuit
+from repro.gc.garble import GarbledCircuit, garble_circuit
+from repro.gc.halfgate import GarbledTable
 from repro.gc.serialize import (
     SerializationError,
     garbled_from_bytes,
     garbled_to_bytes,
-    program_from_bytes,
-    program_to_bytes,
 )
 
 
@@ -40,6 +40,40 @@ class TestGarbledRoundTrip:
         assert len(data) >= expected_tables
         assert len(data) <= expected_tables + 64  # header + packed bits
 
+    def test_size_is_exact(self, mixed_circuit):
+        """Magic (8) + two u32 counts (8) + 32 B per table + the decode
+        bits packed eight to a byte."""
+        garbled = garble_circuit(mixed_circuit, seed=5).garbled
+        data = garbled_to_bytes(garbled)
+        n_decode = len(garbled.decode_bits)
+        assert len(data) == 16 + 32 * len(garbled.tables) + (n_decode + 7) // 8
+
+    @pytest.mark.parametrize("n_decode", [0, 1, 7, 8, 9, 16, 17])
+    def test_decode_bit_padding_round_trips(self, n_decode):
+        rng = random.Random(n_decode)
+        garbled = _synthetic_bundle(rng, n_tables=3, n_decode=n_decode)
+        restored = garbled_from_bytes(garbled_to_bytes(garbled))
+        assert restored.decode_bits == garbled.decode_bits
+        assert restored.tables == garbled.tables
+
+    def test_empty_bundle(self):
+        empty = GarbledCircuit(tables=[], decode_bits=[], n_and_gates=0)
+        data = garbled_to_bytes(empty)
+        assert len(data) == 16
+        restored = garbled_from_bytes(data)
+        assert restored.tables == [] and restored.decode_bits == []
+        assert restored.n_and_gates == 0
+
+    def test_extreme_table_rows(self):
+        """Each 128-bit row keeps its place (``T_G || T_E``) and its
+        all-zero / all-one extremes."""
+        ones = (1 << 128) - 1
+        tables = [
+            GarbledTable(0, ones), GarbledTable(ones, 0), GarbledTable(1, 1 << 127),
+        ]
+        garbled = GarbledCircuit(tables=tables, decode_bits=[1, 0], n_and_gates=3)
+        assert garbled_from_bytes(garbled_to_bytes(garbled)).tables == tables
+
     def test_bad_magic(self):
         with pytest.raises(SerializationError):
             garbled_from_bytes(b"NOTMAGIC" + b"\x00" * 16)
@@ -49,41 +83,6 @@ class TestGarbledRoundTrip:
         data = garbled_to_bytes(garbler.garbled)
         with pytest.raises(SerializationError):
             garbled_from_bytes(data[: len(data) // 2])
-
-
-class TestProgramRoundTrip:
-    def test_instructions_preserved(self, mixed_circuit):
-        program, _ = assemble(mixed_circuit)
-        encoding = InstructionEncoding(addr_bits=20)
-        data = program_to_bytes(program, encoding)
-        instructions, n_inputs, outputs, name = program_from_bytes(data)
-        assert n_inputs == program.n_inputs
-        assert outputs == program.outputs
-        assert name == program.name
-        assert len(instructions) == len(program.instructions)
-        for original, restored in zip(program.instructions, instructions):
-            assert restored.op is original.op
-            assert restored.wa == original.wa
-            assert restored.wb == original.wb
-            assert restored.live == original.live
-
-    def test_density(self, mixed_circuit):
-        """Dense packing: well under 8 bytes per instruction."""
-        program, _ = assemble(mixed_circuit)
-        encoding = InstructionEncoding(addr_bits=17)
-        data = program_to_bytes(program, encoding)
-        assert len(data) < 6 * len(program.instructions)
-
-    def test_bad_magic(self):
-        with pytest.raises(SerializationError):
-            program_from_bytes(b"WRONG!!!" + b"\x00" * 32)
-
-    def test_truncated_body(self, mixed_circuit):
-        program, _ = assemble(mixed_circuit)
-        encoding = InstructionEncoding(addr_bits=20)
-        data = program_to_bytes(program, encoding)
-        with pytest.raises(SerializationError):
-            program_from_bytes(data[: len(data) - 40])
 
 
 class TestTrustBoundary:
@@ -96,25 +95,40 @@ class TestTrustBoundary:
             with pytest.raises(SerializationError):
                 garbled_from_bytes(blob)
 
+    def test_every_proper_prefix_rejected(self):
+        blob = garbled_to_bytes(
+            _synthetic_bundle(random.Random(0), n_tables=2, n_decode=9)
+        )
+        for cut in range(len(blob)):
+            with pytest.raises(SerializationError):
+                garbled_from_bytes(blob[:cut])
+
+    @pytest.mark.parametrize("delta", [-33, -32, -1, 1, 32])
+    def test_garbled_body_cut_or_extended(self, mixed_circuit, delta):
+        blob = garbled_to_bytes(garble_circuit(mixed_circuit, seed=5).garbled)
+        blob = blob[:delta] if delta < 0 else blob + bytes(delta)
+        with pytest.raises(SerializationError):
+            garbled_from_bytes(blob)
+
+    @pytest.mark.parametrize("extra_tables, extra_decode", [(1, 0), (0, 8), (-1, 0)])
+    def test_header_counts_disagree_with_body(self, extra_tables, extra_decode):
+        blob = garbled_to_bytes(
+            _synthetic_bundle(random.Random(1), n_tables=2, n_decode=9)
+        )
+        header = struct.pack("<II", 2 + extra_tables, 9 + extra_decode)
+        with pytest.raises(SerializationError):
+            garbled_from_bytes(blob[:8] + header + blob[16:])
+
     def test_garbled_trailing_bytes(self, mixed_circuit):
         blob = garbled_to_bytes(garble_circuit(mixed_circuit, seed=5).garbled)
         with pytest.raises(SerializationError):
             garbled_from_bytes(blob + b"junk")
 
-    def test_program_header_cut(self):
-        with pytest.raises(SerializationError):
-            program_from_bytes(b"HAACPR01")
 
-    def test_program_cut_inside_name_length(self, mixed_circuit):
-        program, _ = assemble(mixed_circuit)
-        blob = program_to_bytes(program, InstructionEncoding(addr_bits=20))
-        name_length_at = 8 + 14 + 4 * len(program.outputs)
-        with pytest.raises(SerializationError):
-            program_from_bytes(blob[:name_length_at])
-
-    def test_program_body_cut_or_extended(self, mixed_circuit):
-        program, _ = assemble(mixed_circuit)
-        blob = program_to_bytes(program, InstructionEncoding(addr_bits=20))
-        for bad in (blob[:-1], blob + b"\x00", blob[: len(blob) // 2]):
-            with pytest.raises(SerializationError):
-                program_from_bytes(bad)
+def _synthetic_bundle(rng, n_tables, n_decode):
+    tables = [
+        GarbledTable(rng.getrandbits(128), rng.getrandbits(128))
+        for _ in range(n_tables)
+    ]
+    decode_bits = [rng.randint(0, 1) for _ in range(n_decode)]
+    return GarbledCircuit(tables=tables, decode_bits=decode_bits, n_and_gates=n_tables)
