@@ -171,12 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_p.add_argument("--bob", type=int, default=3_700_000)
     p_p.add_argument("--width", type=int, default=32)
     p_p.add_argument(
-        "--backend",
-        default=None,
-        help="gc label-hash backend (scalar, numpy, auto); "
-        "default: per-gate reference path",
-    )
-    p_p.add_argument(
         "--stream",
         action="store_true",
         help="level-streamed session over the framed transport "
@@ -257,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process transport: how long a SIGTERM/SIGINT drain lets "
         "in-flight sessions finish before killing them",
     )
-    p_srv.add_argument("--backend", default=None, help="gc label-hash backend")
     p_srv.add_argument(
         "--faults",
         default=None,
@@ -529,7 +522,6 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
             encode_int(args.alice, args.width),
             encode_int(args.bob, args.width),
             seed=2023,
-            backend=args.backend,
             faults=faults_spec,
             streamed=streamed,
         )
@@ -576,7 +568,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     bob = builder.add_evaluator_inputs(args.width)
     builder.mark_outputs([less_than(builder, bob, alice)])
     circuit = builder.build("millionaires")
-    backend = args.backend
 
     top = (1 << args.width) - 1
     handles = []
@@ -600,7 +591,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     encode_int(wealth_a, args.width),
                     encode_int(wealth_b, args.width),
                     seed=args.seed + index,
-                    backend=backend,
                     faults=spec,
                     session_id=f"s{index}",
                 ))
@@ -626,7 +616,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             wealth_b = (args.seed * 6271 + index * 75989) % top
             spec = args.faults if index == args.fault_session else None
             session = TwoPartySession(
-                circuit, seed=args.seed + index, backend=backend, faults=spec
+                circuit, seed=args.seed + index, faults=spec
             )
             pair = None
             if args.transport == "socket" and spec is None:

@@ -5,7 +5,7 @@ Three pieces, shared by the transport and cache layers:
 * :mod:`repro.faults.errors` -- the :class:`ProtocolFault` hierarchy and
   the :class:`RecoveryLog` degradation ledger;
 * :mod:`repro.faults.plan` -- seed-driven :class:`FaultPlan` parsing and
-  resolution (explicit arg > ``HaacConfig.fault_spec`` > ``REPRO_FAULTS``);
+  resolution (explicit arg > ``REPRO_FAULTS``);
 * this module's *installation stack*: :func:`install` scopes a
   ``(plan, log)`` pair so layers that cannot be handed one explicitly
   (the program cache, the result store) consult :func:`active_plan` for

@@ -199,14 +199,12 @@ def parse_fault_spec(spec: str) -> FaultPlan:
 
 def resolve_fault_plan(
     spec: Union[None, str, FaultPlan] = None,
-    config=None,
 ) -> Optional[FaultPlan]:
     """Resolve the active fault plan for a session.
 
-    Precedence: an explicit plan/spec argument, then
-    ``HaacConfig.fault_spec`` on ``config``, then the ``REPRO_FAULTS``
-    environment variable.  Returns ``None`` (no injection) when none
-    are set.  A fresh plan is built from spec strings on every call so
+    Precedence: an explicit plan/spec argument, then the
+    ``REPRO_FAULTS`` environment variable.  Returns ``None`` (no
+    injection) when neither is set.  A fresh plan is built from spec strings on every call so
     two sessions never share RNG state by accident.
     """
     if isinstance(spec, FaultPlan):
@@ -215,10 +213,6 @@ def resolve_fault_plan(
         return parse_fault_spec(spec)
     if spec is not None:
         raise TypeError(f"fault spec must be str, FaultPlan or None: {spec!r}")
-    if config is not None:
-        config_spec = getattr(config, "fault_spec", None)
-        if config_spec:
-            return parse_fault_spec(config_spec)
     env_spec = os.environ.get(_ENV_SPEC)
     if env_spec:
         return parse_fault_spec(env_spec)

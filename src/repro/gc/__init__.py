@@ -6,13 +6,7 @@ and evaluation, oblivious transfer, and the two-party protocol.
 """
 
 from .aes import decrypt_block, encrypt_block, expand_key
-from .backends import (
-    BackendUnavailable,
-    LabelHashBackend,
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
+from .backends import BackendUnavailable, resolve_backend
 from .evaluate import (
     EvaluationResult,
     evaluate_circuit,
@@ -52,9 +46,6 @@ __all__ = [
     "evaluate_circuit",
     "evaluate_circuit_batched",
     "BackendUnavailable",
-    "LabelHashBackend",
-    "available_backends",
-    "get_backend",
     "resolve_backend",
     "run_ot",
     "run_ot_batch",

@@ -1,44 +1,35 @@
-"""Pluggable, batch-oriented label-hash backends for the GC substrate.
+"""The batch label-hash backend of the GC substrate.
 
 The garbling hot path -- four AES-based hashes per AND gate on the
-Garbler, two on the Evaluator -- is exposed here as a batch API so whole
-levels of a circuit can be hashed in one call.  Two implementations
-ship:
+Garbler, two on the Evaluator (paper Figure 2) -- is exposed as a batch
+API so a whole level of a circuit hashes in one call:
+:class:`NumpyLabelHashBackend` runs the T-table AES of
+:mod:`repro.gc.aes` over arrays of labels.  It is the one engine; the
+per-gate walk over :mod:`repro.gc.hashing` is its independent oracle.
 
-* ``scalar`` -- the audited per-label reference (pure Python T-tables);
-* ``numpy`` -- the same AES vectorized over arrays of labels, what
-  ``auto`` resolves to.
-
-Select with the ``REPRO_GC_BACKEND`` environment variable, an explicit
-``backend=`` argument to the batched garble/evaluate entry points, or
-``HaacConfig.gc_backend``.
+Entry points take ``backend=`` (``None``, ``"auto"``, ``"numpy"`` or a
+backend instance) and hand it to :func:`resolve_backend`.
 """
 
-from .base import (
-    BACKEND_ENV_VAR,
-    BackendUnavailable,
-    LabelHashBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-)
 from .numpy_backend import NumpyLabelHashBackend
-from .scalar import ScalarLabelHashBackend
 
-register_backend("scalar", ScalarLabelHashBackend)
-register_backend("numpy", NumpyLabelHashBackend)
+__all__ = ["BackendUnavailable", "NumpyLabelHashBackend", "resolve_backend"]
 
-__all__ = [
-    "BACKEND_ENV_VAR",
-    "BackendUnavailable",
-    "LabelHashBackend",
-    "ScalarLabelHashBackend",
-    "NumpyLabelHashBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "registered_backends",
-    "resolve_backend",
-]
+_NAMES = (None, "auto", "numpy")
+
+
+class BackendUnavailable(RuntimeError):
+    """Requested backend is not the NumPy one."""
+
+
+def resolve_backend(choice=None) -> NumpyLabelHashBackend:
+    """The NumPy backend for ``None``, ``"auto"``, ``"numpy"`` or an
+    instance of it; :class:`BackendUnavailable` for anything else."""
+    if isinstance(choice, NumpyLabelHashBackend):
+        return choice
+    if choice not in _NAMES:
+        raise BackendUnavailable(
+            f"unknown gc backend {choice!r}; the one backend is 'numpy' "
+            f"(also 'auto' or None)"
+        )
+    return NumpyLabelHashBackend()

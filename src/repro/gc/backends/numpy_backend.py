@@ -1,4 +1,4 @@
-"""NumPy-vectorized label-hash backend.
+"""NumPy label-hash backend.
 
 Runs the same T-table AES-128 as :mod:`repro.gc.aes` -- same tables,
 same key expansion, same round structure -- but over *arrays* of blocks:
@@ -34,7 +34,6 @@ from ..aes import _RCON, _TE0, _TE1, _TE2, _TE3, S_BOX, expand_key
 from ..hashing import FIXED_KEY
 from ..labels import blocks_to_bytes, bytes_to_blocks, bytes_to_ints, ints_to_bytes
 from ..rng import MASK_128
-from .base import LabelHashBackend
 
 __all__ = ["NumpyLabelHashBackend"]
 
@@ -72,11 +71,8 @@ def _public(planes):
     return planes.T.astype(_np.uint32, copy=False)
 
 
-class NumpyLabelHashBackend(LabelHashBackend):
+class NumpyLabelHashBackend:
     """Batch TCCR hash over ``(n, 4) uint32`` block arrays."""
-
-    name = "numpy"
-    vectorized = True
 
     def __init__(self) -> None:
         self._te, self._sb, self._sbox, self._rcon = _tables()
@@ -111,7 +107,7 @@ class NumpyLabelHashBackend(LabelHashBackend):
         return self.ints_to_blocks([tweak & MASK_128 for tweak in tweaks])
 
     # ------------------------------------------------------------------
-    # Vectorized AES-128 on word planes
+    # AES-128 on word planes
     # ------------------------------------------------------------------
 
     def expand_keys(self, keys: "_np.ndarray") -> "_np.ndarray":
@@ -187,7 +183,7 @@ class NumpyLabelHashBackend(LabelHashBackend):
         return sig
 
     def sigma_blocks(self, blocks: "_np.ndarray") -> "_np.ndarray":
-        """Vectorized linear orthomorphism sigma(x_L || x_R) = (x_L ^ x_R) || x_L."""
+        """Linear orthomorphism sigma(x_L || x_R) = (x_L ^ x_R) || x_L."""
         return _public(self._sigma_planes(blocks))
 
     def _davies_meyer(self, sig: "_np.ndarray", schedules) -> "_np.ndarray":
@@ -220,6 +216,10 @@ class NumpyLabelHashBackend(LabelHashBackend):
         tweaks: Sequence[int],
         rekeyed: bool = True,
     ) -> List[int]:
+        """Hash ``labels[i]`` under tweak ``tweaks[i]``: element-wise
+        :func:`repro.gc.hashing.rekeyed_hash` (or
+        :func:`~repro.gc.hashing.fixed_key_hash` when ``rekeyed`` is
+        false) over Python ints."""
         if len(labels) != len(tweaks):
             raise ValueError("labels and tweaks must align")
         if not labels:

@@ -19,13 +19,12 @@ from ..circuits.netlist import OP_AND, OP_XOR, Circuit
 from .garble import GarbledCircuit, _BlockStore, _run_free_groups
 from .halfgate import eval_and, eval_not, eval_xor, tables_to_bytes
 from .hashing import GateHasher
-from .labels import bytes_to_blocks, bytes_to_ints, ints_to_bytes, lsb
+from .labels import bytes_to_blocks, ints_to_bytes, lsb
 
 __all__ = [
     "EvaluationResult",
     "evaluate_circuit",
     "evaluate_circuit_batched",
-    "evaluator_store",
 ]
 
 
@@ -130,7 +129,7 @@ def evaluate_circuit_batched(
 
     hasher = GateHasher(rekeyed=rekeyed)
     table_index = _and_table_indices(circuit)
-    store = evaluator_store(
+    store = BlockEvaluatorStore(
         circuit, ints_to_bytes(input_labels), rekeyed, resolved, hasher
     )
     tables = garbled.tables
@@ -157,8 +156,7 @@ def _and_table_indices(circuit: Circuit) -> Dict[int, int]:
 
 
 class BlockEvaluatorStore(_BlockStore):
-    """The Evaluator's held labels as blocks: the array twin of
-    :class:`IntEvaluatorStore`, chosen when the backend is ``vectorized``."""
+    """The Evaluator's held labels as blocks."""
 
     def evaluate_level(self, index: int, block: bytes) -> None:
         """Evaluate phase ``index`` against its AND batch's tables in
@@ -179,59 +177,3 @@ class BlockEvaluatorStore(_BlockStore):
             )
         _run_free_groups(state, free_groups, None)
 
-
-class IntEvaluatorStore:
-    """The Evaluator's held labels as Python ints, one
-    ``backend.hash_labels`` call per AND batch: the oracle store, for
-    non-vectorized backends.  Same interface as
-    :class:`BlockEvaluatorStore`."""
-
-    def __init__(self, circuit, input_labels: bytes, rekeyed, backend, hasher):
-        self.circuit = circuit
-        self.held = bytes_to_ints(input_labels) + [0] * len(circuit.op)
-        self.levels = circuit.and_level_schedule()
-        self.rekeyed, self.backend, self.hasher = rekeyed, backend, hasher
-
-    def evaluate_level(self, index: int, block: bytes) -> None:
-        circuit, labels = self.circuit, self.held
-        op_of, a_of, b_of, out_of = circuit.op, circuit.a, circuit.b, circuit.out
-        and_positions, free_groups = self.levels[index]
-        if and_positions:
-            rows = bytes_to_ints(block)  # generator_row, evaluator_row per gate
-            batch: List[int] = []
-            tweaks: List[int] = []
-            for position in and_positions:
-                batch.extend((labels[a_of[position]], labels[b_of[position]]))
-                tweaks.extend((2 * position, 2 * position + 1))
-            hashes = self.backend.hash_labels(batch, tweaks, self.rekeyed)
-            self.hasher.record_batch(len(batch))
-            for i, position in enumerate(and_positions):
-                h_a, h_b = hashes[2 * i], hashes[2 * i + 1]
-                wa = labels[a_of[position]]
-                wb = labels[b_of[position]]
-                t_g, t_e = rows[2 * i], rows[2 * i + 1]
-                w_g = h_a ^ (t_g if wa & 1 else 0)
-                w_e = h_b ^ ((t_e ^ wa) if wb & 1 else 0)
-                labels[out_of[position]] = w_g ^ w_e
-        for group in free_groups:
-            for position in group:
-                if op_of[position] == OP_XOR:
-                    labels[out_of[position]] = (
-                        labels[a_of[position]] ^ labels[b_of[position]]
-                    )
-                else:  # INV forwards the label unchanged
-                    labels[out_of[position]] = labels[a_of[position]]
-
-    def permute_bits(self, wires: Sequence[int]) -> List[int]:
-        return [lsb(self.held[w]) for w in wires]
-
-    def labels(self, wires: Sequence[int]) -> List[int]:
-        return [self.held[w] for w in wires]
-
-
-def evaluator_store(circuit, input_labels: bytes, rekeyed, backend, hasher):
-    """The Evaluator's label store for ``backend``: blocks when it is
-    ``vectorized``, ints otherwise."""
-    if backend.vectorized:
-        return BlockEvaluatorStore(circuit, input_labels, rekeyed, backend, hasher)
-    return IntEvaluatorStore(circuit, input_labels, rekeyed, backend, hasher)

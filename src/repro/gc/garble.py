@@ -9,15 +9,15 @@ wire's zero-label.
 
 Two execution strategies produce bitwise-identical results:
 
-* :func:`garble_circuit` -- the per-gate reference walk;
+* :func:`garble_circuit` -- the per-gate reference walk, the oracle;
 * :func:`garble_circuit_batched` -- a level-scheduled walk that FreeXORs
   a whole dependence level at once and hashes every AND gate of a level
   in one :mod:`repro.gc.backends` call.
 
-The level-scheduled walk runs on a *label store* (:func:`garbler_store`),
-the same one the streamed :class:`~repro.gc.roles.GarblerRole` holds: an
-``(n_wires, 4) uint32`` block array with array kernels on vectorized
-backends, a Python-int list otherwise (DESIGN.md section 11).
+The level-scheduled walk runs on a *label store*
+(:class:`BlockGarblerStore`), the same one the streamed
+:class:`~repro.gc.roles.GarblerRole` holds: an ``(n_wires, 4) uint32``
+block array with array kernels (DESIGN.md section 11).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "Garbler",
     "garble_circuit",
     "garble_circuit_batched",
-    "garbler_store",
 ]
 
 
@@ -164,15 +163,15 @@ def garble_circuit_batched(
 
     Bitwise-identical to :func:`garble_circuit` for the same ``seed``:
     the PRG draws (R, then one label per input wire) happen in the same
-    order, gate tweaks are still netlist positions, and every backend
+    order, gate tweaks are still netlist positions, and the backend
     reproduces the scalar hash exactly.  Only the *schedule* changes:
     gates are processed per multiplicative depth
     (:meth:`Circuit.and_level_schedule`), all AND gates of a depth go
-    through one backend hash call (4 hashes per gate) and, on vectorized
-    backends, the free XOR/INV groups collapse into bulk array XORs.
+    through one backend hash call (4 hashes per gate) and the free
+    XOR/INV groups collapse into bulk array XORs.
 
-    ``backend`` is a backend name, instance, or ``None`` (environment /
-    auto selection).
+    ``backend`` is ``None``, ``"auto"``, ``"numpy"`` or a backend
+    instance (:func:`repro.gc.backends.resolve_backend`).
     """
     from .backends import resolve_backend
 
@@ -183,7 +182,7 @@ def garble_circuit_batched(
     r |= 1
     hasher = GateHasher(rekeyed=rekeyed)
 
-    store = garbler_store(circuit, input_labels, r, rekeyed, resolved, hasher)
+    store = BlockGarblerStore(circuit, input_labels, r, rekeyed, resolved, hasher)
     levels = circuit.and_level_schedule()
     # Tables leave the store in schedule order, 32 bytes each; the
     # Evaluator's stream wants netlist order.
@@ -204,7 +203,7 @@ def garble_circuit_batched(
 
 
 def _vector_plan(circuit: Circuit):
-    """Precompiled index arrays for the vectorized engines, cached.
+    """Precompiled index arrays for the block stores, cached.
 
     One phase per multiplicative depth (see
     :meth:`Circuit.and_level_schedule`):
@@ -321,8 +320,7 @@ class _BlockStore:
 
 
 class BlockGarblerStore(_BlockStore):
-    """The Garbler's zero-labels as blocks: the array twin of
-    :class:`IntGarblerStore`, chosen when the backend is ``vectorized``."""
+    """The Garbler's zero-labels as blocks."""
 
     def __init__(
         self, circuit, input_labels: Sequence[int], r: int, rekeyed,
@@ -367,69 +365,3 @@ class BlockGarblerStore(_BlockStore):
         _run_free_groups(state, free_groups, r_vec)
         return payload
 
-
-class IntGarblerStore:
-    """The Garbler's zero-labels as Python ints, one ``backend.hash_labels``
-    call per AND batch: the oracle store, for non-vectorized backends.
-    Same interface as :class:`BlockGarblerStore`."""
-
-    def __init__(self, circuit, input_labels, r, rekeyed, backend, hasher):
-        self.circuit, self.r = circuit, r
-        self.zero = list(input_labels) + [0] * len(circuit.op)
-        self.levels = circuit.and_level_schedule()
-        self.rekeyed, self.backend, self.hasher = rekeyed, backend, hasher
-
-    def select(self, wires: Sequence[int], bits: Sequence[int]) -> bytes:
-        return ints_to_bytes(
-            [self.zero[w] ^ (self.r if bit else 0) for w, bit in zip(wires, bits)]
-        )
-
-    def garble_level(self, index: int) -> bytes:
-        circuit, zero, r = self.circuit, self.zero, self.r
-        op_of, a_of, b_of, out_of = circuit.op, circuit.a, circuit.b, circuit.out
-        and_positions, free_groups = self.levels[index]
-        rows: List[int] = []
-        if and_positions:
-            labels: List[int] = []
-            tweaks: List[int] = []
-            for position in and_positions:
-                wa0 = zero[a_of[position]]
-                wb0 = zero[b_of[position]]
-                j_g = 2 * position
-                labels.extend((wa0, wa0 ^ r, wb0, wb0 ^ r))
-                tweaks.extend((j_g, j_g, j_g + 1, j_g + 1))
-            hashes = self.backend.hash_labels(labels, tweaks, self.rekeyed)
-            self.hasher.record_batch(len(labels))
-            for i, position in enumerate(and_positions):
-                h_a0, h_a1, h_b0, h_b1 = hashes[4 * i : 4 * i + 4]
-                wa0 = zero[a_of[position]]
-                wb0 = zero[b_of[position]]
-                t_g = h_a0 ^ h_a1 ^ (r if wb0 & 1 else 0)
-                w_g0 = h_a0 ^ (t_g if wa0 & 1 else 0)
-                t_e = h_b0 ^ h_b1 ^ wa0
-                w_e0 = h_b0 ^ ((t_e ^ wa0) if wb0 & 1 else 0)
-                zero[out_of[position]] = w_g0 ^ w_e0
-                rows.extend((t_g, t_e))
-        for group in free_groups:
-            for position in group:
-                if op_of[position] == OP_XOR:
-                    zero[out_of[position]] = (
-                        zero[a_of[position]] ^ zero[b_of[position]]
-                    )
-                else:  # INV
-                    zero[out_of[position]] = zero[a_of[position]] ^ r
-        return ints_to_bytes(rows)
-
-    def permute_bits(self, wires: Sequence[int]) -> List[int]:
-        return [lsb(self.zero[w]) for w in wires]
-
-    def labels(self) -> List[int]:
-        return self.zero
-
-
-def garbler_store(circuit, input_labels, r, rekeyed, backend, hasher):
-    """The Garbler's label store for ``backend``: blocks when it is
-    ``vectorized``, ints otherwise."""
-    if backend.vectorized:
-        return BlockGarblerStore(circuit, input_labels, r, rekeyed, backend, hasher)
-    return IntGarblerStore(circuit, input_labels, r, rekeyed, backend, hasher)

@@ -77,9 +77,9 @@ class GateHasher:
         return fixed_key_hash(label, index)
 
     def record_batch(self, n: int) -> None:
-        """Account for ``n`` hash calls performed by a batch backend.
+        """Account for ``n`` hash calls performed by the batch backend.
 
-        Batched backends compute hashes out-of-line (see
+        The block engine computes hashes out-of-line (see
         :mod:`repro.gc.backends`); this keeps the call/expansion ledger
         identical to ``n`` scalar invocations so the CPU cost model sees
         the same work regardless of execution substrate.

@@ -2,7 +2,7 @@
 
 A *wire* is a gate input/output; its encrypted value is a 128-bit *label*
 (paper Figure 1).  The reference paths hold labels as plain Python
-integers in ``[0, 2^128)``; the vectorized paths hold them as *blocks*,
+integers in ``[0, 2^128)``; the block engine holds them as *blocks*,
 rows of four big-endian ``uint32`` column words (DESIGN.md section 11).
 Both share one wire format, 16 big-endian bytes, and the conversions
 between the three live here.

@@ -43,8 +43,8 @@ bignum multiply/reduce, not interpreter overhead (DESIGN.md section 4).
 
 The pad KDF is sequential along a point's 128-bit limbs but independent
 across the batch, so the batched paths run it one limb at a time through
-the backend's block AES kernel (:func:`_kdf_batch`) when the backend is
-``vectorized`` and the batch has at least :data:`_KDF_BATCH_MIN` chains;
+the backend's block AES kernel (:func:`_kdf_batch`) when a backend is
+given and the batch has at least :data:`_KDF_BATCH_MIN` chains;
 otherwise the scalar :func:`_kdf` runs.
 
 All batched paths draw the same PRG stream and compute the same group
@@ -57,8 +57,7 @@ EXTENSION: every choice above costs a 768-bit ``pow`` per side.
 and pay one PRG expansion and one hash per choice after that (IKNP in
 the ``u``-matrix form of Asharov et al.; semi-honest; DESIGN.md section
 4 has the algebra, the sizing and why the base OTs keep their
-ciphertexts).  ``G`` and ``H`` go through ``backend.hash_labels``, so
-every backend produces the same transcript.  Which handshake a session
+ciphertexts).  ``G`` and ``H`` go through ``backend.hash_labels``.  Which handshake a session
 runs is :mod:`repro.gc.roles`' decision; :func:`run_ot_batch` is both
 the base layer and the oracle the extension is tested against.
 """
@@ -209,7 +208,7 @@ def _kdf_batch(points: Sequence[int], tweaks: Sequence[int], backend) -> List[in
     Rows carry their own limb count, so a point whose top limbs are zero
     stops exactly where the scalar ``while value:`` loop stops.
     """
-    if len(points) < _KDF_BATCH_MIN or not getattr(backend, "vectorized", False):
+    if len(points) < _KDF_BATCH_MIN or backend is None:
         return [_kdf(point, tweak) for point, tweak in zip(points, tweaks)]
     limbs = np.array([(point.bit_length() + 127) >> 7 for point in points])
     depth = int(limbs.max())

@@ -18,9 +18,9 @@ Two drive modes:
 * :meth:`TwoPartySession.run` -- the original monolithic exchange over
   the perfect in-memory :class:`~repro.gc.channel.ChannelPair`, whole
   circuit garbled then whole circuit evaluated.  It is the independent
-  oracle the streamed suites compare against: with ``backend=None`` it
-  runs the per-gate reference walk, which shares no kernel with the
-  streamed path;
+  oracle the streamed suites compare against: the per-gate reference
+  walk and the scalar OT paths, which share no kernel with the streamed
+  path;
 * :meth:`TwoPartySession.run_streamed` -- level-streamed delivery over
   the framed lossy transport: garbling and evaluation interleave along
   :meth:`Circuit.and_level_schedule`, each AND level's table block ships
@@ -64,8 +64,9 @@ from .channel import (
     make_channel_pair,
     make_framed_pair,
 )
-from .evaluate import evaluate_circuit, evaluate_circuit_batched
-from .garble import garble_circuit, garble_circuit_batched
+from .backends import resolve_backend
+from .evaluate import evaluate_circuit
+from .garble import garble_circuit
 from .ot import OtReceiver, OtSender
 from .rng import LabelPrg
 from .roles import FINISH, HANDSHAKE, LEVEL, EvaluatorRole, GarblerRole
@@ -157,49 +158,31 @@ class TwoPartySession:
         rekeyed: bool = True,
         backend: Optional[Union[str, object]] = None,
         faults: Optional[Union[str, FaultPlan]] = None,
-        config=None,
         chunk_bytes: int = 4096,
         max_retries: int = 8,
     ) -> None:
-        """``backend`` selects the batched garbling/evaluation substrate.
-
-        ``None`` keeps the audited reference: the per-gate walk in
-        :meth:`run`, the ``scalar`` backend in :meth:`run_streamed`
-        (same hashes, same call counts); a backend name/instance (or
-        ``"auto"``) runs both parties through the level-batched engines
-        of :mod:`repro.gc.backends` -- producing bitwise-identical
-        traffic either way.
+        """``backend`` is the hash backend :meth:`run_streamed` garbles
+        and evaluates on (anything
+        :func:`~repro.gc.backends.resolve_backend` accepts; resolved
+        here, so a bad name fails in both drive modes).  :meth:`run`
+        never uses it: it is the per-gate oracle.
 
         ``faults`` arms deterministic fault injection: a spec string
         (``"drop:0.05,seed=7"``), a prebuilt
-        :class:`~repro.faults.FaultPlan`, or ``None`` to defer to
-        ``config.fault_spec`` and then the ``REPRO_FAULTS`` environment
-        variable.  ``config`` (a :class:`~repro.sim.config.HaacConfig`)
-        also supplies the backend name when ``backend`` is ``None``.
-        Frame faults only bite on :meth:`run_streamed`; the process
-        fault ``tear_cache`` applies to both drive modes.
+        :class:`~repro.faults.FaultPlan`, or ``None`` to defer to the
+        ``REPRO_FAULTS`` environment variable.  Frame faults only bite
+        on :meth:`run_streamed`; the process fault ``tear_cache``
+        applies to both drive modes.
         """
         circuit.validate()
         self.circuit = circuit
         self.seed = seed
         self.rekeyed = rekeyed
-        if config is not None:
-            if backend is None:
-                backend = config.gc_backend
-            if faults is None:
-                faults = getattr(config, "fault_spec", None)
-        self.backend = backend
+        self.backend = resolve_backend(backend)
         self.faults = faults
         self.chunk_bytes = chunk_bytes
         self.max_retries = max_retries
         self.channels: ChannelPair = make_channel_pair()
-
-    def _resolved_backend(self):
-        if self.backend is None:
-            return None
-        from .backends import resolve_backend
-
-        return resolve_backend(self.backend)
 
     def run(
         self, garbler_bits: Sequence[int], evaluator_bits: Sequence[int]
@@ -216,29 +199,16 @@ class TwoPartySession:
         plan = resolve_fault_plan(self.faults)
         if plan is not None:
             plan.reset()
-        resolved = self._resolved_backend()
         with faults_mod.install(plan, log):
             # -- Alice: offline garbling --------------------------------
-            if resolved is None:
-                garbler = garble_circuit(
-                    circuit, seed=self.seed, rekeyed=self.rekeyed
-                )
-            else:
-                garbler = garble_circuit_batched(
-                    circuit,
-                    seed=self.seed,
-                    rekeyed=self.rekeyed,
-                    backend=resolved,
-                )
+            garbler = garble_circuit(circuit, seed=self.seed, rekeyed=self.rekeyed)
             garbled = garbler.garbled
 
             # -- OT round trip for Bob's labels (Bob consumes channel
             #    messages in FIFO order, so the OT handshake goes first)
-            sender = OtSender(LabelPrg(self.seed + 0x0F), resolved)
+            sender = OtSender(LabelPrg(self.seed + 0x0F))
             down.send("ot_public", sender.public, _GROUP_BYTES)
-            receiver = OtReceiver(
-                LabelPrg(self.seed + 0xB0B), down.recv("ot_public"), resolved
-            )
+            receiver = OtReceiver(LabelPrg(self.seed + 0xB0B), down.recv("ot_public"))
 
             # Batched fixed-base OT: one windowed table of g serves all
             # of Bob's choice bits, its width chosen from their count
@@ -296,18 +266,9 @@ class TwoPartySession:
                 decode_bits=decode_bits,
                 n_and_gates=len(tables),
             )
-            if resolved is None:
-                result = evaluate_circuit(
-                    circuit, garbled_for_bob, input_labels, rekeyed=self.rekeyed
-                )
-            else:
-                result = evaluate_circuit_batched(
-                    circuit,
-                    garbled_for_bob,
-                    input_labels,
-                    rekeyed=self.rekeyed,
-                    backend=resolved,
-                )
+            result = evaluate_circuit(
+                circuit, garbled_for_bob, input_labels, rekeyed=self.rekeyed
+            )
 
             # -- Output sharing ------------------------------------------
             up.send(
@@ -525,7 +486,6 @@ def run_two_party(
     rekeyed: bool = True,
     backend: Optional[Union[str, object]] = None,
     faults: Optional[Union[str, FaultPlan]] = None,
-    config=None,
     streamed: bool = False,
 ) -> SessionResult:
     """One-call convenience wrapper around :class:`TwoPartySession`."""
@@ -535,7 +495,6 @@ def run_two_party(
         rekeyed=rekeyed,
         backend=backend,
         faults=faults,
-        config=config,
     )
     if streamed:
         return session.run_streamed(garbler_bits, evaluator_bits)

@@ -10,8 +10,8 @@ AES-CTR pseudo-random generator built on the from-scratch AES of
 
 A session's draws are known before its first message (labels, base-OT
 seeds, receiver secrets), so bulk draws go through
-:meth:`LabelPrg.next_blocks`: one array AES-CTR call on a vectorized
-backend, the scalar :meth:`LabelPrg.next_block` loop otherwise.
+:meth:`LabelPrg.next_blocks`: one array AES-CTR call on the block
+backend, the scalar :meth:`LabelPrg.next_block` loop without one.
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ class LabelPrg:
     def next_blocks(self, count: int, backend=None) -> List[int]:
         """``[self.next_block() for _ in range(count)]``.
 
-        On a ``vectorized`` backend and from :data:`_CTR_BATCH_MIN`
+        Given a ``backend`` and from :data:`_CTR_BATCH_MIN`
         blocks up, the counter blocks are encrypted by one
         ``backend.encrypt_blocks`` call under the broadcast key
         schedule; otherwise the scalar loop runs.
         """
-        if count < _CTR_BATCH_MIN or not getattr(backend, "vectorized", False):
+        if count < _CTR_BATCH_MIN or backend is None:
             return [self.next_block() for _ in range(count)]
         start = self._counter
         self._counter += count

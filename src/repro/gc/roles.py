@@ -32,12 +32,12 @@ through on its end of a socket (the *split* drive).  Per-direction
 message order is the same however the turns are interleaved, which is
 why every drive produces the same transcript digest.
 
-A role's wire labels live in an opaque *label store*
-(:func:`~repro.gc.garble.garbler_store` /
-:func:`~repro.gc.evaluate.evaluator_store`): an ``(n_wires, 4) uint32``
-block array when the backend is vectorized, a Python-int list otherwise.
-The store speaks wire format -- a level's tables leave and enter it as
-one ``bytes`` block -- so the scripts never see which one they hold.
+A role's wire labels live in a *label store*
+(:class:`~repro.gc.garble.BlockGarblerStore` /
+:class:`~repro.gc.evaluate.BlockEvaluatorStore`): an ``(n_wires, 4)
+uint32`` block array.  The store speaks wire format -- a level's tables
+leave and enter it as one ``bytes`` block -- so the scripts never see
+its layout.
 
 The framed transport carries raw bytes; every payload's length is
 checked here before a store sees it, and every OT group element's range
@@ -56,8 +56,8 @@ from ..circuits.netlist import OP_AND, Circuit
 from ..faults import SessionAborted, TranscriptMismatch
 from .backends import resolve_backend
 from .channel import DIGEST_KIND, FramedChannel
-from .evaluate import evaluator_store
-from .garble import garbler_store
+from .evaluate import BlockEvaluatorStore
+from .garble import BlockGarblerStore
 from .hashing import GateHasher
 from .labels import bytes_to_ints, ints_to_bytes, pack_bits, unpack_bits
 from .ot import GROUP_P, OT_KAPPA, OtExtReceiver, OtExtSender, OtReceiver, OtSender
@@ -159,8 +159,8 @@ class _Role:
         down: FramedChannel,
         up: FramedChannel,
     ) -> None:
-        """``backend`` is a hash backend name or instance; ``None`` is
-        the audited ``scalar`` backend, whatever the environment says."""
+        """``backend`` is anything
+        :func:`~repro.gc.backends.resolve_backend` accepts."""
         expected = {
             "garbler": circuit.n_garbler_inputs,
             "evaluator": circuit.n_evaluator_inputs,
@@ -171,7 +171,7 @@ class _Role:
         self.bits = list(bits)
         self.seed = seed
         self.rekeyed = rekeyed
-        self.backend = resolve_backend("scalar" if backend is None else backend)
+        self.backend = resolve_backend(backend)
         self.down = down
         self.up = up
         self.hasher = GateHasher(rekeyed=rekeyed)
@@ -225,7 +225,7 @@ class GarblerRole(_Role):
         yield from self._ot_turns(
             [(inputs[w], inputs[w] ^ r) for w in circuit.evaluator_input_wires]
         )
-        store = garbler_store(
+        store = BlockGarblerStore(
             circuit, inputs, r, self.rekeyed, self.backend, self.hasher
         )
         down.send_message(
@@ -335,7 +335,7 @@ class EvaluatorRole(_Role):
                 f"got {len(labels)} bytes"
             )
         labels += ints_to_bytes(ot_labels)
-        store = evaluator_store(
+        store = BlockEvaluatorStore(
             circuit, labels, self.rekeyed, self.backend, self.hasher
         )
         self.levels = circuit.and_level_schedule()

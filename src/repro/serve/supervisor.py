@@ -58,6 +58,7 @@ from ..faults import (
     WorkerCrashed,
     resolve_fault_plan,
 )
+from ..gc.backends import resolve_backend
 from ..gc.protocol import SessionResult
 from .mux import ServiceStats, SessionStats, _percentile
 from .procs import EVALUATOR, GARBLER, ROLES, party_process_main
@@ -86,8 +87,8 @@ class SessionSpec:
     evaluator_bits: Sequence[int]
     seed: int = 0
     rekeyed: bool = True
-    #: Backend name (resolved inside each worker); ``None`` is the
-    #: ``scalar`` backend.
+    #: Backend name (checked by ``submit``, resolved inside each
+    #: worker); see :func:`repro.gc.backends.resolve_backend`.
     backend: Optional[str] = None
     #: Fault spec / plan; frame faults do not apply on this transport
     #: (the kernel socket is loss-free), only the process-chaos kinds.
@@ -287,7 +288,8 @@ class Supervisor:
         by queue depth, ``None`` without history.  A draining
         supervisor rejects everything.  An invalid circuit or a wrong
         number of input bits raises ``ValueError`` without admitting
-        the session, as ``SessionMultiplexer.submit`` does.
+        the session, as ``SessionMultiplexer.submit`` does, and an
+        unknown backend :class:`~repro.gc.backends.BackendUnavailable`.
         """
         if self._draining:
             self._rejected += 1
@@ -313,6 +315,7 @@ class Supervisor:
             raise ValueError("wrong number of garbler input bits")
         if len(spec.evaluator_bits) != circuit.n_evaluator_inputs:
             raise ValueError("wrong number of evaluator input bits")
+        resolve_backend(spec.backend)
         self._admitted += 1
         sess = SupervisedSession(spec, spec.session_id or f"p{self._admitted}")
         self._pending.append(sess)

@@ -54,18 +54,6 @@ class HaacConfig:
     queue_sram_bytes: int = 64 * 1024
     instr_bytes: int = INSTR_BYTES
     model_bank_conflicts: bool = False
-    # Label-hash substrate for the functional machine's garbling step
-    # (pass this config to sim.functional.run_functional): None keeps
-    # the audited per-gate scalar path, "auto"/"numpy"/"scalar" selects
-    # a batched repro.gc.backends engine ("auto" is "numpy").  The
-    # REPRO_GC_BACKEND environment variable overrides "auto" resolution.
-    gc_backend: "str | None" = None
-    # Deterministic fault-injection spec for chaos runs (see
-    # repro.faults.parse_fault_spec), e.g. "drop:0.05,seed=7": consumed
-    # by TwoPartySession (pass the config, or let resolve_fault_plan
-    # consult it); None defers to the REPRO_FAULTS environment variable
-    # and then to no injection.
-    fault_spec: "str | None" = None
     # Timing-replay engine for every model that consumes this config:
     # None defers to the REPRO_SIM_ENGINE environment variable;
     # "numpy" (array closed form / level replay, the default) or "reference"
@@ -122,12 +110,6 @@ class HaacConfig:
 
     def with_role(self, role: Role) -> "HaacConfig":
         return self._replace(role=role)
-
-    def with_gc_backend(self, gc_backend: "str | None") -> "HaacConfig":
-        return self._replace(gc_backend=gc_backend)
-
-    def with_fault_spec(self, fault_spec: "str | None") -> "HaacConfig":
-        return self._replace(fault_spec=fault_spec)
 
     def with_sim_engine(self, sim_engine: "str | None") -> "HaacConfig":
         return self._replace(sim_engine=sim_engine)

@@ -27,8 +27,7 @@ from typing import Dict, List, Optional, Sequence
 from ..circuits.netlist import OP_AND
 from ..core.isa import HaacOp
 from ..core.passes.streams import StreamSet
-from ..gc.evaluate import EvaluationResult
-from ..gc.garble import Garbler, garble_circuit, garble_circuit_batched
+from ..gc.garble import Garbler, garble_circuit_batched
 from ..gc.halfgate import eval_and, eval_xor
 from ..gc.hashing import GateHasher
 from ..gc.labels import lsb
@@ -58,6 +57,17 @@ class FunctionalRun:
     """Labels written back to DRAM: one 16 B label per live instruction."""
     hash_calls: int
     """Evaluator hash invocations: 2 per AND (one per operand label)."""
+
+    def __post_init__(self) -> None:
+        if self.hash_calls != 2 * self.table_pops:
+            raise ValueError(
+                f"hash_calls {self.hash_calls} != 2 * table_pops {self.table_pops}"
+            )
+        if len(self.output_bits) != len(self.output_labels):
+            raise ValueError(
+                f"{len(self.output_bits)} output bits for "
+                f"{len(self.output_labels)} output labels"
+            )
 
 
 @dataclass
@@ -89,8 +99,6 @@ def run_functional(
     evaluator_bits: Sequence[int],
     seed: int = 0,
     garbler: Optional[Garbler] = None,
-    gc_backend: Optional[str] = None,
-    config=None,
 ) -> FunctionalRun:
     """Garble the program netlist, then execute the streams as hardware.
 
@@ -98,22 +106,15 @@ def run_functional(
     (lowered) netlist -- use :meth:`LoweredCircuit.adapt_inputs` when the
     original circuit had INV gates.
 
-    ``gc_backend`` selects the garbling substrate: ``None`` garbles with
-    the per-gate scalar reference, any other value routes through the
-    level-batched backend engine -- the stream replay below is
-    unaffected either way because both substrates emit bitwise-identical
-    labels and tables.  Passing a :class:`~repro.sim.config.HaacConfig`
-    as ``config`` defaults ``gc_backend`` from ``config.gc_backend``.
+    Garbling runs on the level-batched block engine
+    (:func:`~repro.gc.garble.garble_circuit_batched`) unless a
+    ``garbler`` is given; the replay below evaluates every AND with the
+    per-gate :func:`~repro.gc.halfgate.eval_and`, which is its check.
     """
     program = streams.program
     netlist = program.netlist
-    if gc_backend is None and config is not None:
-        gc_backend = config.gc_backend
     if garbler is None:
-        if gc_backend is None:
-            garbler = garble_circuit(netlist, seed=seed)
-        else:
-            garbler = garble_circuit_batched(netlist, seed=seed, backend=gc_backend)
+        garbler = garble_circuit_batched(netlist, seed=seed)
     tables = garbler.garbled.tables
     hasher = GateHasher(rekeyed=garbler.hasher.rekeyed)
 

@@ -16,10 +16,9 @@ by::
   quantities that depend only on the netlist.
 * **config signature** -- :func:`config_signature`, a stable hash of
   the *hardware* fields of :class:`repro.sim.config.HaacConfig`.
-  Software-substrate fields (``gc_backend``, ``sim_engine``,
-  ``fault_spec``) are deliberately excluded: the engine-equivalence
-  suite guarantees every engine produces bit-identical results, so
-  results are shared across them.
+  The one software field, ``sim_engine``, is deliberately excluded:
+  the engine-equivalence suite guarantees both engines produce
+  bit-identical results, so results are shared across them.
 * **bench schema** -- a versioned row-shape identifier such as
   ``repro.sim_point/v1``.  Bumping a schema orphans old entries
   (unreachable keys) exactly like ``CACHE_SCHEMA`` does for compiled

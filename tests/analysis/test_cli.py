@@ -101,19 +101,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "richer: Alice" in out
 
-    def test_protocol_command_with_backend(self, capsys):
+    def test_protocol_command_streamed(self, capsys):
         assert main(["protocol", "--alice", "10", "--bob", "5", "--width", "8",
-                     "--backend", "numpy", "--stream"]) == 0
+                     "--stream"]) == 0
         out = capsys.readouterr().out
         assert "richer: Alice" in out
         assert "transcript sha256" in out
 
-    def test_protocol_rejects_unregistered_backend(self, monkeypatch):
-        from repro.gc.backends import BACKEND_ENV_VAR, BackendUnavailable
-
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        with pytest.raises(BackendUnavailable, match="registered"):
-            main(["protocol", "--width", "8", "--backend", "parallel"])
+    @pytest.mark.parametrize("command", ["protocol", "serve"])
+    def test_no_backend_flag(self, command):
+        with pytest.raises(SystemExit):
+            main([command, "--width", "8", "--backend", "numpy"])
 
     def test_protocol_tie_goes_to_bob_side(self, capsys):
         assert main(["protocol", "--alice", "5", "--bob", "5", "--width", "8"]) == 0

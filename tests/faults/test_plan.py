@@ -13,7 +13,6 @@ from repro.faults import (
     parse_fault_spec,
     resolve_fault_plan,
 )
-from repro.sim.config import HaacConfig
 
 
 class TestParseFaultSpec:
@@ -150,18 +149,11 @@ class TestResolveFaultPlan:
         plan = FaultPlan({"drop": 0.5}, seed=3)
         assert resolve_fault_plan(plan) is plan
 
-    def test_spec_string_wins_over_config_and_env(self, monkeypatch):
+    def test_spec_string_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "corrupt:0.9")
-        config = HaacConfig().with_fault_spec("delay:0.8")
-        plan = resolve_fault_plan("drop:0.1,seed=4", config=config)
+        plan = resolve_fault_plan("drop:0.1,seed=4")
         assert plan.rates == {"drop": 0.1}
         assert plan.seed == 4
-
-    def test_config_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "corrupt:0.9")
-        config = HaacConfig().with_fault_spec("delay:0.8,seed=2")
-        plan = resolve_fault_plan(None, config=config)
-        assert plan.rates == {"delay": 0.8}
 
     def test_env_is_the_last_resort(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "truncate:0.7,seed=11")

@@ -1,9 +1,9 @@
-"""Backend layer: registry, vectorized AES, batched garbling parity.
+"""Backend layer: resolution, the array AES, batched garbling parity.
 
-The contract under test: every backend and both schedulers (per-gate
-reference vs. level-batched) produce *bitwise-identical* garbled tables,
-wire labels, decode bits and hash accounting, across every stdlib
-circuit family.
+The contract under test: both schedulers (the per-gate reference, the
+oracle, vs. the level-batched block engine) produce *bitwise-identical*
+garbled tables, wire labels, decode bits and hash accounting, across
+every stdlib circuit family.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from repro.circuits.stdlib import fixed, integer, logic
 from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.circuits.stdlib.float import FloatFormat, fp_add
 from repro.gc import aes
+from repro.circuits.netlist import OP_AND, Circuit
+from repro.core.compiler import OptLevel
 from repro.gc.backends import (
-    BACKEND_ENV_VAR,
     BackendUnavailable,
-    available_backends,
-    get_backend,
-    registered_backends,
+    NumpyLabelHashBackend,
     resolve_backend,
 )
 from repro.gc.evaluate import (
@@ -35,10 +34,10 @@ from repro.gc.evaluate import (
 )
 from repro.gc.garble import (
     BlockGarblerStore,
-    IntGarblerStore,
     garble_circuit,
     garble_circuit_batched,
 )
+from repro.gc.halfgate import tables_to_bytes
 from repro.gc.hashing import GateHasher, fixed_key_hash, rekeyed_hash
 from repro.gc.labels import ints_to_bytes
 from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
@@ -136,11 +135,15 @@ def _ragged_circuit(widths):
     return b.build("ragged")
 
 
-def _assert_batched_matches_reference(circuit, backend, rekeyed=True, seed=11):
+#: The stdlib families plus ragged level widths (5, 1, 40, 2 ANDs).
+LEVEL_CIRCUITS = {
+    **STDLIB_CIRCUITS, "ragged": lambda: _ragged_circuit([5, 1, 40, 2]),
+}
+
+
+def _assert_batched_matches_reference(circuit, rekeyed=True, seed=11):
     reference = garble_circuit(circuit, seed=seed, rekeyed=rekeyed)
-    batched = garble_circuit_batched(
-        circuit, seed=seed, rekeyed=rekeyed, backend=backend
-    )
+    batched = garble_circuit_batched(circuit, seed=seed, rekeyed=rekeyed)
     assert batched.r == reference.r
     assert batched.zero_labels == reference.zero_labels
     assert batched.garbled.tables == reference.garbled.tables
@@ -156,9 +159,7 @@ def _assert_batched_matches_reference(circuit, backend, rekeyed=True, seed=11):
         for wire, bit in enumerate(garbler_bits + evaluator_bits)
     ]
     want = evaluate_circuit(circuit, reference.garbled, inputs, rekeyed=rekeyed)
-    got = evaluate_circuit_batched(
-        circuit, batched.garbled, inputs, rekeyed=rekeyed, backend=backend
-    )
+    got = evaluate_circuit_batched(circuit, batched.garbled, inputs, rekeyed=rekeyed)
     assert got.output_labels == want.output_labels
     assert got.output_bits == want.output_bits
     assert got.output_bits == circuit.eval_plain(garbler_bits, evaluator_bits)
@@ -166,60 +167,27 @@ def _assert_batched_matches_reference(circuit, backend, rekeyed=True, seed=11):
     assert got.key_expansions == want.key_expansions
 
 
-class TestRegistry:
-    def test_scalar_always_registered_and_available(self):
-        assert "scalar" in registered_backends()
-        assert "scalar" in available_backends()
-        assert get_backend("scalar").name == "scalar"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(BackendUnavailable, match="unknown"):
-            get_backend("cuda")
+class TestResolveBackend:
+    @pytest.mark.parametrize("choice", [None, "auto", "numpy"])
+    def test_every_default_name_is_numpy(self, choice):
+        assert isinstance(resolve_backend(choice), NumpyLabelHashBackend)
 
     @pytest.mark.parametrize(
-        "choice, env",
-        [("parallel", None), ("parallel:4", None), ("numpy:2", None),
-         (None, "parallel:4")],
+        "choice",
+        ["cuda", "scalar", "parallel", "parallel:4", "numpy:2", "scalar:4",
+         "auto:2", "", "NUMPY", "Auto", " numpy", "numpy "],
     )
-    def test_removed_names_rejected(self, monkeypatch, choice, env):
-        if env is None:
-            monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(BACKEND_ENV_VAR, env)
-        with pytest.raises(BackendUnavailable) as info:
-            resolve_backend(choice)
-        assert "registered: ['numpy', 'scalar']" in str(info.value)
-
-    @pytest.mark.parametrize("spec", ["scalar:4", "auto:2"])
-    def test_names_take_no_options(self, monkeypatch, spec):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_other_names_raise(self, choice):
         with pytest.raises(BackendUnavailable, match="unknown gc backend"):
-            resolve_backend(spec)
+            resolve_backend(choice)
 
     def test_resolve_accepts_instances(self):
-        backend = get_backend("scalar")
+        backend = NumpyLabelHashBackend()
         assert resolve_backend(backend) is backend
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scalar")
-        assert resolve_backend(None).name == "scalar"
-
-    def test_env_var_overrides_explicit_auto(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scalar")
-        assert resolve_backend("auto").name == "scalar"
-
-    @pytest.mark.parametrize("name", registered_backends())
-    def test_env_var_selects_each_registered_backend(self, monkeypatch, name):
-        monkeypatch.setenv(BACKEND_ENV_VAR, name)
-        assert resolve_backend(None).name == name
-        assert resolve_backend("auto").name == name
-        # An explicit name still wins over the environment.
-        other = next(n for n in registered_backends() if n != name)
-        assert resolve_backend(other).name == other
-
-    def test_auto_resolution_returns_something(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None).name in available_backends()
+    def test_environment_selects_nothing(self, monkeypatch):
+        monkeypatch.setenv("REPRO_GC_BACKEND", "scalar")
+        assert isinstance(resolve_backend("auto"), NumpyLabelHashBackend)
 
 
 class TestHashParity:
@@ -230,18 +198,24 @@ class TestHashParity:
         tweaks = [rng.getrandbits(64) for _ in range(257)]
         scalar_fn = rekeyed_hash if rekeyed else fixed_key_hash
         want = [scalar_fn(label, tweak) for label, tweak in zip(labels, tweaks)]
-        for name in available_backends():
-            got = get_backend(name).hash_labels(labels, tweaks, rekeyed)
-            assert got == want, f"backend {name} diverges from scalar hash"
+        assert resolve_backend().hash_labels(labels, tweaks, rekeyed) == want
+
+    @pytest.mark.parametrize("tweak", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
+    @pytest.mark.parametrize("rekeyed", [True, False])
+    def test_edge_tweaks_match_scalar_hash(self, tweak, rekeyed):
+        """Tweaks on either side of the key's 64-bit word split, and the
+        widest one, against the scalar hash."""
+        labels = [0, (1 << 128) - 1, 0x0123456789ABCDEF << 64]
+        scalar_fn = rekeyed_hash if rekeyed else fixed_key_hash
+        want = [scalar_fn(label, tweak) for label in labels]
+        assert resolve_backend().hash_labels(labels, [tweak] * 3, rekeyed) == want
 
     def test_empty_batch(self):
-        for name in available_backends():
-            assert get_backend(name).hash_labels([], [], True) == []
+        assert resolve_backend().hash_labels([], [], True) == []
 
     def test_mismatched_lengths_raise(self):
-        for name in available_backends():
-            with pytest.raises(ValueError):
-                get_backend(name).hash_labels([1, 2], [0], True)
+        with pytest.raises(ValueError):
+            resolve_backend().hash_labels([1, 2], [0], True)
 
 
 # FIPS-197: Appendix A.1 (key expansion), B (cipher example), C.1.
@@ -267,14 +241,13 @@ def _random_blocks(backend, rng, n):
 class TestArrayKernel:
     """The word-plane AES kernel itself, against scalar :mod:`repro.gc.aes`.
 
-    Names the ``numpy`` backend outright, so the class also runs in the
-    ``REPRO_GC_BACKEND=scalar`` lane; any RuntimeWarning (a rotate or an
-    rcon shift overflowing silently) is a failure.
+    Any RuntimeWarning (a rotate or an rcon shift overflowing silently)
+    is a failure.
     """
 
     @pytest.fixture(scope="class")
     def backend(self):
-        return get_backend("numpy")
+        return NumpyLabelHashBackend()
 
     def test_fips197_key_expansion(self, backend):
         schedules = backend.expand_keys(backend.ints_to_blocks([_FIPS_KEY]))
@@ -396,7 +369,7 @@ class TestBlockStoreHash:
     @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize("rekeyed", [True, False])
     def test_runs_hash_under_batch_keys(self, adder_circuit, rng, m, runs, rekeyed):
-        backend = get_backend("numpy")
+        backend = NumpyLabelHashBackend()
         hasher = GateHasher(rekeyed=rekeyed)
         store = BlockEvaluatorStore(
             adder_circuit,
@@ -414,43 +387,103 @@ class TestBlockStoreHash:
         ]
         assert hasher.calls == 2 * m * runs
 
+    @pytest.mark.parametrize("circuit_name", sorted(LEVEL_CIRCUITS))
     @pytest.mark.parametrize("rekeyed", [True, False])
-    def test_garbler_levels_match_int_store(self, rng, rekeyed):
-        """Level by level, the block Garbler emits the oracle store's
-        tables and leaves its labels."""
-        circuit = _ragged_circuit([5, 1, 40, 2])
-        labels = [rng.getrandbits(128) for _ in range(circuit.n_inputs)]
-        r = rng.getrandbits(128) | 1
-        stores = [
-            make(circuit, labels, r, rekeyed, get_backend(name),
-                 GateHasher(rekeyed=rekeyed))
-            for make, name in ((IntGarblerStore, "scalar"),
-                               (BlockGarblerStore, "numpy"))
+    def test_garbler_levels_match_per_gate(self, rng, rekeyed, circuit_name):
+        """Level by level, the block Garbler emits per-gate
+        ``garble_circuit``'s tables at that level's AND positions, and
+        ends on its zero-labels."""
+        circuit = LEVEL_CIRCUITS[circuit_name]()
+        reference = garble_circuit(circuit, seed=rng.getrandbits(32), rekeyed=rekeyed)
+        table_of = _tables_by_position(circuit, reference.garbled.tables)
+        hasher = GateHasher(rekeyed=rekeyed)
+        store = BlockGarblerStore(
+            circuit, reference.zero_labels[: circuit.n_inputs], reference.r,
+            rekeyed, NumpyLabelHashBackend(), hasher,
+        )
+        for index, (and_positions, _) in enumerate(circuit.and_level_schedule()):
+            want = tables_to_bytes([table_of[p] for p in and_positions])
+            assert store.garble_level(index) == want, f"level {index} diverges"
+        assert store.labels() == reference.zero_labels
+        assert store.permute_bits(circuit.outputs) == reference.garbled.decode_bits
+        assert hasher.calls == reference.hasher.calls == 4 * circuit.op.count(OP_AND)
+
+    @pytest.mark.parametrize("circuit_name", sorted(LEVEL_CIRCUITS))
+    @pytest.mark.parametrize("rekeyed", [True, False])
+    def test_evaluator_levels_match_per_gate(self, rng, rekeyed, circuit_name):
+        """Level by level, the block Evaluator reaches the labels per-gate
+        ``evaluate_circuit`` does, fed that level's tables."""
+        named = LEVEL_CIRCUITS[circuit_name]()
+        # The same gates with every wire an output: the oracle then
+        # returns every label it computed.
+        circuit = Circuit.from_columns(
+            named.n_garbler_inputs, named.n_evaluator_inputs,
+            list(range(named.n_wires)), named.op, named.a, named.b, named.out,
+        )
+        garbler = garble_circuit(circuit, seed=rng.getrandbits(32), rekeyed=rekeyed)
+        inputs = [
+            garbler.input_label(wire, rng.getrandbits(1))
+            for wire in range(circuit.n_inputs)
         ]
-        for index in range(len(circuit.and_level_schedule())):
-            want, got = (store.garble_level(index) for store in stores)
-            assert got == want, f"level {index} diverges"
-        assert stores[1].labels() == stores[0].labels()
-        assert stores[1].hasher.calls == stores[0].hasher.calls == 4 * 48
+        want = evaluate_circuit(circuit, garbler.garbled, inputs, rekeyed=rekeyed)
+        table_of = _tables_by_position(circuit, garbler.garbled.tables)
+        hasher = GateHasher(rekeyed=rekeyed)
+        store = BlockEvaluatorStore(
+            circuit, ints_to_bytes(inputs), rekeyed, NumpyLabelHashBackend(), hasher
+        )
+        for index, (and_positions, _) in enumerate(circuit.and_level_schedule()):
+            store.evaluate_level(
+                index, tables_to_bytes([table_of[p] for p in and_positions])
+            )
+            outs = [circuit.out[p] for p in and_positions]
+            got = store.labels(outs)
+            assert got == [want.output_labels[w] for w in outs], f"level {index}"
+        assert store.labels() == want.output_labels
+        assert store.permute_bits(circuit.outputs) == [
+            label & 1 for label in want.output_labels
+        ]
+        assert hasher.calls == want.hash_calls == 2 * circuit.op.count(OP_AND)
+
+
+class TestBlockGarblerSelect:
+    @pytest.mark.parametrize("circuit_name", sorted(STDLIB_CIRCUITS))
+    def test_select_is_the_per_gate_input_label(self, rng, circuit_name):
+        """The wire format of the labels a Garbler sends for its bits is
+        per-gate ``Garbler.input_label``, 16 big-endian bytes each."""
+        circuit = STDLIB_CIRCUITS[circuit_name]()
+        reference = garble_circuit(circuit, seed=5)
+        store = BlockGarblerStore(
+            circuit, reference.zero_labels[: circuit.n_inputs], reference.r,
+            True, NumpyLabelHashBackend(), GateHasher(),
+        )
+        wires = list(range(circuit.n_inputs))
+        bits = [rng.getrandbits(1) for _ in wires]
+        assert store.select(wires, bits) == ints_to_bytes(
+            reference.input_labels_for(wires, bits)
+        )
+
+
+def _tables_by_position(circuit, tables):
+    """Netlist position of each AND gate -> its table (netlist order)."""
+    positions = [p for p, op in enumerate(circuit.op) if op == OP_AND]
+    return dict(zip(positions, tables))
 
 
 class TestBatchedGarbling:
     @pytest.mark.parametrize("circuit_name", sorted(STDLIB_CIRCUITS))
     def test_batched_matches_reference_on_stdlib(self, circuit_name):
-        circuit = STDLIB_CIRCUITS[circuit_name]()
-        for backend in available_backends():
-            _assert_batched_matches_reference(circuit, backend)
+        _assert_batched_matches_reference(STDLIB_CIRCUITS[circuit_name]())
 
-    def test_fixed_key_mode_matches(self):
-        circuit = _integer8()
-        for backend in available_backends():
-            _assert_batched_matches_reference(circuit, backend, rekeyed=False)
+    @pytest.mark.parametrize("circuit_name", sorted(STDLIB_CIRCUITS))
+    def test_fixed_key_mode_matches(self, circuit_name):
+        _assert_batched_matches_reference(
+            STDLIB_CIRCUITS[circuit_name](), rekeyed=False
+        )
 
     def test_random_circuits_match(self, rng):
         for trial in range(3):
             circuit = _random_circuit(rng, n_inputs=10, n_gates=120)
-            for backend in available_backends():
-                _assert_batched_matches_reference(circuit, backend, seed=trial)
+            _assert_batched_matches_reference(circuit, seed=trial)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 17, 64, 129])
     @pytest.mark.parametrize("rekeyed", [True, False])
@@ -458,11 +491,9 @@ class TestBatchedGarbling:
         """A single AND batch of ``width`` gates: the Garbler's four
         hash quarters and the Evaluator's two halves split at ``m``."""
         circuit = _ragged_circuit([width])
-        for backend in available_backends():
-            _assert_batched_matches_reference(circuit, backend, rekeyed=rekeyed)
-            batched = garble_circuit_batched(circuit, seed=4, rekeyed=rekeyed,
-                                             backend=backend)
-            assert batched.hasher.calls == 4 * width
+        _assert_batched_matches_reference(circuit, rekeyed=rekeyed)
+        batched = garble_circuit_batched(circuit, seed=4, rekeyed=rekeyed)
+        assert batched.hasher.calls == 4 * width
 
     @pytest.mark.parametrize(
         "widths", [[5, 1, 40, 2], [1, 1, 1, 1, 1], [33, 32, 31]]
@@ -472,90 +503,71 @@ class TestBatchedGarbling:
         circuit = _ragged_circuit(widths)
         assert [len(batch) for batch, _ in circuit.and_level_schedule()
                 if batch] == widths
-        for backend in available_backends():
-            _assert_batched_matches_reference(circuit, backend)
+        _assert_batched_matches_reference(circuit)
 
     @pytest.mark.slow
     def test_batched_matches_reference_on_aes128(self):
-        circuit = build_aes128_circuit()
-        backends = available_backends()
-        # Cross-check the fastest available backend against the scalar
-        # reference on the paper's flagship garbling benchmark.
-        backend = "numpy" if "numpy" in backends else "scalar"
-        _assert_batched_matches_reference(circuit, backend)
+        # The paper's flagship garbling benchmark, against the oracle.
+        _assert_batched_matches_reference(build_aes128_circuit())
 
 
 class TestIntegration:
-    def test_two_party_session_matches_reference_path(self):
+    @pytest.mark.parametrize("name", [None, "numpy", "auto"])
+    def test_streamed_session_matches_reference_path(self, name):
+        """Every accepted backend name streams the same transcript, with
+        the per-gate oracle's outputs and hash count."""
         circuit = _integer8()
         garbler_bits = [1, 0, 1, 1, 0, 0, 1, 0]
         evaluator_bits = [0, 1, 1, 0, 1, 0, 0, 1]
         want = run_two_party(circuit, garbler_bits, evaluator_bits, seed=9)
-        for backend in available_backends() + ["auto"]:
-            got = run_two_party(
-                circuit, garbler_bits, evaluator_bits, seed=9, backend=backend
-            )
-            assert got.output_bits == want.output_bits
-            assert got.traffic == want.traffic
-            assert got.total_bytes == want.total_bytes
-            assert got.hash_calls_evaluator == want.hash_calls_evaluator
-
-    @pytest.mark.parametrize("name", ["scalar", "numpy", "auto"])
-    def test_streamed_session_reads_config_backend(self, mixed_circuit, name):
-        """``HaacConfig.gc_backend`` reaches the streamed session, and
-        every backend yields the reference transcript byte for byte."""
-        garbler_bits = [1, 0, 1, 1, 0, 0, 1, 0]
-        evaluator_bits = [0, 1, 1, 0, 1, 0, 0, 1]
-        want = run_two_party(
-            mixed_circuit, garbler_bits, evaluator_bits, seed=13, streamed=True
+        default = run_two_party(
+            circuit, garbler_bits, evaluator_bits, seed=9, streamed=True
         )
-        session = TwoPartySession(
-            mixed_circuit, seed=13, config=HaacConfig().with_gc_backend(name)
+        got = run_two_party(
+            circuit, garbler_bits, evaluator_bits, seed=9, backend=name,
+            streamed=True,
         )
-        assert session.backend == name
-        got = session.run_streamed(garbler_bits, evaluator_bits)
         assert got.output_bits == want.output_bits
-        assert got.transcript_digest == want.transcript_digest
         assert got.hash_calls_evaluator == want.hash_calls_evaluator
+        assert got.transcript_digest == default.transcript_digest
+        assert got.total_bytes == default.total_bytes
 
-    @staticmethod
-    def _adder_streams():
-        from repro.core.compiler import OptLevel, compile_circuit
+    def test_unknown_backend_fails_in_both_modes(self, mixed_circuit):
+        with pytest.raises(BackendUnavailable):
+            TwoPartySession(mixed_circuit, backend="scalar")
+        with pytest.raises(BackendUnavailable):
+            run_two_party(mixed_circuit, [0] * 8, [0] * 8, backend="cuda")
+
+    def test_batched_entry_points_reject_unknown_backend(self, mixed_circuit):
+        garbler = garble_circuit(mixed_circuit, seed=1)
+        labels = [garbler.input_label(w, 0) for w in range(mixed_circuit.n_inputs)]
+        with pytest.raises(BackendUnavailable):
+            garble_circuit_batched(mixed_circuit, backend="scalar")
+        with pytest.raises(BackendUnavailable):
+            evaluate_circuit_batched(
+                mixed_circuit, garbler.garbled, labels, backend="scalar"
+            )
+
+    @pytest.mark.parametrize("opt", list(OptLevel))
+    def test_functional_machine_matches_per_gate_garbler(self, opt):
+        """The machine's default (block) garbling and a per-gate garbler
+        handed in give the same labels."""
+        from repro.core.compiler import compile_circuit
+        from repro.sim.functional import run_functional
 
         config = HaacConfig(n_ges=4, sww_bytes=64 * 16)
         result = compile_circuit(
             _adder8(), config.window, config.n_ges,
-            opt=OptLevel.RO_RN_ESW, params=config.schedule_params(),
+            opt=opt, params=config.schedule_params(),
         )
-        bits_g = [1, 1, 0, 0, 1, 0, 1, 0]
-        bits_e = [0, 1, 0, 1, 1, 1, 0, 0]
-        g2, e2 = result.lowered.adapt_inputs(bits_g, bits_e)
-        return config, result.streams, g2, e2
-
-    @pytest.mark.parametrize("name", ["scalar", "numpy", "auto"])
-    def test_functional_machine_reads_config_backend(self, name):
-        from repro.sim.functional import run_functional
-
-        config, streams, g2, e2 = self._adder_streams()
-        want = run_functional(streams, g2, e2, seed=6)
-        got = run_functional(
-            streams, g2, e2, seed=6, config=config.with_gc_backend(name)
+        g2, e2 = result.lowered.adapt_inputs(
+            [1, 1, 0, 0, 1, 0, 1, 0], [0, 1, 0, 1, 1, 1, 0, 0]
         )
+        streams = result.streams
+        want = run_functional(
+            streams, g2, e2,
+            garbler=garble_circuit(streams.program.netlist, seed=3),
+        )
+        got = run_functional(streams, g2, e2, seed=3)
         assert got.output_bits == want.output_bits
         assert got.output_labels == want.output_labels
-
-    def test_functional_machine_accepts_gc_backend(self):
-        from repro.sim.functional import run_functional
-
-        config, streams, g2, e2 = self._adder_streams()
-        want = run_functional(streams, g2, e2, seed=3)
-        for backend in available_backends() + ["auto"]:
-            got = run_functional(streams, g2, e2, seed=3, gc_backend=backend)
-            assert got.output_bits == want.output_bits
-            assert got.output_labels == want.output_labels
-        # HaacConfig.gc_backend is honoured when the config is passed.
-        via_config = run_functional(
-            streams, g2, e2, seed=3,
-            config=config.with_gc_backend("auto"),
-        )
-        assert via_config.output_labels == want.output_labels

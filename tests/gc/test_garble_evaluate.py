@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.netlist import GateOp
-from repro.gc.evaluate import evaluate_circuit
-from repro.gc.garble import garble_circuit
+from repro.gc.evaluate import evaluate_circuit, evaluate_circuit_batched
+from repro.gc.garble import GarbledCircuit, garble_circuit
 from tests.conftest import random_circuit
 
 
@@ -127,3 +127,42 @@ class TestErrors:
         garbler = garble_circuit(tiny_circuit, seed=0)
         with pytest.raises(ValueError):
             garbler.input_label(4, 0)  # wire 4 is a gate output
+
+    def test_batched_wrong_label_count(self, tiny_circuit):
+        garbler = garble_circuit(tiny_circuit, seed=0)
+        with pytest.raises(ValueError, match="expected 2 input labels"):
+            evaluate_circuit_batched(tiny_circuit, garbler.garbled, [1, 2, 3])
+
+    def test_batched_missing_table(self, tiny_circuit):
+        garbler = garble_circuit(tiny_circuit, seed=0)
+        garbled = GarbledCircuit(tables=[], decode_bits=[0], n_and_gates=0)
+        labels = [garbler.input_label(w, 0) for w in range(2)]
+        with pytest.raises(ValueError, match="does not match circuit AND count"):
+            evaluate_circuit_batched(tiny_circuit, garbled, labels)
+
+
+@pytest.mark.parametrize(
+    "evaluate", [evaluate_circuit, evaluate_circuit_batched],
+    ids=["per_gate", "batched"],
+)
+class TestTableStreamChecks:
+    """Both evaluators refuse a table stream that does not fit the
+    circuit, before any label is returned."""
+
+    def _inputs(self, circuit):
+        garbler = garble_circuit(circuit, seed=0)
+        labels = [garbler.input_label(w, 1) for w in range(circuit.n_inputs)]
+        return garbler.garbled, labels
+
+    def test_count_disagrees_with_stream(self, tiny_circuit, evaluate):
+        garbled, labels = self._inputs(tiny_circuit)
+        garbled.n_and_gates += 1
+        with pytest.raises(ValueError, match="inconsistent"):
+            evaluate(tiny_circuit, garbled, labels)
+
+    def test_extra_table(self, tiny_circuit, evaluate):
+        garbled, labels = self._inputs(tiny_circuit)
+        garbled.tables.append(garbled.tables[0])
+        garbled.n_and_gates += 1
+        with pytest.raises(ValueError):
+            evaluate(tiny_circuit, garbled, labels)

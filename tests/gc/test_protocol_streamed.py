@@ -15,7 +15,6 @@ from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
 from repro.gc.roles import _POINT_BYTES, EvaluatorRole, GarblerRole
 from repro.serve import PeerSocketWire
 from repro.serve.procs import make_party_channels
-from repro.sim.config import HaacConfig
 
 
 def _bits(circuit):
@@ -138,17 +137,11 @@ class TestZeroLengthEdges:
             run_two_party(single_level, [0], [], streamed=streamed)
 
 
-class TestConfigWiring:
-    def test_config_supplies_fault_spec(self, tiny_circuit):
-        config = HaacConfig().with_fault_spec("duplicate:1.0,seed=3")
-        result = run_two_party(tiny_circuit, [1], [1], config=config, streamed=True)
-        assert result.output_bits == [(1 & 1) ^ 0]
-        assert any(event.kind == "duplicate" for event in result.fault_events)
-
-    def test_explicit_faults_beat_config(self, tiny_circuit):
-        config = HaacConfig().with_fault_spec("drop:1.0,seed=3")
+class TestFaultWiring:
+    def test_explicit_faults_beat_env(self, tiny_circuit, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "drop:1.0,seed=3")
         result = run_two_party(
-            tiny_circuit, [1], [0], config=config, faults="seed=1", streamed=True
+            tiny_circuit, [1], [0], faults="seed=1", streamed=True
         )
         assert result.fault_events == []
 
@@ -222,7 +215,7 @@ def _split_drive(
     return errors, channels
 
 
-@pytest.mark.parametrize("backend", ["auto", "scalar"])
+@pytest.mark.parametrize("backend", ["auto"])
 @pytest.mark.parametrize("delta", [-1, -32, 32])
 class TestDamagedTableBlock:
     """A table block of the wrong length seals as the role's typed
@@ -316,7 +309,7 @@ def ot_circuit(request, kind):
     )
 
 
-@pytest.mark.parametrize("backend", ["auto", "scalar"])
+@pytest.mark.parametrize("backend", ["auto"])
 @pytest.mark.parametrize(
     "kind,damage",
     [

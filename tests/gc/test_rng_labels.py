@@ -54,9 +54,10 @@ class TestPrg:
 
 
 class TestNextBlocks:
-    """``next_blocks`` is the scalar ``next_block`` loop, on every backend."""
+    """``next_blocks`` is the scalar ``next_block`` loop, with or without
+    the block backend."""
 
-    @pytest.mark.parametrize("backend", ["numpy", "scalar"])
+    @pytest.mark.parametrize("backend", ["numpy"])
     @pytest.mark.parametrize(
         "count", [0, 1, _CTR_BATCH_MIN - 1, _CTR_BATCH_MIN, 1025]
     )
@@ -65,7 +66,7 @@ class TestNextBlocks:
         prg = LabelPrg(42)
         assert drawn == [prg.next_block() for _ in range(count)]
 
-    @pytest.mark.parametrize("backend", ["numpy", "scalar", None])
+    @pytest.mark.parametrize("backend", ["numpy", None])
     @pytest.mark.parametrize("seed", [7, 1 << 200])
     def test_interleaved_draws_across_2_32(self, backend, seed):
         resolved = None if backend is None else resolve_backend(backend)

@@ -1,12 +1,12 @@
 """Differential properties over random netlists (ROADMAP item 5).
 
 Two independent implementations bracket the per-level kernels of the
-label stores (int store and block store, ``gc/garble.py`` /
-``gc/evaluate.py``): the plaintext evaluator and the per-gate
-``garble_circuit`` / ``evaluate_circuit`` walk.  Whatever the netlist,
-window, backend or hash mode, the streamed session and the level-looped
-batched engines must land on exactly what they say -- and the two label
-stores must put exactly the same bytes on the wire, the block store
+block label stores (``gc/garble.py`` / ``gc/evaluate.py``): the
+plaintext evaluator and the per-gate ``garble_circuit`` /
+``evaluate_circuit`` walk.  Whatever the netlist, window or hash mode,
+the streamed session and the level-looped batched engines must land on
+exactly what they say -- and the streamed session must put on the wire
+exactly the messages the per-gate ``TwoPartySession.run`` exchanges,
 without converting a single label on the level path.
 """
 
@@ -18,15 +18,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.netlist import Circuit, Gate, GateOp
+from repro.circuits.netlist import OP_AND, Circuit, Gate, GateOp
 from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.gc import evaluate as evaluate_mod
 from repro.gc import garble as garble_mod
 from repro.gc import roles as roles_mod
 from repro.gc.backends import numpy_backend
+from repro.gc.channel import DIGEST_KIND
 from repro.gc.evaluate import evaluate_circuit, evaluate_circuit_batched
 from repro.gc.garble import garble_circuit, garble_circuit_batched
+from repro.gc.halfgate import tables_to_bytes
+from repro.gc.labels import ints_to_bytes, pack_bits
 from repro.gc.protocol import StreamedDriver, TwoPartySession
+from repro.workloads import get_workload
 from tests.conftest import random_circuit
 
 netlists = st.builds(
@@ -82,9 +86,7 @@ def test_streamed_session_matches_plaintext_at_any_window(
 def test_level_kernels_match_the_per_gate_oracle(netlist, rekeyed):
     seed, circuit = netlist
     oracle = garble_circuit(circuit, seed=seed, rekeyed=rekeyed)
-    batched = garble_circuit_batched(
-        circuit, seed=seed, rekeyed=rekeyed, backend="scalar"
-    )
+    batched = garble_circuit_batched(circuit, seed=seed, rekeyed=rekeyed)
     assert batched.garbled.tables == oracle.garbled.tables
     assert batched.garbled.decode_bits == oracle.garbled.decode_bits
     assert batched.zero_labels == oracle.zero_labels
@@ -93,27 +95,28 @@ def test_level_kernels_match_the_per_gate_oracle(netlist, rekeyed):
     g, e = _input_bits(seed, circuit)
     labels = [oracle.input_label(w, bit) for w, bit in enumerate(g + e)]
     want = evaluate_circuit(circuit, oracle.garbled, labels, rekeyed=rekeyed)
-    got = evaluate_circuit_batched(
-        circuit, batched.garbled, labels, rekeyed=rekeyed, backend="scalar"
-    )
+    got = evaluate_circuit_batched(circuit, batched.garbled, labels, rekeyed=rekeyed)
     assert got.output_labels == want.output_labels
     assert got.output_bits == want.output_bits == circuit.eval_plain(g, e)
     assert got.hash_calls == want.hash_calls
 
 
 # ----------------------------------------------------------------------
-# Block store vs int store
+# Streamed session vs the per-gate run()
 # ----------------------------------------------------------------------
 
 
-def _recorded(circuit, g, e, seed, backend, rekeyed, window):
-    """Run a fused session, recording every message either role sends."""
-    session = TwoPartySession(circuit, seed=seed, rekeyed=rekeyed, backend=backend)
+def _recorded(circuit, g, e, seed, rekeyed, window):
+    """Run a fused session, recording every message either role sends:
+    ``{(direction, kind): [payload, ...]}``."""
+    session = TwoPartySession(circuit, seed=seed, rekeyed=rekeyed)
     driver = StreamedDriver(session, g, e, max_inflight_levels=window)
-    sent = []
-    for channel in (driver.pair.to_evaluator, driver.pair.to_garbler):
-        def send(kind, payload, _send=channel.send_message, _name=channel.name):
-            sent.append((_name, kind, bytes(payload)))
+    sent = {}
+    for direction, channel in (
+        ("down", driver.pair.to_evaluator), ("up", driver.pair.to_garbler)
+    ):
+        def send(kind, payload, _send=channel.send_message, _dir=direction):
+            sent.setdefault((_dir, kind), []).append(bytes(payload))
             return _send(kind, payload)
 
         channel.send_message = send
@@ -122,27 +125,75 @@ def _recorded(circuit, g, e, seed, backend, rekeyed, window):
     return driver, sent
 
 
-def _assert_stores_agree(circuit, g, e, seed, rekeyed, window):
-    blocks, block_sent = _recorded(circuit, g, e, seed, "numpy", rekeyed, window)
-    ints, int_sent = _recorded(circuit, g, e, seed, "scalar", rekeyed, window)
-    assert type(blocks.garbler.backend).__name__ == "NumpyLabelHashBackend"
-    # garbler_labels, every tables payload, decode, outputs, both digests
-    # (and the OT messages): same kinds, same order, same bytes.
-    assert block_sent == int_sent
-    assert {kind for _, kind, _ in block_sent} >= {"garbler_labels", "decode", "outputs"}
-    assert blocks.result.transcript_digest == ints.result.transcript_digest
-    assert blocks.result.output_bits == ints.result.output_bits == circuit.eval_plain(g, e)
-    for role in ("garbler", "evaluator"):
-        assert getattr(blocks, role).hasher.calls == getattr(ints, role).hasher.calls
-    assert blocks.result.traffic == ints.result.traffic
+def _oracle_wire(circuit, g, e, seed, rekeyed):
+    """Run the per-gate ``run()``, returning its result and its messages
+    in the streamed wire format (tables cut into the AND levels)."""
+    session = TwoPartySession(circuit, seed=seed, rekeyed=rekeyed)
+    sent = {}
+    for direction, channel in (
+        ("down", session.channels.to_evaluator), ("up", session.channels.to_garbler)
+    ):
+        def send(kind, payload, size, _send=channel.send, _dir=direction):
+            sent[(_dir, kind)] = payload
+            return _send(kind, payload, size)
+
+        channel.send = send
+    result = session.run(g, e)
+    point_bytes = roles_mod._POINT_BYTES
+    and_positions = (p for p, op in enumerate(circuit.op) if op == OP_AND)
+    table_of = dict(zip(and_positions, sent["down", "tables"]))
+    wire = {
+        ("down", "ot_public"): [sent["down", "ot_public"].to_bytes(point_bytes, "big")],
+        ("up", "ot_points"): [ints_to_bytes(sent["up", "ot_points"], point_bytes)],
+        ("down", "ot_ciphers"): [
+            ints_to_bytes([c for pair in sent["down", "ot_ciphers"] for c in pair])
+        ],
+        ("down", "garbler_labels"): [ints_to_bytes(sent["down", "garbler_labels"])],
+        ("down", "decode"): [pack_bits(sent["down", "decode"])],
+        ("up", "outputs"): [pack_bits(sent["up", "outputs"])],
+    }
+    levels = [
+        tables_to_bytes([table_of[p] for p in batch])
+        for batch, _ in circuit.and_level_schedule()
+        if batch
+    ]
+    if levels:
+        wire["down", "tables"] = levels
+    return result, wire
+
+
+def _assert_streamed_matches_oracle(circuit, g, e, seed, rekeyed, window):
+    driver, sent = _recorded(circuit, g, e, seed, rekeyed, window)
+    oracle, wire = _oracle_wire(circuit, g, e, seed, rekeyed)
+    # garbler_labels, every tables payload, decode, outputs and the OT
+    # messages: same kinds, same count, same bytes.  The digests are
+    # the streamed transport's own.
+    assert sent.pop(("down", DIGEST_KIND)) and sent.pop(("up", DIGEST_KIND))
+    assert sent == wire
+    assert driver.result.output_bits == oracle.output_bits == circuit.eval_plain(g, e)
+    assert driver.evaluator.hasher.calls == oracle.hash_calls_evaluator
+    assert driver.garbler.hasher.calls == 2 * oracle.hash_calls_evaluator
 
 
 @settings(max_examples=25, deadline=None)
 @given(netlist=netlists, window=st.sampled_from([1, 7]), rekeyed=st.booleans())
-def test_block_store_and_int_store_send_identical_bytes(netlist, window, rekeyed):
+def test_streamed_session_sends_the_oracle_bytes(netlist, window, rekeyed):
     seed, circuit = netlist
     g, e = _input_bits(seed, circuit)
-    _assert_stores_agree(circuit, g, e, seed, rekeyed, window)
+    _assert_streamed_matches_oracle(circuit, g, e, seed, rekeyed, window)
+
+
+@pytest.mark.parametrize("rekeyed", [True, False])
+@pytest.mark.parametrize("name", ["tiny", "adder", "mixed", "hamm64"])
+def test_streamed_sends_the_oracle_bytes_on_named_circuits(request, name, rekeyed):
+    """Hamm n=64 takes the pad KDF's block kernel in the session (64
+    chains) and the scalar chain in ``run()``: same ciphertexts."""
+    if name == "hamm64":
+        circuit = get_workload("Hamm").build(n_bits=64).circuit
+    else:
+        circuit = request.getfixturevalue(f"{name}_circuit")
+    g, e = _input_bits(5, circuit)
+    _assert_streamed_matches_oracle(circuit, g, e, seed=5, rekeyed=rekeyed, window=1)
 
 
 @pytest.mark.parametrize(
@@ -151,15 +202,35 @@ def test_block_store_and_int_store_send_identical_bytes(netlist, window, rekeyed
         (2, 0, [Gate(GateOp.AND, 0, 1, 2), Gate(GateOp.XOR, 0, 2, 3)], [3]),
         (1, 1, [Gate(GateOp.XOR, 0, 1, 2), Gate(GateOp.INV, 2, -1, 3)], [3]),
         (1, 1, [Gate(GateOp.AND, 0, 1, 2)], [2]),
+        (0, 2, [Gate(GateOp.AND, 0, 1, 2)], [2]),
+        (
+            1, 1,
+            [Gate(GateOp.AND, 0, 0, 2), Gate(GateOp.AND, 1, 1, 3),
+             Gate(GateOp.XOR, 2, 3, 4)],
+            [4],
+        ),
+        (1, 1, [Gate(GateOp.XOR, 0, 1, 2)], [0, 1, 2]),
+        (1, 1, [Gate(GateOp.AND, 0, 1, 2)], [2, 2]),
+        (
+            1, 1,
+            [Gate(GateOp.INV, 0, -1, 2), Gate(GateOp.INV, 2, -1, 3),
+             Gate(GateOp.AND, 3, 1, 4), Gate(GateOp.INV, 4, -1, 5)],
+            [5],
+        ),
     ],
-    ids=["no-evaluator-inputs", "no-and-gates", "one-and"],
+    ids=[
+        "no-evaluator-inputs", "no-and-gates", "one-and", "no-garbler-inputs",
+        "and-of-one-wire", "inputs-as-outputs", "repeated-output", "inv-chain",
+    ],
 )
-def test_stores_agree_on_degenerate_shapes(n_garbler, n_evaluator, gates, outputs):
+def test_streamed_matches_oracle_on_degenerate_shapes(
+    n_garbler, n_evaluator, gates, outputs
+):
     circuit = Circuit.from_gates(n_garbler, n_evaluator, gates, outputs, "edge")
     for bits in range(1 << (n_garbler + n_evaluator)):
         g = [(bits >> i) & 1 for i in range(n_garbler)]
         e = [(bits >> (n_garbler + i)) & 1 for i in range(n_evaluator)]
-        _assert_stores_agree(circuit, g, e, seed=bits, rekeyed=True, window=1)
+        _assert_streamed_matches_oracle(circuit, g, e, seed=bits, rekeyed=True, window=1)
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +245,6 @@ def conversions(monkeypatch):
     """Count every label conversion and int-hash call, by driver phase:
     ``{(phase, party, function): labels}``.  ``phase`` and ``party`` are
     set by the test as it steps the driver turn by turn."""
-    monkeypatch.delenv("REPRO_GC_BACKEND", raising=False)  # "auto" means auto
     ledger = {"phase": "handshake", "party": None, "counts": {}}
 
     def note(name, labels):
@@ -217,7 +287,7 @@ def _assert_no_ints_on_the_level_path(circuit, ledger):
     session = TwoPartySession(circuit, seed=11, backend="auto")
     driver = StreamedDriver(session, g, e)
     garbler, evaluator = driver.garbler, driver.evaluator
-    assert garbler.backend.name == "numpy"
+    assert isinstance(garbler.backend, numpy_backend.NumpyLabelHashBackend)
     # Lockstep rounds, garbler first: each turn finds what it receives
     # already sent, and is charged to the role that took it.
     while garbler.next_turn is not None:

@@ -87,7 +87,7 @@ def circuits():
     }
 
 
-@pytest.mark.parametrize("backend", ["numpy", "scalar"])
+@pytest.mark.parametrize("backend", ["numpy"])
 @pytest.mark.parametrize("name, seed", sorted(GOLDEN_SESSIONS, key=str))
 def test_session_transcript_is_pinned(circuits, name, seed, backend):
     circuit = circuits[name]

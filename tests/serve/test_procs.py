@@ -20,6 +20,7 @@ from repro.faults import (
     SessionAborted,
     SessionDeadlineExceeded,
 )
+from repro.gc.backends import BackendUnavailable
 from repro.gc.protocol import TwoPartySession
 from repro.serve import (
     SessionSpec,
@@ -154,6 +155,20 @@ class TestProcessSession:
         assert stats.retries == 0 and stats.worker_restarts == 0
         # The next well-formed session takes the first admission id.
         assert supervisor._admitted == 0
+
+    @pytest.mark.parametrize("backend", ["cuda", "scalar", "auto:2"])
+    def test_unknown_backend_rejected_at_admission(self, adder_circuit, backend):
+        # Before admission resolved the backend, this session launched
+        # 2 attempts x 2 workers and then sealed SessionAborted.
+        g, e = _bits(adder_circuit)
+        supervisor = Supervisor(deadline_s=60.0, retries=2)
+        with pytest.raises(BackendUnavailable):
+            supervisor.submit(
+                SessionSpec(adder_circuit, g, e, seed=7, backend=backend)
+            )
+        stats = supervisor.run_until_complete()
+        assert "launched" not in [ev["event"] for ev in supervisor.log.events]
+        assert stats.sessions == [] and supervisor._admitted == 0
 
     def test_invalid_circuit_rejected_at_admission(self, adder_circuit):
         import copy

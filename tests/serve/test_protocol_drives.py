@@ -153,7 +153,7 @@ def _protocol_view(result):
     )
 
 
-@pytest.mark.parametrize("backend", [None, "scalar", "auto"])
+@pytest.mark.parametrize("backend", [None, "auto"])
 def test_every_drive_agrees(circuit, backend):
     g, e = _bits(circuit)
     oracle = TwoPartySession(circuit, seed=SEED, backend=backend).run(g, e)

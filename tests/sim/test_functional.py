@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.sim.config import HaacConfig
-from repro.sim.functional import HaacMachineError, run_functional
+from repro.sim.functional import FunctionalRun, HaacMachineError, run_functional
 from tests.conftest import random_circuit
 
 
@@ -155,3 +155,25 @@ class TestHardwareInvariants:
         g2, e2 = result.lowered.adapt_inputs(g, e)
         with pytest.raises(HaacMachineError):
             run_functional(streams, g2, e2)
+
+
+class TestFunctionalRunInvariants:
+    _CONSISTENT = dict(
+        output_bits=[1, 0], output_labels=[5, 6], sww_reads=4, oor_pops=0,
+        table_pops=3, dram_wire_writes=2, hash_calls=6,
+    )
+
+    def test_consistent_record_builds(self):
+        assert FunctionalRun(**self._CONSISTENT).hash_calls == 6
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (dict(hash_calls=5), "hash_calls 5 != 2 \\* table_pops 3"),
+            (dict(output_labels=[5]), "2 output bits for 1 output labels"),
+        ],
+        ids=["hash_calls", "output_labels"],
+    )
+    def test_inconsistent_record_raises(self, change, match):
+        with pytest.raises(ValueError, match=match):
+            FunctionalRun(**{**self._CONSISTENT, **change})

@@ -92,7 +92,7 @@ class TestConfigSignature:
         # Engine equivalence is bit-exact, so results are shared across
         # engines/backends: the signature must not fracture on them.
         base = HaacConfig()
-        variant = HaacConfig(sim_engine="reference", gc_backend="scalar")
+        variant = HaacConfig(sim_engine="reference")
         assert config_signature(base) == config_signature(variant)
 
     def test_every_field_is_signed_or_named_software(self):
@@ -100,7 +100,7 @@ class TestConfigSignature:
         software selector here), or store keys silently ignore it."""
         signed = list(_SIGNATURE_FIELDS)
         signed_apart = ["dram", "role"]  # signed by name/value, not repr
-        software = ["gc_backend", "fault_spec", "sim_engine"]
+        software = ["sim_engine"]
         groups = signed + signed_apart + software
         assert len(set(groups)) == len(groups)  # disjoint, no repeats
         fields = [f.name for f in dataclasses.fields(HaacConfig)]

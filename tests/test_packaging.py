@@ -79,7 +79,7 @@ class TestRetiredApi:
 
     @pytest.mark.parametrize("module", [
         "repro.sim.multicore", "repro.sim.pipeline", "repro.sim.ge",
-        "repro.gc.classic",
+        "repro.gc.classic", "repro.gc.backends.scalar", "repro.gc.backends.base",
     ])
     def test_module_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
@@ -91,6 +91,14 @@ class TestRetiredApi:
         names = {f.name for f in dataclasses.fields(HaacConfig)}
         assert "prog_cache" not in names
         assert not hasattr(HaacConfig, "with_prog_cache")
+
+    @pytest.mark.parametrize("field", ["gc_backend", "fault_spec"])
+    def test_config_has_no_software_selector(self, field):
+        from repro.sim.config import HaacConfig
+
+        names = {f.name for f in dataclasses.fields(HaacConfig)}
+        assert field not in names
+        assert not hasattr(HaacConfig, f"with_{field}")
 
     def test_progcache_has_no_shard_key(self):
         from repro.core import progcache
@@ -114,6 +122,18 @@ class TestRetiredApi:
         ("repro.core.compiler", "compile_best"),
         ("repro.core", "encode_instruction"),
         ("repro.core", "decode_instruction"),
+        *[
+            (module, name)
+            for module in ("repro.gc", "repro.gc.backends")
+            for name in (
+                "get_backend", "register_backend", "available_backends",
+                "registered_backends", "LabelHashBackend", "BACKEND_ENV_VAR",
+            )
+        ],
+        ("repro.gc.garble", "IntGarblerStore"),
+        ("repro.gc.garble", "garbler_store"),
+        ("repro.gc.evaluate", "IntEvaluatorStore"),
+        ("repro.gc.evaluate", "evaluator_store"),
     ])
     def test_name_gone(self, module, name):
         module = importlib.import_module(module)
