@@ -219,12 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--transport",
-        choices=["memory", "socket", "process"],
+        choices=["memory", "process"],
         default="memory",
-        help="session substrate: in-memory LossyWire, a kernel "
-        "socketpair in-process, or one OS process per party under the "
-        "supervisor (process-transport faults use the kill_party / "
-        "sever / stall chaos kinds; frame faults need memory)",
+        help="session substrate: both parties in this thread over the "
+        "in-memory LossyWire, or one OS process per party under the "
+        "supervisor over a kernel socketpair (process-transport faults "
+        "use the kill_party / sever / stall chaos kinds; frame faults "
+        "need memory)",
     )
     p_srv.add_argument(
         "--deadline-s",
@@ -554,14 +555,9 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .circuits.builder import CircuitBuilder
     from .circuits.stdlib.integer import encode_int, less_than
-    from .faults import ProtocolFault, ServiceSaturated
+    from .faults import ServiceSaturated
     from .gc.protocol import TwoPartySession
-    from .serve import (
-        SessionMultiplexer,
-        SessionSpec,
-        Supervisor,
-        make_socket_framed_pair,
-    )
+    from .serve import SessionMultiplexer, SessionSpec, Supervisor
 
     builder = CircuitBuilder()
     alice = builder.add_garbler_inputs(args.width)
@@ -569,72 +565,63 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     builder.mark_outputs([less_than(builder, bob, alice)])
     circuit = builder.build("millionaires")
 
-    top = (1 << args.width) - 1
-    handles = []
-    expected = []
-
     if args.transport == "process":
-        supervisor = Supervisor(
+        service = Supervisor(
             max_concurrent=args.concurrency,
             max_pending=args.pending,
             deadline_s=args.deadline_s or None,
             retries=args.retries,
             drain_timeout_s=args.drain_timeout_s,
         )
-        for index in range(args.sessions):
-            wealth_a = (args.seed * 7919 + index * 104729) % top
-            wealth_b = (args.seed * 6271 + index * 75989) % top
-            spec = args.faults if index == args.fault_session else None
-            try:
-                handle = supervisor.submit(SessionSpec(
-                    circuit,
-                    encode_int(wealth_a, args.width),
-                    encode_int(wealth_b, args.width),
-                    seed=args.seed + index,
-                    faults=spec,
-                    session_id=f"s{index}",
-                ))
-            except ServiceSaturated as exc:
-                print(f"s{index} rejected: {exc}")
-                continue
-            handles.append(handle)
-            expected.append(1 if wealth_b < wealth_a else 0)
-        # SIGTERM/SIGINT drain gracefully: admissions stop, in-flight
-        # sessions finish inside --drain-timeout-s, children are reaped.
-        with supervisor.signals_handled():
-            stats = supervisor.run_until_complete()
+
+        def submit(index, garbler_bits, evaluator_bits, faults):
+            return service.submit(SessionSpec(
+                circuit,
+                garbler_bits,
+                evaluator_bits,
+                seed=args.seed + index,
+                faults=faults,
+                session_id=f"s{index}",
+            ))
     else:
-        mux = SessionMultiplexer(
+        service = SessionMultiplexer(
             max_concurrent=args.concurrency,
             max_pending=args.pending,
             max_inflight_levels=args.window,
         )
-        for index in range(args.sessions):
-            # Distinct, deterministic wealth per session; expected result
-            # is checked in plaintext after the run.
-            wealth_a = (args.seed * 7919 + index * 104729) % top
-            wealth_b = (args.seed * 6271 + index * 75989) % top
-            spec = args.faults if index == args.fault_session else None
-            session = TwoPartySession(
-                circuit, seed=args.seed + index, faults=spec
+
+        def submit(index, garbler_bits, evaluator_bits, faults):
+            return service.submit(
+                TwoPartySession(circuit, seed=args.seed + index, faults=faults),
+                garbler_bits,
+                evaluator_bits,
+                session_id=f"s{index}",
             )
-            pair = None
-            if args.transport == "socket" and spec is None:
-                pair = make_socket_framed_pair()
-            try:
-                handle = mux.submit(
-                    session,
-                    encode_int(wealth_a, args.width),
-                    encode_int(wealth_b, args.width),
-                    session_id=f"s{index}",
-                    pair=pair,
-                )
-            except ServiceSaturated as exc:
-                print(f"s{index} rejected: {exc}")
-                continue
-            handles.append(handle)
-            expected.append(1 if wealth_b < wealth_a else 0)
-        stats = mux.run_until_complete()
+
+    top = (1 << args.width) - 1
+    handles = []
+    expected = []
+    for index in range(args.sessions):
+        # Distinct, deterministic wealth per session; expected result
+        # is checked in plaintext after the run.
+        wealth_a = (args.seed * 7919 + index * 104729) % top
+        wealth_b = (args.seed * 6271 + index * 75989) % top
+        try:
+            handle = submit(
+                index,
+                encode_int(wealth_a, args.width),
+                encode_int(wealth_b, args.width),
+                args.faults if index == args.fault_session else None,
+            )
+        except ServiceSaturated as exc:
+            print(f"s{index} rejected: {exc}")
+            continue
+        handles.append(handle)
+        expected.append(1 if wealth_b < wealth_a else 0)
+    # SIGTERM/SIGINT drain gracefully: admissions stop, in-flight
+    # sessions finish inside the drain timeout, children are reaped.
+    with service.signals_handled():
+        stats = service.run_until_complete()
 
     mismatches = 0
     rows = []

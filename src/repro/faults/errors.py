@@ -109,9 +109,7 @@ class PeerDisconnected(ProtocolFault):
     """The other party's transport endpoint went away mid-session.
 
     The process-transport analogue of :class:`FrameTimeout`: a socket
-    EOF, ``ECONNRESET`` or ``EPIPE`` while frames were still expected.
-    Also raised by :class:`repro.serve.SocketWire` when its peer dies
-    mid-drain -- never a raw ``OSError``."""
+    EOF, ``ECONNRESET`` or ``EPIPE`` while frames were still expected."""
 
 
 class SessionDeadlineExceeded(ProtocolFault):

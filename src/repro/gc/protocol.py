@@ -58,12 +58,7 @@ from ..faults import (
     SessionAborted,
     resolve_fault_plan,
 )
-from .channel import (
-    ChannelPair,
-    FramedPair,
-    make_channel_pair,
-    make_framed_pair,
-)
+from .channel import ChannelPair, make_channel_pair, make_framed_pair
 from .backends import resolve_backend
 from .evaluate import evaluate_circuit
 from .garble import garble_circuit
@@ -348,7 +343,6 @@ class StreamedDriver:
         evaluator_bits: Sequence[int],
         *,
         max_inflight_levels: int = 1,
-        pair: Optional[FramedPair] = None,
     ) -> None:
         if max_inflight_levels < 1:
             raise ValueError("max_inflight_levels must be >= 1")
@@ -358,26 +352,12 @@ class StreamedDriver:
         self.plan = resolve_fault_plan(session.faults)
         if self.plan is not None:
             self.plan.reset()
-        if pair is None:
-            pair = make_framed_pair(
-                plan=self.plan,
-                log=self.log,
-                chunk_bytes=session.chunk_bytes,
-                max_retries=session.max_retries,
-            )
-        else:
-            if self.plan is not None:
-                raise ValueError(
-                    "fault plans are applied by LossyWire; a session with "
-                    "a fault spec cannot ride a pre-built custom wire "
-                    "(e.g. a socket transport)"
-                )
-            # Pre-built transports (e.g. socket-backed) carry their own
-            # wires; attach this session's ledger so transport
-            # recoveries land in its recovery_events.
-            pair.to_evaluator.log = self.log
-            pair.to_garbler.log = self.log
-        self.pair = pair
+        pair = self.pair = make_framed_pair(
+            plan=self.plan,
+            log=self.log,
+            chunk_bytes=session.chunk_bytes,
+            max_retries=session.max_retries,
+        )
         # The roles check their own input arity (ValueError).
         common = dict(
             seed=session.seed,

@@ -9,11 +9,10 @@ multiplexer interleaves.
 The pieces here are the *worker side* of the supervision tree
 (:mod:`repro.serve.supervisor` owns the parent side):
 
-* :class:`PeerSocketWire` -- a blocking framed pipe over one end of a
-  connected socket.  Unlike :class:`~repro.serve.sockets.SocketWire`
-  (which owns both ends of a ``socketpair`` in one process), each
-  worker holds exactly one endpoint; ``pop`` blocks until a full frame
-  arrives and surfaces peer death as typed
+* :class:`PeerSocketWire` -- a blocking framed pipe (4-byte length
+  prefix) over one end of a connected socket.  Each worker holds
+  exactly one endpoint; ``pop`` blocks until a full frame arrives
+  and surfaces peer death as typed
   :class:`~repro.faults.PeerDisconnected` and no-progress as
   :class:`~repro.faults.FrameTimeout` -- it never returns ``None``, so
   the :class:`~repro.gc.channel.FramedChannel` retransmit path (which
@@ -25,21 +24,20 @@ The pieces here are the *worker side* of the supervision tree
   :class:`~repro.gc.roles.EvaluatorRole` -- the same two scripts the
   fused :class:`~repro.gc.protocol.StreamedDriver` alternates in one
   process) on its end of the socket, runs its turns straight through,
-  and reports ``("result" | "error", ...)`` on the control pipe.  The
-  protocol itself is not spelled out here; since both drives run the
+  and reports ``("result" | "error", role, ...)`` on the control pipe.
+  The protocol itself is not spelled out here; since both drives run the
   same scripts, outputs *and* transcript digests are bit-identical to a
   solo ``run_streamed``.  A worker that dies without reporting is the
   supervisor's problem (process sentinel ->
   :class:`~repro.faults.WorkerCrashed`).
-* :class:`ChaosDirective` -- the mechanical execution of a
-  supervisor-drawn process fault (``kill_party`` / ``sever`` /
-  ``stall``) at a deterministic AND-level trigger.
+* :class:`ChaosDirective` -- one supervisor-drawn process fault
+  (``kill_party`` / ``sever`` / ``stall``), its target party, and its
+  mechanical execution at a deterministic AND-level trigger.
 """
 
 from __future__ import annotations
 
 import os
-import select
 import signal
 import socket
 import threading
@@ -52,6 +50,7 @@ from ..faults import (
     PeerDisconnected,
     ProtocolFault,
     RecoveryLog,
+    SessionAborted,
 )
 from ..gc.channel import FramedChannel
 from ..gc.roles import LEVEL, EvaluatorRole, GarblerRole
@@ -62,6 +61,7 @@ __all__ = [
     "ROLES",
     "PeerSocketWire",
     "ChaosDirective",
+    "close_quietly",
     "make_party_channels",
     "party_process_main",
 ]
@@ -97,7 +97,7 @@ class PeerSocketWire:
         self.direction = direction
         self.io_timeout_s = io_timeout_s
         self._sock = sock
-        sock.setblocking(False)
+        sock.settimeout(io_timeout_s)
         self._inbox = bytearray()
         self._closed = False
 
@@ -112,19 +112,7 @@ class PeerSocketWire:
             len(data).to_bytes(_LEN_PREFIX, "little") + data
         )
         while view:
-            try:
-                sent = self._sock.send(view[:_IO_CHUNK])
-            except BlockingIOError:
-                if not self._wait(writable=True):
-                    raise FrameTimeout(
-                        f"PeerSocketWire {self.direction!r}: peer made no "
-                        f"receive progress for {self.io_timeout_s:g}s "
-                        f"({len(view)} bytes unsent)"
-                    )
-                continue
-            except OSError as exc:
-                raise self._peer_gone(exc, "send") from exc
-            view = view[sent:]
+            view = view[self._io(self._sock.send, view[:_IO_CHUNK]):]
 
     def pop(self) -> bytes:
         """Block until one full frame is available (never ``None``)."""
@@ -132,18 +120,7 @@ class PeerSocketWire:
             frame = self._extract_frame()
             if frame is not None:
                 return frame
-            try:
-                chunk = self._sock.recv(_IO_CHUNK)
-            except BlockingIOError:
-                if not self._wait(writable=False):
-                    raise FrameTimeout(
-                        f"PeerSocketWire {self.direction!r}: no frame for "
-                        f"{self.io_timeout_s:g}s "
-                        f"({len(self._inbox)} bytes buffered)"
-                    )
-                continue
-            except OSError as exc:
-                raise self._peer_gone(exc, "recv") from exc
+            chunk = self._io(self._sock.recv, _IO_CHUNK)
             if not chunk:
                 raise PeerDisconnected(
                     f"PeerSocketWire {self.direction!r}: peer closed the "
@@ -155,10 +132,7 @@ class PeerSocketWire:
         if self._closed:
             return
         self._closed = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        close_quietly(self._sock)
 
     # -- internals ----------------------------------------------------
 
@@ -172,27 +146,35 @@ class PeerSocketWire:
         del self._inbox[: _LEN_PREFIX + size]
         return frame
 
-    def _wait(self, writable: bool) -> bool:
+    def _io(self, call, arg):
+        """One ``send`` / ``recv``: no progress within ``io_timeout_s``
+        is a :class:`~repro.faults.FrameTimeout`, any other socket error
+        a :class:`~repro.faults.PeerDisconnected`."""
         try:
-            if writable:
-                _, ready, _ = select.select(
-                    [], [self._sock], [], self.io_timeout_s
-                )
-            else:
-                ready, _, _ = select.select(
-                    [self._sock], [], [], self.io_timeout_s
-                )
+            return call(arg)
+        except TimeoutError:
+            raise FrameTimeout(
+                f"PeerSocketWire {self.direction!r}: no {call.__name__} "
+                f"progress for {self.io_timeout_s:g}s "
+                f"({len(self._inbox)} bytes buffered)"
+            ) from None
         except OSError as exc:
-            raise self._peer_gone(exc, "select") from exc
-        return bool(ready)
+            # This party's only transport is the peer socket, so any
+            # OSError on it means the peer is unreachable, whatever the
+            # errno.
+            raise PeerDisconnected(
+                f"PeerSocketWire {self.direction!r}: transport failed "
+                f"during {call.__name__}: {exc}"
+            ) from exc
 
-    def _peer_gone(self, exc: OSError, during: str) -> PeerDisconnected:
-        # This party's only transport is the peer socket, so any OSError
-        # on it means the peer is unreachable, whatever the errno.
-        return PeerDisconnected(
-            f"PeerSocketWire {self.direction!r}: transport failed during "
-            f"{during}: {exc}"
-        )
+
+def close_quietly(*ends) -> None:
+    """Close sockets and pipe ends, ignoring any already gone."""
+    for end in ends:
+        try:
+            end.close()
+        except (OSError, ValueError):
+            pass
 
 
 def make_party_channels(
@@ -207,19 +189,11 @@ def make_party_channels(
     and the blocking wire is loss-free, so the sender-side retransmit
     buffer is disabled -- it could never be consulted anyway.
     """
-    down = FramedChannel(
-        "garbler->evaluator",
-        log=log,
-        chunk_bytes=chunk_bytes,
-        wire=wire,
-        keep_retransmit=False,
-    )
-    up = FramedChannel(
-        "evaluator->garbler",
-        log=log,
-        chunk_bytes=chunk_bytes,
-        wire=wire,
-        keep_retransmit=False,
+    down, up = (
+        FramedChannel(
+            name, log=log, chunk_bytes=chunk_bytes, wire=wire, keep_retransmit=False
+        )
+        for name in ("garbler->evaluator", "evaluator->garbler")
     )
     return down, up
 
@@ -229,18 +203,20 @@ def make_party_channels(
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChaosDirective:
-    """One process fault this worker must inject on itself.
+    """One drawn process fault: which kind, on which party, after which
+    level.
 
-    ``level`` is the AND-level index after which the fault fires; the
-    supervisor clamps it to the schedule length, so every armed
+    The supervisor hands it to the ``target`` party, which injects it on
+    itself.  ``level`` is the AND-level index after which the fault
+    fires; the draw clamps it to the schedule length, so every armed
     directive fires exactly once per attempt.
     """
 
     kind: str  # "kill_party" | "sever" | "stall"
+    target: str  # GARBLER | EVALUATOR
     level: int
-    stall_s: float = STALL_SLEEP_S
 
     def maybe_fire(self, level_index: int, sock: socket.socket) -> None:
         if level_index != self.level:
@@ -253,17 +229,7 @@ class ChaosDirective:
             except OSError:
                 pass
         elif self.kind == "stall":
-            time.sleep(self.stall_s)
-
-
-class _Progress:
-    """Levels-completed counter shared with the heartbeat thread."""
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def bump(self) -> None:
-        self.value += 1
+            time.sleep(STALL_SLEEP_S)
 
 
 # --------------------------------------------------------------------------
@@ -271,13 +237,9 @@ class _Progress:
 # --------------------------------------------------------------------------
 
 
-def _heartbeat_loop(conn, lock, role, progress, interval, stop) -> None:
-    while not stop.wait(interval):
-        try:
-            with lock:
-                conn.send(("hb", role, progress.value))
-        except (OSError, ValueError, BrokenPipeError):
-            return
+def _heartbeat_loop(send, role, interval, stop) -> None:
+    while not stop.wait(interval) and send(("hb", role)):
+        pass
 
 
 def party_process_main(role, payload, sock, conn, close_first) -> None:
@@ -290,11 +252,7 @@ def party_process_main(role, payload, sock, conn, close_first) -> None:
     ``fork`` start method the full fd table is inherited, so this close
     pass is what makes :class:`~repro.faults.PeerDisconnected` prompt.
     """
-    for other in close_first:
-        try:
-            other.close()
-        except (OSError, ValueError):
-            pass
+    close_quietly(*close_first)
 
     log = RecoveryLog()
     wire = PeerSocketWire(
@@ -303,18 +261,26 @@ def party_process_main(role, payload, sock, conn, close_first) -> None:
     down, up = make_party_channels(
         wire, log=log, chunk_bytes=payload["chunk_bytes"]
     )
-    progress = _Progress()
     lock = threading.Lock()
+
+    def send(msg) -> bool:
+        """One message on the control pipe; False once the pipe is gone."""
+        try:
+            with lock:
+                conn.send(msg)
+        except (OSError, ValueError):
+            return False
+        return True
+
     stop = threading.Event()
     heartbeat = threading.Thread(
         target=_heartbeat_loop,
-        args=(conn, lock, role, progress, payload["heartbeat_s"], stop),
+        args=(send, role, payload["heartbeat_s"], stop),
         daemon=True,
     )
     heartbeat.start()
 
-    chaos = ChaosDirective(**payload["chaos"]) if payload["chaos"] else None
-
+    chaos = payload["chaos"]
     role_cls = GarblerRole if role == GARBLER else EvaluatorRole
     try:
         party = role_cls(
@@ -329,35 +295,16 @@ def party_process_main(role, payload, sock, conn, close_first) -> None:
         while party.next_turn is not None:
             was_level = party.next_turn == LEVEL
             party.take_turn()
-            if was_level:
-                progress.bump()
-                if chaos is not None:
-                    chaos.maybe_fire(party.levels_done - 1, sock)
+            if was_level and chaos is not None:
+                chaos.maybe_fire(party.levels_done - 1, sock)
         report = party.report()
-        report["recovered"] = log.signature()
-        with lock:
-            conn.send(("result", role, report))
+        report["recovered"] = log.events
+        send(("result", role, report))
     except ProtocolFault as exc:
-        try:
-            with lock:
-                conn.send(("error", role, type(exc).__name__, str(exc)))
-        except (OSError, ValueError):
-            pass
+        send(("error", role, exc))
     except BaseException as exc:  # normalised like StreamedDriver.step
-        try:
-            with lock:
-                conn.send((
-                    "error",
-                    role,
-                    "SessionAborted",
-                    f"{role} worker aborted: {exc!r}",
-                ))
-        except (OSError, ValueError):
-            pass
+        send(("error", role, SessionAborted(f"{role} worker aborted: {exc!r}")))
     finally:
         stop.set()
-        try:
-            conn.close()
-        except (OSError, ValueError):
-            pass
+        close_quietly(conn)
         wire.close()

@@ -1,8 +1,8 @@
 """Session multiplexer: concurrency is invisible to the protocol.
 
 The core invariant: a session run through :class:`SessionMultiplexer`
--- interleaved with any number of neighbours, over any transport, with
-any in-flight window -- produces output bits *and* a transcript digest
+-- interleaved with any number of neighbours, with any in-flight
+window -- produces output bits *and* a transcript digest
 bit-identical to the same session run solo through
 ``TwoPartySession.run_streamed``.  On top of that: fair round-robin
 scheduling, typed admission rejection, and honest per-session metrics.
@@ -14,13 +14,8 @@ import pytest
 
 from repro.faults import ServiceSaturated
 from repro.gc.protocol import StreamedDriver, TwoPartySession
-from repro.serve import (
-    SessionMultiplexer,
-    SocketWire,
-    close_framed_pair,
-    make_socket_framed_pair,
-)
-from repro.serve.mux import _percentile
+from repro.serve import SessionMultiplexer
+from repro.serve.service import _percentile
 
 
 def _bits(circuit):
@@ -244,108 +239,6 @@ class TestAdmission:
             )
 
 
-class TestSocketTransport:
-    def test_socket_wire_roundtrip(self):
-        wire = SocketWire("test")
-        try:
-            wire.push(b"alpha", 0)
-            wire.push(b"beta", 1)
-            assert wire.pending() == 2
-            assert wire.pop() == b"alpha"
-            assert wire.pop() == b"beta"
-            assert wire.pop() is None
-            assert wire.pending() == 0
-        finally:
-            wire.close()
-
-    def test_socket_wire_survives_kernel_buffer_pressure(self):
-        # Far more bytes than a socketpair buffer holds: the outbox
-        # parking + self-drain path must keep making progress.
-        wire = SocketWire("test")
-        frames = [bytes([i % 256]) * 8192 for i in range(128)]
-        try:
-            for i, frame in enumerate(frames):
-                wire.push(frame, i)
-            for frame in frames:
-                got = wire.pop()
-                assert got == frame
-        finally:
-            wire.close()
-
-    def test_socket_backed_session_matches_memory_solo(self, mixed_circuit):
-        solo = _solo(mixed_circuit)
-        g, e = _bits(mixed_circuit)
-        mux = SessionMultiplexer(max_concurrent=2)
-        sock = mux.submit(
-            TwoPartySession(mixed_circuit, seed=7), g, e,
-            pair=make_socket_framed_pair(),
-        )
-        mem = mux.submit(TwoPartySession(mixed_circuit, seed=7), g, e)
-        mux.run_until_complete()
-        assert sock.result.output_bits == solo.output_bits
-        assert sock.result.transcript_digest == solo.transcript_digest
-        assert sock.result.transcript_digest == mem.result.transcript_digest
-
-    def test_socket_pair_rejects_fault_plan(self, tiny_circuit):
-        pair = make_socket_framed_pair()
-        try:
-            with pytest.raises(ValueError, match="LossyWire"):
-                StreamedDriver(
-                    TwoPartySession(tiny_circuit, seed=7, faults="drop:1.0"),
-                    *_bits(tiny_circuit),
-                    pair=pair,
-                )
-        finally:
-            close_framed_pair(pair)
-
-    def test_tiny_sndbuf_partial_writes_no_deadlock(self):
-        # A pinned-small SO_SNDBUF forces the partial-write parking
-        # path on every frame; the wire must keep making progress and
-        # deliver every byte in order.
-        wire = SocketWire("test", sndbuf=2048)
-        frames = [bytes([i % 256]) * 16384 for i in range(32)]
-        try:
-            for i, frame in enumerate(frames):
-                wire.push(frame, i)
-            for frame in frames:
-                assert wire.pop() == frame
-        finally:
-            wire.close()
-
-    def test_peer_killed_mid_frame_is_typed(self):
-        from repro.faults import PeerDisconnected
-
-        # Tiny buffers so a large frame cannot fit in flight, then kill
-        # the receiving endpoint mid-transfer: the outbox self-drain
-        # must surface typed PeerDisconnected, never a raw OSError and
-        # never a deadlock.
-        wire = SocketWire("test", sndbuf=2048)
-        try:
-            wire._rx.close()
-            with pytest.raises(PeerDisconnected):
-                for seq in range(64):
-                    wire.push(b"x" * 16384, seq)
-        finally:
-            wire.close()
-
-    def test_push_after_close_is_typed(self):
-        from repro.faults import PeerDisconnected
-
-        wire = SocketWire("test")
-        wire.close()
-        with pytest.raises(PeerDisconnected):
-            wire.push(b"frame", 0)
-
-    def test_close_is_idempotent(self):
-        wire = SocketWire("test")
-        wire.push(b"frame", 0)
-        wire.close()
-        wire.close()  # second close must be a no-op, not an error
-        pair = make_socket_framed_pair()
-        close_framed_pair(pair)
-        close_framed_pair(pair)
-
-
 class TestStats:
     def test_per_session_metrics_populated(self, mixed_circuit):
         g, e = _bits(mixed_circuit)
@@ -397,13 +290,3 @@ class TestCli:
         assert code == 0
         assert "completed 3/3" in out
         assert "sessions/s" in out
-
-    def test_serve_subcommand_socket_transport(self, capsys):
-        from repro.cli import main
-
-        code = main([
-            "serve", "--sessions", "2", "--width", "8",
-            "--transport", "socket",
-        ])
-        assert code == 0
-        assert "socket wire" in capsys.readouterr().out

@@ -10,12 +10,15 @@ graceful drain -- all without ever leaking a child process.
 from __future__ import annotations
 
 import multiprocessing
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.faults import (
+    FrameTimeout,
+    PeerDisconnected,
     ServiceSaturated,
     SessionAborted,
     SessionDeadlineExceeded,
@@ -23,6 +26,7 @@ from repro.faults import (
 from repro.gc.backends import BackendUnavailable
 from repro.gc.protocol import TwoPartySession
 from repro.serve import (
+    PeerSocketWire,
     SessionSpec,
     Supervisor,
     SupervisorLog,
@@ -206,15 +210,15 @@ class TestProcessSession:
         supervisor = Supervisor(
             deadline_s=0.001, retries=0, heartbeat_timeout_s=60.0
         )
-        poll = supervisor._poll_messages
+        poll = supervisor._wait
 
         def late_poll():
             for sess in supervisor._running:
-                for proc in sess.procs.values():
+                for proc in sess.attempt.procs.values():
                     proc.join(30.0)
             poll()
 
-        monkeypatch.setattr(supervisor, "_poll_messages", late_poll)
+        monkeypatch.setattr(supervisor, "_wait", late_poll)
         handle = supervisor.submit(SessionSpec(adder_circuit, g, e, seed=7))
         supervisor.run_until_complete()
         assert isinstance(handle.error, SessionDeadlineExceeded)
@@ -303,6 +307,9 @@ class TestProcessSession:
             assert handle.result.output_bits == solo.output_bits
         for handle in cancelled:
             assert isinstance(handle.error, SessionAborted)
+            # They waited in the queue until the drain sealed them.
+            assert handle.stats.queue_wait_s > 0
+            assert handle.stats.attempts == 0
         with pytest.raises(ServiceSaturated):
             supervisor.submit(SessionSpec(adder_circuit, g, e, seed=7))
         _assert_reaped()
@@ -326,6 +333,97 @@ class TestProcessSession:
         lines = log_path.read_text().strip().splitlines()
         assert len(lines) == len(supervisor.log.events)
         assert all(json.loads(line)["event"] for line in lines)
+
+
+class TestPeerSocketWire:
+    """The one framed socket wire: one ``socketpair``, a reader thread."""
+
+    @staticmethod
+    def _pair(sndbuf=None, io_timeout_s=10.0):
+        tx, rx = socket.socketpair()
+        if sndbuf is not None:
+            tx.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, sndbuf)
+            rx.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, sndbuf)
+        return PeerSocketWire(tx, "tx", io_timeout_s=io_timeout_s), rx
+
+    @staticmethod
+    def _in_thread(target):
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        return thread
+
+    def test_frames_cross_a_tiny_send_buffer_in_order(self):
+        # A 2 KiB SO_SNDBUF forces partial writes on every 16 KiB frame;
+        # the reader drains concurrently and sees every byte in order.
+        wire, rx_sock = self._pair(sndbuf=2048)
+        rx = PeerSocketWire(rx_sock, "rx", io_timeout_s=10.0)
+        frames = [bytes([i % 256]) * 16384 for i in range(32)]
+        got = []
+        reader = self._in_thread(lambda: got.extend(rx.pop() for _ in frames))
+        try:
+            for seq, frame in enumerate(frames):
+                wire.push(frame, seq)
+            reader.join(timeout=30.0)
+            assert not reader.is_alive()
+            assert got == frames
+        finally:
+            wire.close()
+            rx.close()
+
+    def test_peer_closed_mid_frame_is_typed(self):
+        # Sender side: the reader takes part of a large frame, then
+        # closes its end; the blocked push surfaces PeerDisconnected.
+        wire, rx_sock = self._pair(sndbuf=2048)
+
+        def read_some_then_close():
+            rx_sock.recv(4096)
+            rx_sock.close()
+
+        reader = self._in_thread(read_some_then_close)
+        try:
+            with pytest.raises(PeerDisconnected):
+                wire.push(b"x" * (1 << 20), 0)
+        finally:
+            reader.join(timeout=30.0)
+            wire.close()
+
+        # Receiver side: the peer sends a length prefix and half the
+        # payload, then closes; pop surfaces PeerDisconnected.
+        wire, tx_sock = self._pair()
+        tx_sock.sendall((1000).to_bytes(4, "little") + b"y" * 500)
+        tx_sock.close()
+        try:
+            with pytest.raises(PeerDisconnected, match="504 bytes buffered"):
+                wire.pop()
+        finally:
+            wire.close()
+
+    def test_no_progress_is_a_frame_timeout(self):
+        # A silent peer: pop waits io_timeout_s, then FrameTimeout.  A
+        # peer that never reads: push fills the buffers, then the same.
+        wire, rx_sock = self._pair(sndbuf=2048, io_timeout_s=0.05)
+        try:
+            with pytest.raises(FrameTimeout, match="no recv progress"):
+                wire.pop()
+            with pytest.raises(FrameTimeout, match="no send progress"):
+                wire.push(b"x" * (1 << 20), 0)
+        finally:
+            wire.close()
+            rx_sock.close()
+
+    def test_push_after_close_is_typed(self):
+        wire, rx_sock = self._pair()
+        wire.close()
+        rx_sock.close()
+        with pytest.raises(PeerDisconnected):
+            wire.push(b"frame", 0)
+
+    def test_close_is_idempotent(self):
+        wire, rx_sock = self._pair()
+        wire.push(b"frame", 0)
+        wire.close()
+        wire.close()  # second close must be a no-op, not an error
+        rx_sock.close()
 
 
 class TestServeCliProcessTransport:

@@ -186,7 +186,7 @@ class TestProcessChaosInvariant:
 
     def test_event_log_env_var(self, adder_circuit, tmp_path, monkeypatch):
         """REPRO_SUPERVISOR_LOG mirrors the timeline (the CI artifact)."""
-        from repro.serve.supervisor import SUPERVISOR_LOG_ENV
+        from repro.serve.service import SUPERVISOR_LOG_ENV
 
         log_path = tmp_path / "supervisor-events.jsonl"
         monkeypatch.setenv(SUPERVISOR_LOG_ENV, str(log_path))

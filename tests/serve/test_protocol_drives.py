@@ -8,10 +8,12 @@ implementation of the streamed protocol.  This suite drives them
 * **split over threads** -- one role per thread, each on its own end of a
   kernel ``socketpair`` through ``PeerSocketWire`` (the split scheduler's
   transport without the process machinery);
+* **multiplexed** -- the fused drive under ``SessionMultiplexer``;
 * **supervised** -- one role per OS process under ``Supervisor``;
 
 and requires every drive to agree on output bits, transcript digest,
-per-kind traffic, streamed levels and evaluator hash calls, and to agree
+per-kind traffic, streamed levels and evaluator hash calls (and both
+service executors on their scheduler quanta), and to agree
 with the monolithic ``TwoPartySession.run`` oracle (which shares no
 message code with the roles) on outputs and hash calls.
 """
@@ -28,7 +30,7 @@ from repro.circuits.netlist import Circuit, Gate, GateOp
 from repro.gc.channel import make_framed_pair
 from repro.gc.protocol import SessionResult, StreamedDriver, TwoPartySession
 from repro.gc.roles import EvaluatorRole, GarblerRole
-from repro.serve import PeerSocketWire, SessionSpec, Supervisor
+from repro.serve import PeerSocketWire, SessionMultiplexer, SessionSpec, Supervisor
 from repro.serve.procs import make_party_channels
 
 pytestmark = pytest.mark.timeout(120)
@@ -123,6 +125,15 @@ def _split_over_threads(circuit, backend):
     )
 
 
+def _multiplexed(circuit, backend):
+    g, e = _bits(circuit)
+    mux = SessionMultiplexer()
+    handle = mux.submit(TwoPartySession(circuit, seed=SEED, backend=backend), g, e)
+    mux.run_until_complete()
+    assert handle.error is None, handle.error
+    return handle
+
+
 def _supervised(circuit, backend, reference_digest):
     g, e = _bits(circuit)
     supervisor = Supervisor(deadline_s=60.0, retries=0)
@@ -136,7 +147,7 @@ def _supervised(circuit, backend, reference_digest):
     assert stats.retries == 0 and stats.worker_restarts == 0
     # Zero zombies: the supervisor's reap contract.
     assert not [p for p in multiprocessing.active_children() if p.is_alive()]
-    return handle.result
+    return handle
 
 
 def _protocol_view(result):
@@ -167,11 +178,21 @@ def test_every_drive_agrees(circuit, backend):
         1 for and_positions, _ in circuit.and_level_schedule() if and_positions
     )
 
+    # Both executors of the session service report the fused drive's
+    # scheduler quanta, 2 * levels + 2.
+    levels_total = len(circuit.and_level_schedule())
+    handles = {
+        "multiplexed": _multiplexed(circuit, backend),
+        "supervised": _supervised(circuit, backend, reference.transcript_digest),
+    }
+    for name, handle in handles.items():
+        assert handle.stats.steps == 2 * levels_total + 2, name
+
     drives = {
         "fused window 4": _fused(circuit, backend, window=4),
         "fused window 100": _fused(circuit, backend, window=100),
         "split over threads": _split_over_threads(circuit, backend),
-        "supervised": _supervised(circuit, backend, reference.transcript_digest),
+        **{name: handle.result for name, handle in handles.items()},
     }
     for name, result in drives.items():
         assert _protocol_view(result) == _protocol_view(reference), name

@@ -80,6 +80,7 @@ class TestRetiredApi:
     @pytest.mark.parametrize("module", [
         "repro.sim.multicore", "repro.sim.pipeline", "repro.sim.ge",
         "repro.gc.classic", "repro.gc.backends.scalar", "repro.gc.backends.base",
+        "repro.serve.sockets", "repro.serve.mux",
     ])
     def test_module_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
@@ -134,11 +135,35 @@ class TestRetiredApi:
         ("repro.gc.garble", "garbler_store"),
         ("repro.gc.evaluate", "IntEvaluatorStore"),
         ("repro.gc.evaluate", "evaluator_store"),
+        *[
+            ("repro.serve", name)
+            for name in (
+                "SocketWire", "make_socket_framed_pair", "close_framed_pair",
+                "SupervisedSession", "ChaosPick",
+            )
+        ],
+        ("repro.serve.supervisor", "SupervisedSession"),
+        ("repro.serve.supervisor", "ChaosPick"),
     ])
     def test_name_gone(self, module, name):
         module = importlib.import_module(module)
         assert not hasattr(module, name)
         assert name not in module.__all__
+
+    def test_no_custom_session_wire(self, capsys):
+        # Every session rides the in-memory framed pair or, under the
+        # supervisor, the party processes' socket: no pre-built wire.
+        import inspect
+
+        from repro.cli import build_parser
+        from repro.gc.protocol import StreamedDriver
+        from repro.serve import SessionMultiplexer
+
+        assert "pair" not in inspect.signature(StreamedDriver).parameters
+        assert "pair" not in inspect.signature(SessionMultiplexer.submit).parameters
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--transport", "socket"])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_gc_does_not_import_core(self):
         # The garbling substrate stands below the compiler: the one ISA
