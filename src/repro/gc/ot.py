@@ -25,7 +25,7 @@ from-scratch AES.
 
 BATCHING: the evaluator (receiver) runs one OT per input bit, and both
 of Bob's group operations are fixed-base exponentiations -- ``g^b`` for
-the point, ``A^b`` for the pad.  ``choose_batch``/``decrypt_batch``
+the point, ``A^b`` for the pad.  ``OtReceiver.draw``/``derive_pads``
 use one windowed table per base (:class:`_FixedBaseTable`) and reduce
 every exponentiation to one multiplication per window; the window width
 is the argmin of the table's cost model for the batch at hand (512
@@ -37,9 +37,10 @@ The receiver's secrets are drawn in one ``LabelPrg.next_blocks`` call.
 The sender's ``encrypt`` pays *two* variable-base exponentiations per
 bit (``B^a`` and ``(B/A)^a``), but ``(B/A)^a = B^a * (A^{-1})^a`` and the
 second factor depends only on the batch's ephemeral key --
-``encrypt_batch`` computes it once and reduces every bit to one builtin
-``pow`` plus one multiplication.  That ``pow`` is the floor: its cost is
-bignum multiply/reduce, not interpreter overhead (DESIGN.md section 4).
+``prepare`` computes it once and ``encrypt_batch`` reduces every bit to
+one builtin ``pow`` plus one multiplication.  That ``pow`` is the floor:
+its cost is bignum multiply/reduce, not interpreter overhead (DESIGN.md
+section 4).
 
 The pad KDF is sequential along a point's 128-bit limbs but independent
 across the batch, so the batched paths run it one limb at a time through
@@ -50,6 +51,14 @@ otherwise the scalar :func:`_kdf` runs.
 All batched paths draw the same PRG stream and compute the same group
 elements and pads, so transcripts are bit-identical to the per-bit paths
 (asserted by the test suite).
+
+COMPUTE AHEAD: every batched class is cut into *own-state* steps
+(``draw``, ``prepare``, ``derive_pads``: they need only the party's
+secrets and messages already received) and *reply* steps (``points``,
+``encrypt_batch`` / ``respond`` / ``encrypt``, ``open`` / ``decrypt``:
+they need the message just received), so the roles run each own-state
+step before the receive it does not need and a party's OT work overlaps
+its peer's (DESIGN.md section 4).
 
 EXTENSION: every choice above costs a 768-bit ``pow`` per side.
 :class:`OtExtReceiver` / :class:`OtExtSender` run only ``OT_KAPPA`` =
@@ -241,6 +250,7 @@ class OtSender:
         # B / A = B * A^{-1}.  One inversion per batch (it only depends
         # on the ephemeral key).
         self._a_inv = pow(self.public, -1, GROUP_P)
+        self._factor: Optional[int] = None
 
     def encrypt(
         self, index: int, b_point: int, message0: int, message1: int
@@ -254,16 +264,13 @@ class OtSender:
         k1 = _kdf(shared1, 2 * index + 1)
         return message0 ^ k0, message1 ^ k1
 
-    def _a_inv_pow_a(self) -> int:
-        """The batch-constant pad factor ``(A^{-1})^a``, computed once
-        per sender (a single builtin ``pow`` -- a table only pays off
-        when shared across many exponentiations, and this value *is*
-        the shared part)."""
-        cached = getattr(self, "_a_inv_pow_a_cache", None)
-        if cached is None:
-            cached = pow(self._a_inv, self._a, GROUP_P)
-            self._a_inv_pow_a_cache = cached
-        return cached
+    def prepare(self) -> None:
+        """Own-state step, run once ``public`` is sent: the
+        batch-constant pad factor ``(A^{-1})^a`` (a single builtin
+        ``pow`` -- a table only pays off when shared across many
+        exponentiations, and this value *is* the shared part)."""
+        if self._factor is None:
+            self._factor = pow(self._a_inv, self._a, GROUP_P)
 
     def encrypt_batch(
         self,
@@ -287,7 +294,8 @@ class OtSender:
         for point in points:
             if not 0 < point < GROUP_P:
                 raise ValueError("invalid receiver point")
-        factor = self._a_inv_pow_a()
+        self.prepare()
+        factor = self._factor
         shareds: List[int] = []
         for point in points:
             shared0 = pow(point, self._a, GROUP_P)
@@ -309,15 +317,20 @@ class OtReceiver:
     """Bob's side: one point per choice bit.
 
     ``choose``/``decrypt`` are the per-bit reference path (one builtin
-    ``pow`` per group op, scalar KDF); ``choose_batch``/``decrypt_batch``
-    share the fixed-base tables of ``g`` and ``A`` across the whole
-    batch and pad through :func:`_kdf_batch` on ``backend``.  Both paths
-    draw the same PRG stream and compute the same group elements, so
-    their transcripts are interchangeable.
+    ``pow`` per group op, scalar KDF).  The batched path is cut at the
+    two messages it waits on, so each party computes what needs only
+    its own state before it blocks: :meth:`draw` (the secrets and their
+    ``g^b``, before ``A`` arrives), :meth:`points` (the reply to ``A``),
+    :meth:`derive_pads` (``KDF(A^b)``, before the ciphertexts arrive)
+    and :meth:`open` (the reply to the ciphertexts: one XOR per
+    choice).  It shares the fixed-base tables of ``g`` and ``A`` across
+    the batch and pads through :func:`_kdf_batch` on ``backend``; both
+    paths draw the same PRG stream and compute the same group elements,
+    so their transcripts are interchangeable.
     """
 
     prg: LabelPrg
-    sender_public: int
+    sender_public: Optional[int] = None
     backend: Optional[object] = None
 
     def choose(self, choice: int) -> Tuple[int, int]:
@@ -330,24 +343,6 @@ class OtReceiver:
             point = point * self.sender_public % GROUP_P
         return point, b
 
-    def choose_batch(self, choices: Sequence[int]) -> List[Tuple[int, int]]:
-        """Batched ``choose``: one table of ``g`` for all choice bits."""
-        for choice in choices:
-            if choice not in (0, 1):
-                raise ValueError("choice must be a bit")
-        # Same PRG draws as repeated choose() calls: next_bits(256) is
-        # two blocks, the first one high.
-        blocks = self.prg.next_blocks(2 * len(choices), self.backend)
-        secrets = [
-            (((high << 128) | low) % (_GROUP_Q - 1)) + 1
-            for high, low in zip(blocks[0::2], blocks[1::2])
-        ]
-        points = _generator_table(len(secrets)).pow_batch(secrets)
-        for index, choice in enumerate(choices):
-            if choice:
-                points[index] = points[index] * self.sender_public % GROUP_P
-        return list(zip(points, secrets))
-
     def decrypt(
         self, index: int, choice: int, secret: int, cipher0: int, cipher1: int
     ) -> int:
@@ -355,26 +350,48 @@ class OtReceiver:
         pad = _kdf(shared, 2 * index + choice)
         return (cipher1 if choice else cipher0) ^ pad
 
-    def decrypt_batch(
-        self,
-        choices: Sequence[int],
-        secrets: Sequence[int],
-        cipher_pairs: Sequence[Tuple[int, int]],
-        start_index: int = 0,
-    ) -> List[int]:
-        """Batched ``decrypt`` for OTs ``start_index ..`` onwards."""
-        if not (len(choices) == len(secrets) == len(cipher_pairs)):
-            raise ValueError("choices, secrets and ciphertexts must align")
-        table = _FixedBaseTable(self.sender_public, GROUP_P, len(secrets))
-        shareds = table.pow_batch(secrets)
+    def draw(self, choices: Sequence[int]) -> None:
+        """Own-state step: the secrets and ``g^b`` for every choice bit,
+        off one table of ``g``."""
+        if any(choice not in (0, 1) for choice in choices):
+            raise ValueError("choice must be a bit")
+        self.choices = list(choices)
+        # Same PRG draws as repeated choose() calls: next_bits(256) is
+        # two blocks, the first one high.
+        blocks = self.prg.next_blocks(2 * len(choices), self.backend)
+        self.secrets = [
+            (((high << 128) | low) % (_GROUP_Q - 1)) + 1
+            for high, low in zip(blocks[0::2], blocks[1::2])
+        ]
+        self._powers = _generator_table(len(self.secrets)).pow_batch(self.secrets)
+
+    def points(self, sender_public: int) -> List[int]:
+        """The points to send against the (range-checked) key ``A``."""
+        self.sender_public = sender_public
+        return [
+            power * sender_public % GROUP_P if choice else power
+            for power, choice in zip(self._powers, self.choices)
+        ]
+
+    def derive_pads(self, start_index: int = 0) -> None:
+        """Own-state step, once the points are sent: ``KDF(A^b)`` for
+        OTs ``start_index ..`` onwards, off one table of ``A``."""
+        table = _FixedBaseTable(self.sender_public, GROUP_P, len(self.secrets))
         tweaks = [
             2 * (start_index + offset) + choice
-            for offset, choice in enumerate(choices)
+            for offset, choice in enumerate(self.choices)
         ]
-        pads = _kdf_batch(shareds, tweaks, self.backend)
+        self._pads = _kdf_batch(table.pow_batch(self.secrets), tweaks, self.backend)
+
+    def open(self, cipher_pairs: Sequence[Tuple[int, int]]) -> List[int]:
+        """The chosen messages: each pair's chosen ciphertext XOR its pad."""
+        if len(cipher_pairs) != len(self._pads):
+            raise ValueError("one ciphertext pair per choice")
         return [
             (cipher1 if choice else cipher0) ^ pad
-            for choice, (cipher0, cipher1), pad in zip(choices, cipher_pairs, pads)
+            for choice, (cipher0, cipher1), pad in zip(
+                self.choices, cipher_pairs, self._pads
+            )
         ]
 
 
@@ -406,11 +423,13 @@ class OtExtReceiver:
     """The choosing party of an extended batch (the evaluator): *sender*
     of the ``OT_KAPPA`` base OTs, whose messages are PRG seed pairs.
 
-    ``public`` opens the handshake; :meth:`respond` answers the peer's
-    base points with the seed ciphertexts and the matrix ``u``, row
-    ``u_i = G(k_i^0) ^ G(k_i^1) ^ choices``; :meth:`decrypt` strips
-    ``H(j, t_j)`` off the chosen ciphertext, ``t_j`` being column ``j``
-    of the ``G(k_i^0)`` rows.
+    ``public`` opens the handshake.  Own-state steps bracket the two
+    replies: :meth:`prepare` (the base pad factor, the ``G(k)`` rows,
+    ``t`` and ``matrix``, the packed rows ``u_i = G(k_i^0) ^ G(k_i^1) ^
+    choices``) before the peer's base points arrive, :meth:`respond`
+    (the seed ciphertexts against them), :meth:`derive_pads` (the
+    ``H(j, t_j)``, ``t_j`` being column ``j`` of the ``G(k_i^0)`` rows)
+    before the ciphertexts arrive, and :meth:`decrypt` (one XOR each).
     """
 
     def __init__(self, prg: LabelPrg, choices: Sequence[int], backend) -> None:
@@ -423,23 +442,32 @@ class OtExtReceiver:
         blocks = prg.next_blocks(2 * OT_KAPPA, backend)
         self._seeds = list(zip(blocks[0::2], blocks[1::2]))
 
-    def respond(self, points: Sequence[int]) -> Tuple[List[int], bytes]:
-        """``(2 * OT_KAPPA seed ciphertexts, u as OT_KAPPA * m packed bits)``."""
-        cipher_pairs = self._base.encrypt_batch(points, self._seeds)
+    def prepare(self) -> None:
+        """Own-state step, once ``public`` is sent."""
+        self._base.prepare()
         seeds = [seed for pair in self._seeds for seed in pair]
         rows = _prg_rows(seeds, len(self.choices), self.backend)
         self._t = _columns(rows[0::2])
         u = rows[0::2] ^ rows[1::2] ^ np.array(self.choices, dtype=np.uint8)
-        return [c for pair in cipher_pairs for c in pair], np.packbits(u).tobytes()
+        #: ``u`` as ``OT_KAPPA * m`` packed bits, the ``otx_matrix`` payload.
+        self.matrix = np.packbits(u).tobytes()
+
+    def respond(self, points: Sequence[int]) -> List[int]:
+        """The ``2 * OT_KAPPA`` seed ciphertexts."""
+        cipher_pairs = self._base.encrypt_batch(points, self._seeds)
+        return [c for pair in cipher_pairs for c in pair]
+
+    def derive_pads(self) -> None:
+        """Own-state step, once the seeds and matrix are sent."""
+        self._pads = self.backend.hash_labels(self._t, range(len(self._t)), True)
 
     def decrypt(self, ciphers: Sequence[int]) -> List[int]:
         """The chosen messages from ``(y_j^0, y_j^1)`` laid end to end."""
         if len(ciphers) != 2 * len(self.choices):
             raise ValueError("two ciphertexts per choice")
-        pads = self.backend.hash_labels(self._t, range(len(self._t)), True)
         return [
             ciphers[2 * j + choice] ^ pad
-            for j, (choice, pad) in enumerate(zip(self.choices, pads))
+            for j, (choice, pad) in enumerate(zip(self.choices, self._pads))
         ]
 
 
@@ -447,17 +475,19 @@ class OtExtSender:
     """The party holding the message pairs (the garbler): *receiver* of
     the base OTs under its secret bits ``s``, so it learns ``k_i^{s_i}``
     and, from ``u``, the rows ``q_i = G(k_i^{s_i}) ^ s_i * u_i`` whose
-    columns are ``q_j = t_j ^ choice_j * s``.
+    columns are ``q_j = t_j ^ choice_j * s``.  Its base receiver draws
+    at construction, before the peer's key is known; :meth:`points` and
+    :meth:`derive_pads` are that receiver's reply and own-state steps.
     """
 
-    def __init__(self, prg: LabelPrg, base_public: int, backend) -> None:
+    def __init__(self, prg: LabelPrg, backend) -> None:
         self.backend = backend
         self._s = prg.next_block()
         self._s_bits = [(self._s >> (OT_KAPPA - 1 - i)) & 1 for i in range(OT_KAPPA)]
-        self._base = OtReceiver(prg, base_public, backend)
-        chosen = self._base.choose_batch(self._s_bits)
-        self.points = [point for point, _ in chosen]
-        self._secrets = [secret for _, secret in chosen]
+        self._base = OtReceiver(prg, backend=backend)
+        self._base.draw(self._s_bits)
+        self.points = self._base.points
+        self.derive_pads = self._base.derive_pads
 
     def encrypt(
         self,
@@ -467,8 +497,7 @@ class OtExtSender:
     ) -> List[int]:
         """``y_j^b = x_j^b ^ H(j, q_j ^ b * s)``, laid end to end."""
         m = len(message_pairs)
-        cipher_pairs = list(zip(seed_ciphers[0::2], seed_ciphers[1::2]))
-        seeds = self._base.decrypt_batch(self._s_bits, self._secrets, cipher_pairs)
+        seeds = self._base.open(list(zip(seed_ciphers[0::2], seed_ciphers[1::2])))
         u = np.unpackbits(np.frombuffer(matrix, dtype=np.uint8)).reshape(OT_KAPPA, m)
         s_column = np.array(self._s_bits, dtype=np.uint8)[:, None]
         q = _columns(_prg_rows(seeds, m, self.backend) ^ (u & s_column))
@@ -493,19 +522,17 @@ def run_ot_batch(
 ) -> List[int]:
     """Run a batch of OTs, one per (message pair, choice bit).
 
-    Uses the batched paths on both sides with the ``auto`` backend;
-    transcripts match the per-bit ``choose``/``encrypt``/``decrypt``
-    sequence exactly.
+    Runs the batched steps the streamed roles run, in their order, with
+    the ``auto`` backend; transcripts match the per-bit
+    ``choose``/``encrypt``/``decrypt`` sequence exactly.
     """
     if len(pairs) != len(choices):
         raise ValueError("pairs and choices must align")
     backend = resolve_backend("auto")
+    receiver = OtReceiver(LabelPrg(seed + 1), backend=backend)
+    receiver.draw(choices)
     sender = OtSender(LabelPrg(seed), backend)
-    receiver = OtReceiver(LabelPrg(seed + 1), sender.public, backend)
-    points_and_secrets = receiver.choose_batch(choices)
-    cipher_pairs = sender.encrypt_batch(
-        [point for point, _ in points_and_secrets], list(pairs)
-    )
-    return receiver.decrypt_batch(
-        choices, [secret for _, secret in points_and_secrets], cipher_pairs
-    )
+    points = receiver.points(sender.public)
+    sender.prepare()
+    receiver.derive_pads()
+    return receiver.open(sender.encrypt_batch(points, list(pairs)))

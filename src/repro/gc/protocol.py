@@ -203,17 +203,15 @@ class TwoPartySession:
             #    messages in FIFO order, so the OT handshake goes first)
             sender = OtSender(LabelPrg(self.seed + 0x0F))
             down.send("ot_public", sender.public, _GROUP_BYTES)
-            receiver = OtReceiver(LabelPrg(self.seed + 0xB0B), down.recv("ot_public"))
+            receiver = OtReceiver(LabelPrg(self.seed + 0xB0B))
 
             # Batched fixed-base OT: one windowed table of g serves all
             # of Bob's choice bits, its width chosen from their count
             # (transcript-identical to per-bit choose calls).
-            points_and_secrets = receiver.choose_batch(evaluator_bits)
-            up.send(
-                "ot_points",
-                [point for point, _ in points_and_secrets],
-                _GROUP_BYTES * len(points_and_secrets),
-            )
+            receiver.draw(evaluator_bits)
+            bob_points = receiver.points(down.recv("ot_public"))
+            up.send("ot_points", bob_points, _GROUP_BYTES * len(bob_points))
+            receiver.derive_pads()
             points = up.recv("ot_points")
 
             # Batched sender encryption: one variable-base builtin pow
@@ -250,11 +248,7 @@ class TwoPartySession:
             tables = down.recv("tables")
             decode_bits = down.recv("decode")
             bob_alice_labels = down.recv("garbler_labels")
-            bob_labels = receiver.decrypt_batch(
-                list(evaluator_bits),
-                [secret for _, secret in points_and_secrets],
-                bob_ciphers,
-            )
+            bob_labels = receiver.open(bob_ciphers)
             input_labels = list(bob_alice_labels) + bob_labels
             garbled_for_bob = type(garbled)(
                 tables=tables,

@@ -16,6 +16,11 @@ evaluator inputs, OT extension (``otx_public``, ``otx_points``,
 ``otx_seeds``, ``otx_matrix``, ``otx_ciphers``) from there up, where it
 is fewer bytes and less time.  The kinds are the version marker: a peer
 on the other handshake fails ``recv_message``'s kind check.
+Either way a party computes ahead of its peer: every OT value that
+needs only its own state and messages it has already checked is
+computed before the receive it does not need, right after the send
+that precedes it, so only the work on the new message follows each
+receive (DESIGN.md section 4).
 
 A role owns its party's secrets and talks only through its ``(down,
 up)`` pair of :class:`~repro.gc.channel.FramedChannel` objects (``down``
@@ -263,6 +268,7 @@ class GarblerRole(_Role):
         down.send_message(
             "ot_public", sender.public.to_bytes(_POINT_BYTES, "big")
         )
+        sender.prepare()
         yield HANDSHAKE
 
         points = _exact_ot_points(
@@ -275,14 +281,17 @@ class GarblerRole(_Role):
 
     def _ot_extended(self, pairs) -> Iterator[str]:
         """OT extension: the evaluator opens, so the first turn only
-        draws labels; then base points out, seeds and matrix in,
-        ciphertexts out."""
+        draws labels and base secrets; then base points out, seeds and
+        matrix in, ciphertexts out."""
         down, up = self.down, self.up
+        sender = OtExtSender(LabelPrg(self.seed + 0x0F), self.backend)
         yield HANDSHAKE
 
         public = _exact_ot_key(up.recv_message("otx_public"), "otx_public")
-        sender = OtExtSender(LabelPrg(self.seed + 0x0F), public, self.backend)
-        down.send_message("otx_points", ints_to_bytes(sender.points, _POINT_BYTES))
+        down.send_message(
+            "otx_points", ints_to_bytes(sender.points(public), _POINT_BYTES)
+        )
+        sender.derive_pads()
         yield HANDSHAKE
 
         seed_ciphers = _exact_ints(
@@ -375,13 +384,13 @@ class EvaluatorRole(_Role):
     def _ot_direct(self) -> Iterator[str]:
         """Chou-Orlandi per choice; returns the chosen labels."""
         down, up = self.down, self.up
+        receiver = OtReceiver(LabelPrg(self.seed + 0xB0B), backend=self.backend)
+        receiver.draw(self.bits)
         public = _exact_ot_key(down.recv_message("ot_public"), "ot_public")
-        receiver = OtReceiver(LabelPrg(self.seed + 0xB0B), public, self.backend)
-        points_and_secrets = receiver.choose_batch(self.bits)
         up.send_message(
-            "ot_points",
-            ints_to_bytes([p for p, _ in points_and_secrets], _POINT_BYTES),
+            "ot_points", ints_to_bytes(receiver.points(public), _POINT_BYTES)
         )
+        receiver.derive_pads()
         yield HANDSHAKE
 
         ciphers = _exact_ints(
@@ -390,11 +399,7 @@ class EvaluatorRole(_Role):
             2 * len(self.bits),
             "ot_ciphers",
         )
-        return receiver.decrypt_batch(
-            self.bits,
-            [secret for _, secret in points_and_secrets],
-            list(zip(ciphers[0::2], ciphers[1::2])),
-        )
+        return receiver.open(list(zip(ciphers[0::2], ciphers[1::2])))
 
     def _ot_extended(self) -> Iterator[str]:
         """OT extension: base key out, base points in, seed ciphertexts
@@ -402,14 +407,15 @@ class EvaluatorRole(_Role):
         down, up = self.down, self.up
         receiver = OtExtReceiver(LabelPrg(self.seed + 0xB0B), self.bits, self.backend)
         up.send_message("otx_public", receiver.public.to_bytes(_POINT_BYTES, "big"))
+        receiver.prepare()
         yield HANDSHAKE
 
         points = _exact_ot_points(
             down.recv_message("otx_points"), OT_KAPPA, "otx_points"
         )
-        seed_ciphers, matrix = receiver.respond(points)
-        up.send_message("otx_seeds", ints_to_bytes(seed_ciphers))
-        up.send_message("otx_matrix", matrix)
+        up.send_message("otx_seeds", ints_to_bytes(receiver.respond(points)))
+        up.send_message("otx_matrix", receiver.matrix)
+        receiver.derive_pads()
         yield HANDSHAKE
 
         return receiver.decrypt(

@@ -72,6 +72,20 @@ class TestOt:
             receiver.choose(2)
 
 
+def _chosen(receiver, public, choices):
+    """The batched receiver's ``(point, secret)`` per choice: the
+    own-state ``draw``, then the reply to ``public``."""
+    receiver.draw(choices)
+    return list(zip(receiver.points(public), receiver.secrets))
+
+
+def _opened(receiver, cipher_pairs, start_index=0):
+    """The batched receiver's own-state pads, then the reply to the
+    ciphertexts."""
+    receiver.derive_pads(start_index)
+    return receiver.open(cipher_pairs)
+
+
 class TestBatchedReceiver:
     """The batched fixed-base path must be transcript-identical to the
     per-bit reference path: same PRG draws, same points, same secrets,
@@ -86,17 +100,16 @@ class TestBatchedReceiver:
         sender = OtSender(LabelPrg(seed))
         return sender, choices, pairs
 
-    def test_choose_batch_matches_per_bit_transcript(self):
+    def test_draw_matches_per_bit_transcript(self):
         sender, choices, _ = self._setup()
         per_bit = OtReceiver(LabelPrg(99), sender.public)
-        batched = OtReceiver(LabelPrg(99), sender.public)
         reference = [per_bit.choose(choice) for choice in choices]
-        assert batched.choose_batch(choices) == reference
+        assert _chosen(OtReceiver(LabelPrg(99)), sender.public, choices) == reference
 
-    def test_decrypt_batch_matches_per_bit(self):
+    def test_open_matches_per_bit(self):
         sender, choices, pairs = self._setup()
-        receiver = OtReceiver(LabelPrg(7), sender.public)
-        points_and_secrets = receiver.choose_batch(choices)
+        receiver = OtReceiver(LabelPrg(7))
+        points_and_secrets = _chosen(receiver, sender.public, choices)
         ciphers = [
             sender.encrypt(index, point, m0, m1)
             for index, ((point, _), (m0, m1)) in enumerate(
@@ -104,7 +117,7 @@ class TestBatchedReceiver:
             )
         ]
         secrets = [secret for _, secret in points_and_secrets]
-        batched = receiver.decrypt_batch(choices, secrets, ciphers)
+        batched = _opened(receiver, ciphers)
         per_bit = [
             receiver.decrypt(index, choice, secret, c0, c1)
             for index, (choice, secret, (c0, c1)) in enumerate(
@@ -117,36 +130,35 @@ class TestBatchedReceiver:
             for (m0, m1), choice in zip(pairs, choices)
         ]
 
-    def test_decrypt_batch_start_index(self):
+    def test_derive_pads_start_index(self):
         """Offset batches use the same per-OT KDF tweaks as the
         equivalent per-bit calls."""
         sender, choices, pairs = self._setup(n=6)
-        receiver = OtReceiver(LabelPrg(7), sender.public)
-        points_and_secrets = receiver.choose_batch(choices)
-        secrets = [secret for _, secret in points_and_secrets]
+        receiver = OtReceiver(LabelPrg(7))
+        points_and_secrets = _chosen(receiver, sender.public, choices)
         ciphers = [
             sender.encrypt(3 + index, point, m0, m1)
             for index, ((point, _), (m0, m1)) in enumerate(
                 zip(points_and_secrets, pairs)
             )
         ]
-        batched = receiver.decrypt_batch(choices, secrets, ciphers, start_index=3)
+        batched = _opened(receiver, ciphers, start_index=3)
         assert batched == [
             m1 if choice else m0
             for (m0, m1), choice in zip(pairs, choices)
         ]
 
-    def test_choose_batch_rejects_non_bits(self):
-        sender, _, _ = self._setup()
-        receiver = OtReceiver(LabelPrg(7), sender.public)
+    def test_draw_rejects_non_bits(self):
         with pytest.raises(ValueError):
-            receiver.choose_batch([0, 1, 2])
+            OtReceiver(LabelPrg(7)).draw([0, 1, 2])
 
-    def test_decrypt_batch_rejects_misaligned(self):
+    def test_open_rejects_misaligned(self):
         sender, _, _ = self._setup()
-        receiver = OtReceiver(LabelPrg(7), sender.public)
+        receiver = OtReceiver(LabelPrg(7))
+        _chosen(receiver, sender.public, [0, 1])
+        receiver.derive_pads()
         with pytest.raises(ValueError):
-            receiver.decrypt_batch([0, 1], [5], [(1, 2), (3, 4)])
+            receiver.open([(1, 2)])
 
     def test_protocol_transcript_unchanged_by_batching(self, mixed_circuit, monkeypatch):
         """The two-party session (now on the batched path) must emit the
@@ -157,18 +169,28 @@ class TestBatchedReceiver:
         batched = run_two_party(mixed_circuit, garbler_bits, evaluator_bits, seed=12)
 
         # Re-run with the receiver forced onto the per-bit reference
-        # path; everything observable must be identical.
+        # path (its draws move to the reply to A, the only place the
+        # per-bit choose can run); everything observable must be
+        # identical.
+        def points(self, public):
+            self.sender_public = public
+            chosen = [self.choose(choice) for choice in self.choices]
+            self.secrets = [secret for _, secret in chosen]
+            return [point for point, _ in chosen]
+
         monkeypatch.setattr(
-            OtReceiver,
-            "choose_batch",
-            lambda self, choices: [self.choose(choice) for choice in choices],
+            OtReceiver, "draw", lambda self, choices: setattr(self, "choices", choices)
         )
+        monkeypatch.setattr(OtReceiver, "points", points)
+        monkeypatch.setattr(OtReceiver, "derive_pads", lambda self: None)
         monkeypatch.setattr(
             OtReceiver,
-            "decrypt_batch",
-            lambda self, choices, secrets, pairs, start_index=0: [
-                self.decrypt(start_index + i, c, s, c0, c1)
-                for i, (c, s, (c0, c1)) in enumerate(zip(choices, secrets, pairs))
+            "open",
+            lambda self, pairs: [
+                self.decrypt(i, c, s, c0, c1)
+                for i, (c, s, (c0, c1)) in enumerate(
+                    zip(self.choices, self.secrets, pairs)
+                )
             ],
         )
         per_bit = run_two_party(mixed_circuit, garbler_bits, evaluator_bits, seed=12)
@@ -260,15 +282,14 @@ class TestFixedBaseTable:
         sender = OtSender(LabelPrg(1))
         shared = None
         for seed in (2, 3, 4):
-            batched = OtReceiver(LabelPrg(seed), sender.public)
             per_bit = OtReceiver(LabelPrg(seed), sender.public)
-            assert batched.choose_batch([0, 1] * 4) == [
+            assert _chosen(OtReceiver(LabelPrg(seed)), sender.public, [0, 1] * 4) == [
                 per_bit.choose(choice) for choice in [0, 1] * 4
             ]
             shared = shared or ot._generator_table(8)
             assert ot._generator_table(8) is shared
         assert len(built) == 1
-        OtReceiver(LabelPrg(5), sender.public).choose_batch([1] * 128)
+        OtReceiver(LabelPrg(5)).draw([1] * 128)
         assert len(built) == 2
         assert sorted(ot._GENERATOR_TABLES) == sorted(
             {_FixedBaseTable.width_for(8), _FixedBaseTable.width_for(128)}
@@ -325,7 +346,7 @@ class TestFixedBaseTable:
 @pytest.mark.parametrize("backend", ["auto", None])
 @pytest.mark.parametrize("n", [0, 1, _KDF_BATCH_MIN - 1, _KDF_BATCH_MIN, 513])
 def test_batched_paths_match_per_bit(n, backend):
-    """``choose_batch`` / ``encrypt_batch`` / ``decrypt_batch`` are
+    """The batched receiver's steps and ``encrypt_batch`` are
     element for element the per-bit sequence, on either side of the KDF
     selection and at a non-zero ``start_index``; with no backend (what
     ``TwoPartySession.run`` hands them) every batch takes the scalar
@@ -337,10 +358,10 @@ def test_batched_paths_match_per_bit(n, backend):
     resolved = backend and resolve_backend(backend)
     sender = OtSender(LabelPrg(21), resolved)
     per_bit = OtReceiver(LabelPrg(22), sender.public)
-    batched = OtReceiver(LabelPrg(22), sender.public, resolved)
+    batched = OtReceiver(LabelPrg(22), backend=resolved)
 
     chosen = [per_bit.choose(choice) for choice in choices]
-    assert batched.choose_batch(choices) == chosen
+    assert _chosen(batched, sender.public, choices) == chosen
     points = [point for point, _ in chosen]
     secrets = [secret for _, secret in chosen]
 
@@ -356,7 +377,7 @@ def test_batched_paths_match_per_bit(n, backend):
             zip(choices, secrets, ciphers)
         )
     ]
-    assert batched.decrypt_batch(choices, secrets, ciphers, start) == messages
+    assert _opened(batched, ciphers, start) == messages
     assert messages == [pair[choice] for pair, choice in zip(pairs, choices)]
 
 
@@ -366,17 +387,26 @@ def _ot_inputs(m, seed):
     return pairs, [rng.randint(0, 1) for _ in range(m)]
 
 
+def _extension_pair(choices, seed, backend):
+    """Both extension parties, each past its own-state opening steps."""
+    receiver = OtExtReceiver(LabelPrg(seed + 1), choices, backend)
+    receiver.prepare()
+    return receiver, OtExtSender(LabelPrg(seed), backend)
+
+
 def _run_extension(pairs, choices, seed, backend):
     """Both extension parties in one process, seeded like ``run_ot_batch``;
     returns ``(chosen messages, every payload in wire order, receiver)``."""
     backend = resolve_backend(backend)
-    receiver = OtExtReceiver(LabelPrg(seed + 1), choices, backend)
-    sender = OtExtSender(LabelPrg(seed), receiver.public, backend)
-    seed_ciphers, matrix = receiver.respond(sender.points)
+    receiver, sender = _extension_pair(choices, seed, backend)
+    points = sender.points(receiver.public)
+    sender.derive_pads()
+    seed_ciphers, matrix = receiver.respond(points), receiver.matrix
+    receiver.derive_pads()
     ciphers = sender.encrypt(seed_ciphers, matrix, pairs)
     transcript = (
         receiver.public.to_bytes(_POINT_BYTES, "big"),
-        ints_to_bytes(sender.points, _POINT_BYTES),
+        ints_to_bytes(points, _POINT_BYTES),
         ints_to_bytes(seed_ciphers),
         matrix,
         ints_to_bytes(ciphers),
@@ -446,9 +476,11 @@ class TestOtExtension:
     def test_sizes_are_checked(self):
         pairs, choices = _ot_inputs(8, seed=1)
         backend = resolve_backend("numpy")
-        receiver = OtExtReceiver(LabelPrg(2), choices, backend)
-        sender = OtExtSender(LabelPrg(1), receiver.public, backend)
-        seed_ciphers, matrix = receiver.respond(sender.points)
+        receiver, sender = _extension_pair(choices, 1, backend)
+        seed_ciphers = receiver.respond(sender.points(receiver.public))
+        matrix = receiver.matrix
+        sender.derive_pads()
+        receiver.derive_pads()
         with pytest.raises(ValueError):
             sender.encrypt(seed_ciphers[:-1], matrix, pairs)
         with pytest.raises(ValueError):

@@ -15,6 +15,8 @@ path).
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -141,6 +143,41 @@ class TestProcessChaosInvariant:
         assert handle.result.output_bits == solo.output_bits
         assert handle.result.transcript_digest == solo.transcript_digest
         assert stats.retries == 1
+        _assert_reaped()
+
+    @pytest.mark.parametrize("target", ["garbler", "evaluator"])
+    def test_heartbeat_silence_retries_bit_identical(self, adder_circuit, target):
+        """A party stopped at launch sends no heartbeat: the supervisor
+        reports it lost, kills the pair and retries bit-identical."""
+
+        class StopAtLaunch(Supervisor):
+            def _start(self, handle, now):
+                fields = super()._start(handle, now)
+                if handle.stats.attempts == 1:
+                    os.kill(fields["pids"][target], signal.SIGSTOP)
+                return fields
+
+        solo = _solo(adder_circuit)
+        g, e = _bits(adder_circuit)
+        supervisor = StopAtLaunch(
+            heartbeat_timeout_s=0.5, deadline_s=20.0, retries=1
+        )
+        handle = supervisor.submit(SessionSpec(
+            adder_circuit, g, e, seed=7,
+            reference_digest=solo.transcript_digest,
+        ))
+        stats = supervisor.run_until_complete()
+        lost = [
+            event for event in supervisor.log.events
+            if event["event"] == "heartbeat_lost"
+        ]
+        assert [(event["role"], event["attempt"]) for event in lost] == [
+            (target, 1)
+        ]
+        assert handle.error is None, handle.error
+        assert handle.stats.attempts == 2 and stats.retries == 1
+        assert handle.result.output_bits == solo.output_bits
+        assert handle.result.transcript_digest == solo.transcript_digest
         _assert_reaped()
 
     def test_chaos_schedule_is_deterministic(self, adder_circuit):

@@ -21,17 +21,21 @@ message code with the roles) on outputs and hash calls.
 from __future__ import annotations
 
 import multiprocessing
+import random
 import socket
 import threading
 
 import pytest
 
 from repro.circuits.netlist import Circuit, Gate, GateOp
+from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.gc.channel import make_framed_pair
 from repro.gc.protocol import SessionResult, StreamedDriver, TwoPartySession
 from repro.gc.roles import EvaluatorRole, GarblerRole
 from repro.serve import PeerSocketWire, SessionMultiplexer, SessionSpec, Supervisor
 from repro.serve.procs import make_party_channels
+from repro.workloads import get_workload
+from tests.gc.test_transcript_golden import GOLDEN_SESSIONS
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -43,22 +47,30 @@ def _xor_only() -> Circuit:
     return Circuit.from_gates(1, 1, gates, [3], "xor-only")
 
 
-def _single_level() -> Circuit:
-    return Circuit.from_gates(1, 1, [Gate(GateOp.AND, 0, 1, 2)], [2], "one-and")
+def _single_level(n_garbler=1, n_evaluator=1) -> Circuit:
+    return Circuit.from_gates(
+        n_garbler, n_evaluator, [Gate(GateOp.AND, 0, 1, 2)], [2], "one-and"
+    )
 
 
 # ``wide_circuit`` is the one above the OT-extension threshold: there the
 # monolithic oracle (direct OT) shares no handshake code with the roles.
+# ``xor_only`` streams no table; the two one-sided circuits run an empty
+# OT batch (no evaluator input) and an empty garbler label set.
+_BUILT = {
+    "xor_only": _xor_only,
+    "single_level": _single_level,
+    "no_evaluator_input": lambda: _single_level(2, 0),
+    "no_garbler_input": lambda: _single_level(0, 2),
+}
+
+
 @pytest.fixture(
-    params=[
-        "adder_circuit", "mixed_circuit", "xor_only", "single_level", "wide_circuit",
-    ]
+    params=["adder_circuit", "mixed_circuit", *_BUILT, "wide_circuit"]
 )
 def circuit(request) -> Circuit:
-    if request.param == "xor_only":
-        return _xor_only()
-    if request.param == "single_level":
-        return _single_level()
+    if request.param in _BUILT:
+        return _BUILT[request.param]()
     return request.getfixturevalue(request.param)
 
 
@@ -196,6 +208,43 @@ def test_every_drive_agrees(circuit, backend):
     }
     for name, result in drives.items():
         assert _protocol_view(result) == _protocol_view(reference), name
+
+
+# Transcript digest of the AES-128 session below (``SEED``, ``_bits``),
+# recorded once like tests/gc/test_transcript_golden.py's values: a
+# mismatch means the wire bytes moved, never re-record it to pass.
+_AES128_DIGEST = "67ae55b4cbb45ad67b77793f928eae7ae96158184952d9ec1fe152c48ffc5754"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["aes128", "hamm512"])
+def test_split_drive_at_full_scale(name):
+    """The supervised split drive at full scale: AES-128 (direct
+    handshake, 128 choices) and Hamming n=512 (OT extension) equal
+    their fused digest and the recorded one."""
+    if name == "aes128":
+        circuit = build_aes128_circuit()
+        g, e = _bits(circuit)
+        seed, recorded = SEED, _AES128_DIGEST
+    else:
+        circuit = get_workload("Hamm").build(n_bits=512).circuit
+        seed = 3
+        rng = random.Random(seed)
+        g = [rng.getrandbits(1) for _ in range(circuit.n_garbler_inputs)]
+        e = [rng.getrandbits(1) for _ in range(circuit.n_evaluator_inputs)]
+        recorded, _ = GOLDEN_SESSIONS[("hamm512", seed)]
+    fused = TwoPartySession(circuit, seed=seed, backend="auto").run_streamed(g, e)
+    assert fused.transcript_digest == recorded
+    supervisor = Supervisor(deadline_s=120.0, retries=0)
+    handle = supervisor.submit(SessionSpec(
+        circuit, g, e, seed=seed, backend="auto",
+        reference_digest=fused.transcript_digest,
+    ))
+    supervisor.run_until_complete()
+    assert handle.error is None, handle.error
+    assert handle.result.output_bits == circuit.eval_plain(g, e)
+    assert handle.result.transcript_digest == recorded
+    assert not [p for p in multiprocessing.active_children() if p.is_alive()]
 
 
 class TestRoleContract:
