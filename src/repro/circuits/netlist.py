@@ -32,6 +32,7 @@ from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "Circuit",
     "CircuitStats",
     "CircuitError",
+    "AndLevelPlan",
     "ColumnView",
     "column_view",
     "int_column",
@@ -222,6 +224,47 @@ class CircuitStats:
         }
 
 
+class AndLevelPlan:
+    """:attr:`Circuit.and_level_plan`: the AND-level schedule as slices.
+
+    ``a`` / ``b`` / ``out`` are the gate columns in schedule order (int32
+    when every wire id fits), ``and_positions`` the AND gates' netlist
+    positions, phase ``d``'s from ``and_at[d]``.  Run ``r`` (AND batch or
+    free group) is rows ``[cuts[2r], cuts[2r + 2])``, INV from row
+    ``cuts[2r + 1]``; phase ``d`` is runs ``[runs_at[d], runs_at[d + 1])``.
+    """
+
+    __slots__ = ("a", "b", "out", "and_positions", "and_at", "cuts", "runs_at")
+
+    def __init__(self, a, b, out, and_positions, and_at, cuts, runs_at) -> None:
+        self.a, self.b, self.out = a, b, out
+        self.and_positions, self.and_at = and_positions, and_at
+        self.cuts, self.runs_at = cuts, runs_at
+
+    def __len__(self) -> int:  # the phase count: multiplicative depth + 1
+        return len(self.runs_at) - 1
+
+    def and_batch(self, index: int) -> np.ndarray:
+        """Netlist positions of phase ``index``'s AND gates."""
+        return self.and_positions[self.and_at[index] : self.and_at[index + 1]]
+
+    def phase(self, index: int):
+        """Phase ``index`` as views: ``(and_positions, a, b, out,
+        free_groups)``, one ``(xor_a, xor_b, xor_out, inv_a, inv_out)``
+        per free group."""
+        r0, r1 = 2 * self.runs_at[index : index + 2]
+        cuts = self.cuts[r0 : r1 + 1]
+        # NumPy indexes with intp: widen the phase once, not every group.
+        rows = slice(cuts[0], cuts[-1])
+        a, b, out = (c[rows].astype(np.intp) for c in (self.a, self.b, self.out))
+        cuts = (cuts - cuts[0]).tolist()
+        runs = [
+            (a[s:m], b[s:m], out[s:m], a[m:e], out[m:e])
+            for s, m, e in zip(cuts[0::2], cuts[1::2], cuts[2::2])
+        ]
+        return (self.and_batch(index), *runs[0][:3], runs[1:])
+
+
 class Circuit:
     """A Boolean netlist in SSA, topologically ordered form.
 
@@ -394,58 +437,70 @@ class Circuit:
         """Circuit depth in gate levels (Table 2 '# Levels')."""
         return max(self.gate_levels(), default=0)
 
-    def and_level_schedule(self) -> List[Tuple[List[int], List[List[int]]]]:
-        """Batched execution schedule keyed by *multiplicative* depth.
+    @cached_property
+    def and_level_plan(self) -> "AndLevelPlan":
+        """The batched execution schedule, keyed by *multiplicative* depth.
 
-        FreeXOR garbling only pays for AND gates, so the natural batch
-        is all AND gates at the same AND-only (multiplicative) depth --
-        a far coarser grouping than ASAP dependence levels (e.g. the
-        AES-128 circuit has 1182 ASAP levels but only 40 AND levels of
-        1280 gates each).  Returns one phase per depth ``d``:
+        FreeXOR garbling only pays for AND gates, so a batch is all AND
+        gates at one AND-only depth (AES-128: 1182 ASAP levels, but 40 AND
+        levels of 1280 gates).  Phase ``d`` is its AND batch (empty for
+        ``d = 0``), then ordered groups of mutually independent XOR/INV
+        gates; run in order, the phases respect every data dependence.
 
-        ``(and_positions, free_groups)`` where ``and_positions`` are the
-        AND gates at depth ``d`` (always empty for ``d = 0``) and
-        ``free_groups`` is an ordered list of mutually independent
-        XOR/INV position groups.  Executing phases in order -- AND batch
-        first, then each free group -- respects every data dependence:
-        an AND at depth ``d`` reads only wires of depth ``< d``, and a
-        free gate is placed after every same-depth gate it reads.
-
-        The schedule is cached on the circuit (it is a pure function of
-        the netlist) so garbler, evaluator and benchmarks share one
-        computation.
+        One walk gives each wire a packed ``(depth, free level)`` key: an
+        AND is ``depth + 1`` at level 0, an XOR / INV its largest operand
+        key plus one.  The level field is as wide as the free-gate count,
+        so it never carries into the depth.  One stable sort of the gate
+        keys, "is INV" the lowest bit, makes each AND batch and each
+        group's XOR part and INV part a slice of the plan.  Memoized.
         """
-        cached = getattr(self, "_and_schedule_cache", None)
-        if cached is not None:
-            return cached
-        depth = [0] * self.n_wires
-        free_level = [0] * self.n_wires
-        phases: List[Tuple[List[int], List[List[int]]]] = [([], [])]
-        for position, (code, a, b, out) in enumerate(
-            zip(self.op, self.a, self.b, self.out)
-        ):
-            if code == OP_INV:
-                b = a
-            d = max(depth[a], depth[b])
-            if code == OP_AND:
-                d += 1
-                while len(phases) <= d:
-                    phases.append(([], []))
-                phases[d][0].append(position)
-                free_level[out] = 0
-            else:
-                f = 1
-                if depth[a] == d and free_level[a] >= f:
-                    f = free_level[a] + 1
-                if depth[b] == d and free_level[b] >= f:
-                    f = free_level[b] + 1
-                groups = phases[d][1]
-                while len(groups) < f:
-                    groups.append([])
-                groups[f - 1].append(position)
-                free_level[out] = f
-            depth[out] = d
-        self._and_schedule_cache = phases
+        mask = (1 << (len(self.op) - self.op.count(OP_AND)).bit_length()) - 1
+        # One spare slot past the last wire: an INV's b = -1 reads key 0.
+        key = array("q", bytes(8 * self.n_wires + 8))
+        for code, a, b, out in zip(self.op, self.a, self.b, self.out):
+            k, kb = key[a], key[b]
+            if kb > k:
+                k = kb
+            key[out] = (k | mask) + 1 if code == OP_AND else k + 1
+        op = column_view(self.op)
+        gate_key = column_view(key)[column_view(self.out)] << 1 | (op == OP_INV)
+        order = np.argsort(gate_key, kind="stable")
+        gate_key = gate_key[order]
+        # A run is one (depth, free level) key; run 0 is phase 0's empty
+        # AND batch, and every later phase opens with its AND run.
+        starts = np.flatnonzero(np.diff(gate_key >> 1, prepend=-1))
+        run_key = gate_key[starts] & -2
+        cuts = np.zeros(3 + 2 * len(run_key), dtype=np.int64)
+        cuts[3::2] = np.searchsorted(gate_key, run_key | 1)
+        cuts[4::2] = np.searchsorted(gate_key, run_key + 2)
+        run_depth = np.concatenate([[0], run_key >> (mask.bit_length() + 1)])
+        runs_at = np.searchsorted(run_depth, np.arange(run_depth[-1] + 2))
+        and_rows = np.flatnonzero(op[order] == OP_AND)
+        narrow = np.int32 if self.n_wires <= 2**31 else np.int64
+        return AndLevelPlan(
+            *(column_view(c)[order].astype(narrow) for c in (self.a, self.b, self.out)),
+            order[and_rows].astype(narrow),
+            np.searchsorted(and_rows, cuts[2 * runs_at]),
+            cuts,
+            runs_at,
+        )
+
+    def and_level_schedule(self) -> List[Tuple[List[int], List[List[int]]]]:
+        """:attr:`and_level_plan` as lists, memoized: ``(and_positions,
+        free_groups)`` per phase, each group's netlist positions in
+        ascending order.  No session builds it."""
+        phases = self.__dict__.get("_and_level_lists")
+        if phases is None:
+            plan = self.and_level_plan
+            position_of = np.empty(self.n_wires, dtype=np.int64)
+            position_of[column_view(self.out)] = np.arange(len(self.op))
+            positions = position_of[plan.out].tolist()
+            cuts = plan.cuts[0::2].tolist()
+            runs = [positions[lo:hi] for lo, hi in pairwise(cuts)]
+            self.__dict__["_and_level_lists"] = phases = [
+                (runs[r0], [sorted(group) for group in runs[r0 + 1 : r1]])
+                for r0, r1 in pairwise(plan.runs_at.tolist())
+            ]
         return phases
 
     def stats(self) -> CircuitStats:
@@ -503,10 +558,10 @@ class Circuit:
 
     def __getstate__(self):
         # Pickles and copies carry the netlist and nothing derived from
-        # it: the gates view and every memo other modules hang on the
-        # instance (and_level_schedule, digest, dependence graph, vector
-        # plan) are dropped, so cache entries stay lean, a stale memo can
-        # never be revived from disk, and ``copy.copy`` is memo-free.
+        # it: the gates view and every memo on the instance (the AND-level
+        # plan and its list view, digest, dependence graph) are dropped,
+        # so cache entries stay lean, a stale memo can never be revived
+        # from disk, and ``copy.copy`` is memo-free.
         return {name: getattr(self, name) for name in self._FIELDS}
 
     def producer_map(self) -> Dict[int, int]:

@@ -11,7 +11,7 @@ bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -128,14 +128,15 @@ def evaluate_circuit_batched(
         )
 
     hasher = GateHasher(rekeyed=rekeyed)
-    table_index = _and_table_indices(circuit)
     store = BlockEvaluatorStore(
         circuit, ints_to_bytes(input_labels), rekeyed, resolved, hasher
     )
-    tables = garbled.tables
-    for index, (and_positions, _) in enumerate(circuit.and_level_schedule()):
-        batch = [tables[table_index[p]] for p in and_positions]
-        store.evaluate_level(index, tables_to_bytes(batch))
+    # The stream is in netlist order, the plan's AND batches are not.
+    order = np.argsort(np.argsort(store.plan.and_positions)).tolist()
+    stream = tables_to_bytes([garbled.tables[i] for i in order])
+    and_at = store.plan.and_at.tolist()
+    for index, (lo, hi) in enumerate(zip(and_at, and_at[1:])):
+        store.evaluate_level(index, stream[32 * lo : 32 * hi])
     output_labels = store.labels(circuit.outputs)
     output_bits = [
         lsb(label) ^ decode
@@ -149,12 +150,6 @@ def evaluate_circuit_batched(
     )
 
 
-def _and_table_indices(circuit: Circuit) -> Dict[int, int]:
-    """Netlist position of an AND gate -> its index in the table stream."""
-    and_positions = (p for p, op in enumerate(circuit.op) if op == OP_AND)
-    return {position: index for index, position in enumerate(and_positions)}
-
-
 class BlockEvaluatorStore(_BlockStore):
     """The Evaluator's held labels as blocks."""
 
@@ -163,8 +158,8 @@ class BlockEvaluatorStore(_BlockStore):
         wire format (``T_G || T_E`` per gate in batch order; the caller
         has checked the length).  2 hashes per gate, half the Garbler's."""
         state = self.state
-        positions, a_idx, b_idx, out_idx, free_groups = self.plan[index]
-        if positions is not None:
+        positions, a_idx, b_idx, out_idx, free_groups = self.plan.phase(index)
+        if len(positions):
             m = len(positions)
             tables = bytes_to_blocks(block).reshape(m, 8)
             wa, wb = state[a_idx], state[b_idx]

@@ -166,7 +166,7 @@ def garble_circuit_batched(
     order, gate tweaks are still netlist positions, and the backend
     reproduces the scalar hash exactly.  Only the *schedule* changes:
     gates are processed per multiplicative depth
-    (:meth:`Circuit.and_level_schedule`), all AND gates of a depth go
+    (:attr:`Circuit.and_level_plan`), all AND gates of a depth go
     through one backend hash call (4 hashes per gate) and the free
     XOR/INV groups collapse into bulk array XORs.
 
@@ -183,13 +183,11 @@ def garble_circuit_batched(
     hasher = GateHasher(rekeyed=rekeyed)
 
     store = BlockGarblerStore(circuit, input_labels, r, rekeyed, resolved, hasher)
-    levels = circuit.and_level_schedule()
     # Tables leave the store in schedule order, 32 bytes each; the
     # Evaluator's stream wants netlist order.
-    payload = b"".join(store.garble_level(i) for i in range(len(levels)))
-    positions = [p for and_positions, _ in levels for p in and_positions]
-    table_at = dict(zip(positions, tables_from_bytes(payload)))
-    tables = [table_at[p] for p in sorted(table_at)]
+    payload = b"".join(store.garble_level(i) for i in range(len(store.plan)))
+    in_schedule = tables_from_bytes(payload)
+    tables = [in_schedule[i] for i in np.argsort(store.plan.and_positions).tolist()]
     zero_labels = store.labels()
 
     decode_bits = [lsb(zero_labels[w]) for w in circuit.outputs]
@@ -202,57 +200,10 @@ def garble_circuit_batched(
     return garbler
 
 
-def _vector_plan(circuit: Circuit):
-    """Precompiled index arrays for the block stores, cached.
-
-    One phase per multiplicative depth (see
-    :meth:`Circuit.and_level_schedule`):
-    ``(and_positions, a_idx, b_idx, out_idx, free_groups)`` with every
-    member an ``int64`` gather/scatter array (``None`` when the phase
-    has no AND batch), and ``free_groups`` a list of
-    ``(xor_a, xor_b, xor_out, inv_a, inv_out)`` array tuples.  The plan
-    is a pure function of the netlist, so garbler, evaluator and every
-    repeat of a benchmark share one build.
-    """
-    plan = getattr(circuit, "_vector_plan_cache", None)
-    if plan is not None:
-        return plan
-    # Zero-copy int64 / uint8 views of the netlist columns; every plan
-    # member is one fancy-index gather from them.
-    is_xor = np.frombuffer(circuit.op, dtype=np.uint8) == OP_XOR
-    a_of = np.frombuffer(circuit.a, dtype=np.int64)
-    b_of = np.frombuffer(circuit.b, dtype=np.int64)
-    out_of = np.frombuffer(circuit.out, dtype=np.int64)
-
-    def gather(column, positions):
-        return column[positions] if len(positions) else None
-
-    plan = []
-    for and_batch, free_groups in circuit.and_level_schedule():
-        if and_batch:
-            positions = np.asarray(and_batch, dtype=np.int64)
-            and_arrays = (
-                positions, a_of[positions], b_of[positions], out_of[positions]
-            )
-        else:
-            and_arrays = (None, None, None, None)
-        compiled_groups = []
-        for group in free_groups:
-            positions = np.asarray(group, dtype=np.int64)
-            xor = positions[is_xor[positions]]
-            inv = positions[~is_xor[positions]]
-            compiled_groups.append(
-                (
-                    gather(a_of, xor),
-                    gather(b_of, xor),
-                    gather(out_of, xor),
-                    gather(a_of, inv),
-                    gather(out_of, inv),
-                )
-            )
-        plan.append(and_arrays + (compiled_groups,))
-    circuit._vector_plan_cache = plan
-    return plan
+def and_tweaks(positions: np.ndarray) -> np.ndarray:
+    """An AND batch's tweaks, every ``2p`` then every ``2p + 1``, in int64."""
+    doubled = 2 * positions.astype(np.int64)
+    return np.concatenate([doubled, doubled + 1])
 
 
 def _run_free_groups(state, free_groups, r_vec) -> None:
@@ -262,9 +213,9 @@ def _run_free_groups(state, free_groups, r_vec) -> None:
     the Evaluator side (where INV forwards the label unchanged).
     """
     for xor_a, xor_b, xor_out, inv_a, inv_out in free_groups:
-        if xor_out is not None:
+        if len(xor_out):
             state[xor_out] = state[xor_a] ^ state[xor_b]
-        if inv_out is not None:
+        if len(inv_out):
             if r_vec is None:
                 state[inv_out] = state[inv_a]
             else:
@@ -276,14 +227,14 @@ class _BlockStore:
 
     The store owns ``state`` (row ``w`` = the label of wire ``w`` as four
     big-endian column words) and the hashing of each AND batch of
-    :func:`_vector_plan` under its gates' ``2p`` / ``2p + 1`` tweak keys,
-    derived arithmetically from the position array: ``m`` generator keys
-    then ``m`` evaluator keys per batch, expanded as the level runs into
-    one ``(2m, 44)`` schedule (on the array backends the view of
-    ``(44, 2m)`` round-key planes).  ``_hash`` takes labels in runs of
-    ``2m`` -- the ``a`` labels, then the ``b`` labels -- so every run
-    hashes against that schedule as is; the Garbler's second run (the
-    ``^ R`` copies) repeats it along the planes.
+    :attr:`Circuit.and_level_plan` under its gates' ``2p`` / ``2p + 1``
+    tweak keys (:func:`and_tweaks`): ``m`` generator keys then ``m``
+    evaluator keys per batch, expanded as the level runs into one
+    ``(2m, 44)`` schedule (on the array backends the view of ``(44, 2m)``
+    round-key planes).  ``_hash`` takes labels in runs of ``2m`` -- the
+    ``a`` labels, then the ``b`` labels -- so every run hashes against
+    that schedule as is; the Garbler's second run (the ``^ R`` copies)
+    repeats it along the planes.
     """
 
     def __init__(
@@ -292,7 +243,7 @@ class _BlockStore:
     ) -> None:
         self.state = np.zeros((circuit.n_wires, 4), dtype=np.uint32)
         self.state[: circuit.n_inputs] = bytes_to_blocks(input_labels)
-        self.plan = _vector_plan(circuit)
+        self.plan = circuit.and_level_plan
         self.rekeyed, self.backend, self.hasher = rekeyed, backend, hasher
 
     def _hash(self, positions, labels, runs: int):
@@ -300,8 +251,7 @@ class _BlockStore:
         ``m`` ``a`` labels under the batch's generator keys then the
         ``m`` ``b`` labels under its evaluator keys."""
         backend = self.backend
-        tweaks = np.concatenate([2 * positions, 2 * positions + 1])
-        keys = backend.tweaks_to_keys(tweaks)
+        keys = backend.tweaks_to_keys(and_tweaks(positions))
         sched = backend.expand_keys(keys) if self.rekeyed else keys
         if runs > 1:
             sched = np.concatenate([sched.T] * runs, axis=1).T
@@ -343,9 +293,9 @@ class BlockGarblerStore(_BlockStore):
         :mod:`repro.gc.halfgate`, the ``p ? x : 0`` selections as
         all-ones / all-zeros word masks."""
         state, r_vec = self.state, self.r_vec
-        positions, a_idx, b_idx, out_idx, free_groups = self.plan[index]
+        positions, a_idx, b_idx, out_idx, free_groups = self.plan.phase(index)
         payload = b""
-        if positions is not None:
+        if len(positions):
             m = len(positions)
             wa0, wb0 = state[a_idx], state[b_idx]
             hashes = self._hash(

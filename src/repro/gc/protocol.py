@@ -23,7 +23,7 @@ Two drive modes:
   path;
 * :meth:`TwoPartySession.run_streamed` -- level-streamed delivery over
   the framed lossy transport: garbling and evaluation interleave along
-  :meth:`Circuit.and_level_schedule`, each AND level's table block ships
+  :attr:`Circuit.and_level_plan`, each AND level's table block ships
   as soon as it is computed (the ROADMAP's pipelining framing -- the
   Evaluator starts after the first level instead of after the whole
   circuit), every message rides sequence-numbered CRC-checked frames

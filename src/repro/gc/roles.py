@@ -2,7 +2,7 @@
 
 A GC program is completely known before it runs, so the message order
 of a session is data-independent and each party is a straight-line
-script over :meth:`Circuit.and_level_schedule`.  :class:`GarblerRole`
+script over :attr:`Circuit.and_level_plan`.  :class:`GarblerRole`
 and :class:`EvaluatorRole` are those two scripts -- the only place the
 wire messages (the OT handshake, ``garbler_labels``, ``tables``,
 ``decode``, ``outputs`` and one ``digest`` per direction) are sent and
@@ -57,7 +57,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..circuits.netlist import OP_AND, Circuit
+from ..circuits.netlist import OP_AND, AndLevelPlan, Circuit
 from ..faults import SessionAborted, TranscriptMismatch
 from .backends import resolve_backend
 from .channel import DIGEST_KIND, FramedChannel
@@ -180,8 +180,8 @@ class _Role:
         self.down = down
         self.up = up
         self.hasher = GateHasher(rekeyed=rekeyed)
-        #: The AND-level schedule, known once the handshake turns ran.
-        self.levels: Optional[list] = None
+        #: The AND-level plan, known once the handshake turns ran.
+        self.levels: Optional[AndLevelPlan] = None
         self.levels_done = 0
         self.output_bits: Optional[List[int]] = None
         self.next_turn: Optional[str] = HANDSHAKE
@@ -237,7 +237,7 @@ class GarblerRole(_Role):
             "garbler_labels",
             store.select(circuit.garbler_input_wires, self.bits),
         )
-        self.levels = circuit.and_level_schedule()
+        self.levels = store.plan
         yield LEVEL  # the schedule always has its depth-0 phase
 
         for index in range(len(self.levels)):
@@ -347,22 +347,22 @@ class EvaluatorRole(_Role):
         store = BlockEvaluatorStore(
             circuit, labels, self.rekeyed, self.backend, self.hasher
         )
-        self.levels = circuit.and_level_schedule()
+        self.levels = store.plan
         yield LEVEL  # the schedule always has its depth-0 phase
 
-        for index, (and_positions, _) in enumerate(self.levels):
+        for index in range(len(self.levels)):
             block = b""
-            if and_positions:
+            m = len(self.levels.and_batch(index))
+            if m:
                 block = down.recv_message("tables")
                 self.streamed_levels += 1
-                if len(block) != _TABLE_BYTES * len(and_positions):
+                if len(block) != _TABLE_BYTES * m:
                     raise SessionAborted(
-                        f"table block mismatch: {len(and_positions)} AND "
-                        f"gates need {_TABLE_BYTES * len(and_positions)} "
-                        f"bytes, got {len(block)}"
+                        f"table block mismatch: {m} AND gates need "
+                        f"{_TABLE_BYTES * m} bytes, got {len(block)}"
                     )
             store.evaluate_level(index, block)
-            if and_positions and self.first_level_s is None:
+            if m and self.first_level_s is None:
                 self.first_level_s = time.perf_counter() - self.started_at
             yield self._after_level()
 

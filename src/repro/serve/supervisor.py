@@ -205,7 +205,7 @@ class Supervisor(SessionService):
         if handle.plan is not None:
             chaos = draw_chaos(
                 handle.plan,
-                len(spec.circuit.and_level_schedule()),
+                len(spec.circuit.and_level_plan),
                 site=f"{handle.session_id}#a{attempt}",
             )
 

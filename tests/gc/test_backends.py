@@ -34,6 +34,7 @@ from repro.gc.evaluate import (
 )
 from repro.gc.garble import (
     BlockGarblerStore,
+    and_tweaks,
     garble_circuit,
     garble_circuit_batched,
 )
@@ -443,6 +444,43 @@ class TestBlockStoreHash:
             label & 1 for label in want.output_labels
         ]
         assert hasher.calls == want.hash_calls == 2 * circuit.op.count(OP_AND)
+
+
+class TestAndTweaks:
+    """The AND-level plan keeps AND positions narrow (int32); the tweaks
+    ``2p`` / ``2p + 1`` are derived in int64, so positions from 2**30 up,
+    whose doubles overflow int32, key exactly as int64 positions do."""
+
+    WIDE = [0, 1, 2**30, 2**30 + 7, 2**31 - 1]
+
+    def test_narrow_positions_give_the_int64_keys(self):
+        wide = np.asarray(self.WIDE, dtype=np.int64)
+        tweaks = and_tweaks(wide.astype(np.int32))
+        assert tweaks.dtype == np.int64
+        assert tweaks.tolist() == [2 * p for p in self.WIDE] + [
+            2 * p + 1 for p in self.WIDE
+        ]
+        backend = NumpyLabelHashBackend()
+        assert np.array_equal(
+            backend.tweaks_to_keys(tweaks), backend.tweaks_to_keys(and_tweaks(wide))
+        )
+
+    @pytest.mark.parametrize("rekeyed", [True, False])
+    def test_store_hashes_narrow_positions_like_the_scalar_hash(
+        self, adder_circuit, rng, rekeyed
+    ):
+        backend = NumpyLabelHashBackend()
+        store = BlockEvaluatorStore(
+            adder_circuit, ints_to_bytes([0] * adder_circuit.n_inputs),
+            rekeyed, backend, GateHasher(rekeyed=rekeyed),
+        )
+        m = len(self.WIDE)
+        values, blocks = _random_blocks(backend, rng, 2 * m)
+        positions = np.asarray(self.WIDE, dtype=np.int32)
+        got = backend.blocks_to_ints(store._hash(positions, blocks, 1))
+        tweaks = [2 * p for p in self.WIDE] + [2 * p + 1 for p in self.WIDE]
+        scalar_fn = rekeyed_hash if rekeyed else fixed_key_hash
+        assert got == [scalar_fn(v, t) for v, t in zip(values, tweaks)]
 
 
 class TestBlockGarblerSelect:
