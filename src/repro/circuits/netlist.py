@@ -46,6 +46,7 @@ __all__ = [
     "CircuitStats",
     "CircuitError",
     "AndLevelPlan",
+    "NO_ROWS",
     "ColumnView",
     "column_view",
     "int_column",
@@ -224,6 +225,13 @@ class CircuitStats:
         }
 
 
+#: Every empty part of an :meth:`AndLevelPlan.phase`: one shared,
+#: read-only empty index array.
+NO_ROWS = np.empty(0, dtype=np.intp)
+NO_ROWS.flags.writeable = False
+_NO_XOR, _NO_INV = (NO_ROWS,) * 3, (NO_ROWS,) * 2
+
+
 class AndLevelPlan:
     """:attr:`Circuit.and_level_plan`: the AND-level schedule as slices.
 
@@ -251,7 +259,8 @@ class AndLevelPlan:
     def phase(self, index: int):
         """Phase ``index`` as views: ``(and_positions, a, b, out,
         free_groups)``, one ``(xor_a, xor_b, xor_out, inv_a, inv_out)``
-        per free group."""
+        per free group.  Only non-empty parts are views; every empty
+        part is :data:`NO_ROWS`, so callers skip it by identity."""
         r0, r1 = 2 * self.runs_at[index : index + 2]
         cuts = self.cuts[r0 : r1 + 1]
         # NumPy indexes with intp: widen the phase once, not every group.
@@ -259,10 +268,14 @@ class AndLevelPlan:
         a, b, out = (c[rows].astype(np.intp) for c in (self.a, self.b, self.out))
         cuts = (cuts - cuts[0]).tolist()
         runs = [
-            (a[s:m], b[s:m], out[s:m], a[m:e], out[m:e])
-            for s, m, e in zip(cuts[0::2], cuts[1::2], cuts[2::2])
+            (a[s:m], b[s:m], out[s:m]) if m > s else _NO_XOR
+            for s, m in zip(cuts[0::2], cuts[1::2])
         ]
-        return (self.and_batch(index), *runs[0][:3], runs[1:])
+        groups = [
+            xor + ((a[m:e], out[m:e]) if e > m else _NO_INV)
+            for xor, m, e in zip(runs[1:], cuts[3::2], cuts[4::2])
+        ]
+        return (self.and_batch(index), *runs[0], groups)
 
 
 class Circuit:

@@ -16,13 +16,17 @@ analogue of an assembler's ``--verify``):
 4. **Live-bit sufficiency** -- every wire ever read OoR (or named a
    circuit output) has its producer's live bit set.
 5. **Table discipline** -- per-GE table pops are exactly that GE's AND
-   instructions in stream order.
+   instructions in stream order.  This one holds by construction and is
+   not re-checked: a GE's table queue *is* its AND positions in stream
+   order (:mod:`repro.sim.functional` builds it the same way), so
+   invariant 1's order check covers it.
 6. **Schedule tightness** -- issue cycles respect in-order issue,
    dependences with pipeline latencies and forwarding, and the
    window-sync hazard, and each is the *earliest* cycle those allow
    under ``streams.params`` -- the greedy mapping's, which the timing
    model reads as the replay's answer.
 
+Five invariants are checked (``VerificationReport.checked_invariants``).
 Raises :class:`StreamVerificationError` with a precise message on the
 first violation; returns a :class:`VerificationReport` when clean.
 """
@@ -49,7 +53,7 @@ class VerificationReport:
     n_ges: int
     oor_reads: int
     live_writes: int
-    checked_invariants: int = 6
+    checked_invariants: int = 5  # all but 5, which holds by construction
 
 
 def verify_streams(streams: StreamSet) -> VerificationReport:
@@ -93,14 +97,12 @@ def verify_streams(streams: StreamSet) -> VerificationReport:
     # -- 2. ISA contract (delegates to the program's own validator) -----
     program.validate()
 
-    # -- 3/4/5. OoR, live bits, tables ----------------------------------
+    # -- 3/4. OoR, live bits ---------------------------------------------
     output_set = set(program.outputs)
     live_needed = [False] * n
     for ge_id, ge in enumerate(streams.ges):
         queue = list(ge.oor_addresses)
         queue_cursor = 0
-        table_positions = [p for p in ge.positions if op[p] == HaacOp.AND]
-        table_cursor = 0
         for position in ge.positions:
             out = program.out_addr(position)
             for wire, flagged in (
@@ -122,15 +124,6 @@ def verify_streams(streams: StreamSet) -> VerificationReport:
                     queue_cursor += 1
                     if wire >= program.n_inputs:
                         live_needed[wire - program.n_inputs] = True
-            if op[position] == HaacOp.AND:
-                if (
-                    table_cursor >= len(table_positions)
-                    or table_positions[table_cursor] != position
-                ):
-                    raise StreamVerificationError(
-                        f"GE {ge_id}: table order broken at instr {position}"
-                    )
-                table_cursor += 1
         if queue_cursor != len(queue):
             raise StreamVerificationError(
                 f"GE {ge_id}: {len(queue) - queue_cursor} unconsumed OoRW entries"

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..circuits.netlist import OP_AND, OP_XOR, Circuit
+from ..circuits.netlist import NO_ROWS, OP_AND, OP_XOR, Circuit
 from .halfgate import (
     GarbledTable, garble_and, garble_not, garble_xor, tables_from_bytes,
 )
@@ -213,9 +213,9 @@ def _run_free_groups(state, free_groups, r_vec) -> None:
     the Evaluator side (where INV forwards the label unchanged).
     """
     for xor_a, xor_b, xor_out, inv_a, inv_out in free_groups:
-        if len(xor_out):
+        if xor_out is not NO_ROWS:
             state[xor_out] = state[xor_a] ^ state[xor_b]
-        if len(inv_out):
+        if inv_out is not NO_ROWS:
             if r_vec is None:
                 state[inv_out] = state[inv_a]
             else:

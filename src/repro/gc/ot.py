@@ -38,9 +38,12 @@ The sender's ``encrypt`` pays *two* variable-base exponentiations per
 bit (``B^a`` and ``(B/A)^a``), but ``(B/A)^a = B^a * (A^{-1})^a`` and the
 second factor depends only on the batch's ephemeral key --
 ``prepare`` computes it once and ``encrypt_batch`` reduces every bit to
-one builtin ``pow`` plus one multiplication.  That ``pow`` is the floor:
-its cost is bignum multiply/reduce, not interpreter overhead (DESIGN.md
-section 4).
+one builtin ``pow`` plus one multiplication.  That ``pow`` is the floor
+per core: its cost is bignum multiply/reduce, not interpreter overhead
+(DESIGN.md section 4).  The exponentiations share the exponent but
+are independent across points, so from :data:`_POW_SPLIT_MIN` of them
+up :func:`_pow_batch` forks a helper that computes half of them on a
+second core.
 
 The pad KDF is sequential along a point's 128-bit limbs but independent
 across the batch, so the batched paths run it one limb at a time through
@@ -73,6 +76,9 @@ the base layer and the oracle the extension is tested against.
 
 from __future__ import annotations
 
+import os
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -233,6 +239,91 @@ def _kdf_batch(points: Sequence[int], tweaks: Sequence[int], backend) -> List[in
     return bytes_to_ints(blocks_to_bytes(digest))
 
 
+# Exponentiations at which a forked helper computing half of them beats
+# one core: measured crossover between 8 and 16 on the recorded 2-core
+# host (DESIGN.md section 4).
+_POW_SPLIT_MIN = 16
+_POWER_BYTES = 96  # a 768-bit group element, big-endian
+
+# Python 3.12+ warns on fork() while native threads (NumPy's BLAS pool)
+# exist.  The helper's child never touches them: see _pow_batch.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
+
+
+def _pow_split_ok(count: int) -> bool:
+    """Whether :func:`_pow_batch` forks for ``count`` exponentiations:
+    at or above the crossover, with ``fork``, a second CPU and no other
+    Python thread (a lock another thread holds would stay held in the
+    child)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (
+        count >= _POW_SPLIT_MIN
+        and hasattr(os, "fork")
+        and affinity is not None
+        and len(affinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _pow_batch(bases: Sequence[int], exponent: int) -> List[int]:
+    """``[pow(base, exponent, GROUP_P) for base in bases]``, the second
+    half on a forked child when :func:`_pow_split_ok`.
+
+    The child only exponentiates and writes each value as
+    ``_POWER_BYTES`` to a pipe, then leaves through ``os._exit`` whatever
+    happens; the parent computes the first half meanwhile, reads to EOF
+    and reaps the child.  Values the child did not deliver -- ``fork``
+    failed, the child died early, its output was short -- the parent
+    computes itself, so the result is always the serial list.  (Past
+    ~680 values the child blocks on the full pipe until the parent
+    reads: still exact, only less parallel.)
+    """
+
+    def serial(part):
+        return [pow(base, exponent, GROUP_P) for base in part]
+
+    if not _pow_split_ok(len(bases)):
+        return serial(bases)
+    half = len(bases) // 2
+    tail = bases[half:]
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Safe despite the native threads: the child runs no NumPy,
+            # takes no lock, and os._exit skips every exit handler.
+            warnings.filterwarnings(
+                "ignore", _FORK_WARNING, category=DeprecationWarning
+            )
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return serial(bases)
+    if pid == 0:  # the child: never returns into the caller
+        try:
+            for base in tail:
+                value = pow(base, exponent, GROUP_P)
+                os.write(write_fd, value.to_bytes(_POWER_BYTES, "big"))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    chunks = []
+    try:
+        head = serial(bases[:half])
+        while chunk := os.read(read_fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(read_fd)
+        os.waitpid(pid, 0)
+    data = b"".join(chunks)
+    done = min(len(data) // _POWER_BYTES, len(tail))
+    return (
+        head
+        + bytes_to_ints(data[: done * _POWER_BYTES], _POWER_BYTES)
+        + serial(tail[done:])
+    )
+
+
 @dataclass
 class OtSender:
     """Alice's side of one batch of OTs (one ephemeral key per batch).
@@ -297,8 +388,7 @@ class OtSender:
         self.prepare()
         factor = self._factor
         shareds: List[int] = []
-        for point in points:
-            shared0 = pow(point, self._a, GROUP_P)
+        for shared0 in _pow_batch(points, self._a):
             shareds += (shared0, shared0 * factor % GROUP_P)
         first = 2 * start_index
         pads = _kdf_batch(

@@ -25,6 +25,7 @@ the per-gate loop the equivalence suite diffs it against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,16 @@ class CoupledResult:
 
     ge_clock_hz: float
     """GE clock in Hz, converting cycles to seconds."""
+
+    def __post_init__(self) -> None:
+        for name in ("cycles", "decoupled_cycles", "stall_cycles"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not (math.isfinite(self.ge_clock_hz) and self.ge_clock_hz > 0):
+            raise ValueError(
+                f"ge_clock_hz must be finite and > 0, got {self.ge_clock_hz}"
+            )
 
     @property
     def runtime_s(self) -> float:

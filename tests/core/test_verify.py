@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.compiler import OptLevel, compile_circuit
+from repro.core.isa import HaacOp
 from repro.core.verify import StreamVerificationError, verify_streams
 from repro.sim.config import HaacConfig
 from repro.workloads import get_workload
@@ -134,3 +135,25 @@ class TestCorruptionDetection:
         streams.issue_cycle[-1] += 1
         with pytest.raises(StreamVerificationError, match="not tight"):
             verify_streams(streams)
+
+    def test_misordered_table_stream(self, compiled):
+        """A GE's table queue is its AND positions in stream order, so
+        swapping two of its AND instructions -- the table pops with them
+        -- is caught by the partition's program-order check."""
+        streams = compiled.streams
+        op = streams.program.op
+        for ge in streams.ges:
+            ands = [i for i, p in enumerate(ge.positions) if op[p] == HaacOp.AND]
+            if len(ands) >= 2:
+                break
+        else:
+            pytest.skip("no GE with two AND instructions")
+        i, j = ands[:2]
+        ge.positions[i], ge.positions[j] = ge.positions[j], ge.positions[i]
+        with pytest.raises(StreamVerificationError, match="not in program order"):
+            verify_streams(streams)
+
+
+def test_report_counts_the_checked_invariants(compiled):
+    """Invariant 5 holds by construction, so five are checked."""
+    assert verify_streams(compiled.streams).checked_invariants == 5

@@ -6,6 +6,7 @@ from repro.core.compiler import OptLevel, compile_circuit
 from repro.sim.config import HaacConfig
 from repro.sim.coupled import (
     DRAM_LATENCY_CYCLES,
+    CoupledResult,
     coupled_runtime,
     pull_based_runtime,
 )
@@ -81,3 +82,36 @@ class TestPullBased:
 
     def test_default_latency_sane(self):
         assert 20 <= DRAM_LATENCY_CYCLES <= 200
+
+
+class TestCoupledResultInvariants:
+    """A record that contradicts itself is refused at construction."""
+
+    FIELDS = dict(
+        name="coupled(64B/GE)", cycles=120.0, decoupled_cycles=100.0,
+        stall_cycles=30.0, ge_clock_hz=1e9,
+    )
+
+    def test_consistent_record_is_accepted(self):
+        assert CoupledResult(**self.FIELDS).slowdown_vs_decoupled == 1.2
+
+    @pytest.mark.parametrize("field", ["cycles", "decoupled_cycles", "stall_cycles"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_cycle_counts_are_finite_and_non_negative(self, field, value):
+        with pytest.raises(
+            ValueError, match=rf"^{field} must be finite and >= 0, got {value}$"
+        ):
+            CoupledResult(**{**self.FIELDS, field: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1e9, float("nan"), float("inf")])
+    def test_clock_is_finite_and_positive(self, value):
+        with pytest.raises(
+            ValueError, match=rf"^ge_clock_hz must be finite and > 0, got {value}$"
+        ):
+            CoupledResult(**{**self.FIELDS, "ge_clock_hz": value})
+
+    def test_zero_cycles_are_allowed(self):
+        record = CoupledResult(**{
+            **self.FIELDS, "cycles": 0.0, "decoupled_cycles": 0.0, "stall_cycles": 0.0,
+        })
+        assert record.slowdown_vs_decoupled == 1.0
