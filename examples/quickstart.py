@@ -5,7 +5,7 @@ Two parties learn who is richer without revealing their wealth:
 
 1. build the comparison circuit with the builder DSL;
 2. run the *real* two-party GC protocol (garbling, oblivious transfer,
-   evaluation) over an in-memory channel;
+   evaluation) level-streamed over the in-memory framed transport;
 3. compile the same circuit with the HAAC compiler and execute the
    compiled streams on the functional HAAC machine -- same answer,
    hardware semantics;
@@ -47,8 +47,10 @@ def main() -> None:
     session = run_two_party(circuit, alice_bits, bob_bits, seed=2023)
     richer = "Alice" if session.output_bits[0] else "Bob (or tie)"
     print(f"[protocol] richer party: {richer}")
+    tables = session.traffic["garbler->evaluator:tables"]
     print(f"[protocol] bytes on the wire: {session.total_bytes} "
-          f"(tables: {32 * session.and_gates})")
+          f"(tables: {tables} B framed, {32 * session.and_gates} B of "
+          f"garbled tables over {session.streamed_levels} AND levels)")
 
     # -- 2. The same circuit through the HAAC toolchain ---------------
     config = HaacConfig(n_ges=4, sww_bytes=64 * 1024)

@@ -171,18 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_p.add_argument("--bob", type=int, default=3_700_000)
     p_p.add_argument("--width", type=int, default=32)
     p_p.add_argument(
-        "--stream",
-        action="store_true",
-        help="level-streamed session over the framed transport "
-        "(tables ship per AND level; transcript-digest verified)",
-    )
-    p_p.add_argument(
         "--faults",
         default=None,
         metavar="SPEC",
         help="deterministic chaos run, e.g. 'drop:0.05,seed=7' "
-        "(kinds: drop corrupt truncate tamper duplicate delay reorder "
-        "tear_cache; implies --stream; default: $REPRO_FAULTS)",
+        "(frame kinds: drop corrupt truncate tamper duplicate delay "
+        "reorder; default: $REPRO_FAULTS)",
     )
 
     p_srv = sub.add_parser(
@@ -515,16 +509,13 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     bob = builder.add_evaluator_inputs(args.width)
     builder.mark_outputs([less_than(builder, bob, alice)])
     circuit = builder.build("millionaires")
-    faults_spec = getattr(args, "faults", None)
-    streamed = bool(getattr(args, "stream", False) or faults_spec)
     try:
         result = run_two_party(
             circuit,
             encode_int(args.alice, args.width),
             encode_int(args.bob, args.width),
             seed=2023,
-            faults=faults_spec,
-            streamed=streamed,
+            faults=args.faults,
         )
     except ProtocolFault as exc:
         print(f"session failed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -533,14 +524,13 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     print(f"richer: {richer}")
     print(f"gates: {len(circuit.gates)} ({result.and_gates} garbled tables)")
     print(f"bytes exchanged: {result.total_bytes}")
-    if result.streamed:
-        print(
-            f"streamed: {result.streamed_levels} AND levels, "
-            f"first level after {result.first_level_s * 1e3:.1f} ms"
-            if result.first_level_s is not None
-            else f"streamed: {result.streamed_levels} AND levels"
-        )
-        print(f"transcript sha256: {result.transcript_digest}")
+    print(
+        f"streamed: {result.streamed_levels} AND levels, "
+        f"first level after {result.first_level_s * 1e3:.1f} ms"
+        if result.first_level_s is not None
+        else f"streamed: {result.streamed_levels} AND levels"
+    )
+    print(f"transcript sha256: {result.transcript_digest}")
     if result.fault_events:
         print(f"faults injected: {len(result.fault_events)}")
     if result.recovery_events:

@@ -10,11 +10,12 @@ Three pieces, shared by the transport and cache layers:
   ``(plan, log)`` pair so layers that cannot be handed one explicitly
   (the program cache, the result store) consult :func:`active_plan` for
   injection decisions and :func:`record_recovery` to report survived
-  degradations into the session's ledger.
+  degradations into the installed ledger.  Sessions do not use it: a
+  session's plan and ledger ride its own framed pair.
 
 The stack is intentionally plain (a module-level list, no thread-local):
-the protocol drive and the sim layer that use it are single-threaded,
-and chaos determinism depends on a single, fixed consultation order.
+the store layers that read it are single-threaded, and chaos
+determinism depends on a single, fixed consultation order.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ _STACK: List[Tuple[Optional[FaultPlan], Optional[RecoveryLog]]] = []
 def install(plan: Optional[FaultPlan], log: Optional[RecoveryLog]):
     """Scope a fault plan and recovery ledger for nested layers.
 
-    Either element may be ``None``: sessions always install their log
-    (so cache recoveries are surfaced even without injection), and
-    tests may install a plan with no ledger.
+    Either element may be ``None``: a caller may install only a
+    ledger (to collect store recoveries with no injection) or only a
+    plan.
     """
     _STACK.append((plan, log))
     try:

@@ -71,7 +71,8 @@ class CacheEntryTorn(ProtocolFault):
 
 
 class ChannelProtocolError(ProtocolFault):
-    """The legacy in-memory channel was used out of protocol order."""
+    """A message or frame does not fit the framed transport's header
+    fields (chunk count past the u16 cap, sequence number past u32)."""
 
 
 class ServiceSaturated(ProtocolFault):

@@ -1,22 +1,18 @@
-"""Two-party channels: legacy in-memory FIFO and framed lossy transport.
+"""The two-party channel: a framed transport over a lossy wire.
 
 GCs are communication heavy: every AND gate ships a 32-byte table and
-every Evaluator input costs an OT round trip.  The legacy
-:class:`Channel` counts bytes by traffic class so the examples and the
-protocol tests can report the same data-footprint numbers the paper's
-motivation cites.
-
-The framed transport (:class:`FramedChannel` / :class:`FramedPair`)
-underpins ``TwoPartySession.run_streamed``: every message is split into
-``chunk_bytes``-sized frames carrying sequence numbers, length headers
-and a CRC32 trailer, pushed through a :class:`LossyWire` that a
-:class:`repro.faults.FaultPlan` may drop, corrupt, truncate, tamper
-with, duplicate, delay or reorder.  The receiver reassembles strictly
-in sequence order, requests bounded retransmits with exponential
-backoff when a frame goes missing, and both sides maintain running
-SHA-256 transcript digests whose end-of-session exchange turns any
-corruption that slipped past the per-frame CRC into a typed
+every Evaluator input costs an OT round trip.  Every session message is
+split into ``chunk_bytes``-sized frames carrying sequence numbers,
+length headers and a CRC32 trailer, pushed through a :class:`LossyWire`
+that a :class:`repro.faults.FaultPlan` may drop, corrupt, truncate,
+tamper with, duplicate, delay or reorder.  The receiver reassembles
+strictly in sequence order, requests bounded retransmits with
+exponential backoff when a frame goes missing, and both sides maintain
+running SHA-256 transcript digests whose end-of-session exchange turns
+any corruption that slipped past the per-frame CRC into a typed
 :class:`~repro.faults.TranscriptMismatch` (DESIGN.md section 10).
+Each :class:`FramedChannel` counts the framed bytes it pushes by
+message kind: the traffic a session reports.
 """
 
 from __future__ import annotations
@@ -26,8 +22,7 @@ import struct
 import time
 import zlib
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..faults import (
@@ -40,9 +35,6 @@ from ..faults import (
 )
 
 __all__ = [
-    "Channel",
-    "ChannelPair",
-    "make_channel_pair",
     "Frame",
     "FRAME_HEADER",
     "FRAME_OVERHEAD",
@@ -58,86 +50,6 @@ __all__ = [
     "seq_delta",
 ]
 
-
-@dataclass
-class Channel:
-    """One direction of a duplex link (perfect in-memory FIFO)."""
-
-    name: str
-    _queue: Deque[Tuple[str, Any, int]] = field(default_factory=deque)
-    bytes_by_class: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def send(self, kind: str, payload: Any, size_bytes: int) -> None:
-        """Enqueue a message; ``size_bytes`` is its wire size."""
-        if size_bytes < 0:
-            raise ValueError("size must be non-negative")
-        self.bytes_by_class[kind] += size_bytes
-        self._queue.append((kind, payload, size_bytes))
-
-    def recv(self, kind: str) -> Any:
-        """Dequeue the next message, asserting its traffic class.
-
-        A kind mismatch raises *without* consuming the message: callers
-        that catch the error (e.g. to resynchronise) see the queue
-        exactly as it was, and the error carries a summary of what is
-        actually pending.
-        """
-        if not self._queue:
-            raise ChannelProtocolError(
-                f"channel {self.name}: recv({kind}) on empty queue"
-            )
-        actual_kind, payload, _ = self._queue[0]
-        if actual_kind != kind:
-            preview = ", ".join(k for k, _, _ in islice(self._queue, 4))
-            if len(self._queue) > 4:
-                preview += f", ... ({len(self._queue)} pending)"
-            raise ChannelProtocolError(
-                f"channel {self.name}: expected {kind}, got {actual_kind} "
-                f"(queue left intact; pending: [{preview}])"
-            )
-        self._queue.popleft()
-        return payload
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.bytes_by_class.values())
-
-    def pending(self) -> int:
-        return len(self._queue)
-
-
-@dataclass
-class ChannelPair:
-    """Duplex link between Garbler (Alice) and Evaluator (Bob)."""
-
-    to_evaluator: Channel
-    to_garbler: Channel
-
-    @property
-    def total_bytes(self) -> int:
-        return self.to_evaluator.total_bytes + self.to_garbler.total_bytes
-
-    def traffic_report(self) -> Dict[str, int]:
-        report: Dict[str, int] = {}
-        for direction, channel in (
-            ("garbler->evaluator", self.to_evaluator),
-            ("evaluator->garbler", self.to_garbler),
-        ):
-            for kind, count in channel.bytes_by_class.items():
-                report[f"{direction}:{kind}"] = count
-        return report
-
-
-def make_channel_pair() -> ChannelPair:
-    return ChannelPair(
-        to_evaluator=Channel("garbler->evaluator"),
-        to_garbler=Channel("evaluator->garbler"),
-    )
-
-
-# --------------------------------------------------------------------------
-# Framed transport
-# --------------------------------------------------------------------------
 
 FRAME_MAGIC = b"GF"
 FRAME_VERSION = 1
@@ -339,7 +251,7 @@ class LossyWire:
 class FramedChannel:
     """One direction of the framed transport.
 
-    Both endpoints live in this process (like :class:`Channel`), so a
+    In the fused drive both endpoints live in this process, so a
     single object carries the sender state (sequence counter,
     retransmit buffer, send digest) and the receiver state (reassembly
     window, delivery cursor, recv digest) for its direction.

@@ -1,7 +1,6 @@
 """End-to-end two-party GC session.
 
-Orchestrates the full protocol of paper section 2.1 over the in-memory
-channel:
+Orchestrates the full protocol of paper section 2.1:
 
 1. *Offline / garbling*: Alice garbles the circuit, producing tables and
    the output decode map.
@@ -13,41 +12,33 @@ channel:
 4. *Output*: Bob decodes with the decode bits (both-learn variant) and
    shares the result with Alice.
 
-Two drive modes:
+Every session is level-streamed over the framed lossy transport:
+garbling and evaluation interleave along :attr:`Circuit.and_level_plan`,
+each AND level's table block ships as soon as it is computed (the
+ROADMAP's pipelining framing -- the Evaluator starts after the first
+level instead of after the whole circuit), every message rides
+sequence-numbered CRC-checked frames with bounded retransmit, and both
+sides close with a transcript-digest exchange.  The protocol is written
+once, as the two role scripts of :mod:`repro.gc.roles`;
+:class:`StreamedDriver` here is the *fused* scheduler that alternates
+both roles' turns in one process
+(:func:`repro.serve.procs.party_process_main` is the *split* one).
+Faults injected by a :class:`repro.faults.FaultPlan` either leave the
+result bit-identical to the fault-free run or raise a typed
+:class:`repro.faults.ProtocolFault`; the survived degradations are on
+``SessionResult.recovery_events``.
 
-* :meth:`TwoPartySession.run` -- the original monolithic exchange over
-  the perfect in-memory :class:`~repro.gc.channel.ChannelPair`, whole
-  circuit garbled then whole circuit evaluated.  It is the independent
-  oracle the streamed suites compare against: the per-gate reference
-  walk and the scalar OT paths, which share no kernel with the streamed
-  path;
-* :meth:`TwoPartySession.run_streamed` -- level-streamed delivery over
-  the framed lossy transport: garbling and evaluation interleave along
-  :attr:`Circuit.and_level_plan`, each AND level's table block ships
-  as soon as it is computed (the ROADMAP's pipelining framing -- the
-  Evaluator starts after the first level instead of after the whole
-  circuit), every message rides sequence-numbered CRC-checked frames
-  with bounded retransmit, and both sides close with a transcript-digest
-  exchange.  The protocol is written once, as the two role scripts of
-  :mod:`repro.gc.roles`; :class:`StreamedDriver` here is the *fused*
-  scheduler that alternates both roles' turns in one process
-  (:func:`repro.serve.procs.party_process_main` is the *split* one).
-  Faults injected by a :class:`repro.faults.FaultPlan` either
-  leave the result bit-identical to the fault-free run or raise a typed
-  :class:`repro.faults.ProtocolFault`; the survived degradations are on
-  ``SessionResult.recovery_events``.
-
-This path is exercised by the quickstart example and the protocol tests;
-the HAAC accelerator replaces step 3's software evaluation.
+The per-gate garble / OT / evaluate exchange the sessions are held to
+lives with the tests (``tests/gc/session_oracle.py``); the HAAC
+accelerator replaces step 3's software evaluation.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from .. import faults as faults_mod
 from ..circuits.netlist import Circuit
 from ..faults import (
     FaultEvent,
@@ -58,12 +49,8 @@ from ..faults import (
     SessionAborted,
     resolve_fault_plan,
 )
-from .channel import ChannelPair, make_channel_pair, make_framed_pair
 from .backends import resolve_backend
-from .evaluate import evaluate_circuit
-from .garble import garble_circuit
-from .ot import OtReceiver, OtSender
-from .rng import LabelPrg
+from .channel import make_framed_pair
 from .roles import FINISH, HANDSHAKE, LEVEL, EvaluatorRole, GarblerRole
 
 __all__ = [
@@ -73,24 +60,21 @@ __all__ = [
     "run_two_party",
 ]
 
-# Accounting charges on the legacy channel of TwoPartySession.run.
-_LABEL_BYTES = 16
-_TABLE_BYTES = 32
-_GROUP_BYTES = 64
-_DECODE_BITS_PER_BYTE = 8
-
 
 @dataclass
 class SessionResult:
-    """Outcome of a two-party run.
+    """Outcome of a two-party session.
 
-    The trailing fields are the reliability ledger added with the
-    streamed path: ``recovery_events`` lists every survived degradation
-    (transport retransmits, cache recoveries), ``fault_events`` what the
-    active :class:`~repro.faults.FaultPlan` injected, ``transcript_digest``
-    the hex SHA-256 of the garbler->evaluator message transcript as verified
-    by both sides, and ``first_level_s`` the latency until the first AND
-    level's tables were delivered *and evaluated* (streamed runs only).
+    ``traffic`` and ``total_bytes`` count the framed bytes each party
+    pushed onto the wire, per direction and message kind: payloads,
+    frame headers and CRCs, and any retransmits.  ``transcript_digest``
+    is the hex SHA-256 of the garbler->evaluator message transcript as
+    verified by both sides, ``first_level_s`` the latency until the
+    first AND level's tables were delivered *and evaluated* (``None``
+    for a circuit without AND gates).  ``recovery_events`` lists every
+    survived degradation (retransmits, corrupt or duplicate frames),
+    ``fault_events`` what the session's
+    :class:`~repro.faults.FaultPlan` injected.
     """
 
     output_bits: List[int]
@@ -98,12 +82,11 @@ class SessionResult:
     total_bytes: int
     and_gates: int
     hash_calls_evaluator: int
-    recovery_events: List[RecoveryEvent] = field(default_factory=list)
-    fault_events: List[FaultEvent] = field(default_factory=list)
-    transcript_digest: Optional[str] = None
-    streamed: bool = False
-    streamed_levels: int = 0
-    first_level_s: Optional[float] = None
+    transcript_digest: str
+    streamed_levels: int
+    first_level_s: Optional[float]
+    recovery_events: List[RecoveryEvent]
+    fault_events: List[FaultEvent]
 
     @classmethod
     def from_reports(
@@ -113,9 +96,9 @@ class SessionResult:
         recovery_events: List[RecoveryEvent],
         fault_events: List[FaultEvent],
     ) -> "SessionResult":
-        """The result of a streamed session, from the two roles'
-        ``report()`` dicts (:mod:`repro.gc.roles`) -- however the roles
-        were scheduled, and whichever process each ran in."""
+        """The result of a session, from the two roles' ``report()``
+        dicts (:mod:`repro.gc.roles`) -- however the roles were
+        scheduled, and whichever process each ran in."""
         traffic: Dict[str, int] = {}
         for direction, report in (
             ("garbler->evaluator", garbler),
@@ -129,20 +112,22 @@ class SessionResult:
             total_bytes=sum(traffic.values()),
             and_gates=evaluator["and_gates"],
             hash_calls_evaluator=evaluator["hash_calls"],
-            recovery_events=recovery_events,
-            fault_events=fault_events,
             transcript_digest=evaluator["transcript_digest"],
-            streamed=True,
             streamed_levels=evaluator["streamed_levels"],
             first_level_s=evaluator["first_level_s"],
+            recovery_events=recovery_events,
+            fault_events=fault_events,
         )
 
 
 class TwoPartySession:
-    """Drives Alice (Garbler) and Bob (Evaluator) over a channel pair.
+    """One two-party session's parameters: Alice (Garbler) and Bob
+    (Evaluator) on ``circuit``.
 
-    The two parties only interact through the channel pair; neither
-    reads the other's state.  ``seed`` fixes all randomness (labels, OT
+    :meth:`run_streamed` runs it to completion; a
+    :class:`StreamedDriver` (or the session service) steps it.  The two
+    parties only interact through their framed pair; neither reads the
+    other's state.  ``seed`` fixes all randomness (labels, OT
     ephemerals) for reproducibility.
     """
 
@@ -156,18 +141,15 @@ class TwoPartySession:
         chunk_bytes: int = 4096,
         max_retries: int = 8,
     ) -> None:
-        """``backend`` is the hash backend :meth:`run_streamed` garbles
-        and evaluates on (anything
-        :func:`~repro.gc.backends.resolve_backend` accepts; resolved
-        here, so a bad name fails in both drive modes).  :meth:`run`
-        never uses it: it is the per-gate oracle.
+        """``backend`` is the hash backend both roles garble and
+        evaluate on (anything :func:`~repro.gc.backends.resolve_backend`
+        accepts; resolved here, so a bad name fails before any role
+        runs).
 
-        ``faults`` arms deterministic fault injection: a spec string
-        (``"drop:0.05,seed=7"``), a prebuilt
-        :class:`~repro.faults.FaultPlan`, or ``None`` to defer to the
-        ``REPRO_FAULTS`` environment variable.  Frame faults only bite
-        on :meth:`run_streamed`; the process fault ``tear_cache``
-        applies to both drive modes.
+        ``faults`` arms deterministic frame-fault injection on the
+        session's wire: a spec string (``"drop:0.05,seed=7"``), a
+        prebuilt :class:`~repro.faults.FaultPlan`, or ``None`` to defer
+        to the ``REPRO_FAULTS`` environment variable.
         """
         circuit.validate()
         self.circuit = circuit
@@ -177,118 +159,19 @@ class TwoPartySession:
         self.faults = faults
         self.chunk_bytes = chunk_bytes
         self.max_retries = max_retries
-        self.channels: ChannelPair = make_channel_pair()
-
-    def run(
-        self, garbler_bits: Sequence[int], evaluator_bits: Sequence[int]
-    ) -> SessionResult:
-        circuit = self.circuit
-        if len(garbler_bits) != circuit.n_garbler_inputs:
-            raise ValueError("wrong number of garbler input bits")
-        if len(evaluator_bits) != circuit.n_evaluator_inputs:
-            raise ValueError("wrong number of evaluator input bits")
-        down = self.channels.to_evaluator
-        up = self.channels.to_garbler
-
-        log = RecoveryLog()
-        plan = resolve_fault_plan(self.faults)
-        if plan is not None:
-            plan.reset()
-        with faults_mod.install(plan, log):
-            # -- Alice: offline garbling --------------------------------
-            garbler = garble_circuit(circuit, seed=self.seed, rekeyed=self.rekeyed)
-            garbled = garbler.garbled
-
-            # -- OT round trip for Bob's labels (Bob consumes channel
-            #    messages in FIFO order, so the OT handshake goes first)
-            sender = OtSender(LabelPrg(self.seed + 0x0F))
-            down.send("ot_public", sender.public, _GROUP_BYTES)
-            receiver = OtReceiver(LabelPrg(self.seed + 0xB0B))
-
-            # Batched fixed-base OT: one windowed table of g serves all
-            # of Bob's choice bits, its width chosen from their count
-            # (transcript-identical to per-bit choose calls).
-            receiver.draw(evaluator_bits)
-            bob_points = receiver.points(down.recv("ot_public"))
-            up.send("ot_points", bob_points, _GROUP_BYTES * len(bob_points))
-            receiver.derive_pads()
-            points = up.recv("ot_points")
-
-            # Batched sender encryption: one variable-base builtin pow
-            # per bit, the (A^{-1})^a pad factor shared across the batch,
-            # all 2n pads from one KDF call (transcript-identical to
-            # per-bit encrypt).
-            label_pairs = [
-                (garbler.input_label(wire, 0), garbler.input_label(wire, 1))
-                for wire in circuit.evaluator_input_wires
-            ]
-            cipher_pairs = sender.encrypt_batch(points, label_pairs)
-            down.send(
-                "ot_ciphers", cipher_pairs, 2 * _LABEL_BYTES * len(cipher_pairs)
-            )
-
-            # -- Alice: tables, decode map and her own input labels -----
-            down.send("tables", garbled.tables, _TABLE_BYTES * len(garbled.tables))
-            down.send(
-                "decode",
-                garbled.decode_bits,
-                (len(garbled.decode_bits) + _DECODE_BITS_PER_BYTE - 1)
-                // _DECODE_BITS_PER_BYTE,
-            )
-            alice_labels = [
-                garbler.input_label(wire, bit)
-                for wire, bit in zip(circuit.garbler_input_wires, garbler_bits)
-            ]
-            down.send(
-                "garbler_labels", alice_labels, _LABEL_BYTES * len(alice_labels)
-            )
-
-            # -- Bob: receive everything and evaluate --------------------
-            bob_ciphers = down.recv("ot_ciphers")
-            tables = down.recv("tables")
-            decode_bits = down.recv("decode")
-            bob_alice_labels = down.recv("garbler_labels")
-            bob_labels = receiver.open(bob_ciphers)
-            input_labels = list(bob_alice_labels) + bob_labels
-            garbled_for_bob = type(garbled)(
-                tables=tables,
-                decode_bits=decode_bits,
-                n_and_gates=len(tables),
-            )
-            result = evaluate_circuit(
-                circuit, garbled_for_bob, input_labels, rekeyed=self.rekeyed
-            )
-
-            # -- Output sharing ------------------------------------------
-            up.send(
-                "outputs",
-                result.output_bits,
-                (len(result.output_bits) + _DECODE_BITS_PER_BYTE - 1)
-                // _DECODE_BITS_PER_BYTE,
-            )
-
-        return SessionResult(
-            output_bits=result.output_bits,
-            traffic=self.channels.traffic_report(),
-            total_bytes=self.channels.total_bytes,
-            and_gates=garbled.n_and_gates,
-            hash_calls_evaluator=result.hash_calls,
-            recovery_events=list(log.events),
-            fault_events=list(plan.injected) if plan is not None else [],
-        )
 
     def run_streamed(
         self, garbler_bits: Sequence[int], evaluator_bits: Sequence[int]
     ) -> SessionResult:
-        """Level-streamed session over the framed lossy transport.
+        """Run the session to completion over the framed lossy transport.
 
-        Same handshake and bit-identical outputs as :meth:`run`; tables
-        ship one AND level at a time so evaluation overlaps garbling.
-        Under an armed fault plan the session either completes with
-        output and transcript identical to the fault-free run or raises
-        a typed :class:`~repro.faults.ProtocolFault` -- it never hangs
-        (bounded retransmits) and never returns corrupt output (the
-        transcript-digest exchange runs *before* the result is built).
+        Tables ship one AND level at a time so evaluation overlaps
+        garbling.  Under an armed fault plan the session either
+        completes with output and transcript identical to the fault-free
+        run or raises a typed :class:`~repro.faults.ProtocolFault` -- it
+        never hangs (bounded retransmits) and never returns corrupt
+        output (the transcript-digest exchange runs *before* the result
+        is built).
         """
         driver = StreamedDriver(self, garbler_bits, evaluator_bits)
         while not driver.done:
@@ -305,11 +188,10 @@ class StreamedDriver:
     decides whose turn it is.  :meth:`TwoPartySession.run_streamed` loops
     :meth:`step` to completion; the session multiplexer
     (:mod:`repro.serve`) instead interleaves ``step()`` calls from many
-    drivers on one scheduler, so one step is the fairness quantum.  Each
-    step runs under the session's *own* ``faults.install`` scope --
-    installed on entry, popped on exit -- so one session's fault plan and
-    recovery ledger never leak into whichever session the scheduler
-    steps next.
+    drivers on one scheduler, so one step is the fairness quantum.  A
+    driver's fault plan and recovery ledger belong to its own framed
+    pair, so they never leak into whichever session the scheduler steps
+    next.
 
     A step is: every handshake turn of both roles (label draw + OT +
     garbler labels), or one AND level garbled, or one AND level
@@ -405,8 +287,7 @@ class StreamedDriver:
         if self.done:
             return True
         try:
-            with faults_mod.install(self.plan, self.log):
-                self._step_inner()
+            self._step_inner()
         except ProtocolFault:
             self.done = True
             raise
@@ -460,16 +341,13 @@ def run_two_party(
     rekeyed: bool = True,
     backend: Optional[Union[str, object]] = None,
     faults: Optional[Union[str, FaultPlan]] = None,
-    streamed: bool = False,
 ) -> SessionResult:
-    """One-call convenience wrapper around :class:`TwoPartySession`."""
-    session = TwoPartySession(
+    """One-call convenience wrapper: a :class:`TwoPartySession` run to
+    completion by :meth:`TwoPartySession.run_streamed`."""
+    return TwoPartySession(
         circuit,
         seed=seed,
         rekeyed=rekeyed,
         backend=backend,
         faults=faults,
-    )
-    if streamed:
-        return session.run_streamed(garbler_bits, evaluator_bits)
-    return session.run(garbler_bits, evaluator_bits)
+    ).run_streamed(garbler_bits, evaluator_bits)

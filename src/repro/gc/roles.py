@@ -214,7 +214,7 @@ class GarblerRole(_Role):
 
     Labels are drawn exactly as in :func:`repro.gc.garble.garble_circuit`
     (same PRG order: R, then one label per input wire), so input labels,
-    tables and decode bits are bit-identical to the monolithic path --
+    tables and decode bits are bit-identical to the per-gate walk's --
     only the table *stream order* follows the AND-level schedule instead
     of netlist order.
     """

@@ -532,9 +532,9 @@ class SessionMultiplexer(SessionService):
     :meth:`~repro.gc.protocol.StreamedDriver.step` quantum.  The loop is
     deliberately cooperative and single-threaded:
 
-    * the fault-injection install stack is a plain module-level list,
-      and every driver step installs/pops its own ``(plan, log)`` scope,
-      so interleaving N sessions never mixes their plans or ledgers;
+    * each driver's fault plan and recovery ledger live on its own
+      framed pair, so interleaving N sessions never mixes their plans
+      or ledgers;
     * chaos determinism survives -- each session's wire faults key off
       its own plan and its own frame sequence numbers, so a faulted
       session reproduces the same event signature whether it runs solo

@@ -100,13 +100,27 @@ class TestCommands:
         assert main(["protocol", "--alice", "10", "--bob", "5", "--width", "8"]) == 0
         out = capsys.readouterr().out
         assert "richer: Alice" in out
+        assert "transcript sha256" in out
 
-    def test_protocol_command_streamed(self, capsys):
+    def test_protocol_command_injects_faults(self, capsys):
         assert main(["protocol", "--alice", "10", "--bob", "5", "--width", "8",
-                     "--stream"]) == 0
+                     "--faults", "drop:0.2,seed=3"]) == 0
         out = capsys.readouterr().out
         assert "richer: Alice" in out
-        assert "transcript sha256" in out
+        faults_line = next(
+            line for line in out.splitlines() if line.startswith("faults injected")
+        )
+        assert int(faults_line.split(":")[1]) > 0
+
+    def test_protocol_faults_help_lists_frame_kinds_only(self, capsys):
+        # Storage kinds act on the program cache and result store, which
+        # a session never opens.
+        with pytest.raises(SystemExit):
+            main(["protocol", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "frame kinds: drop corrupt truncate tamper duplicate delay reorder" in help_text
+        assert "tear_cache" not in help_text
+        assert "--stream" not in help_text
 
     @pytest.mark.parametrize("command", ["protocol", "serve"])
     def test_no_backend_flag(self, command):

@@ -104,9 +104,7 @@ def _transcript() -> str:
     circuit = STDLIB_FAMILIES["integer8"]()
     garbler = [(i ^ 1) & 1 for i in range(circuit.n_garbler_inputs)]
     evaluator = [i & 1 for i in range(circuit.n_evaluator_inputs)]
-    result = run_two_party(
-        circuit, garbler, evaluator, seed=13, backend="auto", streamed=True
-    )
+    result = run_two_party(circuit, garbler, evaluator, seed=13, backend="auto")
     return result.transcript_digest
 
 

@@ -56,14 +56,14 @@ def _bits(circuit):
 
 def _baseline(circuit):
     g, e = _bits(circuit)
-    return run_two_party(circuit, g, e, streamed=True)
+    return run_two_party(circuit, g, e)
 
 
 def _chaos_run(circuit, spec):
     """One fault-injected streamed session; returns (result, error)."""
     g, e = _bits(circuit)
     try:
-        return run_two_party(circuit, g, e, faults=spec, streamed=True), None
+        return run_two_party(circuit, g, e, faults=spec), None
     except ProtocolFault as exc:
         return None, exc
 
@@ -83,9 +83,8 @@ class TestChaosMatrix:
             return
         assert result.output_bits == clean.output_bits
         assert result.transcript_digest == clean.transcript_digest
-        # Monolithic and streamed agree, so chaos agreed with both.
         g, e = _bits(circuit)
-        assert result.output_bits == run_two_party(circuit, g, e).output_bits
+        assert result.output_bits == circuit.eval_plain(g, e)
 
     @pytest.mark.parametrize("fixture", _CIRCUITS)
     def test_combined_faults(self, request, fixture):
@@ -115,9 +114,7 @@ class TestChaosMatrix:
         def one_run():
             plan = parse_fault_spec(spec)
             try:
-                result = run_two_party(
-                    mixed_circuit, g, e, faults=plan, streamed=True
-                )
+                result = run_two_party(mixed_circuit, g, e, faults=plan)
             except ProtocolFault as exc:
                 fault_sig = [(ev.site, ev.kind) for ev in plan.injected]
                 return ("fault", type(exc).__name__, str(exc), fault_sig)
@@ -147,7 +144,6 @@ class TestChaosMatrix:
                     g,
                     e,
                     faults=f"drop:0.05,duplicate:0.2,seed={seed}",
-                    streamed=True,
                 )
                 signatures.append([(f.site, f.kind) for f in result.fault_events])
             except ProtocolFault:

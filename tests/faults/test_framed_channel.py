@@ -159,9 +159,7 @@ def session_frames():
         patch.setattr(channel_mod, "encode_frame", recording)
         for width in (8, 211):
             bits = [i & 1 for i in range(width)]
-            run_two_party(
-                _and_circuit(width), bits, bits, streamed=True, backend="numpy"
-            )
+            run_two_party(_and_circuit(width), bits, bits, backend="numpy")
     return [frames[kind] for kind in sorted(frames)]
 
 
@@ -318,6 +316,13 @@ class TestFramedChannelClean:
         assert ch.recv_message("a") == b"first"
         assert ch.recv_message("b") == b"second-message!!"
 
+    def test_recv_on_empty_channel_aborts(self):
+        # Nothing was ever sent, so there is no copy to retransmit: the
+        # typed abort, which callers may still catch as a RuntimeError.
+        with pytest.raises(SessionAborted, match="no retransmit copy") as info:
+            _channel().recv_message("tables")
+        assert isinstance(info.value, RuntimeError)
+
     def test_kind_mismatch_aborts(self):
         ch = _channel()
         ch.send_message("tables", b"abc")
@@ -445,4 +450,16 @@ class TestFramedPair:
         report = pair.traffic_report()
         assert "garbler->evaluator:tables" in report
         assert "evaluator->garbler:outputs" in report
+        assert pair.total_bytes == sum(report.values())
+
+    def test_traffic_accounting_by_class(self):
+        pair = make_framed_pair()
+        pair.to_evaluator.send_message("tables", bytes(64))
+        pair.to_evaluator.send_message("tables", bytes(32))
+        pair.to_garbler.send_message("outputs", bytes(1))
+        report = pair.traffic_report()
+        assert report == {
+            "garbler->evaluator:tables": 96 + 2 * (FRAME_OVERHEAD + len("tables")),
+            "evaluator->garbler:outputs": 1 + FRAME_OVERHEAD + len("outputs"),
+        }
         assert pair.total_bytes == sum(report.values())

@@ -1,0 +1,93 @@
+"""The per-gate two-party exchange: the oracle the streamed session is held to.
+
+Every session entry point runs the streamed roles (:mod:`repro.gc.roles`:
+block label stores, the batched OT kernels on the session's backend, OT
+extension from 205 evaluator inputs).  This helper is the independent
+implementation they are compared against: the whole circuit garbled by
+the per-gate :func:`~repro.gc.garble.garble_circuit`, Bob's labels by one
+direct :class:`~repro.gc.ot.OtSender` / :class:`~repro.gc.ot.OtReceiver`
+batch with no backend (the scalar KDF, and the direct handshake at any
+width, so it is also the OT-extension oracle), and the evaluation by the
+per-gate :func:`~repro.gc.evaluate.evaluate_circuit`.  It shares no
+message code with the roles and puts nothing on a wire: each payload is
+kept as the Python value the parties exchange.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
+
+from repro.circuits.netlist import Circuit
+from repro.gc.evaluate import evaluate_circuit
+from repro.gc.garble import garble_circuit
+from repro.gc.ot import OtReceiver, OtSender
+from repro.gc.rng import LabelPrg
+
+
+@dataclass
+class OracleSession:
+    """What the per-gate exchange produced.
+
+    ``payloads`` maps ``(direction, kind)`` to the value sent, with
+    ``direction`` ``"down"`` (garbler->evaluator) or ``"up"``
+    (evaluator->garbler) and ``kind`` a streamed message kind:
+    ``ot_public`` (int), ``ot_points`` (ints), ``ot_ciphers`` (int
+    pairs), ``garbler_labels`` (ints), ``tables`` (every AND gate's
+    table, netlist order), ``decode`` and ``outputs`` (bits).
+    """
+
+    output_bits: List[int]
+    and_gates: int
+    hash_calls_evaluator: int
+    payloads: Dict[Tuple[str, str], object]
+
+
+def run_oracle_session(
+    circuit: Circuit,
+    garbler_bits: Sequence[int],
+    evaluator_bits: Sequence[int],
+    seed: int = 0,
+    rekeyed: bool = True,
+) -> OracleSession:
+    """Garble, transfer and evaluate ``circuit`` with the streamed
+    session's seeds (labels ``seed``, OT sender ``seed + 0x0F``, OT
+    receiver ``seed + 0xB0B``), so a correct session sends exactly these
+    values."""
+    garbler = garble_circuit(circuit, seed=seed, rekeyed=rekeyed)
+    garbled = garbler.garbled
+
+    sender = OtSender(LabelPrg(seed + 0x0F))
+    receiver = OtReceiver(LabelPrg(seed + 0xB0B))
+    receiver.draw(evaluator_bits)
+    points = receiver.points(sender.public)
+    receiver.derive_pads()
+    ciphers = sender.encrypt_batch(
+        points,
+        [
+            (garbler.input_label(wire, 0), garbler.input_label(wire, 1))
+            for wire in circuit.evaluator_input_wires
+        ],
+    )
+    garbler_labels = [
+        garbler.input_label(wire, bit)
+        for wire, bit in zip(circuit.garbler_input_wires, garbler_bits)
+    ]
+
+    result = evaluate_circuit(
+        circuit, garbled, garbler_labels + receiver.open(ciphers), rekeyed=rekeyed
+    )
+    return OracleSession(
+        output_bits=result.output_bits,
+        and_gates=garbled.n_and_gates,
+        hash_calls_evaluator=result.hash_calls,
+        payloads={
+            ("down", "ot_public"): sender.public,
+            ("up", "ot_points"): points,
+            ("down", "ot_ciphers"): ciphers,
+            ("down", "garbler_labels"): garbler_labels,
+            ("down", "tables"): garbled.tables,
+            ("down", "decode"): garbled.decode_bits,
+            ("up", "outputs"): result.output_bits,
+        },
+    )

@@ -43,6 +43,7 @@ from repro.gc.hashing import GateHasher, fixed_key_hash, rekeyed_hash
 from repro.gc.labels import ints_to_bytes
 from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
 from repro.sim.config import HaacConfig
+from tests.gc.session_oracle import run_oracle_session
 
 
 def _logic8():
@@ -557,20 +558,17 @@ class TestIntegration:
         circuit = _integer8()
         garbler_bits = [1, 0, 1, 1, 0, 0, 1, 0]
         evaluator_bits = [0, 1, 1, 0, 1, 0, 0, 1]
-        want = run_two_party(circuit, garbler_bits, evaluator_bits, seed=9)
-        default = run_two_party(
-            circuit, garbler_bits, evaluator_bits, seed=9, streamed=True
-        )
+        want = run_oracle_session(circuit, garbler_bits, evaluator_bits, seed=9)
+        default = run_two_party(circuit, garbler_bits, evaluator_bits, seed=9)
         got = run_two_party(
-            circuit, garbler_bits, evaluator_bits, seed=9, backend=name,
-            streamed=True,
+            circuit, garbler_bits, evaluator_bits, seed=9, backend=name
         )
         assert got.output_bits == want.output_bits
         assert got.hash_calls_evaluator == want.hash_calls_evaluator
         assert got.transcript_digest == default.transcript_digest
         assert got.total_bytes == default.total_bytes
 
-    def test_unknown_backend_fails_in_both_modes(self, mixed_circuit):
+    def test_unknown_backend_fails_at_every_entry_point(self, mixed_circuit):
         with pytest.raises(BackendUnavailable):
             TwoPartySession(mixed_circuit, backend="scalar")
         with pytest.raises(BackendUnavailable):

@@ -12,7 +12,7 @@ from repro.circuits.builder import CircuitBuilder
 from repro.circuits.stdlib.integer import less_than
 from repro.gc.backends import resolve_backend
 from repro.gc import ot
-from repro.gc.channel import Channel, make_channel_pair
+from repro.gc.channel import FRAME_OVERHEAD
 from repro.gc.labels import bytes_to_ints, ints_to_bytes
 from repro.gc.ot import (
     _KDF_BATCH_MIN,
@@ -32,6 +32,7 @@ from repro.gc.ot import (
 from repro.gc.protocol import run_two_party
 from repro.gc.rng import LabelPrg
 from repro.gc.roles import _LABEL_BYTES, _POINT_BYTES, ot_handshake_bytes
+from tests.gc.session_oracle import run_oracle_session
 
 
 class TestOt:
@@ -161,8 +162,8 @@ class TestBatchedReceiver:
             receiver.open([(1, 2)])
 
     def test_protocol_transcript_unchanged_by_batching(self, mixed_circuit, monkeypatch):
-        """The two-party session (now on the batched path) must emit the
-        byte-identical transcript the per-bit path produced: same
+        """The streamed session (on the batched path) must emit the
+        byte-identical transcript the per-bit path produces: same
         messages, same per-stream byte accounting, same outputs."""
         garbler_bits = [1, 0] * 4
         evaluator_bits = [0, 1] * 4
@@ -196,6 +197,7 @@ class TestBatchedReceiver:
         per_bit = run_two_party(mixed_circuit, garbler_bits, evaluator_bits, seed=12)
 
         assert batched.output_bits == per_bit.output_bits
+        assert batched.transcript_digest == per_bit.transcript_digest
         assert batched.traffic == per_bit.traffic
         assert batched.total_bytes == per_bit.total_bytes
         assert batched.output_bits == mixed_circuit.eval_plain(
@@ -349,8 +351,7 @@ def test_batched_paths_match_per_bit(n, backend):
     """The batched receiver's steps and ``encrypt_batch`` are
     element for element the per-bit sequence, on either side of the KDF
     selection and at a non-zero ``start_index``; with no backend (what
-    ``TwoPartySession.run`` hands them) every batch takes the scalar
-    KDF."""
+    the session oracle hands them) every batch takes the scalar KDF."""
     rng = random.Random(n)
     start = 5
     choices = [rng.randint(0, 1) for _ in range(n)]
@@ -466,9 +467,10 @@ class TestOtExtension:
             circuit = get_workload("Hamm").build(n_bits=n_bits).circuit
             assert circuit.n_evaluator_inputs == n_bits
             bits = [index & 1 for index in range(n_bits)]
-            result = run_two_party(
-                circuit, bits, bits[::-1], streamed=True, backend="auto"
-            )
+            result = run_two_party(circuit, bits, bits[::-1], backend="auto")
+            # The oracle stays on the direct handshake at any width.
+            oracle = run_oracle_session(circuit, bits, bits[::-1])
+            assert result.output_bits == oracle.output_bits
             assert result.output_bits == circuit.eval_plain(bits, bits[::-1])
             kinds = {key.split(":")[1] for key in result.traffic}
             assert kinds & (direct | extended) == expected
@@ -500,35 +502,6 @@ class TestOtExtension:
         assert chosen == [pair[choice] for pair, choice in zip(pairs, choices)]
 
 
-class TestChannel:
-    def test_fifo_and_accounting(self):
-        channel = Channel("test")
-        channel.send("tables", [1, 2], 64)
-        channel.send("labels", [3], 16)
-        assert channel.total_bytes == 80
-        assert channel.recv("tables") == [1, 2]
-        assert channel.recv("labels") == [3]
-
-    def test_kind_mismatch(self):
-        channel = Channel("test")
-        channel.send("tables", [], 0)
-        with pytest.raises(RuntimeError):
-            channel.recv("labels")
-
-    def test_empty_recv(self):
-        with pytest.raises(RuntimeError):
-            Channel("test").recv("anything")
-
-    def test_pair_report(self):
-        pair = make_channel_pair()
-        pair.to_evaluator.send("tables", [], 320)
-        pair.to_garbler.send("outputs", [], 4)
-        report = pair.traffic_report()
-        assert report["garbler->evaluator:tables"] == 320
-        assert report["evaluator->garbler:outputs"] == 4
-        assert pair.total_bytes == 324
-
-
 class TestTwoPartySession:
     def _millionaires(self, width=8):
         builder = CircuitBuilder()
@@ -556,13 +529,18 @@ class TestTwoPartySession:
         )
 
     def test_traffic_includes_tables(self, mixed_circuit):
+        """Framed accounting: 32 B per AND table, plus one frame (its
+        header, CRC and kind) per AND level's block."""
         result = run_two_party(
             mixed_circuit,
             [0] * mixed_circuit.n_garbler_inputs,
             [0] * mixed_circuit.n_evaluator_inputs,
             seed=4,
         )
-        assert result.traffic["garbler->evaluator:tables"] == 32 * result.and_gates
+        per_frame = FRAME_OVERHEAD + len("tables")
+        assert result.traffic["garbler->evaluator:tables"] == (
+            32 * result.and_gates + per_frame * result.streamed_levels
+        )
         assert result.total_bytes > 32 * result.and_gates
 
     def test_wrong_input_count(self, tiny_circuit):

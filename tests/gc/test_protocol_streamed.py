@@ -7,14 +7,19 @@ import threading
 
 import pytest
 
+from repro.circuits.builder import CircuitBuilder
 from repro.circuits.netlist import Circuit, Gate, GateOp
+from repro.circuits.stdlib.integer import encode_int, less_than
+from repro import faults as faults_mod
 from repro.faults import FrameTimeout, ProtocolFault, SessionAborted
 from repro.gc import protocol as protocol_mod
+from repro.gc.channel import LossyWire
 from repro.gc.ot import GROUP_P
 from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
 from repro.gc.roles import _POINT_BYTES, EvaluatorRole, GarblerRole
 from repro.serve import PeerSocketWire
 from repro.serve.procs import make_party_channels
+from tests.gc.session_oracle import run_oracle_session
 
 
 def _bits(circuit):
@@ -26,22 +31,21 @@ def _bits(circuit):
 class TestStreamedEquivalence:
     @pytest.mark.parametrize("fixture", ["tiny_circuit", "adder_circuit", "mixed_circuit"])
     @pytest.mark.parametrize("backend", [None, "auto"])
-    def test_matches_monolithic(self, request, fixture, backend):
+    def test_matches_oracle(self, request, fixture, backend):
         circuit = request.getfixturevalue(fixture)
         g, e = _bits(circuit)
-        mono = run_two_party(circuit, g, e, backend=backend)
-        streamed = run_two_party(circuit, g, e, backend=backend, streamed=True)
-        assert streamed.output_bits == mono.output_bits
-        assert streamed.and_gates == mono.and_gates
-        assert streamed.hash_calls_evaluator == mono.hash_calls_evaluator
-        assert streamed.streamed
+        oracle = run_oracle_session(circuit, g, e)
+        streamed = run_two_party(circuit, g, e, backend=backend)
+        assert streamed.output_bits == oracle.output_bits
+        assert streamed.and_gates == oracle.and_gates
+        assert streamed.hash_calls_evaluator == oracle.hash_calls_evaluator
         assert streamed.transcript_digest
         assert streamed.recovery_events == []
         assert streamed.fault_events == []
 
     def test_streams_one_block_per_and_level(self, mixed_circuit):
         g, e = _bits(mixed_circuit)
-        result = run_two_party(mixed_circuit, g, e, streamed=True)
+        result = run_two_party(mixed_circuit, g, e)
         and_levels = sum(
             1
             for and_positions, _ in mixed_circuit.and_level_schedule()
@@ -52,32 +56,30 @@ class TestStreamedEquivalence:
 
     def test_backend_choice_is_transcript_invariant(self, adder_circuit):
         g, e = _bits(adder_circuit)
-        reference = run_two_party(adder_circuit, g, e, streamed=True)
-        batched = run_two_party(
-            adder_circuit, g, e, backend="auto", streamed=True
-        )
+        reference = run_two_party(adder_circuit, g, e)
+        batched = run_two_party(adder_circuit, g, e, backend="auto")
         assert batched.output_bits == reference.output_bits
         assert batched.transcript_digest == reference.transcript_digest
 
     def test_exhaustive_tiny(self, tiny_circuit):
         for a in (0, 1):
             for b in (0, 1):
-                mono = run_two_party(tiny_circuit, [a], [b])
-                streamed = run_two_party(tiny_circuit, [a], [b], streamed=True)
-                assert streamed.output_bits == mono.output_bits
+                oracle = run_oracle_session(tiny_circuit, [a], [b])
+                streamed = run_two_party(tiny_circuit, [a], [b])
+                assert streamed.output_bits == oracle.output_bits
                 assert streamed.output_bits == [(a & b) ^ (1 - a)]
 
     def test_seed_changes_digest_not_outputs(self, adder_circuit):
         g, e = _bits(adder_circuit)
-        one = run_two_party(adder_circuit, g, e, seed=1, streamed=True)
-        two = run_two_party(adder_circuit, g, e, seed=2, streamed=True)
+        one = run_two_party(adder_circuit, g, e, seed=1)
+        two = run_two_party(adder_circuit, g, e, seed=2)
         assert one.output_bits == two.output_bits
         assert one.transcript_digest != two.transcript_digest
 
 
 class TestZeroLengthEdges:
-    """Degenerate shapes must work in both drive modes (satellite: the
-    streamed path's serializers see zero-byte payloads here)."""
+    """Degenerate shapes stream on either label-hash backend: the
+    serializers and the batched kernels see zero-length payloads here."""
 
     @pytest.fixture
     def no_evaluator_inputs(self):
@@ -100,55 +102,110 @@ class TestZeroLengthEdges:
         gates = [Gate(GateOp.AND, 0, 1, 2)]
         return Circuit.from_gates(1, 1, gates, [2], "one-and")
 
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_no_evaluator_inputs(self, no_evaluator_inputs, streamed):
+    @pytest.mark.parametrize("backend", [None, "auto"])
+    def test_no_evaluator_inputs(self, no_evaluator_inputs, backend):
         for a in (0, 1):
             for b in (0, 1):
                 result = run_two_party(
-                    no_evaluator_inputs, [a, b], [], streamed=streamed
+                    no_evaluator_inputs, [a, b], [], backend=backend
                 )
                 assert result.output_bits == [a ^ (a & b)]
 
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_no_and_gates(self, xor_only, streamed):
+    @pytest.mark.parametrize("backend", [None, "auto"])
+    def test_no_and_gates(self, xor_only, backend):
         for a in (0, 1):
             for b in (0, 1):
-                result = run_two_party(xor_only, [a], [b], streamed=streamed)
+                result = run_two_party(xor_only, [a], [b], backend=backend)
                 assert result.output_bits == [1 ^ a ^ b]
                 assert result.and_gates == 0
-                if streamed:
-                    assert result.streamed_levels == 0
-                    assert result.first_level_s is None
+                assert result.streamed_levels == 0
+                assert result.first_level_s is None
 
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_single_and_level(self, single_level, streamed):
+    @pytest.mark.parametrize("backend", [None, "auto"])
+    def test_single_and_level(self, single_level, backend):
         for a in (0, 1):
             for b in (0, 1):
-                result = run_two_party(single_level, [a], [b], streamed=streamed)
+                result = run_two_party(single_level, [a], [b], backend=backend)
                 assert result.output_bits == [a & b]
-                if streamed:
-                    assert result.streamed_levels == 1
+                assert result.streamed_levels == 1
 
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_wrong_input_counts_rejected(self, single_level, streamed):
+    def test_wrong_input_counts_rejected(self, single_level):
         with pytest.raises(ValueError, match="garbler input bits"):
-            run_two_party(single_level, [0, 1], [0], streamed=streamed)
+            run_two_party(single_level, [0, 1], [0])
         with pytest.raises(ValueError, match="evaluator input bits"):
-            run_two_party(single_level, [0], [], streamed=streamed)
+            run_two_party(single_level, [0], [])
 
 
 class TestFaultWiring:
     def test_explicit_faults_beat_env(self, tiny_circuit, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "drop:1.0,seed=3")
-        result = run_two_party(
-            tiny_circuit, [1], [0], faults="seed=1", streamed=True
-        )
+        result = run_two_party(tiny_circuit, [1], [0], faults="seed=1")
         assert result.fault_events == []
 
     def test_env_spec_consulted(self, tiny_circuit, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "duplicate:1.0,seed=2")
-        result = run_two_party(tiny_circuit, [0], [1], streamed=True)
+        result = run_two_party(tiny_circuit, [0], [1])
         assert any(event.kind == "duplicate" for event in result.fault_events)
+
+    def test_default_entry_point_injects_the_plan(self, mixed_circuit):
+        """``run_two_party`` with no other argument consults the plan:
+        frames drop, the transport retransmits, and the session lands on
+        the fault-free output and transcript."""
+        g, e = _bits(mixed_circuit)
+        clean = run_two_party(mixed_circuit, g, e)
+        result = run_two_party(mixed_circuit, g, e, faults="drop:0.3,seed=3")
+        assert result.fault_events
+        assert {event.kind for event in result.fault_events} == {"drop"}
+        assert any(
+            event.kind == "retransmit" for event in result.recovery_events
+        )
+        assert result.output_bits == clean.output_bits
+        assert result.transcript_digest == clean.transcript_digest
+
+    def test_session_installs_no_plan(self, tiny_circuit, monkeypatch):
+        """The plan reaches a session's frames through its wires, never
+        through the process-wide installation stack that the program
+        cache and result store read."""
+        seen = []
+        real_push = LossyWire.push
+
+        def push(self, data, seq):
+            seen.append((faults_mod.active_plan(), faults_mod.active_log()))
+            return real_push(self, data, seq)
+
+        monkeypatch.setattr(LossyWire, "push", push)
+        result = run_two_party(tiny_circuit, [1], [0], faults="drop:0.3,seed=3")
+        assert result.fault_events
+        assert seen and set(seen) == {(None, None)}
+
+
+class TestWireAccounting:
+    def test_total_bytes_are_the_bytes_on_the_wire(self, monkeypatch):
+        """A session reports what its frames put on the wire: for the
+        32-bit millionaires session, 7,013 B pushed through
+        ``LossyWire.push`` (a group element is 96 B, each frame adds
+        ``FRAME_OVERHEAD`` and its kind)."""
+        builder = CircuitBuilder()
+        alice = builder.add_garbler_inputs(32)
+        bob = builder.add_evaluator_inputs(32)
+        builder.mark_outputs([less_than(builder, bob, alice)])
+        circuit = builder.build("millionaires")
+        pushed = []
+        real_push = LossyWire.push
+
+        def push(self, data, seq):
+            pushed.append(len(data))
+            return real_push(self, data, seq)
+
+        monkeypatch.setattr(LossyWire, "push", push)
+        result = run_two_party(
+            circuit,
+            encode_int(4_200_000, 32),
+            encode_int(3_700_000, 32),
+            seed=2023,
+        )
+        assert result.output_bits == [1]
+        assert result.total_bytes == sum(pushed) == 7_013
 
 
 def _damage_first(channel, kind, damage):
@@ -377,7 +434,7 @@ class TestHandshakeModeMismatch:
         monkeypatch.setattr(protocol_mod, stubborn.__base__.__name__, stubborn)
         g, e = _bits(wide_circuit)
         with pytest.raises(SessionAborted):
-            run_two_party(wide_circuit, g, e, backend="auto", streamed=True)
+            run_two_party(wide_circuit, g, e, backend="auto")
 
     def test_split_drive(self, wide_circuit, stubborn):
         roles = (

@@ -6,8 +6,8 @@ plaintext evaluator and the per-gate ``garble_circuit`` /
 ``evaluate_circuit`` walk.  Whatever the netlist, window or hash mode,
 the streamed session and the level-looped batched engines must land on
 exactly what they say -- and the streamed session must put on the wire
-exactly the messages the per-gate ``TwoPartySession.run`` exchanges,
-without converting a single label on the level path.
+exactly the messages the per-gate exchange of ``session_oracle``
+produces, without converting a single label on the level path.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.gc.labels import ints_to_bytes, pack_bits
 from repro.gc.protocol import StreamedDriver, TwoPartySession
 from repro.workloads import get_workload
 from tests.conftest import random_circuit
+from tests.gc.session_oracle import run_oracle_session
 
 netlists = st.builds(
     lambda seed, n_gates, and_fraction: (
@@ -102,7 +103,7 @@ def test_level_kernels_match_the_per_gate_oracle(netlist, rekeyed):
 
 
 # ----------------------------------------------------------------------
-# Streamed session vs the per-gate run()
+# Streamed session vs the per-gate exchange
 # ----------------------------------------------------------------------
 
 
@@ -126,19 +127,10 @@ def _recorded(circuit, g, e, seed, rekeyed, window):
 
 
 def _oracle_wire(circuit, g, e, seed, rekeyed):
-    """Run the per-gate ``run()``, returning its result and its messages
+    """Run the per-gate exchange, returning its result and its messages
     in the streamed wire format (tables cut into the AND levels)."""
-    session = TwoPartySession(circuit, seed=seed, rekeyed=rekeyed)
-    sent = {}
-    for direction, channel in (
-        ("down", session.channels.to_evaluator), ("up", session.channels.to_garbler)
-    ):
-        def send(kind, payload, size, _send=channel.send, _dir=direction):
-            sent[(_dir, kind)] = payload
-            return _send(kind, payload, size)
-
-        channel.send = send
-    result = session.run(g, e)
+    result = run_oracle_session(circuit, g, e, seed=seed, rekeyed=rekeyed)
+    sent = result.payloads
     point_bytes = roles_mod._POINT_BYTES
     and_positions = (p for p, op in enumerate(circuit.op) if op == OP_AND)
     table_of = dict(zip(and_positions, sent["down", "tables"]))
@@ -187,7 +179,7 @@ def test_streamed_session_sends_the_oracle_bytes(netlist, window, rekeyed):
 @pytest.mark.parametrize("name", ["tiny", "adder", "mixed", "hamm64"])
 def test_streamed_sends_the_oracle_bytes_on_named_circuits(request, name, rekeyed):
     """Hamm n=64 takes the pad KDF's block kernel in the session (64
-    chains) and the scalar chain in ``run()``: same ciphertexts."""
+    chains) and the scalar chain in the oracle: same ciphertexts."""
     if name == "hamm64":
         circuit = get_workload("Hamm").build(n_bits=64).circuit
     else:

@@ -14,8 +14,8 @@ implementation of the streamed protocol.  This suite drives them
 and requires every drive to agree on output bits, transcript digest,
 per-kind traffic, streamed levels and evaluator hash calls (and both
 service executors on their scheduler quanta), and to agree
-with the monolithic ``TwoPartySession.run`` oracle (which shares no
-message code with the roles) on outputs and hash calls.
+with the per-gate exchange of ``tests/gc/session_oracle.py`` (which
+shares no message code with the roles) on outputs and hash calls.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.gc.roles import EvaluatorRole, GarblerRole
 from repro.serve import PeerSocketWire, SessionMultiplexer, SessionSpec, Supervisor
 from repro.serve.procs import make_party_channels
 from repro.workloads import get_workload
+from tests.gc.session_oracle import run_oracle_session
 from tests.gc.test_transcript_golden import GOLDEN_SESSIONS
 
 pytestmark = pytest.mark.timeout(120)
@@ -54,7 +55,7 @@ def _single_level(n_garbler=1, n_evaluator=1) -> Circuit:
 
 
 # ``wide_circuit`` is the one above the OT-extension threshold: there the
-# monolithic oracle (direct OT) shares no handshake code with the roles.
+# per-gate oracle (direct OT) shares no handshake code with the roles.
 # ``xor_only`` streams no table; the two one-sided circuits run an empty
 # OT batch (no evaluator input) and an empty garbler label set.
 _BUILT = {
@@ -172,14 +173,13 @@ def _protocol_view(result):
         result.streamed_levels,
         result.hash_calls_evaluator,
         result.and_gates,
-        result.streamed,
     )
 
 
 @pytest.mark.parametrize("backend", [None, "auto"])
 def test_every_drive_agrees(circuit, backend):
     g, e = _bits(circuit)
-    oracle = TwoPartySession(circuit, seed=SEED, backend=backend).run(g, e)
+    oracle = run_oracle_session(circuit, g, e, seed=SEED)
     assert oracle.output_bits == circuit.eval_plain(g, e)
 
     reference = _fused(circuit, backend, window=1)

@@ -144,6 +144,9 @@ class TestRetiredApi:
         ],
         ("repro.serve.supervisor", "SupervisedSession"),
         ("repro.serve.supervisor", "ChaosPick"),
+        ("repro.gc.channel", "Channel"),
+        ("repro.gc.channel", "ChannelPair"),
+        ("repro.gc.channel", "make_channel_pair"),
     ])
     def test_name_gone(self, module, name):
         module = importlib.import_module(module)
@@ -164,6 +167,34 @@ class TestRetiredApi:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--transport", "socket"])
         assert "invalid choice" in capsys.readouterr().err
+
+    # Every session entry point runs the streamed roles: no monolithic
+    # exchange, and no switch to pick it.
+    def test_session_has_no_monolithic_run(self):
+        from repro.gc.protocol import TwoPartySession
+
+        assert not hasattr(TwoPartySession, "run")
+
+    def test_run_two_party_has_no_streamed_switch(self):
+        import inspect
+
+        from repro.gc.protocol import run_two_party
+
+        assert "streamed" not in inspect.signature(run_two_party).parameters
+
+    def test_session_result_has_no_streamed_field(self):
+        from repro.gc.protocol import SessionResult
+
+        names = {f.name for f in dataclasses.fields(SessionResult)}
+        assert "streamed" not in names
+
+    def test_protocol_has_no_stream_flag(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["protocol", "--stream"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --stream" in capsys.readouterr().err
 
     def test_gc_does_not_import_core(self):
         # The garbling substrate stands below the compiler: the one ISA
