@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
-from .. import faults as faults_mod
 from ..baselines.cpu_model import DEFAULT_CPU, CpuCostModel
 from ..baselines.plaintext import DEFAULT_PLAINTEXT, PlaintextModel
 from ..baselines.prior_work import build_micro
@@ -149,6 +148,9 @@ class DataProvider:
         #: A fully warm store keeps both at zero across a figure set.
         self.replays = 0
         self.compiles = 0
+        #: Well-keyed store entries whose payload was not the row's
+        #: shape; each was recomputed and put back.
+        self.foreign_payloads = 0
         self._builds: Dict[str, object] = {}
         self._micros: Dict[str, object] = {}
         self._compiled: Dict[str, CompileResult] = {}
@@ -227,8 +229,8 @@ class DataProvider:
         """The stored ``row``, or None on a miss.
 
         A well-keyed entry whose payload is not exactly ``row``'s fields
-        is torn: it is recorded like any other torn entry, and the
-        caller recomputes the point and puts it back.
+        is torn: it is counted in ``foreign_payloads``, and the caller
+        recomputes the point and puts it back.
         """
         if self.store is None:
             return None
@@ -239,11 +241,7 @@ class DataProvider:
             field.name for field in fields(row)
         }:
             return row(**payload)
-        faults_mod.record_recovery(
-            self.store.namespace,
-            "entry_recovered",
-            f"{schema} payload is not a {row.__name__}; recomputing",
-        )
+        self.foreign_payloads += 1
         return None
 
     def compile_point_for(
@@ -310,7 +308,11 @@ class DataProvider:
 
     def stats(self) -> Dict[str, int]:
         """Live-work and store counters, for honesty assertions."""
-        counters = {"replays": self.replays, "compiles": self.compiles}
+        counters = {
+            "replays": self.replays,
+            "compiles": self.compiles,
+            "foreign_payloads": self.foreign_payloads,
+        }
         if self.store is not None:
             counters.update(self.store.stats.as_dict())
         return counters

@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from .analysis import experiments as exp
 from .analysis.report import render_table
 from .core.compiler import OptLevel, compile_circuit
+from .faults import FRAME_FAULTS, PROCESS_CHAOS
 from .sim.config import HaacConfig, Role
 from .sim.dram import DDR4, HBM2
 from .sim.timing import simulate
@@ -175,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="deterministic chaos run, e.g. 'drop:0.05,seed=7' "
-        "(frame kinds: drop corrupt truncate tamper duplicate delay "
-        "reorder; default: $REPRO_FAULTS)",
+        f"(frame kinds: {' '.join(FRAME_FAULTS)}; default: $REPRO_FAULTS)",
     )
 
     p_srv = sub.add_parser(
@@ -217,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="memory",
         help="session substrate: both parties in this thread over the "
         "in-memory LossyWire, or one OS process per party under the "
-        "supervisor over a kernel socketpair (process-transport faults "
-        "use the kill_party / sever / stall chaos kinds; frame faults "
-        "need memory)",
+        "supervisor over a kernel socketpair",
     )
     p_srv.add_argument(
         "--deadline-s",
@@ -250,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults",
         default=None,
         metavar="SPEC",
-        help="fault spec injected into the --fault-session session only",
+        help="fault spec injected into the --fault-session session only; "
+        f"--transport memory takes the frame kinds ({' '.join(FRAME_FAULTS)}), "
+        f"process the chaos kinds ({' '.join(PROCESS_CHAOS)})",
     )
     p_srv.add_argument(
         "--fault-session",
@@ -520,6 +520,9 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     except ProtocolFault as exc:
         print(f"session failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # a bad --faults spec, before anything ran
+        print(f"session rejected: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     richer = "Alice" if result.output_bits[0] else "Bob (or tie)"
     print(f"richer: {richer}")
     print(f"gates: {len(circuit.gates)} ({result.and_gates} garbled tables)")
@@ -606,6 +609,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ServiceSaturated as exc:
             print(f"s{index} rejected: {exc}")
             continue
+        except ValueError as exc:  # a bad --faults spec, before anything ran
+            print(f"s{index} rejected: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
         handles.append(handle)
         expected.append(1 if wealth_b < wealth_a else 0)
     # SIGTERM/SIGINT drain gracefully: admissions stop, in-flight

@@ -11,11 +11,12 @@ Two kinds of observability live here:
 * the exception hierarchy rooted at :class:`ProtocolFault` (a
   ``RuntimeError`` subclass, so legacy ``except RuntimeError`` callers
   keep working);
-* the :class:`RecoveryLog` degradation ledger: every fault that was
-  *survived* (a retransmitted frame, a recovered cache entry) is
+* the :class:`RecoveryLog` degradation ledger: every transport fault a
+  session *survived* (a retransmitted frame, a dropped duplicate) is
   recorded as a :class:`RecoveryEvent` and surfaced on
   ``SessionResult.recovery_events`` -- a session that degraded is
-  distinguishable from one that did not.
+  distinguishable from one that did not.  The stores count the damage
+  they survive in their own stats instead.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "WorkerCrashed",
     "PeerDisconnected",
     "SessionDeadlineExceeded",
+    "FaultKindUnsupported",
     "RecoveryEvent",
     "RecoveryLog",
 ]
@@ -121,14 +123,20 @@ class SessionDeadlineExceeded(ProtocolFault):
     (and is retried if budget remains)."""
 
 
+class FaultKindUnsupported(ValueError):
+    """A fault plan arms a kind that the boundary it was handed to can
+    never inject (a frame kind on the process supervisor, a chaos kind
+    on an in-process session).  Raised before the session runs."""
+
+
 @dataclass(frozen=True)
 class RecoveryEvent:
     """One survived degradation.
 
     ``seq`` is the event's position in its ledger (a stable, monotone
     index so identical fault seeds can be asserted to produce identical
-    event sequences); ``layer`` names the subsystem (``transport`` /
-    ``cache`` / ``store``); ``kind`` is the machine-readable
+    event sequences); ``layer`` names the subsystem that survived it
+    (``transport``: the framed pair); ``kind`` is the machine-readable
     event class and ``detail`` the human-readable specifics.
     """
 

@@ -4,18 +4,24 @@ A :class:`FaultPlan` is parsed from a compact spec string::
 
     drop:0.05,corrupt:0.01,seed=7
     tamper:0.1,delay:0.2,seed=3
-    kill_party,tear_cache:0.5
+    kill_party,sever:0.5
 
 Each ``name:probability`` entry arms one fault class; a bare ``name``
-arms it at probability 1.0.  ``seed=N`` seeds the plan's private
-``random.Random`` so the *entire* chaos run is reproducible: the
-protocol drive is single-threaded and consults the plan in a fixed
-order, so identical specs produce identical injected-fault sequences
-and (by extension) identical recovery ledgers.
+arms it at probability 1.0; a kind or ``seed=`` named twice is an
+error.  ``seed=N`` seeds the plan's private ``random.Random`` so the
+*entire* chaos run is reproducible: the protocol drive is
+single-threaded and consults the plan in a fixed order, so identical
+specs produce identical injected-fault sequences and (by extension)
+identical recovery ledgers.
 
 Fault classes
 -------------
-Frame faults (applied by the lossy wire as frames are pushed):
+Each boundary that injects faults accepts only the kinds it can act
+on, and :func:`resolve_fault_plan` rejects any other kind with
+:class:`~repro.faults.FaultKindUnsupported` before the session runs.
+
+Frame faults (applied by the lossy wire as frames are pushed; the
+kinds in-process sessions accept):
 
 ``drop``       discard the frame entirely
 ``corrupt``    flip one byte anywhere in the encoded frame (CRC catches it)
@@ -27,12 +33,8 @@ Frame faults (applied by the lossy wire as frames are pushed):
 ``delay``      hold the frame back a few delivery slots
 ``reorder``    swap the frame with the previously queued one
 
-Storage faults (consulted via :func:`repro.faults.active_plan`):
-
-``tear_cache``   corrupt a store entry file just before it is read
-
-Process-scope chaos (consulted by :class:`repro.serve.Supervisor` for
-sessions on the ``process`` transport; one mutating kind per attempt,
+Process-scope chaos (the kinds :class:`repro.serve.Supervisor`, the
+``process`` transport, accepts; one mutating kind per attempt,
 priority ``kill_party`` > ``sever`` > ``stall``):
 
 ``kill_party``  SIGKILL one party worker mid-session
@@ -48,9 +50,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from .errors import FaultKindUnsupported
+
 __all__ = [
     "FRAME_FAULTS",
-    "PROCESS_FAULTS",
     "PROCESS_CHAOS",
     "FAULT_KINDS",
     "FaultEvent",
@@ -68,12 +71,11 @@ FRAME_FAULTS = (
     "delay",
     "reorder",
 )
-PROCESS_FAULTS = ("tear_cache",)
 #: Whole-process chaos kinds, applied per session *attempt* by the
 #: out-of-process supervisor (priority order: a kill beats a sever
 #: beats a stall when several arm on the same attempt).
 PROCESS_CHAOS = ("kill_party", "sever", "stall")
-FAULT_KINDS = FRAME_FAULTS + PROCESS_FAULTS + PROCESS_CHAOS
+FAULT_KINDS = FRAME_FAULTS + PROCESS_CHAOS
 
 _ENV_SPEC = "REPRO_FAULTS"
 
@@ -140,9 +142,6 @@ class FaultPlan:
             return 0
         return self._rng.randrange(span)
 
-    def tear_cache(self, site: str = "cache") -> bool:
-        return self._arm(site, "tear_cache")
-
     def chaos_kinds(self, site: str = "supervisor") -> List[str]:
         """Process-chaos kinds arming for one session attempt.
 
@@ -169,12 +168,14 @@ class FaultPlan:
 def parse_fault_spec(spec: str) -> FaultPlan:
     """Parse ``"drop:0.05,tamper:0.1,seed=7"`` into a :class:`FaultPlan`."""
     rates: Dict[str, float] = {}
-    seed = 0
+    seed: Optional[int] = None
     for raw in spec.split(","):
         part = raw.strip()
         if not part:
             continue
         if part.startswith("seed="):
+            if seed is not None:
+                raise ValueError(f"fault seed given twice in {spec!r}")
             try:
                 seed = int(part[len("seed="):], 0)
             except ValueError as exc:
@@ -182,6 +183,8 @@ def parse_fault_spec(spec: str) -> FaultPlan:
             continue
         name, _, rate_text = part.partition(":")
         name = name.strip()
+        if name in rates:
+            raise ValueError(f"fault kind {name!r} given twice in {spec!r}")
         if rate_text:
             try:
                 rate = float(rate_text)
@@ -189,31 +192,36 @@ def parse_fault_spec(spec: str) -> FaultPlan:
                 raise ValueError(f"bad fault rate in {part!r}") from exc
         else:
             rate = 1.0
-        if name not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {name!r}; known: {', '.join(FAULT_KINDS)}"
-            )
         rates[name] = rate
-    return FaultPlan(rates, seed=seed)
+    return FaultPlan(rates, seed=seed or 0)
 
 
 def resolve_fault_plan(
-    spec: Union[None, str, FaultPlan] = None,
+    spec: Union[None, str, FaultPlan],
+    accepted: Tuple[str, ...],
+    boundary: str,
 ) -> Optional[FaultPlan]:
-    """Resolve the active fault plan for a session.
+    """Resolve the fault plan for a session handed to ``boundary``.
 
     Precedence: an explicit plan/spec argument, then the
     ``REPRO_FAULTS`` environment variable.  Returns ``None`` (no
-    injection) when neither is set.  A fresh plan is built from spec strings on every call so
-    two sessions never share RNG state by accident.
+    injection) when neither is set.  A fresh plan is built from spec
+    strings on every call so two sessions never share RNG state by
+    accident.  Whatever the source, a plan arming a kind outside
+    ``accepted`` (the kinds ``boundary`` can inject) raises
+    :class:`~repro.faults.FaultKindUnsupported`.
     """
-    if isinstance(spec, FaultPlan):
-        return spec
-    if isinstance(spec, str):
-        return parse_fault_spec(spec)
-    if spec is not None:
+    if spec is None:
+        spec = os.environ.get(_ENV_SPEC) or None
+    plan = parse_fault_spec(spec) if isinstance(spec, str) else spec
+    if plan is None:
+        return None
+    if not isinstance(plan, FaultPlan):
         raise TypeError(f"fault spec must be str, FaultPlan or None: {spec!r}")
-    env_spec = os.environ.get(_ENV_SPEC)
-    if env_spec:
-        return parse_fault_spec(env_spec)
-    return None
+    for kind in plan.rates:
+        if kind not in accepted:
+            raise FaultKindUnsupported(
+                f"fault kind {kind!r} cannot be injected by {boundary}; "
+                f"it accepts: {', '.join(accepted)}"
+            )
+    return plan

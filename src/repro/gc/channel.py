@@ -159,8 +159,8 @@ class LossyWire:
     """Ordered byte-frame pipe that a fault plan may perturb.
 
     Faults are applied at push time so the receiver genuinely observes
-    missing / damaged / re-sequenced frames.  With no plan installed the
-    wire is a perfect FIFO.
+    missing / damaged / re-sequenced frames.  With no plan the wire is
+    a perfect FIFO.
     """
 
     def __init__(self, direction: str, plan: Optional[FaultPlan] = None) -> None:

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..circuits.netlist import Circuit
 from ..faults import (
+    FRAME_FAULTS,
     FaultEvent,
     FaultPlan,
     ProtocolFault,
@@ -149,7 +150,9 @@ class TwoPartySession:
         ``faults`` arms deterministic frame-fault injection on the
         session's wire: a spec string (``"drop:0.05,seed=7"``), a
         prebuilt :class:`~repro.faults.FaultPlan`, or ``None`` to defer
-        to the ``REPRO_FAULTS`` environment variable.
+        to the ``REPRO_FAULTS`` environment variable.  Building a driver
+        raises :class:`~repro.faults.FaultKindUnsupported` for any kind
+        outside ``FRAME_FAULTS``.
         """
         circuit.validate()
         self.circuit = circuit
@@ -225,7 +228,9 @@ class StreamedDriver:
         self.session = session
         self.max_inflight_levels = max_inflight_levels
         self.log = RecoveryLog()
-        self.plan = resolve_fault_plan(session.faults)
+        self.plan = resolve_fault_plan(
+            session.faults, FRAME_FAULTS, "an in-process session"
+        )
         if self.plan is not None:
             self.plan.reset()
         pair = self.pair = make_framed_pair(

@@ -568,7 +568,9 @@ class SessionMultiplexer(SessionService):
     ) -> SessionHandle:
         """Admit one session (or raise :class:`ServiceSaturated`).
 
-        Wrong input arity raises ``ValueError`` without admitting it.
+        Wrong input arity, or a fault kind outside ``FRAME_FAULTS``
+        (:class:`~repro.faults.FaultKindUnsupported`), raises
+        ``ValueError`` without admitting it.
         """
         self._check_capacity()
         driver = StreamedDriver(

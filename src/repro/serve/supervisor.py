@@ -76,8 +76,8 @@ class SessionSpec:
     #: Backend name (checked by ``submit``, resolved inside each
     #: worker); see :func:`repro.gc.backends.resolve_backend`.
     backend: Optional[str] = None
-    #: Fault spec / plan; frame faults do not apply on this transport
-    #: (the kernel socket is loss-free), only the process-chaos kinds.
+    #: Fault spec / plan of process-chaos kinds only: the kernel
+    #: socket is loss-free, so ``submit`` rejects frame kinds.
     faults: Optional[object] = None
     session_id: Optional[str] = None
     #: Fault-free transcript digest (hex) to re-verify retried attempts
@@ -179,8 +179,10 @@ class Supervisor(SessionService):
 
         An invalid circuit or a wrong number of input bits raises
         ``ValueError`` without admitting the session, as
-        ``SessionMultiplexer.submit`` does, and an unknown backend
-        :class:`~repro.gc.backends.BackendUnavailable`: a malformed
+        ``SessionMultiplexer.submit`` does, an unknown backend
+        :class:`~repro.gc.backends.BackendUnavailable`, and a fault
+        kind outside ``PROCESS_CHAOS``
+        :class:`~repro.faults.FaultKindUnsupported`: a malformed
         session never spawns a process or spends retry budget.
         """
         self._check_capacity()
@@ -192,9 +194,10 @@ class Supervisor(SessionService):
         if len(spec.evaluator_bits) != circuit.n_evaluator_inputs:
             raise ValueError("wrong number of evaluator input bits")
         resolve_backend(spec.backend)
-        return self._enqueue(
-            spec, resolve_fault_plan(spec.faults), spec.session_id
+        plan = resolve_fault_plan(
+            spec.faults, PROCESS_CHAOS, "the process supervisor"
         )
+        return self._enqueue(spec, plan, spec.session_id)
 
     # -- executor hooks ------------------------------------------------
 

@@ -21,12 +21,10 @@ an envelope becomes bytes and back.
 * **Torn-entry recovery.**  Anything that is not a valid entry
   (truncated bytes, tampered fields, a key/filename mismatch) loads as
   the typed :class:`repro.faults.CacheEntryTorn`; :meth:`EntryStore._get`
-  drops the file, counts a ``corrupt`` miss and records an
-  ``entry_recovered`` event in the active recovery log under the
-  store's ``namespace``.  An entry that vanished between the existence
-  check and the read (a concurrent prune) is a miss with the same event.
-  The ``tear_cache`` fault truncates an entry just before its read to
-  exercise this path.
+  drops the file and counts a ``corrupt`` miss.  An entry that vanished
+  between the existence check and the read (a concurrent prune) is a
+  ``vanished`` miss.  Either way the caller recomputes and puts the
+  value back.
 * **Census.**  A schema is baked into every key, so an entry written
   under another schema is never looked up again.  :meth:`~EntryStore.scan`
   reports such *stale* entries apart from live and corrupt ones, and
@@ -49,7 +47,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, ClassVar, Dict, Iterator, List, Optional, Tuple, Union
 
-from .. import faults as faults_mod
 from ..faults import CacheEntryTorn
 
 __all__ = ["EntryStore", "StaleEntry", "StoreScan", "StoreStats"]
@@ -64,11 +61,13 @@ class StaleEntry(Exception):
 
 @dataclass
 class StoreStats:
-    """Counters for one store; ``corrupt`` entries also count as misses."""
+    """Counters for one store; ``corrupt`` entries (damaged, dropped)
+    and ``vanished`` ones (unlinked mid-get) also count as misses."""
 
     hits: int = 0
     misses: int = 0
     corrupt: int = 0
+    vanished: int = 0
     puts: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -111,7 +110,7 @@ class EntryStore:
 
     #: File suffix; two codecs can share one directory.
     suffix: ClassVar[str]
-    #: Recovery-event layer and ``tear_cache`` site prefix.
+    #: Names the store in its torn-entry errors.
     namespace: ClassVar[str]
     #: What the entries are, for ``repro store`` output.
     kind: ClassVar[str]
@@ -182,11 +181,6 @@ class EntryStore:
 
     # -- get/put ---------------------------------------------------------
 
-    def _recovered(self, detail: str) -> None:
-        faults_mod.record_recovery(
-            self.namespace, "entry_recovered", f"{detail}; recomputing"
-        )
-
     def _get(self, key: str) -> Optional[dict]:
         """The envelope under ``key``, or None on miss or corruption.
 
@@ -201,17 +195,16 @@ class EntryStore:
                     self.stats.hits += 1
                     return resident
         path = self.path_for(key)
-        self._maybe_tear(path, key)
         existed = path.exists()
         try:
             envelope = self._load_entry(path)
         except FileNotFoundError:
             with self._lock:
                 self.stats.misses += 1
-            if existed:
-                self._recovered(f"{path.name} unlinked mid-get (concurrent prune?)")
+                if existed:
+                    self.stats.vanished += 1
             return None
-        except Exception as exc:
+        except Exception:
             with self._lock:
                 self.stats.misses += 1
                 self.stats.corrupt += 1
@@ -219,26 +212,12 @@ class EntryStore:
                 path.unlink()
             except OSError:
                 pass
-            self._recovered(f"{type(exc).__name__}: dropped {path.name}")
             return None
         with self._lock:
             self.stats.hits += 1
             if self._memory is not None:
                 self._memory[key] = envelope
         return envelope
-
-    def _maybe_tear(self, path: Path, key: str) -> None:
-        """Chaos hook: truncate the entry file when the active fault
-        plan draws ``tear_cache``."""
-        plan = faults_mod.active_plan()
-        if plan is None or not plan.tear_cache(f"{self.namespace}:{key[:12]}"):
-            return
-        try:
-            data = path.read_bytes()
-            if data:
-                path.write_bytes(data[: max(1, len(data) // 2)])
-        except OSError:
-            pass
 
     def _put(self, key: str, envelope: dict) -> None:
         """Atomically persist ``envelope`` under ``key`` (best-effort)."""

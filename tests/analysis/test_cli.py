@@ -112,14 +112,54 @@ class TestCommands:
         )
         assert int(faults_line.split(":")[1]) > 0
 
+    @pytest.mark.parametrize("spec, error", [
+        ("kill_party,seed=3", "FaultKindUnsupported"),
+        ("tear_cache:1.0", "ValueError: unknown fault kind"),
+        ("bogus:0.1", "ValueError: unknown fault kind"),
+        ("drop:0.1,drop:0.9,seed=3", "ValueError: fault kind 'drop' given twice"),
+    ])
+    def test_protocol_rejects_bad_faults_in_one_line(self, capsys, spec, error):
+        assert main(["protocol", "--width", "8", "--faults", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert error in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("transport, spec, error", [
+        ("memory", "sever,seed=3", "FaultKindUnsupported"),
+        ("process", "drop:1.0,seed=3", "FaultKindUnsupported"),
+        ("memory", "bogus:0.1", "ValueError: unknown fault kind"),
+        ("process", "stall,stall", "ValueError: fault kind 'stall' given twice"),
+    ])
+    def test_serve_rejects_bad_faults_in_one_line(
+        self, capsys, transport, spec, error
+    ):
+        argv = ["serve", "--sessions", "2", "--width", "8",
+                "--transport", transport, "--faults", spec]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("s0 rejected: ") and error in captured.err
+
+    def test_serve_faults_help_lists_kinds_per_transport(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert (
+            "--transport memory takes the frame kinds (drop corrupt truncate "
+            "tamper duplicate delay reorder), process the chaos kinds "
+            "(kill_party sever stall)"
+        ) in help_text
+
     def test_protocol_faults_help_lists_frame_kinds_only(self, capsys):
-        # Storage kinds act on the program cache and result store, which
-        # a session never opens.
+        # The process-chaos kinds act on party processes, which a
+        # protocol session never starts.
         with pytest.raises(SystemExit):
             main(["protocol", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         assert "frame kinds: drop corrupt truncate tamper duplicate delay reorder" in help_text
-        assert "tear_cache" not in help_text
+        assert "tear_cache" not in help_text and "kill_party" not in help_text
         assert "--stream" not in help_text
 
     @pytest.mark.parametrize("command", ["protocol", "serve"])

@@ -7,7 +7,6 @@ import json
 
 import pytest
 
-from repro import faults as faults_mod
 from repro.analysis import experiments as exp
 from repro.analysis.dataprovider import (
     COMPILE_POINT_SCHEMA,
@@ -17,7 +16,6 @@ from repro.analysis.dataprovider import (
     SimPoint,
 )
 from repro.core.compiler import OptLevel
-from repro.faults import RecoveryLog
 from repro.hwmodel.energy import energy_model
 from repro.sim.config import HaacConfig
 from repro.store import ResultStore
@@ -150,12 +148,11 @@ class TestForeignPayload:
         path.write_text(json.dumps(entry))
 
         provider = DataProvider(store=ResultStore(root))
-        log = RecoveryLog()
-        with faults_mod.install(None, log):
-            assert self._point(provider, schema) == expected
-        assert log.count("store", "entry_recovered") == 1
+        assert self._point(provider, schema) == expected
+        assert provider.stats()["foreign_payloads"] == 1
         assert provider.compiles == 1
 
         rewarm = DataProvider(store=ResultStore(root))
         assert self._point(rewarm, schema) == expected
         assert rewarm.compiles == 0 and rewarm.replays == 0
+        assert rewarm.stats()["foreign_payloads"] == 0

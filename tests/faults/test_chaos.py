@@ -18,12 +18,9 @@ import pytest
 
 from repro.faults import (
     FRAME_FAULTS,
-    FaultPlan,
     FrameTimeout,
     ProtocolFault,
-    RecoveryLog,
     TranscriptMismatch,
-    install,
     parse_fault_spec,
 )
 from repro.gc.protocol import run_two_party
@@ -150,27 +147,3 @@ class TestChaosMatrix:
                 signatures.append(("fault", seed))
         assert signatures[0] != signatures[1]
 
-
-class TestProcessChaos:
-    def test_cache_tear_recovers_by_recompile(self, tmp_path):
-        from repro.core.progcache import ProgramCache
-
-        store = ProgramCache(tmp_path, memory=False)
-        payload = {"compiled": list(range(64))}
-        store.put("k" * 64, payload)
-        assert store.get("k" * 64) == payload
-
-        plan = FaultPlan({"tear_cache": 1.0}, seed=0)
-        log = RecoveryLog()
-        with install(plan, log):
-            assert store.get("k" * 64) is None
-        assert store.stats.corrupt == 1
-        assert log.count("cache", "entry_recovered") == 1
-        assert [(e.site[:6], e.kind) for e in plan.injected] == [
-            ("cache:", "tear_cache")
-        ]
-
-        # The torn entry was dropped: a recompile-and-put round trip
-        # restores service with no stale bytes left behind.
-        store.put("k" * 64, payload)
-        assert store.get("k" * 64) == payload

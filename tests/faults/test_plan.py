@@ -8,7 +8,7 @@ from repro.faults import (
     FAULT_KINDS,
     FRAME_FAULTS,
     PROCESS_CHAOS,
-    PROCESS_FAULTS,
+    FaultKindUnsupported,
     FaultPlan,
     parse_fault_spec,
     resolve_fault_plan,
@@ -22,8 +22,8 @@ class TestParseFaultSpec:
         assert plan.seed == 7
 
     def test_bare_name_means_rate_one(self):
-        plan = parse_fault_spec("kill_party,tear_cache:0.5")
-        assert plan.rates == {"kill_party": 1.0, "tear_cache": 0.5}
+        plan = parse_fault_spec("kill_party,sever:0.5")
+        assert plan.rates == {"kill_party": 1.0, "sever": 0.5}
 
     def test_seed_accepts_hex(self):
         assert parse_fault_spec("drop:1,seed=0x10").seed == 16
@@ -33,18 +33,27 @@ class TestParseFaultSpec:
         assert plan.rates == {"drop": 0.5}
         assert plan.seed == 3
 
-    @pytest.mark.parametrize("kind", ["explode", "kill_worker"])
-    def test_unknown_kind_rejected(self, kind):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            parse_fault_spec(f"{kind}:0.5")
+    @pytest.mark.parametrize("spec, match", [
+        ("explode:0.5", "unknown fault kind"),
+        ("kill_worker:0.5", "unknown fault kind"),
+        ("tear_cache:0.5", "unknown fault kind"),
+        ("drop:0.1,drop:0.9,seed=3", "'drop' given twice"),
+    ], ids=["explode", "kill_worker", "tear_cache", "repeated"])
+    def test_bad_kind_rejected(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            parse_fault_spec(spec)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError, match="bad fault rate"):
             parse_fault_spec("drop:lots")
 
-    def test_bad_seed_rejected(self):
-        with pytest.raises(ValueError, match="bad fault seed"):
-            parse_fault_spec("drop:1,seed=banana")
+    @pytest.mark.parametrize("spec, match", [
+        ("drop:1,seed=banana", "bad fault seed"),
+        ("drop:1,seed=3,seed=3", "seed given twice"),
+    ], ids=["banana", "repeated"])
+    def test_bad_seed_rejected(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            parse_fault_spec(spec)
 
     def test_out_of_range_rate_rejected(self):
         with pytest.raises(ValueError, match="out of"):
@@ -57,9 +66,7 @@ class TestParseFaultSpec:
         assert again.seed == plan.seed
 
     def test_kind_constants_cover_registry(self):
-        assert set(FAULT_KINDS) == (
-            set(FRAME_FAULTS) | set(PROCESS_FAULTS) | set(PROCESS_CHAOS)
-        )
+        assert set(FAULT_KINDS) == set(FRAME_FAULTS) | set(PROCESS_CHAOS)
 
     def test_process_chaos_kinds_parse(self):
         plan = parse_fault_spec("kill_party:0.5,sever:0.25,stall,seed=4")
@@ -102,7 +109,7 @@ class TestFaultPlanDeterminism:
         for seq in range(40):
             trace.append(tuple(plan.frame_faults(f"wire#{seq}")))
             trace.append(plan.choose_offset(17))
-            trace.append(plan.tear_cache())
+            trace.append(tuple(plan.chaos_kinds(f"attempt#{seq}")))
         return trace, plan.signature()
 
     def test_same_seed_same_schedule(self):
@@ -141,32 +148,50 @@ class TestFaultPlanDeterminism:
 
 
 class TestResolveFaultPlan:
+    @staticmethod
+    def _resolve(spec):
+        return resolve_fault_plan(spec, FRAME_FAULTS, "a test session")
+
     def test_none_everywhere_resolves_to_none(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert resolve_fault_plan(None) is None
+        assert self._resolve(None) is None
 
     def test_plan_instance_passes_through(self):
         plan = FaultPlan({"drop": 0.5}, seed=3)
-        assert resolve_fault_plan(plan) is plan
+        assert self._resolve(plan) is plan
 
     def test_spec_string_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "corrupt:0.9")
-        plan = resolve_fault_plan("drop:0.1,seed=4")
+        plan = self._resolve("drop:0.1,seed=4")
         assert plan.rates == {"drop": 0.1}
         assert plan.seed == 4
 
     def test_env_is_the_last_resort(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "truncate:0.7,seed=11")
-        plan = resolve_fault_plan(None)
+        plan = self._resolve(None)
         assert plan.rates == {"truncate": 0.7}
         assert plan.seed == 11
 
     def test_fresh_plan_per_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        a = resolve_fault_plan("drop:0.5,seed=1")
-        b = resolve_fault_plan("drop:0.5,seed=1")
+        a = self._resolve("drop:0.5,seed=1")
+        b = self._resolve("drop:0.5,seed=1")
         assert a is not b
 
     def test_rejects_non_spec_types(self):
         with pytest.raises(TypeError):
-            resolve_fault_plan(0.5)
+            self._resolve(0.5)
+
+    @pytest.mark.parametrize("source", ["spec", "plan", "env"])
+    def test_kind_outside_the_boundary_rejected(self, monkeypatch, source):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        spec = "drop:0.1,sever:0.5,seed=2"
+        if source == "env":
+            monkeypatch.setenv("REPRO_FAULTS", spec)
+        arg = {"spec": spec, "plan": parse_fault_spec(spec), "env": None}
+        with pytest.raises(FaultKindUnsupported) as info:
+            self._resolve(arg[source])
+        assert isinstance(info.value, ValueError)
+        assert str(info.value).startswith(
+            "fault kind 'sever' cannot be injected by a test session;"
+        )

@@ -10,14 +10,19 @@ import pytest
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.netlist import Circuit, Gate, GateOp
 from repro.circuits.stdlib.integer import encode_int, less_than
-from repro import faults as faults_mod
-from repro.faults import FrameTimeout, ProtocolFault, SessionAborted
+from repro.faults import (
+    FaultKindUnsupported,
+    FaultPlan,
+    FrameTimeout,
+    ProtocolFault,
+    SessionAborted,
+)
 from repro.gc import protocol as protocol_mod
 from repro.gc.channel import LossyWire
 from repro.gc.ot import GROUP_P
 from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
 from repro.gc.roles import _POINT_BYTES, EvaluatorRole, GarblerRole
-from repro.serve import PeerSocketWire
+from repro.serve import PeerSocketWire, SessionMultiplexer
 from repro.serve.procs import make_party_channels
 from tests.gc.session_oracle import run_oracle_session
 
@@ -162,21 +167,36 @@ class TestFaultWiring:
         assert result.output_bits == clean.output_bits
         assert result.transcript_digest == clean.transcript_digest
 
-    def test_session_installs_no_plan(self, tiny_circuit, monkeypatch):
-        """The plan reaches a session's frames through its wires, never
-        through the process-wide installation stack that the program
-        cache and result store read."""
-        seen = []
-        real_push = LossyWire.push
-
-        def push(self, data, seq):
-            seen.append((faults_mod.active_plan(), faults_mod.active_log()))
-            return real_push(self, data, seq)
-
-        monkeypatch.setattr(LossyWire, "push", push)
-        result = run_two_party(tiny_circuit, [1], [0], faults="drop:0.3,seed=3")
-        assert result.fault_events
-        assert seen and set(seen) == {(None, None)}
+    @pytest.mark.parametrize("source", ["spec", "plan", "env"])
+    def test_chaos_kind_rejected_before_a_frame_moves(
+        self, tiny_circuit, monkeypatch, source
+    ):
+        """An in-process wire cannot kill a party or sever a socket: the
+        session refuses those kinds, from any source, before it runs.
+        Before the check, ``kill_party`` ran a clean session and
+        reported nothing."""
+        pushed = []
+        monkeypatch.setattr(
+            LossyWire, "push", lambda self, data, seq: pushed.append(seq)
+        )
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        faults = {
+            "spec": "kill_party,seed=3",
+            "plan": FaultPlan({"drop": 0.1, "sever": 1.0}, seed=3),
+            "env": None,
+        }[source]
+        if source == "env":
+            monkeypatch.setenv("REPRO_FAULTS", "sever")
+        with pytest.raises(FaultKindUnsupported, match="in-process session"):
+            run_two_party(tiny_circuit, [1], [0], faults=faults)
+        session = TwoPartySession(tiny_circuit, faults=faults)
+        with pytest.raises(FaultKindUnsupported):
+            StreamedDriver(session, [1], [0])
+        service = SessionMultiplexer()
+        with pytest.raises(FaultKindUnsupported):
+            service.submit(session, [1], [0])
+        assert service.run_until_complete().sessions == []
+        assert pushed == []
 
 
 class TestWireAccounting:

@@ -8,7 +8,7 @@ bit-identical to its solo run or dies with a typed
 session completes bit-identical to *its* solo run, with an empty
 recovery ledger.  Identical fault seeds must reproduce identical event
 signatures whether the faulted session runs solo or packed next to
-neighbours (the per-step fault-install scoping under test).
+neighbours (each session's plan rides its own framed pair).
 
 Run with ``pytest -m chaos``.
 """
@@ -147,9 +147,10 @@ class TestDeterminism:
     ):
         """Same fault seed, solo vs packed: identical ledgers.
 
-        This is the direct test of per-step fault-install scoping -- if
-        a neighbour's steps consumed the faulted session's plan sites
-        (or vice versa), the injected/recovery sequences would shift.
+        This is the direct test that each session's plan stays on its
+        own framed pair -- if a neighbour's steps consumed the faulted
+        session's plan sites (or vice versa), the injected/recovery
+        sequences would shift.
         """
         spec = "drop:0.05,corrupt:0.05,duplicate:0.2,seed=7"
         g, e = _bits(mixed_circuit)

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.faults import (
+    FaultKindUnsupported,
     FrameTimeout,
     PeerDisconnected,
     ServiceSaturated,
@@ -170,6 +171,19 @@ class TestProcessSession:
             supervisor.submit(
                 SessionSpec(adder_circuit, g, e, seed=7, backend=backend)
             )
+        stats = supervisor.run_until_complete()
+        assert "launched" not in [ev["event"] for ev in supervisor.log.events]
+        assert stats.sessions == [] and supervisor._admitted == 0
+
+    @pytest.mark.parametrize("faults", ["drop:1.0,seed=3", "tamper,kill_party"])
+    def test_frame_kind_rejected_at_admission(self, adder_circuit, faults):
+        # The kernel socket never applies frame faults: before the
+        # supervisor checked the plan, "drop:1.0" completed with 0
+        # recoveries as if it had been injected.
+        g, e = _bits(adder_circuit)
+        supervisor = Supervisor(deadline_s=60.0)
+        with pytest.raises(FaultKindUnsupported, match="process supervisor"):
+            supervisor.submit(SessionSpec(adder_circuit, g, e, faults=faults))
         stats = supervisor.run_until_complete()
         assert "launched" not in [ev["event"] for ev in supervisor.log.events]
         assert stats.sessions == [] and supervisor._admitted == 0

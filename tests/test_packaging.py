@@ -147,6 +147,16 @@ class TestRetiredApi:
         ("repro.gc.channel", "Channel"),
         ("repro.gc.channel", "ChannelPair"),
         ("repro.gc.channel", "make_channel_pair"),
+        # No process-wide fault plan: each session's plan rides its own
+        # wire or supervisor handle, and no store injects faults.
+        *[
+            ("repro.faults", name)
+            for name in (
+                "install", "active_plan", "active_log", "record_recovery",
+                "PROCESS_FAULTS",
+            )
+        ],
+        ("repro.faults.plan", "PROCESS_FAULTS"),
     ])
     def test_name_gone(self, module, name):
         module = importlib.import_module(module)
@@ -195,6 +205,14 @@ class TestRetiredApi:
             build_parser().parse_args(["protocol", "--stream"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --stream" in capsys.readouterr().err
+
+    def test_fault_plan_has_no_tear_cache(self):
+        from repro.faults import FAULT_KINDS, FaultPlan
+        from repro.store.entries import EntryStore
+
+        assert not hasattr(FaultPlan, "tear_cache")
+        assert "tear_cache" not in FAULT_KINDS
+        assert not hasattr(EntryStore, "_maybe_tear")
 
     def test_gc_does_not_import_core(self):
         # The garbling substrate stands below the compiler: the one ISA
