@@ -14,12 +14,9 @@ from .experiments import (
     table4_area_power,
     table5_prior_work,
 )
-from .charts import grouped_bar_chart, stacked_shares
 from .report import fmt, geomean, render_table
 
 __all__ = [
-    "grouped_bar_chart",
-    "stacked_shares",
     "ExperimentResult",
     "SCALED_SWW_BYTES",
     "table1_ppc_comparison",

@@ -55,9 +55,6 @@ class CpuCostModel:
         framework = (n_and + n_xor_like) * self.t_gate_ns
         return (crypto + framework) * 1e-9
 
-    def garble_time_s(self, n_and: int, n_xor_like: int) -> float:
-        return self.eval_time_s(n_and, n_xor_like) * self.garble_factor
-
     def eval_time_for(self, circuit: Circuit) -> float:
         stats = circuit.stats()
         return self.eval_time_s(stats.and_gates, stats.xor_gates + stats.inv_gates)

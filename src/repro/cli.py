@@ -10,8 +10,8 @@ Subcommands:
 * ``protocol``    -- run the real two-party millionaires' demo;
 * ``serve``       -- multiplex N concurrent streamed sessions on one
   scheduler and report per-session service metrics;
-* ``figures``     -- ASCII renderings of the evaluation figures, or the
-  committed CSV + Vega-Lite artifacts with ``--emit DIR``;
+* ``figures``     -- write the committed CSV + Vega-Lite artifacts of the
+  tables/figures into ``--emit DIR``;
 * ``store``       -- inspect, prune or clear the content-addressed stores
   (compiled programs and experiment results); merge or bundle results.
 
@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .analysis import experiments as exp
+from .analysis.figures import EXPERIMENT_DRIVERS
 from .analysis.report import render_table
 from .core.compiler import OptLevel, compile_circuit
 from .faults import FRAME_FAULTS, PROCESS_CHAOS
@@ -43,22 +43,6 @@ from .sim.timing import simulate
 from .workloads import PAPER_ORDER, get_workload
 
 __all__ = ["main", "build_parser"]
-
-_EXPERIMENTS: Dict[str, Callable[..., exp.ExperimentResult]] = {
-    "table1": exp.table1_ppc_comparison,
-    "table2": exp.table2_characteristics,
-    "table3": exp.table3_wire_traffic,
-    "table4": exp.table4_area_power,
-    "table5": exp.table5_prior_work,
-    "fig6": exp.fig6_compiler_opts,
-    "fig7": exp.fig7_ordering_sww,
-    "fig8": exp.fig8_ge_scaling,
-    "fig9": exp.fig9_energy,
-    "fig10": exp.fig10_plaintext,
-}
-
-_QUICK_CAPABLE = {"table2", "table3", "table5", "fig6", "fig8", "fig9", "fig10"}
-
 
 def _positive_int(text: str) -> int:
     """argparse type for ``--ges`` / ``--sww-kb``: a bad size is a usage
@@ -80,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         "which",
         nargs="*",
         default=["all"],
-        help=f"experiment ids ({', '.join(_EXPERIMENTS)}) or 'all'",
+        help=f"experiment ids ({', '.join(EXPERIMENT_DRIVERS)}) or 'all'",
     )
     p_exp.add_argument(
         "--quick", action="store_true", help="3-workload subset where supported"
@@ -263,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_f = sub.add_parser(
         "figures",
-        help="ASCII renderings of the evaluation figures, or --emit DIR "
-        "for version-controlled Vega-Lite JSON + CSV of every artifact",
+        help="write version-controlled Vega-Lite JSON + CSV of every "
+        "artifact into --emit DIR",
     )
     # No argparse choices= here: a positional with nargs="*" plus
     # choices rejects the empty (default) invocation; validated in
@@ -272,18 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_f.add_argument(
         "which",
         nargs="*",
-        default=None,
-        help=f"artifacts to render ({', '.join(_EXPERIMENTS)}; ASCII "
-        "default: fig6 fig10, fig6/fig8/fig9/fig10 only; --emit "
+        help=f"artifacts to emit ({', '.join(EXPERIMENT_DRIVERS)}; "
         "default: all)",
     )
     p_f.add_argument("--full", action="store_true", help="all 8 workloads")
     p_f.add_argument(
         "--emit",
-        default=None,
+        required=True,
         metavar="DIR",
         help="write <name>.csv for every table/figure and <name>.vl.json "
-        "for the figures into DIR instead of drawing ASCII charts",
+        "for the figures into DIR",
     )
     p_f.add_argument(
         "--store",
@@ -335,18 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Drivers that read design points through a DataProvider (everything
-#: except the static table1 and the analytic table4).
-_PROVIDER_CAPABLE = set(_EXPERIMENTS) - {"table1", "table4"}
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from .analysis.dataprovider import DataProvider
 
     which: List[str] = args.which
     if which == ["all"]:
-        which = list(_EXPERIMENTS)
-    unknown = [name for name in which if name not in _EXPERIMENTS]
+        which = list(EXPERIMENT_DRIVERS)
+    unknown = [name for name in which if name not in EXPERIMENT_DRIVERS]
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         return 2
@@ -355,14 +332,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     # from disk.
     provider = DataProvider(store=args.store)
     for name in which:
-        fn = _EXPERIMENTS[name]
-        kwargs = {}
-        if name in _PROVIDER_CAPABLE:
-            kwargs["provider"] = provider
-        if args.quick and name in _QUICK_CAPABLE:
-            kwargs["quick"] = True
-        result = fn(**kwargs)
-        print(result.render())
+        print(EXPERIMENT_DRIVERS[name](provider, args.quick).render())
         print()
     return 0
 
@@ -691,93 +661,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from .analysis import charts
-    from .analysis.dataprovider import DataProvider
+    from pathlib import Path
 
-    quick = not args.full
-    unknown = [name for name in args.which or [] if name not in _EXPERIMENTS]
+    from .analysis.dataprovider import DataProvider
+    from .analysis.figures import emit_all
+
+    unknown = [name for name in args.which if name not in EXPERIMENT_DRIVERS]
     if unknown:
         print(f"unknown figures: {unknown}", file=sys.stderr)
         return 2
-    provider = DataProvider(store=args.store)
-    if args.emit is not None:
-        from pathlib import Path
-
-        from .analysis import figures as figures_mod
-
-        # argparse yields [] (not the default) for an absent nargs="*"
-        # positional; [] must mean "emit everything", not "nothing".
-        written = figures_mod.emit_all(
-            Path(args.emit),
-            provider=provider,
-            quick=quick,
-            only=args.which or None,
-        )
-        for path in written:
-            print(f"wrote {path}")
-        return 0
-    selected = args.which if args.which else ["fig6", "fig10"]
-    ascii_capable = {"fig6", "fig8", "fig9", "fig10"}
-    unsupported = [name for name in selected if name not in ascii_capable]
-    if unsupported:
-        print(
-            f"no ASCII rendering for {unsupported}; use --emit DIR "
-            "(or `repro experiments`) for tables",
-            file=sys.stderr,
-        )
-        return 2
-    for which in selected:
-        if which == "fig6":
-            result = exp.fig6_compiler_opts(quick=quick, provider=provider)
-            groups = [
-                (row[0], [("Baseline", row[1]), ("RO+RN", row[2]),
-                          ("RO+RN+ESW", row[3])])
-                for row in result.rows
-            ]
-            print(charts.grouped_bar_chart(
-                groups, title="Figure 6: speedup over CPU (log scale)"
-            ))
-        elif which == "fig8":
-            result = exp.fig8_ge_scaling(
-                quick=quick, ge_counts=(1, 4, 16), provider=provider
-            )
-            groups = []
-            for name, by_dram in result.extras["scaling"].items():
-                series = []
-                for dram, speedups in by_dram.items():
-                    for count, speedup in zip((1, 4, 16), speedups):
-                        series.append((f"{dram} {count}GE", speedup))
-                groups.append((name, series))
-            print(charts.grouped_bar_chart(
-                groups, title="Figure 8: GE scaling (log scale)"
-            ))
-        elif which == "fig9":
-            result = exp.fig9_energy(quick=quick, provider=provider)
-            rows = [
-                (row[0], {
-                    "Half-Gate": row[1] / 100, "Crossbar": row[2] / 100,
-                    "SRAM": row[3] / 100, "Others": row[4] / 100,
-                    "HBM2 PHY": row[5] / 100,
-                })
-                for row in result.rows
-            ]
-            legend = [("Half-Gate", "H"), ("Crossbar", "X"), ("SRAM", "S"),
-                      ("Others", "o"), ("HBM2 PHY", "P")]
-            print(charts.stacked_shares(
-                rows, title="Figure 9: energy breakdown", legend=legend
-            ))
-        elif which == "fig10":
-            result = exp.fig10_plaintext(quick=quick, provider=provider)
-            groups = [
-                (row[0], [("CPU GC", row[1]), ("HAAC DDR4", row[2]),
-                          ("HAAC HBM2", row[3])])
-                for row in result.rows
-            ]
-            print(charts.grouped_bar_chart(
-                groups,
-                title="Figure 10: slowdown vs plaintext (log scale)",
-            ))
-        print()
+    # No names ([]) means "emit everything", not "nothing".
+    written = emit_all(
+        Path(args.emit),
+        provider=DataProvider(store=args.store),
+        quick=not args.full,
+        only=args.which or None,
+    )
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 

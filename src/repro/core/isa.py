@@ -44,10 +44,6 @@ class HaacOp(enum.IntEnum):
     XOR = 1
     AND = 2
 
-    @property
-    def is_gate(self) -> bool:
-        return self is not HaacOp.NOP
-
 
 @dataclass(frozen=True)
 class Instruction:

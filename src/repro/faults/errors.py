@@ -181,9 +181,6 @@ class RecoveryLog:
         equal-seeded chaos runs are asserted to reproduce exactly."""
         return [(e.layer, e.kind, e.detail) for e in self.events]
 
-    def as_dicts(self) -> List[Dict[str, object]]:
-        return [event.as_dict() for event in self.events]
-
     def __len__(self) -> int:
         return len(self.events)
 

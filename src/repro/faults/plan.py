@@ -98,8 +98,9 @@ class FaultPlan:
     The plan owns a private RNG; every probability draw both decides
     whether to inject and appends a :class:`FaultEvent` when it does,
     so ``plan.signature()`` is the ground truth for determinism tests.
-    Call :meth:`reset` (sessions do this on entry) to replay the same
-    schedule from the top.
+    Call :meth:`reset` to replay the same schedule from the top; a
+    session never draws from the caller's object, but from its own copy
+    (:func:`resolve_fault_plan`).
     """
 
     def __init__(self, rates: Dict[str, float], seed: int = 0) -> None:
@@ -205,18 +206,22 @@ def resolve_fault_plan(
 
     Precedence: an explicit plan/spec argument, then the
     ``REPRO_FAULTS`` environment variable.  Returns ``None`` (no
-    injection) when neither is set.  A fresh plan is built from spec
-    strings on every call so two sessions never share RNG state by
-    accident.  Whatever the source, a plan arming a kind outside
-    ``accepted`` (the kinds ``boundary`` can inject) raises
+    injection) when neither is set.  Every call builds a fresh plan at
+    the top of its schedule -- from a given plan too, copying its rates
+    and seed -- so two sessions never share RNG state or injection log.
+    Whatever the source, a plan arming a kind outside ``accepted`` (the
+    kinds ``boundary`` can inject) raises
     :class:`~repro.faults.FaultKindUnsupported`.
     """
     if spec is None:
         spec = os.environ.get(_ENV_SPEC) or None
-    plan = parse_fault_spec(spec) if isinstance(spec, str) else spec
-    if plan is None:
+    if spec is None:
         return None
-    if not isinstance(plan, FaultPlan):
+    if isinstance(spec, str):
+        plan = parse_fault_spec(spec)
+    elif isinstance(spec, FaultPlan):
+        plan = FaultPlan(spec.rates, seed=spec.seed)
+    else:
         raise TypeError(f"fault spec must be str, FaultPlan or None: {spec!r}")
     for kind in plan.rates:
         if kind not in accepted:

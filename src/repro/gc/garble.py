@@ -101,10 +101,6 @@ class Garbler:
             bits.append(lsb(label) ^ lsb(self.zero_labels[wire]))
         return bits
 
-    def wire_label(self, wire: int, bit: int) -> int:
-        """Label of any wire for a given plaintext bit (test hook)."""
-        return self.zero_labels[wire] ^ (self.r if bit else 0)
-
 
 def garble_circuit(
     circuit: Circuit, seed: int = 0, rekeyed: bool = True

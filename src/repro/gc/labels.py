@@ -113,10 +113,6 @@ class LabelPair:
             raise ValueError("bit must be 0 or 1")
         return self.zero ^ (r if bit else 0)
 
-    def permute_bit(self) -> int:
-        """The permute (colour) bit exposed by the zero label."""
-        return lsb(self.zero)
-
 
 class GlobalOffset:
     """Draws and holds the Garbler's secret FreeXOR offset R.

@@ -149,8 +149,9 @@ class TwoPartySession:
 
         ``faults`` arms deterministic frame-fault injection on the
         session's wire: a spec string (``"drop:0.05,seed=7"``), a
-        prebuilt :class:`~repro.faults.FaultPlan`, or ``None`` to defer
-        to the ``REPRO_FAULTS`` environment variable.  Building a driver
+        prebuilt :class:`~repro.faults.FaultPlan` (each driver draws
+        from its own copy), or ``None`` to defer to the
+        ``REPRO_FAULTS`` environment variable.  Building a driver
         raises :class:`~repro.faults.FaultKindUnsupported` for any kind
         outside ``FRAME_FAULTS``.
         """
@@ -231,8 +232,6 @@ class StreamedDriver:
         self.plan = resolve_fault_plan(
             session.faults, FRAME_FAULTS, "an in-process session"
         )
-        if self.plan is not None:
-            self.plan.reset()
         pair = self.pair = make_framed_pair(
             plan=self.plan,
             log=self.log,

@@ -14,7 +14,7 @@ paper's Table 2 row so EXPERIMENTS.md can print paper-vs-measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..circuits.netlist import Circuit
@@ -48,10 +48,6 @@ class BuiltWorkload:
     reference: Callable[..., Sequence[int]]
     decode_outputs: Callable[[Sequence[int]], Any]
 
-    def run_reference(self, *args: Any, **kwargs: Any) -> Sequence[int]:
-        """Plaintext ground truth as circuit output bits."""
-        return self.reference(*args, **kwargs)
-
 
 @dataclass
 class Workload:
@@ -68,11 +64,6 @@ class Workload:
 
     def build_scaled(self, **overrides: Any) -> BuiltWorkload:
         params = dict(self.scaled_params)
-        params.update(overrides)
-        return self.build(**params)
-
-    def build_paper_scale(self, **overrides: Any) -> BuiltWorkload:
-        params = dict(self.paper_params)
         params.update(overrides)
         return self.build(**params)
 

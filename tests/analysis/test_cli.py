@@ -1,21 +1,8 @@
 """Command-line interface."""
 
-import pathlib
-
 import pytest
 
 from repro.cli import build_parser, main
-from repro.store import ResultStore
-
-BUNDLE = pathlib.Path(__file__).parent / "data" / "resultstore_quick.bundle.json"
-
-
-@pytest.fixture
-def warm_store(tmp_path):
-    """A result store holding every quick-scale design point."""
-    store = ResultStore(tmp_path / "store")
-    store.merge(BUNDLE)
-    return store.root
 
 
 class TestParser:
@@ -171,29 +158,6 @@ class TestCommands:
         assert main(["protocol", "--alice", "5", "--bob", "5", "--width", "8"]) == 0
         assert "Bob (or tie)" in capsys.readouterr().out
 
-    def test_figures_fig9(self, capsys):
-        assert main(["figures", "fig9"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 9" in out
-        assert "legend:" in out
-
-    def test_figures_default_is_fig6_and_fig10(self, capsys, warm_store):
-        assert main(["figures", "--store", str(warm_store)]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 6: speedup over CPU (log scale)" in out
-        assert "Figure 10: slowdown vs plaintext (log scale)" in out
-        assert "RO+RN+ESW" in out
-
-    def test_figures_fig8(self, capsys, warm_store):
-        assert main(["figures", "fig8", "--store", str(warm_store)]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 8" in out
-        assert "HBM2 16GE" in out
-
-    def test_figures_tables_have_no_ascii_rendering(self, capsys):
-        assert main(["figures", "table3"]) == 2
-        assert "no ASCII rendering" in capsys.readouterr().err
-
-    def test_figures_unknown(self, capsys):
-        assert main(["figures", "fig99"]) == 2
+    def test_figures_unknown(self, capsys, tmp_path):
+        assert main(["figures", "fig99", "--emit", str(tmp_path)]) == 2
         assert "unknown figures" in capsys.readouterr().err

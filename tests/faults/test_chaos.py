@@ -23,7 +23,7 @@ from repro.faults import (
     TranscriptMismatch,
     parse_fault_spec,
 )
-from repro.gc.protocol import run_two_party
+from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
 
 pytestmark = [pytest.mark.chaos, pytest.mark.timeout(120)]
 
@@ -109,12 +109,19 @@ class TestChaosMatrix:
         g, e = _bits(mixed_circuit)
 
         def one_run():
-            plan = parse_fault_spec(spec)
+            # Step a driver: on the fault path the injections are read
+            # off the session's own plan, not the caller's template.
+            driver = StreamedDriver(
+                TwoPartySession(mixed_circuit, faults=parse_fault_spec(spec)),
+                g, e,
+            )
             try:
-                result = run_two_party(mixed_circuit, g, e, faults=plan)
+                while not driver.step():
+                    pass
             except ProtocolFault as exc:
-                fault_sig = [(ev.site, ev.kind) for ev in plan.injected]
+                fault_sig = [(ev.site, ev.kind) for ev in driver.plan.injected]
                 return ("fault", type(exc).__name__, str(exc), fault_sig)
+            result = driver.result
             recovery_sig = [
                 (ev.layer, ev.kind, ev.detail) for ev in result.recovery_events
             ]

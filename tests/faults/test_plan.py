@@ -156,9 +156,19 @@ class TestResolveFaultPlan:
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         assert self._resolve(None) is None
 
-    def test_plan_instance_passes_through(self):
+    def test_plan_instance_is_copied_fresh(self):
+        # A session draws from its own copy, at the top of the schedule:
+        # the caller's object is neither consumed nor rewound.
         plan = FaultPlan({"drop": 0.5}, seed=3)
-        assert self._resolve(plan) is plan
+        plan.frame_faults("caller#0")
+        resolved = self._resolve(plan)
+        assert resolved is not plan
+        assert (resolved.rates, resolved.seed) == (plan.rates, plan.seed)
+        assert resolved.injected == []
+        assert resolved.frame_faults("x#0") == FaultPlan(
+            {"drop": 0.5}, seed=3
+        ).frame_faults("x#0")
+        assert len(plan.injected) == 1
 
     def test_spec_string_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "corrupt:0.9")

@@ -196,3 +196,37 @@ class TestDeterminism:
         assert mux_signature() == solo_sig
         # And it reproduces run over run inside the service too.
         assert mux_signature() == solo_sig
+
+    def test_one_plan_object_shared_by_two_sessions(self, mixed_circuit):
+        """One ``FaultPlan`` object handed to two multiplexed sessions:
+        each draws from its own copy, so each injects and recovers
+        exactly what a solo run of that plan does."""
+        g, e = _bits(mixed_circuit)
+
+        def ledger(result):
+            return (
+                [(event.site, event.kind) for event in result.fault_events],
+                [
+                    (event.layer, event.kind, event.detail)
+                    for event in result.recovery_events
+                ],
+            )
+
+        spec = "drop:0.2,seed=3"
+        solo = ledger(
+            TwoPartySession(mixed_circuit, seed=7, faults=spec).run_streamed(g, e)
+        )
+        assert solo[0], "spec expected to inject at this seed"
+        shared = parse_fault_spec(spec)
+        mux = SessionMultiplexer(max_concurrent=2)
+        handles = [
+            mux.submit(TwoPartySession(mixed_circuit, seed=7, faults=shared), g, e)
+            for _ in range(2)
+        ]
+        mux.run_until_complete()
+        for handle in handles:
+            assert handle.result is not None
+            assert ledger(handle.result) == solo
+            assert handle.stats.fault_events == len(solo[0])
+        # The caller's object is a template: no session drew from it.
+        assert shared.injected == []

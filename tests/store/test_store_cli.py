@@ -189,3 +189,17 @@ def test_experiments_served_from_a_warm_store(tmp_path, capsys):
     assert ResultStore(root).entry_count() == N_BUNDLED
     assert cli_main(argv) == 0
     assert capsys.readouterr().out == warm
+
+
+def test_every_experiment_served_from_a_warm_store(tmp_path, capsys):
+    """``experiments all --quick`` reads every driver through the one
+    registry the figure pipeline uses, so the bundle that regenerates
+    ``figures/`` holds each design point the text command needs."""
+    root = _seeded(tmp_path)
+    capsys.readouterr()
+    argv = ["experiments", "all", "--quick", "--store", str(root)]
+    assert cli_main(argv) == 0
+    first = capsys.readouterr().out
+    assert ResultStore(root).entry_count() == N_BUNDLED
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == first

@@ -80,7 +80,7 @@ class TestRetiredApi:
     @pytest.mark.parametrize("module", [
         "repro.sim.multicore", "repro.sim.pipeline", "repro.sim.ge",
         "repro.gc.classic", "repro.gc.backends.scalar", "repro.gc.backends.base",
-        "repro.serve.sockets", "repro.serve.mux",
+        "repro.serve.sockets", "repro.serve.mux", "repro.analysis.charts",
     ])
     def test_module_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
@@ -157,6 +157,9 @@ class TestRetiredApi:
             )
         ],
         ("repro.faults.plan", "PROCESS_FAULTS"),
+        # One figure output: the CSV + Vega-Lite artifacts, no ASCII charts.
+        ("repro.analysis", "grouped_bar_chart"),
+        ("repro.analysis", "stacked_shares"),
     ])
     def test_name_gone(self, module, name):
         module = importlib.import_module(module)
@@ -205,6 +208,14 @@ class TestRetiredApi:
             build_parser().parse_args(["protocol", "--stream"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --stream" in capsys.readouterr().err
+
+    def test_figures_needs_emit(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figures", "fig6"])
+        assert exit_info.value.code == 2
+        assert "required: --emit" in capsys.readouterr().err
 
     def test_fault_plan_has_no_tear_cache(self):
         from repro.faults import FAULT_KINDS, FaultPlan
