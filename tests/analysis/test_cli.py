@@ -1,8 +1,23 @@
 """Command-line interface."""
 
+import pathlib
+
 import pytest
 
+from repro.analysis.figures import EXPERIMENT_DRIVERS, FIGURE_SPECS
 from repro.cli import build_parser, main
+from repro.store import ResultStore
+
+BUNDLE = pathlib.Path(__file__).parent / "data" / "resultstore_quick.bundle.json"
+FIGURES_DIR = pathlib.Path(__file__).resolve().parents[2] / "figures"
+
+
+@pytest.fixture(scope="module")
+def warm_store(tmp_path_factory):
+    """A result store holding every quick-scale design point."""
+    store = ResultStore(tmp_path_factory.mktemp("cli") / "store")
+    store.merge(BUNDLE)
+    return store.root
 
 
 class TestParser:
@@ -161,3 +176,23 @@ class TestCommands:
     def test_figures_unknown(self, capsys, tmp_path):
         assert main(["figures", "fig99", "--emit", str(tmp_path)]) == 2
         assert "unknown figures" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(EXPERIMENT_DRIVERS))
+    def test_figures_emits_only_the_named_artifact(
+        self, name, capsys, tmp_path, warm_store
+    ):
+        # One name writes its CSV (and, for a figure, its Vega-Lite
+        # spec) and nothing else, byte-identical to the committed file.
+        out_dir = tmp_path / "out"
+        argv = ["figures", name, "--emit", str(out_dir), "--store", str(warm_store)]
+        assert main(argv) == 0
+        expected = [f"{name}.csv"]
+        if name in FIGURE_SPECS:
+            expected.append(f"{name}.vl.json")
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(expected)
+        out = capsys.readouterr().out
+        for file_name in expected:
+            assert f"wrote {out_dir / file_name}" in out
+            assert (out_dir / file_name).read_bytes() == (
+                FIGURES_DIR / file_name
+            ).read_bytes(), f"{file_name} drifted from the committed artifact"

@@ -166,6 +166,20 @@ class TestRetiredApi:
         assert not hasattr(module, name)
         assert name not in module.__all__
 
+    @pytest.mark.parametrize("module, cls, name", [
+        # Helpers nothing called: the callers use the named alternative.
+        ("repro.faults.errors", "RecoveryLog", "as_dicts"),
+        ("repro.workloads.base", "BuiltWorkload", "run_reference"),
+        ("repro.workloads.base", "Workload", "build_paper_scale"),
+        ("repro.baselines.cpu_model", "CpuCostModel", "garble_time_s"),
+        ("repro.core.isa", "HaacOp", "is_gate"),
+        ("repro.gc.labels", "LabelPair", "permute_bit"),
+        ("repro.gc.garble", "Garbler", "wire_label"),
+    ])
+    def test_method_gone(self, module, cls, name):
+        owner = getattr(importlib.import_module(module), cls)
+        assert not hasattr(owner, name)
+
     def test_no_custom_session_wire(self, capsys):
         # Every session rides the in-memory framed pair or, under the
         # supervisor, the party processes' socket: no pre-built wire.
