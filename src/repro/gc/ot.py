@@ -23,27 +23,20 @@ sizes; this reproduction targets functional completeness, not
 cryptographic strength.  The KDF is a Davies-Meyer construction over the
 from-scratch AES.
 
-BATCHING: the evaluator (receiver) runs one OT per input bit, and both
-of Bob's group operations are fixed-base exponentiations -- ``g^b`` for
-the point, ``A^b`` for the pad.  ``OtReceiver.draw``/``derive_pads``
-use one windowed table per base (:class:`_FixedBaseTable`) and reduce
-every exponentiation to one multiplication per window; the window width
-is the argmin of the table's cost model for the batch at hand (512
-choices: ``w = 7``, about 37 multiplications each; 8 choices: ``w = 3``;
-``w = 1`` is the plain square chain).  ``g``'s table is built once per
-process per width (:func:`_generator_table`); ``A``'s is per batch.
-The receiver's secrets are drawn in one ``LabelPrg.next_blocks`` call.
+BATCHING: the batched paths hand each step's exponentiations to
+:func:`_powmod` as one list -- the receiver's ``g^b`` (``draw``) and
+``A^b`` (``derive_pads``), the sender's ``A`` (at construction),
+``(A^{-1})^a`` (``prepare``) and ``B^a`` (``encrypt_batch``).  It runs them on
+OpenSSL's constant-time Montgomery exponentiation through ``ctypes``
+where libcrypto is present, builtin ``pow`` elsewhere; same values
+either way (DESIGN.md section 4).  The receiver's secrets are drawn in
+one ``LabelPrg.next_blocks`` call.
 
 The sender's ``encrypt`` pays *two* variable-base exponentiations per
 bit (``B^a`` and ``(B/A)^a``), but ``(B/A)^a = B^a * (A^{-1})^a`` and the
 second factor depends only on the batch's ephemeral key --
 ``prepare`` computes it once and ``encrypt_batch`` reduces every bit to
-one builtin ``pow`` plus one multiplication.  That ``pow`` is the floor
-per core: its cost is bignum multiply/reduce, not interpreter overhead
-(DESIGN.md section 4).  The exponentiations share the exponent but
-are independent across points, so from :data:`_POW_SPLIT_MIN` of them
-up :func:`_pow_batch` forks a helper that computes half of them on a
-second core.
+one exponentiation plus one multiplication.
 
 The pad KDF is sequential along a point's 128-bit limbs but independent
 across the batch, so the batched paths run it one limb at a time through
@@ -63,7 +56,7 @@ they need the message just received), so the roles run each own-state
 step before the receive it does not need and a party's OT work overlaps
 its peer's (DESIGN.md section 4).
 
-EXTENSION: every choice above costs a 768-bit ``pow`` per side.
+EXTENSION: every choice above costs a 768-bit exponentiation per side.
 :class:`OtExtReceiver` / :class:`OtExtSender` run only ``OT_KAPPA`` =
 128 of those OTs, with the roles reversed and PRG seeds as messages,
 and pay one PRG expansion and one hash per choice after that (IKNP in
@@ -76,11 +69,8 @@ the base layer and the oracle the extension is tested against.
 
 from __future__ import annotations
 
-import os
-import threading
-import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,12 +79,15 @@ from .backends import resolve_backend
 from .labels import blocks_to_bytes, bytes_to_blocks, bytes_to_ints, ints_to_bytes
 from .rng import MASK_128, LabelPrg
 
+try:
+    import ctypes
+except ImportError:  # a CPython built without _ctypes
+    ctypes = None
+
 __all__ = [
     "OtSender", "OtReceiver", "OtExtSender", "OtExtReceiver", "OT_KAPPA",
     "run_ot", "run_ot_batch", "GROUP_P", "GROUP_G",
 ]
-
-_EXPONENT_BITS = 256  # receiver secrets are drawn as next_bits(256)
 
 # 768-bit safe prime p = 2q + 1 (RFC 2409 Oakley Group 1) and generator.
 GROUP_P = int(
@@ -106,97 +99,94 @@ GROUP_P = int(
 GROUP_G = 2
 _GROUP_Q = (GROUP_P - 1) // 2
 
+_GROUP_BYTES = 96  # a 768-bit group element, big-endian
+_P_BYTES = GROUP_P.to_bytes(_GROUP_BYTES, "big")
 
-class _FixedBaseTable:
-    """Windowed fixed-base table: ``rows[j][d] = base^(d * 2^(j*w)) mod p``.
+# Versioned sonames only: an unversioned ``libcrypto.dylib`` aborts the
+# process on macOS, and ``ctypes.util.find_library`` runs an ``ldconfig``
+# subprocess (which a forked party must not do).
+_LIBCRYPTO_SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1", "libcrypto.3.dylib")
 
-    ``pow(exponent)`` is then one multiplication per non-zero ``w``-bit
-    digit of the exponent.  ``w`` minimises the table's cost model,
-    ``windows * (2^w - 1)`` multiplications to build plus ``windows`` per
-    exponentiation, over the ``batch`` exponentiations it will serve;
-    ``w = 1`` is the plain ``base^(2^i)`` square chain.
 
-    A table may be shared across threads (:func:`_generator_table`).
-    Growth never writes into a published list: a caller extends its own
-    snapshot of ``rows`` into a fresh list and publishes that if it is
-    longer.  Row ``j + 1`` is a function of row ``j`` alone, so every
-    list any reader holds is complete and exact; two racing publishers
-    can at worst leave the shorter list, which costs a recomputation.
+def _load_libcrypto():
+    """OpenSSL's libcrypto with the bignum calls :func:`_powmod` makes
+    typed, or ``None`` where this platform has no such library."""
+    if ctypes is None:
+        return None
+    ptr, num = ctypes.c_void_p, ctypes.c_int
+    signatures = {
+        "BN_CTX_new": (ptr, []),
+        "BN_CTX_free": (None, [ptr]),
+        "BN_MONT_CTX_new": (ptr, []),
+        "BN_MONT_CTX_set": (num, [ptr, ptr, ptr]),
+        "BN_MONT_CTX_free": (None, [ptr]),
+        "BN_new": (ptr, []),
+        "BN_clear_free": (None, [ptr]),
+        "BN_bin2bn": (ptr, [ctypes.c_char_p, num, ptr]),
+        "BN_bn2binpad": (num, [ptr, ctypes.c_char_p, num]),
+        "BN_mod_exp_mont_consttime": (num, [ptr] * 6),
+    }
+    for soname in _LIBCRYPTO_SONAMES:
+        try:
+            lib = ctypes.CDLL(soname)
+            for name, (restype, argtypes) in signatures.items():
+                function = getattr(lib, name)
+                function.restype, function.argtypes = restype, argtypes
+        except (OSError, AttributeError):
+            continue
+        return lib
+    return None
+
+
+#: Loaded once per process, at import, so forked parties inherit it.
+_LIBCRYPTO = _load_libcrypto()
+
+
+def _powmod(pairs: Sequence[Tuple[int, int]]) -> List[int]:
+    """``[pow(base, exponent, GROUP_P) for base, exponent in pairs]``
+    for non-negative exponents.
+
+    With libcrypto, each value is one ``BN_mod_exp_mont_consttime`` call
+    (Montgomery arithmetic in constant time: every exponent here is a
+    party secret), about 7x builtin ``pow`` on 256-bit exponents
+    (DESIGN.md section 4).  The batch owns its ``BN_CTX`` and
+    ``BN_MONT_CTX`` and frees them whatever happens, so concurrent
+    batches share nothing, and ``ctypes`` releases the GIL during each
+    call.  Without libcrypto it is builtin ``pow``.
     """
-
-    # 2^8 digits x 32 windows x 96 B bounds the table near 0.8 MB; the
-    # model only prefers wider windows beyond ~2,200 exponentiations.
-    _WIDTHS = range(1, 9)
-
-    def __init__(
-        self, base: int, modulus: int, batch: int = 1, bits: int = _EXPONENT_BITS
-    ) -> None:
-        self.modulus = modulus
-        self.width = self.width_for(batch, bits)
-        self.rows: List[List[int]] = [self._row(base % modulus)]
-        for _ in range(-(-bits // self.width) - 1):
-            self._grow(self.rows)
-
-    @classmethod
-    def width_for(cls, batch: int, bits: int = _EXPONENT_BITS) -> int:
-        """Cheapest window width for ``batch`` exponentiations."""
-        return min(cls._WIDTHS, key=lambda w: -(-bits // w) * ((1 << w) - 1 + batch))
-
-    def _row(self, value: int) -> List[int]:
-        """``[value^d for d < 2^w]`` mod p."""
-        modulus = self.modulus
-        row = [1, value]
-        for _ in range((1 << self.width) - 2):
-            row.append(row[-1] * value % modulus)
-        return row
-
-    def _grow(self, rows: List[List[int]]) -> List[List[int]]:
-        """``rows`` and one more row, as a fresh list, published when it
-        is longer than the table's."""
-        last = rows[-1]
-        rows = rows + [self._row(last[-1] * last[1] % self.modulus)]
-        if len(rows) > len(self.rows):
-            self.rows = rows
-        return rows
-
-    def pow(self, exponent: int) -> int:
-        """``base ** exponent mod p`` using only multiplications."""
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        result = 1
-        modulus, rows, width = self.modulus, self.rows, self.width
-        mask = (1 << width) - 1
-        index = 0
-        while exponent:
-            if index >= len(rows):  # extend the table for wide exponents
-                rows = self._grow(rows)
-            digit = exponent & mask
-            if digit:
-                result = result * rows[index][digit] % modulus
-            exponent >>= width
-            index += 1
-        return result
-
-    def pow_batch(self, exponents: Sequence[int]) -> List[int]:
-        return [self.pow(exponent) for exponent in exponents]
-
-
-_GENERATOR_TABLES: Dict[int, _FixedBaseTable] = {}
-
-
-def _generator_table(batch: int) -> _FixedBaseTable:
-    """The table of ``GROUP_G`` for ``batch`` exponentiations, built once
-    per process per window width and shared by every later receiver:
-    ``g`` and ``p`` are module constants, readers never write into a
-    published row list, and a party process forked after a session in
-    its parent inherits the tables already built."""
-    width = _FixedBaseTable.width_for(batch)
-    table = _GENERATOR_TABLES.get(width)
-    if table is None:
-        table = _GENERATOR_TABLES.setdefault(
-            width, _FixedBaseTable(GROUP_G, GROUP_P, batch)
-        )
-    return table
+    lib = _LIBCRYPTO
+    if lib is None or not pairs:
+        return [pow(base, exponent, GROUP_P) for base, exponent in pairs]
+    ctx, mont = lib.BN_CTX_new(), lib.BN_MONT_CTX_new()
+    modulus, base_bn, exponent_bn, result_bn = (lib.BN_new() for _ in range(4))
+    out = ctypes.create_string_buffer(_GROUP_BYTES)
+    try:
+        if not (
+            all((ctx, mont, modulus, base_bn, exponent_bn, result_bn))
+            and lib.BN_bin2bn(_P_BYTES, _GROUP_BYTES, modulus)
+            and lib.BN_MONT_CTX_set(mont, modulus, ctx)
+        ):
+            raise MemoryError("libcrypto could not set up the batch")
+        results = []
+        for base, exponent in pairs:
+            base_bytes = (base % GROUP_P).to_bytes(_GROUP_BYTES, "big")
+            exponent_bytes = exponent.to_bytes((exponent.bit_length() + 7) >> 3, "big")
+            if not (
+                lib.BN_bin2bn(base_bytes, _GROUP_BYTES, base_bn)
+                and lib.BN_bin2bn(exponent_bytes, len(exponent_bytes), exponent_bn)
+                and lib.BN_mod_exp_mont_consttime(
+                    result_bn, base_bn, exponent_bn, modulus, ctx, mont
+                )
+                and lib.BN_bn2binpad(result_bn, out, _GROUP_BYTES) == _GROUP_BYTES
+            ):
+                raise MemoryError("libcrypto could not exponentiate")
+            results.append(int.from_bytes(out.raw, "big"))
+        return results
+    finally:
+        for bignum in (modulus, base_bn, exponent_bn, result_bn):
+            lib.BN_clear_free(bignum)
+        lib.BN_MONT_CTX_free(mont)
+        lib.BN_CTX_free(ctx)
 
 
 def _kdf(point: int, tweak: int) -> int:
@@ -239,91 +229,6 @@ def _kdf_batch(points: Sequence[int], tweaks: Sequence[int], backend) -> List[in
     return bytes_to_ints(blocks_to_bytes(digest))
 
 
-# Exponentiations at which a forked helper computing half of them beats
-# one core: measured crossover between 8 and 16 on the recorded 2-core
-# host (DESIGN.md section 4).
-_POW_SPLIT_MIN = 16
-_POWER_BYTES = 96  # a 768-bit group element, big-endian
-
-# Python 3.12+ warns on fork() while native threads (NumPy's BLAS pool)
-# exist.  The helper's child never touches them: see _pow_batch.
-_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
-
-
-def _pow_split_ok(count: int) -> bool:
-    """Whether :func:`_pow_batch` forks for ``count`` exponentiations:
-    at or above the crossover, with ``fork``, a second CPU and no other
-    Python thread (a lock another thread holds would stay held in the
-    child)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return (
-        count >= _POW_SPLIT_MIN
-        and hasattr(os, "fork")
-        and affinity is not None
-        and len(affinity(0)) >= 2
-        and threading.active_count() == 1
-    )
-
-
-def _pow_batch(bases: Sequence[int], exponent: int) -> List[int]:
-    """``[pow(base, exponent, GROUP_P) for base in bases]``, the second
-    half on a forked child when :func:`_pow_split_ok`.
-
-    The child only exponentiates and writes each value as
-    ``_POWER_BYTES`` to a pipe, then leaves through ``os._exit`` whatever
-    happens; the parent computes the first half meanwhile, reads to EOF
-    and reaps the child.  Values the child did not deliver -- ``fork``
-    failed, the child died early, its output was short -- the parent
-    computes itself, so the result is always the serial list.  (Past
-    ~680 values the child blocks on the full pipe until the parent
-    reads: still exact, only less parallel.)
-    """
-
-    def serial(part):
-        return [pow(base, exponent, GROUP_P) for base in part]
-
-    if not _pow_split_ok(len(bases)):
-        return serial(bases)
-    half = len(bases) // 2
-    tail = bases[half:]
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Safe despite the native threads: the child runs no NumPy,
-            # takes no lock, and os._exit skips every exit handler.
-            warnings.filterwarnings(
-                "ignore", _FORK_WARNING, category=DeprecationWarning
-            )
-            pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return serial(bases)
-    if pid == 0:  # the child: never returns into the caller
-        try:
-            for base in tail:
-                value = pow(base, exponent, GROUP_P)
-                os.write(write_fd, value.to_bytes(_POWER_BYTES, "big"))
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    chunks = []
-    try:
-        head = serial(bases[:half])
-        while chunk := os.read(read_fd, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(read_fd)
-        os.waitpid(pid, 0)
-    data = b"".join(chunks)
-    done = min(len(data) // _POWER_BYTES, len(tail))
-    return (
-        head
-        + bytes_to_ints(data[: done * _POWER_BYTES], _POWER_BYTES)
-        + serial(tail[done:])
-    )
-
-
 @dataclass
 class OtSender:
     """Alice's side of one batch of OTs (one ephemeral key per batch).
@@ -337,7 +242,7 @@ class OtSender:
 
     def __post_init__(self) -> None:
         self._a = (self.prg.next_bits(256) % (_GROUP_Q - 1)) + 1
-        self.public = pow(GROUP_G, self._a, GROUP_P)
+        (self.public,) = _powmod([(GROUP_G, self._a)])
         # B / A = B * A^{-1}.  One inversion per batch (it only depends
         # on the ephemeral key).
         self._a_inv = pow(self.public, -1, GROUP_P)
@@ -357,11 +262,9 @@ class OtSender:
 
     def prepare(self) -> None:
         """Own-state step, run once ``public`` is sent: the
-        batch-constant pad factor ``(A^{-1})^a`` (a single builtin
-        ``pow`` -- a table only pays off when shared across many
-        exponentiations, and this value *is* the shared part)."""
+        batch-constant pad factor ``(A^{-1})^a``."""
         if self._factor is None:
-            self._factor = pow(self._a_inv, self._a, GROUP_P)
+            (self._factor,) = _powmod([(self._a_inv, self._a)])
 
     def encrypt_batch(
         self,
@@ -388,7 +291,7 @@ class OtSender:
         self.prepare()
         factor = self._factor
         shareds: List[int] = []
-        for shared0 in _pow_batch(points, self._a):
+        for shared0 in _powmod([(point, self._a) for point in points]):
             shareds += (shared0, shared0 * factor % GROUP_P)
         first = 2 * start_index
         pads = _kdf_batch(
@@ -413,8 +316,8 @@ class OtReceiver:
     ``g^b``, before ``A`` arrives), :meth:`points` (the reply to ``A``),
     :meth:`derive_pads` (``KDF(A^b)``, before the ciphertexts arrive)
     and :meth:`open` (the reply to the ciphertexts: one XOR per
-    choice).  It shares the fixed-base tables of ``g`` and ``A`` across
-    the batch and pads through :func:`_kdf_batch` on ``backend``; both
+    choice).  It runs each step's exponentiations as one :func:`_powmod`
+    batch and pads through :func:`_kdf_batch` on ``backend``; both
     paths draw the same PRG stream and compute the same group elements,
     so their transcripts are interchangeable.
     """
@@ -441,8 +344,7 @@ class OtReceiver:
         return (cipher1 if choice else cipher0) ^ pad
 
     def draw(self, choices: Sequence[int]) -> None:
-        """Own-state step: the secrets and ``g^b`` for every choice bit,
-        off one table of ``g``."""
+        """Own-state step: the secrets and ``g^b`` for every choice bit."""
         if any(choice not in (0, 1) for choice in choices):
             raise ValueError("choice must be a bit")
         self.choices = list(choices)
@@ -453,7 +355,7 @@ class OtReceiver:
             (((high << 128) | low) % (_GROUP_Q - 1)) + 1
             for high, low in zip(blocks[0::2], blocks[1::2])
         ]
-        self._powers = _generator_table(len(self.secrets)).pow_batch(self.secrets)
+        self._powers = _powmod([(GROUP_G, secret) for secret in self.secrets])
 
     def points(self, sender_public: int) -> List[int]:
         """The points to send against the (range-checked) key ``A``."""
@@ -465,13 +367,13 @@ class OtReceiver:
 
     def derive_pads(self, start_index: int = 0) -> None:
         """Own-state step, once the points are sent: ``KDF(A^b)`` for
-        OTs ``start_index ..`` onwards, off one table of ``A``."""
-        table = _FixedBaseTable(self.sender_public, GROUP_P, len(self.secrets))
+        OTs ``start_index ..`` onwards."""
         tweaks = [
             2 * (start_index + offset) + choice
             for offset, choice in enumerate(self.choices)
         ]
-        self._pads = _kdf_batch(table.pow_batch(self.secrets), tweaks, self.backend)
+        shareds = _powmod([(self.sender_public, secret) for secret in self.secrets])
+        self._pads = _kdf_batch(shareds, tweaks, self.backend)
 
     def open(self, cipher_pairs: Sequence[Tuple[int, int]]) -> List[int]:
         """The chosen messages: each pair's chosen ciphertext XOR its pad."""

@@ -18,9 +18,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict
 
-__all__ = ["DramSpec", "DDR4", "HBM2", "BandwidthLedger"]
+__all__ = ["DramSpec", "DDR4", "HBM2", "BandwidthLedger", "STREAMS"]
 
 _GB = 1e9
+
+#: The stream classes a :class:`BandwidthLedger` accepts.
+STREAMS = ("input_rd", "instr_rd", "table_rd", "oorw_rd", "live_wr")
 
 
 def check_finite_positive(owner, *names: str) -> None:
@@ -62,13 +65,16 @@ class BandwidthLedger:
     """Off-chip byte accounting by stream class for one execution."""
 
     bytes_by_stream: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    """Bytes per stream.  ``sim/timing.py`` charges five keys:
+    """Bytes per stream.  ``sim/timing.py`` charges the five
+    :data:`STREAMS` (any other name raises ``ValueError``):
     ``input_rd`` (16 B per primary input), ``instr_rd``
     (``instr_bytes`` per instruction), ``table_rd`` (32 B per AND),
     ``oorw_rd`` (16 B label + 4 B address per OoR operand) and
     ``live_wr`` (16 B per live wire, the only write stream)."""
 
     def charge(self, stream: str, n_bytes: int) -> None:
+        if stream not in STREAMS:
+            raise ValueError(f"unknown stream {stream!r}; expected one of {STREAMS}")
         if n_bytes < 0:
             raise ValueError("byte count must be non-negative")
         self.bytes_by_stream[stream] += n_bytes

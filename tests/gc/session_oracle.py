@@ -4,11 +4,15 @@ Every session entry point runs the streamed roles (:mod:`repro.gc.roles`:
 block label stores, the batched OT kernels on the session's backend, OT
 extension from 205 evaluator inputs).  This helper is the independent
 implementation they are compared against: the whole circuit garbled by
-the per-gate :func:`~repro.gc.garble.garble_circuit`, Bob's labels by one
-direct :class:`~repro.gc.ot.OtSender` / :class:`~repro.gc.ot.OtReceiver`
-batch with no backend (the scalar KDF, and the direct handshake at any
+the per-gate :func:`~repro.gc.garble.garble_circuit`, Bob's labels by the
+per-bit :class:`~repro.gc.ot.OtSender` / :class:`~repro.gc.ot.OtReceiver`
+calls (``choose`` / ``encrypt`` / ``decrypt``: builtin ``pow`` and the
+scalar KDF, none of the batched kernels, and the direct handshake at any
 width, so it is also the OT-extension oracle), and the evaluation by the
-per-gate :func:`~repro.gc.evaluate.evaluate_circuit`.  It shares no
+per-gate :func:`~repro.gc.evaluate.evaluate_circuit`.  Only the sender's
+key ``A`` comes from the batched exponentiation, and a wrong ``A``
+fails every choice-1 transfer here: the sender's pad is ``(B / A)^a``,
+the receiver's ``A^b``.  It shares no
 message code with the roles and puts nothing on a wire: each payload is
 kept as the Python value the parties exchange.
 """
@@ -58,24 +62,28 @@ def run_oracle_session(
     garbled = garbler.garbled
 
     sender = OtSender(LabelPrg(seed + 0x0F))
-    receiver = OtReceiver(LabelPrg(seed + 0xB0B))
-    receiver.draw(evaluator_bits)
-    points = receiver.points(sender.public)
-    receiver.derive_pads()
-    ciphers = sender.encrypt_batch(
-        points,
-        [
-            (garbler.input_label(wire, 0), garbler.input_label(wire, 1))
-            for wire in circuit.evaluator_input_wires
-        ],
-    )
+    receiver = OtReceiver(LabelPrg(seed + 0xB0B), sender.public)
+    chosen = [receiver.choose(bit) for bit in evaluator_bits]
+    points = [point for point, _ in chosen]
+    ciphers = [
+        sender.encrypt(
+            index, point, garbler.input_label(wire, 0), garbler.input_label(wire, 1)
+        )
+        for index, (wire, point) in enumerate(zip(circuit.evaluator_input_wires, points))
+    ]
+    evaluator_labels = [
+        receiver.decrypt(index, bit, secret, *pair)
+        for index, (bit, (_, secret), pair) in enumerate(
+            zip(evaluator_bits, chosen, ciphers)
+        )
+    ]
     garbler_labels = [
         garbler.input_label(wire, bit)
         for wire, bit in zip(circuit.garbler_input_wires, garbler_bits)
     ]
 
     result = evaluate_circuit(
-        circuit, garbled, garbler_labels + receiver.open(ciphers), rekeyed=rekeyed
+        circuit, garbled, garbler_labels + evaluator_labels, rekeyed=rekeyed
     )
     return OracleSession(
         output_bits=result.output_bits,

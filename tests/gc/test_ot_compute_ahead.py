@@ -3,10 +3,11 @@
 Message order is data-independent, so each role computes every OT value
 it can from its own state and the messages it has already checked
 before it blocks on the next receive (DESIGN.md section 4).  This suite
-records each party's OT work -- fixed-base table builds and their
-exponentiation batches, every builtin ``pow`` in :mod:`repro.gc.ot`,
-the pad KDF (``_kdf`` / ``_kdf_batch``), the extension's ``G`` rows
-(``_prg_rows``) and the backend hash -- against its channel sends and
+records each party's OT work -- every exponentiation batch
+(``_powmod``, with its pairs), every builtin ``pow`` in
+:mod:`repro.gc.ot` outside those batches, the pad KDF (``_kdf`` /
+``_kdf_batch``), the extension's ``G`` rows (``_prg_rows``) and the
+backend hash -- against its channel sends and
 receives, on both handshakes, through the fused ``StreamedDriver`` and
 through two threads over a socketpair, and asserts:
 
@@ -74,17 +75,15 @@ class _Recorder:
             log("send", kind)
             return send(channel, kind, payload)
 
-        table_init = ot._FixedBaseTable.__init__
+        powmod = ot._powmod
 
-        def table(self_, base, *args, **kwargs):
-            log("table", base)
-            table_init(self_, base, *args, **kwargs)
-
-        pow_batch = ot._FixedBaseTable.pow_batch
-
-        def table_pow(self_, exponents):
-            log("table_pow", len(exponents))
-            return pow_batch(self_, exponents)
+        def batch(pairs):
+            log("_powmod", tuple(pairs))
+            self._local.batch = True  # a fallback's builtin pows are its own
+            try:
+                return powmod(pairs)
+            finally:
+                self._local.batch = False
 
         def recorded(name, fn):
             def wrapper(*args, **kwargs):
@@ -96,8 +95,7 @@ class _Recorder:
         monkeypatch.setattr(roles._Role, "take_turn", turn)
         monkeypatch.setattr(FramedChannel, "recv_message", recv_message)
         monkeypatch.setattr(FramedChannel, "send_message", send_message)
-        monkeypatch.setattr(ot._FixedBaseTable, "__init__", table)
-        monkeypatch.setattr(ot._FixedBaseTable, "pow_batch", table_pow)
+        monkeypatch.setattr(ot, "_powmod", batch)
         # ot.py looks ``pow`` up in its module globals before builtins.
         monkeypatch.setattr(ot, "pow", recorded("pow", builtins.pow), raising=False)
         for name in ("_kdf", "_kdf_batch", "_prg_rows"):
@@ -108,7 +106,7 @@ class _Recorder:
 
     def _log(self, *event) -> None:
         party = getattr(self._local, "party", None)
-        if party is not None:
+        if party is not None and not getattr(self._local, "batch", False):
             self.events[party].append(event)
 
     def _index(self, party, event) -> int:
@@ -135,6 +133,15 @@ def _kinds(work):
     return {name for name, _ in work}
 
 
+def _batches(work):
+    """The ``(base, exponent)`` pairs of each ``_powmod`` batch in ``work``."""
+    return [pairs for name, pairs in work if name == "_powmod"]
+
+
+def _bases(pairs):
+    return {base for base, _ in pairs}
+
+
 def _drive(name, circuit):
     if name == "fused":
         return _fused(circuit, "auto", window=1)
@@ -152,29 +159,37 @@ class TestComputeAhead:
         points = set(recorder.elements("garbler", "ot_points"))
 
         # After the ciphertexts the evaluator only XORs; after the points
-        # the garbler runs one pow per received point and the pads.
+        # the garbler runs one exponentiation per received point, all
+        # under its one secret, and the pads.
         assert recorder.work(
             "evaluator", ("recv", "ot_ciphers"), ("recv", "garbler_labels")
         ) == []
         reply = recorder.work("garbler", ("recv", "ot_points"), ("send", "ot_ciphers"))
-        bases = [base for name, base in reply if name == "pow"]
-        assert len(bases) == n and set(bases) <= points
-        assert _kinds(reply) <= {"pow", "_kdf", "_kdf_batch"}
+        (shared,) = _batches(reply)
+        assert len(shared) == n and _bases(shared) <= points
+        assert len({exponent for _, exponent in shared}) == 1
+        assert _kinds(reply) <= {"_powmod", "_kdf", "_kdf_batch"}
 
         # Where the rest went: the evaluator's g^b before A arrives, its
         # A^b and pads before the ciphertexts arrive; the garbler's
         # (A^{-1})^a before the points arrive.
         ahead = recorder.work("evaluator", None, ("recv", "ot_public"))
-        assert ("table_pow", n) in ahead
+        assert any(
+            len(pairs) == n and _bases(pairs) == {ot.GROUP_G}
+            for pairs in _batches(ahead)
+        )
         assert recorder.work(
             "evaluator", ("recv", "ot_public"), ("send", "ot_points")
         ) == []
         pads = recorder.work("evaluator", ("send", "ot_points"), ("recv", "ot_ciphers"))
-        assert ("table", public) in pads and ("table_pow", n) in pads
+        assert any(
+            len(pairs) == n and _bases(pairs) == {public} for pairs in _batches(pads)
+        )
         assert _kinds(pads) & {"_kdf", "_kdf_batch"}
         factor = recorder.work("garbler", ("send", "ot_public"), ("recv", "ot_points"))
-        assert [name for name, _ in factor] == ["pow"]
-        assert factor[0][1] not in points
+        assert [name for name, _ in factor] == ["_powmod"]
+        ((base, _),) = factor[0][1]
+        assert base not in points
 
     def test_extension(self, wide_circuit, drive, monkeypatch):
         recorder = _Recorder(monkeypatch)
@@ -208,11 +223,15 @@ class TestComputeAhead:
             "evaluator", ("send", "otx_matrix"), ("recv", "otx_ciphers")
         )
         assert "hash" in _kinds(pads)
-        assert ("table_pow", ot.OT_KAPPA) in recorder.work(
-            "garbler", None, ("recv", "otx_public")
+        assert any(
+            len(pairs) == ot.OT_KAPPA and _bases(pairs) == {ot.GROUP_G}
+            for pairs in _batches(recorder.work("garbler", None, ("recv", "otx_public")))
         )
         pads = recorder.work("garbler", ("send", "otx_points"), ("recv", "otx_seeds"))
-        assert ("table", public) in pads
+        assert any(
+            len(pairs) == ot.OT_KAPPA and _bases(pairs) == {public}
+            for pairs in _batches(pads)
+        )
         assert _kinds(pads) & {"_kdf", "_kdf_batch"}
 
 

@@ -5,7 +5,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.builder import CircuitBuilder
@@ -23,9 +23,9 @@ from repro.gc.ot import (
     OtExtSender,
     OtReceiver,
     OtSender,
-    _FixedBaseTable,
     _kdf,
     _kdf_batch,
+    _powmod,
     run_ot,
     run_ot_batch,
 )
@@ -240,95 +240,146 @@ class TestKdfKernel:
         assert _kdf_batch(zeros, tweaks, resolve_backend("numpy")) == tweaks
 
 
-# One batch size per window width the selector can return, narrowest first.
-_BATCH_PER_WIDTH = [1, 2, 8, 20, 60, 128, 512, 2000]
+# The edge exponents: 0, 1, the largest secret (q - 1) and the largest
+# exponent below p - 1; the edge bases: 1, 2 (the generator) and p - 1.
+_EDGE_EXPONENTS = [0, 1, ot._GROUP_Q - 1, GROUP_P - 2]
+_EDGE_BASES = [1, GROUP_G, GROUP_P - 1]
 
 
-class TestFixedBaseTable:
-    """One table class, every width the selector can return."""
+@pytest.fixture(params=["libcrypto", "builtin"])
+def powmod_path(request, monkeypatch):
+    """Each ``_powmod`` test on the platform's path and on the fallback
+    (the libcrypto handle forced to ``None``)."""
+    if request.param == "builtin":
+        monkeypatch.setattr(ot, "_LIBCRYPTO", None)
+    return request.param
 
-    def test_widths_follow_the_cost_model(self):
-        widths = [_FixedBaseTable.width_for(n) for n in _BATCH_PER_WIDTH]
-        assert widths == list(_FixedBaseTable._WIDTHS)
-        assert _FixedBaseTable.width_for(0) == 1
-        assert _FixedBaseTable.width_for(10**9) == _FixedBaseTable._WIDTHS[-1]
 
-    @pytest.mark.parametrize("batch", _BATCH_PER_WIDTH)
-    @settings(max_examples=10, deadline=None)
-    @given(
-        base=st.integers(2, GROUP_P - 1),
-        exponent=st.one_of(
-            st.sampled_from([0, 1, (1 << 256) - 1, 1 << 256, (1 << 300) + 5]),
-            st.integers(0, (1 << 256) - 1),
-            st.integers(1 << 256, (1 << 400) - 1),
-        ),
+def _reference(pairs):
+    return [pow(base, exponent, GROUP_P) for base, exponent in pairs]
+
+
+class _FakeLibcrypto:
+    """Stands in for libcrypto: hands out fresh handles, makes the call
+    named ``failing`` fail (``NULL`` or 0), records every handle freed."""
+
+    def __init__(self, failing) -> None:
+        self.failing = failing
+        self.allocated, self.freed = [], []
+
+    def __getattr__(self, name):
+        if name.endswith("_free"):
+            return self.freed.append
+        if name.endswith("_new"):
+            def new():
+                if name == self.failing:
+                    return None
+                self.allocated.append(object())
+                return self.allocated[-1]
+            return new
+        success = ot._GROUP_BYTES if name == "BN_bn2binpad" else 1
+        return lambda *args: 0 if name == self.failing else success
+
+
+class TestPowmod:
+    """``_powmod`` is ``[pow(b, e, GROUP_P) ...]`` on either path."""
+
+    def test_edge_values(self, powmod_path):
+        rng = random.Random(48)
+        # Bases outside [0, p) reduce first, as builtin ``pow`` does.
+        out_of_range = [0, GROUP_P, GROUP_P + 5, -3]
+        bases = _EDGE_BASES + out_of_range + [rng.randrange(GROUP_P) for _ in range(3)]
+        exponents = _EDGE_EXPONENTS + [
+            rng.getrandbits(bits) for bits in (256, 256, 768, 768)
+        ]
+        pairs = [(base, exponent) for base in bases for exponent in exponents]
+        assert _powmod(pairs) == _reference(pairs)
+
+    # The fixture only picks the path: every example may share it.
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_pow_matches_builtin(self, batch, base, exponent):
-        table = _FixedBaseTable(base, GROUP_P, batch)
-        assert table.pow(exponent) == pow(base, exponent, GROUP_P)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(0, GROUP_P - 1),
+                st.one_of(
+                    st.sampled_from(_EDGE_EXPONENTS),
+                    st.integers(0, (1 << 256) - 1),
+                    st.integers(0, (1 << 768) - 1),
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    def test_random_pairs(self, powmod_path, pairs):
+        assert _powmod(pairs) == _reference(pairs)
 
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            _FixedBaseTable(3, GROUP_P, 512).pow(-1)
+    def test_empty_batch(self, powmod_path):
+        assert _powmod([]) == []
 
-    def test_generator_table_is_built_once_per_width(self, monkeypatch):
-        built = []
+    def test_libcrypto_path_runs_no_builtin_pow(self, monkeypatch):
+        if ot._LIBCRYPTO is None:
+            pytest.skip("no libcrypto on this platform: the fallback is the path")
+        pairs = [(GROUP_G, 12345), (GROUP_P - 1, 3)]
+        expected = _reference(pairs)
 
-        class Counting(_FixedBaseTable):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
+        def refused(*args):
+            raise AssertionError("builtin pow ran on the libcrypto path")
 
-        monkeypatch.setattr(ot, "_FixedBaseTable", Counting)
-        monkeypatch.setattr(ot, "_GENERATOR_TABLES", {})
-        sender = OtSender(LabelPrg(1))
-        shared = None
-        for seed in (2, 3, 4):
-            per_bit = OtReceiver(LabelPrg(seed), sender.public)
-            assert _chosen(OtReceiver(LabelPrg(seed)), sender.public, [0, 1] * 4) == [
-                per_bit.choose(choice) for choice in [0, 1] * 4
-            ]
-            shared = shared or ot._generator_table(8)
-            assert ot._generator_table(8) is shared
-        assert len(built) == 1
-        OtReceiver(LabelPrg(5)).draw([1] * 128)
-        assert len(built) == 2
-        assert sorted(ot._GENERATOR_TABLES) == sorted(
-            {_FixedBaseTable.width_for(8), _FixedBaseTable.width_for(128)}
+        # ot.py looks ``pow`` up in its module globals before builtins.
+        monkeypatch.setattr(ot, "pow", refused, raising=False)
+        assert _powmod(pairs) == expected
+
+    @pytest.mark.parametrize(
+        "failing", [None, "BN_new", "BN_MONT_CTX_set", "BN_mod_exp_mont_consttime"]
+    )
+    def test_batch_frees_what_it_allocated(self, failing, monkeypatch):
+        """Every context and bignum the batch allocates is freed exactly
+        once, whether the batch completes or a call fails (``MemoryError``)."""
+        fake = _FakeLibcrypto(failing)
+        monkeypatch.setattr(ot, "_LIBCRYPTO", fake)
+        if failing is None:
+            assert _powmod([(GROUP_G, 3), (5, 7)]) == [0, 0]  # the fake's zeros
+        else:
+            with pytest.raises(MemoryError):
+                _powmod([(GROUP_G, 3), (5, 7)])
+        assert fake.allocated and sorted(map(id, fake.allocated)) == sorted(
+            id(handle) for handle in fake.freed if handle is not None
         )
 
-    @pytest.mark.parametrize("batch", _BATCH_PER_WIDTH)
-    def test_generator_table_pow(self, batch, monkeypatch):
-        monkeypatch.setattr(ot, "_GENERATOR_TABLES", {})  # 300 bits extend it
-        table = ot._generator_table(batch)
-        for exponent in (0, 1, (1 << 256) - 1, 1 << 256, (1 << 300) + 5, 12345):
-            assert table.pow(exponent) == pow(GROUP_G, exponent, GROUP_P)
+    @pytest.mark.parametrize("soname", ["libno-such-library.so.0", "libc.so.6"])
+    def test_platform_without_libcrypto_falls_back(self, soname, monkeypatch):
+        """No loadable library, or one without the bignum symbols, leaves
+        the handle ``None``: builtin ``pow``."""
+        monkeypatch.setattr(ot, "_LIBCRYPTO_SONAMES", (soname,))
+        assert ot._load_libcrypto() is None
+        monkeypatch.setattr(ot, "ctypes", None)
+        monkeypatch.setattr(ot, "_LIBCRYPTO_SONAMES", ("libcrypto.so.3",))
+        assert ot._load_libcrypto() is None
 
-    @staticmethod
-    def _assert_rows_consistent(table):
-        """Every row complete, and each one the successor of the last."""
-        base = GROUP_G
-        for row in table.rows:
-            assert len(row) == 1 << table.width
-            assert row[:2] == [1, base]
-            for d in range(2, len(row)):
-                assert row[d] == row[d - 1] * base % GROUP_P
-            base = row[-1] * base % GROUP_P
-
-    def test_shared_table_is_never_seen_half_extended(self):
-        table = _FixedBaseTable(GROUP_G, GROUP_P, 60)
+    def test_concurrent_batches_are_independent(self):
+        """Four threads, more than a 2-core machine has, each running
+        batches while the others do: ``ctypes`` drops the GIL inside
+        every libcrypto call, so the batches truly overlap."""
         rng = random.Random(36)
-        exponents = [rng.getrandbits(256 + 24 * i) for i in range(1, 25)]
+        workers = 4
+        batches = [
+            [(rng.randrange(1, GROUP_P), rng.getrandbits(256)) for _ in range(48)]
+            for _ in range(workers)
+        ]
         results = {}
-        barrier = threading.Barrier(4)
+        barrier = threading.Barrier(workers)
 
         def worker(k):
             barrier.wait()
-            results[k] = [table.pow(exponent) for exponent in exponents[k::4]]
+            results[k] = [_powmod(batches[k][i::4]) for i in range(4)]
 
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(workers)]
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads mid-growth
+        sys.setswitchinterval(1e-6)  # interleave the batches' Python parts too
         try:
             for thread in threads:
                 thread.start()
@@ -337,12 +388,9 @@ class TestFixedBaseTable:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(results) == [0, 1, 2, 3], "a worker raised"
-        for k in range(4):
-            assert results[k] == [
-                pow(GROUP_G, exponent, GROUP_P) for exponent in exponents[k::4]
-            ]
-        self._assert_rows_consistent(table)
+        assert sorted(results) == list(range(workers)), "a worker raised"
+        for k in range(workers):
+            assert results[k] == [_reference(batches[k][i::4]) for i in range(4)]
 
 
 @pytest.mark.parametrize("backend", ["auto", None])
@@ -380,6 +428,13 @@ def test_batched_paths_match_per_bit(n, backend):
     ]
     assert _opened(batched, ciphers, start) == messages
     assert messages == [pair[choice] for pair, choice in zip(pairs, choices)]
+
+
+@pytest.mark.parametrize("n", [1, _KDF_BATCH_MIN])
+def test_batched_paths_match_per_bit_on_the_fallback(n, monkeypatch):
+    """The same equivalence with ``_powmod`` on builtin ``pow``."""
+    monkeypatch.setattr(ot, "_LIBCRYPTO", None)
+    test_batched_paths_match_per_bit(n, "auto")
 
 
 def _ot_inputs(m, seed):

@@ -43,8 +43,15 @@ class TestLedger:
         assert ledger.read_bytes == 150
 
     def test_negative_charge_rejected(self):
-        with pytest.raises(ValueError):
-            BandwidthLedger().charge("x", -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            BandwidthLedger().charge("table_rd", -1)
+
+    @pytest.mark.parametrize("stream", ["x", "table", "live_rd", "Instr_rd", ""])
+    def test_unknown_stream_rejected(self, stream):
+        ledger = BandwidthLedger()
+        with pytest.raises(ValueError, match="unknown stream"):
+            ledger.charge(stream, 16)
+        assert ledger.total_bytes == 0 and ledger.read_bytes == 0
 
 
 class TestHaacConfig:

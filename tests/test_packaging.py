@@ -160,6 +160,16 @@ class TestRetiredApi:
         # One figure output: the CSV + Vega-Lite artifacts, no ASCII charts.
         ("repro.analysis", "grouped_bar_chart"),
         ("repro.analysis", "stacked_shares"),
+        # One exponentiation primitive (ot._powmod): no fixed-base
+        # tables, no forked sender split.
+        *[
+            ("repro.gc.ot", name)
+            for name in (
+                "_FixedBaseTable", "_generator_table", "_GENERATOR_TABLES",
+                "_pow_batch", "_pow_split_ok", "_POW_SPLIT_MIN", "_POWER_BYTES",
+                "_FORK_WARNING",
+            )
+        ],
     ])
     def test_name_gone(self, module, name):
         module = importlib.import_module(module)
@@ -179,6 +189,23 @@ class TestRetiredApi:
     def test_method_gone(self, module, cls, name):
         owner = getattr(importlib.import_module(module), cls)
         assert not hasattr(owner, name)
+
+    def test_gc_never_forks(self):
+        # The OT exponentiations run in-process, on libcrypto or builtin
+        # pow: no module under repro.gc forks.
+        import ast
+        import pathlib
+
+        import repro.gc
+
+        for path in pathlib.Path(repro.gc.__file__).parent.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            forks = [
+                node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and "fork" in node.attr
+            ]
+            assert forks == [], f"{path.name} forks at lines {forks}"
 
     def test_no_custom_session_wire(self, capsys):
         # Every session rides the in-memory framed pair or, under the
