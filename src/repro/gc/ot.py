@@ -152,8 +152,11 @@ def _powmod(pairs: Sequence[Tuple[int, int]]) -> List[int]:
     (DESIGN.md section 4).  The batch owns its ``BN_CTX`` and
     ``BN_MONT_CTX`` and frees them whatever happens, so concurrent
     batches share nothing, and ``ctypes`` releases the GIL during each
-    call.  Without libcrypto it is builtin ``pow``.
+    call.  Without libcrypto it is builtin ``pow``.  A negative exponent
+    raises ``ValueError`` on both paths (builtin ``pow`` would invert).
     """
+    if any(exponent < 0 for _, exponent in pairs):
+        raise ValueError("_powmod takes non-negative exponents only")
     lib = _LIBCRYPTO
     if lib is None or not pairs:
         return [pow(base, exponent, GROUP_P) for base, exponent in pairs]

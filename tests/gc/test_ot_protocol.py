@@ -320,6 +320,23 @@ class TestPowmod:
     def test_empty_batch(self, powmod_path):
         assert _powmod([]) == []
 
+    @pytest.mark.parametrize("bits", [1, 2, 8, 20, 60, 128, 512, 2000])
+    def test_exponent_widths(self, powmod_path, bits):
+        """Exponents of exactly ``bits`` bits, all ones and a random one
+        with the top bit set: short byte strings, ones that do not fill
+        their last byte, and ones wider than the group."""
+        rng = random.Random(bits)
+        exponents = [(1 << bits) - 1, (1 << (bits - 1)) | rng.getrandbits(bits - 1)]
+        bases = _EDGE_BASES + [rng.randrange(2, GROUP_P)]
+        pairs = [(base, exponent) for base in bases for exponent in exponents]
+        assert all(exponent.bit_length() == bits for _, exponent in pairs)
+        assert _powmod(pairs) == _reference(pairs)
+
+    def test_negative_exponent_rejected(self, powmod_path):
+        """Builtin ``pow`` would return an inverse power; both paths refuse."""
+        with pytest.raises(ValueError):
+            _powmod([(GROUP_G, 3), (GROUP_G, -1)])
+
     def test_libcrypto_path_runs_no_builtin_pow(self, monkeypatch):
         if ot._LIBCRYPTO is None:
             pytest.skip("no libcrypto on this platform: the fallback is the path")
