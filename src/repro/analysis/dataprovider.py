@@ -39,8 +39,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
-from ..baselines.cpu_model import DEFAULT_CPU, CpuCostModel
-from ..baselines.plaintext import DEFAULT_PLAINTEXT, PlaintextModel
+from ..baselines.cpu_model import DEFAULT_CPU
+from ..baselines.plaintext import DEFAULT_PLAINTEXT
 from ..baselines.prior_work import build_micro
 from ..core.compiler import CompileResult, OptLevel, compile_circuit
 from ..core.progcache import compile_key
@@ -125,25 +125,17 @@ class SimPoint:
 class DataProvider:
     """Store-backed access to every number the figure pipeline needs.
 
-    ``store`` accepts anything :meth:`ResultStore.resolve`
-    does (``None`` defers to ``REPRO_RESULT_STORE``); ``prog_cache``
-    likewise threads through to :func:`compile_circuit`.  One provider
+    ``store`` accepts anything :meth:`ResultStore.resolve` does
+    (``None`` defers to ``REPRO_RESULT_STORE``); compiles use the
+    program cache :func:`compile_circuit` resolves (``REPRO_PROG_CACHE``)
+    and the baselines their calibrated defaults.  One provider
     instance memoizes workload builds and compile results in process,
     so a figure set sharing design points compiles each at most once
     even without any persistent store.
     """
 
-    def __init__(
-        self,
-        store: Union[ResultStore, str, bool, None] = None,
-        cpu: CpuCostModel = DEFAULT_CPU,
-        plaintext: PlaintextModel = DEFAULT_PLAINTEXT,
-        prog_cache=None,
-    ) -> None:
+    def __init__(self, store: Union[ResultStore, str, bool, None] = None) -> None:
         self.store = ResultStore.resolve(store)
-        self.cpu = cpu
-        self.plaintext = plaintext
-        self.prog_cache = prog_cache
         #: Live work counters: simulate() calls / compile passes run.
         #: A fully warm store keeps both at zero across a figure set.
         self.replays = 0
@@ -191,11 +183,11 @@ class DataProvider:
 
     def cpu_time(self, workload: str) -> float:
         """CPU-GC evaluation wall time (calibrated analytic model)."""
-        return self.cpu.eval_time_for(self.built(workload).circuit)
+        return DEFAULT_CPU.eval_time_for(self.built(workload).circuit)
 
     def plaintext_time(self, workload: str) -> float:
         """Native plaintext wall time for the workload's operation mix."""
-        return self.plaintext.time_for(self.workload(workload))
+        return DEFAULT_PLAINTEXT.time_for(self.workload(workload))
 
     # -- keyed points ----------------------------------------------------
 
@@ -219,7 +211,6 @@ class DataProvider:
                 config.n_ges,
                 opt=opt,
                 params=config.schedule_params(),
-                cache=self.prog_cache,
             )
             self.compiles += 1
             self._compiled[digest] = compiled

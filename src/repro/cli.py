@@ -111,13 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[opt.value for opt in OptLevel],
         default=OptLevel.RO_RN_ESW.value,
     )
-    p_s.add_argument(
-        "--engine",
-        choices=["numpy", "reference"],
-        default=None,
-        help="timing-replay engine (default: $REPRO_SIM_ENGINE, else "
-        "the numpy engine)",
-    )
     add_cache_flag(p_s)
 
     p_se = sub.add_parser(
@@ -160,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="deterministic chaos run, e.g. 'drop:0.05,seed=7' "
-        f"(frame kinds: {' '.join(FRAME_FAULTS)}; default: $REPRO_FAULTS)",
+        f"(frame kinds: {' '.join(FRAME_FAULTS)}; default: no faults)",
     )
 
     p_srv = sub.add_parser(
@@ -397,7 +390,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sww_bytes=args.sww_kb * 1024,
         dram=HBM2 if args.dram == "hbm2" else DDR4,
         role=Role.GARBLER if args.role == "garbler" else Role.EVALUATOR,
-        sim_engine=getattr(args, "engine", None),
     )
     result = compile_circuit(
         built.circuit, config.window, config.n_ges,

@@ -91,17 +91,15 @@ def compile_circuit(
     opt: OptLevel = OptLevel.RO_RN_ESW,
     params: Optional[ScheduleParams] = None,
     segment_size: Optional[int] = None,
-    verify: bool = False,
     cache: CacheSpec = None,
 ) -> CompileResult:
     """Compile ``circuit`` for a HAAC with ``n_ges`` GEs and ``window``.
 
     ``segment_size`` defaults to half the SWW capacity, the paper's
     choice; it is only used by the segmented configurations, but a
-    value below 1 is a ``ValueError`` at every opt level.  With
-    ``verify=True`` the static stream verifier
-    (:func:`repro.core.verify.verify_streams`) re-checks every co-design
-    invariant before returning.
+    value below 1 is a ``ValueError`` at every opt level.  The static
+    stream verifier (:func:`repro.core.verify.verify_streams`) is a
+    separate call on the result's ``streams``.
 
     ``cache`` enables the persistent compiled-program store
     (:mod:`repro.core.progcache`): on a warm hit the pickled result is
@@ -117,10 +115,6 @@ def compile_circuit(
         key = compile_key(circuit, window.capacity, n_ges, opt, params, segment_size)
         cached = store.get(key)
         if cached is not None:
-            if verify:
-                from .verify import verify_streams
-
-                verify_streams(cached.streams)
             return cached
 
     lowered = lower_inv(circuit)
@@ -156,10 +150,6 @@ def compile_circuit(
         program = program_with_esw
 
     streams = generate_streams(program, window, n_ges, params, graph=graph)
-    if verify:
-        from .verify import verify_streams
-
-        verify_streams(streams)
     result = CompileResult(
         program=program,
         lowered=lowered,

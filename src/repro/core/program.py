@@ -121,13 +121,13 @@ class HaacProgram:
     # Validation
     # ------------------------------------------------------------------
 
-    def validate(self, oor_allowed: bool = True) -> None:
+    def validate(self) -> None:
         """Check the ISA contract against the carried netlist.
 
         * instruction count matches the netlist gate count;
         * netlist gate ``p`` writes wire ``n_inputs + p`` (renamed form);
         * instruction operands match the gate's input wires unless they
-          are the OoR sentinel (``oor_allowed``);
+          are the OoR sentinel ``0``;
         * ops correspond (netlist has no INV at this stage).
         """
         netlist = self.netlist
@@ -147,7 +147,7 @@ class HaacProgram:
             if operands is wires or operands == wires:
                 continue
             for position, (operand, wire) in enumerate(zip(operands, wires)):
-                if operand != wire and not (oor_allowed and operand == 0):
+                if operand != wire and operand != 0:
                     raise ProgramError(
                         f"instruction {position} operand {operand} does not "
                         f"match netlist wire {wire}"

@@ -6,8 +6,8 @@ Two pieces, shared by the transport and session layers:
   :class:`FaultKindUnsupported` and the :class:`RecoveryLog`
   degradation ledger;
 * :mod:`repro.faults.plan` -- seed-driven :class:`FaultPlan` parsing and
-  resolution (explicit arg > ``REPRO_FAULTS``), checked against the
-  kinds the receiving boundary can inject.
+  resolution (a spec or plan; ``None`` is no faults), checked against
+  the kinds the receiving boundary can inject.
 
 A session's plan and ledger ride its own framed pair (or, on the
 process transport, its supervisor handle); nothing is process-wide.

@@ -45,7 +45,6 @@ priority ``kill_party`` > ``sever`` > ``stall``):
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -76,8 +75,6 @@ FRAME_FAULTS = (
 #: beats a stall when several arm on the same attempt).
 PROCESS_CHAOS = ("kill_party", "sever", "stall")
 FAULT_KINDS = FRAME_FAULTS + PROCESS_CHAOS
-
-_ENV_SPEC = "REPRO_FAULTS"
 
 
 @dataclass(frozen=True)
@@ -204,17 +201,13 @@ def resolve_fault_plan(
 ) -> Optional[FaultPlan]:
     """Resolve the fault plan for a session handed to ``boundary``.
 
-    Precedence: an explicit plan/spec argument, then the
-    ``REPRO_FAULTS`` environment variable.  Returns ``None`` (no
-    injection) when neither is set.  Every call builds a fresh plan at
-    the top of its schedule -- from a given plan too, copying its rates
-    and seed -- so two sessions never share RNG state or injection log.
-    Whatever the source, a plan arming a kind outside ``accepted`` (the
-    kinds ``boundary`` can inject) raises
+    ``None`` means no injection and returns ``None``.  Every other call
+    builds a fresh plan at the top of its schedule -- from a given plan
+    too, copying its rates and seed -- so two sessions never share RNG
+    state or injection log.  A plan arming a kind outside ``accepted``
+    (the kinds ``boundary`` can inject) raises
     :class:`~repro.faults.FaultKindUnsupported`.
     """
-    if spec is None:
-        spec = os.environ.get(_ENV_SPEC) or None
     if spec is None:
         return None
     if isinstance(spec, str):

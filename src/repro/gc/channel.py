@@ -266,13 +266,14 @@ class FramedChannel:
         max_retries: int = 8,
         backoff_base_s: float = 0.0005,
         wire: Optional[Any] = None,
-        keep_retransmit: bool = True,
     ) -> None:
-        """``keep_retransmit=False`` skips the sender-side pristine-frame
-        buffer.  The retransmit path only works when sender and receiver
-        share this object (the in-process transports); a split-process
-        endpoint over a loss-free blocking wire never retransmits, and
-        retaining every frame for the session would only grow memory."""
+        """``wire`` (default: a :class:`LossyWire` applying ``plan``)
+        carries the frames.  The sender-side pristine-frame buffer is
+        kept only on the default wire: the retransmit path works only
+        when sender and receiver share this object, and a custom wire
+        (a split-process endpoint over a loss-free blocking socket)
+        never retransmits, so retaining every frame for the session
+        would only grow memory."""
         if chunk_bytes < 1:
             raise ValueError("chunk_bytes must be >= 1")
         if wire is not None and plan is not None:
@@ -285,8 +286,8 @@ class FramedChannel:
         self.chunk_bytes = chunk_bytes
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
+        self._retains_frames = wire is None
         self.wire = wire if wire is not None else LossyWire(name, plan)
-        self.keep_retransmit = keep_retransmit
         self.bytes_by_class: Dict[str, int] = defaultdict(int)
         # Sender state.
         self._next_seq = 0
@@ -331,7 +332,7 @@ class FramedChannel:
             frame = Frame(self._next_seq, msg_id, index, len(chunks), kind, chunk)
             self._next_seq = (self._next_seq + 1) % SEQ_MOD
             data = encode_frame(frame)
-            if self.keep_retransmit:
+            if self._retains_frames:
                 self._retransmit[frame.seq] = data
             self.bytes_by_class[kind] += len(data)
             self.frames_sent += 1
@@ -469,24 +470,9 @@ class FramedPair:
 
 
 def make_framed_pair(
-    plan: Optional[FaultPlan] = None,
-    log: Optional[RecoveryLog] = None,
-    chunk_bytes: int = 4096,
-    max_retries: int = 8,
+    plan: Optional[FaultPlan] = None, log: Optional[RecoveryLog] = None
 ) -> FramedPair:
     return FramedPair(
-        to_evaluator=FramedChannel(
-            "garbler->evaluator",
-            plan=plan,
-            log=log,
-            chunk_bytes=chunk_bytes,
-            max_retries=max_retries,
-        ),
-        to_garbler=FramedChannel(
-            "evaluator->garbler",
-            plan=plan,
-            log=log,
-            chunk_bytes=chunk_bytes,
-            max_retries=max_retries,
-        ),
+        to_evaluator=FramedChannel("garbler->evaluator", plan=plan, log=log),
+        to_garbler=FramedChannel("evaluator->garbler", plan=plan, log=log),
     )

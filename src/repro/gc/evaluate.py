@@ -35,14 +35,12 @@ class EvaluationResult:
     output_labels: List[int]
     output_bits: List[int]
     hash_calls: int
-    key_expansions: int
 
 
 def evaluate_circuit(
     circuit: Circuit,
     garbled: GarbledCircuit,
     input_labels: Sequence[int],
-    rekeyed: bool = True,
 ) -> EvaluationResult:
     """Evaluate ``circuit`` given one label per primary input wire.
 
@@ -57,7 +55,7 @@ def evaluate_circuit(
     if len(garbled.tables) != garbled.n_and_gates:
         raise ValueError("garbled table stream is inconsistent")
 
-    hasher = GateHasher(rekeyed=rekeyed)
+    hasher = GateHasher()
     labels = [0] * circuit.n_wires
     for wire, label in enumerate(input_labels):
         labels[wire] = label
@@ -86,7 +84,6 @@ def evaluate_circuit(
         output_labels=output_labels,
         output_bits=output_bits,
         hash_calls=hasher.calls,
-        key_expansions=hasher.key_expansions,
     )
 
 
@@ -99,7 +96,6 @@ def evaluate_circuit_batched(
     circuit: Circuit,
     garbled: GarbledCircuit,
     input_labels: Sequence[int],
-    rekeyed: bool = True,
     backend: Optional[Union[str, "object"]] = None,
 ) -> EvaluationResult:
     """Evaluate level by level with a batch hash backend.
@@ -127,9 +123,9 @@ def evaluate_circuit_batched(
             f"({len(garbled.tables)} tables, {n_and} AND gates)"
         )
 
-    hasher = GateHasher(rekeyed=rekeyed)
+    hasher = GateHasher()
     store = BlockEvaluatorStore(
-        circuit, ints_to_bytes(input_labels), rekeyed, resolved, hasher
+        circuit, ints_to_bytes(input_labels), resolved, hasher
     )
     # The stream is in netlist order, the plan's AND batches are not.
     order = np.argsort(np.argsort(store.plan.and_positions)).tolist()
@@ -146,7 +142,6 @@ def evaluate_circuit_batched(
         output_labels=output_labels,
         output_bits=output_bits,
         hash_calls=hasher.calls,
-        key_expansions=hasher.key_expansions,
     )
 
 

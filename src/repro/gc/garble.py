@@ -73,8 +73,7 @@ class Garbler:
     zero_labels:
         ``zero_labels[w]`` is W_w^0 for every wire ``w``.
     hasher:
-        The gate hash with call accounting (re-keyed by default, as HAAC
-        mandates).
+        The re-keyed gate hash with call accounting.
     """
 
     circuit: Circuit
@@ -102,9 +101,7 @@ class Garbler:
         return bits
 
 
-def garble_circuit(
-    circuit: Circuit, seed: int = 0, rekeyed: bool = True
-) -> Garbler:
+def garble_circuit(circuit: Circuit, seed: int = 0) -> Garbler:
     """Garble ``circuit`` deterministically from ``seed``.
 
     Gate indices used as hash tweaks are the gate's position in the
@@ -113,7 +110,7 @@ def garble_circuit(
     circuit.validate()
     prg = LabelPrg(seed)
     r = prg.next_odd_block()
-    hasher = GateHasher(rekeyed=rekeyed)
+    hasher = GateHasher()
 
     zero_labels = [0] * circuit.n_wires
     for wire in range(circuit.n_inputs):
@@ -152,7 +149,6 @@ def garble_circuit(
 def garble_circuit_batched(
     circuit: Circuit,
     seed: int = 0,
-    rekeyed: bool = True,
     backend: Optional[Union[str, "object"]] = None,
 ) -> Garbler:
     """Garble ``circuit`` level by level with a batch hash backend.
@@ -176,9 +172,9 @@ def garble_circuit_batched(
     # R, then one label per input wire, in one draw.
     r, *input_labels = LabelPrg(seed).next_blocks(1 + circuit.n_inputs, resolved)
     r |= 1
-    hasher = GateHasher(rekeyed=rekeyed)
+    hasher = GateHasher()
 
-    store = BlockGarblerStore(circuit, input_labels, r, rekeyed, resolved, hasher)
+    store = BlockGarblerStore(circuit, input_labels, r, resolved, hasher)
     # Tables leave the store in schedule order, 32 bytes each; the
     # Evaluator's stream wants netlist order.
     payload = b"".join(store.garble_level(i) for i in range(len(store.plan)))
@@ -234,13 +230,12 @@ class _BlockStore:
     """
 
     def __init__(
-        self, circuit: Circuit, input_labels: bytes, rekeyed: bool,
-        backend, hasher: GateHasher,
+        self, circuit: Circuit, input_labels: bytes, backend, hasher: GateHasher
     ) -> None:
         self.state = np.zeros((circuit.n_wires, 4), dtype=np.uint32)
         self.state[: circuit.n_inputs] = bytes_to_blocks(input_labels)
         self.plan = circuit.and_level_plan
-        self.rekeyed, self.backend, self.hasher = rekeyed, backend, hasher
+        self.backend, self.hasher = backend, hasher
 
     def _hash(self, positions, labels, runs: int):
         """Hash ``labels`` = ``runs`` runs of ``2m`` blocks, each the
@@ -248,13 +243,11 @@ class _BlockStore:
         ``m`` ``b`` labels under its evaluator keys."""
         backend = self.backend
         keys = backend.tweaks_to_keys(and_tweaks(positions))
-        sched = backend.expand_keys(keys) if self.rekeyed else keys
+        sched = backend.expand_keys(keys)
         if runs > 1:
             sched = np.concatenate([sched.T] * runs, axis=1).T
         self.hasher.record_batch(len(labels))
-        if self.rekeyed:
-            return backend.hash_with_schedules(labels, sched)
-        return backend.hash_fixed_key_blocks(labels, sched)
+        return backend.hash_with_schedules(labels, sched)
 
     def permute_bits(self, wires: Sequence[int]) -> List[int]:
         """Point-and-permute bit of each wire's stored label."""
@@ -269,12 +262,9 @@ class BlockGarblerStore(_BlockStore):
     """The Garbler's zero-labels as blocks."""
 
     def __init__(
-        self, circuit, input_labels: Sequence[int], r: int, rekeyed,
-        backend, hasher,
+        self, circuit, input_labels: Sequence[int], r: int, backend, hasher
     ) -> None:
-        super().__init__(
-            circuit, ints_to_bytes(input_labels), rekeyed, backend, hasher
-        )
+        super().__init__(circuit, ints_to_bytes(input_labels), backend, hasher)
         self.r_vec = backend.ints_to_blocks([r])[0]
 
     def select(self, wires: Sequence[int], bits: Sequence[int]) -> bytes:

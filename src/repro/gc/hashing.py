@@ -1,17 +1,19 @@
 """The gate hash used by Half-Gate garbling.
 
-HAAC (section 2.1) deliberately uses the *re-keyed* hash of Guo-Katz-
-Wang-Weng-Yu (GKWY20): each hash call keys AES with the gate index and
+HAAC (section 2.1) hard-wires the *re-keyed* hash of Guo-Katz-Wang-
+Weng-Yu (GKWY20): each hash call keys AES with the gate index and
 performs a **full key expansion**, rather than the cheaper but less
-secure fixed-key construction of Bellare et al.  The paper measures
-re-keying as costing 27.5 % extra per Half-Gate; we expose both modes so
-that cost delta is reproducible (see ``tests/gc/test_hashing.py``).
+secure fixed-key construction of Bellare et al.  Every garbling and
+session path hashes re-keyed; the paper's 27.5 % re-keying cost per
+Half-Gate is the analytic ``repro.baselines.cpu_model.REKEY_OVERHEAD``.
+:func:`fixed_key_hash` stays as the scalar oracle of the backend's
+fixed-key kernel (``hash_labels(..., False)``), not as a garbling mode.
 
 The hash is a Davies-Meyer / TCCR-style construction::
 
     sigma(x) = (x_left xor x_right) || x_left          (128-bit halves of 64b)
     H(x, j)  = AES_{expand(j)}(sigma(x)) xor sigma(x)   (re-keyed, HAAC mode)
-    H_fk(x, j) = AES_K(sigma(x) xor j) xor sigma(x) xor j   (fixed-key mode)
+    H_fk(x, j) = AES_K(sigma(x) xor j) xor sigma(x) xor j   (fixed-key)
 
 ``sigma`` is the linear orthomorphism used by EMP / GKWY20; it makes the
 construction tweakable-circular-correlation-robust under the random
@@ -26,7 +28,7 @@ from .rng import MASK_128
 __all__ = ["sigma", "rekeyed_hash", "fixed_key_hash", "GateHasher"]
 
 _HALF_MASK = (1 << 64) - 1
-# Arbitrary public constant used as the fixed key in fixed-key mode
+# Arbitrary public constant used as the fixed key of the fixed-key hash
 # (deployments derive it from a public nonce; any fixed value works for
 # the functional substrate).
 FIXED_KEY = 0x243F6A8885A308D313198A2E03707344  # pi digits
@@ -50,44 +52,35 @@ def rekeyed_hash(label: int, index: int) -> int:
 
 
 def fixed_key_hash(label: int, index: int) -> int:
-    """Fixed-key variant (Bellare et al.); weaker, kept for the cost study."""
+    """Fixed-key variant (Bellare et al.); the oracle of the backend's
+    fixed-key kernel, never a garbling mode."""
     s = sigma(label) ^ index
     return encrypt_block(s, FIXED_KEY) ^ s
 
 
 class GateHasher:
-    """Hash dispatcher with call accounting.
+    """The re-keyed gate hash with call accounting.
 
-    The accounting feeds the CPU cost model: re-keyed hashing performs a
-    key expansion per call, fixed-key amortises one expansion over the
-    whole program.  ``calls`` counts hash invocations and
-    ``key_expansions`` counts schedule computations.
+    ``calls`` counts hash invocations, one key expansion each; it feeds
+    the CPU cost model.
     """
 
-    def __init__(self, rekeyed: bool = True) -> None:
-        self.rekeyed = rekeyed
+    def __init__(self) -> None:
         self.calls = 0
-        self.key_expansions = 1 if not rekeyed else 0
 
     def __call__(self, label: int, index: int) -> int:
         self.calls += 1
-        if self.rekeyed:
-            self.key_expansions += 1
-            return rekeyed_hash(label, index)
-        return fixed_key_hash(label, index)
+        return rekeyed_hash(label, index)
 
     def record_batch(self, n: int) -> None:
         """Account for ``n`` hash calls performed by the batch backend.
 
         The block engine computes hashes out-of-line (see
-        :mod:`repro.gc.backends`); this keeps the call/expansion ledger
-        identical to ``n`` scalar invocations so the CPU cost model sees
-        the same work regardless of execution substrate.
+        :mod:`repro.gc.backends`); this keeps the call ledger identical
+        to ``n`` scalar invocations so the CPU cost model sees the same
+        work regardless of execution substrate.
         """
         self.calls += n
-        if self.rekeyed:
-            self.key_expansions += n
 
     def reset(self) -> None:
         self.calls = 0
-        self.key_expansions = 1 if not self.rekeyed else 0

@@ -330,9 +330,14 @@ class OtReceiver:
     backend: Optional[object] = None
 
     def choose(self, choice: int) -> Tuple[int, int]:
-        """Return (point to send, secret exponent) for ``choice``."""
+        """Return (point to send, secret exponent) for ``choice``.
+
+        Needs the sender's ``A`` (``sender_public``); without it this
+        raises ``ValueError`` before drawing the secret."""
         if choice not in (0, 1):
             raise ValueError("choice must be a bit")
+        if self.sender_public is None:
+            raise ValueError("choose needs the sender's public point first")
         b = (self.prg.next_bits(256) % (_GROUP_Q - 1)) + 1
         point = pow(GROUP_G, b, GROUP_P)
         if choice:

@@ -136,11 +136,8 @@ class TwoPartySession:
         self,
         circuit: Circuit,
         seed: int = 0,
-        rekeyed: bool = True,
         backend: Optional[Union[str, object]] = None,
         faults: Optional[Union[str, FaultPlan]] = None,
-        chunk_bytes: int = 4096,
-        max_retries: int = 8,
     ) -> None:
         """``backend`` is the hash backend both roles garble and
         evaluate on (anything :func:`~repro.gc.backends.resolve_backend`
@@ -150,19 +147,15 @@ class TwoPartySession:
         ``faults`` arms deterministic frame-fault injection on the
         session's wire: a spec string (``"drop:0.05,seed=7"``), a
         prebuilt :class:`~repro.faults.FaultPlan` (each driver draws
-        from its own copy), or ``None`` to defer to the
-        ``REPRO_FAULTS`` environment variable.  Building a driver
+        from its own copy), or ``None`` for no faults.  Building a driver
         raises :class:`~repro.faults.FaultKindUnsupported` for any kind
         outside ``FRAME_FAULTS``.
         """
         circuit.validate()
         self.circuit = circuit
         self.seed = seed
-        self.rekeyed = rekeyed
         self.backend = resolve_backend(backend)
         self.faults = faults
-        self.chunk_bytes = chunk_bytes
-        self.max_retries = max_retries
 
     def run_streamed(
         self, garbler_bits: Sequence[int], evaluator_bits: Sequence[int]
@@ -232,16 +225,10 @@ class StreamedDriver:
         self.plan = resolve_fault_plan(
             session.faults, FRAME_FAULTS, "an in-process session"
         )
-        pair = self.pair = make_framed_pair(
-            plan=self.plan,
-            log=self.log,
-            chunk_bytes=session.chunk_bytes,
-            max_retries=session.max_retries,
-        )
+        pair = self.pair = make_framed_pair(plan=self.plan, log=self.log)
         # The roles check their own input arity (ValueError).
         common = dict(
             seed=session.seed,
-            rekeyed=session.rekeyed,
             down=pair.to_evaluator,
             up=pair.to_garbler,
         )
@@ -342,16 +329,11 @@ def run_two_party(
     garbler_bits: Sequence[int],
     evaluator_bits: Sequence[int],
     seed: int = 0,
-    rekeyed: bool = True,
     backend: Optional[Union[str, object]] = None,
     faults: Optional[Union[str, FaultPlan]] = None,
 ) -> SessionResult:
     """One-call convenience wrapper: a :class:`TwoPartySession` run to
     completion by :meth:`TwoPartySession.run_streamed`."""
     return TwoPartySession(
-        circuit,
-        seed=seed,
-        rekeyed=rekeyed,
-        backend=backend,
-        faults=faults,
+        circuit, seed=seed, backend=backend, faults=faults
     ).run_streamed(garbler_bits, evaluator_bits)

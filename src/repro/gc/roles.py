@@ -159,7 +159,6 @@ class _Role:
         bits: Sequence[int],
         *,
         seed: int,
-        rekeyed: bool,
         backend,
         down: FramedChannel,
         up: FramedChannel,
@@ -175,11 +174,10 @@ class _Role:
         self.circuit = circuit
         self.bits = list(bits)
         self.seed = seed
-        self.rekeyed = rekeyed
         self.backend = resolve_backend(backend)
         self.down = down
         self.up = up
-        self.hasher = GateHasher(rekeyed=rekeyed)
+        self.hasher = GateHasher()
         #: The AND-level plan, known once the handshake turns ran.
         self.levels: Optional[AndLevelPlan] = None
         self.levels_done = 0
@@ -230,9 +228,7 @@ class GarblerRole(_Role):
         yield from self._ot_turns(
             [(inputs[w], inputs[w] ^ r) for w in circuit.evaluator_input_wires]
         )
-        store = BlockGarblerStore(
-            circuit, inputs, r, self.rekeyed, self.backend, self.hasher
-        )
+        store = BlockGarblerStore(circuit, inputs, r, self.backend, self.hasher)
         down.send_message(
             "garbler_labels",
             store.select(circuit.garbler_input_wires, self.bits),
@@ -344,9 +340,7 @@ class EvaluatorRole(_Role):
                 f"got {len(labels)} bytes"
             )
         labels += ints_to_bytes(ot_labels)
-        store = BlockEvaluatorStore(
-            circuit, labels, self.rekeyed, self.backend, self.hasher
-        )
+        store = BlockEvaluatorStore(circuit, labels, self.backend, self.hasher)
         self.levels = store.plan
         yield LEVEL  # the schedule always has its depth-0 phase
 

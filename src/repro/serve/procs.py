@@ -73,6 +73,9 @@ ROLES = (GARBLER, EVALUATOR)
 _LEN_PREFIX = 4
 _IO_CHUNK = 65536
 
+#: Seconds between a worker's heartbeats on its control pipe.
+HEARTBEAT_S = 0.05
+
 #: How long a stalled party sleeps.  Far past any sane deadline: the
 #: supervisor's watchdog must kill the session, the sleep never ends on
 #: its own.
@@ -178,21 +181,17 @@ def close_quietly(*ends) -> None:
 
 
 def make_party_channels(
-    wire: PeerSocketWire,
-    log: Optional[RecoveryLog] = None,
-    chunk_bytes: int = 4096,
+    wire: PeerSocketWire, log: Optional[RecoveryLog] = None
 ) -> Tuple[FramedChannel, FramedChannel]:
     """(down, up) channels for one party over its shared wire.
 
     Each party only exercises one half of each channel (the garbler
     sends on ``down`` and receives on ``up``; the evaluator mirrors),
-    and the blocking wire is loss-free, so the sender-side retransmit
-    buffer is disabled -- it could never be consulted anyway.
+    and the blocking wire is loss-free, so a channel on it keeps no
+    retransmit buffer -- it could never be consulted anyway.
     """
     down, up = (
-        FramedChannel(
-            name, log=log, chunk_bytes=chunk_bytes, wire=wire, keep_retransmit=False
-        )
+        FramedChannel(name, log=log, wire=wire)
         for name in ("garbler->evaluator", "evaluator->garbler")
     )
     return down, up
@@ -258,9 +257,7 @@ def party_process_main(role, payload, sock, conn, close_first) -> None:
     wire = PeerSocketWire(
         sock, f"{role} endpoint", io_timeout_s=payload["io_timeout_s"]
     )
-    down, up = make_party_channels(
-        wire, log=log, chunk_bytes=payload["chunk_bytes"]
-    )
+    down, up = make_party_channels(wire, log=log)
     lock = threading.Lock()
 
     def send(msg) -> bool:
@@ -275,7 +272,7 @@ def party_process_main(role, payload, sock, conn, close_first) -> None:
     stop = threading.Event()
     heartbeat = threading.Thread(
         target=_heartbeat_loop,
-        args=(send, role, payload["heartbeat_s"], stop),
+        args=(send, role, HEARTBEAT_S, stop),
         daemon=True,
     )
     heartbeat.start()
@@ -287,7 +284,6 @@ def party_process_main(role, payload, sock, conn, close_first) -> None:
             payload["circuit"],
             payload["bits"],
             seed=payload["seed"],
-            rekeyed=payload["rekeyed"],
             backend=payload["backend"],
             down=down,
             up=up,

@@ -340,13 +340,11 @@ class SessionService:
         self.log.record("drain_requested")
 
     @contextmanager
-    def signals_handled(
-        self, signums: Sequence[int] = (signal.SIGTERM, signal.SIGINT)
-    ):
+    def signals_handled(self):
         """Context manager installing SIGTERM/SIGINT -> drain handlers."""
         previous = {
             signum: signal.signal(signum, lambda *_: self.request_drain())
-            for signum in signums
+            for signum in (signal.SIGTERM, signal.SIGINT)
         }
         try:
             yield self

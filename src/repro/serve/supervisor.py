@@ -54,6 +54,7 @@ from ..gc.protocol import SessionResult
 from .procs import (
     EVALUATOR,
     GARBLER,
+    HEARTBEAT_S,
     ROLES,
     ChaosDirective,
     close_quietly,
@@ -72,7 +73,6 @@ class SessionSpec:
     garbler_bits: Sequence[int]
     evaluator_bits: Sequence[int]
     seed: int = 0
-    rekeyed: bool = True
     #: Backend name (checked by ``submit``, resolved inside each
     #: worker); see :func:`repro.gc.backends.resolve_backend`.
     backend: Optional[str] = None
@@ -146,12 +146,9 @@ class Supervisor(SessionService):
         deadline_s: Optional[float] = 30.0,
         retries: int = 1,
         backoff_base_s: float = 0.05,
-        heartbeat_s: float = 0.05,
         heartbeat_timeout_s: Optional[float] = None,
         drain_timeout_s: float = 10.0,
-        chunk_bytes: int = 4096,
         log: Optional[SupervisorLog] = None,
-        mp_start_method: Optional[str] = None,
     ) -> None:
         super().__init__(
             max_concurrent=max_concurrent,
@@ -162,17 +159,15 @@ class Supervisor(SessionService):
             log=log,
         )
         self.deadline_s = deadline_s
-        self.heartbeat_s = heartbeat_s
         self.heartbeat_timeout_s = (
             heartbeat_timeout_s
             if heartbeat_timeout_s is not None
-            else max(1.0, heartbeat_s * 40.0)
+            else 40 * HEARTBEAT_S
         )
-        self.chunk_bytes = chunk_bytes
-        if mp_start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
 
     def submit(self, spec: SessionSpec) -> SessionHandle:
         """Admit one session (or raise :class:`ServiceSaturated`).
@@ -223,11 +218,8 @@ class Supervisor(SessionService):
         common = {
             "circuit": spec.circuit,
             "seed": spec.seed,
-            "rekeyed": spec.rekeyed,
             "backend": spec.backend,
-            "heartbeat_s": self.heartbeat_s,
             "io_timeout_s": io_timeout_s,
-            "chunk_bytes": self.chunk_bytes,
         }
         bits = (spec.garbler_bits, spec.evaluator_bits)
         procs: Dict[str, object] = {}

@@ -8,14 +8,11 @@ from .coupled import (
     pull_based_runtime,
 )
 from .dram import DDR4, HBM2, BandwidthLedger, DramSpec
-from .engine import ENGINE_ENV_VAR, engine_mode
 from .functional import FunctionalRun, HaacMachineError, run_functional
 from .stats import SimResult, StallBreakdown
 from .timing import compute_traffic, simulate, simulate_batch
 
 __all__ = [
-    "ENGINE_ENV_VAR",
-    "engine_mode",
     "coupled_runtime",
     "coupled_runtime_batch",
     "pull_based_runtime",

@@ -55,11 +55,9 @@ class HaacConfig:
     instr_bytes: int = INSTR_BYTES
     model_bank_conflicts: bool = False
     # Timing-replay engine for every model that consumes this config:
-    # None defers to the REPRO_SIM_ENGINE environment variable;
-    # "numpy" (array closed form / level replay, the default) or "reference"
-    # (per-gate oracle, and the one bank-conflict replay) pins one
-    # engine; any other name raises ValueError when a model runs (see
-    # repro.sim.engine.engine_mode).
+    # "numpy" (array closed form / level replay, the default; None names
+    # it too) or "reference" (per-gate oracle, and the one bank-conflict
+    # replay; see repro.sim.engine).  Any other name raises ValueError.
     sim_engine: "str | None" = None
 
     def __post_init__(self) -> None:
@@ -70,6 +68,11 @@ class HaacConfig:
         check_finite_positive(self, "ge_clock_hz", "sww_clock_hz")
         if self.sww_bytes < 4 * WIRE_BYTES:
             raise ValueError("SWW too small")
+        if self.sim_engine not in (None, "numpy", "reference"):
+            raise ValueError(
+                f"unknown sim_engine {self.sim_engine!r}; expected "
+                "'numpy' or 'reference'"
+            )
 
     @property
     def and_latency(self) -> int:

@@ -19,8 +19,8 @@ Both reuse the exact same streams and byte accounting as
 :mod:`repro.sim.timing`, so the three models are directly comparable.
 Like the decoupled model, the replay reads the stream set through the
 schedule plan of :mod:`repro.sim.engine`: ``numpy`` (the default) is
-one array pass over a leading queue axis, ``REPRO_SIM_ENGINE=reference``
-the per-gate loop the equivalence suite diffs it against.
+one array pass over a leading queue axis, ``config.sim_engine =
+"reference"`` the per-gate loop the equivalence suite diffs it against.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ from ..core.isa import HaacOp
 from ..core.passes.streams import StreamSet
 from ..core.sww import WIRE_BYTES
 from .config import OOR_ADDR_BYTES, TABLE_BYTES, HaacConfig
-from .engine import (
-    ENGINE_NUMPY,
-    check_compiled_for,
-    engine_mode,
-    schedule_plan,
-)
+from .engine import check_compiled_for, schedule_plan
 from .timing import simulate
 
 __all__ = [
@@ -151,7 +146,7 @@ def coupled_runtime(
         else config.queue_sram_bytes // max(1, config.n_ges)
     )
     decoupled = simulate(streams, config)
-    if engine_mode(config.sim_engine) == ENGINE_NUMPY:
+    if config.sim_engine != "reference":
         return coupled_runtime_batch(streams, config, [queue_bytes], decoupled)[0]
     bandwidth = config.dram_bytes_per_ge_cycle
     program = streams.program
@@ -216,7 +211,7 @@ def coupled_runtime_batch(
         for queue_bytes in queue_bytes_list
     ]
     check_compiled_for(streams, config)
-    if engine_mode(config.sim_engine) != ENGINE_NUMPY or not queue_list:
+    if config.sim_engine == "reference" or not queue_list:
         return [
             coupled_runtime(streams, config, queue_bytes)
             for queue_bytes in queue_list

@@ -64,8 +64,11 @@ HBM2 = DramSpec(name="HBM2", bandwidth_gb_s=512.0)
 class BandwidthLedger:
     """Off-chip byte accounting by stream class for one execution."""
 
-    bytes_by_stream: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    """Bytes per stream.  ``sim/timing.py`` charges the five
+    bytes_by_stream: Dict[str, int] = field(
+        default_factory=lambda: defaultdict(int), init=False
+    )
+    """Bytes per stream, filled only by :meth:`charge` (not a
+    constructor argument).  ``sim/timing.py`` charges the five
     :data:`STREAMS` (any other name raises ``ValueError``):
     ``input_rd`` (16 B per primary input), ``instr_rd``
     (``instr_bytes`` per instruction), ``table_rd`` (32 B per AND),

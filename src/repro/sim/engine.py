@@ -4,10 +4,9 @@ The decoupled, coupled and pull-based models all read one compiled
 :class:`StreamSet` -- the program, its dependence graph's columns and
 the compile's ``ge_of`` / ``issue_cycle`` / ``level_of`` -- through two
 config-independent NumPy plans memoized on it, instead of re-walking
-dataclasses per gate.  Two engines, selected by ``REPRO_SIM_ENGINE`` (or
-``HaacConfig.sim_engine``, which wins when set):
+dataclasses per gate.  Two engines, selected by ``HaacConfig.sim_engine``:
 
-* ``numpy`` -- the default.  It picks its path from the input:
+* ``numpy`` -- the default (``None`` names it too).  It picks its path from the input:
 
   - A config *on the compile's schedule* -- ``(and_latency,
     xor_latency, cross_ge_forward)`` equal to the ``streams.params``
@@ -38,7 +37,6 @@ config whose GE count or SWW capacity is not the compile's raises
 """
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -50,19 +48,12 @@ from .config import HaacConfig
 from .stats import StallBreakdown
 
 __all__ = [
-    "ENGINE_ENV_VAR",
-    "ENGINE_NUMPY",
-    "ENGINE_REFERENCE",
-    "engine_mode",
     "check_compiled_for",
     "compute_cycles_batch",
     "compute_cycles_numpy_batched",
     "compute_cycles_reference",
 ]
 
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-ENGINE_NUMPY = "numpy"
-ENGINE_REFERENCE = "reference"
 #: The plans memoized on a StreamSet (never pickled: StreamSet.__getstate__).
 _PLAN_ATTR = "_numpy_plan"
 _SCHEDULE_ATTR = "_schedule_plan"
@@ -70,27 +61,6 @@ _SCHEDULE_ATTR = "_schedule_plan"
 #: _level_replay).  Any replay reaching 2**45 cycles would need
 #: trillions of instructions; the replay raises OverflowError past it.
 _SEG_BIAS = 1 << 45
-
-
-def engine_mode(override: Optional[str] = None) -> str:
-    """Active engine, resolved at call time.
-
-    ``override`` (``HaacConfig.sim_engine``) wins over the
-    ``REPRO_SIM_ENGINE`` environment variable when set.  ``numpy`` (the
-    default when unset or empty) is the closed form / level-parallel
-    array path; ``reference`` the per-gate oracle the equivalence suite
-    diffs it against.  Any other name raises :class:`ValueError`.
-    """
-    raw = override if override is not None else os.environ.get(ENGINE_ENV_VAR, "")
-    raw = raw.strip().lower()
-    if raw in ("", ENGINE_NUMPY):
-        return ENGINE_NUMPY
-    if raw == ENGINE_REFERENCE:
-        return ENGINE_REFERENCE
-    raise ValueError(
-        f"unknown {ENGINE_ENV_VAR}={raw!r}; expected "
-        f"'{ENGINE_NUMPY}' or '{ENGINE_REFERENCE}'"
-    )
 
 
 def check_compiled_for(streams: StreamSet, config: HaacConfig) -> None:
@@ -151,8 +121,7 @@ def compute_cycles_batch(
     results: List[Optional[Tuple[int, Dict[int, int]]]] = [None] * len(configs)
     replayed: List[int] = []
     for index, (config, stalls) in enumerate(zip(configs, stalls_list)):
-        if (engine_mode(config.sim_engine) != ENGINE_NUMPY
-                or config.model_bank_conflicts):
+        if config.sim_engine == "reference" or config.model_bank_conflicts:
             results[index] = compute_cycles_reference(streams, config, stalls)
         elif _replay_key(config) == scheduled:
             plan = schedule_plan(streams)

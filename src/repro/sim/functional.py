@@ -116,7 +116,7 @@ def run_functional(
     if garbler is None:
         garbler = garble_circuit_batched(netlist, seed=seed)
     tables = garbler.garbled.tables
-    hasher = GateHasher(rekeyed=garbler.hasher.rekeyed)
+    hasher = GateHasher()
 
     # DRAM image: inputs preloaded; live wires appear as written.
     input_labels = [

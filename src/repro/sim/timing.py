@@ -87,9 +87,9 @@ def simulate(streams: StreamSet, config: HaacConfig) -> SimResult:
     default) a config at the latencies the program was compiled under
     -- every ``src/`` path compiles with ``config.schedule_params()`` --
     is read off ``streams.issue_cycle`` with no replay, any other is a
-    one-row level replay; ``REPRO_SIM_ENGINE=reference`` (or
-    ``config.sim_engine``) selects the per-gate oracle, bit-identical,
-    and bank conflicts always run on it.
+    one-row level replay; ``config.sim_engine = "reference"`` selects
+    the per-gate oracle, bit-identical, and bank conflicts always run
+    on it.
     """
     return simulate_batch(streams, [config])[0]
 

@@ -326,25 +326,6 @@ def test_ablation_decoupling():
     assert max(pull_slowdowns) > 1.2
 
 
-def _mult16():
-    builder = CircuitBuilder()
-    xs = builder.add_garbler_inputs(16)
-    ys = builder.add_evaluator_inputs(16)
-    builder.mark_outputs(mul(builder, xs, ys))
-    return builder.build("mult16")
-
-
-def test_ablation_rekeying_changes_the_garbling():
-    """Re-keyed and fixed-key hashing are two different (both correct)
-    garblings of one circuit and seed.  The work counts -- one key
-    expansion per hash re-keyed, one in total fixed-key -- are
-    ``tests/gc/test_garble_evaluate.py::TestDeterminismAndAccounting``."""
-    circuit = _mult16()
-    rekeyed = garble_circuit(circuit, seed=7, rekeyed=True)
-    fixed = garble_circuit(circuit, seed=7, rekeyed=False)
-    assert rekeyed.garbled.tables != fixed.garbled.tables
-
-
 #: Section 7's lineage before FreeXOR: table bytes per gate, every gate
 #: (XOR included) tabled.  Yao's four rows carry a 64-bit zero tag for
 #: trial decryption (4 x 24 B); Point-and-Permute [BMR90] drops it

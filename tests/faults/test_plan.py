@@ -152,8 +152,7 @@ class TestResolveFaultPlan:
     def _resolve(spec):
         return resolve_fault_plan(spec, FRAME_FAULTS, "a test session")
 
-    def test_none_everywhere_resolves_to_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    def test_none_resolves_to_none(self):
         assert self._resolve(None) is None
 
     def test_plan_instance_is_copied_fresh(self):
@@ -176,14 +175,11 @@ class TestResolveFaultPlan:
         assert plan.rates == {"drop": 0.1}
         assert plan.seed == 4
 
-    def test_env_is_the_last_resort(self, monkeypatch):
+    def test_env_is_not_consulted(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "truncate:0.7,seed=11")
-        plan = self._resolve(None)
-        assert plan.rates == {"truncate": 0.7}
-        assert plan.seed == 11
+        assert self._resolve(None) is None
 
-    def test_fresh_plan_per_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    def test_fresh_plan_per_resolution(self):
         a = self._resolve("drop:0.5,seed=1")
         b = self._resolve("drop:0.5,seed=1")
         assert a is not b
@@ -192,13 +188,10 @@ class TestResolveFaultPlan:
         with pytest.raises(TypeError):
             self._resolve(0.5)
 
-    @pytest.mark.parametrize("source", ["spec", "plan", "env"])
-    def test_kind_outside_the_boundary_rejected(self, monkeypatch, source):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    @pytest.mark.parametrize("source", ["spec", "plan"])
+    def test_kind_outside_the_boundary_rejected(self, source):
         spec = "drop:0.1,sever:0.5,seed=2"
-        if source == "env":
-            monkeypatch.setenv("REPRO_FAULTS", spec)
-        arg = {"spec": spec, "plan": parse_fault_spec(spec), "env": None}
+        arg = {"spec": spec, "plan": parse_fault_spec(spec)}
         with pytest.raises(FaultKindUnsupported) as info:
             self._resolve(arg[source])
         assert isinstance(info.value, ValueError)

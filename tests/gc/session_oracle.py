@@ -52,13 +52,12 @@ def run_oracle_session(
     garbler_bits: Sequence[int],
     evaluator_bits: Sequence[int],
     seed: int = 0,
-    rekeyed: bool = True,
 ) -> OracleSession:
     """Garble, transfer and evaluate ``circuit`` with the streamed
     session's seeds (labels ``seed``, OT sender ``seed + 0x0F``, OT
     receiver ``seed + 0xB0B``), so a correct session sends exactly these
     values."""
-    garbler = garble_circuit(circuit, seed=seed, rekeyed=rekeyed)
+    garbler = garble_circuit(circuit, seed=seed)
     garbled = garbler.garbled
 
     sender = OtSender(LabelPrg(seed + 0x0F))
@@ -82,9 +81,7 @@ def run_oracle_session(
         for wire, bit in zip(circuit.garbler_input_wires, garbler_bits)
     ]
 
-    result = evaluate_circuit(
-        circuit, garbled, garbler_labels + evaluator_labels, rekeyed=rekeyed
-    )
+    result = evaluate_circuit(circuit, garbled, garbler_labels + evaluator_labels)
     return OracleSession(
         output_bits=result.output_bits,
         and_gates=garbled.n_and_gates,

@@ -143,15 +143,14 @@ LEVEL_CIRCUITS = {
 }
 
 
-def _assert_batched_matches_reference(circuit, rekeyed=True, seed=11):
-    reference = garble_circuit(circuit, seed=seed, rekeyed=rekeyed)
-    batched = garble_circuit_batched(circuit, seed=seed, rekeyed=rekeyed)
+def _assert_batched_matches_reference(circuit, seed=11):
+    reference = garble_circuit(circuit, seed=seed)
+    batched = garble_circuit_batched(circuit, seed=seed)
     assert batched.r == reference.r
     assert batched.zero_labels == reference.zero_labels
     assert batched.garbled.tables == reference.garbled.tables
     assert batched.garbled.decode_bits == reference.garbled.decode_bits
     assert batched.hasher.calls == reference.hasher.calls
-    assert batched.hasher.key_expansions == reference.hasher.key_expansions
 
     rng = random.Random(seed)
     garbler_bits = [rng.getrandbits(1) for _ in range(circuit.n_garbler_inputs)]
@@ -160,13 +159,12 @@ def _assert_batched_matches_reference(circuit, rekeyed=True, seed=11):
         reference.input_label(wire, bit)
         for wire, bit in enumerate(garbler_bits + evaluator_bits)
     ]
-    want = evaluate_circuit(circuit, reference.garbled, inputs, rekeyed=rekeyed)
-    got = evaluate_circuit_batched(circuit, batched.garbled, inputs, rekeyed=rekeyed)
+    want = evaluate_circuit(circuit, reference.garbled, inputs)
+    got = evaluate_circuit_batched(circuit, batched.garbled, inputs)
     assert got.output_labels == want.output_labels
     assert got.output_bits == want.output_bits
     assert got.output_bits == circuit.eval_plain(garbler_bits, evaluator_bits)
     assert got.hash_calls == want.hash_calls
-    assert got.key_expansions == want.key_expansions
 
 
 class TestResolveBackend:
@@ -308,7 +306,7 @@ class TestArrayKernel:
                 block_variant
             ).tolist() == backend.expand_keys(blocks).tolist()
         assert backend.encrypt_blocks(blocks[::2], schedules[::2]).tolist() == want[::2]
-        # One (44,) schedule broadcasts over the batch (fixed-key mode).
+        # One (44,) schedule broadcasts over the batch (the single-key users).
         single = backend.encrypt_blocks(blocks, schedules[5])
         assert backend.blocks_to_ints(single) == [
             aes.encrypt_block(value, keys[5]) for value in values
@@ -369,39 +367,34 @@ class TestBlockStoreHash:
 
     @pytest.mark.parametrize("m", [1, 37])
     @pytest.mark.parametrize("runs", [1, 2])
-    @pytest.mark.parametrize("rekeyed", [True, False])
-    def test_runs_hash_under_batch_keys(self, adder_circuit, rng, m, runs, rekeyed):
+    def test_runs_hash_under_batch_keys(self, adder_circuit, rng, m, runs):
         backend = NumpyLabelHashBackend()
-        hasher = GateHasher(rekeyed=rekeyed)
+        hasher = GateHasher()
         store = BlockEvaluatorStore(
-            adder_circuit,
-            ints_to_bytes([0] * adder_circuit.n_inputs),
-            rekeyed, backend, hasher,
+            adder_circuit, ints_to_bytes([0] * adder_circuit.n_inputs), backend, hasher
         )
         positions = np.asarray(rng.sample(range(10_000), m), dtype=np.int64)
         values, blocks = _random_blocks(backend, rng, 2 * m * runs)
         got = backend.blocks_to_ints(store._hash(positions, blocks, runs))
         tweaks = [2 * int(p) for p in positions] + [2 * int(p) + 1 for p in positions]
-        scalar_fn = rekeyed_hash if rekeyed else fixed_key_hash
         assert got == [
-            scalar_fn(value, tweak)
+            rekeyed_hash(value, tweak)
             for value, tweak in zip(values, tweaks * runs)
         ]
         assert hasher.calls == 2 * m * runs
 
     @pytest.mark.parametrize("circuit_name", sorted(LEVEL_CIRCUITS))
-    @pytest.mark.parametrize("rekeyed", [True, False])
-    def test_garbler_levels_match_per_gate(self, rng, rekeyed, circuit_name):
+    def test_garbler_levels_match_per_gate(self, rng, circuit_name):
         """Level by level, the block Garbler emits per-gate
         ``garble_circuit``'s tables at that level's AND positions, and
         ends on its zero-labels."""
         circuit = LEVEL_CIRCUITS[circuit_name]()
-        reference = garble_circuit(circuit, seed=rng.getrandbits(32), rekeyed=rekeyed)
+        reference = garble_circuit(circuit, seed=rng.getrandbits(32))
         table_of = _tables_by_position(circuit, reference.garbled.tables)
-        hasher = GateHasher(rekeyed=rekeyed)
+        hasher = GateHasher()
         store = BlockGarblerStore(
             circuit, reference.zero_labels[: circuit.n_inputs], reference.r,
-            rekeyed, NumpyLabelHashBackend(), hasher,
+            NumpyLabelHashBackend(), hasher,
         )
         for index, (and_positions, _) in enumerate(circuit.and_level_schedule()):
             want = tables_to_bytes([table_of[p] for p in and_positions])
@@ -411,8 +404,7 @@ class TestBlockStoreHash:
         assert hasher.calls == reference.hasher.calls == 4 * circuit.op.count(OP_AND)
 
     @pytest.mark.parametrize("circuit_name", sorted(LEVEL_CIRCUITS))
-    @pytest.mark.parametrize("rekeyed", [True, False])
-    def test_evaluator_levels_match_per_gate(self, rng, rekeyed, circuit_name):
+    def test_evaluator_levels_match_per_gate(self, rng, circuit_name):
         """Level by level, the block Evaluator reaches the labels per-gate
         ``evaluate_circuit`` does, fed that level's tables."""
         named = LEVEL_CIRCUITS[circuit_name]()
@@ -422,16 +414,16 @@ class TestBlockStoreHash:
             named.n_garbler_inputs, named.n_evaluator_inputs,
             list(range(named.n_wires)), named.op, named.a, named.b, named.out,
         )
-        garbler = garble_circuit(circuit, seed=rng.getrandbits(32), rekeyed=rekeyed)
+        garbler = garble_circuit(circuit, seed=rng.getrandbits(32))
         inputs = [
             garbler.input_label(wire, rng.getrandbits(1))
             for wire in range(circuit.n_inputs)
         ]
-        want = evaluate_circuit(circuit, garbler.garbled, inputs, rekeyed=rekeyed)
+        want = evaluate_circuit(circuit, garbler.garbled, inputs)
         table_of = _tables_by_position(circuit, garbler.garbled.tables)
-        hasher = GateHasher(rekeyed=rekeyed)
+        hasher = GateHasher()
         store = BlockEvaluatorStore(
-            circuit, ints_to_bytes(inputs), rekeyed, NumpyLabelHashBackend(), hasher
+            circuit, ints_to_bytes(inputs), NumpyLabelHashBackend(), hasher
         )
         for index, (and_positions, _) in enumerate(circuit.and_level_schedule()):
             store.evaluate_level(
@@ -466,22 +458,20 @@ class TestAndTweaks:
             backend.tweaks_to_keys(tweaks), backend.tweaks_to_keys(and_tweaks(wide))
         )
 
-    @pytest.mark.parametrize("rekeyed", [True, False])
     def test_store_hashes_narrow_positions_like_the_scalar_hash(
-        self, adder_circuit, rng, rekeyed
+        self, adder_circuit, rng
     ):
         backend = NumpyLabelHashBackend()
         store = BlockEvaluatorStore(
             adder_circuit, ints_to_bytes([0] * adder_circuit.n_inputs),
-            rekeyed, backend, GateHasher(rekeyed=rekeyed),
+            backend, GateHasher(),
         )
         m = len(self.WIDE)
         values, blocks = _random_blocks(backend, rng, 2 * m)
         positions = np.asarray(self.WIDE, dtype=np.int32)
         got = backend.blocks_to_ints(store._hash(positions, blocks, 1))
         tweaks = [2 * p for p in self.WIDE] + [2 * p + 1 for p in self.WIDE]
-        scalar_fn = rekeyed_hash if rekeyed else fixed_key_hash
-        assert got == [scalar_fn(v, t) for v, t in zip(values, tweaks)]
+        assert got == [rekeyed_hash(v, t) for v, t in zip(values, tweaks)]
 
 
 class TestBlockGarblerSelect:
@@ -493,7 +483,7 @@ class TestBlockGarblerSelect:
         reference = garble_circuit(circuit, seed=5)
         store = BlockGarblerStore(
             circuit, reference.zero_labels[: circuit.n_inputs], reference.r,
-            True, NumpyLabelHashBackend(), GateHasher(),
+            NumpyLabelHashBackend(), GateHasher(),
         )
         wires = list(range(circuit.n_inputs))
         bits = [rng.getrandbits(1) for _ in wires]
@@ -513,25 +503,18 @@ class TestBatchedGarbling:
     def test_batched_matches_reference_on_stdlib(self, circuit_name):
         _assert_batched_matches_reference(STDLIB_CIRCUITS[circuit_name]())
 
-    @pytest.mark.parametrize("circuit_name", sorted(STDLIB_CIRCUITS))
-    def test_fixed_key_mode_matches(self, circuit_name):
-        _assert_batched_matches_reference(
-            STDLIB_CIRCUITS[circuit_name](), rekeyed=False
-        )
-
     def test_random_circuits_match(self, rng):
         for trial in range(3):
             circuit = _random_circuit(rng, n_inputs=10, n_gates=120)
             _assert_batched_matches_reference(circuit, seed=trial)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 17, 64, 129])
-    @pytest.mark.parametrize("rekeyed", [True, False])
-    def test_one_level_of_any_width(self, width, rekeyed):
+    def test_one_level_of_any_width(self, width):
         """A single AND batch of ``width`` gates: the Garbler's four
         hash quarters and the Evaluator's two halves split at ``m``."""
         circuit = _ragged_circuit([width])
-        _assert_batched_matches_reference(circuit, rekeyed=rekeyed)
-        batched = garble_circuit_batched(circuit, seed=4, rekeyed=rekeyed)
+        _assert_batched_matches_reference(circuit)
+        batched = garble_circuit_batched(circuit, seed=4)
         assert batched.hasher.calls == 4 * width
 
     @pytest.mark.parametrize(

@@ -12,13 +12,13 @@ from repro.gc.garble import GarbledCircuit, garble_circuit
 from tests.conftest import random_circuit
 
 
-def _roundtrip(circuit, garbler_bits, evaluator_bits, seed=0, rekeyed=True):
-    garbler = garble_circuit(circuit, seed=seed, rekeyed=rekeyed)
+def _roundtrip(circuit, garbler_bits, evaluator_bits, seed=0):
+    garbler = garble_circuit(circuit, seed=seed)
     labels = [
         garbler.input_label(w, bit)
         for w, bit in enumerate(list(garbler_bits) + list(evaluator_bits))
     ]
-    result = evaluate_circuit(circuit, garbler.garbled, labels, rekeyed=rekeyed)
+    result = evaluate_circuit(circuit, garbler.garbled, labels)
     return result, garbler
 
 
@@ -101,20 +101,6 @@ class TestDeterminismAndAccounting:
             [1] * mixed_circuit.n_evaluator_inputs,
         )
         assert result.hash_calls == 2 * garbler.garbled.n_and_gates
-
-    def test_rekeying_expands_per_hash(self, mixed_circuit):
-        garbler = garble_circuit(mixed_circuit, seed=0, rekeyed=True)
-        assert garbler.hasher.key_expansions == garbler.hasher.calls
-
-    def test_fixed_key_single_expansion(self, mixed_circuit):
-        garbler = garble_circuit(mixed_circuit, seed=0, rekeyed=False)
-        assert garbler.hasher.key_expansions == 1
-
-    def test_fixed_key_still_correct(self, tiny_circuit):
-        for a in (0, 1):
-            for b in (0, 1):
-                result, _ = _roundtrip(tiny_circuit, [a], [b], rekeyed=False)
-                assert result.output_bits == tiny_circuit.eval_plain([a], [b])
 
 
 class TestErrors:

@@ -56,23 +56,14 @@ class TestHashes:
 
 
 class TestAccounting:
-    def test_rekeyed_counts_expansions(self):
-        hasher = GateHasher(rekeyed=True)
+    def test_counts_calls(self):
+        hasher = GateHasher()
         for i in range(5):
-            hasher(i, i)
+            assert hasher(i, i) == rekeyed_hash(i, i)
         assert hasher.calls == 5
-        assert hasher.key_expansions == 5
-
-    def test_fixed_key_one_expansion(self):
-        hasher = GateHasher(rekeyed=False)
-        for i in range(5):
-            hasher(i, i)
-        assert hasher.calls == 5
-        assert hasher.key_expansions == 1
 
     def test_reset(self):
         hasher = GateHasher()
         hasher(1, 2)
         hasher.reset()
         assert hasher.calls == 0
-        assert hasher.key_expansions == 0

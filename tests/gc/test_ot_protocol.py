@@ -72,6 +72,15 @@ class TestOt:
         with pytest.raises(ValueError):
             receiver.choose(2)
 
+    @pytest.mark.parametrize("choice", [0, 1])
+    def test_choose_before_the_sender_point_rejected(self, choice):
+        """Without ``A`` the per-bit path raises before it draws the
+        choice's secret: the PRG stream is where it started."""
+        prg = LabelPrg(1)
+        with pytest.raises(ValueError, match="sender's public point"):
+            OtReceiver(prg).choose(choice)
+        assert prg.next_block() == LabelPrg(1).next_block()
+
 
 def _chosen(receiver, public, choices):
     """The batched receiver's ``(point, secret)`` per choice: the

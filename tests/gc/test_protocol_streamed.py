@@ -147,10 +147,15 @@ class TestFaultWiring:
         result = run_two_party(tiny_circuit, [1], [0], faults="seed=1")
         assert result.fault_events == []
 
-    def test_env_spec_consulted(self, tiny_circuit, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "duplicate:1.0,seed=2")
+    def test_chaos_kind_in_env_stops_nothing(self, tiny_circuit, monkeypatch):
+        """A kind the in-process session refuses, named only in the
+        environment, is never read: the session runs clean."""
+        clean = run_two_party(tiny_circuit, [0], [1])
+        monkeypatch.setenv("REPRO_FAULTS", "sever")
         result = run_two_party(tiny_circuit, [0], [1])
-        assert any(event.kind == "duplicate" for event in result.fault_events)
+        assert result.fault_events == []
+        assert result.output_bits == clean.output_bits
+        assert result.transcript_digest == clean.transcript_digest
 
     def test_default_entry_point_injects_the_plan(self, mixed_circuit):
         """``run_two_party`` with no other argument consults the plan:
@@ -167,26 +172,22 @@ class TestFaultWiring:
         assert result.output_bits == clean.output_bits
         assert result.transcript_digest == clean.transcript_digest
 
-    @pytest.mark.parametrize("source", ["spec", "plan", "env"])
+    @pytest.mark.parametrize("source", ["spec", "plan"])
     def test_chaos_kind_rejected_before_a_frame_moves(
         self, tiny_circuit, monkeypatch, source
     ):
         """An in-process wire cannot kill a party or sever a socket: the
-        session refuses those kinds, from any source, before it runs.
+        session refuses those kinds, spec or plan, before it runs.
         Before the check, ``kill_party`` ran a clean session and
         reported nothing."""
         pushed = []
         monkeypatch.setattr(
             LossyWire, "push", lambda self, data, seq: pushed.append(seq)
         )
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         faults = {
             "spec": "kill_party,seed=3",
             "plan": FaultPlan({"drop": 0.1, "sever": 1.0}, seed=3),
-            "env": None,
         }[source]
-        if source == "env":
-            monkeypatch.setenv("REPRO_FAULTS", "sever")
         with pytest.raises(FaultKindUnsupported, match="in-process session"):
             run_two_party(tiny_circuit, [1], [0], faults=faults)
         session = TwoPartySession(tiny_circuit, faults=faults)
@@ -270,8 +271,7 @@ def _split_drive(
         _damage_first(down if name == "garbler" else up, kind, damage)
         try:
             role = role_cls(
-                circuit, bits[name], seed=3, rekeyed=True,
-                backend=backend, down=down, up=up,
+                circuit, bits[name], seed=3, backend=backend, down=down, up=up,
             )
             while role.next_turn is not None:
                 role.take_turn()

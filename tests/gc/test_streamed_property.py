@@ -55,8 +55,8 @@ def _input_bits(seed, circuit):
     )
 
 
-def _streamed(circuit, g, e, seed, backend, rekeyed, window):
-    session = TwoPartySession(circuit, seed=seed, rekeyed=rekeyed, backend=backend)
+def _streamed(circuit, g, e, seed, backend, window):
+    session = TwoPartySession(circuit, seed=seed, backend=backend)
     driver = StreamedDriver(session, g, e, max_inflight_levels=window)
     while not driver.step():
         pass
@@ -68,26 +68,23 @@ def _streamed(circuit, g, e, seed, backend, rekeyed, window):
     netlist=netlists,
     window=st.sampled_from([1, 2, 7]),
     backend=st.sampled_from([None, "auto"]),
-    rekeyed=st.booleans(),
 )
-def test_streamed_session_matches_plaintext_at_any_window(
-    netlist, window, backend, rekeyed
-):
+def test_streamed_session_matches_plaintext_at_any_window(netlist, window, backend):
     seed, circuit = netlist
     g, e = _input_bits(seed, circuit)
-    result = _streamed(circuit, g, e, seed, backend, rekeyed, window)
+    result = _streamed(circuit, g, e, seed, backend, window)
     assert result.output_bits == circuit.eval_plain(g, e)
-    lockstep = _streamed(circuit, g, e, seed, backend, rekeyed, window=1)
+    lockstep = _streamed(circuit, g, e, seed, backend, window=1)
     assert result.transcript_digest == lockstep.transcript_digest
     assert result.traffic == lockstep.traffic
 
 
 @settings(max_examples=25, deadline=None)
-@given(netlist=netlists, rekeyed=st.booleans())
-def test_level_kernels_match_the_per_gate_oracle(netlist, rekeyed):
+@given(netlist=netlists)
+def test_level_kernels_match_the_per_gate_oracle(netlist):
     seed, circuit = netlist
-    oracle = garble_circuit(circuit, seed=seed, rekeyed=rekeyed)
-    batched = garble_circuit_batched(circuit, seed=seed, rekeyed=rekeyed)
+    oracle = garble_circuit(circuit, seed=seed)
+    batched = garble_circuit_batched(circuit, seed=seed)
     assert batched.garbled.tables == oracle.garbled.tables
     assert batched.garbled.decode_bits == oracle.garbled.decode_bits
     assert batched.zero_labels == oracle.zero_labels
@@ -95,8 +92,8 @@ def test_level_kernels_match_the_per_gate_oracle(netlist, rekeyed):
 
     g, e = _input_bits(seed, circuit)
     labels = [oracle.input_label(w, bit) for w, bit in enumerate(g + e)]
-    want = evaluate_circuit(circuit, oracle.garbled, labels, rekeyed=rekeyed)
-    got = evaluate_circuit_batched(circuit, batched.garbled, labels, rekeyed=rekeyed)
+    want = evaluate_circuit(circuit, oracle.garbled, labels)
+    got = evaluate_circuit_batched(circuit, batched.garbled, labels)
     assert got.output_labels == want.output_labels
     assert got.output_bits == want.output_bits == circuit.eval_plain(g, e)
     assert got.hash_calls == want.hash_calls
@@ -107,10 +104,10 @@ def test_level_kernels_match_the_per_gate_oracle(netlist, rekeyed):
 # ----------------------------------------------------------------------
 
 
-def _recorded(circuit, g, e, seed, rekeyed, window):
+def _recorded(circuit, g, e, seed, window):
     """Run a fused session, recording every message either role sends:
     ``{(direction, kind): [payload, ...]}``."""
-    session = TwoPartySession(circuit, seed=seed, rekeyed=rekeyed)
+    session = TwoPartySession(circuit, seed=seed)
     driver = StreamedDriver(session, g, e, max_inflight_levels=window)
     sent = {}
     for direction, channel in (
@@ -126,10 +123,10 @@ def _recorded(circuit, g, e, seed, rekeyed, window):
     return driver, sent
 
 
-def _oracle_wire(circuit, g, e, seed, rekeyed):
+def _oracle_wire(circuit, g, e, seed):
     """Run the per-gate exchange, returning its result and its messages
     in the streamed wire format (tables cut into the AND levels)."""
-    result = run_oracle_session(circuit, g, e, seed=seed, rekeyed=rekeyed)
+    result = run_oracle_session(circuit, g, e, seed=seed)
     sent = result.payloads
     point_bytes = roles_mod._POINT_BYTES
     and_positions = (p for p, op in enumerate(circuit.op) if op == OP_AND)
@@ -154,9 +151,9 @@ def _oracle_wire(circuit, g, e, seed, rekeyed):
     return result, wire
 
 
-def _assert_streamed_matches_oracle(circuit, g, e, seed, rekeyed, window):
-    driver, sent = _recorded(circuit, g, e, seed, rekeyed, window)
-    oracle, wire = _oracle_wire(circuit, g, e, seed, rekeyed)
+def _assert_streamed_matches_oracle(circuit, g, e, seed, window):
+    driver, sent = _recorded(circuit, g, e, seed, window)
+    oracle, wire = _oracle_wire(circuit, g, e, seed)
     # garbler_labels, every tables payload, decode, outputs and the OT
     # messages: same kinds, same count, same bytes.  The digests are
     # the streamed transport's own.
@@ -168,16 +165,15 @@ def _assert_streamed_matches_oracle(circuit, g, e, seed, rekeyed, window):
 
 
 @settings(max_examples=25, deadline=None)
-@given(netlist=netlists, window=st.sampled_from([1, 7]), rekeyed=st.booleans())
-def test_streamed_session_sends_the_oracle_bytes(netlist, window, rekeyed):
+@given(netlist=netlists, window=st.sampled_from([1, 7]))
+def test_streamed_session_sends_the_oracle_bytes(netlist, window):
     seed, circuit = netlist
     g, e = _input_bits(seed, circuit)
-    _assert_streamed_matches_oracle(circuit, g, e, seed, rekeyed, window)
+    _assert_streamed_matches_oracle(circuit, g, e, seed, window)
 
 
-@pytest.mark.parametrize("rekeyed", [True, False])
 @pytest.mark.parametrize("name", ["tiny", "adder", "mixed", "hamm64"])
-def test_streamed_sends_the_oracle_bytes_on_named_circuits(request, name, rekeyed):
+def test_streamed_sends_the_oracle_bytes_on_named_circuits(request, name):
     """Hamm n=64 takes the pad KDF's block kernel in the session (64
     chains) and the scalar chain in the oracle: same ciphertexts."""
     if name == "hamm64":
@@ -185,7 +181,7 @@ def test_streamed_sends_the_oracle_bytes_on_named_circuits(request, name, rekeye
     else:
         circuit = request.getfixturevalue(f"{name}_circuit")
     g, e = _input_bits(5, circuit)
-    _assert_streamed_matches_oracle(circuit, g, e, seed=5, rekeyed=rekeyed, window=1)
+    _assert_streamed_matches_oracle(circuit, g, e, seed=5, window=1)
 
 
 @pytest.mark.parametrize(
@@ -222,7 +218,7 @@ def test_streamed_matches_oracle_on_degenerate_shapes(
     for bits in range(1 << (n_garbler + n_evaluator)):
         g = [(bits >> i) & 1 for i in range(n_garbler)]
         e = [(bits >> (n_garbler + i)) & 1 for i in range(n_evaluator)]
-        _assert_streamed_matches_oracle(circuit, g, e, seed=bits, rekeyed=True, window=1)
+        _assert_streamed_matches_oracle(circuit, g, e, seed=bits, window=1)
 
 
 # ----------------------------------------------------------------------

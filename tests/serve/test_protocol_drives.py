@@ -111,8 +111,7 @@ def _split_over_threads(circuit, backend):
         down, up = make_party_channels(wire)
         try:
             role = role_cls(
-                circuit, bits[name], seed=SEED, rekeyed=True, backend=backend,
-                down=down, up=up,
+                circuit, bits[name], seed=SEED, backend=backend, down=down, up=up,
             )
             while role.next_turn is not None:
                 role.take_turn()
@@ -266,8 +265,7 @@ class TestRoleContract:
     ):
         with pytest.raises(ValueError, match=f"wrong number of {what} input bits"):
             role_cls(
-                adder_circuit, bits, seed=SEED, rekeyed=True, backend=None,
-                **self._pair(),
+                adder_circuit, bits, seed=SEED, backend=None, **self._pair(),
             )
 
     @pytest.mark.parametrize(
@@ -276,7 +274,7 @@ class TestRoleContract:
     def test_turn_phases_in_order(self, request, fixture, handshake_turns):
         circuit = request.getfixturevalue(fixture)
         g, e = _bits(circuit)
-        common = dict(seed=SEED, rekeyed=True, backend=None, **self._pair())
+        common = dict(seed=SEED, backend=None, **self._pair())
         garbler = GarblerRole(circuit, g, **common)
         evaluator = EvaluatorRole(circuit, e, **common)
         seen = {garbler: [], evaluator: []}

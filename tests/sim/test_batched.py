@@ -28,9 +28,6 @@ from repro.sim.coupled import (
 )
 from repro.sim.dram import DDR4, HBM2, DramSpec
 from repro.sim.engine import (
-    ENGINE_ENV_VAR,
-    ENGINE_NUMPY,
-    ENGINE_REFERENCE,
     _replay_key,
     compute_cycles_batch,
     compute_cycles_numpy_batched,
@@ -39,7 +36,7 @@ from repro.sim.stats import StallBreakdown
 from repro.sim.timing import simulate, simulate_batch
 from repro.workloads import get_workload
 
-ALL_ENGINES = (ENGINE_NUMPY, ENGINE_REFERENCE)
+ALL_ENGINES = ("numpy", "reference")
 
 #: Three workload families, small builds (compile once per session).
 WORKLOADS = {
@@ -90,17 +87,17 @@ def _coupled_snap(point):
 @pytest.mark.parametrize("family", sorted(WORKLOADS))
 @pytest.mark.parametrize("engine", ALL_ENGINES)
 class TestBatchedVsSerial:
-    def test_simulate_batch_identical(self, monkeypatch, family, engine):
-        monkeypatch.setenv(ENGINE_ENV_VAR, engine)
+    def test_simulate_batch_identical(self, family, engine):
         streams, config = _compiled(family)
+        config = config.with_sim_engine(engine)
         configs = _grid(config)
         serial = [_snap(simulate(streams, c)) for c in configs]
         batched = [_snap(s) for s in simulate_batch(streams, configs)]
         assert batched == serial
 
-    def test_coupled_batch_identical(self, monkeypatch, family, engine):
-        monkeypatch.setenv(ENGINE_ENV_VAR, engine)
+    def test_coupled_batch_identical(self, family, engine):
         streams, config = _compiled(family)
+        config = config.with_sim_engine(engine)
         serial = [
             _coupled_snap(coupled_runtime(streams, config, q)) for q in QUEUES
         ]
@@ -110,11 +107,11 @@ class TestBatchedVsSerial:
         ]
         assert batched == serial
 
-    def test_bank_conflict_configs_fall_back(self, monkeypatch, family, engine):
+    def test_bank_conflict_configs_fall_back(self, family, engine):
         """model_bank_conflicts rides in a mixed batch via the serial
         fallback and stays indistinguishable from serial calls."""
-        monkeypatch.setenv(ENGINE_ENV_VAR, engine)
         streams, config = _compiled(family)
+        config = config.with_sim_engine(engine)
         configs = [
             config,
             config._replace(model_bank_conflicts=True),
@@ -133,8 +130,7 @@ class TestScenarioPhysics:
     ``test_engine_equivalence.py::test_generous_queues_converge_to_decoupled``."""
 
     @pytest.mark.parametrize("family", sorted(WORKLOADS))
-    def test_more_bandwidth_never_increases_runtime(self, monkeypatch, family):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    def test_more_bandwidth_never_increases_runtime(self, family):
         streams, config = _compiled(family)
         sweep = config.variants(
             dram=[DramSpec(name=f"{g}GB/s", bandwidth_gb_s=g)
@@ -161,8 +157,7 @@ class TestComputeCyclesBatch:
                 streams, [config], [StallBreakdown()] * 2
             )
 
-    def test_stall_breakdowns_accumulate_like_serial(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, ENGINE_NUMPY)
+    def test_stall_breakdowns_accumulate_like_serial(self):
         streams, config = _compiled("Hamm")
         configs = [config, config.with_role(Role.GARBLER)]
         serial_stalls = [simulate(streams, c).stalls.as_dict() for c in configs]
@@ -170,11 +165,10 @@ class TestComputeCyclesBatch:
         compute_cycles_batch(streams, configs, batch_stalls)
         assert [s.as_dict() for s in batch_stalls] == serial_stalls
 
-    def test_duplicate_configs_share_a_row(self, monkeypatch):
+    def test_duplicate_configs_share_a_row(self):
         """Dedup by compute signature: many compute-identical configs
         (a bandwidth sweep) cost one replay row and return equal
         results."""
-        monkeypatch.setenv(ENGINE_ENV_VAR, ENGINE_NUMPY)
         streams, config = _compiled("ReLU")
         sweep = config.variants(
             dram=[DramSpec(name=f"{g}GB/s", bandwidth_gb_s=g)
@@ -186,25 +180,24 @@ class TestComputeCyclesBatch:
         assert len(results) == 3
         assert results[0] == results[1] == results[2]
 
-    def test_writeback_adds_no_replay_row(self, monkeypatch, level_replays):
+    def test_writeback_adds_no_replay_row(self, level_replays):
         """Rows are deduped on (and_latency, xor_latency,
         cross_ge_forward) and writeback_stages is added after the
         replay: a forward x writeback grid costs one closed form (the
         compile's forward) plus one replay row per other forward."""
-        monkeypatch.setenv(ENGINE_ENV_VAR, ENGINE_NUMPY)
         streams, config = _compiled("Hamm")
         sweep = config.variants(
             cross_ge_forward=[1, 2, 4], writeback_stages=[0, 1, 3]
         )
         batched = [_snap(s) for s in simulate_batch(streams, sweep)]
         assert level_replays == [2]
-        monkeypatch.setenv(ENGINE_ENV_VAR, ENGINE_REFERENCE)
-        assert batched == [_snap(simulate(streams, c)) for c in sweep]
+        assert batched == [
+            _snap(simulate(streams, c.with_sim_engine("reference"))) for c in sweep
+        ]
 
-    def test_sim_engine_pin_respected_per_config(self, monkeypatch):
+    def test_sim_engine_pin_respected_per_config(self):
         """A config pinning sim_engine=reference inside a batch takes
         the serial path but still matches the numpy rows bit-for-bit."""
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
         streams, config = _compiled("MatMult")
         configs = [
             config.with_sim_engine("numpy"),
@@ -217,13 +210,12 @@ class TestComputeCyclesBatch:
 class TestReplayRowsAtFullScale:
     @pytest.mark.parametrize("name, sww_bytes", [("Hamm", 512), ("GradDesc", 2048)])
     def test_evicting_rows_equal_serial_reference(
-        self, monkeypatch, level_replays, name, sww_bytes
+        self, level_replays, name, sww_bytes
     ):
         """Full-scale Hamm at a 512 B SWW (858 levels) and GradDesc at a
         2 KB SWW (4,503 levels; at the paper's 128 KB none of sweep_warm's
         programs evicts): every level evicts.  Three replay keys share
         one level replay, and each row equals its serial reference call."""
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
         config = HaacConfig.paper_default().with_sww_bytes(sww_bytes)
         built = get_workload(name).build_scaled()
         streams = compile_circuit(
@@ -238,7 +230,7 @@ class TestReplayRowsAtFullScale:
         batched = [_snap(s) for s in simulate_batch(streams, configs)]
         assert level_replays == [3]
         assert batched == [
-            _snap(simulate(streams, c.with_sim_engine(ENGINE_REFERENCE)))
+            _snap(simulate(streams, c.with_sim_engine("reference")))
             for c in configs
         ]
         assert any(s[2]["window_sync"] for s in batched)
@@ -251,7 +243,6 @@ class TestWorkOncePerProgram:
     def test_closed_form_and_n_and_computed_once(
         self, monkeypatch, tmp_path, level_replays
     ):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
         config = HaacConfig(n_ges=4, sww_bytes=64 * 16)
         circuit = get_workload("Hamm").build(**WORKLOADS["Hamm"]).circuit
 

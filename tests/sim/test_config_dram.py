@@ -46,6 +46,11 @@ class TestLedger:
         with pytest.raises(ValueError, match="non-negative"):
             BandwidthLedger().charge("table_rd", -1)
 
+    def test_charge_is_the_only_way_in(self):
+        # A dict constructor would bypass charge's stream and sign checks.
+        with pytest.raises(TypeError, match="bytes_by_stream"):
+            BandwidthLedger(bytes_by_stream={"tabel_rd": 32, "live_wr": -5})
+
     @pytest.mark.parametrize("stream", ["x", "table", "live_rd", "Instr_rd", ""])
     def test_unknown_stream_rejected(self, stream):
         ledger = BandwidthLedger()

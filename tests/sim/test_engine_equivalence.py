@@ -4,7 +4,7 @@ The contract under test: every timing model (decoupled simulate,
 coupled, pull-based) produces *bit-identical* cycle counts,
 stall breakdowns and per-GE issue counts whether it runs on the NumPy
 level-parallel engine (the default) or the per-gate reference oracle
-(``REPRO_SIM_ENGINE=reference``), across every stdlib circuit family
+(``HaacConfig.sim_engine="reference"``), across every stdlib circuit family
 and every compiler optimization level.  The numpy engine has two paths
 chosen from the input -- the closed form over the compile's
 ``issue_cycle`` for a config at the compile's latencies, the level
@@ -30,21 +30,14 @@ from repro.circuits.builder import CircuitBuilder
 from repro.circuits.stdlib import fixed, integer, logic
 from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.circuits.stdlib.float import FloatFormat, fp_add
-from repro.cli import main
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.core.passes.streams import TIE_BREAKS
 from repro.sim.config import HaacConfig, Role
 from repro.sim.coupled import coupled_runtime, pull_based_runtime
-from repro.sim.engine import (
-    ENGINE_ENV_VAR,
-    ENGINE_NUMPY,
-    ENGINE_REFERENCE,
-    engine_mode,
-)
 from repro.sim.timing import simulate
 from repro.workloads import get_workload
 
-ALL_ENGINES = (ENGINE_NUMPY, ENGINE_REFERENCE)
+ALL_ENGINES = ("numpy", "reference")
 
 #: Engine names and aliases that were once accepted and now fail.
 REMOVED_ENGINE_NAMES = (
@@ -153,13 +146,11 @@ def _coupled_snapshot(streams, config):
     return rows
 
 
-def _all_engines(monkeypatch, fn):
-    """Run ``fn()`` under each engine; returns one snapshot per engine."""
-    snapshots = []
-    for engine in ALL_ENGINES:
-        monkeypatch.setenv(ENGINE_ENV_VAR, engine)
-        snapshots.append(fn())
-    return snapshots
+def _all_engines(snapshot, streams, config):
+    """``snapshot(streams, config)`` with each engine pinned on ``config``."""
+    return [
+        snapshot(streams, config.with_sim_engine(engine)) for engine in ALL_ENGINES
+    ]
 
 
 def _assert_identical(snapshots):
@@ -167,63 +158,56 @@ def _assert_identical(snapshots):
         assert snapshot == snapshots[0], f"{engine} diverged from numpy"
 
 
-class TestEngineMode:
-    def test_default_is_numpy_when_importable(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert engine_mode() == ENGINE_NUMPY
+class TestEngineSelector:
+    @pytest.mark.parametrize("engine", [None, *ALL_ENGINES])
+    def test_accepted_names(self, engine):
+        assert HaacConfig(sim_engine=engine).sim_engine == engine
 
-    def test_config_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, ENGINE_NUMPY)
-        assert engine_mode(ENGINE_REFERENCE) == ENGINE_REFERENCE
-
-    @pytest.mark.parametrize("raw,expected", [
-        ("", ENGINE_NUMPY),
-        ("numpy", ENGINE_NUMPY),
-        (" NumPy ", ENGINE_NUMPY),
-        ("reference", ENGINE_REFERENCE),
-        ("REFERENCE", ENGINE_REFERENCE),
-    ])
-    def test_accepted_names(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(ENGINE_ENV_VAR, raw)
-        assert engine_mode() == expected
-
-    @pytest.mark.parametrize("raw", REMOVED_ENGINE_NAMES + ("turbo",))
-    def test_removed_or_unknown_name_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv(ENGINE_ENV_VAR, raw)
+    @pytest.mark.parametrize(
+        "raw", REMOVED_ENGINE_NAMES + ("turbo", "", " NumPy ", "REFERENCE")
+    )
+    def test_removed_or_unknown_name_rejected(self, raw):
         with pytest.raises(ValueError, match="'numpy' or 'reference'"):
-            engine_mode()
+            HaacConfig(sim_engine=raw)
 
-    def test_removed_name_on_config_fails_in_simulate(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    @pytest.mark.parametrize(
+        "engine,oracle_runs", [(None, 0), ("numpy", 0), ("reference", 1)]
+    )
+    def test_pin_selects_the_engine(self, monkeypatch, engine, oracle_runs):
+        """The default (``None``) and ``"numpy"`` never reach the per-gate
+        oracle; ``"reference"`` runs it once per ``simulate``."""
+        real = engine_module.compute_cycles_reference
+        runs = []
+
+        def counted(*args):
+            runs.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(engine_module, "compute_cycles_reference", counted)
         result, config = _compiled("adder8", OptLevel.RO_RN_ESW)
-        with pytest.raises(ValueError, match="'numpy' or 'reference'"):
-            simulate(result.streams, config.with_sim_engine("vectorized"))
+        simulate(result.streams, config.with_sim_engine(engine))
+        assert len(runs) == oracle_runs
 
-    def test_removed_name_is_a_cli_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["simulate", "ReLU", "--engine", "vectorized"])
-        assert info.value.code == 2
-        assert "--engine" in capsys.readouterr().err
+    def test_removed_name_on_config_fails_before_simulate(self):
+        _, config = _compiled("adder8", OptLevel.RO_RN_ESW)
+        with pytest.raises(ValueError, match="'numpy' or 'reference'"):
+            config.with_sim_engine("vectorized")
 
 
 @pytest.mark.parametrize("family", sorted(STDLIB_FAMILIES))
 @pytest.mark.parametrize("opt", ALL_OPTS, ids=lambda o: o.value)
 class TestDecoupledEquivalence:
-    def test_simulate_identical(self, monkeypatch, level_replays, family, opt):
+    def test_simulate_identical(self, level_replays, family, opt):
         """On the compile's schedule: the closed form, no replay."""
         result, config = _compiled(family, opt)
-        _assert_identical(_all_engines(
-            monkeypatch, lambda: _sim_snapshot(result.streams, config)
-        ))
+        _assert_identical(_all_engines(_sim_snapshot, result.streams, config))
         assert level_replays == []
 
-    def test_off_schedule_identical(self, monkeypatch, level_replays, family, opt):
+    def test_off_schedule_identical(self, level_replays, family, opt):
         """Off the compile's schedule: a one-row level replay."""
         result, config = _compiled(family, opt)
         off = _off_schedule(config)
-        _assert_identical(_all_engines(
-            monkeypatch, lambda: _sim_snapshot(result.streams, off)
-        ))
+        _assert_identical(_all_engines(_sim_snapshot, result.streams, off))
         assert level_replays == [1]
 
 
@@ -267,10 +251,7 @@ class TestClosedFormDegenerate:
         result = compile_circuit(
             circuit, config.window, config.n_ges, params=params, cache=False
         )
-        _assert_identical([
-            _sim_snapshot(result.streams, config.with_sim_engine(engine))
-            for engine in ALL_ENGINES
-        ])
+        _assert_identical(_all_engines(_sim_snapshot, result.streams, config))
         assert level_replays == []
 
     @pytest.mark.parametrize("case", sorted(DEGENERATE))
@@ -297,10 +278,7 @@ class TestReplayDegenerate(TestClosedFormDegenerate):
             circuit, config.window, config.n_ges, params=params, cache=False
         )
         off = _off_schedule(config)
-        _assert_identical([
-            _sim_snapshot(result.streams, off.with_sim_engine(engine))
-            for engine in ALL_ENGINES
-        ])
+        _assert_identical(_all_engines(_sim_snapshot, result.streams, off))
         # A program with no instructions is timed before either path.
         assert level_replays == ([1] if len(result.program.op) else [])
 
@@ -308,17 +286,14 @@ class TestReplayDegenerate(TestClosedFormDegenerate):
 @pytest.mark.parametrize("family", sorted(STDLIB_FAMILIES))
 @pytest.mark.parametrize("opt", ALL_OPTS, ids=lambda o: o.value)
 class TestCoupledEquivalence:
-    def test_coupled_and_pull_identical(self, monkeypatch, family, opt):
+    def test_coupled_and_pull_identical(self, family, opt):
         result, config = _compiled(family, opt)
-        _assert_identical(_all_engines(
-            monkeypatch, lambda: _coupled_snapshot(result.streams, config)
-        ))
+        _assert_identical(_all_engines(_coupled_snapshot, result.streams, config))
 
-    def test_generous_queues_converge_to_decoupled(self, monkeypatch, family, opt):
+    def test_generous_queues_converge_to_decoupled(self, family, opt):
         """With effectively infinite queue SRAM the coupled model must
         reproduce the decoupled runtime exactly -- the paper's complete-
         decoupling claim, checked per family and opt level."""
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
         result, config = _compiled(family, opt)
         coupled = coupled_runtime(result.streams, config, queue_bytes_per_ge=1 << 40)
         decoupled = simulate(result.streams, config)
@@ -332,35 +307,30 @@ class TestExhaustiveAes:
     """All-families x all-opt-levels is the classes above; this adds the
     200k-gate AES-128 flagship at every opt level."""
 
-    def test_aes128_all_models_identical(self, monkeypatch, opt):
+    def test_aes128_all_models_identical(self, opt):
         result, config = _compiled("aes128", opt, sww_bytes=64 * 1024)
 
-        def run():
+        def run(streams, config):
             return (
-                _sim_snapshot(result.streams, config),
-                _coupled_snapshot(result.streams, config),
+                _sim_snapshot(streams, config),
+                _coupled_snapshot(streams, config),
             )
 
-        _assert_identical(_all_engines(monkeypatch, run))
+        _assert_identical(_all_engines(run, result.streams, config))
 
 
 class TestNumpyEngineDetails:
     def test_config_pin_overrides_environment(self, monkeypatch):
-        """config.sim_engine wins over REPRO_SIM_ENGINE and all pins
-        agree with each other."""
-        monkeypatch.setenv(ENGINE_ENV_VAR, ENGINE_REFERENCE)
+        """``config.sim_engine`` is the one selector: an engine named in
+        the environment changes nothing, and the pins agree."""
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
         result, config = _compiled("adder8", OptLevel.RO_RN_ESW)
-        snapshots = [
-            _sim_snapshot(result.streams, config.with_sim_engine(engine))
-            for engine in ALL_ENGINES
-        ]
-        _assert_identical(snapshots)
+        _assert_identical(_all_engines(_sim_snapshot, result.streams, config))
 
     def test_segment_bias_overflow_raises(self, monkeypatch):
         """The replay's bias bound is a typed error, not an ``assert``
         that ``python -O`` strips: a bias the cycles reach would make
         the segmented prefix max mix GEs and return wrong cycles."""
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
         monkeypatch.setattr(engine_module, "_SEG_BIAS", 8)
         config = HaacConfig(n_ges=4, sww_bytes=64 * 16)
         # A fresh compile, so the level plan is built with the small bias.

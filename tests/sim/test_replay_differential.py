@@ -24,7 +24,7 @@ from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig
 from repro.sim.coupled import _per_instruction_bytes, coupled_runtime_batch
 from repro.sim.dram import DDR4
-from repro.sim.engine import ENGINE_REFERENCE, _replay_issue
+from repro.sim.engine import _replay_issue
 from repro.workloads import get_workload
 from tests.core.test_greedy_differential import renamed_program
 from tests.sim.scalar_level_replay import scalar_replay_issue
@@ -101,7 +101,7 @@ def test_coupled_batch_lagging_at_ddr4():
     assert lagging > len(streams.issue_cycle) // 2
     batched = coupled_runtime_batch(streams, config, queues)
     reference = coupled_runtime_batch(
-        streams, config.with_sim_engine(ENGINE_REFERENCE), queues
+        streams, config.with_sim_engine("reference"), queues
     )
     assert [(r.cycles, r.stall_cycles, r.decoupled_cycles) for r in batched] == [
         (r.cycles, r.stall_cycles, r.decoupled_cycles) for r in reference

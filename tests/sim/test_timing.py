@@ -10,7 +10,6 @@ from repro.sim.coupled import (
     pull_based_runtime,
 )
 from repro.sim.dram import DDR4, HBM2, BandwidthLedger
-from repro.sim.engine import ENGINE_NUMPY, ENGINE_REFERENCE
 from repro.sim.stats import SimResult, StallBreakdown
 from repro.sim.timing import compute_traffic, simulate, simulate_batch
 from repro.workloads import get_workload
@@ -224,14 +223,14 @@ class TestCompiledShape:
         )
         return result.streams, config
 
-    @pytest.mark.parametrize("engine", [ENGINE_NUMPY, ENGINE_REFERENCE])
+    @pytest.mark.parametrize("engine", ["numpy", "reference"])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_ge_count_mismatch(self, relu16, model, engine):
         streams, config = relu16
         with pytest.raises(ValueError, match="4 GEs, 131072-wire SWW"):
             MODELS[model](streams, config.with_ges(4).with_sim_engine(engine))
 
-    @pytest.mark.parametrize("engine", [ENGINE_NUMPY, ENGINE_REFERENCE])
+    @pytest.mark.parametrize("engine", ["numpy", "reference"])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_sww_capacity_mismatch(self, relu16, model, engine):
         streams, config = relu16

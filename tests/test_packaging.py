@@ -1,11 +1,13 @@
 """Packaging and documentation sanity: the repo ships what it claims."""
 
+import ast
 import dataclasses
 import importlib
 import pathlib
 import pkgutil
 import re
 import textwrap
+from collections import defaultdict
 
 import pytest
 
@@ -17,6 +19,108 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
 )
+
+#: Settable values that no caller set, removed with the one value every
+#: caller used kept as fixed behaviour: (module, callable, parameter).
+REMOVED_PARAMETERS = [
+    *[
+        (module, name, "rekeyed")
+        for module, name in (
+            ("repro.gc.garble", "garble_circuit"),
+            ("repro.gc.garble", "garble_circuit_batched"),
+            ("repro.gc.evaluate", "evaluate_circuit"),
+            ("repro.gc.evaluate", "evaluate_circuit_batched"),
+            ("repro.gc.hashing", "GateHasher"),
+            ("repro.gc.protocol", "TwoPartySession"),
+            ("repro.gc.protocol", "run_two_party"),
+            ("repro.serve.supervisor", "SessionSpec"),
+        )
+    ],
+    ("repro.gc.protocol", "TwoPartySession", "chunk_bytes"),
+    ("repro.gc.protocol", "TwoPartySession", "max_retries"),
+    ("repro.gc.channel", "make_framed_pair", "chunk_bytes"),
+    ("repro.gc.channel", "make_framed_pair", "max_retries"),
+    ("repro.gc.channel", "FramedChannel", "keep_retransmit"),
+    ("repro.serve.procs", "make_party_channels", "chunk_bytes"),
+    ("repro.serve.supervisor", "Supervisor", "chunk_bytes"),
+    ("repro.serve.supervisor", "Supervisor", "heartbeat_s"),
+    ("repro.serve.supervisor", "Supervisor", "mp_start_method"),
+    ("repro.core.compiler", "compile_circuit", "verify"),
+    ("repro.analysis.dataprovider", "DataProvider", "cpu"),
+    ("repro.analysis.dataprovider", "DataProvider", "plaintext"),
+    ("repro.analysis.dataprovider", "DataProvider", "prog_cache"),
+    ("repro.core.program", "HaacProgram.validate", "oor_allowed"),
+    ("repro.serve.service", "SessionService.signals_handled", "signums"),
+]
+
+#: The environment variables ``src/`` may read: each names a directory or
+#: a file.  A behaviour switch read from the environment is not allowed.
+ALLOWED_ENV_READS = {
+    "REPRO_PROG_CACHE", "REPRO_RESULT_STORE", "REPRO_SUPERVISOR_LOG",
+    "XDG_CACHE_HOME",
+}
+
+
+def _env_reads():
+    """``{variable: [file:line, ...]}`` for every environment read under
+    ``src/``: the key of each ``os.environ.get`` / ``os.environ[...]`` /
+    ``os.getenv`` call, resolved through the string constants it names.
+    Any other use of ``os.environ`` / ``os.getenv``, or a key that does
+    not resolve to string constants, fails the calling test."""
+    trees = {
+        path.relative_to(ROOT): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    assigned = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        assigned[target.id].append(node.value)
+
+    def names(expr, where):
+        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+            return {expr.value}
+        key = getattr(expr, "id", None) or getattr(expr, "attr", None)
+        assert key in assigned, f"{where}: unresolved key {ast.unparse(expr)!r}"
+        return set().union(*(names(value, where) for value in assigned[key]))
+
+    def is_os(node, attr):
+        return (
+            isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+        )
+
+    reads, consumed = defaultdict(list), set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            environ = key = None
+            if isinstance(node, ast.Call) and node.args:
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "get" and is_os(
+                    func.value, "environ"
+                ):
+                    environ, key = func.value, node.args[0]
+                elif is_os(func, "getenv"):
+                    environ, key = func, node.args[0]
+            elif isinstance(node, ast.Subscript) and is_os(node.value, "environ"):
+                environ, key = node.value, node.slice
+            if environ is not None:
+                where = f"{path}:{node.lineno}"
+                consumed.add(id(environ))
+                for name in names(key, where):
+                    reads[name].append(where)
+        for node in ast.walk(tree):
+            touches = is_os(node, "environ") or is_os(node, "getenv") or (
+                isinstance(node, ast.ImportFrom) and node.module == "os"
+                and {"environ", "getenv"} & {alias.name for alias in node.names}
+            )
+            assert not touches or id(node) in consumed, (
+                f"{path}:{node.lineno}: environment access that is not a "
+                "keyed read"
+            )
+    return reads
 
 
 class TestDocumentation:
@@ -101,6 +205,66 @@ class TestRetiredApi:
         assert field not in names
         assert not hasattr(HaacConfig, f"with_{field}")
 
+    @pytest.mark.parametrize("module, target, param", REMOVED_PARAMETERS)
+    def test_removed_parameter_rejected(self, module, target, param):
+        owner = importlib.import_module(module)
+        for part in target.split("."):
+            owner = getattr(owner, part)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{param}'"):
+            owner(**{param: None})
+
+    def test_key_expansions_gone(self):
+        from repro.gc.evaluate import EvaluationResult
+        from repro.gc.hashing import GateHasher
+
+        assert not hasattr(GateHasher(), "key_expansions")
+        assert "key_expansions" not in {
+            f.name for f in dataclasses.fields(EvaluationResult)
+        }
+
+    def test_fault_env_var_injects_nothing(self, tiny_circuit, monkeypatch):
+        from repro.gc.protocol import run_two_party
+
+        monkeypatch.setenv("REPRO_FAULTS", "drop:1.0,seed=3")
+        result = run_two_party(tiny_circuit, [1], [0])
+        assert result.fault_events == []
+        assert result.recovery_events == []
+
+    def test_engine_env_var_selects_nothing(self, tiny_circuit, monkeypatch):
+        from repro.core.compiler import compile_circuit
+        from repro.sim.config import HaacConfig
+        from repro.sim.timing import simulate
+
+        config = HaacConfig(n_ges=2, sww_bytes=64 * 16)
+        streams = compile_circuit(
+            tiny_circuit, config.window, config.n_ges,
+            params=config.schedule_params(), cache=False,
+        ).streams
+        want = simulate(streams, config).compute_cycles
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "bogus")
+        assert simulate(streams, config).compute_cycles == want
+
+    def test_simulate_has_no_engine_flag(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["simulate", "ReLU", "--engine", "numpy"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+    def test_config_rejects_an_unknown_engine(self):
+        from repro.sim.config import HaacConfig
+
+        with pytest.raises(ValueError, match="unknown sim_engine 'bogus'"):
+            HaacConfig(sim_engine="bogus")
+
+    def test_src_reads_no_behaviour_switch_from_the_environment(self):
+        reads = _env_reads()
+        assert set(reads) <= ALLOWED_ENV_READS, {
+            name: where for name, where in reads.items()
+            if name not in ALLOWED_ENV_READS
+        }
+
     def test_progcache_has_no_shard_key(self):
         from repro.core import progcache
 
@@ -157,6 +321,15 @@ class TestRetiredApi:
             )
         ],
         ("repro.faults.plan", "PROCESS_FAULTS"),
+        # One engine selector, HaacConfig.sim_engine: no environment
+        # switch and no resolver behind it.
+        *[
+            (module, name)
+            for module in ("repro.sim", "repro.sim.engine")
+            for name in (
+                "engine_mode", "ENGINE_ENV_VAR", "ENGINE_NUMPY", "ENGINE_REFERENCE",
+            )
+        ],
         # One figure output: the CSV + Vega-Lite artifacts, no ASCII charts.
         ("repro.analysis", "grouped_bar_chart"),
         ("repro.analysis", "stacked_shares"),
