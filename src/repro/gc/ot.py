@@ -20,8 +20,8 @@ SUBSTITUTION NOTE (DESIGN.md section 2): the group is a fixed 768-bit
 safe-prime group (RFC 2409 Oakley Group 1).  That is large enough to
 exercise the real modular arithmetic but far below deployment parameter
 sizes; this reproduction targets functional completeness, not
-cryptographic strength.  The KDF is a Davies-Meyer construction over the
-from-scratch AES.
+cryptographic strength.  The KDF is a Davies-Meyer construction over
+AES-128: the from-scratch one, or libcrypto's for the same values.
 
 BATCHING: the batched paths hand each step's exponentiations to
 :func:`_powmod` as one list -- the receiver's ``g^b`` (``draw``) and
@@ -39,10 +39,14 @@ second factor depends only on the batch's ephemeral key --
 one exponentiation plus one multiplication.
 
 The pad KDF is sequential along a point's 128-bit limbs but independent
-across the batch, so the batched paths run it one limb at a time through
-the backend's block AES kernel (:func:`_kdf_batch`) when a backend is
-given and the batch has at least :data:`_KDF_BATCH_MIN` chains;
-otherwise the scalar :func:`_kdf` runs.
+across the batch.  When a backend is given, :func:`_kdf_batch` runs a
+batch of at least :data:`_KDF_BATCH_MIN` chains one limb at a time
+through the backend's block AES kernel, and a smaller one chain by chain
+on libcrypto's raw ``AES_set_encrypt_key`` / ``AES_encrypt``
+(:func:`_kdf_chains`; a handle of its own, so a libcrypto without the
+deprecated AES calls keeps :func:`_powmod` on libcrypto).  The scalar
+:func:`_kdf` runs for backend-less callers, for the per-bit reference
+path and, below the threshold, where libcrypto's AES is missing.
 
 All batched paths draw the same PRG stream and compute the same group
 elements and pads, so transcripts are bit-identical to the per-bit paths
@@ -108,26 +112,30 @@ _P_BYTES = GROUP_P.to_bytes(_GROUP_BYTES, "big")
 _LIBCRYPTO_SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1", "libcrypto.3.dylib")
 
 
-def _load_libcrypto():
-    """OpenSSL's libcrypto with the bignum calls :func:`_powmod` makes
-    typed, or ``None`` where this platform has no such library."""
+def _load_libcrypto(signatures=None):
+    """OpenSSL's libcrypto with ``signatures`` (name -> ``(restype,
+    argtypes)``; default the bignum calls :func:`_powmod` makes) typed,
+    or ``None`` where this platform has no library with all of them."""
     if ctypes is None:
         return None
     ptr, num = ctypes.c_void_p, ctypes.c_int
-    signatures = {
-        "BN_CTX_new": (ptr, []),
-        "BN_CTX_free": (None, [ptr]),
-        "BN_MONT_CTX_new": (ptr, []),
-        "BN_MONT_CTX_set": (num, [ptr, ptr, ptr]),
-        "BN_MONT_CTX_free": (None, [ptr]),
-        "BN_new": (ptr, []),
-        "BN_clear_free": (None, [ptr]),
-        "BN_bin2bn": (ptr, [ctypes.c_char_p, num, ptr]),
-        "BN_bn2binpad": (num, [ptr, ctypes.c_char_p, num]),
-        "BN_mod_exp_mont_consttime": (num, [ptr] * 6),
-    }
+    if signatures is None:
+        signatures = {
+            "BN_CTX_new": (ptr, []),
+            "BN_CTX_free": (None, [ptr]),
+            "BN_MONT_CTX_new": (ptr, []),
+            "BN_MONT_CTX_set": (num, [ptr, ptr, ptr]),
+            "BN_MONT_CTX_free": (None, [ptr]),
+            "BN_new": (ptr, []),
+            "BN_clear_free": (None, [ptr]),
+            "BN_bin2bn": (ptr, [ctypes.c_char_p, num, ptr]),
+            "BN_bn2binpad": (num, [ptr, ctypes.c_char_p, num]),
+            "BN_mod_exp_mont_consttime": (num, [ptr] * 6),
+        }
     for soname in _LIBCRYPTO_SONAMES:
         try:
+            # A fresh handle per table: typing one table's calls never
+            # retypes another's.
             lib = ctypes.CDLL(soname)
             for name, (restype, argtypes) in signatures.items():
                 function = getattr(lib, name)
@@ -138,8 +146,27 @@ def _load_libcrypto():
     return None
 
 
-#: Loaded once per process, at import, so forked parties inherit it.
+def _load_libcrypto_aes():
+    """libcrypto with the raw AES pair :func:`_kdf_chains` calls typed,
+    or ``None``.  A table of its own: a libcrypto built without the
+    deprecated low-level AES API keeps :func:`_powmod` on libcrypto."""
+    if ctypes is None:
+        return None
+    # No ``argtypes``: ctypes passes ``bytes`` as ``char *``, an int as
+    # ``int`` and the schedule array by address without a per-argument
+    # converter, which halves the cost of these sub-microsecond calls.
+    return _load_libcrypto({
+        "AES_set_encrypt_key": (ctypes.c_int, None),
+        "AES_encrypt": (None, None),
+    })
+
+
+#: Loaded once per process, at import, so forked parties inherit them.
 _LIBCRYPTO = _load_libcrypto()
+_LIBCRYPTO_AES = _load_libcrypto_aes()
+
+#: ``sizeof(AES_KEY)``: 60 round-key words and the round count, padded.
+_AES_KEY_WORDS = 62
 
 
 def _powmod(pairs: Sequence[Tuple[int, int]]) -> List[int]:
@@ -203,21 +230,53 @@ def _kdf(point: int, tweak: int) -> int:
     return digest
 
 
-# Chains at which six NumPy limb steps (1.2-1.4 ms, nearly flat in n)
-# clearly undercut the scalar chains (0.09 ms each): measured crossover
-# 13-14 chains on the recorded host, >= 2.2x ahead at 32 (DESIGN.md
-# section 4).
-_KDF_BATCH_MIN = 32
+def _kdf_chains(points: Sequence[int], tweaks: Sequence[int], lib) -> List[int]:
+    """``[_kdf(point, tweak) ...]`` on libcrypto's raw AES: one
+    ``AES_set_encrypt_key`` + ``AES_encrypt`` pair per limb.
+
+    The call owns its key schedule and output buffer, so concurrent
+    calls share nothing, and ``ctypes`` releases the GIL in each call.
+    """
+    schedule = (ctypes.c_uint32 * _AES_KEY_WORDS)()
+    out = ctypes.create_string_buffer(16)
+    set_key, encrypt = lib.AES_set_encrypt_key, lib.AES_encrypt
+    pads = []
+    for point, tweak in zip(points, tweaks):
+        digest = tweak & MASK_128
+        value = point
+        while value:
+            block = value & MASK_128
+            if set_key((digest | 1).to_bytes(16, "big"), 128, schedule):
+                raise RuntimeError("libcrypto refused an AES-128 key")
+            encrypt((block ^ digest).to_bytes(16, "big"), out, schedule)
+            digest = int.from_bytes(out.raw, "big") ^ block
+            value >>= 128
+        pads.append(digest)
+    return pads
+
+
+# The chains at which the six NumPy limb steps (2.2 ms at 8 chains,
+# 3.5 ms at 256) overtake :func:`_kdf_chains` (~15 us a chain): the
+# libcrypto chains won at 224 and lost at 256 on the recorded host
+# (DESIGN.md section 4).
+_KDF_BATCH_MIN = 256
 
 
 def _kdf_batch(points: Sequence[int], tweaks: Sequence[int], backend) -> List[int]:
-    """``[_kdf(point, tweak) ...]``, one limb of every chain per AES call.
+    """``[_kdf(point, tweak) ...]``: batches of at least
+    :data:`_KDF_BATCH_MIN` chains run one limb of every chain per call
+    of ``backend``'s block AES kernel, smaller ones
+    :func:`_kdf_chains`; with no backend, or no libcrypto AES for a
+    small batch, the scalar :func:`_kdf`.
 
     Rows carry their own limb count, so a point whose top limbs are zero
     stops exactly where the scalar ``while value:`` loop stops.
     """
-    if len(points) < _KDF_BATCH_MIN or backend is None:
+    small = len(points) < _KDF_BATCH_MIN
+    if backend is None or (small and _LIBCRYPTO_AES is None):
         return [_kdf(point, tweak) for point, tweak in zip(points, tweaks)]
+    if small:
+        return _kdf_chains(points, tweaks, _LIBCRYPTO_AES)
     limbs = np.array([(point.bit_length() + 127) >> 7 for point in points])
     depth = int(limbs.max())
     blocks = bytes_to_blocks(ints_to_bytes(points, 16 * depth))

@@ -29,7 +29,7 @@ from repro.gc.ot import (
     run_ot,
     run_ot_batch,
 )
-from repro.gc.protocol import run_two_party
+from repro.gc.protocol import TwoPartySession, run_two_party
 from repro.gc.rng import LabelPrg
 from repro.gc.roles import _LABEL_BYTES, _POINT_BYTES, ot_handshake_bytes
 from tests.gc.session_oracle import run_oracle_session
@@ -224,9 +224,38 @@ _kdf_points = st.one_of(
     st.integers(1, GROUP_P - 1),
 )
 
+# Tweaks the chain must mask to 128 bits, and ones it need not.
+_kdf_tweaks = st.one_of(
+    st.integers(0, (1 << 128) - 1), st.integers(1 << 128, (1 << 200) - 1)
+)
+
+# The chain's edge rows: the all-zero point, one-limb points (the
+# smallest, one with the key's low bit set, the widest), full 768-bit
+# points, and tweaks at and above 2^128.
+_KDF_EDGE_ROWS = [
+    (0, 0),
+    (0, (1 << 128) + 5),
+    (1, 0),
+    (1, 1 << 128),
+    ((1 << 128) - 1, 3),
+    ((1 << 768) - 1, 0),
+    ((1 << 767) | 1, (1 << 140) - 1),
+    (GROUP_P - 1, (1 << 129) | 7),
+]
+
+needs_libcrypto_aes = pytest.mark.skipif(
+    ot._LIBCRYPTO_AES is None,
+    reason="no libcrypto AES on this platform: the Python chain is the path",
+)
+
+
+def _scalar_chains(rows):
+    return [_kdf(point, tweak) for point, tweak in rows]
+
 
 class TestKdfKernel:
-    """``_kdf_batch`` on the block AES kernel against the scalar chain."""
+    """``_kdf_batch`` on the block AES kernel and on libcrypto's chains
+    against the scalar chain."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -247,6 +276,115 @@ class TestKdfKernel:
         tweaks = list(range(_KDF_BATCH_MIN))
         zeros = [0] * _KDF_BATCH_MIN
         assert _kdf_batch(zeros, tweaks, resolve_backend("numpy")) == tweaks
+
+    @needs_libcrypto_aes
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    _kdf_points,
+                    st.integers(1 << 767, (1 << 768) - 1),
+                    st.sampled_from([0, 1, (1 << 128) - 1, (1 << 768) - 1]),
+                ),
+                _kdf_tweaks,
+            ),
+            max_size=_KDF_BATCH_MIN - 1,
+        )
+    )
+    def test_libcrypto_chains_match_scalar_chain(self, rows):
+        """Every batch below the crossover, the empty one included."""
+        points = [point for point, _ in rows]
+        tweaks = [tweak for _, tweak in rows]
+        expected = _scalar_chains(rows)
+        assert ot._kdf_chains(points, tweaks, ot._LIBCRYPTO_AES) == expected
+        assert _kdf_batch(points, tweaks, resolve_backend("numpy")) == expected
+
+    @needs_libcrypto_aes
+    def test_libcrypto_chains_at_the_edges(self, monkeypatch):
+        """The edge rows, with the Python chain refused: a small batch
+        given a backend runs none of it."""
+
+        def refused(point, tweak):
+            raise AssertionError("the Python chain ran with libcrypto AES loaded")
+
+        points = [point for point, _ in _KDF_EDGE_ROWS]
+        tweaks = [tweak for _, tweak in _KDF_EDGE_ROWS]
+        expected = _scalar_chains(_KDF_EDGE_ROWS)
+        assert expected[:2] == [0, 5]  # no limb: the masked tweak
+        monkeypatch.setattr(ot, "_kdf", refused)
+        assert ot._kdf_chains(points, tweaks, ot._LIBCRYPTO_AES) == expected
+        assert _kdf_batch(points, tweaks, resolve_backend("numpy")) == expected
+
+    def test_refused_key_raises(self):
+        """A nonzero ``AES_set_encrypt_key`` status is an error, not a
+        pad from a stale schedule."""
+
+        class Refusing:
+            AES_set_encrypt_key = staticmethod(lambda *args: -1)
+            AES_encrypt = staticmethod(lambda *args: None)
+
+        with pytest.raises(RuntimeError):
+            ot._kdf_chains([1], [0], Refusing())
+        assert ot._kdf_chains([0], [7], Refusing()) == [7]  # no limb, no call
+
+    def test_small_batches_without_libcrypto_aes_take_the_python_chain(
+        self, monkeypatch
+    ):
+        calls = []
+
+        def counted(point, tweak):
+            calls.append(point)
+            return _kdf(point, tweak)
+
+        points = [point for point, _ in _KDF_EDGE_ROWS]
+        tweaks = [tweak for _, tweak in _KDF_EDGE_ROWS]
+        expected = _scalar_chains(_KDF_EDGE_ROWS)
+        monkeypatch.setattr(ot, "_LIBCRYPTO_AES", None)
+        monkeypatch.setattr(ot, "_kdf", counted)
+        assert _kdf_batch(points, tweaks, resolve_backend("numpy")) == expected
+        assert calls == points
+
+    def test_concurrent_batches_are_independent(self):
+        """Four threads, more than a 2-core machine has, each running
+        small batches (libcrypto's chains where loaded, each call with
+        its own key schedule and output buffer) and one at the
+        crossover while the others do."""
+        rng = random.Random(50)
+        workers = 4
+        sizes = [1, 7, _KDF_BATCH_MIN - 1, _KDF_BATCH_MIN]
+        batches = [
+            [
+                [(rng.randrange(GROUP_P), rng.getrandbits(130)) for _ in range(n)]
+                for n in sizes
+            ]
+            for _ in range(workers)
+        ]
+        backend = resolve_backend("numpy")
+        results = {}
+        barrier = threading.Barrier(workers)
+
+        def worker(k):
+            barrier.wait()
+            results[k] = [
+                _kdf_batch([p for p, _ in rows], [t for _, t in rows], backend)
+                for rows in batches[k]
+            ]
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the chains' Python parts too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == list(range(workers)), "a worker raised"
+        for k in range(workers):
+            assert results[k] == [_scalar_chains(rows) for rows in batches[k]]
 
 
 # The edge exponents: 0, 1, the largest secret (q - 1) and the largest
@@ -382,9 +520,53 @@ class TestPowmod:
         the handle ``None``: builtin ``pow``."""
         monkeypatch.setattr(ot, "_LIBCRYPTO_SONAMES", (soname,))
         assert ot._load_libcrypto() is None
+        assert ot._load_libcrypto_aes() is None
         monkeypatch.setattr(ot, "ctypes", None)
         monkeypatch.setattr(ot, "_LIBCRYPTO_SONAMES", ("libcrypto.so.3",))
         assert ot._load_libcrypto() is None
+        assert ot._load_libcrypto_aes() is None
+
+    def test_libcrypto_without_aes_keeps_powmod_on_libcrypto(self, monkeypatch):
+        """A libcrypto built without the deprecated low-level AES calls
+        (``no-deprecated``): the bignum table still loads, so ``_powmod``
+        stays on libcrypto, and the pad KDF takes the Python chain."""
+        if ot._LIBCRYPTO is None:
+            pytest.skip("no libcrypto on this platform: the fallback is the path")
+        real_cdll = ot.ctypes.CDLL
+
+        class WithoutAes:
+            def __init__(self, soname):
+                self._lib = real_cdll(soname)
+
+            def __getattr__(self, name):
+                if name.startswith("AES_"):
+                    raise AttributeError(name)
+                return getattr(self._lib, name)
+
+        monkeypatch.setattr(ot.ctypes, "CDLL", WithoutAes)
+        bignum, aes = ot._load_libcrypto(), ot._load_libcrypto_aes()
+        monkeypatch.undo()
+        assert bignum is not None and aes is None
+        monkeypatch.setattr(ot, "_LIBCRYPTO", bignum)
+        monkeypatch.setattr(ot, "_LIBCRYPTO_AES", aes)
+
+        rng = random.Random(49)
+        pairs = [(rng.randrange(1, GROUP_P), rng.getrandbits(256)) for _ in range(8)]
+        expected = _reference(pairs)
+
+        def refused(*args):
+            raise AssertionError("builtin pow ran on the libcrypto path")
+
+        monkeypatch.setattr(ot, "pow", refused, raising=False)
+        assert _powmod(pairs) == expected
+        monkeypatch.delattr(ot, "pow")
+
+        rows = [(rng.randrange(GROUP_P), rng.getrandbits(130)) for _ in range(16)]
+        points = [point for point, _ in rows]
+        tweaks = [tweak for _, tweak in rows]
+        assert _kdf_batch(points, tweaks, resolve_backend("numpy")) == [
+            _kdf(point, tweak) for point, tweak in rows
+        ]
 
     def test_concurrent_batches_are_independent(self):
         """Four threads, more than a 2-core machine has, each running
@@ -419,8 +601,21 @@ class TestPowmod:
             assert results[k] == [_reference(batches[k][i::4]) for i in range(4)]
 
 
+# Either side of the KDF crossover for the sender's ``2n`` chains
+# (``_KDF_BATCH_MIN // 2 - 1`` and ``// 2``) and the receiver's ``n``.
 @pytest.mark.parametrize("backend", ["auto", None])
-@pytest.mark.parametrize("n", [0, 1, _KDF_BATCH_MIN - 1, _KDF_BATCH_MIN, 513])
+@pytest.mark.parametrize(
+    "n",
+    [
+        0,
+        1,
+        _KDF_BATCH_MIN // 2 - 1,
+        _KDF_BATCH_MIN // 2,
+        _KDF_BATCH_MIN - 1,
+        _KDF_BATCH_MIN,
+        513,
+    ],
+)
 def test_batched_paths_match_per_bit(n, backend):
     """The batched receiver's steps and ``encrypt_batch`` are
     element for element the per-bit sequence, on either side of the KDF
@@ -623,6 +818,27 @@ class TestTwoPartySession:
             32 * result.and_gates + per_frame * result.streamed_levels
         )
         assert result.total_bytes > 32 * result.and_gates
+
+    @needs_libcrypto_aes
+    def test_session_runs_no_python_kdf_chain(self, mixed_circuit, monkeypatch):
+        """A backend-given mixed8 session (8 choices: 16 sender chains,
+        8 receiver chains) pads every chain on libcrypto's AES."""
+        calls = []
+
+        def counted(point, tweak):
+            calls.append(point)
+            return _kdf(point, tweak)
+
+        monkeypatch.setattr(ot, "_kdf", counted)
+        garbler_bits = [1, 0] * (mixed_circuit.n_garbler_inputs // 2)
+        evaluator_bits = [0, 1] * (mixed_circuit.n_evaluator_inputs // 2)
+        result = TwoPartySession(mixed_circuit, seed=3, backend="numpy").run_streamed(
+            garbler_bits, evaluator_bits
+        )
+        assert result.output_bits == mixed_circuit.eval_plain(
+            garbler_bits, evaluator_bits
+        )
+        assert calls == []
 
     def test_wrong_input_count(self, tiny_circuit):
         with pytest.raises(ValueError):
