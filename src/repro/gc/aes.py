@@ -31,6 +31,7 @@ __all__ = [
     "INV_S_BOX",
     "expand_key",
     "encrypt_block",
+    "encrypt_with_schedule",
     "encrypt_block_reference",
     "decrypt_block",
     "aes128",
@@ -191,7 +192,15 @@ def _columns_to_block(columns: Sequence[int]) -> int:
 
 def encrypt_block(block: int, key: int) -> int:
     """Encrypt one 128-bit block with AES-128 (T-table fast path)."""
-    words = expand_key(key)
+    return encrypt_with_schedule(block, expand_key(key))
+
+
+def encrypt_with_schedule(block: int, words: Sequence[int]) -> int:
+    """:func:`encrypt_block` under an expanded key (44 round-key words).
+
+    For keys used once: expanding one with :func:`key_expansion_words`
+    and encrypting here keeps it out of :func:`expand_key`'s cache.
+    """
     c0, c1, c2, c3 = _block_to_columns(block)
     c0 ^= words[0]
     c1 ^= words[1]

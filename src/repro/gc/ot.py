@@ -78,7 +78,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .aes import encrypt_block
+from .aes import encrypt_with_schedule, key_expansion_words
 from .backends import resolve_backend
 from .labels import blocks_to_bytes, bytes_to_blocks, bytes_to_ints, ints_to_bytes
 from .rng import MASK_128, LabelPrg
@@ -220,12 +220,17 @@ def _powmod(pairs: Sequence[Tuple[int, int]]) -> List[int]:
 
 
 def _kdf(point: int, tweak: int) -> int:
-    """Derive a 128-bit pad from a group element via AES Davies-Meyer."""
+    """Derive a 128-bit pad from a group element via AES Davies-Meyer.
+
+    Each limb's key is the previous digest, which never repeats, so it
+    is expanded uncached.
+    """
     digest = tweak & MASK_128
     value = point
     while value:
         block = value & MASK_128
-        digest = encrypt_block(block ^ digest, digest | 1) ^ block
+        key = key_expansion_words(digest | 1)
+        digest = encrypt_with_schedule(block ^ digest, key) ^ block
         value >>= 128
     return digest
 

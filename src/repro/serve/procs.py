@@ -17,14 +17,16 @@ The pieces here are the *worker side* of the supervision tree
   :class:`~repro.faults.FrameTimeout` -- it never returns ``None``, so
   the :class:`~repro.gc.channel.FramedChannel` retransmit path (which
   only works when sender and receiver share one object) is never taken.
-* :func:`party_process_main` -- the ``multiprocessing`` entry point
-  and the *split* scheduler of the streamed protocol: closes inherited
-  peer descriptors, starts the heartbeat thread, builds this party's
-  role (:class:`~repro.gc.roles.GarblerRole` or
+* :func:`party_process_main` -- the ``multiprocessing`` entry point of
+  a *resident* worker and the *split* scheduler of the streamed
+  protocol.  Per session, one payload (with an attempt tag) and one end
+  of a fresh ``socketpair`` arrive on its duplex control pipe; it starts
+  a heartbeat thread, builds this party's role
+  (:class:`~repro.gc.roles.GarblerRole` or
   :class:`~repro.gc.roles.EvaluatorRole` -- the same two scripts the
   fused :class:`~repro.gc.protocol.StreamedDriver` alternates in one
-  process) on its end of the socket, runs its turns straight through,
-  and reports ``("result" | "error", role, ...)`` on the control pipe.
+  process) on that socket, runs its turns straight through, and reports
+  ``("result" | "error", tag, ...)``; it exits on EOF.
   The protocol itself is not spelled out here; since both drives run the
   same scripts, outputs *and* transcript digests are bit-identical to a
   solo ``run_streamed``.  A worker that dies without reporting is the
@@ -43,6 +45,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing import reduction
 from typing import Optional, Tuple
 
 from ..faults import (
@@ -236,28 +239,22 @@ class ChaosDirective:
 # --------------------------------------------------------------------------
 
 
-def _heartbeat_loop(send, role, interval, stop) -> None:
-    while not stop.wait(interval) and send(("hb", role)):
+def _heartbeat_loop(send, tag, interval, stop) -> None:
+    while not stop.wait(interval) and send(("hb", tag)):
         pass
 
 
-def party_process_main(role, payload, sock, conn, close_first) -> None:
-    """Worker process body: run one party, report on the control pipe.
+def party_process_main(role, conn, close_first) -> None:
+    """Resident worker body: run this party's sessions until EOF.
 
     ``close_first`` lists descriptors this child inherited but must not
-    hold (the peer's socket end, the peer's control pipe, the parent's
-    receive ends) -- keeping them open would mask the peer's death from
-    both the kernel (no socket EOF) and the supervisor.  With the
-    ``fork`` start method the full fd table is inherited, so this close
-    pass is what makes :class:`~repro.faults.PeerDisconnected` prompt.
+    hold: every parent-side control end, whose copy here would hide the
+    parent's close from the worker it belongs to.  A session's socket
+    arrives over ``conn`` after its payload, so no worker ever holds its
+    peer's end and a dead peer is a prompt
+    :class:`~repro.faults.PeerDisconnected`.
     """
     close_quietly(*close_first)
-
-    log = RecoveryLog()
-    wire = PeerSocketWire(
-        sock, f"{role} endpoint", io_timeout_s=payload["io_timeout_s"]
-    )
-    down, up = make_party_channels(wire, log=log)
     lock = threading.Lock()
 
     def send(msg) -> bool:
@@ -269,38 +266,46 @@ def party_process_main(role, payload, sock, conn, close_first) -> None:
             return False
         return True
 
-    stop = threading.Event()
-    heartbeat = threading.Thread(
-        target=_heartbeat_loop,
-        args=(send, role, HEARTBEAT_S, stop),
-        daemon=True,
-    )
-    heartbeat.start()
-
-    chaos = payload["chaos"]
-    role_cls = GarblerRole if role == GARBLER else EvaluatorRole
-    try:
-        party = role_cls(
-            payload["circuit"],
-            payload["bits"],
-            seed=payload["seed"],
-            backend=payload["backend"],
-            down=down,
-            up=up,
+    while True:
+        try:
+            payload = conn.recv()
+            sock = socket.socket(fileno=reduction.recv_handle(conn))
+        except (EOFError, OSError):
+            return
+        tag, chaos, circuit = payload["tag"], payload["chaos"], payload["circuit"]
+        log = RecoveryLog()
+        wire = PeerSocketWire(
+            sock, f"{role} endpoint", io_timeout_s=payload["io_timeout_s"]
         )
-        while party.next_turn is not None:
-            was_level = party.next_turn == LEVEL
-            party.take_turn()
-            if was_level and chaos is not None:
-                chaos.maybe_fire(party.levels_done - 1, sock)
-        report = party.report()
-        report["recovered"] = log.events
-        send(("result", role, report))
-    except ProtocolFault as exc:
-        send(("error", role, exc))
-    except BaseException as exc:  # normalised like StreamedDriver.step
-        send(("error", role, SessionAborted(f"{role} worker aborted: {exc!r}")))
-    finally:
-        stop.set()
-        close_quietly(conn)
-        wire.close()
+        down, up = make_party_channels(wire, log=log)
+        stop = threading.Event()
+        heartbeat = threading.Thread(
+            target=_heartbeat_loop, args=(send, tag, HEARTBEAT_S, stop), daemon=True
+        )
+        heartbeat.start()
+        role_cls = GarblerRole if role == GARBLER else EvaluatorRole
+        try:
+            # A pickled circuit carries no memo: build the plan before the
+            # role, so first_level_s starts at the protocol's first turn.
+            circuit.and_level_plan
+            party = role_cls(
+                circuit, payload["bits"], seed=payload["seed"],
+                backend=payload["backend"], down=down, up=up,
+            )
+            while party.next_turn is not None:
+                was_level = party.next_turn == LEVEL
+                party.take_turn()
+                if was_level and chaos is not None:
+                    chaos.maybe_fire(party.levels_done - 1, sock)
+            report = party.report()
+            report["recovered"] = log.events
+            send(("result", tag, report))
+        except ProtocolFault as exc:
+            send(("error", tag, exc))
+        except Exception as exc:  # normalised like StreamedDriver.step
+            fault = SessionAborted(f"{role} worker aborted: {exc!r}")
+            send(("error", tag, fault))
+        finally:
+            stop.set()
+            heartbeat.join()
+            wire.close()

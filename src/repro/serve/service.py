@@ -25,7 +25,7 @@ An executor only starts, advances and stops one attempt (the ``_start``
 :class:`SessionMultiplexer` steps a
 :class:`~repro.gc.protocol.StreamedDriver` per running session per
 pass, in this thread; :class:`~repro.serve.supervisor.Supervisor` runs
-each session as a pair of party processes.
+each session on a resident pair of party processes.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ class ServiceStats:
     wall_s: float = 0.0
     #: Session re-launches after a failed attempt.
     retries: int = 0
-    #: Party worker processes started beyond the first pair per session.
+    #: Pairs forked to replace a retired pair, x 2, counted once per
+    #: retry (a failed attempt always retires its pair): ``retries x 2``.
     worker_restarts: int = 0
     #: Drain ledger (``None`` when no drain was requested):
     #: ``{"requested", "clean", "cancelled_pending", "killed_in_flight",
@@ -219,7 +220,7 @@ class SessionService:
 
     #: Prefix of generated session ids.
     id_prefix = "s"
-    #: Worker processes one attempt starts (each retry restarts them).
+    #: Worker processes a retried attempt restarts.
     workers_per_attempt = 0
 
     def __init__(

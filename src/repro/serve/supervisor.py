@@ -1,11 +1,12 @@
-"""Process executor: each session a pair of supervised party processes.
+"""Process executor: each session on a resident pair of party processes.
 
 The :class:`Supervisor` is the second executor under the
 :class:`~repro.serve.service.SessionService` core (admission, queue,
-retry backoff, drain, sealing and stats are the core's).  Each attempt
-runs as a *pair of OS processes* (one per party,
-:mod:`repro.serve.procs`) joined by a kernel ``socketpair``, with the
-parent watching from outside:
+retry backoff, drain and sealing are the core's).  Each slot holds a
+*resident pair of OS processes* (one per party,
+:mod:`repro.serve.procs`) for one ``run_until_complete``; an attempt
+is a tagged payload and one end of a fresh kernel ``socketpair`` per
+party on its control pipe, with the parent watching from outside:
 
 * **liveness** -- every worker heartbeats over its control pipe; the
   supervisor also watches process sentinels, so a SIGKILLed worker is
@@ -18,8 +19,11 @@ parent watching from outside:
   checked against the caller-supplied fault-free reference
   (``SessionSpec.reference_digest``) so "recovered" always means
   *bit-identical*, not merely "finished";
-* **reaping** -- stopping an attempt kills, joins and closes both
-  workers, so the core's unconditional final reap leaves zero zombies.
+* **isolation** -- only a verified session hands its pair back to the
+  idle pool; any other end kills both workers, so a retry never runs on
+  the pair that failed.  An idle pair found dead is replaced for free;
+* **reaping** -- a killed pair is joined and closed, and the final reap
+  shuts the idle pool down, so no child outlives the run.
 
 Chaos extends to process scope here: a session whose
 :class:`~repro.faults.FaultPlan` arms ``kill_party`` / ``sever`` /
@@ -33,12 +37,13 @@ child.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import socket
 import time
 from dataclasses import asdict, dataclass, field, replace
-from multiprocessing import connection as mp_connection
-from typing import Dict, Optional, Sequence
+from multiprocessing import connection as mp_connection, reduction
+from typing import Dict, List, Optional, Sequence
 
 from ..faults import (
     FaultPlan,
@@ -116,15 +121,42 @@ def draw_chaos(
 
 @dataclass
 class _PartyPair:
-    """The live attempt of one supervised session: two workers, two pipes."""
+    """One attempt on a resident pair (a pipe is set to ``None`` at EOF)."""
 
     procs: Dict[str, object]
     conns: Dict[str, object]
+    tag: int
     started: float
     deadline_at: Optional[float]
     reports: Dict[str, Dict[str, object]] = field(default_factory=dict)
     errors: Dict[str, ProtocolFault] = field(default_factory=dict)
     last_msg: Dict[str, float] = field(default_factory=dict)
+    verified: bool = False
+
+
+def _send(procs, conns, payloads) -> bool:
+    """Each party its payload, then its end of a fresh ``socketpair``."""
+    socks = dict(zip(ROLES, socket.socketpair()))
+    try:
+        for role, conn in conns.items():
+            conn.send(payloads[role])
+            reduction.send_handle(conn, socks[role].fileno(), procs[role].pid)
+        return True
+    except OSError:
+        return False
+    finally:
+        close_quietly(*socks.values())
+
+
+def _retire(procs, conns, grace_s: float = 0.0) -> None:
+    """Close a pair's pipes; kill what is alive after ``grace_s``; reap."""
+    close_quietly(*filter(None, conns.values()))
+    for proc in procs.values():
+        proc.join(grace_s)
+        if proc.is_alive():
+            proc.kill()
+        proc.join(timeout=5.0)
+        proc.close()
 
 
 class Supervisor(SessionService):
@@ -168,6 +200,8 @@ class Supervisor(SessionService):
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
+        self._idle: List[tuple] = []  # (procs, conns) of resident pairs
+        self._tags = itertools.count()
 
     def submit(self, spec: SessionSpec) -> SessionHandle:
         """Admit one session (or raise :class:`ServiceSaturated`).
@@ -212,50 +246,68 @@ class Supervisor(SessionService):
         )
         io_timeout_s = max(5.0, deadline * 2.0) if deadline else 30.0
 
-        socks = dict(zip(ROLES, socket.socketpair()))
-        pipes = {role: self._ctx.Pipe(duplex=False) for role in ROLES}
-        recvs = [recv for recv, _ in pipes.values()]
-        common = {
-            "circuit": spec.circuit,
-            "seed": spec.seed,
-            "backend": spec.backend,
-            "io_timeout_s": io_timeout_s,
-        }
-        bits = (spec.garbler_bits, spec.evaluator_bits)
-        procs: Dict[str, object] = {}
-        for role, role_bits, peer in zip(ROLES, bits, reversed(ROLES)):
-            payload = dict(
-                common,
-                bits=list(role_bits),
-                chaos=chaos if chaos and chaos.target == role else None,
-            )
-            procs[role] = self._ctx.Process(
-                target=party_process_main,
-                # Inherited descriptors the child must not hold: the
-                # peer's endpoints and the parent's receive ends.
-                args=(
-                    role, payload, socks[role], pipes[role][1],
-                    [socks[peer], pipes[peer][1], *recvs],
-                ),
-                daemon=True,
-                name=f"repro-{handle.session_id}-{role}-a{attempt}",
-            )
-            procs[role].start()
-        # The children hold their copies now; release the parent's.
-        close_quietly(*socks.values(), *(send for _, send in pipes.values()))
-
+        tag = next(self._tags)
+        bits = dict(zip(ROLES, (spec.garbler_bits, spec.evaluator_bits)))
+        procs, conns = self._hand_off({
+            role: {
+                "circuit": spec.circuit,
+                "seed": spec.seed,
+                "backend": spec.backend,
+                "io_timeout_s": io_timeout_s,
+                "tag": tag,
+                "bits": list(bits[role]),
+                "chaos": chaos if chaos and chaos.target == role else None,
+            }
+            for role in ROLES
+        })
         handle.attempt = _PartyPair(
-            procs,
-            dict(zip(ROLES, recvs)),
-            started=now,
-            deadline_at=now + deadline if deadline else None,
-            last_msg={role: now for role in ROLES},
+            procs, conns, tag, now, now + deadline if deadline else None,
+            last_msg=dict.fromkeys(ROLES, now),
         )
         return {
             "pids": {role: procs[role].pid for role in ROLES},
             "deadline_s": deadline,
             "chaos": asdict(chaos) if chaos is not None else None,
         }
+
+    # -- the resident pool ---------------------------------------------
+
+    def _hand_off(self, payloads: Dict[str, dict]) -> tuple:
+        """Send an attempt to an idle pair (one found dead is reaped and
+        replaced, at no retry's cost), else to a fresh pair."""
+        while self._idle:
+            procs, conns = self._idle.pop()
+            alive = all(proc.is_alive() for proc in procs.values())
+            if alive and _send(procs, conns, payloads):
+                return procs, conns
+            _retire(procs, conns)
+        procs, conns = self._fork()
+        _send(procs, conns, payloads)  # a dead fresh pair: the attempt's fault
+        return procs, conns
+
+    def _fork(self) -> tuple:
+        """Start a resident pair.  Each child closes every parent-side
+        control end it inherits (its own pair's too): a copy left open
+        there would keep the parent's close from reaching a worker."""
+        ends = [c for h in self._running for c in h.attempt.conns.values() if c]
+        procs: Dict[str, object] = {}
+        conns: Dict[str, object] = {}
+        for role in ROLES:
+            conns[role], child = self._ctx.Pipe(duplex=True)
+            procs[role] = self._ctx.Process(
+                target=party_process_main,
+                args=(role, child, [*ends, *conns.values()]),
+                daemon=True,
+                name=f"repro-{role}",
+            )
+            procs[role].start()
+            child.close()
+        return procs, conns
+
+    def _reap_all(self) -> None:
+        super()._reap_all()
+        while self._idle:
+            _retire(*self._idle.pop(), grace_s=5.0)  # at EOF its workers exit
 
     def _wait(self) -> None:
         conn_map = {
@@ -285,8 +337,11 @@ class Supervisor(SessionService):
             except (EOFError, OSError):
                 # Worker side closed; the sentinel / report state
                 # decides what it means.
+                close_quietly(conn)
                 attempt.conns[role] = None
                 return
+            if msg[1] != attempt.tag:
+                continue  # left over from this pair's previous session
             attempt.last_msg[role] = time.perf_counter()
             tag = msg[0]
             if tag == "result":
@@ -308,7 +363,9 @@ class Supervisor(SessionService):
         fault = self._diagnose(handle, now)
         if fault is not None or len(handle.attempt.reports) < len(ROLES):
             return fault
-        return self._verify(handle)
+        outcome = self._verify(handle)
+        handle.attempt.verified = isinstance(outcome, SessionResult)
+        return outcome
 
     def _diagnose(
         self, handle: SessionHandle, now: float
@@ -395,16 +452,13 @@ class Supervisor(SessionService):
         )
 
     def _stop(self, handle: SessionHandle) -> None:
-        """Kill (if needed) and reap both workers of the live attempt."""
+        """Hand a verified attempt's pair back to the pool; kill and
+        reap any other."""
         attempt, handle.attempt = handle.attempt, None
         if attempt is None:
             return
-        for proc in attempt.procs.values():
-            if proc.is_alive():
-                proc.kill()
-            proc.join(timeout=5.0)
-            if proc.exitcode is None:  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=5.0)
-            proc.close()
-        close_quietly(*(c for c in attempt.conns.values() if c is not None))
+        pair = (attempt.procs, attempt.conns)
+        if attempt.verified and None not in attempt.conns.values():
+            self._idle.append(pair)
+        else:
+            _retire(*pair)

@@ -272,6 +272,35 @@ class TestKdfKernel:
         assert _kdf_batch(points, tweaks, resolve_backend("numpy")) == expected
         assert _kdf_batch(points, tweaks, None) == expected
 
+    def test_python_chain_leaves_the_key_cache_alone(self):
+        """Each limb's key is a fresh digest: a per-bit OT round and a
+        backend-less batch expand their keys without caching them, and
+        the pads are the cached encrypt_block chain's."""
+        from repro.gc.aes import encrypt_block, expand_key
+
+        sender = OtSender(LabelPrg(1))
+        receiver = OtReceiver(LabelPrg(2), sender.public)
+        receiver.choose(0)  # both PRG keys are in the cache from here
+        before = expand_key.cache_info().currsize
+        point, secret = receiver.choose(1)
+        c0, c1 = sender.encrypt(0, point, 123, 456)
+        assert receiver.decrypt(0, 1, secret, c0, c1) == 456
+        assert expand_key.cache_info().currsize == before
+        points = [point for point, _ in _KDF_EDGE_ROWS]
+        tweaks = [tweak for _, tweak in _KDF_EDGE_ROWS]
+        pads = _kdf_batch(points, tweaks, None)
+        assert expand_key.cache_info().currsize == before
+
+        def cached_chain(point, tweak):
+            digest = tweak & ot.MASK_128
+            while point:
+                block = point & ot.MASK_128
+                digest = encrypt_block(block ^ digest, digest | 1) ^ block
+                point >>= 128
+            return digest
+
+        assert pads == [cached_chain(p, t) for p, t in _KDF_EDGE_ROWS]
+
     def test_all_zero_points_keep_their_tweaks(self):
         tweaks = list(range(_KDF_BATCH_MIN))
         zeros = [0] * _KDF_BATCH_MIN

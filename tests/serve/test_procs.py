@@ -10,6 +10,8 @@ graceful drain -- all without ever leaking a child process.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import socket
 import threading
 import time
@@ -53,6 +55,35 @@ def _assert_reaped():
     # join any exited-but-unreaped children, then require none alive.
     leftovers = multiprocessing.active_children()
     assert not [p for p in leftovers if p.is_alive()], leftovers
+
+
+class _OnEvent(SupervisorLog):
+    """A log that calls ``hook(event)`` once, at the first ``kind`` event."""
+
+    def __init__(self, kind, hook):
+        super().__init__()
+        self.kind, self.hook = kind, hook
+
+    def record(self, kind, **fields):
+        super().record(kind, **fields)
+        if kind == self.kind and self.hook is not None:
+            hook, self.hook = self.hook, None
+            hook(self.events[-1])
+
+
+def _vm_rss_mb(pid):
+    with open(f"/proc/{pid}/status") as status:
+        line = next(line for line in status if line.startswith("VmRSS:"))
+    return int(line.split()[1]) / 1024.0
+
+
+def _launches(supervisor):
+    """``(session, attempt, pids)`` of every ``launched`` event."""
+    return [
+        (ev["session"], ev["attempt"], tuple(sorted(ev["pids"].values())))
+        for ev in supervisor.log.events
+        if ev["event"] == "launched"
+    ]
 
 
 class TestProcessSession:
@@ -227,9 +258,14 @@ class TestProcessSession:
         poll = supervisor._wait
 
         def late_poll():
+            # Resident workers outlive their session: wait for both
+            # reports, not for the processes to exit.
             for sess in supervisor._running:
-                for proc in sess.attempt.procs.values():
-                    proc.join(30.0)
+                attempt = sess.attempt
+                for role, conn in attempt.conns.items():
+                    while role not in attempt.reports and conn.poll(30.0):
+                        supervisor._read(sess, role, conn)
+                assert len(attempt.reports) == 2
             poll()
 
         monkeypatch.setattr(supervisor, "_wait", late_poll)
@@ -256,9 +292,14 @@ class TestProcessSession:
                 )
             )(parse_fault_spec(f"kill_party:0.5,seed={s}"))
         )
+        # One slot, and a healthy session first: the killed attempt runs
+        # on that session's resident pair.
         supervisor = Supervisor(
-            deadline_s=60.0, retries=2, backoff_base_s=0.01
+            max_concurrent=1, deadline_s=60.0, retries=2, backoff_base_s=0.01
         )
+        supervisor.submit(SessionSpec(
+            adder_circuit, g, e, seed=7, reference_digest=solo.transcript_digest,
+        ))
         handle = supervisor.submit(SessionSpec(
             adder_circuit, g, e, seed=7,
             faults=f"kill_party:0.5,seed={seed}",
@@ -272,6 +313,10 @@ class TestProcessSession:
         assert stats.retries == 1
         assert stats.worker_restarts == 2
         assert stats.summary()["retries"] == 1
+        # The retry runs on neither worker of the killed pair.
+        (_, _, warm), (_, _, killed), (_, _, retry) = _launches(supervisor)
+        assert killed == warm
+        assert not set(retry) & set(killed)
         _assert_reaped()
 
     def test_retry_budget_exhausts_to_typed_fault(self, adder_circuit):
@@ -291,9 +336,13 @@ class TestProcessSession:
     def test_drain_finishes_in_flight_cancels_pending(self, adder_circuit):
         solo = _solo(adder_circuit)
         g, e = _bits(adder_circuit)
+        # The drain is requested at the first launch, not after a fixed
+        # delay: on resident workers four adder sessions can all seal
+        # within any short timer.
         supervisor = Supervisor(
             max_concurrent=1, max_pending=8, deadline_s=60.0,
             drain_timeout_s=30.0,
+            log=_OnEvent("launched", lambda _: supervisor.request_drain()),
         )
         handles = [
             supervisor.submit(SessionSpec(
@@ -301,12 +350,7 @@ class TestProcessSession:
             ))
             for i in range(4)
         ]
-        timer = threading.Timer(0.05, supervisor.request_drain)
-        timer.start()
-        try:
-            stats = supervisor.run_until_complete()
-        finally:
-            timer.cancel()
+        stats = supervisor.run_until_complete()
         drain = stats.drain
         assert drain is not None and drain["requested"]
         assert drain["clean"]
@@ -347,6 +391,125 @@ class TestProcessSession:
         lines = log_path.read_text().strip().splitlines()
         assert len(lines) == len(supervisor.log.events)
         assert all(json.loads(line)["event"] for line in lines)
+
+
+class TestResidentPairs:
+    """Sessions reuse a resident worker pair only after they verify."""
+
+    def test_one_pair_runs_every_session_bit_identical(self, adder_circuit):
+        g, e = _bits(adder_circuit)
+        specs = [
+            dict(garbler_bits=g, evaluator_bits=e, seed=7),
+            dict(garbler_bits=e, evaluator_bits=g, seed=8),
+            dict(garbler_bits=[1] * len(g), evaluator_bits=e, seed=9),
+        ]
+        supervisor = Supervisor(max_concurrent=1, deadline_s=60.0, retries=0)
+        handles = [
+            supervisor.submit(SessionSpec(adder_circuit, **spec))
+            for spec in specs
+        ]
+        supervisor.run_until_complete()
+        assert len({pids for _, _, pids in _launches(supervisor)}) == 1
+        for spec, handle in zip(specs, handles):
+            fresh = Supervisor(deadline_s=60.0, retries=0)
+            alone = fresh.submit(SessionSpec(adder_circuit, **spec))
+            fresh.run_until_complete()
+            assert handle.error is None and alone.error is None
+            assert handle.result.output_bits == alone.result.output_bits
+            assert handle.result.output_bits == adder_circuit.eval_plain(
+                spec["garbler_bits"], spec["evaluator_bits"]
+            )
+            assert (
+                handle.result.transcript_digest
+                == alone.result.transcript_digest
+            )
+        _assert_reaped()
+
+    @pytest.mark.parametrize("role", ["garbler", "evaluator"])
+    def test_idle_worker_killed_between_sessions(self, adder_circuit, role):
+        solo = _solo(adder_circuit)
+        g, e = _bits(adder_circuit)
+
+        def kill_idle_worker(_):
+            pid = next(
+                ev for ev in supervisor.log.events if ev["event"] == "launched"
+            )["pids"][role]
+            assert pid in {p.pid for p in multiprocessing.active_children()}
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.perf_counter() + 10.0
+            while pid in {p.pid for p in multiprocessing.active_children()}:
+                assert time.perf_counter() < deadline
+                time.sleep(0.001)
+
+        supervisor = Supervisor(
+            max_concurrent=1, deadline_s=60.0, retries=1,
+            log=_OnEvent("sealed", kill_idle_worker),
+        )
+        handles = [
+            supervisor.submit(SessionSpec(
+                adder_circuit, g, e, seed=7,
+                reference_digest=solo.transcript_digest,
+            ))
+            for _ in range(2)
+        ]
+        stats = supervisor.run_until_complete()
+        for handle in handles:
+            assert handle.error is None, handle.error
+            assert handle.stats.attempts == 1
+            assert handle.result.output_bits == solo.output_bits
+            assert handle.result.transcript_digest == solo.transcript_digest
+        assert stats.retries == 0
+        (_, _, first), (_, _, second) = _launches(supervisor)
+        assert not set(first) & set(second)
+        _assert_reaped()
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmRSS"
+    )
+    def test_resident_worker_memory_stays_flat(self, mixed_circuit):
+        """100 sessions on one pair grow each worker by at most 2 MB."""
+        g, e = _bits(mixed_circuit)
+        rss = {}
+
+        class RssLog(SupervisorLog):
+            def record(self, kind, **fields):
+                super().record(kind, **fields)
+                sealed = sum(ev["event"] == "sealed" for ev in self.events)
+                if kind == "sealed" and sealed in (10, 110):
+                    pids = next(
+                        ev["pids"] for ev in self.events
+                        if ev["event"] == "launched"
+                    )
+                    rss[sealed] = [_vm_rss_mb(pid) for pid in pids.values()]
+
+        supervisor = Supervisor(
+            max_concurrent=1, max_pending=110, deadline_s=60.0, log=RssLog()
+        )
+        for seed in range(110):
+            supervisor.submit(SessionSpec(mixed_circuit, g, e, seed=seed))
+        stats = supervisor.run_until_complete()
+        assert stats.completed == 110
+        assert len({pids for _, _, pids in _launches(supervisor)}) == 1
+        for before, after in zip(rss[10], rss[110]):
+            assert after - before <= 2.0, rss
+        _assert_reaped()
+
+    def test_no_pool_worker_outlives_the_run(self, adder_circuit):
+        g, e = _bits(adder_circuit)
+        supervisor = Supervisor(max_concurrent=2, deadline_s=60.0)
+        pids = set()
+        for _ in range(2):
+            for _ in range(4):
+                supervisor.submit(SessionSpec(adder_circuit, g, e, seed=7))
+            supervisor.run_until_complete()
+            _assert_reaped()
+            run = {pid for _, _, pair in _launches(supervisor) for pid in pair}
+            # Each call forks its own pairs: two slots, two workers each.
+            assert len(run - pids) == 4
+            pids |= run
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestPeerSocketWire:

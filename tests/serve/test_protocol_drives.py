@@ -246,6 +246,43 @@ def test_split_drive_at_full_scale(name):
     assert not [p for p in multiprocessing.active_children() if p.is_alive()]
 
 
+@pytest.mark.slow
+def test_one_resident_pair_changes_circuit_at_full_scale():
+    """One resident pair runs Hamming n=512, AES-128, then Hamming n=512
+    again: a reused worker that changes circuit still sends the
+    recorded bytes."""
+    hamm = get_workload("Hamm").build(n_bits=512).circuit
+    rng = random.Random(3)
+    hamm_bits = [
+        [rng.getrandbits(1) for _ in range(n)]
+        for n in (hamm.n_garbler_inputs, hamm.n_evaluator_inputs)
+    ]
+    aes = build_aes128_circuit()
+    runs = [
+        (hamm, hamm_bits, 3, GOLDEN_SESSIONS[("hamm512", 3)][0]),
+        (aes, _bits(aes), SEED, _AES128_DIGEST),
+        (hamm, hamm_bits, 3, GOLDEN_SESSIONS[("hamm512", 3)][0]),
+    ]
+    supervisor = Supervisor(max_concurrent=1, deadline_s=120.0, retries=0)
+    handles = [
+        supervisor.submit(SessionSpec(
+            circuit, *bits, seed=seed, backend="auto", reference_digest=digest,
+        ))
+        for circuit, bits, seed, digest in runs
+    ]
+    supervisor.run_until_complete()
+    for (circuit, bits, _, digest), handle in zip(runs, handles):
+        assert handle.error is None, handle.error
+        assert handle.result.output_bits == circuit.eval_plain(*bits)
+        assert handle.result.transcript_digest == digest
+    pids = [
+        event["pids"] for event in supervisor.log.events
+        if event["event"] == "launched"
+    ]
+    assert len(pids) == 3 and pids[0] == pids[1] == pids[2]
+    assert not [p for p in multiprocessing.active_children() if p.is_alive()]
+
+
 class TestRoleContract:
     def _pair(self):
         pair = make_framed_pair()
