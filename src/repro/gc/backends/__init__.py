@@ -4,8 +4,10 @@ The garbling hot path -- four AES-based hashes per AND gate on the
 Garbler, two on the Evaluator (paper Figure 2) -- is exposed as a batch
 API so a whole level of a circuit hashes in one call:
 :class:`NumpyLabelHashBackend` runs the T-table AES of
-:mod:`repro.gc.aes` over arrays of labels.  It is the one engine; the
-per-gate walk over :mod:`repro.gc.hashing` is its independent oracle.
+:mod:`repro.gc.aes` over arrays of labels.  It is the one array engine:
+the block stores hash AND batches below its measured crossover on
+libcrypto's raw AES instead (:mod:`repro.gc.garble`), and the per-gate
+walk over :mod:`repro.gc.hashing` is the independent oracle of both.
 
 Entry points take ``backend=`` (``None``, ``"auto"``, ``"numpy"`` or a
 backend instance) and hand it to :func:`resolve_backend`.

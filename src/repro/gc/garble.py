@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..circuits.netlist import NO_ROWS, OP_AND, OP_XOR, Circuit
+from . import ot
 from .halfgate import (
     GarbledTable, garble_and, garble_not, garble_xor, tables_from_bytes,
 )
@@ -226,7 +227,9 @@ class _BlockStore:
     round-key planes).  ``_hash`` takes labels in runs of ``2m`` -- the
     ``a`` labels, then the ``b`` labels -- so every run hashes against
     that schedule as is; the Garbler's second run (the ``^ R`` copies)
-    repeats it along the planes.
+    repeats it along the planes.  A batch of fewer labels than the
+    kernel's measured crossover skips the schedule and runs its AES on
+    libcrypto's raw calls (DESIGN.md section 7).
     """
 
     def __init__(
@@ -240,13 +243,22 @@ class _BlockStore:
     def _hash(self, positions, labels, runs: int):
         """Hash ``labels`` = ``runs`` runs of ``2m`` blocks, each the
         ``m`` ``a`` labels under the batch's generator keys then the
-        ``m`` ``b`` labels under its evaluator keys."""
+        ``m`` ``b`` labels under its evaluator keys.  Below
+        ``_KDF_BATCH_MIN`` labels the AES runs on libcrypto (one key
+        set-up per tweak, one block per label) where it is loaded, else
+        on the array kernel; same hashes either way."""
         backend = self.backend
-        keys = backend.tweaks_to_keys(and_tweaks(positions))
-        sched = backend.expand_keys(keys)
+        tweaks = and_tweaks(positions)
+        self.hasher.record_batch(len(labels))
+        lib = ot._LIBCRYPTO_AES
+        if lib is not None and len(labels) < ot._KDF_BATCH_MIN:
+            sig = backend.sigma_blocks(labels)
+            hashed = ot._encrypt_under_tweaks(sig, tweaks.tolist(), lib)
+            hashed ^= sig
+            return hashed
+        sched = backend.expand_keys(backend.tweaks_to_keys(tweaks))
         if runs > 1:
             sched = np.concatenate([sched.T] * runs, axis=1).T
-        self.hasher.record_batch(len(labels))
         return backend.hash_with_schedules(labels, sched)
 
     def permute_bits(self, wires: Sequence[int]) -> List[int]:

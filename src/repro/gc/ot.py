@@ -147,9 +147,10 @@ def _load_libcrypto(signatures=None):
 
 
 def _load_libcrypto_aes():
-    """libcrypto with the raw AES pair :func:`_kdf_chains` calls typed,
-    or ``None``.  A table of its own: a libcrypto built without the
-    deprecated low-level AES API keeps :func:`_powmod` on libcrypto."""
+    """libcrypto with the raw AES pair :func:`_kdf_chains` and
+    :func:`_encrypt_under_tweaks` call typed, or ``None``.  A table of
+    its own: a libcrypto built without the deprecated low-level AES API
+    keeps :func:`_powmod` on libcrypto."""
     if ctypes is None:
         return None
     # No ``argtypes``: ctypes passes ``bytes`` as ``char *``, an int as
@@ -260,10 +261,31 @@ def _kdf_chains(points: Sequence[int], tweaks: Sequence[int], lib) -> List[int]:
     return pads
 
 
-# The chains at which the six NumPy limb steps (2.2 ms at 8 chains,
-# 3.5 ms at 256) overtake :func:`_kdf_chains` (~15 us a chain): the
-# libcrypto chains won at 224 and lost at 256 on the recorded host
-# (DESIGN.md section 4).
+def _encrypt_under_tweaks(blocks, tweaks: Sequence[int], lib):
+    """AES-128 of ``(n, 4)`` blocks, row ``i`` under key ``tweaks[i % k]``
+    (``k = len(tweaks)``), on libcrypto's raw AES: one
+    ``AES_set_encrypt_key`` per tweak, then one ``AES_encrypt`` per block
+    under it, in place (``in == out`` is allowed).  Owns its buffers,
+    like :func:`_kdf_chains`."""
+    data = blocks_to_bytes(blocks)
+    buf = (ctypes.c_char * len(data)).from_buffer_copy(data)
+    schedule = (ctypes.c_uint32 * _AES_KEY_WORDS)()
+    set_key, encrypt, byref = lib.AES_set_encrypt_key, lib.AES_encrypt, ctypes.byref
+    stride = 16 * len(tweaks)
+    for first, tweak in zip(range(0, stride, 16), tweaks):
+        if set_key(tweak.to_bytes(16, "big"), 128, schedule):
+            raise RuntimeError("libcrypto refused an AES-128 key")
+        for at in range(first, len(data), stride):
+            block = byref(buf, at)
+            encrypt(block, block, schedule)
+    return bytes_to_blocks(buf.raw)
+
+
+# The batch at which the NumPy kernel overtakes libcrypto's raw AES, in
+# pad KDF chains (six limb steps, 2.2 ms at 8 chains and 3.5 ms at 256,
+# against ~15 us a libcrypto chain: won at 224, lost at 256) and in gate
+# hash labels (~0.2 ms a call against ~1 us a label: crossovers at
+# 192-256 and 256-384 labels).  Measured, DESIGN.md sections 4 and 7.
 _KDF_BATCH_MIN = 256
 
 

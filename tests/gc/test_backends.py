@@ -19,7 +19,7 @@ from repro.circuits.builder import CircuitBuilder
 from repro.circuits.stdlib import fixed, integer, logic
 from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.circuits.stdlib.float import FloatFormat, fp_add
-from repro.gc import aes
+from repro.gc import aes, ot
 from repro.circuits.netlist import OP_AND, Circuit
 from repro.core.compiler import OptLevel
 from repro.gc.backends import (
@@ -137,10 +137,32 @@ def _ragged_circuit(widths):
     return b.build("ragged")
 
 
-#: The stdlib families plus ragged level widths (5, 1, 40, 2 ANDs).
+def _crossover_widths(runs):
+    """The AND counts whose ``2 * runs`` labels a gate sit just below
+    and at the gate hash's crossover (``_KDF_BATCH_MIN`` labels)."""
+    at = ot._KDF_BATCH_MIN // (2 * runs)
+    return [at - 1, at]
+
+
+#: The stdlib families plus ragged level widths: 5, 1, 40, 2 ANDs, and
+#: levels on both sides of the crossover for both parties (the Garbler
+#: hashes 4 labels a gate, the Evaluator 2).
 LEVEL_CIRCUITS = {
-    **STDLIB_CIRCUITS, "ragged": lambda: _ragged_circuit([5, 1, 40, 2]),
+    **STDLIB_CIRCUITS,
+    "ragged": lambda: _ragged_circuit([5, 1, 40, 2]),
+    "ragged_crossover": lambda: _ragged_circuit(
+        _crossover_widths(2) + _crossover_widths(1)
+    ),
 }
+
+
+@pytest.fixture(params=["libcrypto", "kernel"])
+def gate_hash_path(request, monkeypatch):
+    """Run the block stores' gate hash with libcrypto's AES as loaded,
+    or with it forced off (every batch on the array kernel)."""
+    if request.param == "kernel":
+        monkeypatch.setattr(ot, "_LIBCRYPTO_AES", None)
+    return request.param
 
 
 def _assert_batched_matches_reference(circuit, seed=11):
@@ -365,14 +387,27 @@ class TestBlockStoreHash:
     ``runs`` runs of ``2m`` labels, each the ``m`` ``a`` labels under
     tweak ``2p`` then the ``m`` ``b`` labels under ``2p + 1``."""
 
-    @pytest.mark.parametrize("m", [1, 37])
-    @pytest.mark.parametrize("runs", [1, 2])
-    def test_runs_hash_under_batch_keys(self, adder_circuit, rng, m, runs):
+    @pytest.mark.parametrize(
+        "runs, m", [(runs, m) for runs in (1, 2) for m in [1, 37] + _crossover_widths(runs)]
+    )
+    def test_runs_hash_under_batch_keys(
+        self, adder_circuit, rng, m, runs, gate_hash_path, monkeypatch
+    ):
+        """Both paths equal the scalar hash, and a batch takes libcrypto
+        exactly when it is loaded and the batch is below the crossover."""
         backend = NumpyLabelHashBackend()
         hasher = GateHasher()
         store = BlockEvaluatorStore(
             adder_circuit, ints_to_bytes([0] * adder_circuit.n_inputs), backend, hasher
         )
+
+        def refused(*args):
+            raise AssertionError("the gate hash took the other path")
+
+        if ot._LIBCRYPTO_AES is not None and 2 * m * runs < ot._KDF_BATCH_MIN:
+            monkeypatch.setattr(backend, "hash_with_schedules", refused)
+        else:
+            monkeypatch.setattr(ot, "_encrypt_under_tweaks", refused)
         positions = np.asarray(rng.sample(range(10_000), m), dtype=np.int64)
         values, blocks = _random_blocks(backend, rng, 2 * m * runs)
         got = backend.blocks_to_ints(store._hash(positions, blocks, runs))
@@ -384,7 +419,7 @@ class TestBlockStoreHash:
         assert hasher.calls == 2 * m * runs
 
     @pytest.mark.parametrize("circuit_name", sorted(LEVEL_CIRCUITS))
-    def test_garbler_levels_match_per_gate(self, rng, circuit_name):
+    def test_garbler_levels_match_per_gate(self, rng, circuit_name, gate_hash_path):
         """Level by level, the block Garbler emits per-gate
         ``garble_circuit``'s tables at that level's AND positions, and
         ends on its zero-labels."""
@@ -404,7 +439,7 @@ class TestBlockStoreHash:
         assert hasher.calls == reference.hasher.calls == 4 * circuit.op.count(OP_AND)
 
     @pytest.mark.parametrize("circuit_name", sorted(LEVEL_CIRCUITS))
-    def test_evaluator_levels_match_per_gate(self, rng, circuit_name):
+    def test_evaluator_levels_match_per_gate(self, rng, circuit_name, gate_hash_path):
         """Level by level, the block Evaluator reaches the labels per-gate
         ``evaluate_circuit`` does, fed that level's tables."""
         named = LEVEL_CIRCUITS[circuit_name]()

@@ -32,7 +32,9 @@ from repro.gc.ot import (
 from repro.gc.protocol import TwoPartySession, run_two_party
 from repro.gc.rng import LabelPrg
 from repro.gc.roles import _LABEL_BYTES, _POINT_BYTES, ot_handshake_bytes
+from tests.gc import test_transcript_golden as golden
 from tests.gc.session_oracle import run_oracle_session
+from tests.gc.test_transcript_golden import circuits  # noqa: F401 (fixture)
 
 
 class TestOt:
@@ -435,6 +437,32 @@ def _reference(pairs):
     return [pow(base, exponent, GROUP_P) for base, exponent in pairs]
 
 
+def _load_without_aes(monkeypatch):
+    """Reload the handles from a libcrypto whose ``AES_*`` symbols are
+    hidden, as in a ``no-deprecated`` build, and install them: the
+    bignum table loads, the AES table is ``None``.  Skips where this
+    platform has no libcrypto at all."""
+    if ot._LIBCRYPTO is None:
+        pytest.skip("no libcrypto on this platform: the fallback is the path")
+    real_cdll = ot.ctypes.CDLL
+
+    class WithoutAes:
+        def __init__(self, soname):
+            self._lib = real_cdll(soname)
+
+        def __getattr__(self, name):
+            if name.startswith("AES_"):
+                raise AttributeError(name)
+            return getattr(self._lib, name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ot.ctypes, "CDLL", WithoutAes)
+        bignum, aes = ot._load_libcrypto(), ot._load_libcrypto_aes()
+    assert bignum is not None and aes is None
+    monkeypatch.setattr(ot, "_LIBCRYPTO", bignum)
+    monkeypatch.setattr(ot, "_LIBCRYPTO_AES", aes)
+
+
 class _FakeLibcrypto:
     """Stands in for libcrypto: hands out fresh handles, makes the call
     named ``failing`` fail (``NULL`` or 0), records every handle freed."""
@@ -559,26 +587,7 @@ class TestPowmod:
         """A libcrypto built without the deprecated low-level AES calls
         (``no-deprecated``): the bignum table still loads, so ``_powmod``
         stays on libcrypto, and the pad KDF takes the Python chain."""
-        if ot._LIBCRYPTO is None:
-            pytest.skip("no libcrypto on this platform: the fallback is the path")
-        real_cdll = ot.ctypes.CDLL
-
-        class WithoutAes:
-            def __init__(self, soname):
-                self._lib = real_cdll(soname)
-
-            def __getattr__(self, name):
-                if name.startswith("AES_"):
-                    raise AttributeError(name)
-                return getattr(self._lib, name)
-
-        monkeypatch.setattr(ot.ctypes, "CDLL", WithoutAes)
-        bignum, aes = ot._load_libcrypto(), ot._load_libcrypto_aes()
-        monkeypatch.undo()
-        assert bignum is not None and aes is None
-        monkeypatch.setattr(ot, "_LIBCRYPTO", bignum)
-        monkeypatch.setattr(ot, "_LIBCRYPTO_AES", aes)
-
+        _load_without_aes(monkeypatch)
         rng = random.Random(49)
         pairs = [(rng.randrange(1, GROUP_P), rng.getrandbits(256)) for _ in range(8)]
         expected = _reference(pairs)
@@ -685,6 +694,23 @@ def test_batched_paths_match_per_bit_on_the_fallback(n, monkeypatch):
     """The same equivalence with ``_powmod`` on builtin ``pow``."""
     monkeypatch.setattr(ot, "_LIBCRYPTO", None)
     test_batched_paths_match_per_bit(n, "auto")
+
+
+@pytest.mark.parametrize("name, seed", [("mixed8", 3), ("hamm64", 3)])
+def test_sessions_on_libcrypto_without_aes_match_the_goldens(
+    circuits, name, seed, monkeypatch
+):
+    """Where libcrypto lacks the raw AES calls, every gate-hash batch
+    takes the array kernel and every small pad batch the Python chain,
+    and the sessions are still the pinned ones."""
+    _load_without_aes(monkeypatch)
+
+    def refused(*args):
+        raise AssertionError("libcrypto's AES ran without its handle")
+
+    monkeypatch.setattr(ot, "_encrypt_under_tweaks", refused)
+    monkeypatch.setattr(ot, "_kdf_chains", refused)
+    golden.test_session_transcript_is_pinned(circuits, name, seed, "numpy")
 
 
 def _ot_inputs(m, seed):
