@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..circuits.netlist import Circuit, CircuitStats
+from ..circuits.netlist import Circuit
 
 __all__ = ["CpuCostModel", "DEFAULT_CPU", "cpu_gc_time_s"]
 
@@ -47,7 +47,6 @@ class CpuCostModel:
     t_xor_ns: float = 2.0
     t_gate_ns: float = 1100.0
     garble_factor: float = GARBLE_OVERHEAD
-    power_w: float = 25.0
 
     def eval_time_s(self, n_and: int, n_xor_like: int) -> float:
         """Evaluator wall time for a gate mix (XOR and INV are free-ish)."""
@@ -58,25 +57,6 @@ class CpuCostModel:
     def eval_time_for(self, circuit: Circuit) -> float:
         stats = circuit.stats()
         return self.eval_time_s(stats.and_gates, stats.xor_gates + stats.inv_gates)
-
-    def garble_time_for(self, circuit: Circuit) -> float:
-        return self.eval_time_for(circuit) * self.garble_factor
-
-    def eval_time_for_stats(self, stats: CircuitStats) -> float:
-        return self.eval_time_s(stats.and_gates, stats.xor_gates + stats.inv_gates)
-
-    def fixed_key_model(self) -> "CpuCostModel":
-        """The less-secure fixed-key variant (for the +27.5 % study)."""
-        return CpuCostModel(
-            t_and_ns=self.t_and_ns / REKEY_OVERHEAD,
-            t_xor_ns=self.t_xor_ns,
-            t_gate_ns=self.t_gate_ns,
-            garble_factor=self.garble_factor,
-            power_w=self.power_w,
-        )
-
-    def energy_j(self, runtime_s: float) -> float:
-        return self.power_w * runtime_s
 
 
 DEFAULT_CPU = CpuCostModel()

@@ -124,9 +124,6 @@ class CircuitBuilder:
         """OR as (a xor b) xor (a and b): one table, two free XORs."""
         return self.XOR(self.XOR(a, b), self.AND(a, b))
 
-    def NAND(self, a: int, b: int) -> int:
-        return self.NOT(self.AND(a, b))
-
     def XNOR(self, a: int, b: int) -> int:
         return self.NOT(self.XOR(a, b))
 

@@ -577,10 +577,6 @@ class Circuit:
         # from disk, and ``copy.copy`` is memo-free.
         return {name: getattr(self, name) for name in self._FIELDS}
 
-    def producer_map(self) -> Dict[int, int]:
-        """Map from output wire id to producing gate position."""
-        return {out: position for position, out in enumerate(self.out)}
-
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
 

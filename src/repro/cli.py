@@ -113,37 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_cache_flag(p_s)
 
-    p_se = sub.add_parser(
-        "search",
-        help="search the compiler's schedule space (reorder / segment / "
-        "tie-break neighborhood over the shared dependence graph)",
-    )
-    p_se.add_argument(
-        "what",
-        choices=["schedule"],
-        help="search target (currently: schedule)",
-    )
-    p_se.add_argument("--workload", required=True, choices=PAPER_ORDER)
-    p_se.add_argument("--ges", type=_positive_int, default=4)
-    p_se.add_argument("--sww-kb", type=_positive_int, default=16)
-    p_se.add_argument("--dram", choices=["ddr4", "hbm2"], default="hbm2")
-    p_se.add_argument(
-        "--role", choices=["evaluator", "garbler"], default="evaluator"
-    )
-    p_se.add_argument(
-        "--opt",
-        choices=[opt.value for opt in OptLevel if opt is not OptLevel.BASELINE],
-        default=OptLevel.RO_RN_ESW.value,
-        help="greedy starting point (generation 0)",
-    )
-    p_se.add_argument(
-        "--generations",
-        type=int,
-        default=4,
-        help="max hill-climbing generations past the greedy start",
-    )
-    add_cache_flag(p_se)
-
     p_p = sub.add_parser("protocol", help="run the two-party millionaires demo")
     p_p.add_argument("--alice", type=int, default=4_200_000)
     p_p.add_argument("--bob", type=int, default=3_700_000)
@@ -405,58 +374,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         title=f"{args.name} on {config.n_ges} GEs / {args.sww_kb} KB / "
         f"{config.dram.name} ({args.opt})",
     ))
-    return 0
-
-
-def _cmd_search(args: argparse.Namespace) -> int:
-    from .analysis.schedule_search import search_schedule
-
-    built = get_workload(args.workload).build_scaled()
-    config = HaacConfig(
-        n_ges=args.ges,
-        sww_bytes=args.sww_kb * 1024,
-        dram=HBM2 if args.dram == "hbm2" else DDR4,
-        role=Role.GARBLER if args.role == "garbler" else Role.EVALUATOR,
-    )
-    result = search_schedule(
-        built.circuit,
-        config,
-        start_opt=OptLevel(args.opt),
-        generations=args.generations,
-        cache=args.cache,
-        workload=args.workload,
-    )
-    capacity = config.window.capacity
-    greedy_runtime = result.greedy.runtime_cycles
-    rows = []
-    for rank, entry in enumerate(result.ranked, start=1):
-        marker = " (greedy)" if entry is result.greedy else ""
-        rows.append([
-            rank,
-            entry.candidate.label(capacity) + marker,
-            entry.generation,
-            f"{entry.compute_cycles:,}",
-            f"{entry.traffic_cycles:,.0f}",
-            f"{entry.runtime_cycles:,.0f}",
-            f"{entry.speedup_vs(greedy_runtime):.3f}x",
-        ])
-    print(render_table(
-        ["Rank", "Schedule", "Gen", "Compute", "Traffic", "Runtime",
-         "vs greedy"],
-        rows,
-        title=f"schedule search: {args.workload} on {config.n_ges} GEs / "
-        f"{args.sww_kb} KB / {config.dram.name} ({result.evaluated} "
-        f"schedules, {result.generations_run} generations)",
-    ))
-    best = result.best
-    if result.best_beats_greedy:
-        gain = (1.0 - best.runtime_cycles / greedy_runtime) * 100.0
-        print(
-            f"best schedule [{best.candidate.label(capacity)}] beats greedy "
-            f"by {gain:.2f}% simulated runtime"
-        )
-    else:
-        print("greedy remains the best schedule in the explored neighborhood")
     return 0
 
 
@@ -749,7 +666,6 @@ _COMMANDS = {
     "workloads": _cmd_workloads,
     "compile": _cmd_compile,
     "simulate": _cmd_simulate,
-    "search": _cmd_search,
     "protocol": _cmd_protocol,
     "serve": _cmd_serve,
     "figures": _cmd_figures,

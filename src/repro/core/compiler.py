@@ -90,16 +90,14 @@ def compile_circuit(
     n_ges: int,
     opt: OptLevel = OptLevel.RO_RN_ESW,
     params: Optional[ScheduleParams] = None,
-    segment_size: Optional[int] = None,
     cache: CacheSpec = None,
 ) -> CompileResult:
     """Compile ``circuit`` for a HAAC with ``n_ges`` GEs and ``window``.
 
-    ``segment_size`` defaults to half the SWW capacity, the paper's
-    choice; it is only used by the segmented configurations, but a
-    value below 1 is a ``ValueError`` at every opt level.  The static
-    stream verifier (:func:`repro.core.verify.verify_streams`) is a
-    separate call on the result's ``streams``.
+    The segmented configurations reorder within segments of half the
+    SWW capacity, the paper's choice.  The static stream verifier
+    (:func:`repro.core.verify.verify_streams`) is a separate call on the
+    result's ``streams``.
 
     ``cache`` enables the persistent compiled-program store
     (:mod:`repro.core.progcache`): on a warm hit the pickled result is
@@ -107,12 +105,10 @@ def compile_circuit(
     the ``REPRO_PROG_CACHE`` environment variable, so sweeps opt in
     without threading a parameter through every call site.
     """
-    if segment_size is not None and segment_size < 1:
-        raise ValueError("segment size must be positive")
     store = ProgramCache.resolve(cache)
     key = None
     if store is not None:
-        key = compile_key(circuit, window.capacity, n_ges, opt, params, segment_size)
+        key = compile_key(circuit, window.capacity, n_ges, opt, params)
         cached = store.get(key)
         if cached is not None:
             return cached
@@ -127,9 +123,8 @@ def compile_circuit(
     passes.append("depth_first(baseline)")
     if opt.reorders:
         if opt.segmented:
-            size = window.half if segment_size is None else segment_size
-            netlist = segment_reorder(netlist, size)
-            passes.append(f"segment_reorder({size})")
+            netlist = segment_reorder(netlist, window.half)
+            passes.append(f"segment_reorder({window.half})")
         else:
             netlist = full_reorder(netlist)
             passes.append("full_reorder")

@@ -44,17 +44,6 @@ from ..sww import SlidingWindow
 
 __all__ = ["GeStreams", "StreamSet", "generate_streams", "ScheduleParams"]
 
-#: Greedy tie-break policies among GEs freeing at the same cycle (the
-#: schedule-search neighborhood's cheapest axis -- same program, same
-#: passes, different GE mapping):
-#:
-#: * ``producer`` -- prefer an operand's producer GE (dodges the
-#:   forwarding penalty); the paper-faithful default.
-#: * ``lowest``  -- always the lowest-indexed free GE.
-#: * ``highest`` -- the highest-indexed GE freeing at that cycle.
-TIE_BREAKS = ("producer", "lowest", "highest")
-
-
 def check_at_least(owner, **bounds: int) -> None:
     """Raise ``ValueError`` unless each named field of ``owner`` is at
     least its bound (a NaN is not)."""
@@ -69,23 +58,15 @@ class ScheduleParams:
 
     Defaults follow the paper: single-cycle FreeXOR, deep Half-Gate
     pipelines (18-stage Evaluator, 21-stage Garbler), one extra cycle to
-    forward a wire between GEs.  ``tie_break`` selects the greedy
-    tie-break policy (see :data:`TIE_BREAKS`); ``producer`` reproduces
-    the paper's schedule and is what every figure uses.
+    forward a wire between GEs.
     """
 
     and_latency: int = 18
     xor_latency: int = 1
     cross_ge_forward: int = 1
-    tie_break: str = "producer"
 
     def __post_init__(self) -> None:
         check_at_least(self, and_latency=1, xor_latency=1, cross_ge_forward=0)
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(
-                f"unknown tie_break {self.tie_break!r}; expected one of "
-                f"{', '.join(TIE_BREAKS)}"
-            )
 
     @staticmethod
     def evaluator() -> "ScheduleParams":
@@ -264,11 +245,11 @@ def _greedy_schedule(
     that GE sits stalled -- head-of-line blocking, the behaviour that
     makes depth-first baseline programs slow on in-order GEs and
     level-order reordering valuable (paper section 4.2.1).  Among GEs
-    freeing at the same cycle, ``params.tie_break`` decides: the default
-    prefers an operand's producer (it dodges the forwarding penalty),
-    then the lowest index.  The GEs sit in a bucket queue of int bitmasks
-    (any ``n_ges``): ``free`` at the accept ``cycle``, ``nxt`` freeing at
-    ``cycle + 1``, ``later`` keyed by the cycle a stalled issue frees them.
+    freeing at the same cycle, an operand's producer wins (it dodges the
+    forwarding penalty), then the lowest index.  The GEs sit in a bucket
+    queue of int bitmasks (any ``n_ges``): ``free`` at the accept
+    ``cycle``, ``nxt`` freeing at ``cycle + 1``, ``later`` keyed by the
+    cycle a stalled issue frees them.
 
     Wide equal-level runs (:func:`_wide_runs`) go to :func:`_speculate`,
     which commits the exact prefix before the first stall; the step below
@@ -299,8 +280,6 @@ def _greedy_schedule(
     and_latency = params.and_latency
     xor_latency = params.xor_latency
     penalty = params.cross_ge_forward
-    prefer_producer = params.tie_break == "producer"
-    prefer_highest = params.tie_break == "highest"
 
     n_wires = n_inputs + graph.n_gates
     runs = _wide_runs(graph, n_ges)
@@ -319,7 +298,7 @@ def _greedy_schedule(
             range(n_inputs + begin, n_inputs + start), graph.a_of[begin:start],
             graph.b_of[begin:start], graph.is_and[begin:start],
         ):
-            # Next-free GE (paper's non-stalled-GE policy), then the tie-break.
+            # Next-free GE (paper's non-stalled-GE policy), producer first.
             if not free:
                 cycle += 1
                 free = nxt | later.pop(cycle, 0)
@@ -329,12 +308,10 @@ def _greedy_schedule(
                     free = later.pop(cycle)
             source_a = producer_ge[a]
             source_b = producer_ge[b]
-            if prefer_producer and free >> source_a & 1:
+            if free >> source_a & 1:
                 chosen = source_a
-            elif prefer_producer and free >> source_b & 1:
+            elif free >> source_b & 1:
                 chosen = source_b
-            elif prefer_highest:
-                chosen = free.bit_length() - 1
             else:
                 chosen = (free & -free).bit_length() - 1
             bit = 1 << chosen
@@ -373,7 +350,7 @@ def _greedy_schedule(
                 last_read_issue[b] = issued
         if start < stop:
             begin, cycle, free, nxt, later = _speculate(
-                graph, n_ges, params, capacity, start, stop, state,
+                graph, params, capacity, start, stop, state,
                 (cycle, free, nxt, later),
             )
 
@@ -382,7 +359,7 @@ def _greedy_schedule(
     return ge_of, issue_cycle, max(int(finish), 0)
 
 
-def _speculate(graph, n_ges, params, capacity, start, stop, state, queue):
+def _speculate(graph, params, capacity, start, stop, state, queue):
     """Schedule ``start:stop`` (no dependence inside) as if none stalls and
     commit the exact prefix before the first that would to ``state`` (three
     columns, ``ge_of``, ``issue_cycle``); return its end and the ``queue``."""
@@ -404,24 +381,19 @@ def _speculate(graph, n_ges, params, capacity, start, stop, state, queue):
 
     a, b = (column_view(column)[start:stop] for column in (graph.a_of, graph.b_of))
     source_a, source_b = producer_ge[a], producer_ge[b]
-    if params.tie_break == "producer":
-        # One step per slot of a cycle, over all cycles; a slot past its
-        # cycle's end reads the trailing 0, the sentinel GE's bit never frees.
-        slot = np.arange(counts.max())
-        index = np.where(slot < counts[:, None], first[:, None] + slot, n).T
-        want_a, want_b = (np.append(1 << s, 0)[index] for s in (source_a, source_b))
-        free_left, taken = np.array(masks), np.empty_like(want_a)
-        for slot in range(len(index)):
-            pick = free_left & -free_left
-            pick = np.where(free_left & want_b[slot], want_b[slot], pick)
-            pick = np.where(free_left & want_a[slot], want_a[slot], pick)
-            free_left ^= pick
-            taken[slot] = pick
-        chosen = np.bitwise_count(taken.T[index.T < n] - 1).astype(np.int64)
-    else:
-        # No pick reads another: a cycle's picks are its mask's bits in order.
-        ge = np.arange(n_ges)[:: -1 if params.tie_break == "highest" else 1]
-        chosen = ge[np.nonzero(np.array(masks)[:, None] >> ge & 1)[1][:n]]
+    # One step per slot of a cycle, over all cycles; a slot past its
+    # cycle's end reads the trailing 0, the sentinel GE's bit never frees.
+    slot = np.arange(counts.max())
+    index = np.where(slot < counts[:, None], first[:, None] + slot, n).T
+    want_a, want_b = (np.append(1 << s, 0)[index] for s in (source_a, source_b))
+    free_left, taken = np.array(masks), np.empty_like(want_a)
+    for slot in range(len(index)):
+        pick = free_left & -free_left
+        pick = np.where(free_left & want_b[slot], want_b[slot], pick)
+        pick = np.where(free_left & want_a[slot], want_a[slot], pick)
+        free_left ^= pick
+        taken[slot] = pick
+    chosen = np.bitwise_count(taken.T[index.T < n] - 1).astype(np.int64)
 
     # One pass checks readiness and window sync for the whole run.
     issue, penalty = cycle + row, params.cross_ge_forward

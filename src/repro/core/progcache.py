@@ -72,8 +72,8 @@ CACHE_ENV_VAR = "REPRO_PROG_CACHE"
 #: *producer*, not just its readers, changing issue_cycle / level_of
 #: for affected programs.
 #: v4: entries carry the shared dependence graph (repro.core.depgraph)
-#: on the stream set, and the compile key covers the new greedy
-#: tie-break axis (ScheduleParams.tie_break, schedule search).
+#: on the stream set, and the compile key covers a greedy tie-break
+#: axis (since retired; the key keeps its "producer" literal).
 #: v5: entries pickle columns (arrays / bytearrays shared between the
 #: netlist, the program, the dependence graph and the engine arrays)
 #: instead of per-gate Gate / Instruction object graphs.
@@ -126,18 +126,16 @@ def compile_key(
     n_ges: int,
     opt: "OptLevel",
     params: Optional["ScheduleParams"] = None,
-    segment_size: Optional[int] = None,
 ) -> str:
     """Cache key for one ``compile_circuit`` invocation.
 
-    ``params=None`` and ``segment_size=None`` are normalised to the
-    compiler's effective defaults (Evaluator latencies, half the SWW)
-    so explicit-default and implicit-default calls share one entry.
+    ``params=None`` is normalised to the compiler's effective default
+    (Evaluator latencies), so explicit-default and implicit-default
+    calls share one entry.
     """
     from .passes.streams import ScheduleParams
 
     effective = params or ScheduleParams.evaluator()
-    effective_segment = segment_size or window_capacity // 2
     h = hashlib.sha256()
     h.update(
         "|".join(
@@ -150,8 +148,10 @@ def compile_key(
                 str(effective.and_latency),
                 str(effective.xor_latency),
                 str(effective.cross_ge_forward),
-                effective.tie_break,
-                str(effective_segment),
+                # Retired axes (GE tie-break, segment size): these literals
+                # keep the v6 keys.
+                "producer",
+                str(window_capacity // 2),
             )
         ).encode("ascii")
     )

@@ -102,9 +102,6 @@ class HaacConfig:
             cross_ge_forward=self.cross_ge_forward,
         )
 
-    def with_dram(self, dram: DramSpec) -> "HaacConfig":
-        return self._replace(dram=dram)
-
     def with_ges(self, n_ges: int) -> "HaacConfig":
         return self._replace(n_ges=n_ges)
 

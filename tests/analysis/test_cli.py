@@ -43,9 +43,6 @@ class TestParser:
         (["simulate", "ReLU", "--sww-kb", "-1"], "--sww-kb"),
         (["compile", "ReLU", "--sww-kb", "0"], "--sww-kb"),
         (["compile", "ReLU", "--ges", "two"], "--ges"),
-        (["search", "schedule", "--workload", "ReLU", "--ges", "0"], "--ges"),
-        (["search", "schedule", "--workload", "ReLU", "--sww-kb", "0"],
-         "--sww-kb"),
     ])
     def test_nonpositive_hardware_size_is_a_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as info:
@@ -54,6 +51,12 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"argument {flag}: expected a positive integer" in err
         assert "Traceback" not in err
+
+    def test_search_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["search", "schedule", "--workload", "ReLU"])
+        assert info.value.code == 2
+        assert "invalid choice: 'search'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["protocol", "serve"])
     def test_workers_flag_is_gone(self, command, capsys):

@@ -8,7 +8,7 @@ the gate columns (DESIGN.md section 14).  Two things hold them:
   and on single-field mutations of them the kernel accepts, rejects,
   reports ``renamed`` and words its message exactly as the oracle does;
 * the compiler's own contract (ROADMAP item 5's compile fuzz) -- every
-  random netlist compiles at every ``OptLevel`` and ``tie_break`` to
+  random netlist compiles at every ``OptLevel`` and window to
   streams ``verify_streams`` accepts, timed identically by the numpy
   and reference sim engines on and off the compile's schedule, and a
   netlist that computes what the source computes; and the two column
@@ -29,7 +29,6 @@ from repro.circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit, CircuitError
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.core.passes.rename import rename
 from repro.core.passes.reorder import _permute
-from repro.core.passes.streams import TIE_BREAKS, ScheduleParams
 from repro.core.sww import WIRE_BYTES, SlidingWindow
 from repro.core.verify import verify_streams
 from repro.sim.config import HaacConfig, Role
@@ -158,19 +157,18 @@ def _timing(sim) -> tuple:
 
 
 class TestCompileFuzz:
-    """Random netlists x five OptLevels x three tie-breaks."""
+    """Random netlists x five OptLevels x windows from 4 to 2,048 wires."""
 
     @settings(max_examples=25, deadline=None)
     @given(
         circuit=netlists,
-        capacity=st.sampled_from([4, 8, 32]),
+        # Segments of half the window: 2, 4, 5, 16, and one segment
+        # longer than any program here.
+        capacity=st.sampled_from([4, 8, 10, 32, 2048]),
         n_ges=st.integers(1, 4),
-        segment_size=st.sampled_from([None, 1, 5, 1000]),
         seed=st.integers(0, 2**16),
     )
-    def test_every_level_and_tie_break(
-        self, circuit, capacity, n_ges, segment_size, seed
-    ):
+    def test_every_level_and_window(self, circuit, capacity, n_ges, seed):
         garbler_bits, evaluator_bits = _input_bits(seed, circuit)
         expected = circuit.eval_plain(garbler_bits, evaluator_bits)
         # The compile's own latencies (numpy reads the schedule) plus
@@ -188,24 +186,21 @@ class TestCompileFuzz:
             evaluator._replace(cross_ge_forward=4),
         ]
         for opt in OptLevel:
-            for tie_break in TIE_BREAKS:
-                result = compile_circuit(
-                    circuit, SlidingWindow(capacity), n_ges, opt,
-                    params=ScheduleParams(tie_break=tie_break),
-                    segment_size=segment_size, cache=False,
-                )
-                verify_streams(result.streams)
-                assert [
-                    _timing(sim) for sim in simulate_batch(result.streams, configs)
-                ] == [
-                    _timing(simulate(result.streams, config.with_sim_engine("reference")))
-                    for config in configs
-                ]
-                netlist = result.program.netlist
-                assert netlist.validate() is True
-                assert netlist.eval_plain(
-                    *result.lowered.adapt_inputs(garbler_bits, evaluator_bits)
-                ) == expected
+            result = compile_circuit(
+                circuit, SlidingWindow(capacity), n_ges, opt, cache=False
+            )
+            verify_streams(result.streams)
+            assert [
+                _timing(sim) for sim in simulate_batch(result.streams, configs)
+            ] == [
+                _timing(simulate(result.streams, config.with_sim_engine("reference")))
+                for config in configs
+            ]
+            netlist = result.program.netlist
+            assert netlist.validate() is True
+            assert netlist.eval_plain(
+                *result.lowered.adapt_inputs(garbler_bits, evaluator_bits)
+            ) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(circuit=netlists, seed=st.integers(0, 2**16))

@@ -146,9 +146,6 @@ class TestAnalysis:
         assert fanout[2] == 1
         assert fanout[4] == 0  # final output is not an internal consumer
 
-    def test_producer_map(self, tiny_circuit):
-        assert tiny_circuit.producer_map() == {2: 0, 3: 1, 4: 2}
-
     def test_empty_circuit_depth(self):
         circuit = Circuit(1, 0, [0], [])
         assert circuit.depth() == 0

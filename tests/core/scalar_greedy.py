@@ -27,8 +27,6 @@ def scalar_greedy_schedule(
     and_latency = params.and_latency
     xor_latency = params.xor_latency
     penalty = params.cross_ge_forward
-    prefer_producer = params.tie_break == "producer"
-    prefer_highest = params.tie_break == "highest"
 
     n_wires = n_inputs + graph.n_gates
     done = [0] * n_wires
@@ -40,22 +38,16 @@ def scalar_greedy_schedule(
 
     out = n_inputs
     for a, b, is_and in zip(graph.a_of, graph.b_of, graph.is_and):
-        # Next-free GE (paper's non-stalled-GE policy; the lowest index
-        # among GEs freeing at that cycle), then the tie-break.
+        # Next-free GE (paper's non-stalled-GE policy): an operand's
+        # producer among GEs freeing at that cycle, else the lowest index.
         accept_cycle = min(ge_free)
         source_a = producer_ge[a]
         source_b = producer_ge[b]
-        chosen = -1
-        if prefer_producer:
-            if source_a >= 0 and ge_free[source_a] == accept_cycle:
-                chosen = source_a
-            elif source_b >= 0 and ge_free[source_b] == accept_cycle:
-                chosen = source_b
-        elif prefer_highest:
-            chosen = n_ges - 1
-            while ge_free[chosen] != accept_cycle:
-                chosen -= 1
-        if chosen < 0:
+        if source_a >= 0 and ge_free[source_a] == accept_cycle:
+            chosen = source_a
+        elif source_b >= 0 and ge_free[source_b] == accept_cycle:
+            chosen = source_b
+        else:
             chosen = ge_free.index(accept_cycle)
 
         issue = accept_cycle

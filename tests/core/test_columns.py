@@ -182,11 +182,11 @@ DEGENERATE = {
 def test_degenerate_shapes_compile_and_verify(shape, opt):
     circuit = DEGENERATE[shape]
     bits = ([1] * circuit.n_garbler_inputs, [0] * circuit.n_evaluator_inputs)
-    # segment_size 1000 is larger than every program here.
-    for segment_size in (None, 1, 1000):
+    # Segments of half the window: 2 (the smallest window's) and 1,024
+    # (longer than every program here).
+    for capacity in (4, 2048):
         result = compile_circuit(
-            circuit, SlidingWindow(4), 2, opt,
-            segment_size=segment_size, cache=False,
+            circuit, SlidingWindow(capacity), 2, opt, cache=False
         )
         verify_streams(result.streams)
         streams, program = result.streams, result.program
@@ -230,21 +230,3 @@ def test_emitting_an_unready_netlist_is_a_program_error():
         HaacProgram.from_netlist(swapped)
     with pytest.raises(CircuitError, match="renamed"):
         DepGraph(swapped).oor_flags(4)
-
-
-@pytest.mark.parametrize("segment_size", [0, -3])
-@pytest.mark.parametrize("opt", list(OptLevel), ids=lambda opt: opt.value)
-def test_non_positive_segment_size_is_rejected_at_every_level(opt, segment_size):
-    # 0 used to fall through ``segment_size or window.half`` and compile.
-    with pytest.raises(ValueError, match="segment size must be positive"):
-        compile_circuit(
-            DEGENERATE["one_and"], SlidingWindow(4), 2, opt,
-            segment_size=segment_size, cache=False,
-        )
-
-
-def test_default_segment_size_still_shares_the_explicit_half_key():
-    circuit = DEGENERATE["one_and"]
-    args = (circuit, 64, 2, OptLevel.SEG_RN_ESW, None)
-    assert compile_key(*args, None) == compile_key(*args, 32)
-    assert compile_key(*args, None) != compile_key(*args, 16)

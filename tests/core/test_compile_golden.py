@@ -20,7 +20,6 @@ import pytest
 from repro.circuits.bristol import loads_bristol
 from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.core.compiler import OptLevel, compile_circuit
-from repro.core.passes.streams import ScheduleParams
 from repro.core.progcache import circuit_digest, compile_key
 from repro.gc.protocol import run_two_party
 from repro.sim.config import HaacConfig
@@ -29,7 +28,6 @@ from repro.workloads import iter_workloads
 from tests.sim.test_engine_equivalence import STDLIB_FAMILIES
 
 CONFIG = HaacConfig(n_ges=4, sww_bytes=64 * 16)
-TIE_BREAK_FAMILY = "integer8"
 
 BRISTOL_TEXT = """4 8
 2 2 2
@@ -66,22 +64,18 @@ def fingerprint(result) -> str:
 def _cases():
     for family in STDLIB_FAMILIES:
         for opt in OptLevel:
-            yield family, opt, "producer"
-    for tie_break in ("lowest", "highest"):
-        yield TIE_BREAK_FAMILY, OptLevel.RO_RN_ESW, tie_break
+            yield family, opt
 
 
-def _compile(family: str, opt: OptLevel, tie_break: str):
-    base = CONFIG.schedule_params()
-    params = ScheduleParams(
-        and_latency=base.and_latency,
-        xor_latency=base.xor_latency,
-        cross_ge_forward=base.cross_ge_forward,
-        tie_break=tie_break,
-    )
+def _fingerprint_name(family: str, opt: OptLevel) -> str:
+    # "producer" names the greedy mapping's tie-break, the only one.
+    return f"{family}/{opt.value}/producer"
+
+
+def _compile(family: str, opt: OptLevel):
     return compile_circuit(
         STDLIB_FAMILIES[family](), CONFIG.window, CONFIG.n_ges, opt,
-        params=params, cache=False,
+        params=CONFIG.schedule_params(), cache=False,
     )
 
 
@@ -143,10 +137,6 @@ GOLDEN_FINGERPRINTS = {
         "5e48c9ac66b981b1d63e224374a2a3fb1becee00146503a3b42c748a7632803b",
     "integer8/ro_rn/producer":
         "6639fbf7818bcfd2a4b314b07dad9106fb4ebb58f2f0c98b9af68cd9e921b1a1",
-    "integer8/ro_rn_esw/highest":
-        "9e0fe17f49e52713cd261b94cc798ccd7770ac167bfbe8acf33eb2805b4ca37a",
-    "integer8/ro_rn_esw/lowest":
-        "6b6f624b8091b5df890e5dd19a29f1fb0f56cf7eae1e459a1c9eb9a3a1b51eb1",
     "integer8/ro_rn_esw/producer":
         "8b33f148428b563e772b75d6414fe5d39186f4c4fdf4cd088e168f216465297c",
     "integer8/seg_rn/producer":
@@ -191,12 +181,12 @@ GOLDEN_TRANSCRIPT = (
 
 
 @pytest.mark.parametrize(
-    "family,opt,tie_break", list(_cases()),
+    "family,opt", list(_cases()),
     ids=lambda v: v.value if isinstance(v, OptLevel) else str(v),
 )
-def test_compile_fingerprint(family, opt, tie_break):
-    expected = GOLDEN_FINGERPRINTS[f"{family}/{opt.value}/{tie_break}"]
-    assert fingerprint(_compile(family, opt, tie_break)) == expected
+def test_compile_fingerprint(family, opt):
+    expected = GOLDEN_FINGERPRINTS[_fingerprint_name(family, opt)]
+    assert fingerprint(_compile(family, opt)) == expected
 
 
 def test_circuit_digests_and_compile_keys():
@@ -292,8 +282,8 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
 
     pprint.pprint({
         "GOLDEN_FINGERPRINTS": {
-            f"{family}/{opt.value}/{tie}": fingerprint(_compile(family, opt, tie))
-            for family, opt, tie in _cases()
+            _fingerprint_name(family, opt): fingerprint(_compile(family, opt))
+            for family, opt in _cases()
         },
         "GOLDEN_DIGESTS": {
             n: circuit_digest(c) for n, c in _digest_circuits().items()

@@ -5,7 +5,7 @@ the cycle they free at; :mod:`tests.core.scalar_greedy` is the
 ``min(ge_free)`` scan it replaced, kept verbatim.  On random renamed
 netlists both must give every instruction the same GE and issue cycle,
 and the same makespan, for GE counts on both sides of a 64-bit mask,
-every tie-break, forwarding penalties from none to four cycles, and
+forwarding penalties from none to four cycles, and
 windows from 4 slots (every level evicts) to one that holds every wire
 (no window sync).
 
@@ -32,7 +32,7 @@ from repro.core.depgraph import DepGraph, dep_graph
 from repro.core.passes import streams
 from repro.core.passes.rename import rename
 from repro.core.passes.reorder import full_reorder, segment_reorder
-from repro.core.passes.streams import TIE_BREAKS, ScheduleParams, _greedy_schedule
+from repro.core.passes.streams import ScheduleParams, _greedy_schedule
 from repro.core.program import HaacProgram
 from repro.sim.config import HaacConfig
 from repro.workloads import iter_workloads
@@ -76,30 +76,26 @@ def assert_matches_oracle(program, n_ges, params, capacity):
     n_inputs=st.integers(1, 8),
     n_gates=st.integers(0, 160),
     n_ges=st.sampled_from(GE_COUNTS),
-    tie_break=st.sampled_from(TIE_BREAKS),
     cross_ge_forward=st.sampled_from(FORWARDS),
     capacity=st.sampled_from(CAPACITIES),
     and_latency=st.sampled_from([1, 3, 18]),
 )
 def test_random_netlists(
-    seed, n_inputs, n_gates, n_ges, tie_break, cross_ge_forward, capacity,
-    and_latency,
+    seed, n_inputs, n_gates, n_ges, cross_ge_forward, capacity, and_latency,
 ):
     params = ScheduleParams(
-        and_latency=and_latency, cross_ge_forward=cross_ge_forward,
-        tie_break=tie_break,
+        and_latency=and_latency, cross_ge_forward=cross_ge_forward
     )
     program = renamed_program(seed, n_inputs, n_gates)
     assert_matches_oracle(program, n_ges, params, capacity)
 
 
-@pytest.mark.parametrize("tie_break", TIE_BREAKS)
 @pytest.mark.parametrize("n_ges", GE_COUNTS)
-def test_every_grid_point(n_ges, tie_break):
+def test_every_grid_point(n_ges):
     # 600 gates keep more than 65 GEs busy, so every mask bit is used.
     program = renamed_program(n_ges, 6, 600)
     for cross_ge_forward in FORWARDS:
-        params = ScheduleParams(cross_ge_forward=cross_ge_forward, tie_break=tie_break)
+        params = ScheduleParams(cross_ge_forward=cross_ge_forward)
         for capacity in CAPACITIES:
             assert_matches_oracle(program, n_ges, params, capacity)
 
@@ -140,18 +136,16 @@ def assert_levelled_matches(program, n_ges, params, capacity):
     segment_size=st.sampled_from([None, 7, 64]),
     run_min=st.sampled_from([1, 8]),
     n_ges=st.sampled_from(LEVELLED_GE_COUNTS),
-    tie_break=st.sampled_from(TIE_BREAKS),
     cross_ge_forward=st.integers(0, 4),
     capacity=st.sampled_from(LEVELLED_CAPACITIES),
     and_latency=st.sampled_from([1, 3, 18]),
 )
 def test_levelled_random_netlists(
     seed, n_inputs, n_gates, recent, segment_size, run_min, n_ges,
-    tie_break, cross_ge_forward, capacity, and_latency,
+    cross_ge_forward, capacity, and_latency,
 ):
     params = ScheduleParams(
-        and_latency=and_latency, cross_ge_forward=cross_ge_forward,
-        tie_break=tie_break,
+        and_latency=and_latency, cross_ge_forward=cross_ge_forward
     )
     program = levelled_program(seed, n_inputs, n_gates, recent, segment_size)
     with pytest.MonkeyPatch.context() as patch:
@@ -160,9 +154,8 @@ def test_levelled_random_netlists(
 
 
 @pytest.mark.parametrize("run_min", [1, 8])
-@pytest.mark.parametrize("tie_break", TIE_BREAKS)
 @pytest.mark.parametrize("n_ges", LEVELLED_GE_COUNTS)
-def test_levelled_grid(monkeypatch, n_ges, tie_break, run_min):
+def test_levelled_grid(monkeypatch, n_ges, run_min):
     monkeypatch.setattr(streams, "_RUN_MIN", run_min)
     programs = [
         # Far operands over many inputs: levels 400-500 gates wide.
@@ -171,29 +164,25 @@ def test_levelled_grid(monkeypatch, n_ges, tie_break, run_min):
     ]
     for program in programs:
         for cross_ge_forward in FORWARDS:
-            params = ScheduleParams(
-                cross_ge_forward=cross_ge_forward, tie_break=tie_break
-            )
+            params = ScheduleParams(cross_ge_forward=cross_ge_forward)
             for capacity in [2, 5, 32, None]:
                 assert_levelled_matches(program, n_ges, params, capacity)
 
 
-@pytest.mark.parametrize("tie_break", TIE_BREAKS)
-def test_wide_runs_take_the_array_path(monkeypatch, tie_break):
+def test_wide_runs_take_the_array_path(monkeypatch):
     """At the real threshold a level-ordered wide program commits most
     of its instructions through the array path."""
     committed = []
     speculate = streams._speculate
 
-    def counting(graph, n_ges, params, capacity, start, *args):
-        result = speculate(graph, n_ges, params, capacity, start, *args)
+    def counting(graph, params, capacity, start, *args):
+        result = speculate(graph, params, capacity, start, *args)
         committed.append(result[0] - start)
         return result
 
     monkeypatch.setattr(streams, "_speculate", counting)
     program = levelled_program(0, 512, 2400, 0.0)
-    params = ScheduleParams(tie_break=tie_break)
-    assert_levelled_matches(program, 16, params, None)
+    assert_levelled_matches(program, 16, ScheduleParams(), None)
     assert sum(committed) > 1000
 
 

@@ -42,7 +42,7 @@ class TestReorder:
         reordered.validate()
         _check_semantics(circuit, reordered, rng)
 
-    @pytest.mark.parametrize("segment", [8, 32, 1000])
+    @pytest.mark.parametrize("segment", [1, 8, 32, 1000])
     def test_segment_reorder_valid(self, segment):
         circuit, rng = _random_lowered(1)
         reordered = segment_reorder(circuit, segment)

@@ -251,8 +251,7 @@ class TestCompileKey:
         implicit = compile_key(circuit, config.window.capacity, config.n_ges,
                                OptLevel.RO_RN_ESW)
         explicit = compile_key(circuit, config.window.capacity, config.n_ges,
-                               OptLevel.RO_RN_ESW, ScheduleParams.evaluator(),
-                               segment_size=config.window.half)
+                               OptLevel.RO_RN_ESW, ScheduleParams.evaluator())
         assert implicit == explicit
 
 
@@ -463,12 +462,17 @@ class TestNoArrayTypeLeaks:
     Python ints, so entries stay loadable without NumPy and JSON rows
     never meet an ``np.int64``."""
 
+    @pytest.fixture
+    def config(self):
+        # A 100-wire SWW: the segmented levels reorder 50-gate segments.
+        return HaacConfig(n_ges=4, sww_bytes=100 * 16)
+
     @staticmethod
     def _cold(config, opt=OptLevel.SEG_RN_ESW):
         depgraph.clear_registry()
         return compile_circuit(
             _multiplier(), config.window, config.n_ges, opt,
-            params=config.schedule_params(), segment_size=50, cache=False,
+            params=config.schedule_params(), cache=False,
         )
 
     def test_pickle_names_no_numpy_and_is_deterministic(self, config):

@@ -75,7 +75,6 @@ class TestHaacConfig:
     def test_with_helpers(self):
         config = HaacConfig.paper_default()
         assert config.with_ges(4).n_ges == 4
-        assert config.with_dram(HBM2).dram is HBM2
         assert config.with_sww_bytes(1 << 20).window.capacity == 65536
         assert config.with_role(Role.GARBLER).and_latency == 21
 

@@ -20,7 +20,6 @@ the exhaustive sweep adds AES-128 (200k gates) and is marked ``slow``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -31,7 +30,6 @@ from repro.circuits.stdlib import fixed, integer, logic
 from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.circuits.stdlib.float import FloatFormat, fp_add
 from repro.core.compiler import OptLevel, compile_circuit
-from repro.core.passes.streams import TIE_BREAKS
 from repro.sim.config import HaacConfig, Role
 from repro.sim.coupled import coupled_runtime, pull_based_runtime
 from repro.sim.timing import simulate
@@ -246,10 +244,10 @@ class TestClosedFormDegenerate:
     """The closed form equals the reference replay at the edges."""
 
     @staticmethod
-    def _check(circuit, config, level_replays, tie_break="producer"):
-        params = replace(config.schedule_params(), tie_break=tie_break)
+    def _check(circuit, config, level_replays):
         result = compile_circuit(
-            circuit, config.window, config.n_ges, params=params, cache=False
+            circuit, config.window, config.n_ges,
+            params=config.schedule_params(), cache=False,
         )
         _assert_identical(_all_engines(_sim_snapshot, result.streams, config))
         assert level_replays == []
@@ -260,22 +258,21 @@ class TestClosedFormDegenerate:
         self._check(build(), config, level_replays)
 
     @pytest.mark.parametrize("family", ["integer8", "float8"])
-    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-    def test_tie_break(self, level_replays, family, tie_break):
+    def test_family(self, level_replays, family):
         config = HaacConfig(n_ges=4, sww_bytes=64 * 16)
-        self._check(_circuit(family), config, level_replays, tie_break)
+        self._check(_circuit(family), config, level_replays)
 
 
 class TestReplayDegenerate(TestClosedFormDegenerate):
-    """The same edges and tie-breaks off the compile's schedule: a
+    """The same edges and families off the compile's schedule: a
     one-row level replay, equal to the reference replay.  The 4-wire SWW
     evicts on every level."""
 
     @staticmethod
-    def _check(circuit, config, level_replays, tie_break="producer"):
-        params = replace(config.schedule_params(), tie_break=tie_break)
+    def _check(circuit, config, level_replays):
         result = compile_circuit(
-            circuit, config.window, config.n_ges, params=params, cache=False
+            circuit, config.window, config.n_ges,
+            params=config.schedule_params(), cache=False,
         )
         off = _off_schedule(config)
         _assert_identical(_all_engines(_sim_snapshot, result.streams, off))

@@ -46,6 +46,9 @@ REMOVED_PARAMETERS = [
     ("repro.serve.supervisor", "Supervisor", "heartbeat_s"),
     ("repro.serve.supervisor", "Supervisor", "mp_start_method"),
     ("repro.core.compiler", "compile_circuit", "verify"),
+    ("repro.core.compiler", "compile_circuit", "segment_size"),
+    ("repro.core.progcache", "compile_key", "segment_size"),
+    ("repro.core.passes.streams", "ScheduleParams", "tie_break"),
     ("repro.analysis.dataprovider", "DataProvider", "cpu"),
     ("repro.analysis.dataprovider", "DataProvider", "plaintext"),
     ("repro.analysis.dataprovider", "DataProvider", "prog_cache"),
@@ -166,16 +169,21 @@ class TestDocumentation:
 
     def test_documented_snippets_run(self, tmp_path, monkeypatch):
         """README's ``python`` blocks, in order and in one namespace (a
-        later block reads an earlier one's names), then the package
-        docstring's ``Quickstart::``."""
+        later block reads an earlier one's names)."""
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # cache=True
         readme = (ROOT / "README.md").read_text()
         blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
         assert blocks
-        quickstart = repro.__doc__.split("Quickstart::\n", 1)[1]
         namespace = {}
-        for source in [*blocks, textwrap.dedent(quickstart)]:
+        for source in blocks:
             exec(compile(source, "<snippet>", "exec"), namespace)
+
+    def test_package_quickstart_runs_alone(self, capsys):
+        """The package docstring's ``Quickstart::``, in a fresh namespace:
+        what a reader copies must import every name it uses."""
+        quickstart = repro.__doc__.split("Quickstart::\n", 1)[1]
+        exec(compile(textwrap.dedent(quickstart), "<quickstart>", "exec"), {})
+        assert "runtime_us" in capsys.readouterr().out
 
 
 class TestRetiredApi:
@@ -185,6 +193,7 @@ class TestRetiredApi:
         "repro.sim.multicore", "repro.sim.pipeline", "repro.sim.ge",
         "repro.gc.classic", "repro.gc.backends.scalar", "repro.gc.backends.base",
         "repro.serve.sockets", "repro.serve.mux", "repro.analysis.charts",
+        "repro.analysis.schedule_search",
     ])
     def test_module_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
