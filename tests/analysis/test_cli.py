@@ -43,6 +43,8 @@ class TestParser:
         (["simulate", "ReLU", "--sww-kb", "-1"], "--sww-kb"),
         (["compile", "ReLU", "--sww-kb", "0"], "--sww-kb"),
         (["compile", "ReLU", "--ges", "two"], "--ges"),
+        (["compile", "ReLU", "--ges", "-2"], "--ges"),
+        (["simulate", "ReLU", "--sww-kb", "0"], "--sww-kb"),
     ])
     def test_nonpositive_hardware_size_is_a_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as info:

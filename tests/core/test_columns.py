@@ -7,6 +7,7 @@ views construct them once, on first use; a cache entry holds columns.
 
 from __future__ import annotations
 
+import hashlib
 from array import array
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.core.passes.reorder import (
     segment_reorder,
 )
 from repro.core.passes.streams import generate_streams
-from repro.core.progcache import ProgramCache, compile_key
+from repro.core.progcache import ProgramCache, circuit_digest, compile_key
 from repro.core.program import HaacProgram, ProgramError
 from repro.core.sww import SlidingWindow
 from repro.core.verify import verify_streams
@@ -230,3 +231,33 @@ def test_emitting_an_unready_netlist_is_a_program_error():
         HaacProgram.from_netlist(swapped)
     with pytest.raises(CircuitError, match="renamed"):
         DepGraph(swapped).oor_flags(4)
+
+
+@pytest.mark.parametrize("capacity", [4, 64])
+@pytest.mark.parametrize("opt", list(OptLevel), ids=lambda opt: opt.value)
+def test_segmented_levels_reorder_in_half_window_segments(opt, capacity):
+    # The paper's segment, half the SWW, is the only one a compile takes.
+    circuit = get_workload("ReLU").build_scaled(k=8).circuit
+    result = compile_circuit(circuit, SlidingWindow(capacity), 2, opt, cache=False)
+    segment = f"segment_reorder({capacity // 2})"
+    assert (segment in result.program.applied_passes) is opt.segmented
+    if opt.segmented:
+        baseline = depth_first_order(result.lowered.circuit)
+        expected = rename(segment_reorder(baseline, capacity // 2))
+        got = result.program.netlist
+        assert [list(getattr(got, c)) for c in ("op", "a", "b", "out", "outputs")] == [
+            list(getattr(expected, c)) for c in ("op", "a", "b", "out", "outputs")
+        ]
+
+
+def test_compile_key_hashes_the_v6_layout():
+    # The retired tie-break and segment-size axes hash as the literals
+    # they always took, so v6 cache and store entries stay addressable.
+    circuit = DEGENERATE["one_and"]
+    fields = (
+        "repro.progcache/v6", circuit_digest(circuit), "64", "2",
+        "seg_rn_esw", "18", "1", "1", "producer", "32",
+    )
+    assert compile_key(circuit, 64, 2, OptLevel.SEG_RN_ESW) == (
+        hashlib.sha256("|".join(fields).encode("ascii")).hexdigest()
+    )

@@ -3,7 +3,9 @@
 Every constant below was recorded on the commit *before* the column
 refactor (PR 13's parent) and is unchanged by it: schedules, live bits,
 OoR queues, machine words, circuit digests and one streamed-session
-transcript.  Only the ``compile_key`` constants embed ``CACHE_SCHEMA``
+transcript.  The two Garbler-latency fingerprints were recorded when
+the GE tie-break axis was retired, on the commit before, and equal
+there.  Only the ``compile_key`` constants embed ``CACHE_SCHEMA``
 and move when it is bumped.  Regenerate (after a deliberate compiler
 change only) with::
 
@@ -22,12 +24,15 @@ from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.core.progcache import circuit_digest, compile_key
 from repro.gc.protocol import run_two_party
-from repro.sim.config import HaacConfig
+from repro.sim.config import HaacConfig, Role
 from repro.workloads import get_workload
 from repro.workloads import iter_workloads
 from tests.sim.test_engine_equivalence import STDLIB_FAMILIES
 
 CONFIG = HaacConfig(n_ges=4, sww_bytes=64 * 16)
+#: The Garbler's 21-stage AND pipeline, pinned on one family.
+GARBLER_FAMILY = "integer8"
+GARBLER_OPTS = [OptLevel.RO_RN_ESW, OptLevel.SEG_RN_ESW]
 
 BRISTOL_TEXT = """4 8
 2 2 2
@@ -72,10 +77,11 @@ def _fingerprint_name(family: str, opt: OptLevel) -> str:
     return f"{family}/{opt.value}/producer"
 
 
-def _compile(family: str, opt: OptLevel):
+def _compile(family: str, opt: OptLevel, role: Role = CONFIG.role):
+    config = CONFIG.with_role(role)
     return compile_circuit(
-        STDLIB_FAMILIES[family](), CONFIG.window, CONFIG.n_ges, opt,
-        params=CONFIG.schedule_params(), cache=False,
+        STDLIB_FAMILIES[family](), config.window, config.n_ges, opt,
+        params=config.schedule_params(), cache=False,
     )
 
 
@@ -175,6 +181,13 @@ GOLDEN_KEYS = {
         "ad5e3d200999ec0d46adcd4ceb5e18876f8f2a8ec05c916b6b08f5e9c517305b",
 }
 
+GOLDEN_GARBLER_FINGERPRINTS = {
+    "ro_rn_esw":
+        "3030a49c465b00caf3cecb8523700a1739493afa5a9d3f06c8f6c84aed09f55e",
+    "seg_rn_esw":
+        "0bbc12d2b85e0b54347acc54f9efaf89d5439993af830adf4433ba7cd91954b4",
+}
+
 GOLDEN_TRANSCRIPT = (
     "886543511105b508df182aa480efb5b09bb8d622f03e01a1224ceefda699a8fb"
 )
@@ -187,6 +200,12 @@ GOLDEN_TRANSCRIPT = (
 def test_compile_fingerprint(family, opt):
     expected = GOLDEN_FINGERPRINTS[_fingerprint_name(family, opt)]
     assert fingerprint(_compile(family, opt)) == expected
+
+
+@pytest.mark.parametrize("opt", GARBLER_OPTS, ids=lambda opt: opt.value)
+def test_garbler_compile_fingerprint(opt):
+    expected = GOLDEN_GARBLER_FINGERPRINTS[opt.value]
+    assert fingerprint(_compile(GARBLER_FAMILY, opt, Role.GARBLER)) == expected
 
 
 def test_circuit_digests_and_compile_keys():
@@ -284,6 +303,10 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
         "GOLDEN_FINGERPRINTS": {
             _fingerprint_name(family, opt): fingerprint(_compile(family, opt))
             for family, opt in _cases()
+        },
+        "GOLDEN_GARBLER_FINGERPRINTS": {
+            opt.value: fingerprint(_compile(GARBLER_FAMILY, opt, Role.GARBLER))
+            for opt in GARBLER_OPTS
         },
         "GOLDEN_DIGESTS": {
             n: circuit_digest(c) for n, c in _digest_circuits().items()

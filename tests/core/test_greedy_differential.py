@@ -5,8 +5,8 @@ the cycle they free at; :mod:`tests.core.scalar_greedy` is the
 ``min(ge_free)`` scan it replaced, kept verbatim.  On random renamed
 netlists both must give every instruction the same GE and issue cycle,
 and the same makespan, for GE counts on both sides of a 64-bit mask,
-forwarding penalties from none to four cycles, and
-windows from 4 slots (every level evicts) to one that holds every wire
+AND latencies from one cycle (an XOR's) to the Garbler's 21,
+forwarding penalties from none to four cycles, and windows from 4 slots (every level evicts) to one that holds every wire
 (no window sync).
 
 Level-ordered programs (full or segment reorder, then rename) carry
@@ -41,6 +41,9 @@ from tests.core.scalar_greedy import scalar_greedy_schedule
 GE_COUNTS = [1, 2, 3, 16, 17, 65]
 FORWARDS = [0, 1, 4]
 CAPACITIES = [4, 8, 32, None]  # None: the program's wire count
+# One cycle (an AND as fast as an XOR), then the paper's Evaluator and
+# Garbler Half-Gate pipelines.
+AND_LATENCIES = [1, 18, 21]
 
 
 def renamed_program(
@@ -90,12 +93,15 @@ def test_random_netlists(
     assert_matches_oracle(program, n_ges, params, capacity)
 
 
+@pytest.mark.parametrize("and_latency", AND_LATENCIES)
 @pytest.mark.parametrize("n_ges", GE_COUNTS)
-def test_every_grid_point(n_ges):
+def test_every_grid_point(n_ges, and_latency):
     # 600 gates keep more than 65 GEs busy, so every mask bit is used.
     program = renamed_program(n_ges, 6, 600)
     for cross_ge_forward in FORWARDS:
-        params = ScheduleParams(cross_ge_forward=cross_ge_forward)
+        params = ScheduleParams(
+            and_latency=and_latency, cross_ge_forward=cross_ge_forward
+        )
         for capacity in CAPACITIES:
             assert_matches_oracle(program, n_ges, params, capacity)
 
@@ -154,8 +160,9 @@ def test_levelled_random_netlists(
 
 
 @pytest.mark.parametrize("run_min", [1, 8])
+@pytest.mark.parametrize("and_latency", AND_LATENCIES)
 @pytest.mark.parametrize("n_ges", LEVELLED_GE_COUNTS)
-def test_levelled_grid(monkeypatch, n_ges, run_min):
+def test_levelled_grid(monkeypatch, n_ges, and_latency, run_min):
     monkeypatch.setattr(streams, "_RUN_MIN", run_min)
     programs = [
         # Far operands over many inputs: levels 400-500 gates wide.
@@ -164,12 +171,15 @@ def test_levelled_grid(monkeypatch, n_ges, run_min):
     ]
     for program in programs:
         for cross_ge_forward in FORWARDS:
-            params = ScheduleParams(cross_ge_forward=cross_ge_forward)
+            params = ScheduleParams(
+                and_latency=and_latency, cross_ge_forward=cross_ge_forward
+            )
             for capacity in [2, 5, 32, None]:
                 assert_levelled_matches(program, n_ges, params, capacity)
 
 
-def test_wide_runs_take_the_array_path(monkeypatch):
+@pytest.mark.parametrize("and_latency", AND_LATENCIES)
+def test_wide_runs_take_the_array_path(monkeypatch, and_latency):
     """At the real threshold a level-ordered wide program commits most
     of its instructions through the array path."""
     committed = []
@@ -182,7 +192,9 @@ def test_wide_runs_take_the_array_path(monkeypatch):
 
     monkeypatch.setattr(streams, "_speculate", counting)
     program = levelled_program(0, 512, 2400, 0.0)
-    assert_levelled_matches(program, 16, ScheduleParams(), None)
+    assert_levelled_matches(
+        program, 16, ScheduleParams(and_latency=and_latency), None
+    )
     assert sum(committed) > 1000
 
 

@@ -42,7 +42,8 @@ class TestReorder:
         reordered.validate()
         _check_semantics(circuit, reordered, rng)
 
-    @pytest.mark.parametrize("segment", [1, 8, 32, 1000])
+    # 2 and 5: the segments of the 4- and 10-wire windows.
+    @pytest.mark.parametrize("segment", [1, 2, 5, 8, 32, 1000])
     def test_segment_reorder_valid(self, segment):
         circuit, rng = _random_lowered(1)
         reordered = segment_reorder(circuit, segment)

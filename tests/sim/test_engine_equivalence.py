@@ -257,14 +257,16 @@ class TestClosedFormDegenerate:
         build, config = DEGENERATE[case]
         self._check(build(), config, level_replays)
 
+    @pytest.mark.parametrize("role", list(Role), ids=lambda role: role.value)
     @pytest.mark.parametrize("family", ["integer8", "float8"])
-    def test_family(self, level_replays, family):
-        config = HaacConfig(n_ges=4, sww_bytes=64 * 16)
+    def test_family(self, level_replays, family, role):
+        """Each role's AND latency, compiled for and timed at."""
+        config = HaacConfig(n_ges=4, sww_bytes=64 * 16, role=role)
         self._check(_circuit(family), config, level_replays)
 
 
 class TestReplayDegenerate(TestClosedFormDegenerate):
-    """The same edges and families off the compile's schedule: a
+    """The same edges, families and roles off the compile's schedule: a
     one-row level replay, equal to the reference replay.  The 4-wire SWW
     evicts on every level."""
 
