@@ -46,7 +46,6 @@ class CpuCostModel:
     t_and_ns: float = 50.0
     t_xor_ns: float = 2.0
     t_gate_ns: float = 1100.0
-    garble_factor: float = GARBLE_OVERHEAD
 
     def eval_time_s(self, n_and: int, n_xor_like: int) -> float:
         """Evaluator wall time for a gate mix (XOR and INV are free-ish)."""

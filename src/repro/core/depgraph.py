@@ -307,17 +307,22 @@ def seed_graph(
     graph: DepGraph,
     wire_level_from: Optional[DepGraph] = None,
     gate_level_from: Optional[DepGraph] = None,
+    gate_order: Optional[np.ndarray] = None,
 ) -> DepGraph:
     """Attach a freshly built graph to its circuit's instance memo.
 
     ``wire_level_from`` transfers the (permutation-invariant) per-wire
     ASAP levels from a source graph over the same wire ids -- the
-    reorder passes use it so the whole pipeline levels once.
+    reorder passes use it so the whole pipeline levels once -- and, given
+    the ``gate_order`` that permuted them, the gate levels as one gather.
     ``gate_level_from`` hands over, on first use, the gate levels of a
     source graph with the same gate order (renaming moves no gate).
     """
     if wire_level_from is not None and "wire_level" in wire_level_from.__dict__:
         graph.__dict__["wire_level"] = wire_level_from.wire_level
+        if gate_order is not None and "gate_level_column" in wire_level_from.__dict__:
+            level = column_view(wire_level_from.gate_level_column)[gate_order]
+            graph.__dict__["gate_level_column"] = int_column(level)
     if gate_level_from is not None and gate_level_from.has_levels:
         graph.__dict__["_gate_level_from"] = gate_level_from
     setattr(circuit, GRAPH_ATTR, graph)

@@ -58,7 +58,9 @@ def _permute(
     # Building the graph validates the permuted netlist (same invariants
     # as Circuit.validate) and leaves it memoized for the next pass;
     # wire levels are per-wire-id and survive any gate permutation.
-    seed_graph(reordered, DepGraph(reordered), wire_level_from=source_graph)
+    seed_graph(
+        reordered, DepGraph(reordered), wire_level_from=source_graph, gate_order=order
+    )
     return reordered
 
 

@@ -235,7 +235,7 @@ def _greedy_schedule(
     params: ScheduleParams,
     capacity: int,
     graph: DepGraph,
-) -> Tuple[List[int], List[int], int]:
+) -> Tuple[np.ndarray, np.ndarray, int]:
     """Assign each instruction to the next *non-stalled* GE, as the paper
     does ("mapping instructions from the program to non-stalled GEs each
     cycle in our simulator").
@@ -255,10 +255,11 @@ def _greedy_schedule(
     which commits the exact prefix before the first stall; the step below
     finishes the run.  The state is ``array('q')`` if they exist, else lists.
 
-    Returns (ge_of, issue_cycle, makespan).  ``done[w]`` is the cycle a
-    wire's value exists (forwardable); primary inputs come from the
-    sentinel GE ``n_ges`` (never free, never chosen), so they are done at
-    ``-cross_ge_forward`` to be ready at 0 after the forwarding penalty.
+    Returns (ge_of, issue_cycle, makespan), the two columns int64 arrays.
+    ``done[w]`` is the cycle a wire's value exists (forwardable); primary
+    inputs come from the sentinel GE ``n_ges`` (never free, never chosen),
+    so they are done at ``-cross_ge_forward`` to be ready at 0 after the
+    forwarding penalty.
 
     Besides dependences, the schedule enforces the **window-sync**
     hazard of the tagless SWW: writing wire ``o`` lands in the physical
@@ -287,13 +288,13 @@ def _greedy_schedule(
     done = column(-penalty) * n_inputs + column(0) * graph.n_gates
     producer_ge = column(n_ges) * n_wires
     last_read_issue = column(0) * n_wires
-    ge_of: List[int] = []
-    issue_cycle: List[int] = []
+    ge_of, issue_cycle = np.empty((2, graph.n_gates), dtype=np.int64)
     cycle, free, nxt, later = 0, (1 << n_ges) - 1, 0, {}
 
     state = (done, producer_ge, last_read_issue, ge_of, issue_cycle)
     begin = 0
     for start, stop in runs + [(graph.n_gates, graph.n_gates)]:
+        stretch_ge, stretch_issue = [], []
         for out, a, b, is_and in zip(
             range(n_inputs + begin, n_inputs + start), graph.a_of[begin:start],
             graph.b_of[begin:start], graph.is_and[begin:start],
@@ -332,8 +333,8 @@ def _greedy_schedule(
             if available > issue:
                 issue = available
 
-            ge_of.append(chosen)
-            issue_cycle.append(issue)
+            stretch_ge.append(chosen)
+            stretch_issue.append(issue)
             issued = issue + 1
             if issue == cycle:
                 nxt |= bit
@@ -348,6 +349,8 @@ def _greedy_schedule(
                 last_read_issue[a] = issued
             if issued > last_read_issue[b]:
                 last_read_issue[b] = issued
+        ge_of[begin:start] = stretch_ge  # the stretch walked, converted once
+        issue_cycle[begin:start] = stretch_issue
         if start < stop:
             begin, cycle, free, nxt, later = _speculate(
                 graph, params, capacity, start, stop, state,
@@ -370,11 +373,16 @@ def _speculate(graph, params, capacity, start, stop, state, queue):
     # mask only grows -- free[c + 1] = free[c] | later[c + 1] -- and
     # cycle c takes popcount(free[c]) instructions.
     masks, grown, accept, left = [], free | nxt, cycle, n
-    while left > 0:
+    last = max(later, default=cycle)
+    while left > 0 and accept <= last:
         masks.append(free)
         left -= free.bit_count()
         accept += 1
         free = grown = grown | later.get(accept, 0)
+    if left > 0:  # past the last stall the mask is every GE, each cycle
+        cycles = -(-left // grown.bit_count())
+        masks += [grown] * cycles
+        left -= cycles * grown.bit_count()
     counts = np.bitwise_count(np.array(masks)).astype(np.int64)
     counts[-1] += left  # the run ends inside its last cycle
     first, row = np.cumsum(counts) - counts, np.repeat(np.arange(len(counts)), counts)
@@ -387,12 +395,12 @@ def _speculate(graph, params, capacity, start, stop, state, queue):
     index = np.where(slot < counts[:, None], first[:, None] + slot, n).T
     want_a, want_b = (np.append(1 << s, 0)[index] for s in (source_a, source_b))
     free_left, taken = np.array(masks), np.empty_like(want_a)
-    for slot in range(len(index)):
-        pick = free_left & -free_left
-        pick = np.where(free_left & want_b[slot], want_b[slot], pick)
-        pick = np.where(free_left & want_a[slot], want_a[slot], pick)
+    for pick, wa, wb in zip(taken, want_a, want_b):
+        # b's GE if free, else the lowest free one (never above b's bit).
+        np.maximum(free_left & wb, free_left & -free_left, out=pick)
+        hit = free_left & wa
+        np.copyto(pick, hit, where=hit.astype(bool))  # a's GE if free
         free_left ^= pick
-        taken[slot] = pick
     chosen = np.bitwise_count(taken.T[index.T < n] - 1).astype(np.int64)
 
     # One pass checks readiness and window sync for the whole run.
@@ -417,9 +425,8 @@ def _speculate(graph, params, capacity, start, stop, state, queue):
     last_read_issue[outs] = issued = issue[:m] + 1
     for operand in (a, b):
         np.maximum.at(last_read_issue, operand[:m], issued)
-    state[3].extend(chosen[:m].tolist())
-    cycles = list(range(cycle, cycle + len(counts)))  # one int a cycle, as in the walk
-    state[4].extend(map(cycles.__getitem__, row[:m].tolist()))
+    state[3][start:start + m] = chosen[:m]
+    state[4][start:start + m] = issue[:m]
     # The queue at the commit point: cycle `k`, part of its mask taken.
     k = int(row[min(m, n - 1)])
     taken = sum(1 << pick for pick in chosen[first[k]:m].tolist())
@@ -465,8 +472,9 @@ def generate_streams(
         program, n_ges, params, window.capacity, graph
     )
 
+    ge_of, issue_cycle = narrow_column(ge_of), narrow_column(issue_cycle)
     oor_a, oor_b = graph.oor_flags(window.capacity)
-    owner = np.asarray(ge_of, dtype=np.int64)
+    owner = column_view(ge_of)  # narrow: the stable sort is a radix sort
     # OoRW queues in pop order: program order, first operand first --
     # the row-major order of the (a, b) operand pairs.
     flagged = np.stack([column_view(oor_a), column_view(oor_b)], axis=1) != 0
@@ -487,8 +495,8 @@ def generate_streams(
         window=window,
         n_ges=n_ges,
         params=params,
-        ge_of=narrow_column(owner),
-        issue_cycle=narrow_column(issue_cycle),
+        ge_of=ge_of,
+        issue_cycle=issue_cycle,
         ges=ges,
         makespan=makespan,
         depgraph=graph,

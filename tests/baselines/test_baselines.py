@@ -20,7 +20,6 @@ from repro.workloads.registry import WORKLOADS
 class TestCpuModel:
     def test_garble_slower_by_paper_ratio(self):
         assert GARBLE_OVERHEAD == pytest.approx(1.119)
-        assert DEFAULT_CPU.garble_factor == GARBLE_OVERHEAD
 
     def test_time_scales_with_gates(self):
         t1 = DEFAULT_CPU.eval_time_s(100, 100)

@@ -34,7 +34,12 @@ from repro.core.depgraph import (
     seed_graph,
 )
 from repro.core.passes.rename import rename
-from repro.core.passes.reorder import _producer_column, depth_first_order, full_reorder
+from repro.core.passes.reorder import (
+    _producer_column,
+    depth_first_order,
+    full_reorder,
+    segment_reorder,
+)
 from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig
 from tests.circuits.test_netlist import MALFORMED, malformed_circuit
@@ -314,6 +319,20 @@ class TestMemoization:
         assert list(renamed.gate_level_column) == list(source.gate_level_column)
         assert renamed.gate_level_column is source.gate_level_column
         assert build_counts()["levels"] == before
+
+    @pytest.mark.parametrize("segment_size", [None, 5])
+    def test_level_reorder_hands_over_gate_levels(self, segment_size):
+        """A level reorder gathers its source's gate levels into the
+        permuted graph, equal to levelling the reordered netlist afresh."""
+        clear_registry()
+        circuit = _adder8()
+        if segment_size is None:
+            reordered = full_reorder(circuit)
+        else:
+            reordered = segment_reorder(circuit, segment_size)
+        graph = dep_graph(reordered)
+        assert "gate_level_column" in graph.__dict__
+        assert list(graph.gate_level_column) == reordered.gate_levels()
 
     def test_unlevelled_order_hands_over_nothing(self):
         clear_registry()

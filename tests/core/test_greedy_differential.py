@@ -15,6 +15,10 @@ array path; those run with the run-width threshold forced to 1 and 8
 as well as at its real value, windows down to 2 slots (below the GE
 count, so one accept cycle can read and evict the same slot), and
 every registered workload at full scale.
+
+The mapper returns int64 arrays; ``generate_streams`` stores them as the
+narrowest unsigned ``array`` columns, which the full-scale check and
+``test_stream_columns_are_narrow_arrays`` pin byte for byte.
 """
 
 from __future__ import annotations
@@ -22,18 +26,24 @@ from __future__ import annotations
 import random
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.netlist import OP_AND, OP_XOR, Circuit
+from repro.circuits.netlist import OP_AND, OP_XOR, Circuit, narrow_column
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.core.depgraph import DepGraph, dep_graph
 from repro.core.passes import streams
 from repro.core.passes.rename import rename
 from repro.core.passes.reorder import full_reorder, segment_reorder
-from repro.core.passes.streams import ScheduleParams, _greedy_schedule
+from repro.core.passes.streams import (
+    ScheduleParams,
+    _greedy_schedule,
+    generate_streams,
+)
 from repro.core.program import HaacProgram
+from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig
 from repro.workloads import iter_workloads
 from tests.core.scalar_greedy import scalar_greedy_schedule
@@ -67,10 +77,17 @@ def renamed_program(
     return HaacProgram.from_netlist(circuit)
 
 
+def schedule_values(schedule):
+    """``(ge_of, issue_cycle, makespan)`` with the columns as lists, to
+    compare the mapper's arrays with the oracle's lists."""
+    ge_of, issue_cycle, makespan = schedule
+    return list(ge_of), list(issue_cycle), makespan
+
+
 def assert_matches_oracle(program, n_ges, params, capacity):
     capacity = capacity or program.n_inputs + len(program.op)
     args = (program, n_ges, params, capacity, DepGraph(program.netlist))
-    assert _greedy_schedule(*args) == scalar_greedy_schedule(*args)
+    assert schedule_values(_greedy_schedule(*args)) == scalar_greedy_schedule(*args)
 
 
 @settings(max_examples=300, deadline=None)
@@ -130,7 +147,7 @@ def assert_levelled_matches(program, n_ges, params, capacity):
     graph = dep_graph(program.netlist)
     assert graph.has_levels
     args = (program, n_ges, params, capacity, graph)
-    assert _greedy_schedule(*args) == scalar_greedy_schedule(*args)
+    assert schedule_values(_greedy_schedule(*args)) == scalar_greedy_schedule(*args)
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,24 +195,53 @@ def test_levelled_grid(monkeypatch, n_ges, and_latency, run_min):
                 assert_levelled_matches(program, n_ges, params, capacity)
 
 
-@pytest.mark.parametrize("and_latency", AND_LATENCIES)
-def test_wide_runs_take_the_array_path(monkeypatch, and_latency):
-    """At the real threshold a level-ordered wide program commits most
-    of its instructions through the array path."""
-    committed = []
+@pytest.fixture
+def committed(monkeypatch):
+    """The instruction count of each array-path commit."""
+    counts = []
     speculate = streams._speculate
 
     def counting(graph, params, capacity, start, *args):
         result = speculate(graph, params, capacity, start, *args)
-        committed.append(result[0] - start)
+        counts.append(result[0] - start)
         return result
 
     monkeypatch.setattr(streams, "_speculate", counting)
+    return counts
+
+
+@pytest.mark.parametrize("and_latency", AND_LATENCIES)
+def test_wide_runs_take_the_array_path(committed, and_latency):
+    """At the real threshold a level-ordered wide program commits most
+    of its instructions through the array path."""
     program = levelled_program(0, 512, 2400, 0.0)
     assert_levelled_matches(
         program, 16, ScheduleParams(and_latency=and_latency), None
     )
     assert sum(committed) > 1000
+
+
+def assert_narrow_oracle_columns(schedule, oracle):
+    """``ge_of`` / ``issue_cycle`` are ``array`` columns of the narrowest
+    unsigned typecode holding their max, byte for byte the oracle's
+    lists narrowed: the program-cache entry depends on both."""
+    for column, values in zip((schedule.ge_of, schedule.issue_cycle), oracle):
+        assert isinstance(column, array)
+        assert column.typecode == np.min_scalar_type(max(values, default=0)).char
+        assert column.tobytes() == narrow_column(values).tobytes()
+    assert schedule.makespan == oracle[2]
+
+
+@pytest.mark.parametrize("capacity", [32, 4096])  # evicting / holds every wire
+def test_stream_columns_are_narrow_arrays(committed, capacity):
+    program = levelled_program(0, 512, 2400, 0.0)
+    graph = dep_graph(program.netlist)
+    params = ScheduleParams()
+    schedule = generate_streams(program, SlidingWindow(capacity), 16, params, graph)
+    assert sum(committed) > 1000
+    assert_narrow_oracle_columns(
+        schedule, scalar_greedy_schedule(program, 16, params, capacity, graph)
+    )
 
 
 @pytest.mark.slow
@@ -216,5 +262,4 @@ def test_full_scale_workloads(name, sww_bytes):
         result.program, config.n_ges, config.schedule_params(),
         config.window.capacity, schedule.depgraph,
     )
-    columns = (list(schedule.ge_of), list(schedule.issue_cycle))
-    assert (*columns, schedule.makespan) == oracle
+    assert_narrow_oracle_columns(schedule, oracle)

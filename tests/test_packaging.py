@@ -48,6 +48,7 @@ REMOVED_PARAMETERS = [
     ("repro.core.compiler", "compile_circuit", "verify"),
     ("repro.core.compiler", "compile_circuit", "segment_size"),
     ("repro.core.progcache", "compile_key", "segment_size"),
+    ("repro.baselines.cpu_model", "CpuCostModel", "garble_factor"),
     ("repro.core.passes.streams", "ScheduleParams", "tie_break"),
     ("repro.analysis.dataprovider", "DataProvider", "cpu"),
     ("repro.analysis.dataprovider", "DataProvider", "plaintext"),
