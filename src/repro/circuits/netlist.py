@@ -46,7 +46,6 @@ __all__ = [
     "CircuitStats",
     "CircuitError",
     "AndLevelPlan",
-    "NO_ROWS",
     "ColumnView",
     "column_view",
     "int_column",
@@ -225,27 +224,25 @@ class CircuitStats:
         }
 
 
-#: Every empty part of an :meth:`AndLevelPlan.phase`: one shared,
-#: read-only empty index array.
-NO_ROWS = np.empty(0, dtype=np.intp)
-NO_ROWS.flags.writeable = False
-_NO_XOR, _NO_INV = (NO_ROWS,) * 3, (NO_ROWS,) * 2
-
-
 class AndLevelPlan:
     """:attr:`Circuit.and_level_plan`: the AND-level schedule as slices.
 
-    ``a`` / ``b`` / ``out`` are the gate columns in schedule order (int32
-    when every wire id fits), ``and_positions`` the AND gates' netlist
-    positions, phase ``d``'s from ``and_at[d]``.  Run ``r`` (AND batch or
-    free group) is rows ``[cuts[2r], cuts[2r + 2])``, INV from row
-    ``cuts[2r + 1]``; phase ``d`` is runs ``[runs_at[d], runs_at[d + 1])``.
+    The label store's rows are in schedule order: inputs keep rows
+    ``[0, n_inputs)``, the ``k``-th gate of the plan writes row
+    ``n_inputs + k`` and row ``n_wires`` is the sentinel (R for the
+    Garbler, zero for the Evaluator), which every INV reads as its
+    ``b``.  ``rows`` maps wire ids to rows; ``a`` / ``b`` are the gates'
+    operand rows in schedule order (int32 when every row fits),
+    ``and_positions`` the AND gates' netlist positions, phase ``d``'s
+    from ``and_at[d]``.  Run ``r`` (AND batch or free group) is plan
+    gates ``[cuts[r], cuts[r + 1])``; phase ``d`` is runs
+    ``[runs_at[d], runs_at[d + 1])``.
     """
 
-    __slots__ = ("a", "b", "out", "and_positions", "and_at", "cuts", "runs_at")
+    __slots__ = ("a", "b", "rows", "and_positions", "and_at", "cuts", "runs_at")
 
-    def __init__(self, a, b, out, and_positions, and_at, cuts, runs_at) -> None:
-        self.a, self.b, self.out = a, b, out
+    def __init__(self, a, b, rows, and_positions, and_at, cuts, runs_at) -> None:
+        self.a, self.b, self.rows = a, b, rows
         self.and_positions, self.and_at = and_positions, and_at
         self.cuts, self.runs_at = cuts, runs_at
 
@@ -257,25 +254,19 @@ class AndLevelPlan:
         return self.and_positions[self.and_at[index] : self.and_at[index + 1]]
 
     def phase(self, index: int):
-        """Phase ``index`` as views: ``(and_positions, a, b, out,
-        free_groups)``, one ``(xor_a, xor_b, xor_out, inv_a, inv_out)``
-        per free group.  Only non-empty parts are views; every empty
-        part is :data:`NO_ROWS`, so callers skip it by identity."""
-        r0, r1 = 2 * self.runs_at[index : index + 2]
-        cuts = self.cuts[r0 : r1 + 1]
+        """Phase ``index`` as ``(and_positions, a, b, out, free_groups)``,
+        one ``(a, b, out)`` per free group: ``a`` / ``b`` operand-row
+        views, ``out`` the ``slice`` of rows the run writes."""
+        cuts = self.cuts[self.runs_at[index] : self.runs_at[index + 1] + 1]
         # NumPy indexes with intp: widen the phase once, not every group.
-        rows = slice(cuts[0], cuts[-1])
-        a, b, out = (c[rows].astype(np.intp) for c in (self.a, self.b, self.out))
-        cuts = (cuts - cuts[0]).tolist()
+        lo = cuts[0]
+        a, b = (c[lo : cuts[-1]].astype(np.intp) for c in (self.a, self.b))
+        n_inputs = len(self.rows) - len(self.a)
         runs = [
-            (a[s:m], b[s:m], out[s:m]) if m > s else _NO_XOR
-            for s, m in zip(cuts[0::2], cuts[1::2])
+            (a[s:e], b[s:e], slice(n_inputs + lo + s, n_inputs + lo + e))
+            for s, e in pairwise((cuts - lo).tolist())
         ]
-        groups = [
-            xor + ((a[m:e], out[m:e]) if e > m else _NO_INV)
-            for xor, m, e in zip(runs[1:], cuts[3::2], cuts[4::2])
-        ]
-        return (self.and_batch(index), *runs[0], groups)
+        return (self.and_batch(index), *runs[0], runs[1:])
 
 
 class Circuit:
@@ -464,36 +455,39 @@ class Circuit:
         AND is ``depth + 1`` at level 0, an XOR / INV its largest operand
         key plus one.  The level field is as wide as the free-gate count,
         so it never carries into the depth.  One stable sort of the gate
-        keys, "is INV" the lowest bit, makes each AND batch and each
-        group's XOR part and INV part a slice of the plan.  Memoized.
+        keys puts each AND batch and each free group in a run of
+        consecutive rows, so each writes one slice of the label store
+        (:class:`AndLevelPlan`).  Memoized.
         """
         mask = (1 << (len(self.op) - self.op.count(OP_AND)).bit_length()) - 1
+        n_inputs, n_wires = self.n_inputs, self.n_wires
         # One spare slot past the last wire: an INV's b = -1 reads key 0.
-        key = array("q", bytes(8 * self.n_wires + 8))
+        key = array("q", bytes(8 * n_wires + 8))
         for code, a, b, out in zip(self.op, self.a, self.b, self.out):
             k, kb = key[a], key[b]
             if kb > k:
                 k = kb
             key[out] = (k | mask) + 1 if code == OP_AND else k + 1
-        op = column_view(self.op)
-        gate_key = column_view(key)[column_view(self.out)] << 1 | (op == OP_INV)
+        out = column_view(self.out)
+        gate_key = column_view(key)[out]
         order = np.argsort(gate_key, kind="stable")
         gate_key = gate_key[order]
         # A run is one (depth, free level) key; run 0 is phase 0's empty
         # AND batch, and every later phase opens with its AND run.
-        starts = np.flatnonzero(np.diff(gate_key >> 1, prepend=-1))
-        run_key = gate_key[starts] & -2
-        cuts = np.zeros(3 + 2 * len(run_key), dtype=np.int64)
-        cuts[3::2] = np.searchsorted(gate_key, run_key | 1)
-        cuts[4::2] = np.searchsorted(gate_key, run_key + 2)
-        run_depth = np.concatenate([[0], run_key >> (mask.bit_length() + 1)])
+        starts = np.flatnonzero(np.diff(gate_key, prepend=-1))
+        cuts = np.concatenate([[0], starts, [len(order)]])
+        run_depth = np.append(0, gate_key[starts] >> mask.bit_length())
         runs_at = np.searchsorted(run_depth, np.arange(run_depth[-1] + 2))
-        and_rows = np.flatnonzero(op[order] == OP_AND)
-        narrow = np.int32 if self.n_wires <= 2**31 else np.int64
+        and_rows = np.flatnonzero(column_view(self.op)[order] == OP_AND)
+        # rows[-1] is the sentinel: an INV's b = -1 reads row n_wires.
+        narrow = np.int32 if n_wires < 2**31 else np.int64
+        rows = np.arange(n_wires + 1, dtype=narrow)
+        rows[out[order]] = np.arange(n_inputs, n_wires, dtype=narrow)
         return AndLevelPlan(
-            *(column_view(c)[order].astype(narrow) for c in (self.a, self.b, self.out)),
+            *(rows[column_view(c)[order]] for c in (self.a, self.b)),
+            rows[:-1],
             order[and_rows].astype(narrow),
-            np.searchsorted(and_rows, cuts[2 * runs_at]),
+            np.searchsorted(and_rows, cuts[runs_at]),
             cuts,
             runs_at,
         )
@@ -505,11 +499,12 @@ class Circuit:
         phases = self.__dict__.get("_and_level_lists")
         if phases is None:
             plan = self.and_level_plan
-            position_of = np.empty(self.n_wires, dtype=np.int64)
-            position_of[column_view(self.out)] = np.arange(len(self.op))
-            positions = position_of[plan.out].tolist()
-            cuts = plan.cuts[0::2].tolist()
-            runs = [positions[lo:hi] for lo, hi in pairwise(cuts)]
+            position_of = np.empty(len(self.op), dtype=np.int64)
+            position_of[plan.rows[column_view(self.out)] - self.n_inputs] = (
+                np.arange(len(self.op))
+            )
+            positions = position_of.tolist()
+            runs = [positions[lo:hi] for lo, hi in pairwise(plan.cuts.tolist())]
             self.__dict__["_and_level_lists"] = phases = [
                 (runs[r0], [sorted(group) for group in runs[r0 + 1 : r1]])
                 for r0, r1 in pairwise(plan.runs_at.tolist())

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..circuits.netlist import OP_AND, OP_XOR, Circuit
-from .garble import GarbledCircuit, _BlockStore, _run_free_groups
+from .garble import GarbledCircuit, _BlockStore
 from .halfgate import eval_and, eval_not, eval_xor, tables_to_bytes
 from .hashing import GateHasher
 from .labels import bytes_to_blocks, ints_to_bytes, lsb
@@ -146,24 +146,25 @@ def evaluate_circuit_batched(
 
 
 class BlockEvaluatorStore(_BlockStore):
-    """The Evaluator's held labels as blocks."""
+    """The Evaluator's held labels as blocks; the sentinel row stays
+    zero, so an INV forwards its label."""
 
     def evaluate_level(self, index: int, block: bytes) -> None:
         """Evaluate phase ``index`` against its AND batch's tables in
         wire format (``T_G || T_E`` per gate in batch order; the caller
         has checked the length).  2 hashes per gate, half the Garbler's."""
         state = self.state
-        positions, a_idx, b_idx, out_idx, free_groups = self.plan.phase(index)
+        positions, a_rows, b_rows, out, free_groups = self.plan.phase(index)
         if len(positions):
             m = len(positions)
             tables = bytes_to_blocks(block).reshape(m, 8)
-            wa, wb = state[a_idx], state[b_idx]
+            wa, wb = state.take(a_rows, axis=0), state.take(b_rows, axis=0)
             hashes = self._hash(positions, np.concatenate([wa, wb]), 1)
             s_a = -(wa[:, 3:] & 1)
             s_b = -(wb[:, 3:] & 1)
-            state[out_idx] = (
+            state[out] = (
                 hashes[:m] ^ (tables[:, :4] & s_a)
                 ^ hashes[m:] ^ ((tables[:, 4:] ^ wa) & s_b)
             )
-        _run_free_groups(state, free_groups, None)
+        self._run_free_groups(free_groups)
 

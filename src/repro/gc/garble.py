@@ -16,7 +16,7 @@ Two execution strategies produce bitwise-identical results:
 
 The level-scheduled walk runs on a *label store*
 (:class:`BlockGarblerStore`), the same one the streamed
-:class:`~repro.gc.roles.GarblerRole` holds: an ``(n_wires, 4) uint32``
+:class:`~repro.gc.roles.GarblerRole` holds: an ``(n_wires + 1, 4) uint32``
 block array with array kernels (DESIGN.md section 11).
 """
 
@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..circuits.netlist import NO_ROWS, OP_AND, OP_XOR, Circuit
+from ..circuits.netlist import OP_AND, OP_XOR, Circuit
 from . import ot
 from .halfgate import (
     GarbledTable, garble_and, garble_not, garble_xor, tables_from_bytes,
@@ -199,27 +199,13 @@ def and_tweaks(positions: np.ndarray) -> np.ndarray:
     return np.concatenate([doubled, doubled + 1])
 
 
-def _run_free_groups(state, free_groups, r_vec) -> None:
-    """Apply every XOR/INV group of one phase as bulk array XORs.
-
-    ``r_vec`` is the FreeXOR offset row for the Garbler, or ``None`` on
-    the Evaluator side (where INV forwards the label unchanged).
-    """
-    for xor_a, xor_b, xor_out, inv_a, inv_out in free_groups:
-        if xor_out is not NO_ROWS:
-            state[xor_out] = state[xor_a] ^ state[xor_b]
-        if inv_out is not NO_ROWS:
-            if r_vec is None:
-                state[inv_out] = state[inv_a]
-            else:
-                state[inv_out] = state[inv_a] ^ r_vec
-
-
 class _BlockStore:
-    """One party's label store as an ``(n_wires, 4) uint32`` block array.
+    """One party's label store, an ``(n_wires + 1, 4) uint32`` array.
 
-    The store owns ``state`` (row ``w`` = the label of wire ``w`` as four
-    big-endian column words) and the hashing of each AND batch of
+    The store owns ``state``, one label per row as four big-endian
+    column words, in the plan's schedule order (``plan.rows[w]`` is wire
+    ``w``'s row; the last row is the sentinel every INV XORs in), and
+    the hashing of each AND batch of
     :attr:`Circuit.and_level_plan` under its gates' ``2p`` / ``2p + 1``
     tweak keys (:func:`and_tweaks`): ``m`` generator keys then ``m``
     evaluator keys per batch, expanded as the level runs into one
@@ -235,10 +221,17 @@ class _BlockStore:
     def __init__(
         self, circuit: Circuit, input_labels: bytes, backend, hasher: GateHasher
     ) -> None:
-        self.state = np.zeros((circuit.n_wires, 4), dtype=np.uint32)
+        self.state = np.zeros((circuit.n_wires + 1, 4), dtype=np.uint32)
         self.state[: circuit.n_inputs] = bytes_to_blocks(input_labels)
         self.plan = circuit.and_level_plan
         self.backend, self.hasher = backend, hasher
+
+    def _run_free_groups(self, free_groups) -> None:
+        """Apply every XOR/INV group of one phase, each one XOR of two
+        row gathers into the group's own row slice."""
+        state = self.state
+        for a, b, out in free_groups:
+            np.bitwise_xor(state.take(a, axis=0), state.take(b, axis=0), out=state[out])
 
     def _hash(self, positions, labels, runs: int):
         """Hash ``labels`` = ``runs`` runs of ``2m`` blocks, each the
@@ -263,26 +256,29 @@ class _BlockStore:
 
     def permute_bits(self, wires: Sequence[int]) -> List[int]:
         """Point-and-permute bit of each wire's stored label."""
-        return (self.state[wires, 3] & 1).tolist()
+        return (self.state[self.plan.rows[wires], 3] & 1).tolist()
 
     def labels(self, wires=slice(None)) -> List[int]:
-        """Stored labels as Python ints (whole-circuit results, tests)."""
-        return self.backend.blocks_to_ints(self.state[wires])
+        """Stored labels of ``wires`` (all, in wire order, by default) as
+        Python ints (whole-circuit results, tests)."""
+        return self.backend.blocks_to_ints(self.state[self.plan.rows[wires]])
 
 
 class BlockGarblerStore(_BlockStore):
-    """The Garbler's zero-labels as blocks."""
+    """The Garbler's zero-labels as blocks; the sentinel row is R."""
 
     def __init__(
         self, circuit, input_labels: Sequence[int], r: int, backend, hasher
     ) -> None:
         super().__init__(circuit, ints_to_bytes(input_labels), backend, hasher)
-        self.r_vec = backend.ints_to_blocks([r])[0]
+        self.r_vec = self.state[-1]
+        self.r_vec[:] = backend.ints_to_blocks([r])[0]
 
     def select(self, wires: Sequence[int], bits: Sequence[int]) -> bytes:
         """Wire format of the label encoding ``bits[i]`` on ``wires[i]``."""
         chosen = np.asarray(bits, dtype=bool)[:, None]
-        return blocks_to_bytes(self.state[wires] ^ (self.r_vec * chosen))
+        labels = self.state[self.plan.rows[wires]]
+        return blocks_to_bytes(labels ^ (self.r_vec * chosen))
 
     def garble_level(self, index: int) -> bytes:
         """Garble phase ``index``; returns its AND batch's tables in wire
@@ -291,11 +287,11 @@ class BlockGarblerStore(_BlockStore):
         :mod:`repro.gc.halfgate`, the ``p ? x : 0`` selections as
         all-ones / all-zeros word masks."""
         state, r_vec = self.state, self.r_vec
-        positions, a_idx, b_idx, out_idx, free_groups = self.plan.phase(index)
+        positions, a_rows, b_rows, out, free_groups = self.plan.phase(index)
         payload = b""
         if len(positions):
             m = len(positions)
-            wa0, wb0 = state[a_idx], state[b_idx]
+            wa0, wb0 = state.take(a_rows, axis=0), state.take(b_rows, axis=0)
             hashes = self._hash(
                 positions, np.concatenate([wa0, wb0, wa0 ^ r_vec, wb0 ^ r_vec]), 2
             )
@@ -306,10 +302,8 @@ class BlockGarblerStore(_BlockStore):
             t_g, t_e = tables[:, :4], tables[:, 4:]
             t_g[:] = h_a0 ^ h_a1 ^ (r_vec & p_b)
             t_e[:] = h_b0 ^ h_b1 ^ wa0
-            state[out_idx] = (
-                h_a0 ^ (t_g & p_a) ^ h_b0 ^ ((t_e ^ wa0) & p_b)
-            )
+            state[out] = h_a0 ^ (t_g & p_a) ^ h_b0 ^ ((t_e ^ wa0) & p_b)
             payload = blocks_to_bytes(tables)
-        _run_free_groups(state, free_groups, r_vec)
+        self._run_free_groups(free_groups)
         return payload
 

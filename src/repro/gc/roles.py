@@ -39,10 +39,13 @@ why every drive produces the same transcript digest.
 
 A role's wire labels live in a *label store*
 (:class:`~repro.gc.garble.BlockGarblerStore` /
-:class:`~repro.gc.evaluate.BlockEvaluatorStore`): an ``(n_wires, 4)
-uint32`` block array.  The store speaks wire format -- a level's tables
-leave and enter it as one ``bytes`` block -- so the scripts never see
-its layout.
+:class:`~repro.gc.evaluate.BlockEvaluatorStore`): an ``(n_wires + 1,
+4) uint32`` block array in the plan's schedule order (inputs, then one
+row per gate as the plan runs it, then the sentinel row every INV XORs
+in: R for the Garbler, zero for the Evaluator).  The store speaks wire
+format -- a level's tables leave and enter it as one ``bytes`` block,
+input and output labels are addressed by wire id -- so the scripts
+never see its layout.
 
 The framed transport carries raw bytes; every payload's length is
 checked here before a store sees it, and every OT group element's range
@@ -70,7 +73,7 @@ from .rng import LabelPrg
 
 __all__ = [
     "HANDSHAKE", "LEVEL", "FINISH", "GarblerRole", "EvaluatorRole",
-    "ot_handshake_bytes",
+    "check_input_bits", "ot_handshake_bytes",
 ]
 
 HANDSHAKE = "handshake"
@@ -94,6 +97,15 @@ def ot_handshake_bytes(n_choices: int, extended: bool) -> int:
     if extended:
         payload += (OT_KAPPA // 8 + 2 * _LABEL_BYTES) * n_choices
     return payload
+
+
+def check_input_bits(circuit: Circuit, party: str, bits: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless ``bits`` are ``party``'s inputs to
+    ``circuit``: one per input wire, each 0 or 1."""
+    if len(bits) != getattr(circuit, f"n_{party}_inputs"):
+        raise ValueError(f"wrong number of {party} input bits")
+    if not all(bit in (0, 1) for bit in bits):
+        raise ValueError(f"{party} input bits must be 0 or 1")
 
 
 def _exact_ints(data: bytes, width: int, count: int, what: str) -> List[int]:
@@ -165,12 +177,7 @@ class _Role:
     ) -> None:
         """``backend`` is anything
         :func:`~repro.gc.backends.resolve_backend` accepts."""
-        expected = {
-            "garbler": circuit.n_garbler_inputs,
-            "evaluator": circuit.n_evaluator_inputs,
-        }[self.party]
-        if len(bits) != expected:
-            raise ValueError(f"wrong number of {self.party} input bits")
+        check_input_bits(circuit, self.party, bits)
         self.circuit = circuit
         self.bits = list(bits)
         self.seed = seed

@@ -567,7 +567,8 @@ class SessionMultiplexer(SessionService):
     ) -> SessionHandle:
         """Admit one session (or raise :class:`ServiceSaturated`).
 
-        Wrong input arity, or a fault kind outside ``FRAME_FAULTS``
+        Wrong input arity, a bit other than 0 / 1, or a fault kind
+        outside ``FRAME_FAULTS``
         (:class:`~repro.faults.FaultKindUnsupported`), raises
         ``ValueError`` without admitting it.
         """

@@ -56,6 +56,7 @@ from ..faults import (
 )
 from ..gc.backends import resolve_backend
 from ..gc.protocol import SessionResult
+from ..gc.roles import check_input_bits
 from .procs import (
     EVALUATOR,
     GARBLER,
@@ -206,8 +207,9 @@ class Supervisor(SessionService):
     def submit(self, spec: SessionSpec) -> SessionHandle:
         """Admit one session (or raise :class:`ServiceSaturated`).
 
-        An invalid circuit or a wrong number of input bits raises
-        ``ValueError`` without admitting the session, as
+        An invalid circuit, a wrong number of input bits or a bit
+        other than 0 / 1 raises ``ValueError`` without admitting the
+        session, as
         ``SessionMultiplexer.submit`` does, an unknown backend
         :class:`~repro.gc.backends.BackendUnavailable`, and a fault
         kind outside ``PROCESS_CHAOS``
@@ -215,13 +217,10 @@ class Supervisor(SessionService):
         session never spawns a process or spends retry budget.
         """
         self._check_capacity()
-        # The roles re-check their own arity inside the worker.
-        circuit = spec.circuit
-        circuit.validate()
-        if len(spec.garbler_bits) != circuit.n_garbler_inputs:
-            raise ValueError("wrong number of garbler input bits")
-        if len(spec.evaluator_bits) != circuit.n_evaluator_inputs:
-            raise ValueError("wrong number of evaluator input bits")
+        # The roles re-check their own bits inside the worker.
+        spec.circuit.validate()
+        for role, bits in zip(ROLES, (spec.garbler_bits, spec.evaluator_bits)):
+            check_input_bits(spec.circuit, role, bits)
         resolve_backend(spec.backend)
         plan = resolve_fault_plan(
             spec.faults, PROCESS_CHAOS, "the process supervisor"

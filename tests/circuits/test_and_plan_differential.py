@@ -4,13 +4,17 @@
 stable sort; :mod:`tests.circuits.scalar_and_schedule` keeps the
 per-gate list walk and the per-group gathers of the block stores' old
 plan verbatim.  The list view (``and_level_schedule``) must equal the
-walk and every plan slice the gathered array, value for value -- on
-the depth-first walk's random netlists (unary INVs with ``b = -1``,
+walk, and every plan run, its operand rows mapped back to wire ids
+through ``rows``, the gathered wire ids, value for value -- on the
+depth-first walk's random netlists (unary INVs with ``b = -1``,
 ``a == b`` gates, long chains, input wires among the outputs, shuffled
 wire ids, no gates), also recoded AND-free and XOR-free; on every
 stdlib family; on AES-128; and, under ``-m slow``, on every workload's
-netlist at full scale.  The plan stores its columns narrow (int32 when
-the wire ids fit) and its memo holds no Python lists.
+netlist at full scale.  The row contract: inputs keep their rows, the
+runs write consecutive row slices that tile ``[n_inputs, n_wires)`` in
+schedule order, and an INV's ``b`` is the sentinel row ``n_wires``.
+The plan stores its columns narrow (int32 when the rows fit) and its
+memo holds no Python lists.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.builder import CircuitBuilder
-from repro.circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit
+from repro.circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit, column_view
 from repro.circuits.stdlib import aes_circuit, fixed, float as fp, integer, logic
 from repro.workloads import iter_workloads
 from tests.circuits.scalar_and_schedule import (
@@ -52,17 +56,39 @@ def assert_matches_oracle(circuit: Circuit) -> None:
     circuit.validate()
     assert circuit.and_level_schedule() == scalar_and_level_schedule(circuit)
     plan = circuit.and_level_plan
+    n_inputs, n_wires = circuit.n_inputs, circuit.n_wires
+    assert len(plan.rows) == n_wires
+    assert plan.rows[:n_inputs].tolist() == list(range(n_inputs))
+    # Row -> wire id, the sentinel row reading as -1 (an INV's b).
+    wire_of = np.full(n_wires + 1, -1, dtype=np.int64)
+    wire_of[plan.rows] = np.arange(n_wires)
+    assert sorted(wire_of[:n_wires].tolist()) == list(range(n_wires))
+    is_inv = np.zeros(n_wires, dtype=bool)
+    is_inv[column_view(circuit.out)] = column_view(circuit.op) == OP_INV
+
     oracle = scalar_vector_plan(circuit)
     assert len(plan) == len(oracle)
+    written = n_inputs
     for index, (positions, a, b, out, groups) in enumerate(oracle):
-        ours = plan.phase(index)
-        assert [part.tolist() for part in ours[:4]] == [
-            _part(positions), _part(a), _part(b), _part(out)
-        ]
-        assert plan.and_batch(index).tolist() == _part(positions)
-        assert [[part.tolist() for part in group] for group in ours[4]] == [
-            [_part(part) for part in group] for group in groups
-        ]
+        and_positions, and_a, and_b, and_out, ours = plan.phase(index)
+        assert and_positions.tolist() == plan.and_batch(index).tolist() == _part(positions)
+        assert all(len(group[0]) for group in ours)
+        got = []
+        for run_a, run_b, run_out in [(and_a, and_b, and_out), *ours]:
+            # Each run writes exactly its own slice, right after the last.
+            assert (run_out.start, run_out.step) == (written, None)
+            assert run_out.stop - written == len(run_a) == len(run_b)
+            written = run_out.stop
+            assert not (run_a == n_wires).any()
+            inv = run_b == n_wires
+            assert inv.tolist() == is_inv[wire_of[run_out]].tolist()
+            a_w, b_w, out_w = (wire_of[part] for part in (run_a, run_b, run_out))
+            got.append([part.tolist() for part in (
+                a_w[~inv], b_w[~inv], out_w[~inv], a_w[inv], out_w[inv]
+            )])
+        assert got[0] == [_part(a), _part(b), _part(out), [], []]
+        assert got[1:] == [[_part(part) for part in group] for group in groups]
+    assert written == n_wires
 
 
 @settings(max_examples=300, deadline=None)
@@ -176,7 +202,7 @@ class TestNarrowPlan:
         members = [getattr(plan, name) for name in plan.__slots__]
         assert all(isinstance(member, np.ndarray) for member in members)
         assert all(member.dtype.kind == "i" for member in members)
-        for column in (plan.a, plan.b, plan.out, plan.and_positions):
+        for column in (plan.a, plan.b, plan.rows, plan.and_positions):
             assert column.dtype == np.int32
         assert len(plan.and_positions) == circuit.op.count(OP_AND)
         per_gate = sum(member.nbytes for member in members) / len(circuit.op)

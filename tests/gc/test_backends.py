@@ -137,6 +137,26 @@ def _ragged_circuit(widths):
     return b.build("ragged")
 
 
+def _inv_heavy():
+    """INV through the sentinel row: an INV of an input wire, INV chains
+    before and after AND levels, ``a == b`` XORs (zero labels on both
+    sides) feeding ANDs and INVs, and INVs among the outputs."""
+    from repro.circuits.netlist import Gate, GateOp
+
+    inv, xor, and_ = GateOp.INV, GateOp.XOR, GateOp.AND
+    gates = [
+        (inv, 0, -1), (inv, 5, -1), (inv, 6, -1),  # 5-7: a chain off input 0
+        (xor, 1, 1),                               # 8: a == b
+        (and_, 7, 3), (and_, 8, 4),                # 9, 10
+        (inv, 9, -1), (xor, 10, 10), (inv, 12, -1),  # 11-13
+        (xor, 11, 11), (and_, 13, 2), (and_, 11, 14),  # 14-16
+        (inv, 15, -1), (inv, 17, -1), (xor, 18, 16),  # 17-19
+        (inv, 4, -1), (inv, 20, -1),               # 20, 21: a chain off input 4
+    ]
+    gates = [Gate(op, a, b, 5 + p) for p, (op, a, b) in enumerate(gates)]
+    return Circuit.from_gates(3, 2, gates, [11, 17, 19, 21, 7, 0], "inv_heavy")
+
+
 def _crossover_widths(runs):
     """The AND counts whose ``2 * runs`` labels a gate sit just below
     and at the gate hash's crossover (``_KDF_BATCH_MIN`` labels)."""
@@ -144,11 +164,12 @@ def _crossover_widths(runs):
     return [at - 1, at]
 
 
-#: The stdlib families plus ragged level widths: 5, 1, 40, 2 ANDs, and
-#: levels on both sides of the crossover for both parties (the Garbler
-#: hashes 4 labels a gate, the Evaluator 2).
+#: The stdlib families, an INV-heavy netlist, ragged level widths: 5,
+#: 1, 40, 2 ANDs, and levels on both sides of the crossover for both
+#: parties (the Garbler hashes 4 labels a gate, the Evaluator 2).
 LEVEL_CIRCUITS = {
     **STDLIB_CIRCUITS,
+    "inv_heavy": _inv_heavy,
     "ragged": lambda: _ragged_circuit([5, 1, 40, 2]),
     "ragged_crossover": lambda: _ragged_circuit(
         _crossover_widths(2) + _crossover_widths(1)
@@ -434,6 +455,8 @@ class TestBlockStoreHash:
         for index, (and_positions, _) in enumerate(circuit.and_level_schedule()):
             want = tables_to_bytes([table_of[p] for p in and_positions])
             assert store.garble_level(index) == want, f"level {index} diverges"
+        # Every wire's label in wire order; the sentinel row (R) is not one.
+        assert len(store.labels()) == circuit.n_wires
         assert store.labels() == reference.zero_labels
         assert store.permute_bits(circuit.outputs) == reference.garbled.decode_bits
         assert hasher.calls == reference.hasher.calls == 4 * circuit.op.count(OP_AND)
@@ -467,6 +490,7 @@ class TestBlockStoreHash:
             outs = [circuit.out[p] for p in and_positions]
             got = store.labels(outs)
             assert got == [want.output_labels[w] for w in outs], f"level {index}"
+        assert len(store.labels()) == circuit.n_wires
         assert store.labels() == want.output_labels
         assert store.permute_bits(circuit.outputs) == [
             label & 1 for label in want.output_labels

@@ -305,6 +305,31 @@ class TestRoleContract:
                 adder_circuit, bits, seed=SEED, backend=None, **self._pair(),
             )
 
+    @pytest.mark.parametrize("value", [2, -1])
+    @pytest.mark.parametrize("party", ["garbler", "evaluator"])
+    @pytest.mark.parametrize("entry", ["run_streamed", "multiplexer", "supervisor"])
+    def test_every_entry_point_rejects_a_non_bit(
+        self, adder_circuit, entry, party, value
+    ):
+        """An input bit outside {0, 1} raises ``ValueError`` before any
+        message is sent or any session admitted.  Unchecked, a garbler
+        bit of 2 garbled as 1 while ``eval_plain`` read it as 0, and an
+        evaluator bit of 2 aborted the session mid-handshake."""
+        bits = dict(zip(("garbler", "evaluator"), _bits(adder_circuit)))
+        bits[party][0] = value
+        g, e = bits["garbler"], bits["evaluator"]
+        mux, supervisor = SessionMultiplexer(), Supervisor(deadline_s=60.0, retries=0)
+        with pytest.raises(ValueError, match=f"{party} input bits must be 0 or 1"):
+            if entry == "run_streamed":
+                TwoPartySession(adder_circuit, seed=SEED).run_streamed(g, e)
+            elif entry == "multiplexer":
+                mux.submit(TwoPartySession(adder_circuit, seed=SEED), g, e)
+            else:
+                supervisor.submit(SessionSpec(adder_circuit, g, e, seed=SEED))
+        for service in (mux, supervisor):
+            assert service.run_until_complete().sessions == []
+        assert "launched" not in [ev["event"] for ev in supervisor.log.events]
+
     @pytest.mark.parametrize(
         "fixture, handshake_turns", [("adder_circuit", 2), ("wide_circuit", 3)]
     )
