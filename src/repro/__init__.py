@@ -19,10 +19,10 @@ Full Python reproduction of Mo, Gopinath & Reagen (ISCA 2023):
 Quickstart::
 
     from repro.core import compile_circuit
-    from repro.sim import HaacConfig, simulate
+    from repro.sim import HBM2, HaacConfig, simulate
     from repro.workloads import get_workload
 
-    config = HaacConfig.paper_hbm()
+    config = HaacConfig.paper_default(HBM2)
     circuit = get_workload("ReLU").build_scaled().circuit
     result = compile_circuit(
         circuit, config.window, config.n_ges,

@@ -5,9 +5,8 @@ from .cpu_model import (
     GARBLE_OVERHEAD,
     REKEY_OVERHEAD,
     CpuCostModel,
-    cpu_gc_time_s,
 )
-from .plaintext import DEFAULT_PLAINTEXT, PlaintextModel, plaintext_time_s
+from .plaintext import DEFAULT_PLAINTEXT, PlaintextModel
 from .prior_work import (
     GPU_GATES_PER_US,
     HAAC_PAPER_GATES_PER_US,
@@ -20,12 +19,10 @@ from .prior_work import (
 __all__ = [
     "CpuCostModel",
     "DEFAULT_CPU",
-    "cpu_gc_time_s",
     "GARBLE_OVERHEAD",
     "REKEY_OVERHEAD",
     "PlaintextModel",
     "DEFAULT_PLAINTEXT",
-    "plaintext_time_s",
     "PriorWorkEntry",
     "PRIOR_WORK",
     "MICRO_WORKLOADS",

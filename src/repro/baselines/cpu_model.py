@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from ..circuits.netlist import Circuit
 
-__all__ = ["CpuCostModel", "DEFAULT_CPU", "cpu_gc_time_s"]
+__all__ = ["CpuCostModel", "DEFAULT_CPU"]
 
 #: Paper section 6.1: "on a CPU, garbling is 11.9% slower than evaluation".
 GARBLE_OVERHEAD = 1.119
@@ -59,9 +59,3 @@ class CpuCostModel:
 
 
 DEFAULT_CPU = CpuCostModel()
-
-
-def cpu_gc_time_s(circuit: Circuit, model: CpuCostModel = DEFAULT_CPU) -> float:
-    """Evaluator-side EMP time for ``circuit`` (the paper reports the
-    Evaluator conservatively; the Garbler is GARBLE_OVERHEAD slower)."""
-    return model.eval_time_for(circuit)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..workloads.base import Workload
 
-__all__ = ["PlaintextModel", "DEFAULT_PLAINTEXT", "plaintext_time_s"]
+__all__ = ["PlaintextModel", "DEFAULT_PLAINTEXT"]
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,3 @@ class PlaintextModel:
 
 
 DEFAULT_PLAINTEXT = PlaintextModel()
-
-
-def plaintext_time_s(workload: Workload, **params) -> float:
-    return DEFAULT_PLAINTEXT.time_for(workload, **params)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "Circuit",
     "CircuitStats",
     "CircuitError",
+    "check_input_bits",
     "AndLevelPlan",
     "ColumnView",
     "column_view",
@@ -142,13 +143,6 @@ class Gate:
         if self.op.arity == 2:
             yield self.b
 
-    def eval(self, a: int, b: int = 0) -> int:
-        if self.op is GateOp.AND:
-            return a & b
-        if self.op is GateOp.XOR:
-            return a ^ b
-        return a ^ 1
-
 
 class ColumnView(SequenceABC):
     """Read-only sequence over columns that materialises on demand.
@@ -213,15 +207,6 @@ class CircuitStats:
     def ilp(self) -> float:
         """Average gates per dependence level (Table 2 'ILP')."""
         return self.gates / self.levels if self.levels else 0.0
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "levels": self.levels,
-            "wires_k": self.wires / 1e3,
-            "gates_k": self.gates / 1e3,
-            "and_pct": 100.0 * self.and_fraction,
-            "ilp": self.ilp,
-        }
 
 
 class AndLevelPlan:
@@ -521,12 +506,6 @@ class Circuit:
             inv_gates=self.op.count(OP_INV),
         )
 
-    def fanout(self) -> List[int]:
-        """Number of consumers of each wire (outputs not counted)."""
-        b = column_view(self.b)
-        reads = np.concatenate([column_view(self.a), b[b >= 0]])
-        return np.bincount(reads, minlength=self.n_wires).tolist()
-
     # ------------------------------------------------------------------
     # Plaintext execution (ground truth for all GC/HAAC paths)
     # ------------------------------------------------------------------
@@ -535,14 +514,8 @@ class Circuit:
         self, garbler_bits: Sequence[int], evaluator_bits: Sequence[int]
     ) -> List[int]:
         """Evaluate the circuit on plaintext bits; returns output bits."""
-        if len(garbler_bits) != self.n_garbler_inputs:
-            raise CircuitError(
-                f"expected {self.n_garbler_inputs} garbler bits, got {len(garbler_bits)}"
-            )
-        if len(evaluator_bits) != self.n_evaluator_inputs:
-            raise CircuitError(
-                f"expected {self.n_evaluator_inputs} evaluator bits, got {len(evaluator_bits)}"
-            )
+        check_input_bits(self, "garbler", garbler_bits)
+        check_input_bits(self, "evaluator", evaluator_bits)
         values = [bit & 1 for bit in garbler_bits]
         values += [bit & 1 for bit in evaluator_bits]
         values += [0] * len(self.op)
@@ -578,16 +551,13 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.op)
 
-    @staticmethod
-    def from_gates(
-        n_garbler_inputs: int,
-        n_evaluator_inputs: int,
-        gates: Iterable[Gate],
-        outputs: Sequence[int],
-        name: str = "circuit",
-    ) -> "Circuit":
-        circuit = Circuit(
-            n_garbler_inputs, n_evaluator_inputs, list(outputs), gates, name
-        )
-        circuit.validate()
-        return circuit
+
+def check_input_bits(circuit: Circuit, party: str, bits: Sequence[int]) -> None:
+    """Raise :class:`CircuitError` unless ``bits`` are ``party``'s
+    (``"garbler"`` or ``"evaluator"``) inputs to ``circuit``: one per
+    input wire, each 0 or 1.  The one input check of every executor:
+    plaintext, functional machine and both session roles."""
+    if len(bits) != getattr(circuit, f"n_{party}_inputs"):
+        raise CircuitError(f"wrong number of {party} input bits")
+    if not all(bit in (0, 1) for bit in bits):
+        raise CircuitError(f"{party} input bits must be 0 or 1")

@@ -194,10 +194,6 @@ class FloatFormat:
             return self._pack(sign, self.max_exponent, (1 << m) - 1)
         return self._pack(sign, exponent, frac)
 
-    def ref_relu(self, a: int) -> int:
-        sign = (a >> (self.width - 1)) & 1
-        return 0 if sign else a
-
 
 FP8 = FloatFormat(exponent_bits=4, mantissa_bits=3, name="fp8")
 FP16 = FloatFormat(exponent_bits=5, mantissa_bits=10, name="fp16")

@@ -6,7 +6,6 @@ from .isa import (
     OOR_SENTINEL,
     HaacOp,
     Instruction,
-    InstructionEncoding,
 )
 from .program import HaacProgram, ProgramError
 from .sww import WIRE_BYTES, SlidingWindow
@@ -18,7 +17,6 @@ __all__ = [
     "StreamVerificationError",
     "HaacOp",
     "Instruction",
-    "InstructionEncoding",
     "OOR_SENTINEL",
     "HaacProgram",
     "ProgramError",

@@ -40,10 +40,6 @@ class EswReport:
     def spent_pct(self) -> float:
         return 100.0 * self.spent / self.total_outputs if self.total_outputs else 0.0
 
-    @property
-    def live_pct(self) -> float:
-        return 100.0 * self.live / self.total_outputs if self.total_outputs else 0.0
-
 
 def eliminate_spent_wires(
     program: HaacProgram,

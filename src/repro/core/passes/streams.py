@@ -38,7 +38,7 @@ import numpy as np
 
 from ...circuits.netlist import ColumnView, column_view, int_column, narrow_column
 from ..depgraph import DepGraph, dep_graph, engine_levels
-from ..isa import HaacOp, InstructionEncoding, encode_fields
+from ..isa import HaacOp
 from ..program import HaacProgram
 from ..sww import SlidingWindow
 
@@ -120,25 +120,6 @@ class GeStreams:
     def n_tables(self) -> int:
         op = column_view(self.program.op)[column_view(self.positions)]
         return int(np.count_nonzero(op == HaacOp.AND))
-
-    def encode_machine_words(
-        self, window: SlidingWindow, encoding: InstructionEncoding | None = None
-    ) -> List[int]:
-        """Binary instruction words with physical (sentinel-safe) addressing."""
-        enc = encoding or InstructionEncoding.for_sww_wires(window.capacity + 1)
-        capacity = window.capacity
-        program = self.program
-        oor_a, oor_b = self.oor_a_of, self.oor_b_of
-        return [
-            encode_fields(
-                program.op[p],
-                0 if oor_a[p] else program.wa[p] % capacity + 1,
-                0 if oor_b[p] else program.wb[p] % capacity + 1,
-                program.live[p],
-                enc,
-            )
-            for p in self.positions
-        ]
 
 
 @dataclass

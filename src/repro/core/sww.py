@@ -63,33 +63,7 @@ class SlidingWindow:
             raise ValueError("addresses are non-negative")
         return max(0, (out_addr // self.half - 1)) * self.half
 
-    def window_end(self, out_addr: int) -> int:
-        """One past the high end of the window at output ``out_addr``."""
-        return self.window_start(out_addr) + self.capacity
-
-    def contains(self, wire_addr: int, out_addr: int) -> bool:
-        """Is ``wire_addr`` on-chip while ``out_addr`` is being produced?
-
-        Addresses above the window are also "contained" in the sense that
-        they are *not yet written*; the compiler never emits such reads
-        (topological order), and the simulator treats them as errors.
-        """
-        return wire_addr >= self.window_start(out_addr)
-
     def is_oor(self, wire_addr: int, out_addr: int) -> bool:
         """True when a read of ``wire_addr`` at frontier ``out_addr``
         must come through the OoRW queue."""
         return wire_addr < self.window_start(out_addr)
-
-    def eviction_frontier(self, wire_addr: int) -> int:
-        """First output address whose window no longer holds ``wire_addr``.
-
-        A consumer producing output ``o >= eviction_frontier(w)`` must
-        read ``w`` through the OoRW queue; equivalently ``w`` is live iff
-        some consumer's output address reaches this frontier.
-        """
-        # Smallest o with window_start(o) > wire_addr:
-        #   (o // half - 1) * half > wire_addr
-        #   o // half > wire_addr / half + 1
-        #   o >= (wire_addr // half + 2) * half
-        return (wire_addr // self.half + 2) * self.half

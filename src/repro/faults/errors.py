@@ -22,7 +22,7 @@ Two kinds of observability live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 __all__ = [
     "ProtocolFault",
@@ -175,11 +175,6 @@ class RecoveryLog:
             if (not layer or event.layer == layer)
             and (not kind or event.kind == kind)
         )
-
-    def signature(self) -> List[Tuple[str, str, str]]:
-        """Order-sensitive (layer, kind, detail) tuples -- the object two
-        equal-seeded chaos runs are asserted to reproduce exactly."""
-        return [(e.layer, e.kind, e.detail) for e in self.events]
 
     def __len__(self) -> int:
         return len(self.events)

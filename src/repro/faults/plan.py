@@ -94,8 +94,7 @@ class FaultPlan:
 
     The plan owns a private RNG; every probability draw both decides
     whether to inject and appends a :class:`FaultEvent` when it does,
-    so ``plan.signature()`` is the ground truth for determinism tests.
-    Call :meth:`reset` to replay the same schedule from the top; a
+    so ``plan.injected`` is the ground truth for determinism tests.  A
     session never draws from the caller's object, but from its own copy
     (:func:`resolve_fault_plan`).
     """
@@ -112,11 +111,6 @@ class FaultPlan:
         self.seed = seed
         self.injected: List[FaultEvent] = []
         self._rng = random.Random(seed)
-
-    def reset(self) -> None:
-        """Rewind to the start of the schedule (same seed, empty log)."""
-        self._rng = random.Random(self.seed)
-        self.injected = []
 
     def _arm(self, site: str, kind: str) -> bool:
         rate = self.rates.get(kind, 0.0)
@@ -148,10 +142,6 @@ class FaultPlan:
         supervisor applies at most one (priority order of
         ``PROCESS_CHAOS``)."""
         return [kind for kind in PROCESS_CHAOS if self._arm(site, kind)]
-
-    def signature(self) -> List[Tuple[str, str]]:
-        """Order-sensitive (site, kind) pairs for determinism asserts."""
-        return [(e.site, e.kind) for e in self.injected]
 
     def spec(self) -> str:
         """Round-trippable spec string for this plan."""

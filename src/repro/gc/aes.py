@@ -7,14 +7,12 @@ custom logic; this module is the software equivalent and is used both by
 the garbling substrate (:mod:`repro.gc.halfgate`) and, indirectly, by the
 functional HAAC machine to validate compiler output.
 
-Two implementations are provided and cross-checked by the test suite:
-
-* :func:`encrypt_block_reference` -- a textbook FIPS-197 implementation
-  (SubBytes / ShiftRows / MixColumns / AddRoundKey on a 4x4 state) that is
-  easy to audit against the standard.
-* :func:`encrypt_block` -- a T-table implementation that fuses SubBytes,
-  ShiftRows and MixColumns into four 256-entry lookup tables.  This is the
-  fast path used by the garbler/evaluator.
+:func:`encrypt_block` is a T-table implementation that fuses SubBytes,
+ShiftRows and MixColumns into four 256-entry lookup tables; the array
+kernel of :mod:`repro.gc.backends` runs the same tables.  Its
+cross-check, the textbook FIPS-197 ``encrypt_block_reference``
+(SubBytes / ShiftRows / MixColumns / AddRoundKey on a 4x4 state), lives
+in ``tests/gc/oracles.py``.
 
 Blocks and keys are 128-bit Python integers (big-endian interpretation of
 the 16-byte block), which keeps label XOR operations cheap elsewhere in
@@ -28,13 +26,9 @@ from typing import List, Sequence
 
 __all__ = [
     "S_BOX",
-    "INV_S_BOX",
     "expand_key",
     "encrypt_block",
     "encrypt_with_schedule",
-    "encrypt_block_reference",
-    "decrypt_block",
-    "aes128",
     "key_expansion_words",
 ]
 
@@ -99,9 +93,6 @@ def _build_sbox() -> List[int]:
 
 
 S_BOX: List[int] = _build_sbox()
-INV_S_BOX: List[int] = [0] * 256
-for _index, _value in enumerate(S_BOX):
-    INV_S_BOX[_value] = _index
 
 # Round constants for key expansion: rcon[i] = x^(i-1) in GF(2^8).
 _RCON: List[int] = [0x01]
@@ -265,98 +256,3 @@ def encrypt_with_schedule(block: int, words: Sequence[int]) -> int:
         | sbox[c2 & 0xFF]
     ) ^ words[43]
     return _columns_to_block([f0, f1, f2, f3])
-
-
-def aes128(block: int, key: int) -> int:
-    """Alias for :func:`encrypt_block` matching the paper's notation."""
-    return encrypt_block(block, key)
-
-
-# ---------------------------------------------------------------------------
-# Reference (state-matrix) implementation, used to cross-check the T-table
-# path.  Also provides decryption for completeness of the substrate.
-# ---------------------------------------------------------------------------
-
-
-def _block_to_state(block: int) -> List[List[int]]:
-    """FIPS-197 column-major state: state[row][col]."""
-    data = block.to_bytes(16, "big")
-    return [[data[row + 4 * col] for col in range(4)] for row in range(4)]
-
-
-def _state_to_block(state: List[List[int]]) -> int:
-    data = bytes(state[row][col] for col in range(4) for row in range(4))
-    return int.from_bytes(data, "big")
-
-
-def _add_round_key(state: List[List[int]], words: Sequence[int], round_index: int) -> None:
-    for col in range(4):
-        word = words[4 * round_index + col]
-        for row in range(4):
-            state[row][col] ^= (word >> (24 - 8 * row)) & 0xFF
-
-
-def _sub_bytes(state: List[List[int]], box: Sequence[int]) -> None:
-    for row in range(4):
-        for col in range(4):
-            state[row][col] = box[state[row][col]]
-
-
-def _shift_rows(state: List[List[int]]) -> None:
-    for row in range(1, 4):
-        state[row] = state[row][row:] + state[row][:row]
-
-
-def _inv_shift_rows(state: List[List[int]]) -> None:
-    for row in range(1, 4):
-        state[row] = state[row][-row:] + state[row][:-row]
-
-
-def _mix_columns(state: List[List[int]]) -> None:
-    for col in range(4):
-        a = [state[row][col] for row in range(4)]
-        state[0][col] = _gf_mul(a[0], 2) ^ _gf_mul(a[1], 3) ^ a[2] ^ a[3]
-        state[1][col] = a[0] ^ _gf_mul(a[1], 2) ^ _gf_mul(a[2], 3) ^ a[3]
-        state[2][col] = a[0] ^ a[1] ^ _gf_mul(a[2], 2) ^ _gf_mul(a[3], 3)
-        state[3][col] = _gf_mul(a[0], 3) ^ a[1] ^ a[2] ^ _gf_mul(a[3], 2)
-
-
-def _inv_mix_columns(state: List[List[int]]) -> None:
-    for col in range(4):
-        a = [state[row][col] for row in range(4)]
-        state[0][col] = _gf_mul(a[0], 14) ^ _gf_mul(a[1], 11) ^ _gf_mul(a[2], 13) ^ _gf_mul(a[3], 9)
-        state[1][col] = _gf_mul(a[0], 9) ^ _gf_mul(a[1], 14) ^ _gf_mul(a[2], 11) ^ _gf_mul(a[3], 13)
-        state[2][col] = _gf_mul(a[0], 13) ^ _gf_mul(a[1], 9) ^ _gf_mul(a[2], 14) ^ _gf_mul(a[3], 11)
-        state[3][col] = _gf_mul(a[0], 11) ^ _gf_mul(a[1], 13) ^ _gf_mul(a[2], 9) ^ _gf_mul(a[3], 14)
-
-
-def encrypt_block_reference(block: int, key: int) -> int:
-    """Textbook AES-128 encryption, used to validate the T-table path."""
-    words = key_expansion_words(key)
-    state = _block_to_state(block)
-    _add_round_key(state, words, 0)
-    for round_index in range(1, 10):
-        _sub_bytes(state, S_BOX)
-        _shift_rows(state)
-        _mix_columns(state)
-        _add_round_key(state, words, round_index)
-    _sub_bytes(state, S_BOX)
-    _shift_rows(state)
-    _add_round_key(state, words, 10)
-    return _state_to_block(state)
-
-
-def decrypt_block(block: int, key: int) -> int:
-    """AES-128 decryption (inverse cipher)."""
-    words = key_expansion_words(key)
-    state = _block_to_state(block)
-    _add_round_key(state, words, 10)
-    for round_index in range(9, 0, -1):
-        _inv_shift_rows(state)
-        _sub_bytes(state, INV_S_BOX)
-        _add_round_key(state, words, round_index)
-        _inv_mix_columns(state)
-    _inv_shift_rows(state)
-    _sub_bytes(state, INV_S_BOX)
-    _add_round_key(state, words, 0)
-    return _state_to_block(state)

@@ -217,9 +217,9 @@ class NumpyLabelHashBackend:
         rekeyed: bool = True,
     ) -> List[int]:
         """Hash ``labels[i]`` under tweak ``tweaks[i]``: element-wise
-        :func:`repro.gc.hashing.rekeyed_hash` (or
-        :func:`~repro.gc.hashing.fixed_key_hash` when ``rekeyed`` is
-        false) over Python ints."""
+        :func:`repro.gc.hashing.rekeyed_hash` (or the fixed-key hash,
+        ``fixed_key_hash`` of ``tests/gc/oracles.py``, when ``rekeyed``
+        is false) over Python ints."""
         if len(labels) != len(tweaks):
             raise ValueError("labels and tweaks must align")
         if not labels:

@@ -458,16 +458,6 @@ class FramedPair:
     def total_bytes(self) -> int:
         return self.to_evaluator.total_bytes + self.to_garbler.total_bytes
 
-    def traffic_report(self) -> Dict[str, int]:
-        report: Dict[str, int] = {}
-        for direction, channel in (
-            ("garbler->evaluator", self.to_evaluator),
-            ("evaluator->garbler", self.to_garbler),
-        ):
-            for kind, count in channel.bytes_by_class.items():
-                report[f"{direction}:{kind}"] = count
-        return report
-
 
 def make_framed_pair(
     plan: Optional[FaultPlan] = None, log: Optional[RecoveryLog] = None

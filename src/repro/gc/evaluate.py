@@ -5,7 +5,9 @@ garbled tables, the Evaluator walks the netlist in topological order.
 AND gates pop the next table off the table stream (HAAC's table queue
 discipline -- tables are consumed strictly in gate order, no addressing);
 XOR and INV are free.  Outputs are decoded with the Garbler's decode
-bits.
+bits.  :func:`evaluate_circuit_batched` runs a whole dependence level at
+a time on the block label store; its oracle, the per-gate walk
+``evaluate_circuit``, lives in ``tests/gc/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..circuits.netlist import OP_AND, OP_XOR, Circuit
+from ..circuits.netlist import OP_AND, Circuit
 from .garble import GarbledCircuit, _BlockStore
-from .halfgate import eval_and, eval_not, eval_xor, tables_to_bytes
+from .halfgate import tables_to_bytes
 from .hashing import GateHasher
 from .labels import bytes_to_blocks, ints_to_bytes, lsb
 
 __all__ = [
     "EvaluationResult",
-    "evaluate_circuit",
     "evaluate_circuit_batched",
 ]
 
@@ -35,56 +36,6 @@ class EvaluationResult:
     output_labels: List[int]
     output_bits: List[int]
     hash_calls: int
-
-
-def evaluate_circuit(
-    circuit: Circuit,
-    garbled: GarbledCircuit,
-    input_labels: Sequence[int],
-) -> EvaluationResult:
-    """Evaluate ``circuit`` given one label per primary input wire.
-
-    Raises if the table stream length does not match the number of AND
-    gates -- the same invariant HAAC's streaming table queue relies on.
-    """
-    circuit.validate()
-    if len(input_labels) != circuit.n_inputs:
-        raise ValueError(
-            f"expected {circuit.n_inputs} input labels, got {len(input_labels)}"
-        )
-    if len(garbled.tables) != garbled.n_and_gates:
-        raise ValueError("garbled table stream is inconsistent")
-
-    hasher = GateHasher()
-    labels = [0] * circuit.n_wires
-    for wire, label in enumerate(input_labels):
-        labels[wire] = label
-
-    next_table = 0
-    for gate_index, (op, a, b, out) in enumerate(
-        zip(circuit.op, circuit.a, circuit.b, circuit.out)
-    ):
-        if op == OP_AND:
-            table = garbled.tables[next_table]
-            next_table += 1
-            labels[out] = eval_and(labels[a], labels[b], table, gate_index, hasher)
-        elif op == OP_XOR:
-            labels[out] = eval_xor(labels[a], labels[b])
-        else:  # INV
-            labels[out] = eval_not(labels[a])
-    if next_table != len(garbled.tables):
-        raise ValueError("table stream not fully consumed")
-
-    output_labels = [labels[w] for w in circuit.outputs]
-    output_bits = [
-        lsb(label) ^ decode
-        for label, decode in zip(output_labels, garbled.decode_bits)
-    ]
-    return EvaluationResult(
-        output_labels=output_labels,
-        output_bits=output_bits,
-        hash_calls=hasher.calls,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +51,8 @@ def evaluate_circuit_batched(
 ) -> EvaluationResult:
     """Evaluate level by level with a batch hash backend.
 
-    Bitwise-identical output labels/bits to :func:`evaluate_circuit`;
+    Bitwise-identical output labels/bits to the per-gate oracle
+    ``evaluate_circuit`` (``tests/gc/oracles.py``);
     the table *stream* is addressed by each AND gate's netlist table
     index instead of popped sequentially, which is legal because levels
     preserve the data dependences the sequential pop encodes.  All AND
@@ -167,4 +119,3 @@ class BlockEvaluatorStore(_BlockStore):
                 ^ hashes[m:] ^ ((tables[:, 4:] ^ wa) & s_b)
             )
         self._run_free_groups(free_groups)
-

@@ -1,18 +1,16 @@
 """Whole-circuit garbling (Alice / the Garbler).
 
 Garbling is the offline phase: the Garbler draws the global offset R and
-one label pair per input wire, then walks the netlist in topological
-order producing (a) a 32-byte garbled table per AND gate and (b) the
-zero-label of every internal wire.  XOR and INV are free (no table, no
-hashing).  Output decoding information is the permute bit of each output
-wire's zero-label.
+one label pair per input wire, then garbles the netlist producing (a) a
+32-byte garbled table per AND gate and (b) the zero-label of every
+internal wire.  XOR and INV are free (no table, no hashing).  Output
+decoding information is the permute bit of each output wire's
+zero-label.
 
-Two execution strategies produce bitwise-identical results:
-
-* :func:`garble_circuit` -- the per-gate reference walk, the oracle;
-* :func:`garble_circuit_batched` -- a level-scheduled walk that FreeXORs
-  a whole dependence level at once and hashes every AND gate of a level
-  in one :mod:`repro.gc.backends` call.
+:func:`garble_circuit_batched` walks the circuit level by level: it
+FreeXORs a whole dependence level at once and hashes every AND gate of a
+level in one :mod:`repro.gc.backends` call.  Its oracle, the per-gate
+walk ``garble_circuit``, lives in ``tests/gc/oracles.py``.
 
 The level-scheduled walk runs on a *label store*
 (:class:`BlockGarblerStore`), the same one the streamed
@@ -27,11 +25,9 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..circuits.netlist import OP_AND, OP_XOR, Circuit
+from ..circuits.netlist import Circuit
 from . import ot
-from .halfgate import (
-    GarbledTable, garble_and, garble_not, garble_xor, tables_from_bytes,
-)
+from .halfgate import GarbledTable, tables_from_bytes
 from .hashing import GateHasher
 from .labels import blocks_to_bytes, bytes_to_blocks, ints_to_bytes, lsb
 from .rng import LabelPrg
@@ -39,7 +35,6 @@ from .rng import LabelPrg
 __all__ = [
     "GarbledCircuit",
     "Garbler",
-    "garble_circuit",
     "garble_circuit_batched",
 ]
 
@@ -57,10 +52,6 @@ class GarbledCircuit:
     tables: List[GarbledTable]
     decode_bits: List[int]
     n_and_gates: int
-
-    def table_bytes(self) -> int:
-        """Total garbled-table traffic in bytes (32 B per AND gate)."""
-        return 32 * len(self.tables)
 
 
 @dataclass
@@ -102,46 +93,6 @@ class Garbler:
         return bits
 
 
-def garble_circuit(circuit: Circuit, seed: int = 0) -> Garbler:
-    """Garble ``circuit`` deterministically from ``seed``.
-
-    Gate indices used as hash tweaks are the gate's position in the
-    netlist, matching HAAC's implicit instruction-position addressing.
-    """
-    circuit.validate()
-    prg = LabelPrg(seed)
-    r = prg.next_odd_block()
-    hasher = GateHasher()
-
-    zero_labels = [0] * circuit.n_wires
-    for wire in range(circuit.n_inputs):
-        zero_labels[wire] = prg.next_block()
-
-    tables: List[GarbledTable] = []
-    for gate_index, (op, a, b, out) in enumerate(
-        zip(circuit.op, circuit.a, circuit.b, circuit.out)
-    ):
-        if op == OP_AND:
-            out_zero, table = garble_and(
-                zero_labels[a], zero_labels[b], r, gate_index, hasher
-            )
-            zero_labels[out] = out_zero
-            tables.append(table)
-        elif op == OP_XOR:
-            zero_labels[out] = garble_xor(zero_labels[a], zero_labels[b])
-        else:  # INV
-            zero_labels[out] = garble_not(zero_labels[a], r)
-
-    decode_bits = [lsb(zero_labels[w]) for w in circuit.outputs]
-    garbler = Garbler(circuit=circuit, r=r, zero_labels=zero_labels, hasher=hasher)
-    garbler.garbled = GarbledCircuit(
-        tables=tables,
-        decode_bits=decode_bits,
-        n_and_gates=len(tables),
-    )
-    return garbler
-
-
 # ---------------------------------------------------------------------------
 # Level-scheduled batched garbling
 # ---------------------------------------------------------------------------
@@ -154,7 +105,8 @@ def garble_circuit_batched(
 ) -> Garbler:
     """Garble ``circuit`` level by level with a batch hash backend.
 
-    Bitwise-identical to :func:`garble_circuit` for the same ``seed``:
+    Bitwise-identical to the per-gate oracle ``garble_circuit``
+    (``tests/gc/oracles.py``) for the same ``seed``:
     the PRG draws (R, then one label per input wire) happen in the same
     order, gate tweaks are still netlist positions, and the backend
     reproduces the scalar hash exactly.  Only the *schedule* changes:
@@ -306,4 +258,3 @@ class BlockGarblerStore(_BlockStore):
             payload = blocks_to_bytes(tables)
         self._run_free_groups(free_groups)
         return payload
-

@@ -2,10 +2,12 @@
 
 These are the two execution units of a HAAC gate engine (paper section
 3.2): the Half-Gate unit (21-stage Garbler pipeline / 18-stage Evaluator
-pipeline in hardware) and the single-cycle FreeXOR unit.  This module is
-the functional specification the hardware was validated against; the
-paper validates its HLS units against EMP the same way our tests validate
-these functions against plaintext gate evaluation.
+pipeline in hardware) and the single-cycle FreeXOR unit.  This module
+holds the table wire format and the Evaluator's per-gate AND / XOR, which
+the functional HAAC machine (:mod:`repro.sim.functional`) runs gate by
+gate; the block stores of :mod:`repro.gc.garble` / :mod:`repro.gc.evaluate`
+run the same algebra a level at a time.  The Garbler's per-gate side is
+the test oracle ``tests/gc/oracles.py``.
 
 Algorithm (Zahur-Rosulek-Evans "Two Halves Make a Whole", with
 point-and-permute colour bits ``p = lsb(W^0)``):
@@ -42,12 +44,8 @@ __all__ = [
     "GarbledTable",
     "tables_to_bytes",
     "tables_from_bytes",
-    "garble_and",
     "eval_and",
-    "garble_xor",
     "eval_xor",
-    "garble_not",
-    "eval_not",
     "GARBLER_HASHES_PER_AND",
     "EVALUATOR_HASHES_PER_AND",
 ]
@@ -98,35 +96,6 @@ def tables_from_bytes(data: bytes) -> List[GarbledTable]:
     ]
 
 
-def garble_and(
-    wa0: int, wb0: int, r: int, gate_index: int, hash_fn: HashFn
-) -> tuple[int, GarbledTable]:
-    """Garble one AND gate; returns (W_c^0, table).
-
-    ``gate_index`` is the gate's unique index; the two half-gates use
-    tweaks ``2*gate_index`` and ``2*gate_index + 1`` (paper Figure 2 shows
-    the two key expansions for ``2*Gate_i`` and ``2*Gate_i + 1``).
-    """
-    j_g = 2 * gate_index
-    j_e = 2 * gate_index + 1
-    wa1 = wa0 ^ r
-    wb1 = wb0 ^ r
-    p_a = lsb(wa0)
-    p_b = lsb(wb0)
-
-    h_a0 = hash_fn(wa0, j_g)
-    h_a1 = hash_fn(wa1, j_g)
-    t_g = h_a0 ^ h_a1 ^ (r if p_b else 0)
-    w_g0 = h_a0 ^ (t_g if p_a else 0)
-
-    h_b0 = hash_fn(wb0, j_e)
-    h_b1 = hash_fn(wb1, j_e)
-    t_e = h_b0 ^ h_b1 ^ wa0
-    w_e0 = h_b0 ^ ((t_e ^ wa0) if p_b else 0)
-
-    return w_g0 ^ w_e0, GarbledTable(t_g, t_e)
-
-
 def eval_and(
     wa: int, wb: int, table: GarbledTable, gate_index: int, hash_fn: HashFn
 ) -> int:
@@ -140,21 +109,6 @@ def eval_and(
     return w_g ^ w_e
 
 
-def garble_xor(wa0: int, wb0: int) -> int:
-    """FreeXOR garbling: the output zero-label, no table."""
-    return wa0 ^ wb0
-
-
 def eval_xor(wa: int, wb: int) -> int:
     """FreeXOR evaluation."""
     return wa ^ wb
-
-
-def garble_not(wa0: int, r: int) -> int:
-    """Free NOT: output zero-label is the input one-label."""
-    return wa0 ^ r
-
-
-def eval_not(wa: int) -> int:
-    """Free NOT on the Evaluator side: label passes through unchanged."""
-    return wa

@@ -6,8 +6,9 @@ performs a **full key expansion**, rather than the cheaper but less
 secure fixed-key construction of Bellare et al.  Every garbling and
 session path hashes re-keyed; the paper's 27.5 % re-keying cost per
 Half-Gate is the analytic ``repro.baselines.cpu_model.REKEY_OVERHEAD``.
-:func:`fixed_key_hash` stays as the scalar oracle of the backend's
-fixed-key kernel (``hash_labels(..., False)``), not as a garbling mode.
+The backend's fixed-key kernel (``hash_labels(..., False)``) is not a
+garbling mode; its scalar oracle ``fixed_key_hash`` lives in
+``tests/gc/oracles.py``.
 
 The hash is a Davies-Meyer / TCCR-style construction::
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 from .aes import encrypt_block
 from .rng import MASK_128
 
-__all__ = ["sigma", "rekeyed_hash", "fixed_key_hash", "GateHasher"]
+__all__ = ["sigma", "rekeyed_hash", "GateHasher"]
 
 _HALF_MASK = (1 << 64) - 1
 # Arbitrary public constant used as the fixed key of the fixed-key hash
@@ -51,13 +52,6 @@ def rekeyed_hash(label: int, index: int) -> int:
     return encrypt_block(s, index & MASK_128) ^ s
 
 
-def fixed_key_hash(label: int, index: int) -> int:
-    """Fixed-key variant (Bellare et al.); the oracle of the backend's
-    fixed-key kernel, never a garbling mode."""
-    s = sigma(label) ^ index
-    return encrypt_block(s, FIXED_KEY) ^ s
-
-
 class GateHasher:
     """The re-keyed gate hash with call accounting.
 
@@ -81,6 +75,3 @@ class GateHasher:
         work regardless of execution substrate.
         """
         self.calls += n
-
-    def reset(self) -> None:
-        self.calls = 0

@@ -32,25 +32,24 @@ where libcrypto is present, builtin ``pow`` elsewhere; same values
 either way (DESIGN.md section 4).  The receiver's secrets are drawn in
 one ``LabelPrg.next_blocks`` call.
 
-The sender's ``encrypt`` pays *two* variable-base exponentiations per
-bit (``B^a`` and ``(B/A)^a``), but ``(B/A)^a = B^a * (A^{-1})^a`` and the
+The sender's pads need *two* variable-base exponentiations per bit
+(``B^a`` and ``(B/A)^a``), but ``(B/A)^a = B^a * (A^{-1})^a`` and the
 second factor depends only on the batch's ephemeral key --
 ``prepare`` computes it once and ``encrypt_batch`` reduces every bit to
 one exponentiation plus one multiplication.
 
 The pad KDF is sequential along a point's 128-bit limbs but independent
-across the batch.  When a backend is given, :func:`_kdf_batch` runs a
-batch of at least :data:`_KDF_BATCH_MIN` chains one limb at a time
-through the backend's block AES kernel, and a smaller one chain by chain
-on libcrypto's raw ``AES_set_encrypt_key`` / ``AES_encrypt``
-(:func:`_kdf_chains`; a handle of its own, so a libcrypto without the
-deprecated AES calls keeps :func:`_powmod` on libcrypto).  The scalar
-:func:`_kdf` runs for backend-less callers, for the per-bit reference
-path and, below the threshold, where libcrypto's AES is missing.
+across the batch.  :func:`_kdf_batch` runs a batch of at least
+:data:`_KDF_BATCH_MIN` chains one limb at a time through the backend's
+block AES kernel, and a smaller one chain by chain on libcrypto's raw
+``AES_set_encrypt_key`` / ``AES_encrypt`` (:func:`_kdf_chains`; a handle
+of its own, so a libcrypto without the deprecated AES calls keeps
+:func:`_powmod` on libcrypto), or on the scalar :func:`_kdf` where
+libcrypto's AES is missing.
 
-All batched paths draw the same PRG stream and compute the same group
-elements and pads, so transcripts are bit-identical to the per-bit paths
-(asserted by the test suite).
+All paths draw the same PRG stream and compute the same group elements
+and pads, so transcripts are bit-identical to the per-bit oracle
+(``choose`` / ``encrypt`` / ``decrypt`` in ``tests/gc/oracles.py``).
 
 COMPUTE AHEAD: every batched class is cut into *own-state* steps
 (``draw``, ``prepare``, ``derive_pads``: they need only the party's
@@ -73,7 +72,7 @@ the base layer and the oracle the extension is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,7 +89,7 @@ except ImportError:  # a CPython built without _ctypes
 
 __all__ = [
     "OtSender", "OtReceiver", "OtExtSender", "OtExtReceiver", "OT_KAPPA",
-    "run_ot", "run_ot_batch", "GROUP_P", "GROUP_G",
+    "run_ot_batch", "GROUP_P", "GROUP_G",
 ]
 
 # 768-bit safe prime p = 2q + 1 (RFC 2409 Oakley Group 1) and generator.
@@ -293,16 +292,15 @@ def _kdf_batch(points: Sequence[int], tweaks: Sequence[int], backend) -> List[in
     """``[_kdf(point, tweak) ...]``: batches of at least
     :data:`_KDF_BATCH_MIN` chains run one limb of every chain per call
     of ``backend``'s block AES kernel, smaller ones
-    :func:`_kdf_chains`; with no backend, or no libcrypto AES for a
-    small batch, the scalar :func:`_kdf`.
+    :func:`_kdf_chains`, or the scalar :func:`_kdf` where libcrypto's
+    AES is missing.
 
     Rows carry their own limb count, so a point whose top limbs are zero
     stops exactly where the scalar ``while value:`` loop stops.
     """
-    small = len(points) < _KDF_BATCH_MIN
-    if backend is None or (small and _LIBCRYPTO_AES is None):
-        return [_kdf(point, tweak) for point, tweak in zip(points, tweaks)]
-    if small:
+    if len(points) < _KDF_BATCH_MIN:
+        if _LIBCRYPTO_AES is None:
+            return [_kdf(point, tweak) for point, tweak in zip(points, tweaks)]
         return _kdf_chains(points, tweaks, _LIBCRYPTO_AES)
     limbs = np.array([(point.bit_length() + 127) >> 7 for point in points])
     depth = int(limbs.max())
@@ -323,11 +321,11 @@ class OtSender:
     """Alice's side of one batch of OTs (one ephemeral key per batch).
 
     ``backend`` is the resolved hash backend whose block AES kernel the
-    batched pad KDF may use (:func:`_kdf_batch`); ``None`` is scalar.
+    batched pad KDF may use (:func:`_kdf_batch`).
     """
 
     prg: LabelPrg
-    backend: Optional[object] = None
+    backend: object
 
     def __post_init__(self) -> None:
         self._a = (self.prg.next_bits(256) % (_GROUP_Q - 1)) + 1
@@ -336,18 +334,6 @@ class OtSender:
         # on the ephemeral key).
         self._a_inv = pow(self.public, -1, GROUP_P)
         self._factor: Optional[int] = None
-
-    def encrypt(
-        self, index: int, b_point: int, message0: int, message1: int
-    ) -> Tuple[int, int]:
-        """Encrypt the two messages against Bob's point for OT ``index``."""
-        if not 0 < b_point < GROUP_P:
-            raise ValueError("invalid receiver point")
-        shared0 = pow(b_point, self._a, GROUP_P)
-        shared1 = pow(b_point * self._a_inv % GROUP_P, self._a, GROUP_P)
-        k0 = _kdf(shared0, 2 * index)
-        k1 = _kdf(shared1, 2 * index + 1)
-        return message0 ^ k0, message1 ^ k1
 
     def prepare(self) -> None:
         """Own-state step, run once ``public`` is sent: the
@@ -369,8 +355,8 @@ class OtSender:
         of the batch (and every batch of this sender).  All ``2n``
         shared values are gathered first and padded by one
         :func:`_kdf_batch` call.  The shared values -- hence the
-        ciphertexts -- are bit-identical to per-bit :meth:`encrypt`
-        calls with the same indices.
+        ciphertexts -- are bit-identical to the per-bit oracle's
+        ``encrypt`` calls with the same indices.
         """
         if len(points) != len(message_pairs):
             raise ValueError("points and message pairs must align")
@@ -398,52 +384,30 @@ class OtSender:
 class OtReceiver:
     """Bob's side: one point per choice bit.
 
-    ``choose``/``decrypt`` are the per-bit reference path (one builtin
-    ``pow`` per group op, scalar KDF).  The batched path is cut at the
-    two messages it waits on, so each party computes what needs only
-    its own state before it blocks: :meth:`draw` (the secrets and their
-    ``g^b``, before ``A`` arrives), :meth:`points` (the reply to ``A``),
-    :meth:`derive_pads` (``KDF(A^b)``, before the ciphertexts arrive)
-    and :meth:`open` (the reply to the ciphertexts: one XOR per
-    choice).  It runs each step's exponentiations as one :func:`_powmod`
-    batch and pads through :func:`_kdf_batch` on ``backend``; both
-    paths draw the same PRG stream and compute the same group elements,
-    so their transcripts are interchangeable.
+    The batch is cut at the two messages it waits on, so each party
+    computes what needs only its own state before it blocks:
+    :meth:`draw` (the secrets and their ``g^b``, before ``A`` arrives),
+    :meth:`points` (the reply to ``A``, which it keeps as
+    ``sender_public``), :meth:`derive_pads` (``KDF(A^b)``, before the
+    ciphertexts arrive) and :meth:`open` (the reply to the ciphertexts:
+    one XOR per choice).  It runs each step's exponentiations as one
+    :func:`_powmod` batch and pads through :func:`_kdf_batch` on
+    ``backend``; it draws the same PRG stream and computes the same
+    group elements as the per-bit oracle (``choose`` / ``decrypt`` in
+    ``tests/gc/oracles.py``), so their transcripts are interchangeable.
     """
 
     prg: LabelPrg
-    sender_public: Optional[int] = None
-    backend: Optional[object] = None
-
-    def choose(self, choice: int) -> Tuple[int, int]:
-        """Return (point to send, secret exponent) for ``choice``.
-
-        Needs the sender's ``A`` (``sender_public``); without it this
-        raises ``ValueError`` before drawing the secret."""
-        if choice not in (0, 1):
-            raise ValueError("choice must be a bit")
-        if self.sender_public is None:
-            raise ValueError("choose needs the sender's public point first")
-        b = (self.prg.next_bits(256) % (_GROUP_Q - 1)) + 1
-        point = pow(GROUP_G, b, GROUP_P)
-        if choice:
-            point = point * self.sender_public % GROUP_P
-        return point, b
-
-    def decrypt(
-        self, index: int, choice: int, secret: int, cipher0: int, cipher1: int
-    ) -> int:
-        shared = pow(self.sender_public, secret, GROUP_P)
-        pad = _kdf(shared, 2 * index + choice)
-        return (cipher1 if choice else cipher0) ^ pad
+    backend: object
+    sender_public: Optional[int] = field(default=None, init=False)
 
     def draw(self, choices: Sequence[int]) -> None:
         """Own-state step: the secrets and ``g^b`` for every choice bit."""
         if any(choice not in (0, 1) for choice in choices):
             raise ValueError("choice must be a bit")
         self.choices = list(choices)
-        # Same PRG draws as repeated choose() calls: next_bits(256) is
-        # two blocks, the first one high.
+        # Same PRG draws as repeated per-bit choose() calls:
+        # next_bits(256) is two blocks, the first one high.
         blocks = self.prg.next_blocks(2 * len(choices), self.backend)
         self.secrets = [
             (((high << 128) | low) % (_GROUP_Q - 1)) + 1
@@ -570,7 +534,7 @@ class OtExtSender:
         self.backend = backend
         self._s = prg.next_block()
         self._s_bits = [(self._s >> (OT_KAPPA - 1 - i)) & 1 for i in range(OT_KAPPA)]
-        self._base = OtReceiver(prg, backend=backend)
+        self._base = OtReceiver(prg, backend)
         self._base.draw(self._s_bits)
         self.points = self._base.points
         self.derive_pads = self._base.derive_pads
@@ -596,26 +560,19 @@ class OtExtSender:
         return [message ^ pad for message, pad in zip(messages, pads)]
 
 
-def run_ot(
-    message0: int, message1: int, choice: int, seed: int = 0
-) -> int:
-    """Run one complete OT locally (test / demo convenience)."""
-    return run_ot_batch([(message0, message1)], [choice], seed=seed)[0]
-
-
 def run_ot_batch(
     pairs: Sequence[Tuple[int, int]], choices: Sequence[int], seed: int = 0
 ) -> List[int]:
     """Run a batch of OTs, one per (message pair, choice bit).
 
     Runs the batched steps the streamed roles run, in their order, with
-    the ``auto`` backend; transcripts match the per-bit
+    the ``auto`` backend; transcripts match the per-bit oracle's
     ``choose``/``encrypt``/``decrypt`` sequence exactly.
     """
     if len(pairs) != len(choices):
         raise ValueError("pairs and choices must align")
     backend = resolve_backend("auto")
-    receiver = OtReceiver(LabelPrg(seed + 1), backend=backend)
+    receiver = OtReceiver(LabelPrg(seed + 1), backend)
     receiver.draw(choices)
     sender = OtSender(LabelPrg(seed), backend)
     points = receiver.points(sender.public)

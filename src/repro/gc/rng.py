@@ -90,12 +90,3 @@ class LabelPrg:
             value = (value << 128) | self.next_block()
             produced += 128
         return value >> (produced - bits)
-
-    def next_odd_block(self) -> int:
-        """Return a 128-bit value with its least-significant bit set.
-
-        Used to draw the FreeXOR global offset R, whose lsb must be 1 for
-        point-and-permute to work (the permute bit of W^1 = W^0 xor R then
-        always differs from that of W^0).
-        """
-        return self.next_block() | 1

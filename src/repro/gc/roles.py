@@ -60,7 +60,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..circuits.netlist import OP_AND, AndLevelPlan, Circuit
+from ..circuits.netlist import OP_AND, AndLevelPlan, Circuit, check_input_bits
 from ..faults import SessionAborted, TranscriptMismatch
 from .backends import resolve_backend
 from .channel import DIGEST_KIND, FramedChannel
@@ -73,7 +73,7 @@ from .rng import LabelPrg
 
 __all__ = [
     "HANDSHAKE", "LEVEL", "FINISH", "GarblerRole", "EvaluatorRole",
-    "check_input_bits", "ot_handshake_bytes",
+    "ot_handshake_bytes",
 ]
 
 HANDSHAKE = "handshake"
@@ -97,15 +97,6 @@ def ot_handshake_bytes(n_choices: int, extended: bool) -> int:
     if extended:
         payload += (OT_KAPPA // 8 + 2 * _LABEL_BYTES) * n_choices
     return payload
-
-
-def check_input_bits(circuit: Circuit, party: str, bits: Sequence[int]) -> None:
-    """Raise ``ValueError`` unless ``bits`` are ``party``'s inputs to
-    ``circuit``: one per input wire, each 0 or 1."""
-    if len(bits) != getattr(circuit, f"n_{party}_inputs"):
-        raise ValueError(f"wrong number of {party} input bits")
-    if not all(bit in (0, 1) for bit in bits):
-        raise ValueError(f"{party} input bits must be 0 or 1")
 
 
 def _exact_ints(data: bytes, width: int, count: int, what: str) -> List[int]:
@@ -217,8 +208,9 @@ class _Role:
 class GarblerRole(_Role):
     """Alice: draws the labels, garbles level by level, learns the output.
 
-    Labels are drawn exactly as in :func:`repro.gc.garble.garble_circuit`
-    (same PRG order: R, then one label per input wire), so input labels,
+    Labels are drawn exactly as in the per-gate oracle ``garble_circuit``
+    of ``tests/gc/oracles.py`` (same PRG order: R, then one label per
+    input wire), so input labels,
     tables and decode bits are bit-identical to the per-gate walk's --
     only the table *stream order* follows the AND-level schedule instead
     of netlist order.
@@ -228,8 +220,8 @@ class GarblerRole(_Role):
 
     def _turns(self) -> Iterator[str]:
         circuit, down = self.circuit, self.down
-        # R, then one label per input wire: the same draws as
-        # next_odd_block() followed by next_block() per input.
+        # R, then one label per input wire: the same draws as one
+        # next_block() for R (low bit then set) and one per input.
         r, *inputs = LabelPrg(self.seed).next_blocks(1 + circuit.n_inputs, self.backend)
         r |= 1
         yield from self._ot_turns(

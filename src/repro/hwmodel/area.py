@@ -65,10 +65,6 @@ class AreaBreakdown:
             + self.queues_sram
         )
 
-    @property
-    def total_with_phy(self) -> float:
-        return self.total_haac + self.hbm2_phy
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "halfgate": self.halfgate,

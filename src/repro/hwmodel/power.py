@@ -62,10 +62,6 @@ class PowerBreakdown:
             + self.queues_sram
         )
 
-    @property
-    def total_with_phy(self) -> float:
-        return self.total_haac + self.hbm2_phy
-
     def power_density_w_mm2(self, area_mm2: float) -> float:
         """Power density of the HAAC IP (paper: 0.35 W/mm^2)."""
         return (self.total_haac / 1e3) / area_mm2

@@ -45,6 +45,7 @@ from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import connection as mp_connection, reduction
 from typing import Dict, List, Optional, Sequence
 
+from ..circuits.netlist import check_input_bits
 from ..faults import (
     FaultPlan,
     PROCESS_CHAOS,
@@ -56,7 +57,6 @@ from ..faults import (
 )
 from ..gc.backends import resolve_backend
 from ..gc.protocol import SessionResult
-from ..gc.roles import check_input_bits
 from .procs import (
     EVALUATOR,
     GARBLER,
@@ -208,8 +208,8 @@ class Supervisor(SessionService):
         """Admit one session (or raise :class:`ServiceSaturated`).
 
         An invalid circuit, a wrong number of input bits or a bit
-        other than 0 / 1 raises ``ValueError`` without admitting the
-        session, as
+        other than 0 / 1 raises :class:`~repro.circuits.netlist.CircuitError`
+        (a ``ValueError``) without admitting the session, as
         ``SessionMultiplexer.submit`` does, an unknown backend
         :class:`~repro.gc.backends.BackendUnavailable`, and a fault
         kind outside ``PROCESS_CHAOS``

@@ -10,7 +10,7 @@ from .coupled import (
 from .dram import DDR4, HBM2, BandwidthLedger, DramSpec
 from .functional import FunctionalRun, HaacMachineError, run_functional
 from .stats import SimResult, StallBreakdown
-from .timing import compute_traffic, simulate, simulate_batch
+from .timing import simulate, simulate_batch
 
 __all__ = [
     "coupled_runtime",
@@ -28,7 +28,6 @@ __all__ = [
     "BandwidthLedger",
     "simulate",
     "simulate_batch",
-    "compute_traffic",
     "SimResult",
     "StallBreakdown",
     "run_functional",

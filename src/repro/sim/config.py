@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..core.passes.streams import ScheduleParams, check_at_least
 from ..core.sww import WIRE_BYTES, SlidingWindow
-from .dram import DDR4, HBM2, DramSpec, check_finite_positive
+from .dram import DDR4, DramSpec, check_finite_positive
 
 __all__ = ["Role", "HaacConfig", "TABLE_BYTES", "INSTR_BYTES", "OOR_ADDR_BYTES"]
 
@@ -102,12 +102,6 @@ class HaacConfig:
             cross_ge_forward=self.cross_ge_forward,
         )
 
-    def with_ges(self, n_ges: int) -> "HaacConfig":
-        return self._replace(n_ges=n_ges)
-
-    def with_sww_bytes(self, sww_bytes: int) -> "HaacConfig":
-        return self._replace(sww_bytes=sww_bytes)
-
     def with_role(self, role: Role) -> "HaacConfig":
         return self._replace(role=role)
 
@@ -153,7 +147,3 @@ class HaacConfig:
     def paper_default(dram: DramSpec = DDR4) -> "HaacConfig":
         """The 16 GE / 2 MB SWW / 64-bank design of the evaluation."""
         return HaacConfig(dram=dram)
-
-    @staticmethod
-    def paper_hbm() -> "HaacConfig":
-        return HaacConfig(dram=HBM2)

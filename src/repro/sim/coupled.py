@@ -90,12 +90,6 @@ class CoupledResult:
     def runtime_s(self) -> float:
         return self.cycles / self.ge_clock_hz
 
-    @property
-    def slowdown_vs_decoupled(self) -> float:
-        if self.decoupled_cycles == 0:
-            return 1.0
-        return self.cycles / self.decoupled_cycles
-
 
 def _per_instruction_bytes(streams: StreamSet, config: HaacConfig) -> list[float]:
     """Prefetch bytes each instruction consumes, in program order.

@@ -49,12 +49,6 @@ class DramSpec:
     def bandwidth_bytes_per_s(self) -> float:
         return self.bandwidth_gb_s * _GB
 
-    def seconds_for(self, n_bytes: float) -> float:
-        """Streaming transfer time for ``n_bytes``."""
-        if n_bytes < 0:
-            raise ValueError("byte count must be non-negative")
-        return n_bytes / self.bandwidth_bytes_per_s
-
 
 DDR4 = DramSpec(name="DDR4-4400", bandwidth_gb_s=35.2)
 HBM2 = DramSpec(name="HBM2", bandwidth_gb_s=512.0)

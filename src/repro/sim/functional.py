@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..circuits.netlist import OP_AND
+from ..circuits.netlist import OP_AND, check_input_bits
 from ..core.isa import HaacOp
 from ..core.passes.streams import StreamSet
 from ..gc.garble import Garbler, garble_circuit_batched
@@ -113,6 +113,8 @@ def run_functional(
     """
     program = streams.program
     netlist = program.netlist
+    check_input_bits(netlist, "garbler", garbler_bits)
+    check_input_bits(netlist, "evaluator", evaluator_bits)
     if garbler is None:
         garbler = garble_circuit_batched(netlist, seed=seed)
     tables = garbler.garbled.tables
@@ -125,8 +127,6 @@ def run_functional(
             range(netlist.n_inputs), list(garbler_bits) + list(evaluator_bits)
         )
     ]
-    if len(input_labels) != netlist.n_inputs:
-        raise ValueError("input bit count does not match the netlist")
     dram: Dict[int, int] = {wire: label for wire, label in enumerate(input_labels)}
 
     sww = _SwwModel(capacity=streams.window.capacity)

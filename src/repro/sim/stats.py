@@ -133,12 +133,6 @@ class SimResult:
             return 0.0
         return self.runtime_cycles / self.n_instructions
 
-    @property
-    def gates_per_second(self) -> float:
-        if self.runtime_s == 0:
-            return 0.0
-        return self.n_instructions / self.runtime_s
-
     def summary(self) -> Dict[str, float]:
         return {
             "runtime_us": self.runtime_s * 1e6,

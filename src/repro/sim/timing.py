@@ -37,31 +37,20 @@ from .dram import BandwidthLedger
 from .engine import compute_cycles_batch
 from .stats import SimResult, StallBreakdown
 
-__all__ = ["simulate", "simulate_batch", "compute_traffic", "compute_traffic_batch"]
+__all__ = ["simulate", "simulate_batch"]
 
 
-def compute_traffic(streams: StreamSet, config: HaacConfig) -> BandwidthLedger:
-    """Exact off-chip byte counts for one program execution."""
-    return compute_traffic_batch(streams, (config,))[0]
-
-
-def compute_traffic_batch(
-    streams: StreamSet, configs: Sequence[HaacConfig]
-) -> List[BandwidthLedger]:
+def _traffic_ledgers(streams, configs, n_and: int) -> List[BandwidthLedger]:
     """Byte ledgers for one program under many configs at once.
 
     Only the instruction-stream charge depends on the config (its
     encoding width); the other four charges are pure functions of the
     compiled program, so they are summed once and reused across the
     whole config axis instead of re-walking the stream set per grid
-    point.  Each returned ledger is bit-identical to the serial
-    ``compute_traffic`` walk for its config (asserted by the batched
-    test suite) -- same charge names, same order, same totals.
+    point.  Each ledger is bit-identical to the serial per-config walk
+    (asserted by the batched test suite) -- same charge names, same
+    order, same totals.
     """
-    return _traffic_ledgers(streams, configs, streams.program.n_and)
-
-
-def _traffic_ledgers(streams, configs, n_and: int) -> List[BandwidthLedger]:
     program = streams.program
     input_rd = program.n_inputs * WIRE_BYTES
     n_instructions = len(program.op)

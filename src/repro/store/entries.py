@@ -309,9 +309,6 @@ class EntryStore:
                 pass
         return removed
 
-    def entry_count(self) -> int:
-        return len(self._entry_paths())
-
     # -- resolution ------------------------------------------------------
 
     @classmethod

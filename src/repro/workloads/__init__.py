@@ -1,7 +1,7 @@
 """VIP-Bench workload circuits (paper section 5, Table 2)."""
 
 from .base import BuiltWorkload, PaperTable2Row, Workload
-from .registry import PAPER_ORDER, WORKLOADS, get_workload, iter_workloads
+from .registry import PAPER_ORDER, WORKLOADS, get_workload
 
 __all__ = [
     "Workload",
@@ -10,5 +10,4 @@ __all__ = [
     "WORKLOADS",
     "PAPER_ORDER",
     "get_workload",
-    "iter_workloads",
 ]

@@ -66,6 +66,3 @@ class Workload:
         params = dict(self.scaled_params)
         params.update(overrides)
         return self.build(**params)
-
-    def scaled_plaintext_ops(self) -> int:
-        return self.plaintext_ops(**self.scaled_params)

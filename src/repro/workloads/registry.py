@@ -6,7 +6,7 @@ tests use to enumerate workloads.  Keys are the paper's benchmark names.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 from .base import Workload
 from .bubble_sort import WORKLOAD as BUBBLE_SORT
@@ -22,7 +22,6 @@ __all__ = [
     "WORKLOADS",
     "PAPER_ORDER",
     "get_workload",
-    "iter_workloads",
 ]
 
 # Paper Table 2 / figure x-axis order.
@@ -57,9 +56,3 @@ def get_workload(name: str) -> Workload:
         raise KeyError(
             f"unknown workload {name!r}; expected one of {PAPER_ORDER}"
         ) from None
-
-
-def iter_workloads() -> Iterator[Workload]:
-    """Workloads in the paper's presentation order."""
-    for name in PAPER_ORDER:
-        yield WORKLOADS[name]

@@ -28,13 +28,15 @@ from repro.analysis.report import geomean
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.stdlib.integer import add, kogge_stone_add, mul
 from repro.core.compiler import OptLevel, compile_circuit
-from repro.gc.garble import garble_circuit
+from repro.gc.halfgate import tables_to_bytes
 from repro.sim.config import HaacConfig
 from repro.sim.coupled import coupled_runtime, pull_based_runtime
 from repro.sim.dram import HBM2
 from repro.sim.timing import simulate
 from repro.store import ResultStore
 from repro.workloads import get_workload
+from tests.gc.oracles import garble_circuit
+from tests.sim.test_coupled import slowdown
 
 QUICK = pytest.param(True, id="quick")
 FULL = pytest.param(False, id="full", marks=pytest.mark.slow)
@@ -318,8 +320,8 @@ def test_ablation_decoupling():
             config.n_ges, opt=OptLevel.RO_RN_ESW,
             params=config.schedule_params(),
         )
-        coupled = coupled_runtime(compiled.streams, config).slowdown_vs_decoupled
-        pull = pull_based_runtime(compiled.streams, config).slowdown_vs_decoupled
+        coupled = slowdown(coupled_runtime(compiled.streams, config))
+        pull = slowdown(pull_based_runtime(compiled.streams, config))
         assert coupled < 1.25, name
         assert pull >= coupled * 0.999, name
         pull_slowdowns.append(pull)
@@ -344,9 +346,9 @@ def test_ablation_scheme_lineage_shrinks_communication():
     builder.mark_outputs(mul(builder, xs, ys))
     circuit = builder.build("add+mul16")
     stats = circuit.stats()
-    halfgate = garble_circuit(circuit, seed=1).garbled
-    assert halfgate.table_bytes() == 32 * stats.and_gates
+    halfgate = len(tables_to_bytes(garble_circuit(circuit, seed=1).garbled.tables))
+    assert halfgate == 32 * stats.and_gates
     totals = [
         per_gate * stats.gates for per_gate in CLASSIC_BYTES_PER_GATE.values()
-    ] + [halfgate.table_bytes()]
+    ] + [halfgate]
     assert all(a > b for a, b in zip(totals, totals[1:]))

@@ -6,9 +6,8 @@ from repro.baselines.cpu_model import (
     DEFAULT_CPU,
     GARBLE_OVERHEAD,
     REKEY_OVERHEAD,
-    cpu_gc_time_s,
 )
-from repro.baselines.plaintext import DEFAULT_PLAINTEXT, plaintext_time_s
+from repro.baselines.plaintext import DEFAULT_PLAINTEXT
 from repro.baselines.prior_work import (
     MICRO_WORKLOADS,
     PRIOR_WORK,
@@ -34,11 +33,6 @@ class TestCpuModel:
     def test_rekey_overhead_is_paper_value(self):
         assert REKEY_OVERHEAD == pytest.approx(1.275)
 
-    def test_convenience_wrapper(self, mixed_circuit):
-        assert cpu_gc_time_s(mixed_circuit) == pytest.approx(
-            DEFAULT_CPU.eval_time_for(mixed_circuit)
-        )
-
     def test_slowdown_vs_plaintext_in_paper_range(self):
         """Calibration anchor: CPU GC should be ~10^5x slower than
         plaintext across the workloads (paper: 198,000x average)."""
@@ -59,7 +53,7 @@ class TestCpuModel:
 class TestPlaintextModel:
     def test_time_positive(self):
         for workload in WORKLOADS.values():
-            assert plaintext_time_s(workload) > 0
+            assert DEFAULT_PLAINTEXT.time_for(workload) > 0
 
     def test_scales_with_ops(self):
         assert DEFAULT_PLAINTEXT.time_s(2000) == pytest.approx(
@@ -67,8 +61,8 @@ class TestPlaintextModel:
         )
 
     def test_param_override(self):
-        base = plaintext_time_s(WORKLOADS["Hamm"])
-        bigger = plaintext_time_s(WORKLOADS["Hamm"], n_bits=4096)
+        base = DEFAULT_PLAINTEXT.time_for(WORKLOADS["Hamm"])
+        bigger = DEFAULT_PLAINTEXT.time_for(WORKLOADS["Hamm"], n_bits=4096)
         assert bigger > base
 
 

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit, column_view
 from repro.circuits.stdlib import aes_circuit, fixed, float as fp, integer, logic
-from repro.workloads import iter_workloads
+from repro.workloads import PAPER_ORDER, get_workload
 from tests.circuits.scalar_and_schedule import (
     scalar_and_level_schedule,
     scalar_vector_plan,
@@ -217,9 +217,9 @@ class TestNarrowPlan:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", [w.name for w in iter_workloads()])
+@pytest.mark.parametrize("name", PAPER_ORDER)
 def test_full_scale_workloads(name):
     """Every workload's full-scale netlist: the list view equals the
     list walk and every plan slice the old gather."""
-    workload = next(w for w in iter_workloads() if w.name == name)
+    workload = get_workload(name)
     assert_matches_oracle(workload.build_scaled().circuit)

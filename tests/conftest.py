@@ -13,6 +13,26 @@ from repro.core.compiler import OptLevel, compile_circuit
 from repro.sim.config import HaacConfig
 
 
+def circuit_from_gates(
+    n_garbler_inputs: int,
+    n_evaluator_inputs: int,
+    gates,
+    outputs,
+    name: str = "circuit",
+) -> Circuit:
+    """A validated netlist from a gate list."""
+    circuit = Circuit(
+        n_garbler_inputs, n_evaluator_inputs, list(outputs), gates, name
+    )
+    circuit.validate()
+    return circuit
+
+
+def entry_count(store) -> int:
+    """Entry files in ``store``'s directory, whatever their state."""
+    return len(store._entry_paths())
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0DE)
@@ -26,7 +46,7 @@ def tiny_circuit() -> Circuit:
         Gate(GateOp.INV, 0, -1, 3),
         Gate(GateOp.XOR, 2, 3, 4),
     ]
-    return Circuit.from_gates(1, 1, gates, [4], "tiny")
+    return circuit_from_gates(1, 1, gates, [4], "tiny")
 
 
 @pytest.fixture
@@ -88,7 +108,7 @@ def random_circuit(
     n_outputs = max(1, n_gates // 8)
     outputs = [n_wires - 1 - i for i in range(n_outputs)]
     half = n_inputs // 2
-    return Circuit.from_gates(half, n_inputs - half, gates, outputs, "random")
+    return circuit_from_gates(half, n_inputs - half, gates, outputs, "random")
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
+from dataclasses import replace
 
 import pytest
 
@@ -25,8 +26,8 @@ from repro.core.compiler import OptLevel, compile_circuit
 from repro.core.progcache import circuit_digest, compile_key
 from repro.gc.protocol import run_two_party
 from repro.sim.config import HaacConfig, Role
-from repro.workloads import get_workload
-from repro.workloads import iter_workloads
+from repro.workloads import PAPER_ORDER, get_workload
+from tests.core.scalar_isa import machine_words
 from tests.sim.test_engine_equivalence import STDLIB_FAMILIES
 
 CONFIG = HaacConfig(n_ges=4, sww_bytes=64 * 16)
@@ -62,7 +63,7 @@ def fingerprint(result) -> str:
     for ge in streams.ges:
         feed("positions", ge.positions)
         feed("oor_addresses", ge.oor_addresses)
-        feed("words", ge.encode_machine_words(streams.window))
+        feed("words", machine_words(ge, streams.window))
     return h.hexdigest()
 
 
@@ -224,7 +225,7 @@ def test_streamed_transcript_digest():
 #: level evicts).
 SCALED_CASES = {
     "MatMult/paper_default": ("MatMult", HaacConfig.paper_default()),
-    "Hamm/sww512": ("Hamm", HaacConfig.paper_default().with_sww_bytes(512)),
+    "Hamm/sww512": ("Hamm", replace(HaacConfig.paper_default(), sww_bytes=512)),
     # Narrow levels: the greedy mapper's scalar step, 43,145 stalls.
     "GradDesc/paper_default": ("GradDesc", HaacConfig.paper_default()),
     # Levels sorted within each segment.
@@ -318,6 +319,6 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
         },
         "GOLDEN_SCALED_DIGESTS": {
             name: circuit_digest(_scaled_circuit(name))
-            for name in ["AES-128", *(w.name for w in iter_workloads())]
+            for name in ["AES-128", *PAPER_ORDER]
         },
     }, width=100)

@@ -373,7 +373,7 @@ class TestMemoization:
 
 class TestValidationWitness:
     def _invalid(self, gates, n_inputs=2, outputs=(2,)):
-        # Bypass from_gates (which validates eagerly) to hand the graph
+        # Bypass circuit_from_gates (which validates eagerly) to hand the graph
         # a malformed netlist directly.
         return Circuit(
             n_garbler_inputs=n_inputs, n_evaluator_inputs=0,

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.circuits.netlist import OP_AND, OP_INV, OP_XOR, Circuit
 from repro.core.assembler import lower_inv
 from repro.core.passes.reorder import depth_first_order
-from repro.workloads import iter_workloads
+from repro.workloads import PAPER_ORDER, get_workload
 from tests.core.scalar_dfs import scalar_depth_first_order
 
 
@@ -125,9 +125,9 @@ def test_deep_chain(operands):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", [w.name for w in iter_workloads()])
+@pytest.mark.parametrize("name", PAPER_ORDER)
 def test_full_scale_workloads(name):
     """Every workload's lowered full-scale netlist (the compiler's DFS
     input) walks to the oracle's order."""
-    workload = next(w for w in iter_workloads() if w.name == name)
+    workload = get_workload(name)
     assert_matches_oracle(lower_inv(workload.build_scaled().circuit).circuit)

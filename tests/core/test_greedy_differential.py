@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from repro.core.passes.streams import (
 from repro.core.program import HaacProgram
 from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig
-from repro.workloads import iter_workloads
+from repro.workloads import PAPER_ORDER, get_workload
 from tests.core.scalar_greedy import scalar_greedy_schedule
 
 GE_COUNTS = [1, 2, 3, 16, 17, 65]
@@ -246,13 +247,13 @@ def test_stream_columns_are_narrow_arrays(committed, capacity):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("sww_bytes", [None, 512])
-@pytest.mark.parametrize("name", [w.name for w in iter_workloads()])
+@pytest.mark.parametrize("name", PAPER_ORDER)
 def test_full_scale_workloads(name, sww_bytes):
     """Every workload's full-scale schedule equals the scan oracle's."""
     config = HaacConfig.paper_default()
     if sww_bytes is not None:
-        config = config.with_sww_bytes(sww_bytes)
-    workload = next(w for w in iter_workloads() if w.name == name)
+        config = replace(config, sww_bytes=sww_bytes)
+    workload = get_workload(name)
     result = compile_circuit(
         workload.build_scaled().circuit, config.window, config.n_ges,
         OptLevel.RO_RN_ESW, params=config.schedule_params(), cache=False,

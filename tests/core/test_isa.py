@@ -4,24 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.isa import (
-    OOR_SENTINEL,
-    HaacOp,
-    Instruction,
-    InstructionEncoding,
-    encode_fields,
-)
+from repro.core.isa import OOR_SENTINEL, HaacOp, Instruction
 from repro.sim.config import INSTR_BYTES, HaacConfig
-from tests.core.scalar_isa import split_word
+from tests.core.scalar_isa import InstructionEncoding, encode_fields, split_word
 
 
 class TestInstruction:
-    def test_oor_operand_count(self):
-        assert Instruction(HaacOp.AND, 0, 5).oor_operands == 1
-        assert Instruction(HaacOp.AND, 0, 0).oor_operands == 2
-        assert Instruction(HaacOp.XOR, 3, 5).oor_operands == 0
-        assert Instruction(HaacOp.NOP, 0, 0).oor_operands == 0
-
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
             Instruction(HaacOp.AND, -1, 0)

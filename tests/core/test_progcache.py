@@ -12,6 +12,7 @@ import pickle
 import subprocess
 import sys
 from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,8 @@ from repro.core.progcache import (
 from repro.sim.config import HaacConfig
 from repro.sim.timing import simulate
 from repro.store import ResultStore
-from repro.workloads import get_workload, iter_workloads
+from repro.workloads import PAPER_ORDER, get_workload
+from tests.conftest import entry_count
 
 
 def _adder(width=8, name="adder"):
@@ -386,19 +388,19 @@ class TestProgramCache:
             compile_circuit(circuit, config.window, config.n_ges,
                             opt=opt, params=config.schedule_params(),
                             cache=store)
-        wide = config.with_sww_bytes(config.sww_bytes * 2)
+        wide = replace(config, sww_bytes=config.sww_bytes * 2)
         compile_circuit(circuit, wide.window, wide.n_ges,
                         params=wide.schedule_params(), cache=store)
         assert store.stats.hits == 0
-        assert store.entry_count() == 3
+        assert entry_count(store) == 3
 
     def test_clear(self, tmp_path, config):
         store = ProgramCache(tmp_path)
         compile_circuit(_adder(), config.window, config.n_ges,
                         params=config.schedule_params(), cache=store)
-        assert store.entry_count() == 1
+        assert entry_count(store) == 1
         assert store.clear() == 1
-        assert store.entry_count() == 0
+        assert entry_count(store) == 0
 
     def test_entry_envelope_is_unchanged(self, tmp_path):
         """An entry in the pickle envelope every earlier release wrote
@@ -423,7 +425,7 @@ class TestProgramCache:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", [w.name for w in iter_workloads()])
+@pytest.mark.parametrize("name", PAPER_ORDER)
 def test_full_scale_warm_entries_equal_cold(tmp_path, name):
     """Every workload's full-scale compile at the paper default survives
     a disk round trip column for column, and its persisted partition is
@@ -666,7 +668,7 @@ class TestResolution:
         compile_circuit(circuit, config.window, config.n_ges,
                         params=config.schedule_params())
         assert store.stats.hits >= 1
-        assert store.entry_count() == 1
+        assert entry_count(store) == 1
 
 
 class TestScanPrune:
@@ -693,7 +695,7 @@ class TestScanPrune:
         assert census.corrupt == 2  # unparseable + key mismatch
         assert census.live_bytes > 0 and census.stale_bytes > 0
         # The naive file count would report all four as live entries.
-        assert store.entry_count() == 4
+        assert entry_count(store) == 4
 
     def test_scan_empty_store(self, tmp_path, codec):
         assert codec.cls(tmp_path / "nowhere").scan().as_dict() == {

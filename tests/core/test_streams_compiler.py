@@ -6,12 +6,12 @@ import pytest
 
 from repro.circuits.netlist import GateOp
 from repro.core.compiler import OptLevel, compile_circuit
-from repro.core.isa import HaacOp, InstructionEncoding
+from repro.core.isa import HaacOp
 from repro.core.passes.streams import ScheduleParams, generate_streams
 from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig
 from tests.conftest import compile_all_levels, random_circuit
-from tests.core.scalar_isa import split_word
+from tests.core.scalar_isa import InstructionEncoding, machine_words, split_word
 
 
 @pytest.fixture
@@ -130,7 +130,7 @@ class TestMachineEncoding:
         capacity = window.capacity
         addr_bits = InstructionEncoding.for_sww_wires(capacity + 1).addr_bits
         for ge in streams.ges:
-            words = ge.encode_machine_words(window)
+            words = machine_words(ge, window)
             assert len(words) == len(ge.instructions)
             for word, instr, a_oor, b_oor in zip(
                 words, ge.instructions, ge.oor_a, ge.oor_b

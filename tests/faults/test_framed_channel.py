@@ -443,23 +443,12 @@ class TestLossyWire:
 
 
 class TestFramedPair:
-    def test_traffic_report_directions(self):
-        pair = make_framed_pair()
-        pair.to_evaluator.send_message("tables", bytes(8))
-        pair.to_garbler.send_message("outputs", bytes(2))
-        report = pair.traffic_report()
-        assert "garbler->evaluator:tables" in report
-        assert "evaluator->garbler:outputs" in report
-        assert pair.total_bytes == sum(report.values())
-
     def test_traffic_accounting_by_class(self):
         pair = make_framed_pair()
         pair.to_evaluator.send_message("tables", bytes(64))
         pair.to_evaluator.send_message("tables", bytes(32))
         pair.to_garbler.send_message("outputs", bytes(1))
-        report = pair.traffic_report()
-        assert report == {
-            "garbler->evaluator:tables": 96 + 2 * (FRAME_OVERHEAD + len("tables")),
-            "evaluator->garbler:outputs": 1 + FRAME_OVERHEAD + len("outputs"),
-        }
-        assert pair.total_bytes == sum(report.values())
+        down, up = pair.to_evaluator.bytes_by_class, pair.to_garbler.bytes_by_class
+        assert down == {"tables": 96 + 2 * (FRAME_OVERHEAD + len("tables"))}
+        assert up == {"outputs": 1 + FRAME_OVERHEAD + len("outputs")}
+        assert pair.total_bytes == sum(down.values()) + sum(up.values())

@@ -4,12 +4,13 @@ Every session entry point runs the streamed roles (:mod:`repro.gc.roles`:
 block label stores, the batched OT kernels on the session's backend, OT
 extension from 205 evaluator inputs).  This helper is the independent
 implementation they are compared against: the whole circuit garbled by
-the per-gate :func:`~repro.gc.garble.garble_circuit`, Bob's labels by the
-per-bit :class:`~repro.gc.ot.OtSender` / :class:`~repro.gc.ot.OtReceiver`
-calls (``choose`` / ``encrypt`` / ``decrypt``: builtin ``pow`` and the
-scalar KDF, none of the batched kernels, and the direct handshake at any
-width, so it is also the OT-extension oracle), and the evaluation by the
-per-gate :func:`~repro.gc.evaluate.evaluate_circuit`.  Only the sender's
+the per-gate :func:`~tests.gc.oracles.garble_circuit`, Bob's labels by the
+per-bit :class:`~tests.gc.oracles.PerBitOtSender` /
+:class:`~tests.gc.oracles.PerBitOtReceiver` calls (``choose`` /
+``encrypt`` / ``decrypt``: builtin ``pow`` and the scalar KDF, none of
+the batched kernels, and the direct handshake at any width, so it is
+also the OT-extension oracle), and the evaluation by the per-gate
+:func:`~tests.gc.oracles.evaluate_circuit`.  Only the sender's
 key ``A`` comes from the batched exponentiation, and a wrong ``A``
 fails every choice-1 transfer here: the sender's pad is ``(B / A)^a``,
 the receiver's ``A^b``.  It shares no
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.circuits.netlist import Circuit
-from repro.gc.evaluate import evaluate_circuit
-from repro.gc.garble import garble_circuit
-from repro.gc.ot import OtReceiver, OtSender
 from repro.gc.rng import LabelPrg
+from tests.gc.oracles import (
+    PerBitOtReceiver, PerBitOtSender, evaluate_circuit, garble_circuit,
+)
 
 
 @dataclass
@@ -60,8 +61,8 @@ def run_oracle_session(
     garbler = garble_circuit(circuit, seed=seed)
     garbled = garbler.garbled
 
-    sender = OtSender(LabelPrg(seed + 0x0F))
-    receiver = OtReceiver(LabelPrg(seed + 0xB0B), sender.public)
+    sender = PerBitOtSender(LabelPrg(seed + 0x0F))
+    receiver = PerBitOtReceiver(LabelPrg(seed + 0xB0B), sender_public=sender.public)
     chosen = [receiver.choose(bit) for bit in evaluator_bits]
     points = [point for point, _ in chosen]
     ciphers = [

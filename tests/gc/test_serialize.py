@@ -5,14 +5,14 @@ import struct
 
 import pytest
 
-from repro.gc.evaluate import evaluate_circuit
-from repro.gc.garble import GarbledCircuit, garble_circuit
+from repro.gc.garble import GarbledCircuit
 from repro.gc.halfgate import GarbledTable
 from repro.gc.serialize import (
     SerializationError,
     garbled_from_bytes,
     garbled_to_bytes,
 )
+from tests.gc.oracles import evaluate_circuit, garble_circuit
 
 
 class TestGarbledRoundTrip:

@@ -3,7 +3,7 @@
 Two independent implementations bracket the per-level kernels of the
 block label stores (``gc/garble.py`` / ``gc/evaluate.py``): the
 plaintext evaluator and the per-gate ``garble_circuit`` /
-``evaluate_circuit`` walk.  Whatever the netlist, window or hash mode,
+``evaluate_circuit`` walk of ``tests/gc/oracles.py``.  Whatever the netlist, window or hash mode,
 the streamed session and the level-looped batched engines must land on
 exactly what they say -- and the streamed session must put on the wire
 exactly the messages the per-gate exchange of ``session_oracle``
@@ -18,20 +18,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.netlist import OP_AND, Circuit, Gate, GateOp
+from repro.circuits.netlist import OP_AND, Gate, GateOp
 from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.gc import evaluate as evaluate_mod
 from repro.gc import garble as garble_mod
 from repro.gc import roles as roles_mod
 from repro.gc.backends import numpy_backend
 from repro.gc.channel import DIGEST_KIND
-from repro.gc.evaluate import evaluate_circuit, evaluate_circuit_batched
-from repro.gc.garble import garble_circuit, garble_circuit_batched
+from repro.gc.evaluate import evaluate_circuit_batched
+from repro.gc.garble import garble_circuit_batched
 from repro.gc.halfgate import tables_to_bytes
 from repro.gc.labels import ints_to_bytes, pack_bits
 from repro.gc.protocol import StreamedDriver, TwoPartySession
 from repro.workloads import get_workload
-from tests.conftest import random_circuit
+from tests.conftest import circuit_from_gates, random_circuit
+from tests.gc.oracles import evaluate_circuit, garble_circuit
 from tests.gc.session_oracle import run_oracle_session
 
 netlists = st.builds(
@@ -214,7 +215,7 @@ def test_streamed_sends_the_oracle_bytes_on_named_circuits(request, name):
 def test_streamed_matches_oracle_on_degenerate_shapes(
     n_garbler, n_evaluator, gates, outputs
 ):
-    circuit = Circuit.from_gates(n_garbler, n_evaluator, gates, outputs, "edge")
+    circuit = circuit_from_gates(n_garbler, n_evaluator, gates, outputs, "edge")
     for bits in range(1 << (n_garbler + n_evaluator)):
         g = [(bits >> i) & 1 for i in range(n_garbler)]
         e = [(bits >> (n_garbler + i)) & 1 for i in range(n_evaluator)]

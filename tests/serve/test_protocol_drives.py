@@ -27,14 +27,18 @@ import threading
 
 import pytest
 
-from repro.circuits.netlist import Circuit, Gate, GateOp
+from repro.circuits.netlist import Circuit, CircuitError, Gate, GateOp
 from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
+from repro.core.compiler import compile_circuit
 from repro.gc.channel import make_framed_pair
 from repro.gc.protocol import SessionResult, StreamedDriver, TwoPartySession
 from repro.gc.roles import EvaluatorRole, GarblerRole
 from repro.serve import PeerSocketWire, SessionMultiplexer, SessionSpec, Supervisor
 from repro.serve.procs import make_party_channels
+from repro.sim.config import HaacConfig
+from repro.sim.functional import run_functional
 from repro.workloads import get_workload
+from tests.conftest import circuit_from_gates
 from tests.gc.session_oracle import run_oracle_session
 from tests.gc.test_transcript_golden import GOLDEN_SESSIONS
 
@@ -45,11 +49,11 @@ SEED = 7
 
 def _xor_only() -> Circuit:
     gates = [Gate(GateOp.XOR, 0, 1, 2), Gate(GateOp.INV, 2, -1, 3)]
-    return Circuit.from_gates(1, 1, gates, [3], "xor-only")
+    return circuit_from_gates(1, 1, gates, [3], "xor-only")
 
 
 def _single_level(n_garbler=1, n_evaluator=1) -> Circuit:
-    return Circuit.from_gates(
+    return circuit_from_gates(
         n_garbler, n_evaluator, [Gate(GateOp.AND, 0, 1, 2)], [2], "one-and"
     )
 
@@ -305,22 +309,48 @@ class TestRoleContract:
                 adder_circuit, bits, seed=SEED, backend=None, **self._pair(),
             )
 
-    @pytest.mark.parametrize("value", [2, -1])
-    @pytest.mark.parametrize("party", ["garbler", "evaluator"])
-    @pytest.mark.parametrize("entry", ["run_streamed", "multiplexer", "supervisor"])
-    def test_every_entry_point_rejects_a_non_bit(
-        self, adder_circuit, entry, party, value
+    @pytest.mark.parametrize(
+        "party, change, message",
+        [
+            pytest.param(party, change, message, id=f"{party}-{change}")
+            for party in ("garbler", "evaluator")
+            for change, message in (
+                (2, "{} input bits must be 0 or 1"),
+                (-1, "{} input bits must be 0 or 1"),
+                ("arity", "wrong number of {} input bits"),
+            )
+        ],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        ["eval_plain", "run_functional", "run_streamed", "multiplexer", "supervisor"],
+    )
+    def test_every_executor_rejects_bad_inputs_alike(
+        self, adder_circuit, entry, party, change, message
     ):
-        """An input bit outside {0, 1} raises ``ValueError`` before any
-        message is sent or any session admitted.  Unchecked, a garbler
-        bit of 2 garbled as 1 while ``eval_plain`` read it as 0, and an
-        evaluator bit of 2 aborted the session mid-handshake."""
+        """A bit outside {0, 1} or a wrong bit count raises the one
+        :class:`CircuitError` of ``check_input_bits`` from every executor,
+        before any message is sent or any session admitted.  Unchecked, a
+        garbler bit of 2 garbled as 1 while ``eval_plain`` read it as 0,
+        and an evaluator bit of 2 aborted the session mid-handshake."""
         bits = dict(zip(("garbler", "evaluator"), _bits(adder_circuit)))
-        bits[party][0] = value
+        if change == "arity":
+            bits[party].append(0)
+        else:
+            bits[party][0] = change
         g, e = bits["garbler"], bits["evaluator"]
         mux, supervisor = SessionMultiplexer(), Supervisor(deadline_s=60.0, retries=0)
-        with pytest.raises(ValueError, match=f"{party} input bits must be 0 or 1"):
-            if entry == "run_streamed":
+        with pytest.raises(CircuitError, match=message.format(party)):
+            if entry == "eval_plain":
+                adder_circuit.eval_plain(g, e)
+            elif entry == "run_functional":
+                config = HaacConfig(n_ges=4, sww_bytes=64 * 16)
+                compiled = compile_circuit(
+                    adder_circuit, config.window, config.n_ges,
+                    params=config.schedule_params(),
+                )
+                run_functional(compiled.streams, g, e)
+            elif entry == "run_streamed":
                 TwoPartySession(adder_circuit, seed=SEED).run_streamed(g, e)
             elif entry == "multiplexer":
                 mux.submit(TwoPartySession(adder_circuit, seed=SEED), g, e)

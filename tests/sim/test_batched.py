@@ -12,6 +12,7 @@ structure, not just one circuit shape.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -216,7 +217,7 @@ class TestReplayRowsAtFullScale:
         2 KB SWW (4,503 levels; at the paper's 128 KB none of sweep_warm's
         programs evicts): every level evicts.  Three replay keys share
         one level replay, and each row equals its serial reference call."""
-        config = HaacConfig.paper_default().with_sww_bytes(sww_bytes)
+        config = replace(HaacConfig.paper_default(), sww_bytes=sww_bytes)
         built = get_workload(name).build_scaled()
         streams = compile_circuit(
             built.circuit, config.window, config.n_ges,

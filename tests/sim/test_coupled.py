@@ -13,6 +13,13 @@ from repro.sim.coupled import (
 from repro.sim.timing import simulate
 
 
+def slowdown(result: CoupledResult) -> float:
+    """Coupled cycles over the decoupled replay's (1.0 when both are 0)."""
+    if result.decoupled_cycles == 0:
+        return 1.0
+    return result.cycles / result.decoupled_cycles
+
+
 @pytest.fixture
 def compiled_and_config(mixed_circuit):
     config = HaacConfig(n_ges=4, sww_bytes=64 * 16)
@@ -29,13 +36,13 @@ class TestCoupled:
         coupled = coupled_runtime(
             result.streams, config, queue_bytes_per_ge=1 << 30
         )
-        assert coupled.slowdown_vs_decoupled == pytest.approx(1.0, abs=1e-9)
+        assert slowdown(coupled) == pytest.approx(1.0, abs=1e-9)
 
     def test_never_faster_than_decoupled(self, compiled_and_config):
         result, config = compiled_and_config
         for queue_bytes in (64, 1024, 1 << 20):
             coupled = coupled_runtime(result.streams, config, queue_bytes)
-            assert coupled.slowdown_vs_decoupled >= 1.0 - 1e-9
+            assert slowdown(coupled) >= 1.0 - 1e-9
 
     def test_smaller_queues_never_faster(self, compiled_and_config):
         result, config = compiled_and_config
@@ -60,7 +67,7 @@ class TestPullBased:
     def test_never_faster_than_decoupled(self, compiled_and_config):
         result, config = compiled_and_config
         pull = pull_based_runtime(result.streams, config)
-        assert pull.slowdown_vs_decoupled >= 1.0 - 1e-9
+        assert slowdown(pull) >= 1.0 - 1e-9
 
     def test_latency_scales_penalty(self, compiled_and_config):
         result, config = compiled_and_config
@@ -93,7 +100,7 @@ class TestCoupledResultInvariants:
     )
 
     def test_consistent_record_is_accepted(self):
-        assert CoupledResult(**self.FIELDS).slowdown_vs_decoupled == 1.2
+        assert slowdown(CoupledResult(**self.FIELDS)) == 1.2
 
     @pytest.mark.parametrize("field", ["cycles", "decoupled_cycles", "stall_cycles"])
     @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
@@ -114,4 +121,4 @@ class TestCoupledResultInvariants:
         record = CoupledResult(**{
             **self.FIELDS, "cycles": 0.0, "decoupled_cycles": 0.0, "stall_cycles": 0.0,
         })
-        assert record.slowdown_vs_decoupled == 1.0
+        assert slowdown(record) == 1.0

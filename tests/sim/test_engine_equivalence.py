@@ -33,6 +33,7 @@ from repro.core.compiler import OptLevel, compile_circuit
 from repro.sim.config import HaacConfig, Role
 from repro.sim.coupled import coupled_runtime, pull_based_runtime
 from repro.sim.timing import simulate
+from tests.sim.test_coupled import slowdown
 from repro.workloads import get_workload
 
 ALL_ENGINES = ("numpy", "reference")
@@ -297,7 +298,7 @@ class TestCoupledEquivalence:
         coupled = coupled_runtime(result.streams, config, queue_bytes_per_ge=1 << 40)
         decoupled = simulate(result.streams, config)
         assert coupled.cycles == pytest.approx(decoupled.runtime_cycles)
-        assert coupled.slowdown_vs_decoupled == pytest.approx(1.0)
+        assert slowdown(coupled) == pytest.approx(1.0)
 
 
 @pytest.mark.slow

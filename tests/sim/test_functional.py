@@ -118,8 +118,8 @@ class TestHardwareInvariants:
     def test_corrupted_table_changes_output(self, mixed_circuit, tiny_config, rng):
         """Flipping one garbled-table bit must corrupt the computation --
         the crypto path is real, not a pass-through."""
-        from repro.gc.garble import garble_circuit
         from repro.gc.halfgate import GarbledTable
+        from tests.gc.oracles import garble_circuit
 
         result = _compile(mixed_circuit, tiny_config, OptLevel.RO_RN_ESW)
         g = [rng.randint(0, 1) for _ in range(mixed_circuit.n_garbler_inputs)]

@@ -17,6 +17,7 @@ from repro.sim.config import HaacConfig
 from repro.sim.dram import HBM2
 from repro.store import ResultStore, config_signature, result_key
 from repro.store.resultstore import _SIGNATURE_FIELDS
+from tests.conftest import entry_count
 
 DIGEST = "a" * 64
 SIG = "b" * 64
@@ -53,7 +54,7 @@ class TestRoundTrip:
         _put(store, payload={"v": 2}, schema="repro.b/v1")
         assert store.get(DIGEST, SIG, "repro.a/v1") == {"v": 1}
         assert store.get(DIGEST, SIG, "repro.b/v1") == {"v": 2}
-        assert store.entry_count() == 2
+        assert entry_count(store) == 2
 
     def test_entry_envelope_is_unchanged(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -15,6 +15,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core.progcache import CACHE_SCHEMA
 from repro.store import STORE_ENV_VAR, STORE_SCHEMA, ResultStore
+from tests.conftest import entry_count
 
 BUNDLE = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -164,7 +165,7 @@ def test_store_clear_removes_everything(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["store", "clear", "--dir", str(root)]) == 0
     assert f"removed {N_BUNDLED} stored results" in capsys.readouterr().out
-    assert ResultStore(root).entry_count() == 0
+    assert entry_count(ResultStore(root)) == 0
 
 
 def test_store_dir_defaults_to_the_environment(tmp_path, capsys, monkeypatch):
@@ -186,7 +187,7 @@ def test_experiments_served_from_a_warm_store(tmp_path, capsys):
     argv = ["experiments", "table3", "fig9", "--quick"]
     assert cli_main(argv + ["--store", str(root)]) == 0
     warm = capsys.readouterr().out
-    assert ResultStore(root).entry_count() == N_BUNDLED
+    assert entry_count(ResultStore(root)) == N_BUNDLED
     assert cli_main(argv) == 0
     assert capsys.readouterr().out == warm
 
@@ -200,6 +201,6 @@ def test_every_experiment_served_from_a_warm_store(tmp_path, capsys):
     argv = ["experiments", "all", "--quick", "--store", str(root)]
     assert cli_main(argv) == 0
     first = capsys.readouterr().out
-    assert ResultStore(root).entry_count() == N_BUNDLED
+    assert entry_count(ResultStore(root)) == N_BUNDLED
     assert cli_main(argv) == 0
     assert capsys.readouterr().out == first

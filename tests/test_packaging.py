@@ -26,9 +26,7 @@ REMOVED_PARAMETERS = [
     *[
         (module, name, "rekeyed")
         for module, name in (
-            ("repro.gc.garble", "garble_circuit"),
             ("repro.gc.garble", "garble_circuit_batched"),
-            ("repro.gc.evaluate", "evaluate_circuit"),
             ("repro.gc.evaluate", "evaluate_circuit_batched"),
             ("repro.gc.hashing", "GateHasher"),
             ("repro.gc.protocol", "TwoPartySession"),
@@ -55,7 +53,58 @@ REMOVED_PARAMETERS = [
     ("repro.analysis.dataprovider", "DataProvider", "prog_cache"),
     ("repro.core.program", "HaacProgram.validate", "oor_allowed"),
     ("repro.serve.service", "SessionService.signals_handled", "signums"),
+    # The receiver learns the sender's key from its reply step, points().
+    ("repro.gc.ot", "OtReceiver", "sender_public"),
 ]
+
+#: ``src/`` definitions that nothing in ``src/``, ``perf/`` or
+#: ``examples/`` references and that stay anyway: a path prefix under
+#: ``src/repro/`` (or ``path:qualname``) mapped to its reason.  At most
+#: :data:`MAX_ALLOWLIST` entries, each with one of :data:`ALLOWLIST_REASONS`.
+ALLOWLIST_REASONS = (
+    "`perf/` calls it, ROADMAP item 16", "platform fallback",
+    "library: the circuit combinators netlists are built from",
+)
+REACHABILITY_ALLOWLIST = {"circuits/stdlib/": ALLOWLIST_REASONS[2]}
+MAX_ALLOWLIST = 15
+
+
+def _unreferenced_definitions():
+    """``path:qualname`` (path under ``src/repro/``) of every function,
+    class and method under ``src/`` whose name nothing in ``src/``,
+    ``perf/`` or ``examples/`` references.  A reference is a ``Name``,
+    an ``Attribute`` or a name imported outside an ``__init__.py``;
+    strings and package re-exports do not count.  Dunder methods are
+    called implicitly and are skipped."""
+    seen = set()
+    for top in ("src", "perf", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    seen.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    seen.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                    seen.update(alias.name for alias in node.names)
+    unreferenced = []
+    package = ROOT / "src" / "repro"
+
+    def visit(body, where, owner):
+        for node in body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not dunder and node.name not in seen:
+                unreferenced.append(f"{where}:{owner}{node.name}")
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, where, f"{owner}{node.name}.")
+
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree.body, path.relative_to(package).as_posix(), "")
+    return unreferenced
 
 #: The environment variables ``src/`` may read: each names a directory or
 #: a file.  A behaviour switch read from the environment is not allowed.
@@ -353,6 +402,61 @@ class TestRetiredApi:
                 "_FORK_WARNING",
             )
         ],
+        # Oracles and fixtures that no entry point runs: moved to tests/
+        # (tests/gc/oracles.py, tests/core/scalar_isa.py, tests/conftest.py)
+        # or deleted with the tests of their own behaviour.
+        *[
+            (module, name)
+            for module in ("repro.gc", "repro.gc.garble")
+            for name in ("garble_circuit",)
+        ],
+        *[
+            (module, name)
+            for module in ("repro.gc", "repro.gc.evaluate")
+            for name in ("evaluate_circuit",)
+        ],
+        *[
+            (module, name)
+            for module in ("repro.gc", "repro.gc.halfgate")
+            for name in ("garble_and", "garble_xor", "garble_not", "eval_not")
+        ],
+        *[
+            (module, name)
+            for module in ("repro.gc", "repro.gc.aes")
+            for name in (
+                "decrypt_block", "encrypt_block_reference", "aes128", "INV_S_BOX",
+                "_block_to_state", "_state_to_block", "_add_round_key",
+                "_sub_bytes", "_shift_rows", "_inv_shift_rows", "_mix_columns",
+                "_inv_mix_columns",
+            )
+        ],
+        *[
+            (module, name)
+            for module in ("repro.gc", "repro.gc.labels")
+            for name in (
+                "LabelPair", "GlobalOffset", "xor_labels", "label_to_bytes",
+                "bytes_to_label",
+            )
+        ],
+        ("repro.gc", "run_ot"),
+        ("repro.gc.ot", "run_ot"),
+        ("repro.gc", "fixed_key_hash"),
+        ("repro.gc.hashing", "fixed_key_hash"),
+        *[
+            (module, name)
+            for module, names in (
+                ("repro.baselines", ("cpu_gc_time_s", "plaintext_time_s")),
+                ("repro.baselines.cpu_model", ("cpu_gc_time_s",)),
+                ("repro.baselines.plaintext", ("plaintext_time_s",)),
+                ("repro.core", ("InstructionEncoding",)),
+                ("repro.core.isa", ("InstructionEncoding", "encode_fields")),
+                ("repro.sim", ("compute_traffic",)),
+                ("repro.sim.timing", ("compute_traffic", "compute_traffic_batch")),
+                ("repro.workloads", ("iter_workloads",)),
+                ("repro.workloads.registry", ("iter_workloads",)),
+            )
+            for name in names
+        ],
     ])
     def test_name_gone(self, module, name):
         module = importlib.import_module(module)
@@ -366,8 +470,41 @@ class TestRetiredApi:
         ("repro.workloads.base", "Workload", "build_paper_scale"),
         ("repro.baselines.cpu_model", "CpuCostModel", "garble_time_s"),
         ("repro.core.isa", "HaacOp", "is_gate"),
-        ("repro.gc.labels", "LabelPair", "permute_bit"),
         ("repro.gc.garble", "Garbler", "wire_label"),
+        # The per-bit OT and the odd-block draw: the oracles' own
+        # (tests/gc/oracles.py).
+        ("repro.gc.ot", "OtSender", "encrypt"),
+        ("repro.gc.ot", "OtReceiver", "choose"),
+        ("repro.gc.ot", "OtReceiver", "decrypt"),
+        ("repro.gc.rng", "LabelPrg", "next_odd_block"),
+        # Unreached helpers: moved to the tests that used them, or gone.
+        ("repro.gc.hashing", "GateHasher", "reset"),
+        ("repro.gc.garble", "GarbledCircuit", "table_bytes"),
+        ("repro.gc.channel", "FramedPair", "traffic_report"),
+        ("repro.circuits.netlist", "Gate", "eval"),
+        ("repro.circuits.netlist", "CircuitStats", "as_row"),
+        ("repro.circuits.netlist", "Circuit", "fanout"),
+        ("repro.circuits.netlist", "Circuit", "from_gates"),
+        ("repro.circuits.stdlib.float", "FloatFormat", "ref_relu"),
+        ("repro.core.isa", "Instruction", "oor_operands"),
+        ("repro.core.passes.esw", "EswReport", "live_pct"),
+        ("repro.core.passes.streams", "GeStreams", "encode_machine_words"),
+        ("repro.core.sww", "SlidingWindow", "window_end"),
+        ("repro.core.sww", "SlidingWindow", "contains"),
+        ("repro.core.sww", "SlidingWindow", "eviction_frontier"),
+        ("repro.faults.errors", "RecoveryLog", "signature"),
+        ("repro.faults.plan", "FaultPlan", "reset"),
+        ("repro.faults.plan", "FaultPlan", "signature"),
+        ("repro.hwmodel.area", "AreaBreakdown", "total_with_phy"),
+        ("repro.hwmodel.power", "PowerBreakdown", "total_with_phy"),
+        ("repro.sim.config", "HaacConfig", "with_ges"),
+        ("repro.sim.config", "HaacConfig", "with_sww_bytes"),
+        ("repro.sim.config", "HaacConfig", "paper_hbm"),
+        ("repro.sim.coupled", "CoupledResult", "slowdown_vs_decoupled"),
+        ("repro.sim.dram", "DramSpec", "seconds_for"),
+        ("repro.sim.stats", "SimResult", "gates_per_second"),
+        ("repro.store.entries", "EntryStore", "entry_count"),
+        ("repro.workloads.base", "Workload", "scaled_plaintext_ops"),
     ])
     def test_method_gone(self, module, cls, name):
         owner = getattr(importlib.import_module(module), cls)
@@ -463,6 +600,31 @@ class TestRetiredApi:
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+class TestReachability:
+    """``src/`` holds what an entry point runs: an oracle or a fixture
+    only a test uses lives under ``tests/``."""
+
+    def test_every_src_definition_is_referenced(self):
+        unreached = [
+            name for name in _unreferenced_definitions()
+            if not any(name.startswith(entry) for entry in REACHABILITY_ALLOWLIST)
+        ]
+        assert not unreached, (
+            "defined under src/ but referenced by nothing in src/, perf/ or "
+            f"examples/ (move it to tests/ or delete it): {unreached}"
+        )
+
+    def test_allowlist_is_short_reasoned_and_live(self):
+        assert len(REACHABILITY_ALLOWLIST) <= MAX_ALLOWLIST
+        assert set(REACHABILITY_ALLOWLIST.values()) <= set(ALLOWLIST_REASONS)
+        unreached = _unreferenced_definitions()
+        stale = [
+            entry for entry in REACHABILITY_ALLOWLIST
+            if not any(name.startswith(entry) for name in unreached)
+        ]
+        assert not stale, f"allowlist entries that cover nothing: {stale}"
 
 
 class TestPyproject:

@@ -78,7 +78,7 @@ class TestRegistry:
 
     def test_plaintext_ops_positive(self):
         for workload in WORKLOADS.values():
-            assert workload.scaled_plaintext_ops() > 0
+            assert workload.plaintext_ops(**workload.scaled_params) > 0
 
 
 @pytest.mark.parametrize("name", PAPER_ORDER)
