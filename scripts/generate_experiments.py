@@ -26,7 +26,7 @@ HEADER = """\
 Generated by `python scripts/generate_experiments.py`.  Every table and
 figure of HAAC's evaluation (ISCA 2023) is regenerated by the drivers in
 `repro.analysis.experiments` (also exposed as `python -m repro
-experiments <id>`); the paper's claims are asserted over the same rows
+figures <id>`); the paper's claims are asserted over the same rows
 in `tests/analysis/test_paper_claims.py`.
 
 ## Scaling and calibration (read first)

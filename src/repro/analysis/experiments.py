@@ -1,7 +1,7 @@
 """One driver per paper table/figure (the per-experiment index of DESIGN.md).
 
 Every function returns structured data plus a rendered text block, so
-``repro experiments``, the figure pipeline in
+``repro figures`` (text or ``--emit``), the figure pipeline in
 :mod:`repro.analysis.figures` and the paper-claim assertions in
 ``tests/analysis/test_paper_claims.py`` all read the same rows.
 

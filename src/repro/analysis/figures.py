@@ -67,8 +67,8 @@ def _run(name: str, driver: Callable[..., ExperimentResult]):
 
 
 #: name -> callable(provider, quick) -> ExperimentResult, in paper order.
-#: The single registry: ``repro experiments``, ``repro figures``, the
-#: figure pipeline and the golden-file tests all iterate over it.
+#: The single registry: ``repro figures``, the figure pipeline and the
+#: golden-file tests all iterate over it.
 EXPERIMENT_DRIVERS: Dict[str, Callable[[DataProvider, bool], ExperimentResult]] = {
     "table1": _run("table1", exp.table1_ppc_comparison),
     "table2": _run("table2", exp.table2_characteristics),

@@ -46,6 +46,7 @@ __all__ = [
     "CircuitStats",
     "CircuitError",
     "check_input_bits",
+    "asap_wire_levels",
     "AndLevelPlan",
     "ColumnView",
     "column_view",
@@ -412,10 +413,7 @@ class Circuit:
 
     def wire_levels(self) -> List[int]:
         """ASAP dependence level of every wire (inputs are level 0)."""
-        level = [0] * self.n_wires
-        for a, b, out in zip(self.a, self.b, self.out):
-            level[out] = 1 + max(level[a], level[b] if b >= 0 else 0)
-        return level
+        return asap_wire_levels(self.n_wires, self.a, self.b, self.out)
 
     def gate_levels(self) -> List[int]:
         """ASAP dependence level of every gate, 1-based like the paper."""
@@ -550,6 +548,23 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.op)
+
+
+def asap_wire_levels(
+    n_wires: int, a_of: Sequence[int], b_of: Sequence[int], out_of: Sequence[int]
+) -> List[int]:
+    """ASAP dependence level of every wire id (inputs are level 0) of the
+    gate columns ``a_of`` / ``b_of`` / ``out_of`` (``b < 0``: no operand)."""
+    level = [0] * n_wires
+    # Sequential by nature: a gate's level needs its operands' first.
+    for a, b, out in zip(a_of, b_of, out_of):
+        la = level[a]
+        if b >= 0:
+            lb = level[b]
+            if lb > la:
+                la = lb
+        level[out] = la + 1
+    return level
 
 
 def check_input_bits(circuit: Circuit, party: str, bits: Sequence[int]) -> None:

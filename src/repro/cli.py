@@ -2,7 +2,6 @@
 
 Subcommands:
 
-* ``experiments`` -- regenerate any of the paper's tables/figures;
 * ``workloads``   -- list the VIP-Bench workloads or show one circuit;
 * ``compile``     -- run the compiler on a workload and report each
   configuration's schedule/traffic;
@@ -10,8 +9,8 @@ Subcommands:
 * ``protocol``    -- run the real two-party millionaires' demo;
 * ``serve``       -- multiplex N concurrent streamed sessions on one
   scheduler and report per-session service metrics;
-* ``figures``     -- write the committed CSV + Vega-Lite artifacts of the
-  tables/figures into ``--emit DIR``;
+* ``figures``     -- print the paper's tables/figures as text, or write
+  their committed CSV + Vega-Lite artifacts into ``--emit DIR``;
 * ``store``       -- inspect, prune or clear the content-addressed stores
   (compiled programs and experiment results); merge or bundle results.
 
@@ -22,7 +21,7 @@ asserted over the experiment rows in ``tests/analysis/test_paper_claims.py``.
 ``compile`` and ``simulate`` accept ``--cache [DIR]`` to reuse compiled
 programs across invocations (warm sweeps skip the compiler); the
 ``REPRO_PROG_CACHE`` environment variable does the same globally.
-``experiments``/``figures`` accept ``--store [DIR]`` (or
+``figures`` accepts ``--store [DIR]`` (or
 ``REPRO_RESULT_STORE``) to serve previously-computed grid points from
 the content-addressed result store instead of recompiling/replaying.
 """
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .analysis.figures import EXPERIMENT_DRIVERS
 from .analysis.report import render_table
@@ -58,27 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="HAAC (ISCA 2023) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_exp = sub.add_parser("experiments", help="regenerate paper tables/figures")
-    p_exp.add_argument(
-        "which",
-        nargs="*",
-        default=["all"],
-        help=f"experiment ids ({', '.join(EXPERIMENT_DRIVERS)}) or 'all'",
-    )
-    p_exp.add_argument(
-        "--quick", action="store_true", help="3-workload subset where supported"
-    )
-    p_exp.add_argument(
-        "--store",
-        nargs="?",
-        const=True,
-        default=None,
-        metavar="DIR",
-        help="content-addressed result store: flag alone for the default "
-        "directory, or DIR; cached design points are served without "
-        "recompiling/replaying (default: $REPRO_RESULT_STORE)",
-    )
 
     p_wl = sub.add_parser("workloads", help="list or inspect workloads")
     p_wl.add_argument("name", nargs="?", help="workload to inspect")
@@ -150,14 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "slots+queue is rejected with ServiceSaturated",
     )
     p_srv.add_argument(
-        "--window",
-        type=int,
-        default=1,
-        metavar="L",
-        help="max garbled-but-unevaluated AND levels in flight per "
-        "session (per-session backpressure)",
-    )
-    p_srv.add_argument(
         "--transport",
         choices=["memory", "process"],
         default="memory",
@@ -209,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_f = sub.add_parser(
         "figures",
-        help="write version-controlled Vega-Lite JSON + CSV of every "
-        "artifact into --emit DIR",
+        help="print the paper's tables/figures as text, or write their "
+        "CSV + Vega-Lite artifacts into --emit DIR",
     )
     # No argparse choices= here: a positional with nargs="*" plus
     # choices rejects the empty (default) invocation; validated in
@@ -218,16 +188,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_f.add_argument(
         "which",
         nargs="*",
-        help=f"artifacts to emit ({', '.join(EXPERIMENT_DRIVERS)}; "
+        help=f"tables/figures ({', '.join(EXPERIMENT_DRIVERS)}; "
         "default: all)",
     )
-    p_f.add_argument("--full", action="store_true", help="all 8 workloads")
+    p_f.add_argument(
+        "--full", action="store_true",
+        help="all 8 workloads (default: the 3-workload quick subset)",
+    )
     p_f.add_argument(
         "--emit",
-        required=True,
+        default=None,
         metavar="DIR",
         help="write <name>.csv for every table/figure and <name>.vl.json "
-        "for the figures into DIR",
+        "for the figures into DIR instead of printing the text tables",
     )
     p_f.add_argument(
         "--store",
@@ -235,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
         const=True,
         default=None,
         metavar="DIR",
-        help="content-addressed result store backing the DataProvider "
-        "(default: $REPRO_RESULT_STORE)",
+        help="content-addressed result store: flag alone for the default "
+        "directory, or DIR; cached design points are served without "
+        "recompiling/replaying (default: $REPRO_RESULT_STORE)",
     )
 
     p_st = sub.add_parser(
@@ -277,26 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         "adopt the source's",
     )
     return parser
-
-
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    from .analysis.dataprovider import DataProvider
-
-    which: List[str] = args.which
-    if which == ["all"]:
-        which = list(EXPERIMENT_DRIVERS)
-    unknown = [name for name in which if name not in EXPERIMENT_DRIVERS]
-    if unknown:
-        print(f"unknown experiments: {unknown}", file=sys.stderr)
-        return 2
-    # One provider across the run: design points shared between tables
-    # and figures compile/replay once, and --store serves repeat runs
-    # from disk.
-    provider = DataProvider(store=args.store)
-    for name in which:
-        print(EXPERIMENT_DRIVERS[name](provider, args.quick).render())
-        print()
-    return 0
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
@@ -459,7 +413,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = SessionMultiplexer(
             max_concurrent=args.concurrency,
             max_pending=args.pending,
-            max_inflight_levels=args.window,
         )
 
         def submit(index, garbler_bits, evaluator_bits, faults):
@@ -527,7 +480,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
          "Levels", "Recoveries", "Attempts"],
         rows,
         title=f"{len(handles)} sessions x {args.width}-bit millionaires "
-        f"({args.concurrency} slots, window {args.window}, "
+        f"({args.concurrency} slots, "
         f"{args.transport} wire)",
     ))
     summary = stats.summary()
@@ -579,12 +532,19 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown figures: {unknown}", file=sys.stderr)
         return 2
+    # One provider across the run: design points shared between tables
+    # and figures compile/replay once, and --store serves repeat runs
+    # from disk.
+    provider = DataProvider(store=args.store)
+    quick = not args.full
+    if args.emit is None:
+        for name in args.which or EXPERIMENT_DRIVERS:
+            print(EXPERIMENT_DRIVERS[name](provider, quick).render())
+            print()
+        return 0
     # No names ([]) means "emit everything", not "nothing".
     written = emit_all(
-        Path(args.emit),
-        provider=DataProvider(store=args.store),
-        quick=not args.full,
-        only=args.which or None,
+        Path(args.emit), provider=provider, quick=quick, only=args.which or None,
     )
     for path in written:
         print(f"wrote {path}")
@@ -662,7 +622,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "experiments": _cmd_experiments,
     "workloads": _cmd_workloads,
     "compile": _cmd_compile,
     "simulate": _cmd_simulate,

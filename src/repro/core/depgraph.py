@@ -48,7 +48,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..circuits.netlist import OP_AND, Circuit, CircuitError, column_view, int_column
+from ..circuits.netlist import (
+    OP_AND, Circuit, CircuitError, asap_wire_levels, column_view, int_column,
+)
 
 __all__ = [
     "DepGraph",
@@ -118,21 +120,13 @@ class DepGraph:
 
     @cached_property
     def wire_level(self) -> List[int]:
-        """ASAP level per wire id (inputs 0) -- Circuit.wire_levels.
+        """ASAP level per wire id (inputs 0): :func:`asap_wire_levels`.
 
         Per-wire-id, so a gate *permutation* of the same netlist has the
         identical array; the reorder passes exploit that by seeding the
         permuted circuit's graph with the source's levels.
         """
-        level = [0] * self.n_wires
-        # Sequential by nature: a gate's level needs its operands' first.
-        for a, b, out in zip(self.a_of, self.b_of, self.out_of):
-            la = level[a]
-            if b >= 0:
-                lb = level[b]
-                if lb > la:
-                    la = lb
-            level[out] = la + 1
+        level = asap_wire_levels(self.n_wires, self.a_of, self.b_of, self.out_of)
         _counts["levels"] += 1
         return level
 

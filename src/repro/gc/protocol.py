@@ -195,15 +195,10 @@ class StreamedDriver:
     evaluated, or every finish turn (decode, output exchange,
     transcript-digest verification) plus the result build -- so a session
     of ``L`` levels takes ``2 * L + 2`` steps.  Within a multi-turn step
-    the garbler moves first and the roles alternate.
-
-    ``max_inflight_levels`` bounds how many garbled-but-not-yet-evaluated
-    AND levels may sit on the wire before the driver switches to
-    evaluating (per-session backpressure against the retransmit-buffer
-    and reassembly-window growth).  Any window produces bit-identical
-    transcripts: the per-direction message order is the same as the
-    window-1 lockstep drive, only the interleaving across directions
-    shifts.
+    the garbler moves first and the roles alternate.  The level steps
+    run in lockstep: the garbler garbles the next level only once the
+    evaluator has evaluated the last one, so at most one garbled level
+    sits on the wire.
 
     After a raised fault the driver is ``done`` with ``result`` still
     ``None``.
@@ -214,13 +209,8 @@ class StreamedDriver:
         session: "TwoPartySession",
         garbler_bits: Sequence[int],
         evaluator_bits: Sequence[int],
-        *,
-        max_inflight_levels: int = 1,
     ) -> None:
-        if max_inflight_levels < 1:
-            raise ValueError("max_inflight_levels must be >= 1")
         self.session = session
-        self.max_inflight_levels = max_inflight_levels
         self.log = RecoveryLog()
         self.plan = resolve_fault_plan(
             session.faults, FRAME_FAULTS, "an in-process session"
@@ -298,11 +288,10 @@ class StreamedDriver:
             evaluator.started_at = time.perf_counter()
             self._alternate(HANDSHAKE)
             return
-        in_flight = garbler.levels_done - evaluator.levels_done
-        if garbler.next_turn == LEVEL and in_flight < self.max_inflight_levels:
-            garbler.take_turn()
-        elif in_flight:
+        if evaluator.levels_done < garbler.levels_done:
             evaluator.take_turn()
+        elif garbler.next_turn == LEVEL:
+            garbler.take_turn()
         else:
             self._alternate(FINISH)
             self.result = SessionResult.from_reports(

@@ -11,7 +11,7 @@ AES-CTR pseudo-random generator built on the from-scratch AES of
 A session's draws are known before its first message (labels, base-OT
 seeds, receiver secrets), so bulk draws go through
 :meth:`LabelPrg.next_blocks`: one array AES-CTR call on the block
-backend, the scalar :meth:`LabelPrg.next_block` loop without one.
+backend, or the scalar :meth:`LabelPrg.next_block` loop for a short draw.
 """
 
 from __future__ import annotations
@@ -63,15 +63,14 @@ class LabelPrg:
         self._counter += 1
         return value
 
-    def next_blocks(self, count: int, backend=None) -> List[int]:
+    def next_blocks(self, count: int, backend) -> List[int]:
         """``[self.next_block() for _ in range(count)]``.
 
-        Given a ``backend`` and from :data:`_CTR_BATCH_MIN`
-        blocks up, the counter blocks are encrypted by one
-        ``backend.encrypt_blocks`` call under the broadcast key
-        schedule; otherwise the scalar loop runs.
+        From :data:`_CTR_BATCH_MIN` blocks up, the counter blocks are
+        encrypted by one ``backend.encrypt_blocks`` call under the
+        broadcast key schedule; below it the scalar loop runs.
         """
-        if count < _CTR_BATCH_MIN or backend is None:
+        if count < _CTR_BATCH_MIN:
             return [self.next_block() for _ in range(count)]
         start = self._counter
         self._counter += count

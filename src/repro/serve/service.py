@@ -540,21 +540,11 @@ class SessionMultiplexer(SessionService):
       or packed next to healthy neighbours.
 
     A driver cannot be restarted, so the retry budget is 0: a fault is
-    final.  ``max_inflight_levels`` is each driver's window of
-    garbled-but-unevaluated AND levels (per-session backpressure).
+    final.
     """
 
-    def __init__(
-        self,
-        *,
-        max_concurrent: int = 4,
-        max_pending: int = 8,
-        max_inflight_levels: int = 1,
-    ) -> None:
-        if max_inflight_levels < 1:
-            raise ValueError("max_inflight_levels must be >= 1")
+    def __init__(self, *, max_concurrent: int = 4, max_pending: int = 8) -> None:
         super().__init__(max_concurrent=max_concurrent, max_pending=max_pending)
-        self.max_inflight_levels = max_inflight_levels
 
     def submit(
         self,
@@ -563,7 +553,6 @@ class SessionMultiplexer(SessionService):
         evaluator_bits: Sequence[int],
         *,
         session_id: Optional[str] = None,
-        max_inflight_levels: Optional[int] = None,
     ) -> SessionHandle:
         """Admit one session (or raise :class:`ServiceSaturated`).
 
@@ -573,16 +562,7 @@ class SessionMultiplexer(SessionService):
         ``ValueError`` without admitting it.
         """
         self._check_capacity()
-        driver = StreamedDriver(
-            session,
-            garbler_bits,
-            evaluator_bits,
-            max_inflight_levels=(
-                self.max_inflight_levels
-                if max_inflight_levels is None
-                else max_inflight_levels
-            ),
-        )
+        driver = StreamedDriver(session, garbler_bits, evaluator_bits)
         return self._enqueue(driver, driver.plan, session_id)
 
     def _poll(self, handle: SessionHandle, now: float) -> object:

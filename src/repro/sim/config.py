@@ -3,8 +3,9 @@
 Defaults mirror the paper's evaluated design point: 16 GEs at 1 GHz, a
 2 MB SWW at 2 GHz with 4 banks per GE, DDR4-4400 (35.2 GB/s) or HBM2
 (512 GB/s), Evaluator Half-Gate pipeline of 18 stages (Garbler 21),
-single-cycle FreeXOR, 3-cycle SWW reads, 2-cycle write-back, and 64 KB
-of queue SRAM per accelerator.
+single-cycle FreeXOR, 2-cycle write-back, and 64 KB of queue SRAM per
+accelerator.  The paper's 3-cycle SWW read has no field: no timing,
+traffic or energy model here charges it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class HaacConfig:
     evaluator_and_stages: int = 18
     garbler_and_stages: int = 21
     xor_latency: int = 1
-    sww_read_stages: int = 3
     writeback_stages: int = 2
     cross_ge_forward: int = 1
     queue_sram_bytes: int = 64 * 1024
@@ -62,9 +62,8 @@ class HaacConfig:
 
     def __post_init__(self) -> None:
         check_at_least(self, n_ges=1, banks_per_ge=1, evaluator_and_stages=1,
-                       garbler_and_stages=1, xor_latency=1, sww_read_stages=0,
-                       writeback_stages=0, cross_ge_forward=0,
-                       queue_sram_bytes=0, instr_bytes=1)
+                       garbler_and_stages=1, xor_latency=1, writeback_stages=0,
+                       cross_ge_forward=0, queue_sram_bytes=0, instr_bytes=1)
         check_finite_positive(self, "ge_clock_hz", "sww_clock_hz")
         if self.sww_bytes < 4 * WIRE_BYTES:
             raise ValueError("SWW too small")

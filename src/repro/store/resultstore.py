@@ -72,8 +72,9 @@ STORE_ENV_VAR = "REPRO_RESULT_STORE"
 STORE_SCHEMA = 1
 BUNDLE_SCHEMA = "repro.resultstore.bundle/v1"
 
-#: HaacConfig fields that change simulated numbers.  Software-substrate
-#: selection fields are excluded on purpose (see module docstring).
+#: HaacConfig fields that change simulated numbers, in hashing order.
+#: Software-substrate selection fields are excluded on purpose (see
+#: module docstring).
 _SIGNATURE_FIELDS = (
     "n_ges",
     "sww_bytes",
@@ -90,6 +91,9 @@ _SIGNATURE_FIELDS = (
     "instr_bytes",
     "model_bank_conflicts",
 )
+#: Deleted fields still hashed at their last value, in their old place
+#: of :data:`_SIGNATURE_FIELDS`, so that no stored key moves.
+_RETIRED_FIELDS = {"sww_read_stages": 3}
 
 
 def config_signature(config: "HaacConfig") -> str:
@@ -101,7 +105,10 @@ def config_signature(config: "HaacConfig") -> str:
     """
     parts = ["repro.configsig/v1"]
     for name in _SIGNATURE_FIELDS:
-        value = getattr(config, name)
+        if name in _RETIRED_FIELDS:
+            value = _RETIRED_FIELDS[name]
+        else:
+            value = getattr(config, name)
         parts.append(f"{name}={value!r}")
     parts.append(f"dram={config.dram.name}:{config.dram.bandwidth_gb_s!r}")
     parts.append(f"role={config.role.value}")

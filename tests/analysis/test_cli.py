@@ -26,9 +26,11 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_experiment_defaults(self):
-        args = build_parser().parse_args(["experiments"])
-        assert args.which == ["all"]
-        assert not args.quick
+        # No names means every driver, at quick scale, printed as text.
+        args = build_parser().parse_args(["figures"])
+        assert args.which == []
+        assert not args.full
+        assert args.emit is None
 
     def test_simulate_flags(self):
         args = build_parser().parse_args(
@@ -82,15 +84,15 @@ class TestCommands:
         assert "ILP" in out
 
     def test_experiments_table1(self, capsys):
-        assert main(["experiments", "table1"]) == 0
+        assert main(["figures", "table1"]) == 0
         assert "GCs" in capsys.readouterr().out
 
     def test_experiments_table4(self, capsys):
-        assert main(["experiments", "table4"]) == 0
+        assert main(["figures", "table4"]) == 0
         assert "Half-Gate" in capsys.readouterr().out
 
     def test_experiments_unknown(self, capsys):
-        assert main(["experiments", "table99"]) == 2
+        assert main(["figures", "table99"]) == 2
 
     def test_compile_command(self, capsys):
         assert main(["compile", "Merse", "--ges", "2", "--sww-kb", "8"]) == 0

@@ -2,7 +2,7 @@
 
 Every table/figure test reads its :class:`ExperimentResult` through
 :data:`repro.analysis.figures.EXPERIMENT_DRIVERS` -- the registry
-``repro experiments`` and ``repro figures --emit`` iterate -- with one
+``repro figures`` iterates (with or without ``--emit``) -- with one
 module-scoped :class:`DataProvider` over a scratch result store, so a
 design point shared by two figures is replayed once, and no claim
 recomputes a number privately.  Tests are named ``test_<driver key>_...`` (enforced by

@@ -144,7 +144,7 @@ def _bases(pairs):
 
 def _drive(name, circuit):
     if name == "fused":
-        return _fused(circuit, "auto", window=1)
+        return _fused(circuit, "auto")
     return _split_over_threads(circuit, "auto")
 
 

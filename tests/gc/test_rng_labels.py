@@ -46,8 +46,8 @@ class TestPrg:
 
 
 class TestNextBlocks:
-    """``next_blocks`` is the scalar ``next_block`` loop, with or without
-    the block backend."""
+    """``next_blocks`` is the scalar ``next_block`` loop, on either side
+    of the block-backend threshold."""
 
     @pytest.mark.parametrize("backend", ["numpy"])
     @pytest.mark.parametrize(
@@ -58,10 +58,10 @@ class TestNextBlocks:
         prg = LabelPrg(42)
         assert drawn == [prg.next_block() for _ in range(count)]
 
-    @pytest.mark.parametrize("backend", ["numpy", None])
+    @pytest.mark.parametrize("backend", ["numpy"])
     @pytest.mark.parametrize("seed", [7, 1 << 200])
     def test_interleaved_draws_across_2_32(self, backend, seed):
-        resolved = None if backend is None else resolve_backend(backend)
+        resolved = resolve_backend(backend)
         batched, scalar = oracles.LabelPrg(seed), oracles.LabelPrg(seed)
         # The counter is a 128-bit block: start just below a carry into
         # its second word so the 40-block draw crosses it.

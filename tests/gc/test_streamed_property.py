@@ -3,11 +3,12 @@
 Two independent implementations bracket the per-level kernels of the
 block label stores (``gc/garble.py`` / ``gc/evaluate.py``): the
 plaintext evaluator and the per-gate ``garble_circuit`` /
-``evaluate_circuit`` walk of ``tests/gc/oracles.py``.  Whatever the netlist, window or hash mode,
-the streamed session and the level-looped batched engines must land on
-exactly what they say -- and the streamed session must put on the wire
-exactly the messages the per-gate exchange of ``session_oracle``
-produces, without converting a single label on the level path.
+``evaluate_circuit`` walk of ``tests/gc/oracles.py``.  Whatever the
+netlist or backend spelling, the streamed session and the level-looped
+batched engines must land on exactly what they say -- and the streamed
+session must put on the wire exactly the messages the per-gate
+exchange of ``session_oracle`` produces, without converting a single
+label on the level path.
 """
 
 from __future__ import annotations
@@ -56,28 +57,16 @@ def _input_bits(seed, circuit):
     )
 
 
-def _streamed(circuit, g, e, seed, backend, window):
-    session = TwoPartySession(circuit, seed=seed, backend=backend)
-    driver = StreamedDriver(session, g, e, max_inflight_levels=window)
-    while not driver.step():
-        pass
-    return driver.result
-
-
 @settings(max_examples=25, deadline=None)
-@given(
-    netlist=netlists,
-    window=st.sampled_from([1, 2, 7]),
-    backend=st.sampled_from([None, "auto"]),
-)
-def test_streamed_session_matches_plaintext_at_any_window(netlist, window, backend):
+@given(netlist=netlists, backend=st.sampled_from([None, "auto"]))
+def test_streamed_session_matches_plaintext(netlist, backend):
     seed, circuit = netlist
     g, e = _input_bits(seed, circuit)
-    result = _streamed(circuit, g, e, seed, backend, window)
-    assert result.output_bits == circuit.eval_plain(g, e)
-    lockstep = _streamed(circuit, g, e, seed, backend, window=1)
-    assert result.transcript_digest == lockstep.transcript_digest
-    assert result.traffic == lockstep.traffic
+    session = TwoPartySession(circuit, seed=seed, backend=backend)
+    driver = StreamedDriver(session, g, e)
+    while not driver.step():
+        pass
+    assert driver.result.output_bits == circuit.eval_plain(g, e)
 
 
 @settings(max_examples=25, deadline=None)
@@ -105,11 +94,11 @@ def test_level_kernels_match_the_per_gate_oracle(netlist):
 # ----------------------------------------------------------------------
 
 
-def _recorded(circuit, g, e, seed, window):
+def _recorded(circuit, g, e, seed):
     """Run a fused session, recording every message either role sends:
     ``{(direction, kind): [payload, ...]}``."""
     session = TwoPartySession(circuit, seed=seed)
-    driver = StreamedDriver(session, g, e, max_inflight_levels=window)
+    driver = StreamedDriver(session, g, e)
     sent = {}
     for direction, channel in (
         ("down", driver.pair.to_evaluator), ("up", driver.pair.to_garbler)
@@ -152,8 +141,8 @@ def _oracle_wire(circuit, g, e, seed):
     return result, wire
 
 
-def _assert_streamed_matches_oracle(circuit, g, e, seed, window):
-    driver, sent = _recorded(circuit, g, e, seed, window)
+def _assert_streamed_matches_oracle(circuit, g, e, seed):
+    driver, sent = _recorded(circuit, g, e, seed)
     oracle, wire = _oracle_wire(circuit, g, e, seed)
     # garbler_labels, every tables payload, decode, outputs and the OT
     # messages: same kinds, same count, same bytes.  The digests are
@@ -166,11 +155,11 @@ def _assert_streamed_matches_oracle(circuit, g, e, seed, window):
 
 
 @settings(max_examples=25, deadline=None)
-@given(netlist=netlists, window=st.sampled_from([1, 7]))
-def test_streamed_session_sends_the_oracle_bytes(netlist, window):
+@given(netlist=netlists)
+def test_streamed_session_sends_the_oracle_bytes(netlist):
     seed, circuit = netlist
     g, e = _input_bits(seed, circuit)
-    _assert_streamed_matches_oracle(circuit, g, e, seed, window)
+    _assert_streamed_matches_oracle(circuit, g, e, seed)
 
 
 @pytest.mark.parametrize("name", ["tiny", "adder", "mixed", "hamm64"])
@@ -182,7 +171,7 @@ def test_streamed_sends_the_oracle_bytes_on_named_circuits(request, name):
     else:
         circuit = request.getfixturevalue(f"{name}_circuit")
     g, e = _input_bits(5, circuit)
-    _assert_streamed_matches_oracle(circuit, g, e, seed=5, window=1)
+    _assert_streamed_matches_oracle(circuit, g, e, seed=5)
 
 
 @pytest.mark.parametrize(
@@ -219,7 +208,7 @@ def test_streamed_matches_oracle_on_degenerate_shapes(
     for bits in range(1 << (n_garbler + n_evaluator)):
         g = [(bits >> i) & 1 for i in range(n_garbler)]
         e = [(bits >> (n_garbler + i)) & 1 for i in range(n_evaluator)]
-        _assert_streamed_matches_oracle(circuit, g, e, seed=bits, window=1)
+        _assert_streamed_matches_oracle(circuit, g, e, seed=bits)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Session multiplexer: concurrency is invisible to the protocol.
 
 The core invariant: a session run through :class:`SessionMultiplexer`
--- interleaved with any number of neighbours, with any in-flight
-window -- produces output bits *and* a transcript digest
+-- interleaved with any number of neighbours -- produces output bits
+*and* a transcript digest
 bit-identical to the same session run solo through
 ``TwoPartySession.run_streamed``.  On top of that: fair round-robin
 scheduling, typed admission rejection, and honest per-session metrics.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import ServiceSaturated
-from repro.gc.protocol import StreamedDriver, TwoPartySession
+from repro.gc.protocol import TwoPartySession
 from repro.serve import SessionMultiplexer
 from repro.serve.service import _percentile
 
@@ -92,24 +92,6 @@ class TestBitIdentity:
         # Different label PRG seeds produce different transcripts: if
         # any two matched, sessions would be sharing state.
         assert len(digests) == 3
-
-    @pytest.mark.parametrize("window", [2, 4, 100])
-    def test_inflight_window_is_transcript_invariant(
-        self, mixed_circuit, window
-    ):
-        solo = _solo(mixed_circuit)
-        g, e = _bits(mixed_circuit)
-        mux = SessionMultiplexer(
-            max_concurrent=2, max_inflight_levels=window
-        )
-        handles = [
-            mux.submit(TwoPartySession(mixed_circuit, seed=7), g, e)
-            for _ in range(2)
-        ]
-        mux.run_until_complete()
-        for handle in handles:
-            assert handle.result.output_bits == solo.output_bits
-            assert handle.result.transcript_digest == solo.transcript_digest
 
     def test_queue_overflow_sessions_run_after_slots_free(
         self, adder_circuit
@@ -227,16 +209,6 @@ class TestAdmission:
             SessionMultiplexer(max_concurrent=0)
         with pytest.raises(ValueError):
             SessionMultiplexer(max_pending=-1)
-        with pytest.raises(ValueError):
-            SessionMultiplexer(max_inflight_levels=0)
-
-    def test_driver_window_validation(self, tiny_circuit):
-        with pytest.raises(ValueError, match="max_inflight_levels"):
-            StreamedDriver(
-                TwoPartySession(tiny_circuit, seed=7),
-                *_bits(tiny_circuit),
-                max_inflight_levels=0,
-            )
 
 
 class TestStats:
@@ -284,7 +256,7 @@ class TestCli:
 
         code = main([
             "serve", "--sessions", "3", "--width", "8",
-            "--concurrency", "2", "--window", "2",
+            "--concurrency", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0

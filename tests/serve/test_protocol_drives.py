@@ -4,7 +4,7 @@
 implementation of the streamed protocol.  This suite drives them
 
 * **fused** -- ``StreamedDriver`` alternating both roles on one in-memory
-  framed pair, at in-flight windows 1, 4 and 100;
+  framed pair;
 * **split over threads** -- one role per thread, each on its own end of a
   kernel ``socketpair`` through ``PeerSocketWire`` (the split scheduler's
   transport without the process machinery);
@@ -31,6 +31,7 @@ from repro.circuits.netlist import Circuit, CircuitError, Gate, GateOp
 from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.core.compiler import compile_circuit
 from repro.gc.channel import make_framed_pair
+from repro.gc.garble import garble_circuit_batched
 from repro.gc.protocol import SessionResult, StreamedDriver, TwoPartySession
 from repro.gc.roles import EvaluatorRole, GarblerRole
 from repro.serve import PeerSocketWire, SessionMultiplexer, SessionSpec, Supervisor
@@ -85,11 +86,11 @@ def _bits(circuit):
     return garbler, evaluator
 
 
-def _fused(circuit, backend, window):
+def _fused(circuit, backend):
     """Step a ``StreamedDriver`` to completion, counting the steps."""
     g, e = _bits(circuit)
     session = TwoPartySession(circuit, seed=SEED, backend=backend)
-    driver = StreamedDriver(session, g, e, max_inflight_levels=window)
+    driver = StreamedDriver(session, g, e)
     assert driver.levels_total is None
     steps = 0
     while not driver.done:
@@ -185,7 +186,7 @@ def test_every_drive_agrees(circuit, backend):
     oracle = run_oracle_session(circuit, g, e, seed=SEED)
     assert oracle.output_bits == circuit.eval_plain(g, e)
 
-    reference = _fused(circuit, backend, window=1)
+    reference = _fused(circuit, backend)
     assert reference.output_bits == oracle.output_bits
     assert reference.hash_calls_evaluator == oracle.hash_calls_evaluator
     assert reference.and_gates == oracle.and_gates
@@ -204,8 +205,6 @@ def test_every_drive_agrees(circuit, backend):
         assert handle.stats.steps == 2 * levels_total + 2, name
 
     drives = {
-        "fused window 4": _fused(circuit, backend, window=4),
-        "fused window 100": _fused(circuit, backend, window=100),
         "split over threads": _split_over_threads(circuit, backend),
         **{name: handle.result for name, handle in handles.items()},
     }
@@ -310,29 +309,34 @@ class TestRoleContract:
             )
 
     @pytest.mark.parametrize(
-        "party, change, message",
+        "entry, party, change, message",
         [
-            pytest.param(party, change, message, id=f"{party}-{change}")
+            pytest.param(
+                entry, party, change, message, id=f"{entry}-{party}-{change}"
+            )
+            for entry in (
+                "eval_plain", "run_functional", "run_streamed", "multiplexer",
+                "supervisor", "input_labels_for",
+            )
             for party in ("garbler", "evaluator")
             for change, message in (
                 (2, "{} input bits must be 0 or 1"),
                 (-1, "{} input bits must be 0 or 1"),
                 ("arity", "wrong number of {} input bits"),
             )
+            # Label lookup takes explicit wires, so it has no arity.
+            if not (entry == "input_labels_for" and change == "arity")
         ],
-    )
-    @pytest.mark.parametrize(
-        "entry",
-        ["eval_plain", "run_functional", "run_streamed", "multiplexer", "supervisor"],
     )
     def test_every_executor_rejects_bad_inputs_alike(
         self, adder_circuit, entry, party, change, message
     ):
         """A bit outside {0, 1} or a wrong bit count raises the one
-        :class:`CircuitError` of ``check_input_bits`` from every executor,
-        before any message is sent or any session admitted.  Unchecked, a
-        garbler bit of 2 garbled as 1 while ``eval_plain`` read it as 0,
-        and an evaluator bit of 2 aborted the session mid-handshake."""
+        :class:`CircuitError` message of ``check_input_bits`` from every
+        executor and from the garbler's input-label lookup, before any
+        message is sent or any session admitted.  Unchecked, a garbler
+        bit of 2 garbled as 1 while ``eval_plain`` read it as 0, and an
+        evaluator bit of 2 aborted the session mid-handshake."""
         bits = dict(zip(("garbler", "evaluator"), _bits(adder_circuit)))
         if change == "arity":
             bits[party].append(0)
@@ -354,8 +358,11 @@ class TestRoleContract:
                 TwoPartySession(adder_circuit, seed=SEED).run_streamed(g, e)
             elif entry == "multiplexer":
                 mux.submit(TwoPartySession(adder_circuit, seed=SEED), g, e)
-            else:
+            elif entry == "supervisor":
                 supervisor.submit(SessionSpec(adder_circuit, g, e, seed=SEED))
+            else:
+                garbler = garble_circuit_batched(adder_circuit, seed=SEED)
+                garbler.input_labels_for(range(adder_circuit.n_inputs), g + e)
         for service in (mux, supervisor):
             assert service.run_until_complete().sessions == []
         assert "launched" not in [ev["event"] for ev in supervisor.log.events]

@@ -87,7 +87,6 @@ class TestHaacConfig:
     @pytest.mark.parametrize("field,value,message", [
         ("banks_per_ge", 0, "banks_per_ge must be >= 1, got 0"),
         ("instr_bytes", 0, "instr_bytes must be >= 1, got 0"),
-        ("sww_read_stages", -1, "sww_read_stages must be >= 0, got -1"),
         ("writeback_stages", -1, "writeback_stages must be >= 0, got -1"),
         ("queue_sram_bytes", -1, "queue_sram_bytes must be >= 0, got -1"),
         ("ge_clock_hz", -1e9, "ge_clock_hz must be finite and > 0, got -1000000000.0"),
@@ -102,10 +101,8 @@ class TestHaacConfig:
             HaacConfig(n_ges=4, sww_bytes=1024, **{field: value})
 
     def test_zero_stage_and_queue_counts_are_physical(self):
-        config = HaacConfig(
-            writeback_stages=0, sww_read_stages=0, queue_sram_bytes=0
-        )
-        assert config.writeback_stages == config.sww_read_stages == 0
+        config = HaacConfig(writeback_stages=0, queue_sram_bytes=0)
+        assert config.writeback_stages == config.queue_sram_bytes == 0
 
     def test_negative_forward_rejected(self):
         with pytest.raises(ValueError, match="cross_ge_forward must be >= 0"):

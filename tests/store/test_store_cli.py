@@ -179,12 +179,12 @@ def test_store_dir_defaults_to_the_environment(tmp_path, capsys, monkeypatch):
 
 
 def test_experiments_served_from_a_warm_store(tmp_path, capsys):
-    """Every quick-scale design point ``experiments --store`` needs is
-    in the bundle, so the run adds no entry and prints what a cold run
+    """Every quick-scale design point ``figures --store`` needs is in
+    the bundle, so the run adds no entry and prints what a cold run
     prints."""
     root = _seeded(tmp_path)
     capsys.readouterr()
-    argv = ["experiments", "table3", "fig9", "--quick"]
+    argv = ["figures", "table3", "fig9"]
     assert cli_main(argv + ["--store", str(root)]) == 0
     warm = capsys.readouterr().out
     assert entry_count(ResultStore(root)) == N_BUNDLED
@@ -193,12 +193,12 @@ def test_experiments_served_from_a_warm_store(tmp_path, capsys):
 
 
 def test_every_experiment_served_from_a_warm_store(tmp_path, capsys):
-    """``experiments all --quick`` reads every driver through the one
-    registry the figure pipeline uses, so the bundle that regenerates
-    ``figures/`` holds each design point the text command needs."""
+    """``figures`` without ``--emit`` prints every driver of the one
+    registry ``--emit`` writes, so the bundle that regenerates
+    ``figures/`` holds each design point the text tables need."""
     root = _seeded(tmp_path)
     capsys.readouterr()
-    argv = ["experiments", "all", "--quick", "--store", str(root)]
+    argv = ["figures", "--store", str(root)]
     assert cli_main(argv) == 0
     first = capsys.readouterr().out
     assert entry_count(ResultStore(root)) == N_BUNDLED

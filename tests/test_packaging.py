@@ -55,6 +55,12 @@ REMOVED_PARAMETERS = [
     ("repro.serve.service", "SessionService.signals_handled", "signums"),
     # The receiver learns the sender's key from its reply step, points().
     ("repro.gc.ot", "OtReceiver", "sender_public"),
+    # The fused drive garbles a level only when none is in flight.
+    ("repro.gc.protocol", "StreamedDriver", "max_inflight_levels"),
+    ("repro.serve.service", "SessionMultiplexer", "max_inflight_levels"),
+    ("repro.serve.service", "SessionMultiplexer.submit", "max_inflight_levels"),
+    # No model read it; config_signature still hashes its old value.
+    ("repro.sim.config", "HaacConfig", "sww_read_stages"),
 ]
 
 #: ``src/`` definitions that nothing in ``src/``, ``perf/`` or
@@ -570,13 +576,25 @@ class TestRetiredApi:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --stream" in capsys.readouterr().err
 
-    def test_figures_needs_emit(self, capsys):
-        from repro.cli import main
+    @pytest.mark.parametrize("argv, error", [
+        # One command prints or emits the tables/figures: `figures`.
+        pytest.param(
+            ["experiments", "all", "--quick"], "invalid choice: 'experiments'",
+            id="experiments",
+        ),
+        # The fused drive has one level window: lockstep.
+        pytest.param(
+            ["serve", "--window", "2"], "unrecognized arguments: --window",
+            id="serve-window",
+        ),
+    ])
+    def test_retired_command_line(self, argv, error, capsys):
+        from repro.cli import build_parser
 
         with pytest.raises(SystemExit) as exit_info:
-            main(["figures", "fig6"])
+            build_parser().parse_args(argv)
         assert exit_info.value.code == 2
-        assert "required: --emit" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     def test_fault_plan_has_no_tear_cache(self):
         from repro.faults import FAULT_KINDS, FaultPlan
