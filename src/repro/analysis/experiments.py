@@ -7,10 +7,12 @@ Every function returns structured data plus a rendered text block, so
 
 Every number flows through a :class:`~repro.analysis.dataprovider.DataProvider`
 -- drivers never call :func:`compile_circuit`/:func:`simulate` directly
-and never hardcode a measured value.  Pass ``provider=`` to share one
-provider (and its :class:`~repro.store.ResultStore`) across a figure
-set; omitted, each driver computes live through the store named by the
-``REPRO_RESULT_STORE`` environment variable (or no store at all).
+and never hardcode a measured value.  Every driver takes ``(provider,
+quick)``: one provider (and its :class:`~repro.store.ResultStore`) is
+shared across a figure set, and ``quick`` picks the three-workload
+subset.  Table 1 (static) and Table 4 (closed-form in the paper's
+design point) read neither; Figure 7 runs its fixed two-benchmark grid
+at either scale.
 
 Scaling note: the workloads are scaled down (Table 2 sizes in the
 hundreds of kilogates instead of megagates) and the SWW is scaled with
@@ -24,7 +26,7 @@ or use the small Table 5 micro-workloads).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from ..baselines.prior_work import (
     GPU_GATES_PER_US,
@@ -90,16 +92,12 @@ def _scaled_config(**overrides: Any) -> HaacConfig:
     return HaacConfig(**params)
 
 
-def _provider(provider: Optional[DataProvider]) -> DataProvider:
-    return provider if provider is not None else DataProvider()
-
-
 # ---------------------------------------------------------------------------
 # Table 1 -- qualitative PPC comparison
 # ---------------------------------------------------------------------------
 
 
-def table1_ppc_comparison() -> ExperimentResult:
+def table1_ppc_comparison(provider: DataProvider, quick: bool) -> ExperimentResult:
     """The paper's taxonomy of PPC techniques (static)."""
     headers = ["Tech", "Conf", "Cntrl", "Arb", "Sec", "Overhead", "Parties", "Alone"]
     rows = [
@@ -116,15 +114,12 @@ def table1_ppc_comparison() -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def table2_characteristics(
-    quick: bool = False, provider: Optional[DataProvider] = None
-) -> ExperimentResult:
+def table2_characteristics(provider: DataProvider, quick: bool) -> ExperimentResult:
     """Levels / wires / gates / AND% / ILP / spent-wire% per workload.
 
     Spent-wire % assumes the scaled SWW with full reordering, matching
     the paper's "2MB SWW with full reordering" footnote.
     """
-    provider = _provider(provider)
     config = _scaled_config()
     headers = [
         "Benchmark", "Levels", "Wires(k)", "Gates(k)", "AND%", "ILP",
@@ -160,11 +155,8 @@ def table2_characteristics(
 # ---------------------------------------------------------------------------
 
 
-def table3_wire_traffic(
-    quick: bool = False, provider: Optional[DataProvider] = None
-) -> ExperimentResult:
+def table3_wire_traffic(provider: DataProvider, quick: bool) -> ExperimentResult:
     """Live / OoRW / total wire counts for segment vs full reordering."""
-    provider = _provider(provider)
     config = _scaled_config()
     headers = [
         "Benchmark", "Live Seg(k)", "Live Full(k)", "OoRW Seg(k)",
@@ -193,13 +185,13 @@ def table3_wire_traffic(
 # ---------------------------------------------------------------------------
 
 
-def table4_area_power(config: Optional[HaacConfig] = None) -> ExperimentResult:
+def table4_area_power(provider: DataProvider, quick: bool) -> ExperimentResult:
     """Component area/power at the paper's 16 GE / 2 MB / 64-bank point.
 
     Purely analytic (``area_model`` / ``power_model`` are closed-form in
     the config), so no provider/store round-trip is involved.
     """
-    config = config or HaacConfig.paper_default()
+    config = HaacConfig.paper_default()
     area = area_model(config)
     power = power_model(config)
     headers = ["Component", "Area (mm2)", "Power (mW)"]
@@ -222,7 +214,6 @@ def table4_area_power(config: Optional[HaacConfig] = None) -> ExperimentResult:
         headers=headers,
         rows=rows,
         notes=f"power density = {density:.2f} W/mm^2 (paper: 0.35)",
-        extras={"area": area, "power": power},
     )
 
 
@@ -231,9 +222,7 @@ def table4_area_power(config: Optional[HaacConfig] = None) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def table5_prior_work(
-    quick: bool = False, provider: Optional[DataProvider] = None
-) -> ExperimentResult:
+def table5_prior_work(provider: DataProvider, quick: bool) -> ExperimentResult:
     """Prior accelerators vs our simulated HAAC on the same micro-workloads.
 
     Comparison configuration per the paper: full reordering, 1 MB SWW,
@@ -243,7 +232,6 @@ def table5_prior_work(
     garbled tables alone exceed DDR4's budget at 1.6 us), so HBM2 is
     used here.
     """
-    provider = _provider(provider)
     config = HaacConfig(
         n_ges=16, sww_bytes=1024 * 1024, dram=HBM2, role=Role.GARBLER
     )
@@ -272,7 +260,7 @@ def table5_prior_work(
             entry.garbling_time_us / ours if ours else float("inf"),
             entry.paper_haac_us, entry.paper_speedup,
         ])
-    extras: Dict[str, Any] = {"our_time_us": our_time_us, "our_gates": our_gates}
+    extras: Dict[str, Any] = {}
     if "AES-128" in our_gates:
         throughput = our_gates["AES-128"] / our_time_us["AES-128"]
         extras["gates_per_us"] = throughput
@@ -292,11 +280,8 @@ def table5_prior_work(
 # ---------------------------------------------------------------------------
 
 
-def fig6_compiler_opts(
-    quick: bool = False, provider: Optional[DataProvider] = None
-) -> ExperimentResult:
+def fig6_compiler_opts(provider: DataProvider, quick: bool) -> ExperimentResult:
     """Speedup over CPU GC: Baseline vs RO+RN vs RO+RN+ESW (DDR4)."""
-    provider = _provider(provider)
     config = _scaled_config()
     headers = ["Benchmark", "Baseline", "RO+RN", "RO+RN+ESW", "RO+RN/Base", "ESW/RO+RN"]
     rows: List[List[Any]] = []
@@ -332,7 +317,6 @@ def fig6_compiler_opts(
         headers=headers,
         rows=rows,
         notes=notes,
-        extras={"speedups": speedups},
     )
 
 
@@ -341,18 +325,13 @@ def fig6_compiler_opts(
 # ---------------------------------------------------------------------------
 
 
-def fig7_ordering_sww(
-    benchmarks: Sequence[str] = ("MatMult", "BubbSt"),
-    sww_sizes: Sequence[int] = (SCALED_SWW_BYTES // 4, SCALED_SWW_BYTES // 2, SCALED_SWW_BYTES),
-    provider: Optional[DataProvider] = None,
-) -> ExperimentResult:
+def fig7_ordering_sww(provider: DataProvider, quick: bool) -> ExperimentResult:
     """Compute time vs off-chip wire-traffic time per ordering x SWW size.
 
     The paper's 0.5/1/2 MB x-axis maps to quarter/half/full scaled SWW.
     Wire-traffic time counts only wire movement (OoR reads + live
     writes), isolating the same quantity as the paper's blue bars.
     """
-    provider = _provider(provider)
     headers = [
         "Benchmark", "Order", "SWW(KB)", "Compute(us)", "WireTraffic(us)", "Bound",
     ]
@@ -362,7 +341,8 @@ def fig7_ordering_sww(
         "Seg": OptLevel.SEG_RN_ESW,
         "FullRO": OptLevel.RO_RN_ESW,
     }
-    for name in benchmarks:
+    sww_sizes = (SCALED_SWW_BYTES // 4, SCALED_SWW_BYTES // 2, SCALED_SWW_BYTES)
+    for name in ("MatMult", "BubbSt"):
         for order, opt in opt_of.items():
             for sww_bytes in sww_sizes:
                 config = _scaled_config(sww_bytes=sww_bytes)
@@ -390,23 +370,17 @@ def fig7_ordering_sww(
 # ---------------------------------------------------------------------------
 
 
-def fig8_ge_scaling(
-    quick: bool = False,
-    ge_counts: Sequence[int] = (1, 2, 4, 8, 16),
-    provider: Optional[DataProvider] = None,
-) -> ExperimentResult:
+def fig8_ge_scaling(provider: DataProvider, quick: bool) -> ExperimentResult:
     """Speedup over CPU scaling GEs 1 to 16, DDR4 vs HBM2.
 
     DDR4 uses the better of segment/full reordering per workload (as the
     paper does); HBM2 always uses full reordering.
     """
-    provider = _provider(provider)
+    ge_counts = (1, 2, 4, 8, 16)
     headers = ["Benchmark", "DRAM"] + [f"{n}GE" for n in ge_counts]
     rows: List[List[Any]] = []
-    scaling: Dict[str, Dict[str, List[float]]] = {}
     for name in _workload_names(quick):
         cpu_time = provider.cpu_time(name)
-        scaling[name] = {}
         for dram in (DDR4, HBM2):
             speedups: List[float] = []
             for n_ges in ge_counts:
@@ -421,12 +395,10 @@ def fig8_ge_scaling(
                 )
                 speedups.append(cpu_time / best)
             rows.append([name, dram.name] + speedups)
-            scaling[name][dram.name] = speedups
     return ExperimentResult(
         name="Figure 8: speedup scaling with GE count (vs CPU)",
         headers=headers,
         rows=rows,
-        extras={"scaling": scaling, "ge_counts": list(ge_counts)},
     )
 
 
@@ -435,11 +407,8 @@ def fig8_ge_scaling(
 # ---------------------------------------------------------------------------
 
 
-def fig9_energy(
-    quick: bool = False, provider: Optional[DataProvider] = None
-) -> ExperimentResult:
+def fig9_energy(provider: DataProvider, quick: bool) -> ExperimentResult:
     """Component energy breakdown + energy efficiency over the CPU."""
-    provider = _provider(provider)
     config = _scaled_config(dram=HBM2)
     headers = [
         "Benchmark", "Half-Gate%", "Crossbar%", "SRAM%", "Others%",
@@ -473,7 +442,6 @@ def fig9_energy(
             f"avg efficiency {sum(efficiencies)/len(efficiencies)/1e3:.0f} Kx "
             "(paper avg: 53 Kx)"
         ),
-        extras={"efficiencies": efficiencies},
     )
 
 
@@ -482,11 +450,8 @@ def fig9_energy(
 # ---------------------------------------------------------------------------
 
 
-def fig10_plaintext(
-    quick: bool = False, provider: Optional[DataProvider] = None
-) -> ExperimentResult:
+def fig10_plaintext(provider: DataProvider, quick: bool) -> ExperimentResult:
     """GC slowdown relative to plaintext: CPU GC, HAAC DDR4, HAAC HBM2."""
-    provider = _provider(provider)
     headers = ["Benchmark", "CPU GC", "HAAC DDR4", "HAAC HBM2"]
     rows: List[List[Any]] = []
     slowdowns: Dict[str, List[float]] = {"cpu": [], "ddr4": [], "hbm2": []}
@@ -527,5 +492,4 @@ def fig10_plaintext(
         headers=headers,
         rows=rows,
         notes=notes,
-        extras={"slowdowns": slowdowns},
     )

@@ -47,39 +47,20 @@ __all__ = [
 _VL_SCHEMA = "https://vega.github.io/schema/vega-lite/v5.json"
 
 
-#: Drivers without the respective keyword: table1/table4 are static or
-#: analytic (no provider); fig7 always runs its fixed two-benchmark,
-#: four-window grid (no quick subset).
-_NO_PROVIDER = {"table1", "table4"}
-_NO_QUICK = {"table1", "table4", "fig7"}
-
-
-def _run(name: str, driver: Callable[..., ExperimentResult]):
-    def runner(provider: DataProvider, quick: bool) -> ExperimentResult:
-        kwargs: Dict[str, Any] = {}
-        if name not in _NO_QUICK:
-            kwargs["quick"] = quick
-        if name not in _NO_PROVIDER:
-            kwargs["provider"] = provider
-        return driver(**kwargs)
-
-    return runner
-
-
-#: name -> callable(provider, quick) -> ExperimentResult, in paper order.
+#: name -> driver(provider, quick) -> ExperimentResult, in paper order.
 #: The single registry: ``repro figures``, the figure pipeline and the
 #: golden-file tests all iterate over it.
 EXPERIMENT_DRIVERS: Dict[str, Callable[[DataProvider, bool], ExperimentResult]] = {
-    "table1": _run("table1", exp.table1_ppc_comparison),
-    "table2": _run("table2", exp.table2_characteristics),
-    "table3": _run("table3", exp.table3_wire_traffic),
-    "table4": _run("table4", exp.table4_area_power),
-    "table5": _run("table5", exp.table5_prior_work),
-    "fig6": _run("fig6", exp.fig6_compiler_opts),
-    "fig7": _run("fig7", exp.fig7_ordering_sww),
-    "fig8": _run("fig8", exp.fig8_ge_scaling),
-    "fig9": _run("fig9", exp.fig9_energy),
-    "fig10": _run("fig10", exp.fig10_plaintext),
+    "table1": exp.table1_ppc_comparison,
+    "table2": exp.table2_characteristics,
+    "table3": exp.table3_wire_traffic,
+    "table4": exp.table4_area_power,
+    "table5": exp.table5_prior_work,
+    "fig6": exp.fig6_compiler_opts,
+    "fig7": exp.fig7_ordering_sww,
+    "fig8": exp.fig8_ge_scaling,
+    "fig9": exp.fig9_energy,
+    "fig10": exp.fig10_plaintext,
 }
 
 
@@ -272,8 +253,8 @@ def emit_vega_lite(name: str, result: ExperimentResult, path: Path) -> None:
 
 def emit_all(
     out_dir: Path,
-    provider: Optional[DataProvider] = None,
-    quick: bool = False,
+    provider: DataProvider,
+    quick: bool,
     only: Optional[Sequence[str]] = None,
 ) -> List[Path]:
     """Regenerate every committed figure artifact under ``out_dir``.
@@ -283,14 +264,13 @@ def emit_all(
     means design points common to several figures are computed once and
     served from the store thereafter.
     """
-    provider = provider if provider is not None else DataProvider()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
-    for name, runner in EXPERIMENT_DRIVERS.items():
+    for name, driver in EXPERIMENT_DRIVERS.items():
         if only is not None and name not in only:
             continue
-        result = runner(provider, quick)
+        result = driver(provider, quick)
         csv_path = out_dir / f"{name}.csv"
         emit_csv(result, csv_path)
         written.append(csv_path)

@@ -1,4 +1,4 @@
-"""Plain-text table rendering shared by benchmarks and EXPERIMENTS.md.
+"""Plain-text table rendering shared by the experiment drivers and the CLI.
 
 Deliberately dependency-free: fixed-width aligned columns, scientific
 abbreviations matching the paper's table style.
@@ -6,7 +6,7 @@ abbreviations matching the paper's table style.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, List, Sequence
 
 __all__ = ["render_table", "fmt", "geomean"]
 

@@ -1,11 +1,6 @@
 """Comparison baselines: EMP-on-CPU model, plaintext model, prior work."""
 
-from .cpu_model import (
-    DEFAULT_CPU,
-    GARBLE_OVERHEAD,
-    REKEY_OVERHEAD,
-    CpuCostModel,
-)
+from .cpu_model import DEFAULT_CPU, CpuCostModel
 from .plaintext import DEFAULT_PLAINTEXT, PlaintextModel
 from .prior_work import (
     GPU_GATES_PER_US,
@@ -19,8 +14,6 @@ from .prior_work import (
 __all__ = [
     "CpuCostModel",
     "DEFAULT_CPU",
-    "GARBLE_OVERHEAD",
-    "REKEY_OVERHEAD",
     "PlaintextModel",
     "DEFAULT_PLAINTEXT",
     "PriorWorkEntry",

@@ -17,8 +17,7 @@ GCs on the CPU are ~198,000x slower than plaintext across VIP-Bench
 CPU (section 6.5).  Garbling is 11.9 % slower than evaluation (section
 6.1).  Absolute speedups shift with this anchor; the *relative* shapes
 across workloads and configurations -- what the reproduction checks --
-do not, because every speedup shares the same baseline.  EXPERIMENTS.md
-records the calibration explicitly.
+do not, because every speedup shares the same baseline.
 """
 
 from __future__ import annotations
@@ -28,11 +27,6 @@ from dataclasses import dataclass
 from ..circuits.netlist import Circuit
 
 __all__ = ["CpuCostModel", "DEFAULT_CPU"]
-
-#: Paper section 6.1: "on a CPU, garbling is 11.9% slower than evaluation".
-GARBLE_OVERHEAD = 1.119
-#: Paper section 2.1: re-keying increases the Half-Gate cost by 27.5 %.
-REKEY_OVERHEAD = 1.275
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ __all__ = [
     "PRIOR_WORK",
     "MICRO_WORKLOADS",
     "build_micro",
+    "millionaires_circuit",
+    "two_party_circuit",
     "GPU_GATES_PER_US",
     "HAAC_PAPER_GATES_PER_US",
 ]
@@ -67,37 +69,27 @@ PRIOR_WORK: List[PriorWorkEntry] = [
 ]
 
 
-def _build_add(width: int) -> Circuit:
+def two_party_circuit(
+    name: str,
+    width: int,
+    body: Callable[[CircuitBuilder, List[int], List[int]], List[int]],
+) -> Circuit:
+    """``body(builder, garbler_bits, evaluator_bits)``'s output wires over
+    two ``width``-bit inputs, the garbler's first."""
     builder = CircuitBuilder()
     xs = builder.add_garbler_inputs(width)
     ys = builder.add_evaluator_inputs(width)
-    builder.mark_outputs(add(builder, xs, ys))
-    return builder.build(f"add{width}")
+    builder.mark_outputs(body(builder, xs, ys))
+    return builder.build(name)
 
 
-def _build_mult(width: int) -> Circuit:
-    builder = CircuitBuilder()
-    xs = builder.add_garbler_inputs(width)
-    ys = builder.add_evaluator_inputs(width)
-    builder.mark_outputs(mul_full(builder, xs, ys))
-    return builder.build(f"mult{width}")
+def millionaires_circuit(name: str, width: int) -> Circuit:
+    """Yao's millionaires: 1 iff the garbler's integer exceeds the evaluator's."""
+    return two_party_circuit(name, width, lambda b, xs, ys: [less_than(b, ys, xs)])
 
 
-def _build_hamming(n_bits: int) -> Circuit:
-    builder = CircuitBuilder()
-    xs = builder.add_garbler_inputs(n_bits)
-    ys = builder.add_evaluator_inputs(n_bits)
-    diff = [builder.XOR(a, b) for a, b in zip(xs, ys)]
-    builder.mark_outputs(popcount(builder, diff))
-    return builder.build(f"hamm{n_bits}")
-
-
-def _build_millionaire(width: int) -> Circuit:
-    builder = CircuitBuilder()
-    xs = builder.add_garbler_inputs(width)
-    ys = builder.add_evaluator_inputs(width)
-    builder.mark_outputs([less_than(builder, ys, xs)])
-    return builder.build(f"million{width}")
+def _hamming(builder: CircuitBuilder, xs: List[int], ys: List[int]) -> List[int]:
+    return popcount(builder, [builder.XOR(a, b) for a, b in zip(xs, ys)])
 
 
 def _build_matmul(n: int, width: int) -> Circuit:
@@ -114,12 +106,12 @@ def _build_matmul(n: int, width: int) -> Circuit:
 
 
 MICRO_WORKLOADS: Dict[str, Callable[[], Circuit]] = {
-    "Add-6": lambda: _build_add(6),
-    "Add-16": lambda: _build_add(16),
-    "Mult-32": lambda: _build_mult(32),
-    "Hamm-50": lambda: _build_hamming(50),
-    "Million-2": lambda: _build_millionaire(2),
-    "Million-8": lambda: _build_millionaire(8),
+    "Add-6": lambda: two_party_circuit("add6", 6, add),
+    "Add-16": lambda: two_party_circuit("add16", 16, add),
+    "Mult-32": lambda: two_party_circuit("mult32", 32, mul_full),
+    "Hamm-50": lambda: two_party_circuit("hamm50", 50, _hamming),
+    "Million-2": lambda: millionaires_circuit("million2", 2),
+    "Million-8": lambda: millionaires_circuit("million8", 8),
     "5x5Matx-8": lambda: _build_matmul(5, 8),
     "3x3Matx-16": lambda: _build_matmul(3, 16),
     "AES-128": build_aes128_circuit,

@@ -14,7 +14,7 @@ Construction notes:
 * The S-box inverts via the Itoh-Tsujii addition chain
   ``x^254 = (x^127)^2`` with ``x^127`` from four multiplications --
   roughly 256 AND gates per S-box.  (Optimised S-boxes, e.g.
-  Boyar-Peralta, reach 32 ANDs; EXPERIMENTS.md notes the inflation when
+  Boyar-Peralta, reach 32 ANDs; DESIGN.md §3 notes the inflation when
   comparing gate counts with prior work.)
 * MixColumns, ShiftRows, the affine transform and round-key XORs are
   free (linear).

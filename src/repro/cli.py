@@ -332,16 +332,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_protocol(args: argparse.Namespace) -> int:
-    from .circuits.builder import CircuitBuilder
-    from .circuits.stdlib.integer import encode_int, less_than
+    from .baselines.prior_work import millionaires_circuit
+    from .circuits.stdlib.integer import encode_int
     from .faults import ProtocolFault
     from .gc.protocol import run_two_party
 
-    builder = CircuitBuilder()
-    alice = builder.add_garbler_inputs(args.width)
-    bob = builder.add_evaluator_inputs(args.width)
-    builder.mark_outputs([less_than(builder, bob, alice)])
-    circuit = builder.build("millionaires")
+    circuit = millionaires_circuit("millionaires", args.width)
     try:
         result = run_two_party(
             circuit,
@@ -379,17 +375,13 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .circuits.builder import CircuitBuilder
-    from .circuits.stdlib.integer import encode_int, less_than
+    from .baselines.prior_work import millionaires_circuit
+    from .circuits.stdlib.integer import encode_int
     from .faults import ServiceSaturated
     from .gc.protocol import TwoPartySession
     from .serve import SessionMultiplexer, SessionSpec, Supervisor
 
-    builder = CircuitBuilder()
-    alice = builder.add_garbler_inputs(args.width)
-    bob = builder.add_evaluator_inputs(args.width)
-    builder.mark_outputs([less_than(builder, bob, alice)])
-    circuit = builder.build("millionaires")
+    circuit = millionaires_circuit("millionaires", args.width)
 
     if args.transport == "process":
         service = Supervisor(
@@ -541,13 +533,17 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         for name in args.which or EXPERIMENT_DRIVERS:
             print(EXPERIMENT_DRIVERS[name](provider, quick).render())
             print()
-        return 0
-    # No names ([]) means "emit everything", not "nothing".
-    written = emit_all(
-        Path(args.emit), provider=provider, quick=quick, only=args.which or None,
-    )
-    for path in written:
-        print(f"wrote {path}")
+    else:
+        # No names ([]) means "emit everything", not "nothing".
+        written = emit_all(
+            Path(args.emit), provider, quick, only=args.which or None,
+        )
+        for path in written:
+            print(f"wrote {path}")
+    # The live-work counters go to stderr, so stdout stays the tables:
+    # a warm store reads "compiles 0" and "replays 0".
+    counters = ", ".join(f"{key} {value}" for key, value in provider.stats().items())
+    print(f"provider: {counters}", file=sys.stderr)
     return 0
 
 

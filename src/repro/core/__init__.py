@@ -2,11 +2,7 @@
 
 from .assembler import LoweredCircuit, assemble, lower_inv
 from .compiler import CompileResult, OptLevel, compile_circuit
-from .isa import (
-    OOR_SENTINEL,
-    HaacOp,
-    Instruction,
-)
+from .isa import HaacOp, Instruction
 from .program import HaacProgram, ProgramError
 from .sww import WIRE_BYTES, SlidingWindow
 from .verify import StreamVerificationError, VerificationReport, verify_streams
@@ -17,7 +13,6 @@ __all__ = [
     "StreamVerificationError",
     "HaacOp",
     "Instruction",
-    "OOR_SENTINEL",
     "HaacProgram",
     "ProgramError",
     "SlidingWindow",

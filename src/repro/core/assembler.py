@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..circuits.netlist import (
-    OP_INV, OP_XOR, Circuit, column_view, int_column,
+    OP_INV, OP_XOR, Circuit, check_input_bits, column_view, int_column,
 )
 from .depgraph import DepGraph, dep_graph, seed_graph
 from .program import HaacProgram
@@ -47,11 +47,18 @@ class LoweredCircuit:
     def adapt_inputs(
         self, garbler_bits: Sequence[int], evaluator_bits: Sequence[int]
     ) -> Tuple[List[int], List[int]]:
-        """Adjust original-circuit inputs for the lowered circuit."""
+        """Adjust original-circuit inputs for the lowered circuit.
+
+        Raises :class:`~repro.circuits.netlist.CircuitError`, as
+        :func:`~repro.circuits.netlist.check_input_bits` does, for a
+        wrong bit count or a bit outside {0, 1} on either side."""
+        garbler = list(garbler_bits)
         evaluator = list(evaluator_bits)
         if self.has_one_wire:
             evaluator.append(1)
-        return list(garbler_bits), evaluator
+        check_input_bits(self.circuit, "garbler", garbler)
+        check_input_bits(self.circuit, "evaluator", evaluator)
+        return garbler, evaluator
 
 
 def lower_inv(circuit: Circuit) -> LoweredCircuit:

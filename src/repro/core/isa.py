@@ -28,11 +28,7 @@ from dataclasses import dataclass
 __all__ = [
     "HaacOp",
     "Instruction",
-    "OOR_SENTINEL",
 ]
-
-# Wire address 0 means "read the OoRW queue" (paper section 3.1.4).
-OOR_SENTINEL = 0
 
 
 class HaacOp(enum.IntEnum):

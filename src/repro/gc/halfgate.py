@@ -46,17 +46,9 @@ __all__ = [
     "tables_from_bytes",
     "eval_and",
     "eval_xor",
-    "GARBLER_HASHES_PER_AND",
-    "EVALUATOR_HASHES_PER_AND",
 ]
 
 HashFn = Callable[[int, int], int]
-
-# Hash-call counts per AND gate; the Garbler hashes all four input labels
-# (two per half-gate), the Evaluator only its two held labels.  The paper
-# notes the Evaluator uses half the AES calls of the Garbler.
-GARBLER_HASHES_PER_AND = 4
-EVALUATOR_HASHES_PER_AND = 2
 
 
 @dataclass(frozen=True)

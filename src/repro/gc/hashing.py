@@ -5,7 +5,7 @@ Weng-Yu (GKWY20): each hash call keys AES with the gate index and
 performs a **full key expansion**, rather than the cheaper but less
 secure fixed-key construction of Bellare et al.  Every garbling and
 session path hashes re-keyed; the paper's 27.5 % re-keying cost per
-Half-Gate is the analytic ``repro.baselines.cpu_model.REKEY_OVERHEAD``.
+Half-Gate is part of the CPU model's AND cost (``repro.baselines.cpu_model``).
 The backend's fixed-key kernel (``hash_labels(..., False)``) is not a
 garbling mode; its scalar oracle ``fixed_key_hash`` lives in
 ``tests/gc/oracles.py``.

@@ -4,7 +4,7 @@ All randomness in the reproduction flows through :class:`LabelPrg`, an
 AES-CTR pseudo-random generator built on the from-scratch AES of
 :mod:`repro.gc.aes`.  Determinism matters twice over:
 
-* experiments are reproducible bit-for-bit (DESIGN.md section 5), and
+* experiments are reproducible bit-for-bit (DESIGN.md section 4), and
 * the Garbler's label generation in real GC deployments is itself a
   seeded PRG expansion, so this mirrors the actual protocol structure.
 

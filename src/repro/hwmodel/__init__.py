@@ -1,22 +1,17 @@
 """Area, power and energy models anchored to the paper's Table 4."""
 
-from .area import PAPER_AREA_MM2, AreaBreakdown, area_model
+from .area import PAPER_AREA_MM2, ComponentBreakdown, anchored_model, area_model
 from .energy import EnergyBreakdown, energy_model
-from .power import CPU_POWER_W, PAPER_POWER_MW, PowerBreakdown, power_model
-from .technology import SCALE_28_TO_16, TSMC_16, TSMC_28, TechNode
+from .power import CPU_POWER_W, PAPER_POWER_MW, power_model
 
 __all__ = [
-    "AreaBreakdown",
+    "ComponentBreakdown",
+    "anchored_model",
     "area_model",
     "PAPER_AREA_MM2",
-    "PowerBreakdown",
     "power_model",
     "PAPER_POWER_MW",
     "CPU_POWER_W",
     "EnergyBreakdown",
     "energy_model",
-    "TechNode",
-    "TSMC_16",
-    "TSMC_28",
-    "SCALE_28_TO_16",
 ]

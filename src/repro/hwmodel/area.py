@@ -1,8 +1,8 @@
-"""Chip area model (paper Table 4).
+"""The anchored component model and chip area (paper Table 4).
 
-Component areas are anchored to the paper's post-layout 16 nm numbers
-for the 16 GE / 2 MB SWW / 64-bank design and parameterised by design
-point:
+Table 4 reports, per component, the post-layout 16 nm area and average
+power of the 16 GE / 2 MB SWW / 64-bank design.  One scaling function,
+:func:`anchored_model`, takes either column to another design point:
 
 * Half-Gate and FreeXOR units scale linearly with GE count;
 * the forwarding network spans all GEs (all-to-all wire matching), so it
@@ -11,6 +11,9 @@ point:
 * SRAM macros (SWW, queues) scale linearly with capacity;
 * the HBM2 PHY is a fixed IP block, reported separately exactly as the
   paper does ("we focus on reporting HAAC IP area").
+
+:func:`area_model` applies it to :data:`PAPER_AREA_MM2`;
+:func:`repro.hwmodel.power.power_model` to the power column.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..sim.config import HaacConfig
-from .technology import TSMC_16, TechNode
 
-__all__ = ["AreaBreakdown", "area_model", "PAPER_AREA_MM2"]
+__all__ = ["ComponentBreakdown", "anchored_model", "area_model", "PAPER_AREA_MM2"]
 
 # Paper Table 4, 16 nm, 16 GEs / 2 MB SWW (64 banks) / 64 KB queues.
 PAPER_AREA_MM2: Dict[str, float] = {
@@ -42,8 +44,9 @@ _REF_QUEUE_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
-class AreaBreakdown:
-    """Component areas in mm^2 for one design point."""
+class ComponentBreakdown:
+    """Per-component values for one design point: mm^2 from
+    :func:`area_model`, busy mW from ``power_model``."""
 
     halfgate: float
     freexor: float
@@ -55,7 +58,7 @@ class AreaBreakdown:
 
     @property
     def total_haac(self) -> float:
-        """HAAC IP area (PHY excluded, as in the paper's headline 4.3 mm^2)."""
+        """HAAC IP total (PHY excluded, as in the paper's headline 4.3 mm^2)."""
         return (
             self.halfgate
             + self.freexor
@@ -64,6 +67,11 @@ class AreaBreakdown:
             + self.sww_sram
             + self.queues_sram
         )
+
+    def power_density_w_mm2(self, area_mm2: float) -> float:
+        """Power density of the HAAC IP, for a power breakdown (paper:
+        0.35 W/mm^2)."""
+        return (self.total_haac / 1e3) / area_mm2
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -78,23 +86,23 @@ class AreaBreakdown:
         }
 
 
-def area_model(config: HaacConfig, node: TechNode = TSMC_16) -> AreaBreakdown:
-    """Area of ``config`` anchored to the paper's reference design."""
+def anchored_model(anchor: Dict[str, float], config: HaacConfig) -> ComponentBreakdown:
+    """One Table 4 column (``anchor``) scaled to ``config``'s design point."""
     ge_ratio = config.n_ges / _REF_GES
-    factor = node.area_factor
-    return AreaBreakdown(
-        halfgate=PAPER_AREA_MM2["halfgate"] * ge_ratio * factor,
-        freexor=PAPER_AREA_MM2["freexor"] * ge_ratio * factor,
+    return ComponentBreakdown(
+        halfgate=anchor["halfgate"] * ge_ratio,
+        freexor=anchor["freexor"] * ge_ratio,
         # All-to-all forwarding comparators grow with GE pairs.
-        fwd=PAPER_AREA_MM2["fwd"] * (config.n_ges**2 / _REF_GES**2) * factor,
-        crossbar=PAPER_AREA_MM2["crossbar"]
-        * (config.n_ges * config.n_banks) / (_REF_GES * _REF_BANKS)
-        * factor,
-        sww_sram=PAPER_AREA_MM2["sww_sram"]
-        * (config.sww_bytes / _REF_SWW_BYTES)
-        * factor,
-        queues_sram=PAPER_AREA_MM2["queues_sram"]
-        * (config.queue_sram_bytes / _REF_QUEUE_BYTES)
-        * factor,
-        hbm2_phy=PAPER_AREA_MM2["hbm2_phy"],  # fixed IP, node-independent here
+        fwd=anchor["fwd"] * (config.n_ges**2 / _REF_GES**2),
+        crossbar=anchor["crossbar"]
+        * (config.n_ges * config.n_banks) / (_REF_GES * _REF_BANKS),
+        sww_sram=anchor["sww_sram"] * (config.sww_bytes / _REF_SWW_BYTES),
+        queues_sram=anchor["queues_sram"]
+        * (config.queue_sram_bytes / _REF_QUEUE_BYTES),
+        hbm2_phy=anchor["hbm2_phy"],  # fixed IP
     )
+
+
+def area_model(config: HaacConfig) -> ComponentBreakdown:
+    """Area (mm^2) of ``config`` anchored to the paper's reference design."""
+    return anchored_model(PAPER_AREA_MM2, config)

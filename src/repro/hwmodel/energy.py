@@ -24,7 +24,7 @@ from typing import Dict
 
 from ..sim.config import HaacConfig
 from ..sim.stats import SimResult
-from .power import CPU_POWER_W, PowerBreakdown, power_model
+from .power import CPU_POWER_W, power_model
 
 __all__ = ["EnergyBreakdown", "energy_model"]
 
@@ -74,11 +74,9 @@ class EnergyBreakdown:
         return cpu_energy / self.total if self.total else float("inf")
 
 
-def energy_model(
-    sim: SimResult, config: HaacConfig, power: PowerBreakdown | None = None
-) -> EnergyBreakdown:
+def energy_model(sim: SimResult, config: HaacConfig) -> EnergyBreakdown:
     """Energy of one simulated execution on ``config``."""
-    power = power or power_model(config)
+    power = power_model(config)
     f = config.ge_clock_hz
     n_ges = config.n_ges
     n_and = sim.n_and

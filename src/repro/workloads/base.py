@@ -9,7 +9,7 @@ by the plaintext CPU model (Figure 10's 1x baseline).
 suite (sized so the pure-Python simulator finishes in seconds).
 ``paper_params`` are the sizes the paper reports in section 5; they
 remain constructible for users with patience.  ``paper_table2`` pins the
-paper's Table 2 row so EXPERIMENTS.md can print paper-vs-measured.
+paper's Table 2 row so the ``table2`` driver prints paper-vs-measured.
 """
 
 from __future__ import annotations

@@ -1,24 +1,15 @@
 """Experiment drivers: every table/figure regenerates with sane shapes.
 
-The paper's claims over the same rows are ``test_paper_claims.py``.
+The rows come from the registered drivers through the one shared
+provider of ``conftest.py``; the paper's claims over the same rows are
+``test_paper_claims.py``.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.experiments import (
-    fig6_compiler_opts,
-    fig7_ordering_sww,
-    fig8_ge_scaling,
-    fig9_energy,
-    fig10_plaintext,
-    table1_ppc_comparison,
-    table2_characteristics,
-    table3_wire_traffic,
-    table4_area_power,
-    table5_prior_work,
-)
+from repro.analysis.experiments import fig8_ge_scaling, fig10_plaintext
 from repro.analysis.report import fmt, geomean, render_table
 from repro.core.compiler import OptLevel
 from repro.sim.dram import DDR4, HBM2
@@ -46,15 +37,15 @@ class TestReport:
 
 
 class TestStaticTables:
-    def test_table1(self):
-        result = table1_ppc_comparison()
+    def test_table1(self, experiment):
+        result = experiment("table1")
         assert len(result.rows) == 4
         gcs = result.rows[-1]
         assert gcs[0] == "GCs"
         assert gcs[3] == "Yes"  # arbitrary compute
 
-    def test_table4_matches_paper(self):
-        result = table4_area_power()
+    def test_table4_matches_paper(self, experiment):
+        result = experiment("table4")
         by_name = {row[0]: row for row in result.rows}
         assert by_name["Half-Gate"][1] == pytest.approx(2.15)
         assert by_name["Total HAAC"][1] == pytest.approx(4.33, abs=0.02)
@@ -63,15 +54,15 @@ class TestStaticTables:
 
 
 class TestWorkloadTables:
-    def test_table2_quick(self):
-        result = table2_characteristics(quick=True)
+    def test_table2_quick(self, experiment):
+        result = experiment("table2")
         assert len(result.rows) == 3
         relu = next(row for row in result.rows if row[0] == "ReLU")
         assert relu[1] == 2  # two levels
         assert relu[4] > 90  # AND share
 
-    def test_table3_quick(self):
-        result = table3_wire_traffic(quick=True)
+    def test_table3_quick(self, experiment):
+        result = experiment("table3")
         for row in result.rows:
             live_seg, live_full = row[1], row[2]
             total_seg, total_full = row[5], row[6]
@@ -79,8 +70,8 @@ class TestWorkloadTables:
             assert total_full == pytest.approx(row[2] + row[4], rel=1e-6)
             assert row[7] in ("seg", "full")
 
-    def test_table5_quick(self):
-        result = table5_prior_work(quick=True)
+    def test_table5_quick(self, experiment):
+        result = experiment("table5")
         assert result.rows, "no prior-work rows produced"
         for row in result.rows:
             ours = row[3]
@@ -89,38 +80,40 @@ class TestWorkloadTables:
 
 
 class TestFigures:
-    def test_fig6_quick(self):
-        result = fig6_compiler_opts(quick=True)
+    def test_fig6_quick(self, experiment):
+        result = experiment("fig6")
         assert len(result.rows) == 3
         for row in result.rows:
             # ESW never hurts relative to RO+RN.
             assert row[3] >= row[2] * 0.999
 
-    def test_fig7_small(self):
-        result = fig7_ordering_sww(benchmarks=("DotProd",))
-        assert len(result.rows) == 9  # 3 orders x 3 sizes
+    def test_fig7_grid(self, experiment):
+        result = experiment("fig7")
+        assert len(result.rows) == 18  # 2 benchmarks x 3 orders x 3 sizes
         # Wire traffic should not increase with a larger SWW.
         by_order = {}
         for row in result.rows:
-            by_order.setdefault(row[1], []).append(row[4])
-        for order, series in by_order.items():
+            by_order.setdefault((row[0], row[1]), []).append(row[4])
+        for series in by_order.values():
+            assert len(series) == 3
             assert series[0] >= series[-1] * 0.999
 
-    def test_fig8_quick(self):
-        result = fig8_ge_scaling(quick=True, ge_counts=(1, 4))
-        scaling = result.extras["scaling"]
-        for name, by_dram in scaling.items():
-            for dram, speedups in by_dram.items():
-                assert speedups[-1] >= speedups[0] * 0.999, (name, dram)
+    def test_fig8_quick(self, experiment):
+        result = experiment("fig8")
+        assert result.headers[2:] == ["1GE", "2GE", "4GE", "8GE", "16GE"]
+        for name, dram, *speedups in result.rows:
+            assert speedups[-1] >= speedups[0] * 0.999, (name, dram)
 
-    def test_fig8_hbm_at_least_ddr4(self):
-        result = fig8_ge_scaling(quick=True, ge_counts=(16,))
-        scaling = result.extras["scaling"]
-        for name, by_dram in scaling.items():
-            assert by_dram["HBM2"][0] >= by_dram["DDR4-4400"][0] * 0.98
+    def test_fig8_hbm_at_least_ddr4(self, experiment):
+        at_16 = {
+            (row[0], row[1]): row[-1] for row in experiment("fig8").rows
+        }
+        for (name, dram), speedup in at_16.items():
+            if dram == "HBM2":
+                assert speedup >= at_16[name, "DDR4-4400"] * 0.98
 
-    def test_fig9_quick(self):
-        result = fig9_energy(quick=True)
+    def test_fig9_quick(self, experiment):
+        result = experiment("fig9")
         for row in result.rows:
             shares = row[1:6]
             assert sum(shares) == pytest.approx(100.0, abs=0.5)
@@ -128,18 +121,15 @@ class TestFigures:
         halfgate_shares = [row[1] for row in result.rows]
         assert max(halfgate_shares) > 30
 
-    def test_fig10_quick(self):
-        result = fig10_plaintext(quick=True)
+    def test_fig10_quick(self, experiment):
+        result = experiment("fig10")
         for row in result.rows:
             cpu, ddr4, hbm2 = row[1], row[2], row[3]
             assert cpu > ddr4 >= hbm2  # HAAC always beats the CPU;
             # HBM2 never slower than DDR4.
 
-    def test_rendering_does_not_crash(self):
-        for result in (
-            table1_ppc_comparison(),
-            table4_area_power(),
-        ):
+    def test_rendering_does_not_crash(self, experiment):
+        for result in (experiment("table1"), experiment("table4")):
             text = result.render()
             assert result.name.split(":")[0] in text
 
@@ -173,16 +163,18 @@ class TestBetterReorderDeployed:
 
     @pytest.mark.parametrize("winner", [OptLevel.RO_RN_ESW, OptLevel.SEG_RN_ESW])
     def test_fig8_ddr4_takes_the_faster_reorder(self, winner):
-        result = fig8_ge_scaling(
-            quick=True, ge_counts=(1, 4), provider=_ReorderStubProvider(winner)
-        )
+        result = fig8_ge_scaling(_ReorderStubProvider(winner), True)
         hbm2 = 100.0 if winner is OptLevel.RO_RN_ESW else 100.0 / 3.0
-        for by_dram in result.extras["scaling"].values():
-            assert by_dram[DDR4.name] == [100.0, 100.0]
-            assert by_dram[HBM2.name] == pytest.approx([hbm2, hbm2])
+        drams = [row[1] for row in result.rows]
+        assert drams == [DDR4.name, HBM2.name] * 3
+        for _name, dram, *speedups in result.rows:
+            if dram == DDR4.name:
+                assert speedups == [100.0] * 5
+            else:
+                assert speedups == pytest.approx([hbm2] * 5)
 
     @pytest.mark.parametrize("winner", [OptLevel.RO_RN_ESW, OptLevel.SEG_RN_ESW])
     def test_fig10_takes_the_faster_reorder(self, winner):
-        result = fig10_plaintext(quick=True, provider=_ReorderStubProvider(winner))
+        result = fig10_plaintext(_ReorderStubProvider(winner), True)
         for row in result.rows:
             assert row[1:] == [200.0, 2.0, 2.0]

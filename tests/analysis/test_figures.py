@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import pathlib
 
@@ -41,6 +42,13 @@ class TestSerialization:
         assert render_csv(result) == (
             'Name,Value\nplain,1\n"with,""both",0.5\n'
         )
+
+    def test_registry_holds_the_drivers_themselves(self):
+        """Every driver has the one shape ``(provider, quick)``, so the
+        registry needs no adapter."""
+        for driver in EXPERIMENT_DRIVERS.values():
+            assert driver.__module__ == "repro.analysis.experiments"
+            assert list(inspect.signature(driver).parameters) == ["provider", "quick"]
 
     def test_fig_specs_cover_exactly_the_figures(self):
         assert set(FIGURE_SPECS) == {

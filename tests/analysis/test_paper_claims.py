@@ -2,10 +2,10 @@
 
 Every table/figure test reads its :class:`ExperimentResult` through
 :data:`repro.analysis.figures.EXPERIMENT_DRIVERS` -- the registry
-``repro figures`` iterates (with or without ``--emit``) -- with one
-module-scoped :class:`DataProvider` over a scratch result store, so a
-design point shared by two figures is replayed once, and no claim
-recomputes a number privately.  Tests are named ``test_<driver key>_...`` (enforced by
+``repro figures`` iterates (with or without ``--emit``) -- with the one
+session-scoped :class:`DataProvider` of ``tests/analysis/conftest.py``
+over a scratch result store, so a design point shared by two figures is
+replayed once, and no claim recomputes a number privately.  Tests are named ``test_<driver key>_...`` (enforced by
 ``tests/test_packaging.py``).
 
 Claims that hold on the quick three-workload subset (the scale of the
@@ -21,19 +21,16 @@ from collections import defaultdict
 
 import pytest
 
-from repro.analysis.dataprovider import DataProvider
-from repro.analysis.experiments import table4_area_power
-from repro.analysis.figures import EXPERIMENT_DRIVERS
 from repro.analysis.report import geomean
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.stdlib.integer import add, kogge_stone_add, mul
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.gc.halfgate import tables_to_bytes
+from repro.hwmodel.area import area_model
 from repro.sim.config import HaacConfig
 from repro.sim.coupled import coupled_runtime, pull_based_runtime
 from repro.sim.dram import HBM2
 from repro.sim.timing import simulate
-from repro.store import ResultStore
 from repro.workloads import get_workload
 from tests.gc.oracles import garble_circuit
 from tests.sim.test_coupled import slowdown
@@ -41,28 +38,6 @@ from tests.sim.test_coupled import slowdown
 QUICK = pytest.param(True, id="quick")
 FULL = pytest.param(False, id="full", marks=pytest.mark.slow)
 BOTH_SCALES = [QUICK, FULL]
-
-
-@pytest.fixture(scope="module")
-def provider(tmp_path_factory):
-    return DataProvider(store=ResultStore(tmp_path_factory.mktemp("store")))
-
-
-@pytest.fixture(scope="module")
-def experiment(provider):
-    """``experiment(key, quick)`` -> the driver's rows, computed once."""
-    results = {}
-
-    def run(key, quick=True):
-        if (key, quick) not in results:
-            results[key, quick] = EXPERIMENT_DRIVERS[key](provider, quick)
-            # Every point is in the store now; the in-process compile
-            # memo (~27 MB a design point) would otherwise keep all of
-            # them alive -- about 2 GB over both scales.
-            provider._compiled.clear()
-        return results[key, quick]
-
-    return run
 
 
 def _by_name(result):
@@ -130,9 +105,9 @@ def test_table4_reference_design_point(experiment):
 def test_table4_area_grows_with_design_point():
     """The parameterised model: 1 GE / 0.5 MB SWW is smaller than
     16 GEs / 2 MB."""
-    small = table4_area_power(HaacConfig(n_ges=1, sww_bytes=512 * 1024))
-    large = table4_area_power(HaacConfig(n_ges=16, sww_bytes=2 * 1024 * 1024))
-    assert _by_name(small)["Total HAAC"][1] < _by_name(large)["Total HAAC"][1]
+    small = area_model(HaacConfig(n_ges=1, sww_bytes=512 * 1024))
+    large = area_model(HaacConfig(n_ges=16, sww_bytes=2 * 1024 * 1024))
+    assert small.total_haac < large.total_haac
 
 
 @pytest.mark.parametrize("quick", BOTH_SCALES)

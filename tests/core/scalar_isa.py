@@ -15,6 +15,9 @@ from typing import List, Tuple
 from repro.core.passes.streams import GeStreams
 from repro.core.sww import SlidingWindow
 
+# Wire address 0 means "read the OoRW queue" (paper section 3.1.4).
+OOR_SENTINEL = 0
+
 
 @dataclass(frozen=True)
 class InstructionEncoding:
@@ -66,8 +69,8 @@ def machine_words(
     return [
         encode_fields(
             program.op[p],
-            0 if oor_a[p] else program.wa[p] % capacity + 1,
-            0 if oor_b[p] else program.wb[p] % capacity + 1,
+            OOR_SENTINEL if oor_a[p] else program.wa[p] % capacity + 1,
+            OOR_SENTINEL if oor_b[p] else program.wb[p] % capacity + 1,
             program.live[p],
             enc,
         )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.circuits.netlist import Circuit, Gate, GateOp
+from repro.circuits.netlist import Circuit, CircuitError, Gate, GateOp
 from repro.core.assembler import assemble, lower_inv
 from repro.core.isa import HaacOp
 from repro.core.program import HaacProgram, ProgramError
@@ -48,6 +48,31 @@ class TestLowerInv:
             e = [rng.randint(0, 1) for _ in range(circuit.n_evaluator_inputs)]
             g2, e2 = lowered.adapt_inputs(g, e)
             assert lowered.circuit.eval_plain(g2, e2) == circuit.eval_plain(g, e)
+
+    @pytest.mark.parametrize("fixture", ["tiny_circuit", "adder_circuit"])
+    @pytest.mark.parametrize("party", ["garbler", "evaluator"])
+    @pytest.mark.parametrize("change, message", [
+        (2, "{} input bits must be 0 or 1"),
+        (-1, "{} input bits must be 0 or 1"),
+        ("short", "wrong number of {} input bits"),
+    ])
+    def test_adapt_inputs_rejects_bad_bits(
+        self, request, fixture, party, change, message
+    ):
+        """The adapter raises ``check_input_bits``' :class:`CircuitError`
+        for a bad original-circuit input, with (``tiny_circuit``) and
+        without (``adder_circuit``) the appended constant-one bit."""
+        circuit = request.getfixturevalue(fixture)
+        bits = {
+            "garbler": [0] * circuit.n_garbler_inputs,
+            "evaluator": [0] * circuit.n_evaluator_inputs,
+        }
+        if change == "short":
+            bits[party].pop()
+        else:
+            bits[party][0] = change
+        with pytest.raises(CircuitError, match=message.format(party)):
+            lower_inv(circuit).adapt_inputs(bits["garbler"], bits["evaluator"])
 
 
 class TestAssemble:

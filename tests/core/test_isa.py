@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.isa import OOR_SENTINEL, HaacOp, Instruction
+from repro.core.isa import HaacOp, Instruction
 from repro.sim.config import INSTR_BYTES, HaacConfig
-from tests.core.scalar_isa import InstructionEncoding, encode_fields, split_word
+from tests.core.scalar_isa import (
+    OOR_SENTINEL,
+    InstructionEncoding,
+    encode_fields,
+    split_word,
+)
 
 
 class TestInstruction:

@@ -8,7 +8,6 @@ from repro.core.compiler import OptLevel, compile_circuit
 from repro.hwmodel.area import PAPER_AREA_MM2, area_model
 from repro.hwmodel.energy import energy_model
 from repro.hwmodel.power import CPU_POWER_W, PAPER_POWER_MW, power_model
-from repro.hwmodel.technology import TSMC_16, TSMC_28
 from repro.sim.config import HaacConfig
 from repro.sim.dram import HBM2
 from repro.sim.timing import simulate
@@ -48,15 +47,6 @@ class TestArea:
         full = area_model(paper_config)
         assert half.sww_sram == pytest.approx(full.sww_sram / 2)
 
-    def test_28nm_larger(self, paper_config):
-        assert (
-            area_model(paper_config, TSMC_28).total_haac
-            > area_model(paper_config, TSMC_16).total_haac
-        )
-        assert area_model(paper_config, TSMC_28).halfgate == pytest.approx(
-            2.15 * 1.9, rel=1e-6
-        )
-
 
 class TestPower:
     def test_reproduces_table4(self, paper_config):
@@ -72,11 +62,6 @@ class TestPower:
         area = area_model(paper_config)
         assert power.power_density_w_mm2(area.total_haac) == pytest.approx(
             0.35, abs=0.01
-        )
-
-    def test_28nm_higher_power(self, paper_config):
-        assert power_model(paper_config, TSMC_28).halfgate == pytest.approx(
-            1253 / 0.4, rel=1e-6
         )
 
 

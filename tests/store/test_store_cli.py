@@ -195,12 +195,15 @@ def test_experiments_served_from_a_warm_store(tmp_path, capsys):
 def test_every_experiment_served_from_a_warm_store(tmp_path, capsys):
     """``figures`` without ``--emit`` prints every driver of the one
     registry ``--emit`` writes, so the bundle that regenerates
-    ``figures/`` holds each design point the text tables need."""
+    ``figures/`` holds each design point the text tables need; the
+    provider's counters go to stderr and read no live work."""
     root = _seeded(tmp_path)
     capsys.readouterr()
     argv = ["figures", "--store", str(root)]
     assert cli_main(argv) == 0
-    first = capsys.readouterr().out
+    first = capsys.readouterr()
     assert entry_count(ResultStore(root)) == N_BUNDLED
+    assert first.err.startswith("provider: replays 0, compiles 0, ")
+    assert "provider" not in first.out
     assert cli_main(argv) == 0
-    assert capsys.readouterr().out == first
+    assert capsys.readouterr().out == first.out

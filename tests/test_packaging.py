@@ -61,6 +61,15 @@ REMOVED_PARAMETERS = [
     ("repro.serve.service", "SessionMultiplexer.submit", "max_inflight_levels"),
     # No model read it; config_signature still hashes its old value.
     ("repro.sim.config", "HaacConfig", "sww_read_stages"),
+    # Table 4 is the 16 nm column; nothing picked another node.
+    ("repro.hwmodel.area", "area_model", "node"),
+    ("repro.hwmodel.power", "power_model", "node"),
+    ("repro.hwmodel.energy", "energy_model", "power"),
+    # Every driver takes (provider, quick) and runs its registered grid.
+    ("repro.analysis.experiments", "table4_area_power", "config"),
+    ("repro.analysis.experiments", "fig7_ordering_sww", "benchmarks"),
+    ("repro.analysis.experiments", "fig7_ordering_sww", "sww_sizes"),
+    ("repro.analysis.experiments", "fig8_ge_scaling", "ge_counts"),
 ]
 
 #: ``src/`` definitions that nothing in ``src/``, ``perf/`` or
@@ -77,16 +86,17 @@ MAX_ALLOWLIST = 15
 
 def _unreferenced_definitions():
     """``path:qualname`` (path under ``src/repro/``) of every function,
-    class and method under ``src/`` whose name nothing in ``src/``,
-    ``perf/`` or ``examples/`` references.  A reference is a ``Name``,
-    an ``Attribute`` or a name imported outside an ``__init__.py``;
-    strings and package re-exports do not count.  Dunder methods are
-    called implicitly and are skipped."""
+    class, method and module-level assigned name under ``src/`` whose
+    name nothing in ``src/``, ``perf/`` or ``examples/`` references.  A
+    reference is a ``Name`` that is read (not assigned), an
+    ``Attribute`` or a name imported outside an ``__init__.py``;
+    strings and package re-exports do not count.  Dunder names are
+    used implicitly and are skipped."""
     seen = set()
     for top in ("src", "perf", "examples"):
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     seen.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     seen.add(node.attr)
@@ -95,15 +105,22 @@ def _unreferenced_definitions():
     unreferenced = []
     package = ROOT / "src" / "repro"
 
+    def defined_names(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return [node.name]
+        if owner:  # class attributes are fields, not module names
+            return []
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        return [target.id for target in targets if isinstance(target, ast.Name)]
+
     def visit(body, where, owner):
         for node in body:
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            dunder = node.name.startswith("__") and node.name.endswith("__")
-            if not dunder and node.name not in seen:
-                unreferenced.append(f"{where}:{owner}{node.name}")
+            for name in defined_names(node, owner):
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and name not in seen:
+                    unreferenced.append(f"{where}:{owner}{name}")
             if isinstance(node, ast.ClassDef):
                 visit(node.body, where, f"{owner}{node.name}.")
 
@@ -111,6 +128,35 @@ def _unreferenced_definitions():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         visit(tree.body, path.relative_to(package).as_posix(), "")
     return unreferenced
+
+#: A numbered DESIGN.md citation: ``§N``, ``section N``, ``sections N
+#: and M`` or a bare ``N.M`` after the file name.
+_DESIGN_CITATION = re.compile(
+    r"DESIGN\.md\s+(?:§\s*|sections?\s+)?"
+    r"(\d+(?:\.\d+)?(?:(?:\s*,\s*|\s+and\s+)§?\d+(?:\.\d+)?)*)"
+)
+
+
+def _design_citations():
+    """``(file:line, section)`` for every numbered DESIGN.md citation in
+    ``src/``, ``tests/``, ``perf/``, ``.github/`` and ``.claude/``."""
+    cited = []
+    for top in ("src", "tests", "perf", ".github", ".claude"):
+        for path in sorted((ROOT / top).rglob("*")):
+            if not path.is_file() or "__pycache__" in path.parts:
+                continue
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                continue
+            for match in _DESIGN_CITATION.finditer(text):
+                where = f"{path.relative_to(ROOT)}:{text.count(chr(10), 0, match.start()) + 1}"
+                cited.extend(
+                    (where, number)
+                    for number in re.findall(r"\d+(?:\.\d+)?", match.group(1))
+                )
+    return cited
+
 
 #: The environment variables ``src/`` may read: each names a directory or
 #: a file.  A behaviour switch read from the environment is not allowed.
@@ -195,6 +241,17 @@ class TestDocumentation:
             assert experiment in design
         assert "Substitutions" in design
 
+    def test_design_citations_name_existing_sections(self):
+        """Every ``DESIGN.md §N`` / ``section N`` / ``N.M`` a source,
+        test, CI or skill file cites is a heading of DESIGN.md, so a
+        renumbering has to re-point its citations."""
+        design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+        headings = set(re.findall(r"^#{2,3} (\d+(?:\.\d+)?)\.?\s", design, re.M))
+        cited = _design_citations()
+        assert len(cited) > 20, "the citation scan found almost nothing"
+        stale = [(where, number) for where, number in cited if number not in headings]
+        assert not stale, f"DESIGN.md citations of missing sections: {stale}"
+
     def test_examples_shipped(self):
         examples = {p.name for p in (ROOT / "examples").glob("*.py")}
         assert "quickstart.py" in examples
@@ -249,7 +306,7 @@ class TestRetiredApi:
         "repro.sim.multicore", "repro.sim.pipeline", "repro.sim.ge",
         "repro.gc.classic", "repro.gc.backends.scalar", "repro.gc.backends.base",
         "repro.serve.sockets", "repro.serve.mux", "repro.analysis.charts",
-        "repro.analysis.schedule_search",
+        "repro.analysis.schedule_search", "repro.hwmodel.technology",
     ])
     def test_module_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
@@ -398,6 +455,30 @@ class TestRetiredApi:
         # One figure output: the CSV + Vega-Lite artifacts, no ASCII charts.
         ("repro.analysis", "grouped_bar_chart"),
         ("repro.analysis", "stacked_shares"),
+        # One anchored component model: no node, no second breakdown.
+        *[
+            (module, name)
+            for module in ("repro.hwmodel", "repro.hwmodel.area", "repro.hwmodel.power")
+            for name in (
+                "TSMC_16", "TSMC_28", "SCALE_28_TO_16",
+                "AreaBreakdown", "PowerBreakdown",
+            )
+        ],
+        # Constants only tests read: deleted, or moved beside those tests.
+        *[
+            (module, name)
+            for module, names in (
+                ("repro.baselines", ("GARBLE_OVERHEAD", "REKEY_OVERHEAD")),
+                ("repro.baselines.cpu_model", ("GARBLE_OVERHEAD", "REKEY_OVERHEAD")),
+                ("repro.core", ("OOR_SENTINEL",)),
+                ("repro.core.isa", ("OOR_SENTINEL",)),
+                (
+                    "repro.gc.halfgate",
+                    ("GARBLER_HASHES_PER_AND", "EVALUATOR_HASHES_PER_AND"),
+                ),
+            )
+            for name in names
+        ],
         # One exponentiation primitive (ot._powmod): no fixed-base
         # tables, no forked sender split.
         *[
@@ -501,8 +582,7 @@ class TestRetiredApi:
         ("repro.faults.errors", "RecoveryLog", "signature"),
         ("repro.faults.plan", "FaultPlan", "reset"),
         ("repro.faults.plan", "FaultPlan", "signature"),
-        ("repro.hwmodel.area", "AreaBreakdown", "total_with_phy"),
-        ("repro.hwmodel.power", "PowerBreakdown", "total_with_phy"),
+        ("repro.hwmodel.area", "ComponentBreakdown", "total_with_phy"),
         ("repro.sim.config", "HaacConfig", "with_ges"),
         ("repro.sim.config", "HaacConfig", "with_sww_bytes"),
         ("repro.sim.config", "HaacConfig", "paper_hbm"),
