@@ -28,11 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from ..baselines.prior_work import (
-    GPU_GATES_PER_US,
-    HAAC_PAPER_GATES_PER_US,
-    PRIOR_WORK,
-)
+from ..baselines.prior_work import PRIOR_WORK
 from ..core.compiler import OptLevel
 from ..hwmodel.area import area_model
 from ..hwmodel.energy import energy_model
@@ -264,8 +260,6 @@ def table5_prior_work(provider: DataProvider, quick: bool) -> ExperimentResult:
     if "AES-128" in our_gates:
         throughput = our_gates["AES-128"] / our_time_us["AES-128"]
         extras["gates_per_us"] = throughput
-        extras["gpu_gates_per_us"] = GPU_GATES_PER_US
-        extras["paper_haac_gates_per_us"] = HAAC_PAPER_GATES_PER_US
     return ExperimentResult(
         name="Table 5: comparison to prior accelerators (garbling)",
         headers=headers,

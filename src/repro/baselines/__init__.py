@@ -3,8 +3,6 @@
 from .cpu_model import DEFAULT_CPU, CpuCostModel
 from .plaintext import DEFAULT_PLAINTEXT, PlaintextModel
 from .prior_work import (
-    GPU_GATES_PER_US,
-    HAAC_PAPER_GATES_PER_US,
     MICRO_WORKLOADS,
     PRIOR_WORK,
     PriorWorkEntry,
@@ -20,6 +18,4 @@ __all__ = [
     "PRIOR_WORK",
     "MICRO_WORKLOADS",
     "build_micro",
-    "GPU_GATES_PER_US",
-    "HAAC_PAPER_GATES_PER_US",
 ]

@@ -31,10 +31,9 @@ class PlaintextModel:
     def time_s(self, n_ops: int) -> float:
         return max(n_ops, 1) * self.t_op_ns * 1e-9
 
-    def time_for(self, workload: Workload, **params) -> float:
-        merged = dict(workload.scaled_params)
-        merged.update(params)
-        return self.time_s(workload.plaintext_ops(**merged))
+    def time_for(self, workload: Workload) -> float:
+        """Plaintext time of ``workload`` at its scaled size."""
+        return self.time_s(workload.plaintext_ops(**workload.scaled_params))
 
 
 DEFAULT_PLAINTEXT = PlaintextModel()

@@ -27,13 +27,7 @@ __all__ = [
     "build_micro",
     "millionaires_circuit",
     "two_party_circuit",
-    "GPU_GATES_PER_US",
-    "HAAC_PAPER_GATES_PER_US",
 ]
-
-# Paper section 6.6: GPU garbles 75 M gates/s; HAAC 8.7 B gates/s.
-GPU_GATES_PER_US = 75.0
-HAAC_PAPER_GATES_PER_US = 8_700.0
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ __all__ = ["CircuitBuilder", "stamped"]
 def stamped(fn):
     """Run ``fn(builder, *args)`` once per call signature and append its
     recorded gates, relocated, on later calls.  ``fn`` must be pure: its
-    gates and returned wires depend on the signature only (DESIGN.md 14.6).
+    gates and returned wires depend on the signature only (DESIGN.md 13.5).
     """
 
     @functools.wraps(fn)

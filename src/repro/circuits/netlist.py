@@ -6,7 +6,7 @@ time -- there is no control flow (paper sections 1-2).  This IR is shared
 by the garbling substrate, the workload generators, the Bristol reader/
 writer, and the HAAC assembler.
 
-A netlist *is* four parallel columns (DESIGN.md section 14): ``op`` (a
+A netlist *is* four parallel columns (DESIGN.md section 13): ``op`` (a
 ``bytearray`` of :data:`OP_AND` / :data:`OP_XOR` / :data:`OP_INV`) and
 ``a`` / ``b`` / ``out`` (``array('q')`` wire ids; ``b`` is -1 for INV).
 :class:`Gate` stays the public value type, but ``circuit.gates`` is a

@@ -243,13 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "entries (default: $REPRO_PROG_CACHE / $REPRO_RESULT_STORE, else "
         "~/.cache/repro/progcache and ~/.cache/repro/resultstore)",
     )
-    p_st.add_argument(
-        "--policy",
-        choices=["keep", "theirs"],
-        default="keep",
-        help="merge conflict policy: keep local entries (default) or "
-        "adopt the source's",
-    )
     return parser
 
 
@@ -565,14 +558,14 @@ def _cmd_store(args: argparse.Namespace) -> int:
             )
             return 2
         try:
-            report = results.merge(args.path, policy=args.policy)
+            report = results.merge(args.path)
         except (OSError, ValueError) as error:
             print(str(error), file=sys.stderr)
             return 2
         print(
             f"merged {args.path} into {results.root}: "
             f"{report.added} added, {report.identical} identical, "
-            f"{report.conflicts} conflicts ({report.replaced} replaced), "
+            f"{report.conflicts} conflicts, "
             f"{report.corrupt} corrupt skipped"
         )
         return 0

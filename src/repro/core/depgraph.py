@@ -5,7 +5,7 @@ structure from the same netlist on every cold compile: the reorder
 passes re-ran :meth:`Circuit.gate_levels`, ESW re-walked every gate's
 operands, and the greedy GE mapping iterated gate dataclasses.
 :class:`DepGraph` is the single flat-array home for all of it
-(DESIGN.md section 14):
+(DESIGN.md section 13):
 
 * **operand arrays** ``a_of`` / ``b_of`` / ``out_of`` -- the circuit's
   own columns, adopted by reference -- and ``is_and``, one byte per
@@ -100,7 +100,7 @@ class DepGraph:
     NumPy-less-pickle portability contract as the stream set; the
     NumPy engine wraps them on demand).  The derivations that are not
     sequential by nature run as array kernels over views of the
-    columns and hand back lists of Python ints (DESIGN.md 14.5).
+    columns and hand back lists of Python ints (DESIGN.md 13.4).
     """
 
     def __init__(self, circuit: Circuit):

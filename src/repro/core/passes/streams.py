@@ -68,14 +68,6 @@ class ScheduleParams:
     def __post_init__(self) -> None:
         check_at_least(self, and_latency=1, xor_latency=1, cross_ge_forward=0)
 
-    @staticmethod
-    def evaluator() -> "ScheduleParams":
-        return ScheduleParams(and_latency=18)
-
-    @staticmethod
-    def garbler() -> "ScheduleParams":
-        return ScheduleParams(and_latency=21)
-
 
 @dataclass
 class GeStreams:
@@ -190,7 +182,7 @@ class StreamSet:
         return (self.live_writes, self.oor_reads, self.live_writes + self.oor_reads)
 
 
-#: Array-path run width and program share (measured crossovers, DESIGN.md 14.5).
+#: Array-path run width and program share (measured crossovers, DESIGN.md 13.4).
 _RUN_MIN = 256
 _WIDE_SHARE = 0.5
 
@@ -447,7 +439,7 @@ def generate_streams(
     if graph is None:
         program.validate()
         graph = dep_graph(program.netlist)
-    params = params or ScheduleParams.evaluator()
+    params = params or ScheduleParams()
 
     ge_of, issue_cycle, makespan = _greedy_schedule(
         program, n_ges, params, window.capacity, graph

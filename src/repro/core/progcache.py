@@ -135,7 +135,7 @@ def compile_key(
     """
     from .passes.streams import ScheduleParams
 
-    effective = params or ScheduleParams.evaluator()
+    effective = params or ScheduleParams()
     h = hashlib.sha256()
     h.update(
         "|".join(

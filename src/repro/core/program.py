@@ -9,7 +9,7 @@ the hardware controllers and the simulator need (input count, output
 addresses, the netlist the program was derived from).
 ``program.instructions`` is a read-only view that builds
 :class:`~repro.core.isa.Instruction` values only when somebody indexes
-or iterates it (DESIGN.md section 14).
+or iterates it (DESIGN.md section 13).
 
 Programs obey the ISA contract: instruction ``p`` writes physical wire
 address ``n_inputs + p`` (sequential outputs), so no output address is

@@ -1,19 +1,13 @@
 """HAAC hardware model: config, DRAM, timing and functional simulation."""
 
 from .config import INSTR_BYTES, OOR_ADDR_BYTES, TABLE_BYTES, HaacConfig, Role
-from .coupled import (
-    CoupledResult,
-    coupled_runtime,
-    coupled_runtime_batch,
-    pull_based_runtime,
-)
+from .coupled import CoupledResult, coupled_runtime_batch, pull_based_runtime
 from .dram import DDR4, HBM2, BandwidthLedger, DramSpec
 from .functional import FunctionalRun, HaacMachineError, run_functional
 from .stats import SimResult, StallBreakdown
 from .timing import simulate, simulate_batch
 
 __all__ = [
-    "coupled_runtime",
     "coupled_runtime_batch",
     "pull_based_runtime",
     "CoupledResult",

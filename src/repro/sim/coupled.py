@@ -7,20 +7,20 @@ claim holds only because the queues are provisioned and OoR wires are
 pushed ahead of need.  This module quantifies what decoupling is worth
 by simulating the counterfactuals:
 
-* ``coupled_runtime`` -- finite per-GE queue credit: the instruction,
-  table and OoRW streams are prefetched through a shared bandwidth pipe
-  into bounded queue SRAM; a GE stalls when it outruns its prefetcher.
-  With generous SRAM this converges to the decoupled result.
+* ``coupled_runtime_batch`` -- finite per-GE queue credit: the
+  instruction, table and OoRW streams are prefetched through a shared
+  bandwidth pipe into bounded queue SRAM; a GE stalls when it outruns
+  its prefetcher.  With generous SRAM this converges to the decoupled
+  result.
 * ``pull_based_runtime`` -- the strawman the paper argues against
   (section 3.1.4): each OoR wire is a demand miss costing a full DRAM
   round trip on the GE's critical path instead of a queued push.
 
 Both reuse the exact same streams and byte accounting as
 :mod:`repro.sim.timing`, so the three models are directly comparable.
-Like the decoupled model, the replay reads the stream set through the
-schedule plan of :mod:`repro.sim.engine`: ``numpy`` (the default) is
-one array pass over a leading queue axis, ``config.sim_engine =
-"reference"`` the per-gate loop the equivalence suite diffs it against.
+The coupled model reads the stream set through the schedule plan of
+:mod:`repro.sim.engine`: one array pass over a leading queue axis.  Its
+per-instruction oracle is ``tests/sim/scalar_coupled.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.isa import HaacOp
 from ..core.passes.streams import StreamSet
 from ..core.sww import WIRE_BYTES
 from .config import OOR_ADDR_BYTES, TABLE_BYTES, HaacConfig
@@ -39,7 +38,6 @@ from .timing import simulate
 
 __all__ = [
     "CoupledResult",
-    "coupled_runtime",
     "coupled_runtime_batch",
     "pull_based_runtime",
     "DRAM_LATENCY_CYCLES",
@@ -91,107 +89,35 @@ class CoupledResult:
         return self.cycles / self.ge_clock_hz
 
 
-def _per_instruction_bytes(streams: StreamSet, config: HaacConfig) -> list[float]:
-    """Prefetch bytes each instruction consumes, in program order.
-
-    Reference formulation: walks the program columns and each
-    instruction's owning GE stream.  The numpy path computes the same
-    values from the schedule plan's program-order arrays; both must stay
-    cost-identical.
-    """
-    program = streams.program
-    costs = []
-    oor_cost = WIRE_BYTES + OOR_ADDR_BYTES
-    for position, (op, live) in enumerate(zip(program.op, program.live)):
-        ge = streams.ges[streams.ge_of[position]]
-        cost = float(config.instr_bytes)
-        if op == HaacOp.AND:
-            cost += TABLE_BYTES
-        if ge.oor_a_of[position]:
-            cost += oor_cost
-        if ge.oor_b_of[position]:
-            cost += oor_cost
-        if live:
-            cost += WIRE_BYTES
-        costs.append(cost)
-    return costs
-
-
-def coupled_runtime(
-    streams: StreamSet, config: HaacConfig, queue_bytes_per_ge: int | None = None
-) -> CoupledResult:
-    """Runtime with finite queue SRAM coupling compute to the prefetcher.
-
-    Model: the memory controller fills queues in program order at the
-    DRAM bandwidth; a GE may run at most ``queue_bytes_per_ge`` worth of
-    stream data ahead of the fill frontier.  Instruction ``p`` therefore
-    cannot issue before ``(prefix_bytes(p) - credit) / bandwidth``.
-    The other lower bound, the base issue, is the compile's schedule
-    ``streams.issue_cycle``: exactly the decoupled replay's issue cycles
-    when ``config`` is on the compile's schedule (its latencies are
-    ``streams.params``), the compiler's own when it is not.
-
-    On ``numpy`` this is a one-row :func:`coupled_runtime_batch`; the
-    loop below is the ``reference`` replay.
-    """
-    queue_bytes = (
-        queue_bytes_per_ge
-        if queue_bytes_per_ge is not None
-        else config.queue_sram_bytes // max(1, config.n_ges)
-    )
-    decoupled = simulate(streams, config)
-    if config.sim_engine != "reference":
-        return coupled_runtime_batch(streams, config, [queue_bytes], decoupled)[0]
-    bandwidth = config.dram_bytes_per_ge_cycle
-    program = streams.program
-    input_bytes = program.n_inputs * WIRE_BYTES
-    costs = _per_instruction_bytes(streams, config)
-    # Issue replay with the extra prefetch constraint.
-    prefix = 0.0
-    stall = 0.0
-    finish = 0.0
-    for position, base_issue in enumerate(streams.issue_cycle):
-        prefix += costs[position]
-        # The bytes for this instruction (minus the credit window)
-        # must have streamed in before it can issue.
-        fill_time = (input_bytes + prefix - queue_bytes) / bandwidth
-        issue = max(base_issue, fill_time)
-        stall += issue - base_issue
-        latency = (
-            config.and_latency
-            if program.op[position] == HaacOp.AND
-            else config.xor_latency
-        )
-        finish = max(finish, issue + latency + config.writeback_stages)
-
-    # Aggregate bandwidth still bounds the whole execution.
-    cycles = max(finish, decoupled.traffic_cycles)
-    return CoupledResult(
-        name=f"coupled({queue_bytes}B/GE)",
-        cycles=cycles,
-        decoupled_cycles=decoupled.runtime_cycles,
-        stall_cycles=stall,
-        ge_clock_hz=config.ge_clock_hz,
-    )
-
-
 def coupled_runtime_batch(
     streams: StreamSet,
     config: HaacConfig,
     queue_bytes_list,
     decoupled=None,
 ) -> "list[CoupledResult]":
-    """Finite-queue runtimes for a whole queue-size sweep in one pass.
+    """Runtime with finite queue SRAM coupling compute to the prefetcher,
+    for a whole queue-size sweep in one pass.
 
-    On the numpy engine the decoupled baseline simulates once and the
-    per-instruction byte prefix sums once; the fill-time recurrence then
-    broadcasts over a leading queue axis (``(Q, n)``), so a whole queue
-    sweep costs one replay plus Q rows of elementwise array ops.  Each
-    row is bit-identical to ``coupled_runtime(streams, config, q)`` --
-    the recurrence is elementwise on the shared exact-integer prefix
-    sums, and ``np.cumsum`` accumulates each row strictly left-to-right
-    like the serial stall sum.  The ``reference`` engine falls back to
-    per-point :func:`coupled_runtime` calls.
+    Model: the memory controller fills queues in program order at the
+    DRAM bandwidth; a GE may run at most ``queue_bytes`` worth of stream
+    data ahead of the fill frontier (``None`` means
+    ``config.queue_sram_bytes // n_ges``).  Instruction ``p`` therefore
+    cannot issue before ``(prefix_bytes(p) - credit) / bandwidth``.
+    The other lower bound, the base issue, is the compile's schedule
+    ``streams.issue_cycle``: exactly the decoupled replay's issue cycles
+    when ``config`` is on the compile's schedule (its latencies are
+    ``streams.params``), the compiler's own when it is not.  Aggregate
+    bandwidth still bounds the whole run: the decoupled traffic cycles
+    floor each row.
+
+    The decoupled baseline simulates once and the per-instruction byte
+    prefix sums once; the fill-time recurrence then broadcasts over a
+    leading queue axis (``(Q, n)``), so a whole queue sweep costs one
+    replay plus Q rows of elementwise array ops.  Each row is
+    bit-identical to the per-instruction loop of
+    ``tests/sim/scalar_coupled.py`` -- the recurrence is elementwise on
+    the shared exact-integer prefix sums, and ``np.cumsum`` accumulates
+    each row strictly left-to-right like the serial stall sum.
 
     ``decoupled`` accepts the caller's already-simulated baseline
     ``SimResult`` for ``(streams, config)`` (sweeps usually have one in
@@ -205,11 +131,8 @@ def coupled_runtime_batch(
         for queue_bytes in queue_bytes_list
     ]
     check_compiled_for(streams, config)
-    if config.sim_engine == "reference" or not queue_list:
-        return [
-            coupled_runtime(streams, config, queue_bytes)
-            for queue_bytes in queue_list
-        ]
+    if not queue_list:
+        return []
     if decoupled is None:
         decoupled = simulate(streams, config)
     bandwidth = config.dram_bytes_per_ge_cycle

@@ -4,9 +4,10 @@ The decoupled, coupled and pull-based models all read one compiled
 :class:`StreamSet` -- the program, its dependence graph's columns and
 the compile's ``ge_of`` / ``issue_cycle`` / ``level_of`` -- through two
 config-independent NumPy plans memoized on it, instead of re-walking
-dataclasses per gate.  Two engines, selected by ``HaacConfig.sim_engine``:
+dataclasses per gate.  :func:`compute_cycles_batch` is the one entry,
+and the one reader of ``HaacConfig.sim_engine``.  Per config it picks:
 
-* ``numpy`` -- the default (``None`` names it too).  It picks its path from the input:
+* ``numpy`` -- the default (``None`` names it too), chosen from the input:
 
   - A config *on the compile's schedule* -- ``(and_latency,
     xor_latency, cross_ge_forward)`` equal to the ``streams.params``
@@ -15,9 +16,9 @@ dataclasses per gate.  Two engines, selected by ``HaacConfig.sim_engine``:
     applies the replay's issue rule to the same ``ge_of``, so
     ``streams.issue_cycle`` *is* the replay's answer.
   - Any other config takes the level-parallel replay
-    (:func:`compute_cycles_numpy_batched`) over ``streams.level_of``,
-    persisted through :mod:`repro.core.progcache`: each level's issue
-    cycles for every config of the call at once, in five array calls.
+    (:func:`_level_replay`) over ``streams.level_of``, persisted
+    through :mod:`repro.core.progcache`: each level's issue cycles for
+    every config of the call at once, in five array calls.
 
   Either way, cycles and stalls are one closed form over the issue
   vector, the compile's or the replay's (:func:`_scheduled_rows`).
@@ -28,7 +29,7 @@ dataclasses per gate.  Two engines, selected by ``HaacConfig.sim_engine``:
   suite diffs the numpy engine against and the one implementation of
   bank conflicts.  It never reads the compile's schedule.
 
-All paths produce bit-identical cycle counts, stall breakdowns and
+All paths return bit-identical cycle counts, stall breakdowns and
 per-GE issue counts (``tests/sim/test_engine_equivalence``: every
 stdlib family at every opt level, on and off the schedule; bank
 conflicts are pinned by ``tests/sim/test_bank_conflict_golden``).  A
@@ -37,7 +38,7 @@ config whose GE count or SWW capacity is not the compile's raises
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .stats import StallBreakdown
 __all__ = [
     "check_compiled_for",
     "compute_cycles_batch",
-    "compute_cycles_numpy_batched",
     "compute_cycles_reference",
 ]
 
@@ -87,13 +87,12 @@ def _replay_key(config) -> Tuple[int, int, int]:
 
 
 def compute_cycles_batch(
-    streams: StreamSet,
-    configs,
-    stalls_list: Optional[List[StallBreakdown]] = None,
-) -> List[Tuple[int, Dict[int, int]]]:
+    streams: StreamSet, configs
+) -> List[Tuple[int, Dict[int, int], StallBreakdown]]:
     """Time one compiled program under many configs, batching the work.
 
-    Each config takes one of three paths, chosen from the input:
+    Returns ``(cycles, issued per GE, stalls)`` per config.  Each config
+    takes one of three paths, chosen from the input:
 
     * a pinned ``reference`` engine or ``model_bank_conflicts`` (whose
       port arbitration is inherently sequential) runs its own
@@ -101,91 +100,55 @@ def compute_cycles_batch(
     * on ``numpy``, a config whose ``(and_latency, xor_latency,
       cross_ge_forward)`` equal the compile's ``streams.params`` reads
       the closed form over ``streams.issue_cycle`` (once per call);
-    * every other config joins one :func:`compute_cycles_numpy_batched`
-      level replay.
+    * every other config joins one :func:`_level_replay`, one row per
+      distinct ``(and_latency, xor_latency, cross_ge_forward)`` -- a
+      DRAM-bandwidth, queue or writeback sweep varies none of them;
+      ``writeback_stages`` is added per config afterwards.
 
     Mixed batches therefore always work, and every result is
     bit-identical to a serial :func:`compute_cycles_reference` call.
-    ``stalls_list`` (one :class:`StallBreakdown` per config, fresh ones
-    when omitted) is mutated exactly like the serial path mutates its
-    single breakdown.  A config that is not the compile's machine
-    raises (:func:`check_compiled_for`).
+    A config that is not the compile's machine raises
+    (:func:`check_compiled_for`).
     """
     configs = list(configs)
-    stalls_list = _stalls_for(configs, stalls_list)
     for config in configs:
         check_compiled_for(streams, config)
     if not streams.n_instructions:  # nothing issues, nothing drains
-        return [(0, {}) for _ in configs]
+        return [(0, {}, StallBreakdown()) for _ in configs]
     scheduled = _replay_key(streams.params)
-    results: List[Optional[Tuple[int, Dict[int, int]]]] = [None] * len(configs)
+    results: List = [None] * len(configs)
     replayed: List[int] = []
-    for index, (config, stalls) in enumerate(zip(configs, stalls_list)):
+    for index, config in enumerate(configs):
         if config.sim_engine == "reference" or config.model_bank_conflicts:
-            results[index] = compute_cycles_reference(streams, config, stalls)
+            results[index] = compute_cycles_reference(streams, config)
         elif _replay_key(config) == scheduled:
             plan = schedule_plan(streams)
             if plan.own_row is None:  # config-independent: once per plan
                 plan.own_row = _scheduled_rows(streams, [scheduled], plan.issue[None])[0]
-            results[index] = _charge(streams, plan.own_row, config, stalls)
+            results[index] = _charge(streams, plan.own_row, config)
         else:
             replayed.append(index)
-    sub = compute_cycles_numpy_batched(
-        streams,
-        [configs[index] for index in replayed],
-        [stalls_list[index] for index in replayed],
-    )
-    for index, value in zip(replayed, sub):
-        results[index] = value
-    return results  # type: ignore[return-value]
+    if replayed:
+        keys = [_replay_key(configs[index]) for index in replayed]
+        unique = list(dict.fromkeys(keys))
+        rows = dict(zip(unique, _level_replay(streams, unique)))
+        for index, key in zip(replayed, keys):
+            results[index] = _charge(streams, rows[key], configs[index])
+    return results
 
 
-def compute_cycles_numpy_batched(
-    streams: StreamSet,
-    configs,
-    stalls_list: Optional[List[StallBreakdown]] = None,
-) -> List[Tuple[int, Dict[int, int]]]:
-    """Level-parallel replay of **all configs at once** (leading C axis).
-
-    Replays every config, on the compile's schedule or not.  Configs
-    sharing ``(and_latency, xor_latency, cross_ge_forward)`` -- a
-    DRAM-bandwidth, queue or writeback sweep varies none of them --
-    share one :func:`_level_replay` row; ``writeback_stages`` is added
-    per config afterwards.  Callers must guarantee no config sets
-    ``model_bank_conflicts`` (use :func:`compute_cycles_batch` for the
-    general dispatch).
-    """
-    configs = list(configs)
-    stalls_list = _stalls_for(configs, stalls_list)
-    if not configs or not streams.n_instructions:
-        return [(0, {}) for _ in configs]
-    keys = [_replay_key(config) for config in configs]
-    unique = list(dict.fromkeys(keys))
-    rows = dict(zip(unique, _level_replay(streams, unique)))
-    return [
-        _charge(streams, rows[key], config, stalls)
-        for key, config, stalls in zip(keys, configs, stalls_list)
-    ]
-
-
-def _stalls_for(configs, stalls_list) -> List[StallBreakdown]:
-    if stalls_list is None:
-        return [StallBreakdown() for _ in configs]
-    if len(stalls_list) != len(configs):
-        raise ValueError("need one StallBreakdown per config")
-    return stalls_list
-
-
-def _charge(streams, row, config, stalls) -> Tuple[int, Dict[int, int]]:
-    """One config's (cycles, issued per GE) from its key's row
+def _charge(streams, row, config) -> Tuple[int, Dict[int, int], StallBreakdown]:
+    """One config's (cycles, issued per GE, stalls) from its key's row
     ``(finish before writeback, dependence, window_sync, last issue)``:
     its writeback and drain go on top."""
     finish, dependence, window_sync, last_issue = row
     finish += config.writeback_stages
-    stalls.dependence += dependence
-    stalls.window_sync += window_sync
-    stalls.drain += max(0, finish - (last_issue + 1))
-    return finish, dict(schedule_plan(streams).issued)
+    stalls = StallBreakdown(
+        dependence=dependence,
+        window_sync=window_sync,
+        drain=max(0, finish - (last_issue + 1)),
+    )
+    return finish, dict(schedule_plan(streams).issued), stalls
 
 
 class _SchedulePlan:
@@ -470,8 +433,8 @@ def _replay_issue(streams: StreamSet, keys) -> np.ndarray:
 
 
 def compute_cycles_reference(
-    streams: StreamSet, config: HaacConfig, stalls: StallBreakdown
-) -> Tuple[int, Dict[int, int]]:
+    streams: StreamSet, config: HaacConfig
+) -> Tuple[int, Dict[int, int], StallBreakdown]:
     """Straightforward per-gate replay: the oracle, and bank conflicts.
 
     Walks the program and netlist columns gate by gate with a
@@ -485,6 +448,7 @@ def compute_cycles_reference(
     capacity = streams.window.capacity
     ports_per_cycle = max(1, int(config.sww_clock_hz / config.ge_clock_hz))
 
+    stalls = StallBreakdown()
     value_ready: Dict[int, int] = {}
     producer_ge: Dict[int, int] = {}
     ge_last_issue: Dict[int, int] = {}
@@ -553,4 +517,4 @@ def compute_cycles_reference(
     if ge_last_issue:
         last_issue = max(ge_last_issue.values())
         stalls.drain += max(0, max_finish - (last_issue + 1))
-    return max_finish, dict(sorted(issued_per_ge.items()))
+    return max_finish, dict(sorted(issued_per_ge.items())), stalls

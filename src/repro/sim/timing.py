@@ -35,7 +35,7 @@ from ..core.sww import WIRE_BYTES
 from .config import OOR_ADDR_BYTES, TABLE_BYTES, HaacConfig
 from .dram import BandwidthLedger
 from .engine import compute_cycles_batch
-from .stats import SimResult, StallBreakdown
+from .stats import SimResult
 
 __all__ = ["simulate", "simulate_batch"]
 
@@ -100,8 +100,7 @@ def simulate_batch(
     :class:`ValueError`.
     """
     configs = list(configs)
-    stalls_list = [StallBreakdown() for _ in configs]
-    compute = compute_cycles_batch(streams, configs, stalls_list)
+    compute = compute_cycles_batch(streams, configs)
     program = streams.program
     n_and = program.n_and  # a count over the op column: once per call
     ledgers = _traffic_ledgers(streams, configs, n_and)
@@ -117,7 +116,7 @@ def simulate_batch(
             ge_clock_hz=config.ge_clock_hz,
             issued_per_ge=issued,
         )
-        for config, (cycles, issued), stalls, ledger in zip(
-            configs, compute, stalls_list, ledgers
+        for config, (cycles, issued, stalls), ledger in zip(
+            configs, compute, ledgers
         )
     ]

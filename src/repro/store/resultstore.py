@@ -36,8 +36,8 @@ cache alike.  An entry is valid only if its fields re-derive its key.
 Stores merge across hosts: :meth:`ResultStore.merge` folds another
 store directory (or a single-file *bundle* exported by
 :meth:`ResultStore.save_bundle`) into this one, keeping byte-identical
-entries, adding missing ones and counting conflicts (``policy="keep"``
-preserves local entries; ``policy="theirs"`` adopts the source's).
+entries, adding missing ones and counting conflicts (the local entry
+is always kept).
 Because keys are content-addressed, disjoint sweeps shard trivially:
 run the grid on N hosts, merge N stores, and every point lands exactly
 once.
@@ -134,15 +134,13 @@ class MergeReport:
 
     ``added`` entries were absent locally; ``identical`` entries already
     existed with a byte-equal payload; ``conflicts`` carried a
-    *different* payload for the same key (kept or replaced per the merge
-    policy -- ``replaced`` counts how many the policy adopted);
+    *different* payload for the same key (the local one is kept);
     ``corrupt`` source entries were skipped.
     """
 
     added: int = 0
     identical: int = 0
     conflicts: int = 0
-    replaced: int = 0
     corrupt: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -259,22 +257,15 @@ class ResultStore(EntryStore):
                 entry = exc
             yield entry
 
-    def merge(
-        self,
-        source: Union["ResultStore", str, Path],
-        policy: str = "keep",
-    ) -> MergeReport:
+    def merge(self, source: Union["ResultStore", str, Path]) -> MergeReport:
         """Fold another store (directory, instance, or bundle file) in.
 
-        ``policy="keep"`` (default) preserves the local entry on a
-        payload conflict; ``policy="theirs"`` adopts the source's.
-        Either way the conflict is counted, so a caller can demand
-        conflict-free merges by asserting ``report.conflicts == 0``.
-        A path that is neither raises ``FileNotFoundError``; a file
-        that is not a bundle raises ``ValueError``.
+        A payload conflict keeps the local entry and is counted, so a
+        caller can demand conflict-free merges by asserting
+        ``report.conflicts == 0``.  A path that is neither raises
+        ``FileNotFoundError``; a file that is not a bundle raises
+        ``ValueError``.
         """
-        if policy not in ("keep", "theirs"):
-            raise ValueError(f"unknown merge policy {policy!r}")
         report = MergeReport()
         for item in self._source_entries(source):
             if isinstance(item, Exception):
@@ -288,20 +279,16 @@ class ResultStore(EntryStore):
                 existing = None
             if existing is None:
                 report.added += 1
+                self.put(
+                    item["program_digest"],
+                    item["config_signature"],
+                    item["bench_schema"],
+                    item["payload"],
+                )
             elif existing["payload"] == item["payload"]:
                 report.identical += 1
-                continue
             else:
                 report.conflicts += 1
-                if policy != "theirs":
-                    continue
-                report.replaced += 1
-            self.put(
-                item["program_digest"],
-                item["config_signature"],
-                item["bench_schema"],
-                item["payload"],
-            )
         return report
 
     # -- bundles ---------------------------------------------------------

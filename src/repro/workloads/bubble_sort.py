@@ -80,7 +80,7 @@ def reference(data: Sequence[int], width: int = 16) -> List[int]:
     return sorted(v % (1 << width) for v in data)
 
 
-def plaintext_ops(n: int = 16, width: int = 16) -> int:
+def plaintext_ops(n: int, width: int) -> int:
     """Compare-swap count of the plaintext algorithm."""
     return n * (n - 1) // 2
 

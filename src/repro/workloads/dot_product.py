@@ -71,7 +71,7 @@ def reference(x_vals: Sequence[int], y_vals: Sequence[int], width: int = 16) -> 
     return sum(x * y for x, y in zip(x_vals, y_vals)) % (1 << width)
 
 
-def plaintext_ops(n: int = 32, width: int = 16) -> int:
+def plaintext_ops(n: int, width: int) -> int:
     """One multiply-accumulate per element."""
     return 2 * n
 

@@ -178,10 +178,7 @@ def reference(
 
 
 def plaintext_ops(
-    n_points: int = 4,
-    rounds: int = 3,
-    fmt: FloatFormat = FP16,
-    learning_rate: float = 0.05,
+    n_points: int, rounds: int, fmt: FloatFormat, learning_rate: float
 ) -> int:
     """~6 FP ops per sample per round plus the update."""
     return rounds * (6 * n_points + 4)

@@ -58,7 +58,7 @@ def reference(a_bits: Sequence[int], b_bits: Sequence[int]) -> int:
     return sum((a ^ b) & 1 for a, b in zip(a_bits, b_bits))
 
 
-def plaintext_ops(n_bits: int = 2048) -> int:
+def plaintext_ops(n_bits: int) -> int:
     """One xor+count per 64-bit word on a real CPU."""
     return max(1, 2 * n_bits // 64)
 

@@ -97,7 +97,7 @@ def reference(
     ]
 
 
-def plaintext_ops(n: int = 5, width: int = 16) -> int:
+def plaintext_ops(n: int, width: int) -> int:
     """n^3 multiply-accumulates."""
     return 2 * n**3
 

@@ -184,7 +184,7 @@ def reference(
     return outputs
 
 
-def plaintext_ops(state_n: int = 16, state_m: int = 8, n_outputs: int = 16) -> int:
+def plaintext_ops(state_n: int, state_m: int, n_outputs: int) -> int:
     """~10 word ops per twist+temper."""
     return 10 * n_outputs
 

@@ -95,7 +95,7 @@ def reference(adjacency: Sequence[Sequence[int]]) -> int:
     return count
 
 
-def plaintext_ops(n: int = 24) -> int:
+def plaintext_ops(n: int) -> int:
     """Two AND-equivalents per vertex triple."""
     return 2 * (n * (n - 1) * (n - 2)) // 6
 

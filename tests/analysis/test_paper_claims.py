@@ -28,12 +28,12 @@ from repro.core.compiler import OptLevel, compile_circuit
 from repro.gc.halfgate import tables_to_bytes
 from repro.hwmodel.area import area_model
 from repro.sim.config import HaacConfig
-from repro.sim.coupled import coupled_runtime, pull_based_runtime
+from repro.sim.coupled import pull_based_runtime
 from repro.sim.dram import HBM2
 from repro.sim.timing import simulate
 from repro.workloads import get_workload
 from tests.gc.oracles import garble_circuit
-from tests.sim.test_coupled import slowdown
+from tests.sim.test_coupled import coupled_at, slowdown
 
 QUICK = pytest.param(True, id="quick")
 FULL = pytest.param(False, id="full", marks=pytest.mark.slow)
@@ -118,11 +118,16 @@ def test_table5_beats_every_prior_accelerator(experiment, quick):
     assert not losses, f"prior work beat us on: {losses}"
 
 
+#: Section 6.6: one GPU implementation garbles 75 M gates/s.
+GPU_GATES_PER_US = 75.0
+
+
 @pytest.mark.slow
 def test_table5_throughput_beats_gpu(experiment):
     result = experiment("table5", False)
     assert len(result.rows) == 17
-    assert result.extras["gates_per_us"] > result.extras["gpu_gates_per_us"]
+    assert result.extras.keys() == {"gates_per_us"}
+    assert result.extras["gates_per_us"] > GPU_GATES_PER_US
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +300,7 @@ def test_ablation_decoupling():
             config.n_ges, opt=OptLevel.RO_RN_ESW,
             params=config.schedule_params(),
         )
-        coupled = slowdown(coupled_runtime(compiled.streams, config))
+        coupled = slowdown(coupled_at(compiled.streams, config))
         pull = slowdown(pull_based_runtime(compiled.streams, config))
         assert coupled < 1.25, name
         assert pull >= coupled * 0.999, name

@@ -52,7 +52,7 @@ class TestPlaintextModel:
 
     def test_param_override(self):
         base = DEFAULT_PLAINTEXT.time_for(WORKLOADS["Hamm"])
-        bigger = DEFAULT_PLAINTEXT.time_for(WORKLOADS["Hamm"], n_bits=4096)
+        bigger = DEFAULT_PLAINTEXT.time_s(WORKLOADS["Hamm"].plaintext_ops(n_bits=4096))
         assert bigger > base
 
 

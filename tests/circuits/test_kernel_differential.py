@@ -1,7 +1,7 @@
 """Differential properties of the compiler's array kernels.
 
 ``Circuit.validate`` and the compile passes run as NumPy kernels over
-the gate columns (DESIGN.md section 14).  Two things hold them:
+the gate columns (DESIGN.md section 13).  Two things hold them:
 
 * the scalar validator they replaced, kept verbatim in
   :mod:`tests.circuits.scalar_oracle` -- on random well-formed netlists

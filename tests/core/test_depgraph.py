@@ -1,4 +1,4 @@
-"""Property tests for the shared dependence-graph IR (DESIGN.md 14).
+"""Property tests for the shared dependence-graph IR (DESIGN.md 13).
 
 :mod:`repro.core.depgraph` replaced three independent derivations of
 the same dependence structure -- the netlist's ASAP levels, the

@@ -240,11 +240,11 @@ class TestCompileKey:
         circuit = _adder()
         evaluator = compile_key(
             circuit, config.window.capacity, config.n_ges,
-            OptLevel.RO_RN_ESW, ScheduleParams.evaluator(),
+            OptLevel.RO_RN_ESW, ScheduleParams(),
         )
         garbler = compile_key(
             circuit, config.window.capacity, config.n_ges,
-            OptLevel.RO_RN_ESW, ScheduleParams.garbler(),
+            OptLevel.RO_RN_ESW, ScheduleParams(and_latency=21),
         )
         assert evaluator != garbler
 
@@ -253,7 +253,7 @@ class TestCompileKey:
         implicit = compile_key(circuit, config.window.capacity, config.n_ges,
                                OptLevel.RO_RN_ESW)
         explicit = compile_key(circuit, config.window.capacity, config.n_ges,
-                               OptLevel.RO_RN_ESW, ScheduleParams.evaluator())
+                               OptLevel.RO_RN_ESW, ScheduleParams())
         assert implicit == explicit
 
 
@@ -459,7 +459,7 @@ def test_full_scale_warm_entries_equal_cold(tmp_path, name):
 
 
 class TestNoArrayTypeLeaks:
-    """The passes compute on NumPy views (DESIGN.md section 14); what a
+    """The passes compute on NumPy views (DESIGN.md section 13); what a
     compile returns and what the cache pickles is stdlib columns and
     Python ints, so entries stay loadable without NumPy and JSON rows
     never meet an ``np.int64``."""

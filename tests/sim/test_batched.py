@@ -1,11 +1,12 @@
 """Batched multi-config replay: bit-identity with the serial loops.
 
-The contract under test: ``simulate_batch`` / ``coupled_runtime_batch``
-(and the ``compute_cycles_batch`` dispatcher underneath) return, for
-every config / queue size in the batch, exactly what the serial
-``simulate`` / ``coupled_runtime`` calls return -- under both engines,
-including the bank-conflict fallback (inherently sequential port
-arbitration, always on the reference replay).  Covered across three
+The contract under test: ``simulate_batch`` (and the
+``compute_cycles_batch`` dispatcher underneath) returns, for every
+config in the batch, exactly what serial ``simulate`` calls return --
+under both engines, including the bank-conflict fallback (inherently
+sequential port arbitration, always on the reference replay) -- and
+``coupled_runtime_batch`` returns, for every queue size, what the
+per-instruction oracle of ``tests/sim/scalar_coupled.py`` does.  Covered across three
 workload families so the batched axis sees real OoR / window-sync
 structure, not just one circuit shape.
 """
@@ -22,20 +23,19 @@ from repro.core.compiler import OptLevel, compile_circuit
 from repro.core.progcache import ProgramCache
 from repro.core.program import HaacProgram
 from repro.sim.config import HaacConfig, Role
-from repro.sim.coupled import (
-    coupled_runtime,
-    coupled_runtime_batch,
-    pull_based_runtime,
-)
+from repro.sim.coupled import coupled_runtime_batch, pull_based_runtime
 from repro.sim.dram import DDR4, HBM2, DramSpec
 from repro.sim.engine import (
+    _level_replay,
+    _replay_issue,
     _replay_key,
+    _scheduled_rows,
     compute_cycles_batch,
-    compute_cycles_numpy_batched,
+    schedule_plan,
 )
-from repro.sim.stats import StallBreakdown
 from repro.sim.timing import simulate, simulate_batch
 from repro.workloads import get_workload
+from tests.sim.scalar_coupled import scalar_coupled_runtime
 
 ALL_ENGINES = ("numpy", "reference")
 
@@ -100,7 +100,8 @@ class TestBatchedVsSerial:
         streams, config = _compiled(family)
         config = config.with_sim_engine(engine)
         serial = [
-            _coupled_snap(coupled_runtime(streams, config, q)) for q in QUEUES
+            _coupled_snap(scalar_coupled_runtime(streams, config, q))
+            for q in QUEUES
         ]
         batched = [
             _coupled_snap(p)
@@ -149,37 +150,39 @@ class TestComputeCyclesBatch:
         assert simulate_batch(streams, []) == []
         assert coupled_runtime_batch(streams, _compiled("ReLU")[1], []) == []
 
-    def test_stalls_list_length_checked(self):
-        streams, config = _compiled("ReLU")
-        with pytest.raises(ValueError):
-            compute_cycles_batch(streams, [config], [])
-        with pytest.raises(ValueError):
-            compute_cycles_numpy_batched(
-                streams, [config], [StallBreakdown()] * 2
-            )
-
-    def test_stall_breakdowns_accumulate_like_serial(self):
+    def test_stall_breakdowns_equal_serial(self):
         streams, config = _compiled("Hamm")
         configs = [config, config.with_role(Role.GARBLER)]
         serial_stalls = [simulate(streams, c).stalls.as_dict() for c in configs]
-        batch_stalls = [StallBreakdown() for _ in configs]
-        compute_cycles_batch(streams, configs, batch_stalls)
-        assert [s.as_dict() for s in batch_stalls] == serial_stalls
+        batched = compute_cycles_batch(streams, configs)
+        assert [stalls.as_dict() for _, _, stalls in batched] == serial_stalls
 
-    def test_duplicate_configs_share_a_row(self):
+    def test_duplicate_configs_share_a_row(self, level_replays):
         """Dedup by compute signature: many compute-identical configs
-        (a bandwidth sweep) cost one replay row and return equal
-        results."""
+        (a bandwidth sweep off the compile's schedule) cost one replay
+        row and return equal results."""
         streams, config = _compiled("ReLU")
-        sweep = config.variants(
+        sweep = config._replace(cross_ge_forward=2).variants(
             dram=[DramSpec(name=f"{g}GB/s", bandwidth_gb_s=g)
                   for g in (8.8, 35.2, 512.0)]
         )
-        results = compute_cycles_numpy_batched(
-            streams, sweep
-        )
+        results = compute_cycles_batch(streams, sweep)
+        assert level_replays == [1]
         assert len(results) == 3
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("family", sorted(WORKLOADS))
+    def test_own_key_replay_is_the_schedule(self, family):
+        """Replayed at the compile's own key, the level replay issues
+        every instruction at ``streams.issue_cycle`` and its row is the
+        closed form's over that schedule."""
+        streams, _ = _compiled(family)
+        own_key = [_replay_key(streams.params)]
+        issue = _replay_issue(streams, own_key)
+        assert issue.tolist() == [list(streams.issue_cycle)]
+        assert _level_replay(streams, own_key) == _scheduled_rows(
+            streams, own_key, schedule_plan(streams).issue[None]
+        )
 
     def test_writeback_adds_no_replay_row(self, level_replays):
         """Rows are deduped on (and_latency, xor_latency,

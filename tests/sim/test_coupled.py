@@ -7,10 +7,16 @@ from repro.sim.config import HaacConfig
 from repro.sim.coupled import (
     DRAM_LATENCY_CYCLES,
     CoupledResult,
-    coupled_runtime,
+    coupled_runtime_batch,
     pull_based_runtime,
 )
 from repro.sim.timing import simulate
+
+
+def coupled_at(streams, config, queue_bytes=None) -> CoupledResult:
+    """One queue size of :func:`coupled_runtime_batch` (``None``: the
+    config's ``queue_sram_bytes`` split over its GEs)."""
+    return coupled_runtime_batch(streams, config, [queue_bytes])[0]
 
 
 def slowdown(result: CoupledResult) -> float:
@@ -33,31 +39,29 @@ def compiled_and_config(mixed_circuit):
 class TestCoupled:
     def test_generous_queues_match_decoupled(self, compiled_and_config):
         result, config = compiled_and_config
-        coupled = coupled_runtime(
-            result.streams, config, queue_bytes_per_ge=1 << 30
-        )
+        coupled = coupled_at(result.streams, config, 1 << 30)
         assert slowdown(coupled) == pytest.approx(1.0, abs=1e-9)
 
     def test_never_faster_than_decoupled(self, compiled_and_config):
         result, config = compiled_and_config
         for queue_bytes in (64, 1024, 1 << 20):
-            coupled = coupled_runtime(result.streams, config, queue_bytes)
+            coupled = coupled_at(result.streams, config, queue_bytes)
             assert slowdown(coupled) >= 1.0 - 1e-9
 
     def test_smaller_queues_never_faster(self, compiled_and_config):
         result, config = compiled_and_config
-        small = coupled_runtime(result.streams, config, 64)
-        large = coupled_runtime(result.streams, config, 64 * 1024)
+        small = coupled_at(result.streams, config, 64)
+        large = coupled_at(result.streams, config, 64 * 1024)
         assert small.cycles >= large.cycles - 1e-9
 
     def test_stall_cycles_nonnegative(self, compiled_and_config):
         result, config = compiled_and_config
-        coupled = coupled_runtime(result.streams, config, 256)
+        coupled = coupled_at(result.streams, config, 256)
         assert coupled.stall_cycles >= 0
 
     def test_runtime_seconds(self, compiled_and_config):
         result, config = compiled_and_config
-        coupled = coupled_runtime(result.streams, config)
+        coupled = coupled_at(result.streams, config)
         assert coupled.runtime_s == pytest.approx(
             coupled.cycles / config.ge_clock_hz
         )

@@ -3,9 +3,12 @@
 The contract under test: every timing model (decoupled simulate,
 coupled, pull-based) produces *bit-identical* cycle counts,
 stall breakdowns and per-GE issue counts whether it runs on the NumPy
-level-parallel engine (the default) or the per-gate reference oracle
-(``HaacConfig.sim_engine="reference"``), across every stdlib circuit family
-and every compiler optimization level.  The numpy engine has two paths
+level-parallel engine (the default) or its per-gate oracle -- the
+reference replay (``HaacConfig.sim_engine="reference"``) for the
+decoupled model, the per-instruction loop of
+``tests/sim/scalar_coupled.py`` on that replay for the coupled one --
+across every stdlib circuit family and every compiler optimization
+level.  The numpy engine has two paths
 chosen from the input -- the closed form over the compile's
 ``issue_cycle`` for a config at the compile's latencies, the level
 replay for any other -- and both sides are held to the oracle here,
@@ -31,8 +34,9 @@ from repro.circuits.stdlib.aes_circuit import build_aes128_circuit
 from repro.circuits.stdlib.float import FloatFormat, fp_add
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.sim.config import HaacConfig, Role
-from repro.sim.coupled import coupled_runtime, pull_based_runtime
+from repro.sim.coupled import coupled_runtime_batch, pull_based_runtime
 from repro.sim.timing import simulate
+from tests.sim.scalar_coupled import scalar_coupled_runtime
 from tests.sim.test_coupled import slowdown
 from repro.workloads import get_workload
 
@@ -135,14 +139,23 @@ def _sim_snapshot(streams, config):
     )
 
 
+#: Queue sizes per coupled snapshot: the config's default, a lagging
+#: one and a generous one.
+COUPLED_QUEUES = (None, 64, 4096)
+
+
 def _coupled_snapshot(streams, config):
-    rows = []
-    for queue_bytes in (None, 64, 4096):
-        coupled = coupled_runtime(streams, config, queue_bytes)
-        rows.append((coupled.cycles, coupled.stall_cycles, coupled.name))
+    """Coupled rows and the pull-based row: the batch on ``numpy``, the
+    per-instruction oracle on ``reference``."""
+    if config.sim_engine == "reference":
+        coupled = [
+            scalar_coupled_runtime(streams, config, queue_bytes)
+            for queue_bytes in COUPLED_QUEUES
+        ]
+    else:
+        coupled = coupled_runtime_batch(streams, config, COUPLED_QUEUES)
     pull = pull_based_runtime(streams, config)
-    rows.append((pull.cycles, pull.stall_cycles, pull.name))
-    return rows
+    return [(row.cycles, row.stall_cycles, row.name) for row in [*coupled, pull]]
 
 
 def _all_engines(snapshot, streams, config):
@@ -295,7 +308,7 @@ class TestCoupledEquivalence:
         reproduce the decoupled runtime exactly -- the paper's complete-
         decoupling claim, checked per family and opt level."""
         result, config = _compiled(family, opt)
-        coupled = coupled_runtime(result.streams, config, queue_bytes_per_ge=1 << 40)
+        coupled = coupled_runtime_batch(result.streams, config, [1 << 40])[0]
         decoupled = simulate(result.streams, config)
         assert coupled.cycles == pytest.approx(decoupled.runtime_cycles)
         assert slowdown(coupled) == pytest.approx(1.0)

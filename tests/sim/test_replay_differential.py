@@ -22,11 +22,12 @@ from repro.core.compiler import compile_circuit
 from repro.core.passes.streams import ScheduleParams, generate_streams
 from repro.core.sww import SlidingWindow
 from repro.sim.config import HaacConfig
-from repro.sim.coupled import _per_instruction_bytes, coupled_runtime_batch
+from repro.sim.coupled import coupled_runtime_batch
 from repro.sim.dram import DDR4
 from repro.sim.engine import _replay_issue
 from repro.workloads import get_workload
 from tests.core.test_greedy_differential import renamed_program
+from tests.sim.scalar_coupled import per_instruction_bytes, scalar_coupled_runtime
 from tests.sim.scalar_level_replay import scalar_replay_issue
 
 CAPACITIES = [4, 8, 32, None]  # None: the program's wire count
@@ -93,16 +94,17 @@ def test_coupled_batch_lagging_at_ddr4():
     queues = [64, 96, 4096]
     bandwidth = config.dram_bytes_per_ge_cycle
     input_bytes = streams.program.n_inputs * 16
-    prefix = accumulate(_per_instruction_bytes(streams, config))
+    prefix = accumulate(per_instruction_bytes(streams, config))
     lagging = sum(
         (input_bytes + filled - queues[0]) / bandwidth > issue
         for filled, issue in zip(prefix, streams.issue_cycle)
     )
     assert lagging > len(streams.issue_cycle) // 2
     batched = coupled_runtime_batch(streams, config, queues)
-    reference = coupled_runtime_batch(
-        streams, config.with_sim_engine("reference"), queues
-    )
+    reference = [
+        scalar_coupled_runtime(streams, config.with_sim_engine("reference"), queue)
+        for queue in queues
+    ]
     assert [(r.cycles, r.stall_cycles, r.decoupled_cycles) for r in batched] == [
         (r.cycles, r.stall_cycles, r.decoupled_cycles) for r in reference
     ]

@@ -6,15 +6,12 @@ import pytest
 
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.sim.config import HaacConfig, Role
-from repro.sim.coupled import (
-    coupled_runtime,
-    coupled_runtime_batch,
-    pull_based_runtime,
-)
+from repro.sim.coupled import coupled_runtime_batch, pull_based_runtime
 from repro.sim.dram import DDR4, HBM2, BandwidthLedger
 from repro.sim.stats import SimResult, StallBreakdown
 from repro.sim.timing import _traffic_ledgers, simulate, simulate_batch
 from repro.workloads import get_workload
+from tests.sim.test_coupled import coupled_at
 
 
 def _run(circuit, config, opt=OptLevel.RO_RN_ESW):
@@ -197,7 +194,7 @@ class TestTrafficBatch:
 MODELS = {
     "simulate": simulate,
     "simulate_batch": lambda streams, config: simulate_batch(streams, [config]),
-    "coupled": coupled_runtime,
+    "coupled": coupled_at,
     "coupled_batch": lambda streams, config: coupled_runtime_batch(
         streams, config, [64, 4096]
     ),

@@ -131,8 +131,7 @@ class TestMerge:
         _put(theirs, payload={"v": 2}, digest="c" * 64)
         report = ours.merge(theirs)
         assert report.as_dict() == {
-            "added": 1, "identical": 0, "conflicts": 0,
-            "replaced": 0, "corrupt": 0,
+            "added": 1, "identical": 0, "conflicts": 0, "corrupt": 0,
         }
         assert ours.get("c" * 64, SIG, SCHEMA) == {"v": 2}
 
@@ -150,18 +149,9 @@ class TestMerge:
         theirs = ResultStore(tmp_path / "theirs")
         _put(ours, payload={"v": "local"})
         _put(theirs, payload={"v": "remote"})
-        report = ours.merge(theirs, policy="keep")
-        assert (report.conflicts, report.replaced) == (1, 0)
+        report = ours.merge(theirs)
+        assert report.conflicts == 1
         assert ours.get(DIGEST, SIG, SCHEMA) == {"v": "local"}
-
-    def test_conflict_theirs_adopts_source(self, tmp_path):
-        ours = ResultStore(tmp_path / "ours", memory=False)
-        theirs = ResultStore(tmp_path / "theirs")
-        _put(ours, payload={"v": "local"})
-        _put(theirs, payload={"v": "remote"})
-        report = ours.merge(theirs, policy="theirs")
-        assert (report.conflicts, report.replaced) == (1, 1)
-        assert ours.get(DIGEST, SIG, SCHEMA) == {"v": "remote"}
 
     def test_corrupt_source_entries_skipped(self, tmp_path):
         ours = ResultStore(tmp_path / "ours")
@@ -170,10 +160,6 @@ class TestMerge:
         (theirs.root / f"{'e' * 64}.json").write_text("torn")
         report = ours.merge(theirs)
         assert (report.added, report.corrupt) == (1, 1)
-
-    def test_unknown_policy_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultStore(tmp_path).merge(tmp_path, policy="ours")
 
 
 class TestBundle:

@@ -130,18 +130,15 @@ def test_store_covers_both_namespaces_in_one_directory(tmp_path, capsys):
     assert not list(root.iterdir())
 
 
-def test_store_merge_policy_theirs_replaces_conflicts(tmp_path, capsys):
+def test_store_merge_keeps_local_on_conflict(tmp_path, capsys):
     ours = ResultStore(tmp_path / "ours", memory=False)
     theirs = ResultStore(tmp_path / "theirs")
     ours.put(DIGEST, SIG, SCHEMA, {"v": "local"})
     theirs.put(DIGEST, SIG, SCHEMA, {"v": "remote"})
     argv = ["store", "merge", str(theirs.root), "--dir", str(ours.root)]
     assert cli_main(argv) == 0
-    assert "1 conflicts (0 replaced)" in capsys.readouterr().out
-    assert ours.get(DIGEST, SIG, SCHEMA) == {"v": "local"}
-    assert cli_main(argv + ["--policy", "theirs"]) == 0
-    assert "1 conflicts (1 replaced)" in capsys.readouterr().out
-    assert ResultStore(ours.root).get(DIGEST, SIG, SCHEMA) == {"v": "remote"}
+    assert "1 conflicts, 0 corrupt skipped" in capsys.readouterr().out
+    assert ResultStore(ours.root).get(DIGEST, SIG, SCHEMA) == {"v": "local"}
 
 
 def test_store_info_flags_stale_and_prune_removes_it(tmp_path, capsys):

@@ -70,6 +70,13 @@ REMOVED_PARAMETERS = [
     ("repro.analysis.experiments", "fig7_ordering_sww", "benchmarks"),
     ("repro.analysis.experiments", "fig7_ordering_sww", "sww_sizes"),
     ("repro.analysis.experiments", "fig8_ge_scaling", "ge_counts"),
+    # The engine returns its stalls; nothing passes a breakdown in.
+    ("repro.sim.engine", "compute_cycles_batch", "stalls_list"),
+    ("repro.sim.engine", "compute_cycles_reference", "stalls"),
+    # A merge keeps the local entry on a conflict.
+    ("repro.store.resultstore", "ResultStore.merge", "policy"),
+    # Plaintext time is at the workload's scaled size.
+    ("repro.baselines.plaintext", "PlaintextModel.time_for", "n_bits"),
 ]
 
 #: ``src/`` definitions that nothing in ``src/``, ``perf/`` or
@@ -228,6 +235,30 @@ def _env_reads():
     return reads
 
 
+def _sim_engine_reads():
+    """``path:qualname`` (path under ``src/repro/``) of the enclosing
+    function of every ``.sim_engine`` attribute read under ``src/``."""
+    package = ROOT / "src" / "repro"
+    reads = []
+
+    def visit(node, where, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, where, f"{scope}{child.name}.")
+                continue
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "sim_engine"
+                and isinstance(child.ctx, ast.Load)
+            ):
+                reads.append(f"{where}:{scope.rstrip('.')}")
+            visit(child, where, scope)
+
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree, path.relative_to(package).as_posix(), "")
+    return reads
+
+
 class TestDocumentation:
     def test_readme_exists_with_quickstart(self):
         readme = (ROOT / "README.md").read_text()
@@ -365,6 +396,19 @@ class TestRetiredApi:
         want = simulate(streams, config).compute_cycles
         monkeypatch.setenv("REPRO_SIM_ENGINE", "bogus")
         assert simulate(streams, config).compute_cycles == want
+
+    def test_sim_engine_read_only_by_the_dispatch(self):
+        # One engine selector, read in one place: every timing model
+        # reaches the reference replay through compute_cycles_batch.  The
+        # config's own module may read it too (it validates the name).
+        dispatch = "sim/engine.py:compute_cycles_batch"
+        reads = _sim_engine_reads()
+        assert dispatch in reads
+        stray = [
+            where for where in reads
+            if where != dispatch and not where.startswith("sim/config.py:")
+        ]
+        assert not stray, f".sim_engine read outside the dispatch: {stray}"
 
     def test_simulate_has_no_engine_flag(self, capsys):
         from repro.cli import build_parser
@@ -544,6 +588,21 @@ class TestRetiredApi:
             )
             for name in names
         ],
+        # One coupled model (coupled_runtime_batch), one decoupled batch
+        # entry (compute_cycles_batch); the per-instruction coupled loop
+        # is the oracle of tests/sim/scalar_coupled.py.
+        ("repro.sim", "coupled_runtime"),
+        ("repro.sim.coupled", "coupled_runtime"),
+        ("repro.sim.coupled", "_per_instruction_bytes"),
+        ("repro.sim.engine", "compute_cycles_numpy_batched"),
+        ("repro.sim.engine", "_stalls_for"),
+        # Paper constants no table reads: the GPU rate sits beside its
+        # claim test, the paper's own rate is prose.
+        *[
+            (module, name)
+            for module in ("repro.baselines", "repro.baselines.prior_work")
+            for name in ("GPU_GATES_PER_US", "HAAC_PAPER_GATES_PER_US")
+        ],
     ])
     def test_name_gone(self, module, name):
         module = importlib.import_module(module)
@@ -591,6 +650,11 @@ class TestRetiredApi:
         ("repro.sim.stats", "SimResult", "gates_per_second"),
         ("repro.store.entries", "EntryStore", "entry_count"),
         ("repro.workloads.base", "Workload", "scaled_plaintext_ops"),
+        # Second spellings of ScheduleParams() and ScheduleParams(and_latency=21).
+        ("repro.core.passes.streams", "ScheduleParams", "evaluator"),
+        ("repro.core.passes.streams", "ScheduleParams", "garbler"),
+        # A merge always keeps the local entry: nothing is replaced.
+        ("repro.store.resultstore", "MergeReport", "replaced"),
     ])
     def test_method_gone(self, module, cls, name):
         owner = getattr(importlib.import_module(module), cls)
@@ -667,6 +731,11 @@ class TestRetiredApi:
             ["serve", "--window", "2"], "unrecognized arguments: --window",
             id="serve-window",
         ),
+        # A store merge keeps local entries on a conflict.
+        pytest.param(
+            ["store", "merge", "src", "--policy", "theirs"],
+            "unrecognized arguments: --policy", id="store-merge-policy",
+        ),
     ])
     def test_retired_command_line(self, argv, error, capsys):
         from repro.cli import build_parser
@@ -675,6 +744,17 @@ class TestRetiredApi:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
         assert error in capsys.readouterr().err
+
+    def test_plaintext_ops_have_no_defaults(self):
+        # Each workload's scaled size is written once, in scaled_params.
+        import inspect
+
+        from repro.workloads import WORKLOADS
+
+        assert len(WORKLOADS) == 8
+        for name, workload in WORKLOADS.items():
+            params = inspect.signature(workload.plaintext_ops).parameters
+            assert all(p.default is p.empty for p in params.values()), name
 
     def test_fault_plan_has_no_tear_cache(self):
         from repro.faults import FAULT_KINDS, FaultPlan
