@@ -46,6 +46,7 @@ __all__ = [
     "CircuitStats",
     "CircuitError",
     "check_input_bits",
+    "is_bit",
     "asap_wire_levels",
     "AndLevelPlan",
     "ColumnView",
@@ -567,12 +568,18 @@ def asap_wire_levels(
     return level
 
 
+def is_bit(value) -> bool:
+    """Whether ``value`` is the integer 0 or 1 (``1.0`` is not)."""
+    return isinstance(value, (int, np.integer)) and value in (0, 1)
+
+
 def check_input_bits(circuit: Circuit, party: str, bits: Sequence[int]) -> None:
     """Raise :class:`CircuitError` unless ``bits`` are ``party``'s
     (``"garbler"`` or ``"evaluator"``) inputs to ``circuit``: one per
-    input wire, each 0 or 1.  The one input check of every executor:
-    plaintext, functional machine and both session roles."""
+    input wire, each the integer 0 or 1 (:func:`is_bit`).  The one input
+    check of every executor: plaintext, functional machine and both
+    session roles."""
     if len(bits) != getattr(circuit, f"n_{party}_inputs"):
         raise CircuitError(f"wrong number of {party} input bits")
-    if not all(bit in (0, 1) for bit in bits):
+    if not all(map(is_bit, bits)):
         raise CircuitError(f"{party} input bits must be 0 or 1")

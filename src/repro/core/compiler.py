@@ -32,7 +32,7 @@ from .assembler import LoweredCircuit, lower_inv
 from .depgraph import dep_graph
 from .passes.esw import EswReport, eliminate_spent_wires
 from .passes.rename import rename
-from .passes.reorder import depth_first_order, full_reorder, segment_reorder
+from .passes.reorder import depth_first_order, level_reorder
 from .passes.streams import ScheduleParams, StreamSet, generate_streams
 from .program import HaacProgram
 from .progcache import ProgramCache, compile_key
@@ -118,16 +118,16 @@ def compile_circuit(
 
     # Canonical EMP program order: depth-first producer-consumer chains
     # (paper section 4.2.1).  This *is* the baseline; the reordering
-    # passes transform it.
-    netlist = depth_first_order(lowered.circuit)
+    # passes level-sort it, in the same permutation.
     passes.append("depth_first(baseline)")
-    if opt.reorders:
-        if opt.segmented:
-            netlist = segment_reorder(netlist, window.half)
-            passes.append(f"segment_reorder({window.half})")
-        else:
-            netlist = full_reorder(netlist)
-            passes.append("full_reorder")
+    if not opt.reorders:
+        netlist = depth_first_order(lowered.circuit)
+    elif opt.segmented:
+        netlist = level_reorder(lowered.circuit, window.half)
+        passes.append(f"segment_reorder({window.half})")
+    else:
+        netlist = level_reorder(lowered.circuit)
+        passes.append("full_reorder")
     netlist = rename(netlist)
     passes.append("rename")
     program = HaacProgram.from_netlist(

@@ -10,8 +10,8 @@ operands, and the greedy GE mapping iterated gate dataclasses.
 * **operand arrays** ``a_of`` / ``b_of`` / ``out_of`` -- the circuit's
   own columns, adopted by reference -- and ``is_and``, one byte per
   gate translated from the ``op`` column;
-* **last readers** -- ``last_reader``, one ``maximum.at`` per operand
-  column (all ESW needs);
+* **last readers** -- ``last_reader``, a column filled by one
+  ``maximum.at`` per operand column (all ESW needs);
 * **topological levels** -- the netlist's ASAP wire/gate levels (these
   are per-*wire-id* and therefore permutation-invariant: the reorder
   passes share one computation across the pipeline);
@@ -30,13 +30,16 @@ the same netlist.
 
 Memoization is two-level: on the circuit instance (attribute
 ``_depgraph_cache``, dropped on pickle like every other netlist memo)
-and in a small digest-keyed registry so rebuilt-but-equal circuits --
-a sweep rebuilding a workload, or two opt levels sharing one lowered
-circuit -- reuse the graph and everything lazily derived on it.  The
-renamed program's graph additionally rides along on the
-:class:`StreamSet` into the persistent program cache, sharing its
-operand columns with the netlist and the program so warm entries store
-one copy.
+and in a small registry so rebuilt-but-equal circuits -- a sweep
+rebuilding a workload, or two opt levels sharing one lowered circuit --
+reuse the graph and everything lazily derived on it.  The registry is
+keyed by the circuit's name and its input, gate and output counts; a
+key hit shares the graph only when the ``op`` / ``a`` / ``b`` / ``out``
+columns and the outputs compare equal: a few buffer compares, where a
+content digest would hash every gate.  The renamed program's graph
+additionally rides along on the :class:`StreamSet` into the persistent
+program cache, sharing its operand columns with the netlist and the
+program so warm entries store one copy.
 """
 
 from __future__ import annotations
@@ -65,10 +68,12 @@ __all__ = [
 #: pickled netlists never carry a graph; StreamSet persists it instead).
 GRAPH_ATTR = "_depgraph_cache"
 
-#: Digest-keyed graphs surviving across rebuilt Circuit instances.
+#: Graphs surviving across rebuilt Circuit instances, keyed by
+#: :func:`_registry_key`; each entry keeps the ``op`` column and the
+#: outputs its graph does not hold, for the equality check of a key hit.
 #: Bounded FIFO: 64 graphs cover any realistic sweep's working set.
 _REGISTRY_MAX = 64
-_registry: "Dict[str, DepGraph]" = {}
+_registry: "Dict[tuple, Tuple[bytearray, List[int], DepGraph]]" = {}
 _registry_lock = threading.Lock()
 
 #: Work-actually-done counters (not cache hits) -- the warm-path tests
@@ -85,7 +90,7 @@ def build_counts() -> Dict[str, int]:
 
 
 def clear_registry() -> None:
-    """Drop all digest-keyed graphs (cold-path benchmarking, tests)."""
+    """Drop all registered graphs (cold-path benchmarking, tests)."""
     with _registry_lock:
         _registry.clear()
 
@@ -151,8 +156,8 @@ class DepGraph:
     # ------------------------------------------------------------------
 
     @cached_property
-    def last_reader(self) -> List[int]:
-        """Last gate position reading each wire (-1: never read).
+    def last_reader(self) -> array:
+        """Last gate position reading each wire (-1: never read), a column.
 
         The ESW liveness rule only needs the *last* reader: consumer
         frontiers ``n_inputs + q`` ascend with ``q``, so a wire is read
@@ -164,7 +169,7 @@ class DepGraph:
         binary = b >= 0  # INV has no second operand
         np.maximum.at(last, a, position)
         np.maximum.at(last, b[binary], position[binary])
-        return last.tolist()
+        return int_column(last)
 
     # ------------------------------------------------------------------
     # Window-sync derived data (renamed form only)
@@ -323,31 +328,44 @@ def seed_graph(
     return graph
 
 
+def _registry_key(circuit: Circuit) -> tuple:
+    return (
+        circuit.name, circuit.n_garbler_inputs, circuit.n_evaluator_inputs,
+        len(circuit.op), len(circuit.outputs),
+    )
+
+
 def dep_graph(circuit: Circuit, use_registry: bool = True) -> DepGraph:
     """The (memoized) dependence graph of ``circuit``.
 
-    Looks up the circuit-instance memo first, then the digest-keyed
-    registry (equal circuits share one graph and all its derived data),
-    and builds -- which also validates the netlist -- on a full miss.
+    Looks up the circuit-instance memo first, then the registry (equal
+    circuits share one graph and all its derived data), and builds --
+    which also validates the netlist -- on a full miss.  A registry
+    entry whose key matches but whose columns or outputs differ is
+    replaced by the new graph.
     """
     cached = getattr(circuit, GRAPH_ATTR, None)
     if cached is not None:
         return cached
-    digest = None
-    if use_registry:
-        from .progcache import circuit_digest
-
-        digest = circuit_digest(circuit)
+    key = _registry_key(circuit) if use_registry else None
+    if key is not None:
         with _registry_lock:
-            graph = _registry.get(digest)
-        if graph is not None:
-            setattr(circuit, GRAPH_ATTR, graph)
-            return graph
+            entry = _registry.get(key)
+        if entry is not None:
+            op, outputs, graph = entry
+            if (
+                circuit.op == op and circuit.a == graph.a_of
+                and circuit.b == graph.b_of and circuit.out == graph.out_of
+                and list(circuit.outputs) == outputs
+            ):
+                setattr(circuit, GRAPH_ATTR, graph)
+                return graph
     graph = DepGraph(circuit)
     setattr(circuit, GRAPH_ATTR, graph)
-    if digest is not None:
+    if key is not None:
         with _registry_lock:
-            if digest not in _registry and len(_registry) >= _REGISTRY_MAX:
+            _registry.pop(key, None)
+            if len(_registry) >= _REGISTRY_MAX:
                 _registry.pop(next(iter(_registry)))
-            _registry[digest] = graph
+            _registry[key] = (circuit.op, list(circuit.outputs), graph)
     return graph

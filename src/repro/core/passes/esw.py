@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from ...circuits.netlist import column_view
 from ..depgraph import DepGraph
 from ..program import HaacProgram
 from ..sww import SlidingWindow
@@ -54,7 +55,7 @@ def eliminate_spent_wires(
 
     Consumer frontiers ``n_inputs + q`` ascend with ``q``, so only the
     *last* reader of each wire has to be checked -- one gather from the
-    shared dependence graph's ``last_reader`` array.  ``graph`` is the
+    shared dependence graph's ``last_reader`` column.  ``graph`` is the
     compiler-supplied graph of ``program.netlist`` (its construction
     already validated the netlist, and :func:`HaacProgram.from_netlist`
     checked the instruction correspondence, so the redundant
@@ -73,7 +74,7 @@ def eliminate_spent_wires(
     # frontier is the largest of all readers' (-1, never read, is below
     # every frontier).
     half = window.half
-    last_reader = np.asarray(graph.last_reader, dtype=np.int64)
+    last_reader = column_view(graph.last_reader)
     late = n_inputs + last_reader[n_inputs:] >= (wire // half + 2) * half
     live = bytearray(late.tobytes())
     for output in program.outputs:

@@ -15,6 +15,9 @@ schemes trade parallelism against wire locality:
 Both are netlist-to-netlist transforms returning a new topologically
 valid :class:`Circuit` with gates permuted (wire ids unchanged; run
 renaming afterwards to restore the ISA's sequential-output form).
+The compiler applies them to the depth-first baseline through
+:func:`level_reorder`, which sorts the walk's positions by level and
+permutes the netlist once; the public passes share its walk and sort.
 
 All ordering data comes from the shared dependence graph
 (:mod:`repro.core.depgraph`): levels are sorted straight off
@@ -35,7 +38,7 @@ import numpy as np
 from ...circuits.netlist import Circuit, column_view, int_column
 from ..depgraph import DepGraph, dep_graph, seed_graph
 
-__all__ = ["full_reorder", "segment_reorder", "depth_first_order"]
+__all__ = ["full_reorder", "segment_reorder", "depth_first_order", "level_reorder"]
 
 
 def _permute(
@@ -64,19 +67,6 @@ def _permute(
     return reordered
 
 
-def full_reorder(circuit: Circuit) -> Circuit:
-    """Breadth-first (level-order) schedule of the whole program.
-
-    Within a level the baseline order is preserved (stable sort), which
-    keeps some residual locality and makes the pass deterministic.
-    """
-    graph = dep_graph(circuit)
-    # Levels are the global ASAP levels: a dependent gate's is strictly
-    # larger than its producer's, so the sorted order stays topological.
-    order = np.argsort(column_view(graph.gate_level_column), kind="stable")
-    return _permute(circuit, order, "+ro", graph)
-
-
 def _producer_column(graph: DepGraph) -> np.ndarray:
     """Producing gate of every wire, -1 for inputs, plus a trailing -1
     slot that INV's missing operand (index -1) reads: one scatter."""
@@ -87,7 +77,15 @@ def _producer_column(graph: DepGraph) -> np.ndarray:
 
 def depth_first_order(circuit: Circuit) -> Circuit:
     """EMP-style depth-first (producer-consumer) schedule -- the paper's
-    *baseline* program order.
+    *baseline* program order (:func:`_depth_first_positions`)."""
+    graph = dep_graph(circuit)
+    return _permute(
+        circuit, _depth_first_positions(graph, circuit.outputs), "+dfs", graph
+    )
+
+
+def _depth_first_positions(graph: DepGraph, outputs) -> np.ndarray:
+    """Gate positions in depth-first (producer-consumer) order.
 
     The paper (section 4.2.1): baseline instructions follow "a depth-first
     circuit traversal, i.e., in tight producer-consumer relationships
@@ -105,7 +103,6 @@ def depth_first_order(circuit: Circuit) -> Circuit:
     ``append`` / ``pop`` calls, because CPython specializes those and
     not ``bytearray`` subscripts or bound-method aliases.
     """
-    graph = dep_graph(circuit)
     producer = _producer_column(graph)
     source_a = producer[column_view(graph.a_of)].tolist()
     source_b = producer[column_view(graph.b_of)].tolist()
@@ -113,7 +110,7 @@ def depth_first_order(circuit: Circuit) -> Circuit:
     emitted[-1] = 1
     order = []
     stack = []
-    for root in producer[np.asarray(circuit.outputs, dtype=np.int64)].tolist():
+    for root in producer[np.asarray(outputs, dtype=np.int64)].tolist():
         if emitted[root]:
             continue
         gate = root
@@ -152,8 +149,37 @@ def depth_first_order(circuit: Circuit) -> Circuit:
     order = np.asarray(order, dtype=np.int64)
     dead = np.ones(graph.n_gates, dtype=bool)
     dead[order] = False
+    return np.concatenate([order, np.flatnonzero(dead)])
+
+
+def _level_positions(
+    graph: DepGraph, positions: np.ndarray, segment_size: Optional[int] = None
+) -> np.ndarray:
+    """``positions`` stably sorted by gate level: as one run (the full
+    reorder) or within each ``segment_size`` consecutive positions (the
+    segment reorder).
+
+    Levels are the global ASAP levels: a dependent gate's is strictly
+    larger than its producer's, so the sorted order stays topological,
+    and the stable sort keeps the given order within a level, which
+    keeps some residual locality and makes the pass deterministic.
+    """
+    if segment_size is not None and segment_size < 1:
+        raise ValueError("segment size must be positive")
+    level = column_view(graph.gate_level_column)[positions]
+    if segment_size is None:
+        return positions[np.argsort(level, kind="stable")]
+    # Stable by (segment, level): the segments keep the given order.
+    segment = np.arange(len(positions)) // segment_size
+    return positions[np.lexsort((level, segment))]
+
+
+def full_reorder(circuit: Circuit) -> Circuit:
+    """Breadth-first (level-order) schedule of the whole program; within
+    a level the baseline order is kept (:func:`_level_positions`)."""
+    graph = dep_graph(circuit)
     return _permute(
-        circuit, np.concatenate([order, np.flatnonzero(dead)]), "+dfs", graph
+        circuit, _level_positions(graph, np.arange(graph.n_gates)), "+ro", graph
     )
 
 
@@ -164,13 +190,20 @@ def segment_reorder(circuit: Circuit, segment_size: int) -> Circuit:
     (65,536 instructions for a 2 MB SWW), matching the window's logical
     halves so segment-local reuse is capturable by the SWW.
     """
-    if segment_size < 1:
-        raise ValueError("segment size must be positive")
     graph = dep_graph(circuit)
-    # Stable by (segment, level): topological within each window, as in
-    # full_reorder, and the segments keep the baseline's order.
-    order = np.lexsort((
-        column_view(graph.gate_level_column),
-        np.arange(graph.n_gates) // segment_size,
-    ))
-    return _permute(circuit, order, "+seg", graph)
+    positions = _level_positions(graph, np.arange(graph.n_gates), segment_size)
+    return _permute(circuit, positions, "+seg", graph)
+
+
+def level_reorder(circuit: Circuit, segment_size: Optional[int] = None) -> Circuit:
+    """``full_reorder(depth_first_order(circuit))``, or
+    ``segment_reorder`` of it with ``segment_size``, in one permutation:
+    the level sort runs over the depth-first positions, so the
+    intermediate depth-first netlist (and its graph) is never built.
+    Equal to the two passes, name included."""
+    graph = dep_graph(circuit)
+    positions = _level_positions(
+        graph, _depth_first_positions(graph, circuit.outputs), segment_size
+    )
+    suffix = "+dfs+ro" if segment_size is None else "+dfs+seg"
+    return _permute(circuit, positions, suffix, graph)

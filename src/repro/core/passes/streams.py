@@ -226,7 +226,10 @@ def _greedy_schedule(
 
     Wide equal-level runs (:func:`_wide_runs`) go to :func:`_speculate`,
     which commits the exact prefix before the first stall; the step below
-    finishes the run.  The state is ``array('q')`` if they exist, else lists.
+    issues the stalled instruction and, if that prefix was not empty and
+    ``_RUN_MIN`` or more positions remain, hands the rest back to
+    :func:`_speculate`, else finishes the run.  The state is
+    ``array('q')`` if runs exist, else lists.
 
     Returns (ge_of, issue_cycle, makespan), the two columns int64 arrays.
     ``done[w]`` is the cycle a wire's value exists (forwardable); primary
@@ -265,8 +268,10 @@ def _greedy_schedule(
     cycle, free, nxt, later = 0, (1 << n_ges) - 1, 0, {}
 
     state = (done, producer_ge, last_read_issue, ge_of, issue_cycle)
-    begin = 0
-    for start, stop in runs + [(graph.n_gates, graph.n_gates)]:
+    pending = runs + [(graph.n_gates, graph.n_gates)]
+    begin, run = 0, 0
+    while True:
+        start, stop = pending[run]
         stretch_ge, stretch_issue = [], []
         for out, a, b, is_and in zip(
             range(n_inputs + begin, n_inputs + start), graph.a_of[begin:start],
@@ -324,11 +329,17 @@ def _greedy_schedule(
                 last_read_issue[b] = issued
         ge_of[begin:start] = stretch_ge  # the stretch walked, converted once
         issue_cycle[begin:start] = stretch_issue
-        if start < stop:
-            begin, cycle, free, nxt, later = _speculate(
-                graph, params, capacity, start, stop, state,
-                (cycle, free, nxt, later),
-            )
+        if start == stop:
+            break
+        begin, cycle, free, nxt, later = _speculate(
+            graph, params, capacity, start, stop, state, (cycle, free, nxt, later),
+        )
+        if start < begin < stop - _RUN_MIN:
+            # A stall after progress: the step issues it, then speculation
+            # resumes.  One that committed nothing leaves the step the run.
+            pending[run] = (begin + 1, stop)
+        else:
+            run += 1
 
     # Every gate finishes at cycle >= 1, after every input.
     finish = column_view(done).max(initial=0) if runs else max(done, default=0)

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..circuits.netlist import Circuit, CircuitError
+from ..circuits.netlist import Circuit, CircuitError, is_bit
 from . import ot
 from .halfgate import GarbledTable, tables_from_bytes
 from .hashing import GateHasher
@@ -78,7 +78,7 @@ class Garbler:
         """The label encoding ``bit`` on input wire ``wire``."""
         if wire >= self.circuit.n_inputs:
             raise ValueError(f"wire {wire} is not a primary input")
-        if bit not in (0, 1):
+        if not is_bit(bit):
             party = "garbler" if wire < self.circuit.n_garbler_inputs else "evaluator"
             raise CircuitError(f"{party} input bits must be 0 or 1")
         return self.zero_labels[wire] ^ (self.r if bit else 0)

@@ -206,7 +206,7 @@ def test_zero_gate_circuit_through_each_kernel():
     assert circuit.validate() is True
     graph = DepGraph(circuit)
     assert list(graph.gate_level_column) == [] and graph.wire_level == [0, 0]
-    assert graph.last_reader == [-1, -1] == _producer_column(graph)[:-1].tolist()
+    assert list(graph.last_reader) == [-1, -1] == _producer_column(graph)[:-1].tolist()
     assert graph.oor_flags(4) == (bytearray(), bytearray())
     for reorder in (depth_first_order, full_reorder, rename):
         assert len(reorder(circuit).op) == 0

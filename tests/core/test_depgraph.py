@@ -22,9 +22,10 @@ from functools import lru_cache
 import pytest
 
 from repro.circuits.builder import CircuitBuilder
-from repro.circuits.netlist import Circuit, CircuitError, Gate, GateOp
+from repro.circuits.netlist import OP_INV, Circuit, CircuitError, Gate, GateOp
 from repro.circuits.stdlib import fixed, integer, logic
 from repro.circuits.stdlib.float import FloatFormat, fp_add
+from repro.core import progcache
 from repro.core.compiler import OptLevel, compile_circuit
 from repro.core.depgraph import (
     DepGraph,
@@ -38,6 +39,7 @@ from repro.core.passes.reorder import (
     _producer_column,
     depth_first_order,
     full_reorder,
+    level_reorder,
     segment_reorder,
 )
 from repro.core.sww import SlidingWindow
@@ -197,7 +199,7 @@ class TestGraphMatchesLegacy:
             legacy[wire][-1] if wire in legacy else -1
             for wire in range(circuit.n_wires)
         ]
-        assert graph.last_reader == expected_last
+        assert list(graph.last_reader) == expected_last
 
     def test_producer_index(self, family):
         # The depth-first pass's producer column, with its INV sentinel.
@@ -290,6 +292,60 @@ class TestMemoization:
             second, use_registry=False
         )
 
+    @staticmethod
+    def _changed_adder8(change: str) -> Circuit:
+        circuit = _adder8()
+        if change == "name":
+            circuit.name = "adder8-renamed"
+        elif change == "operand":
+            circuit.b[-1] = circuit.a[-1]
+        else:
+            outputs = circuit.outputs
+            circuit.outputs = [outputs[1], outputs[0], *outputs[2:]]
+        return circuit
+
+    @pytest.mark.parametrize("change", ["name", "operand", "output"])
+    def test_registry_tells_near_equal_circuits_apart(self, change):
+        """The registry key is the name and the counts; a key hit shares
+        the graph only for equal columns and outputs.  A mismatch
+        replaces the entry: the next equal circuit shares the new graph."""
+        clear_registry()
+        graph = dep_graph(_adder8())
+        changed = dep_graph(self._changed_adder8(change))
+        assert changed is not graph
+        assert dep_graph(self._changed_adder8(change)) is changed
+
+    def test_cache_off_compile_computes_no_digest(self, monkeypatch):
+        """Only a compile key (cache on) digests the circuit; the graph
+        registry compares columns instead."""
+        def refuse(circuit):
+            raise AssertionError("circuit_digest called on a cache-off compile")
+
+        monkeypatch.setattr(progcache, "circuit_digest", refuse)
+        clear_registry()
+        config = HaacConfig(n_ges=4, sww_bytes=SWW_BYTES)
+        for opt in OptLevel:
+            compile_circuit(
+                _integer8(), config.window, config.n_ges, opt=opt,
+                params=config.schedule_params(), cache=False,
+            )
+
+    @pytest.mark.parametrize("opt", [OptLevel.RO_RN_ESW, OptLevel.SEG_RN_ESW])
+    def test_cold_reordering_compile_builds_three_graphs(self, opt):
+        """The lowered input's, the once-permuted netlist's and the
+        renamed program's: no graph of an intermediate depth-first
+        netlist."""
+        clear_registry()
+        circuit = _adder8()
+        assert OP_INV not in circuit.op  # lowering returns it unchanged
+        config = HaacConfig(n_ges=4, sww_bytes=SWW_BYTES)
+        before = build_counts()["graphs"]
+        compile_circuit(
+            circuit, config.window, config.n_ges, opt=opt,
+            params=config.schedule_params(), cache=False,
+        )
+        assert build_counts()["graphs"] - before == 3
+
     def test_derivations_run_once_per_graph(self):
         graph = DepGraph(_adder8())
         before = build_counts()
@@ -333,6 +389,23 @@ class TestMemoization:
         graph = dep_graph(reordered)
         assert "gate_level_column" in graph.__dict__
         assert list(graph.gate_level_column) == reordered.gate_levels()
+
+    @pytest.mark.parametrize("family", sorted(STDLIB_FAMILIES))
+    @pytest.mark.parametrize("segment_size", [None, 1, 5, 64])
+    def test_level_reorder_is_the_two_passes(self, family, segment_size):
+        """One permutation equals the depth-first pass followed by the
+        full or segment reorder: columns, outputs, name and levels."""
+        clear_registry()
+        staged = depth_first_order(_circuit(family))
+        if segment_size is None:
+            staged = full_reorder(staged)
+        else:
+            staged = segment_reorder(staged, segment_size)
+        clear_registry()
+        fused = level_reorder(_circuit(family), segment_size)
+        for column in ("op", "a", "b", "out", "outputs", "name"):
+            assert getattr(fused, column) == getattr(staged, column)
+        assert list(dep_graph(fused).gate_level_column) == fused.gate_levels()
 
     def test_unlevelled_order_hands_over_nothing(self):
         clear_registry()

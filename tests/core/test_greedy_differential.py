@@ -222,6 +222,55 @@ def test_wide_runs_take_the_array_path(committed, and_latency):
     assert sum(committed) > 1000
 
 
+def two_stall_program(first: int, second: int) -> HaacProgram:
+    """Two equal-level runs of 300 and 600 XORs on two inputs.  The
+    first run ends in two ANDs; run-two positions ``first`` and
+    ``second`` read them (every other one reads an early XOR), so on two
+    GEs at the paper's latencies both stall, the second while the first
+    still holds its GE."""
+    n_inputs, width = 2, 300
+    op, a, b = bytearray(), array("q"), array("q")
+    late = {first: n_inputs + width - 2, second: n_inputs + width - 1}
+    for code, source in (
+        [(OP_XOR, 0)] * (width - 2) + [(OP_AND, 0)] * 2
+        + [(OP_XOR, late.get(k, n_inputs + k % (width - 2))) for k in range(600)]
+    ):
+        op.append(code)
+        a.append(source)
+        b.append(1 if source == 0 else 0)
+    n_wires = n_inputs + len(op)
+    circuit = Circuit.from_columns(
+        n_inputs, 0, [n_wires - 1], op, a, b,
+        array("q", range(n_inputs, n_wires)), "two-stall",
+    )
+    return HaacProgram.from_netlist(rename(full_reorder(circuit)))
+
+
+@pytest.mark.parametrize("first, calls_after", [
+    # Both stalls follow progress: speculation resumes after each.
+    (10, [(300, 900, 310), (311, 900, 315), (316, 900, 900)]),
+    # The run stalls at its first position: the step takes the run.
+    (0, [(300, 900, 300)]),
+])
+def test_speculation_resumes_after_each_stall(monkeypatch, first, calls_after):
+    """After the step issues a stalled instruction of a wide run, the
+    rest of the run goes back to the array path while ``_RUN_MIN`` or
+    more positions remain, unless the speculation before the stall
+    committed nothing; the schedule is the oracle's either way."""
+    calls = []
+    speculate = streams._speculate
+
+    def recording(graph, params, capacity, start, stop, *args):
+        result = speculate(graph, params, capacity, start, stop, *args)
+        calls.append((start, stop, result[0]))
+        return result
+
+    monkeypatch.setattr(streams, "_speculate", recording)
+    program = two_stall_program(first, 15)
+    assert_levelled_matches(program, 2, ScheduleParams(), None)
+    assert calls == [(0, 300, 300), *calls_after]
+
+
 def assert_narrow_oracle_columns(schedule, oracle):
     """``ge_of`` / ``issue_cycle`` are ``array`` columns of the narrowest
     unsigned typecode holding their max, byte for byte the oracle's

@@ -322,6 +322,7 @@ class TestRoleContract:
             for change, message in (
                 (2, "{} input bits must be 0 or 1"),
                 (-1, "{} input bits must be 0 or 1"),
+                (1.0, "{} input bits must be 0 or 1"),
                 ("arity", "wrong number of {} input bits"),
             )
             # Label lookup takes explicit wires, so it has no arity.
@@ -331,12 +332,14 @@ class TestRoleContract:
     def test_every_executor_rejects_bad_inputs_alike(
         self, adder_circuit, entry, party, change, message
     ):
-        """A bit outside {0, 1} or a wrong bit count raises the one
-        :class:`CircuitError` message of ``check_input_bits`` from every
-        executor and from the garbler's input-label lookup, before any
-        message is sent or any session admitted.  Unchecked, a garbler
-        bit of 2 garbled as 1 while ``eval_plain`` read it as 0, and an
-        evaluator bit of 2 aborted the session mid-handshake."""
+        """A bit outside {0, 1}, a float bit or a wrong bit count raises
+        the one :class:`CircuitError` message of ``check_input_bits`` from
+        every executor and from the garbler's input-label lookup, before
+        any message is sent or any session admitted.  Unchecked, a
+        garbler bit of 2 garbled as 1 while ``eval_plain`` read it as 0,
+        an evaluator bit of 2 aborted the session mid-handshake, and a
+        garbler bit of 1.0 made ``eval_plain`` raise a bare ``TypeError``
+        while the other executors computed with it."""
         bits = dict(zip(("garbler", "evaluator"), _bits(adder_circuit)))
         if change == "arity":
             bits[party].append(0)

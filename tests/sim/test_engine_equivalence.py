@@ -333,13 +333,6 @@ class TestExhaustiveAes:
 
 
 class TestNumpyEngineDetails:
-    def test_config_pin_overrides_environment(self, monkeypatch):
-        """``config.sim_engine`` is the one selector: an engine named in
-        the environment changes nothing, and the pins agree."""
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        result, config = _compiled("adder8", OptLevel.RO_RN_ESW)
-        _assert_identical(_all_engines(_sim_snapshot, result.streams, config))
-
     def test_segment_bias_overflow_raises(self, monkeypatch):
         """The replay's bias bound is a typed error, not an ``assert``
         that ``python -O`` strips: a bias the cycles reach would make
