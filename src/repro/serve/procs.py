@@ -19,9 +19,12 @@ The pieces here are the *worker side* of the supervision tree
   only works when sender and receiver share one object) is never taken.
 * :func:`party_process_main` -- the ``multiprocessing`` entry point of
   a *resident* worker and the *split* scheduler of the streamed
-  protocol.  Per session, one payload (with an attempt tag) and one end
-  of a fresh ``socketpair`` arrive on its duplex control pipe; it starts
-  a heartbeat thread, builds this party's role
+  protocol.  One daemon heartbeat thread, started at fork, beats the
+  running attempt's tag for the worker's whole life and is silent while
+  it idles.  Per session, one payload (an attempt tag, and the circuit
+  only when this worker does not hold that circuit already) and one end
+  of a fresh ``socketpair`` arrive on its duplex control pipe; it builds
+  this party's role
   (:class:`~repro.gc.roles.GarblerRole` or
   :class:`~repro.gc.roles.EvaluatorRole` -- the same two scripts the
   fused :class:`~repro.gc.protocol.StreamedDriver` alternates in one
@@ -239,11 +242,6 @@ class ChaosDirective:
 # --------------------------------------------------------------------------
 
 
-def _heartbeat_loop(send, tag, interval, stop) -> None:
-    while not stop.wait(interval) and send(("hb", tag)):
-        pass
-
-
 def party_process_main(role, conn, close_first) -> None:
     """Resident worker body: run this party's sessions until EOF.
 
@@ -252,37 +250,53 @@ def party_process_main(role, conn, close_first) -> None:
     parent's close from the worker it belongs to.  A session's socket
     arrives over ``conn`` after its payload, so no worker ever holds its
     peer's end and a dead peer is a prompt
-    :class:`~repro.faults.PeerDisconnected`.
+    :class:`~repro.faults.PeerDisconnected`.  A payload without a
+    circuit runs on the last one received, whose AND-level plan is
+    already built.
     """
     close_quietly(*close_first)
     lock = threading.Lock()
+    running = None  # the running attempt's tag; None while idle
+    circuit = None
 
     def send(msg) -> bool:
         """One message on the control pipe; False once the pipe is gone."""
         try:
-            with lock:
-                conn.send(msg)
+            conn.send(msg)
         except (OSError, ValueError):
             return False
         return True
 
+    def heartbeat() -> None:
+        # Silent while idle: nothing reads an idle pair's pipe.
+        while True:
+            time.sleep(HEARTBEAT_S)
+            with lock:
+                if running is not None and not send(("hb", running)):
+                    return
+
+    def finish(msg) -> None:
+        """The attempt's last message: no beat of its tag follows it."""
+        nonlocal running
+        with lock:
+            running = None
+            send(msg)
+
+    threading.Thread(target=heartbeat, daemon=True).start()
     while True:
         try:
             payload = conn.recv()
             sock = socket.socket(fileno=reduction.recv_handle(conn))
         except (EOFError, OSError):
             return
-        tag, chaos, circuit = payload["tag"], payload["chaos"], payload["circuit"]
+        tag, chaos = payload["tag"], payload["chaos"]
+        circuit = payload.get("circuit", circuit)
         log = RecoveryLog()
         wire = PeerSocketWire(
             sock, f"{role} endpoint", io_timeout_s=payload["io_timeout_s"]
         )
         down, up = make_party_channels(wire, log=log)
-        stop = threading.Event()
-        heartbeat = threading.Thread(
-            target=_heartbeat_loop, args=(send, tag, HEARTBEAT_S, stop), daemon=True
-        )
-        heartbeat.start()
+        running = tag
         role_cls = GarblerRole if role == GARBLER else EvaluatorRole
         try:
             # A pickled circuit carries no memo: build the plan before the
@@ -299,13 +313,11 @@ def party_process_main(role, conn, close_first) -> None:
                     chaos.maybe_fire(party.levels_done - 1, sock)
             report = party.report()
             report["recovered"] = log.events
-            send(("result", tag, report))
+            finish(("result", tag, report))
         except ProtocolFault as exc:
-            send(("error", tag, exc))
+            finish(("error", tag, exc))
         except Exception as exc:  # normalised like StreamedDriver.step
             fault = SessionAborted(f"{role} worker aborted: {exc!r}")
-            send(("error", tag, fault))
+            finish(("error", tag, fault))
         finally:
-            stop.set()
-            heartbeat.join()
             wire.close()

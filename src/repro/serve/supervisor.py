@@ -6,11 +6,15 @@ retry backoff, drain and sealing are the core's).  Each slot holds a
 *resident pair of OS processes* (one per party,
 :mod:`repro.serve.procs`) for one ``run_until_complete``; an attempt
 is a tagged payload and one end of a fresh kernel ``socketpair`` per
-party on its control pipe, with the parent watching from outside:
+party on its control pipe, with the parent watching from outside.  The
+circuit rides in the payload only when the pair does not hold that
+very object already (a fresh or replacement pair, or another circuit),
+so a pair ships and plans a circuit once for a run of sessions on it;
+each ``launched`` event says which (``"circuit": "shipped" | "held"``):
 
-* **liveness** -- every worker heartbeats over its control pipe; the
-  supervisor also watches process sentinels, so a SIGKILLed worker is
-  noticed even though it never said goodbye
+* **liveness** -- every worker heartbeats over its control pipe while
+  an attempt runs; the supervisor also watches process sentinels, so a
+  SIGKILLed worker is noticed even though it never said goodbye
   (:class:`~repro.faults.WorkerCrashed`);
 * **deadlines** -- a per-session wall-clock budget; a session that
   overruns is killed and reaped, never abandoned
@@ -126,6 +130,7 @@ class _PartyPair:
 
     procs: Dict[str, object]
     conns: Dict[str, object]
+    circuit: object  # the circuit this pair's workers now hold
     tag: int
     started: float
     deadline_at: Optional[float]
@@ -135,12 +140,16 @@ class _PartyPair:
     verified: bool = False
 
 
-def _send(procs, conns, payloads) -> bool:
-    """Each party its payload, then its end of a fresh ``socketpair``."""
+def _send(procs, conns, payloads, circuit) -> bool:
+    """Each party its payload (with ``circuit`` unless that is ``None``),
+    then its end of a fresh ``socketpair``."""
     socks = dict(zip(ROLES, socket.socketpair()))
     try:
         for role, conn in conns.items():
-            conn.send(payloads[role])
+            payload = payloads[role]
+            if circuit is not None:
+                payload = {**payload, "circuit": circuit}
+            conn.send(payload)
             reduction.send_handle(conn, socks[role].fileno(), procs[role].pid)
         return True
     except OSError:
@@ -201,7 +210,8 @@ class Supervisor(SessionService):
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
-        self._idle: List[tuple] = []  # (procs, conns) of resident pairs
+        # (procs, conns, the circuit last shipped) of each idle pair
+        self._idle: List[tuple] = []
         self._tags = itertools.count()
 
     def submit(self, spec: SessionSpec) -> SessionHandle:
@@ -247,9 +257,8 @@ class Supervisor(SessionService):
 
         tag = next(self._tags)
         bits = dict(zip(ROLES, (spec.garbler_bits, spec.evaluator_bits)))
-        procs, conns = self._hand_off({
+        procs, conns, shipped = self._hand_off(spec.circuit, {
             role: {
-                "circuit": spec.circuit,
                 "seed": spec.seed,
                 "backend": spec.backend,
                 "io_timeout_s": io_timeout_s,
@@ -260,29 +269,37 @@ class Supervisor(SessionService):
             for role in ROLES
         })
         handle.attempt = _PartyPair(
-            procs, conns, tag, now, now + deadline if deadline else None,
+            procs, conns, spec.circuit, tag, now,
+            now + deadline if deadline else None,
             last_msg=dict.fromkeys(ROLES, now),
         )
         return {
             "pids": {role: procs[role].pid for role in ROLES},
             "deadline_s": deadline,
             "chaos": asdict(chaos) if chaos is not None else None,
+            "circuit": "shipped" if shipped else "held",
         }
 
     # -- the resident pool ---------------------------------------------
 
-    def _hand_off(self, payloads: Dict[str, dict]) -> tuple:
+    def _hand_off(self, circuit, payloads: Dict[str, dict]) -> tuple:
         """Send an attempt to an idle pair (one found dead is reaped and
-        replaced, at no retry's cost), else to a fresh pair."""
+        replaced, at no retry's cost), else to a fresh pair: ``(procs,
+        conns, shipped)``.  A pair that holds this very circuit object
+        gets payloads without it."""
         while self._idle:
-            procs, conns = self._idle.pop()
+            procs, conns, held = self._idle.pop()
+            shipped = held is not circuit
             alive = all(proc.is_alive() for proc in procs.values())
-            if alive and _send(procs, conns, payloads):
-                return procs, conns
+            if alive and _send(
+                procs, conns, payloads, circuit if shipped else None
+            ):
+                return procs, conns, shipped
             _retire(procs, conns)
         procs, conns = self._fork()
-        _send(procs, conns, payloads)  # a dead fresh pair: the attempt's fault
-        return procs, conns
+        # A dead fresh pair is the attempt's fault.
+        _send(procs, conns, payloads, circuit)
+        return procs, conns, True
 
     def _fork(self) -> tuple:
         """Start a resident pair.  Each child closes every parent-side
@@ -306,7 +323,8 @@ class Supervisor(SessionService):
     def _reap_all(self) -> None:
         super()._reap_all()
         while self._idle:
-            _retire(*self._idle.pop(), grace_s=5.0)  # at EOF its workers exit
+            procs, conns, _ = self._idle.pop()
+            _retire(procs, conns, grace_s=5.0)  # at EOF its workers exit
 
     def _wait(self) -> None:
         conn_map = {
@@ -456,8 +474,7 @@ class Supervisor(SessionService):
         attempt, handle.attempt = handle.attempt, None
         if attempt is None:
             return
-        pair = (attempt.procs, attempt.conns)
         if attempt.verified and None not in attempt.conns.values():
-            self._idle.append(pair)
+            self._idle.append((attempt.procs, attempt.conns, attempt.circuit))
         else:
-            _retire(*pair)
+            _retire(attempt.procs, attempt.conns)

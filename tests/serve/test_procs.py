@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import threading
@@ -35,6 +36,7 @@ from repro.serve import (
     SupervisorLog,
     draw_chaos,
 )
+from repro.serve.procs import HEARTBEAT_S
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -75,6 +77,14 @@ def _vm_rss_mb(pid):
     with open(f"/proc/{pid}/status") as status:
         line = next(line for line in status if line.startswith("VmRSS:"))
     return int(line.split()[1]) / 1024.0
+
+
+def _shipping(supervisor):
+    """The ``circuit`` field of every ``launched`` event."""
+    return [
+        ev["circuit"] for ev in supervisor.log.events
+        if ev["event"] == "launched"
+    ]
 
 
 def _launches(supervisor):
@@ -461,6 +471,68 @@ class TestResidentPairs:
         assert stats.retries == 0
         (_, _, first), (_, _, second) = _launches(supervisor)
         assert not set(first) & set(second)
+        # The replacement pair holds nothing: it gets the circuit.
+        assert _shipping(supervisor) == ["shipped", "shipped"]
+        _assert_reaped()
+
+    def test_a_pair_holds_the_circuit_it_was_last_shipped(
+        self, adder_circuit, mixed_circuit
+    ):
+        """The circuit rides only to a pair that does not hold that very
+        object: A, B, A, A, then an equal copy of A."""
+        a, b = adder_circuit, mixed_circuit
+        runs = [a, b, a, a, pickle.loads(pickle.dumps(a))]
+        supervisor = Supervisor(max_concurrent=1, deadline_s=60.0, retries=0)
+        handles = [
+            supervisor.submit(SessionSpec(circuit, *_bits(circuit), seed=seed))
+            for seed, circuit in enumerate(runs, start=7)
+        ]
+        supervisor.run_until_complete()
+        assert len({pids for _, _, pids in _launches(supervisor)}) == 1
+        assert _shipping(supervisor) == [
+            "shipped", "shipped", "shipped", "held", "shipped"
+        ]
+        for seed, (circuit, handle) in enumerate(zip(runs, handles), start=7):
+            fresh = Supervisor(deadline_s=60.0, retries=0)
+            alone = fresh.submit(SessionSpec(circuit, *_bits(circuit), seed=seed))
+            fresh.run_until_complete()
+            assert handle.error is None and alone.error is None
+            assert handle.result.output_bits == circuit.eval_plain(*_bits(circuit))
+            assert (
+                handle.result.transcript_digest
+                == alone.result.transcript_digest
+            )
+        _assert_reaped()
+
+    def test_an_idle_worker_does_not_heartbeat(self, adder_circuit):
+        """Nothing reads an idle pair's pipe, so its workers stay silent
+        there: at most one stale beat each over 10 heartbeat periods."""
+        g, e = _bits(adder_circuit)
+        idle = {}
+
+        def hold_the_pair_idle(_):
+            time.sleep(10 * HEARTBEAT_S + 0.1)
+            ((_, conns, _),) = supervisor._idle
+            for role, conn in conns.items():
+                idle[role] = []
+                while conn.poll():
+                    idle[role].append(conn.recv())
+
+        supervisor = Supervisor(
+            max_concurrent=1, deadline_s=60.0, retries=0,
+            log=_OnEvent("sealed", hold_the_pair_idle),
+        )
+        handles = [
+            supervisor.submit(SessionSpec(adder_circuit, g, e, seed=seed))
+            for seed in (7, 8)
+        ]
+        supervisor.run_until_complete()
+        assert all(handle.error is None for handle in handles)
+        assert set(idle) == {"garbler", "evaluator"}
+        for messages in idle.values():
+            assert len(messages) <= 1, messages
+            assert all(msg[0] == "hb" for msg in messages), messages
+        assert len({pids for _, _, pids in _launches(supervisor)}) == 1
         _assert_reaped()
 
     @pytest.mark.skipif(

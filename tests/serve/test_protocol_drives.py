@@ -252,8 +252,8 @@ def test_split_drive_at_full_scale(name):
 @pytest.mark.slow
 def test_one_resident_pair_changes_circuit_at_full_scale():
     """One resident pair runs Hamming n=512, AES-128, then Hamming n=512
-    again: a reused worker that changes circuit still sends the
-    recorded bytes."""
+    twice: a reused worker that changes circuit, and one that runs on
+    the circuit it holds, still sends the recorded bytes."""
     hamm = get_workload("Hamm").build(n_bits=512).circuit
     rng = random.Random(3)
     hamm_bits = [
@@ -264,6 +264,7 @@ def test_one_resident_pair_changes_circuit_at_full_scale():
     runs = [
         (hamm, hamm_bits, 3, GOLDEN_SESSIONS[("hamm512", 3)][0]),
         (aes, _bits(aes), SEED, _AES128_DIGEST),
+        (hamm, hamm_bits, 3, GOLDEN_SESSIONS[("hamm512", 3)][0]),
         (hamm, hamm_bits, 3, GOLDEN_SESSIONS[("hamm512", 3)][0]),
     ]
     supervisor = Supervisor(max_concurrent=1, deadline_s=120.0, retries=0)
@@ -278,11 +279,13 @@ def test_one_resident_pair_changes_circuit_at_full_scale():
         assert handle.error is None, handle.error
         assert handle.result.output_bits == circuit.eval_plain(*bits)
         assert handle.result.transcript_digest == digest
-    pids = [
-        event["pids"] for event in supervisor.log.events
-        if event["event"] == "launched"
+    launched = [
+        event for event in supervisor.log.events if event["event"] == "launched"
     ]
-    assert len(pids) == 3 and pids[0] == pids[1] == pids[2]
+    assert all(event["pids"] == launched[0]["pids"] for event in launched)
+    assert [event["circuit"] for event in launched] == [
+        "shipped", "shipped", "shipped", "held"
+    ]
     assert not [p for p in multiprocessing.active_children() if p.is_alive()]
 
 
